@@ -20,7 +20,7 @@ func (c *Client) queryAll(src Prefix, dsts []Prefix) []PathInfo {
 	for i, d := range dsts {
 		pairs[i] = [2]Prefix{src, d}
 	}
-	out, err := c.engineSnapshot().QueryBatch(context.Background(), pairs)
+	out, err := c.engine.Load().QueryBatch(context.Background(), pairs)
 	if err != nil {
 		// Unreachable with a background context; keep callers total anyway.
 		return make([]PathInfo, len(dsts))
@@ -139,7 +139,7 @@ func (c *Client) relayLegs(ctx context.Context, src, dst Prefix, relays []Prefix
 		kept = append(kept, r)
 		pairs = append(pairs, [2]Prefix{src, r}, [2]Prefix{r, dst})
 	}
-	legs, err = c.engineSnapshot().QueryBatch(ctx, pairs)
+	legs, err = c.engine.Load().QueryBatch(ctx, pairs)
 	return kept, legs, err
 }
 
@@ -236,7 +236,7 @@ func (c *Client) BestRelayInfo(ctx context.Context, src, dst Prefix, relays []Pr
 // relayed through relay.
 func (c *Client) RelayMOS(src, dst, relay Prefix) (float64, bool) {
 	pairs := [][2]Prefix{{src, relay}, {relay, dst}}
-	legs, err := c.engineSnapshot().QueryBatch(context.Background(), pairs)
+	legs, err := c.engine.Load().QueryBatch(context.Background(), pairs)
 	if err != nil {
 		return 0, false
 	}
@@ -264,7 +264,7 @@ func (c *Client) RankDetours(src, dst Prefix, candidates []Prefix) []Prefix {
 		kept = append(kept, d)
 		pairs = append(pairs, [2]Prefix{src, d}, [2]Prefix{d, dst})
 	}
-	preds, err := c.engineSnapshot().PredictBatch(context.Background(), pairs)
+	preds, err := c.engine.Load().PredictBatch(context.Background(), pairs)
 	if err != nil {
 		// Unreachable with a background context; keep the helper total.
 		preds = make([]Prediction, len(pairs))

@@ -18,6 +18,14 @@
 // rebuilt plain, which ships today's corrections but cannot expire
 // yesterday's on clients that follow deltas.
 //
+// Cluster IDs are stable across days: day d is clustered against day
+// d-1's clustering (cluster.Stabilize, chained from day 0 — the synthetic
+// world is deterministic, so every invocation recomputes the same chain),
+// standing in for the production server's persistent cluster registry.
+// Without that the two days of a delta would number their clusters
+// independently and a client following the delta could answer next to
+// nothing.
+//
 // Usage:
 //
 //	inano-build [-scale tiny|medium|eval] [-seed N] [-day D] [-vps N] [-o atlas.bin] [-delta delta.bin]
@@ -28,26 +36,46 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"inano/internal/atlas"
+	"inano/internal/cluster"
 	"inano/internal/feedback"
 	"inano/internal/netsim"
 	"inano/sim"
 )
 
 func main() {
-	scale := flag.String("scale", "medium", "world scale: tiny, medium, or eval")
-	seed := flag.Int64("seed", 42, "world seed")
-	day := flag.Int("day", 0, "measurement day")
-	vps := flag.Int("vps", 60, "number of vantage points")
-	out := flag.String("o", "atlas.bin", "output atlas file")
-	flatOut := flag.String("flat", "", "also write the compiled flat serving form (mmap-able by inanod -atlas-flat) to this file")
-	deltaOut := flag.String("delta", "", "also write the delta from the previous day to this file")
-	prevPath := flag.String("prev", "", "previous day's archived atlas (the -o output, corrections included): delta base and carried-correction source; default rebuilds the previous day without corrections")
-	obsPath := flag.String("observations", "", "aggregated observation snapshot (inanod -obs-snapshot) to fold into the build")
-	obsMinReporters := flag.Int("obs-min-reporters", 3, "fold only aggregates backed by at least this many reporting source clusters")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: 0 on success, 1 on a failed build or write, 2 on a
+// usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("inano-build", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.String("scale", "medium", "world scale: tiny, medium, or eval")
+	seed := fs.Int64("seed", 42, "world seed")
+	day := fs.Int("day", 0, "measurement day")
+	vps := fs.Int("vps", 60, "number of vantage points")
+	out := fs.String("o", "atlas.bin", "output atlas file")
+	flatOut := fs.String("flat", "", "also write the compiled flat serving form (mmap-able by inanod -atlas-flat) to this file")
+	deltaOut := fs.String("delta", "", "also write the delta from the previous day to this file")
+	prevPath := fs.String("prev", "", "previous day's archived atlas (the -o output, corrections included): delta base and carried-correction source; default rebuilds the previous day without corrections")
+	obsPath := fs.String("observations", "", "aggregated observation snapshot (inanod -obs-snapshot) to fold into the build")
+	obsMinReporters := fs.Int("obs-min-reporters", 3, "fold only aggregates backed by at least this many reporting source clusters")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *day < 0 {
+		fmt.Fprintf(stderr, "inano-build: -day %d is negative\n", *day)
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "inano-build:", err)
+		return 1
+	}
 
 	var sc sim.Scale
 	switch *scale {
@@ -58,52 +86,60 @@ func main() {
 	case "eval":
 		sc = sim.Eval
 	default:
-		fmt.Fprintf(os.Stderr, "inano-build: unknown scale %q\n", *scale)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "inano-build: unknown scale %q\n", *scale)
+		return 2
 	}
 
 	w := sim.NewWorld(sc, *seed)
-	fmt.Printf("world: %s\n", w.Top.Stats())
+	fmt.Fprintf(stdout, "world: %s\n", w.Top.Stats())
 	vpList := w.VantagePoints(*vps)
 	targets := w.EdgePrefixes()
 
-	build := func(d int) *atlas.Atlas {
+	// Measure every day up to -day, each clustered against the one before,
+	// and keep the last two campaigns with their clusterings: today's
+	// build, and yesterday's should the delta need it as its base.
+	type measured struct {
+		c  *sim.Campaign
+		cl *cluster.Clustering
+	}
+	var today, yesterday measured
+	for d := 0; d <= *day; d++ {
 		c := w.Measure(sim.CampaignOptions{Day: d, VPs: vpList, Targets: targets})
-		return c.BuildAtlas()
+		yesterday, today = today, measured{c, c.Clusters(today.cl)}
 	}
 	var residuals map[netsim.Prefix]float64
 	var agreedPaths []atlas.ObservedPath
 	if *obsPath != "" {
 		snap, err := feedback.LoadSnapshot(*obsPath)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		residuals = snap.Residuals(*obsMinReporters)
 		agreedPaths = snap.AgreedPaths(*obsMinReporters)
-		fmt.Printf("observations: %d aggregated prefixes, %d folded (>= %d reporters)\n",
+		fmt.Fprintf(stdout, "observations: %d aggregated prefixes, %d folded (>= %d reporters)\n",
 			len(snap.Prefixes), len(residuals), *obsMinReporters)
-		fmt.Printf("observations: %d voted path tails, %d agreed (>= %d reporters per link)\n",
+		fmt.Fprintf(stdout, "observations: %d voted path tails, %d agreed (>= %d reporters per link)\n",
 			len(snap.Paths), len(agreedPaths), *obsMinReporters)
 	}
 	var prev *atlas.Atlas
 	if *prevPath != "" {
 		pf, err := os.Open(*prevPath)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		prev, err = atlas.Decode(pf)
 		pf.Close()
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
-	plain := build(*day)
+	plain := today.c.BuildAtlasOver(today.cl)
 	if prev != nil && len(prev.GlobalAdjustMS) > 0 {
 		// Yesterday's corrections carry onto today's build: fresh
 		// residuals keep theirs full strength, unsupported ones halve and
 		// expire — so the delta below can ship the deletions.
 		carried := atlas.CarryCorrections(plain, prev, residuals)
-		fmt.Printf("observations: %d corrections carried from %s\n", carried, *prevPath)
+		fmt.Fprintf(stdout, "observations: %d corrections carried from %s\n", carried, *prevPath)
 	}
 	if prev != nil && (len(prev.ObservedLinks) > 0 || len(prev.ObservedAttach) > 0) {
 		// Crowd-observed structure decays the same way: entries the
@@ -111,37 +147,37 @@ func main() {
 		// re-agrees on re-fold at full lifetime below, the rest lose one
 		// roll and eventually drop — shipping the deletions in the delta.
 		carried, dropped := atlas.CarryFoldedPaths(plain, prev)
-		fmt.Printf("observations: %d observed links/attachments carried from %s, %d expired\n",
+		fmt.Fprintf(stdout, "observations: %d observed links/attachments carried from %s, %d expired\n",
 			carried, *prevPath, dropped)
 	}
 	a := plain
 	if len(residuals) > 0 {
 		var folded int
 		a, folded = atlas.FoldObservations(plain, residuals)
-		fmt.Printf("observations: %d corrections shipped in the atlas\n", folded)
+		fmt.Fprintf(stdout, "observations: %d corrections shipped in the atlas\n", folded)
 	}
 	if len(agreedPaths) > 0 {
 		if a == plain {
 			a = plain.Clone()
 		}
 		st := atlas.FoldPaths(a, agreedPaths)
-		fmt.Printf("observations: %d agreed paths folded (%d new links, %d refreshed, %d already measured, %d new attachments, %d skipped)\n",
+		fmt.Fprintf(stdout, "observations: %d agreed paths folded (%d new links, %d refreshed, %d already measured, %d new attachments, %d skipped)\n",
 			st.PathsFolded, st.NewLinks, st.RefreshedLinks, st.MeasuredLinks, st.NewAttach, st.PathsSkipped)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if err := a.Encode(f); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	fmt.Printf("day %d atlas: %d clusters, %d links, %d tuples -> %s (%d bytes)\n",
+	fmt.Fprintf(stdout, "day %d atlas: %d clusters, %d links, %d tuples -> %s (%d bytes)\n",
 		*day, a.NumClusters, len(a.Links), len(a.Tuples), *out, a.EncodedSize())
 	for _, s := range a.SectionSizes() {
-		fmt.Printf("  %-38s %8d entries %8d bytes\n", s.Name, s.Entries, s.Compressed)
+		fmt.Fprintf(stdout, "  %-38s %8d entries %8d bytes\n", s.Name, s.Entries, s.Compressed)
 	}
 	if *flatOut != "" {
 		// Compile from the encoded-then-decoded atlas, not the in-memory
@@ -149,29 +185,29 @@ func main() {
 		// bit-identical answers to a daemon that loaded the -o file.
 		af, err := os.Open(*out)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		roundTripped, err := atlas.Decode(af)
 		af.Close()
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		fl := atlas.Compile(roundTripped)
 		ff, err := os.Create(*flatOut)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if err := atlas.WriteFlat(ff, fl); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if err := ff.Close(); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		st, err := os.Stat(*flatOut)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Printf("day %d flat serving form: %d edges -> %s (%d bytes)\n",
+		fmt.Fprintf(stdout, "day %d flat serving form: %d edges -> %s (%d bytes)\n",
 			*day, fl.NumEdges(), *flatOut, st.Size())
 	}
 
@@ -186,26 +222,22 @@ func main() {
 		if base == nil {
 			base = plain
 			if *day > 0 {
-				base = build(*day - 1)
+				base = yesterday.c.BuildAtlasOver(yesterday.cl)
 			}
 		}
 		d := atlas.Diff(base, a)
 		df, err := os.Create(*deltaOut)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if err := d.Encode(df); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if err := df.Close(); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Printf("delta day %d -> %d: %d entries -> %s (%d bytes)\n",
+		fmt.Fprintf(stdout, "delta day %d -> %d: %d entries -> %s (%d bytes)\n",
 			d.FromDay, d.ToDay, d.Entries(), *deltaOut, d.EncodedSize())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "inano-build:", err)
-	os.Exit(1)
+	return 0
 }

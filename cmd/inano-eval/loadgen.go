@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -64,13 +65,7 @@ func atlasPrefixes(path string) ([]netsim.Prefix, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := c.Atlas()
-	ps := make([]netsim.Prefix, 0, len(a.PrefixCluster))
-	for p := range a.PrefixCluster {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	return ps, nil
+	return slices.Collect(c.Snapshot().Prefixes()), nil
 }
 
 // loadSingles hammers /v1/query from cfg.conc workers and reports latency

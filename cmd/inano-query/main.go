@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	inano "inano"
-	"inano/internal/netsim"
 )
 
 func main() {
@@ -43,14 +42,10 @@ func main() {
 	fmt.Printf("atlas day %d loaded\n", client.Day())
 
 	if *list {
-		a := client.Atlas()
-		ps := make([]netsim.Prefix, 0, len(a.PrefixCluster))
-		for p := range a.PrefixCluster {
-			ps = append(ps, p)
-		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		for _, p := range ps {
-			fmt.Printf("%s -> cluster %d (AS%d)\n", p, a.PrefixCluster[p], a.PrefixAS[p])
+		snap := client.Snapshot()
+		for p := range snap.Prefixes() {
+			cl, _ := snap.AttachmentCluster(p)
+			fmt.Printf("%s -> cluster %d (AS%d)\n", p, cl, snap.OriginAS(p))
 		}
 		return
 	}

@@ -111,18 +111,16 @@ func main() {
 		}
 		// The mapping lives as long as the daemon; process exit unmaps.
 		client = inano.FromFlat(ff.Flat)
-		logf("inanod: flat atlas day %d mapped: %d clusters, %d links, %d prefixes",
-			ff.Day, ff.NumClusters, ff.NumEdges(), len(ff.PrefixClKeys))
 	} else {
 		var err error
 		client, err = loadClient(*atlasPath, *fetchManifest)
 		if err != nil {
 			fatal(err)
 		}
-		a := client.Atlas()
-		logf("inanod: atlas day %d loaded: %d clusters, %d links, %d prefixes",
-			a.Day, a.NumClusters, len(a.Links), len(a.PrefixCluster))
 	}
+	st := client.Snapshot().AtlasStats()
+	logf("inanod: atlas day %d ready: %d clusters, %d links, %d prefixes",
+		st.Day, st.Clusters, st.Links, st.Prefixes)
 
 	var agg *feedback.Aggregator
 	if *aggregate {

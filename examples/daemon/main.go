@@ -26,12 +26,15 @@ func main() {
 	// tomorrow's delta, as the build server would publish them.
 	world := sim.NewWorld(sim.Tiny, 11)
 	vps := world.VantagePoints(12)
-	build := func(day int) *atlas.Atlas {
-		return world.Measure(sim.CampaignOptions{
-			Day: day, VPs: vps, Targets: world.EdgePrefixes(),
-		}).BuildAtlas()
+	measure := func(day int) *sim.Campaign {
+		return world.Measure(sim.CampaignOptions{Day: day, VPs: vps, Targets: world.EdgePrefixes()})
 	}
-	a0, a1 := build(0), build(1)
+	// Day 1 keeps day 0's cluster IDs (the build server's persistent
+	// registry); without that the delta between them rewrites everything
+	// and a client following it answers next to nothing.
+	c0, c1 := measure(0), measure(1)
+	cl0 := c0.Clusters(nil)
+	a0, a1 := c0.BuildAtlasOver(cl0), c1.BuildAtlasOver(c1.Clusters(cl0))
 	var delta bytes.Buffer
 	if err := atlas.Diff(a0, a1).Encode(&delta); err != nil {
 		log.Fatal(err)
@@ -82,10 +85,15 @@ func main() {
 	resp.Body.Close()
 	fmt.Printf("streamed batch: %d pairs answered, %d with predictions\n", results, found)
 
-	// 5. Hot reload: apply tomorrow's delta copy-on-write. In-flight
-	// streams keep their snapshot; new queries see day 1.
+	// 5. Hot reload: merge tomorrow's delta into a new compiled atlas and
+	// publish it atomically. No query waits; in-flight streams keep their
+	// snapshot; new queries see day 1.
 	if err := client.ApplyDelta(&delta); err != nil {
 		log.Fatal(err)
+	}
+	if roll, ok := client.LastRoll(); ok {
+		fmt.Printf("day roll:     %d links changed, %d tuples flipped, merged in %v\n",
+			roll.LinksChanged(), roll.TuplesAdded+roll.TuplesRemoved, roll.Duration)
 	}
 	getJSON(fmt.Sprintf("%s/v1/query?src=%s&dst=%s", base, src.HostIP(), dst.HostIP()), &single)
 	fmt.Printf("after delta:  found=%v rtt=%.1fms (day %d)\n", single.Found, single.RTTMS, single.Day)
@@ -102,7 +110,8 @@ func main() {
 		if strings.HasPrefix(line, "inanod_batch_pairs_streamed_total") ||
 			strings.HasPrefix(line, "inanod_tree_cache_builds") ||
 			strings.HasPrefix(line, "inanod_tree_cache_hit_ratio") ||
-			strings.HasPrefix(line, "inanod_atlas_day") {
+			strings.HasPrefix(line, "inanod_atlas_day") ||
+			strings.HasPrefix(line, "inanod_reload_") {
 			fmt.Println(" ", line)
 		}
 	}

@@ -67,7 +67,7 @@ func (c *Client) ObserveRTT(src, dst IP, observedMS float64) FeedbackSample {
 // hostile report naming thousands of cold destinations). On cancellation
 // the observation is dropped and ctx.Err() returned.
 func (c *Client) ObserveRTTContext(ctx context.Context, src, dst IP, observedMS float64) (FeedbackSample, error) {
-	e := c.engineSnapshot()
+	e := c.engine.Load()
 	sp, dp := netsim.PrefixOf(src), netsim.PrefixOf(dst)
 	infos, err := e.QueryBatch(ctx, [][2]Prefix{{sp, dp}})
 	if err != nil {

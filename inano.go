@@ -30,10 +30,13 @@
 //
 //	infos, err := client.QueryBatchContext(ctx, me, replicaIPs)
 //
-// All query methods are safe for unbounded concurrent use. Mutations
-// (ApplyDelta, AddTraceroutes) are copy-on-write: they build a new engine
-// and swap it in, so queries already in flight keep reading the old
-// snapshot and never block behind a rebuild.
+// All query methods are safe for unbounded concurrent use and take no lock:
+// each loads the current engine from an atomic pointer. Mutations
+// (ApplyDelta, AddTraceroutes) serialize among themselves, do all their
+// work on the side — a day roll is one merge pass over the compiled atlas
+// (atlas.Flat.Apply), not a rebuild — and publish the finished engine with
+// a single atomic store, so no query ever waits for one: queries in flight
+// finish on the engine they started on, later ones see the new day.
 package inano
 
 import (
@@ -42,7 +45,9 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"inano/internal/atlas"
 	"inano/internal/core"
@@ -73,26 +78,35 @@ type (
 	Delta = atlas.Delta
 	// Manifest describes a swarmed atlas file.
 	Manifest = swarm.Manifest
+	// RollStats reports what one applied delta changed.
+	RollStats = atlas.RollStats
 )
 
-// Client answers path queries from a local atlas. It is safe for concurrent
-// queries; mutating operations (ApplyDelta, AddTraceroutes) serialize
-// internally and rebuild the prediction engine.
+// Client answers path queries from a local atlas. Queries are safe for
+// unbounded concurrent use and never block: they read the current engine
+// through an atomic pointer. Mutating operations (ApplyDelta,
+// AddTraceroutes) serialize on a mutex no query takes and publish a new
+// engine when they are done. The Client holds the atlas in one form only,
+// the engine's compiled atlas.Flat.
 type Client struct {
-	mu sync.RWMutex
-	// atlas is the mutable map-based form — the edit surface for deltas
-	// and traceroute merges. For clients started from a compiled flat
-	// atlas (FromFlat) it is nil until the first mutating operation or
-	// Atlas() call materializes it from the serving form.
-	atlas  *atlas.Atlas
-	engine *core.Engine
+	// engine is the published serving engine; every query path loads it.
+	engine atomic.Pointer[core.Engine]
 	opts   core.Options
-	// nextLocalCluster allocates cluster IDs for interfaces discovered by
+	// wmu serializes writers, from reading the current engine to publishing
+	// its successor, and guards localCluster. No reader takes it.
+	wmu sync.Mutex
+	// localCluster allocates cluster IDs for interfaces discovered by
 	// local measurements.
 	localCluster map[Prefix]int32
+	// lastRoll is what the last applied delta changed; nil before the first.
+	lastRoll atomic.Pointer[RollStats]
 	// tracker aggregates observed-vs-predicted error per destination
 	// cluster (the feedback loop's scheduling signal).
 	tracker *feedback.Tracker
+	// beforePublish, when set by a test, runs on the writer's goroutine
+	// with wmu held, after the next engine is built and before it is
+	// published.
+	beforePublish func()
 }
 
 // FromAtlas wraps an in-memory atlas with the full iNano configuration.
@@ -101,33 +115,30 @@ func FromAtlas(a *atlas.Atlas) *Client {
 }
 
 // FromAtlasOptions wraps an atlas with an explicit algorithm configuration
-// (used by evaluations to run ablations).
+// (used by evaluations to run ablations). The atlas is compiled into its
+// serving form here; the client keeps no reference to a.
 func FromAtlasOptions(a *atlas.Atlas, opts core.Options) *Client {
-	return &Client{
-		atlas:        a,
-		engine:       core.New(a, opts),
-		opts:         opts,
-		localCluster: make(map[Prefix]int32),
-		tracker:      feedback.NewTracker(feedback.TrackerConfig{}),
-	}
+	return FromFlatOptions(atlas.Compile(a), opts)
 }
 
 // FromFlat wraps a compiled flat atlas (e.g. one mmap'd from disk via
 // atlas.OpenFlat) with the full iNano configuration. Startup skips the
-// map-based build entirely; the mutable atlas is materialized lazily on
-// the first ApplyDelta/AddTraceroutes/Atlas call.
+// map-based build entirely. The first applied delta moves the client onto
+// a Flat in memory of its own; a mapping may be closed once no Snapshot
+// taken before that is still in use.
 func FromFlat(f *atlas.Flat) *Client {
 	return FromFlatOptions(f, core.INanoOptions())
 }
 
 // FromFlatOptions is FromFlat with an explicit algorithm configuration.
 func FromFlatOptions(f *atlas.Flat, opts core.Options) *Client {
-	return &Client{
-		engine:       core.NewFromFlat(f, opts),
+	c := &Client{
 		opts:         opts,
 		localCluster: make(map[Prefix]int32),
 		tracker:      feedback.NewTracker(feedback.TrackerConfig{}),
 	}
+	c.engine.Store(core.NewFromFlat(f, opts))
+	return c
 }
 
 // Load reads an encoded atlas (as produced by the build server or fetched
@@ -153,52 +164,56 @@ func FetchAtlas(ctx context.Context, trackerAddr string, m Manifest) (*Client, e
 
 // Day returns the measurement day of the loaded atlas.
 func (c *Client) Day() int {
-	return c.engineSnapshot().Day()
+	return c.engine.Load().Day()
 }
 
-// Atlas returns the client's atlas in its mutable map-based form. Treat
-// it as read-only. For a client started from a flat file this inflates
-// the compiled form on first call (and caches the result).
+// Atlas returns a copy of the client's atlas in the mutable map-based
+// form, inflated from the compiled form on every call — a tool for
+// inspection and tests, not a serving path. Editing the copy changes
+// nothing the client serves; the build-side observed-lifetime tables are
+// not part of the serving form and come back empty.
 func (c *Client) Atlas() *atlas.Atlas {
-	c.mu.RLock()
-	a := c.atlas
-	c.mu.RUnlock()
-	if a != nil {
-		return a
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.materializeLocked()
-	return c.atlas
+	return c.engine.Load().Flat().Inflate()
 }
 
-// materializeLocked ensures c.atlas exists, inflating the engine's
-// compiled serving form for flat-started clients. Caller holds c.mu.
-func (c *Client) materializeLocked() {
-	if c.atlas == nil {
-		c.atlas = c.engine.Flat().Inflate()
+// publish makes e the engine every later query reads. Caller holds wmu.
+func (c *Client) publish(e *core.Engine) {
+	if c.beforePublish != nil {
+		c.beforePublish()
 	}
+	c.engine.Store(e)
 }
 
 // ApplyDelta applies an encoded daily update, keeping the atlas current
-// (§5, "Keeping Atlas Up-to-date"). The update is applied copy-on-write:
-// queries in flight keep reading the old snapshot.
+// (§5, "Keeping Atlas Up-to-date"). The delta is merged straight into a
+// new compiled atlas (atlas.Flat.Apply) beside the serving one and
+// published with one atomic store: no query waits for it, and queries in
+// flight keep the snapshot they started on. LastRoll reports what changed.
 func (c *Client) ApplyDelta(r io.Reader) error {
 	d, err := atlas.DecodeDelta(r)
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.materializeLocked()
-	if d.FromDay != c.atlas.Day {
-		return fmt.Errorf("inano: delta is day %d->%d but atlas is day %d", d.FromDay, d.ToDay, c.atlas.Day)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	cur := c.engine.Load()
+	if d.FromDay != cur.Day() {
+		return fmt.Errorf("inano: delta is day %d->%d but atlas is day %d", d.FromDay, d.ToDay, cur.Day())
 	}
-	next := c.atlas.Clone()
-	next.Apply(d)
-	c.atlas = next
-	c.engine = core.New(next, c.opts)
+	next, stats := cur.Flat().Apply(d)
+	// Stats first: whoever sees the new day also sees what the roll did.
+	c.lastRoll.Store(&stats)
+	c.publish(core.NewFromFlat(next, c.opts))
 	return nil
+}
+
+// LastRoll reports what the most recently applied delta changed; ok is
+// false when none has been applied yet.
+func (c *Client) LastRoll() (stats RollStats, ok bool) {
+	if st := c.lastRoll.Load(); st != nil {
+		return *st, true
+	}
+	return RollStats{}, false
 }
 
 // FetchDelta fetches an encoded delta from a swarm and applies it.
@@ -218,7 +233,7 @@ func (c *Client) Query(src, dst IP) PathInfo {
 
 // QueryPrefix is Query keyed by /24 prefixes.
 func (c *Client) QueryPrefix(src, dst Prefix) PathInfo {
-	return c.engineSnapshot().Query(src, dst)
+	return c.engine.Load().Query(src, dst)
 }
 
 // QueryBatch predicts from one source to many destinations — the common
@@ -237,7 +252,7 @@ func (c *Client) QueryBatchContext(ctx context.Context, src IP, dsts []IP) ([]Pa
 	for i, d := range dsts {
 		pairs[i] = [2]Prefix{netsim.PrefixOf(src), netsim.PrefixOf(d)}
 	}
-	return c.engineSnapshot().QueryBatch(ctx, pairs)
+	return c.engine.Load().QueryBatch(ctx, pairs)
 }
 
 // QueryPairs answers many independent (src, dst) queries, grouping by
@@ -254,12 +269,12 @@ func (c *Client) QueryPairsContext(ctx context.Context, pairs [][2]IP) ([]PathIn
 	for i, pr := range pairs {
 		ps[i] = [2]Prefix{netsim.PrefixOf(pr[0]), netsim.PrefixOf(pr[1])}
 	}
-	return c.engineSnapshot().QueryBatch(ctx, ps)
+	return c.engine.Load().QueryBatch(ctx, ps)
 }
 
 // QueryPrefixPairsContext is QueryPairsContext keyed by /24 prefixes.
 func (c *Client) QueryPrefixPairsContext(ctx context.Context, pairs [][2]Prefix) ([]PathInfo, error) {
-	return c.engineSnapshot().QueryBatch(ctx, pairs)
+	return c.engine.Load().QueryBatch(ctx, pairs)
 }
 
 // PairReq is one entry of a per-pair-deadline batch: a (src, dst) prefix
@@ -272,7 +287,7 @@ type PairReq = core.PairReq
 // rest of the batch completes normally — partial results instead of an
 // aborted window. ctx cancellation still aborts the whole batch.
 func (c *Client) QueryReqs(ctx context.Context, reqs []PairReq) ([]PathInfo, []bool, error) {
-	return c.engineSnapshot().QueryBatchPartial(ctx, reqs)
+	return c.engine.Load().QueryBatchPartial(ctx, reqs)
 }
 
 // QueryPairsStream answers an unbounded stream of (src, dst) IP pairs,
@@ -311,10 +326,31 @@ type Snapshot struct {
 }
 
 // Snapshot pins the current engine and atlas.
-func (c *Client) Snapshot() Snapshot { return Snapshot{e: c.engineSnapshot()} }
+func (c *Client) Snapshot() Snapshot { return Snapshot{e: c.engine.Load()} }
 
 // Day returns the measurement day of the pinned atlas.
 func (s Snapshot) Day() int { return s.e.Day() }
+
+// AtlasStats summarizes the size of an atlas.
+type AtlasStats struct {
+	Day, Clusters, Links, Prefixes int
+}
+
+// AtlasStats reads the pinned atlas's day and sizes off its compiled form.
+func (s Snapshot) AtlasStats() AtlasStats {
+	f := s.e.Flat()
+	return AtlasStats{Day: int(f.Day), Clusters: int(f.NumClusters), Links: f.NumEdges(), Prefixes: len(f.PrefixClKeys)}
+}
+
+// Prefixes iterates, in ascending order, over the prefixes the pinned
+// atlas has an attachment cluster for — the ones a query can name.
+func (s Snapshot) Prefixes() iter.Seq[Prefix] {
+	return slices.Values(s.e.Flat().PrefixClKeys)
+}
+
+// OriginAS returns the BGP origin AS of a prefix in the pinned atlas (0
+// when unknown).
+func (s Snapshot) OriginAS(p Prefix) ASN { return s.e.Flat().OriginAS(p) }
 
 // Query answers one bidirectional query on the pinned snapshot.
 func (s Snapshot) Query(src, dst IP) PathInfo {
@@ -374,28 +410,19 @@ func (s Snapshot) HopCluster(ip IP) (int32, bool) {
 // behind inanod's /metrics and /debug/stats. Counters reset when a delta
 // or traceroute merge swaps in a new engine.
 func (c *Client) CacheStats() core.CacheStats {
-	return c.engineSnapshot().CacheStats()
+	return c.engine.Load().CacheStats()
 }
 
 // PredictForward predicts only the one-way path from src to dst.
 func (c *Client) PredictForward(src, dst Prefix) Prediction {
-	return c.engineSnapshot().PredictForward(src, dst)
+	return c.engine.Load().PredictForward(src, dst)
 }
 
 // PredictForwardBatch predicts the one-way path for every (src, dst) pair,
 // grouped by destination tree and fanned across workers. Results align
 // with the input order.
 func (c *Client) PredictForwardBatch(ctx context.Context, pairs [][2]Prefix) ([]Prediction, error) {
-	return c.engineSnapshot().PredictBatch(ctx, pairs)
-}
-
-// engineSnapshot pins the current engine; the snapshot stays valid (over
-// its own atlas) even if a delta swaps in a new engine concurrently.
-func (c *Client) engineSnapshot() *core.Engine {
-	c.mu.RLock()
-	e := c.engine
-	c.mu.RUnlock()
-	return e
+	return c.engine.Load().PredictBatch(ctx, pairs)
 }
 
 func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }

@@ -11,7 +11,9 @@ import (
 // arrays of atlas.Flat, built by unsafe.Slice over an INANOFL1 mmap) must
 // never be the target of an element write, an append, or a copy
 // destination, and must not be retained in globals or other structs where
-// they could outlive the mapping's Close. Writing through such a slice
+// they could outlive the mapping's Close — nor handed to a second
+// annotated struct (the Flat a day roll derives from a mapped one must own
+// its memory). Writing through such a slice
 // either faults (read-only mapping) or silently corrupts every replica
 // sharing the page cache — a class of bug no test reliably catches.
 //
@@ -235,6 +237,11 @@ func (ma *mmapAliasCheck) checkAssign(as *ast.AssignStmt) {
 			if s, ok := ma.pass.TypesInfo.Selections[lhs]; ok && s.Kind() == types.FieldVal {
 				if key, _ := ma.fieldKey(lhs); key == "" || !ma.pass.Facts.Has(mmapFieldsNS, key) {
 					ma.pass.Reportf(as.Pos(), "mmap-aliased slice retained in struct field %s (may outlive Close)", exprString(lhs))
+				} else {
+					// One mapping-backed value handing its slice to another
+					// (a Flat derived from a mapped Flat, say): the second
+					// is published and served after the first is closed.
+					ma.pass.Reportf(as.Pos(), "mmap-aliased slice %s carried into %s, which may outlive the mapping's Close (copy it)", exprString(rhs), exprString(lhs))
 				}
 			}
 		}

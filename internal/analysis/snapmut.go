@@ -13,8 +13,8 @@ import (
 // snapshot at construction; writing a.PrefixCluster[p] = c afterwards
 // changes nothing the engine serves — the compiled-snapshot invisibility
 // trap that bit the server tests in PR 6. The correct idioms are
-// ApplyDelta (copy-on-write, returns a new atlas) or rebuilding the
-// engine, and the diagnostic says so.
+// ApplyDelta (merges into a new compiled atlas and publishes it) or
+// rebuilding the engine, and the diagnostic says so.
 //
 // The check is intraprocedural and position-based: within one function,
 // a map write / delete / field reassignment on a variable that was passed
@@ -31,10 +31,9 @@ var SnapMut = &Analyzer{
 // compiled into a snapshot at call time. Exported (with SnapshotAtlasType)
 // so the analysistest harness can retarget the check at fixture types.
 var SnapshotTakers = map[string]bool{
-	"inano/internal/core.New":          true,
-	"inano/internal/core.NewWithCache": true,
-	"inano.FromAtlas":                  true,
-	"inano.FromAtlasOptions":           true,
+	"inano/internal/core.New": true,
+	"inano.FromAtlas":         true,
+	"inano.FromAtlasOptions":  true,
 }
 
 // SnapshotAtlasType is the fully-qualified snapshotted type.

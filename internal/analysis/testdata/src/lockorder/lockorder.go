@@ -3,7 +3,10 @@
 // clean idioms (defer unlock, unlock-and-early-return) it must accept.
 package lockorder
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type guarded struct {
 	mu sync.Mutex
@@ -74,4 +77,36 @@ func lockBA(p *pair) {
 	p.a.Lock()
 	p.a.Unlock()
 	p.b.Unlock()
+}
+
+// published is the shape of a value readers load without a lock and
+// writers replace under a writer-only mutex (inano.Client's engine).
+type published struct {
+	wmu sync.Mutex
+	cur atomic.Pointer[int]
+}
+
+func (p *published) read() int { return *p.cur.Load() }
+
+func (p *published) write(n int) {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	next := *p.cur.Load() + n
+	p.cur.Store(&next)
+}
+
+func (p *published) writeLeaks(n int) bool {
+	p.wmu.Lock()
+	if n < 0 {
+		return false // want `return while lockorder\.published\.wmu is held`
+	}
+	next := *p.cur.Load() + n
+	p.cur.Store(&next)
+	p.wmu.Unlock()
+	return true
+}
+
+func copiesPublished(p *published) int {
+	q := *p // want `assignment copies a mutex-containing value`
+	return q.read()
 }

@@ -23,3 +23,14 @@ func Build(n int) *Flat {
 	}
 	return f
 }
+
+// Rolled derives a second Flat from f the way a day roll does. The result
+// is served after f's mapping is closed, so every slice must be a copy.
+func Rolled(f *Flat) *Flat {
+	nf := &Flat{}
+	nf.EdgeLat = append([]uint16(nil), f.EdgeLat...) // a copy owns its memory
+	nf.EdgeFrom = f.EdgeFrom                         // want `mmap-aliased slice f\.EdgeFrom carried into nf\.EdgeFrom`
+	kept := f.EdgeLat[1:]
+	nf.EdgeLat = kept // want `mmap-aliased slice kept carried into nf\.EdgeLat`
+	return nf
+}

@@ -300,9 +300,22 @@ func (a *Atlas) Counts() Counts {
 	}
 }
 
+// MapOps counts the whole-atlas operations on the map form run by this
+// process so far. A serving client's day roll runs none of them; the root
+// package's tests hold it to that by reading the counts around a roll.
+type MapOps struct{ Clones, Applies, Compiles uint64 }
+
+var mapOps struct{ clones, applies, compiles atomic.Uint64 }
+
+// MapOpCounts returns the process-wide MapOps counters.
+func MapOpCounts() MapOps {
+	return MapOps{mapOps.clones.Load(), mapOps.applies.Load(), mapOps.compiles.Load()}
+}
+
 // Clone deep-copies the atlas (used by delta tests and clients that keep
 // yesterday's atlas while applying an update).
 func (a *Atlas) Clone() *Atlas {
+	mapOps.clones.Add(1)
 	b := New()
 	b.Day = a.Day
 	b.NumClusters = a.NumClusters

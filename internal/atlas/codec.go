@@ -319,7 +319,7 @@ func (a *Atlas) encodeSection(sec int, w *sectionWriter) {
 			w.uvarint(uint64(l.Planes))
 		}
 	case secLoss:
-		keys := sortedKeysF32(a.Loss)
+		keys := sortedKeys(a.Loss)
 		w.uvarint(uint64(len(keys)))
 		prev := uint64(0)
 		for _, k := range keys {
@@ -408,26 +408,8 @@ func (a *Atlas) encodeSection(sec int, w *sectionWriter) {
 	}
 }
 
-func sortedKeysF32(m map[uint64]float32) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func sortedSet(m map[uint64]bool) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 func writeSortedSet(w *sectionWriter, m map[uint64]bool) {
-	keys := sortedSet(m)
+	keys := sortedKeys(m)
 	w.uvarint(uint64(len(keys)))
 	prev := uint64(0)
 	for _, k := range keys {

@@ -182,8 +182,11 @@ func (d *Delta) Entries() int {
 // Apply updates a in place. Applying Diff(a, b) to a makes a's daily
 // datasets identical to b's (links, loss, tuples, corrections, cluster
 // growth, and prefix attachments; the build-side observed-lifetime tables
-// are archive metadata and do not travel).
+// are archive metadata and do not travel). This is the build side's apply
+// and the oracle Flat.Apply is tested against; a serving client rolls its
+// compiled form with Flat.Apply and never comes here.
 func (a *Atlas) Apply(d *Delta) {
+	mapOps.applies.Add(1)
 	// Cluster growth first: everything below may reference the new IDs.
 	if len(d.AddClusterAS) > 0 {
 		a.ClusterAS = append(a.ClusterAS, d.AddClusterAS...)
@@ -212,9 +215,13 @@ func (a *Atlas) Apply(d *Delta) {
 		kept = append(kept, l)
 	}
 	a.Links = kept
+	// What is left in up is new; the last of a repeated key wins, once, as
+	// it does for a re-annotation above.
 	for _, l := range d.UpLinks {
-		if _, ok := up[LinkKey(l.From, l.To)]; ok {
-			a.Links = append(a.Links, l)
+		k := LinkKey(l.From, l.To)
+		if nl, ok := up[k]; ok {
+			a.Links = append(a.Links, nl)
+			delete(up, k)
 		}
 	}
 	sort.Slice(a.Links, func(i, j int) bool {
@@ -316,7 +323,7 @@ func (d *Delta) Encode(w io.Writer) error {
 	}
 	writeDeltaKeys(&sw, d.DelLinks)
 
-	lossKeys := sortedKeysF32(d.UpLoss)
+	lossKeys := sortedKeys(d.UpLoss)
 	sw.uvarint(uint64(len(lossKeys)))
 	prev := uint64(0)
 	for _, k := range lossKeys {
@@ -357,11 +364,12 @@ func writeDeltaKeys(sw *sectionWriter, keys []uint64) {
 }
 
 func readDeltaKeys(sr *sectionReader) ([]uint64, error) {
-	n, err := sr.uvarint()
+	n, err := sr.count()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]uint64, 0, n)
+	// The count is a peer's claim: grow with the bytes that back it.
+	out := make([]uint64, 0, allocHint(n))
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		d, err := sr.uvarint()

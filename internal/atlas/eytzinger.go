@@ -44,22 +44,22 @@ func newEytIndex[K ~uint32 | ~uint64, V any](keys []K, vals []V) eytIndex[K, V] 
 	// In-order traversal of the implicit BFS tree visits slots in sorted
 	// key order, so walking it while consuming `keys` left to right
 	// places every entry at its Eytzinger position.
-	next := 0
-	var fill func(slot int)
-	fill = func(slot int) {
-		if slot > n {
-			return
-		}
-		fill(2 * slot)
-		e.nodes[slot].key = keys[next]
-		if vals != nil {
-			e.nodes[slot].val = vals[next]
-		}
-		next++
-		fill(2*slot + 1)
-	}
-	fill(1)
+	e.fill(keys, vals, 0, 1)
 	return e
+}
+
+// fill places keys[next:] (and their values) in the subtree rooted at slot,
+// in order, and returns the position of the first key it did not consume.
+func (e *eytIndex[K, V]) fill(keys []K, vals []V, next, slot int) int {
+	if slot >= len(e.nodes) {
+		return next
+	}
+	next = e.fill(keys, vals, next, 2*slot)
+	e.nodes[slot].key = keys[next]
+	if vals != nil {
+		e.nodes[slot].val = vals[next]
+	}
+	return e.fill(keys, vals, next+1, 2*slot+1)
 }
 
 // built reports whether the index was constructed (an empty table still
@@ -120,7 +120,9 @@ type adjustVal struct {
 }
 
 // flatIndex bundles the derived search indexes of one Flat: every sorted
-// table the serving path probes, in Eytzinger layout.
+// table the serving path probes, in Eytzinger layout. An index is immutable
+// once built and lives on the heap, never in a file mapping, so a Flat may
+// share one with the Flat it was derived from (see Apply).
 type flatIndex struct {
 	prefixCl eytIndex[netsim.Prefix, cluster.ClusterID]
 	prefixAS eytIndex[netsim.Prefix, netsim.ASN]
@@ -137,8 +139,16 @@ type flatIndex struct {
 // before the Flat is published; after that the Flat (index included) is
 // immutable.
 func (f *Flat) buildIndex() {
-	f.idx.prefixCl = newEytIndex(f.PrefixClKeys, f.PrefixClVals)
+	f.buildDailyIndex()
 	f.idx.prefixAS = newEytIndex(f.PrefixASKeys, f.PrefixASVals)
+	f.idx.prefs = newEytIndex[uint64, struct{}](f.Prefs, nil)
+	f.idx.provs = newEytIndex[uint64, struct{}](f.Providers, nil)
+	f.idx.rels = newEytIndex(f.RelKeys, f.RelVals)
+}
+
+// buildDailyIndex derives the indexes over the tables a delta can change.
+func (f *Flat) buildDailyIndex() {
+	f.idx.prefixCl = newEytIndex(f.PrefixClKeys, f.PrefixClVals)
 	f.idx.iface = newEytIndex(f.IfaceKeys, f.IfaceVals)
 	adj := make([]adjustVal, len(f.AdjustKeys))
 	for i := range adj {
@@ -146,7 +156,4 @@ func (f *Flat) buildIndex() {
 	}
 	f.idx.adjust = newEytIndex(f.AdjustKeys, adj)
 	f.idx.tuples = newEytIndex[uint64, struct{}](f.Tuples, nil)
-	f.idx.prefs = newEytIndex[uint64, struct{}](f.Prefs, nil)
-	f.idx.provs = newEytIndex[uint64, struct{}](f.Providers, nil)
-	f.idx.rels = newEytIndex(f.RelKeys, f.RelVals)
 }

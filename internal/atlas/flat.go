@@ -1,7 +1,9 @@
 package atlas
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"inano/internal/cluster"
@@ -10,10 +12,12 @@ import (
 
 // Flat is the compiled, index-addressed serving form of an Atlas: every
 // dataset the query engine reads on its hot path, laid out as flat arrays
-// instead of Go maps. The mutable map-based Atlas stays the edit and codec
-// surface (deltas, merges, folds all operate on it); Compile produces a
-// Flat from it once per snapshot swap, and the engine answers every query
-// against the Flat without chasing a single map bucket or pointer.
+// instead of Go maps. The map-based Atlas is the build-side form (the
+// builder, the folds and the codec work on it); Compile produces a Flat
+// from it once, the engine answers every query against the Flat without
+// chasing a single map bucket or pointer, and a daily delta is merged
+// straight into a new Flat by Apply — a serving client never goes back to
+// maps to stay current.
 //
 // Layout:
 //
@@ -34,8 +38,8 @@ import (
 // serialized as raw little-endian sections and mapped back into memory
 // with zero copies (see WriteFlat/OpenFlat): daemon startup is one mmap
 // instead of a gzip decode + map build, and N replicas on one box share
-// the page cache. A Flat is immutable after Compile/OpenFlat; all methods
-// are safe for unbounded concurrent use.
+// the page cache. A Flat is immutable after Compile/OpenFlat/Apply; all
+// methods are safe for unbounded concurrent use.
 type Flat struct {
 	// Day is the atlas day this snapshot was compiled from.
 	Day int32
@@ -138,6 +142,7 @@ const (
 // concurrently; the returned Flat does not alias any of a's mutable state,
 // so a may keep evolving (copy-on-write or in place) afterwards.
 func Compile(a *Atlas) *Flat {
+	mapOps.compiles.Add(1)
 	n := a.NumClusters
 	f := &Flat{
 		Day:         int32(a.Day),
@@ -200,16 +205,16 @@ func Compile(a *Atlas) *Flat {
 		f.EdgeToDeg[ei] = a.ASDegree[ta]
 	}
 
-	f.PrefixClKeys, f.PrefixClVals = sortedPrefixClusters(a.PrefixCluster)
-	f.IfaceKeys, f.IfaceVals = sortedPrefixClusters(a.IfaceCluster)
-	f.PrefixASKeys, f.PrefixASVals = sortedPrefixASNs(a.PrefixAS)
+	f.PrefixClKeys, f.PrefixClVals = sortedTable(a.PrefixCluster)
+	f.IfaceKeys, f.IfaceVals = sortedTable(a.IfaceCluster)
+	f.PrefixASKeys, f.PrefixASVals = sortedTable(a.PrefixAS)
 	f.AdjustKeys, f.AdjustGlobal, f.AdjustLocal = sortedAdjust(a.GlobalAdjustMS, a.AdjustMS)
-	f.Tuples = sortedSetKeys(a.Tuples)
-	f.Prefs = sortedSetKeys(a.Prefs)
-	f.LateExit = sortedSetKeys(a.LateExit)
-	f.RelKeys, f.RelVals = sortedRels(a.Rels)
-	f.DegKeys, f.DegVals = sortedDegrees(a.ASDegree)
-	f.LossKeys, f.LossVals = sortedLoss(a.Loss)
+	f.Tuples = sortedKeys(a.Tuples)
+	f.Prefs = sortedKeys(a.Prefs)
+	f.LateExit = sortedKeys(a.LateExit)
+	f.RelKeys, f.RelVals = sortedTable(a.Rels)
+	f.DegKeys, f.DegVals = sortedTable(a.ASDegree)
+	f.LossKeys, f.LossVals = sortedTable(a.Loss)
 
 	provs := make([]uint64, 0, len(a.Providers))
 	for origin, ups := range a.Providers {
@@ -217,32 +222,27 @@ func Compile(a *Atlas) *Flat {
 			provs = append(provs, uint64(origin)<<32|uint64(up))
 		}
 	}
-	sort.Slice(provs, func(i, j int) bool { return provs[i] < provs[j] })
+	slices.Sort(provs)
 	f.Providers = provs
 	f.buildIndex()
 	return f
 }
 
-func sortedPrefixClusters(m map[netsim.Prefix]cluster.ClusterID) ([]netsim.Prefix, []cluster.ClusterID) {
-	keys := make([]netsim.Prefix, 0, len(m))
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	vals := make([]cluster.ClusterID, len(keys))
-	for i, k := range keys {
-		vals[i] = m[k]
-	}
-	return keys, vals
+	slices.Sort(keys)
+	return keys
 }
 
-func sortedPrefixASNs(m map[netsim.Prefix]netsim.ASN) ([]netsim.Prefix, []netsim.ASN) {
-	keys := make([]netsim.Prefix, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	vals := make([]netsim.ASN, len(keys))
+// sortedTable lays m out as parallel key/value slices in ascending key
+// order — the shape of every lookup table in a Flat.
+func sortedTable[K cmp.Ordered, V any](m map[K]V) ([]K, []V) {
+	keys := sortedKeys(m)
+	vals := make([]V, len(keys))
 	for i, k := range keys {
 		vals[i] = m[k]
 	}
@@ -257,11 +257,7 @@ func sortedAdjust(global, local map[netsim.Prefix]float32) ([]netsim.Prefix, []f
 	for k := range local {
 		union[k] = struct{}{}
 	}
-	keys := make([]netsim.Prefix, 0, len(union))
-	for k := range union {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys := sortedKeys(union)
 	g := make([]float32, len(keys))
 	l := make([]float32, len(keys))
 	for i, k := range keys {
@@ -269,54 +265,6 @@ func sortedAdjust(global, local map[netsim.Prefix]float32) ([]netsim.Prefix, []f
 		l[i] = local[k]
 	}
 	return keys, g, l
-}
-
-func sortedSetKeys(m map[uint64]bool) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func sortedRels(m map[uint64]netsim.Rel) ([]uint64, []netsim.Rel) {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	vals := make([]netsim.Rel, len(keys))
-	for i, k := range keys {
-		vals[i] = m[k]
-	}
-	return keys, vals
-}
-
-func sortedDegrees(m map[netsim.ASN]int32) ([]netsim.ASN, []int32) {
-	keys := make([]netsim.ASN, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	vals := make([]int32, len(keys))
-	for i, k := range keys {
-		vals[i] = m[k]
-	}
-	return keys, vals
-}
-
-func sortedLoss(m map[uint64]float32) ([]uint64, []float32) {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	vals := make([]float32, len(keys))
-	for i, k := range keys {
-		vals[i] = m[k]
-	}
-	return keys, vals
 }
 
 // Closure-free binary searches: the query hot path must not allocate, and
@@ -475,11 +423,13 @@ func (f *Flat) RelOf(x, y netsim.ASN) netsim.Rel {
 // NumEdges returns the CSR link count.
 func (f *Flat) NumEdges() int { return len(f.EdgeFrom) }
 
-// Inflate reconstructs a mutable map-based Atlas from the flat form — the
-// bridge that lets a daemon started from a mapped Flat still apply deltas
-// and merge traceroutes (both of which edit the map form and recompile).
-// The build-side ObservedLinks/ObservedAttach lifetime tables are not part
-// of the serving form (deltas never carry them) and come back empty.
+// Inflate reconstructs a mutable map-based Atlas from the flat form. It is
+// off every serving and day-roll path (deltas apply to the Flat itself,
+// see Apply): the client's traceroute merge, which still edits the map
+// form and recompiles, inflates for the occasion, as do inspection and
+// the tests that hold Apply to the map path. The build-side
+// ObservedLinks/ObservedAttach lifetime tables are not part of the
+// serving form (deltas never carry them) and come back empty.
 func (f *Flat) Inflate() *Atlas {
 	a := New()
 	a.Day = int(f.Day)

@@ -21,11 +21,12 @@
 // predictions from every source to that destination; Engine caches these
 // per-destination trees for batch workloads.
 //
-// The engine never queries the map-based atlas at serving time: New
-// compiles the atlas into its flat serving form (atlas.Flat — a
-// structure-of-arrays CSR link table plus sorted lookup tables) and every
-// relaxation, prefix lookup, and path walk reads flat arrays. The map form
-// remains the mutation surface; after editing it, build a new engine.
+// The engine holds only the flat serving form of an atlas (atlas.Flat — a
+// structure-of-arrays CSR link table plus sorted lookup tables): every
+// relaxation, prefix lookup, and path walk reads flat arrays. New compiles
+// a map-based atlas into one and keeps no reference to the maps; a day
+// roll derives the next Flat from this one (Flat.Apply) and builds a new
+// engine over it.
 package core
 
 import (
@@ -85,14 +86,10 @@ func INanoOptions() Options {
 // batch methods skips not-yet-started tree builds and unblocks callers
 // waiting on another caller's in-flight build; a build already running
 // completes and stays cached, so a retry resumes cheaply. The engine itself is
-// immutable after New: to mutate the atlas, build a new engine and swap it
-// atomically (as inano.Client does under its RWMutex).
+// immutable after New: to change the atlas, build a new engine and publish
+// it with one atomic pointer store (as inano.Client does; its readers take
+// no lock).
 type Engine struct {
-	// a is the map-based atlas the engine was compiled from; nil when the
-	// engine was built directly from a flat file (NewFromFlat). The
-	// serving path never reads it — it exists so callers that own the
-	// mutation surface (inano.Client) can get their atlas back.
-	a *atlas.Atlas
 	// f is the compiled flat serving form; every query reads only this.
 	f    *atlas.Flat
 	opts Options
@@ -112,17 +109,15 @@ type Engine struct {
 
 // New builds an engine over a, compiling its flat serving form. The atlas
 // must not be mutated while New runs; afterwards the engine holds no
-// references into a's maps, so the caller may keep editing it (and build a
-// new engine when done).
+// reference to a, so the caller may keep editing it (and build a new
+// engine when done).
 func New(a *atlas.Atlas, opts Options) *Engine {
-	e := NewFromFlat(atlas.Compile(a), opts)
-	e.a = a
-	return e
+	return NewFromFlat(atlas.Compile(a), opts)
 }
 
 // NewFromFlat builds an engine directly over a compiled flat atlas (e.g.
 // one mapped from disk). The flat form must not be mutated while the
-// engine is in use; Atlas() returns nil for such engines.
+// engine is in use.
 func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 	if opts.DegreeThreshold <= 0 {
 		opts.DegreeThreshold = 5
@@ -149,15 +144,16 @@ func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 	return e
 }
 
-// NewWithCache builds an engine over a while adopting prev's
-// prediction-tree cache. Caller contract: a must be route-identical to
+// NewWithCache builds an engine over f while adopting prev's
+// prediction-tree cache. Caller contract: f must be route-identical to
 // prev's atlas — same clusters, links, planes, and policy datasets,
 // differing only in data the route computation never reads (the
-// residual corrections in AdjustMS) — and opts must equal prev's. Used
-// for residual-only feedback merges, where a full New would needlessly
-// cold-start a warm serving cache; prev keeps working, sharing the cache.
-func NewWithCache(a *atlas.Atlas, opts Options, prev *Engine) *Engine {
-	e := New(a, opts)
+// residual corrections in the Adjust tables) — and opts must equal
+// prev's. Used for residual-only feedback merges, where a full New would
+// needlessly cold-start a warm serving cache; prev keeps working, sharing
+// the cache.
+func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
+	e := NewFromFlat(f, opts)
 	if prev != nil {
 		e.trees = prev.trees
 	}
@@ -168,11 +164,6 @@ func NewWithCache(a *atlas.Atlas, opts Options, prev *Engine) *Engine {
 // trees resident). Builds lag misses when singleflight coalesces
 // concurrent misses on one destination.
 func (e *Engine) CacheStats() CacheStats { return e.trees.stats() }
-
-// Atlas returns the map-based atlas the engine was compiled from, or nil
-// when the engine was built from a flat file (NewFromFlat) — reconstruct
-// one with Flat().Inflate() in that case.
-func (e *Engine) Atlas() *atlas.Atlas { return e.a }
 
 // Flat returns the engine's compiled serving-form atlas.
 func (e *Engine) Flat() *atlas.Flat { return e.f }

@@ -12,9 +12,10 @@ import (
 
 // Hot reload: the daemon keeps its atlas current while serving. Both
 // watchers poll cheaply (one stat per interval) and apply updates through
-// inano.Client's copy-on-write swap, so queries and batch streams in
-// flight keep reading their pinned snapshot — a reload never tears an
-// answer, it only makes later requests see the new day.
+// inano.Client.ApplyDelta, which merges the delta into a new compiled
+// atlas on the side and publishes it with one atomic store: no request
+// waits for a reload, queries and batch streams in flight keep reading
+// their pinned snapshot, and later requests see the new day.
 
 // ApplyDeltaFile applies one encoded delta file immediately, updating the
 // reload metrics. A delta whose FromDay doesn't match the serving atlas is
@@ -30,14 +31,20 @@ func (s *Server) ApplyDeltaFile(path string) error {
 		s.reloadErrors.Inc()
 		return err
 	}
-	s.noteReload()
-	s.cfg.Logf("inanod: applied delta %s; serving day %d", path, s.c.Day())
+	s.noteReload("applied delta " + path)
 	return nil
 }
 
-func (s *Server) noteReload() {
+// noteReload counts a successful reload and logs what the roll changed.
+func (s *Server) noteReload(what string) {
 	s.reloads.Inc()
 	s.lastReload.Set(time.Now().Unix())
+	st, _ := s.c.LastRoll()
+	s.cfg.Logf("inanod: %s; serving day %d (merged in %v: links +%d -%d ~%d, loss +%d -%d, tuples +%d -%d, %d prefixes re-homed, %d clusters added, local corrections %d halved %d dropped)",
+		what, st.ToDay, st.Duration.Round(time.Microsecond),
+		st.LinksAdded, st.LinksRemoved, st.LinksRetagged, st.LossSet, st.LossCleared,
+		st.TuplesAdded, st.TuplesRemoved, st.PrefixesRehomed, st.ClustersAdded,
+		st.LocalDecayed, st.LocalDropped)
 }
 
 // fileStamp identifies a file version cheaply.
@@ -138,8 +145,7 @@ func (s *Server) WatchManifest(ctx context.Context, path string, interval time.D
 			s.cfg.Logf("inanod: swarm delta %s not applied: %v", m.Name, err)
 			return
 		}
-		s.noteReload()
-		s.cfg.Logf("inanod: fetched+applied swarm delta %s; serving day %d", m.Name, s.c.Day())
+		s.noteReload("fetched+applied swarm delta " + m.Name)
 	}
 	check()
 	t := time.NewTicker(interval)

@@ -274,6 +274,18 @@ func New(cfg Config) *Server {
 		})
 	s.reg.NewGaugeFunc("inanod_atlas_day", "Measurement day of the serving atlas.", "",
 		func() float64 { return float64(s.c.Day()) })
+	s.reg.NewGaugeFunc("inanod_reload_seconds",
+		"Time the last applied delta took to merge into the serving atlas (0 = none applied).", "",
+		func() float64 {
+			st, _ := s.c.LastRoll()
+			return st.Duration.Seconds()
+		})
+	s.reg.NewGaugeFunc("inanod_reload_links_changed",
+		"Links the last applied delta added, removed or re-tagged.", "",
+		func() float64 {
+			st, _ := s.c.LastRoll()
+			return float64(st.LinksChanged())
+		})
 	return s
 }
 
@@ -815,7 +827,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 // internals; /metrics is the machine-oriented view of the same state.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	st := s.c.CacheStats()
-	a := s.c.Atlas()
+	a := s.c.Snapshot().AtlasStats()
 	hitRatio := 0.0
 	if st.Hits+st.Misses > 0 {
 		hitRatio = float64(st.Hits) / float64(st.Hits+st.Misses)
@@ -834,9 +846,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		"uptime_s": int64(time.Since(s.started).Seconds()),
 		"atlas": map[string]any{
 			"day":      a.Day,
-			"clusters": a.NumClusters,
-			"links":    len(a.Links),
-			"prefixes": len(a.PrefixCluster),
+			"clusters": a.Clusters,
+			"links":    a.Links,
+			"prefixes": a.Prefixes,
 		},
 		"tree_cache": map[string]any{
 			"hits":      st.Hits,
@@ -849,6 +861,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			"applied":     s.reloads.Value(),
 			"errors":      s.reloadErrors.Value(),
 			"last_unix_s": s.lastReload.Value(),
+			"last_roll":   s.lastRollStats(),
 		},
 		"feedback":             s.feedbackStats(),
 		"observations":         s.observationStats(),
@@ -856,6 +869,31 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		"batch_pairs_streamed": s.pairsTotal.Value(),
 		"http":                 perHandler,
 	})
+}
+
+// lastRollStats renders what the last applied delta changed for
+// /debug/stats; nil before the first.
+func (s *Server) lastRollStats() map[string]any {
+	st, ok := s.c.LastRoll()
+	if !ok {
+		return nil
+	}
+	return map[string]any{
+		"from_day":         st.FromDay,
+		"to_day":           st.ToDay,
+		"apply_ms":         float64(st.Duration.Microseconds()) / 1000,
+		"links_added":      st.LinksAdded,
+		"links_removed":    st.LinksRemoved,
+		"links_retagged":   st.LinksRetagged,
+		"loss_set":         st.LossSet,
+		"loss_cleared":     st.LossCleared,
+		"tuples_added":     st.TuplesAdded,
+		"tuples_removed":   st.TuplesRemoved,
+		"prefixes_rehomed": st.PrefixesRehomed,
+		"clusters_added":   st.ClustersAdded,
+		"local_decayed":    st.LocalDecayed,
+		"local_dropped":    st.LocalDropped,
+	}
 }
 
 // observationStats renders the upstream-observation ingest state for

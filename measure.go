@@ -1,6 +1,7 @@
 package inano
 
 import (
+	"inano/internal/atlas"
 	"inano/internal/core"
 	"inano/internal/feedback"
 )
@@ -26,31 +27,30 @@ type LocalTraceroute = feedback.Traceroute
 func (c *Client) AddTraceroutes(trs []LocalTraceroute) int {
 	// A traceroute can only contribute through hops that answered: links
 	// need two resolvable hops, attachment entries one. A batch whose hops
-	// are all unresponsive (zero IP) is a no-op — skip the atlas clone and
+	// are all unresponsive (zero IP) is a no-op — skip the inflate and the
 	// engine rebuild entirely.
 	if !feedback.AnyResponsive(trs) {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.materializeLocked()
-	// Copy-on-write: queries in flight keep the old snapshot.
-	next := c.atlas.Clone()
-	old := c.atlas
-	c.atlas = next
-	structural, residual := feedback.Merge(next, c.localCluster, trs)
-	if structural == 0 && residual == 0 && next.NumClusters == old.NumClusters {
-		c.atlas = old // nothing merged; keep the original snapshot
-		return 0
-	}
-	if structural == 0 && next.NumClusters == old.NumClusters {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	cur := c.engine.Load()
+	// The merge edits the map form, inflated from the serving form for the
+	// occasion; queries keep reading cur until the result is published.
+	a := cur.Flat().Inflate()
+	clusters := a.NumClusters
+	structural, residual := feedback.Merge(a, c.localCluster, trs)
+	if structural == 0 && a.NumClusters == clusters {
+		if residual == 0 {
+			return 0 // nothing merged; keep serving the same engine
+		}
 		// Residual-only merge: route computation is untouched, so the
 		// new engine adopts the warm prediction-tree cache instead of
 		// cold-starting the serving path every corrective round.
-		c.engine = core.NewWithCache(next, c.opts, c.engine)
+		c.publish(core.NewWithCache(atlas.Compile(a), c.opts, cur))
 		return residual
 	}
-	feedback.Finalize(next)
-	c.engine = core.New(next, c.opts)
+	feedback.Finalize(a)
+	c.publish(core.New(a, c.opts))
 	return structural + residual
 }

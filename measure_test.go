@@ -13,14 +13,14 @@ import (
 
 // TestAddTraceroutesAllUnresponsiveIsNoOp is the regression test for the
 // no-op path: a batch of traceroutes whose hops are all unresponsive (zero
-// IPs) must merge nothing — and must not clone the atlas or rebuild the
-// engine, so a daemon feeding failed measurements through this path never
-// invalidates the warm tree cache.
+// IPs) must merge nothing — and must not rebuild the engine, so a daemon
+// feeding failed measurements through this path never invalidates the
+// warm tree cache.
 func TestAddTraceroutesAllUnresponsiveIsNoOp(t *testing.T) {
 	f := buildFixture(t, 130, 0)
 	c := FromAtlas(f.a)
-	atlasBefore, engineBefore := c.atlas, c.engine
-	clustersBefore := c.atlas.NumClusters
+	engineBefore := c.engine.Load()
+	clustersBefore := c.Snapshot().AtlasStats().Clusters
 
 	trs := []LocalTraceroute{
 		{Src: f.vps[0], Dst: f.targets[0], Hops: []TracerouteHop{{IP: 0}, {IP: 0}, {IP: 0}}},
@@ -30,18 +30,15 @@ func TestAddTraceroutesAllUnresponsiveIsNoOp(t *testing.T) {
 	if added := c.AddTraceroutes(trs); added != 0 {
 		t.Fatalf("AddTraceroutes merged %d changes from all-unresponsive traceroutes, want 0", added)
 	}
-	if c.atlas != atlasBefore {
-		t.Fatal("atlas was cloned for a no-op merge")
-	}
-	if c.engine != engineBefore {
+	if c.engine.Load() != engineBefore {
 		t.Fatal("engine was rebuilt for a no-op merge")
 	}
-	if c.atlas.NumClusters != clustersBefore {
-		t.Fatalf("cluster count changed %d -> %d on a no-op merge", clustersBefore, c.atlas.NumClusters)
+	if got := c.Snapshot().AtlasStats().Clusters; got != clustersBefore {
+		t.Fatalf("cluster count changed %d -> %d on a no-op merge", clustersBefore, got)
 	}
 
 	// Empty input is equally a no-op.
-	if added := c.AddTraceroutes(nil); added != 0 || c.engine != engineBefore {
+	if added := c.AddTraceroutes(nil); added != 0 || c.engine.Load() != engineBefore {
 		t.Fatal("nil traceroute batch must not touch the engine")
 	}
 }
@@ -67,9 +64,9 @@ func realTraceroutes(f *fixture, src Prefix, n int) []LocalTraceroute {
 }
 
 // TestAddTraceroutesIdempotent: merging the same measurements into an
-// already-patched atlas must be a no-op — no second clone, no engine
-// rebuild, no cluster-count drift — so a client re-reporting yesterday's
-// traceroutes never invalidates its warm tree cache.
+// already-patched atlas must be a no-op — no engine rebuild, no
+// cluster-count drift — so a client re-reporting yesterday's traceroutes
+// never invalidates its warm tree cache.
 func TestAddTraceroutesIdempotent(t *testing.T) {
 	f := buildFixture(t, 131, 0)
 	c := FromAtlas(f.a.Clone())
@@ -77,15 +74,15 @@ func TestAddTraceroutesIdempotent(t *testing.T) {
 	if added := c.AddTraceroutes(trs); added == 0 {
 		t.Skip("world produced no mergeable traceroutes")
 	}
-	engineAfterFirst, clustersAfterFirst := c.engine, c.atlas.NumClusters
+	engineAfterFirst, clustersAfterFirst := c.engine.Load(), c.Snapshot().AtlasStats().Clusters
 	if again := c.AddTraceroutes(trs); again != 0 {
 		t.Fatalf("second merge of identical traceroutes added %d changes", again)
 	}
-	if c.engine != engineAfterFirst {
+	if c.engine.Load() != engineAfterFirst {
 		t.Fatal("engine rebuilt for an idempotent merge")
 	}
-	if c.atlas.NumClusters != clustersAfterFirst {
-		t.Fatalf("cluster count drifted %d -> %d", clustersAfterFirst, c.atlas.NumClusters)
+	if got := c.Snapshot().AtlasStats().Clusters; got != clustersAfterFirst {
+		t.Fatalf("cluster count drifted %d -> %d", clustersAfterFirst, got)
 	}
 }
 

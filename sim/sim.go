@@ -113,8 +113,35 @@ func (w *World) Measure(o CampaignOptions) *Campaign {
 	return c
 }
 
-// BuildAtlas processes the campaign into an iNano atlas.
-func (c *Campaign) BuildAtlas() *atlas.Atlas {
+// BuildAtlas processes the campaign into an iNano atlas, clustering the
+// interfaces it observed from scratch. Atlases of different days built
+// this way number their clusters independently; a day-over-day delta
+// between them is meaningless (see BuildAtlasOver).
+func (c *Campaign) BuildAtlas() *atlas.Atlas { return c.BuildAtlasOver(nil) }
+
+// Clusters clusters the interfaces the campaign observed and renumbers the
+// result to agree with prev — the previous day's clustering, nil on the
+// first day of a chain — wherever the two share interfaces
+// (cluster.Stabilize): the production server's persistent cluster
+// registry. Chain it from day 0 and build each day with BuildAtlasOver, and
+// atlas.Diff between consecutive days yields a delta a client can follow.
+func (c *Campaign) Clusters(prev *cluster.Clustering) *cluster.Clustering {
+	var ifaces []netsim.IP
+	for _, trs := range [][]trace.Traceroute{c.VPTraces, c.ClientTraces} {
+		for _, tr := range trs {
+			for _, h := range tr.Hops {
+				if h.IP != 0 {
+					ifaces = append(ifaces, h.IP)
+				}
+			}
+		}
+	}
+	return cluster.Stabilize(cluster.Cluster(c.world.Top, ifaces, cluster.DefaultConfig()), prev)
+}
+
+// BuildAtlasOver processes the campaign into an atlas over the clustering
+// cl (from Clusters); nil clusters from scratch.
+func (c *Campaign) BuildAtlasOver(cl *cluster.Clustering) *atlas.Atlas {
 	return atlas.Build(atlas.BuildInput{
 		Top:          c.world.Top,
 		Day:          c.day,
@@ -123,6 +150,7 @@ func (c *Campaign) BuildAtlas() *atlas.Atlas {
 		ClientTraces: c.ClientTraces,
 		BGPFeeds:     atlas.DefaultFeeds(c.world.Top, 8),
 		ClusterCfg:   cluster.DefaultConfig(),
+		Clusters:     cl,
 		LossProbes:   c.opts.LossProbes,
 	})
 }
