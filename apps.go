@@ -9,18 +9,18 @@ import (
 )
 
 // The application helpers below are built on the batch query path: each
-// call assembles its full set of (src, dst) legs and issues one
-// QueryBatch/PredictForwardBatch, so predictions sharing a destination
-// tree are computed once and distinct trees fan across workers, instead of
-// running one Dijkstra per sequential Query.
+// call assembles its full set of (src, dst) legs and issues one QueryReqs,
+// so predictions sharing a destination tree are computed once and distinct
+// trees fan across workers, instead of running one Dijkstra per sequential
+// Query.
 
 // queryAll answers one src against many dsts on a single engine snapshot.
 func (c *Client) queryAll(src Prefix, dsts []Prefix) []PathInfo {
-	pairs := make([][2]Prefix, len(dsts))
+	reqs := make([]PairReq, len(dsts))
 	for i, d := range dsts {
-		pairs[i] = [2]Prefix{src, d}
+		reqs[i] = PairReq{Src: src, Dst: d}
 	}
-	out, err := c.engine.Load().QueryBatch(context.Background(), pairs)
+	out, _, err := c.QueryReqs(context.Background(), reqs)
 	if err != nil {
 		// Unreachable with a background context; keep callers total anyway.
 		return make([]PathInfo, len(dsts))
@@ -131,15 +131,15 @@ func (c *Client) BestReplica(src Prefix, replicas []Prefix, sizeBytes int) (Pref
 // holding kept[i]'s legs.
 func (c *Client) relayLegs(ctx context.Context, src, dst Prefix, relays []Prefix) (kept []Prefix, legs []PathInfo, err error) {
 	kept = make([]Prefix, 0, len(relays))
-	pairs := make([][2]Prefix, 0, 2*len(relays))
+	reqs := make([]PairReq, 0, 2*len(relays))
 	for _, r := range relays {
 		if r == src || r == dst {
 			continue
 		}
 		kept = append(kept, r)
-		pairs = append(pairs, [2]Prefix{src, r}, [2]Prefix{r, dst})
+		reqs = append(reqs, PairReq{Src: src, Dst: r}, PairReq{Src: r, Dst: dst})
 	}
-	legs, err = c.engine.Load().QueryBatch(ctx, pairs)
+	legs, _, err = c.QueryReqs(ctx, reqs)
 	return kept, legs, err
 }
 
@@ -235,8 +235,7 @@ func (c *Client) BestRelayInfo(ctx context.Context, src, dst Prefix, relays []Pr
 // RelayMOS predicts the mean opinion score of a call from src to dst
 // relayed through relay.
 func (c *Client) RelayMOS(src, dst, relay Prefix) (float64, bool) {
-	pairs := [][2]Prefix{{src, relay}, {relay, dst}}
-	legs, err := c.engine.Load().QueryBatch(context.Background(), pairs)
+	legs, _, err := c.QueryReqs(context.Background(), []PairReq{{Src: src, Dst: relay}, {Src: relay, Dst: dst}})
 	if err != nil {
 		return 0, false
 	}
@@ -254,22 +253,23 @@ func (c *Client) RelayMOS(src, dst, relay Prefix) (float64, bool) {
 func (c *Client) RankDetours(src, dst Prefix, candidates []Prefix) []Prefix {
 	// One batch predicts the direct path plus both legs of every detour:
 	// all src->X legs share src's plane, all X->dst legs share dst's tree.
-	pairs := make([][2]Prefix, 0, 2*len(candidates)+1)
-	pairs = append(pairs, [2]Prefix{src, dst})
+	// Only the forward direction of each answer is read.
+	reqs := make([]PairReq, 0, 2*len(candidates)+1)
+	reqs = append(reqs, PairReq{Src: src, Dst: dst})
 	kept := make([]Prefix, 0, len(candidates))
 	for _, d := range candidates {
 		if d == src || d == dst {
 			continue
 		}
 		kept = append(kept, d)
-		pairs = append(pairs, [2]Prefix{src, d}, [2]Prefix{d, dst})
+		reqs = append(reqs, PairReq{Src: src, Dst: d}, PairReq{Src: d, Dst: dst})
 	}
-	preds, err := c.engine.Load().PredictBatch(context.Background(), pairs)
+	infos, _, err := c.QueryReqs(context.Background(), reqs)
 	if err != nil {
 		// Unreachable with a background context; keep the helper total.
-		preds = make([]Prediction, len(pairs))
+		infos = make([]PathInfo, len(reqs))
 	}
-	direct := preds[0]
+	direct := infos[0].Fwd
 
 	usedClusters := make(map[int32]int)
 	usedASes := make(map[ASN]int)
@@ -292,7 +292,7 @@ func (c *Client) RankDetours(src, dst Prefix, candidates []Prefix) []Prefix {
 	}
 	paths := make([]detourPath, len(kept))
 	for i, d := range kept {
-		via, onward := preds[1+2*i], preds[2+2*i]
+		via, onward := infos[1+2*i].Fwd, infos[2+2*i].Fwd
 		paths[i] = detourPath{p: d, via: via, onward: onward, ok: via.Found && onward.Found}
 	}
 	var out []Prefix

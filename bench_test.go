@@ -245,16 +245,16 @@ func BenchmarkQuery_Concurrent(b *testing.B) {
 
 // sharedDstPairs builds a batch of nPairs queries spread over kDst
 // destinations — the CDN/VoIP shape where many sources rank few replicas.
-func sharedDstPairs(l *experiments.Lab, nPairs, kDst int) [][2]inano.Prefix {
-	pairs := make([][2]inano.Prefix, nPairs)
+func sharedDstPairs(l *experiments.Lab, nPairs, kDst int) []inano.PairReq {
+	pairs := make([]inano.PairReq, nPairs)
 	for i := range pairs {
-		pairs[i] = [2]inano.Prefix{l.VPs[i%len(l.VPs)], l.Targets[i%kDst]}
+		pairs[i] = inano.PairReq{Src: l.VPs[i%len(l.VPs)], Dst: l.Targets[i%kDst]}
 	}
 	return pairs
 }
 
 // BenchmarkQueryBatch_SharedDestination answers 256 queries over 4
-// destinations with one QueryBatch per iteration, cold trees each time:
+// destinations with one QueryReqs per iteration, cold trees each time:
 // the batch builds each destination tree once (fanned across cores) and
 // reuses it for every source. Compare against
 // BenchmarkQueryBatch_SequentialBaseline, the same workload as N
@@ -267,13 +267,13 @@ func BenchmarkQueryBatch_SharedDestination(b *testing.B) {
 		b.StopTimer()
 		c := inano.FromAtlas(l.Day(0).Atlas) // fresh engine: trees are cold
 		b.StartTimer()
-		if _, err := c.QueryPrefixPairsContext(context.Background(), pairs); err != nil {
+		if _, _, err := c.QueryReqs(context.Background(), pairs); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkQueryBatch_SequentialBaseline is the loop QueryBatch replaces.
+// BenchmarkQueryBatch_SequentialBaseline is the loop QueryReqs replaces.
 func BenchmarkQueryBatch_SequentialBaseline(b *testing.B) {
 	l := benchLab()
 	pairs := sharedDstPairs(l, 256, 4)
@@ -283,7 +283,7 @@ func BenchmarkQueryBatch_SequentialBaseline(b *testing.B) {
 		c := inano.FromAtlas(l.Day(0).Atlas)
 		b.StartTimer()
 		for _, p := range pairs {
-			c.QueryPrefix(p[0], p[1])
+			c.QueryPrefix(p.Src, p.Dst)
 		}
 	}
 }
@@ -297,17 +297,18 @@ func BenchmarkQueryBatch_ManyDestinations(b *testing.B) {
 	if k > 32 {
 		k = 32
 	}
-	dsts := make([]inano.IP, k)
-	for i := range dsts {
-		dsts[i] = l.Targets[i].HostIP()
+	reqs := make([]inano.PairReq, k)
+	for i := range reqs {
+		reqs[i] = inano.PairReq{Src: l.VPs[0], Dst: l.Targets[i]}
 	}
-	src := l.VPs[0].HostIP()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c := inano.FromAtlas(l.Day(0).Atlas)
 		b.StartTimer()
-		c.QueryBatch(src, dsts)
+		if _, _, err := c.QueryReqs(context.Background(), reqs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

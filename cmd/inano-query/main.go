@@ -2,7 +2,7 @@
 // the client side of §5 as a CLI.
 //
 // With one destination it prints the full bidirectional prediction; with
-// several it issues one QueryBatch and prints a ranking table, the CDN
+// several it issues one QueryReqs batch and prints a ranking table, the CDN
 // replica-selection shape of §7.1.
 //
 // Usage:
@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -25,44 +26,60 @@ import (
 )
 
 func main() {
-	atlasPath := flag.String("atlas", "atlas.bin", "atlas file produced by inano-build")
-	list := flag.Bool("list", false, "list prefixes with attachment clusters and exit")
-	timeout := flag.Duration("timeout", 0, "bound query time (0 = no limit); batches abort with an error when exceeded")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: 0 on success, 1 on a failed load or query or when
+// nothing could be predicted, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("inano-query", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	atlasPath := fs.String("atlas", "atlas.bin", "atlas file produced by inano-build")
+	list := fs.Bool("list", false, "list prefixes with attachment clusters and exit")
+	timeout := fs.Duration("timeout", 0, "bound query time (0 = no limit); batches abort with an error when exceeded")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "inano-query:", err)
+		return 1
+	}
 
 	f, err := os.Open(*atlasPath)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	client, err := inano.Load(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	fmt.Printf("atlas day %d loaded\n", client.Day())
+	fmt.Fprintf(stdout, "atlas day %d loaded\n", client.Day())
 
 	if *list {
 		snap := client.Snapshot()
 		for p := range snap.Prefixes() {
 			cl, _ := snap.AttachmentCluster(p)
-			fmt.Printf("%s -> cluster %d (AS%d)\n", p, cl, snap.OriginAS(p))
+			fmt.Fprintf(stdout, "%s -> cluster %d (AS%d)\n", p, cl, snap.OriginAS(p))
 		}
-		return
+		return 0
 	}
 
-	if flag.NArg() < 2 {
-		fmt.Fprintln(os.Stderr, "usage: inano-query -atlas atlas.bin <src-ip> <dst-ip> [<dst-ip>...]")
-		os.Exit(2)
+	if fs.NArg() < 2 {
+		fmt.Fprintln(stderr, "usage: inano-query -atlas atlas.bin <src-ip> <dst-ip> [<dst-ip>...]")
+		return 2
 	}
-	src, err := parseIP(flag.Arg(0))
+	src, err := parseIP(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	dsts := make([]inano.IP, flag.NArg()-1)
-	for i := 1; i < flag.NArg(); i++ {
-		if dsts[i-1], err = parseIP(flag.Arg(i)); err != nil {
-			fatal(err)
+	dsts := make([]inano.IP, fs.NArg()-1)
+	reqs := make([]inano.PairReq, len(dsts))
+	for i := range dsts {
+		if dsts[i], err = parseIP(fs.Arg(i + 1)); err != nil {
+			return fatal(err)
 		}
+		reqs[i] = inano.PairOf(src, dsts[i])
 	}
 
 	ctx := context.Background()
@@ -71,34 +88,36 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	infos, err := client.QueryBatchContext(ctx, src, dsts)
+	infos, _, err := client.QueryReqs(ctx, reqs)
 	if err != nil {
-		fatal(fmt.Errorf("query aborted: %w", err))
+		return fatal(fmt.Errorf("query aborted: %w", err))
 	}
 
 	if len(dsts) == 1 {
-		printSingle(infos[0])
-		return
+		return printSingle(stdout, infos[0])
 	}
-	printRanking(dsts, infos)
+	return printRanking(stdout, dsts, infos)
 }
 
-// printSingle shows the full bidirectional answer for one destination.
-func printSingle(info inano.PathInfo) {
+// printSingle shows the full bidirectional answer for one destination;
+// the exit code is 1 when there is none.
+func printSingle(w io.Writer, info inano.PathInfo) int {
 	if !info.Found {
-		fmt.Println("no prediction (prefix unknown or no policy-compliant path)")
-		os.Exit(1)
+		fmt.Fprintln(w, "no prediction (prefix unknown or no policy-compliant path)")
+		return 1
 	}
-	fmt.Printf("RTT estimate:   %.1f ms\n", info.RTTMS)
-	fmt.Printf("loss estimate:  %.2f%%\n", info.LossRate*100)
-	fmt.Printf("forward AS path: %v  (%.1f ms one-way over %d clusters)\n",
+	fmt.Fprintf(w, "RTT estimate:   %.1f ms\n", info.RTTMS)
+	fmt.Fprintf(w, "loss estimate:  %.2f%%\n", info.LossRate*100)
+	fmt.Fprintf(w, "forward AS path: %v  (%.1f ms one-way over %d clusters)\n",
 		info.Fwd.ASPath, info.Fwd.LatencyMS, len(info.Fwd.Clusters))
-	fmt.Printf("reverse AS path: %v  (%.1f ms one-way over %d clusters)\n",
+	fmt.Fprintf(w, "reverse AS path: %v  (%.1f ms one-way over %d clusters)\n",
 		info.Rev.ASPath, info.Rev.LatencyMS, len(info.Rev.Clusters))
+	return 0
 }
 
-// printRanking shows a batch of destinations ordered by predicted RTT.
-func printRanking(dsts []inano.IP, infos []inano.PathInfo) {
+// printRanking shows a batch of destinations ordered by predicted RTT; the
+// exit code is 1 when none has a prediction.
+func printRanking(w io.Writer, dsts []inano.IP, infos []inano.PathInfo) int {
 	type row struct {
 		dst  inano.IP
 		info inano.PathInfo
@@ -113,19 +132,17 @@ func printRanking(dsts []inano.IP, infos []inano.PathInfo) {
 		}
 		return rows[i].info.RTTMS < rows[j].info.RTTMS
 	})
-	fmt.Printf("%-18s %10s %8s %s\n", "destination", "rtt(ms)", "loss", "forward AS path")
-	anyFound := false
+	fmt.Fprintf(w, "%-18s %10s %8s %s\n", "destination", "rtt(ms)", "loss", "forward AS path")
+	code := 1
 	for _, r := range rows {
 		if !r.info.Found {
-			fmt.Printf("%-18v %10s %8s no prediction\n", r.dst, "-", "-")
+			fmt.Fprintf(w, "%-18v %10s %8s no prediction\n", r.dst, "-", "-")
 			continue
 		}
-		anyFound = true
-		fmt.Printf("%-18v %10.1f %7.2f%% %v\n", r.dst, r.info.RTTMS, r.info.LossRate*100, r.info.Fwd.ASPath)
+		code = 0
+		fmt.Fprintf(w, "%-18v %10.1f %7.2f%% %v\n", r.dst, r.info.RTTMS, r.info.LossRate*100, r.info.Fwd.ASPath)
 	}
-	if !anyFound {
-		os.Exit(1)
-	}
+	return code
 }
 
 func parseIP(s string) (inano.IP, error) {
@@ -142,9 +159,4 @@ func parseIP(s string) (inano.IP, error) {
 		ip = ip<<8 | uint32(v)
 	}
 	return inano.IP(ip), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "inano-query:", err)
-	os.Exit(1)
 }

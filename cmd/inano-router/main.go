@@ -43,6 +43,12 @@ import (
 	"inano/internal/cluster"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a peer that opens connections and sends nothing
+// cannot hold them (and their goroutines) forever. Bodies are not bounded
+// here: /v1/batch streams for as long as its producer does.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7360", "HTTP listen address (port 0 picks one)")
 	replicas := flag.String("replicas", "", "comma-separated inanod base URLs (required)")
@@ -103,7 +109,7 @@ func main() {
 	defer stop()
 	go rt.Run(ctx)
 
-	srv := &http.Server{Handler: rt.Handler()}
+	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -64,6 +64,12 @@ import (
 	"inano/sim"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a peer that opens connections and sends nothing
+// cannot hold them (and their goroutines) forever. Bodies are not bounded
+// here: /v1/batch streams for as long as its producer does.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	atlasPath := flag.String("atlas", "", "atlas file produced by inano-build")
 	atlasFlat := flag.String("atlas-flat", "", "compiled flat atlas (inano-build -flat): mmap'd read-only, so startup cost is O(1) in atlas size and N replicas share the page cache (alternative to -atlas)")
@@ -92,7 +98,6 @@ func main() {
 	uploadURL := flag.String("upload-observations", "", "opt in to sharing this daemon's corrective observations: a build server's /v1/observations URL")
 	uploadInterval := flag.Duration("upload-interval", time.Minute, "observation upload flush interval")
 	peerID := flag.String("peer-id", "", "cluster peer identity, echoed in /healthz and the X-Inano-Peer response header")
-	batchFast := flag.Bool("batch-fastpath", true, "serve canonical /v1/batch lines through the zero-allocation parser/encoder (answers are byte-identical either way; false is an operational escape hatch)")
 	drain := flag.Bool("drain", false, "on SIGTERM, drain instead of hard shutdown: /healthz turns 503 so a router pulls this replica from the ring, in-flight requests finish, new serving requests are refused, and the process exits 0 once idle")
 	flag.Parse()
 
@@ -140,8 +145,6 @@ func main() {
 		ObservationBurst: *obsBurst,
 		PeerID:           *peerID,
 		Logf:             logf,
-
-		DisableBatchFastPath: !*batchFast,
 	})
 
 	ln, err := net.Listen("tcp", *listen)
@@ -228,7 +231,7 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -3,6 +3,7 @@ package inano
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,8 +23,8 @@ func encodeDelta(t testing.TB, d *atlas.Delta) []byte {
 	return buf.Bytes()
 }
 
-// TestStressQueriesDuringDeltaChurn hammers Query, QueryBatch, and
-// QueryPairs from many goroutines while the main goroutine ping-pongs the
+// TestStressQueriesDuringDeltaChurn hammers Query, QueryReqs, and a reused
+// StreamBatch from many goroutines while the main goroutine ping-pongs the
 // atlas between two days with ApplyDelta, rebuilding the engine each time.
 // Run under -race this is the library-level concurrency stress; it also
 // checks every answer is internally consistent regardless of which
@@ -42,28 +43,43 @@ func TestStressQueriesDuringDeltaChurn(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var sb *StreamBatch
 			for i := 0; !stop.Load(); i++ {
 				src := f0.vps[(g+i)%len(f0.vps)]
 				switch g % 3 {
 				case 0:
-					dsts := make([]IP, 6)
-					for k := range dsts {
-						dsts[k] = f0.targets[(g*7+i+k)%len(f0.targets)].HostIP()
+					reqs := make([]PairReq, 6)
+					for k := range reqs {
+						reqs[k] = PairOf(src.HostIP(), f0.targets[(g*7+i+k)%len(f0.targets)].HostIP())
 					}
-					infos := c.QueryBatch(src.HostIP(), dsts)
+					infos, _, err := c.QueryReqs(context.Background(), reqs)
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					for _, info := range infos {
 						checkConsistent(t, info)
 					}
 					queries.Add(int64(len(infos)))
 				case 1:
-					pairs := make([][2]IP, 4)
-					for k := range pairs {
-						pairs[k] = [2]IP{src.HostIP(), f0.targets[(g*11+i*3+k)%len(f0.targets)].HostIP()}
+					// A stream pins its snapshot: windows keep answering
+					// from it while the client rolls underneath.
+					if sb == nil || i%16 == 0 {
+						sb = c.Snapshot().StreamBatch(true)
 					}
-					for _, info := range c.QueryPairs(pairs) {
+					reqs := make([]PairReq, 4)
+					for k := range reqs {
+						reqs[k] = PairReq{Src: src, Dst: f0.targets[(g*11+i*3+k)%len(f0.targets)]}
+					}
+					infos, _, err := sb.Run(context.Background(), reqs)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, info := range infos {
 						checkConsistent(t, info)
 					}
-					queries.Add(int64(len(pairs)))
+					queries.Add(int64(len(reqs)))
 				default:
 					checkConsistent(t, c.QueryPrefix(src, f0.targets[(g*13+i*5)%len(f0.targets)]))
 					queries.Add(1)
@@ -113,39 +129,47 @@ func checkConsistent(t *testing.T, info PathInfo) {
 	}
 }
 
-// TestClientQueryBatchMatchesSequential is the client-level parity check of
-// the acceptance criteria: QueryBatch(src, dsts) must return exactly what
-// N sequential Query calls return, in order.
-func TestClientQueryBatchMatchesSequential(t *testing.T) {
+// TestClientQueryReqsMatchesSequential is the client-level parity check:
+// QueryReqs must return exactly what N sequential Query calls return, in
+// order, for one source ranking many destinations and for unrelated pairs.
+func TestClientQueryReqsMatchesSequential(t *testing.T) {
 	f := buildFixture(t, 121, 0)
 	c := FromAtlas(f.a)
-	src := f.vps[0].HostIP()
-	dsts := make([]IP, 0, 25)
+	var pairs [][2]IP
 	for i := 0; i < 25; i++ {
-		dsts = append(dsts, f.targets[(i*3)%len(f.targets)].HostIP())
+		pairs = append(pairs, [2]IP{f.vps[0].HostIP(), f.targets[(i*3)%len(f.targets)].HostIP()})
 	}
-	batch := c.QueryBatch(src, dsts)
-	if len(batch) != len(dsts) {
-		t.Fatalf("batch returned %d results for %d destinations", len(batch), len(dsts))
+	for i := 0; i < 10; i++ {
+		pairs = append(pairs, [2]IP{f.vps[i%len(f.vps)].HostIP(), f.targets[(i*7)%len(f.targets)].HostIP()})
 	}
-	for i, d := range dsts {
-		single := c.Query(src, d)
-		if batch[i].Found != single.Found || batch[i].RTTMS != single.RTTMS ||
-			batch[i].LossRate != single.LossRate {
-			t.Fatalf("dst %d: batch %+v != single %+v", i, batch[i], single)
+	reqs := make([]PairReq, len(pairs))
+	for i, pr := range pairs {
+		reqs[i] = PairOf(pr[0], pr[1])
+	}
+	batch, expired, err := c.QueryReqs(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != len(pairs) || len(expired) != len(pairs) {
+		t.Fatalf("batch returned %d results, %d expiry flags for %d pairs", len(batch), len(expired), len(pairs))
+	}
+	for i, pr := range pairs {
+		single := c.Query(pr[0], pr[1])
+		if expired[i] || !reflect.DeepEqual(batch[i], single) {
+			t.Fatalf("pair %d: batch %+v (expired %v) != single %+v", i, batch[i], expired[i], single)
 		}
 	}
 }
 
-// TestQueryBatchContextTimeout checks a cancelled batch surfaces the
-// context error instead of partial results.
-func TestQueryBatchContextTimeout(t *testing.T) {
+// TestQueryReqsCancelled checks a cancelled batch surfaces the context
+// error instead of partial results.
+func TestQueryReqsCancelled(t *testing.T) {
 	f := buildFixture(t, 122, 0)
 	c := FromAtlas(f.a)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dsts := []IP{f.targets[0].HostIP(), f.targets[1].HostIP()}
-	if _, err := c.QueryBatchContext(ctx, f.vps[0].HostIP(), dsts); err != context.Canceled {
+	reqs := []PairReq{PairOf(f.vps[0].HostIP(), f.targets[0].HostIP()), PairOf(f.vps[0].HostIP(), f.targets[1].HostIP())}
+	if _, _, err := c.QueryReqs(ctx, reqs); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -3,9 +3,9 @@
 // latency and loss estimates with a TCP throughput model — and we check the
 // choice against ground truth.
 //
-// Each client scores all of its candidate replicas with one QueryBatch:
-// the engine answers the whole candidate set off shared prediction trees
-// instead of running one Dijkstra per replica.
+// Each client scores all of its candidate replicas with one QueryReqs
+// batch: the engine answers the whole candidate set off shared prediction
+// trees instead of running one Dijkstra per replica.
 package main
 
 import (

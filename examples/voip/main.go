@@ -25,7 +25,8 @@ func main() {
 	fmt.Printf("call %v -> %v, %d candidate relays\n\n", src, dst, len(relays))
 
 	// Relay selection is a batch workload: both legs of every candidate go
-	// out as one QueryBatch under a deadline, bounding call-setup latency.
+	// out as one QueryReqs batch under a deadline, bounding call-setup
+	// latency.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	pick, ok, err := client.BestRelayContext(ctx, src, dst, relays, 10)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"inano/internal/feedback"
-	"inano/internal/netsim"
 )
 
 // Measurement feedback loop (§4.3.1, §5): the client compares what it
@@ -67,19 +66,18 @@ func (c *Client) ObserveRTT(src, dst IP, observedMS float64) FeedbackSample {
 // hostile report naming thousands of cold destinations). On cancellation
 // the observation is dropped and ctx.Err() returned.
 func (c *Client) ObserveRTTContext(ctx context.Context, src, dst IP, observedMS float64) (FeedbackSample, error) {
-	e := c.engine.Load()
-	sp, dp := netsim.PrefixOf(src), netsim.PrefixOf(dst)
-	infos, err := e.QueryBatch(ctx, [][2]Prefix{{sp, dp}})
+	snap := c.Snapshot()
+	rq := PairOf(src, dst)
+	infos, _, err := snap.QueryReqs(ctx, []PairReq{rq})
 	if err != nil {
 		return FeedbackSample{}, err
 	}
 	info := infos[0]
-	cl, ok := e.AttachmentCluster(dp)
-	cluster := int32(-1)
-	if ok {
-		cluster = int32(cl)
+	cluster, ok := snap.AttachmentCluster(rq.Dst)
+	if !ok {
+		cluster = -1
 	}
-	return c.tracker.Record(cluster, sp, dp, info.RTTMS, observedMS, info.Found, time.Now()), nil
+	return c.tracker.Record(cluster, rq.Src, rq.Dst, info.RTTMS, observedMS, info.Found, time.Now()), nil
 }
 
 // FeedbackTracker exposes the client's error tracker (for serving-side

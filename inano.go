@@ -18,17 +18,23 @@
 //
 // # Batch queries and concurrency
 //
-// QueryBatch answers "predict from me to these N candidates" — the shape
-// of CDN replica selection and relay ranking — in one call. The engine
-// groups the batch by destination prediction tree and fans tree
-// computation across up to GOMAXPROCS workers, so a batch sharing
+// There are three ways to ask: Query for one pair, QueryReqs for a batch
+// of pairs ("predict from me to these N candidates" — the shape of CDN
+// replica selection and relay ranking — in one call), and
+// Snapshot.StreamBatch for a long stream answered window by window. A
+// batch is grouped by destination prediction tree and the tree
+// computation fanned across up to GOMAXPROCS workers, so a batch sharing
 // destinations costs far fewer Dijkstra runs than N sequential queries;
-// results are identical to issuing the queries one at a time. The Context
-// variants (QueryBatchContext, QueryPairsContext) bound tail latency:
-// cancellation skips remaining tree builds, unblocks waits on builds owned
-// by other callers, and returns ctx.Err().
+// results are identical to issuing the queries one at a time. The context
+// bounds tail latency: cancellation skips remaining tree builds, unblocks
+// waits on builds owned by other callers, and returns ctx.Err(); a
+// PairReq.Deadline bounds one pair alone.
 //
-//	infos, err := client.QueryBatchContext(ctx, me, replicaIPs)
+//	reqs := make([]inano.PairReq, len(replicaIPs))
+//	for i, r := range replicaIPs {
+//		reqs[i] = inano.PairOf(me, r)
+//	}
+//	infos, _, err := client.QueryReqs(ctx, reqs)
 //
 // All query methods are safe for unbounded concurrent use and take no lock:
 // each loads the current engine from an atomic pointer. Mutations
@@ -236,83 +242,26 @@ func (c *Client) QueryPrefix(src, dst Prefix) PathInfo {
 	return c.engine.Load().Query(src, dst)
 }
 
-// QueryBatch predicts from one source to many destinations — the common
-// "rank these candidates for me" shape. Results align with dsts and are
-// identical to calling Query(src, d) for each d; per §5 the API accepts
-// "batches of arbitrary sizes".
-func (c *Client) QueryBatch(src IP, dsts []IP) []PathInfo {
-	out, _ := c.QueryBatchContext(context.Background(), src, dsts)
-	return out
-}
-
-// QueryBatchContext is QueryBatch with cancellation: when ctx expires, the
-// remaining prediction-tree builds are abandoned and ctx.Err() returned.
-func (c *Client) QueryBatchContext(ctx context.Context, src IP, dsts []IP) ([]PathInfo, error) {
-	pairs := make([][2]Prefix, len(dsts))
-	for i, d := range dsts {
-		pairs[i] = [2]Prefix{netsim.PrefixOf(src), netsim.PrefixOf(d)}
-	}
-	return c.engine.Load().QueryBatch(ctx, pairs)
-}
-
-// QueryPairs answers many independent (src, dst) queries, grouping by
-// destination tree so shared destinations are computed once. Results align
-// with the input order.
-func (c *Client) QueryPairs(pairs [][2]IP) []PathInfo {
-	out, _ := c.QueryPairsContext(context.Background(), pairs)
-	return out
-}
-
-// QueryPairsContext is QueryPairs with cancellation.
-func (c *Client) QueryPairsContext(ctx context.Context, pairs [][2]IP) ([]PathInfo, error) {
-	ps := make([][2]Prefix, len(pairs))
-	for i, pr := range pairs {
-		ps[i] = [2]Prefix{netsim.PrefixOf(pr[0]), netsim.PrefixOf(pr[1])}
-	}
-	return c.engine.Load().QueryBatch(ctx, ps)
-}
-
-// QueryPrefixPairsContext is QueryPairsContext keyed by /24 prefixes.
-func (c *Client) QueryPrefixPairsContext(ctx context.Context, pairs [][2]Prefix) ([]PathInfo, error) {
-	return c.engine.Load().QueryBatch(ctx, pairs)
-}
-
-// PairReq is one entry of a per-pair-deadline batch: a (src, dst) prefix
-// pair with an optional absolute deadline.
+// PairReq is one entry of a batch: a (src, dst) prefix pair with an
+// optional absolute deadline.
 type PairReq = core.PairReq
 
-// QueryReqs answers many queries with *per-pair* deadlines inside one
-// batch: a pair whose deadline passes before its prediction trees are
-// ready is reported expired (expired[i] true, zero PathInfo) while the
-// rest of the batch completes normally — partial results instead of an
-// aborted window. ctx cancellation still aborts the whole batch.
+// PairOf returns the batch entry for a pair of hosts: their /24 prefixes,
+// no deadline.
+func PairOf(src, dst IP) PairReq {
+	return PairReq{Src: netsim.PrefixOf(src), Dst: netsim.PrefixOf(dst)}
+}
+
+// QueryReqs answers many independent (src, dst) queries in one batch
+// against one pinned snapshot — per §5 the API accepts "batches of
+// arbitrary sizes". Results align with reqs and are identical to calling
+// QueryPrefix for each pair. A pair whose Deadline passes before its
+// prediction trees are ready is reported expired (expired[i] true, zero
+// PathInfo) while the rest of the batch completes normally — partial
+// results instead of an aborted batch. ctx cancellation aborts the whole
+// batch with ctx.Err().
 func (c *Client) QueryReqs(ctx context.Context, reqs []PairReq) ([]PathInfo, []bool, error) {
-	return c.engine.Load().QueryBatchPartial(ctx, reqs)
-}
-
-// QueryPairsStream answers an unbounded stream of (src, dst) IP pairs,
-// yielding one PathInfo per pair in input order without materializing the
-// batch: pairs are consumed in windows of `window` entries (<= 0 means
-// core.DefaultStreamWindow), so memory stays bounded for million-pair
-// streams. The whole stream reads one engine snapshot pinned at call time:
-// a delta applied mid-stream never tears an answer, and takes effect for
-// streams started afterwards.
-//
-// The iterator yields (info, nil) per pair; when ctx is cancelled it yields
-// one final (zero, ctx.Err()) and stops.
-func (c *Client) QueryPairsStream(ctx context.Context, pairs iter.Seq[[2]IP], window int) iter.Seq2[PathInfo, error] {
-	return c.QueryPrefixPairsStream(ctx, func(yield func([2]Prefix) bool) {
-		for pr := range pairs {
-			if !yield([2]Prefix{netsim.PrefixOf(pr[0]), netsim.PrefixOf(pr[1])}) {
-				return
-			}
-		}
-	}, window)
-}
-
-// QueryPrefixPairsStream is QueryPairsStream keyed by /24 prefixes.
-func (c *Client) QueryPrefixPairsStream(ctx context.Context, pairs iter.Seq[[2]Prefix], window int) iter.Seq2[PathInfo, error] {
-	return c.Snapshot().QueryStream(ctx, pairs, window)
+	return c.Snapshot().QueryReqs(ctx, reqs)
 }
 
 // Snapshot is a pinned view of one engine + atlas version: every call on
@@ -357,28 +306,16 @@ func (s Snapshot) Query(src, dst IP) PathInfo {
 	return s.e.Query(netsim.PrefixOf(src), netsim.PrefixOf(dst))
 }
 
-// QueryBatch answers many prefix pairs on the pinned snapshot (see
-// Client.QueryPrefixPairsContext).
-func (s Snapshot) QueryBatch(ctx context.Context, pairs [][2]Prefix) ([]PathInfo, error) {
-	return s.e.QueryBatch(ctx, pairs)
-}
-
-// QueryStream streams prefix-pair answers on the pinned snapshot (see
-// Client.QueryPrefixPairsStream).
-func (s Snapshot) QueryStream(ctx context.Context, pairs iter.Seq[[2]Prefix], window int) iter.Seq2[PathInfo, error] {
-	return s.e.QueryStream(ctx, pairs, window)
-}
-
-// QueryReqs answers a per-pair-deadline batch on the pinned snapshot (see
-// Client.QueryReqs).
+// QueryReqs answers a batch on the pinned snapshot (see Client.QueryReqs).
 func (s Snapshot) QueryReqs(ctx context.Context, reqs []PairReq) ([]PathInfo, []bool, error) {
-	return s.e.QueryBatchPartial(ctx, reqs)
+	return s.e.NewStreamBatch(false).Run(ctx, reqs)
 }
 
 // StreamBatch is a reusable windowed batch runner bound to one pinned
-// snapshot — the QueryReqs contract with zero steady-state allocations
-// per window (see core.StreamBatch). noASPaths skips AS-path derivation
-// on every answer, for callers that never serialize them.
+// snapshot: Run answers a window under the QueryReqs contract, reusing
+// its buffers so steady-state windows allocate nothing (see
+// core.StreamBatch). noASPaths skips AS-path derivation on every answer,
+// for callers that never serialize them.
 type StreamBatch = core.StreamBatch
 
 // StreamBatch returns a windowed batch runner pinned to this snapshot.
@@ -416,13 +353,6 @@ func (c *Client) CacheStats() core.CacheStats {
 // PredictForward predicts only the one-way path from src to dst.
 func (c *Client) PredictForward(src, dst Prefix) Prediction {
 	return c.engine.Load().PredictForward(src, dst)
-}
-
-// PredictForwardBatch predicts the one-way path for every (src, dst) pair,
-// grouped by destination tree and fanned across workers. Results align
-// with the input order.
-func (c *Client) PredictForwardBatch(ctx context.Context, pairs [][2]Prefix) ([]Prediction, error) {
-	return c.engine.Load().PredictBatch(ctx, pairs)
 }
 
 func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }

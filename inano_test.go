@@ -85,22 +85,6 @@ func TestQueryByIP(t *testing.T) {
 	}
 }
 
-func TestQueryBatchMatchesSingles(t *testing.T) {
-	f := buildFixture(t, 103, 0)
-	c := FromAtlas(f.a)
-	var pairs [][2]IP
-	for i := 0; i < 10; i++ {
-		pairs = append(pairs, [2]IP{f.vps[i%len(f.vps)].HostIP(), f.targets[(i*7)%len(f.targets)].HostIP()})
-	}
-	batch := c.QueryPairs(pairs)
-	for i, pr := range pairs {
-		single := c.Query(pr[0], pr[1])
-		if batch[i].Found != single.Found || batch[i].RTTMS != single.RTTMS {
-			t.Fatalf("batch result %d differs from single query", i)
-		}
-	}
-}
-
 func TestApplyDelta(t *testing.T) {
 	f0 := buildFixture(t, 104, 0)
 	f1 := buildFixture(t, 104, 1)

@@ -77,18 +77,18 @@ func INanoOptions() Options {
 
 // Engine answers path queries over one atlas snapshot.
 //
-// Concurrency contract: all query methods (Query, QueryBatch,
-// PredictForward, PredictBatch) are safe for unbounded concurrent use. The
-// per-destination prediction tree cache is sharded by destination, so
-// concurrent queries to distinct destinations never serialize on a shared
-// lock, and concurrent queries to the same cold destination run its
-// backtracking Dijkstra exactly once (singleflight). Cancellation in the
-// batch methods skips not-yet-started tree builds and unblocks callers
-// waiting on another caller's in-flight build; a build already running
-// completes and stays cached, so a retry resumes cheaply. The engine itself is
-// immutable after New: to change the atlas, build a new engine and publish
-// it with one atomic pointer store (as inano.Client does; its readers take
-// no lock).
+// Concurrency contract: all query methods (Query, QueryInto,
+// PredictForward, and Run on distinct StreamBatch runners) are safe for
+// unbounded concurrent use. The per-destination prediction tree cache is
+// sharded by destination, so concurrent queries to distinct destinations
+// never serialize on a shared lock, and concurrent queries to the same
+// cold destination run its backtracking Dijkstra exactly once
+// (singleflight). Cancellation of a batch skips not-yet-started tree
+// builds and unblocks callers waiting on another caller's in-flight build;
+// a build already running completes and stays cached, so a retry resumes
+// cheaply. The engine itself is immutable after New: to change the atlas,
+// build a new engine and publish it with one atomic pointer store (as
+// inano.Client does; its readers take no lock).
 type Engine struct {
 	// f is the compiled flat serving form; every query reads only this.
 	f    *atlas.Flat

@@ -82,16 +82,9 @@ func (e *Engine) treeFor(ctx context.Context, dst cluster.ClusterID, origin nets
 // dst. Found is false when either prefix has no attachment cluster in the
 // atlas or no policy-compliant path exists.
 func (e *Engine) PredictForward(src, dst netsim.Prefix) Prediction {
-	p := e.predictForwardRaw(src, dst)
-	e.adjustLatency(&p, dst)
-	return p
-}
-
-// predictForwardRaw is PredictForward without the residual correction —
-// the reverse-leg shape, where the correction must not apply.
-func (e *Engine) predictForwardRaw(src, dst netsim.Prefix) Prediction {
 	var p Prediction
 	e.predictForwardRawInto(&p, src, dst)
+	e.adjustLatency(&p, dst)
 	return p
 }
 
@@ -130,7 +123,7 @@ func (e *Engine) predictForwardRawInto(p *Prediction, src, dst netsim.Prefix) {
 // that already include the global one, so it converges on whatever
 // residual remains. Applied exactly once per answer — on a standalone
 // one-way prediction, or on the forward leg of a bidirectional query
-// (see composeQuery) — and floored so a correction can never drive a
+// (see finishQuery) — and floored so a correction can never drive a
 // latency to zero or below. A no-op for unfound predictions and for
 // atlases without corrections.
 func (e *Engine) adjustLatency(p *Prediction, dst netsim.Prefix) {
@@ -159,19 +152,12 @@ func (e *Engine) AttachmentCluster(p netsim.Prefix) (cluster.ClusterID, bool) {
 	return e.f.ClusterOf(p)
 }
 
-// pathFrom extracts the predicted path from a source cluster out of a
-// prediction tree, preferring the FROM_SRC plane and falling back to
-// TO_DST-only (§4.3.1).
-func (e *Engine) pathFrom(t *tree, srcCl cluster.ClusterID) Prediction {
-	var p Prediction
-	e.pathFromInto(t, srcCl, &p)
-	return p
-}
-
-// pathFromInto is pathFrom writing into a caller-owned Prediction. The
-// walk reads link latency and loss from the tree's recorded CSR edge
-// indices — no link-table lookups at all. p must be reset (or zero)
-// except for slice capacity.
+// pathFromInto extracts the predicted path from a source cluster out of a
+// prediction tree into a caller-owned Prediction, preferring the FROM_SRC
+// plane and falling back to TO_DST-only (§4.3.1). The walk reads link
+// latency and loss from the tree's recorded CSR edge indices — no
+// link-table lookups at all. p must be reset (or zero) except for slice
+// capacity.
 func (e *Engine) pathFromInto(t *tree, srcCl cluster.ClusterID, p *Prediction) {
 	start := int32(-1)
 	if e.opts.Asymmetry {
@@ -221,14 +207,10 @@ func (e *Engine) pathFromInto(t *tree, srcCl cluster.ClusterID, p *Prediction) {
 	p.LossRate = 1 - deliver
 }
 
-// asPath derives the AS-level path from a cluster path, bracketing it with
-// the endpoint prefixes' origin ASes when the attachment clusters sit in a
-// different AS (e.g. the stub's own routers never answered probes).
-func (e *Engine) asPath(clusters []cluster.ClusterID, srcAS, dstAS netsim.ASN) []netsim.ASN {
-	return e.asPathInto(nil, clusters, srcAS, dstAS)
-}
-
-// asPathInto is asPath appending into out[:0] (which may be nil).
+// asPathInto derives the AS-level path from a cluster path into out[:0]
+// (which may be nil), bracketing it with the endpoint prefixes' origin ASes
+// when the attachment clusters sit in a different AS (e.g. the stub's own
+// routers never answered probes).
 func (e *Engine) asPathInto(out []netsim.ASN, clusters []cluster.ClusterID, srcAS, dstAS netsim.ASN) []netsim.ASN {
 	if out == nil {
 		out = make([]netsim.ASN, 0, len(clusters)+2)
@@ -255,7 +237,7 @@ func (e *Engine) asPathInto(out []netsim.ASN, clusters []cluster.ClusterID, srcA
 
 // Query predicts both directions between two prefixes and composes
 // end-to-end estimates. The destination's residual correction applies
-// once, on the forward leg (see composeQuery); the reverse leg is the
+// once, on the forward leg (see finishQuery); the reverse leg is the
 // uncorrected prediction, so Rev may differ from a standalone
 // PredictForward(dst, src) when src itself carries a correction.
 func (e *Engine) Query(src, dst netsim.Prefix) PathInfo {
@@ -278,7 +260,10 @@ func (e *Engine) QueryInto(info *PathInfo, src, dst netsim.Prefix) {
 }
 
 // finishQuery applies the forward-leg residual correction and composes the
-// bidirectional estimates, resetting the top-level fields.
+// bidirectional estimates, resetting the top-level fields. The reverse leg
+// stays uncorrected — its "destination" is the querying host, whose own
+// AdjustMS entry (learned from some other pair's round trips) must not be
+// double-counted into this query's RTT.
 func (e *Engine) finishQuery(info *PathInfo, dst netsim.Prefix) {
 	e.adjustLatency(&info.Fwd, dst)
 	info.Found = false

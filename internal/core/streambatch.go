@@ -2,20 +2,59 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"time"
 
+	"inano/internal/cluster"
 	"inano/internal/netsim"
 )
 
-// StreamBatch is a reusable batch runner for streamed serving: one per
-// NDJSON stream, with Run called once per flush window. It answers the
-// same contract as QueryBatchPartial — per-pair deadlines, partial
-// results — but every per-window allocation (the doubled leg slice, the
-// destination-grouping map, the group list, the result slices) is hoisted
-// into buffers that survive across windows, so a long-lived stream's
-// steady state performs zero heap allocations per window once its trees
-// are warm and its buffers have grown to the window size (CI-gated by
-// TestStreamBatchZeroAlloc).
+// Batch prediction. The backtracking Dijkstra computes one tree per
+// destination that answers queries from *every* source, so a batch is
+// grouped by destination tree and fanned across a bounded worker pool:
+// each distinct destination costs one tree (built or cached), and all
+// sources sharing it are answered by cheap path extraction. Forward legs
+// group by destination and reverse legs by source, so one source querying
+// N destinations costs N+1 trees rather than 2N Dijkstra runs. This is the
+// natural shape of CDN replica selection ("rank these N replicas for me")
+// and VoIP relay ranking ("score both legs through these N relays").
+// StreamBatch.Run is the one executor of it.
+
+// PairReq is one entry of a batch: a (src, dst) prefix pair plus an
+// optional absolute deadline (zero = none).
+type PairReq struct {
+	// Src and Dst are the query pair's endpoint /24 prefixes.
+	Src, Dst netsim.Prefix
+	// Deadline bounds this pair only. A pair whose deadline passes before
+	// its prediction trees are available is reported expired; the rest of
+	// the batch is unaffected.
+	Deadline time.Time
+}
+
+// DefaultStreamWindow is the number of pairs a streamed caller (the
+// server's /v1/batch) hands Run per flush when it has no preference. 1024
+// pairs amortize the grouping and worker fan-out while keeping per-stream
+// memory a few tens of kilobytes regardless of stream length.
+const DefaultStreamWindow = 1024
+
+// batchGroup collects the batch legs that share one prediction tree.
+type batchGroup struct {
+	dstCl  cluster.ClusterID
+	origin netsim.ASN
+	idxs   []int
+}
+
+// StreamBatch is the batch runner: Run answers one window of pair
+// requests, each pair exactly as Engine.Query would. For streamed serving
+// keep one per NDJSON stream and call Run once per flush window: every
+// per-window allocation (the doubled leg slice, the destination-grouping
+// map, the group list, the result slices) lives in buffers that survive
+// across windows, so a long-lived stream's steady state performs zero heap
+// allocations per window once its trees are warm and its buffers have
+// grown to the window size (CI-gated by TestStreamBatchZeroAlloc). For a
+// one-shot batch, Run once on a fresh runner and drop it; the returned
+// slices are then the caller's to keep.
 //
 // A StreamBatch is bound to one Engine snapshot and is not safe for
 // concurrent use; the slices returned by Run are owned by the StreamBatch
@@ -35,9 +74,7 @@ type StreamBatch struct {
 	out     []PathInfo         // composed answers, aligned with reqs
 	expired []bool             // per-pair expiry, aligned with reqs
 	byKey   map[uint64]int32   // treeKey -> index into groups
-	groups  []batchGroup       // backing store for the window's groups
-	order   []*batchGroup      // stable pointers into groups, built post-grouping
-	ctx     context.Context    // current Run's context, for runGroup
+	groups  []batchGroup       // the window's groups
 }
 
 // NewStreamBatch returns a reusable windowed batch runner bound to this
@@ -48,16 +85,23 @@ func (e *Engine) NewStreamBatch(noASPaths bool) *StreamBatch {
 	return &StreamBatch{
 		e:         e,
 		noASPaths: noASPaths,
-		byKey:     make(map[uint64]int32, 16),
+		byKey:     make(map[uint64]int32),
 	}
 }
 
 // Run answers one window of pair requests. Results align with reqs:
-// out[i] is the composed bidirectional answer (zero-valued when not
-// found) and expired[i] reports that pair i's deadline passed before its
-// answer was ready, exactly as QueryBatchPartial. Both returned slices
-// are reused by the next Run call. Cancellation of ctx aborts the whole
-// window with ctx.Err().
+// out[i] equals Engine.Query(reqs[i].Src, reqs[i].Dst) (zero-valued when
+// not found; AS paths empty under noASPaths), and expired[i] reports that
+// pair i's deadline passed before its answer was ready — its PathInfo is
+// then the zero value, partial results instead of an aborted window.
+// Pairs sharing a prediction tree are grouped; a group's tree build is
+// bounded by the latest deadline among its members (any member without
+// one lifts the bound), so one hopeless deadline cannot starve patient
+// pairs of the same destination, and an expired build leaves the other
+// groups' answers intact. Distinct trees fan across up to GOMAXPROCS
+// workers. Cancellation of ctx itself aborts the whole window with
+// ctx.Err() and nil slices; trees already built stay cached, so a retry
+// resumes cheaply. Both returned slices are reused by the next Run call.
 //
 //inano:zeroalloc
 func (b *StreamBatch) Run(ctx context.Context, reqs []PairReq) ([]PathInfo, []bool, error) {
@@ -101,9 +145,7 @@ func (b *StreamBatch) Run(ctx context.Context, reqs []PairReq) ([]PathInfo, []bo
 		b.out[i].resetKeepCap()
 	}
 	b.group()
-	b.ctx = ctx
-	err := b.e.runGroups(ctx, b.order, b)
-	b.ctx = nil
+	err := b.runGroups(ctx)
 	b.reqs = nil
 	if err != nil {
 		return nil, nil, err
@@ -121,8 +163,8 @@ func (b *StreamBatch) Run(ctx context.Context, reqs []PairReq) ([]PathInfo, []bo
 
 // group buckets the doubled legs by destination tree, reusing the map,
 // the group backing store, and each group's idxs capacity from previous
-// windows. order is rebuilt after grouping completes because appends may
-// move the groups backing array.
+// windows. Legs whose destination prefix is unknown stay ungrouped and
+// keep the zero (not-found) prediction.
 func (b *StreamBatch) group() {
 	clear(b.byKey)
 	b.groups = b.groups[:0]
@@ -149,20 +191,56 @@ func (b *StreamBatch) group() {
 		g := &b.groups[gi]
 		g.idxs = append(g.idxs, i)
 	}
-	b.order = b.order[:0]
-	for i := range b.groups {
-		b.order = append(b.order, &b.groups[i])
-	}
 }
 
-// runGroup answers one destination group's legs in place — the
-// groupRunner hook runGroups invokes, possibly from worker goroutines
-// (groups are disjoint, and even/odd legs of one pair write disjoint
-// PathInfo fields, so concurrent groups never race). Deadline semantics
-// mirror predictPartial: the tree build runs under the latest member
-// deadline, and members whose own deadline has passed when the tree is
-// ready expire individually.
-func (b *StreamBatch) runGroup(g *batchGroup) {
+// runGroups answers every group of the window on a pool of up to
+// GOMAXPROCS workers, stopping early (without draining) once ctx is
+// cancelled.
+func (b *StreamBatch) runGroups(ctx context.Context) error {
+	workers := min(runtime.GOMAXPROCS(0), len(b.groups))
+	if workers <= 1 {
+		for i := range b.groups {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			b.runGroup(ctx, &b.groups[i])
+		}
+		// ctx may have expired during the last group's work (e.g. while
+		// joining an in-flight tree build), leaving zero-value results;
+		// report it like the parallel path does.
+		return ctx.Err()
+	}
+	ch := make(chan *batchGroup)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for g := range ch {
+				if ctx.Err() != nil {
+					continue // cancelled: drain without working
+				}
+				b.runGroup(ctx, g)
+			}
+		}()
+	}
+	for i := range b.groups {
+		if ctx.Err() != nil {
+			break
+		}
+		ch <- &b.groups[i]
+	}
+	close(ch)
+	wg.Wait()
+	return ctx.Err()
+}
+
+// runGroup answers one destination group's legs in place, possibly on a
+// worker goroutine (groups are disjoint, and even/odd legs of one pair
+// write disjoint PathInfo fields, so concurrent groups never race). The
+// tree build runs under the latest member deadline, and members whose own
+// deadline has passed when the tree is ready expire individually.
+func (b *StreamBatch) runGroup(ctx context.Context, g *batchGroup) {
 	e := b.e
 	var groupDl time.Time
 	bounded := true
@@ -176,7 +254,6 @@ func (b *StreamBatch) runGroup(g *batchGroup) {
 			groupDl = dl
 		}
 	}
-	ctx := b.ctx
 	if bounded {
 		if !groupDl.After(time.Now()) {
 			for _, i := range g.idxs {

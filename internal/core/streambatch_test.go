@@ -2,50 +2,32 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
+
+	"inano/internal/netsim"
 )
 
-// TestStreamBatchMatchesQueryBatchPartial is the parity property for the
-// reusable runner: across consecutive windows on one StreamBatch (the
-// buffer-reuse shape), under every algorithm variant, Run must return
-// exactly what a fresh QueryBatchPartial returns for the same window.
-func TestStreamBatchMatchesQueryBatchPartial(t *testing.T) {
-	w := buildWorld(t, 83)
-	for name, opts := range allOptionVariants() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(len(name))))
-			e := New(w.a, opts)
-			sb := e.NewStreamBatch(false)
-			ctx := context.Background()
-			for window := 0; window < 4; window++ {
-				pairs := randomPairs(rng, w, 20+window*17)
-				reqs := make([]PairReq, len(pairs))
-				for i, pr := range pairs {
-					reqs[i] = PairReq{Src: pr[0], Dst: pr[1]}
-				}
-				got, gotExp, err := sb.Run(ctx, reqs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, wantExp, err := e.QueryBatchPartial(ctx, reqs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range reqs {
-					if gotExp[i] != wantExp[i] {
-						t.Fatalf("window %d pair %d: expired %v != %v", window, i, gotExp[i], wantExp[i])
-					}
-					if !samePathInfo(got[i], want[i]) {
-						t.Fatalf("window %d pair %d (%v->%v):\nstream  %+v\npartial %+v",
-							window, i, reqs[i].Src, reqs[i].Dst, got[i], want[i])
-					}
-				}
-			}
-		})
+// unknownPrefix is never in a test world's atlas.
+const unknownPrefix = netsim.Prefix(0xFFFFFF)
+
+// randomReqs draws (src, dst) pairs from the world's prefixes, mixing
+// vantage points, targets, and an unknown prefix, with repeats so batches
+// exercise destination grouping.
+func randomReqs(rng *rand.Rand, w *world, n int) []PairReq {
+	pool := make([]netsim.Prefix, 0, len(w.vps)+len(w.targets)+1)
+	pool = append(pool, w.vps...)
+	pool = append(pool, w.targets...)
+	pool = append(pool, unknownPrefix)
+	reqs := make([]PairReq, n)
+	for i := range reqs {
+		reqs[i] = PairReq{Src: pool[rng.Intn(len(pool))], Dst: pool[rng.Intn(len(pool))]}
 	}
+	return reqs
 }
 
 // samePathInfo compares answers treating nil and empty path slices as
@@ -67,77 +49,216 @@ func samePathInfo(a, b PathInfo) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestStreamBatchNoASPaths checks the server shape: AS paths are skipped
-// but every other field matches the full answer.
-func TestStreamBatchNoASPaths(t *testing.T) {
-	w := buildWorld(t, 84)
-	e := New(w.a, INanoOptions())
-	sb := e.NewStreamBatch(true)
-	rng := rand.New(rand.NewSource(84))
-	pairs := randomPairs(rng, w, 60)
-	reqs := make([]PairReq, len(pairs))
-	for i, pr := range pairs {
-		reqs[i] = PairReq{Src: pr[0], Dst: pr[1]}
+// TestStreamBatchRunMatchesQuery is the batch engine's one reference check:
+// under every algorithm variant, with and without AS paths, every answer of
+// Run equals the per-pair Engine.Query of an engine of its own over the
+// same atlas. The windows run in sequence on one runner, so its buffers
+// grow, shrink, empty and grow again between them; the world carries
+// residual corrections on both kinds of endpoint, so the forward-leg-only
+// correction is part of what is compared.
+func TestStreamBatchRunMatchesQuery(t *testing.T) {
+	w := buildWorld(t, 83)
+	for i := 0; i < 6; i++ {
+		w.a.AdjustMS[w.targets[i]] = float32(i) - 2.5
+		w.a.GlobalAdjustMS[w.vps[i]] = 1.25 * float32(i+1)
 	}
-	got, _, err := sb.Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
+	windows := []struct {
+		name string
+		reqs func(rng *rand.Rand) []PairReq
+	}{
+		{"random", func(rng *rand.Rand) []PairReq { return randomReqs(rng, w, 60) }},
+		{"one pair", func(rng *rand.Rand) []PairReq { return randomReqs(rng, w, 1) }},
+		{"duplicates", func(rng *rand.Rand) []PairReq {
+			reqs := make([]PairReq, 0, 24)
+			for i := 0; i < 8; i++ {
+				reqs = append(reqs,
+					PairReq{Src: w.vps[0], Dst: w.targets[1]},
+					PairReq{Src: w.targets[1], Dst: w.vps[0]},
+					PairReq{Src: w.targets[1], Dst: w.targets[1]})
+			}
+			return reqs
+		}},
+		{"empty", func(*rand.Rand) []PairReq { return nil }},
+		{"unknown prefixes", func(*rand.Rand) []PairReq {
+			return []PairReq{
+				{Src: unknownPrefix, Dst: unknownPrefix},
+				{Src: w.vps[0], Dst: unknownPrefix},
+				{Src: unknownPrefix, Dst: w.targets[0]},
+			}
+		}},
+		{"one source, many destinations", func(*rand.Rand) []PairReq {
+			reqs := make([]PairReq, len(w.targets))
+			for i, d := range w.targets {
+				reqs[i] = PairReq{Src: w.vps[1], Dst: d}
+			}
+			return reqs
+		}},
+		{"random, larger", func(rng *rand.Rand) []PairReq { return randomReqs(rng, w, 137) }},
 	}
-	want, _, err := e.QueryBatchPartial(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reqs {
-		if len(got[i].Fwd.ASPath) != 0 || len(got[i].Rev.ASPath) != 0 {
-			t.Fatalf("pair %d: noASPaths answer carries AS paths", i)
-		}
-		want[i].Fwd.ASPath = nil
-		want[i].Rev.ASPath = nil
-		if !samePathInfo(got[i], want[i]) {
-			t.Fatalf("pair %d: stream %+v != partial-sans-aspath %+v", i, got[i], want[i])
+	for name, opts := range allOptionVariants() {
+		for _, noASPaths := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/noASPaths=%v", name, noASPaths), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(len(name))))
+				ref := New(w.a, opts)
+				sb := New(w.a, opts).NewStreamBatch(noASPaths)
+				for _, win := range windows {
+					reqs := win.reqs(rng)
+					got, expired, err := sb.Run(context.Background(), reqs)
+					if err != nil {
+						t.Fatalf("%s: %v", win.name, err)
+					}
+					if len(got) != len(reqs) || len(expired) != len(reqs) {
+						t.Fatalf("%s: %d answers, %d expiry flags for %d pairs", win.name, len(got), len(expired), len(reqs))
+					}
+					for i, rq := range reqs {
+						if expired[i] {
+							t.Fatalf("%s pair %d expired with no deadline", win.name, i)
+						}
+						want := ref.Query(rq.Src, rq.Dst)
+						if noASPaths {
+							want.Fwd.ASPath, want.Rev.ASPath = nil, nil
+						}
+						if !samePathInfo(got[i], want) {
+							t.Fatalf("%s pair %d (%v->%v), noASPaths=%v:\nRun   %+v\nQuery %+v",
+								win.name, i, rq.Src, rq.Dst, noASPaths, got[i], want)
+						}
+					}
+				}
+			})
 		}
 	}
 }
 
-// TestStreamBatchDeadlines checks the per-pair deadline contract on the
-// reusable runner: already-expired pairs report expired with a zero
-// answer, patient pairs of the same window still answer.
+// TestStreamBatchDeadlines checks the per-pair deadline contract: pairs
+// whose deadline already passed come back expired with a zero answer,
+// while the rest of the window is answered normally. That includes a
+// patient pair sharing the hopeless pair's destination: a group's tree
+// build is bounded by its *latest* member deadline, and after the build
+// each member is checked against its own.
 func TestStreamBatchDeadlines(t *testing.T) {
 	w := buildWorld(t, 85)
 	e := New(w.a, INanoOptions())
-	src, dst := pickFoundPair(t, w, e)
-	sb := e.NewStreamBatch(false)
+	past := time.Now().Add(-time.Second)
+	future := time.Now().Add(time.Minute)
 	reqs := []PairReq{
-		{Src: src, Dst: dst, Deadline: time.Now().Add(-time.Second)},
-		{Src: src, Dst: dst, Deadline: time.Now().Add(time.Minute)},
-		{Src: src, Dst: dst},
+		{Src: w.vps[0], Dst: w.targets[1], Deadline: past},
+		{Src: w.vps[1], Dst: w.targets[1], Deadline: future}, // same destination, patient
+		{Src: w.vps[2], Dst: w.targets[2]},                   // no deadline
+		{Src: w.vps[3], Dst: w.targets[3], Deadline: past},   // a group that is all expired
 	}
-	out, expired, err := sb.Run(context.Background(), reqs)
+	got, expired, err := e.NewStreamBatch(false).Run(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !expired[0] || out[0].Found {
-		t.Fatalf("past-deadline pair: expired=%v found=%v, want true,false", expired[0], out[0].Found)
+	if !expired[0] || !expired[3] {
+		t.Fatalf("past-deadline pairs not expired: %v", expired)
 	}
-	for i := 1; i < 3; i++ {
-		if expired[i] || !out[i].Found {
-			t.Fatalf("pair %d: expired=%v found=%v, want false,true", i, expired[i], out[i].Found)
+	if expired[1] || expired[2] {
+		t.Fatalf("patient pairs expired: %v", expired)
+	}
+	if !samePathInfo(got[0], PathInfo{}) || !samePathInfo(got[3], PathInfo{}) {
+		t.Fatal("expired pairs carry answers")
+	}
+	for i := 1; i <= 2; i++ {
+		if want := e.Query(reqs[i].Src, reqs[i].Dst); !samePathInfo(got[i], want) {
+			t.Fatalf("pair %d: %+v != single %+v", i, got[i], want)
 		}
 	}
 }
 
-// TestStreamBatchCancelled checks that context cancellation aborts the
-// window with the context error, like QueryBatchPartial.
+// TestStreamBatchCancelled checks that cancelling the context aborts the
+// whole window with ctx.Err() before doing work, per-pair deadlines or not.
 func TestStreamBatchCancelled(t *testing.T) {
 	w := buildWorld(t, 85)
 	e := New(w.a, INanoOptions())
-	sb := e.NewStreamBatch(false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := sb.Run(ctx, []PairReq{{Src: w.vps[0], Dst: w.targets[0]}})
-	if err != context.Canceled {
-		t.Fatalf("cancelled Run returned %v, want context.Canceled", err)
+	reqs := randomReqs(rand.New(rand.NewSource(1)), w, 30)
+	reqs[0].Deadline = time.Now().Add(time.Minute)
+	out, expired, err := e.NewStreamBatch(false).Run(ctx, reqs)
+	if err != context.Canceled || out != nil || expired != nil {
+		t.Fatalf("cancelled Run returned %v, %v, %v; want nil, nil, context.Canceled", out, expired, err)
 	}
+	if st := e.CacheStats(); st.Builds != 0 {
+		t.Fatalf("cancelled batch still built %d trees", st.Builds)
+	}
+}
+
+// TestStreamBatchSharesTrees checks a batch costs one tree per distinct
+// endpoint, not one per leg — N pairs from one source to K distinct
+// destinations need at most K+1 Dijkstra runs — and that the engine's
+// cache carries those trees to the next window and to another runner.
+func TestStreamBatchSharesTrees(t *testing.T) {
+	w := buildWorld(t, 84)
+	e := New(w.a, INanoOptions())
+	src := w.vps[0]
+	const k = 5
+	reqs := make([]PairReq, 0, 40)
+	for i := 0; i < 40; i++ {
+		reqs = append(reqs, PairReq{Src: src, Dst: w.targets[i%k]})
+	}
+	sb := e.NewStreamBatch(false)
+	if _, _, err := sb.Run(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	st := e.CacheStats()
+	if st.Builds > k+1 {
+		t.Fatalf("batch of %d pairs over %d destinations built %d trees, want <= %d", len(reqs), k, st.Builds, k+1)
+	}
+	for _, next := range []*StreamBatch{sb, e.NewStreamBatch(true)} {
+		if _, _, err := next.Run(context.Background(), reqs[:16]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st2 := e.CacheStats(); st2.Builds != st.Builds {
+		t.Fatalf("warm windows built %d new trees, want 0", st2.Builds-st.Builds)
+	}
+}
+
+// TestConcurrentBatchAndSingleQueries races batches, Query, and
+// PredictForward over one engine; run under -race this is the engine-level
+// concurrency stress.
+func TestConcurrentBatchAndSingleQueries(t *testing.T) {
+	w := buildWorld(t, 85)
+	opts := INanoOptions()
+	opts.TreeCacheSize = 16 // small cache forces eviction churn during the race
+	opts.TreeCacheShards = 4
+	e := New(w.a, opts)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			sb := e.NewStreamBatch(g%2 == 0)
+			for i := 0; i < 15; i++ {
+				switch g % 3 {
+				case 0:
+					if _, _, err := sb.Run(context.Background(), randomReqs(rng, w, 12)); err != nil {
+						t.Error(err)
+						return
+					}
+				case 1:
+					e.Query(w.vps[(g+i)%len(w.vps)], w.targets[(g*13+i*7)%len(w.targets)])
+				default:
+					e.PredictForward(w.vps[(g+i)%len(w.vps)], w.targets[(g*5+i*3)%len(w.targets)])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// warmWindow is the 64-pair window of the allocation gate and benchmark.
+func warmWindow(w *world) []PairReq {
+	reqs := make([]PairReq, 0, 64)
+	for i := 0; i < 64; i++ {
+		reqs = append(reqs, PairReq{
+			Src: w.vps[i%len(w.vps)],
+			Dst: w.targets[(i*7)%len(w.targets)],
+		})
+	}
+	return reqs
 }
 
 // TestStreamBatchZeroAlloc is the allocation gate for the streamed batch
@@ -149,14 +270,7 @@ func TestStreamBatchZeroAlloc(t *testing.T) {
 	w := buildWorld(t, 61)
 	e := New(w.a, INanoOptions())
 	sb := e.NewStreamBatch(true)
-
-	reqs := make([]PairReq, 0, 64)
-	for i := 0; i < 64; i++ {
-		reqs = append(reqs, PairReq{
-			Src: w.vps[i%len(w.vps)],
-			Dst: w.targets[(i*7)%len(w.targets)],
-		})
-	}
+	reqs := warmWindow(w)
 	ctx := context.Background()
 	if _, _, err := sb.Run(ctx, reqs); err != nil { // warm trees + buffers
 		t.Fatal(err)
@@ -178,13 +292,7 @@ func BenchmarkStreamBatch_Warm(b *testing.B) {
 	w := buildWorld(b, 61)
 	e := New(w.a, INanoOptions())
 	sb := e.NewStreamBatch(true)
-	reqs := make([]PairReq, 0, 64)
-	for i := 0; i < 64; i++ {
-		reqs = append(reqs, PairReq{
-			Src: w.vps[i%len(w.vps)],
-			Dst: w.targets[(i*7)%len(w.targets)],
-		})
-	}
+	reqs := warmWindow(w)
 	ctx := context.Background()
 	if _, _, err := sb.Run(ctx, reqs); err != nil {
 		b.Fatal(err)

@@ -1,18 +1,20 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 
 	inano "inano"
 )
 
-// The /v1/batch fast path: a strict-canonical NDJSON line parser and a
+// The /v1/batch line codec: a strict-canonical NDJSON line parser and a
 // hand-rolled answer encoder that together make the streamed batch loop
 // allocation-free per line (paired with core.StreamBatch for the
 // per-window prediction work).
 //
-// Correctness contract: the fast parser claims a line only when it is
+// Correctness contract: the strict parser claims a line only when it is
 // byte-for-byte in the canonical shape
 //
 //	{"src":"A.B.C.D","dst":"A.B.C.D"}
@@ -22,11 +24,12 @@ import (
 // zeros, 0-255) and a plain non-negative integer deadline. Everything
 // else — reordered fields, whitespace, escapes, exponents, and the
 // non-canonical addresses feedback.ParseIPv4 happens to accept (leading
-// '+', "-0") — falls back to the json.Unmarshal path, which echoes the
-// original strings and produces the same errors it always has. The
-// encoder replicates encoding/json's output for queryResult byte for
-// byte (field order, omitempty, float formatting, trailing newline),
-// pinned by TestAppendResultLineMatchesEncoder.
+// '+', "-0") — goes to parseBatchLineJSON, which echoes the original
+// strings and reports encoding/json's errors. On every line the strict
+// parser claims, the two agree (FuzzParseBatchLine). The encoder
+// replicates encoding/json's output for queryResult byte for byte (field
+// order, omitempty, float formatting, trailing newline), pinned by
+// TestAppendResultLineMatchesEncoder.
 
 var (
 	fastLineSrc = []byte(`{"src":"`)
@@ -69,7 +72,7 @@ func parseCanonIPv4(b []byte) (inano.IP, int) {
 
 // parseBatchLine parses one canonical batch request line without
 // allocating. ok is false when the line is anything but the exact
-// canonical shape; the caller must then fall back to json.Unmarshal.
+// canonical shape; the caller must then use parseBatchLineJSON.
 //
 //inano:zeroalloc
 func parseBatchLine(line []byte) (src, dst inano.IP, deadlineMS int64, ok bool) {
@@ -121,6 +124,27 @@ func parseBatchLine(line []byte) (src, dst inano.IP, deadlineMS int64, ok bool) 
 	return src, dst, deadlineMS, true
 }
 
+// parseBatchLineJSON parses any batch request line through encoding/json
+// and the shared address parser, keeping the request's own src/dst strings
+// for the echo.
+func parseBatchLineJSON(line []byte) (e batchEcho, deadlineMS int64, err error) {
+	var req pairRequest
+	if err := json.Unmarshal(line, &req); err != nil {
+		return e, 0, fmt.Errorf("bad pair: %v", err)
+	}
+	if e.srcIP, err = parseIP(req.Src); err != nil {
+		return e, 0, fmt.Errorf("src: %v", err)
+	}
+	if e.dstIP, err = parseIP(req.Dst); err != nil {
+		return e, 0, fmt.Errorf("dst: %v", err)
+	}
+	if req.DeadlineMS < 0 {
+		return e, 0, fmt.Errorf("bad deadline_ms %d", req.DeadlineMS)
+	}
+	e.src, e.dst = req.Src, req.Dst
+	return e, req.DeadlineMS, nil
+}
+
 // appendIPv4 appends the canonical dotted-quad form of ip. For addresses
 // claimed by parseCanonIPv4 this regenerates the request bytes exactly,
 // so fast-path lines need not retain their src/dst strings at all.
@@ -157,8 +181,8 @@ func appendJSONFloat(b []byte, f float64) []byte {
 // jsonSafe reports whether s can be embedded in a JSON string without
 // any escaping, under json.Encoder's default HTML-escaping rules. Every
 // string feedback.ParseIPv4 accepts is safe (digits, '.', '+', '-');
-// the check guards the fast encoder against that ever changing — an
-// unsafe echo string routes its line through the generic encoder.
+// the check guards appendResultLine against that ever changing — an
+// unsafe echo string routes its line through encoding/json.
 func jsonSafe(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -169,10 +193,10 @@ func jsonSafe(s string) bool {
 	return true
 }
 
-// batchEcho is what a batch stream retains per buffered pair to echo the
-// request's src/dst back on its answer line. Fast-parsed lines store
-// only the addresses (src == "") and regenerate the canonical text;
-// slow-parsed lines keep the original strings verbatim.
+// batchEcho is what a batch stream retains per buffered pair: the parsed
+// addresses, and what to echo back as src/dst on its answer line.
+// Canonical lines store only the addresses (src == "") and regenerate the
+// canonical text; other lines keep the original strings verbatim.
 type batchEcho struct {
 	src, dst     string
 	srcIP, dstIP inano.IP

@@ -17,35 +17,38 @@ import (
 	"inano/internal/netsim"
 )
 
+// parseBatchLineCases is TestParseBatchLine's table and
+// FuzzParseBatchLine's seed corpus.
+var parseBatchLineCases = []struct {
+	line     string
+	ok       bool
+	src, dst string // canonical echo when ok
+	dms      int64
+}{
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8"}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 0},
+	{line: `{"src":"0.0.0.0","dst":"255.255.255.255"}`, ok: true, src: "0.0.0.0", dst: "255.255.255.255"},
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":250}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 250},
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":0}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 0},
+	// Everything below must be left to parseBatchLineJSON.
+	{line: `{"src": "1.2.3.4","dst":"5.6.7.8"}`},                                  // whitespace
+	{line: `{"dst":"5.6.7.8","src":"1.2.3.4"}`},                                   // reordered
+	{line: `{"src":"+1.2.3.4","dst":"5.6.7.8"}`},                                  // ParseIPv4 quirk form
+	{line: `{"src":"01.2.3.4","dst":"5.6.7.8"}`},                                  // leading zero
+	{line: `{"src":"1.2.3.256","dst":"5.6.7.8"}`},                                 // octet overflow
+	{line: `{"src":"1.2.3","dst":"5.6.7.8"}`},                                     // 3 octets
+	{line: `{"src":"1.2.3.4.5","dst":"5.6.7.8"}`},                                 // 5 octets
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":-1}`},                  // negative
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":1e3}`},                 // exponent
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":01}`},                  // leading zero
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":9999999999999999999}`}, // overflow
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8"} `},                                  // trailing junk
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","x":1}`},                             // unknown field
+	{line: `{"src":"1.2.3.4"}`},
+	{line: ``},
+}
+
 func TestParseBatchLine(t *testing.T) {
-	cases := []struct {
-		line     string
-		ok       bool
-		src, dst string // canonical echo when ok
-		dms      int64
-	}{
-		{line: `{"src":"1.2.3.4","dst":"5.6.7.8"}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 0},
-		{line: `{"src":"0.0.0.0","dst":"255.255.255.255"}`, ok: true, src: "0.0.0.0", dst: "255.255.255.255"},
-		{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":250}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 250},
-		{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":0}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 0},
-		// Everything below must fall back to the generic decoder.
-		{line: `{"src": "1.2.3.4","dst":"5.6.7.8"}`},                                  // whitespace
-		{line: `{"dst":"5.6.7.8","src":"1.2.3.4"}`},                                   // reordered
-		{line: `{"src":"+1.2.3.4","dst":"5.6.7.8"}`},                                  // ParseIPv4 quirk form
-		{line: `{"src":"01.2.3.4","dst":"5.6.7.8"}`},                                  // leading zero
-		{line: `{"src":"1.2.3.256","dst":"5.6.7.8"}`},                                 // octet overflow
-		{line: `{"src":"1.2.3","dst":"5.6.7.8"}`},                                     // 3 octets
-		{line: `{"src":"1.2.3.4.5","dst":"5.6.7.8"}`},                                 // 5 octets
-		{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":-1}`},                  // negative
-		{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":1e3}`},                 // exponent
-		{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":01}`},                  // leading zero
-		{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":9999999999999999999}`}, // overflow
-		{line: `{"src":"1.2.3.4","dst":"5.6.7.8"} `},                                  // trailing junk
-		{line: `{"src":"1.2.3.4","dst":"5.6.7.8","x":1}`},                             // unknown field
-		{line: `{"src":"1.2.3.4"}`},
-		{line: ``},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseBatchLineCases {
 		src, dst, dms, ok := parseBatchLine([]byte(tc.line))
 		if ok != tc.ok {
 			t.Errorf("parseBatchLine(%q) ok=%v, want %v", tc.line, ok, tc.ok)
@@ -71,8 +74,8 @@ func TestParseBatchLine(t *testing.T) {
 
 // TestAppendResultLineMatchesEncoder pins the hand-rolled answer encoder
 // to encoding/json byte for byte, across found/not-found, expired, zero
-// and extreme float values — the property that lets the fast path and
-// the generic path interleave on one stream without a client noticing.
+// and extreme float values — the reference for the one encoder every
+// batch answer line goes through.
 func TestAppendResultLineMatchesEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	floats := []float64{0, 0.05, 12.5, 1.0 / 3, 9.999999999e-7, 1e-7, 3e21, 123456789.000001}
@@ -91,7 +94,7 @@ func TestAppendResultLineMatchesEncoder(t *testing.T) {
 		info := randInfo()
 		e := batchEcho{srcIP: inano.IP(rng.Uint32()), dstIP: inano.IP(rng.Uint32())}
 		if trial%3 == 0 {
-			e.src = "+1.2.3.4" // slow-path echo string, kept verbatim
+			e.src = "+1.2.3.4" // non-canonical line's echo string, kept verbatim
 			e.dst = "9.9.9.9"
 		}
 		errMsg := ""
@@ -120,72 +123,110 @@ func TestAppendResultLineMatchesEncoder(t *testing.T) {
 	}
 }
 
-// TestBatchFastPathParity runs one mixed stream — canonical lines,
-// whitespace variants, ParseIPv4-quirk addresses, per-pair deadlines,
-// unknown destinations, blank lines — through a fast-path server and a
-// fast-path-disabled server and requires byte-identical response bodies.
+// FuzzParseBatchLine is the proof that one batch loop with two parsers
+// serves one wire format: whenever the strict parser claims a line,
+// encoding/json and the shared address parser accept it with the same
+// addresses and deadline, and appendIPv4 regenerates, byte for byte, the
+// strings that parser would have echoed.
+func FuzzParseBatchLine(f *testing.F) {
+	for _, tc := range parseBatchLineCases {
+		f.Add([]byte(tc.line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		src, dst, dms, ok := parseBatchLine(line)
+		if !ok {
+			return
+		}
+		e, wantDMS, err := parseBatchLineJSON(line)
+		if err != nil {
+			t.Fatalf("strict parser claimed %q, parseBatchLineJSON rejects it: %v", line, err)
+		}
+		if e.srcIP != src || e.dstIP != dst || wantDMS != dms {
+			t.Fatalf("%q: strict %v,%v,%d != json %v,%v,%d", line, src, dst, dms, e.srcIP, e.dstIP, wantDMS)
+		}
+		if got := string(appendIPv4(nil, src)); got != e.src {
+			t.Fatalf("%q: src echo %q regenerated as %q", line, e.src, got)
+		}
+		if got := string(appendIPv4(nil, dst)); got != e.dst {
+			t.Fatalf("%q: dst echo %q regenerated as %q", line, e.dst, got)
+		}
+	})
+}
+
+// postBatch streams body to /v1/batch and returns the 200 response body.
+func postBatch(t testing.TB, url string, body io.Reader) string {
+	t.Helper()
+	resp, err := http.Post(url, "application/x-ndjson", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, out)
+	}
+	return string(out)
+}
+
+// TestBatchFastPathParity sends one mixed stream — canonical lines,
+// per-pair deadlines, unknown destinations, ParseIPv4-quirk addresses,
+// blank lines — twice: as written, and with every canonical line rewritten
+// (fields swapped, whitespace added) so that only parseBatchLineJSON will
+// take it. The two response bodies must be byte-identical.
 func TestBatchFastPathParity(t *testing.T) {
 	f := buildFixture(t, 210)
-	_, tsFast := start(t, f, nil)
-	_, tsSlow := start(t, f, func(c *Config) { c.DisableBatchFastPath = true })
+	_, ts := start(t, f, nil)
 
-	var b strings.Builder
+	var canon, generic strings.Builder
 	for i := 0; i < 40; i++ {
 		src := ipStr(f.vps[i%len(f.vps)])
 		dst := ipStr(f.targets[(i*7)%len(f.targets)])
-		switch i % 5 {
+		switch i % 4 {
 		case 0:
-			fmt.Fprintf(&b, "{\"src\":%q,\"dst\":%q}\n", src, dst)
-		case 1: // whitespace: generic path, same answer
-			fmt.Fprintf(&b, "{\"src\": %q, \"dst\": %q}\n", src, dst)
-		case 2: // generous per-pair deadline on the fast shape
-			fmt.Fprintf(&b, "{\"src\":%q,\"dst\":%q,\"deadline_ms\":60000}\n", src, dst)
-		case 3: // unknown destination: found=false line
-			fmt.Fprintf(&b, "{\"src\":%q,\"dst\":\"255.255.255.254\"}\n", src)
-		case 4: // quirk address ParseIPv4 accepts; echo must stay verbatim
-			fmt.Fprintf(&b, "{\"src\":\"+%s\",\"dst\":%q}\n\n", src, dst)
+			fmt.Fprintf(&canon, "{\"src\":%q,\"dst\":%q}\n", src, dst)
+			fmt.Fprintf(&generic, "{\"dst\": %q, \"src\": %q}\n", dst, src)
+		case 1: // generous per-pair deadline
+			fmt.Fprintf(&canon, "{\"src\":%q,\"dst\":%q,\"deadline_ms\":60000}\n", src, dst)
+			fmt.Fprintf(&generic, "{\"deadline_ms\": 60000, \"src\": %q, \"dst\": %q}\n", src, dst)
+		case 2: // unknown destination: found=false line
+			fmt.Fprintf(&canon, "{\"src\":%q,\"dst\":\"255.255.255.254\"}\n", src)
+			fmt.Fprintf(&generic, " {\"src\":%q , \"dst\":\"255.255.255.254\"}\n", src)
+		case 3: // quirk address ParseIPv4 accepts: never canonical, echoed verbatim
+			line := fmt.Sprintf("{\"src\":\"+%s\",\"dst\":%q}\n\n", src, dst)
+			canon.WriteString(line)
+			generic.WriteString(line)
 		}
 	}
-	body := b.String()
-
-	post := func(url string) string {
-		resp, err := http.Post(url+"/v1/batch?window=7", "application/x-ndjson", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	for _, line := range strings.Split(generic.String(), "\n") {
+		if _, _, _, ok := parseBatchLine([]byte(strings.TrimSpace(line))); ok {
+			t.Fatalf("rewritten line %q is still canonical", line)
 		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, out)
-		}
-		return string(out)
 	}
-	fast, slow := post(tsFast.URL), post(tsSlow.URL)
-	if fast != slow {
-		t.Fatalf("fast and slow batch bodies differ:\nfast:\n%s\nslow:\n%s", fast, slow)
+	a := postBatch(t, ts.URL+"/v1/batch?window=7", strings.NewReader(canon.String()))
+	b := postBatch(t, ts.URL+"/v1/batch?window=7", strings.NewReader(generic.String()))
+	if a != b {
+		t.Fatalf("canonical and rewritten batch bodies differ:\ncanonical:\n%s\nrewritten:\n%s", a, b)
 	}
-	if n := strings.Count(fast, "\n"); n != 40 {
+	if n := strings.Count(a, "\n"); n != 40 {
 		t.Fatalf("batch answered %d lines, want 40", n)
 	}
 }
 
-// TestBatchFastPathExpiredParity checks the expired-pair line shape
-// through the fast path: src/dst echoed, found false, the deadline error
-// — and that it matches the disabled path byte for byte.
+// TestBatchFastPathExpiredParity checks the expired-pair line shape —
+// src/dst echoed, found false, the deadline error — and that a canonical
+// and a rewritten request line produce it byte for byte alike.
 func TestBatchFastPathExpiredParity(t *testing.T) {
 	f := buildFixture(t, 211)
-	_, tsFast := start(t, f, nil)
-	_, tsSlow := start(t, f, func(c *Config) { c.DisableBatchFastPath = true })
+	_, ts := start(t, f, nil)
 	// deadline_ms:1 expires during window buffering (the server only
 	// answers at flush, and the producer holds the stream open past the
 	// deadline), so the pair comes back expired; the second pair has no
 	// deadline and must still answer.
-	body := fmt.Sprintf("{\"src\":%q,\"dst\":%q,\"deadline_ms\":1}\n{\"src\":%q,\"dst\":%q}\n",
-		ipStr(f.vps[0]), ipStr(f.targets[1]), ipStr(f.vps[1]), ipStr(f.targets[2]))
-	post := func(url string) string {
+	s0, d0, s1, d1 := ipStr(f.vps[0]), ipStr(f.targets[1]), ipStr(f.vps[1]), ipStr(f.targets[2])
+	post := func(body string) string {
 		pr, pw := io.Pipe()
 		done := make(chan struct{})
 		go func() {
@@ -194,28 +235,24 @@ func TestBatchFastPathExpiredParity(t *testing.T) {
 			time.Sleep(100 * time.Millisecond) // let deadline_ms=1 lapse
 			pw.Close()                         // EOF triggers the flush
 		}()
-		resp, err := http.Post(url+"/v1/batch", "application/x-ndjson", pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		out, _ := io.ReadAll(resp.Body)
+		out := postBatch(t, ts.URL+"/v1/batch", pr)
 		<-done
-		return string(out)
+		return out
 	}
-	fast, slow := post(tsFast.URL), post(tsSlow.URL)
-	if fast != slow {
-		t.Fatalf("expired-pair bodies differ:\nfast:\n%s\nslow:\n%s", fast, slow)
+	a := post(fmt.Sprintf("{\"src\":%q,\"dst\":%q,\"deadline_ms\":1}\n{\"src\":%q,\"dst\":%q}\n", s0, d0, s1, d1))
+	b := post(fmt.Sprintf("{\"deadline_ms\": 1, \"dst\":%q, \"src\":%q}\n{\"dst\":%q,\"src\":%q}\n", d0, s0, d1, s1))
+	if a != b {
+		t.Fatalf("expired-pair bodies differ:\ncanonical:\n%s\nrewritten:\n%s", a, b)
 	}
-	if !strings.Contains(fast, "deadline_ms exceeded") {
-		t.Fatalf("expired pair not reported: %s", fast)
+	if !strings.Contains(a, "deadline_ms exceeded") {
+		t.Fatalf("expired pair not reported: %s", a)
 	}
 }
 
 // TestBatchFastPathZeroAlloc is the CI allocation gate for the streamed
-// batch fast path, mirroring TestWarmQueryZeroAlloc: one warm window's
-// full serving loop — strict line parse, StreamBatch run, answer-line
-// encode — must not allocate. It drives the same functions handleBatch
+// batch loop on canonical lines, mirroring TestWarmQueryZeroAlloc: one
+// warm window's full serving loop — strict line parse, StreamBatch run,
+// answer-line encode — must not allocate. It drives the same functions handleBatch
 // does, outside HTTP (the transport writes are covered by bufio either
 // way).
 func TestBatchFastPathZeroAlloc(t *testing.T) {
@@ -259,43 +296,31 @@ func TestBatchFastPathZeroAlloc(t *testing.T) {
 	window() // warm trees + buffers
 	allocs := testing.AllocsPerRun(50, window)
 	if allocs != 0 {
-		t.Fatalf("warm batch fast-path window allocates %v times, want 0 (sink %d)", allocs, sink)
+		t.Fatalf("warm canonical batch window allocates %v times, want 0 (sink %d)", allocs, sink)
 	}
 }
 
 // BenchmarkBatchStream measures the streamed /v1/batch serving loop
-// end-to-end over HTTP: 64-pair windows, warm trees, fast path on
-// ("fast") and off ("generic") for an A/B of the zero-alloc line
-// parser/encoder against the json.Unmarshal/Encoder path.
-// pairs/s = 64 * window ops/s.
+// end-to-end over HTTP: 64-pair windows, warm trees, on canonical lines
+// (the strict parser's) and on the same pairs with the fields swapped
+// (encoding/json's). pairs/s = 64 * window ops/s.
 func BenchmarkBatchStream(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{{"fast", false}, {"generic", true}} {
+	for _, bc := range []struct{ name, format string }{
+		{"canonical", "{\"src\":%q,\"dst\":%q}\n"},
+		{"generic", "{\"dst\":%[2]q,\"src\":%[1]q}\n"},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			f := buildFixture(b, 212)
-			_, ts := start(b, f, func(c *Config) {
-				c.StreamWindow = 64
-				c.DisableBatchFastPath = bc.disable
-			})
+			_, ts := start(b, f, func(c *Config) { c.StreamWindow = 64 })
 			var body bytes.Buffer
 			for i := 0; i < 64; i++ {
-				fmt.Fprintf(&body, "{\"src\":%q,\"dst\":%q}\n",
+				fmt.Fprintf(&body, bc.format,
 					ipStr(f.vps[i%len(f.vps)]), ipStr(f.targets[(i*7)%len(f.targets)]))
 			}
 			lines := body.Bytes()
 			run := func() {
-				resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", bytes.NewReader(lines))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-					b.Fatal(err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != 200 {
-					b.Fatalf("status %d", resp.StatusCode)
+				if out := postBatch(b, ts.URL+"/v1/batch", bytes.NewReader(lines)); strings.Count(out, "\n") != 64 {
+					b.Fatalf("answered %d lines, want 64", strings.Count(out, "\n"))
 				}
 			}
 			run() // warm trees

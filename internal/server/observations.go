@@ -164,7 +164,7 @@ func (s *Server) ingestObservation(ctx context.Context, r *http.Request, snap in
 	// as corrective rather than structure-only.
 	if o.PredictedMS > 0 {
 		if _, ok := snap.AttachmentCluster(dstP); ok {
-			infos, err := snap.QueryBatch(ctx, [][2]netsim.Prefix{{srcP, dstP}})
+			infos, _, err := snap.QueryReqs(ctx, []inano.PairReq{{Src: srcP, Dst: dstP}})
 			if err != nil {
 				return res, err
 			}

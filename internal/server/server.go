@@ -81,13 +81,6 @@ type Config struct {
 	// and as an X-Inano-Peer response header so routers and harnesses can
 	// tell replicas apart. Empty = standalone (no header).
 	PeerID string
-	// DisableBatchFastPath turns off the zero-allocation /v1/batch fast
-	// path (strict-canonical line parser + hand-rolled NDJSON answer
-	// encoder + reusable core.StreamBatch runner) and serves every stream
-	// through the generic json.Unmarshal/Encoder path instead. Answers
-	// are byte-identical either way — this exists as an operational
-	// escape hatch (inanod -batch-fastpath=false), not a behavior switch.
-	DisableBatchFastPath bool
 	// Logf logs serving events (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -501,7 +494,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	var req pairRequest
 	switch r.Method {
 	case http.MethodGet:
-		req.Src, req.Dst = r.URL.Query().Get("src"), r.URL.Query().Get("dst")
+		q := r.URL.Query()
+		req.Src, req.Dst = q.Get("src"), q.Get("dst")
 	case http.MethodPost:
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			return httpError(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -525,7 +519,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	// One pinned snapshot answers and labels the result, so the reported
 	// day always matches the atlas that produced the numbers.
 	snap := s.c.Snapshot()
-	infos, err := snap.QueryBatch(ctx, [][2]inano.Prefix{{netsim.PrefixOf(src), netsim.PrefixOf(dst)}})
+	infos, _, err := snap.QueryReqs(ctx, []inano.PairReq{inano.PairOf(src, dst)})
 	if err != nil {
 		return httpError(w, http.StatusGatewayTimeout, "query aborted: %v", err)
 	}
@@ -596,21 +590,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	lineNo := 0
 
 	// One pinned snapshot serves the whole stream and labels every line;
-	// prediction trees built for one window stay cached for the next.
+	// prediction trees built for one window stay cached for the next. The
+	// reusable runner keeps the stream's per-window buffers alive across
+	// flushes (and skips AS-path derivation: batch lines never serialize
+	// them), so steady-state windows allocate nothing.
 	snap := s.c.Snapshot()
 	day := snap.Day()
-
-	useFast := !s.cfg.DisableBatchFastPath
-	var sb *inano.StreamBatch
-	if useFast {
-		// The reusable runner keeps the stream's per-window buffers alive
-		// across flushes (and skips AS-path derivation: batch lines never
-		// serialize them), so steady-state windows allocate nothing.
-		sb = snap.StreamBatch(true)
-	}
+	sb := snap.StreamBatch(true)
 	reqs := make([]core.PairReq, 0, window)
 	echoes := make([]batchEcho, 0, window)
-	var lineBuf []byte // reused fast-path answer line
+	var lineBuf []byte // reused answer line
 	answered := 0
 	var streamErr error
 	// flushWindow answers the buffered window in one per-pair-deadline
@@ -622,14 +611,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		if len(reqs) == 0 {
 			return nil
 		}
-		var infos []inano.PathInfo
-		var expired []bool
-		var err error
-		if useFast {
-			infos, expired, err = sb.Run(ctx, reqs)
-		} else {
-			infos, expired, err = snap.QueryReqs(ctx, reqs)
-		}
+		infos, expired, err := sb.Run(ctx, reqs)
 		if err != nil {
 			streamErr = err
 			return nil
@@ -639,12 +621,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 			if expired[i] {
 				errMsg = "deadline_ms exceeded"
 			}
-			if useFast && jsonSafe(echoes[i].src) && jsonSafe(echoes[i].dst) {
+			if jsonSafe(echoes[i].src) && jsonSafe(echoes[i].dst) {
 				lineBuf = appendResultLine(lineBuf[:0], &echoes[i], day, &infos[i], errMsg)
 				if _, encErr := bw.Write(lineBuf); encErr != nil {
 					return fmt.Errorf("writing batch response: %w", encErr)
 				}
 			} else {
+				// Guard only: every echo string parseIP accepts today is
+				// jsonSafe. Should that change, such a line takes
+				// encoding/json, which escapes it.
 				res := resultFor(echoes[i].src, echoes[i].dst, day, infos[i], false)
 				res.Error = errMsg
 				if encErr := enc.Encode(res); encErr != nil {
@@ -666,39 +651,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		if len(line) == 0 {
 			continue
 		}
-		var src, dst inano.IP
-		var deadlineMS int64
-		var e batchEcho
-		fastOK := false
-		if useFast {
-			src, dst, deadlineMS, fastOK = parseBatchLine(line)
+		// The strict parser claims a canonical line without allocating;
+		// any other line is encoding/json's.
+		src, dst, deadlineMS, ok := parseBatchLine(line)
+		e := batchEcho{srcIP: src, dstIP: dst}
+		if !ok {
+			if e, deadlineMS, err = parseBatchLineJSON(line); err != nil {
+				inputErr = fmt.Errorf("line %d: %v", lineNo, err)
+				break
+			}
 		}
-		if fastOK {
-			e = batchEcho{srcIP: src, dstIP: dst}
-		} else {
-			var req pairRequest
-			if err := json.Unmarshal(line, &req); err != nil {
-				inputErr = fmt.Errorf("line %d: bad pair: %v", lineNo, err)
-				break
-			}
-			src, err = parseIP(req.Src)
-			if err != nil {
-				inputErr = fmt.Errorf("line %d: src: %v", lineNo, err)
-				break
-			}
-			dst, err = parseIP(req.Dst)
-			if err != nil {
-				inputErr = fmt.Errorf("line %d: dst: %v", lineNo, err)
-				break
-			}
-			if req.DeadlineMS < 0 {
-				inputErr = fmt.Errorf("line %d: bad deadline_ms %d", lineNo, req.DeadlineMS)
-				break
-			}
-			deadlineMS = req.DeadlineMS
-			e = batchEcho{src: req.Src, dst: req.Dst}
-		}
-		pr := core.PairReq{Src: netsim.PrefixOf(src), Dst: netsim.PrefixOf(dst)}
+		pr := inano.PairOf(e.srcIP, e.dstIP)
 		if deadlineMS > 0 {
 			pr.Deadline = now().Add(time.Duration(deadlineMS) * time.Millisecond)
 		}
@@ -769,11 +732,13 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 	if len(req.Candidates) == 0 {
 		return httpError(w, http.StatusBadRequest, "no candidates")
 	}
-	dsts := make([]inano.IP, len(req.Candidates))
+	reqs := make([]inano.PairReq, len(req.Candidates))
 	for i, c := range req.Candidates {
-		if dsts[i], err = parseIP(c); err != nil {
+		dst, err := parseIP(c)
+		if err != nil {
 			return httpError(w, http.StatusBadRequest, "candidate %d: %v", i, err)
 		}
+		reqs[i] = inano.PairOf(src, dst)
 	}
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
@@ -781,11 +746,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 	}
 	defer cancel()
 	snap := s.c.Snapshot()
-	pairs := make([][2]inano.Prefix, len(dsts))
-	for i, d := range dsts {
-		pairs[i] = [2]inano.Prefix{netsim.PrefixOf(src), netsim.PrefixOf(d)}
-	}
-	infos, err := snap.QueryBatch(ctx, pairs)
+	infos, _, err := snap.QueryReqs(ctx, reqs)
 	if err != nil {
 		return httpError(w, http.StatusGatewayTimeout, "rank aborted: %v", err)
 	}
