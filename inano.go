@@ -39,10 +39,11 @@
 // All query methods are safe for unbounded concurrent use and take no lock:
 // each loads the current engine from an atomic pointer. Mutations
 // (ApplyDelta, AddTraceroutes) serialize among themselves, do all their
-// work on the side — a day roll is one merge pass over the compiled atlas
-// (atlas.Flat.Apply), not a rebuild — and publish the finished engine with
-// a single atomic store, so no query ever waits for one: queries in flight
-// finish on the engine they started on, later ones see the new day.
+// work on the side — a day roll and a traceroute merge alike are a Delta
+// through one merge pass over the compiled atlas (atlas.Flat.Apply), not a
+// rebuild — and publish the finished engine with a single atomic store, so
+// no query ever waits for one: queries in flight finish on the engine they
+// started on, later ones see the new atlas.
 package inano
 
 import (
@@ -105,6 +106,7 @@ type Client struct {
 	// local measurements.
 	localCluster map[Prefix]int32
 	// lastRoll is what the last applied delta changed; nil before the first.
+	// Traceroute merges do not store here.
 	lastRoll atomic.Pointer[RollStats]
 	// tracker aggregates observed-vs-predicted error per destination
 	// cluster (the feedback loop's scheduling signal).
@@ -175,9 +177,10 @@ func (c *Client) Day() int {
 
 // Atlas returns a copy of the client's atlas in the mutable map-based
 // form, inflated from the compiled form on every call — a tool for
-// inspection and tests, not a serving path. Editing the copy changes
-// nothing the client serves; the build-side observed-lifetime tables are
-// not part of the serving form and come back empty.
+// inspection and tests, and the only use the client has for that form: no
+// query and no change to the atlas goes through it. Editing the copy
+// changes nothing the client serves; the build-side observed-lifetime
+// tables are not part of the serving form and come back empty.
 func (c *Client) Atlas() *atlas.Atlas {
 	return c.engine.Load().Flat().Inflate()
 }
@@ -195,6 +198,8 @@ func (c *Client) publish(e *core.Engine) {
 // new compiled atlas (atlas.Flat.Apply) beside the serving one and
 // published with one atomic store: no query waits for it, and queries in
 // flight keep the snapshot they started on. LastRoll reports what changed.
+// A delta that moves nothing routes are computed from (a same-day push of
+// corrections, say) leaves the warm prediction-tree cache in place.
 func (c *Client) ApplyDelta(r io.Reader) error {
 	d, err := atlas.DecodeDelta(r)
 	if err != nil {
@@ -206,15 +211,34 @@ func (c *Client) ApplyDelta(r io.Reader) error {
 	if d.FromDay != cur.Day() {
 		return fmt.Errorf("inano: delta is day %d->%d but atlas is day %d", d.FromDay, d.ToDay, cur.Day())
 	}
-	next, stats := cur.Flat().Apply(d)
+	next, stats := c.apply(cur, d)
 	// Stats first: whoever sees the new day also sees what the roll did.
 	c.lastRoll.Store(&stats)
-	c.publish(core.NewFromFlat(next, c.opts))
+	c.publish(next)
 	return nil
 }
 
+// apply builds the engine that serves cur's atlas with d applied — the one
+// way a client's atlas changes, whether d came off the wire or out of a
+// traceroute merge. The caller holds wmu and publishes the result. When
+// the stats show that nothing route computation reads has moved (no link,
+// cluster, loss, 3-tuple or attachment change: corrections only), the new
+// engine adopts cur's warm prediction-tree cache; otherwise it starts cold.
+// The trees hold link-table indexes, so the table must also lie as it did:
+// Apply reorders one whose buckets were not in From order.
+func (c *Client) apply(cur *core.Engine, d *Delta) (*core.Engine, RollStats) {
+	next, st := cur.Flat().Apply(d)
+	if st.LinksChanged()+st.ClustersAdded+st.LossSet+st.LossCleared+
+		st.TuplesAdded+st.TuplesRemoved+st.PrefixesRehomed == 0 &&
+		slices.Equal(next.EdgeFrom, cur.Flat().EdgeFrom) {
+		return core.NewWithCache(next, c.opts, cur), st
+	}
+	return core.NewFromFlat(next, c.opts), st
+}
+
 // LastRoll reports what the most recently applied delta changed; ok is
-// false when none has been applied yet.
+// false when none has been applied yet. A traceroute merge is not a roll
+// and leaves it as it was.
 func (c *Client) LastRoll() (stats RollStats, ok bool) {
 	if st := c.lastRoll.Load(); st != nil {
 		return *st, true
@@ -345,7 +369,8 @@ func (s Snapshot) HopCluster(ip IP) (int32, bool) {
 // CacheStats reports the current engine's prediction-tree cache counters
 // (hits, misses, Dijkstra builds, trees resident) — the observability hook
 // behind inanod's /metrics and /debug/stats. Counters reset when a delta
-// or traceroute merge swaps in a new engine.
+// or traceroute merge swaps in an engine with a cold cache (one that
+// changed only corrections keeps cache and counters).
 func (c *Client) CacheStats() core.CacheStats {
 	return c.engine.Load().CacheStats()
 }

@@ -226,11 +226,6 @@ func (a *Atlas) invalidateIndex() {
 	a.idxMu.Unlock()
 }
 
-// InvalidateIndex discards the link lookup index; callers that mutate Links
-// directly (e.g. merging client-side measurements) must call it before the
-// next LinkAt.
-func (a *Atlas) InvalidateIndex() { a.invalidateIndex() }
-
 // LossOf returns the loss rate of a directed link (0 when not recorded).
 func (a *Atlas) LossOf(from, to cluster.ClusterID) float64 {
 	return float64(a.Loss[LinkKey(from, to)])

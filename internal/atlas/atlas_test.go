@@ -265,13 +265,26 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	d0, _, _ := buildTestAtlas(t, 50, 0)
 	d1, _, _ := buildTestAtlas(t, 50, 1)
 	delta := Diff(d0, d1)
+	var bare bytes.Buffer
+	if err := delta.Encode(&bare); err != nil {
+		t.Fatal(err)
+	}
+	// Client-local corrections never travel: the bytes are the same with
+	// and without them, and they do not come back.
+	delta.LocalAdjust = map[netsim.Prefix]float32{netsim.Prefix(7): 12.5}
 	var buf bytes.Buffer
 	if err := delta.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(buf.Bytes(), bare.Bytes()) {
+		t.Fatal("LocalAdjust changed the encoded delta")
+	}
 	got, err := DecodeDelta(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got.LocalAdjust) != 0 {
+		t.Fatalf("LocalAdjust survived the codec: %v", got.LocalAdjust)
 	}
 	if got.FromDay != delta.FromDay || got.ToDay != delta.ToDay {
 		t.Fatalf("delta header mismatch")
@@ -344,6 +357,19 @@ func TestLinkAtIndex(t *testing.T) {
 	}
 	if a.LinkAt(cluster.ClusterID(a.NumClusters+5), 0) != -1 {
 		t.Fatal("bogus link found")
+	}
+	// The compiled form answers the same lookups off its CSR buckets.
+	f := Compile(a)
+	for _, l := range a.Links {
+		if got, ok := f.LinkAt(l.From, l.To); !ok || got != l {
+			t.Fatalf("Flat.LinkAt(%d,%d) = %+v, %v, want %+v", l.From, l.To, got, ok, l)
+		}
+	}
+	n := cluster.ClusterID(a.NumClusters)
+	for _, ft := range [][2]cluster.ClusterID{{n + 5, 0}, {0, n}, {0, -1}, {0, 0}} {
+		if l, ok := f.LinkAt(ft[0], ft[1]); ok {
+			t.Fatalf("Flat.LinkAt(%d,%d) found %+v", ft[0], ft[1], l)
+		}
 	}
 }
 

@@ -69,6 +69,11 @@ type Delta struct {
 	// registry without waiting for a full atlas.
 	UpIfaceCluster  map[netsim.Prefix]cluster.ClusterID
 	DelIfaceCluster []uint64
+
+	// LocalAdjust sets client-local residual corrections (AdjustMS), after
+	// any day-roll decay. Only the client's own traceroute merge fills it:
+	// like AdjustMS itself it never travels, so Encode does not write it.
+	LocalAdjust map[netsim.Prefix]float32
 }
 
 // Diff computes the delta that transforms old's daily datasets into new's.
@@ -176,7 +181,7 @@ func (d *Delta) Entries() int {
 	return len(d.UpLinks) + len(d.DelLinks) + len(d.UpLoss) + len(d.DelLoss) +
 		len(d.AddTuples) + len(d.DelTuples) + len(d.UpAdjust) + len(d.DelAdjust) +
 		len(d.AddClusterAS) + len(d.UpPrefixCluster) + len(d.DelPrefixCluster) +
-		len(d.UpIfaceCluster) + len(d.DelIfaceCluster)
+		len(d.UpIfaceCluster) + len(d.DelIfaceCluster) + len(d.LocalAdjust)
 }
 
 // Apply updates a in place. Applying Diff(a, b) to a makes a's daily
@@ -289,6 +294,12 @@ func (a *Atlas) Apply(d *Delta) {
 			}
 			a.AdjustMS[k] = v
 		}
+	}
+	if a.AdjustMS == nil && len(d.LocalAdjust) > 0 {
+		a.AdjustMS = make(map[netsim.Prefix]float32, len(d.LocalAdjust))
+	}
+	for p, v := range d.LocalAdjust {
+		a.AdjustMS[p] = v
 	}
 	a.Day = d.ToDay
 	a.invalidateIndex()

@@ -244,14 +244,38 @@ func hostile(rng *rand.Rand, d *Delta, cur *Atlas, n int) {
 	d.DelAdjust = append(d.DelAdjust, 160, 161, 1<<32|162, 161)
 }
 
-// TestFlatApplyMatchesMapPath is the differential property behind the
-// serving client's day roll: over random worlds and chains of deltas,
-// Flat.Apply yields the Flat that Inflate -> map Apply -> Compile yields,
-// every exported field reflect.DeepEqual. Each chain crosses cluster
-// growth with links into the new clusters, out-of-range IDs, a loss-only
+// localSets returns client-local corrections as a traceroute merge would
+// set them: over a prefix that already carries a local term, one that
+// carries only a shipped term, a fresh prefix, and a set to exactly zero
+// (which keeps its key, as a map entry would).
+func localSets(rng *rand.Rand, cur *Atlas) map[netsim.Prefix]float32 {
+	m := map[netsim.Prefix]float32{
+		netsim.Prefix(700 + rng.Intn(50)): float32(rng.Intn(4000)-2000) / 100,
+		netsim.Prefix(760):                0,
+	}
+	for p := range cur.AdjustMS {
+		m[p] = float32(rng.Intn(800)-400) / 100
+		break
+	}
+	for p := range cur.GlobalAdjustMS {
+		if _, both := cur.AdjustMS[p]; !both {
+			m[p] = -1.25
+			break
+		}
+	}
+	return m
+}
+
+// TestFlatApplyMatchesMapPath is the differential property behind every
+// change a serving client makes to its atlas: over random worlds and
+// chains of deltas, Flat.Apply yields the Flat that Inflate -> map Apply ->
+// Compile yields, every exported field reflect.DeepEqual. Each chain
+// crosses cluster growth with links into the new clusters, out-of-range
+// IDs, local correction sets on a delta that also decays them, a loss-only
 // step on untouched links, a correction-only step (FromDay == ToDay, no
-// local decay), and enough day rolls to halve a local correction to under
-// the epsilon and drop it.
+// local decay), a same-day delta shaped like a traceroute merge, and
+// enough day rolls to halve a local correction to under the epsilon and
+// drop it.
 func TestFlatApplyMatchesMapPath(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -304,6 +328,8 @@ func TestFlatApplyMatchesMapPath(t *testing.T) {
 			d := Diff(cur, next)
 			if day%2 == 0 {
 				hostile(rng, d, cur, next.NumClusters)
+			} else {
+				d.LocalAdjust = localSets(rng, cur) // decay first, then set
 			}
 			step("roll", d)
 		}
@@ -336,6 +362,28 @@ func TestFlatApplyMatchesMapPath(t *testing.T) {
 		step("correction-only", d)
 		if got := len(f.Inflate().AdjustMS); got != locals {
 			t.Fatalf("seed %d: a correction-only delta changed %d local corrections to %d", seed, locals, got)
+		}
+
+		// What a traceroute merge emits, inside the day: a local cluster, a
+		// new link into it, a re-tag of a known link, the host's attachment
+		// to it, and local corrections set with nothing decayed.
+		cur = f.Inflate()
+		nc := cluster.ClusterID(cur.NumClusters)
+		retag := cur.Links[rng.Intn(len(cur.Links))]
+		retag.Planes |= PlaneFromSrc
+		d = &Delta{
+			FromDay:         cur.Day,
+			ToDay:           cur.Day,
+			AddClusterAS:    []netsim.ASN{netsim.ASN(1 + rng.Intn(10))},
+			UpLinks:         []Link{{From: 3, To: nc, LatencyMS: 0.1, Planes: PlaneFromSrc}, retag},
+			UpPrefixCluster: map[netsim.Prefix]cluster.ClusterID{netsim.Prefix(800): nc},
+			LocalAdjust:     localSets(rng, cur),
+		}
+		step("traceroute-merge", d)
+		for p, v := range d.LocalAdjust {
+			if _, l, ok := f.Adjust(p); !ok || l != v {
+				t.Fatalf("seed %d: local correction for %v reads %v (%v), set to %v", seed, p, l, ok, v)
+			}
 		}
 	}
 }

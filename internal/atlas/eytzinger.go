@@ -62,13 +62,6 @@ func (e *eytIndex[K, V]) fill(keys []K, vals []V, next, slot int) int {
 	return e.fill(keys, vals, next+1, 2*slot+1)
 }
 
-// built reports whether the index was constructed (an empty table still
-// counts: its nodes slice holds the sentinel). The accessors fall back
-// to plain binary search over the sorted slices when it is false, so a
-// Flat assembled without buildIndex — hand-built in a test, say — still
-// answers correctly.
-func (e *eytIndex[K, V]) built() bool { return len(e.nodes) > 0 }
-
 // ceil returns the smallest key >= k with its value — the lower bound.
 // ok is false when every key is smaller (or the table is empty).
 //

@@ -23,11 +23,8 @@ func TestEytzingerCeilExhaustive(t *testing.T) {
 			vals[i] = int32(i)
 		}
 		e := newEytIndex(keys, vals)
-		if !e.built() {
-			t.Fatalf("n=%d: index reports unbuilt", n)
-		}
 		for probe := uint64(0); probe <= uint64(10*n+10); probe++ {
-			wantI, wantEq := searchU64(keys, probe)
+			wantI, wantEq := slices.BinarySearch(keys, probe)
 			gotK, gotV, gotOK := e.ceil(probe)
 			if wantI < len(keys) {
 				if !gotOK || gotK != keys[wantI] || gotV != vals[wantI] {
@@ -52,7 +49,7 @@ func TestEytzingerCeilExhaustive(t *testing.T) {
 }
 
 // TestEytzingerPrefixKeys exercises the 32-bit key instantiation with
-// random netsim.Prefix tables against searchPrefix.
+// random netsim.Prefix tables against slices.BinarySearch.
 func TestEytzingerPrefixKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -76,7 +73,7 @@ func TestEytzingerPrefixKeys(t *testing.T) {
 			if probes < len(keys) {
 				p = keys[probes] // ensure every key is probed too
 			}
-			wantI, wantEq := searchPrefix(keys, p)
+			wantI, wantEq := slices.BinarySearch(keys, p)
 			gotK, gotV, gotOK := e.ceil(p)
 			if wantI < len(keys) {
 				if !gotOK || gotK != keys[wantI] || gotV != vals[wantI] {
@@ -93,27 +90,9 @@ func TestEytzingerPrefixKeys(t *testing.T) {
 	}
 }
 
-// TestEytzingerUnbuiltFallback proves a hand-assembled Flat (no
-// buildIndex call) still answers through the sorted-slice fallback.
-func TestEytzingerUnbuiltFallback(t *testing.T) {
-	f := &Flat{
-		PrefixClKeys: []netsim.Prefix{10, 20, 30},
-		PrefixClVals: []cluster.ClusterID{1, 2, 3},
-	}
-	if f.idx.prefixCl.built() {
-		t.Fatal("hand-built Flat should have no index")
-	}
-	if c, ok := f.ClusterOf(20); !ok || c != 2 {
-		t.Fatalf("fallback ClusterOf(20) = (%d,%v), want (2,true)", c, ok)
-	}
-	if _, ok := f.ClusterOf(25); ok {
-		t.Fatal("fallback ClusterOf(25) should miss")
-	}
-}
-
 // FuzzEytzinger feeds arbitrary sorted key sets and probes through the
-// Eytzinger index and pins every answer to the sorted-slice reference
-// search the index replaced.
+// Eytzinger index and pins every answer to a binary search of the sorted
+// slice.
 func FuzzEytzinger(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 42})
 	seed := make([]byte, 8+8*5)
@@ -142,7 +121,7 @@ func FuzzEytzinger(f *testing.F) {
 		e := newEytIndex(keys, vals)
 
 		check := func(p uint64) {
-			wantI, wantEq := searchU64(keys, p)
+			wantI, wantEq := slices.BinarySearch(keys, p)
 			gotK, gotV, gotOK := e.ceil(p)
 			if wantI < len(keys) {
 				if !gotOK || gotK != keys[wantI] || gotV != vals[wantI] {
@@ -186,7 +165,7 @@ func BenchmarkSearch(b *testing.B) {
 		b.Run(benchName("sorted", n), func(b *testing.B) {
 			var sink int
 			for i := 0; i < b.N; i++ {
-				lo, _ := searchU64(keys, probes[i&1023])
+				lo, _ := slices.BinarySearch(keys, probes[i&1023])
 				sink += lo
 			}
 			_ = sink

@@ -267,150 +267,54 @@ func sortedAdjust(global, local map[netsim.Prefix]float32) ([]netsim.Prefix, []f
 	return keys, g, l
 }
 
-// Closure-free binary searches: the query hot path must not allocate, and
-// sort.Search's func parameter is one escape-analysis hiccup away from a
-// heap closure. These compile to tight branch loops.
-
-func searchPrefix(keys []netsim.Prefix, k netsim.Prefix) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(keys) && keys[lo] == k
-}
-
-func searchU64(keys []uint64, k uint64) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(keys) && keys[lo] == k
-}
-
-func searchASN(keys []netsim.ASN, k netsim.ASN) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(keys) && keys[lo] == k
-}
-
 // ClusterOf returns the attachment cluster of a prefix.
 func (f *Flat) ClusterOf(p netsim.Prefix) (cluster.ClusterID, bool) {
-	if f.idx.prefixCl.built() {
-		return f.idx.prefixCl.find(p)
-	}
-	if i, ok := searchPrefix(f.PrefixClKeys, p); ok {
-		return f.PrefixClVals[i], true
-	}
-	return 0, false
+	return f.idx.prefixCl.find(p)
 }
 
 // OriginAS returns the BGP origin of a prefix (0 when unknown).
 func (f *Flat) OriginAS(p netsim.Prefix) netsim.ASN {
-	if f.idx.prefixAS.built() {
-		as, _ := f.idx.prefixAS.find(p)
-		return as // zero when absent
-	}
-	if i, ok := searchPrefix(f.PrefixASKeys, p); ok {
-		return f.PrefixASVals[i]
-	}
-	return 0
+	as, _ := f.idx.prefixAS.find(p)
+	return as // zero when absent
 }
 
 // IfaceClusterOf returns the cluster owning an infrastructure /24.
 func (f *Flat) IfaceClusterOf(p netsim.Prefix) (cluster.ClusterID, bool) {
-	if f.idx.iface.built() {
-		return f.idx.iface.find(p)
-	}
-	if i, ok := searchPrefix(f.IfaceKeys, p); ok {
-		return f.IfaceVals[i], true
-	}
-	return 0, false
+	return f.idx.iface.find(p)
 }
 
 // Adjust returns the shipped (global) and client-local residual correction
 // terms for a destination prefix; ok is false when neither is carried.
 func (f *Flat) Adjust(p netsim.Prefix) (global, local float32, ok bool) {
-	if f.idx.adjust.built() {
-		v, found := f.idx.adjust.find(p)
-		return v.global, v.local, found
-	}
-	i, found := searchPrefix(f.AdjustKeys, p)
-	if !found {
-		return 0, 0, false
-	}
-	return f.AdjustGlobal[i], f.AdjustLocal[i], true
+	v, found := f.idx.adjust.find(p)
+	return v.global, v.local, found
 }
 
 // HasTuple reports whether the 3-tuple (x,y,z) was observed.
 func (f *Flat) HasTuple(x, y, z netsim.ASN) bool {
-	k := PackTriple(x, y, z)
-	if f.idx.tuples.built() {
-		return f.idx.tuples.contains(k)
-	}
-	_, ok := searchU64(f.Tuples, k)
-	return ok
+	return f.idx.tuples.contains(PackTriple(x, y, z))
 }
 
 // Prefers reports whether AS at prefers next-hop b over next-hop c.
 func (f *Flat) Prefers(at, b, c netsim.ASN) bool {
-	k := PackTriple(at, b, c)
-	if f.idx.prefs.built() {
-		return f.idx.prefs.contains(k)
-	}
-	_, ok := searchU64(f.Prefs, k)
-	return ok
+	return f.idx.prefs.contains(PackTriple(at, b, c))
 }
 
 // ProviderCheck applies the §4.3.4 provider test for an edge from fromAS
 // into the destination origin AS: true when the atlas has no provider data
 // for origin, or records fromAS as one of its providers.
 func (f *Flat) ProviderCheck(origin, fromAS netsim.ASN) bool {
-	if f.idx.provs.built() {
-		// Lower-bound probe: is any provider entry recorded for origin?
-		key, _, any := f.idx.provs.ceil(uint64(origin) << 32)
-		if !any || netsim.ASN(key>>32) != origin {
-			return true // no provider data: cannot enforce
-		}
-		return f.idx.provs.contains(uint64(origin)<<32 | uint64(fromAS))
-	}
-	lo, _ := searchU64(f.Providers, uint64(origin)<<32)
-	if lo >= len(f.Providers) || netsim.ASN(f.Providers[lo]>>32) != origin {
+	// Lower-bound probe: is any provider entry recorded for origin?
+	key, _, any := f.idx.provs.ceil(uint64(origin) << 32)
+	if !any || netsim.ASN(key>>32) != origin {
 		return true // no provider data: cannot enforce
 	}
-	_, ok := searchU64(f.Providers, uint64(origin)<<32|uint64(fromAS))
-	return ok
+	return f.idx.provs.contains(uint64(origin)<<32 | uint64(fromAS))
 }
 
 // RelOf returns the inferred relationship of y from x's perspective.
 func (f *Flat) RelOf(x, y netsim.ASN) netsim.Rel {
-	k := netsim.ASPairKey(x, y)
-	var r netsim.Rel
-	var ok bool
-	if f.idx.rels.built() {
-		r, ok = f.idx.rels.find(k)
-	} else {
-		var i int
-		if i, ok = searchU64(f.RelKeys, k); ok {
-			r = f.RelVals[i]
-		}
-	}
+	r, ok := f.idx.rels.find(netsim.ASPairKey(x, y))
 	if !ok {
 		return netsim.RelNone
 	}
@@ -420,14 +324,27 @@ func (f *Flat) RelOf(x, y netsim.ASN) netsim.Rel {
 	return r.Invert()
 }
 
+// LinkAt returns the directed link from->to, scanning to's CSR bucket (a
+// cluster's in-degree is small); ok is false when the atlas has none.
+func (f *Flat) LinkAt(from, to cluster.ClusterID) (l Link, ok bool) {
+	if to < 0 || int32(to) >= f.NumClusters {
+		return Link{}, false
+	}
+	for ei := f.EdgeStart[to]; ei < f.EdgeStart[to+1]; ei++ {
+		if f.EdgeFrom[ei] == from {
+			return Link{From: from, To: to, LatencyMS: f.EdgeLat[ei], Planes: f.EdgePlanes[ei]}, true
+		}
+	}
+	return Link{}, false
+}
+
 // NumEdges returns the CSR link count.
 func (f *Flat) NumEdges() int { return len(f.EdgeFrom) }
 
-// Inflate reconstructs a mutable map-based Atlas from the flat form. It is
-// off every serving and day-roll path (deltas apply to the Flat itself,
-// see Apply): the client's traceroute merge, which still edits the map
-// form and recompiles, inflates for the occasion, as do inspection and
-// the tests that hold Apply to the map path. The build-side
+// Inflate reconstructs a mutable map-based Atlas from the flat form. No
+// serving client calls it on any path that changes its atlas — day rolls
+// and traceroute merges alike are a Delta through Apply — so it is for
+// inspection and for the tests that hold Apply to the map path. The build-side
 // ObservedLinks/ObservedAttach lifetime tables are not part of the
 // serving form (deltas never carry them) and come back empty.
 func (f *Flat) Inflate() *Atlas {

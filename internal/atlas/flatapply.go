@@ -194,32 +194,40 @@ func mergeTable[K cmp.Ordered, V comparable](keys []K, vals []V, dels, upKeys []
 // mergeAdjust writes nf's correction table: f's shipped terms without
 // d.DelAdjust and with d.UpAdjust set, beside f's client-local terms —
 // halved, and dropped under AdjustDecayEpsilonMS, when the delta crosses
-// a day. A key stays while either term is carried; an upsert carries its
-// key even at value zero, as a map entry would.
+// a day — with d.LocalAdjust set after that. A key stays while either term
+// is carried; a set carries its key even at value zero, as a map entry
+// would.
 func (f *Flat) mergeAdjust(nf *Flat, d *Delta, st *RollStats) {
 	upK, upV := sortedTable(d.UpAdjust)
+	locK, locV := sortedTable(d.LocalAdjust)
 	dels := prefixKeys(d.DelAdjust)
 	decay := d.ToDay != d.FromDay
-	size := len(f.AdjustKeys) + len(upK)
+	size := len(f.AdjustKeys) + len(upK) + len(locK)
 	keys := make([]netsim.Prefix, 0, size)
 	global := make([]float32, 0, size)
 	local := make([]float32, 0, size)
-	i, ui, di := 0, 0, 0
-	for i < len(f.AdjustKeys) || ui < len(upK) {
-		var k netsim.Prefix
-		if ui == len(upK) || (i < len(f.AdjustKeys) && f.AdjustKeys[i] < upK[ui]) {
+	// at reports whether the next unread key of ks is k.
+	at := func(ks []netsim.Prefix, i int, k netsim.Prefix) bool { return i < len(ks) && ks[i] == k }
+	i, ui, li, di := 0, 0, 0, 0
+	for i < len(f.AdjustKeys) || ui < len(upK) || li < len(locK) {
+		k := ^netsim.Prefix(0)
+		if i < len(f.AdjustKeys) {
 			k = f.AdjustKeys[i]
-		} else {
-			k = upK[ui]
+		}
+		if ui < len(upK) {
+			k = min(k, upK[ui])
+		}
+		if li < len(locK) {
+			k = min(k, locK[li])
 		}
 		var g, l float32
-		if i < len(f.AdjustKeys) && f.AdjustKeys[i] == k {
+		if at(f.AdjustKeys, i, k) {
 			g, l = f.AdjustGlobal[i], f.AdjustLocal[i]
 			i++
 			for di < len(dels) && dels[di] < k {
 				di++
 			}
-			if di < len(dels) && dels[di] == k {
+			if at(dels, di, k) {
 				g = 0
 			}
 			if decay && l != 0 {
@@ -233,9 +241,13 @@ func (f *Flat) mergeAdjust(nf *Flat, d *Delta, st *RollStats) {
 			}
 		}
 		keep := g != 0 || l != 0
-		if ui < len(upK) && upK[ui] == k {
+		if at(upK, ui, k) {
 			g, keep = upV[ui], true
 			ui++
+		}
+		if at(locK, li, k) {
+			l, keep = locV[li], true
+			li++
 		}
 		if keep {
 			keys, global, local = append(keys, k), append(global, g), append(local, l)
@@ -305,12 +317,12 @@ func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 		from[o], lat[o], planes[o] = l.From, l.LatencyMS, l.Planes
 		if fa == ta {
 			flags[o] = EdgeSameAS
-		} else if _, late := searchU64(f.LateExit, netsim.ASPairKey(fa, ta)); late {
+		} else if _, late := slices.BinarySearch(f.LateExit, netsim.ASPairKey(fa, ta)); late {
 			flags[o] = EdgeLate
 		}
 		rel[o] = f.RelOf(fa, ta)
 		fromAS[o], toAS[o] = fa, ta
-		if i, ok := searchASN(f.DegKeys, ta); ok {
+		if i, ok := slices.BinarySearch(f.DegKeys, ta); ok {
 			toDeg[o] = f.DegVals[i]
 		}
 		o++

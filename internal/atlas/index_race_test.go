@@ -28,7 +28,7 @@ func indexAtlas(n int) *Atlas {
 
 // TestCloneIndexIsolation checks that a copy-on-write clone and its parent
 // never see each other's link index: mutating the clone's link set (the
-// Merge/FoldPaths pattern) must not surface in the parent's lookups, and
+// FoldPaths pattern) must not surface in the parent's lookups, and
 // vice versa.
 func TestCloneIndexIsolation(t *testing.T) {
 	parent := indexAtlas(8)
@@ -39,11 +39,11 @@ func TestCloneIndexIsolation(t *testing.T) {
 	}
 
 	clone := parent.Clone()
-	// Mutate the clone the way feedback.Merge/Finalize does: append a
+	// Mutate the clone the way an in-place link edit does: append a
 	// link, restore sort order, invalidate.
 	clone.Links = append(clone.Links, Link{From: 7, To: 0, LatencyMS: 9, Planes: PlaneFromSrc})
 	sortLinksForTest(clone)
-	clone.InvalidateIndex()
+	clone.invalidateIndex()
 
 	if got := clone.LinkAt(7, 0); got < 0 {
 		t.Fatal("clone cannot see its own appended link")
@@ -62,7 +62,7 @@ func TestCloneIndexIsolation(t *testing.T) {
 	// Mutate the parent; the clone must be unaffected.
 	parent.Links = append(parent.Links, Link{From: 5, To: 0, LatencyMS: 3, Planes: PlaneToDst})
 	sortLinksForTest(parent)
-	parent.InvalidateIndex()
+	parent.invalidateIndex()
 	if got := clone.LinkAt(5, 0); got >= 0 {
 		t.Fatalf("clone sees the parent's new link at %d", got)
 	}
@@ -121,7 +121,7 @@ func TestLinkIndexCloneMutateRace(t *testing.T) {
 					LatencyMS: 1, Planes: PlaneFromSrc,
 				})
 				sortLinksForTest(c)
-				c.InvalidateIndex()
+				c.invalidateIndex()
 				if c.LinkAt(16, cluster.ClusterID(g)) < 0 {
 					t.Errorf("clone %d lost its own appended link", g)
 					return
@@ -152,11 +152,11 @@ func TestInvalidateDuringBuildNotLost(t *testing.T) {
 		// invalidation below — here the mutation is the invalidation
 		// ordering itself: invalidate, then append+invalidate once the
 		// builder is done.
-		a.InvalidateIndex()
+		a.invalidateIndex()
 		wg.Wait()
 		a.Links = append(a.Links, Link{From: 4, To: 0, LatencyMS: 1, Planes: PlaneToDst})
 		sortLinksForTest(a)
-		a.InvalidateIndex()
+		a.invalidateIndex()
 		if a.LinkAt(4, 0) < 0 {
 			t.Fatalf("round %d: invalidation lost to an in-flight build; LinkAt serves a stale index", round)
 		}

@@ -24,9 +24,10 @@
 // The engine holds only the flat serving form of an atlas (atlas.Flat — a
 // structure-of-arrays CSR link table plus sorted lookup tables): every
 // relaxation, prefix lookup, and path walk reads flat arrays. New compiles
-// a map-based atlas into one and keeps no reference to the maps; a day
-// roll derives the next Flat from this one (Flat.Apply) and builds a new
-// engine over it.
+// a map-based atlas into one and keeps no reference to the maps; every
+// change to a serving atlas — a day roll, a traceroute merge — derives the
+// next Flat from this one (Flat.Apply) and builds a new engine over it,
+// with this one's tree cache when routes cannot have moved (NewWithCache).
 package core
 
 import (
@@ -146,12 +147,13 @@ func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 
 // NewWithCache builds an engine over f while adopting prev's
 // prediction-tree cache. Caller contract: f must be route-identical to
-// prev's atlas — same clusters, links, planes, and policy datasets,
-// differing only in data the route computation never reads (the
-// residual corrections in the Adjust tables) — and opts must equal
-// prev's. Used for residual-only feedback merges, where a full New would
-// needlessly cold-start a warm serving cache; prev keeps working, sharing
-// the cache.
+// prev's atlas — same clusters, links in the same order (trees hold edge
+// indexes), planes, and policy datasets, differing only in data the route
+// computation never reads (the residual corrections in the Adjust tables)
+// — and opts must equal prev's. Used when an applied delta changed
+// corrections only (a residual-only traceroute merge, a correction push),
+// where NewFromFlat would needlessly cold-start a warm serving cache; prev
+// keeps working, sharing the cache.
 func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 	e := NewFromFlat(f, opts)
 	if prev != nil {

@@ -2,9 +2,11 @@
 // §5 "Client-side Measurements"): clients compare predicted against
 // observed path performance, aggregate the error per destination cluster,
 // and spend a small budget of corrective traceroutes on the destinations
-// the atlas mispredicts worst. The corrective measurements merge into the
-// FROM_SRC plane of the local atlas copy-on-write, so predictions out of
-// this host sharpen over time without a server round trip.
+// the atlas mispredicts worst. What the corrective measurements add to the
+// FROM_SRC plane of the local atlas is worked out against the compiled
+// atlas as a same-day atlas.Delta (Merge) and applied like any other, so
+// predictions out of this host sharpen over time without a server round
+// trip.
 //
 // The package has three parts, composable but independently usable:
 //
@@ -12,8 +14,8 @@
 //     destination cluster (EWMA relative error, sample counts, staleness)
 //     and ranks the worst-mispredicted destinations.
 //   - Corrector: a budgeted scheduler that turns the Tracker's ranking
-//     into corrective traceroutes through a pluggable Prober and merges
-//     the results into the atlas.
+//     into corrective traceroutes through a pluggable Prober and hands
+//     the results to the merge.
 //   - Report parsing: the NDJSON wire format of inanod's /v1/feedback
 //     endpoint, hardened against hostile input (fuzzed).
 //

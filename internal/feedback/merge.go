@@ -1,71 +1,83 @@
 package feedback
 
 import (
-	"sort"
-
 	"inano/internal/atlas"
 	"inano/internal/cluster"
 	"inano/internal/netsim"
 )
 
 // Atlas merging: corrective (and routine client-side) traceroutes patch
-// the FROM_SRC plane of a local atlas copy. The caller owns copy-on-write:
-// Merge mutates the atlas it is given, which must be a private clone.
-
-// AnyResponsive reports whether any traceroute in the batch has a hop that
-// answered. A batch of all-unresponsive hops cannot contribute links or
-// attachment entries, so callers skip the atlas clone entirely.
-func AnyResponsive(trs []Traceroute) bool {
-	for i := range trs {
-		for _, h := range trs[i].Hops {
-			if h.IP != 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
+// the FROM_SRC plane of the local atlas. The merge only reads the compiled
+// atlas; what the traceroutes teach comes back as a same-day atlas.Delta,
+// which the caller applies the way it applies any other (Flat.Apply).
 
 // MaxAdjustMS caps the magnitude of a learned one-way residual
 // correction: one absurd measurement (a routing event mid-probe, a
 // half-broken path) must not poison a destination's predictions.
 const MaxAdjustMS = 100.0
 
-// Merge folds measured traceroutes into the FROM_SRC plane of a (§4.3.1).
-// Interfaces unknown to the atlas are grouped into local clusters by their
-// /24 (a coarse client-side approximation of the server's full
-// clustering), allocated through local, which persists across merges and
-// is mutated in place. Beyond links, a traceroute whose destination host
-// answered teaches the atlas a per-destination residual latency
-// correction (see learnResidual).
+// Merge works out what measured traceroutes add to the FROM_SRC plane of f
+// (§4.3.1) and returns it as a delta inside f's day, so applying it decays
+// nothing: new links and FROM_SRC tags on known ones in UpLinks, the
+// measuring host's attachment in UpPrefixCluster, learned residuals (see
+// learnResidual) in LocalAdjust. Interfaces unknown to the atlas are
+// grouped into local clusters by their /24 (a coarse client-side
+// approximation of the server's full clustering), allocated through local,
+// which persists across merges and is mutated in place; their ASes ride in
+// AddClusterAS, so a delta with entries must be applied or local runs
+// ahead of the atlas. Each traceroute sees what the ones before it in the
+// batch taught.
 //
 // The two change counts are reported separately because they differ in
-// cost for the caller: structural changes (new links, plane tags,
-// attachment entries) alter route computation and require an engine
-// rebuild + Finalize; residual changes (AdjustMS revisions) are applied
-// outside the prediction trees, so a residual-only merge can keep a warm
-// tree cache.
-func Merge(a *atlas.Atlas, local map[netsim.Prefix]int32, trs []Traceroute) (structural, residual int) {
-	if a.AdjustMS == nil {
-		a.AdjustMS = make(map[netsim.Prefix]float32)
+// what they cost the caller: structural changes (new links, plane tags,
+// attachment entries) alter route computation; residual changes (local
+// corrections newly learned or revised by more than 0.5 ms) are applied
+// outside the prediction trees, so a residual-only delta leaves a warm
+// tree cache valid. Revisions under that threshold ride along with a
+// batch that counted something and are dropped from one that did not: a
+// batch that taught nothing material yields a delta with no entries.
+func Merge(f *atlas.Flat, local map[netsim.Prefix]int32, trs []Traceroute) (d *atlas.Delta, structural, residual int) {
+	m := merger{
+		f:     f,
+		local: local,
+		d: &atlas.Delta{
+			FromDay:         int(f.Day),
+			ToDay:           int(f.Day),
+			UpPrefixCluster: make(map[netsim.Prefix]cluster.ClusterID),
+			LocalAdjust:     make(map[netsim.Prefix]float32),
+		},
+		linked: make(map[uint64]bool),
 	}
-	fresh := make(map[uint64]bool)
 	for i := range trs {
-		structural += mergeOne(a, local, &trs[i], fresh)
-		residual += learnResidual(a, &trs[i])
+		structural += m.mergeOne(&trs[i])
+		residual += m.learnResidual(&trs[i])
 	}
-	return structural, residual
+	if structural == 0 && residual == 0 && len(m.d.AddClusterAS) == 0 {
+		m.d.LocalAdjust = nil
+	}
+	return m.d, structural, residual
+}
+
+// merger is one batch's view of the atlas: f with the changes pending in d
+// laid over it.
+type merger struct {
+	f     *atlas.Flat
+	local map[netsim.Prefix]int32
+	d     *atlas.Delta
+	// linked holds the LinkKeys of d.UpLinks: links this batch has already
+	// added or tagged.
+	linked map[uint64]bool
 }
 
 // learnResidual compares a traceroute's measured end-to-end RTT (the
 // destination host's own answer) with what the atlas predicted when the
-// probe was scheduled, and steps the destination's AdjustMS correction
+// probe was scheduled, and steps the destination's local correction
 // halfway toward closing the signed residual. The residual is measured
 // against the *corrected* prediction, so each probe of the same
 // destination converges the served RTT geometrically onto the measured
 // value; destinations this host never probed are untouched. Returns 1
 // when a correction was newly learned or materially (>0.5 ms) revised.
-func learnResidual(a *atlas.Atlas, tr *Traceroute) int {
+func (m *merger) learnResidual(tr *Traceroute) int {
 	if !tr.Predicted {
 		return 0
 	}
@@ -74,34 +86,24 @@ func learnResidual(a *atlas.Atlas, tr *Traceroute) int {
 		return 0
 	}
 	resid := measured - tr.PredictedRTTMS
-	old := a.AdjustMS[tr.Dst]
+	old, pending := m.d.LocalAdjust[tr.Dst]
+	if !pending {
+		_, old, _ = m.f.Adjust(tr.Dst)
+	}
 	next := float64(old) + 0.5*resid
 	if next > MaxAdjustMS {
 		next = MaxAdjustMS
 	} else if next < -MaxAdjustMS {
 		next = -MaxAdjustMS
 	}
-	a.AdjustMS[tr.Dst] = float32(next)
+	m.d.LocalAdjust[tr.Dst] = float32(next)
 	if d := float32(next) - old; d > 0.5 || d < -0.5 {
 		return 1
 	}
 	return 0
 }
 
-// Finalize restores the atlas link-set invariants after merges: links
-// sorted by (From, To) and the link index invalidated.
-func Finalize(a *atlas.Atlas) {
-	sort.Slice(a.Links, func(i, j int) bool {
-		x, y := a.Links[i], a.Links[j]
-		if x.From != y.From {
-			return x.From < y.From
-		}
-		return x.To < y.To
-	})
-	a.InvalidateIndex()
-}
-
-func mergeOne(a *atlas.Atlas, local map[netsim.Prefix]int32, tr *Traceroute, fresh map[uint64]bool) int {
+func (m *merger) mergeOne(tr *Traceroute) int {
 	type hopRef struct {
 		cl  cluster.ClusterID
 		rtt float64
@@ -112,7 +114,7 @@ func mergeOne(a *atlas.Atlas, local map[netsim.Prefix]int32, tr *Traceroute, fre
 			hops = append(hops, hopRef{cl: -1})
 			continue
 		}
-		cl, ok := clusterForIP(a, local, h.IP)
+		cl, ok := m.clusterForIP(h.IP)
 		if !ok {
 			hops = append(hops, hopRef{cl: -1})
 			continue
@@ -126,37 +128,34 @@ func mergeOne(a *atlas.Atlas, local map[netsim.Prefix]int32, tr *Traceroute, fre
 			continue
 		}
 		key := atlas.LinkKey(x.cl, y.cl)
-		if fresh[key] {
-			continue // appended earlier in this batch
-		}
-		if li := a.LinkAt(x.cl, y.cl); li >= 0 {
-			// Known link: make sure the FROM_SRC plane sees it.
-			if a.Links[li].Planes&atlas.PlaneFromSrc == 0 {
-				a.Links[li].Planes |= atlas.PlaneFromSrc
-				added++
-			}
+		if m.linked[key] {
 			continue
 		}
-		// One-way hop latency from the RTT delta of adjacent hops; clamped
-		// because reverse-path asymmetry and noise can make it negative.
-		lat := (y.rtt - x.rtt) / 2
-		if lat < 0.1 {
-			lat = 0.1
+		l, known := m.f.LinkAt(x.cl, y.cl)
+		if known {
+			// Known link: make sure the FROM_SRC plane sees it.
+			if l.Planes&atlas.PlaneFromSrc != 0 {
+				continue
+			}
+			l.Planes |= atlas.PlaneFromSrc
+		} else {
+			// One-way hop latency from the RTT delta of adjacent hops; clamped
+			// because reverse-path asymmetry and noise can make it negative.
+			lat := (y.rtt - x.rtt) / 2
+			if lat < 0.1 {
+				lat = 0.1
+			}
+			l = atlas.Link{From: x.cl, To: y.cl, LatencyMS: float32(lat), Planes: atlas.PlaneFromSrc}
 		}
-		a.Links = append(a.Links, atlas.Link{
-			From:      x.cl,
-			To:        y.cl,
-			LatencyMS: float32(lat),
-			Planes:    atlas.PlaneFromSrc,
-		})
-		fresh[key] = true
+		m.d.UpLinks = append(m.d.UpLinks, l)
+		m.linked[key] = true
 		added++
 	}
 	// Record this host's attachment cluster if the atlas lacks it.
-	if _, ok := a.PrefixCluster[tr.Src]; !ok {
+	if _, ok := m.attachment(tr.Src); !ok {
 		for _, h := range hops {
 			if h.cl >= 0 {
-				a.PrefixCluster[tr.Src] = h.cl
+				m.d.UpPrefixCluster[tr.Src] = h.cl
 				added++
 				break
 			}
@@ -165,24 +164,31 @@ func mergeOne(a *atlas.Atlas, local map[netsim.Prefix]int32, tr *Traceroute, fre
 	return added
 }
 
+// attachment returns the attachment cluster of p, pending entries included.
+func (m *merger) attachment(p netsim.Prefix) (cluster.ClusterID, bool) {
+	if cl, ok := m.d.UpPrefixCluster[p]; ok {
+		return cl, true
+	}
+	return m.f.ClusterOf(p)
+}
+
 // clusterForIP maps an interface to a cluster: the attachment cluster of
 // its /24 when the atlas knows it, otherwise a locally allocated cluster
 // shared by all interfaces of that /24.
-func clusterForIP(a *atlas.Atlas, local map[netsim.Prefix]int32, ip netsim.IP) (cluster.ClusterID, bool) {
+func (m *merger) clusterForIP(ip netsim.IP) (cluster.ClusterID, bool) {
 	p := netsim.PrefixOf(ip)
-	if cl, ok := a.PrefixCluster[p]; ok {
+	if cl, ok := m.attachment(p); ok {
 		return cl, true
 	}
-	if id, ok := local[p]; ok {
+	if id, ok := m.local[p]; ok {
 		return cluster.ClusterID(id), true
 	}
-	asn, ok := a.PrefixAS[p]
-	if !ok {
+	asn := m.f.OriginAS(p)
+	if asn == 0 {
 		return 0, false // not even BGP knows this space; ignore
 	}
-	id := int32(a.NumClusters)
-	a.NumClusters++
-	a.ClusterAS = append(a.ClusterAS, asn)
-	local[p] = id
+	id := m.f.NumClusters + int32(len(m.d.AddClusterAS))
+	m.d.AddClusterAS = append(m.d.AddClusterAS, asn)
+	m.local[p] = id
 	return cluster.ClusterID(id), true
 }

@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"reflect"
 	"testing"
 
 	"inano/internal/atlas"
@@ -32,11 +33,35 @@ func testAtlas() *atlas.Atlas {
 func pfx(i int) netsim.Prefix { return netsim.Prefix(100 + i) }
 func ip(i int) netsim.IP      { return pfx(i).HostIP() }
 
+// applied merges trs into f and returns the emitted delta, the atlas with
+// it applied, and the change counts.
+func applied(t *testing.T, f *atlas.Flat, local map[netsim.Prefix]int32, trs []Traceroute) (*atlas.Delta, *atlas.Flat, int, int) {
+	t.Helper()
+	d, structural, residual := Merge(f, local, trs)
+	if d.FromDay != int(f.Day) || d.ToDay != int(f.Day) {
+		t.Fatalf("delta is day %d->%d, want inside day %d", d.FromDay, d.ToDay, f.Day)
+	}
+	if len(d.DelLinks)+len(d.DelPrefixCluster)+len(d.UpAdjust)+len(d.DelAdjust)+len(d.UpLoss) != 0 {
+		t.Fatalf("a merge only adds, tags and sets local corrections: %+v", d)
+	}
+	nf, _ := f.Apply(d)
+	if err := nf.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return d, nf, structural, residual
+}
+
+func localAdjust(f *atlas.Flat, p netsim.Prefix) float32 {
+	_, l, _ := f.Adjust(p)
+	return l
+}
+
 func TestMergeTagsAndAddsLinks(t *testing.T) {
 	a := testAtlas()
 	local := map[netsim.Prefix]int32{}
 	src := netsim.Prefix(999) // unknown prefix, but BGP knows its AS
 	a.PrefixAS[src] = 1
+	f := atlas.Compile(a)
 	trs := []Traceroute{{
 		Src: src,
 		Dst: pfx(3),
@@ -46,34 +71,78 @@ func TestMergeTagsAndAddsLinks(t *testing.T) {
 			{IP: ip(3), RTTMS: 40}, // new link 1->3
 		},
 	}}
-	added, residual := Merge(a, local, trs)
+	d, nf, added, residual := applied(t, f, local, trs)
 	// Expected: plane tag on 0->1, new link 1->3, attachment for src — all
 	// structural; no destination-host answer, so no residual.
 	if added != 3 || residual != 0 {
 		t.Fatalf("added = %d, residual = %d, want 3, 0", added, residual)
 	}
-	if li := a.LinkAt(0, 1); li < 0 || a.Links[li].Planes&atlas.PlaneFromSrc == 0 {
-		t.Fatal("0->1 not tagged FROM_SRC")
+	wantLinks := []atlas.Link{
+		{From: 0, To: 1, LatencyMS: 5, Planes: atlas.PlaneToDst | atlas.PlaneFromSrc},
+		{From: 1, To: 3, LatencyMS: 14, Planes: atlas.PlaneFromSrc}, // (40-12)/2
 	}
-	Finalize(a)
-	li := a.LinkAt(1, 3)
-	if li < 0 {
-		t.Fatal("1->3 not added")
+	if !reflect.DeepEqual(d.UpLinks, wantLinks) {
+		t.Fatalf("UpLinks = %+v, want %+v", d.UpLinks, wantLinks)
 	}
-	if l := a.Links[li]; l.Planes != atlas.PlaneFromSrc || l.LatencyMS != 14 {
-		t.Fatalf("1->3 link wrong: %+v (want FROM_SRC, latency (40-12)/2=14)", l)
+	if len(d.UpPrefixCluster) != 1 || d.UpPrefixCluster[src] != 0 || len(d.AddClusterAS) != 0 || len(d.LocalAdjust) != 0 {
+		t.Fatalf("delta carries more than src's attachment to cluster 0: %+v", d)
 	}
-	if cl, ok := a.PrefixCluster[src]; !ok || cl != 0 {
+	for _, want := range wantLinks {
+		if l, ok := nf.LinkAt(want.From, want.To); !ok || l != want {
+			t.Fatalf("%d->%d after apply: %+v, %v", want.From, want.To, l, ok)
+		}
+	}
+	if l, _ := nf.LinkAt(1, 2); l.Planes != atlas.PlaneToDst {
+		t.Fatalf("untraversed link 1->2 re-tagged: %+v", l)
+	}
+	if cl, ok := nf.ClusterOf(src); !ok || cl != 0 {
 		t.Fatalf("src attachment = %v, %v", cl, ok)
 	}
 	// Re-merging the same traceroutes is a no-op: everything is patched.
-	if s2, r2 := Merge(a, local, trs); s2 != 0 || r2 != 0 {
-		t.Fatalf("second merge added %d structural, %d residual, want 0", s2, r2)
+	if d2, s2, r2 := Merge(nf, local, trs); s2 != 0 || r2 != 0 || d2.Entries() != 0 {
+		t.Fatalf("second merge added %d structural, %d residual, %d delta entries, want 0", s2, r2, d2.Entries())
+	}
+}
+
+// TestMergeBatchSeesItsOwnChanges: what one traceroute of a batch teaches
+// is visible to the next — links, tags, the attachment, a local cluster and
+// a residual step are each counted and emitted once.
+func TestMergeBatchSeesItsOwnChanges(t *testing.T) {
+	a := testAtlas()
+	src, unknown := netsim.Prefix(999), netsim.Prefix(500)
+	a.PrefixAS[src], a.PrefixAS[unknown] = 1, 2
+	tr := Traceroute{
+		Src: src,
+		Dst: pfx(3),
+		Hops: []Hop{
+			{IP: ip(0), RTTMS: 2},
+			{IP: ip(1), RTTMS: 12},
+			{IP: unknown.HostIP(), RTTMS: 20},
+			{IP: ip(3), RTTMS: 40},
+		},
+		PredictedRTTMS: 30,
+		Predicted:      true,
+	}
+	again := tr
+	again.PredictedRTTMS = 35 // scored against the once-corrected prediction
+	one, _, s1, r1 := applied(t, atlas.Compile(a), map[netsim.Prefix]int32{}, []Traceroute{tr})
+	local := map[netsim.Prefix]int32{}
+	two, nf, s2, r2 := applied(t, atlas.Compile(a), local, []Traceroute{tr, again})
+	if s1 != 4 || r1 != 1 || s2 != s1 || r2 != 2 {
+		t.Fatalf("counts: one traceroute %d/%d, the same twice %d/%d; want 4/1 and 4/2", s1, r1, s2, r2)
+	}
+	if !reflect.DeepEqual(two.UpLinks, one.UpLinks) || !reflect.DeepEqual(two.UpPrefixCluster, one.UpPrefixCluster) ||
+		!reflect.DeepEqual(two.AddClusterAS, []netsim.ASN{2}) || local[unknown] != 4 {
+		t.Fatalf("the repeat changed the structure:\n once  %+v\n twice %+v", one, two)
+	}
+	// 30 -> +5 (halfway to 40), then 35 -> +2.5 more.
+	if one.LocalAdjust[pfx(3)] != 5 || two.LocalAdjust[pfx(3)] != 7.5 || localAdjust(nf, pfx(3)) != 7.5 {
+		t.Fatalf("residual steps: %v then %v (applied %v), want 5 then 7.5",
+			one.LocalAdjust[pfx(3)], two.LocalAdjust[pfx(3)], localAdjust(nf, pfx(3)))
 	}
 }
 
 func TestMergeDuplicateHops(t *testing.T) {
-	a := testAtlas()
 	// The same interface answering consecutive TTLs (a real traceroute
 	// artifact) and two interfaces of one cluster must not create
 	// self-links.
@@ -87,16 +156,13 @@ func TestMergeDuplicateHops(t *testing.T) {
 			{IP: ip(2), RTTMS: 30},
 		},
 	}}
-	Merge(a, map[netsim.Prefix]int32{}, trs)
-	for _, l := range a.Links {
-		if l.From == l.To {
-			t.Fatalf("self-link created: %+v", l)
-		}
+	d, _, structural, _ := applied(t, atlas.Compile(testAtlas()), map[netsim.Prefix]int32{}, trs)
+	if structural != 1 || len(d.UpLinks) != 1 || d.UpLinks[0].From != 1 || d.UpLinks[0].To != 2 {
+		t.Fatalf("want the one tag on 1->2, got %d changes: %+v", structural, d.UpLinks)
 	}
 }
 
 func TestMergeDecreasingRTTClamped(t *testing.T) {
-	a := testAtlas()
 	// RTT decreasing along the path (asymmetric reverse paths, noise):
 	// the latency delta is negative and must clamp to the 0.1ms floor,
 	// never a negative link.
@@ -108,21 +174,20 @@ func TestMergeDecreasingRTTClamped(t *testing.T) {
 			{IP: ip(3), RTTMS: 20}, // "earlier" hop measured slower
 		},
 	}}
-	if structural, _ := Merge(a, map[netsim.Prefix]int32{}, trs); structural == 0 {
+	_, nf, structural, _ := applied(t, atlas.Compile(testAtlas()), map[netsim.Prefix]int32{}, trs)
+	if structural == 0 {
 		t.Fatal("nothing merged")
 	}
-	Finalize(a)
-	li := a.LinkAt(2, 3)
-	if li < 0 {
+	l, ok := nf.LinkAt(2, 3)
+	if !ok {
 		t.Fatal("2->3 not added")
 	}
-	if lat := a.Links[li].LatencyMS; lat != 0.1 {
-		t.Fatalf("latency = %v, want clamp 0.1", lat)
+	if l.LatencyMS != 0.1 {
+		t.Fatalf("latency = %v, want clamp 0.1", l.LatencyMS)
 	}
 }
 
 func TestMergeUnresponsiveHopsBreakAdjacency(t *testing.T) {
-	a := testAtlas()
 	trs := []Traceroute{{
 		Src: pfx(0),
 		Dst: pfx(3),
@@ -132,9 +197,14 @@ func TestMergeUnresponsiveHopsBreakAdjacency(t *testing.T) {
 			{IP: ip(3), RTTMS: 40}, // must NOT produce a 0->3 link
 		},
 	}}
-	Merge(a, map[netsim.Prefix]int32{}, trs)
-	if li := a.LinkAt(0, 3); li >= 0 {
-		t.Fatal("link bridged across an unresponsive hop")
+	d, nf, _, _ := applied(t, atlas.Compile(testAtlas()), map[netsim.Prefix]int32{}, trs)
+	if _, ok := nf.LinkAt(0, 3); ok || d.Entries() != 0 {
+		t.Fatalf("link bridged across an unresponsive hop: %+v", d)
+	}
+	// Hops that never answered teach nothing at all.
+	silent := []Traceroute{{Src: netsim.Prefix(999), Dst: pfx(3), Hops: []Hop{{}, {}}}, {Src: pfx(0), Dst: pfx(2)}}
+	if d, s, r := Merge(atlas.Compile(testAtlas()), map[netsim.Prefix]int32{}, silent); s != 0 || r != 0 || d.Entries() != 0 {
+		t.Fatalf("all-unresponsive batch emitted %d entries (%d/%d)", d.Entries(), s, r)
 	}
 }
 
@@ -153,29 +223,40 @@ func TestMergeLocalClusterAllocation(t *testing.T) {
 			{IP: ip(2), RTTMS: 30},
 		},
 	}}
-	Merge(a, local, trs)
-	if a.NumClusters != 5 {
-		t.Fatalf("NumClusters = %d, want 5 (one local cluster for the /24)", a.NumClusters)
+	d, nf, _, _ := applied(t, atlas.Compile(a), local, trs)
+	if nf.NumClusters != 5 || !reflect.DeepEqual(d.AddClusterAS, []netsim.ASN{2}) {
+		t.Fatalf("NumClusters = %d, AddClusterAS = %v, want 5 and [2] (one local cluster for the /24)", nf.NumClusters, d.AddClusterAS)
 	}
 	if id, ok := local[unknown]; !ok || id != 4 {
 		t.Fatalf("local cluster allocation: %v, %v", id, ok)
 	}
-	if a.ClusterAS[4] != 2 {
-		t.Fatalf("local cluster AS = %d, want 2", a.ClusterAS[4])
+	if nf.ClusterAS[4] != 2 {
+		t.Fatalf("local cluster AS = %d, want 2", nf.ClusterAS[4])
+	}
+	for _, ft := range [][2]cluster.ClusterID{{1, 4}, {4, 2}} {
+		if l, ok := nf.LinkAt(ft[0], ft[1]); !ok || l.Planes != atlas.PlaneFromSrc {
+			t.Fatalf("link %d->%d through the local cluster: %+v, %v", ft[0], ft[1], l, ok)
+		}
+	}
+	// The cluster alone is worth a delta: a hop in it with no neighbour to
+	// link to still moved local, and the atlas must follow.
+	lone := []Traceroute{{Src: pfx(0), Dst: pfx(2), Hops: []Hop{{IP: unknown.HostIP(), RTTMS: 20}}}}
+	d, s, r := Merge(atlas.Compile(a), map[netsim.Prefix]int32{}, lone)
+	if s != 0 || r != 0 || len(d.AddClusterAS) != 1 || d.Entries() != 1 {
+		t.Fatalf("lone local cluster: %d/%d changes, delta %+v", s, r, d)
 	}
 	// An interface in address space BGP has never seen is ignored.
-	a2 := testAtlas()
 	trs[0].Hops[1].IP = netsim.Prefix(900).HostIP()
 	trs[0].Hops[2].IP = 0
-	before := a2.NumClusters
-	Merge(a2, map[netsim.Prefix]int32{}, trs)
-	if a2.NumClusters != before {
+	unrouted := map[netsim.Prefix]int32{}
+	if d, _, _ := Merge(atlas.Compile(testAtlas()), unrouted, trs); len(d.AddClusterAS) != 0 || len(unrouted) != 0 {
 		t.Fatal("cluster allocated for unrouted address space")
 	}
 }
 
 func TestLearnResidualConvergesAndCaps(t *testing.T) {
-	a := testAtlas()
+	f := atlas.Compile(testAtlas())
+	local := map[netsim.Prefix]int32{}
 	tr := Traceroute{
 		Src:            pfx(0),
 		Dst:            pfx(2),
@@ -185,40 +266,47 @@ func TestLearnResidualConvergesAndCaps(t *testing.T) {
 	// Destination host answered with the true RTT 160: the correction
 	// steps halfway (+30), then converges geometrically.
 	tr.Hops = []Hop{{IP: ip(1), RTTMS: 10}, {IP: ip(2), RTTMS: 160}}
-	if _, got := Merge(a, map[netsim.Prefix]int32{}, []Traceroute{tr}); got == 0 {
+	d, f, _, got := applied(t, f, local, []Traceroute{tr})
+	if got == 0 {
 		t.Fatal("residual not counted as a change")
 	}
-	if adj := a.AdjustMS[pfx(2)]; adj != 30 {
-		t.Fatalf("adjust after first probe = %v, want 30", adj)
+	if adj := localAdjust(f, pfx(2)); adj != 30 || d.LocalAdjust[pfx(2)] != 30 {
+		t.Fatalf("adjust after first probe = %v (delta %v), want 30", adj, d.LocalAdjust)
 	}
 	// Next probe is scored against the corrected prediction (130).
 	tr.PredictedRTTMS = 130
-	Merge(a, map[netsim.Prefix]int32{}, []Traceroute{tr})
-	if adj := a.AdjustMS[pfx(2)]; adj != 45 {
+	_, f, _, _ = applied(t, f, local, []Traceroute{tr})
+	if adj := localAdjust(f, pfx(2)); adj != 45 {
 		t.Fatalf("adjust after second probe = %v, want 45", adj)
 	}
 
 	// One absurd measurement cannot push the correction past the cap.
 	tr.PredictedRTTMS = 10
 	tr.Hops[1].RTTMS = 10_000
-	Merge(a, map[netsim.Prefix]int32{}, []Traceroute{tr})
-	if adj := a.AdjustMS[pfx(2)]; adj != MaxAdjustMS {
+	_, f, _, _ = applied(t, f, local, []Traceroute{tr})
+	if adj := localAdjust(f, pfx(2)); adj != MaxAdjustMS {
 		t.Fatalf("adjust = %v, want cap %v", adj, MaxAdjustMS)
 	}
 
+	// A revision under the threshold does not make a delta on its own...
+	tr.PredictedRTTMS = 10_000.4
+	if d, s, r := Merge(f, local, []Traceroute{tr}); s != 0 || r != 0 || d.Entries() != 0 {
+		t.Fatalf("0.2 ms revision alone: %d/%d, %d delta entries", s, r, d.Entries())
+	}
+	// ...but rides along with a batch that has one.
+	other := Traceroute{Src: pfx(0), Dst: pfx(3), Hops: []Hop{{IP: ip(2), RTTMS: 5}, {IP: ip(3), RTTMS: 9}}}
+	if d, _, r := Merge(f, local, []Traceroute{tr, other}); r != 0 || d.LocalAdjust[pfx(2)] != MaxAdjustMS-0.2 {
+		t.Fatalf("0.2 ms revision beside a new link: residual %d, LocalAdjust %v", r, d.LocalAdjust)
+	}
+
 	// Unreached or unpredicted traceroutes learn nothing.
-	b := testAtlas()
+	b := atlas.Compile(testAtlas())
 	unreached := tr
 	unreached.Hops = []Hop{{IP: ip(1), RTTMS: 10}}
-	Merge(b, map[netsim.Prefix]int32{}, []Traceroute{unreached})
-	if len(b.AdjustMS) != 0 {
-		t.Fatal("unreached traceroute learned a residual")
-	}
 	unpredicted := tr
 	unpredicted.Predicted = false
-	Merge(b, map[netsim.Prefix]int32{}, []Traceroute{unpredicted})
-	if len(b.AdjustMS) != 0 {
-		t.Fatal("unpredicted traceroute learned a residual")
+	if d, _, r := Merge(b, local, []Traceroute{unreached, unpredicted}); r != 0 || len(d.LocalAdjust) != 0 {
+		t.Fatalf("unreached and unpredicted traceroutes learned residuals: %v", d.LocalAdjust)
 	}
 }
 

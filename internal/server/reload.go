@@ -61,15 +61,10 @@ func stampOf(path string) (fileStamp, bool) {
 	return fileStamp{mod: fi.ModTime(), size: fi.Size()}, true
 }
 
-// WatchDeltaFile polls path every interval and applies the delta whenever
-// the file appears or changes. It blocks until ctx is done; run it in a
-// goroutine alongside the HTTP server. A file present at start is applied
-// immediately. Failed applies are logged and counted, never fatal: the
-// daemon keeps serving its current snapshot.
-func (s *Server) WatchDeltaFile(ctx context.Context, path string, interval time.Duration) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
+// watchFile calls changed once if path exists now and again whenever a poll,
+// one stat every interval, finds it with another size or modification
+// time. It blocks until ctx is done.
+func watchFile(ctx context.Context, path string, interval time.Duration, changed func()) {
 	var last fileStamp
 	var seen bool
 	check := func() {
@@ -78,9 +73,7 @@ func (s *Server) WatchDeltaFile(ctx context.Context, path string, interval time.
 			return
 		}
 		last, seen = st, true
-		if err := s.ApplyDeltaFile(path); err != nil {
-			s.cfg.Logf("inanod: delta %s not applied: %v", path, err)
-		}
+		changed()
 	}
 	check()
 	t := time.NewTicker(interval)
@@ -93,6 +86,22 @@ func (s *Server) WatchDeltaFile(ctx context.Context, path string, interval time.
 			check()
 		}
 	}
+}
+
+// WatchDeltaFile polls path every interval and applies the delta whenever
+// the file appears or changes. It blocks until ctx is done; run it in a
+// goroutine alongside the HTTP server. A file present at start is applied
+// immediately. Failed applies are logged and counted, never fatal: the
+// daemon keeps serving its current snapshot.
+func (s *Server) WatchDeltaFile(ctx context.Context, path string, interval time.Duration) {
+	if interval <= 0 {
+		interval = 5 * time.Second
+	}
+	watchFile(ctx, path, interval, func() {
+		if err := s.ApplyDeltaFile(path); err != nil {
+			s.cfg.Logf("inanod: delta %s not applied: %v", path, err)
+		}
+	})
 }
 
 // ReadManifest decodes a manifest file as written by inano-seed: a gob
@@ -124,14 +133,7 @@ func (s *Server) WatchManifest(ctx context.Context, path string, interval time.D
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
-	var last fileStamp
-	var seen bool
-	check := func() {
-		st, ok := stampOf(path)
-		if !ok || (seen && st == last) {
-			return
-		}
-		last, seen = st, true
+	watchFile(ctx, path, interval, func() {
 		addr, m, err := ReadManifest(path)
 		if err != nil {
 			s.reloadErrors.Inc()
@@ -146,16 +148,5 @@ func (s *Server) WatchManifest(ctx context.Context, path string, interval time.D
 			return
 		}
 		s.noteReload("fetched+applied swarm delta " + m.Name)
-	}
-	check()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			check()
-		}
-	}
+	})
 }

@@ -1,10 +1,6 @@
 package inano
 
-import (
-	"inano/internal/atlas"
-	"inano/internal/core"
-	"inano/internal/feedback"
-)
+import "inano/internal/feedback"
 
 // TracerouteHop is one observed hop of a client-side traceroute. A zero IP
 // records an unresponsive hop.
@@ -21,36 +17,21 @@ type LocalTraceroute = feedback.Traceroute
 // (§4.3.1). Interfaces unknown to the atlas are grouped into local clusters
 // by their /24 (a coarse client-side approximation of the server's full
 // clustering). It returns the number of atlas changes merged (new links,
-// plane tags, attachment entries) and rebuilds the prediction engine when
-// anything changed. The merge mechanics live in internal/feedback, shared
-// with the corrective scheduler.
+// plane tags, attachment entries, residual corrections). What the
+// traceroutes teach is worked out against the serving atlas as a same-day
+// delta (internal/feedback, shared with the corrective scheduler) and
+// applied as ApplyDelta applies one; a batch that teaches nothing — every
+// hop unresponsive, or everything already merged — leaves the serving
+// engine, and its warm tree cache, alone.
 func (c *Client) AddTraceroutes(trs []LocalTraceroute) int {
-	// A traceroute can only contribute through hops that answered: links
-	// need two resolvable hops, attachment entries one. A batch whose hops
-	// are all unresponsive (zero IP) is a no-op — skip the inflate and the
-	// engine rebuild entirely.
-	if !feedback.AnyResponsive(trs) {
-		return 0
-	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	cur := c.engine.Load()
-	// The merge edits the map form, inflated from the serving form for the
-	// occasion; queries keep reading cur until the result is published.
-	a := cur.Flat().Inflate()
-	clusters := a.NumClusters
-	structural, residual := feedback.Merge(a, c.localCluster, trs)
-	if structural == 0 && a.NumClusters == clusters {
-		if residual == 0 {
-			return 0 // nothing merged; keep serving the same engine
-		}
-		// Residual-only merge: route computation is untouched, so the
-		// new engine adopts the warm prediction-tree cache instead of
-		// cold-starting the serving path every corrective round.
-		c.publish(core.NewWithCache(atlas.Compile(a), c.opts, cur))
-		return residual
+	d, structural, residual := feedback.Merge(cur.Flat(), c.localCluster, trs)
+	if d.Entries() == 0 {
+		return 0
 	}
-	feedback.Finalize(a)
-	c.publish(core.New(a, c.opts))
+	next, _ := c.apply(cur, d)
+	c.publish(next)
 	return structural + residual
 }

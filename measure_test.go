@@ -3,9 +3,12 @@ package inano
 import (
 	"bytes"
 	"context"
+	"maps"
+	"reflect"
 	"testing"
 	"time"
 
+	"inano/internal/atlas"
 	"inano/internal/feedback"
 	"inano/internal/netsim"
 	"inano/sim"
@@ -170,6 +173,84 @@ func TestResidualOnlyMergeKeepsTreeCache(t *testing.T) {
 	}
 	if len(c.Atlas().AdjustMS) == 0 {
 		t.Fatal("no residual corrections recorded")
+	}
+}
+
+// TestAddTraceroutesStaysFlat: a traceroute merge — structural or
+// residual-only — never touches the map form (no Clone, no map Apply, no
+// Compile), and what the client serves afterwards is, pair for pair, what
+// the map path makes of the delta the merge emitted.
+func TestAddTraceroutesStaysFlat(t *testing.T) {
+	f := buildFixture(t, 108, 0)
+	c := FromAtlas(f.a.Clone())
+	trs := realTraceroutes(f, f.vps[0], 6)
+	sweep := func(c *Client) []PathInfo {
+		var out []PathInfo
+		for _, src := range f.vps {
+			for _, dst := range f.targets {
+				out = append(out, c.QueryPrefix(src, dst))
+			}
+		}
+		return out
+	}
+	merge := func(name string, wantStructural bool) {
+		t.Helper()
+		base := c.engine.Load().Flat()
+		d, structural, residual := feedback.Merge(base, maps.Clone(c.localCluster), trs)
+		if (structural > 0) != wantStructural || structural+residual == 0 {
+			t.Fatalf("%s merge counts %d structural, %d residual changes", name, structural, residual)
+		}
+		before := atlas.MapOpCounts()
+		merged := c.AddTraceroutes(trs)
+		if after := atlas.MapOpCounts(); after != before {
+			t.Fatalf("%s merge ran map-form operations: %+v -> %+v", name, before, after)
+		}
+		if merged != structural+residual {
+			t.Fatalf("%s merge reported %d changes, its delta %d", name, merged, structural+residual)
+		}
+		ref := base.Inflate()
+		ref.Apply(d)
+		got, want := sweep(c), sweep(FromFlat(atlas.Compile(ref)))
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s merge, pair %d:\n client   %+v\n map path %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+	merge("structural", true)
+	// The same paths again with a prediction attached: only residuals move.
+	for i := range trs {
+		info := c.QueryPrefix(trs[i].Src, trs[i].Dst)
+		trs[i].PredictedRTTMS, trs[i].Predicted = info.RTTMS+40, true
+	}
+	merge("residual-only", false)
+}
+
+// TestLastRollIgnoresTracerouteMerges: LastRoll is the last delta applied,
+// not the last change to the atlas — a corrective round in the morning
+// must not overwrite what last night's roll did.
+func TestLastRollIgnoresTracerouteMerges(t *testing.T) {
+	w, vps, days, deltas := dayChain(t, 144, 1)
+	f := &fixture{w: w, vps: vps, targets: w.EdgePrefixes()}
+	c := FromAtlas(days[0])
+	if c.AddTraceroutes(realTraceroutes(f, vps[0], 6)) == 0 {
+		t.Fatal("world produced no mergeable traceroutes")
+	}
+	if st, ok := c.LastRoll(); ok {
+		t.Fatalf("a traceroute merge recorded itself as a roll: %+v", st)
+	}
+	if err := c.ApplyDelta(bytes.NewReader(deltas[0])); err != nil {
+		t.Fatal(err)
+	}
+	roll, ok := c.LastRoll()
+	if !ok || roll.ToDay != 1 {
+		t.Fatalf("LastRoll = %+v, %v after the day 0->1 delta", roll, ok)
+	}
+	if c.AddTraceroutes(realTraceroutes(f, vps[1], 6)) == 0 {
+		t.Fatal("world produced no mergeable traceroutes from the second vantage point")
+	}
+	if st, _ := c.LastRoll(); st != roll {
+		t.Fatalf("a traceroute merge overwrote the last roll:\n was %+v\n now %+v", roll, st)
 	}
 }
 

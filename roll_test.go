@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -190,5 +191,66 @@ func TestRollFreesTheMapping(t *testing.T) {
 	}
 	if c.Atlas().Day != 1 {
 		t.Fatal("Atlas() after the roll is not day 1")
+	}
+}
+
+// TestCorrectionOnlyDeltaKeepsTreeCache: what an applied delta costs the
+// warm tree cache follows from what it changed, not from who sent it. A
+// delta that only sets corrections moves nothing route computation reads,
+// so the trees stay; one that re-tags a single link drops them.
+func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
+	_, vps, days, _ := dayChain(t, 143, 0)
+	src, dst := vps[0], vps[1]
+	correction := encodeDelta(t, &atlas.Delta{UpAdjust: map[Prefix]float32{dst: 12}})
+	warmUp := func(c *Client) CacheStats {
+		for _, d := range vps[1:] {
+			c.QueryPrefix(src, d)
+		}
+		return c.CacheStats()
+	}
+
+	c := FromAtlas(days[0])
+	warm := warmUp(c)
+	base := c.QueryPrefix(src, dst)
+	if warm.Len == 0 || !base.Found {
+		t.Fatalf("nothing to keep warm: %+v, %v -> %v found %v", warm, src, dst, base.Found)
+	}
+	if err := c.ApplyDelta(bytes.NewReader(correction)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.CacheStats(); got.Len != warm.Len || got.Builds != warm.Builds {
+		t.Fatalf("a correction-only delta dropped the tree cache: %+v -> %+v", warm, got)
+	}
+	if got := c.QueryPrefix(src, dst).RTTMS; !close2(got, base.RTTMS+12) {
+		t.Fatalf("correction not served: RTT %v, want %v", got, base.RTTMS+12)
+	}
+	if st, ok := c.LastRoll(); !ok || st.FromDay != 0 || st.ToDay != 0 {
+		t.Fatalf("LastRoll = %+v, %v after a same-day delta", st, ok)
+	}
+
+	retag := days[0].Links[0]
+	retag.Planes ^= atlas.PlaneFromSrc
+	if err := c.ApplyDelta(bytes.NewReader(encodeDelta(t, &atlas.Delta{UpLinks: []atlas.Link{retag}}))); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.CacheStats(); got.Len != 0 {
+		t.Fatalf("a re-tagged link kept %d trees built over the old planes", got.Len)
+	}
+
+	// The trees index the link table. An apply puts a table that was out
+	// of order in order, so even a correction-only delta must not carry
+	// trees across that.
+	reversed := days[0].Clone()
+	slices.Reverse(reversed.Links)
+	cr := FromAtlas(reversed)
+	warmUp(cr)
+	if err := cr.ApplyDelta(bytes.NewReader(correction)); err != nil {
+		t.Fatal(err)
+	}
+	cold := FromFlat(cr.Snapshot().e.Flat())
+	for _, d := range vps[1:] {
+		if got, want := cr.QueryPrefix(src, d), cold.QueryPrefix(src, d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v -> %v answered off trees over the old link order:\n warm %+v\n cold %+v", src, d, got, want)
+		}
 	}
 }
