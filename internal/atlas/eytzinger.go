@@ -121,7 +121,6 @@ type flatIndex struct {
 	prefixAS eytIndex[netsim.Prefix, netsim.ASN]
 	iface    eytIndex[netsim.Prefix, cluster.ClusterID]
 	adjust   eytIndex[netsim.Prefix, adjustVal]
-	tuples   eytIndex[uint64, struct{}]
 	prefs    eytIndex[uint64, struct{}]
 	provs    eytIndex[uint64, struct{}]
 	rels     eytIndex[uint64, netsim.Rel]
@@ -148,5 +147,4 @@ func (f *Flat) buildDailyIndex() {
 		adj[i] = adjustVal{global: f.AdjustGlobal[i], local: f.AdjustLocal[i]}
 	}
 	f.idx.adjust = newEytIndex(f.AdjustKeys, adj)
-	f.idx.tuples = newEytIndex[uint64, struct{}](f.Tuples, nil)
 }

@@ -290,9 +290,36 @@ func (f *Flat) Adjust(p netsim.Prefix) (global, local float32, ok bool) {
 	return v.global, v.local, found
 }
 
-// HasTuple reports whether the 3-tuple (x,y,z) was observed.
+// HasTuple reports whether the 3-tuple (x,y,z) was observed: the plain
+// accessor, which tests compare against. The set has no derived index to
+// rebuild at every day roll; the engine, its one hot reader, asks per link,
+// keeps that link's TupleRun and calls HasTupleIn.
 func (f *Flat) HasTuple(x, y, z netsim.ASN) bool {
-	return f.idx.tuples.contains(PackTriple(x, y, z))
+	lo, hi := f.TupleRun(x, y)
+	return f.HasTupleIn(lo, hi, x, y, z)
+}
+
+// TupleRun returns the bounds [lo,hi) of the run of f.Tuples holding the
+// observed 3-tuples that start (x,y,·) — a few keys at most.
+func (f *Flat) TupleRun(x, y netsim.ASN) (lo, hi uint32) {
+	first := PackTriple(x, y, 0)
+	l, _ := slices.BinarySearch(f.Tuples, first)
+	h := l
+	for h < len(f.Tuples) && f.Tuples[h] <= first|MaxASN {
+		h++
+	}
+	return uint32(l), uint32(h)
+}
+
+// HasTupleIn is HasTuple(x,y,z) for a caller that holds TupleRun(x,y).
+func (f *Flat) HasTupleIn(lo, hi uint32, x, y, z netsim.ASN) bool {
+	want := PackTriple(x, y, z)
+	for _, k := range f.Tuples[lo:hi] {
+		if k >= want {
+			return k == want
+		}
+	}
+	return false
 }
 
 // Prefers reports whether AS at prefers next-hop b over next-hop c.

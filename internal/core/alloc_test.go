@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -35,6 +36,45 @@ func TestWarmQueryZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm predictForwardRawInto allocates %v times per op, want 0", allocs)
+	}
+}
+
+// TestColdBuildAllocBudget is the allocation gate for the cold path:
+// building a tree for a fresh key allocates the tree and its two arrays and
+// nothing else — every label and the queue live in the scratch. The test
+// holds the scratch itself rather than going through Engine.run's pool
+// (get, build, put), which under -race drops scratches at random. CI runs
+// it beside the zero-alloc gates.
+func TestColdBuildAllocBudget(t *testing.T) {
+	w := buildWorld(t, 61)
+	e := New(w.a, INanoOptions())
+	keys := w.treeKeys()
+	const runs = 20
+	if len(keys) < runs+2 {
+		t.Fatalf("world has %d distinct trees, need %d", len(keys), runs+2)
+	}
+	sc := newRunScratch(e.numNodes())
+	next := 0
+	build := func() {
+		dst, origin := splitTreeKey(keys[next])
+		e.build(sc, dst, origin)
+		next++
+	}
+	build() // grows the queue to its working size
+
+	// One P before the byte window opens: AllocsPerRun drops to one itself,
+	// and the runtime's resize would be counted against the builds.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	objects := testing.AllocsPerRun(runs, build)
+	runtime.ReadMemStats(&ms1)
+	if objects > 3 {
+		t.Fatalf("cold build allocates %v objects, want <= 3 (tree, next, edge)", objects)
+	}
+	perBuild := (ms1.TotalAlloc - ms0.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	if budget := uint64(9*e.numNodes() + 128); perBuild > budget {
+		t.Fatalf("cold build allocates %d bytes, budget %d (9 B x %d nodes + 128)", perBuild, budget, e.numNodes())
 	}
 }
 

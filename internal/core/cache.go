@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // shardedTreeCache is the engine's per-destination prediction tree cache.
@@ -28,7 +29,9 @@ type cacheShard struct {
 
 	// Stats, guarded by mu. builds counts trees actually computed; with
 	// singleflight, concurrent misses on one key contribute one build.
+	// buildNS sums the wall time of those builds.
 	hits, misses, builds uint64
+	buildNS              int64
 }
 
 type lruEntry struct {
@@ -52,7 +55,10 @@ type CacheStats struct {
 	Hits   uint64 // lookups answered from a cached tree
 	Misses uint64 // lookups that required (or joined) a build
 	Builds uint64 // Dijkstra runs actually executed
-	Len    int    // trees currently cached
+	// BuildNS is the summed wall time of those runs, in nanoseconds:
+	// BuildNS/Builds is what one cold destination costs a caller.
+	BuildNS int64
+	Len     int // trees currently cached
 }
 
 // newShardedTreeCache builds a cache holding up to capacity trees across
@@ -132,6 +138,7 @@ func (c *shardedTreeCache) getOrCompute(ctx context.Context, k uint64, bld treeB
 	s.mu.Unlock()
 
 	completed := false
+	start := time.Now()
 	defer func() {
 		if !completed {
 			b.panicked = recover()
@@ -140,6 +147,7 @@ func (c *shardedTreeCache) getOrCompute(ctx context.Context, k uint64, bld treeB
 		delete(s.inflight, k)
 		if completed {
 			s.builds++
+			s.buildNS += int64(time.Since(start))
 			s.insert(k, b.t)
 		}
 		s.mu.Unlock()
@@ -161,6 +169,7 @@ func (c *shardedTreeCache) stats() CacheStats {
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Builds += s.builds
+		st.BuildNS += s.buildNS
 		st.Len += len(s.items)
 		s.mu.Unlock()
 	}

@@ -11,7 +11,7 @@ import (
 
 // fakeTree returns a distinct tree pointer tagged by id (the dstCluster
 // field doubles as the tag; nothing dereferences the slices).
-func fakeTree(id int32) *tree { return &tree{dstCluster: 1, originAS: 0, cost: nil, next: []int32{id}} }
+func fakeTree(id int32) *tree { return &tree{dstCluster: 1, originAS: 0, next: []int32{id}} }
 
 func treeTag(t *tree) int32 { return t.next[0] }
 

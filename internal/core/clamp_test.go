@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"inano/internal/atlas"
+	"inano/internal/cluster"
 	"inano/internal/netsim"
 )
 
@@ -171,5 +173,88 @@ func TestExtremeLatencyQueryDoesNotWrap(t *testing.T) {
 	q := e.PredictForward(src, dst)
 	if q.Found && q.LatencyMS < 0 {
 		t.Fatalf("latency went negative (%v): cost wrapped", q.LatencyMS)
+	}
+}
+
+// TestHopCountSaturates pins the H side of the packed cost: past 2^20-1
+// accounted hops the component holds instead of shifting off the top of the
+// word, and a crossing taken at saturation never lowers the cost — the
+// build's queue is monotone and must not be handed a cost below its last
+// pop.
+func TestHopCountSaturates(t *testing.T) {
+	top := packCost(costHMax, 0)
+	if costHops(top) != costHMax {
+		t.Fatalf("costHMax does not round-trip: hops=%d", costHops(top))
+	}
+	for _, h := range []uint32{costHMax + 1, costHMax + 256, 1 << 21, math.MaxUint32} {
+		if c := packCost(h, 9); c != top|9 {
+			t.Fatalf("packCost(%d, 9) = %#x, want H saturated at %#x", h, c, top|9)
+		}
+	}
+	for _, w := range []uint64{packCost(costHMax, 7), packCost(costHMax-100, 7), packCost(costHMax-256, costEMask)} {
+		c, pend := relaxCost(w, math.MaxUint8, false, false, 1)
+		if c < w {
+			t.Fatalf("crossing from %#x lowered the cost to %#x", w, c)
+		}
+		if pend != 0 {
+			t.Fatalf("crossing left %d hops pending", pend)
+		}
+	}
+}
+
+// TestLateExitChainStaysOrdered runs a real build over 300 consecutive
+// late-exit crossings — the pending counter saturates at 255 a sixth of the
+// way in — closed by one normal crossing that folds it. Costs must never
+// fall along the chain, every cluster must be reached, and a cluster with
+// no link at all must read as unreached from the retained tree alone.
+func TestLateExitChainStaysOrdered(t *testing.T) {
+	const chain = 300
+	a := atlas.New()
+	a.NumClusters = chain + 3 // 0 = destination ... chain+1 = far end, chain+2 isolated
+	for c := 0; c < a.NumClusters; c++ {
+		a.ClusterAS = append(a.ClusterAS, netsim.ASN(c+1))
+	}
+	for c := 1; c <= chain+1; c++ {
+		a.Links = append(a.Links, atlas.Link{
+			From: cluster.ClusterID(c), To: cluster.ClusterID(c - 1), LatencyMS: 2, Planes: atlas.PlaneToDst,
+		})
+		if c <= chain {
+			a.LateExit[netsim.ASPairKey(netsim.ASN(c+1), netsim.ASN(c))] = true
+		}
+	}
+	e := New(a, Options{ThreeTuple: true})
+	sc := newRunScratch(e.numNodes())
+	tr := e.build(sc, 0, 1)
+
+	for c := 1; c <= chain+1; c++ {
+		id, prev := e.nodeID(cluster.ClusterID(c), planeToDst, stateUp), e.nodeID(cluster.ClusterID(c-1), planeToDst, stateUp)
+		if !tr.reached(id) || tr.next[id] != prev {
+			t.Fatalf("cluster %d: reached=%v next=%d, want next %d", c, tr.reached(id), tr.next[id], prev)
+		}
+		if sc.labels[id].cost < sc.labels[prev].cost {
+			t.Fatalf("cluster %d: cost %#x below its successor's %#x", c, sc.labels[id].cost, sc.labels[prev].cost)
+		}
+		wantPend := uint8(min(c, math.MaxUint8))
+		if c == chain+1 {
+			wantPend = 0 // the closing normal crossing folded them
+		}
+		if sc.labels[id].pend != wantPend {
+			t.Fatalf("cluster %d: pend %d, want %d", c, sc.labels[id].pend, wantPend)
+		}
+	}
+	far := sc.labels[e.nodeID(chain+1, planeToDst, stateUp)].cost
+	if costHops(far) != math.MaxUint8+1 || far&costEMask != 0 {
+		t.Fatalf("far end cost %#x, want %d hops and a reset exit cost", far, math.MaxUint8+1)
+	}
+
+	var p Prediction
+	e.pathFromInto(tr, chain+1, &p)
+	if !p.Found || len(p.Clusters) != chain+2 {
+		t.Fatalf("far end: Found=%v over %d clusters, want the whole %d-cluster chain", p.Found, len(p.Clusters), chain+2)
+	}
+	p.reset()
+	e.pathFromInto(tr, chain+2, &p)
+	if p.Found || len(p.Clusters) != 0 {
+		t.Fatalf("isolated cluster: Found=%v clusters=%v, want no prediction", p.Found, p.Clusters)
 	}
 }

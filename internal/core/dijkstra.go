@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"inano/internal/atlas"
 	"inano/internal/cluster"
@@ -20,10 +21,16 @@ import (
 const (
 	costHShift = 44
 	costEMask  = (1 << costHShift) - 1
+	costHMax   = 1<<(64-costHShift) - 1
 	infCost    = math.MaxUint64
 )
 
+// packCost saturates both components: an overflowing E must not carry into
+// H, and an H past its 20 bits must not shift off the top of the word.
 func packCost(h uint32, e uint64) uint64 {
+	if h > costHMax {
+		h = costHMax
+	}
 	if e > costEMask {
 		e = costEMask
 	}
@@ -49,123 +56,220 @@ func latUnits(ms float32) uint64 {
 	return uint64(v)
 }
 
-// tree is the result of one backtracking run from a destination: for every
-// node, the best cost, the next node toward the destination, the pending
-// late-exit count, the next AS on the selected path (for 3-tuple checks
-// and preference comparisons), and the flat-atlas edge index of the link
-// cluster(node)->cluster(next) the path takes (-1 for synthetic cross
-// edges, which stay inside one cluster). The edge index lets the path walk
-// read latency and loss straight from the CSR arrays with no link lookup.
+// tree is the retained result of one backtracking run from a destination:
+// for every node, the next node toward the destination and the flat-atlas
+// edge index of the link cluster(node)->cluster(next) the path takes (-1 for
+// synthetic cross edges, which stay inside one cluster), from which the walk
+// reads latency and loss with no link lookup. That is all the walk needs, 8
+// bytes a node; the search's own labels stay behind in the runScratch.
 type tree struct {
 	dstCluster cluster.ClusterID
 	originAS   netsim.ASN
-	cost       []uint64
-	next       []int32 // toward the destination; -1 at the destination/unreached
-	pend       []uint8
-	nextAS     []netsim.ASN
+	next       []int32 // toward the destination; -1 at the destination, noRoute when unreached
 	edge       []int32
 }
 
-// heapItem orders by cost, then node id for determinism.
-type heapItem struct {
+// noRoute marks, in tree.next, a node the search never reached.
+const noRoute = -2
+
+// reached reports whether the tree holds a path from node id.
+func (t *tree) reached(id int32) bool { return t.next[id] != noRoute }
+
+// label is one node's build-time state: its best cost so far, the pending
+// late-exit count and the next AS on the selected path (for 3-tuple checks
+// and preference comparisons), and whether its cost is final.
+type label struct {
+	cost    uint64
+	nextAS  netsim.ASN
+	pend    uint8
+	settled bool
+}
+
+// queued is one (cost, node) entry of the build's priority queue, chained
+// to the next entry of its bucket.
+type queued struct {
 	cost uint64
 	node int32
+	next int32 // index in costQueue.items, -1 at the end of the bucket
 }
 
-type costHeap []heapItem
+// costQueue is the build's priority queue: it pops (cost, node) pairs in
+// ascending order, cost first, node id second — exactly the order of a
+// binary heap over the pair. Preconditions: between two resets a pushed
+// cost is never below the last popped cost (Dijkstra over non-negative
+// edges; relaxCost keeps the packed cost from wrapping), and a pair is
+// pushed once (a node is re-queued only at a lower cost).
+//
+// The packed cost resets its low 44 bits at every AS crossing, so most of
+// the queue at any moment — a hundred entries on average — sits at exactly
+// the cost being popped. Those need no cost and no compares: ties is a
+// bitmap of node ids. Entries above last wait in radix bucket
+// bits.Len64(cost^last)-1; when ties runs dry the lowest bucket's minimum
+// becomes last and its entries fall into ties or strictly lower buckets.
+type costQueue struct {
+	last     uint64
+	ties     nodeSet   // the nodes queued at cost == last
+	nonEmpty uint64    // bit b set when bucket b holds entries
+	head     [64]int32 // first entry of bucket b; valid while bit b is set
+	items    []queued  // every entry pushed above last since the reset
+}
 
-func (h costHeap) less(i, j int) bool {
-	if h[i].cost != h[j].cost {
-		return h[i].cost < h[j].cost
+// reset empties the queue and rewinds last to zero: a new build, or a new
+// GRAPH phase, whose re-relaxations start below the last phase's last pop.
+func (q *costQueue) reset() {
+	for !q.ties.empty() {
+		q.ties.popMin()
 	}
-	return h[i].node < h[j].node
+	q.nonEmpty, q.last, q.items = 0, 0, q.items[:0]
 }
 
-func (h *costHeap) push(it heapItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h).less(p, i) {
-			break
+func (q *costQueue) push(cost uint64, node int32) {
+	if cost == q.last {
+		q.ties.add(node)
+		return
+	}
+	q.items = append(q.items, queued{cost: cost, node: node})
+	q.link(int32(len(q.items) - 1))
+}
+
+// link puts items[i], whose cost is above last, at the head of its bucket.
+func (q *costQueue) link(i int32) {
+	b := bits.Len64(q.items[i].cost^q.last) - 1
+	q.items[i].next = -1
+	if q.nonEmpty&(1<<b) != 0 {
+		q.items[i].next = q.head[b]
+	}
+	q.head[b] = i
+	q.nonEmpty |= 1 << b
+}
+
+// pop removes and returns the least (cost, node) entry; ok is false when
+// the queue is empty.
+func (q *costQueue) pop() (cost uint64, node int32, ok bool) {
+	if q.ties.empty() {
+		if q.nonEmpty == 0 {
+			return 0, 0, false
 		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
+		// The lowest bucket holds the least cost; it becomes last. Every
+		// entry of the bucket agrees with it above bit b, so each moves to
+		// ties or to a strictly lower bucket.
+		b := bits.TrailingZeros64(q.nonEmpty)
+		q.nonEmpty &^= 1 << b
+		first := q.head[b]
+		q.last = q.items[first].cost
+		for i := q.items[first].next; i >= 0; i = q.items[i].next {
+			q.last = min(q.last, q.items[i].cost)
+		}
+		for i := first; i >= 0; {
+			next := q.items[i].next
+			if q.items[i].cost == q.last {
+				q.ties.add(q.items[i].node)
+			} else {
+				q.link(i)
+			}
+			i = next
+		}
 	}
+	return q.last, q.ties.popMin(), true
 }
 
-func (h *costHeap) pop() heapItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
+// nodeSet is a set of node ids that yields its minimum in a fixed number
+// of steps: levels[0] has one bit a node, levels[k+1] one bit a word of
+// levels[k] (set when that word is non-zero), and the top level is a single
+// word. Adding an id that is already present changes nothing.
+type nodeSet struct {
+	levels [][]uint64
+}
+
+func newNodeSet(n int) nodeSet {
+	var s nodeSet
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).less(l, small) {
-			small = l
+		n = (n + 63) / 64
+		s.levels = append(s.levels, make([]uint64, max(n, 1)))
+		if n <= 1 {
+			return s
 		}
-		if r < n && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
 	}
-	return top
 }
 
-// runScratch is the per-run working state a Dijkstra build needs beyond
-// the tree it produces: the settled bitmap and the heap's backing array.
-// Pooled on the engine so repeated cold-destination builds stop churning
-// the allocator (the tree arrays themselves are retained by the cache and
-// cannot be recycled — see Engine.scratch).
+func (s *nodeSet) empty() bool { return s.levels[len(s.levels)-1][0] == 0 }
+
+func (s *nodeSet) add(id int32) {
+	for _, l := range s.levels {
+		w := id >> 6
+		was := l[w]
+		l[w] = was | 1<<(id&63)
+		if was != 0 {
+			return // the levels above already know this word is occupied
+		}
+		id = w
+	}
+}
+
+// popMin removes and returns the smallest id; the set must not be empty.
+func (s *nodeSet) popMin() int32 {
+	id := 0
+	for k := len(s.levels) - 1; k >= 0; k-- {
+		id = id<<6 | bits.TrailingZeros64(s.levels[k][id])
+	}
+	i := id
+	for _, l := range s.levels {
+		l[i>>6] &^= 1 << (i & 63)
+		if l[i>>6] != 0 {
+			break
+		}
+		i >>= 6
+	}
+	return int32(id)
+}
+
+// runScratch is everything a Dijkstra build reads and writes besides the
+// tree it returns: the per-node labels and the queue's storage. Pooled on
+// the engine (Engine.scratch) and refilled, never reallocated, per build.
 type runScratch struct {
-	settled []bool
-	heap    costHeap
+	labels []label
+	q      costQueue
 }
 
 func newRunScratch(n int) *runScratch {
-	return &runScratch{settled: make([]bool, n), heap: make(costHeap, 0, 256)}
+	return &runScratch{labels: make([]label, n), q: costQueue{ties: newNodeSet(n), items: make([]queued, 0, n)}}
 }
 
 // run executes the backtracking Dijkstra from the destination cluster,
 // producing the full prediction tree. originAS is the destination prefix's
 // BGP origin, used by the provider check.
 func (e *Engine) run(dst cluster.ClusterID, originAS netsim.ASN) *tree {
+	sc := e.scratch.Get().(*runScratch)
+	t := e.build(sc, dst, originAS)
+	e.scratch.Put(sc)
+	return t
+}
+
+// build is run on a caller-held scratch, whose labels describe the
+// returned tree until the scratch is reused.
+func (e *Engine) build(sc *runScratch, dst cluster.ClusterID, originAS netsim.ASN) *tree {
 	n := e.numNodes()
 	t := &tree{
 		dstCluster: dst,
 		originAS:   originAS,
-		cost:       make([]uint64, n),
 		next:       make([]int32, n),
-		pend:       make([]uint8, n),
-		nextAS:     make([]netsim.ASN, n),
 		edge:       make([]int32, n),
 	}
-	for i := range t.cost {
-		t.cost[i] = infCost
-		t.next[i] = -1
+	for i := range t.next {
+		t.next[i] = noRoute
 		t.edge[i] = -1
 	}
-	sc := e.scratch.Get().(*runScratch)
-	if len(sc.settled) < n {
-		sc.settled = make([]bool, n)
+	lab := sc.labels[:n]
+	for i := range lab {
+		lab[i] = label{cost: infCost}
 	}
-	settled := sc.settled[:n]
-	for i := range settled {
-		settled[i] = false
-	}
-	h := &sc.heap
-	*h = (*h)[:0]
+	q := &sc.q
+	q.reset()
 
 	start := e.nodeID(dst, planeToDst, stateDown)
-	t.cost[start] = 0
-	h.push(heapItem{0, start})
+	lab[start].cost = 0
+	t.next[start] = -1
+	q.push(0, start)
 
 	maxPhase := 1
 	if !e.opts.ThreeTuple {
@@ -176,37 +280,44 @@ func (e *Engine) run(dst cluster.ClusterID, originAS netsim.ASN) *tree {
 			// Later phases may only extend from already-settled nodes
 			// (their costs are final: better-preferred classes win
 			// regardless of length).
-			for id := int32(0); id < int32(n); id++ {
-				if settled[id] {
-					e.relaxFrom(t, h, settled, id, phase)
+			q.reset()
+			for id := range lab {
+				if lab[id].settled {
+					e.relaxFrom(t, sc, int32(id), phase)
 				}
 			}
 		}
-		for len(*h) > 0 {
-			it := h.pop()
-			if settled[it.node] || it.cost != t.cost[it.node] {
-				continue // stale heap entry
+		for {
+			cost, node, ok := q.pop()
+			if !ok {
+				break
 			}
-			settled[it.node] = true
-			e.relaxFrom(t, h, settled, it.node, phase)
+			if lab[node].settled || cost != lab[node].cost {
+				continue // stale queue entry
+			}
+			lab[node].settled = true
+			e.relaxFrom(t, sc, node, phase)
 		}
 	}
-	e.scratch.Put(sc)
 	return t
 }
 
 // relaxFrom relaxes all backtracking edges out of node wid (that is, atlas
 // edges arriving at wid's cluster, plus the synthetic cross edges), gated to
 // the given preference phase. The edge scan walks the flat atlas's CSR
-// bucket for wid's cluster — parallel arrays indexed by ei, no map or
-// pointer chasing anywhere on the path.
-func (e *Engine) relaxFrom(t *tree, h *costHeap, settled []bool, wid int32, phase int) {
+// bucket for wid's cluster — parallel arrays indexed by ei. An edge's tests
+// run cheapest first: the array reads that discard most edges, the cost
+// compare, and only for an edge that would change a label the set probes
+// of the export, provider and preference checks. All are pure, so the
+// order cannot change the outcome.
+func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
+	lab := sc.labels
 	wc := e.nodeCluster(wid)
 	wPlane := e.nodePlane(wid)
 	wUD := e.nodeUD(wid)
-	wCost := t.cost[wid]
-	wPend := t.pend[wid]
-	wNextAS := t.nextAS[wid]
+	wCost := lab[wid].cost
+	wPend := lab[wid].pend
+	wNextAS := lab[wid].nextAS
 	f := e.f
 
 	planeBit := uint8(1) // atlas.PlaneToDst
@@ -214,91 +325,82 @@ func (e *Engine) relaxFrom(t *tree, h *costHeap, settled []bool, wid int32, phas
 		planeBit = 2 // atlas.PlaneFromSrc
 	}
 
-	for ei := f.EdgeStart[wc]; ei < f.EdgeStart[wc+1]; ei++ {
+	threeTuple := e.opts.ThreeTuple
+	for ei, end := f.EdgeStart[wc], f.EdgeStart[wc+1]; ei < end; ei++ {
 		if f.EdgePlanes[ei]&planeBit == 0 {
 			continue
 		}
 		flags := f.EdgeFlags[ei]
 		sameAS := flags&atlas.EdgeSameAS != 0
-		var vUD int
-		edgePhase := 1
-		if e.opts.ThreeTuple {
-			vUD = stateUp
-			// Relationship-agnostic: validity comes from the observed
-			// export 3-tuples instead of the up/down construction.
-			if !e.tupleOK(f, ei, sameAS, wNextAS) {
-				continue
-			}
-		} else {
+		vUD := stateUp
+		if !threeTuple {
+			var edgePhase int
 			var ok bool
 			vUD, edgePhase, ok = graphTransition(sameAS, f.EdgeRel[ei], wUD)
-			if !ok {
+			if !ok || edgePhase > phase {
 				continue
 			}
 		}
-		if edgePhase > phase {
-			continue
-		}
-		toAS := f.EdgeToAS[ei]
-		if e.opts.Providers && !sameAS && toAS == t.originAS &&
-			!f.ProviderCheck(toAS, f.EdgeFromAS[ei]) {
-			continue // §4.3.4: must enter the origin AS via a provider
-		}
-
 		vid := e.nodeID(f.EdgeFrom[ei], wPlane, vUD)
-		if settled[vid] {
+		v := &lab[vid]
+		if v.settled {
 			continue
 		}
 		newCost, newPend := relaxCost(wCost, wPend, sameAS, flags&atlas.EdgeLate != 0, f.EdgeLat[ei])
+		toAS := f.EdgeToAS[ei]
 		vNextAS := wNextAS
 		if !sameAS {
 			vNextAS = toAS
 		}
-		switch {
-		case newCost < t.cost[vid]:
-			t.cost[vid] = newCost
-			t.next[vid] = wid
-			t.pend[vid] = newPend
-			t.nextAS[vid] = vNextAS
-			t.edge[vid] = int32(ei)
-			h.push(heapItem{newCost, vid})
-		case newCost == t.cost[vid] && e.opts.Preferences &&
-			vNextAS != t.nextAS[vid] &&
-			f.Prefers(f.EdgeFromAS[ei], vNextAS, t.nextAS[vid]):
-			// Equal-cost candidate preferred by an inferred AS
-			// preference tuple replaces the incumbent (§4.3.3).
-			t.next[vid] = wid
-			t.pend[vid] = newPend
-			t.nextAS[vid] = vNextAS
-			t.edge[vid] = int32(ei)
+		// An equal-cost candidate can only replace the incumbent through
+		// an inferred AS preference between two different next ASes
+		// (§4.3.3); anything else that does not lower the cost is done.
+		improves := newCost < v.cost
+		if !improves && (newCost > v.cost || !e.opts.Preferences || vNextAS == v.nextAS) {
+			continue
+		}
+		// Relationship-agnostic mode: validity comes from the observed
+		// export 3-tuples instead of the up/down construction.
+		if threeTuple && !e.tupleOK(f, ei, sameAS, wNextAS) {
+			continue
+		}
+		if e.opts.Providers && !sameAS && toAS == t.originAS &&
+			!f.ProviderCheck(toAS, f.EdgeFromAS[ei]) {
+			continue // §4.3.4: must enter the origin AS via a provider
+		}
+		if !improves && !f.Prefers(f.EdgeFromAS[ei], vNextAS, v.nextAS) {
+			continue
+		}
+		v.cost, v.pend, v.nextAS = newCost, newPend, vNextAS
+		t.next[vid] = wid
+		t.edge[vid] = int32(ei)
+		if improves {
+			sc.q.push(newCost, vid)
 		}
 	}
 
 	// Synthetic zero-cost cross edges, both phase 1:
 	// up_c -> down_c (traffic turns from climbing to descending), and
 	// FROM_SRC_c -> TO_DST_c (client-contributed links feed the core).
-	if !e.opts.ThreeTuple && wUD == stateDown {
-		e.relaxZero(t, h, settled, wid, e.nodeID(wc, wPlane, stateUp), wCost, wPend, wNextAS)
+	if !threeTuple && wUD == stateDown {
+		e.relaxZero(t, sc, wid, e.nodeID(wc, wPlane, stateUp))
 	}
 	if e.opts.Asymmetry && wPlane == planeToDst {
-		e.relaxZero(t, h, settled, wid, e.nodeID(wc, planeFromSrc, wUD), wCost, wPend, wNextAS)
+		e.relaxZero(t, sc, wid, e.nodeID(wc, planeFromSrc, wUD))
 	}
 }
 
 // relaxZero relaxes a synthetic zero-cost cross edge wid -> vid (same
 // cluster, so no atlas edge index is recorded).
-func (e *Engine) relaxZero(t *tree, h *costHeap, settled []bool, wid, vid int32, wCost uint64, wPend uint8, wNextAS netsim.ASN) {
-	if vid < 0 || settled[vid] {
+func (e *Engine) relaxZero(t *tree, sc *runScratch, wid, vid int32) {
+	w, v := sc.labels[wid], &sc.labels[vid]
+	if v.settled || w.cost >= v.cost {
 		return
 	}
-	if wCost < t.cost[vid] {
-		t.cost[vid] = wCost
-		t.next[vid] = wid
-		t.pend[vid] = wPend
-		t.nextAS[vid] = wNextAS
-		t.edge[vid] = -1
-		h.push(heapItem{wCost, vid})
-	}
+	v.cost, v.pend, v.nextAS = w.cost, w.pend, w.nextAS
+	t.next[vid] = wid
+	t.edge[vid] = -1
+	sc.q.push(w.cost, vid)
 }
 
 // relaxCost applies the ⊕ operator of §4.2 for an edge traversed (in
@@ -316,8 +418,10 @@ func relaxCost(wCost uint64, wPend uint8, sameAS, late bool, lat float32) (uint6
 		}
 		return packCost(h, eu+latUnits(lat)), wPend
 	default:
-		// Normal AS crossing: fold pending hops, reset exit cost.
-		return packCost(h+uint32(wPend)+1, 0), 0
+		// Normal AS crossing: fold pending hops, reset exit cost. With H
+		// saturated the reset alone would lower the cost, which the
+		// monotone queue must never see: the cost stays where it is.
+		return max(packCost(h+uint32(wPend)+1, 0), wCost), 0
 	}
 }
 
@@ -361,5 +465,12 @@ func (e *Engine) tupleOK(f *atlas.Flat, ei uint32, sameAS bool, wNextAS netsim.A
 	if f.EdgeToDeg[ei] <= e.degThreshold {
 		return true // edge ASes are too poorly observed to enforce
 	}
-	return f.HasTuple(fromAS, toAS, wNextAS)
+	// The edge's run of f.Tuples: 0 until first asked, then 1<<63|lo<<32|hi.
+	run := e.tupleRuns[ei].Load()
+	if run == 0 {
+		lo, hi := f.TupleRun(fromAS, toAS)
+		run = 1<<63 | uint64(lo)<<32 | uint64(hi)
+		e.tupleRuns[ei].Store(run) // a concurrent build stores the same word
+	}
+	return f.HasTupleIn(uint32(run>>32)&math.MaxInt32, uint32(run), fromAS, toAS, wNextAS)
 }

@@ -32,6 +32,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"inano/internal/atlas"
 	"inano/internal/cluster"
@@ -59,8 +60,10 @@ type Options struct {
 	// 0 means the paper's default of 5.
 	DegreeThreshold int
 	// TreeCacheSize bounds the per-destination prediction tree cache;
-	// 0 means a default of 4096 trees (a tree is a few slices over the
-	// node space, so even large caches stay in tens of megabytes).
+	// 0 means a default of 4096 trees. A tree is 8 bytes a node (clusters
+	// x 2 with Asymmetry, x 2 again without ThreeTuple): 21 KB on the
+	// bench's 1 300-cluster world, so a full default cache is ~86 MB
+	// there (it was 229 MB when trees kept their build labels).
 	TreeCacheSize int
 	// TreeCacheShards sets the tree cache's lock-shard count (rounded up
 	// to a power of two); 0 means a default of 32. More shards reduce
@@ -101,11 +104,18 @@ type Engine struct {
 	degThreshold int32
 
 	trees *shardedTreeCache
-	// scratch pools per-run Dijkstra working state (settled bitmap + heap
-	// storage). The tree result arrays themselves are NOT pooled: trees
-	// live in the LRU cache and an evicted tree may still be walked by an
-	// in-flight query, so recycling them would be a use-after-free.
+	// scratch pools per-build Dijkstra working state (*runScratch: the
+	// node labels and the queue). What a build returns — tree.next and
+	// tree.edge — is NOT pooled: trees live in the LRU cache and an evicted
+	// tree may still be walked by an in-flight query, so recycling those
+	// two arrays would be a use-after-free.
 	scratch sync.Pool
+	// tupleRuns remembers, per CSR edge, the run of f.Tuples that starts
+	// with the edge's AS pair, so the export check scans a few keys instead
+	// of searching the set. An entry is filled on its edge's first check
+	// (tupleOK): filled up front it would cost every day roll's new engine
+	// a search an edge, reached or not. Nil unless opts.ThreeTuple.
+	tupleRuns []atomic.Uint64
 }
 
 // New builds an engine over a, compiling its flat serving form. The atlas
@@ -142,6 +152,9 @@ func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 	e.trees = newShardedTreeCache(opts.TreeCacheSize, opts.TreeCacheShards)
 	n := e.numNodes()
 	e.scratch.New = func() any { return newRunScratch(n) }
+	if opts.ThreeTuple {
+		e.tupleRuns = make([]atomic.Uint64, f.NumEdges())
+	}
 	return e
 }
 
@@ -153,11 +166,12 @@ func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 // — and opts must equal prev's. Used when an applied delta changed
 // corrections only (a residual-only traceroute merge, a correction push),
 // where NewFromFlat would needlessly cold-start a warm serving cache; prev
-// keeps working, sharing the cache.
+// keeps working, sharing the cache (and the tuple runs: same links, same
+// 3-tuple set).
 func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 	e := NewFromFlat(f, opts)
 	if prev != nil {
-		e.trees = prev.trees
+		e.trees, e.tupleRuns = prev.trees, prev.tupleRuns
 	}
 	return e
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"slices"
+	"sync"
 	"testing"
 
 	"inano/internal/atlas"
@@ -41,6 +44,20 @@ func buildWorld(t testing.TB, seed int64) *world {
 		ClusterCfg: cluster.DefaultConfig(),
 	})
 	return &world{top: top, sim: sim, a: a, vps: vps, targets: targets}
+}
+
+// treeKeys returns the distinct prediction trees that answer the world's
+// targets, in target order.
+func (w *world) treeKeys() []uint64 {
+	var keys []uint64
+	seen := map[uint64]bool{}
+	for _, p := range w.targets {
+		if cl, ok := w.a.PrefixCluster[p]; ok && !seen[treeKey(cl, w.a.PrefixAS[p])] {
+			seen[treeKey(cl, w.a.PrefixAS[p])] = true
+			keys = append(keys, treeKey(cl, w.a.PrefixAS[p]))
+		}
+	}
+	return keys
 }
 
 func allOptionVariants() map[string]Options {
@@ -361,6 +378,43 @@ func equalAS(a, b []netsim.ASN) bool {
 	return true
 }
 
+// TestConcurrentColdBuilds has eight goroutines cold-build disjoint
+// destinations on one fresh engine. Every tree must equal the one a second
+// engine builds alone: the builds share nothing but the pooled scratch and
+// the per-edge run tables, which they fill concurrently on first use (the
+// race detector checks the how, this test the what).
+func TestConcurrentColdBuilds(t *testing.T) {
+	w := buildWorld(t, 69)
+	e, serial := New(w.a, INanoOptions()), New(w.a, INanoOptions())
+	dests := w.treeKeys()
+	const workers = 8
+	if len(dests) < 4*workers {
+		t.Fatalf("world has %d distinct destinations, want >= %d", len(dests), 4*workers)
+	}
+	got := make([]*tree, len(dests))
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(dests); i += workers {
+				got[i], _ = e.trees.getOrCompute(context.Background(), dests[i], e)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := e.CacheStats(); st.Builds != uint64(len(dests)) {
+		t.Fatalf("%d builds for %d disjoint destinations", st.Builds, len(dests))
+	}
+	for i, k := range dests {
+		want := serial.buildTree(k)
+		if !slices.Equal(want.next, got[i].next) || !slices.Equal(want.edge, got[i].edge) ||
+			want.dstCluster != got[i].dstCluster || want.originAS != got[i].originAS {
+			t.Fatalf("tree %#x: concurrently built tree differs from the serial one", k)
+		}
+	}
+}
+
 // Along any prediction tree, following next toward the destination must
 // never increase the packed cost, and the destination's cost is zero —
 // the Dijkstra invariant that guarantees loop-free reconstruction.
@@ -368,30 +422,36 @@ func TestTreeCostMonotone(t *testing.T) {
 	w := buildWorld(t, 72)
 	for name, opts := range allOptionVariants() {
 		e := New(w.a, opts)
+		sc := newRunScratch(e.numNodes())
 		for k := 0; k < 5; k++ {
 			dst := w.targets[k*7%len(w.targets)]
 			dstCl, ok := w.a.PrefixCluster[dst]
 			if !ok {
 				continue
 			}
-			tr := e.run(dstCl, w.a.PrefixAS[dst])
+			tr := e.build(sc, dstCl, w.a.PrefixAS[dst])
+			cost := func(id int32) uint64 { return sc.labels[id].cost }
 			start := e.nodeID(dstCl, planeToDst, stateDown)
-			if tr.cost[start] != 0 {
-				t.Fatalf("%s: destination cost %d != 0", name, tr.cost[start])
+			if cost(start) != 0 {
+				t.Fatalf("%s: destination cost %d != 0", name, cost(start))
 			}
-			for id := range tr.cost {
-				if tr.cost[id] == infCost {
+			for i := range tr.next {
+				id := int32(i)
+				if tr.reached(id) != (cost(id) != infCost) {
+					t.Fatalf("%s: node %d reached=%v at cost %d", name, id, tr.reached(id), cost(id))
+				}
+				if !tr.reached(id) {
 					continue
 				}
 				nxt := tr.next[id]
 				if nxt < 0 {
-					if int32(id) != start {
+					if id != start {
 						t.Fatalf("%s: reached node %d has no next and is not the destination", name, id)
 					}
 					continue
 				}
-				if tr.cost[nxt] > tr.cost[id] {
-					t.Fatalf("%s: cost increases toward destination: %d -> %d", name, tr.cost[id], tr.cost[nxt])
+				if cost(nxt) > cost(id) {
+					t.Fatalf("%s: cost increases toward destination: %d -> %d", name, cost(id), cost(nxt))
 				}
 			}
 		}
@@ -411,20 +471,5 @@ func TestCostPacking(t *testing.T) {
 	// Ordering: hops dominate exit cost.
 	if packCost(2, 0) <= packCost(1, costEMask) {
 		t.Fatal("hop ordering broken")
-	}
-}
-
-func TestHeapOrdering(t *testing.T) {
-	var h costHeap
-	h.push(heapItem{5, 1})
-	h.push(heapItem{3, 9})
-	h.push(heapItem{3, 2})
-	h.push(heapItem{7, 0})
-	want := []heapItem{{3, 2}, {3, 9}, {5, 1}, {7, 0}}
-	for i, w := range want {
-		got := h.pop()
-		if got != w {
-			t.Fatalf("pop %d = %v, want %v", i, got, w)
-		}
 	}
 }

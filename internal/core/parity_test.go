@@ -18,6 +18,86 @@ import (
 // late-exit counters, and next-AS annotations — and query answers must
 // match field-for-field, across every option variant.
 
+// refTree is the reference's own result: the five per-node labels the
+// textbook algorithm keeps, plus the link each label was reached over.
+type refTree struct {
+	cost   []uint64
+	next   []int32 // -1 at the destination and when unreached
+	pend   []uint8
+	nextAS []netsim.ASN
+	link   []*refEdge // nil at the destination, over cross edges, unreached
+}
+
+// heapItem orders by cost, then node id for determinism.
+type heapItem struct {
+	cost uint64
+	node int32
+}
+
+// costHeap is the reference's queue: a textbook binary heap over the
+// (cost, node) pair, the order production's costQueue must reproduce.
+type costHeap []heapItem
+
+func (h costHeap) less(i, j int) bool {
+	if h[i].cost != h[j].cost {
+		return h[i].cost < h[j].cost
+	}
+	return h[i].node < h[j].node
+}
+
+func (h *costHeap) push(it heapItem) {
+	*h = append(*h, it)
+	i := len(*h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if (*h).less(p, i) {
+			break
+		}
+		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
+		i = p
+	}
+}
+
+func (h *costHeap) pop() heapItem {
+	old := *h
+	top := old[0]
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && (*h).less(l, small) {
+			small = l
+		}
+		if r < n && (*h).less(r, small) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
+		i = small
+	}
+	return top
+}
+
+func TestHeapOrdering(t *testing.T) {
+	var h costHeap
+	h.push(heapItem{5, 1})
+	h.push(heapItem{3, 9})
+	h.push(heapItem{3, 2})
+	h.push(heapItem{7, 0})
+	want := []heapItem{{3, 2}, {3, 9}, {5, 1}, {7, 0}}
+	for i, w := range want {
+		got := h.pop()
+		if got != w {
+			t.Fatalf("pop %d = %v, want %v", i, got, w)
+		}
+	}
+}
+
 // refEngine is the map-backed reference. It mirrors the production node
 // encoding and cost metric but reads links, relationships, tuples, and
 // degrees straight out of atlas maps.
@@ -108,15 +188,14 @@ func (r *refEngine) nodeUD(id int32) int {
 
 func (r *refEngine) numNodes() int { return r.numClusters * r.statesPerCl }
 
-func (r *refEngine) run(dst cluster.ClusterID, originAS netsim.ASN) *tree {
+func (r *refEngine) run(dst cluster.ClusterID, originAS netsim.ASN) *refTree {
 	n := r.numNodes()
-	t := &tree{
-		dstCluster: dst,
-		originAS:   originAS,
-		cost:       make([]uint64, n),
-		next:       make([]int32, n),
-		pend:       make([]uint8, n),
-		nextAS:     make([]netsim.ASN, n),
+	t := &refTree{
+		cost:   make([]uint64, n),
+		next:   make([]int32, n),
+		pend:   make([]uint8, n),
+		nextAS: make([]netsim.ASN, n),
+		link:   make([]*refEdge, n),
 	}
 	for i := range t.cost {
 		t.cost[i] = infCost
@@ -137,7 +216,7 @@ func (r *refEngine) run(dst cluster.ClusterID, originAS netsim.ASN) *tree {
 		if phase > 1 {
 			for id := int32(0); id < int32(n); id++ {
 				if settled[id] {
-					r.relaxFrom(t, &h, settled, id, phase)
+					r.relaxFrom(t, originAS, &h, settled, id, phase)
 				}
 			}
 		}
@@ -147,13 +226,13 @@ func (r *refEngine) run(dst cluster.ClusterID, originAS netsim.ASN) *tree {
 				continue
 			}
 			settled[it.node] = true
-			r.relaxFrom(t, &h, settled, it.node, phase)
+			r.relaxFrom(t, originAS, &h, settled, it.node, phase)
 		}
 	}
 	return t
 }
 
-func (r *refEngine) relaxFrom(t *tree, h *costHeap, settled []bool, wid int32, phase int) {
+func (r *refEngine) relaxFrom(t *refTree, originAS netsim.ASN, h *costHeap, settled []bool, wid int32, phase int) {
 	wc := r.nodeCluster(wid)
 	wPlane := r.nodePlane(wid)
 	wUD := r.nodeUD(wid)
@@ -188,7 +267,7 @@ func (r *refEngine) relaxFrom(t *tree, h *costHeap, settled []bool, wid int32, p
 		if edgePhase > phase {
 			continue
 		}
-		if r.opts.Providers && !r.providerOK(ed, t.originAS) {
+		if r.opts.Providers && !r.providerOK(ed, originAS) {
 			continue
 		}
 
@@ -207,6 +286,7 @@ func (r *refEngine) relaxFrom(t *tree, h *costHeap, settled []bool, wid int32, p
 			t.next[vid] = wid
 			t.pend[vid] = newPend
 			t.nextAS[vid] = vNextAS
+			t.link[vid] = ed
 			h.push(heapItem{newCost, vid})
 		case newCost == t.cost[vid] && r.opts.Preferences &&
 			vNextAS != t.nextAS[vid] &&
@@ -214,6 +294,7 @@ func (r *refEngine) relaxFrom(t *tree, h *costHeap, settled []bool, wid int32, p
 			t.next[vid] = wid
 			t.pend[vid] = newPend
 			t.nextAS[vid] = vNextAS
+			t.link[vid] = ed
 		}
 	}
 
@@ -226,6 +307,7 @@ func (r *refEngine) relaxFrom(t *tree, h *costHeap, settled []bool, wid int32, p
 			t.next[vid] = wid
 			t.pend[vid] = wPend
 			t.nextAS[vid] = wNextAS
+			t.link[vid] = nil
 			h.push(heapItem{wCost, vid})
 		}
 	}
@@ -249,7 +331,7 @@ func refRelaxCost(wCost uint64, wPend uint8, ed *refEdge) (uint64, uint8) {
 		}
 		return packCost(h, eu+latUnits(ed.lat)), wPend
 	default:
-		return packCost(h+uint32(wPend)+1, 0), 0
+		return max(packCost(h+uint32(wPend)+1, 0), wCost), 0
 	}
 }
 
@@ -330,7 +412,7 @@ func (r *refEngine) predictForward(src, dst netsim.Prefix, adjust bool) Predicti
 	return p
 }
 
-func (r *refEngine) pathFrom(t *tree, srcCl cluster.ClusterID) Prediction {
+func (r *refEngine) pathFrom(t *refTree, srcCl cluster.ClusterID) Prediction {
 	var startIDs []int32
 	if r.opts.Asymmetry {
 		startIDs = append(startIDs, r.nodeID(srcCl, planeFromSrc, stateUp))
@@ -392,24 +474,59 @@ func (r *refEngine) asPath(clusters []cluster.ClusterID, srcAS, dstAS netsim.ASN
 	return out
 }
 
-func sameTrees(t *testing.T, name string, dst cluster.ClusterID, ref, got *tree) {
+// sameTrees compares a reference run with a production build node for
+// node: the scratch labels the build left behind (cost, pend, nextAS), the
+// retained next array with its unreached mark, and the recorded CSR edge,
+// which must be the very link the reference relaxed over.
+func sameTrees(t *testing.T, name string, dst cluster.ClusterID, ref *refTree, f *atlas.Flat, got *tree, lab []label) {
 	t.Helper()
-	if len(ref.cost) != len(got.cost) {
-		t.Fatalf("%s dst=%d: tree has %d nodes, reference %d", name, dst, len(got.cost), len(ref.cost))
+	if len(ref.cost) != len(got.next) || len(ref.cost) != len(got.edge) || len(ref.cost) != len(lab) {
+		t.Fatalf("%s dst=%d: tree has %d/%d nodes and %d labels, reference %d",
+			name, dst, len(got.next), len(got.edge), len(lab), len(ref.cost))
 	}
 	for id := range ref.cost {
-		if ref.cost[id] != got.cost[id] {
-			t.Fatalf("%s dst=%d node=%d: cost %d, reference %d", name, dst, id, got.cost[id], ref.cost[id])
+		if ref.cost[id] != lab[id].cost {
+			t.Fatalf("%s dst=%d node=%d: cost %d, reference %d", name, dst, id, lab[id].cost, ref.cost[id])
 		}
-		if ref.next[id] != got.next[id] {
-			t.Fatalf("%s dst=%d node=%d: next %d, reference %d", name, dst, id, got.next[id], ref.next[id])
+		wantNext := ref.next[id]
+		if ref.cost[id] == infCost {
+			wantNext = noRoute
 		}
-		if ref.pend[id] != got.pend[id] {
-			t.Fatalf("%s dst=%d node=%d: pend %d, reference %d", name, dst, id, got.pend[id], ref.pend[id])
+		if wantNext != got.next[id] {
+			t.Fatalf("%s dst=%d node=%d: next %d, reference %d", name, dst, id, got.next[id], wantNext)
 		}
-		if ref.nextAS[id] != got.nextAS[id] {
-			t.Fatalf("%s dst=%d node=%d: nextAS %d, reference %d", name, dst, id, got.nextAS[id], ref.nextAS[id])
+		if got.reached(int32(id)) != (ref.cost[id] != infCost) {
+			t.Fatalf("%s dst=%d node=%d: reached=%v at reference cost %d", name, dst, id, got.reached(int32(id)), ref.cost[id])
 		}
+		if ref.pend[id] != lab[id].pend {
+			t.Fatalf("%s dst=%d node=%d: pend %d, reference %d", name, dst, id, lab[id].pend, ref.pend[id])
+		}
+		if ref.nextAS[id] != lab[id].nextAS {
+			t.Fatalf("%s dst=%d node=%d: nextAS %d, reference %d", name, dst, id, lab[id].nextAS, ref.nextAS[id])
+		}
+		ei, link := got.edge[id], ref.link[id]
+		switch {
+		case link == nil && ei != -1:
+			t.Fatalf("%s dst=%d node=%d: edge %d, reference has no link", name, dst, id, ei)
+		case link != nil && (ei < 0 || f.EdgeFrom[ei] != link.from ||
+			uint32(ei) < f.EdgeStart[link.to] || uint32(ei) >= f.EdgeStart[link.to+1]):
+			t.Fatalf("%s dst=%d node=%d: edge %d is not the reference's link %d->%d", name, dst, id, ei, link.from, link.to)
+		}
+	}
+}
+
+// sameTreesAsReference builds every tree that answers a target of w on
+// the production engine and on the reference and compares them. The
+// production build runs on a scratch the test holds, so the labels it left
+// behind can be read before anything reuses them.
+func sameTreesAsReference(t *testing.T, name string, w *world, opts Options) {
+	t.Helper()
+	e := New(w.a, opts)
+	r := newRefEngine(w.a, opts)
+	sc := newRunScratch(e.numNodes())
+	for _, k := range w.treeKeys() {
+		dstCl, origin := splitTreeKey(k)
+		sameTrees(t, name, dstCl, r.run(dstCl, origin), e.f, e.build(sc, dstCl, origin), sc.labels)
 	}
 }
 
@@ -454,20 +571,45 @@ func TestFlatDijkstraTreeParity(t *testing.T) {
 	for _, seed := range []int64{61, 62, 63} {
 		w := buildWorld(t, seed)
 		for name, opts := range allOptionVariants() {
-			e := New(w.a, opts)
-			r := newRefEngine(w.a, opts)
-			// Every attachment cluster that serves a test target.
-			done := map[cluster.ClusterID]bool{}
-			for _, dst := range w.targets {
-				dstCl, ok := w.a.PrefixCluster[dst]
-				if !ok || done[dstCl] {
-					continue
-				}
-				done[dstCl] = true
-				origin := w.a.PrefixAS[dst]
-				sameTrees(t, name, dstCl, r.run(dstCl, origin), e.run(dstCl, origin))
-			}
+			sameTreesAsReference(t, name, w, opts)
 		}
+	}
+}
+
+// allOptionSets is allOptionVariants plus the three combinations the paper's
+// ablation never runs but the engine accepts: preferences and the provider
+// check over GRAPH's three-phase frontier, and the export check without the
+// FROM_SRC plane.
+func allOptionSets() map[string]Options {
+	sets := allOptionVariants()
+	sets["GRAPH+prefs"] = Options{Preferences: true}
+	sets["GRAPH+asym+prefs+providers"] = Options{Asymmetry: true, Preferences: true, Providers: true}
+	sets["3tuple+prefs+providers"] = Options{ThreeTuple: true, Preferences: true, Providers: true}
+	return sets
+}
+
+// TestTieHeavyTreeParity flattens every latency in the world — all inter-AS
+// links alike, all intra-AS links alike — so that nearly every label is
+// reached at an equal cost more than once: the queue's pop order among ties
+// and the equal-cost replacement through Prefers then decide most of the
+// tree, and it must still be the reference's tree, node for node, under
+// every option set.
+func TestTieHeavyTreeParity(t *testing.T) {
+	w := buildWorld(t, 66)
+	for i := range w.a.Links {
+		l := &w.a.Links[i]
+		if w.a.ClusterAS[l.From] == w.a.ClusterAS[l.To] {
+			l.LatencyMS = 1
+		} else {
+			l.LatencyMS = 5
+		}
+	}
+	sets := allOptionSets()
+	if len(sets) != 8 {
+		t.Fatalf("%d option sets, want 8", len(sets))
+	}
+	for name, opts := range sets {
+		sameTreesAsReference(t, name, w, opts)
 	}
 }
 

@@ -66,7 +66,11 @@ func treeKey(dst cluster.ClusterID, origin netsim.ASN) uint64 {
 // treeBuilder hook the tree cache invokes on a miss. Taking the key (and
 // not a closure) keeps the warm-hit lookup allocation-free.
 func (e *Engine) buildTree(k uint64) *tree {
-	return e.run(cluster.ClusterID(uint32(k>>32)), netsim.ASN(uint32(k)))
+	return e.run(splitTreeKey(k))
+}
+
+func splitTreeKey(k uint64) (cluster.ClusterID, netsim.ASN) {
+	return cluster.ClusterID(uint32(k >> 32)), netsim.ASN(uint32(k))
 }
 
 // treeFor returns (building if needed) the prediction tree for a
@@ -161,12 +165,12 @@ func (e *Engine) AttachmentCluster(p netsim.Prefix) (cluster.ClusterID, bool) {
 func (e *Engine) pathFromInto(t *tree, srcCl cluster.ClusterID, p *Prediction) {
 	start := int32(-1)
 	if e.opts.Asymmetry {
-		if id := e.nodeID(srcCl, planeFromSrc, stateUp); t.cost[id] != infCost {
+		if id := e.nodeID(srcCl, planeFromSrc, stateUp); t.reached(id) {
 			start = id
 		}
 	}
 	if start < 0 {
-		if id := e.nodeID(srcCl, planeToDst, stateUp); t.cost[id] != infCost {
+		if id := e.nodeID(srcCl, planeToDst, stateUp); t.reached(id) {
 			start = id
 		}
 	}

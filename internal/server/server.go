@@ -255,6 +255,9 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.c.CacheStats().Misses) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_builds", "Dijkstra tree builds (resets on reload).", "",
 		func() float64 { return float64(s.c.CacheStats().Builds) })
+	s.reg.NewGaugeFunc("inanod_tree_cache_build_seconds",
+		"Wall time spent in Dijkstra tree builds (resets on reload); over inanod_tree_cache_builds, the price of one cold destination.", "",
+		func() float64 { return time.Duration(s.c.CacheStats().BuildNS).Seconds() })
 	s.reg.NewGaugeFunc("inanod_tree_cache_resident", "Prediction trees currently cached.", "",
 		func() float64 { return float64(s.c.CacheStats().Len) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_hit_ratio", "Hits / lookups of the tree cache.", "",
@@ -793,6 +796,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	if st.Hits+st.Misses > 0 {
 		hitRatio = float64(st.Hits) / float64(st.Hits+st.Misses)
 	}
+	buildMeanUS := 0.0
+	if st.Builds > 0 {
+		buildMeanUS = float64(st.BuildNS) / 1e3 / float64(st.Builds)
+	}
 	perHandler := make(map[string]any, len(s.handlers))
 	for name, hm := range s.handlers {
 		perHandler[name] = map[string]any{
@@ -812,11 +819,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			"prefixes": a.Prefixes,
 		},
 		"tree_cache": map[string]any{
-			"hits":      st.Hits,
-			"misses":    st.Misses,
-			"builds":    st.Builds,
-			"resident":  st.Len,
-			"hit_ratio": hitRatio,
+			"hits":          st.Hits,
+			"misses":        st.Misses,
+			"builds":        st.Builds,
+			"build_us_mean": buildMeanUS,
+			"resident":      st.Len,
+			"hit_ratio":     hitRatio,
 		},
 		"reloads": map[string]any{
 			"applied":     s.reloads.Value(),

@@ -536,6 +536,7 @@ func TestMetricsAndStats(t *testing.T) {
 		`inanod_http_requests_total{handler="query"} 3`,
 		`inanod_http_request_seconds_bucket{handler="query",le="+Inf"} 3`,
 		fmt.Sprintf("inanod_tree_cache_builds %d", st.Builds),
+		fmt.Sprintf("inanod_tree_cache_build_seconds %g", time.Duration(st.BuildNS).Seconds()),
 		"inanod_atlas_day 0",
 		"inanod_http_inflight",
 		"inanod_atlas_reloads_total 0",
@@ -547,8 +548,9 @@ func TestMetricsAndStats(t *testing.T) {
 
 	var stats struct {
 		TreeCache struct {
-			Builds   uint64  `json:"builds"`
-			HitRatio float64 `json:"hit_ratio"`
+			Builds      uint64  `json:"builds"`
+			BuildMeanUS float64 `json:"build_us_mean"`
+			HitRatio    float64 `json:"hit_ratio"`
 		} `json:"tree_cache"`
 		HTTP map[string]struct {
 			Requests uint64 `json:"requests"`
@@ -557,6 +559,10 @@ func TestMetricsAndStats(t *testing.T) {
 	getJSON(t, ts.URL+"/debug/stats", &stats)
 	if stats.TreeCache.Builds != st.Builds {
 		t.Errorf("stats builds = %d, want %d", stats.TreeCache.Builds, st.Builds)
+	}
+	if want := float64(st.BuildNS) / 1e3 / float64(st.Builds); st.Builds == 0 || st.BuildNS <= 0 ||
+		math.Abs(stats.TreeCache.BuildMeanUS-want) > 1e-6*want {
+		t.Errorf("stats build_us_mean = %v, want %v (%d ns over %d builds)", stats.TreeCache.BuildMeanUS, want, st.BuildNS, st.Builds)
 	}
 	if stats.HTTP["query"].Requests != 3 {
 		t.Errorf("stats query requests = %d, want 3", stats.HTTP["query"].Requests)
