@@ -27,15 +27,15 @@ func TestWarmQueryZeroAlloc(t *testing.T) {
 		t.Fatalf("warm QueryInto allocates %v times per op, want 0", allocs)
 	}
 
-	// The one-way raw path is equally hot (batch interiors); it must stay
-	// clean too.
+	// The one-way raw path is equally hot (PredictForward's interior); it
+	// must stay clean too.
 	var p Prediction
-	e.predictForwardRawInto(&p, src, dst)
+	e.predictInto(&p, e.resolve(src), e.resolve(dst))
 	allocs = testing.AllocsPerRun(100, func() {
-		e.predictForwardRawInto(&p, src, dst)
+		e.predictInto(&p, e.resolve(src), e.resolve(dst))
 	})
 	if allocs != 0 {
-		t.Fatalf("warm predictForwardRawInto allocates %v times per op, want 0", allocs)
+		t.Fatalf("warm predictInto allocates %v times per op, want 0", allocs)
 	}
 }
 

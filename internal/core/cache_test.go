@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// fakeTree returns a distinct tree pointer tagged by id (the dstCluster
-// field doubles as the tag; nothing dereferences the slices).
-func fakeTree(id int32) *tree { return &tree{dstCluster: 1, originAS: 0, next: []int32{id}} }
+// fakeTree returns a distinct tree pointer tagged by id (next[0] carries
+// the tag; nothing walks the slices).
+func fakeTree(id int32) *tree { return &tree{next: []int32{id}} }
 
 func treeTag(t *tree) int32 { return t.next[0] }
 

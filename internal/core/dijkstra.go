@@ -63,10 +63,9 @@ func latUnits(ms float32) uint64 {
 // reads latency and loss with no link lookup. That is all the walk needs, 8
 // bytes a node; the search's own labels stay behind in the runScratch.
 type tree struct {
-	dstCluster cluster.ClusterID
-	originAS   netsim.ASN
-	next       []int32 // toward the destination; -1 at the destination, noRoute when unreached
-	edge       []int32
+	originAS netsim.ASN
+	next     []int32 // toward the destination; -1 at the destination, noRoute when unreached
+	edge     []int32
 }
 
 // noRoute marks, in tree.next, a node the search never reached.
@@ -250,10 +249,9 @@ func (e *Engine) run(dst cluster.ClusterID, originAS netsim.ASN) *tree {
 func (e *Engine) build(sc *runScratch, dst cluster.ClusterID, originAS netsim.ASN) *tree {
 	n := e.numNodes()
 	t := &tree{
-		dstCluster: dst,
-		originAS:   originAS,
-		next:       make([]int32, n),
-		edge:       make([]int32, n),
+		originAS: originAS,
+		next:     make([]int32, n),
+		edge:     make([]int32, n),
 	}
 	for i := range t.next {
 		t.next[i] = noRoute

@@ -82,41 +82,68 @@ func (e *Engine) treeFor(ctx context.Context, dst cluster.ClusterID, origin nets
 	return e.trees.getOrCompute(ctx, treeKey(dst, origin), e)
 }
 
+// endpoint is one end of a query resolved against the atlas: the prefix's
+// attachment cluster and BGP origin AS. The zero value (ok false) is a
+// prefix the atlas does not know.
+type endpoint struct {
+	cl cluster.ClusterID
+	as netsim.ASN
+	ok bool
+}
+
+// resolve looks a prefix up once; every leg it is an end of, in either
+// direction, reads the result.
+func (e *Engine) resolve(p netsim.Prefix) endpoint {
+	cl, ok := e.f.ClusterOf(p)
+	if !ok {
+		return endpoint{}
+	}
+	return endpoint{cl: cl, as: e.f.OriginAS(p), ok: true}
+}
+
 // PredictForward predicts the one-way path from a host in src to a host in
 // dst. Found is false when either prefix has no attachment cluster in the
 // atlas or no policy-compliant path exists.
 func (e *Engine) PredictForward(src, dst netsim.Prefix) Prediction {
 	var p Prediction
-	e.predictForwardRawInto(&p, src, dst)
+	e.predictInto(&p, e.resolve(src), e.resolve(dst))
 	e.adjustLatency(&p, dst)
 	return p
 }
 
-// predictForwardRawInto fills p with the residual-uncorrected forward
-// prediction, reusing p's slice capacity. This is the allocation-free
-// core of every query shape.
-//
 // bgCtx hoists context.Background() out of the query hot path: building
 // the Context interface value per call is an escape-analysis hit inside a
 // //inano:zeroalloc function (found by inanovet -escape), and the
 // singleton is what every call produced anyway.
 var bgCtx = context.Background()
 
+// predictInto fills p with the residual-uncorrected prediction from s to
+// d, fetching (building if cold) d's tree and reusing p's slice capacity.
+//
 //inano:zeroalloc
-func (e *Engine) predictForwardRawInto(p *Prediction, src, dst netsim.Prefix) {
+func (e *Engine) predictInto(p *Prediction, s, d endpoint) {
 	p.reset()
-	srcCl, okS := e.f.ClusterOf(src)
-	dstCl, okD := e.f.ClusterOf(dst)
-	if !okS || !okD {
+	if !s.ok || !d.ok {
 		return
 	}
-	t, _ := e.treeFor(bgCtx, dstCl, e.f.OriginAS(dst))
-	e.pathFromInto(t, srcCl, p)
+	t, _ := e.treeFor(bgCtx, d.cl, d.as)
+	e.legInto(p, t, s, d, true)
+}
+
+// legInto reads the leg from s to d out of d's tree t into p, which must
+// be reset: the one leg function of single queries and batch windows, and
+// the allocation-free core of both. asPath false leaves p.ASPath empty.
+//
+//inano:zeroalloc
+func (e *Engine) legInto(p *Prediction, t *tree, s, d endpoint, asPath bool) {
+	e.pathFromInto(t, s.cl, p)
 	if !p.Found {
 		return
 	}
-	p.DstCluster = dstCl
-	p.ASPath = e.asPathInto(p.ASPath, p.Clusters, e.f.OriginAS(src), e.f.OriginAS(dst))
+	p.DstCluster = d.cl
+	if asPath {
+		p.ASPath = e.asPathInto(p.ASPath, p.Clusters, s.as, d.as)
+	}
 }
 
 // adjustLatency applies the residual corrections for the prediction's
@@ -187,9 +214,9 @@ func (e *Engine) pathFromInto(t *tree, srcCl cluster.ClusterID, p *Prediction) {
 	deliver := 1.0
 	prevCl := cluster.ClusterID(-1)
 	prev := int32(-1)
-	steps := 0
+	steps, maxSteps := 0, e.numNodes()+1
 	for id := start; id >= 0; id = t.next[id] {
-		if steps++; steps > e.numNodes()+1 {
+		if steps++; steps > maxSteps {
 			*p = Prediction{Clusters: p.Clusters[:0], ASPath: p.ASPath[:0]}
 			return // defensive: malformed tree must not hang
 		}
@@ -258,8 +285,9 @@ func (e *Engine) Query(src, dst netsim.Prefix) PathInfo {
 //
 //inano:zeroalloc
 func (e *Engine) QueryInto(info *PathInfo, src, dst netsim.Prefix) {
-	e.predictForwardRawInto(&info.Fwd, src, dst)
-	e.predictForwardRawInto(&info.Rev, dst, src)
+	s, d := e.resolve(src), e.resolve(dst)
+	e.predictInto(&info.Fwd, s, d)
+	e.predictInto(&info.Rev, d, s)
 	e.finishQuery(info, dst)
 }
 

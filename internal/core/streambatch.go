@@ -4,9 +4,9 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"inano/internal/cluster"
 	"inano/internal/netsim"
 )
 
@@ -34,25 +34,28 @@ type PairReq struct {
 
 // DefaultStreamWindow is the number of pairs a streamed caller (the
 // server's /v1/batch) hands Run per flush when it has no preference. 1024
-// pairs amortize the grouping and worker fan-out while keeping per-stream
-// memory a few tens of kilobytes regardless of stream length.
+// pairs amortize the endpoint resolution, the grouping and the helper
+// goroutines' start while keeping per-stream memory a few tens of
+// kilobytes regardless of stream length.
 const DefaultStreamWindow = 1024
 
-// batchGroup collects the batch legs that share one prediction tree.
+// batchGroup collects the batch legs that share one prediction tree: the
+// tree of dst, the destination endpoint of every leg in idxs.
 type batchGroup struct {
-	dstCl  cluster.ClusterID
-	origin netsim.ASN
-	idxs   []int
+	dst  endpoint
+	idxs []int
 }
 
 // StreamBatch is the batch runner: Run answers one window of pair
 // requests, each pair exactly as Engine.Query would. For streamed serving
 // keep one per NDJSON stream and call Run once per flush window: every
-// per-window allocation (the doubled leg slice, the destination-grouping
+// per-window allocation (the resolved endpoints, the destination-grouping
 // map, the group list, the result slices) lives in buffers that survive
 // across windows, so a long-lived stream's steady state performs zero heap
 // allocations per window once its trees are warm and its buffers have
-// grown to the window size (CI-gated by TestStreamBatchZeroAlloc). For a
+// grown to the window size — on one processor; with more, each helper
+// goroutine of the fan-out costs its closure (CI-gated by
+// TestStreamBatchZeroAlloc and TestStreamBatchFanOutAllocBudget). For a
 // one-shot batch, Run once on a fresh runner and drop it; the returned
 // slices are then the caller's to keep.
 //
@@ -67,14 +70,19 @@ type StreamBatch struct {
 	// the per-leg ASPath buffer growth) is pure waste there.
 	noASPaths bool
 
-	// Per-window state, reused across Run calls.
-	reqs    []PairReq          // current window (caller-owned, aliased during Run)
-	dbl     [][2]netsim.Prefix // doubled legs: even = forward, odd = reverse
-	legExp  []bool             // per-leg deadline expiry
-	out     []PathInfo         // composed answers, aligned with reqs
-	expired []bool             // per-pair expiry, aligned with reqs
-	byKey   map[uint64]int32   // treeKey -> index into groups
-	groups  []batchGroup       // the window's groups
+	// Per-window state, reused across Run calls. Request i's source is
+	// eps[2i] and its destination eps[2i+1], so leg j — even forward, odd
+	// reverse — runs from eps[j] to eps[j^1].
+	reqs      []PairReq        // current window (caller-owned, aliased during Run)
+	eps       []endpoint       // every request endpoint, resolved once
+	deadlines bool             // some request of the window carries a deadline
+	legExp    []bool           // per-leg deadline expiry
+	out       []PathInfo       // composed answers, aligned with reqs
+	expired   []bool           // per-pair expiry, aligned with reqs
+	byKey     map[uint64]int32 // treeKey -> index into groups
+	groups    []batchGroup     // the window's groups
+	claimed   atomic.Int32     // groups handed out so far (fan-out only)
+	helpers   sync.WaitGroup   // the fan-out's helper goroutines
 }
 
 // NewStreamBatch returns a reusable windowed batch runner bound to this
@@ -99,23 +107,28 @@ func (e *Engine) NewStreamBatch(noASPaths bool) *StreamBatch {
 // one lifts the bound), so one hopeless deadline cannot starve patient
 // pairs of the same destination, and an expired build leaves the other
 // groups' answers intact. Distinct trees fan across up to GOMAXPROCS
-// workers. Cancellation of ctx itself aborts the whole window with
-// ctx.Err() and nil slices; trees already built stay cached, so a retry
-// resumes cheaply. Both returned slices are reused by the next Run call.
+// goroutines, the caller's among them. Cancellation of ctx itself aborts
+// the whole window with ctx.Err() and nil slices; trees already built stay
+// cached, so a retry resumes cheaply. Both returned slices are reused by
+// the next Run call.
 //
 //inano:zeroalloc
 func (b *StreamBatch) Run(ctx context.Context, reqs []PairReq) ([]PathInfo, []bool, error) {
 	n := len(reqs)
 	b.reqs = reqs
-	if cap(b.dbl) < 2*n {
+	if cap(b.eps) < 2*n {
 		//inano:alloc-ok amortized growth, capacity-guarded
-		b.dbl = make([][2]netsim.Prefix, 2*n)
+		b.eps = make([]endpoint, 2*n)
 	} else {
-		b.dbl = b.dbl[:2*n]
+		b.eps = b.eps[:2*n]
 	}
+	b.deadlines = false
 	for i, rq := range reqs {
-		b.dbl[2*i] = [2]netsim.Prefix{rq.Src, rq.Dst}
-		b.dbl[2*i+1] = [2]netsim.Prefix{rq.Dst, rq.Src}
+		b.eps[2*i] = b.e.resolve(rq.Src)
+		b.eps[2*i+1] = b.e.resolve(rq.Dst)
+		if !rq.Deadline.IsZero() {
+			b.deadlines = true
+		}
 	}
 	if cap(b.legExp) < 2*n {
 		//inano:alloc-ok amortized growth, capacity-guarded
@@ -161,30 +174,29 @@ func (b *StreamBatch) Run(ctx context.Context, reqs []PairReq) ([]PathInfo, []bo
 	return b.out, b.expired, nil
 }
 
-// group buckets the doubled legs by destination tree, reusing the map,
+// group buckets the window's legs by destination tree, reusing the map,
 // the group backing store, and each group's idxs capacity from previous
 // windows. Legs whose destination prefix is unknown stay ungrouped and
 // keep the zero (not-found) prediction.
 func (b *StreamBatch) group() {
 	clear(b.byKey)
 	b.groups = b.groups[:0]
-	for i, pr := range b.dbl {
-		dstCl, ok := b.e.f.ClusterOf(pr[1])
-		if !ok {
+	for i := range b.eps {
+		dst := b.eps[i^1]
+		if !dst.ok {
 			continue
 		}
-		origin := b.e.f.OriginAS(pr[1])
-		k := treeKey(dstCl, origin)
+		k := treeKey(dst.cl, dst.as)
 		gi, seen := b.byKey[k]
 		if !seen {
 			gi = int32(len(b.groups))
 			if cap(b.groups) > len(b.groups) {
 				b.groups = b.groups[:gi+1]
 				g := &b.groups[gi]
-				g.dstCl, g.origin = dstCl, origin
+				g.dst = dst
 				g.idxs = g.idxs[:0]
 			} else {
-				b.groups = append(b.groups, batchGroup{dstCl: dstCl, origin: origin})
+				b.groups = append(b.groups, batchGroup{dst: dst})
 			}
 			b.byKey[k] = gi
 		}
@@ -193,9 +205,10 @@ func (b *StreamBatch) group() {
 	}
 }
 
-// runGroups answers every group of the window on a pool of up to
-// GOMAXPROCS workers, stopping early (without draining) once ctx is
-// cancelled.
+// runGroups answers every group of the window on up to GOMAXPROCS
+// goroutines — the caller's and helpers that live for this window only —
+// each claiming the next unanswered group from one counter until none is
+// left or ctx is cancelled. No helper outlives the call.
 func (b *StreamBatch) runGroups(ctx context.Context) error {
 	workers := min(runtime.GOMAXPROCS(0), len(b.groups))
 	if workers <= 1 {
@@ -210,47 +223,45 @@ func (b *StreamBatch) runGroups(ctx context.Context) error {
 		// report it like the parallel path does.
 		return ctx.Err()
 	}
-	ch := make(chan *batchGroup)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	b.claimed.Store(0)
+	b.helpers.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for g := range ch {
-				if ctx.Err() != nil {
-					continue // cancelled: drain without working
-				}
-				b.runGroup(ctx, g)
-			}
+			defer b.helpers.Done()
+			b.claimGroups(ctx)
 		}()
 	}
-	for i := range b.groups {
-		if ctx.Err() != nil {
-			break
-		}
-		ch <- &b.groups[i]
-	}
-	close(ch)
-	wg.Wait()
+	b.claimGroups(ctx)
+	b.helpers.Wait()
 	return ctx.Err()
 }
 
+// claimGroups is one goroutine's share of the fan-out.
+func (b *StreamBatch) claimGroups(ctx context.Context) {
+	for ctx.Err() == nil {
+		i := int(b.claimed.Add(1)) - 1
+		if i >= len(b.groups) {
+			return
+		}
+		b.runGroup(ctx, &b.groups[i])
+	}
+}
+
 // runGroup answers one destination group's legs in place, possibly on a
-// worker goroutine (groups are disjoint, and even/odd legs of one pair
+// helper goroutine (groups are disjoint, and even/odd legs of one pair
 // write disjoint PathInfo fields, so concurrent groups never race). The
 // tree build runs under the latest member deadline, and members whose own
-// deadline has passed when the tree is ready expire individually.
+// deadline has passed when the tree is ready expire individually; a window
+// without a deadline reads no clock.
 func (b *StreamBatch) runGroup(ctx context.Context, g *batchGroup) {
 	e := b.e
 	var groupDl time.Time
-	bounded := true
-	for _, i := range g.idxs {
-		dl := b.reqs[i/2].Deadline
+	bounded := b.deadlines
+	for k := 0; bounded && k < len(g.idxs); k++ {
+		dl := b.reqs[g.idxs[k]/2].Deadline
 		if dl.IsZero() {
 			bounded = false
-			break
-		}
-		if dl.After(groupDl) {
+		} else if dl.After(groupDl) {
 			groupDl = dl
 		}
 	}
@@ -265,43 +276,32 @@ func (b *StreamBatch) runGroup(ctx context.Context, g *batchGroup) {
 		ctx, cancel = context.WithDeadline(ctx, groupDl)
 		defer cancel()
 	}
-	t, err := e.treeFor(ctx, g.dstCl, g.origin)
+	t, err := e.treeFor(ctx, g.dst.cl, g.dst.as)
 	if err != nil {
 		for _, i := range g.idxs {
 			b.legExp[i] = true
 		}
 		return
 	}
-	now := time.Now()
+	var now time.Time
+	if b.deadlines {
+		now = time.Now()
+	}
 	for _, i := range g.idxs {
 		if dl := b.reqs[i/2].Deadline; !dl.IsZero() && now.After(dl) {
 			b.legExp[i] = true
 			continue
 		}
-		src, dst := b.dbl[i][0], b.dbl[i][1]
-		srcCl, ok := e.f.ClusterOf(src)
-		if !ok {
+		src := b.eps[i]
+		if !src.ok {
 			continue
 		}
-		p := b.legAt(i)
-		e.pathFromInto(t, srcCl, p)
-		if !p.Found {
-			continue
+		p := &b.out[i/2].Fwd
+		if i%2 == 1 {
+			p = &b.out[i/2].Rev
 		}
-		p.DstCluster = g.dstCl
-		if !b.noASPaths {
-			p.ASPath = e.asPathInto(p.ASPath, p.Clusters, e.f.OriginAS(src), e.f.OriginAS(dst))
-		}
+		e.legInto(p, t, src, g.dst, !b.noASPaths)
 	}
-}
-
-// legAt maps a doubled-leg index to its in-place Prediction: even legs
-// are the pair's forward leg, odd its reverse.
-func (b *StreamBatch) legAt(i int) *Prediction {
-	if i%2 == 0 {
-		return &b.out[i/2].Fwd
-	}
-	return &b.out[i/2].Rev
 }
 
 // resetKeepCap clears info for reuse, keeping the capacity of both legs'

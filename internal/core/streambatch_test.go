@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,6 +97,19 @@ func TestStreamBatchRunMatchesQuery(t *testing.T) {
 			return reqs
 		}},
 		{"random, larger", func(rng *rand.Rand) []PairReq { return randomReqs(rng, w, 137) }},
+		// The one-source × N-targets shape: a prefix repeats request after
+		// request in the same slot, known or not, then changes slot.
+		{"consecutive repeats, known then unknown then known", func(*rand.Rand) []PairReq {
+			a, b, u := w.vps[0], w.targets[2], unknownPrefix
+			return []PairReq{
+				{Src: a, Dst: b}, {Src: a, Dst: b},
+				{Src: u, Dst: b}, {Src: u, Dst: b},
+				{Src: a, Dst: b},
+				{Src: a, Dst: u}, {Src: a, Dst: u},
+				{Src: a, Dst: b},
+				{Src: b, Dst: a}, {Src: b, Dst: b}, {Src: u, Dst: u}, {Src: u, Dst: u},
+			}
+		}},
 	}
 	for name, opts := range allOptionVariants() {
 		for _, noASPaths := range []bool{false, true} {
@@ -184,6 +200,50 @@ func TestStreamBatchCancelled(t *testing.T) {
 	}
 }
 
+// claimCtx cancels itself inside its limit-th Err call and counts the
+// calls. The fan-out asks Err once per group it is about to claim (and a
+// tree wait only after Done fires), so limit places the cancellation
+// mid-window and the count shows whether anything claimed afterwards.
+type claimCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	limit  int32
+	calls  atomic.Int32
+}
+
+func (c *claimCtx) Err() error {
+	if c.calls.Add(1) == c.limit {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestStreamBatchFanOutCancelled cancels a window of cold trees while four
+// goroutines are claiming its groups: Run must report ctx.Err() with nil
+// slices, having built only some of the trees, and every helper must be
+// gone when it returns — none may ask for another group afterwards.
+func TestStreamBatchFanOutCancelled(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	w := buildWorld(t, 85)
+	e := New(w.a, INanoOptions())
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &claimCtx{Context: inner, cancel: cancel, limit: 8}
+	sb := e.NewStreamBatch(false)
+	out, expired, err := sb.Run(ctx, randomReqs(rand.New(rand.NewSource(2)), w, 256))
+	calls := ctx.calls.Load()
+	if err != context.Canceled || out != nil || expired != nil {
+		t.Fatalf("cancelled Run returned %v, %v, %v; want nil, nil, context.Canceled", out, expired, err)
+	}
+	if st := e.CacheStats(); st.Builds == 0 || st.Builds >= uint64(len(sb.groups)) {
+		t.Fatalf("%d trees built for %d groups: the cancellation did not land mid-window", st.Builds, len(sb.groups))
+	}
+	sb.helpers.Wait() // a straggler, if Run left one, finishes its group and asks again
+	if late := ctx.calls.Load() - calls; late != 0 {
+		t.Fatalf("%d claims after Run returned: it did not wait for its helpers", late)
+	}
+}
+
 // TestStreamBatchSharesTrees checks a batch costs one tree per distinct
 // endpoint, not one per leg — N pairs from one source to K distinct
 // destinations need at most K+1 Dijkstra runs — and that the engine's
@@ -264,8 +324,10 @@ func warmWindow(w *world) []PairReq {
 // TestStreamBatchZeroAlloc is the allocation gate for the streamed batch
 // path, the window-level sibling of TestWarmQueryZeroAlloc: once a
 // window's trees are cached and the runner's buffers have grown, a whole
-// Run — doubling, grouping, prediction, composition — must not allocate.
-// CI runs this in the bench job.
+// Run — endpoint resolution, grouping, prediction, composition — must not
+// allocate. AllocsPerRun measures on one processor, so this gates the
+// serial branch of runGroups only; TestStreamBatchFanOutAllocBudget has the
+// other. CI runs this in the bench job.
 func TestStreamBatchZeroAlloc(t *testing.T) {
 	w := buildWorld(t, 61)
 	e := New(w.a, INanoOptions())
@@ -282,6 +344,56 @@ func TestStreamBatchZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm StreamBatch.Run allocates %v times per window, want 0", allocs)
+	}
+}
+
+// TestStreamBatchFanOutAllocBudget gates the branch the gate above cannot
+// reach — testing.AllocsPerRun pins one processor, and one processor never
+// fans out. On four, a warm full-size window may allocate what starting
+// its three helpers costs (a closure each; the budget allows two objects)
+// and nothing per group, per pair or per leg; its answers are Query's.
+// CI runs this in the bench job.
+func TestStreamBatchFanOutAllocBudget(t *testing.T) {
+	const procs, windows, reps = 4, 50, 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	w := buildWorld(t, 61)
+	e := New(w.a, INanoOptions())
+	sb := e.NewStreamBatch(true)
+	reqs := randomReqs(rand.New(rand.NewSource(7)), w, DefaultStreamWindow)
+	ctx := context.Background()
+	run := func() []PathInfo {
+		got, _, err := sb.Run(ctx, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	got := run() // warm trees, buffers, and the runtime's pool of idle goroutines
+	// Mallocs counts the whole process — the runtime's own g structs, race
+	// and coverage bookkeeping, GC workers — so the gate reads the quietest
+	// of a few repetitions: what Run allocates is in every one of them.
+	perWindow := math.Inf(1)
+	for rep := 0; rep < reps; rep++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < windows; i++ {
+			got = run()
+		}
+		runtime.ReadMemStats(&after)
+		perWindow = min(perWindow, float64(after.Mallocs-before.Mallocs)/windows)
+	}
+	if len(sb.groups) < procs {
+		t.Fatalf("window has %d groups, too few to fan out over %d", len(sb.groups), procs)
+	}
+	if perWindow > 2*(procs-1) {
+		t.Fatalf("warm fanned-out window allocates %.1f objects, want <= %d (2 per helper)", perWindow, 2*(procs-1))
+	}
+	for i, rq := range reqs {
+		want := e.Query(rq.Src, rq.Dst)
+		want.Fwd.ASPath, want.Rev.ASPath = nil, nil
+		if !samePathInfo(got[i], want) {
+			t.Fatalf("pair %d (%v->%v):\nRun   %+v\nQuery %+v", i, rq.Src, rq.Dst, got[i], want)
+		}
 	}
 }
 
