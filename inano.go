@@ -28,7 +28,7 @@
 // results are identical to issuing the queries one at a time. The context
 // bounds tail latency: cancellation skips remaining tree builds, unblocks
 // waits on builds owned by other callers, and returns ctx.Err(); a
-// PairReq.Deadline bounds one pair alone.
+// PairReq.Deadline bounds one pair alone, Snapshot.QueryCtx a single query.
 //
 //	reqs := make([]inano.PairReq, len(replicaIPs))
 //	for i, r := range replicaIPs {
@@ -327,7 +327,19 @@ func (s Snapshot) OriginAS(p Prefix) ASN { return s.e.Flat().OriginAS(p) }
 
 // Query answers one bidirectional query on the pinned snapshot.
 func (s Snapshot) Query(src, dst IP) PathInfo {
-	return s.e.Query(netsim.PrefixOf(src), netsim.PrefixOf(dst))
+	info, _ := s.QueryCtx(context.Background(), src, dst) // the background context never ends
+	return info
+}
+
+// QueryCtx is Query bounded by ctx: when ctx ends before the answer is
+// complete (a leg waiting on a prediction tree another caller is building,
+// typically) it returns ctx's error and no answer.
+func (s Snapshot) QueryCtx(ctx context.Context, src, dst IP) (PathInfo, error) {
+	var info PathInfo
+	if err := s.e.QueryCtx(ctx, &info, netsim.PrefixOf(src), netsim.PrefixOf(dst)); err != nil {
+		return PathInfo{}, err
+	}
+	return info, nil
 }
 
 // QueryReqs answers a batch on the pinned snapshot (see Client.QueryReqs).

@@ -30,9 +30,9 @@ func TestWarmQueryZeroAlloc(t *testing.T) {
 	// The one-way raw path is equally hot (PredictForward's interior); it
 	// must stay clean too.
 	var p Prediction
-	e.predictInto(&p, e.resolve(src), e.resolve(dst))
+	_ = e.predictInto(bgCtx, &p, e.resolve(src), e.resolve(dst))
 	allocs = testing.AllocsPerRun(100, func() {
-		e.predictInto(&p, e.resolve(src), e.resolve(dst))
+		_ = e.predictInto(bgCtx, &p, e.resolve(src), e.resolve(dst))
 	})
 	if allocs != 0 {
 		t.Fatalf("warm predictInto allocates %v times per op, want 0", allocs)

@@ -106,7 +106,7 @@ func (e *Engine) resolve(p netsim.Prefix) endpoint {
 // atlas or no policy-compliant path exists.
 func (e *Engine) PredictForward(src, dst netsim.Prefix) Prediction {
 	var p Prediction
-	e.predictInto(&p, e.resolve(src), e.resolve(dst))
+	_ = e.predictInto(bgCtx, &p, e.resolve(src), e.resolve(dst)) // the background context never ends a wait
 	e.adjustLatency(&p, dst)
 	return p
 }
@@ -119,15 +119,20 @@ var bgCtx = context.Background()
 
 // predictInto fills p with the residual-uncorrected prediction from s to
 // d, fetching (building if cold) d's tree and reusing p's slice capacity.
+// The only error is ctx's, ending a wait for a tree another caller builds.
 //
 //inano:zeroalloc
-func (e *Engine) predictInto(p *Prediction, s, d endpoint) {
+func (e *Engine) predictInto(ctx context.Context, p *Prediction, s, d endpoint) error {
 	p.reset()
 	if !s.ok || !d.ok {
-		return
+		return nil
 	}
-	t, _ := e.treeFor(bgCtx, d.cl, d.as)
+	t, err := e.treeFor(ctx, d.cl, d.as)
+	if err != nil {
+		return err
+	}
 	e.legInto(p, t, s, d, true)
+	return nil
 }
 
 // legInto reads the leg from s to d out of d's tree t into p, which must
@@ -285,10 +290,27 @@ func (e *Engine) Query(src, dst netsim.Prefix) PathInfo {
 //
 //inano:zeroalloc
 func (e *Engine) QueryInto(info *PathInfo, src, dst netsim.Prefix) {
+	_ = e.QueryCtx(bgCtx, info, src, dst) // the background context never ends
+}
+
+// QueryCtx is QueryInto under a context: when ctx ends before the answer is
+// complete — while a leg waits for a tree another caller is building, or
+// by the time both legs are read — it returns ctx's error, as
+// StreamBatch.Run does for a window, and info holds no answer. A tree this
+// call builds itself runs to completion and stays cached.
+//
+//inano:zeroalloc
+func (e *Engine) QueryCtx(ctx context.Context, info *PathInfo, src, dst netsim.Prefix) error {
 	s, d := e.resolve(src), e.resolve(dst)
-	e.predictInto(&info.Fwd, s, d)
-	e.predictInto(&info.Rev, d, s)
+	err := e.predictInto(ctx, &info.Fwd, s, d)
+	if err == nil {
+		err = e.predictInto(ctx, &info.Rev, d, s)
+	}
 	e.finishQuery(info, dst)
+	if err == nil {
+		err = ctx.Err()
+	}
+	return err
 }
 
 // finishQuery applies the forward-leg residual correction and composes the

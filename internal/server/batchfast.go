@@ -7,12 +7,13 @@ import (
 	"strconv"
 
 	inano "inano"
+	"inano/internal/netsim"
 )
 
 // The /v1/batch line codec: a strict-canonical NDJSON line parser and a
-// hand-rolled answer encoder that together make the streamed batch loop
-// allocation-free per line (paired with core.StreamBatch for the
-// per-window prediction work).
+// hand-rolled answer encoder (/v1/query's too) that together make the
+// streamed batch loop allocation-free per line (paired with
+// core.StreamBatch for the per-window prediction work).
 //
 // Correctness contract: the strict parser claims a line only when it is
 // byte-for-byte in the canonical shape
@@ -127,7 +128,7 @@ func parseBatchLine(line []byte) (src, dst inano.IP, deadlineMS int64, ok bool) 
 // parseBatchLineJSON parses any batch request line through encoding/json
 // and the shared address parser, keeping the request's own src/dst strings
 // for the echo.
-func parseBatchLineJSON(line []byte) (e batchEcho, deadlineMS int64, err error) {
+func parseBatchLineJSON(line []byte) (e answerLine, deadlineMS int64, err error) {
 	var req pairRequest
 	if err := json.Unmarshal(line, &req); err != nil {
 		return e, 0, fmt.Errorf("bad pair: %v", err)
@@ -179,10 +180,7 @@ func appendJSONFloat(b []byte, f float64) []byte {
 }
 
 // jsonSafe reports whether s can be embedded in a JSON string without
-// any escaping, under json.Encoder's default HTML-escaping rules. Every
-// string feedback.ParseIPv4 accepts is safe (digits, '.', '+', '-');
-// the check guards appendResultLine against that ever changing — an
-// unsafe echo string routes its line through encoding/json.
+// any escaping, under json.Encoder's default HTML-escaping rules.
 func jsonSafe(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -193,65 +191,116 @@ func jsonSafe(s string) bool {
 	return true
 }
 
-// batchEcho is what a batch stream retains per buffered pair: the parsed
-// addresses, and what to echo back as src/dst on its answer line.
-// Canonical lines store only the addresses (src == "") and regenerate the
-// canonical text; other lines keep the original strings verbatim.
-type batchEcho struct {
-	src, dst     string
-	srcIP, dstIP inano.IP
+// answerLine is one answer on its way to the wire. From the moment its
+// request is parsed it holds what to echo back as src/dst: for a canonical
+// request line only the addresses (src == ""), whose canonical text is
+// regenerated, for any other the request's own strings verbatim. Once the
+// pair is answered it holds what the line carries of the PathInfo, copied
+// out so that the line can be encoded after the PathInfo's owner has reused
+// it.
+type answerLine struct {
+	src, dst                      string
+	srcIP, dstIP                  inano.IP
+	rttMS, lossRate, fwdMS, revMS float64
+	found, expired                bool
 }
 
-// appendEchoString appends the echoed address: the retained string when
-// present, the canonical regeneration otherwise.
-func appendEchoString(b []byte, s string, ip inano.IP) []byte {
-	if s == "" {
-		return appendIPv4(b, ip)
-	}
-	return append(b, s...)
+func (l *answerLine) answer(info *inano.PathInfo, expired bool) {
+	l.rttMS, l.lossRate, l.fwdMS, l.revMS = info.RTTMS, info.LossRate, info.Fwd.LatencyMS, info.Rev.LatencyMS
+	l.found, l.expired = info.Found, expired
 }
 
-// appendResultLine appends one /v1/batch answer line + '\n', byte-for-
-// byte identical to json.Encoder encoding the equivalent queryResult
-// (withPaths=false shape): declared field order, found/day always
-// present, zero-valued floats omitted, error last. errMsg must need no
-// JSON escaping (the only caller passes a literal) and the echo strings
-// must be jsonSafe (the caller checks).
+// copyAnswers moves a finished window's answers out of the runner's
+// PathInfos, which the next Run overwrites, into the window's own lines.
 //
 //inano:zeroalloc
-func appendResultLine(buf []byte, e *batchEcho, day int, info *inano.PathInfo, errMsg string) []byte {
+func copyAnswers(lines []answerLine, infos []inano.PathInfo, expired []bool) {
+	for i := range infos {
+		lines[i].answer(&infos[i], expired[i])
+	}
+}
+
+// appendWindow appends the answer line of every pair of a window, in order.
+//
+//inano:zeroalloc
+func appendWindow(buf []byte, lines []answerLine, day int) []byte {
+	for i := range lines {
+		buf = appendResultLine(buf, &lines[i], day, nil, nil)
+	}
+	return buf
+}
+
+// appendEchoString appends the echoed address: the canonical regeneration
+// for a canonical line, the retained string otherwise — through
+// encoding/json should it need escaping, a guard only: no string parseIP
+// accepts today does (digits, '.', '+', '-').
+func appendEchoString(b []byte, s string, ip inano.IP) []byte {
+	switch {
+	case s == "":
+		return appendIPv4(b, ip)
+	case jsonSafe(s):
+		return append(b, s...)
+	}
+	quoted, _ := json.Marshal(s) // a string cannot fail
+	return append(b, quoted[1:len(quoted)-1]...)
+}
+
+// appendASPath appends `,"<key>":[a,b,...]`, or nothing for an empty path
+// (omitempty).
+func appendASPath(buf []byte, key string, path []netsim.ASN) []byte {
+	if len(path) == 0 {
+		return buf
+	}
+	buf = append(buf, key...)
+	for i, as := range path {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendUint(buf, uint64(as), 10)
+	}
+	return append(buf, ']')
+}
+
+// appendResultLine appends one answer line + '\n', byte-for-byte identical
+// to json.Encoder encoding the equivalent queryResult: declared field
+// order, found/day always present, zero-valued floats and empty AS paths
+// omitted, error last. /v1/batch lines pass no AS paths, /v1/query the
+// answer's.
+//
+//inano:zeroalloc
+func appendResultLine(buf []byte, l *answerLine, day int, fwdAS, revAS []netsim.ASN) []byte {
 	buf = append(buf, `{"src":"`...)
-	buf = appendEchoString(buf, e.src, e.srcIP)
+	buf = appendEchoString(buf, l.src, l.srcIP)
 	buf = append(buf, `","dst":"`...)
-	buf = appendEchoString(buf, e.dst, e.dstIP)
+	buf = appendEchoString(buf, l.dst, l.dstIP)
 	buf = append(buf, `","found":`...)
-	if info.Found {
+	if l.found {
 		buf = append(buf, "true"...)
-		if info.RTTMS != 0 {
+		if l.rttMS != 0 {
 			buf = append(buf, `,"rtt_ms":`...)
-			buf = appendJSONFloat(buf, info.RTTMS)
+			buf = appendJSONFloat(buf, l.rttMS)
 		}
-		if info.LossRate != 0 {
+		if l.lossRate != 0 {
 			buf = append(buf, `,"loss_rate":`...)
-			buf = appendJSONFloat(buf, info.LossRate)
+			buf = appendJSONFloat(buf, l.lossRate)
 		}
-		if info.Fwd.LatencyMS != 0 {
+		if l.fwdMS != 0 {
 			buf = append(buf, `,"fwd_ms":`...)
-			buf = appendJSONFloat(buf, info.Fwd.LatencyMS)
+			buf = appendJSONFloat(buf, l.fwdMS)
 		}
-		if info.Rev.LatencyMS != 0 {
+		if l.revMS != 0 {
 			buf = append(buf, `,"rev_ms":`...)
-			buf = appendJSONFloat(buf, info.Rev.LatencyMS)
+			buf = appendJSONFloat(buf, l.revMS)
 		}
+		buf = appendASPath(buf, `,"fwd_as_path":[`, fwdAS)
+		buf = appendASPath(buf, `,"rev_as_path":[`, revAS)
 	} else {
 		buf = append(buf, "false"...)
 	}
 	buf = append(buf, `,"day":`...)
 	buf = strconv.AppendInt(buf, int64(day), 10)
-	if errMsg != "" {
-		buf = append(buf, `,"error":"`...)
-		buf = append(buf, errMsg...)
-		buf = append(buf, '"')
+	if l.expired {
+		buf = append(buf, `,"error":"deadline_ms exceeded"`...)
 	}
 	buf = append(buf, '}', '\n')
 	return buf

@@ -72,13 +72,47 @@ func TestParseBatchLine(t *testing.T) {
 	}
 }
 
+// resultFor fills the wire struct encoding/json reads: the reference the
+// hand-rolled encoder and the handlers' bodies are compared against.
+func resultFor(src, dst string, day int, info inano.PathInfo, withPaths bool) queryResult {
+	res := queryResult{Src: src, Dst: dst, Found: info.Found, Day: day}
+	if !info.Found {
+		return res
+	}
+	res.RTTMS = info.RTTMS
+	res.LossRate = info.LossRate
+	res.FwdMS = info.Fwd.LatencyMS
+	res.RevMS = info.Rev.LatencyMS
+	if withPaths {
+		res.FwdAS = info.Fwd.ASPath
+		res.RevAS = info.Rev.ASPath
+	}
+	return res
+}
+
+// encoderLine is the line json.Encoder writes for res.
+func encoderLine(t testing.TB, res queryResult) []byte {
+	t.Helper()
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	return want.Bytes()
+}
+
 // TestAppendResultLineMatchesEncoder pins the hand-rolled answer encoder
 // to encoding/json byte for byte, across found/not-found, expired, zero
-// and extreme float values — the reference for the one encoder every
-// batch answer line goes through.
+// and extreme float values, and with AS paths (a /v1/query answer: nil,
+// empty, one-hop, long) and without (a /v1/batch line) — the reference for
+// the one encoder every answer goes through.
 func TestAppendResultLineMatchesEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	floats := []float64{0, 0.05, 12.5, 1.0 / 3, 9.999999999e-7, 1e-7, 3e21, 123456789.000001}
+	long := make([]netsim.ASN, 40)
+	for i := range long {
+		long[i] = netsim.ASN(rng.Uint32())
+	}
+	paths := [][]netsim.ASN{nil, {}, {7}, {0, 4294967295}, long}
 	randInfo := func() inano.PathInfo {
 		var info inano.PathInfo
 		info.Found = rng.Intn(4) > 0
@@ -88,37 +122,67 @@ func TestAppendResultLineMatchesEncoder(t *testing.T) {
 			info.Fwd.LatencyMS = floats[rng.Intn(len(floats))]
 			info.Rev.LatencyMS = floats[rng.Intn(len(floats))]
 		}
+		// One leg alone may have found a path: its AS path must not show.
+		info.Fwd.ASPath = paths[rng.Intn(len(paths))]
+		info.Rev.ASPath = paths[rng.Intn(len(paths))]
 		return info
 	}
-	for trial := 0; trial < 2000; trial++ {
+	for trial := 0; trial < 4000; trial++ {
 		info := randInfo()
-		e := batchEcho{srcIP: inano.IP(rng.Uint32()), dstIP: inano.IP(rng.Uint32())}
+		e := answerLine{srcIP: inano.IP(rng.Uint32()), dstIP: inano.IP(rng.Uint32())}
 		if trial%3 == 0 {
 			e.src = "+1.2.3.4" // non-canonical line's echo string, kept verbatim
 			e.dst = "9.9.9.9"
 		}
-		errMsg := ""
-		if trial%5 == 0 {
+		expired := trial%5 == 0
+		if expired {
 			info = inano.PathInfo{}
-			errMsg = "deadline_ms exceeded"
 		}
+		withPaths := trial%2 == 0
 		day := rng.Intn(1000)
 
-		got := appendResultLine(nil, &e, day, &info, errMsg)
+		e.answer(&info, expired)
+		var fwdAS, revAS []netsim.ASN
+		if withPaths {
+			fwdAS, revAS = info.Fwd.ASPath, info.Rev.ASPath
+		}
+		got := appendResultLine(nil, &e, day, fwdAS, revAS)
 
 		srcStr, dstStr := e.src, e.dst
 		if srcStr == "" {
 			srcStr = string(appendIPv4(nil, e.srcIP))
 			dstStr = string(appendIPv4(nil, e.dstIP))
 		}
-		res := resultFor(srcStr, dstStr, day, info, false)
-		res.Error = errMsg
-		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(res); err != nil {
-			t.Fatal(err)
+		res := resultFor(srcStr, dstStr, day, info, withPaths)
+		if expired {
+			res.Error = "deadline_ms exceeded"
 		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("trial %d:\nappend  %q\nencoder %q\ninfo %+v", trial, got, want.Bytes(), info)
+		if want := encoderLine(t, res); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d:\nappend  %q\nencoder %q\ninfo %+v", trial, got, want, info)
+		}
+	}
+}
+
+// TestAppendResultLineEscapes drives the echo's guard arm: a string that
+// needs escaping (none reaches it today: parseIP admits none) comes out as
+// json.Encoder writes it.
+func TestAppendResultLineEscapes(t *testing.T) {
+	info := inano.PathInfo{Found: true, RTTMS: 3, LossRate: 0.5}
+	info.Fwd.LatencyMS, info.Rev.LatencyMS = 1, 2
+	info.Fwd.ASPath = []netsim.ASN{1, 2}
+	for _, expired := range []bool{false, true} {
+		e := answerLine{src: "<1.2.3.4>&\u2028", dst: "a\"b\\\x01é"}
+		if expired {
+			info = inano.PathInfo{}
+		}
+		e.answer(&info, expired)
+		got := appendResultLine([]byte("x"), &e, 3, info.Fwd.ASPath, info.Rev.ASPath)
+		res := resultFor(e.src, e.dst, 3, info, true)
+		if expired {
+			res.Error = "deadline_ms exceeded"
+		}
+		if want := append([]byte("x"), encoderLine(t, res)...); !bytes.Equal(got, want) {
+			t.Fatalf("expired=%v:\nappend  %q\nencoder %q", expired, got, want)
 		}
 	}
 }
@@ -250,11 +314,11 @@ func TestBatchFastPathExpiredParity(t *testing.T) {
 }
 
 // TestBatchFastPathZeroAlloc is the CI allocation gate for the streamed
-// batch loop on canonical lines, mirroring TestWarmQueryZeroAlloc: one
-// warm window's full serving loop — strict line parse, StreamBatch run,
-// answer-line encode — must not allocate. It drives the same functions handleBatch
-// does, outside HTTP (the transport writes are covered by bufio either
-// way).
+// batch loop on canonical lines, mirroring TestWarmQueryZeroAlloc: one warm
+// window's whole step — strict line parse into a slot, StreamBatch run,
+// answers copied out, the window encoded into the slot's reused buffer —
+// must not allocate. It drives the same functions handleBatch and its
+// stage do, outside HTTP and on one goroutine.
 func TestBatchFastPathZeroAlloc(t *testing.T) {
 	f := buildFixture(t, 212)
 	snap := f.client.Snapshot()
@@ -266,32 +330,26 @@ func TestBatchFastPathZeroAlloc(t *testing.T) {
 		lines = append(lines, fmt.Appendf(nil, "{\"src\":%q,\"dst\":%q}",
 			ipStr(f.vps[i%len(f.vps)]), ipStr(f.targets[(i*7)%len(f.targets)])))
 	}
-	reqs := make([]core.PairReq, 0, len(lines))
-	echoes := make([]batchEcho, 0, len(lines))
-	var lineBuf []byte
+	var reqs []core.PairReq
+	var slot batchSlot
 	var sink int
 	window := func() {
-		reqs, echoes = reqs[:0], echoes[:0]
+		reqs, slot.lines = reqs[:0], slot.lines[:0]
 		for _, line := range lines {
 			src, dst, _, ok := parseBatchLine(line)
 			if !ok {
 				t.Fatal("fixture line not canonical")
 			}
-			reqs = append(reqs, core.PairReq{Src: netsim.PrefixOf(src), Dst: netsim.PrefixOf(dst)})
-			echoes = append(echoes, batchEcho{srcIP: src, dstIP: dst})
+			reqs = append(reqs, inano.PairOf(src, dst))
+			slot.lines = append(slot.lines, answerLine{srcIP: src, dstIP: dst})
 		}
 		infos, expired, err := sb.Run(context.Background(), reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range infos {
-			errMsg := ""
-			if expired[i] {
-				errMsg = "deadline_ms exceeded"
-			}
-			lineBuf = appendResultLine(lineBuf[:0], &echoes[i], day, &infos[i], errMsg)
-			sink += len(lineBuf)
-		}
+		copyAnswers(slot.lines, infos, expired)
+		slot.buf = appendWindow(slot.buf[:0], slot.lines, day)
+		sink += len(slot.buf)
 	}
 	window() // warm trees + buffers
 	allocs := testing.AllocsPerRun(50, window)

@@ -57,7 +57,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) error {
 	if parseErr != nil && len(obs) == 0 {
 		return httpError(w, http.StatusBadRequest, "%v", parseErr)
 	}
-	ctx, cancel, err := s.requestContext(r)
+	ctx, cancel, err := s.requestContext(r, r.URL.Query())
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "%v", err)
 	}
@@ -161,7 +161,7 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 			return httpError(w, http.StatusBadRequest, "bad k %q", raw)
 		}
 	}
-	ctx, cancel, err := s.requestContext(r)
+	ctx, cancel, err := s.requestContext(r, q)
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "%v", err)
 	}

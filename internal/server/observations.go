@@ -71,7 +71,7 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) erro
 	if parseErr != nil && len(obs) == 0 {
 		return httpError(w, http.StatusBadRequest, "%v", parseErr)
 	}
-	ctx, cancel, err := s.requestContext(r)
+	ctx, cancel, err := s.requestContext(r, r.URL.Query())
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "%v", err)
 	}

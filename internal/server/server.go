@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -40,10 +41,10 @@ import (
 	"inano/internal/tcpmodel"
 )
 
-// maxStreamWindow caps the client-controlled /v1/batch window: 64k pairs
-// of ring + result buffers is a few megabytes, large enough to amortize
-// any fan-out and small enough that a hostile request cannot OOM the
-// daemon.
+// maxStreamWindow caps the client-controlled /v1/batch window: a stream that
+// sends 64k-line windows grows its two slots to some thirty megabytes of
+// lines and encoded answers, large enough to amortize any fan-out and small
+// enough that a hostile request cannot OOM the daemon.
 const maxStreamWindow = 1 << 16
 
 // Config configures a Server.
@@ -371,10 +372,11 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 }
 
 // requestContext derives the per-request deadline: deadline_ms from the
-// query string, else the server default, capped by MaxDeadline.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
+// request's parsed query string q, else the server default, capped by
+// MaxDeadline; with none at all the request's own context serves.
+func (s *Server) requestContext(r *http.Request, q url.Values) (context.Context, context.CancelFunc, error) {
 	d := s.cfg.DefaultDeadline
-	if raw := r.URL.Query().Get("deadline_ms"); raw != "" {
+	if raw := q.Get("deadline_ms"); raw != "" {
 		ms, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || ms <= 0 {
 			return nil, nil, fmt.Errorf("bad deadline_ms %q", raw)
@@ -385,8 +387,7 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 		d = s.cfg.MaxDeadline
 	}
 	if d <= 0 {
-		ctx, cancel := context.WithCancel(r.Context())
-		return ctx, cancel, nil
+		return r.Context(), func() {}, nil
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil
@@ -441,22 +442,6 @@ type queryResult struct {
 	Error    string       `json:"error,omitempty"`
 }
 
-func resultFor(src, dst string, day int, info inano.PathInfo, withPaths bool) queryResult {
-	res := queryResult{Src: src, Dst: dst, Found: info.Found, Day: day}
-	if !info.Found {
-		return res
-	}
-	res.RTTMS = info.RTTMS
-	res.LossRate = info.LossRate
-	res.FwdMS = info.Fwd.LatencyMS
-	res.RevMS = info.Rev.LatencyMS
-	if withPaths {
-		res.FwdAS = info.Fwd.ASPath
-		res.RevAS = info.Rev.ASPath
-	}
-	return res
-}
-
 // parseIP parses a dotted-quad IPv4 address — one strict parser shared
 // with the /v1/feedback wire format, so the endpoints can never diverge
 // on what an address is.
@@ -490,14 +475,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	return s.reg.WritePrometheus(w)
 }
 
+// linePool holds the buffers /v1/query answers are encoded into.
+var linePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // handleQuery answers one (src, dst) query. GET with ?src=&dst= or POST
 // with a {"src","dst"} body; ?deadline_ms= bounds it. Concurrent queries to
 // one cold destination share a single tree build (engine singleflight).
+// The answer is a batch answer line plus the two AS paths, from the same
+// encoder, written in one piece.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	var req pairRequest
+	q := r.URL.Query()
 	switch r.Method {
 	case http.MethodGet:
-		q := r.URL.Query()
 		req.Src, req.Dst = q.Get("src"), q.Get("dst")
 	case http.MethodPost:
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -514,7 +504,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "dst: %v", err)
 	}
-	ctx, cancel, err := s.requestContext(r)
+	ctx, cancel, err := s.requestContext(r, q)
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "%v", err)
 	}
@@ -522,18 +512,35 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	// One pinned snapshot answers and labels the result, so the reported
 	// day always matches the atlas that produced the numbers.
 	snap := s.c.Snapshot()
-	infos, _, err := snap.QueryReqs(ctx, []inano.PairReq{inano.PairOf(src, dst)})
+	info, err := snap.QueryCtx(ctx, src, dst)
 	if err != nil {
 		return httpError(w, http.StatusGatewayTimeout, "query aborted: %v", err)
 	}
-	return writeJSON(w, resultFor(req.Src, req.Dst, snap.Day(), infos[0], true))
+	l := answerLine{src: req.Src, dst: req.Dst}
+	l.answer(&info, false)
+	buf := linePool.Get().(*[]byte)
+	defer linePool.Put(buf)
+	*buf = appendResultLine((*buf)[:0], &l, snap.Day(), info.Fwd.ASPath, info.Rev.ASPath)
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(*buf); err != nil {
+		return fmt.Errorf("writing query response: %w", err)
+	}
+	return nil
 }
 
 // handleBatch streams answers for an NDJSON stream of {"src","dst"} pairs.
 // The response is NDJSON too, one result line per request line, in request
 // order, flushed every window so results reach the client while the request
-// body is still being produced. Memory on the server is O(window)
-// regardless of batch size. The whole stream reads one atlas snapshot.
+// body is still being produced. The whole stream reads one atlas snapshot.
+//
+// The stream runs in two stages over two window slots: this goroutine
+// reads, parses and answers (StreamBatch.Run) window N+1 into one slot
+// while a batchStage goroutine, alive for this request only, encodes
+// window N from the other and hands it to the ResponseWriter in one Write
+// and one Flush. The ResponseWriter is this goroutine's before the stage
+// starts (headers, an early error) and after it has exited (the terminal
+// error line). Memory on the server is two windows, of lines and of encoded
+// answers, grown as the lines arrive, regardless of batch size.
 //
 // A line may carry its own "deadline_ms": a per-pair answer-latency
 // bound measured from line receipt. A pair whose deadline passes before
@@ -544,19 +551,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 // stream continues: partial results instead of an aborted window.
 //
 // A malformed line or an expired request deadline terminates the stream
-// with a final {"error": ...} line; clients must treat a line bearing
-// "error" but no "src" as the (failed) end of the stream.
+// with a final {"error": ...} line after the answers of every window
+// before it; clients must treat a line bearing "error" but no "src" as the
+// (failed) end of the stream. A response the client no longer takes ends
+// the stream at the reader's next window.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
 		return httpError(w, http.StatusMethodNotAllowed, "use POST")
 	}
-	ctx, cancel, err := s.requestContext(r)
+	q := r.URL.Query()
+	ctx, cancel, err := s.requestContext(r, q)
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "%v", err)
 	}
 	defer cancel()
 	window := s.cfg.StreamWindow
-	if raw := r.URL.Query().Get("window"); raw != "" {
+	if raw := q.Get("window"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n <= 0 {
 			return httpError(w, http.StatusBadRequest, "bad window %q", raw)
@@ -566,8 +576,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	if window <= 0 {
 		window = core.DefaultStreamWindow
 	}
-	// The window sizes per-request allocations; clamp it so one cheap
-	// request cannot ask the daemon for gigabytes of buffer.
+	// The window bounds what a stream's lines can grow its buffers to;
+	// clamp it so one request cannot make that gigabytes.
 	if window > maxStreamWindow {
 		window = maxStreamWindow
 	}
@@ -580,75 +590,43 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	if err := rc.EnableFullDuplex(); err != nil {
 		return httpError(w, http.StatusInternalServerError, "streaming unsupported: %v", err)
 	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	flush := func() {
-		bw.Flush()
-		_ = rc.Flush()
-	}
 
 	scanner := bufio.NewScanner(r.Body)
 	scanner.Buffer(make([]byte, 0, 4096), s.cfg.MaxBatchLineBytes)
-	var inputErr error
+	var inputErr, streamErr error // either ends the stream with a terminal error line
 	lineNo := 0
 
 	// One pinned snapshot serves the whole stream and labels every line;
 	// prediction trees built for one window stay cached for the next. The
-	// reusable runner keeps the stream's per-window buffers alive across
-	// flushes (and skips AS-path derivation: batch lines never serialize
+	// one reusable runner keeps the stream's per-window buffers alive across
+	// windows (and skips AS-path derivation: batch lines never serialize
 	// them), so steady-state windows allocate nothing.
 	snap := s.c.Snapshot()
-	day := snap.Day()
 	sb := snap.StreamBatch(true)
-	reqs := make([]core.PairReq, 0, window)
-	echoes := make([]batchEcho, 0, window)
-	var lineBuf []byte // reused answer line
-	answered := 0
-	var streamErr error
-	// flushWindow answers the buffered window in one per-pair-deadline
-	// batch and streams the result lines. A request-level failure (ctx
-	// expiry) lands in streamErr for the terminal error line; a non-nil
-	// return means the client went away and there is nothing left to
-	// write.
-	flushWindow := func() error {
+	var reqs []core.PairReq
+	st, slot := startBatchStage(w, rc, snap.Day())
+	defer st.finish() // a panic on this goroutine must not leave the stage behind
+	// runWindow answers the buffered window in one per-pair-deadline batch,
+	// copies the answers out of the runner and passes the slot to the stage.
+	// It reports whether the stream goes on: not after a request-level
+	// failure (ctx expiry: streamErr), not once the stage has stopped.
+	runWindow := func() bool {
 		if len(reqs) == 0 {
-			return nil
+			return true
 		}
 		infos, expired, err := sb.Run(ctx, reqs)
 		if err != nil {
 			streamErr = err
-			return nil
+			return false
 		}
-		for i := range infos {
-			errMsg := ""
-			if expired[i] {
-				errMsg = "deadline_ms exceeded"
-			}
-			if jsonSafe(echoes[i].src) && jsonSafe(echoes[i].dst) {
-				lineBuf = appendResultLine(lineBuf[:0], &echoes[i], day, &infos[i], errMsg)
-				if _, encErr := bw.Write(lineBuf); encErr != nil {
-					return fmt.Errorf("writing batch response: %w", encErr)
-				}
-			} else {
-				// Guard only: every echo string parseIP accepts today is
-				// jsonSafe. Should that change, such a line takes
-				// encoding/json, which escapes it.
-				res := resultFor(echoes[i].src, echoes[i].dst, day, infos[i], false)
-				res.Error = errMsg
-				if encErr := enc.Encode(res); encErr != nil {
-					return fmt.Errorf("writing batch response: %w", encErr)
-				}
-			}
-			answered++
-		}
+		copyAnswers(slot.lines, infos, expired)
 		reqs = reqs[:0]
-		echoes = echoes[:0]
-		flush()
-		return nil
+		slot = st.exchange(slot)
+		return slot != nil
 	}
 
-	now := time.Now
-	for scanner.Scan() {
+	live := true
+	for live && scanner.Scan() {
 		lineNo++
 		line := bytes.TrimSpace(scanner.Bytes())
 		if len(line) == 0 {
@@ -657,7 +635,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		// The strict parser claims a canonical line without allocating;
 		// any other line is encoding/json's.
 		src, dst, deadlineMS, ok := parseBatchLine(line)
-		e := batchEcho{srcIP: src, dstIP: dst}
+		e := answerLine{srcIP: src, dstIP: dst}
 		if !ok {
 			if e, deadlineMS, err = parseBatchLineJSON(line); err != nil {
 				inputErr = fmt.Errorf("line %d: %v", lineNo, err)
@@ -666,41 +644,40 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		}
 		pr := inano.PairOf(e.srcIP, e.dstIP)
 		if deadlineMS > 0 {
-			pr.Deadline = now().Add(time.Duration(deadlineMS) * time.Millisecond)
+			pr.Deadline = time.Now().Add(time.Duration(deadlineMS) * time.Millisecond)
 		}
 		reqs = append(reqs, pr)
-		echoes = append(echoes, e)
+		slot.lines = append(slot.lines, e)
 		if len(reqs) >= window {
-			if err := flushWindow(); err != nil {
-				s.pairsTotal.Add(uint64(answered))
-				return err
-			}
-			if streamErr != nil {
-				break
-			}
+			live = runWindow()
 		}
 	}
-	if err := scanner.Err(); err != nil && inputErr == nil && streamErr == nil {
+	if err := scanner.Err(); err != nil && inputErr == nil && live {
 		inputErr = fmt.Errorf("reading batch body: %w", err)
 	}
-	if streamErr == nil {
-		if err := flushWindow(); err != nil {
-			s.pairsTotal.Add(uint64(answered))
-			return err
-		}
+	if live {
+		runWindow()
 	}
-	s.pairsTotal.Add(uint64(answered))
-	switch {
-	case streamErr != nil:
-		_ = enc.Encode(queryResult{Error: fmt.Sprintf("batch aborted after %d results: %v", answered, streamErr)})
-	case inputErr != nil:
-		_ = enc.Encode(queryResult{Error: inputErr.Error()})
+	// The stage delivers what it holds and exits; only then is the count
+	// of answered lines final and the ResponseWriter free for a last line.
+	st.finish()
+	s.pairsTotal.Add(uint64(st.written))
+	if st.panicked != nil {
+		panic(st.panicked) // here, where instrument and net/http expect a handler's panic
 	}
-	flush()
+	if st.err != nil {
+		return fmt.Errorf("writing batch response: %w", st.err)
+	}
+	failed := inputErr
 	if streamErr != nil {
-		return streamErr
+		failed = fmt.Errorf("batch aborted after %d results: %w", st.written, streamErr)
 	}
-	return inputErr
+	if failed != nil {
+		last, _ := json.Marshal(queryResult{Error: failed.Error()}) // a struct of strings, numbers and bools cannot fail
+		_, _ = w.Write(append(last, '\n'))                          // the stream has failed either way, and failed says how
+		_ = rc.Flush()
+	}
+	return failed
 }
 
 // rankRequest asks to order candidate IPs for a source. With SizeBytes > 0
@@ -743,7 +720,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 		}
 		reqs[i] = inano.PairOf(src, dst)
 	}
-	ctx, cancel, err := s.requestContext(r)
+	ctx, cancel, err := s.requestContext(r, r.URL.Query())
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "%v", err)
 	}

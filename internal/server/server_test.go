@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -427,24 +428,35 @@ func TestBatchDeadlineAbortsStream(t *testing.T) {
 }
 
 // TestBatchWindowClamped: an absurd client-supplied window must not let
-// one request size the daemon's buffers — it is clamped, and the batch
-// still answers.
+// one request size the daemon's buffers — it is clamped, the batch still
+// answers, and what a stream allocates follows the lines it sends, not the
+// window it names: two lines under the largest window cost the process
+// well under the megabytes that window's buffers would.
 func TestBatchWindowClamped(t *testing.T) {
 	f := buildFixture(t, 210)
 	_, ts := start(t, f, nil)
-	body := strings.NewReader(batchLine(f.vps[0], f.targets[0]) + batchLine(f.vps[1], f.targets[1]))
-	resp, err := http.Post(ts.URL+"/v1/batch?window=2000000000", "application/x-ndjson", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 2 || strings.Contains(lines[0], "error") {
-		t.Fatalf("clamped-window batch failed:\n%s", raw)
+	for _, window := range []string{"2000000000", "65536", "65536"} {
+		body := strings.NewReader(batchLine(f.vps[0], f.targets[0]) + batchLine(f.vps[1], f.targets[1]))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(ts.URL+"/v1/batch?window="+window, "application/x-ndjson", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || strings.Contains(lines[0], "error") {
+			t.Fatalf("clamped-window batch failed:\n%s", raw)
+		}
+		// The first request also pays for the connection and two trees.
+		if got := after.TotalAlloc - before.TotalAlloc; window == "65536" && got > 256<<10 {
+			t.Fatalf("a two-line batch with ?window=%s allocated %d KB, want under 256", window, got>>10)
+		}
 	}
 }
 
