@@ -194,6 +194,33 @@ func BenchmarkAtlasDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkLoad is start-up as a client pays it, on a world of the
+// ledger's size: encoded bytes in memory to a client that has answered its
+// first query. The ledger's load_ms is the number; this is where to take
+// the profile behind it.
+func BenchmarkLoad(b *testing.B) {
+	w := sim.NewWorld(sim.Medium, 42)
+	vps := w.VantagePoints(16)
+	c := w.Measure(sim.CampaignOptions{VPs: vps, Targets: w.EdgePrefixes()})
+	var buf bytes.Buffer
+	if err := c.BuildAtlas().Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := inano.Load(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !c.QueryPrefix(vps[0], vps[1]).Found {
+			b.Fatal("no answer")
+		}
+	}
+}
+
 func BenchmarkDeltaDiffApply(b *testing.B) {
 	l := benchLab()
 	d0, d1 := l.Day(0).Atlas, l.Day(1).Atlas

@@ -150,13 +150,16 @@ func FromFlatOptions(f *atlas.Flat, opts core.Options) *Client {
 }
 
 // Load reads an encoded atlas (as produced by the build server or fetched
-// from the swarm).
+// from the swarm) straight into its serving form; the map form is never
+// built. The bytes are untrusted: a stream past the decode limits, with
+// out-of-range entries, or with a section whose keys do not ascend strictly
+// is rejected with an error naming the section.
 func Load(r io.Reader) (*Client, error) {
-	a, err := atlas.Decode(r)
+	f, err := atlas.DecodeFlat(r)
 	if err != nil {
 		return nil, err
 	}
-	return FromAtlas(a), nil
+	return FromFlat(f), nil
 }
 
 // FetchAtlas joins the swarm for the given manifest via a tracker, fetches

@@ -1,12 +1,12 @@
 package atlas
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"inano/internal/cluster"
@@ -108,24 +108,145 @@ func (w *sectionWriter) uvarint(v uint64) {
 	w.buf.Write(tmp[:n])
 }
 
-type sectionReader struct {
-	r *bufio.Reader
+// wireWindow is how much of an inflating stream a wireReader holds at once;
+// larger windows measured no faster.
+const wireWindow = 4 << 10
+
+// wireReader is the one parser of both wire streams: it inflates through a
+// window of its own and reads every varint out of that window with
+// binary.Uvarint, so a record costs no call through an interface and a
+// stream of any size costs wireWindow bytes. It remembers its first failure
+// — a read that ran off the stream, or a fail from a section reader that
+// did not like what it read — and every read after that returns zero, so
+// callers check err once a section; their loops stop on it.
+type wireReader struct {
+	gz       *gzip.Reader
+	src      io.LimitedReader // gz, capped one byte past maxDecodedBytes
+	buf      []byte
+	off, end int
+	srcErr   error // what src last returned, io.EOF included
+	err      error
+	// strict makes readTable reject keys that do not ascend. An atlas is
+	// read strictly; a delta's lists come as they are (Flat.Apply sorts).
+	strict bool
 }
 
-func (r *sectionReader) uvarint() (uint64, error) {
-	return binary.ReadUvarint(r.r)
+// openWire starts reading a stream that begins with magic and atlasVersion.
+// what names the stream in errors.
+func openWire(in io.Reader, magic, what string) (*wireReader, error) {
+	gz, err := gzip.NewReader(in)
+	if err != nil {
+		return nil, fmt.Errorf("atlas: not a compressed %s: %w", what, err)
+	}
+	// One byte of headroom so a stream of exactly maxDecodedBytes is not
+	// misreported as over-limit: src.N reaches zero only past the cap.
+	r := &wireReader{gz: gz, src: io.LimitedReader{R: gz, N: maxDecodedBytes + 1}, buf: make([]byte, wireWindow)}
+	r.fill()
+	switch {
+	case r.end < len(magic):
+		r.readFailed(0)
+		r.err = fmt.Errorf("truncated header: %w", r.err)
+	case string(r.buf[:len(magic)]) != magic:
+		r.fail("bad magic %q", r.buf[:len(magic)])
+	default:
+		r.off = len(magic)
+		if ver := r.uvarint(); r.err != nil {
+			r.err = fmt.Errorf("truncated version: %w", r.err)
+		} else if ver != atlasVersion {
+			r.fail("unsupported version %d", ver)
+		}
+	}
+	if r.err != nil {
+		return nil, r.close(what)
+	}
+	return r, nil
+}
+
+// fill moves the unread bytes to the front of the window and reads src
+// until the window is full or src has nothing more to give.
+func (r *wireReader) fill() {
+	r.end = copy(r.buf, r.buf[r.off:r.end])
+	r.off = 0
+	for r.end < len(r.buf) && r.srcErr == nil {
+		var n int
+		n, r.srcErr = r.src.Read(r.buf[r.end:])
+		r.end += n
+	}
+}
+
+func (r *wireReader) uvarint() uint64 {
+	if r.end-r.off < binary.MaxVarintLen64 && r.srcErr == nil {
+		r.fill()
+	}
+	v, n := binary.Uvarint(r.buf[r.off:r.end])
+	if n <= 0 || r.err != nil {
+		r.readFailed(n)
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// readFailed records why a read got no value: n is binary.Uvarint's.
+func (r *wireReader) readFailed(n int) {
+	switch {
+	case r.err != nil:
+	case n < 0:
+		r.fail("varint overflows 64 bits")
+	case r.srcErr != nil && r.srcErr != io.EOF:
+		r.err = r.srcErr
+	case r.src.N == 0:
+		r.fail("stream exceeds %d-byte decode limit", int64(maxDecodedBytes))
+	default:
+		r.err = io.ErrUnexpectedEOF
+	}
+}
+
+// fail records a failure, unless an earlier one stands.
+func (r *wireReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
 }
 
 // count reads a record count and rejects implausible values.
-func (r *sectionReader) count() (uint64, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (r *wireReader) count() uint64 { return r.plausible(r.uvarint()) }
+
+// plausible returns the record count n, or fails and returns none.
+func (r *wireReader) plausible(n uint64) uint64 {
 	if n > maxSectionRecords {
-		return 0, fmt.Errorf("record count %d exceeds limit %d", n, int64(maxSectionRecords))
+		r.fail("record count %d exceeds limit %d", n, int64(maxSectionRecords))
+		return 0
 	}
-	return n, nil
+	return n
+}
+
+// close ends the read. A stream that parsed is drained to its end first,
+// so the gzip checksum is verified and a truncated trailer, trailing bytes
+// and a stream past the decode limit are caught. It returns the reader's
+// failure, if any, as the error of decoding a what.
+func (r *wireReader) close(what string) error {
+	if r.err == nil {
+		n := int64(r.end - r.off)
+		if r.srcErr == nil {
+			var m int64
+			m, r.srcErr = io.Copy(io.Discard, &r.src)
+			n += m
+		}
+		switch {
+		case r.srcErr != nil && r.srcErr != io.EOF:
+			r.err = fmt.Errorf("corrupt stream trailer: %w", r.srcErr)
+		case r.src.N == 0:
+			r.fail("stream exceeds %d-byte decode limit", int64(maxDecodedBytes))
+		case n != 0:
+			r.fail("%d bytes of trailing garbage", n)
+		}
+	}
+	r.gz.Close() //nolint:errcheck // a read's failures are in r.err already
+	if r.err != nil {
+		return fmt.Errorf("atlas: decoding %s: %w", what, r.err)
+	}
+	return nil
 }
 
 // allocHint bounds slice preallocation from an untrusted record count. A
@@ -138,6 +259,83 @@ func allocHint(n uint64) int {
 		return maxHint
 	}
 	return int(n)
+}
+
+// readTable reads a keyed section as what the stream already holds, sorted
+// parallel key and value slices: a record count, then per record the key as
+// its difference from the one before and one varint that val turns into
+// the value. A nil val reads a set — keys and nothing else — and returns no
+// values. On a strict reader the keys must ascend strictly as stored,
+// narrowed to K: Encode writes nothing else, and it is what lets the serving
+// form adopt the slices without a sort, a hash or a second look. Otherwise
+// the keys are kept as they come, repeats and all.
+func readTable[K ~uint32 | ~uint64, V any](r *wireReader, val func(K, uint64) V) ([]K, []V) {
+	n := r.count()
+	keys := make([]K, 0, allocHint(n))
+	var vals []V
+	if val != nil {
+		vals = make([]V, 0, allocHint(n))
+	}
+	var at uint64
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		at += r.uvarint()
+		k := K(at)
+		if r.strict && i > 0 && k <= keys[i-1] {
+			r.fail("key %d after key %d: keys must ascend strictly", k, keys[i-1])
+		}
+		keys = append(keys, k)
+		if val != nil {
+			vals = append(vals, val(k, r.uvarint()))
+		}
+	}
+	return keys, vals
+}
+
+// plain is a readTable value that needs no look at its key and cannot be
+// wrong: the varint through conv.
+func plain[K, V any](conv func(uint64) V) func(K, uint64) V {
+	return func(_ K, u uint64) V { return conv(u) }
+}
+
+// readASNs reads a count and that many AS numbers.
+func readASNs(r *wireReader) []netsim.ASN {
+	n := r.count()
+	out := make([]netsim.ASN, 0, allocHint(n))
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		out = append(out, netsim.ASN(r.uvarint()))
+	}
+	return out
+}
+
+// readLinks reads the link records of either stream, in stream order: From
+// as its difference from the record before, To, latency and planes.
+func readLinks(r *wireReader) []Link {
+	n := r.count()
+	links := make([]Link, 0, allocHint(n))
+	var from uint64
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		from += r.uvarint()
+		links = append(links, Link{
+			From:      cluster.ClusterID(uint32(from)),
+			To:        cluster.ClusterID(uint32(r.uvarint())),
+			LatencyMS: unquantLat(r.uvarint()),
+			Planes:    uint8(r.uvarint()),
+		})
+	}
+	return links
+}
+
+// foldBounded is the readTable value of a shipped correction. The fold
+// clamps to ±MaxObservationFoldMS; anything past the bound (plus
+// quantization slack) is a forged or corrupt stream.
+func foldBounded(r *wireReader) func(netsim.Prefix, uint64) float32 {
+	return func(p netsim.Prefix, u uint64) float32 {
+		ms := unquantAdj(u)
+		if ms > MaxObservationFoldMS+0.01 || ms < -MaxObservationFoldMS-0.01 {
+			r.fail("prefix %v correction %.2f ms outside ±%v bound", p, ms, MaxObservationFoldMS)
+		}
+		return ms
+	}
 }
 
 // quantLat converts latency milliseconds to 0.01 ms wire units.
@@ -199,28 +397,6 @@ func writePrefixF32(w *sectionWriter, m map[netsim.Prefix]float32) {
 	}
 }
 
-// readPrefixF32 reads a map written by writePrefixF32.
-func readPrefixF32(r *sectionReader, into map[netsim.Prefix]float32) error {
-	n, err := r.count()
-	if err != nil {
-		return err
-	}
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		prev += d
-		q, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		into[netsim.Prefix(prev)] = unquantAdj(q)
-	}
-	return nil
-}
-
 // writeKeyU8 writes a uint64-keyed uint8 map as sorted delta-coded keys
 // with uvarint values.
 func writeKeyU8(w *sectionWriter, m map[uint64]uint8) {
@@ -238,28 +414,6 @@ func writeKeyU8(w *sectionWriter, m map[uint64]uint8) {
 	}
 }
 
-// readKeyU8 reads a map written by writeKeyU8.
-func readKeyU8(r *sectionReader, set func(k uint64, v uint8)) error {
-	n, err := r.count()
-	if err != nil {
-		return err
-	}
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		prev += d
-		v, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		set(prev, uint8(v))
-	}
-	return nil
-}
-
 // writePrefixClusterMap writes a prefix -> cluster map as sorted
 // delta-coded keys with uvarint cluster IDs.
 func writePrefixClusterMap(w *sectionWriter, m map[netsim.Prefix]cluster.ClusterID) {
@@ -275,28 +429,6 @@ func writePrefixClusterMap(w *sectionWriter, m map[netsim.Prefix]cluster.Cluster
 		prev = uint64(p)
 		w.uvarint(uint64(uint32(m[p])))
 	}
-}
-
-// readPrefixClusterMap reads a map written by writePrefixClusterMap.
-func readPrefixClusterMap(r *sectionReader, into map[netsim.Prefix]cluster.ClusterID) error {
-	n, err := r.count()
-	if err != nil {
-		return err
-	}
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		prev += d
-		c, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		into[netsim.Prefix(prev)] = cluster.ClusterID(uint32(c))
-	}
-	return nil
 }
 
 // encodeSection renders one dataset into w.
@@ -418,190 +550,6 @@ func writeSortedSet(w *sectionWriter, m map[uint64]bool) {
 	}
 }
 
-func readSet(r *sectionReader, into map[uint64]bool) error {
-	n, err := r.count()
-	if err != nil {
-		return err
-	}
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		prev += d
-		into[prev] = true
-	}
-	return nil
-}
-
-func (a *Atlas) decodeSection(sec int, r *sectionReader) error {
-	switch sec {
-	case secClusterAS:
-		n, err := r.count()
-		if err != nil {
-			return err
-		}
-		a.ClusterAS = make([]netsim.ASN, 0, allocHint(n))
-		for i := uint64(0); i < n; i++ {
-			v, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			a.ClusterAS = append(a.ClusterAS, netsim.ASN(v))
-		}
-	case secLinks:
-		n, err := r.count()
-		if err != nil {
-			return err
-		}
-		a.Links = make([]Link, 0, allocHint(n))
-		prevFrom := uint64(0)
-		for i := uint64(0); i < n; i++ {
-			df, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			prevFrom += df
-			to, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			lat, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			planes, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			a.Links = append(a.Links, Link{
-				From:      cluster.ClusterID(uint32(prevFrom)),
-				To:        cluster.ClusterID(uint32(to)),
-				LatencyMS: unquantLat(lat),
-				Planes:    uint8(planes),
-			})
-		}
-	case secLoss:
-		n, err := r.count()
-		if err != nil {
-			return err
-		}
-		prev := uint64(0)
-		for i := uint64(0); i < n; i++ {
-			d, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			prev += d
-			q, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			a.Loss[prev] = unquantLoss(q)
-		}
-	case secPrefixCluster:
-		return readPrefixClusterMap(r, a.PrefixCluster)
-	case secPrefixAS:
-		n, err := r.count()
-		if err != nil {
-			return err
-		}
-		prev := uint64(0)
-		for i := uint64(0); i < n; i++ {
-			d, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			prev += d
-			asn, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			a.PrefixAS[netsim.Prefix(prev)] = netsim.ASN(asn)
-		}
-	case secASDegree:
-		n, err := r.count()
-		if err != nil {
-			return err
-		}
-		prev := uint64(0)
-		for i := uint64(0); i < n; i++ {
-			d, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			prev += d
-			deg, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			a.ASDegree[netsim.ASN(prev)] = int32(deg)
-		}
-	case secTuples:
-		return readSet(r, a.Tuples)
-	case secPrefs:
-		return readSet(r, a.Prefs)
-	case secProviders:
-		n, err := r.count()
-		if err != nil {
-			return err
-		}
-		prev := uint64(0)
-		for i := uint64(0); i < n; i++ {
-			d, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			prev += d
-			cnt, err := r.count()
-			if err != nil {
-				return err
-			}
-			ps := make([]netsim.ASN, 0, allocHint(cnt))
-			pp := uint64(0)
-			for j := uint64(0); j < cnt; j++ {
-				dp, err := r.uvarint()
-				if err != nil {
-					return err
-				}
-				pp += dp
-				ps = append(ps, netsim.ASN(pp))
-			}
-			a.Providers[netsim.ASN(prev)] = ps
-		}
-	case secRels:
-		n, err := r.count()
-		if err != nil {
-			return err
-		}
-		prev := uint64(0)
-		for i := uint64(0); i < n; i++ {
-			d, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			prev += d
-			rel, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			a.Rels[prev] = netsim.Rel(int8(rel))
-		}
-	case secLateExit:
-		return readSet(r, a.LateExit)
-	case secGlobalAdjust:
-		return readPrefixF32(r, a.GlobalAdjustMS)
-	case secObservedLink:
-		return readKeyU8(r, func(k uint64, v uint8) { a.ObservedLinks[k] = v })
-	case secObservedAttach:
-		return readKeyU8(r, func(k uint64, v uint8) { a.ObservedAttach[netsim.Prefix(k)] = v })
-	case secIfaceCluster:
-		return readPrefixClusterMap(r, a.IfaceCluster)
-	}
-	return nil
-}
-
 // Encode writes the atlas as a gzip-compressed binary stream.
 func (a *Atlas) Encode(w io.Writer) error {
 	gz := gzip.NewWriter(w)
@@ -626,123 +574,183 @@ func (a *Atlas) Encode(w io.Writer) error {
 	return gz.Close()
 }
 
-// Decode reads an atlas produced by Encode. It fails with a descriptive
-// error on malformed or truncated input.
+// wireAtlas is one atlas stream as the parser leaves it: every keyed
+// dataset already in the serving form's own sorted tables, the links in
+// stream order, and the build-side lifetime tables the serving form does
+// not carry.
+type wireAtlas struct {
+	flat          *Flat // the link table and the indexes are not built yet
+	links         []Link
+	obsLinkKeys   []uint64
+	obsAttachKeys []netsim.Prefix
+	obsLinkTTL    []uint8
+	obsAttachTTL  []uint8
+}
+
+// readSection reads dataset sec into w. It is the one place a section's
+// layout is read, and it checks what it reads against the header's cluster
+// count and the bounds the build keeps, so a failure names its section.
+func (w *wireAtlas) readSection(sec int, r *wireReader) {
+	f := w.flat
+	inSpace := func(c cluster.ClusterID) bool { return c >= 0 && int32(c) < f.NumClusters }
+	attach := func(p netsim.Prefix, u uint64) cluster.ClusterID {
+		c := cluster.ClusterID(uint32(u))
+		if !inSpace(c) {
+			r.fail("prefix %v maps to cluster %d outside cluster space %d", p, c, f.NumClusters)
+		}
+		return c
+	}
+	switch sec {
+	case secClusterAS:
+		if f.ClusterAS = readASNs(r); len(f.ClusterAS) != int(f.NumClusters) {
+			r.fail("cluster count %d does not match AS table size %d", f.NumClusters, len(f.ClusterAS))
+		}
+	case secLinks:
+		w.links = readLinks(r)
+		for i, l := range w.links {
+			switch {
+			case !inSpace(l.From) || !inSpace(l.To):
+				r.fail("link %d endpoints (%d,%d) outside cluster space %d", i, l.From, l.To, f.NumClusters)
+			case l.Planes&^PlaneMask != 0:
+				r.fail("link %d carries undefined plane bits %#x", i, l.Planes)
+			case i > 0 && LinkKey(l.From, l.To) <= LinkKey(w.links[i-1].From, w.links[i-1].To):
+				r.fail("link %d (%d,%d) after (%d,%d): keys must ascend strictly", i, l.From, l.To, w.links[i-1].From, w.links[i-1].To)
+			}
+		}
+	case secLoss:
+		f.LossKeys, f.LossVals = readTable(r, plain[uint64](unquantLoss))
+	case secPrefixCluster:
+		f.PrefixClKeys, f.PrefixClVals = readTable(r, attach)
+	case secPrefixAS:
+		f.PrefixASKeys, f.PrefixASVals = readTable(r, plain[netsim.Prefix](func(u uint64) netsim.ASN { return netsim.ASN(u) }))
+	case secASDegree:
+		f.DegKeys, f.DegVals = readTable(r, plain[netsim.ASN](func(u uint64) int32 { return int32(u) }))
+	case secTuples:
+		f.Tuples, _ = readTable[uint64, struct{}](r, nil)
+	case secPrefs:
+		f.Prefs, _ = readTable[uint64, struct{}](r, nil)
+	case secProviders:
+		// A provider list is a set of its own after each origin's key.
+		provs := []uint64{}
+		readTable(r, func(origin netsim.ASN, n uint64) (none struct{}) {
+			first, up := len(provs), uint64(0)
+			for n = r.plausible(n); n > 0 && r.err == nil; n-- {
+				up += r.uvarint()
+				k := uint64(origin)<<32 | uint64(netsim.ASN(up))
+				if len(provs) > first && k <= provs[len(provs)-1] {
+					r.fail("AS %d provider %d repeats or descends: keys must ascend strictly", origin, netsim.ASN(up))
+				}
+				provs = append(provs, k)
+			}
+			return none
+		})
+		f.Providers = provs
+	case secRels:
+		f.RelKeys, f.RelVals = readTable(r, plain[uint64](func(u uint64) netsim.Rel { return netsim.Rel(int8(u)) }))
+	case secLateExit:
+		f.LateExit, _ = readTable[uint64, struct{}](r, nil)
+	case secGlobalAdjust:
+		f.AdjustKeys, f.AdjustGlobal = readTable(r, foldBounded(r))
+	case secObservedLink:
+		w.obsLinkKeys, w.obsLinkTTL = readTable(r, observedTTL[uint64](r))
+	case secObservedAttach:
+		w.obsAttachKeys, w.obsAttachTTL = readTable(r, observedTTL[netsim.Prefix](r))
+	case secIfaceCluster:
+		f.IfaceKeys, f.IfaceVals = readTable(r, attach)
+	}
+}
+
+// observedTTL is the readTable value of a crowd-observed lifetime. The fold
+// never writes one above ObservedTTLDays, so a larger value is a forged
+// stream trying to make unsupported structure immortal.
+func observedTTL[K any](r *wireReader) func(K, uint64) uint8 {
+	return func(k K, u uint64) uint8 {
+		if ttl := uint8(u); ttl == 0 || ttl > ObservedTTLDays {
+			r.fail("observed entry %v lifetime %d outside 1..%d", k, ttl, ObservedTTLDays)
+		}
+		return uint8(u)
+	}
+}
+
+// parseAtlas reads one encoded atlas. Everything either door rejects is
+// rejected here: a stream that is not gzip, fails its checksum, inflates
+// past maxDecodedBytes or carries bytes after its last section; a wrong
+// magic or version; an unknown, repeated or (there being numSections of
+// them) missing section; a record count past maxSectionRecords; a key that
+// does not ascend; and whatever readSection finds out of range.
+func parseAtlas(in io.Reader) (*wireAtlas, error) {
+	r, err := openWire(in, atlasMagic, "atlas")
+	if err != nil {
+		return nil, err
+	}
+	r.strict = true
+	w := &wireAtlas{flat: &Flat{}}
+	if day := r.uvarint(); r.err != nil {
+		r.err = fmt.Errorf("truncated day: %w", r.err)
+	} else if day > math.MaxInt32 {
+		r.fail("day %d out of range", day)
+	} else {
+		w.flat.Day = int32(day)
+	}
+	// A cluster count is the ClusterAS section's record count.
+	if w.flat.NumClusters = int32(r.count()); r.err != nil {
+		r.err = fmt.Errorf("cluster count: %w", r.err)
+	}
+	seen := [numSections]bool{}
+	for i := 0; i < numSections && r.err == nil; i++ {
+		sec := r.uvarint()
+		switch {
+		case r.err != nil:
+			r.err = fmt.Errorf("truncated at section %d: %w", i, r.err)
+		case sec >= numSections:
+			r.fail("unknown section id %d", sec)
+		case seen[sec]:
+			r.fail("section %s appears twice", SectionName(int(sec)))
+		default:
+			seen[sec] = true
+			if w.readSection(int(sec), r); r.err != nil {
+				r.err = fmt.Errorf("section %s: %w", SectionName(int(sec)), r.err)
+			}
+		}
+	}
+	return w, r.close("atlas")
+}
+
+// Decode reads an atlas produced by Encode into the map form, the build
+// side's: Diff, the folds and the tools work on it. It fails with a
+// descriptive error on malformed or truncated input. A serving client
+// starts from DecodeFlat, which reads the same streams and rejects the
+// same ones.
 func Decode(r io.Reader) (*Atlas, error) {
-	gz, err := gzip.NewReader(r)
+	w, err := parseAtlas(r)
 	if err != nil {
-		return nil, fmt.Errorf("atlas: not a compressed atlas: %w", err)
+		return nil, err
 	}
-	defer gz.Close()
-	// One byte of headroom so a stream of exactly maxDecodedBytes is not
-	// misreported as over-limit (N==0 below). Streams far past the limit
-	// usually surface earlier as truncated-section or trailing-garbage
-	// errors once the LimitedReader runs dry; the N==0 check catches the
-	// ones that end right at the boundary.
-	lr := &io.LimitedReader{R: gz, N: maxDecodedBytes + 1}
-	br := bufio.NewReader(lr)
-	magic := make([]byte, len(atlasMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("atlas: truncated header: %w", err)
-	}
-	if string(magic) != atlasMagic {
-		return nil, fmt.Errorf("atlas: bad magic %q", magic)
-	}
-	sr := &sectionReader{r: br}
-	ver, err := sr.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("atlas: truncated version: %w", err)
-	}
-	if ver != atlasVersion {
-		return nil, fmt.Errorf("atlas: unsupported version %d", ver)
-	}
-	a := New()
-	day, err := sr.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("atlas: truncated day: %w", err)
-	}
-	a.Day = int(day)
-	nc, err := sr.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("atlas: truncated cluster count: %w", err)
-	}
-	a.NumClusters = int(nc)
-	for i := 0; i < numSections; i++ {
-		sec, err := sr.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("atlas: truncated at section %d: %w", i, err)
-		}
-		if sec >= numSections {
-			return nil, fmt.Errorf("atlas: unknown section id %d", sec)
-		}
-		if err := a.decodeSection(int(sec), sr); err != nil {
-			return nil, fmt.Errorf("atlas: section %s: %w", SectionName(int(sec)), err)
-		}
-	}
-	// Drain to EOF so the gzip checksum is verified and truncated
-	// trailers are caught.
-	if n, err := io.Copy(io.Discard, br); err != nil {
-		return nil, fmt.Errorf("atlas: corrupt stream trailer: %w", err)
-	} else if n != 0 {
-		return nil, fmt.Errorf("atlas: %d bytes of trailing garbage", n)
-	}
-	if lr.N == 0 {
-		return nil, fmt.Errorf("atlas: stream exceeds %d-byte decode limit", int64(maxDecodedBytes))
-	}
-	if err := a.validate(); err != nil {
-		return nil, fmt.Errorf("atlas: %w", err)
-	}
-	a.invalidateIndex()
+	a := w.flat.maps()
+	a.Links = w.links
+	a.GlobalAdjustMS = tableMap(w.flat.AdjustKeys, w.flat.AdjustGlobal)
+	a.ObservedLinks = tableMap(w.obsLinkKeys, w.obsLinkTTL)
+	a.ObservedAttach = tableMap(w.obsAttachKeys, w.obsAttachTTL)
 	return a, nil
 }
 
-// validate rejects decoded atlases whose cross-references are inconsistent
-// — corruption the per-section decoders cannot see. Consumers (the engine,
-// Clone, Diff) index ClusterAS and Links by cluster ID, so these
-// invariants are what make a decoded atlas safe to use.
-func (a *Atlas) validate() error {
-	if a.NumClusters < 0 || a.NumClusters != len(a.ClusterAS) {
-		return fmt.Errorf("cluster count %d does not match AS table size %d", a.NumClusters, len(a.ClusterAS))
+// DecodeFlat reads an atlas produced by Encode straight into its serving
+// form: the Flat that Compile makes of what Decode returns, field for
+// field, without a map, a sort or a hash on the way — the stream's sorted
+// sections are adopted as the Flat's tables as they stand. The build-side
+// lifetime tables are checked and dropped.
+func DecodeFlat(r io.Reader) (*Flat, error) {
+	w, err := parseAtlas(r)
+	if err != nil {
+		return nil, err
 	}
-	for i, l := range a.Links {
-		if int(l.From) >= a.NumClusters || int(l.To) >= a.NumClusters || l.From < 0 || l.To < 0 {
-			return fmt.Errorf("link %d endpoints (%d,%d) outside cluster space %d", i, l.From, l.To, a.NumClusters)
-		}
-		if l.Planes&^PlaneMask != 0 {
-			return fmt.Errorf("link %d carries undefined plane bits %#x", i, l.Planes)
-		}
+	f := w.flat
+	f.AdjustLocal = make([]float32, len(f.AdjustKeys))
+	f.finish(w.links)
+	if err := f.Validate(); err != nil {
+		return nil, err
 	}
-	for p, c := range a.PrefixCluster {
-		if int(c) >= a.NumClusters || c < 0 {
-			return fmt.Errorf("prefix %v attaches to cluster %d outside cluster space %d", p, c, a.NumClusters)
-		}
-	}
-	for p, c := range a.IfaceCluster {
-		if int(c) >= a.NumClusters || c < 0 {
-			return fmt.Errorf("interface prefix %v maps to cluster %d outside cluster space %d", p, c, a.NumClusters)
-		}
-	}
-	for p, ms := range a.GlobalAdjustMS {
-		// The fold clamps to ±MaxObservationFoldMS; anything past the
-		// bound (plus quantization slack) is a forged or corrupt stream.
-		if ms > MaxObservationFoldMS+0.01 || ms < -MaxObservationFoldMS-0.01 {
-			return fmt.Errorf("prefix %v correction %.2f ms outside ±%v bound", p, ms, MaxObservationFoldMS)
-		}
-	}
-	// Crowd-observed lifetimes: the fold never writes TTLs above
-	// ObservedTTLDays, so a larger value is a forged stream trying to make
-	// unsupported structure immortal.
-	for k, ttl := range a.ObservedLinks {
-		if ttl == 0 || ttl > ObservedTTLDays {
-			return fmt.Errorf("observed link %#x lifetime %d outside 1..%d", k, ttl, ObservedTTLDays)
-		}
-	}
-	for p, ttl := range a.ObservedAttach {
-		if ttl == 0 || ttl > ObservedTTLDays {
-			return fmt.Errorf("observed attachment %v lifetime %d outside 1..%d", p, ttl, ObservedTTLDays)
-		}
-	}
-	return nil
+	return f, nil
 }
 
 // SectionSize describes one dataset's footprint (a row of Table 2).

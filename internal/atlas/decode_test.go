@@ -1,0 +1,310 @@
+package atlas
+
+import (
+	"bytes"
+	"compress/gzip"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"inano/internal/cluster"
+	"inano/internal/netsim"
+)
+
+// wireFixture is a small atlas with an entry or two in every section.
+func wireFixture() *Atlas {
+	a := New()
+	a.Day, a.NumClusters = 3, 4
+	a.ClusterAS = []netsim.ASN{7, 7, 8, 9}
+	a.Links = []Link{
+		{From: 0, To: 1, LatencyMS: 1, Planes: PlaneToDst},
+		{From: 0, To: 2, LatencyMS: 2, Planes: PlaneMask},
+		{From: 2, To: 0, LatencyMS: 2, Planes: PlaneFromSrc},
+		{From: 3, To: 2, LatencyMS: 4, Planes: PlaneToDst},
+	}
+	a.Loss[LinkKey(0, 2)] = 0.25
+	a.Loss[LinkKey(3, 2)] = 0.5
+	a.PrefixCluster[100], a.PrefixCluster[101] = 1, 3
+	a.IfaceCluster[200], a.IfaceCluster[201] = 0, 2
+	a.PrefixAS[100], a.PrefixAS[101] = 7, 9
+	a.ASDegree[7], a.ASDegree[8], a.ASDegree[9] = 2, 2, 1
+	a.Tuples[PackTriple(7, 8, 9)], a.Tuples[PackTriple(9, 8, 7)] = true, true
+	a.Prefs[PackTriple(8, 7, 9)] = true
+	a.Providers[9], a.Providers[7] = []netsim.ASN{7, 8}, []netsim.ASN{8}
+	a.Rels[netsim.ASPairKey(7, 8)], a.Rels[netsim.ASPairKey(8, 9)] = netsim.RelPeer, netsim.RelCustomer
+	a.LateExit[netsim.ASPairKey(7, 8)] = true
+	a.GlobalAdjustMS[100], a.GlobalAdjustMS[101] = 4.5, -2
+	a.ObservedLinks[LinkKey(3, 2)] = ObservedTTLDays
+	a.ObservedAttach[101] = 1
+	return a
+}
+
+// rawAtlas hand-assembles an encoded atlas: a's own header and sections,
+// but for the sections in with, whose records (after the section id) the
+// given function writes — Encode sorts and bounds what it writes, so this
+// is the only way to bytes it cannot produce. order lists the section ids
+// to write; nil is Encode's own order.
+func rawAtlas(tb testing.TB, a *Atlas, order []int, with map[int]func(*sectionWriter)) []byte {
+	tb.Helper()
+	var sw sectionWriter
+	sw.uvarint(atlasVersion)
+	sw.uvarint(uint64(a.Day))
+	sw.uvarint(uint64(a.NumClusters))
+	if order == nil {
+		for sec := 0; sec < numSections; sec++ {
+			order = append(order, sec)
+		}
+	}
+	for _, sec := range order {
+		sw.uvarint(uint64(sec))
+		if write := with[sec]; write != nil {
+			write(&sw)
+		} else {
+			a.encodeSection(sec, &sw)
+		}
+	}
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	gz.Write([]byte(atlasMagic))
+	gz.Write(sw.buf.Bytes())
+	if err := gz.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// records returns a section body: a count, then the varints as given.
+func records(count uint64, varints ...uint64) func(*sectionWriter) {
+	return func(sw *sectionWriter) {
+		sw.uvarint(count)
+		for _, v := range varints {
+			sw.uvarint(v)
+		}
+	}
+}
+
+type hostileAtlas struct {
+	name, section, complaint string
+	raw                      []byte
+}
+
+// hostileAtlases is the streams no Encode writes and the map door used to
+// swallow — a repeated key merged, a descending one re-sorted, an
+// out-of-range one caught late and unnamed — each with the section name and
+// the complaint its rejection must carry.
+func hostileAtlases(tb testing.TB) []hostileAtlas {
+	a := wireFixture()
+	one := func(sec int, body func(*sectionWriter)) []byte {
+		return rawAtlas(tb, a, nil, map[int]func(*sectionWriter){sec: body})
+	}
+	twice := []int{secClusterAS, secLinks, secLoss, secLoss}
+	for sec := secPrefixCluster; sec < numSections-1; sec++ {
+		twice = append(twice, sec)
+	}
+	return []hostileAtlas{
+		{"zero key delta", "Link loss rates", "ascend strictly", one(secLoss, records(2, 5, 100, 0, 200))},
+		{"delta that wraps uint64", "AS three-tuples", "ascend strictly", one(secTuples, records(2, 10, ^uint64(2)))},
+		{"keys that collide as prefixes", "Prefix to AS", "ascend strictly", one(secPrefixAS, records(2, 100, 7, 1<<32, 9))},
+		{"keys that collide as ASNs", "AS degrees", "ascend strictly", one(secASDegree, records(2, 7, 2, 1<<32, 2))},
+		{"repeated provider", "Provider mappings", "ascend strictly", one(secProviders, records(1, 9, 2, 7, 0))},
+		{"repeated origin", "Provider mappings", "ascend strictly", one(secProviders, records(2, 9, 1, 7, 0, 1, 8))},
+		{"repeated link", "Inter-cluster links", "ascend strictly", one(secLinks, records(2, 0, 1, 100, 1, 0, 1, 200, 1))},
+		{"links out of order", "Inter-cluster links", "ascend strictly", one(secLinks, records(2, 0, 2, 100, 1, 0, 1, 200, 1))},
+		{"undefined plane bits", "Inter-cluster links", "undefined plane bits", one(secLinks, records(1, 0, 1, 100, 4))},
+		{"link outside the cluster space", "Inter-cluster links", "outside cluster space", one(secLinks, records(1, 0, 4, 100, 1))},
+		{"attachment outside the cluster space", "Prefix to cluster", "outside cluster space", one(secPrefixCluster, records(1, 100, 4))},
+		{"interface outside the cluster space", "Interface prefix to cluster", "outside cluster space", one(secIfaceCluster, records(1, 200, 1<<31))},
+		{"over-bound correction", "Aggregated corrections", "bound", one(secGlobalAdjust, records(1, 100, quantAdj(2*MaxObservationFoldMS)))},
+		{"observed TTL of 0", "Observed-link lifetimes", "lifetime", one(secObservedLink, records(1, LinkKey(3, 2), 0))},
+		{"immortal attachment", "Observed-attachment lifetimes", "lifetime", one(secObservedAttach, records(1, 101, ObservedTTLDays+1))},
+		{"short AS table", "Cluster to AS", "does not match", one(secClusterAS, records(3, 7, 7, 8))},
+		{"lying record count", "Late-exit pairs", "exceeds limit", one(secLateExit, records(maxSectionRecords+1))},
+		{"section twice", "Link loss rates", "appears twice", rawAtlas(tb, a, twice, nil)},
+	}
+}
+
+// TestDecodeRejectsUnsortedKeys pins what both doors say to the hostile
+// streams, and that they say the same.
+func TestDecodeRejectsUnsortedKeys(t *testing.T) {
+	if raw := rawAtlas(t, wireFixture(), nil, nil); !decodeBothWays(t, raw) {
+		t.Fatal("the fixture itself does not decode")
+	}
+	// Any order of sections is a stream; Encode's is one of them.
+	backwards := make([]int, numSections)
+	for i := range backwards {
+		backwards[i] = numSections - 1 - i
+	}
+	if !decodeBothWays(t, rawAtlas(t, wireFixture(), backwards, nil)) {
+		t.Fatal("sections in another order do not decode")
+	}
+	for _, tc := range hostileAtlases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, mapErr := Decode(bytes.NewReader(tc.raw))
+			_, flatErr := DecodeFlat(bytes.NewReader(tc.raw))
+			for door, err := range map[string]error{"Decode": mapErr, "DecodeFlat": flatErr} {
+				if err == nil {
+					t.Fatalf("%s accepted the stream", door)
+				}
+				if msg := err.Error(); !strings.HasPrefix(msg, "atlas: decoding atlas: section "+tc.section) || !strings.Contains(msg, tc.complaint) {
+					t.Fatalf("%s: %q, want section %q and %q", door, msg, tc.section, tc.complaint)
+				}
+			}
+			if mapErr.Error() != flatErr.Error() {
+				t.Fatalf("the doors disagree:\n Decode:     %v\n DecodeFlat: %v", mapErr, flatErr)
+			}
+		})
+	}
+}
+
+// decodeBothWays holds the two doors to each other on one input. They accept
+// or reject together; accepted, DecodeFlat's Flat passes Validate, is
+// Compile(Decode(x)) field for field, and comes back unchanged from a trip
+// through the map form. It reports whether the input was accepted.
+func decodeBothWays(t testing.TB, data []byte) bool {
+	t.Helper()
+	a, mapErr := Decode(bytes.NewReader(data))
+	f, flatErr := DecodeFlat(bytes.NewReader(data))
+	if (mapErr == nil) != (flatErr == nil) {
+		t.Fatalf("the doors disagree:\n Decode:     %v\n DecodeFlat: %v", mapErr, flatErr)
+	}
+	if mapErr != nil {
+		return false
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatalf("decoded flat fails Validate: %v", err)
+	}
+	sameFlat(t, f, Compile(a))
+	// The serving form keeps one correction table for the shipped and the
+	// local terms, so a shipped zero does not survive Inflate.
+	if !slices.Contains(f.AdjustGlobal, 0) {
+		sameFlat(t, Compile(f.Inflate()), f)
+	}
+	return true
+}
+
+// TestDecodeFlatMatchesCompile is the differential on built atlases, both
+// days of one world, corrections and lifetime tables included.
+func TestDecodeFlatMatchesCompile(t *testing.T) {
+	for day := 0; day < 2; day++ {
+		a, _, _ := buildTestAtlas(t, 31, day)
+		i := 0
+		for p := range a.PrefixCluster {
+			a.GlobalAdjustMS[p] = float32(i%9) - 4.5
+			a.ObservedAttach[p] = uint8(1 + i%ObservedTTLDays)
+			if i++; i == 20 {
+				break
+			}
+		}
+		a.ObservedLinks[LinkKey(a.Links[0].From, a.Links[0].To)] = 2
+		var buf bytes.Buffer
+		if err := a.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !decodeBothWays(t, buf.Bytes()) {
+			t.Fatalf("day %d does not decode", day)
+		}
+		got, err := Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := DecodeFlat(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edgesMatchMaps(t, got, f)
+		if len(got.ObservedAttach) != 20 || len(got.ObservedLinks) != 1 || len(got.GlobalAdjustMS) != 20 {
+			t.Fatalf("day %d: Decode lost build-side tables: %d attachments, %d links, %d corrections",
+				day, len(got.ObservedAttach), len(got.ObservedLinks), len(got.GlobalAdjustMS))
+		}
+	}
+}
+
+// allocated runs f and returns the bytes and objects it allocated.
+func allocated(f func()) (bytes, objects uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	f()
+	runtime.ReadMemStats(&ms1)
+	return ms1.TotalAlloc - ms0.TotalAlloc, ms1.Mallocs - ms0.Mallocs
+}
+
+// gzipOf compresses a delta-stream header and body followed by pad zero
+// bytes.
+func gzipOf(tb testing.TB, body []byte, pad int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	gz.Write([]byte(deltaMagic))
+	gz.Write(body)
+	zeros := make([]byte, 1<<20)
+	for ; pad > 0; pad -= len(zeros) {
+		gz.Write(zeros[:min(pad, len(zeros))])
+	}
+	if err := gz.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeDeltaRejectsBomb is the regression test for the one decoder
+// that had no inflate limit and took its counts as they came: a delta of a
+// few dozen kilobytes that inflates past the limit is rejected, and so is
+// one whose first list claims 2^40 records, for the price of the reader's
+// window — not of the list the bytes would have backed.
+func TestDecodeDeltaRejectsBomb(t *testing.T) {
+	body := func(varints ...uint64) []byte {
+		var sw sectionWriter
+		for _, v := range varints {
+			sw.uvarint(v)
+		}
+		return sw.buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name, complaint string
+		raw             []byte
+	}{
+		{"over the inflate limit", "decode limit", gzipOf(t, body(atlasVersion, 0, 1), maxDecodedBytes)},
+		// UpLinks claims 2^40 records; the zeros behind it would be 17M links.
+		{"lying count", "exceeds limit", gzipOf(t, body(atlasVersion, 0, 1, 1<<40), maxDecodedBytes+4<<20)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if len(tc.raw) > 128<<10 {
+				t.Fatalf("the bomb is %d bytes itself", len(tc.raw))
+			}
+			var err error
+			spent, _ := allocated(func() { _, err = DecodeDelta(bytes.NewReader(tc.raw)) })
+			if err == nil || !strings.Contains(err.Error(), tc.complaint) {
+				t.Fatalf("err %v, want a rejection naming %q", err, tc.complaint)
+			}
+			if spent > 1<<20 {
+				t.Fatalf("rejecting %d bytes of delta allocated %d bytes", len(tc.raw), spent)
+			}
+		})
+	}
+}
+
+// TestDecodeDeltaKeepsHostileLists pins the delta door's leniency: lists
+// come back in stream order with their repeats, out-of-range IDs and all,
+// for Flat.Apply to put in order.
+func TestDecodeDeltaKeepsHostileLists(t *testing.T) {
+	d, err := DecodeDelta(bytes.NewReader(rawDelta(t, 0, 1, []uint64{9, ^uint64(3), 0}, []uint64{4, 0})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{9, 5, 5}; !slices.Equal(d.DelLinks, want) {
+		t.Fatalf("DelLinks = %v, want %v", d.DelLinks, want)
+	}
+	if want := []uint64{4, 4}; !slices.Equal(d.AddTuples, want) {
+		t.Fatalf("AddTuples = %v, want %v", d.AddTuples, want)
+	}
+	up := &Delta{ToDay: 1, UpPrefixCluster: map[netsim.Prefix]cluster.ClusterID{1: 1 << 20}}
+	var buf bytes.Buffer
+	if err := up.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = DecodeDelta(&buf); err != nil || d.UpPrefixCluster[1] != 1<<20 {
+		t.Fatalf("out-of-range upsert: %v, %v", d, err)
+	}
+}

@@ -1,10 +1,8 @@
 package atlas
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
-	"fmt"
 	"io"
 	"sort"
 
@@ -374,162 +372,37 @@ func writeDeltaKeys(sw *sectionWriter, keys []uint64) {
 	}
 }
 
-func readDeltaKeys(sr *sectionReader) ([]uint64, error) {
-	n, err := sr.count()
+// DecodeDelta reads a delta produced by Encode, through the parser and
+// under the limits of an atlas stream: the inflate cap, the record-count
+// cap on every list, growth only as bytes back it, the checksum and the
+// trailer. Its lists are kept in the order and with the repeats they
+// arrive in — Flat.Apply puts them in order.
+func DecodeDelta(in io.Reader) (*Delta, error) {
+	r, err := openWire(in, deltaMagic, "delta")
 	if err != nil {
 		return nil, err
 	}
-	// The count is a peer's claim: grow with the bytes that back it.
-	out := make([]uint64, 0, allocHint(n))
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := sr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		prev += d
-		out = append(out, prev)
+	keys := func() []uint64 {
+		k, _ := readTable[uint64, struct{}](r, nil)
+		return k
 	}
-	return out, nil
-}
-
-// DecodeDelta reads a delta produced by Encode.
-func DecodeDelta(r io.Reader) (*Delta, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("atlas: not a compressed delta: %w", err)
-	}
-	defer gz.Close()
-	br := bufio.NewReader(gz)
-	magic := make([]byte, len(deltaMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("atlas: truncated delta header: %w", err)
-	}
-	if string(magic) != deltaMagic {
-		return nil, fmt.Errorf("atlas: bad delta magic %q", magic)
-	}
-	sr := &sectionReader{r: br}
-	ver, err := sr.uvarint()
-	if err != nil {
+	attach := plain[netsim.Prefix](func(u uint64) cluster.ClusterID { return cluster.ClusterID(uint32(u)) })
+	d := &Delta{FromDay: int(r.uvarint()), ToDay: int(r.uvarint())}
+	d.UpLinks = readLinks(r)
+	d.DelLinks = keys()
+	d.UpLoss = tableMap(readTable(r, plain[uint64](unquantLoss)))
+	d.DelLoss = keys()
+	d.AddTuples = keys()
+	d.DelTuples = keys()
+	d.UpAdjust = tableMap(readTable(r, foldBounded(r)))
+	d.DelAdjust = keys()
+	d.AddClusterAS = readASNs(r)
+	d.UpPrefixCluster = tableMap(readTable(r, attach))
+	d.DelPrefixCluster = keys()
+	d.UpIfaceCluster = tableMap(readTable(r, attach))
+	d.DelIfaceCluster = keys()
+	if err := r.close("delta"); err != nil {
 		return nil, err
-	}
-	if ver != atlasVersion {
-		return nil, fmt.Errorf("atlas: unsupported delta version %d", ver)
-	}
-	d := &Delta{UpLoss: make(map[uint64]float32)}
-	from, err := sr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	to, err := sr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	d.FromDay, d.ToDay = int(from), int(to)
-
-	n, err := sr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	prevFrom := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		df, err := sr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		prevFrom += df
-		to, err := sr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		lat, err := sr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		planes, err := sr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		d.UpLinks = append(d.UpLinks, Link{
-			From:      cluster.ClusterID(uint32(prevFrom)),
-			To:        cluster.ClusterID(uint32(to)),
-			LatencyMS: unquantLat(lat),
-			Planes:    uint8(planes),
-		})
-	}
-	if d.DelLinks, err = readDeltaKeys(sr); err != nil {
-		return nil, err
-	}
-	n, err = sr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		dk, err := sr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		prev += dk
-		q, err := sr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		d.UpLoss[prev] = unquantLoss(q)
-	}
-	if d.DelLoss, err = readDeltaKeys(sr); err != nil {
-		return nil, err
-	}
-	if d.AddTuples, err = readDeltaKeys(sr); err != nil {
-		return nil, err
-	}
-	if d.DelTuples, err = readDeltaKeys(sr); err != nil {
-		return nil, err
-	}
-	d.UpAdjust = make(map[netsim.Prefix]float32)
-	if err := readPrefixF32(sr, d.UpAdjust); err != nil {
-		return nil, err
-	}
-	for p, v := range d.UpAdjust {
-		if v > MaxObservationFoldMS+0.01 || v < -MaxObservationFoldMS-0.01 {
-			return nil, fmt.Errorf("atlas: delta correction for %v is %.2f ms, outside ±%v bound", p, v, MaxObservationFoldMS)
-		}
-	}
-	if d.DelAdjust, err = readDeltaKeys(sr); err != nil {
-		return nil, err
-	}
-	n, err = sr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		d.AddClusterAS = make([]netsim.ASN, 0, allocHint(n))
-		for i := uint64(0); i < n; i++ {
-			asn, err := sr.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			d.AddClusterAS = append(d.AddClusterAS, netsim.ASN(asn))
-		}
-	}
-	d.UpPrefixCluster = make(map[netsim.Prefix]cluster.ClusterID)
-	if err := readPrefixClusterMap(sr, d.UpPrefixCluster); err != nil {
-		return nil, err
-	}
-	if d.DelPrefixCluster, err = readDeltaKeys(sr); err != nil {
-		return nil, err
-	}
-	d.UpIfaceCluster = make(map[netsim.Prefix]cluster.ClusterID)
-	if err := readPrefixClusterMap(sr, d.UpIfaceCluster); err != nil {
-		return nil, err
-	}
-	if d.DelIfaceCluster, err = readDeltaKeys(sr); err != nil {
-		return nil, err
-	}
-	if n, err := io.Copy(io.Discard, br); err != nil {
-		return nil, fmt.Errorf("atlas: corrupt delta trailer: %w", err)
-	} else if n != 0 {
-		return nil, fmt.Errorf("atlas: %d bytes of trailing garbage in delta", n)
 	}
 	return d, nil
 }

@@ -143,68 +143,11 @@ const (
 // so a may keep evolving (copy-on-write or in place) afterwards.
 func Compile(a *Atlas) *Flat {
 	mapOps.compiles.Add(1)
-	n := a.NumClusters
 	f := &Flat{
 		Day:         int32(a.Day),
-		NumClusters: int32(n),
-		ClusterAS:   append([]netsim.ASN(nil), a.ClusterAS...),
+		NumClusters: int32(a.NumClusters),
+		ClusterAS:   cloneTable(a.ClusterAS),
 	}
-
-	// Counting sort of links by To cluster, preserving slice order inside
-	// each bucket (the order the map engine appended its in-edges).
-	counts := make([]uint32, n+1)
-	valid := 0
-	for i := range a.Links {
-		l := &a.Links[i]
-		if int(l.From) >= n || int(l.To) >= n || l.From < 0 || l.To < 0 {
-			continue // defensive: corrupt atlas rows are skipped
-		}
-		counts[l.To]++
-		valid++
-	}
-	f.EdgeStart = make([]uint32, n+1)
-	var sum uint32
-	for w := 0; w < n; w++ {
-		f.EdgeStart[w] = sum
-		sum += counts[w]
-	}
-	f.EdgeStart[n] = sum
-	f.EdgeFrom = make([]cluster.ClusterID, valid)
-	f.EdgeLat = make([]float32, valid)
-	f.EdgeLoss = make([]float32, valid)
-	f.EdgePlanes = make([]uint8, valid)
-	f.EdgeFlags = make([]uint8, valid)
-	f.EdgeRel = make([]netsim.Rel, valid)
-	f.EdgeFromAS = make([]netsim.ASN, valid)
-	f.EdgeToAS = make([]netsim.ASN, valid)
-	f.EdgeToDeg = make([]int32, valid)
-	next := make([]uint32, n)
-	copy(next, f.EdgeStart[:n])
-	for i := range a.Links {
-		l := &a.Links[i]
-		if int(l.From) >= n || int(l.To) >= n || l.From < 0 || l.To < 0 {
-			continue
-		}
-		ei := next[l.To]
-		next[l.To]++
-		fa, ta := a.ClusterAS[l.From], a.ClusterAS[l.To]
-		f.EdgeFrom[ei] = l.From
-		f.EdgeLat[ei] = l.LatencyMS
-		f.EdgeLoss[ei] = a.Loss[LinkKey(l.From, l.To)]
-		f.EdgePlanes[ei] = l.Planes
-		var flags uint8
-		if fa == ta {
-			flags |= EdgeSameAS
-		} else if a.LateExit[netsim.ASPairKey(fa, ta)] {
-			flags |= EdgeLate
-		}
-		f.EdgeFlags[ei] = flags
-		f.EdgeRel[ei] = a.RelOf(fa, ta)
-		f.EdgeFromAS[ei] = fa
-		f.EdgeToAS[ei] = ta
-		f.EdgeToDeg[ei] = a.ASDegree[ta]
-	}
-
 	f.PrefixClKeys, f.PrefixClVals = sortedTable(a.PrefixCluster)
 	f.IfaceKeys, f.IfaceVals = sortedTable(a.IfaceCluster)
 	f.PrefixASKeys, f.PrefixASVals = sortedTable(a.PrefixAS)
@@ -224,8 +167,72 @@ func Compile(a *Atlas) *Flat {
 	}
 	slices.Sort(provs)
 	f.Providers = provs
-	f.buildIndex()
+	f.finish(a.Links)
 	return f
+}
+
+// finish is the step Compile and DecodeFlat end in: with every table of f
+// set, it derives the search indexes and builds the CSR link table from
+// links, each edge's baked facts taken from f's own sorted tables. The
+// counting sort by To keeps, inside each bucket, the order links are in
+// (the order the map engine appended its in-edges: tie-break parity).
+// Links outside the cluster space are skipped.
+func (f *Flat) finish(links []Link) {
+	f.buildIndex()
+	n := int(f.NumClusters)
+	inSpace := func(l *Link) bool { return l.From >= 0 && int(l.From) < n && l.To >= 0 && int(l.To) < n }
+	start := make([]uint32, n+1)
+	for i := range links {
+		if inSpace(&links[i]) {
+			start[links[i].To+1]++
+		}
+	}
+	for w := 0; w < n; w++ {
+		start[w+1] += start[w]
+	}
+	valid := int(start[n])
+	from := make([]cluster.ClusterID, valid)
+	lat := make([]float32, valid)
+	loss := make([]float32, valid)
+	planes := make([]uint8, valid)
+	flags := make([]uint8, valid)
+	rel := make([]netsim.Rel, valid)
+	fromAS := make([]netsim.ASN, valid)
+	toAS := make([]netsim.ASN, valid)
+	toDeg := make([]int32, valid)
+	next := slices.Clone(start[:n])
+	for i := range links {
+		l := &links[i]
+		if !inSpace(l) {
+			continue
+		}
+		ei := next[l.To]
+		next[l.To]++
+		from[ei], lat[ei], planes[ei] = l.From, l.LatencyMS, l.Planes
+		if li, ok := slices.BinarySearch(f.LossKeys, LinkKey(l.From, l.To)); ok {
+			loss[ei] = f.LossVals[li]
+		}
+		fromAS[ei], toAS[ei] = f.ClusterAS[l.From], f.ClusterAS[l.To]
+		flags[ei], rel[ei], toDeg[ei] = f.edgeFacts(fromAS[ei], toAS[ei])
+	}
+	f.EdgeStart, f.EdgeFrom, f.EdgeLat, f.EdgeLoss = start, from, lat, loss
+	f.EdgePlanes, f.EdgeFlags, f.EdgeRel = planes, flags, rel
+	f.EdgeFromAS, f.EdgeToAS, f.EdgeToDeg = fromAS, toAS, toDeg
+}
+
+// edgeFacts returns what an edge from a cluster of AS fa into one of AS ta
+// bakes in from the monthly tables: its flags, the relationship of ta from
+// fa's side, and ta's degree.
+func (f *Flat) edgeFacts(fa, ta netsim.ASN) (flags uint8, rel netsim.Rel, toDeg int32) {
+	if fa == ta {
+		flags = EdgeSameAS
+	} else if _, late := slices.BinarySearch(f.LateExit, netsim.ASPairKey(fa, ta)); late {
+		flags = EdgeLate
+	}
+	if i, ok := slices.BinarySearch(f.DegKeys, ta); ok {
+		toDeg = f.DegVals[i]
+	}
+	return flags, f.RelOf(fa, ta), toDeg
 }
 
 // sortedKeys returns m's keys in ascending order.
@@ -375,10 +382,7 @@ func (f *Flat) NumEdges() int { return len(f.EdgeFrom) }
 // ObservedLinks/ObservedAttach lifetime tables are not part of the
 // serving form (deltas never carry them) and come back empty.
 func (f *Flat) Inflate() *Atlas {
-	a := New()
-	a.Day = int(f.Day)
-	a.NumClusters = int(f.NumClusters)
-	a.ClusterAS = append([]netsim.ASN(nil), f.ClusterAS...)
+	a := f.maps()
 	a.Links = make([]Link, 0, f.NumEdges())
 	for w := 0; w < int(f.NumClusters); w++ {
 		for ei := f.EdgeStart[w]; ei < f.EdgeStart[w+1]; ei++ {
@@ -396,37 +400,6 @@ func (f *Flat) Inflate() *Atlas {
 		}
 		return a.Links[i].To < a.Links[j].To
 	})
-	for i, k := range f.LossKeys {
-		a.Loss[k] = f.LossVals[i]
-	}
-	for i, k := range f.PrefixClKeys {
-		a.PrefixCluster[k] = f.PrefixClVals[i]
-	}
-	for i, k := range f.IfaceKeys {
-		a.IfaceCluster[k] = f.IfaceVals[i]
-	}
-	for i, k := range f.PrefixASKeys {
-		a.PrefixAS[k] = f.PrefixASVals[i]
-	}
-	for i, k := range f.DegKeys {
-		a.ASDegree[k] = f.DegVals[i]
-	}
-	for _, k := range f.Tuples {
-		a.Tuples[k] = true
-	}
-	for _, k := range f.Prefs {
-		a.Prefs[k] = true
-	}
-	for _, k := range f.LateExit {
-		a.LateExit[k] = true
-	}
-	for i, k := range f.RelKeys {
-		a.Rels[k] = f.RelVals[i]
-	}
-	for _, pk := range f.Providers {
-		origin := netsim.ASN(pk >> 32)
-		a.Providers[origin] = append(a.Providers[origin], netsim.ASN(uint32(pk)))
-	}
 	for i, k := range f.AdjustKeys {
 		if g := f.AdjustGlobal[i]; g != 0 {
 			a.GlobalAdjustMS[k] = g
@@ -436,6 +409,45 @@ func (f *Flat) Inflate() *Atlas {
 		}
 	}
 	return a
+}
+
+// maps lays f's tables out as the map form's datasets, each map made at its
+// final size: all of an Atlas but its Links, its corrections and its
+// lifetime tables, which Inflate and Decode fill from their own sources.
+func (f *Flat) maps() *Atlas {
+	a := New()
+	a.Day, a.NumClusters = int(f.Day), int(f.NumClusters)
+	a.ClusterAS = append([]netsim.ASN(nil), f.ClusterAS...)
+	a.Loss = tableMap(f.LossKeys, f.LossVals)
+	a.PrefixCluster = tableMap(f.PrefixClKeys, f.PrefixClVals)
+	a.IfaceCluster = tableMap(f.IfaceKeys, f.IfaceVals)
+	a.PrefixAS = tableMap(f.PrefixASKeys, f.PrefixASVals)
+	a.ASDegree = tableMap(f.DegKeys, f.DegVals)
+	a.Tuples, a.Prefs, a.LateExit = keySet(f.Tuples), keySet(f.Prefs), keySet(f.LateExit)
+	a.Rels = tableMap(f.RelKeys, f.RelVals)
+	for _, pk := range f.Providers {
+		origin := netsim.ASN(pk >> 32)
+		a.Providers[origin] = append(a.Providers[origin], netsim.ASN(uint32(pk)))
+	}
+	return a
+}
+
+// tableMap is the map a sorted table's parallel slices stand for.
+func tableMap[K comparable, V any](keys []K, vals []V) map[K]V {
+	m := make(map[K]V, len(keys))
+	for i, k := range keys {
+		m[k] = vals[i]
+	}
+	return m
+}
+
+// keySet is the set a sorted key slice stands for.
+func keySet(keys []uint64) map[uint64]bool {
+	m := make(map[uint64]bool, len(keys))
+	for _, k := range keys {
+		m[k] = true
+	}
+	return m
 }
 
 // Validate checks the structural invariants every accessor relies on:

@@ -47,9 +47,6 @@ func TestFlatCompileMatchesMaps(t *testing.T) {
 	if int(f.Day) != a.Day || int(f.NumClusters) != a.NumClusters {
 		t.Fatalf("flat header (%d, %d) != atlas (%d, %d)", f.Day, f.NumClusters, a.Day, a.NumClusters)
 	}
-	if f.NumEdges() != len(a.Links) {
-		t.Fatalf("flat has %d edges, atlas has %d links", f.NumEdges(), len(a.Links))
-	}
 	for p, cl := range a.PrefixCluster {
 		if got, ok := f.ClusterOf(p); !ok || got != cl {
 			t.Fatalf("ClusterOf(%d) = (%d, %v), want %d", p, got, ok, cl)
@@ -122,34 +119,44 @@ func TestFlatCompileMatchesMaps(t *testing.T) {
 			t.Fatalf("Adjust(%d) = (%v,%v,%v), want (0,%v,true)", p, gg, ll, ok, l)
 		}
 	}
-	// Per-edge annotations match the link + datasets they were baked from.
-	for w := 0; w < int(f.NumClusters); w++ {
-		for ei := f.EdgeStart[w]; ei < f.EdgeStart[w+1]; ei++ {
-			from := f.EdgeFrom[ei]
-			li := a.LinkAt(from, cluster.ClusterID(w))
-			if li < 0 {
-				t.Fatalf("edge %d->%d not in atlas links", from, w)
-			}
-			l := a.Links[li]
-			if f.EdgeLat[ei] != l.LatencyMS || f.EdgePlanes[ei] != l.Planes {
-				t.Fatalf("edge %d->%d annotation mismatch", from, w)
-			}
-			if f.EdgeLoss[ei] != a.Loss[LinkKey(from, cluster.ClusterID(w))] {
-				t.Fatalf("edge %d->%d loss mismatch", from, w)
-			}
-			fa, ta := a.ClusterAS[from], a.ClusterAS[l.To]
-			wantSame := fa == ta
-			if (f.EdgeFlags[ei]&EdgeSameAS != 0) != wantSame {
-				t.Fatalf("edge %d->%d sameAS flag mismatch", from, w)
-			}
-			wantLate := !wantSame && a.LateExit[netsim.ASPairKey(fa, ta)]
-			if (f.EdgeFlags[ei]&EdgeLate != 0) != wantLate {
-				t.Fatalf("edge %d->%d late flag mismatch", from, w)
-			}
-			if f.EdgeFromAS[ei] != fa || f.EdgeToAS[ei] != ta ||
-				f.EdgeRel[ei] != a.RelOf(fa, ta) || f.EdgeToDeg[ei] != a.ASDegree[ta] {
-				t.Fatalf("edge %d->%d AS annotation mismatch", from, w)
-			}
+	edgesMatchMaps(t, a, f)
+}
+
+// edgesMatchMaps holds f's link table to the map atlas it stands for, with
+// nothing of Compile in between: walking a.Links in order fills every CSR
+// bucket front to back (a bucket keeps the order links come in, which is
+// what breaks ties between equal-cost edges), and each edge carries its
+// link's annotations and the facts the maps hold for its two ASes.
+func edgesMatchMaps(t testing.TB, a *Atlas, f *Flat) {
+	t.Helper()
+	if f.NumEdges() != len(a.Links) {
+		t.Fatalf("flat has %d edges, atlas has %d links", f.NumEdges(), len(a.Links))
+	}
+	filled := make([]uint32, f.NumClusters)
+	for _, l := range a.Links {
+		ei := f.EdgeStart[l.To] + filled[l.To]
+		filled[l.To]++
+		if ei >= f.EdgeStart[l.To+1] || f.EdgeFrom[ei] != l.From {
+			t.Fatalf("link %d->%d is not edge %d of its bucket", l.From, l.To, filled[l.To]-1)
+		}
+		if f.EdgeLat[ei] != l.LatencyMS || f.EdgePlanes[ei] != l.Planes {
+			t.Fatalf("edge %d->%d annotation mismatch", l.From, l.To)
+		}
+		if f.EdgeLoss[ei] != a.Loss[LinkKey(l.From, l.To)] {
+			t.Fatalf("edge %d->%d loss %v, want %v", l.From, l.To, f.EdgeLoss[ei], a.Loss[LinkKey(l.From, l.To)])
+		}
+		fa, ta := a.ClusterAS[l.From], a.ClusterAS[l.To]
+		wantSame := fa == ta
+		if (f.EdgeFlags[ei]&EdgeSameAS != 0) != wantSame {
+			t.Fatalf("edge %d->%d sameAS flag mismatch", l.From, l.To)
+		}
+		wantLate := !wantSame && a.LateExit[netsim.ASPairKey(fa, ta)]
+		if (f.EdgeFlags[ei]&EdgeLate != 0) != wantLate {
+			t.Fatalf("edge %d->%d late flag mismatch", l.From, l.To)
+		}
+		if f.EdgeFromAS[ei] != fa || f.EdgeToAS[ei] != ta ||
+			f.EdgeRel[ei] != a.RelOf(fa, ta) || f.EdgeToDeg[ei] != a.ASDegree[ta] {
+			t.Fatalf("edge %d->%d AS annotation mismatch", l.From, l.To)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func (f *Flat) Apply(d *Delta) (*Flat, RollStats) {
 	start := time.Now()
 	st := RollStats{FromDay: d.FromDay, ToDay: d.ToDay}
 	nf := &Flat{Day: int32(d.ToDay)}
-	nf.ClusterAS = append(append([]netsim.ASN(nil), f.ClusterAS...), d.AddClusterAS...)
+	nf.ClusterAS = append(cloneTable(f.ClusterAS), d.AddClusterAS...)
 	nf.NumClusters = max(f.NumClusters, int32(len(nf.ClusterAS)))
 	st.ClustersAdded = int(nf.NumClusters - f.NumClusters)
 
@@ -315,16 +315,8 @@ func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 	create := func(l Link) {
 		fa, ta := nf.ClusterAS[l.From], nf.ClusterAS[l.To]
 		from[o], lat[o], planes[o] = l.From, l.LatencyMS, l.Planes
-		if fa == ta {
-			flags[o] = EdgeSameAS
-		} else if _, late := slices.BinarySearch(f.LateExit, netsim.ASPairKey(fa, ta)); late {
-			flags[o] = EdgeLate
-		}
-		rel[o] = f.RelOf(fa, ta)
+		flags[o], rel[o], toDeg[o] = f.edgeFacts(fa, ta)
 		fromAS[o], toAS[o] = fa, ta
-		if i, ok := slices.BinarySearch(f.DegKeys, ta); ok {
-			toDeg[o] = f.DegVals[i]
-		}
 		o++
 		st.LinksAdded++
 	}
