@@ -6,12 +6,12 @@
 // verbatim: a cluster behind the router is byte-identical to one node,
 // just with N tree caches instead of one.
 //
-// The router proxies /v1/query, /v1/rank and /v1/relay, and demuxes
-// streamed /v1/batch NDJSON onto per-replica sub-streams, reassembling
-// answers in request order. It health-checks replicas every
-// -health-interval, drops dead or draining ones from the ring, retries
-// their work — in-flight batch pairs included — on the ring's next node,
-// and re-shards when membership changes. Replicas sync atlases through
+// The router proxies /v1/query, /v1/rank and /v1/relay, and answers a
+// streamed /v1/batch a window at a time, each window's lines asked of
+// their owners and written in request order. It health-checks replicas
+// every -health-interval, drops dead or draining ones from the ring,
+// retries their work — a window's unanswered pairs included — on the
+// ring's next node, and re-shards when membership changes. Replicas sync atlases through
 // their own delta/manifest watchers; a day roll needs nothing from the
 // router.
 //
@@ -56,7 +56,7 @@ func main() {
 	flatValidate := flag.Bool("flat-validate", true, "structurally validate the flat atlas at startup")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "replica /healthz poll interval")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
-	window := flag.Int("window", 0, "batch stream window in pairs (0 = default)")
+	window := flag.Int("window", 0, "batch stream window in pairs when the request carries no ?window= (0 = 1024)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "how long to drain in-flight requests on shutdown")
 	flag.Parse()
 

@@ -1,572 +1,281 @@
 package cluster
 
-// Streamed /v1/batch demux: the router reads the client's NDJSON pair
-// stream, routes every line to its destination cluster's owner replica
-// over a persistent per-replica sub-stream (one /v1/batch POST each,
-// request body written incrementally), and reassembles the replicas'
-// answer lines back into client order. Answer lines are forwarded
-// byte-verbatim — the cluster's output for a pair stream is identical to
-// a single node's, modulo which replica computed each line.
+// Streamed /v1/batch through the router: the window loop inanod runs
+// (internal/batchpipe: one line parser, one two-slot stage, one Write and
+// one Flush a window, one terminal line) with the router's own fill step.
+// This goroutine reads a window of the client's lines, validates each
+// exactly as a replica would and keys it by destination cluster; the stage
+// then answers the window at the replicas: the lines grouped by ring owner,
+// each group one complete POST /v1/batch?window=<its size> on the keep-alive
+// client, each answer line stored — byte-verbatim — at its line's position,
+// the window written in client order. The cluster's output for a pair
+// stream is a single node's, modulo which replica computed each line.
 //
-// Flow control: at most Window lines are in flight (read from the client
-// but not yet emitted in order); the reassembly buffer is bounded by the
-// same Window. Each sub-stream asks its replica for a window a fraction
-// of ours, so whenever our credits are exhausted at least one replica
-// has enough buffered lines to flush — the demux can never deadlock on
-// replica-side window buffering.
-//
-// Failure: a replica dying mid-stream (connection error, premature EOF,
-// torn line, terminal error line) fails its sub-stream exactly once; the
-// lines it had not yet answered are re-routed through the rebuilt ring
-// to the next owner. Pairs are answered at most once: an entry is
-// retried only if its answer line never fully arrived.
+// Failure: a replica that does not answer its whole group (transport error,
+// non-200, short or torn answer, a terminal line or anything else that is
+// no answer) is out of the ring, and only the lines whose answers did not
+// fully arrive go to the ring's next live owner, in the next round of the
+// same window. No replica is asked twice for one window, so the rounds are
+// finite; when a line has no live owner left the stream ends with the
+// answers before it and the terminal line. The request's deadline is the
+// router's: one context bounds the stream, and a replica cut off by it is
+// not a failed replica.
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
-	"inano/internal/netsim"
+	"inano/internal/batchpipe"
 )
 
-// routerResult mirrors the replica's result-line shape for the terminal
-// error lines the router emits itself (field order matters: these lines
-// must look exactly like replica-written ones).
-type routerResult struct {
-	Src   string `json:"src"`
-	Dst   string `json:"dst"`
-	Found bool   `json:"found"`
-	Day   int    `json:"day"`
-	Error string `json:"error,omitempty"`
+// routedLine is one request line of a window.
+type routedLine struct {
+	from, to int    // its bytes in routedWindow.req
+	key      uint64 // ring key of its destination
+	answer   []byte // a replica's answer line, '\n' included; nil until one has fully arrived
 }
 
-// batchEntry is one in-flight client line.
-type batchEntry struct {
-	seq   int
-	line  []byte // raw request line, forwarded verbatim
-	key   uint64
-	tried []string // nodes that already failed this entry
+// routedWindow is one window of a routed stream, a slot of its stage.
+type routedWindow struct {
+	first int    // the stream's count of lines before this window, for error texts
+	req   []byte // the request lines, trimmed and '\n'-terminated, in client order
+	lines []routedLine
+	out   []byte // the answers in client order: what the stage writes
 }
 
-func (e *batchEntry) triedNode(n string) bool {
-	for _, t := range e.tried {
-		if t == n {
-			return true
-		}
-	}
-	return false
+// subRequest is what one replica is asked of a window in one round.
+type subRequest struct {
+	node     string
+	idx      []int  // the window's lines it carries, by position
+	body     []byte // those lines
+	answered int    // answers that fully arrived: those of idx[:answered]
+	why      string // how the replica failed; "" when it answered every line
 }
 
-// seqLine is one answered line heading back to the client.
-type seqLine struct {
-	seq  int
-	line []byte // raw answer line including trailing newline
-}
-
-// subStream is one persistent /v1/batch POST to a replica. The
-// dispatcher writes request lines; the reader goroutine pairs answer
-// lines with the pending FIFO. fail() is idempotent: whichever side sees
-// the failure first (write error or read error) claims the unanswered
-// entries for retry.
-type subStream struct {
-	node string
-	pw   *io.PipeWriter
-
-	mu      sync.Mutex
-	pending []*batchEntry
-	failed  bool
-	wClosed bool
-}
-
-// add appends an entry to the pending FIFO; false if the stream already
-// failed (caller re-routes).
-func (ss *subStream) add(e *batchEntry) bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.failed {
-		return false
-	}
-	ss.pending = append(ss.pending, e)
-	return true
-}
-
-// pop pairs the next answer line with its entry; nil if the stream
-// failed (answers after failure are discarded — their entries were
-// already requeued) or the replica sent an unrequested line.
-func (ss *subStream) pop() *batchEntry {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.failed || len(ss.pending) == 0 {
-		return nil
-	}
-	e := ss.pending[0]
-	ss.pending = ss.pending[1:]
-	return e
-}
-
-// fail marks the stream dead and returns the unanswered entries, exactly
-// once.
-func (ss *subStream) fail() []*batchEntry {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.failed {
-		return nil
-	}
-	ss.failed = true
-	out := ss.pending
-	ss.pending = nil
-	return out
-}
-
-func (ss *subStream) isFailed() bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.failed
-}
-
-// pendingLen reports how many entries await answers.
-func (ss *subStream) pendingLen() int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return len(ss.pending)
-}
-
-// closeWrite ends the request body once (EOF to the replica).
-func (ss *subStream) closeWrite() {
-	ss.mu.Lock()
-	already := ss.wClosed
-	ss.wClosed = true
-	ss.mu.Unlock()
-	if !already {
-		ss.pw.Close()
-	}
-}
-
-func (ss *subStream) writeClosed() bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.wClosed
-}
-
-// batchMux is the per-request demux state.
-type batchMux struct {
-	rt      *Router
-	ctx     context.Context
-	query   string // forwarded sub-request query string (window rewritten)
-	results chan seqLine
-	retryCh chan *batchEntry
-	fatalCh chan error
-	streams map[string]*subStream // dispatcher-owned
-}
-
-// handleBatch demuxes one client pair stream across the replica set.
+// handleBatch routes one client pair stream across the replica set.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
 		return routerError(w, http.StatusMethodNotAllowed, "use POST")
 	}
+	q := r.URL.Query()
+	window, err := batchpipe.Window(q, rt.cfg.Window)
+	if err != nil {
+		return routerError(w, http.StatusBadRequest, "%v", err)
+	}
+	// The request's deadline is the router's: it bounds the whole stream,
+	// and the replicas are not sent it.
+	ctx, cancel, err := batchpipe.RequestContext(r.Context(), q, 0, 0)
+	if err != nil {
+		return routerError(w, http.StatusBadRequest, "%v", err)
+	}
+	defer cancel()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	// Full duplex: the client's lines are read while answers flow back.
 	rc := http.NewResponseController(w)
 	if err := rc.EnableFullDuplex(); err != nil {
 		return routerError(w, http.StatusInternalServerError, "streaming unsupported: %v", err)
 	}
 
-	window := rt.cfg.Window
-	// Sub-streams must flush before our credit window can fill: with N
-	// replicas and W credits outstanding, some replica holds >= W/N
-	// unanswered lines, so a sub-window of W/(2N) guarantees progress.
-	subWindow := window / (2 * len(rt.order))
-	if subWindow < 1 {
-		subWindow = 1
-	}
-	q := r.URL.Query()
-	q.Set("window", strconv.Itoa(subWindow))
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	m := &batchMux{
-		rt:      rt,
-		ctx:     ctx,
-		query:   q.Encode(),
-		results: make(chan seqLine, window),
-		// Capacity: every outstanding entry (<= window) plus the input-EOF
-		// sentinel can sit here at once without blocking a reader.
-		retryCh: make(chan *batchEntry, window+1),
-		fatalCh: make(chan error, 1),
-		streams: make(map[string]*subStream),
-	}
-
-	credits := make(chan struct{}, window)
-	inputCh := make(chan *batchEntry)
-	type inputEnd struct {
-		total int
-		err   error
-	}
-	endCh := make(chan inputEnd, 1)
-
-	// Scanner: parse + validate client lines exactly as a replica would,
-	// resolve each destination's ring key, and hand entries to the
-	// dispatcher under credit flow control.
-	go func() {
-		total := 0
-		finish := func(err error) { endCh <- inputEnd{total, err}; close(inputCh) }
-		scanner := bufio.NewScanner(r.Body)
-		scanner.Buffer(make([]byte, 0, 4096), rt.cfg.MaxLineBytes)
-		lineNo := 0
-		for scanner.Scan() {
-			lineNo++
-			raw := scanner.Bytes()
-			trimmed := trimSpace(raw)
-			if len(trimmed) == 0 {
-				continue
-			}
-			var req struct {
-				Src        string `json:"src"`
-				Dst        string `json:"dst"`
-				DeadlineMS int64  `json:"deadline_ms"`
-			}
-			if err := json.Unmarshal(trimmed, &req); err != nil {
-				finish(fmt.Errorf("line %d: bad pair: %v", lineNo, err))
-				return
-			}
-			if _, err := netsim.ParseIPv4(req.Src); err != nil {
-				finish(fmt.Errorf("line %d: src: %v", lineNo, err))
-				return
-			}
-			dstIP, err := netsim.ParseIPv4(req.Dst)
-			if err != nil {
-				finish(fmt.Errorf("line %d: dst: %v", lineNo, err))
-				return
-			}
-			if req.DeadlineMS < 0 {
-				finish(fmt.Errorf("line %d: bad deadline_ms %d", lineNo, req.DeadlineMS))
-				return
-			}
-			p := netsim.PrefixOf(dstIP)
-			var key uint64
-			if c, ok := rt.cfg.ClusterOf(p); ok {
-				key = KeyForCluster(c)
-			} else {
-				key = KeyForPrefix(uint32(p))
-			}
-			e := &batchEntry{seq: total, line: append([]byte(nil), trimmed...), key: key}
-			select {
-			case credits <- struct{}{}:
-			case <-ctx.Done():
-				finish(ctx.Err())
-				return
-			}
-			select {
-			case inputCh <- e:
-			case <-ctx.Done():
-				finish(ctx.Err())
-				return
-			}
-			total++
-		}
-		if err := scanner.Err(); err != nil {
-			finish(fmt.Errorf("reading batch body: %w", err))
-			return
-		}
-		finish(nil)
-	}()
-
-	// Dispatcher: owns the sub-stream map; routes fresh and retried
-	// entries, closes write sides at input EOF.
-	go m.dispatch(inputCh)
-
-	// Collector (this goroutine): reassemble answers in seq order.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriter(w)
-	flush := func() {
-		bw.Flush()
-		_ = rc.Flush()
-	}
-	buf := make(map[int][]byte, window)
-	next := 0
-	total := -1
+	scanner := bufio.NewScanner(r.Body)
+	scanner.Buffer(make([]byte, 0, 4096), rt.cfg.MaxLineBytes)
+	st, slot := batchpipe.Start(w, rc, func(win *routedWindow) ([]byte, int, error) {
+		return rt.answerWindow(ctx, win)
+	})
+	defer st.Finish() // a panic on this goroutine must not leave the stage behind
 	var inputErr error
-	inputDone := false
-	var fatalErr error
-
-	emitRun := func() error {
-		wrote := false
-		for {
-			line, ok := buf[next]
-			if !ok {
-				break
-			}
-			delete(buf, next)
-			next++
-			wrote = true
-			if _, err := bw.Write(line); err != nil {
-				return fmt.Errorf("writing batch response: %w", err)
-			}
-			select {
-			case <-credits:
-			default:
+	lineNo, total := 0, 0
+	for slot != nil && scanner.Scan() {
+		lineNo++
+		line := bytes.TrimSpace(scanner.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		l, err := batchpipe.ParseLine(line)
+		if err != nil {
+			inputErr = fmt.Errorf("line %d: %v", lineNo, err)
+			break
+		}
+		start := len(slot.req)
+		slot.req = append(append(slot.req, line...), '\n')
+		slot.lines = append(slot.lines, routedLine{from: start, to: len(slot.req), key: rt.keyFor(l.DstIP)})
+		total++
+		if len(slot.lines) >= window {
+			if slot = st.Exchange(slot); slot != nil {
+				slot.first, slot.req, slot.lines = total, slot.req[:0], slot.lines[:0]
 			}
 		}
-		if wrote && len(m.results) == 0 {
-			flush()
-		}
-		return nil
 	}
-
-	terminal := func(msg string) {
-		enc := json.NewEncoder(bw)
-		_ = enc.Encode(routerResult{Error: msg})
-		flush()
-	}
-
-loop:
-	for {
-		if inputDone && fatalErr == nil && next >= total {
-			break // all answered (or none pending past the input error)
+	if slot != nil {
+		if err := scanner.Err(); err != nil && inputErr == nil {
+			inputErr = fmt.Errorf("reading batch body: %w", err)
 		}
-		select {
-		case res := <-m.results:
-			buf[res.seq] = res.line
-			if err := emitRun(); err != nil {
-				return err
-			}
-		case end := <-endCh:
-			total, inputErr = end.total, end.err
-			inputDone = true
-			m.inputFinished()
-		case fatalErr = <-m.fatalCh:
-			break loop
-		case <-r.Context().Done():
-			return r.Context().Err()
+		if len(slot.lines) > 0 {
+			st.Exchange(slot)
 		}
 	}
-	switch {
-	case fatalErr != nil:
-		// Emit whatever is contiguous, then the terminal line.
-		_ = emitRun()
-		terminal(fmt.Sprintf("batch aborted after %d results: %v", next, fatalErr))
-		return fatalErr
-	case inputErr != nil:
-		terminal(inputErr.Error())
-		return inputErr
-	}
-	flush()
-	return nil
+	return st.End(inputErr, nil)
 }
 
-// inputFinished tells the dispatcher the client stream ended cleanly (or
-// died): no more fresh entries; close current sub-stream write sides.
-func (m *batchMux) inputFinished() {
-	select {
-	case m.retryCh <- nil: // sentinel: nil entry = input EOF
-	case <-m.ctx.Done():
+// answerWindow is the router's fill step: it answers a window at the
+// replicas, round after round until every line has its answer, and returns
+// the answers in client order. When it cannot go on — no live replica left
+// for a line, or the stream's context is done — it returns the answers
+// before the first line without one, and why.
+func (rt *Router) answerWindow(ctx context.Context, win *routedWindow) ([]byte, int, error) {
+	pending := make([]int, len(win.lines))
+	for i := range pending {
+		pending[i] = i
 	}
-}
-
-// dispatch routes entries to sub-streams until the request ends.
-func (m *batchMux) dispatch(inputCh chan *batchEntry) {
-	inputDone := false
-	for {
-		select {
-		case e, ok := <-inputCh:
-			if !ok {
-				inputCh = nil // endCh sentinel handles the close
+	var failed []string // the replicas that failed this window
+	for round := 0; len(pending) > 0; round++ {
+		if round > 0 {
+			rt.batchRetry.Add(uint64(len(pending)))
+		}
+		groups, err := rt.groupByOwner(win, pending, failed)
+		if err != nil {
+			return win.answeredPrefix(err)
+		}
+		var wg sync.WaitGroup
+		for _, g := range groups[1:] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rt.ask(ctx, win, g)
+			}()
+		}
+		rt.ask(ctx, win, groups[0])
+		wg.Wait()
+		pending = pending[:0]
+		for _, g := range groups {
+			if g.why == "" {
 				continue
 			}
-			m.routeOnce(e, inputDone)
-		case e := <-m.retryCh:
-			if e == nil {
-				// Input-EOF sentinel: no more fresh entries are coming;
-				// end every open sub-stream's request body.
-				inputDone = true
-				m.closeIdleWrites()
-				continue
+			// An expired or cancelled stream says nothing about a replica.
+			if err := ctx.Err(); err != nil {
+				return win.answeredPrefix(err)
 			}
-			m.rt.batchRetry.Inc()
-			m.routeOnce(e, inputDone)
-		case <-m.ctx.Done():
-			return
+			rt.markDown(g.node, g.why)
+			failed = append(failed, g.node)
+			pending = append(pending, g.idx[g.answered:]...)
 		}
+		slices.Sort(pending)
 	}
+	return win.answeredPrefix(nil)
 }
 
-// routeOnce places one entry on a live, untried replica's sub-stream. A
-// write failure requeues the stream's entries (this one included) via
-// retryCh, so the entry is never routed twice concurrently.
-func (m *batchMux) routeOnce(e *batchEntry, inputDone bool) {
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		default:
-		}
-		ring := m.rt.ring.Load()
-		node := ""
-		for _, n := range ring.Owners(e.key, 0) {
-			if !e.triedNode(n) && m.rt.nodes[n].up.Load() {
-				node = n
-				break
+// answeredPrefix ends a window with the answers before the first line
+// without one: all of them, unless the window could not be answered in full.
+func (win *routedWindow) answeredPrefix(err error) ([]byte, int, error) {
+	n := 0
+	for n < len(win.lines) && win.lines[n].answer != nil {
+		n++
+	}
+	win.out = appendAnswers(win.out[:0], win.lines[:n])
+	return win.out, n, err
+}
+
+// appendAnswers appends the lines' answers, in order.
+//
+//inano:zeroalloc
+func appendAnswers(buf []byte, lines []routedLine) []byte {
+	for i := range lines {
+		buf = append(buf, lines[i].answer...)
+	}
+	return buf
+}
+
+// groupByOwner splits the pending lines among their live ring owners, one
+// sub-request a replica, skipping the replicas that failed this window.
+func (rt *Router) groupByOwner(win *routedWindow, pending []int, failed []string) ([]*subRequest, error) {
+	ring := rt.ring.Load()
+	usable := func(n string) bool { return rt.nodes[n].up.Load() && !slices.Contains(failed, n) }
+	var groups []*subRequest
+	byNode := make(map[string]*subRequest, ring.Len())
+	for _, i := range pending {
+		node := ring.Owner(win.lines[i].key)
+		if node != "" && !usable(node) {
+			node = ""
+			for _, n := range ring.Owners(win.lines[i].key, 0)[1:] {
+				if usable(n) {
+					node = n
+					break
+				}
 			}
 		}
 		if node == "" {
-			m.fatal(fmt.Errorf("no live replica for pair %d", e.seq))
-			return
+			return nil, fmt.Errorf("no live replica for pair %d", win.first+i)
 		}
-		ss := m.stream(node, inputDone)
-		if ss == nil {
-			return
+		g := byNode[node]
+		if g == nil {
+			g = &subRequest{node: node}
+			byNode[node] = g
+			groups = append(groups, g)
 		}
-		if !ss.add(e) {
-			continue // stream failed between lookup and add; re-pick
-		}
-		if _, err := ss.pw.Write(append(e.line, '\n')); err != nil {
-			// The transport tore the pipe down: the replica is gone. fail()
-			// claims the pending entries — e among them, unless the reader
-			// got there first — and they all come back through retryCh.
-			m.rt.markDown(node, fmt.Sprintf("batch write: %v", err))
-			m.requeueFailed(node, ss.fail())
-			return
-		}
-		m.rt.batchLines.Inc()
-		if inputDone && len(m.retryCh) == 0 {
-			// Post-EOF retries ride one-shot sub-batches: once the burst is
-			// drained, end EVERY open request body — not just this stream's.
-			// Earlier entries of the same burst may sit on other streams,
-			// and a replica window-buffers a bodiless-EOF-less sub-batch
-			// forever (it is waiting for more lines that will never come).
-			m.closeIdleWrites()
-		}
-		return
+		g.idx = append(g.idx, i)
+		g.body = append(g.body, win.req[win.lines[i].from:win.lines[i].to]...)
 	}
+	return groups, nil
 }
 
-// closeIdleWrites ends every open sub-stream's request body. Called by
-// the dispatcher (which owns the streams map) once no more writes are
-// coming: at input EOF, and after each post-EOF retry burst drains.
-func (m *batchMux) closeIdleWrites() {
-	for _, ss := range m.streams {
-		ss.closeWrite()
+// ask sends one sub-request and stores every answer line that fully arrives
+// at its line's position. The replica answers the group in one window.
+func (rt *Router) ask(ctx context.Context, win *routedWindow, g *subRequest) {
+	rt.batchLines.Add(uint64(len(g.idx)))
+	var resp *http.Response
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		g.node+"/v1/batch?window="+strconv.Itoa(len(g.idx)), bytes.NewReader(g.body))
+	if err == nil {
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		resp, err = rt.client.Do(req)
 	}
-}
-
-// stream returns a live sub-stream for node, opening one if the previous
-// is failed/closed. Returns nil only when the mux is shutting down.
-func (m *batchMux) stream(node string, inputDone bool) *subStream {
-	if ss := m.streams[node]; ss != nil && !ss.isFailed() && !ss.writeClosed() {
-		return ss
-	}
-	pr, pw := io.Pipe()
-	ss := &subStream{node: node, pw: pw}
-	req, err := http.NewRequestWithContext(m.ctx, http.MethodPost,
-		node+"/v1/batch?"+m.query, pr)
 	if err != nil {
-		m.fatal(fmt.Errorf("sub-stream %s: %v", node, err))
-		return nil
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	m.streams[node] = ss
-	go m.readStream(ss, req)
-	return ss
-}
-
-// readStream runs one sub-stream's response side: pair every answer line
-// with the pending FIFO, forward it to the collector, and on any failure
-// claim the unanswered entries for retry.
-func (m *batchMux) readStream(ss *subStream, req *http.Request) {
-	failNode := func(why string) {
-		m.rt.markDown(ss.node, why)
-		m.requeueFailed(ss.node, ss.fail())
-	}
-	resp, err := m.rt.client.Do(req)
-	if err != nil {
-		if m.ctx.Err() == nil {
-			failNode(fmt.Sprintf("batch sub-stream: %v", err))
-		}
+		g.why = fmt.Sprintf("batch sub-request: %v", err)
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		failNode(fmt.Sprintf("batch sub-stream answered %d", resp.StatusCode))
+		g.why = fmt.Sprintf("batch sub-request answered %d", resp.StatusCode)
 		return
 	}
-	br := bufio.NewReader(resp.Body)
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			// EOF with no partial line after we closed the write side and
-			// drained pending is the clean end; anything else is a failure
-			// (a torn line's entry is still pending, so it gets retried).
-			if err == io.EOF && len(line) == 0 && ss.writeClosed() && ss.pendingLen() == 0 {
-				return
-			}
-			if m.ctx.Err() == nil {
-				failNode(fmt.Sprintf("batch sub-stream read: %v", err))
-			}
-			return
+	body, readErr := io.ReadAll(resp.Body)
+	for len(body) > 0 && g.why == "" {
+		nl := bytes.IndexByte(body, '\n')
+		switch {
+		case nl < 0:
+			g.why = "batch sub-request: torn answer line"
+		case g.answered == len(g.idx):
+			g.why = "batch sub-request: unrequested line"
+		case !isAnswer(body[:nl+1]):
+			g.why = fmt.Sprintf("batch sub-request: not an answer: %.200q", body[:nl+1])
+		default:
+			win.lines[g.idx[g.answered]].answer = body[:nl+1]
+			g.answered++
+			body = body[nl+1:]
 		}
-		var probe struct {
-			Src   string `json:"src"`
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(line, &probe) != nil {
-			failNode("batch sub-stream: unparseable line")
-			return
-		}
-		if probe.Error != "" && probe.Src == "" {
-			// Replica-terminal line: its stream is over; whatever it had
-			// not answered moves to the next node.
-			failNode(fmt.Sprintf("batch sub-stream aborted: %s", probe.Error))
-			return
-		}
-		e := ss.pop()
-		if e == nil {
-			if ss.isFailed() {
-				return // answers racing a failure: entries already requeued
-			}
-			failNode("batch sub-stream: unrequested line")
-			return
-		}
-		select {
-		case m.results <- seqLine{seq: e.seq, line: line}:
-		case <-m.ctx.Done():
-			return
-		}
+	}
+	switch {
+	case g.why != "":
+	case readErr != nil:
+		g.why = fmt.Sprintf("batch sub-request read: %v", readErr)
+	case g.answered < len(g.idx):
+		g.why = fmt.Sprintf("batch sub-request: %d answers to %d lines", g.answered, len(g.idx))
 	}
 }
 
-// requeueFailed hands a dead node's unanswered entries back to the
-// dispatcher, recording the node so the retry skips it.
-func (m *batchMux) requeueFailed(node string, entries []*batchEntry) {
-	for _, e := range entries {
-		e.tried = append(e.tried, node)
-		select {
-		case m.retryCh <- e:
-		case <-m.ctx.Done():
-			return
-		}
-	}
-}
+var answerStart = []byte(`{"src":"`)
 
-func (m *batchMux) fatal(err error) {
-	select {
-	case m.fatalCh <- err:
-	default:
-	}
-}
-
-// trimSpace trims ASCII whitespace without allocating.
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && isSpace(b[0]) {
-		b = b[1:]
-	}
-	for len(b) > 0 && isSpace(b[len(b)-1]) {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\r' || c == '\n'
+// isAnswer reports whether a replica's line is an answer to forward. An
+// inanod's answer begins {"src":"<address> and is taken at that, unparsed;
+// its terminal line (an error and an empty src: its stream is over) does
+// not, nor does anything that is not inanod's.
+func isAnswer(line []byte) bool {
+	n := len(answerStart)
+	return len(line) > n && bytes.HasPrefix(line, answerStart) && line[n] != '"'
 }

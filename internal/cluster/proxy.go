@@ -10,8 +10,8 @@ package cluster
 // Fault model: replicas die (kill -9), drain (rolling atlas rolls), and
 // come back. The router health-checks every replica, rebuilds the ring
 // over the live set when membership changes, and retries a failed
-// replica's work on the ring's next node — in-flight batch pairs
-// included (batchmux.go). Replicas keep syncing atlases through their
+// replica's work on the ring's next node — a batch window's unanswered
+// pairs included (batchmux.go). Replicas keep syncing atlases through their
 // own swarm/manifest watchers; a day roll needs nothing from the router.
 
 import (
@@ -46,16 +46,16 @@ type RouterConfig struct {
 	VNodes int
 	// HealthInterval is the /healthz poll period (<= 0 = 2s).
 	HealthInterval time.Duration
-	// Window bounds in-flight /v1/batch lines per client stream
-	// (<= 0 = 1024): lines read from the client but not yet answered in
-	// order. Also the reassembly buffer bound.
+	// Window is a /v1/batch stream's window in lines when the request
+	// carries no ?window= (<= 0 = 1024): the router answers a stream a
+	// window at a time, as a replica does, and holds two windows of it.
 	Window int
 	// MaxLineBytes caps one client NDJSON line (<= 0 = 64KiB), matching
 	// the replica-side cap.
 	MaxLineBytes int
 	// Client issues the proxied requests (nil = a keep-alive tuned
-	// default). Its timeout must be zero: batch sub-streams live as long
-	// as the client stream.
+	// default). Leave its timeout zero: a request is bounded by its own
+	// context, and a timeout here would eject a replica that is only slow.
 	Client *http.Client
 	// Logf logs routing events (nil = silent).
 	Logf func(format string, args ...any)
@@ -161,9 +161,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.noReplica = rt.reg.NewCounter("inano_router_no_replica_total",
 		"Requests failed because no live replica remained.", "")
 	rt.batchLines = rt.reg.NewCounter("inano_router_batch_lines_total",
-		"Batch lines demuxed to replica sub-streams.", "")
+		"Batch lines sent to replicas, re-sends included.", "")
 	rt.batchRetry = rt.reg.NewCounter("inano_router_batch_retried_total",
-		"In-flight batch pairs re-sent to another replica after a failure.", "")
+		"Batch lines re-sent to another replica after the first did not answer them.", "")
 	rt.ring.Store(NewRing(rt.order, cfg.VNodes))
 	return rt, nil
 }
@@ -267,18 +267,22 @@ func (rt *Router) probe(ctx context.Context, node string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// keyForDstIP resolves a destination IP string to its ring key through
-// the routing table.
+// keyFor resolves a destination to its ring key through the routing table.
+func (rt *Router) keyFor(dst netsim.IP) uint64 {
+	p := netsim.PrefixOf(dst)
+	if c, ok := rt.cfg.ClusterOf(p); ok {
+		return KeyForCluster(c)
+	}
+	return KeyForPrefix(uint32(p))
+}
+
+// keyForDstIP is keyFor of a destination still in its wire form.
 func (rt *Router) keyForDstIP(dst string) (uint64, error) {
 	ip, err := netsim.ParseIPv4(dst)
 	if err != nil {
 		return 0, err
 	}
-	p := netsim.PrefixOf(ip)
-	if c, ok := rt.cfg.ClusterOf(p); ok {
-		return KeyForCluster(c), nil
-	}
-	return KeyForPrefix(uint32(p)), nil
+	return rt.keyFor(ip), nil
 }
 
 // Handler returns the router's HTTP surface: the proxied serving

@@ -21,23 +21,32 @@ import (
 // router: /healthz with a drain toggle, /v1/query and /v1/relay echoing
 // which replica answered (in the "day" field, so assertions ride the
 // forwarded-verbatim body), and a streaming /v1/batch that answers each
-// line incrementally and can be told to die mid-stream.
+// line incrementally and can be told to die mid-stream or to stall.
 type fakeReplica struct {
 	id       int
 	ts       *httptest.Server
 	draining atomic.Bool
-	// dieAfterBatchLines > 0: the next batch stream aborts (handler
-	// returns, tearing the response) after answering that many lines.
+	// dieAfterBatchLines > 0: the replica dies for good once it has
+	// answered that many batch lines over all its requests — the request
+	// under way is cut short there (handler returns) and every later one
+	// ends before its first answer.
 	dieAfterBatchLines atomic.Int64
 	// windowed: honor the router's ?window= like a real inanod — answers
 	// stay buffered until a full window (or body EOF) flushes them.
 	windowed atomic.Bool
-	// stallUntilEOF: swallow the whole sub-batch answering nothing and
-	// end the response only at body EOF — a failure the router can only
-	// see *after* it has closed the sub-stream's write side.
+	// stallUntilEOF: swallow the whole sub-request answering nothing and
+	// end the response, empty, at body EOF.
 	stallUntilEOF atomic.Bool
-	queries       atomic.Int64
-	batchLines    atomic.Int64
+	// stall, when set, holds every batch request open, unanswered, until
+	// the channel is closed or the request is cancelled.
+	stall atomic.Pointer[chan struct{}]
+	// abortWith, when set, answers every batch request with one terminal
+	// line carrying it, as an inanod whose own deadline expired would.
+	abortWith  atomic.Pointer[string]
+	queries    atomic.Int64
+	batchLines atomic.Int64 // batch lines answered
+	batchReqs  atomic.Int64 // batch requests received
+	windowSum  atomic.Int64 // the ?window= of every batch request, added up
 }
 
 func newFakeReplica(t *testing.T, id int) *fakeReplica {
@@ -96,25 +105,40 @@ func (f *fakeReplica) handleBatch(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 		return
 	}
+	f.batchReqs.Add(1)
 	if f.stallUntilEOF.Load() {
 		io.Copy(io.Discard, r.Body)
 		return
 	}
+	if stall := f.stall.Load(); stall != nil {
+		io.Copy(io.Discard, r.Body) // net/http watches for a vanished client only once the body is read
+		select {
+		case <-*stall:
+		case <-r.Context().Done():
+		}
+		return
+	}
+	asked, _ := strconv.Atoi(r.URL.Query().Get("window"))
+	f.windowSum.Add(int64(asked))
 	window := 0
 	if f.windowed.Load() {
-		window, _ = strconv.Atoi(r.URL.Query().Get("window"))
+		window = asked
 	}
 	enc := json.NewEncoder(w)
+	if msg := f.abortWith.Load(); msg != nil {
+		fmt.Fprintf(w, `{"src":"","dst":"","found":false,"day":%d,"error":%q}`+"\n", f.id, *msg)
+		return
+	}
 	sc := bufio.NewScanner(r.Body)
-	answered, buffered := int64(0), 0
+	buffered := 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
-		if die := f.dieAfterBatchLines.Load(); die > 0 && answered >= die {
-			// Handler return tears the response mid-stream: the router sees
-			// EOF with the write side still open and pending lines unanswered.
+		if die := f.dieAfterBatchLines.Load(); die > 0 && f.batchLines.Load() >= die {
+			// Handler return cuts the response short: the router sees it end
+			// with lines of the sub-request unanswered.
 			return
 		}
 		var req struct {
@@ -126,15 +150,13 @@ func (f *fakeReplica) handleBatch(w http.ResponseWriter, r *http.Request) {
 			rc.Flush()
 			return
 		}
-		enc.Encode(map[string]any{
-			"src": req.Src, "dst": req.Dst, "found": true, "day": f.id,
-		})
+		// An inanod's answer line: src first (the router goes by that).
+		fmt.Fprintf(w, `{"src":%q,"dst":%q,"found":true,"day":%d}`+"\n", req.Src, req.Dst, f.id)
 		buffered++
 		if window <= 0 || buffered >= window {
 			rc.Flush()
 			buffered = 0
 		}
-		answered++
 		f.batchLines.Add(1)
 	}
 	// Body EOF: the handler return flushes whatever the window held back.

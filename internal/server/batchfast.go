@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"strconv"
 
@@ -10,145 +9,15 @@ import (
 	"inano/internal/netsim"
 )
 
-// The /v1/batch line codec: a strict-canonical NDJSON line parser and a
-// hand-rolled answer encoder (/v1/query's too) that together make the
-// streamed batch loop allocation-free per line (paired with
-// core.StreamBatch for the per-window prediction work).
-//
-// Correctness contract: the strict parser claims a line only when it is
-// byte-for-byte in the canonical shape
-//
-//	{"src":"A.B.C.D","dst":"A.B.C.D"}
-//	{"src":"A.B.C.D","dst":"A.B.C.D","deadline_ms":N}
-//
-// with strictly canonical dotted quads (digit-only octets, no leading
-// zeros, 0-255) and a plain non-negative integer deadline. Everything
-// else — reordered fields, whitespace, escapes, exponents, and the
-// non-canonical addresses feedback.ParseIPv4 happens to accept (leading
-// '+', "-0") — goes to parseBatchLineJSON, which echoes the original
-// strings and reports encoding/json's errors. On every line the strict
-// parser claims, the two agree (FuzzParseBatchLine). The encoder
-// replicates encoding/json's output for queryResult byte for byte (field
-// order, omitempty, float formatting, trailing newline), pinned by
-// TestAppendResultLineMatchesEncoder.
+// The answer encoder of /v1/batch and /v1/query: hand-rolled, so that with
+// batchpipe's strict line parser and core.StreamBatch a warm window of
+// canonical lines allocates nothing. It replicates encoding/json's output
+// for queryResult byte for byte (field order, omitempty, float formatting,
+// trailing newline), pinned by TestAppendResultLineMatchesEncoder.
 
-var (
-	fastLineSrc = []byte(`{"src":"`)
-	fastLineDst = []byte(`","dst":"`)
-	fastLineEnd = []byte(`"}`)
-	fastLineDMS = []byte(`","deadline_ms":`)
-)
-
-// parseCanonIPv4 parses a strictly canonical dotted quad at the start of
-// b, returning the address and the number of bytes consumed (-1 when b
-// does not start with one).
-//
-//inano:zeroalloc
-func parseCanonIPv4(b []byte) (inano.IP, int) {
-	var ip uint32
-	i := 0
-	for oct := 0; oct < 4; oct++ {
-		if oct > 0 {
-			if i >= len(b) || b[i] != '.' {
-				return 0, -1
-			}
-			i++
-		}
-		start := i
-		v := 0
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' && i-start < 3 {
-			v = v*10 + int(b[i]-'0')
-			i++
-		}
-		if i == start || v > 255 {
-			return 0, -1
-		}
-		if b[start] == '0' && i-start > 1 {
-			return 0, -1 // leading zero: not canonical
-		}
-		ip = ip<<8 | uint32(v)
-	}
-	return inano.IP(ip), i
-}
-
-// parseBatchLine parses one canonical batch request line without
-// allocating. ok is false when the line is anything but the exact
-// canonical shape; the caller must then use parseBatchLineJSON.
-//
-//inano:zeroalloc
-func parseBatchLine(line []byte) (src, dst inano.IP, deadlineMS int64, ok bool) {
-	if len(line) < len(fastLineSrc) || string(line[:len(fastLineSrc)]) != string(fastLineSrc) {
-		return 0, 0, 0, false
-	}
-	i := len(fastLineSrc)
-	src, n := parseCanonIPv4(line[i:])
-	if n < 0 {
-		return 0, 0, 0, false
-	}
-	i += n
-	if len(line)-i < len(fastLineDst) || string(line[i:i+len(fastLineDst)]) != string(fastLineDst) {
-		return 0, 0, 0, false
-	}
-	i += len(fastLineDst)
-	dst, n = parseCanonIPv4(line[i:])
-	if n < 0 {
-		return 0, 0, 0, false
-	}
-	i += n
-	rest := line[i:]
-	if len(rest) == len(fastLineEnd) && string(rest) == string(fastLineEnd) {
-		return src, dst, 0, true
-	}
-	if len(rest) < len(fastLineDMS) || string(rest[:len(fastLineDMS)]) != string(fastLineDMS) {
-		return 0, 0, 0, false
-	}
-	rest = rest[len(fastLineDMS):]
-	if len(rest) < 2 || rest[len(rest)-1] != '}' {
-		return 0, 0, 0, false
-	}
-	digits := rest[:len(rest)-1]
-	// 1-18 plain digits: no sign, no exponent, no int64 overflow. A lone
-	// "0" is fine ("no deadline", same as the slow path). Longer numbers
-	// fall back so json.Unmarshal reports overflow exactly as before.
-	if len(digits) == 0 || len(digits) > 18 {
-		return 0, 0, 0, false
-	}
-	if len(digits) > 1 && digits[0] == '0' {
-		return 0, 0, 0, false
-	}
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, 0, 0, false
-		}
-		deadlineMS = deadlineMS*10 + int64(c-'0')
-	}
-	return src, dst, deadlineMS, true
-}
-
-// parseBatchLineJSON parses any batch request line through encoding/json
-// and the shared address parser, keeping the request's own src/dst strings
-// for the echo.
-func parseBatchLineJSON(line []byte) (e answerLine, deadlineMS int64, err error) {
-	var req pairRequest
-	if err := json.Unmarshal(line, &req); err != nil {
-		return e, 0, fmt.Errorf("bad pair: %v", err)
-	}
-	if e.srcIP, err = parseIP(req.Src); err != nil {
-		return e, 0, fmt.Errorf("src: %v", err)
-	}
-	if e.dstIP, err = parseIP(req.Dst); err != nil {
-		return e, 0, fmt.Errorf("dst: %v", err)
-	}
-	if req.DeadlineMS < 0 {
-		return e, 0, fmt.Errorf("bad deadline_ms %d", req.DeadlineMS)
-	}
-	e.src, e.dst = req.Src, req.Dst
-	return e, req.DeadlineMS, nil
-}
-
-// appendIPv4 appends the canonical dotted-quad form of ip. For addresses
-// claimed by parseCanonIPv4 this regenerates the request bytes exactly,
-// so fast-path lines need not retain their src/dst strings at all.
+// appendIPv4 appends the canonical dotted-quad form of ip. For the addresses
+// of a canonical line (batchpipe.ParseLine) this regenerates the request
+// bytes exactly, so such lines need not retain their src/dst strings at all.
 func appendIPv4(b []byte, ip inano.IP) []byte {
 	for shift := 24; shift >= 0; shift -= 8 {
 		if shift < 24 {
@@ -220,7 +89,15 @@ func copyAnswers(lines []answerLine, infos []inano.PathInfo, expired []bool) {
 	}
 }
 
-// appendWindow appends the answer line of every pair of a window, in order.
+// batchSlot is one window of a /v1/batch stream: its lines, and the buffer
+// their answers are encoded into, both grown as needed and reused.
+type batchSlot struct {
+	lines []answerLine
+	buf   []byte
+}
+
+// appendWindow appends the answer line of every pair of a window, in order:
+// the server's fill step of the batchpipe.Stage.
 //
 //inano:zeroalloc
 func appendWindow(buf []byte, lines []answerLine, day int) []byte {

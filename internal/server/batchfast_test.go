@@ -13,12 +13,14 @@ import (
 	"time"
 
 	inano "inano"
+	"inano/internal/batchpipe"
 	"inano/internal/core"
 	"inano/internal/netsim"
 )
 
 // parseBatchLineCases is TestParseBatchLine's table and
-// FuzzParseBatchLine's seed corpus.
+// FuzzParseBatchLine's seed corpus: batchpipe's own, here for what the
+// server adds to the parser — the echo it regenerates for a canonical line.
 var parseBatchLineCases = []struct {
 	line     string
 	ok       bool
@@ -29,7 +31,7 @@ var parseBatchLineCases = []struct {
 	{line: `{"src":"0.0.0.0","dst":"255.255.255.255"}`, ok: true, src: "0.0.0.0", dst: "255.255.255.255"},
 	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":250}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 250},
 	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":0}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 0},
-	// Everything below must be left to parseBatchLineJSON.
+	// Everything below must be left to encoding/json.
 	{line: `{"src": "1.2.3.4","dst":"5.6.7.8"}`},                                  // whitespace
 	{line: `{"dst":"5.6.7.8","src":"1.2.3.4"}`},                                   // reordered
 	{line: `{"src":"+1.2.3.4","dst":"5.6.7.8"}`},                                  // ParseIPv4 quirk form
@@ -49,25 +51,25 @@ var parseBatchLineCases = []struct {
 
 func TestParseBatchLine(t *testing.T) {
 	for _, tc := range parseBatchLineCases {
-		src, dst, dms, ok := parseBatchLine([]byte(tc.line))
-		if ok != tc.ok {
-			t.Errorf("parseBatchLine(%q) ok=%v, want %v", tc.line, ok, tc.ok)
+		l, err := batchpipe.ParseLine([]byte(tc.line))
+		if ok := err == nil && l.Src == ""; ok != tc.ok {
+			t.Errorf("ParseLine(%q) canonical=%v, want %v", tc.line, ok, tc.ok)
 			continue
 		}
-		if !ok {
+		if !tc.ok {
 			continue
 		}
-		gotSrc := string(appendIPv4(nil, src))
-		gotDst := string(appendIPv4(nil, dst))
-		if gotSrc != tc.src || gotDst != tc.dst || dms != tc.dms {
-			t.Errorf("parseBatchLine(%q) = %s,%s,%d want %s,%s,%d",
-				tc.line, gotSrc, gotDst, dms, tc.src, tc.dst, tc.dms)
+		gotSrc := string(appendIPv4(nil, l.SrcIP))
+		gotDst := string(appendIPv4(nil, l.DstIP))
+		if gotSrc != tc.src || gotDst != tc.dst || l.DeadlineMS != tc.dms {
+			t.Errorf("ParseLine(%q) = %s,%s,%d want %s,%s,%d",
+				tc.line, gotSrc, gotDst, l.DeadlineMS, tc.src, tc.dst, tc.dms)
 		}
 		// Round trip through the strict parser must agree with the
 		// shared production parser.
 		want, err := parseIP(tc.src)
-		if err != nil || want != src {
-			t.Errorf("parseBatchLine(%q) src %v != ParseIPv4 %v (%v)", tc.line, src, want, err)
+		if err != nil || want != l.SrcIP {
+			t.Errorf("ParseLine(%q) src %v != ParseIPv4 %v (%v)", tc.line, l.SrcIP, want, err)
 		}
 	}
 }
@@ -188,31 +190,33 @@ func TestAppendResultLineEscapes(t *testing.T) {
 }
 
 // FuzzParseBatchLine is the proof that one batch loop with two parsers
-// serves one wire format: whenever the strict parser claims a line,
-// encoding/json and the shared address parser accept it with the same
-// addresses and deadline, and appendIPv4 regenerates, byte for byte, the
-// strings that parser would have echoed.
+// serves one wire format, seen from the encoder: whenever the strict parser
+// claims a line (it keeps no strings), encoding/json and the shared address
+// parser read the same addresses and deadline out of it, and appendIPv4
+// regenerates, byte for byte, the strings they would have echoed.
 func FuzzParseBatchLine(f *testing.F) {
 	for _, tc := range parseBatchLineCases {
 		f.Add([]byte(tc.line))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		src, dst, dms, ok := parseBatchLine(line)
-		if !ok {
+		l, err := batchpipe.ParseLine(line)
+		if err != nil || l.Src != "" {
 			return
 		}
-		e, wantDMS, err := parseBatchLineJSON(line)
-		if err != nil {
-			t.Fatalf("strict parser claimed %q, parseBatchLineJSON rejects it: %v", line, err)
+		var req pairRequest
+		if err := json.Unmarshal(line, &req); err != nil {
+			t.Fatalf("strict parser claimed %q, encoding/json rejects it: %v", line, err)
 		}
-		if e.srcIP != src || e.dstIP != dst || wantDMS != dms {
-			t.Fatalf("%q: strict %v,%v,%d != json %v,%v,%d", line, src, dst, dms, e.srcIP, e.dstIP, wantDMS)
+		src, errSrc := parseIP(req.Src)
+		dst, errDst := parseIP(req.Dst)
+		if errSrc != nil || errDst != nil || src != l.SrcIP || dst != l.DstIP || req.DeadlineMS != l.DeadlineMS {
+			t.Fatalf("%q: strict %v,%v,%d != json %v,%v,%d (%v, %v)", line, l.SrcIP, l.DstIP, l.DeadlineMS, src, dst, req.DeadlineMS, errSrc, errDst)
 		}
-		if got := string(appendIPv4(nil, src)); got != e.src {
-			t.Fatalf("%q: src echo %q regenerated as %q", line, e.src, got)
+		if got := string(appendIPv4(nil, l.SrcIP)); got != req.Src {
+			t.Fatalf("%q: src echo %q regenerated as %q", line, req.Src, got)
 		}
-		if got := string(appendIPv4(nil, dst)); got != e.dst {
-			t.Fatalf("%q: dst echo %q regenerated as %q", line, e.dst, got)
+		if got := string(appendIPv4(nil, l.DstIP)); got != req.Dst {
+			t.Fatalf("%q: dst echo %q regenerated as %q", line, req.Dst, got)
 		}
 	})
 }
@@ -238,8 +242,8 @@ func postBatch(t testing.TB, url string, body io.Reader) string {
 // TestBatchFastPathParity sends one mixed stream — canonical lines,
 // per-pair deadlines, unknown destinations, ParseIPv4-quirk addresses,
 // blank lines — twice: as written, and with every canonical line rewritten
-// (fields swapped, whitespace added) so that only parseBatchLineJSON will
-// take it. The two response bodies must be byte-identical.
+// (fields swapped, whitespace added) so that only encoding/json will take
+// it. The two response bodies must be byte-identical.
 func TestBatchFastPathParity(t *testing.T) {
 	f := buildFixture(t, 210)
 	_, ts := start(t, f, nil)
@@ -265,7 +269,7 @@ func TestBatchFastPathParity(t *testing.T) {
 		}
 	}
 	for _, line := range strings.Split(generic.String(), "\n") {
-		if _, _, _, ok := parseBatchLine([]byte(strings.TrimSpace(line))); ok {
+		if l, err := batchpipe.ParseLine([]byte(strings.TrimSpace(line))); err == nil && l.Src == "" {
 			t.Fatalf("rewritten line %q is still canonical", line)
 		}
 	}
@@ -336,12 +340,12 @@ func TestBatchFastPathZeroAlloc(t *testing.T) {
 	window := func() {
 		reqs, slot.lines = reqs[:0], slot.lines[:0]
 		for _, line := range lines {
-			src, dst, _, ok := parseBatchLine(line)
-			if !ok {
+			l, err := batchpipe.ParseLine(line)
+			if err != nil || l.Src != "" {
 				t.Fatal("fixture line not canonical")
 			}
-			reqs = append(reqs, inano.PairOf(src, dst))
-			slot.lines = append(slot.lines, answerLine{srcIP: src, dstIP: dst})
+			reqs = append(reqs, inano.PairOf(l.SrcIP, l.DstIP))
+			slot.lines = append(slot.lines, answerLine{src: l.Src, dst: l.Dst, srcIP: l.SrcIP, dstIP: l.DstIP})
 		}
 		infos, expired, err := sb.Run(context.Background(), reqs)
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	inano "inano"
+	"inano/internal/batchpipe"
 	"inano/internal/core"
 )
 
@@ -47,17 +48,21 @@ func (w *duplexWriter) Write(p []byte) (int, error) {
 }
 
 // pausedBody is a request body in segments: Read never crosses a segment's
-// end, and sleeps before it goes on to the next one (or reports EOF) — a
-// producer that stalls at known places.
+// end, and sleeps (and calls between, when set) before it goes on to the
+// next one (or reports EOF) — a producer that stalls at known places.
 type pausedBody struct {
-	segs  [][]byte
-	pause time.Duration
+	segs    [][]byte
+	pause   time.Duration
+	between func()
 }
 
 func (b *pausedBody) Read(p []byte) (int, error) {
 	for len(b.segs) > 0 && len(b.segs[0]) == 0 {
 		b.segs = b.segs[1:]
 		time.Sleep(b.pause)
+		if b.between != nil {
+			b.between()
+		}
 	}
 	if len(b.segs) == 0 {
 		return 0, io.EOF
@@ -348,7 +353,7 @@ func TestBatchTerminalLineLast(t *testing.T) {
 		lines = append(lines, []byte(batchLine(src, dst)))
 		answers = append(answers, encoderLine(t, resultFor(ipStr(src), ipStr(dst), snap.Day(), snap.Query(src.HostIP(), dst.HostIP()), false)))
 	}
-	_, _, badLine := parseBatchLineJSON([]byte("this is not json"))
+	_, badLine := batchpipe.ParseLine([]byte("this is not json"))
 	for _, tc := range []struct {
 		name, url string
 		body      *pausedBody

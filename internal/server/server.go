@@ -28,24 +28,18 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	inano "inano"
+	"inano/internal/batchpipe"
 	"inano/internal/core"
 	"inano/internal/feedback"
 	"inano/internal/metrics"
 	"inano/internal/netsim"
 	"inano/internal/tcpmodel"
 )
-
-// maxStreamWindow caps the client-controlled /v1/batch window: a stream that
-// sends 64k-line windows grows its two slots to some thirty megabytes of
-// lines and encoded answers, large enough to amortize any fan-out and small
-// enough that a hostile request cannot OOM the daemon.
-const maxStreamWindow = 1 << 16
 
 // Config configures a Server.
 type Config struct {
@@ -371,26 +365,10 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 	}
 }
 
-// requestContext derives the per-request deadline: deadline_ms from the
-// request's parsed query string q, else the server default, capped by
-// MaxDeadline; with none at all the request's own context serves.
+// requestContext is batchpipe.RequestContext of the request's parsed query
+// string q with the server's DefaultDeadline and MaxDeadline.
 func (s *Server) requestContext(r *http.Request, q url.Values) (context.Context, context.CancelFunc, error) {
-	d := s.cfg.DefaultDeadline
-	if raw := q.Get("deadline_ms"); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || ms <= 0 {
-			return nil, nil, fmt.Errorf("bad deadline_ms %q", raw)
-		}
-		d = time.Duration(ms) * time.Millisecond
-	}
-	if s.cfg.MaxDeadline > 0 && (d == 0 || d > s.cfg.MaxDeadline) {
-		d = s.cfg.MaxDeadline
-	}
-	if d <= 0 {
-		return r.Context(), func() {}, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
+	return batchpipe.RequestContext(r.Context(), q, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 }
 
 // httpError writes a JSON error body and reports the error for counting.
@@ -415,10 +393,8 @@ func writeJSONBody(w http.ResponseWriter, v any) error {
 
 // --- wire types ---
 
-// pairRequest is one NDJSON line of a /v1/batch request. DeadlineMS, when
-// positive, bounds this pair alone (measured from line receipt): if its
-// prediction trees are not ready in time the pair comes back expired
-// while the stream continues.
+// pairRequest is a /v1/query POST body: one /v1/batch line (batchpipe.Line)
+// as encoding/json reads it.
 type pairRequest struct {
 	Src        string `json:"src"`
 	Dst        string `json:"dst"`
@@ -535,7 +511,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 //
 // The stream runs in two stages over two window slots: this goroutine
 // reads, parses and answers (StreamBatch.Run) window N+1 into one slot
-// while a batchStage goroutine, alive for this request only, encodes
+// while a batchpipe.Stage goroutine, alive for this request only, encodes
 // window N from the other and hands it to the ResponseWriter in one Write
 // and one Flush. The ResponseWriter is this goroutine's before the stage
 // starts (headers, an early error) and after it has exited (the terminal
@@ -550,11 +526,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 // echoed, "found":false, "error":"deadline_ms exceeded") while the
 // stream continues: partial results instead of an aborted window.
 //
-// A malformed line or an expired request deadline terminates the stream
-// with a final {"error": ...} line after the answers of every window
-// before it; clients must treat a line bearing "error" but no "src" as the
-// (failed) end of the stream. A response the client no longer takes ends
-// the stream at the reader's next window.
+// A malformed line or an expired request deadline ends the stream with the
+// terminal line (batchpipe.Stage.End); a response the client no longer
+// takes ends it at the reader's next window.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
 		return httpError(w, http.StatusMethodNotAllowed, "use POST")
@@ -566,20 +540,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	}
 	defer cancel()
 	window := s.cfg.StreamWindow
-	if raw := q.Get("window"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			return httpError(w, http.StatusBadRequest, "bad window %q", raw)
-		}
-		window = n
-	}
 	if window <= 0 {
 		window = core.DefaultStreamWindow
 	}
-	// The window bounds what a stream's lines can grow its buffers to;
-	// clamp it so one request cannot make that gigabytes.
-	if window > maxStreamWindow {
-		window = maxStreamWindow
+	if window, err = batchpipe.Window(q, window); err != nil {
+		return httpError(w, http.StatusBadRequest, "%v", err)
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -604,8 +569,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	snap := s.c.Snapshot()
 	sb := snap.StreamBatch(true)
 	var reqs []core.PairReq
-	st, slot := startBatchStage(w, rc, snap.Day())
-	defer st.finish() // a panic on this goroutine must not leave the stage behind
+	st, slot := batchpipe.Start(w, rc, func(slot *batchSlot) ([]byte, int, error) {
+		slot.buf = appendWindow(slot.buf[:0], slot.lines, snap.Day())
+		return slot.buf, len(slot.lines), nil
+	})
+	// A panic on either goroutine must not leave the stage behind, nor the
+	// lines that went out uncounted.
+	defer func() {
+		st.Finish()
+		s.pairsTotal.Add(uint64(st.Written))
+	}()
 	// runWindow answers the buffered window in one per-pair-deadline batch,
 	// copies the answers out of the runner and passes the slot to the stage.
 	// It reports whether the stream goes on: not after a request-level
@@ -621,8 +594,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		}
 		copyAnswers(slot.lines, infos, expired)
 		reqs = reqs[:0]
-		slot = st.exchange(slot)
-		return slot != nil
+		if slot = st.Exchange(slot); slot == nil {
+			return false
+		}
+		slot.lines = slot.lines[:0]
+		return true
 	}
 
 	live := true
@@ -632,22 +608,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		if len(line) == 0 {
 			continue
 		}
-		// The strict parser claims a canonical line without allocating;
-		// any other line is encoding/json's.
-		src, dst, deadlineMS, ok := parseBatchLine(line)
-		e := answerLine{srcIP: src, dstIP: dst}
-		if !ok {
-			if e, deadlineMS, err = parseBatchLineJSON(line); err != nil {
-				inputErr = fmt.Errorf("line %d: %v", lineNo, err)
-				break
-			}
+		l, err := batchpipe.ParseLine(line)
+		if err != nil {
+			inputErr = fmt.Errorf("line %d: %v", lineNo, err)
+			break
 		}
-		pr := inano.PairOf(e.srcIP, e.dstIP)
-		if deadlineMS > 0 {
-			pr.Deadline = time.Now().Add(time.Duration(deadlineMS) * time.Millisecond)
+		pr := inano.PairOf(l.SrcIP, l.DstIP)
+		if l.DeadlineMS > 0 {
+			pr.Deadline = time.Now().Add(time.Duration(l.DeadlineMS) * time.Millisecond)
 		}
 		reqs = append(reqs, pr)
-		slot.lines = append(slot.lines, e)
+		slot.lines = append(slot.lines, answerLine{src: l.Src, dst: l.Dst, srcIP: l.SrcIP, dstIP: l.DstIP})
 		if len(reqs) >= window {
 			live = runWindow()
 		}
@@ -658,26 +629,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	if live {
 		runWindow()
 	}
-	// The stage delivers what it holds and exits; only then is the count
-	// of answered lines final and the ResponseWriter free for a last line.
-	st.finish()
-	s.pairsTotal.Add(uint64(st.written))
-	if st.panicked != nil {
-		panic(st.panicked) // here, where instrument and net/http expect a handler's panic
-	}
-	if st.err != nil {
-		return fmt.Errorf("writing batch response: %w", st.err)
-	}
-	failed := inputErr
-	if streamErr != nil {
-		failed = fmt.Errorf("batch aborted after %d results: %w", st.written, streamErr)
-	}
-	if failed != nil {
-		last, _ := json.Marshal(queryResult{Error: failed.Error()}) // a struct of strings, numbers and bools cannot fail
-		_, _ = w.Write(append(last, '\n'))                          // the stream has failed either way, and failed says how
-		_ = rc.Flush()
-	}
-	return failed
+	return st.End(inputErr, streamErr)
 }
 
 // rankRequest asks to order candidate IPs for a source. With SizeBytes > 0
