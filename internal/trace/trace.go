@@ -73,6 +73,22 @@ type Meter struct {
 	top  *netsim.Topology
 	opts Options
 	seed uint64
+
+	// rev remembers the reverse one-way latency from each PoP a
+	// traceroute's hops asked about back to its source: a campaign asks a
+	// dozen times per distinct (source, PoP), and a day's routes never
+	// change under its Meter. Sharded by source, because RunCampaign's
+	// workers each probe from their own.
+	rev [revShards]revShard
+}
+
+const revShards = 64
+
+// revShard maps source<<32 | PoP to the one-way latency of the path from
+// the PoP back to the source, negative when there is none.
+type revShard struct {
+	mu sync.Mutex
+	ms map[uint64]float64
 }
 
 // NewMeter creates a measurement harness for the given day view.
@@ -86,21 +102,41 @@ func NewMeter(day *bgpsim.Day, opts Options) *Meter {
 	}
 }
 
+// revMS returns the one-way latency of the day's path from PoP p back to
+// src, computing it the first time it is asked for. Two goroutines that
+// miss together both compute it; the answers are equal.
+func (m *Meter) revMS(p netsim.PoPID, src netsim.Prefix) (ms float64, ok bool) {
+	sh, k := &m.rev[src%revShards], uint64(src)<<32|uint64(uint32(p))
+	sh.mu.Lock()
+	ms, seen := sh.ms[k]
+	sh.mu.Unlock()
+	if !seen {
+		ms = -1
+		if rev, ok := m.day.PoPPath(p, src); ok {
+			ms = rev.OneWayMS
+		}
+		sh.mu.Lock()
+		if sh.ms == nil {
+			sh.ms = make(map[uint64]float64)
+		}
+		sh.ms[k] = ms
+		sh.mu.Unlock()
+	}
+	return ms, ms >= 0
+}
+
 // rngFor derives a deterministic RNG for one measurement so campaigns are
-// reproducible regardless of execution order.
+// reproducible regardless of execution order. The caller returns it to
+// noisePool after its last draw.
 func (m *Meter) rngFor(kind uint64, a, b uint64) *rand.Rand {
-	h := m.seed ^ kind*0x9e3779b97f4a7c15 ^ a*0xbf58476d1ce4e5b9 ^ b*0x94d049bb133111eb
-	h ^= h >> 31
-	return rand.New(rand.NewSource(int64(h)))
+	return noiseFor(m.seed, kind, a, b)
 }
 
 // rngStable is rngFor without the day component, for measurements whose
 // outcome must not drift day over day (link latencies are "extremely
 // stable" per §6.2 — re-rolling them daily would balloon the deltas).
 func (m *Meter) rngStable(kind uint64, a, b uint64) *rand.Rand {
-	h := uint64(m.top.Cfg.Seed)*0x5851f42d4c957f2d ^ kind*0x9e3779b97f4a7c15 ^ a*0xbf58476d1ce4e5b9 ^ b*0x94d049bb133111eb
-	h ^= h >> 31
-	return rand.New(rand.NewSource(int64(h)))
+	return noiseFor(uint64(m.top.Cfg.Seed)*0x5851f42d4c957f2d, kind, a, b)
 }
 
 // ifaceFor returns the interface revealed when entering PoP p via link l
@@ -136,10 +172,12 @@ func (m *Meter) Traceroute(src, dst netsim.Prefix) Traceroute {
 		return tr
 	}
 	rng := m.rngFor(1, uint64(src), uint64(dst))
+	defer noisePool.Put(rng)
 	top := m.top
 	accessSrc := top.PrefixAccessMS[src]
 	fwdAccum := 0.0
 	tr.TruePoPs = fwd.PoPs()
+	tr.Hops = make([]Hop, 0, len(fwd.Hops)+1)
 	for i, h := range fwd.Hops {
 		if i > 0 {
 			fwdAccum += top.Links[h.Link].LatencyMS
@@ -148,19 +186,21 @@ func (m *Meter) Traceroute(src, dst netsim.Prefix) Traceroute {
 			tr.Hops = append(tr.Hops, Hop{})
 			continue
 		}
-		rev, ok := m.day.PoPPath(h.PoP, src)
+		revMS, ok := m.revMS(h.PoP, src)
 		if !ok {
 			tr.Hops = append(tr.Hops, Hop{})
 			continue
 		}
-		rtt := 2*accessSrc + fwdAccum + rev.OneWayMS
+		rtt := 2*accessSrc + fwdAccum + revMS
 		rtt *= 1 + m.opts.RTTNoiseFrac*rng.Float64()
 		tr.Hops = append(tr.Hops, Hop{IP: m.ifaceFor(h.PoP, h.Link), RTTMS: rtt})
 	}
 	// Destination host hop.
 	if rng.Float64() >= m.opts.UnreachableProb {
-		rtt, ok := m.day.RTT(src, dst)
-		if ok {
+		// Day.RTT(src, dst), from the forward route already in hand and the
+		// remembered reverse one.
+		if revMS, ok := m.revMS(top.PrefixHome[dst], src); ok {
+			rtt := fwd.OneWayMS + revMS + 2*(accessSrc+top.PrefixAccessMS[dst])
 			rtt *= 1 + m.opts.RTTNoiseFrac*rng.Float64()
 			tr.Hops = append(tr.Hops, Hop{IP: dst.HostIP(), RTTMS: rtt})
 			tr.Reached = true
@@ -178,6 +218,7 @@ func (m *Meter) MeasureLoss(src, dst netsim.Prefix, probes int) (lossFrac float6
 		return 0, false
 	}
 	rng := m.rngFor(2, uint64(src), uint64(dst))
+	defer noisePool.Put(rng)
 	lost := 0
 	for i := 0; i < probes; i++ {
 		if rng.Float64() < p {
@@ -192,6 +233,7 @@ func (m *Meter) MeasureLoss(src, dst netsim.Prefix, probes int) (lossFrac float6
 // small multiplicative error.
 func (m *Meter) MeasureLinkLatency(l netsim.LinkID) float64 {
 	rng := m.rngStable(3, uint64(l), 0)
+	defer noisePool.Put(rng)
 	lat := m.top.Links[l].LatencyMS
 	return lat * (1 + 0.04*(rng.Float64()-0.5))
 }
@@ -202,6 +244,7 @@ func (m *Meter) MeasureLinkLatency(l netsim.LinkID) float64 {
 // MeasureLinkLatency (±30% versus ±2%).
 func (m *Meter) CoarseLinkLatency(l netsim.LinkID) float64 {
 	rng := m.rngStable(5, uint64(l), 0)
+	defer noisePool.Put(rng)
 	lat := m.top.Links[l].LatencyMS * (1 + 0.6*(rng.Float64()-0.5))
 	if lat < 0.05 {
 		lat = 0.05
@@ -213,6 +256,7 @@ func (m *Meter) CoarseLinkLatency(l netsim.LinkID) float64 {
 // probe train (achieved by frontier-assigned vantage points in the paper).
 func (m *Meter) MeasureLinkLoss(l netsim.LinkID, from netsim.PoPID, probes int) float64 {
 	rng := m.rngFor(4, uint64(l), uint64(from))
+	defer noisePool.Put(rng)
 	p := m.day.Sim().LinkLoss(l, from, m.day.DayNum())
 	lost := 0
 	for i := 0; i < probes; i++ {

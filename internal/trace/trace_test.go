@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"inano/internal/bgpsim"
@@ -14,18 +18,78 @@ func testMeter(t *testing.T, seed int64, day int) (*Meter, *netsim.Topology) {
 	return NewMeter(sim.Day(day), DefaultOptions()), top
 }
 
+// TestTracerouteDeterministic: a traceroute is a function of (world, day,
+// src, dst) — not of what the Meter has remembered (its reverse-latency
+// memo, the pooled noise generators), of which goroutine asks, or of
+// whether another is asking at the same moment.
 func TestTracerouteDeterministic(t *testing.T) {
 	m, top := testMeter(t, 1, 0)
-	src, dst := top.EdgePrefixes[0], top.EdgePrefixes[10]
-	a := m.Traceroute(src, dst)
-	b := m.Traceroute(src, dst)
-	if len(a.Hops) != len(b.Hops) || a.Reached != b.Reached {
-		t.Fatalf("nondeterministic traceroute: %v vs %v", a, b)
+	eps := top.EdgePrefixes
+	pairs := make([][2]netsim.Prefix, 0, 40)
+	for i := 0; i < 40; i++ {
+		pairs = append(pairs, [2]netsim.Prefix{eps[i%4], eps[(i*7+13)%len(eps)]})
 	}
-	for i := range a.Hops {
-		if a.Hops[i] != b.Hops[i] {
-			t.Fatalf("hop %d differs: %v vs %v", i, a.Hops[i], b.Hops[i])
+	run := func(m *Meter) []Traceroute {
+		out := make([]Traceroute, len(pairs))
+		for i, p := range pairs {
+			out[i] = m.Traceroute(p[0], p[1])
 		}
+		return out
+	}
+	cold := run(m)
+	if warm := run(m); !reflect.DeepEqual(cold, warm) {
+		t.Fatalf("the same Meter answered differently the second time")
+	}
+	fresh, _ := testMeter(t, 1, 0)
+	got := make([][]Traceroute, 2)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = run(fresh)
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(cold, got[g]) {
+			t.Errorf("goroutine %d of two sharing a fresh Meter answered differently from a Meter used alone", g)
+		}
+	}
+}
+
+// TestTracerouteAllocBudget trips when a measurement goes back to building
+// its own random source (5.4 KB each on math/rand's): a warm traceroute
+// allocates its hops, its ground-truth PoPs and the forward path's
+// scratch; a link measurement allocates nothing.
+func TestTracerouteAllocBudget(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("under the race detector sync.Pool drops a quarter of what is put in it")
+			}
+		}
+	}
+	m, top := testMeter(t, 1, 1)
+	src, dst := top.EdgePrefixes[0], top.EdgePrefixes[10]
+	m.Traceroute(src, dst)
+	var before, after runtime.MemStats
+	const runs = 200
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		m.Traceroute(src, dst)
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 2048 {
+		t.Errorf("a warm Traceroute allocates %d B, budget is under 2048", perRun)
+	}
+	l := netsim.LinkID(0)
+	if n := testing.AllocsPerRun(runs, func() {
+		m.MeasureLinkLatency(l)
+		m.CoarseLinkLatency(l)
+		m.MeasureLinkLoss(l, top.Links[l].A, 100)
+	}); n != 0 {
+		t.Errorf("a link's latency and loss measurements allocate %v times, want 0", n)
 	}
 }
 
