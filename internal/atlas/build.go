@@ -133,6 +133,7 @@ func asPathKey(p []netsim.ASN) string {
 // weightedPath is an observed AS path with its observation count.
 type weightedPath struct {
 	path  []netsim.ASN
+	key   string // asPathKey(path): the builder's dedup key and sort order
 	count int
 }
 
@@ -148,47 +149,96 @@ type weightedPath struct {
 // streaming builder keeps only the most-observed destinations; routes to
 // dropped destinations simply cast no preference votes.
 func inferPreferences(paths []*weightedPath, asAdj map[netsim.ASN]map[netsim.ASN]bool, maxDests int) map[uint64]bool {
-	// Hop distances from each destination AS over the observed graph.
-	destWeight := make(map[netsim.ASN]int)
-	for _, u := range paths {
-		if len(u.path) >= 3 {
-			destWeight[u.path[len(u.path)-1]] += u.count
+	// A dense view of the observed graph: its ASes (and the routes', should
+	// one be missing from it) in ascending order, neighbour lists in CSR
+	// form over their positions.
+	idx := make(map[netsim.ASN]int32, len(asAdj))
+	for x, nbs := range asAdj {
+		idx[x] = 0
+		for y := range nbs {
+			idx[y] = 0
 		}
 	}
-	dests := make([]netsim.ASN, 0, len(destWeight))
-	for d := range destWeight {
-		dests = append(dests, d)
+	for _, u := range paths {
+		for _, x := range u.path {
+			idx[x] = 0
+		}
+	}
+	asns := make([]netsim.ASN, 0, len(idx))
+	for x := range idx {
+		asns = append(asns, x)
+	}
+	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
+	for i, x := range asns {
+		idx[x] = int32(i)
+	}
+	off, nbrs := make([]int32, len(asns)+1), []int32(nil)
+	for i, x := range asns {
+		for y := range asAdj[x] {
+			nbrs = append(nbrs, idx[y])
+		}
+		off[i+1] = int32(len(nbrs))
+	}
+
+	// Routes long enough to vote, chained by destination: first[d] is one
+	// past the index of asns[d]'s first route, next[i] one past that of the
+	// route after paths[i], and 0 ends the chain.
+	first, next := make([]int32, len(asns)), make([]int32, len(paths))
+	weight := make([]int, len(asns))
+	var dests []int32
+	for i := len(paths) - 1; i >= 0; i-- {
+		if p := paths[i].path; len(p) >= 3 {
+			d := idx[p[len(p)-1]]
+			if first[d] == 0 {
+				dests = append(dests, d)
+			}
+			next[i], first[d] = first[d], int32(i+1)
+			weight[d] += paths[i].count
+		}
 	}
 	if maxDests > 0 && len(dests) > maxDests {
 		sort.Slice(dests, func(i, j int) bool {
-			if destWeight[dests[i]] != destWeight[dests[j]] {
-				return destWeight[dests[i]] > destWeight[dests[j]]
+			if weight[dests[i]] != weight[dests[j]] {
+				return weight[dests[i]] > weight[dests[j]]
 			}
-			return dests[i] < dests[j]
+			return dests[i] < dests[j] // ascending ASN
 		})
 		dests = dests[:maxDests]
 	}
-	distTo := make(map[netsim.ASN]map[netsim.ASN]int32, len(dests))
-	for _, d := range dests {
-		distTo[d] = bfsDist(d, asAdj)
-	}
+
+	// One BFS per destination into one distance field, which that
+	// destination's routes vote from before the next BFS overwrites it.
 	votes := make(map[uint64]int)
-	for _, u := range paths {
-		p := u.path
-		if len(p) < 3 {
-			continue
+	dist, queue := make([]int32, len(asns)), make([]int32, 0, len(asns))
+	for _, d := range dests {
+		for i := range dist {
+			dist[i] = -1
 		}
-		d := p[len(p)-1]
-		dist := distTo[d]
-		for k := 0; k+2 < len(p); k++ {
-			at, taken := p[k], p[k+1]
-			remaining := int32(len(p) - k - 2) // hops from the next AS to d
-			for x := range asAdj[at] {
-				if x == taken || (k > 0 && x == p[k-1]) {
-					continue
+		dist[d] = 0
+		queue = append(queue[:0], d)
+		for head := 0; head < len(queue); head++ {
+			x := queue[head]
+			for _, y := range nbrs[off[x]:off[x+1]] {
+				if dist[y] < 0 {
+					dist[y] = dist[x] + 1
+					queue = append(queue, y)
 				}
-				if dx, ok := dist[x]; ok && dx == remaining {
-					votes[PackTriple(at, taken, x)] += u.count
+			}
+		}
+		for i := first[d]; i > 0; i = next[i-1] {
+			p, count := paths[i-1].path, paths[i-1].count
+			for k := 0; k+2 < len(p); k++ {
+				at, taken := p[k], p[k+1]
+				remaining := int32(len(p) - k - 2) // hops from the next AS to d
+				ai := idx[at]
+				for _, xi := range nbrs[off[ai]:off[ai+1]] {
+					x := asns[xi]
+					if x == taken || (k > 0 && x == p[k-1]) {
+						continue
+					}
+					if dist[xi] == remaining {
+						votes[PackTriple(at, taken, x)] += count
+					}
 				}
 			}
 		}
@@ -202,24 +252,6 @@ func inferPreferences(paths []*weightedPath, asAdj map[netsim.ASN]map[netsim.ASN
 		}
 	}
 	return prefs
-}
-
-func bfsDist(d netsim.ASN, asAdj map[netsim.ASN]map[netsim.ASN]bool) map[netsim.ASN]int32 {
-	dist := map[netsim.ASN]int32{d: 0}
-	frontier := []netsim.ASN{d}
-	for h := int32(1); len(frontier) > 0; h++ {
-		var next []netsim.ASN
-		for _, x := range frontier {
-			for y := range asAdj[x] {
-				if _, ok := dist[y]; !ok {
-					dist[y] = h
-					next = append(next, y)
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist
 }
 
 // detect is the deterministic coin for simulated tool detections.

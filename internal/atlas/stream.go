@@ -228,7 +228,7 @@ func (b *StreamBuilder) addPath(p []netsim.ASN, w int) {
 		u.count += w
 		return
 	}
-	b.uniq[k] = &weightedPath{path: p, count: w}
+	b.uniq[k] = &weightedPath{path: p, key: k, count: w}
 }
 
 // AddTrace ingests one pass-2 trace: link extraction with access-tail
@@ -432,7 +432,7 @@ func (b *StreamBuilder) Finish() *Atlas {
 	for _, u := range b.uniq {
 		paths = append(paths, u)
 	}
-	sort.Slice(paths, func(i, j int) bool { return asPathKey(paths[i].path) < asPathKey(paths[j].path) })
+	sort.Slice(paths, func(i, j int) bool { return paths[i].key < paths[j].key })
 
 	// AS degrees over the observed AS graph.
 	asAdj := make(map[netsim.ASN]map[netsim.ASN]bool)
