@@ -2,7 +2,6 @@ package bgpsim
 
 import (
 	"math"
-	"sync"
 
 	"inano/internal/netsim"
 )
@@ -36,8 +35,7 @@ func (p Path) PoPs() []netsim.PoPID {
 // AS is cheap.
 type intraCache struct {
 	top  *netsim.Topology
-	mu   sync.Mutex
-	byAS map[netsim.ASN]*intraAS
+	byAS []filled[*intraAS] // by ASN-1
 }
 
 type intraAS struct {
@@ -50,18 +48,11 @@ type intraAS struct {
 }
 
 func newIntraCache(top *netsim.Topology) *intraCache {
-	return &intraCache{top: top, byAS: make(map[netsim.ASN]*intraAS)}
+	return &intraCache{top: top, byAS: make([]filled[*intraAS], len(top.ASes))}
 }
 
 func (c *intraCache) get(a netsim.ASN) *intraAS {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ia, ok := c.byAS[a]; ok {
-		return ia
-	}
-	ia := c.compute(a)
-	c.byAS[a] = ia
-	return ia
+	return c.byAS[a-1].get(func() *intraAS { return c.compute(a) })
 }
 
 func (c *intraCache) compute(a netsim.ASN) *intraAS {

@@ -2,6 +2,7 @@ package bgpsim
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"inano/internal/netsim"
 )
@@ -42,32 +43,59 @@ type Day struct {
 	day       int
 	quirkSalt []uint64
 
-	mu       sync.Mutex
-	tables   map[netsim.ASN]*RouteTable
-	te       map[netsim.Prefix]*teOverride
-	exitSalt map[uint64]uint64
+	tables   []filled[*RouteTable] // by destination ASN-1
+	te       fillMap[netsim.Prefix, teOverride]
+	exitSalt fillMap[uint64, uint64]
+	// tablesComputed counts computeTable runs, for the test that a table
+	// is computed once.
+	tablesComputed atomic.Int64
+}
+
+// filled is a value computed once, by the first caller of get; callers
+// that arrive while it runs wait for it instead of computing a second copy.
+type filled[V any] struct {
+	once sync.Once
+	v    V
+}
+
+func (f *filled[V]) get(fill func() V) V {
+	f.once.Do(func() { f.v = fill() })
+	return f.v
+}
+
+// fillMap is a filled value per key, for keys too sparse to index a slice.
+// The lock covers the slot lookup only, never a fill.
+type fillMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*filled[V]
+}
+
+func (c *fillMap[K, V]) get(k K, fill func() V) V {
+	c.mu.Lock()
+	f := c.m[k]
+	if f == nil {
+		if c.m == nil {
+			c.m = make(map[K]*filled[V])
+		}
+		f = &filled[V]{}
+		c.m[k] = f
+	}
+	c.mu.Unlock()
+	return f.get(fill)
 }
 
 // exitSaltFor chains per-day exit-noise re-rolls for one AS adjacency.
 func (v *Day) exitSaltFor(pairKey uint64) uint64 {
-	v.mu.Lock()
-	if s, ok := v.exitSalt[pairKey]; ok {
-		v.mu.Unlock()
-		return s
-	}
-	v.mu.Unlock()
-	s := v.sim
-	last := 0
-	for d := 1; d <= v.day; d++ {
-		if hashFloat(mix(uint64(s.seed), 0xee, pairKey, uint64(d))) < s.Cfg.ExitChurnPerDay {
-			last = d
+	return v.exitSalt.get(pairKey, func() uint64 {
+		s := v.sim
+		last := 0
+		for d := 1; d <= v.day; d++ {
+			if hashFloat(mix(uint64(s.seed), 0xee, pairKey, uint64(d))) < s.Cfg.ExitChurnPerDay {
+				last = d
+			}
 		}
-	}
-	salt := mix(uint64(s.seed), 0xef, pairKey, uint64(last))
-	v.mu.Lock()
-	v.exitSalt[pairKey] = salt
-	v.mu.Unlock()
-	return salt
+		return mix(uint64(s.seed), 0xef, pairKey, uint64(last))
+	})
 }
 
 type teOverride struct {
@@ -91,17 +119,7 @@ func (v *Day) prefRank(a, nb netsim.ASN) uint64 {
 
 // Table computes (or returns cached) the route table for destination AS d.
 func (v *Day) Table(d netsim.ASN) *RouteTable {
-	v.mu.Lock()
-	if t, ok := v.tables[d]; ok {
-		v.mu.Unlock()
-		return t
-	}
-	v.mu.Unlock()
-	t := v.computeTable(d)
-	v.mu.Lock()
-	v.tables[d] = t
-	v.mu.Unlock()
-	return t
+	return v.tables[d-1].get(func() *RouteTable { return v.computeTable(d) })
 }
 
 // computeTable runs three-phase policy route selection for destination AS d,
@@ -117,6 +135,7 @@ func (v *Day) Table(d netsim.ASN) *RouteTable {
 // private preference ordering (prefRank). The no-self-export set filters the
 // direct edge to d for marked neighbors.
 func (v *Day) computeTable(d netsim.ASN) *RouteTable {
+	v.tablesComputed.Add(1)
 	top := v.sim.Top
 	n := len(top.ASes)
 	t := &RouteTable{
@@ -132,116 +151,87 @@ func (v *Day) computeTable(d netsim.ASN) *RouteTable {
 	t.Hops[d-1] = 0
 	t.Class[d-1] = ClassOrigin
 
-	// blocked reports whether x may not learn d's own prefixes directly
-	// from d (no-self-export transit engineering).
-	blocked := func(x, via netsim.ASN) bool {
-		return via == d && top.NoSelfExport[netsim.DirASPairKey(x, d)]
+	// offer has x advertise its route to every unsettled neighbor that is
+	// relA or relB to it, and returns heard with the neighbors that heard
+	// their first route appended. An AS stays unsettled (Hops < 0) while a
+	// round's offers are coming in; settle closes the round. Neighbors that
+	// may not learn d's own prefixes directly from d (no-self-export
+	// transit engineering) are passed over.
+	offer := func(heard []netsim.ASN, x netsim.ASN, relA, relB netsim.Rel) []netsim.ASN {
+		for _, y := range top.ASAdj[x-1] {
+			if r := top.RelOf(x, y); r != relA && r != relB {
+				continue
+			}
+			if t.Hops[y-1] >= 0 || (x == d && top.NoSelfExport[netsim.DirASPairKey(y, d)]) {
+				continue
+			}
+			if t.NextHop[y-1] == 0 {
+				heard = append(heard, y)
+			}
+			v.consider(t, y, x)
+		}
+		return heard
+	}
+	settle := func(heard []netsim.ASN, class RouteClass) {
+		for _, at := range heard {
+			t.Hops[at-1] = t.Hops[t.NextHop[at-1]-1] + 1
+			t.Class[at-1] = class
+		}
 	}
 
 	// Phase 1: customer routes, BFS by hop count (each wave settles hops
 	// equal to the wave number, so plain BFS is exact shortest-path).
-	frontier := []netsim.ASN{d}
-	for hops := int32(1); len(frontier) > 0; hops++ {
-		byAt := make(map[netsim.ASN][]netsim.ASN)
+	for frontier := []netsim.ASN{d}; len(frontier) > 0; {
+		var heard []netsim.ASN
 		for _, x := range frontier {
-			for _, y := range top.ASAdj[x-1] {
-				r := top.RelOf(x, y) // what y is to x
-				if r != netsim.RelProvider && r != netsim.RelSibling {
-					continue
-				}
-				if t.Hops[y-1] >= 0 || blocked(y, x) {
-					continue
-				}
-				byAt[y] = append(byAt[y], x)
-			}
+			heard = offer(heard, x, netsim.RelProvider, netsim.RelSibling)
 		}
-		frontier = frontier[:0]
-		for at, vias := range byAt {
-			best, runner := selectBest(t, at, vias, v)
-			t.NextHop[at-1] = best
-			t.RunnerUp[at-1] = runner
-			t.Hops[at-1] = hops
-			t.Class[at-1] = ClassCustomer
-			frontier = append(frontier, at)
-		}
+		settle(heard, ClassCustomer)
+		frontier = heard
 	}
 
 	// Phase 2: peer routes — single step from customer-settled ASes.
-	{
-		byAt := make(map[netsim.ASN][]netsim.ASN)
-		for i := range top.ASes {
-			x := netsim.ASN(i + 1)
-			if t.Class[i] != ClassCustomer && t.Class[i] != ClassOrigin {
-				continue
-			}
-			for _, y := range top.ASAdj[i] {
-				if top.RelOf(x, y) != netsim.RelPeer {
-					continue
-				}
-				if t.Hops[y-1] >= 0 || blocked(y, x) {
-					continue
-				}
-				byAt[y] = append(byAt[y], x)
-			}
-		}
-		for at, vias := range byAt {
-			best, runner := selectBest(t, at, vias, v)
-			t.NextHop[at-1] = best
-			t.RunnerUp[at-1] = runner
-			t.Hops[at-1] = t.Hops[best-1] + 1
-			t.Class[at-1] = ClassPeer
+	var peers []netsim.ASN
+	for i := range top.ASes {
+		if t.Class[i] == ClassCustomer || t.Class[i] == ClassOrigin {
+			peers = offer(peers, netsim.ASN(i+1), netsim.RelPeer, netsim.RelPeer)
 		}
 	}
+	settle(peers, ClassPeer)
 
-	// Phase 3: provider routes descend. Settled ASes have heterogeneous
-	// hop counts, so this is a bucketed Dijkstra: draining buckets in
-	// increasing hop order guarantees each AS settles at its true
-	// shortest provider-route length.
-	maxHops := int32(0)
-	for i := range t.Hops {
-		if t.Hops[i] > maxHops {
-			maxHops = t.Hops[i]
-		}
-	}
-	buckets := make([][]netsim.ASN, maxHops+2)
-	for i := range t.Hops {
-		if h := t.Hops[i]; h >= 0 {
+	// Phase 3: provider routes descend (only customers and siblings hear
+	// an AS's full table). Settled ASes have heterogeneous hop counts, so
+	// this is a bucketed Dijkstra: draining buckets in increasing hop order
+	// guarantees each AS settles at its true shortest provider-route length.
+	var buckets [][]netsim.ASN
+	for i, h := range t.Hops {
+		if h >= 0 {
+			for int(h) >= len(buckets) {
+				buckets = append(buckets, nil)
+			}
 			buckets[h] = append(buckets[h], netsim.ASN(i+1))
 		}
 	}
-	for h := int32(0); h < int32(len(buckets)); h++ {
-		byAt := make(map[netsim.ASN][]netsim.ASN)
+	for h := 0; h < len(buckets); h++ {
+		var heard []netsim.ASN
 		for _, x := range buckets[h] {
-			for _, y := range top.ASAdj[x-1] {
-				r := top.RelOf(x, y)
-				if r != netsim.RelCustomer && r != netsim.RelSibling {
-					continue // only customers/siblings hear x's full table
-				}
-				if t.Hops[y-1] >= 0 || blocked(y, x) {
-					continue
-				}
-				byAt[y] = append(byAt[y], x)
-			}
+			heard = offer(heard, x, netsim.RelCustomer, netsim.RelSibling)
 		}
-		for at, vias := range byAt {
-			best, runner := selectBest(t, at, vias, v)
-			t.NextHop[at-1] = best
-			t.RunnerUp[at-1] = runner
-			t.Hops[at-1] = h + 1
-			t.Class[at-1] = ClassProvider
-			if int(h+1) >= len(buckets) {
+		settle(heard, ClassProvider)
+		if len(heard) > 0 {
+			if h+1 == len(buckets) {
 				buckets = append(buckets, nil)
 			}
-			buckets[h+1] = append(buckets[h+1], at)
+			buckets[h+1] = append(buckets[h+1], heard...)
 		}
 	}
 	return t
 }
 
-// selectBest picks the preferred next hop for AS `at` among candidate vias,
-// ordering by (hop count of via's route, at's private preference). It also
-// returns the runner-up, if any.
-func selectBest(t *RouteTable, at netsim.ASN, vias []netsim.ASN, v *Day) (best, runner netsim.ASN) {
+// consider offers AS `at` a route through via: t.NextHop[at-1] keeps the
+// preferred next hop seen so far, ordering by (hop count of via's route,
+// at's private preference), and t.RunnerUp[at-1] the second best, if any.
+func (v *Day) consider(t *RouteTable, at, via netsim.ASN) {
 	betterThan := func(a, b netsim.ASN) bool {
 		ha, hb := t.Hops[a-1], t.Hops[b-1]
 		if ha != hb {
@@ -249,37 +239,24 @@ func selectBest(t *RouteTable, at netsim.ASN, vias []netsim.ASN, v *Day) (best, 
 		}
 		return v.prefRank(at, a) < v.prefRank(at, b)
 	}
-	for _, via := range vias {
-		switch {
-		case best == 0 || betterThan(via, best):
-			best, runner = via, best
-		case via != best && (runner == 0 || betterThan(via, runner)):
-			runner = via
-		}
+	best, runner := &t.NextHop[at-1], &t.RunnerUp[at-1]
+	switch {
+	case *best == 0 || betterThan(via, *best):
+		*best, *runner = via, *best
+	case via != *best && (*runner == 0 || betterThan(via, *runner)):
+		*runner = via
 	}
-	return best, runner
 }
 
 // teFor returns the traffic-engineering deflection for prefix p, computing
 // and caching it on first use. A deflected prefix forces one AS on its
 // routing tree to use its runner-up next hop; deflections that would create
 // forwarding loops are discarded.
-func (v *Day) teFor(p netsim.Prefix) *teOverride {
-	v.mu.Lock()
-	if o, ok := v.te[p]; ok {
-		v.mu.Unlock()
-		return o
-	}
-	v.mu.Unlock()
-
-	o := v.computeTE(p)
-	v.mu.Lock()
-	v.te[p] = o
-	v.mu.Unlock()
-	return o
+func (v *Day) teFor(p netsim.Prefix) teOverride {
+	return v.te.get(p, func() teOverride { return v.computeTE(p) })
 }
 
-func (v *Day) computeTE(p netsim.Prefix) *teOverride {
+func (v *Day) computeTE(p netsim.Prefix) teOverride {
 	s := v.sim
 	// Chain per-day TE re-rolls like quirks.
 	last := 0
@@ -290,11 +267,11 @@ func (v *Day) computeTE(p netsim.Prefix) *teOverride {
 	}
 	salt := mix(uint64(s.seed), 0xcd, uint64(p), uint64(last))
 	if hashFloat(mix(salt, 1, 0, 0)) >= s.Cfg.TEFrac {
-		return &teOverride{}
+		return teOverride{}
 	}
 	origin, ok := s.Top.PrefixOrigin[p]
 	if !ok {
-		return &teOverride{}
+		return teOverride{}
 	}
 	t := v.Table(origin)
 	// Gather deflectable ASes: those with a recorded runner-up.
@@ -305,7 +282,7 @@ func (v *Day) computeTE(p netsim.Prefix) *teOverride {
 		}
 	}
 	if len(deflectable) == 0 {
-		return &teOverride{}
+		return teOverride{}
 	}
 	at := deflectable[int(mix(salt, 2, 0, 0)%uint64(len(deflectable)))]
 	forced := t.RunnerUp[at-1]
@@ -313,18 +290,18 @@ func (v *Day) computeTE(p netsim.Prefix) *teOverride {
 	cur, hops := at, 0
 	for cur != origin {
 		if hops++; hops > 64 {
-			return &teOverride{}
+			return teOverride{}
 		}
 		nh := t.NextHop[cur-1]
 		if cur == at {
 			nh = forced
 		}
 		if nh == 0 {
-			return &teOverride{}
+			return teOverride{}
 		}
 		cur = nh
 	}
-	return &teOverride{at: at, next: forced}
+	return teOverride{at: at, next: forced}
 }
 
 // ASPath returns the ground-truth AS-level path from srcAS to the origin of

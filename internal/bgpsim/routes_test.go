@@ -1,6 +1,7 @@
 package bgpsim
 
 import (
+	"sync"
 	"testing"
 
 	"inano/internal/netsim"
@@ -397,5 +398,39 @@ func TestTEDeflectionsExist(t *testing.T) {
 	}
 	if deflected == 0 {
 		t.Error("no TE deflections in the whole world; TE model inert")
+	}
+}
+
+// TestTableComputedOnce: however many goroutines miss on a destination AS
+// together (a campaign's workers all start on the same targets), its table
+// is computed by one of them and the rest wait for it — and the answers are
+// the ones a Day used by a single goroutine gives.
+func TestTableComputedOnce(t *testing.T) {
+	s, alone := testSim(t, 13), testSim(t, 13).Day(1)
+	day := s.Day(1)
+	dsts := s.Top.EdgePrefixes
+	origins := make(map[netsim.ASN]bool)
+	for _, dst := range dsts {
+		origins[s.Top.PrefixOrigin[dst]] = true
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		src := s.Top.EdgePrefixes[g%2] // pairs of goroutines ask the very same questions
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, dst := range dsts {
+				got, ok := day.Route(src, dst)
+				want, wantOK := alone.Route(src, dst)
+				if ok != wantOK || got.OneWayMS != want.OneWayMS || !equalPoPs(got.PoPs(), want.PoPs()) {
+					t.Errorf("%v -> %v: route differs from a Day used alone", src, dst)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := int(day.tablesComputed.Load()); got != len(origins) {
+		t.Errorf("computeTable ran %d times for %d destination ASes asked about", got, len(origins))
 	}
 }

@@ -88,13 +88,7 @@ func (s *Sim) Day(d int) *Day {
 	if v, ok := s.days[d]; ok {
 		return v
 	}
-	v := &Day{
-		sim:      s,
-		day:      d,
-		tables:   make(map[netsim.ASN]*RouteTable),
-		te:       make(map[netsim.Prefix]*teOverride),
-		exitSalt: make(map[uint64]uint64),
-	}
+	v := &Day{sim: s, day: d, tables: make([]filled[*RouteTable], len(s.Top.ASes))}
 	v.quirkSalt = make([]uint64, len(s.Top.ASes))
 	for i := range v.quirkSalt {
 		v.quirkSalt[i] = s.quirkSaltFor(netsim.ASN(i+1), d)
