@@ -38,10 +38,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"time"
 
 	"inano/internal/atlas"
 	"inano/internal/cluster"
 	"inano/internal/feedback"
+	"inano/internal/metrics"
 	"inano/internal/netsim"
 	"inano/sim"
 )
@@ -90,7 +93,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// stage adds the wall time since the last call to the named pipeline
+	// stage; the stages print, in first-use order, once everything is written.
+	type stageTime struct {
+		name string
+		d    time.Duration
+	}
+	var stages []stageTime
+	last := time.Now()
+	stage := func(name string) {
+		i := slices.IndexFunc(stages, func(s stageTime) bool { return s.name == name })
+		if i < 0 {
+			i, stages = len(stages), append(stages, stageTime{name: name})
+		}
+		now := time.Now()
+		stages[i].d += now.Sub(last)
+		last = now
+	}
+
 	w := sim.NewWorld(sc, *seed)
+	stage("world")
 	fmt.Fprintf(stdout, "world: %s\n", w.Top.Stats())
 	vpList := w.VantagePoints(*vps)
 	targets := w.EdgePrefixes()
@@ -105,7 +127,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var today, yesterday measured
 	for d := 0; d <= *day; d++ {
 		c := w.Measure(sim.CampaignOptions{Day: d, VPs: vpList, Targets: targets})
+		stage("campaign")
 		yesterday, today = today, measured{c, c.Clusters(today.cl)}
+		stage("cluster")
 	}
 	var residuals map[netsim.Prefix]float64
 	var agreedPaths []atlas.ObservedPath
@@ -133,7 +157,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(err)
 		}
 	}
+	if *obsPath != "" || prev != nil {
+		stage("inputs")
+	}
 	plain := today.c.BuildAtlasOver(today.cl)
+	stage("build")
 	if prev != nil && len(prev.GlobalAdjustMS) > 0 {
 		// Yesterday's corrections carry onto today's build: fresh
 		// residuals keep theirs full strength, unsupported ones halve and
@@ -164,6 +192,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "observations: %d agreed paths folded (%d new links, %d refreshed, %d already measured, %d new attachments, %d skipped)\n",
 			st.PathsFolded, st.NewLinks, st.RefreshedLinks, st.MeasuredLinks, st.NewAttach, st.PathsSkipped)
 	}
+	if a != plain || prev != nil {
+		stage("fold")
+	}
 	f, err := os.Create(*out)
 	if err != nil {
 		return fatal(err)
@@ -174,6 +205,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := f.Close(); err != nil {
 		return fatal(err)
 	}
+	stage("encode")
 	fmt.Fprintf(stdout, "day %d atlas: %d clusters, %d links, %d tuples -> %s (%d bytes)\n",
 		*day, a.NumClusters, len(a.Links), len(a.Tuples), *out, a.EncodedSize())
 	for _, s := range a.SectionSizes() {
@@ -203,6 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := ff.Close(); err != nil {
 			return fatal(err)
 		}
+		stage("flat")
 		st, err := os.Stat(*flatOut)
 		if err != nil {
 			return fatal(err)
@@ -223,6 +256,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			base = plain
 			if *day > 0 {
 				base = yesterday.c.BuildAtlasOver(yesterday.cl)
+				stage("build")
 			}
 		}
 		d := atlas.Diff(base, a)
@@ -236,8 +270,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := df.Close(); err != nil {
 			return fatal(err)
 		}
+		stage("delta")
 		fmt.Fprintf(stdout, "delta day %d -> %d: %d entries -> %s (%d bytes)\n",
 			d.FromDay, d.ToDay, d.Entries(), *deltaOut, d.EncodedSize())
+	}
+	for _, s := range stages {
+		fmt.Fprintf(stdout, "stage %-8s %8.3f s\n", s.name, s.d.Seconds())
+	}
+	if mb, ok := metrics.PeakRSSMB(); ok {
+		fmt.Fprintf(stdout, "peak RSS: %d MB\n", mb)
 	}
 	return 0
 }

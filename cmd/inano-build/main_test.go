@@ -5,20 +5,23 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	inano "inano"
 	"inano/internal/atlas"
 	"inano/internal/core"
+	"inano/internal/metrics"
 	"inano/sim"
 )
 
-func build(t *testing.T, args ...string) {
+func build(t *testing.T, args ...string) (stdout string) {
 	t.Helper()
-	var stderr bytes.Buffer
-	if code := run(args, io.Discard, &stderr); code != 0 {
+	var out, stderr bytes.Buffer
+	if code := run(args, &out, &stderr); code != 0 {
 		t.Fatalf("inano-build %v: exit %d: %s", args, code, stderr.String())
 	}
+	return out.String()
 }
 
 func load(t *testing.T, path string) *inano.Client {
@@ -45,7 +48,18 @@ func TestWrittenDeltaIsFollowable(t *testing.T) {
 	a0, a1, d1 := filepath.Join(dir, "a0.bin"), filepath.Join(dir, "a1.bin"), filepath.Join(dir, "d1.bin")
 	common := []string{"-scale", "tiny", "-seed", "42", "-vps", "12"}
 	build(t, append(common, "-day", "0", "-o", a0)...)
-	build(t, append(common, "-day", "1", "-o", a1, "-delta", d1)...)
+	out := build(t, append(common, "-day", "1", "-o", a1, "-delta", d1, "-flat", filepath.Join(dir, "a1.flat"))...)
+
+	// A successful build says where its time went: one line per stage, each
+	// a wall time in seconds, and the peak RSS where the platform tells.
+	for _, name := range []string{"world", "campaign", "cluster", "build", "encode", "flat", "delta"} {
+		if !regexp.MustCompile(`(?m)^stage ` + name + ` +\d+\.\d{3} s$`).MatchString(out) {
+			t.Errorf("no %q stage line on stdout:\n%s", name, out)
+		}
+	}
+	if _, ok := metrics.PeakRSSMB(); ok && !regexp.MustCompile(`(?m)^peak RSS: \d+ MB$`).MatchString(out) {
+		t.Errorf("no peak RSS line on stdout:\n%s", out)
+	}
 
 	follower, direct := load(t, a0), load(t, a1)
 	delta, err := os.ReadFile(d1)

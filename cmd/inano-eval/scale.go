@@ -2,17 +2,15 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	inano "inano"
 	"inano/internal/atlas"
+	"inano/internal/metrics"
 	"inano/internal/netsim"
 	"inano/internal/trace"
 )
@@ -133,7 +131,7 @@ func runScaleBuild(cfg scaleBuildConfig, stdout, stderr io.Writer) int {
 
 	// The two doors a serving client starts through, each timed; a load
 	// that went through maps would show as a jump in the peak RSS here.
-	rss0, _ := peakRSSMB()
+	rss0, _ := metrics.PeakRSSMB()
 	t1 := time.Now()
 	ff, err = os.Open(binPath)
 	if !g.Check(err == nil, "open %s: %v", binPath, err) {
@@ -145,7 +143,7 @@ func runScaleBuild(cfg scaleBuildConfig, stdout, stderr io.Writer) int {
 		return g.Code()
 	}
 	loadTook := time.Since(t1)
-	rss1, _ := peakRSSMB()
+	rss1, _ := metrics.PeakRSSMB()
 	t1 = time.Now()
 	mm, err := atlas.OpenFlat(flatPath, true)
 	if !g.Check(err == nil, "open flat: %v", err) {
@@ -187,7 +185,7 @@ func runScaleBuild(cfg scaleBuildConfig, stdout, stderr io.Writer) int {
 	g.Check(found > 0, "scale atlas answered %d/%d verification pairs", found, checked)
 	g.Check(mismatches == 0, ".bin and flat load paths byte-identical on %d pairs (%d mismatches)", checked, mismatches)
 
-	if rss, ok := peakRSSMB(); ok {
+	if rss, ok := metrics.PeakRSSMB(); ok {
 		fmt.Fprintf(stdout, "peak RSS: %d MB\n", rss)
 		if cfg.maxRSSMB > 0 {
 			g.Check(rss <= cfg.maxRSSMB, "peak RSS %d MB within bound %d MB", rss, cfg.maxRSSMB)
@@ -197,28 +195,4 @@ func runScaleBuild(cfg scaleBuildConfig, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "total: %v\n", time.Since(start).Round(time.Millisecond))
 	return g.Code()
-}
-
-// peakRSSMB reads the process's peak resident set (VmHWM) from
-// /proc/self/status. ok is false where procfs is unavailable.
-func peakRSSMB() (int, bool) {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0, false
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if !bytes.HasPrefix(line, []byte("VmHWM:")) {
-			continue
-		}
-		fields := strings.Fields(string(line))
-		if len(fields) < 2 {
-			return 0, false
-		}
-		kb, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return 0, false
-		}
-		return kb >> 10, true
-	}
-	return 0, false
 }

@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -287,4 +289,23 @@ func formatValue(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
+}
+
+// PeakRSSMB reads the process's peak resident set (VmHWM) from
+// /proc/self/status. ok is false where procfs is unavailable.
+func PeakRSSMB() (mb int, ok bool) {
+	data, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, found := strings.CutPrefix(line, "VmHWM:"); found {
+			var kb int
+			if _, err := fmt.Sscan(rest, &kb); err != nil {
+				return 0, false
+			}
+			return kb >> 10, true
+		}
+	}
+	return 0, false
 }
