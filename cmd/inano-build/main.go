@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"time"
 
 	"inano/internal/atlas"
@@ -95,20 +94,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// stage adds the wall time since the last call to the named pipeline
 	// stage; the stages print, in first-use order, once everything is written.
-	type stageTime struct {
-		name string
-		d    time.Duration
-	}
-	var stages []stageTime
+	var stages []string
+	spent := make(map[string]time.Duration)
 	last := time.Now()
 	stage := func(name string) {
-		i := slices.IndexFunc(stages, func(s stageTime) bool { return s.name == name })
-		if i < 0 {
-			i, stages = len(stages), append(stages, stageTime{name: name})
+		if _, seen := spent[name]; !seen {
+			stages = append(stages, name)
 		}
-		now := time.Now()
-		stages[i].d += now.Sub(last)
-		last = now
+		spent[name] += time.Since(last)
+		last = time.Now()
 	}
 
 	w := sim.NewWorld(sc, *seed)
@@ -157,9 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(err)
 		}
 	}
-	if *obsPath != "" || prev != nil {
-		stage("inputs")
-	}
+	stage("inputs")
 	plain := today.c.BuildAtlasOver(today.cl)
 	stage("build")
 	if prev != nil && len(prev.GlobalAdjustMS) > 0 {
@@ -192,9 +184,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "observations: %d agreed paths folded (%d new links, %d refreshed, %d already measured, %d new attachments, %d skipped)\n",
 			st.PathsFolded, st.NewLinks, st.RefreshedLinks, st.MeasuredLinks, st.NewAttach, st.PathsSkipped)
 	}
-	if a != plain || prev != nil {
-		stage("fold")
-	}
+	stage("fold")
 	f, err := os.Create(*out)
 	if err != nil {
 		return fatal(err)
@@ -274,8 +264,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "delta day %d -> %d: %d entries -> %s (%d bytes)\n",
 			d.FromDay, d.ToDay, d.Entries(), *deltaOut, d.EncodedSize())
 	}
-	for _, s := range stages {
-		fmt.Fprintf(stdout, "stage %-8s %8.3f s\n", s.name, s.d.Seconds())
+	for _, name := range stages {
+		fmt.Fprintf(stdout, "stage %-8s %8.3f s\n", name, spent[name].Seconds())
 	}
 	if mb, ok := metrics.PeakRSSMB(); ok {
 		fmt.Fprintf(stdout, "peak RSS: %d MB\n", mb)

@@ -1,7 +1,9 @@
 package atlas
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"inano/internal/bgpsim"
@@ -164,11 +166,7 @@ func inferPreferences(paths []*weightedPath, asAdj map[netsim.ASN]map[netsim.ASN
 			idx[x] = 0
 		}
 	}
-	asns := make([]netsim.ASN, 0, len(idx))
-	for x := range idx {
-		asns = append(asns, x)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
+	asns := slices.Sorted(maps.Keys(idx))
 	for i, x := range asns {
 		idx[x] = int32(i)
 	}

@@ -47,10 +47,6 @@ type intraAS struct {
 	next [][]netsim.LinkID
 }
 
-func newIntraCache(top *netsim.Topology) *intraCache {
-	return &intraCache{top: top, byAS: make([]filled[*intraAS], len(top.ASes))}
-}
-
 func (c *intraCache) get(a netsim.ASN) *intraAS {
 	return c.byAS[a-1].get(func() *intraAS { return c.compute(a) })
 }

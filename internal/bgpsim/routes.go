@@ -1,6 +1,7 @@
 package bgpsim
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,12 +44,10 @@ type Day struct {
 	day       int
 	quirkSalt []uint64
 
-	tables   []filled[*RouteTable] // by destination ASN-1
-	te       fillMap[netsim.Prefix, teOverride]
-	exitSalt fillMap[uint64, uint64]
-	// tablesComputed counts computeTable runs, for the test that a table
-	// is computed once.
-	tablesComputed atomic.Int64
+	tables         []filled[*RouteTable] // by destination ASN-1
+	te             fillMap[netsim.Prefix, teOverride]
+	exitSalt       fillMap[uint64, uint64]
+	tablesComputed atomic.Int64 // computeTable runs: each table is computed once
 }
 
 // filled is a value computed once, by the first caller of get; callers
@@ -151,74 +150,62 @@ func (v *Day) computeTable(d netsim.ASN) *RouteTable {
 	t.Hops[d-1] = 0
 	t.Class[d-1] = ClassOrigin
 
-	// offer has x advertise its route to every unsettled neighbor that is
-	// relA or relB to it, and returns heard with the neighbors that heard
-	// their first route appended. An AS stays unsettled (Hops < 0) while a
-	// round's offers are coming in; settle closes the round. Neighbors that
-	// may not learn d's own prefixes directly from d (no-self-export
-	// transit engineering) are passed over.
-	offer := func(heard []netsim.ASN, x netsim.ASN, relA, relB netsim.Rel) []netsim.ASN {
-		for _, y := range top.ASAdj[x-1] {
-			if r := top.RelOf(x, y); r != relA && r != relB {
-				continue
+	// round has every AS of from advertise its route to its unsettled
+	// neighbors that are relA or relB to it, then settles the ones that heard
+	// a route, in class, and returns them. An AS stays unsettled (Hops < 0)
+	// while a round's offers are coming in. Neighbors that may not learn d's
+	// own prefixes directly from d (no-self-export transit engineering) are
+	// passed over.
+	round := func(from []netsim.ASN, relA, relB netsim.Rel, class RouteClass) (heard []netsim.ASN) {
+		for _, x := range from {
+			for _, y := range top.ASAdj[x-1] {
+				if r := top.RelOf(x, y); r != relA && r != relB {
+					continue
+				}
+				if t.Hops[y-1] >= 0 || (x == d && top.NoSelfExport[netsim.DirASPairKey(y, d)]) {
+					continue
+				}
+				if t.NextHop[y-1] == 0 {
+					heard = append(heard, y)
+				}
+				v.consider(t, y, x)
 			}
-			if t.Hops[y-1] >= 0 || (x == d && top.NoSelfExport[netsim.DirASPairKey(y, d)]) {
-				continue
-			}
-			if t.NextHop[y-1] == 0 {
-				heard = append(heard, y)
-			}
-			v.consider(t, y, x)
 		}
-		return heard
-	}
-	settle := func(heard []netsim.ASN, class RouteClass) {
 		for _, at := range heard {
 			t.Hops[at-1] = t.Hops[t.NextHop[at-1]-1] + 1
 			t.Class[at-1] = class
 		}
+		return heard
+	}
+	// settled lists the ASes with a route so far, bucketed by its hop count.
+	settled := func() (byHops [][]netsim.ASN) {
+		for i, h := range t.Hops {
+			if h >= 0 {
+				for int(h) >= len(byHops) {
+					byHops = append(byHops, nil)
+				}
+				byHops[h] = append(byHops[h], netsim.ASN(i+1))
+			}
+		}
+		return byHops
 	}
 
 	// Phase 1: customer routes, BFS by hop count (each wave settles hops
 	// equal to the wave number, so plain BFS is exact shortest-path).
 	for frontier := []netsim.ASN{d}; len(frontier) > 0; {
-		var heard []netsim.ASN
-		for _, x := range frontier {
-			heard = offer(heard, x, netsim.RelProvider, netsim.RelSibling)
-		}
-		settle(heard, ClassCustomer)
-		frontier = heard
+		frontier = round(frontier, netsim.RelProvider, netsim.RelSibling, ClassCustomer)
 	}
 
 	// Phase 2: peer routes — single step from customer-settled ASes.
-	var peers []netsim.ASN
-	for i := range top.ASes {
-		if t.Class[i] == ClassCustomer || t.Class[i] == ClassOrigin {
-			peers = offer(peers, netsim.ASN(i+1), netsim.RelPeer, netsim.RelPeer)
-		}
-	}
-	settle(peers, ClassPeer)
+	round(slices.Concat(settled()...), netsim.RelPeer, netsim.RelPeer, ClassPeer)
 
 	// Phase 3: provider routes descend (only customers and siblings hear
 	// an AS's full table). Settled ASes have heterogeneous hop counts, so
 	// this is a bucketed Dijkstra: draining buckets in increasing hop order
 	// guarantees each AS settles at its true shortest provider-route length.
-	var buckets [][]netsim.ASN
-	for i, h := range t.Hops {
-		if h >= 0 {
-			for int(h) >= len(buckets) {
-				buckets = append(buckets, nil)
-			}
-			buckets[h] = append(buckets[h], netsim.ASN(i+1))
-		}
-	}
+	buckets := settled()
 	for h := 0; h < len(buckets); h++ {
-		var heard []netsim.ASN
-		for _, x := range buckets[h] {
-			heard = offer(heard, x, netsim.RelCustomer, netsim.RelSibling)
-		}
-		settle(heard, ClassProvider)
-		if len(heard) > 0 {
+		if heard := round(buckets[h], netsim.RelCustomer, netsim.RelSibling, ClassProvider); len(heard) > 0 {
 			if h+1 == len(buckets) {
 				buckets = append(buckets, nil)
 			}

@@ -77,7 +77,7 @@ func New(top *netsim.Topology, cfg Config) *Sim {
 		Cfg:   cfg,
 		seed:  top.Cfg.Seed*0x9e3779b9 + 0x1234,
 		days:  make(map[int]*Day),
-		intra: newIntraCache(top),
+		intra: &intraCache{top: top, byAS: make([]filled[*intraAS], len(top.ASes))},
 	}
 }
 

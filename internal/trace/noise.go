@@ -9,13 +9,10 @@ import (
 // alone, and math/rand seeds a source by stepping a Lehmer generator 1 841
 // times to fill a 607-word register: forty times the work of the draws,
 // and 5 KB allocated. noiseSource yields the same stream, filling a
-// register word only when a draw reads it.
-//
-// math/rand's generator (frozen by the Go 1 promise) is the additive lagged
-// Fibonacci x[n] = x[n-607] + x[n-273] over int64, and seeding sets register
-// word i to l(21+3i)<<40 ^ l(22+3i)<<20 ^ l(23+3i) ^ rngCooked[i] where
-// l(n) = 48271^n * seed mod (2^31-1): any one word is a table lookup of
-// 48271^(21+3i) and three modular multiplications.
+// register word only when a draw reads it: math/rand's generator (frozen by
+// the Go 1 promise) is x[n] = x[n-607] + x[n-273] over int64, seeded with
+// word i = l(21+3i)<<40 ^ l(22+3i)<<20 ^ l(23+3i) ^ rngCooked[i], where
+// l(n) = 48271^n * seed mod (2^31-1).
 const (
 	rngLen  = 607
 	rngTap  = 273
@@ -31,17 +28,14 @@ var (
 // init builds the jump table and reads rngCooked back out of a real
 // source: the register rand.NewSource(1) was seeded with, recovered from
 // its first 607 outputs, less seed 1's raw words. Output n (from 1) is
-// vec[feed] + vec[tap] with feed = 334-n and tap = 607-n (mod 607), stored
-// back at feed; a tap past the first 273 outputs reads what output n-273
-// stored.
+// vec[feed] + vec[tap], feed = 334-n and tap = 607-n (mod 607), stored back
+// at feed; a tap past the first 273 outputs reads what output n-273 stored.
 func init() {
 	p := uint64(1)
-	for n := 0; n < 21; n++ {
-		p = mulmod(p, lehmerA)
-	}
-	for i := range lehmerJump {
-		lehmerJump[i] = p
-		p = mulmod(mulmod(mulmod(p, lehmerA), lehmerA), lehmerA)
+	for n := 1; n <= 21+3*(rngLen-1); n++ {
+		if p = p * lehmerA % lehmerM; n >= 21 && (n-21)%3 == 0 {
+			lehmerJump[(n-21)/3] = p
+		}
 	}
 	src := rand.NewSource(1).(rand.Source64)
 	var out [rngLen + 1]int64
@@ -63,21 +57,16 @@ func init() {
 	}
 }
 
-// mulmod returns a*b mod 2^31-1 for a, b below 2^31.
-func mulmod(a, b uint64) uint64 { return a * b % lehmerM }
-
-// rawWord is register word i of a source seeded with Lehmer state x0,
-// before rngCooked is mixed in.
+// rawWord is register word i for Lehmer state x0, before rngCooked is mixed in.
 func rawWord(x0 uint64, i int) int64 {
-	a := mulmod(lehmerJump[i], x0)
-	b := mulmod(a, lehmerA)
-	c := mulmod(b, lehmerA)
+	a := lehmerJump[i] * x0 % lehmerM // all three factors are below 2^31
+	b := a * lehmerA % lehmerM
+	c := b * lehmerA % lehmerM
 	return int64(a)<<40 ^ int64(b)<<20 ^ int64(c)
 }
 
 // noiseSource is a rand.Source64 whose stream for a seed is math/rand's.
-// Seed costs nothing; each of the first 607 draws seeds the one or two
-// register words it reads.
+// Each of the first 607 draws seeds the one or two register words it reads.
 type noiseSource struct {
 	x0        uint64 // Lehmer state the register is seeded from
 	drawn     int    // draws since Seed, saturating at rngLen
@@ -121,13 +110,12 @@ func (s *noiseSource) Uint64() uint64 {
 
 func (s *noiseSource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
-// noisePool recycles generators over noiseSources, so that a measurement
-// allocates nothing for its randomness.
+// noisePool recycles generators, so that a measurement allocates none.
 var noisePool = sync.Pool{New: func() any { return rand.New(new(noiseSource)) }}
 
 // noiseFor returns math/rand's stream for the seed derived from one
-// measurement's identity; the caller puts it back in noisePool after its
-// last draw.
+// measurement's identity, so that campaigns are reproducible regardless of
+// execution order. The caller puts it back in noisePool after its last draw.
 func noiseFor(base, kind, a, b uint64) *rand.Rand {
 	h := base ^ kind*0x9e3779b97f4a7c15 ^ a*0xbf58476d1ce4e5b9 ^ b*0x94d049bb133111eb
 	h ^= h >> 31

@@ -12,7 +12,6 @@
 package trace
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -72,13 +71,15 @@ type Meter struct {
 	day  *bgpsim.Day
 	top  *netsim.Topology
 	opts Options
-	seed uint64
+	// seed derives the day's measurement noise; stableSeed that of
+	// measurements that must not drift day over day (link latencies are
+	// "extremely stable" per §6.2 — re-rolled daily they balloon the deltas).
+	seed, stableSeed uint64
 
-	// rev remembers the reverse one-way latency from each PoP a
-	// traceroute's hops asked about back to its source: a campaign asks a
-	// dozen times per distinct (source, PoP), and a day's routes never
-	// change under its Meter. Sharded by source, because RunCampaign's
-	// workers each probe from their own.
+	// rev remembers the reverse one-way latency from each PoP a traceroute
+	// hop asked about back to its source: a campaign asks a dozen times per
+	// distinct (source, PoP), and a day's routes never change. Sharded by
+	// source, because RunCampaign's workers each probe from their own.
 	rev [revShards]revShard
 }
 
@@ -94,11 +95,10 @@ type revShard struct {
 // NewMeter creates a measurement harness for the given day view.
 func NewMeter(day *bgpsim.Day, opts Options) *Meter {
 	s := day.Sim()
+	stable := uint64(s.Top.Cfg.Seed) * 0x5851f42d4c957f2d
 	return &Meter{
-		day:  day,
-		top:  s.Top,
-		opts: opts,
-		seed: uint64(s.Top.Cfg.Seed)*0x5851f42d4c957f2d + uint64(day.DayNum())*0x14057b7ef767814f,
+		day: day, top: s.Top, opts: opts,
+		seed: stable + uint64(day.DayNum())*0x14057b7ef767814f, stableSeed: stable,
 	}
 }
 
@@ -123,20 +123,6 @@ func (m *Meter) revMS(p netsim.PoPID, src netsim.Prefix) (ms float64, ok bool) {
 		sh.mu.Unlock()
 	}
 	return ms, ms >= 0
-}
-
-// rngFor derives a deterministic RNG for one measurement so campaigns are
-// reproducible regardless of execution order. The caller returns it to
-// noisePool after its last draw.
-func (m *Meter) rngFor(kind uint64, a, b uint64) *rand.Rand {
-	return noiseFor(m.seed, kind, a, b)
-}
-
-// rngStable is rngFor without the day component, for measurements whose
-// outcome must not drift day over day (link latencies are "extremely
-// stable" per §6.2 — re-rolling them daily would balloon the deltas).
-func (m *Meter) rngStable(kind uint64, a, b uint64) *rand.Rand {
-	return noiseFor(uint64(m.top.Cfg.Seed)*0x5851f42d4c957f2d, kind, a, b)
 }
 
 // ifaceFor returns the interface revealed when entering PoP p via link l
@@ -171,7 +157,7 @@ func (m *Meter) Traceroute(src, dst netsim.Prefix) Traceroute {
 	if !ok {
 		return tr
 	}
-	rng := m.rngFor(1, uint64(src), uint64(dst))
+	rng := noiseFor(m.seed, 1, uint64(src), uint64(dst))
 	defer noisePool.Put(rng)
 	top := m.top
 	accessSrc := top.PrefixAccessMS[src]
@@ -217,7 +203,7 @@ func (m *Meter) MeasureLoss(src, dst netsim.Prefix, probes int) (lossFrac float6
 	if !ok {
 		return 0, false
 	}
-	rng := m.rngFor(2, uint64(src), uint64(dst))
+	rng := noiseFor(m.seed, 2, uint64(src), uint64(dst))
 	defer noisePool.Put(rng)
 	lost := 0
 	for i := 0; i < probes; i++ {
@@ -232,7 +218,7 @@ func (m *Meter) MeasureLoss(src, dst netsim.Prefix, probes int) (lossFrac float6
 // measurement [28]: an unbiased estimate of the link's one-way latency with
 // small multiplicative error.
 func (m *Meter) MeasureLinkLatency(l netsim.LinkID) float64 {
-	rng := m.rngStable(3, uint64(l), 0)
+	rng := noiseFor(m.stableSeed, 3, uint64(l), 0)
 	defer noisePool.Put(rng)
 	lat := m.top.Links[l].LatencyMS
 	return lat * (1 + 0.04*(rng.Float64()-0.5))
@@ -243,7 +229,7 @@ func (m *Meter) MeasureLinkLatency(l netsim.LinkID) float64 {
 // directly. Reverse-path asymmetry makes this much noisier than
 // MeasureLinkLatency (±30% versus ±2%).
 func (m *Meter) CoarseLinkLatency(l netsim.LinkID) float64 {
-	rng := m.rngStable(5, uint64(l), 0)
+	rng := noiseFor(m.stableSeed, 5, uint64(l), 0)
 	defer noisePool.Put(rng)
 	lat := m.top.Links[l].LatencyMS * (1 + 0.6*(rng.Float64()-0.5))
 	if lat < 0.05 {
@@ -255,7 +241,7 @@ func (m *Meter) CoarseLinkLatency(l netsim.LinkID) float64 {
 // MeasureLinkLoss simulates probing one directed link's loss rate with a
 // probe train (achieved by frontier-assigned vantage points in the paper).
 func (m *Meter) MeasureLinkLoss(l netsim.LinkID, from netsim.PoPID, probes int) float64 {
-	rng := m.rngFor(4, uint64(l), uint64(from))
+	rng := noiseFor(m.seed, 4, uint64(l), uint64(from))
 	defer noisePool.Put(rng)
 	p := m.day.Sim().LinkLoss(l, from, m.day.DayNum())
 	lost := 0
