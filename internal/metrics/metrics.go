@@ -298,12 +298,9 @@ func PeakRSSMB() (mb int, ok bool) {
 	if err != nil {
 		return 0, false
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, found := strings.CutPrefix(line, "VmHWM:"); found {
-			var kb int
-			if _, err := fmt.Sscan(rest, &kb); err != nil {
-				return 0, false
-			}
+	if _, rest, found := strings.Cut(string(data), "\nVmHWM:"); found {
+		var kb int
+		if _, err := fmt.Sscan(rest, &kb); err == nil {
 			return kb >> 10, true
 		}
 	}

@@ -9,6 +9,13 @@
 // compose the forward sub-path with the asymmetric reverse path from the
 // hop back to the source, plus measurement noise; some routers never
 // respond and individual hops drop transiently.
+//
+// The contract of that noise: every measurement draws math/rand's stream —
+// the numbers rand.New(rand.NewSource(seed)) yields — for a seed derived
+// from (world seed, kind, a, b, and the day unless the measurement must not
+// drift day over day). The benchmark's world and every paper-figure bound
+// are functions of those numbers: how a stream is produced may change
+// (noise.go), which stream may not, and sim's TestBuildGoldenBytes holds it.
 package trace
 
 import (

@@ -15,7 +15,7 @@ import (
 // 0 and 1 chained through one cluster registry — and returns the encoded
 // atlases and the encoded day 0 -> 1 delta (diffed, like a client would
 // see it, between the decoded atlases: the codec quantizes latencies).
-func goldenBuild(t *testing.T, scale Scale, seed int64) (bins [2][]byte, delta []byte) {
+func goldenBuild(t testing.TB, scale Scale, seed int64) (bins [2][]byte, delta []byte) {
 	t.Helper()
 	w := NewWorld(scale, seed)
 	vps := w.VantagePoints(16 + 8)
@@ -80,5 +80,15 @@ func TestBuildGoldenBytes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSetup is one server-side set-up of the benchmark's world, where
+// the campaign and build profiles are taken (docs/performance.md, "Set-up:
+// campaign and build").
+func BenchmarkSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		goldenBuild(b, Medium, 1)
 	}
 }
