@@ -110,6 +110,7 @@ func main() {
 		if strings.HasPrefix(line, "inanod_batch_pairs_streamed_total") ||
 			strings.HasPrefix(line, "inanod_tree_cache_builds") ||
 			strings.HasPrefix(line, "inanod_tree_cache_hit_ratio") ||
+			strings.HasPrefix(line, "inanod_tree_cache_warm") || // _warmed, _warm_hits: the rebuild behind the roll
 			strings.HasPrefix(line, "inanod_atlas_day") ||
 			strings.HasPrefix(line, "inanod_reload_") {
 			fmt.Println(" ", line)

@@ -43,7 +43,8 @@
 // through one merge pass over the compiled atlas (atlas.Flat.Apply), not a
 // rebuild — and publish the finished engine with a single atomic store, so
 // no query ever waits for one: queries in flight finish on the engine they
-// started on, later ones see the new atlas.
+// started on, later ones see the new atlas — and, when the change emptied
+// the prediction-tree cache, find yesterday's trees being rebuilt behind it.
 package inano
 
 import (
@@ -115,6 +116,9 @@ type Client struct {
 	// with wmu held, after the next engine is built and before it is
 	// published.
 	beforePublish func()
+	// startWarm, when set by a test, is handed the warmer publish would
+	// have started on a goroutine: to run inline, park, or wait for.
+	startWarm func(warm func())
 }
 
 // FromAtlas wraps an in-memory atlas with the full iNano configuration.
@@ -188,12 +192,26 @@ func (c *Client) Atlas() *atlas.Atlas {
 	return c.engine.Load().Flat().Inflate()
 }
 
-// publish makes e the engine every later query reads. Caller holds wmu.
-func (c *Client) publish(e *core.Engine) {
+// publish makes next the engine every later query reads in cur's place.
+// Unless next adopted cur's tree cache, one goroutine then rebuilds on next
+// the trees that were resident in cur, hottest first, until the list is
+// done or next is itself superseded (core.Engine.Warm); it holds the key
+// list, not cur. Caller holds wmu.
+func (c *Client) publish(cur, next *core.Engine) {
 	if c.beforePublish != nil {
 		c.beforePublish()
 	}
-	c.engine.Store(e)
+	c.engine.Store(next)
+	keys := next.WarmList(cur)
+	if len(keys) == 0 {
+		return
+	}
+	warm := func() { next.Warm(keys, func() bool { return c.engine.Load() != next }) }
+	if c.startWarm != nil {
+		c.startWarm(warm)
+	} else {
+		go warm()
+	}
 }
 
 // ApplyDelta applies an encoded daily update, keeping the atlas current
@@ -202,7 +220,8 @@ func (c *Client) publish(e *core.Engine) {
 // published with one atomic store: no query waits for it, and queries in
 // flight keep the snapshot they started on. LastRoll reports what changed.
 // A delta that moves nothing routes are computed from (a same-day push of
-// corrections, say) leaves the warm prediction-tree cache in place.
+// corrections, say) leaves the warm prediction-tree cache in place; after
+// any other, one goroutine rebuilds the trees that were resident (publish).
 func (c *Client) ApplyDelta(r io.Reader) error {
 	d, err := atlas.DecodeDelta(r)
 	if err != nil {
@@ -217,7 +236,7 @@ func (c *Client) ApplyDelta(r io.Reader) error {
 	next, stats := c.apply(cur, d)
 	// Stats first: whoever sees the new day also sees what the roll did.
 	c.lastRoll.Store(&stats)
-	c.publish(next)
+	c.publish(cur, next)
 	return nil
 }
 
@@ -385,7 +404,8 @@ func (s Snapshot) HopCluster(ip IP) (int32, bool) {
 // (hits, misses, Dijkstra builds, trees resident) — the observability hook
 // behind inanod's /metrics and /debug/stats. Counters reset when a delta
 // or traceroute merge swaps in an engine with a cold cache (one that
-// changed only corrections keeps cache and counters).
+// changed only corrections keeps cache and counters); Warmed and WarmHits
+// then say how the rebuild behind that swap is doing.
 func (c *Client) CacheStats() core.CacheStats {
 	return c.engine.Load().CacheStats()
 }

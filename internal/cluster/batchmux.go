@@ -140,6 +140,7 @@ func (rt *Router) answerWindow(ctx context.Context, win *routedWindow) ([]byte, 
 		}
 		groups, err := rt.groupByOwner(win, pending, failed)
 		if err != nil {
+			rt.noReplica.Inc() // once a stream: this error ends it
 			return win.answeredPrefix(err)
 		}
 		var wg sync.WaitGroup

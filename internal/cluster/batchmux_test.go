@@ -185,6 +185,53 @@ func TestBatchRetriesOnMidStreamDeath(t *testing.T) {
 	}
 }
 
+// TestBatchRunsOutOfReplicas: every replica dies mid-stream, each after a
+// few answers. The client gets the answered prefix in order and then the
+// terminal line naming the first pair nobody was left to answer; the stream
+// counts once in inano_router_no_replica_total, as a single query that ran
+// out of replicas does; and each replica left the ring once.
+func TestBatchRunsOutOfReplicas(t *testing.T) {
+	replicas := []*fakeReplica{newFakeReplica(t, 0), newFakeReplica(t, 1), newFakeReplica(t, 2)}
+	var ejected atomic.Int32
+	rt, ts := newTestRouter(t, replicas, func(cfg *RouterConfig) {
+		cfg.Window = 8
+		cfg.Logf = func(format string, args ...any) {
+			if strings.Contains(format, "out of ring") {
+				ejected.Add(1)
+			}
+		}
+	})
+	const each = 5
+	for _, f := range replicas {
+		f.dieAfterBatchLines.Store(each)
+	}
+	const n = 90
+	var lines []string
+	for i := 0; i < n; i++ {
+		lines = append(lines, batchLine(i))
+	}
+	answers := runBatch(t, ts.URL, lines)
+	got := len(answers) - 1
+	if got < 1 || got > each*len(replicas) {
+		t.Fatalf("%d lines came back from replicas that answer %d lines each", len(answers), each)
+	}
+	for i, a := range answers[:got] {
+		if a.Error != "" || a.Dst != dstForIndex(i) {
+			t.Fatalf("answer %d of the prefix: dst %q error %q, want %q", i, a.Dst, a.Error, dstForIndex(i))
+		}
+	}
+	if want := fmt.Sprintf("batch aborted after %d results: no live replica for pair %d", got, got); answers[got].Error != want {
+		t.Fatalf("terminal line %+v, want error %q", answers[got], want)
+	}
+	if v := rt.noReplica.Value(); v != 1 {
+		t.Fatalf("inano_router_no_replica_total = %d after one stream ran out of replicas, want 1", v)
+	}
+	if rt.Ring().Len() != 0 || int(ejected.Load()) != len(replicas) || rt.reshards.Value() != uint64(len(replicas)) {
+		t.Fatalf("ring has %d nodes after %d ejections and %d reshards, want 0 after one each for %d replicas",
+			rt.Ring().Len(), ejected.Load(), rt.reshards.Value(), len(replicas))
+	}
+}
+
 // TestBatchRetryAfterInputEOF: one replica swallows its whole group and
 // answers nothing — a 200 with an empty body, once it has read the
 // sub-request to its end. Every line it was sent is re-sent to the two

@@ -12,7 +12,8 @@ import (
 // distinct locks and never contend. Each shard is an LRU over its slice of
 // the capacity, with singleflight computation: concurrent misses on the
 // same cold destination block on one in-flight build instead of running
-// the backtracking Dijkstra once per caller.
+// the backtracking Dijkstra once per caller. Readers enter by getOrCompute;
+// warm is the second door, for trees built on a guess (Engine.Warm).
 type shardedTreeCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -32,12 +33,16 @@ type cacheShard struct {
 	// buildNS sums the wall time of those builds.
 	hits, misses, builds uint64
 	buildNS              int64
+	// warmed counts trees warm built that the shard kept or a reader took
+	// off the build; warmHits those of them a reader has since asked for.
+	warmed, warmHits uint64
 }
 
 type lruEntry struct {
 	key        uint64
 	t          *tree
 	prev, next *lruEntry
+	warm       bool // built by warm and not hit since
 }
 
 // inflightBuild publishes a tree being computed; waiters block on done and
@@ -48,6 +53,7 @@ type inflightBuild struct {
 	done     chan struct{}
 	t        *tree
 	panicked any
+	warm     bool // started by warm and not joined by a reader (under mu)
 }
 
 // CacheStats aggregates tree cache counters across shards.
@@ -59,6 +65,10 @@ type CacheStats struct {
 	// BuildNS/Builds is what one cold destination costs a caller.
 	BuildNS int64
 	Len     int // trees currently cached
+	// Warmed counts trees rebuilt behind a publish from the previous
+	// engine's resident set (they are in Builds too), WarmHits those a
+	// lookup has since asked for: the warm list's own hit ratio.
+	Warmed, WarmHits uint64
 }
 
 // newShardedTreeCache builds a cache holding up to capacity trees across
@@ -99,11 +109,6 @@ type treeBuilder interface {
 	buildTree(k uint64) *tree
 }
 
-// builderFunc adapts a plain function to treeBuilder (test hook).
-type builderFunc func(uint64) *tree
-
-func (f builderFunc) buildTree(k uint64) *tree { return f(k) }
-
 // getOrCompute returns the cached tree for k, or computes it exactly once
 // across all concurrent callers and caches the result. The caller that wins
 // the build runs b.buildTree to completion (so the tree stays cached for a
@@ -117,11 +122,20 @@ func (c *shardedTreeCache) getOrCompute(ctx context.Context, k uint64, bld treeB
 	if e, ok := s.items[k]; ok {
 		s.moveToFront(e)
 		s.hits++
+		if e.warm {
+			e.warm = false
+			s.warmHits++
+		}
 		s.mu.Unlock()
 		return e.t, nil
 	}
 	s.misses++
 	if b, ok := s.inflight[k]; ok {
+		if b.warm { // a reader wants it: the guess was right, and it goes in at the front
+			b.warm = false
+			s.warmed++
+			s.warmHits++
+		}
 		s.mu.Unlock()
 		select {
 		case <-b.done:
@@ -136,7 +150,29 @@ func (c *shardedTreeCache) getOrCompute(ctx context.Context, k uint64, bld treeB
 	b := &inflightBuild{done: make(chan struct{})}
 	s.inflight[k] = b
 	s.mu.Unlock()
+	return s.build(k, b, bld), nil
+}
 
+// warm builds k's tree on a guess that a reader will want it. A key already
+// resident or in flight, or whose shard is full, is left alone, and no
+// lookup is counted; the build is registered like a reader's, so a reader's
+// miss meanwhile joins it.
+func (c *shardedTreeCache) warm(k uint64, bld treeBuilder) {
+	s := c.shard(k)
+	s.mu.Lock()
+	if s.items[k] != nil || s.inflight[k] != nil || len(s.items) >= s.cap {
+		s.mu.Unlock()
+		return
+	}
+	b := &inflightBuild{done: make(chan struct{}), warm: true}
+	s.inflight[k] = b
+	s.mu.Unlock()
+	s.build(k, b, bld)
+}
+
+// build computes the tree for k, which the caller registered in flight as
+// b, and caches it: at the front for a reader, by insert's rule for warm.
+func (s *cacheShard) build(k uint64, b *inflightBuild, bld treeBuilder) *tree {
 	completed := false
 	start := time.Now()
 	defer func() {
@@ -148,7 +184,7 @@ func (c *shardedTreeCache) getOrCompute(ctx context.Context, k uint64, bld treeB
 		if completed {
 			s.builds++
 			s.buildNS += int64(time.Since(start))
-			s.insert(k, b.t)
+			s.insert(k, b.t, b.warm)
 		}
 		s.mu.Unlock()
 		close(b.done)
@@ -158,7 +194,7 @@ func (c *shardedTreeCache) getOrCompute(ctx context.Context, k uint64, bld treeB
 	}()
 	b.t = bld.buildTree(k)
 	completed = true
-	return b.t, nil
+	return b.t
 }
 
 func (c *shardedTreeCache) stats() CacheStats {
@@ -171,27 +207,41 @@ func (c *shardedTreeCache) stats() CacheStats {
 		st.Builds += s.builds
 		st.BuildNS += s.buildNS
 		st.Len += len(s.items)
+		st.Warmed += s.warmed
+		st.WarmHits += s.warmHits
 		s.mu.Unlock()
 	}
 	return st
 }
 
-// insert adds k at the front, evicting the least recently used entry when
-// the shard is full. Re-inserting an existing key refreshes its recency.
-func (s *cacheShard) insert(k uint64, t *tree) {
-	if e, ok := s.items[k]; ok {
-		e.t = t
-		s.moveToFront(e)
-		return
-	}
+// insert caches the tree just built for k (so k is not resident). A
+// reader's goes in at the front, evicting the least recently used entry
+// when the shard is full. A warm one goes in at the cold end and only into
+// a free slot: a guess never evicts, and never outranks a tree a reader
+// asked for.
+func (s *cacheShard) insert(k uint64, t *tree, warm bool) {
 	if len(s.items) >= s.cap {
+		if warm {
+			return
+		}
 		oldest := s.tail
 		s.unlink(oldest)
 		delete(s.items, oldest.key)
 	}
-	e := &lruEntry{key: k, t: t}
+	e := &lruEntry{key: k, t: t, warm: warm}
 	s.items[k] = e
-	s.pushFront(e)
+	if !warm {
+		s.pushFront(e)
+		return
+	}
+	s.warmed++
+	e.prev = s.tail
+	if s.tail != nil {
+		s.tail.next = e
+	} else {
+		s.head = e
+	}
+	s.tail = e
 }
 
 func (s *cacheShard) pushFront(e *lruEntry) {
@@ -228,14 +278,28 @@ func (s *cacheShard) moveToFront(e *lruEntry) {
 	s.pushFront(e)
 }
 
-// keysMRU returns the shard's keys from most to least recently used (test
-// helper for eviction-order assertions).
-func (s *cacheShard) keysMRU() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []uint64
-	for e := s.head; e != nil; e = e.next {
-		out = append(out, e.key)
+// keysMRU lists the resident keys hottest first: most recently used first
+// within a shard, and rank by rank across shards, which keep no common
+// clock.
+func (c *shardedTreeCache) keysMRU() []uint64 {
+	per := make([][]uint64, len(c.shards))
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for e := s.head; e != nil; e = e.next {
+			per[i] = append(per[i], e.key)
+		}
+		s.mu.Unlock()
+		n += len(per[i])
+	}
+	out := make([]uint64, 0, n)
+	for rank := 0; len(out) < n; rank++ {
+		for _, ks := range per {
+			if rank < len(ks) {
+				out = append(out, ks[rank])
+			}
+		}
 	}
 	return out
 }

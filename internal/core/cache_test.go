@@ -15,6 +15,11 @@ func fakeTree(id int32) *tree { return &tree{next: []int32{id}} }
 
 func treeTag(t *tree) int32 { return t.next[0] }
 
+// builderFunc adapts a plain function to treeBuilder.
+type builderFunc func(uint64) *tree
+
+func (f builderFunc) buildTree(k uint64) *tree { return f(k) }
+
 // TestLRUEvictionOrder drives a single-shard cache through scripted access
 // sequences and checks exactly which keys survive and in what recency
 // order.
@@ -69,7 +74,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 					t.Fatalf("key %d returned tree tagged %d", k, treeTag(got))
 				}
 			}
-			got := c.shards[0].keysMRU()
+			got := c.keysMRU()
 			if len(got) != len(tc.wantMRU) {
 				t.Fatalf("cache holds %v, want %v", got, tc.wantMRU)
 			}

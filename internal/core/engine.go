@@ -31,6 +31,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -176,9 +177,37 @@ func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 	return e
 }
 
+// WarmList returns the keys of the trees resident in prev, hottest first —
+// what Warm should rebuild on e when e takes over from prev — or nil when
+// e adopted prev's cache. It is 8 bytes a tree and holds nothing of prev.
+func (e *Engine) WarmList(prev *Engine) []uint64 {
+	if e.trees == prev.trees {
+		return nil
+	}
+	return prev.trees.keysMRU()
+}
+
+// Warm builds on e the trees keys name, in order, until the list is done
+// or stop reports true (e was superseded). Yesterday's residency is a guess
+// at today's demand and costs a reader nothing when wrong: a key whose
+// cluster e's atlas lacks is skipped, as is one resident or in flight; a
+// reader's miss on a key being built joins that build; and what is built
+// enters its shard at the cold end, into a free slot only (see insert).
+func (e *Engine) Warm(keys []uint64, stop func() bool) {
+	for _, k := range keys {
+		if stop() {
+			return
+		}
+		if k>>32 < uint64(e.numClusters) {
+			e.trees.warm(k, e)
+			runtime.Gosched() // with no processor to spare, a reader waits for one tree, not a time slice of them
+		}
+	}
+}
+
 // CacheStats reports tree cache counters (hits, misses, Dijkstra builds,
-// trees resident). Builds lag misses when singleflight coalesces
-// concurrent misses on one destination.
+// trees resident, trees warmed and hit). Builds lag misses when
+// singleflight coalesces concurrent misses on one destination.
 func (e *Engine) CacheStats() CacheStats { return e.trees.stats() }
 
 // Flat returns the engine's compiled serving-form atlas.

@@ -27,24 +27,27 @@ func (s *Server) ApplyDeltaFile(path string) error {
 		return err
 	}
 	defer f.Close()
+	resident := s.c.CacheStats().Len
 	if err := s.c.ApplyDelta(f); err != nil {
 		s.reloadErrors.Inc()
 		return err
 	}
-	s.noteReload("applied delta " + path)
+	s.noteReload("applied delta "+path, resident)
 	return nil
 }
 
 // noteReload counts a successful reload and logs what the roll changed.
-func (s *Server) noteReload(what string) {
+// resident is how many trees the cache held going in: the client rebuilds
+// them behind the publish (none if only corrections moved and it kept them).
+func (s *Server) noteReload(what string, resident int) {
 	s.reloads.Inc()
 	s.lastReload.Set(time.Now().Unix())
 	st, _ := s.c.LastRoll()
-	s.cfg.Logf("inanod: %s; serving day %d (merged in %v: links +%d -%d ~%d, loss +%d -%d, tuples +%d -%d, %d prefixes re-homed, %d clusters added, local corrections %d halved %d dropped)",
+	s.cfg.Logf("inanod: %s; serving day %d (merged in %v: links +%d -%d ~%d, loss +%d -%d, tuples +%d -%d, %d prefixes re-homed, %d clusters added, local corrections %d halved %d dropped); rebuilding up to %d resident trees",
 		what, st.ToDay, st.Duration.Round(time.Microsecond),
 		st.LinksAdded, st.LinksRemoved, st.LinksRetagged, st.LossSet, st.LossCleared,
 		st.TuplesAdded, st.TuplesRemoved, st.PrefixesRehomed, st.ClustersAdded,
-		st.LocalDecayed, st.LocalDropped)
+		st.LocalDecayed, st.LocalDropped, resident)
 }
 
 // fileStamp identifies a file version cheaply.
@@ -142,11 +145,12 @@ func (s *Server) WatchManifest(ctx context.Context, path string, interval time.D
 		}
 		fctx, cancel := context.WithTimeout(ctx, interval)
 		defer cancel()
+		resident := s.c.CacheStats().Len
 		if err := s.c.FetchDelta(fctx, addr, m); err != nil {
 			s.reloadErrors.Inc()
 			s.cfg.Logf("inanod: swarm delta %s not applied: %v", m.Name, err)
 			return
 		}
-		s.noteReload("fetched+applied swarm delta " + m.Name)
+		s.noteReload("fetched+applied swarm delta "+m.Name, resident)
 	})
 }

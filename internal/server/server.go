@@ -248,8 +248,12 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.c.CacheStats().Hits) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_misses", "Tree cache misses (resets on reload).", "",
 		func() float64 { return float64(s.c.CacheStats().Misses) })
-	s.reg.NewGaugeFunc("inanod_tree_cache_builds", "Dijkstra tree builds (resets on reload).", "",
+	s.reg.NewGaugeFunc("inanod_tree_cache_builds", "Dijkstra tree builds, the warmer's behind a reload included (resets on reload).", "",
 		func() float64 { return float64(s.c.CacheStats().Builds) })
+	s.reg.NewGaugeFunc("inanod_tree_cache_warmed", "Trees rebuilt behind the last reload from those resident before it (resets on reload).", "",
+		func() float64 { return float64(s.c.CacheStats().Warmed) })
+	s.reg.NewGaugeFunc("inanod_tree_cache_warm_hits", "Warmed trees a lookup has since asked for (resets on reload); over inanod_tree_cache_warmed, whether the rebuild was worth it.", "",
+		func() float64 { return float64(s.c.CacheStats().WarmHits) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_build_seconds",
 		"Wall time spent in Dijkstra tree builds (resets on reload); over inanod_tree_cache_builds, the price of one cold destination.", "",
 		func() float64 { return time.Duration(s.c.CacheStats().BuildNS).Seconds() })
@@ -754,6 +758,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			"build_us_mean": buildMeanUS,
 			"resident":      st.Len,
 			"hit_ratio":     hitRatio,
+			"warmed":        st.Warmed,
+			"warm_hits":     st.WarmHits,
 		},
 		"reloads": map[string]any{
 			"applied":     s.reloads.Value(),

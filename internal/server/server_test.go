@@ -629,3 +629,82 @@ func TestWatchDeltaFile(t *testing.T) {
 	cancel()
 	<-done
 }
+
+// TestReloadWarmsTreeCache: a reload logs how many trees it sets out to
+// rebuild, the client rebuilds them behind the publish, and once traffic
+// has come back both /metrics and /debug/stats show the rebuilt trees and
+// that they were asked for.
+func TestReloadWarmsTreeCache(t *testing.T) {
+	f := buildFixture(t, 212)
+	var mu sync.Mutex
+	var logged []string
+	s, ts := start(t, f, func(c *Config) {
+		c.Logf = func(format string, args ...any) {
+			mu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}
+	})
+	traffic := func() {
+		for _, dst := range f.targets[:24] {
+			resp, err := http.Get(fmt.Sprintf("%s/v1/query?src=%s&dst=%s", ts.URL, ipStr(f.vps[0]), ipStr(dst)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+	traffic()
+	resident := f.client.CacheStats().Len
+	deltaPath := filepath.Join(t.TempDir(), "delta.bin")
+	if err := os.WriteFile(deltaPath, f.delta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyDeltaFile(deltaPath); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if want := fmt.Sprintf("; rebuilding up to %d resident trees", resident); len(logged) != 1 || resident == 0 || !strings.HasSuffix(logged[0], want) {
+		t.Errorf("reload logged %q, want one line ending %q", logged, want)
+	}
+	mu.Unlock()
+	deadline := time.Now().Add(10 * time.Second)
+	for f.client.CacheStats().Warmed < uint64(resident) {
+		if time.Now().After(deadline) {
+			t.Fatalf("warmer not done: %+v of %d trees", f.client.CacheStats(), resident)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	traffic()
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	st := f.client.CacheStats()
+	if st.WarmHits == 0 || st.Builds < st.Warmed {
+		t.Fatalf("traffic after the reload hit no warmed tree: %+v", st)
+	}
+	for _, w := range []string{
+		fmt.Sprintf("inanod_tree_cache_warmed %d\n", st.Warmed),
+		fmt.Sprintf("inanod_tree_cache_warm_hits %d\n", st.WarmHits),
+		fmt.Sprintf("inanod_tree_cache_builds %d\n", st.Builds),
+	} {
+		if !strings.Contains(string(raw), w) {
+			t.Errorf("/metrics missing %q", w)
+		}
+	}
+	var stats struct {
+		TreeCache struct {
+			Warmed   uint64 `json:"warmed"`
+			WarmHits uint64 `json:"warm_hits"`
+		} `json:"tree_cache"`
+	}
+	getJSON(t, ts.URL+"/debug/stats", &stats)
+	if stats.TreeCache.Warmed != st.Warmed || stats.TreeCache.WarmHits != st.WarmHits {
+		t.Errorf("/debug/stats tree_cache %+v, want warmed %d warm_hits %d", stats.TreeCache, st.Warmed, st.WarmHits)
+	}
+}

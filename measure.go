@@ -32,6 +32,6 @@ func (c *Client) AddTraceroutes(trs []LocalTraceroute) int {
 		return 0
 	}
 	next, _ := c.apply(cur, d)
-	c.publish(next)
+	c.publish(cur, next)
 	return structural + residual
 }

@@ -20,7 +20,13 @@ import (
 // delta from every day to the next.
 func dayChain(t testing.TB, seed int64, n int) (w *sim.World, vps []Prefix, days []*atlas.Atlas, deltas [][]byte) {
 	t.Helper()
-	w = sim.NewWorld(sim.Tiny, seed)
+	return dayChainAt(t, sim.Tiny, seed, n)
+}
+
+// dayChainAt is dayChain over a world of the given scale.
+func dayChainAt(t testing.TB, scale sim.Scale, seed int64, n int) (w *sim.World, vps []Prefix, days []*atlas.Atlas, deltas [][]byte) {
+	t.Helper()
+	w = sim.NewWorld(scale, seed)
 	vps = w.VantagePoints(12)
 	var cl *cluster.Clustering
 	for d := 0; d <= n; d++ {
@@ -197,7 +203,8 @@ func TestRollFreesTheMapping(t *testing.T) {
 // TestCorrectionOnlyDeltaKeepsTreeCache: what an applied delta costs the
 // warm tree cache follows from what it changed, not from who sent it. A
 // delta that only sets corrections moves nothing route computation reads,
-// so the trees stay; one that re-tags a single link drops them.
+// so the trees stay; one that re-tags a single link drops them, and the
+// warmer rebuilds them on the new engine.
 func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 	_, vps, days, _ := dayChain(t, 143, 0)
 	src, dst := vps[0], vps[1]
@@ -210,6 +217,7 @@ func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 	}
 
 	c := FromAtlas(days[0])
+	c.startWarm = func(func()) { t.Error("a delta that kept the tree cache started a warmer") }
 	warm := warmUp(c)
 	base := c.QueryPrefix(src, dst)
 	if warm.Len == 0 || !base.Found {
@@ -228,13 +236,23 @@ func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 		t.Fatalf("LastRoll = %+v, %v after a same-day delta", st, ok)
 	}
 
+	// A re-tagged link drops them: once the warmer behind the publish is
+	// done, every resident tree is one the new engine built (its counters
+	// started from zero and count nothing else), and the answers are those
+	// of a client that never had a cache.
 	retag := days[0].Links[0]
 	retag.Planes ^= atlas.PlaneFromSrc
-	if err := c.ApplyDelta(bytes.NewReader(encodeDelta(t, &atlas.Delta{UpLinks: []atlas.Link{retag}}))); err != nil {
-		t.Fatal(err)
+	wait := awaitWarm(c)
+	mustApply(t, c, encodeDelta(t, &atlas.Delta{UpLinks: []atlas.Link{retag}}))
+	wait()
+	if got := c.CacheStats(); got.Hits+got.Misses != 0 || got.Builds != uint64(got.Len) || got.Warmed != got.Builds || got.Len != warm.Len {
+		t.Fatalf("a re-tagged link kept trees built over the old planes: %+v -> %+v", warm, got)
 	}
-	if got := c.CacheStats(); got.Len != 0 {
-		t.Fatalf("a re-tagged link kept %d trees built over the old planes", got.Len)
+	never := FromFlat(c.Snapshot().e.Flat())
+	for _, d := range vps[1:] {
+		if got, want := c.QueryPrefix(src, d), never.QueryPrefix(src, d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v -> %v after the re-tag:\n warmed %+v\n cold   %+v", src, d, got, want)
+		}
 	}
 
 	// The trees index the link table. An apply puts a table that was out
@@ -252,5 +270,48 @@ func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 		if got, want := cr.QueryPrefix(src, d), cold.QueryPrefix(src, d); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v -> %v answered off trees over the old link order:\n warm %+v\n cold %+v", src, d, got, want)
 		}
+	}
+}
+
+// BenchmarkPostRoll is the cold cliff behind a roll, where it can be
+// profiled outside bench/: a Medium client warm on 64 popular destinations
+// applies the day's delta, and the next 2 000 popular singles are timed —
+// beside the warmer rebuilding yesterday's trees (Client.publish), and, as
+// the roll was before it, with the warmer held back. reader-builds are the
+// trees a query had to build itself, warmer-builds those the warmer got to
+// first. Not a gate: post_roll_single_us is.
+func BenchmarkPostRoll(b *testing.B) {
+	const singles = 2000
+	w, vps, days, deltas := dayChainAt(b, sim.Medium, 1, 1)
+	popular, day0 := spread(w.EdgePrefixes(), 64), atlas.Compile(days[0])
+	ask := func(c *Client, n int) {
+		for i := 0; i < n; i++ {
+			c.QueryPrefix(vps[i%len(vps)], popular[i%len(popular)])
+		}
+	}
+	for _, name := range []string{"warmer", "held"} {
+		held := name == "held"
+		b.Run(name, func(b *testing.B) {
+			var reader, warmer uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := FromFlat(day0)
+				wait := awaitWarm(c)
+				if held {
+					holdWarm(c)
+				}
+				ask(c, len(vps)*len(popular))
+				mustApply(b, c, deltas[0])
+				b.StartTimer()
+				ask(c, singles)
+				b.StopTimer()
+				wait()
+				st := c.CacheStats()
+				reader, warmer = reader+st.Builds-st.Warmed, warmer+st.Warmed
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*singles), "ns/query")
+			b.ReportMetric(float64(reader)/float64(b.N), "reader-builds")
+			b.ReportMetric(float64(warmer)/float64(b.N), "warmer-builds")
+		})
 	}
 }
