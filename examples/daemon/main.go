@@ -109,6 +109,7 @@ func main() {
 	for _, line := range strings.Split(string(raw), "\n") {
 		if strings.HasPrefix(line, "inanod_batch_pairs_streamed_total") ||
 			strings.HasPrefix(line, "inanod_tree_cache_builds") ||
+			strings.HasPrefix(line, "inanod_tree_cache_bytes") || // what the resident trees cost in memory
 			strings.HasPrefix(line, "inanod_tree_cache_hit_ratio") ||
 			strings.HasPrefix(line, "inanod_tree_cache_warm") || // _warmed, _warm_hits: the rebuild behind the roll
 			strings.HasPrefix(line, "inanod_atlas_day") ||

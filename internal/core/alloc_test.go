@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestWarmQueryZeroAlloc is the allocation gate for the serving hot path:
@@ -40,7 +41,7 @@ func TestWarmQueryZeroAlloc(t *testing.T) {
 }
 
 // TestColdBuildAllocBudget is the allocation gate for the cold path:
-// building a tree for a fresh key allocates the tree and its two arrays and
+// building a tree for a fresh key allocates the tree and its hop array and
 // nothing else — every label and the queue live in the scratch. The test
 // holds the scratch itself rather than going through Engine.run's pool
 // (get, build, put), which under -race drops scratches at random. CI runs
@@ -69,12 +70,39 @@ func TestColdBuildAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&ms0)
 	objects := testing.AllocsPerRun(runs, build)
 	runtime.ReadMemStats(&ms1)
-	if objects > 3 {
-		t.Fatalf("cold build allocates %v objects, want <= 3 (tree, next, edge)", objects)
+	if objects > 2 {
+		t.Fatalf("cold build allocates %v objects, want <= 2 (tree, hop)", objects)
 	}
 	perBuild := (ms1.TotalAlloc - ms0.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
-	if budget := uint64(9*e.numNodes() + 128); perBuild > budget {
-		t.Fatalf("cold build allocates %d bytes, budget %d (9 B x %d nodes + 128)", perBuild, budget, e.numNodes())
+	if budget := uint64(5*e.numNodes() + 128); perBuild > budget {
+		t.Fatalf("cold build allocates %d bytes, budget %d (5 B x %d nodes + 128)", perBuild, budget, e.numNodes())
+	}
+}
+
+// TestTreeBytes pins what a resident tree costs in every option variant:
+// one word a node and a header, in two allocations, and CacheStats.Bytes
+// counts exactly that for each tree the cache holds.
+func TestTreeBytes(t *testing.T) {
+	w := buildWorld(t, 61)
+	dst, origin := splitTreeKey(w.treeKeys()[0])
+	for name, opts := range allOptionVariants() {
+		e := New(w.a, opts)
+		sc := newRunScratch(e.numNodes())
+		tr := e.build(sc, dst, origin)
+		want := int64(unsafe.Sizeof(*tr)) + 4*int64(e.numNodes())
+		if len(tr.hop) != e.numNodes() || cap(tr.hop) != len(tr.hop) || unsafe.Sizeof(*tr) != 32 || e.treeBytes() != want {
+			t.Fatalf("%s: %d hop words (cap %d) and a %d-byte header over %d nodes, treeBytes %d; want one word a node, 32 and %d",
+				name, len(tr.hop), cap(tr.hop), unsafe.Sizeof(*tr), e.numNodes(), e.treeBytes(), want)
+		}
+		if objects := testing.AllocsPerRun(5, func() { e.build(sc, dst, origin) }); objects != 2 {
+			t.Fatalf("%s: a build allocates %v objects, want 2 (tree, hop)", name, objects)
+		}
+		for _, p := range w.targets[:10] {
+			e.PredictForward(w.vps[0], p)
+		}
+		if st := e.CacheStats(); st.Len == 0 || st.Bytes != int64(st.Len)*want {
+			t.Fatalf("%s: %d resident trees retain %d bytes, want %d each", name, st.Len, st.Bytes, want)
+		}
 	}
 }
 

@@ -65,6 +65,9 @@ type CacheStats struct {
 	// BuildNS/Builds is what one cold destination costs a caller.
 	BuildNS int64
 	Len     int // trees currently cached
+	// Bytes is what those trees retain: Len times the size of one tree,
+	// computed from the atlas's node count, not sampled from the heap.
+	Bytes int64
 	// Warmed counts trees rebuilt behind a publish from the previous
 	// engine's resident set (they are in Builds too), WarmHits those a
 	// lookup has since asked for: the warm list's own hit ratio.

@@ -3,17 +3,22 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"inano/internal/atlas"
+	"inano/internal/cluster"
+	"inano/internal/netsim"
 )
 
-// fakeTree returns a distinct tree pointer tagged by id (next[0] carries
-// the tag; nothing walks the slices).
-func fakeTree(id int32) *tree { return &tree{next: []int32{id}} }
+// fakeTree returns a distinct tree pointer tagged by id (hop[0] carries
+// the tag; nothing walks the slice).
+func fakeTree(id int32) *tree { return &tree{hop: []int32{id}} }
 
-func treeTag(t *tree) int32 { return t.next[0] }
+func treeTag(t *tree) int32 { return t.hop[0] }
 
 // builderFunc adapts a plain function to treeBuilder.
 type builderFunc func(uint64) *tree
@@ -304,5 +309,53 @@ func TestEngineCacheBoundedUnderChurn(t *testing.T) {
 	}
 	if st.Builds == 0 {
 		t.Fatal("no trees built")
+	}
+}
+
+// TestDefaultShardsFollowCapacity checks the shard count an engine picks
+// when none is given — a shard is its own LRU, so a small cache gets fewer,
+// each of at least 8 trees — and that a count given is kept.
+func TestDefaultShardsFollowCapacity(t *testing.T) {
+	a := atlas.New()
+	a.NumClusters, a.ClusterAS = 1, []netsim.ASN{1}
+	for _, tc := range []struct{ size, shards, wantShards, wantCap int }{
+		{size: 64, wantShards: 8, wantCap: 8},
+		{size: 4096, wantShards: 32, wantCap: 128},
+		{size: 0, wantShards: 32, wantCap: 128},
+		{size: 5, wantShards: 1, wantCap: 5},
+		{size: 64, shards: 32, wantShards: 32, wantCap: 2},
+	} {
+		c := New(a, Options{TreeCacheSize: tc.size, TreeCacheShards: tc.shards}).trees
+		if len(c.shards) != tc.wantShards || c.shards[0].cap != tc.wantCap {
+			t.Errorf("size %d, shards %d: %d shards of %d, want %d of %d",
+				tc.size, tc.shards, len(c.shards), c.shards[0].cap, tc.wantShards, tc.wantCap)
+		}
+	}
+}
+
+// TestSmallCacheKeepsRecentTrees replays one seeded stream — 24 keys that
+// keep coming back, each within a few dozen lookups, among keys asked for
+// once — on a 64-tree engine with the default shards and with 32 given.
+// Every recurring key fits the cache several times over; two-entry shards
+// lose them anyway, so the default must build strictly fewer trees.
+func TestSmallCacheKeepsRecentTrees(t *testing.T) {
+	a := atlas.New()
+	a.NumClusters, a.ClusterAS = 1, []netsim.ASN{1}
+	builds := func(shards int) uint64 {
+		e := New(a, Options{TreeCacheSize: 64, TreeCacheShards: shards})
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 20000; i++ {
+			k := treeKey(cluster.ClusterID(rng.Intn(24)), 1)
+			if rng.Intn(2) == 0 {
+				k = treeKey(cluster.ClusterID(100+i), 1)
+			}
+			e.trees.mustGet(t, k, builderFunc(func(k uint64) *tree { return fakeTree(int32(k)) }))
+		}
+		return e.CacheStats().Builds
+	}
+	if def, split := builds(0), builds(32); def >= split {
+		t.Fatalf("default shards built %d trees, 32 shards %d: want strictly fewer", def, split)
+	} else {
+		t.Logf("builds over 20000 lookups: default shards %d, 32 shards %d", def, split)
 	}
 }

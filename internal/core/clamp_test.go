@@ -225,11 +225,12 @@ func TestLateExitChainStaysOrdered(t *testing.T) {
 	e := New(a, Options{ThreeTuple: true})
 	sc := newRunScratch(e.numNodes())
 	tr := e.build(sc, 0, 1)
+	next, _ := e.unpack(tr)
 
 	for c := 1; c <= chain+1; c++ {
 		id, prev := e.nodeID(cluster.ClusterID(c), planeToDst, stateUp), e.nodeID(cluster.ClusterID(c-1), planeToDst, stateUp)
-		if !tr.reached(id) || tr.next[id] != prev {
-			t.Fatalf("cluster %d: reached=%v next=%d, want next %d", c, tr.reached(id), tr.next[id], prev)
+		if !tr.reached(id) || next[id] != prev {
+			t.Fatalf("cluster %d: reached=%v next=%d, want next %d", c, tr.reached(id), next[id], prev)
 		}
 		if sc.labels[id].cost < sc.labels[prev].cost {
 			t.Fatalf("cluster %d: cost %#x below its successor's %#x", c, sc.labels[id].cost, sc.labels[prev].cost)
@@ -256,5 +257,24 @@ func TestLateExitChainStaysOrdered(t *testing.T) {
 	e.pathFromInto(tr, chain+2, &p)
 	if p.Found || len(p.Clusters) != 0 {
 		t.Fatalf("isolated cluster: Found=%v clusters=%v, want no prediction", p.Found, p.Clusters)
+	}
+}
+
+// TestWalkEndsOnCyclicTree hands the walk a tree no build produces — two
+// clusters whose hop words name the links to each other — and requires an
+// empty prediction, not a hang.
+func TestWalkEndsOnCyclicTree(t *testing.T) {
+	a := atlas.New()
+	a.NumClusters, a.ClusterAS = 2, []netsim.ASN{1, 2}
+	a.Links = []atlas.Link{
+		{From: 0, To: 1, LatencyMS: 1, Planes: atlas.PlaneToDst},
+		{From: 1, To: 0, LatencyMS: 1, Planes: atlas.PlaneToDst},
+	}
+	e := New(a, Options{ThreeTuple: true})
+	// Edges are bucketed by arrival: edge 0 arrives at cluster 0, edge 1 at 1.
+	p := Prediction{Clusters: make([]cluster.ClusterID, 0, 4)}
+	e.pathFromInto(&tree{hop: []int32{1 << 2, 0 << 2}}, 0, &p)
+	if p.Found || len(p.Clusters) != 0 || p.LatencyMS != 0 {
+		t.Fatalf("cyclic tree: %+v, want no prediction", p)
 	}
 }

@@ -57,22 +57,32 @@ func latUnits(ms float32) uint64 {
 }
 
 // tree is the retained result of one backtracking run from a destination:
-// for every node, the next node toward the destination and the flat-atlas
-// edge index of the link cluster(node)->cluster(next) the path takes (-1 for
-// synthetic cross edges, which stay inside one cluster), from which the walk
-// reads latency and loss with no link lookup. That is all the walk needs, 8
-// bytes a node; the search's own labels stay behind in the runScratch.
+// one word a node, the step the predicted path takes from it. That is all
+// the walk needs, 4 bytes a node; the search's own labels stay behind in the
+// runScratch.
 type tree struct {
 	originAS netsim.ASN
-	next     []int32 // toward the destination; -1 at the destination, noRoute when unreached
-	edge     []int32
+	// hop is noRoute at a node the search never reached, hopDest at the
+	// destination, else a step toward it with its kind in the low two bits.
+	// A link is ei<<2 | ud: the flat-atlas edge index of the link taken, from
+	// which the walk reads latency and loss, and the up/down state of the
+	// node it arrives at — the cluster is Engine.edgeTo[ei], the plane stays.
+	// hopTurn and hopToDst are the synthetic cross edges inside one cluster.
+	hop []int32
 }
 
-// noRoute marks, in tree.next, a node the search never reached.
-const noRoute = -2
+const (
+	noRoute  = -2 // a node the search never reached
+	hopDest  = -1
+	hopTurn  = 2 // up_c -> down_c
+	hopToDst = 3 // FROM_SRC_c -> TO_DST_c
+
+	// maxEdges bounds the link table so a link's hop word stays positive.
+	maxEdges = 1 << 29
+)
 
 // reached reports whether the tree holds a path from node id.
-func (t *tree) reached(id int32) bool { return t.next[id] != noRoute }
+func (t *tree) reached(id int32) bool { return t.hop[id] != noRoute }
 
 // label is one node's build-time state: its best cost so far, the pending
 // late-exit count and the next AS on the selected path (for 3-tuple checks
@@ -248,14 +258,9 @@ func (e *Engine) run(dst cluster.ClusterID, originAS netsim.ASN) *tree {
 // returned tree until the scratch is reused.
 func (e *Engine) build(sc *runScratch, dst cluster.ClusterID, originAS netsim.ASN) *tree {
 	n := e.numNodes()
-	t := &tree{
-		originAS: originAS,
-		next:     make([]int32, n),
-		edge:     make([]int32, n),
-	}
-	for i := range t.next {
-		t.next[i] = noRoute
-		t.edge[i] = -1
+	t := &tree{originAS: originAS, hop: make([]int32, n)}
+	for i := range t.hop {
+		t.hop[i] = noRoute
 	}
 	lab := sc.labels[:n]
 	for i := range lab {
@@ -266,7 +271,7 @@ func (e *Engine) build(sc *runScratch, dst cluster.ClusterID, originAS netsim.AS
 
 	start := e.nodeID(dst, planeToDst, stateDown)
 	lab[start].cost = 0
-	t.next[start] = -1
+	t.hop[start] = hopDest
 	q.push(0, start)
 
 	maxPhase := 1
@@ -370,8 +375,7 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 			continue
 		}
 		v.cost, v.pend, v.nextAS = newCost, newPend, vNextAS
-		t.next[vid] = wid
-		t.edge[vid] = int32(ei)
+		t.hop[vid] = int32(ei)<<2 | int32(wUD)
 		if improves {
 			sc.q.push(newCost, vid)
 		}
@@ -381,23 +385,22 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 	// up_c -> down_c (traffic turns from climbing to descending), and
 	// FROM_SRC_c -> TO_DST_c (client-contributed links feed the core).
 	if !threeTuple && wUD == stateDown {
-		e.relaxZero(t, sc, wid, e.nodeID(wc, wPlane, stateUp))
+		e.relaxZero(t, sc, wid, e.nodeID(wc, wPlane, stateUp), hopTurn)
 	}
 	if e.opts.Asymmetry && wPlane == planeToDst {
-		e.relaxZero(t, sc, wid, e.nodeID(wc, planeFromSrc, wUD))
+		e.relaxZero(t, sc, wid, e.nodeID(wc, planeFromSrc, wUD), hopToDst)
 	}
 }
 
 // relaxZero relaxes a synthetic zero-cost cross edge wid -> vid (same
-// cluster, so no atlas edge index is recorded).
-func (e *Engine) relaxZero(t *tree, sc *runScratch, wid, vid int32) {
+// cluster, so the hop word is the edge's kind alone).
+func (e *Engine) relaxZero(t *tree, sc *runScratch, wid, vid, kind int32) {
 	w, v := sc.labels[wid], &sc.labels[vid]
 	if v.settled || w.cost >= v.cost {
 		return
 	}
 	v.cost, v.pend, v.nextAS = w.cost, w.pend, w.nextAS
-	t.next[vid] = wid
-	t.edge[vid] = -1
+	t.hop[vid] = kind
 	sc.q.push(w.cost, vid)
 }
 

@@ -31,9 +31,11 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"inano/internal/atlas"
 	"inano/internal/cluster"
@@ -61,14 +63,17 @@ type Options struct {
 	// 0 means the paper's default of 5.
 	DegreeThreshold int
 	// TreeCacheSize bounds the per-destination prediction tree cache;
-	// 0 means a default of 4096 trees. A tree is 8 bytes a node (clusters
-	// x 2 with Asymmetry, x 2 again without ThreeTuple): 21 KB on the
-	// bench's 1 300-cluster world, so a full default cache is ~86 MB
-	// there (it was 229 MB when trees kept their build labels).
+	// 0 means a default of 4096 trees. A tree is 4 bytes a node (clusters
+	// x 2 with Asymmetry, x 2 again without ThreeTuple): ~11 KB on the
+	// bench's 1 300-cluster world, so a full default cache is ~43 MB
+	// there (CacheStats.Bytes reports what is resident).
 	TreeCacheSize int
 	// TreeCacheShards sets the tree cache's lock-shard count (rounded up
-	// to a power of two); 0 means a default of 32. More shards reduce
-	// contention between concurrent queries to distinct destinations.
+	// to a power of two); 0 means a default that follows the capacity: 32,
+	// halved until a shard holds 8 trees, since a shard is its own LRU and
+	// one of two entries forgets what the cache as a whole would keep. More
+	// shards reduce contention between concurrent queries to distinct
+	// destinations.
 	TreeCacheShards int
 }
 
@@ -106,11 +111,14 @@ type Engine struct {
 
 	trees *shardedTreeCache
 	// scratch pools per-build Dijkstra working state (*runScratch: the
-	// node labels and the queue). What a build returns — tree.next and
-	// tree.edge — is NOT pooled: trees live in the LRU cache and an evicted
-	// tree may still be walked by an in-flight query, so recycling those
-	// two arrays would be a use-after-free.
+	// node labels and the queue). What a build returns — tree.hop — is NOT
+	// pooled: trees live in the LRU cache and an evicted tree may still be
+	// walked by an in-flight query, so recycling that array would be a
+	// use-after-free.
 	scratch sync.Pool
+	// edgeTo is the cluster each CSR edge arrives at (its bucket in
+	// f.EdgeStart): where the walk stands after a link's hop word.
+	edgeTo []cluster.ClusterID
 	// tupleRuns remembers, per CSR edge, the run of f.Tuples that starts
 	// with the edge's AS pair, so the export check scans a few keys instead
 	// of searching the set. An entry is filled on its edge's first check
@@ -129,8 +137,12 @@ func New(a *atlas.Atlas, opts Options) *Engine {
 
 // NewFromFlat builds an engine directly over a compiled flat atlas (e.g.
 // one mapped from disk). The flat form must not be mutated while the
-// engine is in use.
+// engine is in use. A link table of maxEdges or more has no hop word and
+// panics; no wire format can carry one (a section holds 2^22 records).
 func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
+	if f.NumEdges() >= maxEdges {
+		panic(fmt.Sprintf("core: link table of %d edges, a tree's hop word holds %d", f.NumEdges(), maxEdges-1))
+	}
 	if opts.DegreeThreshold <= 0 {
 		opts.DegreeThreshold = 5
 	}
@@ -139,6 +151,9 @@ func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 	}
 	if opts.TreeCacheShards <= 0 {
 		opts.TreeCacheShards = 32
+		for opts.TreeCacheShards > 1 && opts.TreeCacheSize < 8*opts.TreeCacheShards {
+			opts.TreeCacheShards /= 2
+		}
 	}
 	e := &Engine{f: f, opts: opts, numClusters: int(f.NumClusters)}
 	e.degThreshold = int32(opts.DegreeThreshold)
@@ -153,6 +168,13 @@ func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 	e.trees = newShardedTreeCache(opts.TreeCacheSize, opts.TreeCacheShards)
 	n := e.numNodes()
 	e.scratch.New = func() any { return newRunScratch(n) }
+	e.edgeTo = make([]cluster.ClusterID, f.NumEdges())
+	for w := range e.numClusters {
+		bucket := e.edgeTo[f.EdgeStart[w]:f.EdgeStart[w+1]]
+		for i := range bucket {
+			bucket[i] = cluster.ClusterID(w)
+		}
+	}
 	if opts.ThreeTuple {
 		e.tupleRuns = make([]atomic.Uint64, f.NumEdges())
 	}
@@ -167,12 +189,12 @@ func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 // — and opts must equal prev's. Used when an applied delta changed
 // corrections only (a residual-only traceroute merge, a correction push),
 // where NewFromFlat would needlessly cold-start a warm serving cache; prev
-// keeps working, sharing the cache (and the tuple runs: same links, same
-// 3-tuple set).
+// keeps working, sharing the cache (and edgeTo and the tuple runs: same
+// links, same 3-tuple set).
 func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 	e := NewFromFlat(f, opts)
 	if prev != nil {
-		e.trees, e.tupleRuns = prev.trees, prev.tupleRuns
+		e.trees, e.edgeTo, e.tupleRuns = prev.trees, prev.edgeTo, prev.tupleRuns
 	}
 	return e
 }
@@ -206,9 +228,20 @@ func (e *Engine) Warm(keys []uint64, stop func() bool) {
 }
 
 // CacheStats reports tree cache counters (hits, misses, Dijkstra builds,
-// trees resident, trees warmed and hit). Builds lag misses when
-// singleflight coalesces concurrent misses on one destination.
-func (e *Engine) CacheStats() CacheStats { return e.trees.stats() }
+// trees resident and the bytes they retain, trees warmed and hit). Builds
+// lag misses when singleflight coalesces concurrent misses on one
+// destination.
+func (e *Engine) CacheStats() CacheStats {
+	st := e.trees.stats()
+	st.Bytes = int64(st.Len) * e.treeBytes()
+	return st
+}
+
+// treeBytes is what one resident tree retains: its header and one word a
+// node, before the allocator rounds the array up to a size class.
+func (e *Engine) treeBytes() int64 {
+	return int64(unsafe.Sizeof(tree{})) + 4*int64(e.numNodes())
+}
 
 // Flat returns the engine's compiled serving-form atlas.
 func (e *Engine) Flat() *atlas.Flat { return e.f }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -408,9 +409,42 @@ func TestConcurrentColdBuilds(t *testing.T) {
 	}
 	for i, k := range dests {
 		want := serial.buildTree(k)
-		if !slices.Equal(want.next, got[i].next) || !slices.Equal(want.edge, got[i].edge) ||
-			want.originAS != got[i].originAS {
+		if !slices.Equal(want.hop, got[i].hop) || want.originAS != got[i].originAS {
 			t.Fatalf("tree %#x: concurrently built tree differs from the serial one", k)
+		}
+	}
+}
+
+// TestEdgeToMatchesBuckets checks Engine.edgeTo against the CSR bounds it
+// was filled from, on random link tables with empty buckets at either end
+// and in between, and that an engine that adopts a cache adopts the array.
+func TestEdgeToMatchesBuckets(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := atlas.New()
+		a.NumClusters = 1 + rng.Intn(40)
+		for c := 0; c < a.NumClusters; c++ {
+			a.ClusterAS = append(a.ClusterAS, netsim.ASN(1+c/3))
+		}
+		for i, n := 0, rng.Intn(4*a.NumClusters); i < n; i++ {
+			// The product skews To low, leaving whole runs of clusters no link arrives at.
+			to := rng.Intn(a.NumClusters) * rng.Intn(a.NumClusters) / a.NumClusters
+			a.Links = append(a.Links, atlas.Link{
+				From: cluster.ClusterID(rng.Intn(a.NumClusters)), To: cluster.ClusterID(to), LatencyMS: 1, Planes: atlas.PlaneToDst,
+			})
+		}
+		e := New(a, INanoOptions())
+		f := e.f
+		if len(e.edgeTo) != f.NumEdges() {
+			t.Fatalf("seed %d: edgeTo has %d entries for %d edges", seed, len(e.edgeTo), f.NumEdges())
+		}
+		for ei, w := range e.edgeTo {
+			if uint32(ei) < f.EdgeStart[w] || uint32(ei) >= f.EdgeStart[w+1] {
+				t.Fatalf("seed %d: edge %d arrives at cluster %d, whose bucket is [%d, %d)", seed, ei, w, f.EdgeStart[w], f.EdgeStart[w+1])
+			}
+		}
+		if next := NewWithCache(f, e.opts, e); len(e.edgeTo) > 0 && &next.edgeTo[0] != &e.edgeTo[0] {
+			t.Fatalf("seed %d: NewWithCache filled its own edgeTo", seed)
 		}
 	}
 }
@@ -435,7 +469,8 @@ func TestTreeCostMonotone(t *testing.T) {
 			if cost(start) != 0 {
 				t.Fatalf("%s: destination cost %d != 0", name, cost(start))
 			}
-			for i := range tr.next {
+			next, _ := e.unpack(tr)
+			for i := range tr.hop {
 				id := int32(i)
 				if tr.reached(id) != (cost(id) != infCost) {
 					t.Fatalf("%s: node %d reached=%v at cost %d", name, id, tr.reached(id), cost(id))
@@ -443,7 +478,7 @@ func TestTreeCostMonotone(t *testing.T) {
 				if !tr.reached(id) {
 					continue
 				}
-				nxt := tr.next[id]
+				nxt := next[id]
 				if nxt < 0 {
 					if id != start {
 						t.Fatalf("%s: reached node %d has no next and is not the destination", name, id)

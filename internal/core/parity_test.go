@@ -474,16 +474,41 @@ func (r *refEngine) asPath(clusters []cluster.ClusterID, srcAS, dstAS netsim.ASN
 	return out
 }
 
+// unpack decodes a tree's hop words into the two arrays a tree used to
+// keep: for every node the next node toward the destination (-1 at the
+// destination, noRoute when unreached) and the CSR index of the link taken
+// (-1 when the step is none or a cross edge).
+func (e *Engine) unpack(t *tree) (next, edge []int32) {
+	next, edge = make([]int32, len(t.hop)), make([]int32, len(t.hop))
+	for i, h := range t.hop {
+		id := int32(i)
+		c, plane, ud := e.nodeCluster(id), e.nodePlane(id), e.nodeUD(id)
+		next[i], edge[i] = h, -1
+		switch {
+		case h < 0: // noRoute and hopDest read the same in both shapes
+		case h == hopTurn:
+			next[i] = e.nodeID(c, plane, stateDown)
+		case h == hopToDst:
+			next[i] = e.nodeID(c, planeToDst, ud)
+		default:
+			next[i], edge[i] = e.nodeID(e.edgeTo[h>>2], plane, int(h&1)), h>>2
+		}
+	}
+	return next, edge
+}
+
 // sameTrees compares a reference run with a production build node for
 // node: the scratch labels the build left behind (cost, pend, nextAS), the
-// retained next array with its unreached mark, and the recorded CSR edge,
-// which must be the very link the reference relaxed over.
-func sameTrees(t *testing.T, name string, dst cluster.ClusterID, ref *refTree, f *atlas.Flat, got *tree, lab []label) {
+// next node each hop word decodes to with its unreached mark, and the CSR
+// edge it names, which must be the very link the reference relaxed over.
+func sameTrees(t *testing.T, name string, dst cluster.ClusterID, ref *refTree, e *Engine, got *tree, lab []label) {
 	t.Helper()
-	if len(ref.cost) != len(got.next) || len(ref.cost) != len(got.edge) || len(ref.cost) != len(lab) {
-		t.Fatalf("%s dst=%d: tree has %d/%d nodes and %d labels, reference %d",
-			name, dst, len(got.next), len(got.edge), len(lab), len(ref.cost))
+	if len(ref.cost) != len(got.hop) || len(ref.cost) != len(lab) {
+		t.Fatalf("%s dst=%d: tree has %d nodes and %d labels, reference %d",
+			name, dst, len(got.hop), len(lab), len(ref.cost))
 	}
+	f := e.f
+	next, edge := e.unpack(got)
 	for id := range ref.cost {
 		if ref.cost[id] != lab[id].cost {
 			t.Fatalf("%s dst=%d node=%d: cost %d, reference %d", name, dst, id, lab[id].cost, ref.cost[id])
@@ -492,8 +517,8 @@ func sameTrees(t *testing.T, name string, dst cluster.ClusterID, ref *refTree, f
 		if ref.cost[id] == infCost {
 			wantNext = noRoute
 		}
-		if wantNext != got.next[id] {
-			t.Fatalf("%s dst=%d node=%d: next %d, reference %d", name, dst, id, got.next[id], wantNext)
+		if wantNext != next[id] {
+			t.Fatalf("%s dst=%d node=%d: next %d, reference %d", name, dst, id, next[id], wantNext)
 		}
 		if got.reached(int32(id)) != (ref.cost[id] != infCost) {
 			t.Fatalf("%s dst=%d node=%d: reached=%v at reference cost %d", name, dst, id, got.reached(int32(id)), ref.cost[id])
@@ -504,7 +529,7 @@ func sameTrees(t *testing.T, name string, dst cluster.ClusterID, ref *refTree, f
 		if ref.nextAS[id] != lab[id].nextAS {
 			t.Fatalf("%s dst=%d node=%d: nextAS %d, reference %d", name, dst, id, lab[id].nextAS, ref.nextAS[id])
 		}
-		ei, link := got.edge[id], ref.link[id]
+		ei, link := edge[id], ref.link[id]
 		switch {
 		case link == nil && ei != -1:
 			t.Fatalf("%s dst=%d node=%d: edge %d, reference has no link", name, dst, id, ei)
@@ -526,7 +551,7 @@ func sameTreesAsReference(t *testing.T, name string, w *world, opts Options) {
 	sc := newRunScratch(e.numNodes())
 	for _, k := range w.treeKeys() {
 		dstCl, origin := splitTreeKey(k)
-		sameTrees(t, name, dstCl, r.run(dstCl, origin), e.f, e.build(sc, dstCl, origin), sc.labels)
+		sameTrees(t, name, dstCl, r.run(dstCl, origin), e, e.build(sc, dstCl, origin), sc.labels)
 	}
 }
 

@@ -190,24 +190,18 @@ func (e *Engine) AttachmentCluster(p netsim.Prefix) (cluster.ClusterID, bool) {
 
 // pathFromInto extracts the predicted path from a source cluster out of a
 // prediction tree into a caller-owned Prediction, preferring the FROM_SRC
-// plane and falling back to TO_DST-only (§4.3.1). The walk reads link
-// latency and loss from the tree's recorded CSR edge indices — no
-// link-table lookups at all. p must be reset (or zero) except for slice
-// capacity.
+// plane and falling back to TO_DST-only (§4.3.1). The walk carries (cluster,
+// plane, up/down) and reads one hop word a node: a link's word names its CSR
+// edge, which gives latency and loss and — through edgeTo — the next
+// cluster, so no link-table lookup and no other tree array. p must be reset
+// (or zero) except for slice capacity.
 func (e *Engine) pathFromInto(t *tree, srcCl cluster.ClusterID, p *Prediction) {
-	start := int32(-1)
-	if e.opts.Asymmetry {
-		if id := e.nodeID(srcCl, planeFromSrc, stateUp); t.reached(id) {
-			start = id
+	plane := planeFromSrc
+	if !e.opts.Asymmetry || !t.reached(e.nodeID(srcCl, planeFromSrc, stateUp)) {
+		plane = planeToDst
+		if !t.reached(e.nodeID(srcCl, planeToDst, stateUp)) {
+			return
 		}
-	}
-	if start < 0 {
-		if id := e.nodeID(srcCl, planeToDst, stateUp); t.reached(id) {
-			start = id
-		}
-	}
-	if start < 0 {
-		return
 	}
 	p.Found = true
 	if p.Clusters == nil {
@@ -216,31 +210,33 @@ func (e *Engine) pathFromInto(t *tree, srcCl cluster.ClusterID, p *Prediction) {
 		// Predictions keep whatever capacity they grew to.
 		p.Clusters = make([]cluster.ClusterID, 0, 16)
 	}
-	deliver := 1.0
-	prevCl := cluster.ClusterID(-1)
-	prev := int32(-1)
-	steps, maxSteps := 0, e.numNodes()+1
-	for id := start; id >= 0; id = t.next[id] {
-		if steps++; steps > maxSteps {
+	p.Clusters = append(p.Clusters, srcCl)
+	hop, lat, loss, edgeTo := t.hop, e.f.EdgeLat, e.f.EdgeLoss, e.edgeTo
+	latency, deliver := 0.0, 1.0
+	c, ud := srcCl, stateUp
+	for left := e.numNodes(); ; left-- {
+		h := hop[e.nodeID(c, plane, ud)]
+		if h < 0 {
+			break
+		}
+		if left == 0 {
 			*p = Prediction{Clusters: p.Clusters[:0], ASPath: p.ASPath[:0]}
 			return // defensive: malformed tree must not hang
 		}
-		c := e.nodeCluster(id)
-		if c != prevCl {
-			if prevCl >= 0 {
-				// The relaxation recorded the crossing link's CSR index
-				// on the walk's source-side node (prev = the tree's vid).
-				if ei := t.edge[prev]; ei >= 0 {
-					p.LatencyMS += float64(e.f.EdgeLat[ei])
-					deliver *= 1 - float64(e.f.EdgeLoss[ei])
-				}
-			}
+		switch h & 3 {
+		case hopTurn:
+			ud = stateDown
+		case hopToDst:
+			plane = planeToDst
+		default: // a link, into the next cluster
+			ei := h >> 2
+			latency += float64(lat[ei])
+			deliver *= 1 - float64(loss[ei])
+			c, ud = edgeTo[ei], int(h&1)
 			p.Clusters = append(p.Clusters, c)
-			prevCl = c
 		}
-		prev = id
 	}
-	p.LossRate = 1 - deliver
+	p.LatencyMS, p.LossRate = latency, 1-deliver
 }
 
 // asPathInto derives the AS-level path from a cluster path into out[:0]

@@ -259,6 +259,8 @@ func New(cfg Config) *Server {
 		func() float64 { return time.Duration(s.c.CacheStats().BuildNS).Seconds() })
 	s.reg.NewGaugeFunc("inanod_tree_cache_resident", "Prediction trees currently cached.", "",
 		func() float64 { return float64(s.c.CacheStats().Len) })
+	s.reg.NewGaugeFunc("inanod_tree_cache_bytes", "Bytes those trees retain: resident times the size of one tree, computed, not sampled.", "",
+		func() float64 { return float64(s.c.CacheStats().Bytes) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_hit_ratio", "Hits / lookups of the tree cache.", "",
 		func() float64 {
 			st := s.c.CacheStats()
@@ -757,6 +759,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			"builds":        st.Builds,
 			"build_us_mean": buildMeanUS,
 			"resident":      st.Len,
+			"bytes":         st.Bytes,
 			"hit_ratio":     hitRatio,
 			"warmed":        st.Warmed,
 			"warm_hits":     st.WarmHits,

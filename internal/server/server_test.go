@@ -549,6 +549,8 @@ func TestMetricsAndStats(t *testing.T) {
 		`inanod_http_request_seconds_bucket{handler="query",le="+Inf"} 3`,
 		fmt.Sprintf("inanod_tree_cache_builds %d", st.Builds),
 		fmt.Sprintf("inanod_tree_cache_build_seconds %g", time.Duration(st.BuildNS).Seconds()),
+		fmt.Sprintf("inanod_tree_cache_resident %d", st.Len),
+		fmt.Sprintf("inanod_tree_cache_bytes %d", st.Bytes),
 		"inanod_atlas_day 0",
 		"inanod_http_inflight",
 		"inanod_atlas_reloads_total 0",
@@ -561,6 +563,7 @@ func TestMetricsAndStats(t *testing.T) {
 	var stats struct {
 		TreeCache struct {
 			Builds      uint64  `json:"builds"`
+			Bytes       int64   `json:"bytes"`
 			BuildMeanUS float64 `json:"build_us_mean"`
 			HitRatio    float64 `json:"hit_ratio"`
 		} `json:"tree_cache"`
@@ -571,6 +574,9 @@ func TestMetricsAndStats(t *testing.T) {
 	getJSON(t, ts.URL+"/debug/stats", &stats)
 	if stats.TreeCache.Builds != st.Builds {
 		t.Errorf("stats builds = %d, want %d", stats.TreeCache.Builds, st.Builds)
+	}
+	if st.Bytes == 0 || stats.TreeCache.Bytes != st.Bytes {
+		t.Errorf("stats bytes = %d, want %d", stats.TreeCache.Bytes, st.Bytes)
 	}
 	if want := float64(st.BuildNS) / 1e3 / float64(st.Builds); st.Builds == 0 || st.BuildNS <= 0 ||
 		math.Abs(stats.TreeCache.BuildMeanUS-want) > 1e-6*want {
