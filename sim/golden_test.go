@@ -41,6 +41,33 @@ func goldenBuild(t testing.TB, scale Scale, seed int64) (bins [2][]byte, delta [
 	return bins, buf.Bytes()
 }
 
+// servedFlats returns what a peer serves from after a full load of day 0,
+// after one of day 1, and after following day 0 with the delta: each
+// decoded from the wire and written as INANOFL1.
+func servedFlats(t testing.TB, bins [2][]byte, delta []byte) (flats [3][]byte) {
+	t.Helper()
+	var decoded [2]*atlas.Flat
+	for day, bin := range bins {
+		var err error
+		if decoded[day], err = atlas.DecodeFlat(bytes.NewReader(bin)); err != nil {
+			t.Fatalf("decoding day %d: %v", day, err)
+		}
+	}
+	d, err := atlas.DecodeDelta(bytes.NewReader(delta))
+	if err != nil {
+		t.Fatalf("decoding delta: %v", err)
+	}
+	followed, _ := decoded[0].Apply(d)
+	for i, f := range []*atlas.Flat{decoded[0], decoded[1], followed} {
+		var buf bytes.Buffer
+		if err := atlas.WriteFlat(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		flats[i] = buf.Bytes()
+	}
+	return flats
+}
+
 // TestBuildGoldenBytes pins the measure -> cluster -> build pipeline to the
 // byte. Every measurement's noise is math/rand's stream for a derived seed
 // (package trace), the benchmark's world is Medium seed 1, and every
@@ -57,11 +84,18 @@ func TestBuildGoldenBytes(t *testing.T) {
 		scale             Scale
 		seed              int64
 		day0, day1, delta artifact
+		// What a peer serves from (INANOFL1): day 0 and day 1 loaded in
+		// full, and day 0 followed by the delta.
+		flat0, flat1, followed artifact
 	}{
-		{"tiny_seed1", Tiny, 1, artifact{"b047643f", 5028}, artifact{"1ff5da4b", 4887}, artifact{"aefbc821", 1482}},
-		{"tiny_seed2", Tiny, 2, artifact{"7b52320f", 5242}, artifact{"00e4db37", 5208}, artifact{"583afc93", 1205}},
-		{"medium_seed1", Medium, 1, artifact{"9395683f", 41452}, artifact{"bb512145", 41669}, artifact{"edd739d2", 9873}},
-		{"medium_seed2", Medium, 2, artifact{"aef2ca4b", 40048}, artifact{"2b52ee72", 40803}, artifact{"a5722296", 8044}},
+		{"tiny_seed1", Tiny, 1, artifact{"b047643f", 5028}, artifact{"1ff5da4b", 4887}, artifact{"aefbc821", 1482},
+			artifact{"e0d5a10a", 38792}, artifact{"738e3565", 36408}, artifact{"043d57f4", 37280}},
+		{"tiny_seed2", Tiny, 2, artifact{"7b52320f", 5242}, artifact{"00e4db37", 5208}, artifact{"583afc93", 1205},
+			artifact{"4093831d", 39864}, artifact{"a25a1c6f", 39872}, artifact{"013fbe93", 39712}},
+		{"medium_seed1", Medium, 1, artifact{"9395683f", 41452}, artifact{"bb512145", 41669}, artifact{"edd739d2", 9873},
+			artifact{"0cd5c4b8", 306952}, artifact{"6807efcd", 305344}, artifact{"0bd70041", 307128}},
+		{"medium_seed2", Medium, 2, artifact{"aef2ca4b", 40048}, artifact{"2b52ee72", 40803}, artifact{"a5722296", 8044},
+			artifact{"60e0072b", 287784}, artifact{"db3eb8c7", 289896}, artifact{"79b98f16", 289648}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,11 +103,15 @@ func TestBuildGoldenBytes(t *testing.T) {
 				t.Skip("medium world in -short")
 			}
 			bins, delta := goldenBuild(t, tc.scale, tc.seed)
+			flats := servedFlats(t, bins, delta)
 			for _, g := range []struct {
 				what string
 				got  []byte
 				want artifact
-			}{{"day 0 atlas", bins[0], tc.day0}, {"day 1 atlas", bins[1], tc.day1}, {"delta", delta, tc.delta}} {
+			}{
+				{"day 0 atlas", bins[0], tc.day0}, {"day 1 atlas", bins[1], tc.day1}, {"delta", delta, tc.delta},
+				{"day 0 flat", flats[0], tc.flat0}, {"day 1 flat", flats[1], tc.flat1}, {"followed flat", flats[2], tc.followed},
+			} {
 				sum := sha256.Sum256(g.got)
 				if got := (artifact{hex.EncodeToString(sum[:4]), len(g.got)}); got != g.want {
 					t.Errorf("%s: sha256 prefix and size = %v, want %v", g.what, got, g.want)
