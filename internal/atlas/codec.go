@@ -2,21 +2,24 @@ package atlas
 
 import (
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"inano/internal/cluster"
 	"inano/internal/netsim"
 )
 
 // The wire format is a gzip stream over: magic, version, day, cluster count,
-// then one section per dataset. Sections carry sorted, delta-encoded varint
-// records; latencies quantize to 0.01 ms and loss rates to 0.01%, matching
-// the paper's "pocket-sized" representation goals.
+// then one section per dataset. A section is written column-major: its
+// record count, then each field's column in turn, so deflate meets a run of
+// like values (see writeTable and writeLinks). Latencies quantize to
+// 0.01 ms and loss rates to 0.01%, matching the paper's "pocket-sized"
+// representation goals.
 const (
 	atlasMagic = "INANOATL"
 	// atlasVersion 2 added the aggregated-corrections dataset
@@ -26,7 +29,10 @@ const (
 	// stream, and cluster growth + prefix-attachment updates in the delta
 	// stream, so structure learned from uploaded traceroute hops ships to
 	// delta-following clients.
-	atlasVersion = 3
+	// atlasVersion 4 writes every section column-major, splits composite
+	// keys into high and low parts, and writes each link pair once, in
+	// both streams.
+	atlasVersion = 4
 
 	// maxDecodedBytes caps how far Decode will inflate a stream. Real
 	// atlases decompress to tens of megabytes; the cap only exists so a
@@ -38,6 +44,15 @@ const (
 	// low millions of entries), but small enough that a lying count is
 	// rejected before the decoder does any work on it.
 	maxSectionRecords = 1 << 22
+)
+
+// Where a keyed section splits its keys into a high and a low part (see
+// writeTable): a composite key at its packing boundary, a plain one not at
+// all.
+const (
+	splitPair   = 32 // LinkKey, netsim.ASPairKey, a provider key
+	splitTriple = 21 // PackTriple: (a, b) above, c below
+	unsplit     = 64 // a prefix, an AS number, a prefix kept as uint64
 )
 
 // Section identifiers (also the keys of SectionSizes).
@@ -108,6 +123,91 @@ func (w *sectionWriter) uvarint(v uint64) {
 	w.buf.Write(tmp[:n])
 }
 
+// column writes one field of n records: col(i) for record i.
+func (w *sectionWriter) column(n int, col func(i int) uint64) {
+	for i := range n {
+		w.uvarint(col(i))
+	}
+}
+
+// writeTable writes a keyed section column by column: the record count,
+// the keys, then each of cols in turn. A key is split at bit split into a
+// high and a low part (split 64 leaves it whole, for keys of 32 bits). The
+// high parts come first, each as its difference from the one before; then
+// the low parts, each as its difference from the one before within a run
+// of equal high parts and whole at the start of one. Keys are written in
+// the order given — Encode sorts them first — and readTable reads them back.
+func writeTable[K ~uint32 | ~uint64](w *sectionWriter, keys []K, split uint, cols ...func(i int) uint64) {
+	w.uvarint(uint64(len(keys)))
+	var hi, lo uint64 // the parts of the key before
+	if split < 64 {
+		for _, k := range keys {
+			w.uvarint(uint64(k)>>split - hi)
+			hi = uint64(k) >> split
+		}
+		hi = 0
+	}
+	for _, k := range keys {
+		h, l := uint64(k)>>split, uint64(k)&(1<<split-1)
+		if h != hi {
+			lo = 0
+		}
+		w.uvarint(l - lo)
+		hi, lo = h, l
+	}
+	for _, col := range cols {
+		w.column(len(keys), col)
+	}
+}
+
+// writeMap writes m as a keyed section in key order, each value through enc.
+func writeMap[K ~uint32 | ~uint64, V any](w *sectionWriter, m map[K]V, split uint, enc func(V) uint64) {
+	keys := sortedKeys(m)
+	writeTable(w, keys, split, func(i int) uint64 { return enc(m[keys[i]]) })
+}
+
+// writeLinks writes a links section. Each key is written once — the last of
+// a repeated key stands for it, as Apply keeps it — in (From, To) order, and
+// each pair of a link and its reverse once, from its lower key (its
+// lower-numbered From): the keys, a "reverse present" column of 0 or 1, the
+// latency and planes columns, then, for each record with its reverse
+// present, the reverse's latency as a zigzag difference from the record's
+// quantized latency, and the reverse's planes.
+func writeLinks(w *sectionWriter, links []Link) {
+	key := func(l Link) uint64 { return LinkKey(l.From, l.To) }
+	links = slices.Clone(links)
+	slices.SortStableFunc(links, func(a, b Link) int { return cmp.Compare(key(a), key(b)) })
+	uniq := links[:0]
+	for i, l := range links {
+		if i+1 == len(links) || key(links[i+1]) != key(l) {
+			uniq = append(uniq, l)
+		}
+	}
+	var keys, flags []uint64 // each record's key and "reverse present"
+	var recs []Link
+	var pairs [][2]Link // each record with its reverse present, and the reverse
+	for _, l := range uniq {
+		k, rk := key(l), LinkKey(l.To, l.From)
+		j, found := slices.BinarySearchFunc(uniq, rk, func(l Link, k uint64) int { return cmp.Compare(key(l), k) })
+		flag := uint64(0)
+		switch {
+		case found && rk < k:
+			continue // written with its pair, from the other end
+		case found && k < rk:
+			flag, pairs = 1, append(pairs, [2]Link{l, uniq[j]})
+		}
+		keys, flags, recs = append(keys, k), append(flags, flag), append(recs, l)
+	}
+	writeTable(w, keys, splitPair,
+		func(i int) uint64 { return flags[i] },
+		func(i int) uint64 { return quantLat(recs[i].LatencyMS) },
+		func(i int) uint64 { return uint64(recs[i].Planes) })
+	w.column(len(pairs), func(j int) uint64 {
+		return zigzag(int64(quantLat(pairs[j][1].LatencyMS) - quantLat(pairs[j][0].LatencyMS)))
+	})
+	w.column(len(pairs), func(j int) uint64 { return uint64(pairs[j][1].Planes) })
+}
+
 // wireWindow is how much of an inflating stream a wireReader holds at once;
 // larger windows measured no faster.
 const wireWindow = 4 << 10
@@ -126,9 +226,12 @@ type wireReader struct {
 	off, end int
 	srcErr   error // what src last returned, io.EOF included
 	err      error
-	// strict makes readTable reject keys that do not ascend. An atlas is
-	// read strictly; a delta's lists come as they are (Flat.Apply sorts).
-	strict bool
+	// strict makes readTable reject keys that do not ascend, and readLinks
+	// hold every cluster ID below clusters and return the links in (From,
+	// To) order. An atlas is read strictly; a delta's lists come as they are
+	// (Flat.Apply sorts).
+	strict   bool
+	clusters int32
 }
 
 // openWire starts reading a stream that begins with magic and atlasVersion.
@@ -209,11 +312,10 @@ func (r *wireReader) fail(format string, args ...any) {
 	}
 }
 
-// count reads a record count and rejects implausible values.
-func (r *wireReader) count() uint64 { return r.plausible(r.uvarint()) }
-
-// plausible returns the record count n, or fails and returns none.
-func (r *wireReader) plausible(n uint64) uint64 {
+// count reads a record count, or fails on an implausible one and returns
+// none.
+func (r *wireReader) count() uint64 {
+	n := r.uvarint()
 	if n > maxSectionRecords {
 		r.fail("record count %d exceeds limit %d", n, int64(maxSectionRecords))
 		return 0
@@ -262,31 +364,49 @@ func allocHint(n uint64) int {
 }
 
 // readTable reads a keyed section as what the stream already holds, sorted
-// parallel key and value slices: a record count, then per record the key as
-// its difference from the one before and one varint that val turns into
-// the value. A nil val reads a set — keys and nothing else — and returns no
-// values. On a strict reader the keys must ascend strictly as stored,
-// narrowed to K: Encode writes nothing else, and it is what lets the serving
-// form adopt the slices without a sort, a hash or a second look. Otherwise
-// the keys are kept as they come, repeats and all.
-func readTable[K ~uint32 | ~uint64, V any](r *wireReader, val func(K, uint64) V) ([]K, []V) {
+// parallel key and value slices: the columns writeTable writes, the keys
+// split at split (below 64 only for uint64 keys), then one value column
+// whose varints val turns into values. A nil val reads a set — keys and
+// nothing else — and returns no values. On a strict reader the keys must
+// ascend strictly as stored, narrowed to K: Encode writes nothing else, and
+// it is what lets the serving form adopt the slices without a sort, a hash
+// or a second look. Otherwise the keys are kept as they come, repeats and
+// all.
+func readTable[K ~uint32 | ~uint64, V any](r *wireReader, split uint, val func(K, uint64) V) ([]K, []V) {
 	n := r.count()
 	keys := make([]K, 0, allocHint(n))
-	var vals []V
-	if val != nil {
-		vals = make([]V, 0, allocHint(n))
+	if split < 64 {
+		var hi uint64
+		for i := uint64(0); i < n && r.err == nil; i++ {
+			hi += r.uvarint()
+			keys = append(keys, K(hi)) // its low part joins it below
+		}
 	}
-	var at uint64
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		at += r.uvarint()
-		k := K(at)
+	var hi, lo uint64
+	for i := 0; uint64(i) < n && r.err == nil; i++ {
+		if split >= 64 {
+			keys = append(keys, 0)
+		}
+		h := uint64(keys[i])
+		if h != hi {
+			lo = 0
+		}
+		lo += r.uvarint()
+		k := K(h<<split | lo)
 		if r.strict && i > 0 && k <= keys[i-1] {
 			r.fail("key %d after key %d: keys must ascend strictly", k, keys[i-1])
 		}
-		keys = append(keys, k)
-		if val != nil {
-			vals = append(vals, val(k, r.uvarint()))
+		keys[i], hi = k, h
+	}
+	var vals []V
+	if val != nil {
+		vals = make([]V, 0, len(keys))
+		for i := 0; i < len(keys) && r.err == nil; i++ {
+			vals = append(vals, val(keys[i], r.uvarint()))
 		}
+	}
+	if r.err != nil {
+		return nil, nil // a column ran short: no table, and no keys without values
 	}
 	return keys, vals
 }
@@ -307,22 +427,126 @@ func readASNs(r *wireReader) []netsim.ASN {
 	return out
 }
 
-// readLinks reads the link records of either stream, in stream order: From
-// as its difference from the record before, To, latency and planes.
+// readLinks reads the links section of either stream: the record keys and
+// their "reverse present" flags (readTable), the latency and planes
+// columns, then the latency difference and planes of each record's reverse,
+// in record order. A flag other than 0 or 1, one on a record that is not
+// its pair's lower key, and a reverse latency below zero are rejected. A
+// delta's links come in stream order, each implied reverse right after its
+// record. An atlas's come in (From, To) order (canonicalPlaces), and its
+// reader also rejects a cluster ID outside the cluster space, an undefined
+// plane bit, and a record whose reverse is written as a record of its own:
+// an atlas writes each pair once.
 func readLinks(r *wireReader) []Link {
-	n := r.count()
-	links := make([]Link, 0, allocHint(n))
-	var from uint64
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		from += r.uvarint()
-		links = append(links, Link{
-			From:      cluster.ClusterID(uint32(from)),
-			To:        cluster.ClusterID(uint32(r.uvarint())),
-			LatencyMS: unquantLat(r.uvarint()),
-			Planes:    uint8(r.uvarint()),
-		})
+	pairs := 0 // records with their reverse present
+	keys, paired := readTable(r, splitPair, func(k, u uint64) bool {
+		switch {
+		case u > 1:
+			r.fail("link (%d,%d) reverse-present flag %d is neither 0 nor 1", k>>32, uint32(k), u)
+		case u == 1 && reverseKey(k) <= k:
+			r.fail("link (%d,%d) carries its reverse but is not its pair's lower key", k>>32, uint32(k))
+		case u == 1:
+			pairs++
+		}
+		return u == 1
+	})
+	at := make([]int32, 2*len(keys)) // where record i goes (at[2i]) and its reverse (at[2i+1])
+	if r.strict {
+		for i, k := range keys {
+			switch from, to := uint32(k>>32), uint32(k); {
+			case from >= uint32(r.clusters) || to >= uint32(r.clusters):
+				r.fail("link %d endpoints (%d,%d) outside cluster space %d", i, int32(from), int32(to), r.clusters)
+			case to < from:
+				if _, both := slices.BinarySearch(keys, reverseKey(k)); both {
+					r.fail("both directions of link (%d,%d) written: a pair is written once", to, from)
+				}
+			}
+		}
+		if r.err == nil {
+			canonicalPlaces(at, keys, paired, r.clusters)
+		}
+	} else {
+		for i, s := 0, int32(0); i < len(keys); i, s = i+1, s+1 {
+			if at[2*i] = s; paired[i] {
+				s++
+				at[2*i+1] = s
+			}
+		}
+	}
+	links := make([]Link, len(keys)+pairs)
+	for i := 0; i < len(keys) && r.err == nil; i++ {
+		l := &links[at[2*i]]
+		*l = Link{From: cluster.ClusterID(uint32(keys[i] >> 32)), To: cluster.ClusterID(uint32(keys[i])), LatencyMS: unquantLat(r.uvarint())}
+		if paired[i] {
+			links[at[2*i+1]] = Link{From: l.To, To: l.From}
+		}
+	}
+	planes := func(i int, l *Link) {
+		if l.Planes = uint8(r.uvarint()); r.strict && l.Planes&^PlaneMask != 0 {
+			r.fail("link %d carries undefined plane bits %#x", i, l.Planes)
+		}
+	}
+	for i := 0; i < len(keys) && r.err == nil; i++ {
+		planes(i, &links[at[2*i]])
+	}
+	for i := 0; i < len(keys) && r.err == nil; i++ {
+		if paired[i] {
+			base, d := quantLat(links[at[2*i]].LatencyMS), unzigzag(r.uvarint())
+			if d < 0 && uint64(-d) > base {
+				r.fail("link %d reverse latency difference %d goes below zero", i, d)
+			}
+			links[at[2*i+1]].LatencyMS = unquantLat(base + uint64(d))
+		}
+	}
+	for i := 0; i < len(keys) && r.err == nil; i++ {
+		if paired[i] {
+			planes(i, &links[at[2*i+1]])
+		}
+	}
+	if r.err != nil {
+		return nil
 	}
 	return links
+}
+
+// reverseKey is the LinkKey of the reverse of the link k keys.
+func reverseKey(k uint64) uint64 { return k<<32 | k>>32 }
+
+// canonicalPlaces sets at[2i] to where record i stands in (From, To) order
+// and at[2i+1] to where its reverse does, if paired[i]. The records are in
+// that order already (readTable held them to it). One stable counting pass
+// over the reverses' From puts them in order too — a From's reverses come
+// in To order, as their records do — and one merge of the two places both.
+// There is no comparison sort: every cluster ID is below n, and no reverse
+// is also a record (readLinks checked both). The pass costs 4 B a cluster
+// of the header's count, which count caps.
+func canonicalPlaces(at []int32, keys []uint64, paired []bool, n int32) {
+	next := make([]int32, n+1)
+	for i, k := range keys {
+		if paired[i] {
+			next[uint32(k)+1]++
+		}
+	}
+	for c := range n {
+		next[c+1] += next[c]
+	}
+	revs := make([]int32, next[n]) // the paired records, by their reverses' keys
+	for i, k := range keys {
+		if paired[i] {
+			revs[next[uint32(k)]] = int32(i)
+			next[uint32(k)]++
+		}
+	}
+	j := 0
+	for i, k := range keys {
+		for ; j < len(revs) && reverseKey(keys[revs[j]]) < k; j++ {
+			at[2*revs[j]+1] = int32(i + j)
+		}
+		at[2*i] = int32(i + j)
+	}
+	for ; j < len(revs); j++ {
+		at[2*revs[j]+1] = int32(len(keys) + j)
+	}
 }
 
 // foldBounded is the readTable value of a shipped correction. The fold
@@ -380,173 +604,42 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// writePrefixF32 writes a prefix-keyed float32 map as sorted delta-coded
-// keys with zigzag-quantized values.
-func writePrefixF32(w *sectionWriter, m map[netsim.Prefix]float32) {
-	keys := make([]netsim.Prefix, 0, len(m))
-	for p := range m {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.uvarint(uint64(len(keys)))
-	prev := uint64(0)
-	for _, p := range keys {
-		w.uvarint(uint64(p) - prev)
-		prev = uint64(p)
-		w.uvarint(quantAdj(m[p]))
-	}
-}
-
-// writeKeyU8 writes a uint64-keyed uint8 map as sorted delta-coded keys
-// with uvarint values.
-func writeKeyU8(w *sectionWriter, m map[uint64]uint8) {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.uvarint(uint64(len(keys)))
-	prev := uint64(0)
-	for _, k := range keys {
-		w.uvarint(k - prev)
-		prev = k
-		w.uvarint(uint64(m[k]))
-	}
-}
-
-// writePrefixClusterMap writes a prefix -> cluster map as sorted
-// delta-coded keys with uvarint cluster IDs.
-func writePrefixClusterMap(w *sectionWriter, m map[netsim.Prefix]cluster.ClusterID) {
-	keys := make([]netsim.Prefix, 0, len(m))
-	for p := range m {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.uvarint(uint64(len(keys)))
-	prev := uint64(0)
-	for _, p := range keys {
-		w.uvarint(uint64(p) - prev)
-		prev = uint64(p)
-		w.uvarint(uint64(uint32(m[p])))
-	}
-}
-
 // encodeSection renders one dataset into w.
 func (a *Atlas) encodeSection(sec int, w *sectionWriter) {
+	attach := func(c cluster.ClusterID) uint64 { return uint64(uint32(c)) }
+	ttl := func(v uint8) uint64 { return uint64(v) }
 	switch sec {
 	case secClusterAS:
 		w.uvarint(uint64(len(a.ClusterAS)))
-		for _, asn := range a.ClusterAS {
-			w.uvarint(uint64(asn))
-		}
+		w.column(len(a.ClusterAS), func(i int) uint64 { return uint64(a.ClusterAS[i]) })
 	case secLinks:
-		w.uvarint(uint64(len(a.Links)))
-		prevFrom := uint64(0)
-		for _, l := range a.Links {
-			f := uint64(uint32(l.From))
-			w.uvarint(f - prevFrom) // Links are sorted by From
-			prevFrom = f
-			w.uvarint(uint64(uint32(l.To)))
-			w.uvarint(quantLat(l.LatencyMS))
-			w.uvarint(uint64(l.Planes))
-		}
+		writeLinks(w, a.Links)
 	case secLoss:
-		keys := sortedKeys(a.Loss)
-		w.uvarint(uint64(len(keys)))
-		prev := uint64(0)
-		for _, k := range keys {
-			w.uvarint(k - prev)
-			prev = k
-			w.uvarint(quantLoss(a.Loss[k]))
-		}
+		writeMap(w, a.Loss, splitPair, quantLoss)
 	case secPrefixCluster:
-		writePrefixClusterMap(w, a.PrefixCluster)
+		writeMap(w, a.PrefixCluster, unsplit, attach)
 	case secPrefixAS:
-		keys := make([]netsim.Prefix, 0, len(a.PrefixAS))
-		for p := range a.PrefixAS {
-			keys = append(keys, p)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.uvarint(uint64(len(keys)))
-		prev := uint64(0)
-		for _, p := range keys {
-			w.uvarint(uint64(p) - prev)
-			prev = uint64(p)
-			w.uvarint(uint64(a.PrefixAS[p]))
-		}
+		writeMap(w, a.PrefixAS, unsplit, func(as netsim.ASN) uint64 { return uint64(as) })
 	case secASDegree:
-		keys := make([]netsim.ASN, 0, len(a.ASDegree))
-		for asn := range a.ASDegree {
-			keys = append(keys, asn)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.uvarint(uint64(len(keys)))
-		prev := uint64(0)
-		for _, asn := range keys {
-			w.uvarint(uint64(asn) - prev)
-			prev = uint64(asn)
-			w.uvarint(uint64(a.ASDegree[asn]))
-		}
+		writeMap(w, a.ASDegree, unsplit, func(d int32) uint64 { return uint64(d) })
 	case secTuples:
-		writeSortedSet(w, a.Tuples)
+		writeTable(w, sortedKeys(a.Tuples), splitTriple)
 	case secPrefs:
-		writeSortedSet(w, a.Prefs)
+		writeTable(w, sortedKeys(a.Prefs), splitTriple)
 	case secProviders:
-		keys := make([]netsim.ASN, 0, len(a.Providers))
-		for asn := range a.Providers {
-			keys = append(keys, asn)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.uvarint(uint64(len(keys)))
-		prev := uint64(0)
-		for _, asn := range keys {
-			w.uvarint(uint64(asn) - prev)
-			prev = uint64(asn)
-			ps := a.Providers[asn]
-			w.uvarint(uint64(len(ps)))
-			pp := uint64(0)
-			for _, p := range ps { // builder keeps these sorted
-				w.uvarint(uint64(p) - pp)
-				pp = uint64(p)
-			}
-		}
+		writeTable(w, providerKeys(a.Providers), splitPair)
 	case secRels:
-		keys := make([]uint64, 0, len(a.Rels))
-		for k := range a.Rels {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.uvarint(uint64(len(keys)))
-		prev := uint64(0)
-		for _, k := range keys {
-			w.uvarint(k - prev)
-			prev = k
-			w.uvarint(uint64(uint8(a.Rels[k])))
-		}
+		writeMap(w, a.Rels, splitPair, func(r netsim.Rel) uint64 { return uint64(uint8(r)) })
 	case secLateExit:
-		writeSortedSet(w, a.LateExit)
+		writeTable(w, sortedKeys(a.LateExit), splitPair)
 	case secGlobalAdjust:
-		writePrefixF32(w, a.GlobalAdjustMS)
+		writeMap(w, a.GlobalAdjustMS, unsplit, quantAdj)
 	case secObservedLink:
-		writeKeyU8(w, a.ObservedLinks)
+		writeMap(w, a.ObservedLinks, splitPair, ttl)
 	case secObservedAttach:
-		m := make(map[uint64]uint8, len(a.ObservedAttach))
-		for p, v := range a.ObservedAttach {
-			m[uint64(p)] = v
-		}
-		writeKeyU8(w, m)
+		writeMap(w, a.ObservedAttach, unsplit, ttl)
 	case secIfaceCluster:
-		writePrefixClusterMap(w, a.IfaceCluster)
-	}
-}
-
-func writeSortedSet(w *sectionWriter, m map[uint64]bool) {
-	keys := sortedKeys(m)
-	w.uvarint(uint64(len(keys)))
-	prev := uint64(0)
-	for _, k := range keys {
-		w.uvarint(k - prev)
-		prev = k
+		writeMap(w, a.IfaceCluster, unsplit, attach)
 	}
 }
 
@@ -592,10 +685,9 @@ type wireAtlas struct {
 // count and the bounds the build keeps, so a failure names its section.
 func (w *wireAtlas) readSection(sec int, r *wireReader) {
 	f := w.flat
-	inSpace := func(c cluster.ClusterID) bool { return c >= 0 && int32(c) < f.NumClusters }
 	attach := func(p netsim.Prefix, u uint64) cluster.ClusterID {
 		c := cluster.ClusterID(uint32(u))
-		if !inSpace(c) {
+		if c < 0 || int32(c) >= f.NumClusters {
 			r.fail("prefix %v maps to cluster %d outside cluster space %d", p, c, f.NumClusters)
 		}
 		return c
@@ -607,56 +699,32 @@ func (w *wireAtlas) readSection(sec int, r *wireReader) {
 		}
 	case secLinks:
 		w.links = readLinks(r)
-		for i, l := range w.links {
-			switch {
-			case !inSpace(l.From) || !inSpace(l.To):
-				r.fail("link %d endpoints (%d,%d) outside cluster space %d", i, l.From, l.To, f.NumClusters)
-			case l.Planes&^PlaneMask != 0:
-				r.fail("link %d carries undefined plane bits %#x", i, l.Planes)
-			case i > 0 && LinkKey(l.From, l.To) <= LinkKey(w.links[i-1].From, w.links[i-1].To):
-				r.fail("link %d (%d,%d) after (%d,%d): keys must ascend strictly", i, l.From, l.To, w.links[i-1].From, w.links[i-1].To)
-			}
-		}
 	case secLoss:
-		f.LossKeys, f.LossVals = readTable(r, plain[uint64](unquantLoss))
+		f.LossKeys, f.LossVals = readTable(r, splitPair, plain[uint64](unquantLoss))
 	case secPrefixCluster:
-		f.PrefixClKeys, f.PrefixClVals = readTable(r, attach)
+		f.PrefixClKeys, f.PrefixClVals = readTable(r, unsplit, attach)
 	case secPrefixAS:
-		f.PrefixASKeys, f.PrefixASVals = readTable(r, plain[netsim.Prefix](func(u uint64) netsim.ASN { return netsim.ASN(u) }))
+		f.PrefixASKeys, f.PrefixASVals = readTable(r, unsplit, plain[netsim.Prefix](func(u uint64) netsim.ASN { return netsim.ASN(u) }))
 	case secASDegree:
-		f.DegKeys, f.DegVals = readTable(r, plain[netsim.ASN](func(u uint64) int32 { return int32(u) }))
+		f.DegKeys, f.DegVals = readTable(r, unsplit, plain[netsim.ASN](func(u uint64) int32 { return int32(u) }))
 	case secTuples:
-		f.Tuples, _ = readTable[uint64, struct{}](r, nil)
+		f.Tuples, _ = readTable[uint64, struct{}](r, splitTriple, nil)
 	case secPrefs:
-		f.Prefs, _ = readTable[uint64, struct{}](r, nil)
+		f.Prefs, _ = readTable[uint64, struct{}](r, splitTriple, nil)
 	case secProviders:
-		// A provider list is a set of its own after each origin's key.
-		provs := []uint64{}
-		readTable(r, func(origin netsim.ASN, n uint64) (none struct{}) {
-			first, up := len(provs), uint64(0)
-			for n = r.plausible(n); n > 0 && r.err == nil; n-- {
-				up += r.uvarint()
-				k := uint64(origin)<<32 | uint64(netsim.ASN(up))
-				if len(provs) > first && k <= provs[len(provs)-1] {
-					r.fail("AS %d provider %d repeats or descends: keys must ascend strictly", origin, netsim.ASN(up))
-				}
-				provs = append(provs, k)
-			}
-			return none
-		})
-		f.Providers = provs
+		f.Providers, _ = readTable[uint64, struct{}](r, splitPair, nil)
 	case secRels:
-		f.RelKeys, f.RelVals = readTable(r, plain[uint64](func(u uint64) netsim.Rel { return netsim.Rel(int8(u)) }))
+		f.RelKeys, f.RelVals = readTable(r, splitPair, plain[uint64](func(u uint64) netsim.Rel { return netsim.Rel(int8(u)) }))
 	case secLateExit:
-		f.LateExit, _ = readTable[uint64, struct{}](r, nil)
+		f.LateExit, _ = readTable[uint64, struct{}](r, splitPair, nil)
 	case secGlobalAdjust:
-		f.AdjustKeys, f.AdjustGlobal = readTable(r, foldBounded(r))
+		f.AdjustKeys, f.AdjustGlobal = readTable(r, unsplit, foldBounded(r))
 	case secObservedLink:
-		w.obsLinkKeys, w.obsLinkTTL = readTable(r, observedTTL[uint64](r))
+		w.obsLinkKeys, w.obsLinkTTL = readTable(r, splitPair, observedTTL[uint64](r))
 	case secObservedAttach:
-		w.obsAttachKeys, w.obsAttachTTL = readTable(r, observedTTL[netsim.Prefix](r))
+		w.obsAttachKeys, w.obsAttachTTL = readTable(r, unsplit, observedTTL[netsim.Prefix](r))
 	case secIfaceCluster:
-		f.IfaceKeys, f.IfaceVals = readTable(r, attach)
+		f.IfaceKeys, f.IfaceVals = readTable(r, unsplit, attach)
 	}
 }
 
@@ -696,6 +764,7 @@ func parseAtlas(in io.Reader) (*wireAtlas, error) {
 	if w.flat.NumClusters = int32(r.count()); r.err != nil {
 		r.err = fmt.Errorf("cluster count: %w", r.err)
 	}
+	r.clusters = w.flat.NumClusters
 	seen := [numSections]bool{}
 	for i := 0; i < numSections && r.err == nil; i++ {
 		sec := r.uvarint()

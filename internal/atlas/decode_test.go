@@ -17,10 +17,11 @@ func wireFixture() *Atlas {
 	a := New()
 	a.Day, a.NumClusters = 3, 4
 	a.ClusterAS = []netsim.ASN{7, 7, 8, 9}
-	a.Links = []Link{
+	a.Links = []Link{ // one-way both ways round, a self link, and a pair
 		{From: 0, To: 1, LatencyMS: 1, Planes: PlaneToDst},
 		{From: 0, To: 2, LatencyMS: 2, Planes: PlaneMask},
-		{From: 2, To: 0, LatencyMS: 2, Planes: PlaneFromSrc},
+		{From: 1, To: 1, LatencyMS: 0.5, Planes: PlaneToDst},
+		{From: 2, To: 0, LatencyMS: 1.5, Planes: PlaneFromSrc},
 		{From: 3, To: 2, LatencyMS: 4, Planes: PlaneToDst},
 	}
 	a.Loss[LinkKey(0, 2)] = 0.25
@@ -64,14 +65,7 @@ func rawAtlas(tb testing.TB, a *Atlas, order []int, with map[int]func(*sectionWr
 			a.encodeSection(sec, &sw)
 		}
 	}
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	gz.Write([]byte(atlasMagic))
-	gz.Write(sw.buf.Bytes())
-	if err := gz.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	return gzipped(tb, atlasMagic, sw.buf.Bytes())
 }
 
 // records returns a section body: a count, then the varints as given.
@@ -84,6 +78,44 @@ func records(count uint64, varints ...uint64) func(*sectionWriter) {
 	}
 }
 
+// table returns the body writeTable makes of keys and one value a key, or
+// of keys alone for nil vals, taken as given: unsorted, repeated or out of
+// range, as Encode never writes them.
+func table(split uint, keys []uint64, vals []uint64) func(*sectionWriter) {
+	return func(sw *sectionWriter) {
+		if vals == nil {
+			writeTable(sw, keys, split)
+			return
+		}
+		writeTable(sw, keys, split, func(i int) uint64 { return vals[i] })
+	}
+}
+
+// linkRecords returns a links section body: links written as records in
+// the order given, the i-th with "reverse present" flag flags[i] (0 past
+// the end of flags), then the varints of tail — the columns of the paired
+// reverses, which writeLinks would derive.
+func linkRecords(links []Link, flags []uint64, tail ...uint64) func(*sectionWriter) {
+	return func(sw *sectionWriter) {
+		keys := make([]uint64, len(links))
+		for i, l := range links {
+			keys[i] = LinkKey(l.From, l.To)
+		}
+		writeTable(sw, keys, splitPair,
+			func(i int) uint64 {
+				if i < len(flags) {
+					return flags[i]
+				}
+				return 0
+			},
+			func(i int) uint64 { return quantLat(links[i].LatencyMS) },
+			func(i int) uint64 { return uint64(links[i].Planes) })
+		for _, v := range tail {
+			sw.uvarint(v)
+		}
+	}
+}
+
 type hostileAtlas struct {
 	name, section, complaint string
 	raw                      []byte
@@ -91,8 +123,8 @@ type hostileAtlas struct {
 
 // hostileAtlases is the streams no Encode writes and the map door used to
 // swallow — a repeated key merged, a descending one re-sorted, an
-// out-of-range one caught late and unnamed — each with the section name and
-// the complaint its rejection must carry.
+// out-of-range one caught late and unnamed, a link pair written twice —
+// each with the section name and the complaint its rejection must carry.
 func hostileAtlases(tb testing.TB) []hostileAtlas {
 	a := wireFixture()
 	one := func(sec int, body func(*sectionWriter)) []byte {
@@ -102,22 +134,33 @@ func hostileAtlases(tb testing.TB) []hostileAtlas {
 	for sec := secPrefixCluster; sec < numSections-1; sec++ {
 		twice = append(twice, sec)
 	}
+	link := func(from, to cluster.ClusterID, planes uint8) Link {
+		return Link{From: from, To: to, LatencyMS: 1, Planes: planes}
+	}
+	provider := func(origin, up uint64) uint64 { return origin<<32 | up }
 	return []hostileAtlas{
-		{"zero key delta", "Link loss rates", "ascend strictly", one(secLoss, records(2, 5, 100, 0, 200))},
-		{"delta that wraps uint64", "AS three-tuples", "ascend strictly", one(secTuples, records(2, 10, ^uint64(2)))},
-		{"keys that collide as prefixes", "Prefix to AS", "ascend strictly", one(secPrefixAS, records(2, 100, 7, 1<<32, 9))},
-		{"keys that collide as ASNs", "AS degrees", "ascend strictly", one(secASDegree, records(2, 7, 2, 1<<32, 2))},
-		{"repeated provider", "Provider mappings", "ascend strictly", one(secProviders, records(1, 9, 2, 7, 0))},
-		{"repeated origin", "Provider mappings", "ascend strictly", one(secProviders, records(2, 9, 1, 7, 0, 1, 8))},
-		{"repeated link", "Inter-cluster links", "ascend strictly", one(secLinks, records(2, 0, 1, 100, 1, 0, 1, 200, 1))},
-		{"links out of order", "Inter-cluster links", "ascend strictly", one(secLinks, records(2, 0, 2, 100, 1, 0, 1, 200, 1))},
-		{"undefined plane bits", "Inter-cluster links", "undefined plane bits", one(secLinks, records(1, 0, 1, 100, 4))},
-		{"link outside the cluster space", "Inter-cluster links", "outside cluster space", one(secLinks, records(1, 0, 4, 100, 1))},
-		{"attachment outside the cluster space", "Prefix to cluster", "outside cluster space", one(secPrefixCluster, records(1, 100, 4))},
-		{"interface outside the cluster space", "Interface prefix to cluster", "outside cluster space", one(secIfaceCluster, records(1, 200, 1<<31))},
-		{"over-bound correction", "Aggregated corrections", "bound", one(secGlobalAdjust, records(1, 100, quantAdj(2*MaxObservationFoldMS)))},
-		{"observed TTL of 0", "Observed-link lifetimes", "lifetime", one(secObservedLink, records(1, LinkKey(3, 2), 0))},
-		{"immortal attachment", "Observed-attachment lifetimes", "lifetime", one(secObservedAttach, records(1, 101, ObservedTTLDays+1))},
+		{"zero key delta", "Link loss rates", "ascend strictly", one(secLoss, table(splitPair, []uint64{5, 5}, []uint64{100, 200}))},
+		{"delta that wraps uint64", "AS three-tuples", "ascend strictly", one(secTuples, table(splitTriple, []uint64{10, 7}, nil))},
+		{"keys that collide as prefixes", "Prefix to AS", "ascend strictly", one(secPrefixAS, table(unsplit, []uint64{100, 1<<32 + 100}, []uint64{7, 9}))},
+		{"keys that collide as ASNs", "AS degrees", "ascend strictly", one(secASDegree, table(unsplit, []uint64{7, 1<<32 + 7}, []uint64{2, 2}))},
+		{"repeated provider", "Provider mappings", "ascend strictly", one(secProviders, table(splitPair, []uint64{provider(9, 7), provider(9, 7)}, nil))},
+		{"repeated origin", "Provider mappings", "ascend strictly", one(secProviders, table(splitPair, []uint64{provider(9, 7), provider(7, 8), provider(9, 8)}, nil))},
+		{"repeated link", "Inter-cluster links", "ascend strictly", one(secLinks, linkRecords([]Link{link(0, 1, 1), link(0, 1, 1)}, nil))},
+		{"links out of order", "Inter-cluster links", "ascend strictly", one(secLinks, linkRecords([]Link{link(0, 2, 1), link(0, 1, 1)}, nil))},
+		{"undefined plane bits", "Inter-cluster links", "undefined plane bits", one(secLinks, linkRecords([]Link{link(0, 1, 4)}, nil))},
+		{"undefined plane bits on a reverse", "Inter-cluster links", "undefined plane bits", one(secLinks, linkRecords([]Link{link(0, 1, 1)}, []uint64{1}, 0, 4))},
+		{"link outside the cluster space", "Inter-cluster links", "outside cluster space", one(secLinks, linkRecords([]Link{link(0, 4, 1)}, nil))},
+		{"both directions of a pair written", "Inter-cluster links", "both directions", one(secLinks, linkRecords([]Link{link(0, 1, 1), link(1, 0, 2)}, nil))},
+		{"a pair and its reverse written", "Inter-cluster links", "both directions", one(secLinks, linkRecords([]Link{link(0, 1, 1), link(1, 0, 2)}, []uint64{1}, 0, 2))},
+		{"reverse flag of 2", "Inter-cluster links", "neither 0 nor 1", one(secLinks, linkRecords([]Link{link(0, 1, 1)}, []uint64{2}))},
+		{"pair written from its higher end", "Inter-cluster links", "not its pair's lower key", one(secLinks, linkRecords([]Link{link(1, 0, 1)}, []uint64{1}, 0, 2))},
+		{"self link paired with itself", "Inter-cluster links", "not its pair's lower key", one(secLinks, linkRecords([]Link{link(1, 1, 1)}, []uint64{1}, 0, 1))},
+		{"reverse latency below zero", "Inter-cluster links", "below zero", one(secLinks, linkRecords([]Link{link(0, 1, 1)}, []uint64{1}, zigzag(-101), 2))},
+		{"attachment outside the cluster space", "Prefix to cluster", "outside cluster space", one(secPrefixCluster, table(unsplit, []uint64{100}, []uint64{4}))},
+		{"interface outside the cluster space", "Interface prefix to cluster", "outside cluster space", one(secIfaceCluster, table(unsplit, []uint64{200}, []uint64{1 << 31}))},
+		{"over-bound correction", "Aggregated corrections", "bound", one(secGlobalAdjust, table(unsplit, []uint64{100}, []uint64{quantAdj(2 * MaxObservationFoldMS)}))},
+		{"observed TTL of 0", "Observed-link lifetimes", "lifetime", one(secObservedLink, table(splitPair, []uint64{LinkKey(3, 2)}, []uint64{0}))},
+		{"immortal attachment", "Observed-attachment lifetimes", "lifetime", one(secObservedAttach, table(unsplit, []uint64{101}, []uint64{ObservedTTLDays + 1}))},
 		{"short AS table", "Cluster to AS", "does not match", one(secClusterAS, records(3, 7, 7, 8))},
 		{"lying record count", "Late-exit pairs", "exceeds limit", one(secLateExit, records(maxSectionRecords+1))},
 		{"section twice", "Link loss rates", "appears twice", rawAtlas(tb, a, twice, nil)},
@@ -289,9 +332,13 @@ func TestDecodeDeltaRejectsBomb(t *testing.T) {
 // come back in stream order with their repeats, out-of-range IDs and all,
 // for Flat.Apply to put in order.
 func TestDecodeDeltaKeepsHostileLists(t *testing.T) {
-	d, err := DecodeDelta(bytes.NewReader(rawDelta(t, 0, 1, []uint64{9, ^uint64(3), 0}, []uint64{4, 0})))
+	ups := []Link{{From: 3, To: 1, LatencyMS: 1, Planes: 1}, {From: 1, To: 3, LatencyMS: 2, Planes: 2}, {From: 3, To: 1, LatencyMS: 3, Planes: 1}}
+	d, err := DecodeDelta(bytes.NewReader(rawDelta(t, 0, 1, ups, []uint64{9, 5, 5}, []uint64{4, 4})))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(d.UpLinks, ups) {
+		t.Fatalf("UpLinks = %v, want %v", d.UpLinks, ups)
 	}
 	if want := []uint64{9, 5, 5}; !slices.Equal(d.DelLinks, want) {
 		t.Fatalf("DelLinks = %v, want %v", d.DelLinks, want)

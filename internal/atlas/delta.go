@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"slices"
 	"sort"
 
 	"inano/internal/cluster"
@@ -305,102 +306,70 @@ func (a *Atlas) Apply(d *Delta) {
 
 const deltaMagic = "INANODLT"
 
-// Encode writes the delta as a gzip-compressed binary stream.
+// Encode writes the delta as a gzip-compressed binary stream, every list in
+// key order. An upsert of a key given more than once is written once, as
+// its last occurrence: the one Apply keeps.
 func (d *Delta) Encode(w io.Writer) error {
 	gz := gzip.NewWriter(w)
 	if _, err := gz.Write([]byte(deltaMagic)); err != nil {
 		return err
 	}
 	var sw sectionWriter
+	attach := func(c cluster.ClusterID) uint64 { return uint64(uint32(c)) }
+	keys := func(ks []uint64, split uint) { writeTable(&sw, slices.Sorted(slices.Values(ks)), split) }
 	sw.uvarint(atlasVersion)
 	sw.uvarint(uint64(d.FromDay))
 	sw.uvarint(uint64(d.ToDay))
-
-	sw.uvarint(uint64(len(d.UpLinks)))
-	prevFrom := uint64(0)
-	links := append([]Link(nil), d.UpLinks...)
-	sort.Slice(links, func(i, j int) bool {
-		return LinkKey(links[i].From, links[i].To) < LinkKey(links[j].From, links[j].To)
-	})
-	for _, l := range links {
-		f := uint64(uint32(l.From))
-		sw.uvarint(f - prevFrom)
-		prevFrom = f
-		sw.uvarint(uint64(uint32(l.To)))
-		sw.uvarint(quantLat(l.LatencyMS))
-		sw.uvarint(uint64(l.Planes))
-	}
-	writeDeltaKeys(&sw, d.DelLinks)
-
-	lossKeys := sortedKeys(d.UpLoss)
-	sw.uvarint(uint64(len(lossKeys)))
-	prev := uint64(0)
-	for _, k := range lossKeys {
-		sw.uvarint(k - prev)
-		prev = k
-		sw.uvarint(quantLoss(d.UpLoss[k]))
-	}
-	writeDeltaKeys(&sw, d.DelLoss)
-	writeDeltaKeys(&sw, d.AddTuples)
-	writeDeltaKeys(&sw, d.DelTuples)
-	writePrefixF32(&sw, d.UpAdjust)
-	writeDeltaKeys(&sw, d.DelAdjust)
-
+	writeLinks(&sw, d.UpLinks)
+	keys(d.DelLinks, splitPair)
+	writeMap(&sw, d.UpLoss, splitPair, quantLoss)
+	keys(d.DelLoss, splitPair)
+	keys(d.AddTuples, splitTriple)
+	keys(d.DelTuples, splitTriple)
+	writeMap(&sw, d.UpAdjust, unsplit, quantAdj)
+	keys(d.DelAdjust, unsplit)
 	sw.uvarint(uint64(len(d.AddClusterAS)))
-	for _, asn := range d.AddClusterAS {
-		sw.uvarint(uint64(asn))
-	}
-	writePrefixClusterMap(&sw, d.UpPrefixCluster)
-	writeDeltaKeys(&sw, d.DelPrefixCluster)
-	writePrefixClusterMap(&sw, d.UpIfaceCluster)
-	writeDeltaKeys(&sw, d.DelIfaceCluster)
-
+	sw.column(len(d.AddClusterAS), func(i int) uint64 { return uint64(d.AddClusterAS[i]) })
+	writeMap(&sw, d.UpPrefixCluster, unsplit, attach)
+	keys(d.DelPrefixCluster, unsplit)
+	writeMap(&sw, d.UpIfaceCluster, unsplit, attach)
+	keys(d.DelIfaceCluster, unsplit)
 	if _, err := gz.Write(sw.buf.Bytes()); err != nil {
 		return err
 	}
 	return gz.Close()
 }
 
-func writeDeltaKeys(sw *sectionWriter, keys []uint64) {
-	sorted := append([]uint64(nil), keys...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	sw.uvarint(uint64(len(sorted)))
-	prev := uint64(0)
-	for _, k := range sorted {
-		sw.uvarint(k - prev)
-		prev = k
-	}
-}
-
 // DecodeDelta reads a delta produced by Encode, through the parser and
 // under the limits of an atlas stream: the inflate cap, the record-count
 // cap on every list, growth only as bytes back it, the checksum and the
 // trailer. Its lists are kept in the order and with the repeats they
-// arrive in — Flat.Apply puts them in order.
+// arrive in — Flat.Apply puts them in order — and a link pair written once
+// comes back as its two links, the reverse right after the other.
 func DecodeDelta(in io.Reader) (*Delta, error) {
 	r, err := openWire(in, deltaMagic, "delta")
 	if err != nil {
 		return nil, err
 	}
-	keys := func() []uint64 {
-		k, _ := readTable[uint64, struct{}](r, nil)
+	keys := func(split uint) []uint64 {
+		k, _ := readTable[uint64, struct{}](r, split, nil)
 		return k
 	}
 	attach := plain[netsim.Prefix](func(u uint64) cluster.ClusterID { return cluster.ClusterID(uint32(u)) })
 	d := &Delta{FromDay: int(r.uvarint()), ToDay: int(r.uvarint())}
 	d.UpLinks = readLinks(r)
-	d.DelLinks = keys()
-	d.UpLoss = tableMap(readTable(r, plain[uint64](unquantLoss)))
-	d.DelLoss = keys()
-	d.AddTuples = keys()
-	d.DelTuples = keys()
-	d.UpAdjust = tableMap(readTable(r, foldBounded(r)))
-	d.DelAdjust = keys()
+	d.DelLinks = keys(splitPair)
+	d.UpLoss = tableMap(readTable(r, splitPair, plain[uint64](unquantLoss)))
+	d.DelLoss = keys(splitPair)
+	d.AddTuples = keys(splitTriple)
+	d.DelTuples = keys(splitTriple)
+	d.UpAdjust = tableMap(readTable(r, unsplit, foldBounded(r)))
+	d.DelAdjust = keys(unsplit)
 	d.AddClusterAS = readASNs(r)
-	d.UpPrefixCluster = tableMap(readTable(r, attach))
-	d.DelPrefixCluster = keys()
-	d.UpIfaceCluster = tableMap(readTable(r, attach))
-	d.DelIfaceCluster = keys()
+	d.UpPrefixCluster = tableMap(readTable(r, unsplit, attach))
+	d.DelPrefixCluster = keys(unsplit)
+	d.UpIfaceCluster = tableMap(readTable(r, unsplit, attach))
+	d.DelIfaceCluster = keys(unsplit)
 	if err := r.close("delta"); err != nil {
 		return nil, err
 	}

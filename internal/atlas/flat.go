@@ -159,16 +159,22 @@ func Compile(a *Atlas) *Flat {
 	f.DegKeys, f.DegVals = sortedTable(a.ASDegree)
 	f.LossKeys, f.LossVals = sortedTable(a.Loss)
 
-	provs := make([]uint64, 0, len(a.Providers))
-	for origin, ups := range a.Providers {
-		for _, up := range ups {
-			provs = append(provs, uint64(origin)<<32|uint64(up))
-		}
-	}
-	slices.Sort(provs)
-	f.Providers = provs
+	f.Providers = providerKeys(a.Providers)
 	f.finish(a.Links)
 	return f
+}
+
+// providerKeys lays a provider map out as the sorted origin<<32 | provider
+// keys of Flat.Providers.
+func providerKeys(m map[netsim.ASN][]netsim.ASN) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for origin, ups := range m {
+		for _, up := range ups {
+			keys = append(keys, uint64(origin)<<32|uint64(up))
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // finish is the step Compile and DecodeFlat end in: with every table of f

@@ -3,157 +3,254 @@ package atlas
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"inano/internal/cluster"
 	"inano/internal/netsim"
 )
 
-// FuzzAtlasDecode feeds both atlas doors arbitrary bytes. Neither may
-// panic, and they answer alike: both reject the input, or both accept it
-// and DecodeFlat's Flat is the one Compile makes of Decode's Atlas (see
-// decodeBothWays); an accepted atlas also survives a re-encode/re-decode
-// round trip. The seed corpus holds real encoded atlases (the mutation
-// starting points), a valid header with garbage sections, torn prefixes of
-// a valid encoding, and the hostile streams of hostileAtlases.
+// FuzzAtlasDecode feeds both atlas doors arbitrary bytes; see checkAtlasDecode.
+// The seed corpus is atlasSeeds.
 func FuzzAtlasDecode(f *testing.F) {
-	for _, seed := range []int64{1, 2} {
-		a, _, _ := buildTestAtlas(f, seed, 0)
-		var buf bytes.Buffer
-		if err := a.Encode(&buf); err != nil {
-			f.Fatal(err)
-		}
-		raw := buf.Bytes()
-		f.Add(raw)
-		f.Add(raw[:len(raw)/2]) // torn download
-		f.Add(raw[:16])
+	for _, seed := range atlasSeeds(f) {
+		f.Add(seed)
 	}
-	f.Add([]byte{})
-	f.Add([]byte("INANOATL"))
-	f.Add([]byte("INANOATL\x01junkjunkjunk"))
-	f.Add(rawAtlas(f, wireFixture(), nil, nil))
-	for _, h := range hostileAtlases(f) {
-		f.Add(h.raw)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !decodeBothWays(t, data) {
-			return // rejected by both: fine, as long as neither panicked
-		}
-		a, err := Decode(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Anything the decoder accepts must re-encode and decode cleanly.
-		var buf bytes.Buffer
-		if err := a.Encode(&buf); err != nil {
-			t.Fatalf("accepted atlas failed to re-encode: %v", err)
-		}
-		b, err := Decode(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded atlas failed to decode: %v", err)
-		}
-		if b.Day != a.Day || b.NumClusters != a.NumClusters || len(b.Links) != len(a.Links) {
-			t.Fatalf("round trip changed shape: day %d->%d, clusters %d->%d, links %d->%d",
-				a.Day, b.Day, a.NumClusters, b.NumClusters, len(a.Links), len(b.Links))
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { checkAtlasDecode(t, data) })
 }
 
-// rawDelta hand-assembles an encoded delta whose DelLinks and AddTuples
-// lists are written with the given successive differences — Encode sorts
-// what it writes, and a difference that wraps uint64 is the only way bytes
-// decode to an unsorted list.
-func rawDelta(tb testing.TB, fromDay, toDay uint64, delLinkDiffs, addTupleDiffs []uint64) []byte {
+// atlasSeeds holds real encoded atlases (the mutation starting points), a
+// valid header with garbage sections, torn prefixes of a valid encoding, and
+// the hostile streams of hostileAtlases.
+func atlasSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	for _, seed := range []int64{1, 2} {
+		a, _, _ := buildTestAtlas(tb, seed, 0)
+		var buf bytes.Buffer
+		if err := a.Encode(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		raw := buf.Bytes()
+		seeds = append(seeds, raw, raw[:len(raw)/2], raw[:16]) // whole, a torn download, a header
+	}
+	seeds = append(seeds, []byte{}, []byte("INANOATL"), []byte("INANOATL\x01junkjunkjunk"))
+	seeds = append(seeds, rawAtlas(tb, wireFixture(), nil, nil))
+	for _, h := range hostileAtlases(tb) {
+		seeds = append(seeds, h.raw)
+	}
+	return seeds
+}
+
+// checkAtlasDecode holds the atlas doors to one input: neither may panic,
+// and they answer alike — both reject it, or both accept it and DecodeFlat's
+// Flat is the one Compile makes of Decode's Atlas (see decodeBothWays). An
+// accepted atlas also survives a re-encode/re-decode round trip. It reports
+// whether the input was accepted.
+func checkAtlasDecode(t *testing.T, data []byte) bool {
+	if !decodeBothWays(t, data) {
+		return false // rejected by both: fine, as long as neither panicked
+	}
+	a, err := Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Anything the decoder accepts must re-encode and decode cleanly.
+	var buf bytes.Buffer
+	if err := a.Encode(&buf); err != nil {
+		t.Fatalf("accepted atlas failed to re-encode: %v", err)
+	}
+	b, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("re-encoded atlas failed to decode: %v", err)
+	}
+	if b.Day != a.Day || b.NumClusters != a.NumClusters || len(b.Links) != len(a.Links) {
+		t.Fatalf("round trip changed shape: day %d->%d, clusters %d->%d, links %d->%d",
+			a.Day, b.Day, a.NumClusters, b.NumClusters, len(a.Links), len(b.Links))
+	}
+	return true
+}
+
+// rawDelta hand-assembles an encoded delta whose UpLinks, DelLinks and
+// AddTuples are written as given — Encode sorts what it writes, keeps one
+// upsert a key and pairs each link with its reverse, so this is the only way
+// to a stream whose lists come unsorted, repeated, or with both directions
+// of a link written out.
+func rawDelta(tb testing.TB, fromDay, toDay uint64, upLinks []Link, delLinks, addTuples []uint64) []byte {
 	tb.Helper()
 	var sw sectionWriter
-	keys := func(diffs []uint64) {
-		sw.uvarint(uint64(len(diffs)))
-		for _, d := range diffs {
-			sw.uvarint(d)
-		}
-	}
 	sw.uvarint(atlasVersion)
 	sw.uvarint(fromDay)
 	sw.uvarint(toDay)
-	sw.uvarint(0) // UpLinks
-	keys(delLinkDiffs)
+	linkRecords(upLinks, nil)(&sw)
+	writeTable(&sw, delLinks, splitPair)
 	sw.uvarint(0) // UpLoss
-	keys(nil)     // DelLoss
-	keys(addTupleDiffs)
-	keys(nil)     // DelTuples
+	sw.uvarint(0) // DelLoss
+	writeTable(&sw, addTuples, splitTriple)
+	sw.uvarint(0) // DelTuples
 	sw.uvarint(0) // UpAdjust
-	keys(nil)     // DelAdjust
+	sw.uvarint(0) // DelAdjust
 	sw.uvarint(0) // AddClusterAS
 	sw.uvarint(0) // UpPrefixCluster
-	keys(nil)     // DelPrefixCluster
+	sw.uvarint(0) // DelPrefixCluster
 	sw.uvarint(0) // UpIfaceCluster
-	keys(nil)     // DelIfaceCluster
+	sw.uvarint(0) // DelIfaceCluster
+	raw := gzipped(tb, deltaMagic, sw.buf.Bytes())
+	if _, err := DecodeDelta(bytes.NewReader(raw)); err != nil {
+		tb.Fatalf("hand-assembled delta does not decode: %v", err)
+	}
+	return raw
+}
+
+// gzipped compresses magic and body into one stream.
+func gzipped(tb testing.TB, magic string, body []byte) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
-	gz.Write([]byte(deltaMagic))
-	gz.Write(sw.buf.Bytes())
+	gz.Write([]byte(magic))
+	gz.Write(body)
 	if err := gz.Close(); err != nil {
 		tb.Fatal(err)
-	}
-	if _, err := DecodeDelta(bytes.NewReader(buf.Bytes())); err != nil {
-		tb.Fatalf("hand-assembled delta does not decode: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzDeltaApply is the trust boundary of a day roll: a delta arrives from
-// a swarm peer as untrusted bytes and is merged into the serving atlas.
-// Whatever DecodeDelta accepts, Flat.Apply must merge without panicking,
-// into a Flat that passes Validate and equals, field for field, what the
-// map path (Inflate, Atlas.Apply, Compile) makes of the same delta.
-func FuzzDeltaApply(f *testing.F) {
-	day0, _, _ := buildTestAtlas(f, 1, 0)
-	day1, _, _ := buildTestAtlas(f, 1, 1)
-	base := Compile(day0)
+// repeatedUpserts is a delta over day0 that upserts keys more than once and
+// both directions of a link: a carried link, given twice, its reverse, and
+// a new link given twice along with its reverse. The last upsert of a key is
+// the one Apply keeps.
+func repeatedUpserts(day0 *Atlas) *Delta {
 	n := cluster.ClusterID(day0.NumClusters)
-	add := func(d *Delta) {
-		var buf bytes.Buffer
-		if err := d.Encode(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	add(Diff(day0, day1)) // a real day 0 -> 1 delta
 	l := day0.Links[0]
-	add(&Delta{ToDay: 1, // a repeated upsert, of a carried link and of a new one
+	return &Delta{ToDay: 1,
 		UpLinks: []Link{
 			{From: l.From, To: l.To, LatencyMS: 1, Planes: PlaneToDst},
-			{From: l.From, To: l.To, LatencyMS: 2, Planes: PlaneMask},
 			{From: n - 1, To: 0, LatencyMS: 3, Planes: PlaneToDst},
+			{From: l.From, To: l.To, LatencyMS: 2, Planes: PlaneMask},
+			{From: l.To, To: l.From, LatencyMS: 2.5, Planes: PlaneFromSrc},
+			{From: 0, To: n - 1, LatencyMS: 5, Planes: PlaneToDst},
 			{From: n - 1, To: 0, LatencyMS: 4, Planes: PlaneFromSrc},
 		},
 		DelLinks: []uint64{LinkKey(l.From, l.To), LinkKey(l.From, l.To)},
-	})
+	}
+}
+
+// FuzzDeltaApply is the trust boundary of a day roll; see checkDeltaApply.
+// The seed corpus is deltaSeeds.
+func FuzzDeltaApply(f *testing.F) {
+	base, seeds := deltaSeeds(f)
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkDeltaApply(t, base, data) })
+}
+
+// deltaSeeds returns the flat a delta seed applies to and the seeds: a real
+// day 0 -> 1 delta, repeated and reversed upserts, IDs past the cluster
+// space, lists unsorted and repeated, an empty delta and no bytes at all.
+func deltaSeeds(tb testing.TB) (*Flat, [][]byte) {
+	day0, _, _ := buildTestAtlas(tb, 1, 0)
+	day1, _, _ := buildTestAtlas(tb, 1, 1)
+	n := cluster.ClusterID(day0.NumClusters)
+	var seeds [][]byte
+	add := func(d *Delta) {
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, buf.Bytes())
+	}
+	add(Diff(day0, day1))
+	add(repeatedUpserts(day0))
 	add(&Delta{ToDay: 1, // IDs at and past the end of the cluster space
-		UpLinks:         []Link{{From: n, To: 0, LatencyMS: 1, Planes: 1}, {From: 0, To: n + 7, LatencyMS: 1, Planes: 1}},
+		UpLinks:         []Link{{From: n, To: 0, LatencyMS: 1, Planes: 1}, {From: 0, To: n + 7, LatencyMS: 1, Planes: 1}, {From: n + 7, To: 0, LatencyMS: 2, Planes: 2}},
 		UpLoss:          map[uint64]float32{LinkKey(n, 0): 0.5},
 		UpPrefixCluster: map[netsim.Prefix]cluster.ClusterID{1: n, 2: n + 1000},
 		UpIfaceCluster:  map[netsim.Prefix]cluster.ClusterID{3: n},
 		AddClusterAS:    []netsim.ASN{7},
 	})
+	l := day0.Links[0]
 	k := LinkKey(l.From, l.To)
-	f.Add(rawDelta(f, 0, 1, []uint64{k + 5, ^uint64(4), 0}, []uint64{9, 0, ^uint64(3), 0})) // unsorted, repeated
-	f.Add(rawDelta(f, 0, 0, nil, nil))                                                      // nothing at all, inside the day
-	f.Add([]byte{})
+	seeds = append(seeds,
+		rawDelta(tb, 0, 1, // unsorted and repeated, both directions of a link written out
+			[]Link{{From: n - 1, To: 0, LatencyMS: 3, Planes: 1}, l, {From: l.To, To: l.From, LatencyMS: 1, Planes: 2}, {From: n - 1, To: 0, LatencyMS: 4, Planes: 2}},
+			[]uint64{k + 5, k, k}, []uint64{9, 9, 5, 5}),
+		rawDelta(tb, 0, 0, nil, nil, nil), // nothing at all, inside the day
+		[]byte{})
+	return Compile(day0), seeds
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := DecodeDelta(bytes.NewReader(data))
-		if err != nil {
-			return
+// checkDeltaApply holds a day roll to one untrusted delta: whatever
+// DecodeDelta accepts, Flat.Apply must merge into base without panicking,
+// into a Flat that passes Validate and equals, field for field, what the
+// map path (Inflate, Atlas.Apply, Compile) makes of the same delta. It
+// reports whether the delta was accepted.
+func checkDeltaApply(t *testing.T, base *Flat, data []byte) bool {
+	d, err := DecodeDelta(bytes.NewReader(data))
+	if err != nil {
+		return false
+	}
+	got, st := base.Apply(d)
+	if err := got.Validate(); err != nil {
+		t.Fatalf("applied flat fails Validate: %v", err)
+	}
+	sameFlat(t, got, mapPath(base, d))
+	if st.LinksAdded-st.LinksRemoved != got.NumEdges()-base.NumEdges() {
+		t.Fatalf("stats say links +%d -%d, the table went %d -> %d", st.LinksAdded, st.LinksRemoved, base.NumEdges(), got.NumEdges())
+	}
+	return true
+}
+
+// TestWireMutations is the fuzzers' bodies on a seeded loop (go test -fuzz
+// needs workers a plain test run does not): 2 000 rounds, each mutating one
+// atlas seed and one delta seed and holding checkAtlasDecode and
+// checkDeltaApply to the results. A mutation flips a few bits of the
+// inflated stream, truncates it, or both, and compresses it again, so the
+// parser — not the gzip checksum — meets the damage.
+func TestWireMutations(t *testing.T) {
+	atlases := atlasSeeds(t)
+	base, deltas := deltaSeeds(t)
+	rng := rand.New(rand.NewSource(31))
+	var accepted [2]int
+	for round := 0; round < 2000; round++ {
+		if checkAtlasDecode(t, mutated(t, rng, atlases[rng.Intn(len(atlases))], atlasMagic)) {
+			accepted[0]++
 		}
-		got, st := base.Apply(d)
-		if err := got.Validate(); err != nil {
-			t.Fatalf("applied flat fails Validate: %v", err)
+		if checkDeltaApply(t, base, mutated(t, rng, deltas[rng.Intn(len(deltas))], deltaMagic)) {
+			accepted[1]++
 		}
-		sameFlat(t, got, mapPath(base, d))
-		if st.LinksAdded-st.LinksRemoved != got.NumEdges()-base.NumEdges() {
-			t.Fatalf("stats say links +%d -%d, the table went %d -> %d", st.LinksAdded, st.LinksRemoved, base.NumEdges(), got.NumEdges())
+	}
+	if accepted[0] == 0 || accepted[1] == 0 || accepted[0] == 2000 || accepted[1] == 2000 {
+		t.Fatalf("accepted %d mutated atlases and %d mutated deltas of 2000: the mutations miss the parser", accepted[0], accepted[1])
+	}
+	t.Logf("accepted %d mutated atlases and %d mutated deltas of 2000", accepted[0], accepted[1])
+}
+
+// mutated returns seed with a few of the bits behind its magic flipped, its
+// body truncated, or both, compressed again. A seed that does not inflate to
+// the magic is mutated as it stands.
+func mutated(tb testing.TB, rng *rand.Rand, seed []byte, magic string) []byte {
+	body, inflated := slices.Clone(seed), false
+	if gz, err := gzip.NewReader(bytes.NewReader(seed)); err == nil {
+		if all, err := io.ReadAll(gz); err == nil && bytes.HasPrefix(all, []byte(magic)) {
+			body, inflated = all[len(magic):], true
 		}
-	})
+	}
+	if len(body) == 0 {
+		return seed
+	}
+	op := rng.Intn(3)
+	if op != 1 {
+		for range 1 + rng.Intn(3) {
+			body[rng.Intn(len(body))] ^= 1 << rng.Intn(8)
+		}
+	}
+	if op != 0 {
+		body = body[:rng.Intn(len(body))]
+	}
+	if !inflated {
+		return body
+	}
+	return gzipped(tb, magic, body)
 }

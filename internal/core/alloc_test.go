@@ -106,6 +106,31 @@ func TestTreeBytes(t *testing.T) {
 	}
 }
 
+// TestNewWithCacheAllocs holds NewWithCache to building only what it does
+// not adopt: with a predecessor, it allocates no tree cache, edgeTo (4 B an
+// edge) or tuple runs (8 B an edge), so at least 4 B an edge fewer than
+// NewFromFlat over the same atlas. TestEdgeToMatchesBuckets checks that
+// what it adopts is the predecessor's own.
+func TestNewWithCacheAllocs(t *testing.T) {
+	w := buildWorld(t, 61)
+	prev := New(w.a, INanoOptions())
+	f, opts := prev.Flat(), prev.Opts()
+	bytesOf := func(build func()) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		build()
+		runtime.ReadMemStats(&ms1)
+		return ms1.TotalAlloc - ms0.TotalAlloc
+	}
+	fresh := bytesOf(func() { NewFromFlat(f, opts) })
+	adopted := bytesOf(func() { NewWithCache(f, opts, prev) })
+	if edges := uint64(f.NumEdges()); adopted+4*edges > fresh {
+		t.Fatalf("NewWithCache allocates %d bytes, NewFromFlat %d; want at least %d (4 B x %d edges) fewer",
+			adopted, fresh, 4*edges, edges)
+	}
+}
+
 // BenchmarkQueryInto_Warm is the steady-state serving loop: cached trees,
 // reused PathInfo. ReportAllocs makes the zero-allocation property visible
 // in bench output (the gate itself is TestWarmQueryZeroAlloc).

@@ -140,6 +140,21 @@ func New(a *atlas.Atlas, opts Options) *Engine {
 // engine is in use. A link table of maxEdges or more has no hop word and
 // panics; no wire format can carry one (a section holds 2^22 records).
 func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
+	return NewWithCache(f, opts, nil)
+}
+
+// NewWithCache builds an engine over f while adopting prev's
+// prediction-tree cache. Caller contract: f must be route-identical to
+// prev's atlas — same clusters, links in the same order (trees hold edge
+// indexes), planes, and policy datasets, differing only in data the route
+// computation never reads (the residual corrections in the Adjust tables)
+// — and opts must equal prev's. Used when an applied delta changed
+// corrections only (a residual-only traceroute merge, a correction push),
+// where NewFromFlat would needlessly cold-start a warm serving cache; prev
+// keeps working, sharing the cache (and edgeTo and the tuple runs: same
+// links, same 3-tuple set), which the new engine then does not build. A
+// nil prev is NewFromFlat.
+func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 	if f.NumEdges() >= maxEdges {
 		panic(fmt.Sprintf("core: link table of %d edges, a tree's hop word holds %d", f.NumEdges(), maxEdges-1))
 	}
@@ -165,9 +180,13 @@ func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 	if !opts.ThreeTuple {
 		e.statesPerCl *= 2 // up/down doubling
 	}
-	e.trees = newShardedTreeCache(opts.TreeCacheSize, opts.TreeCacheShards)
 	n := e.numNodes()
 	e.scratch.New = func() any { return newRunScratch(n) }
+	if prev != nil {
+		e.trees, e.edgeTo, e.tupleRuns = prev.trees, prev.edgeTo, prev.tupleRuns
+		return e
+	}
+	e.trees = newShardedTreeCache(opts.TreeCacheSize, opts.TreeCacheShards)
 	e.edgeTo = make([]cluster.ClusterID, f.NumEdges())
 	for w := range e.numClusters {
 		bucket := e.edgeTo[f.EdgeStart[w]:f.EdgeStart[w+1]]
@@ -177,24 +196,6 @@ func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 	}
 	if opts.ThreeTuple {
 		e.tupleRuns = make([]atomic.Uint64, f.NumEdges())
-	}
-	return e
-}
-
-// NewWithCache builds an engine over f while adopting prev's
-// prediction-tree cache. Caller contract: f must be route-identical to
-// prev's atlas — same clusters, links in the same order (trees hold edge
-// indexes), planes, and policy datasets, differing only in data the route
-// computation never reads (the residual corrections in the Adjust tables)
-// — and opts must equal prev's. Used when an applied delta changed
-// corrections only (a residual-only traceroute merge, a correction push),
-// where NewFromFlat would needlessly cold-start a warm serving cache; prev
-// keeps working, sharing the cache (and edgeTo and the tuple runs: same
-// links, same 3-tuple set).
-func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
-	e := NewFromFlat(f, opts)
-	if prev != nil {
-		e.trees, e.edgeTo, e.tupleRuns = prev.trees, prev.edgeTo, prev.tupleRuns
 	}
 	return e
 }

@@ -74,6 +74,14 @@ func servedFlats(t testing.TB, bins [2][]byte, delta []byte) (flats [3][]byte) {
 // paper-figure bound was tuned on these worlds: a change to the campaign,
 // the clustering or the builder that moves one byte here has changed the
 // world, not just its cost.
+//
+// The wire artifacts (day0, day1, delta) are pinned in the v4 layout:
+// column-major sections, split keys, each link pair written once. The
+// served forms (flat0, flat1, followed) were pinned under v3 and did not
+// move when v4 replaced it — the proof that the wire change moved the
+// encoding and nothing a peer serves from. A change that moves a wire pin
+// but no served one has changed only the encoding; one that moves a served
+// pin has changed the world or the decoders.
 func TestBuildGoldenBytes(t *testing.T) {
 	type artifact struct {
 		sum  string // leading bytes of the SHA-256, hex
@@ -88,13 +96,13 @@ func TestBuildGoldenBytes(t *testing.T) {
 		// full, and day 0 followed by the delta.
 		flat0, flat1, followed artifact
 	}{
-		{"tiny_seed1", Tiny, 1, artifact{"b047643f", 5028}, artifact{"1ff5da4b", 4887}, artifact{"aefbc821", 1482},
+		{"tiny_seed1", Tiny, 1, artifact{"c165e301", 3742}, artifact{"41e85652", 3658}, artifact{"c2062707", 1176},
 			artifact{"e0d5a10a", 38792}, artifact{"738e3565", 36408}, artifact{"043d57f4", 37280}},
-		{"tiny_seed2", Tiny, 2, artifact{"7b52320f", 5242}, artifact{"00e4db37", 5208}, artifact{"583afc93", 1205},
+		{"tiny_seed2", Tiny, 2, artifact{"c51bb29d", 3807}, artifact{"30030df9", 3828}, artifact{"163966d7", 940},
 			artifact{"4093831d", 39864}, artifact{"a25a1c6f", 39872}, artifact{"013fbe93", 39712}},
-		{"medium_seed1", Medium, 1, artifact{"9395683f", 41452}, artifact{"bb512145", 41669}, artifact{"edd739d2", 9873},
+		{"medium_seed1", Medium, 1, artifact{"c5a16a4e", 30126}, artifact{"700d774c", 30299}, artifact{"3729da28", 7695},
 			artifact{"0cd5c4b8", 306952}, artifact{"6807efcd", 305344}, artifact{"0bd70041", 307128}},
-		{"medium_seed2", Medium, 2, artifact{"aef2ca4b", 40048}, artifact{"2b52ee72", 40803}, artifact{"a5722296", 8044},
+		{"medium_seed2", Medium, 2, artifact{"5004c0dd", 29487}, artifact{"2da48ab3", 29975}, artifact{"8ce6f400", 6206},
 			artifact{"60e0072b", 287784}, artifact{"db3eb8c7", 289896}, artifact{"79b98f16", 289648}},
 	}
 	for _, tc := range cases {
