@@ -57,6 +57,7 @@ type subRequest struct {
 	body     []byte // those lines
 	answered int    // answers that fully arrived: those of idx[:answered]
 	why      string // how the replica failed; "" when it answered every line
+	panicked any    // what asking it panicked with, off the caller's goroutine
 }
 
 // handleBatch routes one client pair stream across the replica set.
@@ -148,6 +149,7 @@ func (rt *Router) answerWindow(ctx context.Context, win *routedWindow) ([]byte, 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer func() { g.panicked = recover() }()
 				rt.ask(ctx, win, g)
 			}()
 		}
@@ -155,6 +157,9 @@ func (rt *Router) answerWindow(ctx context.Context, win *routedWindow) ([]byte, 
 		wg.Wait()
 		pending = pending[:0]
 		for _, g := range groups {
+			if g.panicked != nil {
+				panic(g.panicked)
+			}
 			if g.why == "" {
 				continue
 			}

@@ -586,6 +586,44 @@ func TestBatchFillPanic(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= base })
 }
 
+// batchPanicTransport panics in the round trip of every batch
+// sub-request but the one that carries the window's first line — the one
+// the router asks on its own goroutine — and lets health checks through.
+type batchPanicTransport struct{ http.RoundTripper }
+
+func (p batchPanicTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/v1/batch" {
+		body, _ := io.ReadAll(r.Body)
+		if !bytes.Contains(body, []byte(batchLine(0))) {
+			panic("sub-request")
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	return p.RoundTripper.RoundTrip(r)
+}
+
+// TestBatchSubRequestPanic: a window over three replicas asks two of them
+// on goroutines of their own. A panic there does not take the process
+// down: it is raised on the goroutine that called the handler, like the
+// fill step's own, once the sub-request the router asked itself is done,
+// and no sub-request goroutine is left behind.
+func TestBatchSubRequestPanic(t *testing.T) {
+	replicas := []*fakeReplica{newFakeReplica(t, 0), newFakeReplica(t, 1), newFakeReplica(t, 2)}
+	tr := batchPanicTransport{&http.Transport{}}
+	rt, _ := newTestRouter(t, replicas, func(cfg *RouterConfig) { cfg.Client = &http.Client{Transport: tr} })
+	base := runtime.NumGoroutine()
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		rt.Handler().ServeHTTP(newRecWriter(), httptest.NewRequest(http.MethodPost, "/v1/batch?window=40", batchBody(40)))
+	}()
+	if recovered != "sub-request" {
+		t.Fatalf("the handler's caller recovered %v, want the sub-request's panic", recovered)
+	}
+	tr.RoundTripper.(*http.Transport).CloseIdleConnections()
+	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= base })
+}
+
 // smallBufListener shrinks the send buffer of every connection it accepts.
 type smallBufListener struct{ net.Listener }
 

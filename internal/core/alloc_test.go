@@ -40,12 +40,13 @@ func TestWarmQueryZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestColdBuildAllocBudget is the allocation gate for the cold path:
-// building a tree for a fresh key allocates the tree and its hop array and
-// nothing else — every label and the queue live in the scratch. The test
-// holds the scratch itself rather than going through Engine.run's pool
-// (get, build, put), which under -race drops scratches at random. CI runs
-// it beside the zero-alloc gates.
+// TestColdBuildAllocBudget is the allocation gate for the cold path: a
+// fresh tree is four objects — header, hop words, settled bits, lock — and
+// a whole search on a scratch already grown allocates nothing besides. A
+// search that stops short allocates one object more, its frontier, and the
+// resume that finishes it none. The test holds the scratch itself rather
+// than going through Engine.extend's pool (get, search, put), which under
+// -race drops scratches at random. CI runs it beside the zero-alloc gates.
 func TestColdBuildAllocBudget(t *testing.T) {
 	w := buildWorld(t, 61)
 	e := New(w.a, INanoOptions())
@@ -57,8 +58,7 @@ func TestColdBuildAllocBudget(t *testing.T) {
 	sc := newRunScratch(e.numNodes())
 	next := 0
 	build := func() {
-		dst, origin := splitTreeKey(keys[next])
-		e.build(sc, dst, origin)
+		e.fullTree(sc, keys[next])
 		next++
 	}
 	build() // grows the queue to its working size
@@ -70,39 +70,85 @@ func TestColdBuildAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&ms0)
 	objects := testing.AllocsPerRun(runs, build)
 	runtime.ReadMemStats(&ms1)
-	if objects > 2 {
-		t.Fatalf("cold build allocates %v objects, want <= 2 (tree, hop)", objects)
+	if objects > 4 {
+		t.Fatalf("cold build allocates %v objects, want <= 4 (tree, hop, settled, lock)", objects)
 	}
 	perBuild := (ms1.TotalAlloc - ms0.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
-	if budget := uint64(5*e.numNodes() + 128); perBuild > budget {
-		t.Fatalf("cold build allocates %d bytes, budget %d (5 B x %d nodes + 128)", perBuild, budget, e.numNodes())
+	if budget := uint64(5*e.numNodes() + 384); perBuild > budget {
+		t.Fatalf("cold build allocates %d bytes, budget %d (5 B x %d nodes + 384)", perBuild, budget, e.numNodes())
+	}
+
+	// Asked for a node it settles halfway, a search suspends; a second
+	// scratch resumes it to the end.
+	sc2 := newRunScratch(e.numNodes())
+	tr := e.fullTree(sc, keys[0])
+	half := int32(-1)
+	for id, seen := 0, 0; id < e.numNodes(); id++ {
+		if tr.has(int32(id)) {
+			if seen++; seen == settledCount(tr)/2 {
+				half = int32(id)
+			}
+		}
+	}
+	if objects := testing.AllocsPerRun(runs, func() {
+		tr := e.newTree(keys[0])
+		e.search(tr, sc, []int32{half}, 0)
+		if tr.done.Load() || tr.frontier == nil {
+			t.Fatal("the search asked for a node halfway ran to the end")
+		}
+		e.search(tr, sc2, nil, 0)
+	}); objects > 5 {
+		t.Fatalf("a search suspended and resumed allocates %v objects, want <= 5 (tree, hop, settled, lock, frontier)", objects)
 	}
 }
 
-// TestTreeBytes pins what a resident tree costs in every option variant:
-// one word a node and a header, in two allocations, and CacheStats.Bytes
-// counts exactly that for each tree the cache holds.
+// TestTreeBytes pins what a resident tree costs in every option variant —
+// a header, one word and one bit a node, and its lock, in four allocations
+// — and that CacheStats.Bytes counts exactly that for each tree the cache
+// holds, plus the frontier of each suspended one that cold legs leave
+// behind. On the benchmark's world no suspended tree retains more than
+// twice a finished one.
 func TestTreeBytes(t *testing.T) {
 	w := buildWorld(t, 61)
-	dst, origin := splitTreeKey(w.treeKeys()[0])
+	k := w.treeKeys()[0]
 	for name, opts := range allOptionVariants() {
 		e := New(w.a, opts)
 		sc := newRunScratch(e.numNodes())
-		tr := e.build(sc, dst, origin)
-		want := int64(unsafe.Sizeof(*tr)) + 4*int64(e.numNodes())
-		if len(tr.hop) != e.numNodes() || cap(tr.hop) != len(tr.hop) || unsafe.Sizeof(*tr) != 32 || e.treeBytes() != want {
-			t.Fatalf("%s: %d hop words (cap %d) and a %d-byte header over %d nodes, treeBytes %d; want one word a node, 32 and %d",
-				name, len(tr.hop), cap(tr.hop), unsafe.Sizeof(*tr), e.numNodes(), e.treeBytes(), want)
+		tr := e.fullTree(sc, k)
+		n := int64(e.numNodes())
+		want := int64(unsafe.Sizeof(*tr)) + 4*n + 8*((n+63)/64) + lockBytes
+		if len(tr.hop) != e.numNodes() || cap(tr.hop) != len(tr.hop) || len(tr.settled) != int(n+63)/64 ||
+			unsafe.Sizeof(*tr) != 128 || e.treeBytes() != want {
+			t.Fatalf("%s: %d hop words (cap %d), %d settled words and a %d-byte header over %d nodes, treeBytes %d; want one word and one bit a node, 128 and %d",
+				name, len(tr.hop), cap(tr.hop), len(tr.settled), unsafe.Sizeof(*tr), n, e.treeBytes(), want)
 		}
-		if objects := testing.AllocsPerRun(5, func() { e.build(sc, dst, origin) }); objects != 2 {
-			t.Fatalf("%s: a build allocates %v objects, want 2 (tree, hop)", name, objects)
+		if objects := testing.AllocsPerRun(5, func() { e.fullTree(sc, k) }); objects != 4 {
+			t.Fatalf("%s: a build allocates %v objects, want 4 (tree, hop, settled, lock)", name, objects)
 		}
-		for _, p := range w.targets[:10] {
-			e.PredictForward(w.vps[0], p)
+		for i, p := range w.targets {
+			e.PredictForward(w.vps[i%len(w.vps)], p)
 		}
-		if st := e.CacheStats(); st.Len == 0 || st.Bytes != int64(st.Len)*want {
-			t.Fatalf("%s: %d resident trees retain %d bytes, want %d each", name, st.Len, st.Bytes, want)
+		st, kept := e.CacheStats(), int64(0)
+		for _, tk := range w.treeKeys() {
+			if tr := e.trees.shard(tk).items[tk]; tr != nil {
+				kept += int64(cap(tr.t.frontier))
+			}
 		}
+		if st.Len == 0 || st.Suspended == 0 || kept == 0 || st.Bytes != int64(st.Len)*want+kept {
+			t.Fatalf("%s: %d resident trees, %d suspended, retain %d bytes, want %d each and %d of frontiers", name, st.Len, st.Suspended, st.Bytes, want, kept)
+		}
+	}
+
+	a, srcs, dsts := benchWorld(t)
+	e := New(a, INanoOptions())
+	sc, most := newRunScratch(e.numNodes()), 0
+	for _, l := range coldLegs(e, srcs, dsts) {
+		tr := e.newTree(l.k)
+		e.search(tr, sc, []int32{l.need}, 0)
+		most = max(most, cap(tr.frontier))
+	}
+	if whole := e.treeBytes(); whole+int64(most) > 2*whole {
+		t.Fatalf("a suspended tree retains up to %d bytes beside a finished one's %d, want at most twice that", whole+int64(most), whole)
 	}
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -10,63 +12,48 @@ import (
 // Keys spread across power-of-two shards by a Fibonacci hash of the
 // destination cluster, so concurrent queries to distinct destinations take
 // distinct locks and never contend. Each shard is an LRU over its slice of
-// the capacity, with singleflight computation: concurrent misses on the
-// same cold destination block on one in-flight build instead of running
-// the backtracking Dijkstra once per caller. Readers enter by getOrCompute;
-// warm is the second door, for trees built on a guess (Engine.Warm).
+// the capacity. A miss inserts the tree unstarted; whoever needs more of it
+// extends its search under the tree's own lock (one search a key). Readers
+// enter by lookup, then extend; warm is the door for guesses (Engine.Warm).
 type shardedTreeCache struct {
-	shards []cacheShard
-	mask   uint64
+	shards  []cacheShard
+	mask    uint64
+	popular atomic.Pointer[[]uint64] // the keys Engine.Warm is warming, sorted: a miss on one is searched whole
 }
 
 // cacheShard is one lock domain: an LRU (map + intrusive list, most
-// recently used at the head) plus the in-flight build registry.
+// recently used at the head) and its counters.
 type cacheShard struct {
 	mu         sync.Mutex
 	cap        int
 	items      map[uint64]*lruEntry
 	head, tail *lruEntry
-	inflight   map[uint64]*inflightBuild
 
-	// Stats, guarded by mu. builds counts trees actually computed; with
-	// singleflight, concurrent misses on one key contribute one build.
-	// buildNS sums the wall time of those builds.
-	hits, misses, builds uint64
-	buildNS              int64
-	// warmed counts trees warm built that the shard kept or a reader took
-	// off the build; warmHits those of them a reader has since asked for.
-	warmed, warmHits uint64
+	// Stats, guarded by mu: builds counts searches started, buildNS the wall
+	// time of every extension, warmed the trees warm inserted and warmHits
+	// those a reader then asked for.
+	hits, misses, builds, warmed, warmHits uint64
+	buildNS                                int64
 }
 
 type lruEntry struct {
-	key        uint64
 	t          *tree
 	prev, next *lruEntry
-	warm       bool // built by warm and not hit since
-}
-
-// inflightBuild publishes a tree being computed; waiters block on done and
-// read t afterwards (the channel close orders the writes before the reads).
-// If the build panicked, panicked holds the recovered value and waiters
-// re-panic with it instead of returning a nil tree.
-type inflightBuild struct {
-	done     chan struct{}
-	t        *tree
-	panicked any
-	warm     bool // started by warm and not joined by a reader (under mu)
+	warm       bool // inserted by warm and not hit since
 }
 
 // CacheStats aggregates tree cache counters across shards.
 type CacheStats struct {
-	Hits   uint64 // lookups answered from a cached tree
-	Misses uint64 // lookups that required (or joined) a build
-	Builds uint64 // Dijkstra runs actually executed
-	// BuildNS is the summed wall time of those runs, in nanoseconds:
-	// BuildNS/Builds is what one cold destination costs a caller.
-	BuildNS int64
-	Len     int // trees currently cached
-	// Bytes is what those trees retain: Len times the size of one tree,
-	// computed from the atlas's node count, not sampled from the heap.
+	Hits   uint64 // lookups that found the tree resident (it may have searched on)
+	Misses uint64 // lookups that inserted a new tree
+	Builds uint64 // trees whose Dijkstra search was started
+	// BuildNS sums the nanoseconds of every extension: BuildNS/Builds is
+	// what one cold destination costs.
+	BuildNS   int64
+	Len       int // trees currently cached
+	Suspended int // those whose search stopped short of the end and kept its frontier
+	// Bytes is what they retain, computed, not sampled: Len finished trees
+	// plus each suspended search's frontier.
 	Bytes int64
 	// Warmed counts trees rebuilt behind a publish from the previous
 	// engine's resident set (they are in Builds too), WarmHits those a
@@ -78,22 +65,16 @@ type CacheStats struct {
 // shardCount shards (rounded up to a power of two). Every shard holds at
 // least one tree, so tiny capacities still cache.
 func newShardedTreeCache(capacity, shardCount int) *shardedTreeCache {
-	if shardCount < 1 {
-		shardCount = 1
-	}
 	n := 1
 	for n < shardCount {
 		n <<= 1
 	}
-	perShard := (capacity + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
+	perShard := max((capacity+n-1)/n, 1)
 	c := &shardedTreeCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
+	c.popular.Store(new([]uint64))
 	for i := range c.shards {
 		c.shards[i].cap = perShard
 		c.shards[i].items = make(map[uint64]*lruEntry)
-		c.shards[i].inflight = make(map[uint64]*inflightBuild)
 	}
 	return c
 }
@@ -104,24 +85,23 @@ func (c *shardedTreeCache) shard(k uint64) *cacheShard {
 	return &c.shards[(k*0x9E3779B97F4A7C15)>>32&c.mask]
 }
 
-// treeBuilder computes the tree for a cache key on a miss. *Engine is the
-// production implementation (Engine.buildTree); taking an interface whose
-// value is an existing pointer — rather than a per-call closure — keeps
-// the warm-hit path allocation-free.
+// treeBuilder makes unstarted trees and extends a search under its tree's
+// lock (Engine.search). *Engine is the production implementation; an
+// interface whose value is an existing pointer — rather than a per-call
+// closure — keeps the warm-hit path allocation-free.
 type treeBuilder interface {
-	buildTree(k uint64) *tree
+	newTree(k uint64) *tree
+	extend(t *tree, need []int32, slice int)
 }
 
-// getOrCompute returns the cached tree for k, or computes it exactly once
-// across all concurrent callers and caches the result. The caller that wins
-// the build runs b.buildTree to completion (so the tree stays cached for a
-// retry); callers joining an in-flight build stop waiting when ctx is
-// cancelled and return ctx.Err(). A panic in the build is cleaned up — the
-// in-flight entry is removed so the key is not poisoned — and re-raised in
-// the builder and every waiter.
-func (c *shardedTreeCache) getOrCompute(ctx context.Context, k uint64, bld treeBuilder) (*tree, error) {
+const warmSlice = 1024 // nodes a warm search settles between yields: what a reader waits for
+
+// lookup returns k's resident tree, or inserts bld's unstarted one at the
+// front of the shard, evicting the least recently used tree if it is full.
+func (c *shardedTreeCache) lookup(k uint64, bld treeBuilder) *tree {
 	s := c.shard(k)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if e, ok := s.items[k]; ok {
 		s.moveToFront(e)
 		s.hits++
@@ -129,75 +109,78 @@ func (c *shardedTreeCache) getOrCompute(ctx context.Context, k uint64, bld treeB
 			e.warm = false
 			s.warmHits++
 		}
-		s.mu.Unlock()
-		return e.t, nil
+		return e.t
 	}
 	s.misses++
-	if b, ok := s.inflight[k]; ok {
-		if b.warm { // a reader wants it: the guess was right, and it goes in at the front
-			b.warm = false
-			s.warmed++
-			s.warmHits++
-		}
-		s.mu.Unlock()
-		select {
-		case <-b.done:
-			if b.panicked != nil {
-				panic(b.panicked)
-			}
-			return b.t, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	b := &inflightBuild{done: make(chan struct{})}
-	s.inflight[k] = b
-	s.mu.Unlock()
-	return s.build(k, b, bld), nil
+	t := bld.newTree(k)
+	_, t.popular = slices.BinarySearch(*c.popular.Load(), k)
+	s.insert(t, false)
+	return t
 }
 
-// warm builds k's tree on a guess that a reader will want it. A key already
-// resident or in flight, or whose shard is full, is left alone, and no
-// lookup is counted; the build is registered like a reader's, so a reader's
-// miss meanwhile joins it.
+// warm inserts k's tree on a guess, unless k is resident or its shard is
+// full, and searches it to the end unless a reader is on it, counting no
+// lookup; a reader who asks meanwhile waits one slice at most, then takes over.
 func (c *shardedTreeCache) warm(k uint64, bld treeBuilder) {
 	s := c.shard(k)
 	s.mu.Lock()
-	if s.items[k] != nil || s.inflight[k] != nil || len(s.items) >= s.cap {
-		s.mu.Unlock()
-		return
+	var t *tree
+	if s.items[k] == nil && len(s.items) < s.cap {
+		t = bld.newTree(k)
+		s.insert(t, true)
 	}
-	b := &inflightBuild{done: make(chan struct{}), warm: true}
-	s.inflight[k] = b
 	s.mu.Unlock()
-	s.build(k, b, bld)
+	for t != nil && !t.done.Load() && len(t.lock) == 0 {
+		if u, _ := c.extend(bgCtx, t, bld, nil, warmSlice); u != t { // the background context never ends a wait
+			return // t was evicted
+		}
+	}
 }
 
-// build computes the tree for k, which the caller registered in flight as
-// b, and caches it: at the front for a reader, by insert's rule for warm.
-func (s *cacheShard) build(k uint64, b *inflightBuild, bld treeBuilder) *tree {
-	completed := false
-	start := time.Now()
-	defer func() {
-		if !completed {
-			b.panicked = recover()
-		}
+// extend takes t's lock unless t.ready(need) (or returns ctx's error), and
+// runs and counts bld's extension unless t is ready by then. It returns the
+// tree searched: t, or the key's tree looked up again if an evicted t gave
+// its frontier away (insert). A search that panics drops t from the cache,
+// so its key is not poisoned, and the panic is raised again in every waiter.
+func (c *shardedTreeCache) extend(ctx context.Context, t *tree, bld treeBuilder, need []int32, slice int) (*tree, error) {
+	if t.ready(need) {
+		return t, nil
+	}
+	t.waiting.Add(1)
+	select {
+	case t.lock <- struct{}{}:
+		t.waiting.Add(-1)
+	case <-ctx.Done():
+		t.waiting.Add(-1)
+		return t, ctx.Err()
+	}
+	if t.panicked == nil && t.count > 0 && t.frontier == nil && !t.done.Load() {
+		<-t.lock
+		return c.extend(ctx, c.lookup(t.key, bld), bld, need, slice)
+	}
+	defer func() { <-t.lock }()
+	if t.panicked == nil && !t.ready(need) {
+		s, first, start := c.shard(t.key), t.count == 0, time.Now()
+		func() {
+			defer func() { t.panicked = recover() }()
+			bld.extend(t, need, slice)
+		}()
 		s.mu.Lock()
-		delete(s.inflight, k)
-		if completed {
-			s.builds++
+		if t.panicked == nil {
 			s.buildNS += int64(time.Since(start))
-			s.insert(k, b.t, b.warm)
+			if first {
+				s.builds++
+			}
+		} else if e := s.items[t.key]; e != nil && e.t == t {
+			s.unlink(e)
+			delete(s.items, t.key)
 		}
 		s.mu.Unlock()
-		close(b.done)
-		if b.panicked != nil {
-			panic(b.panicked)
-		}
-	}()
-	b.t = bld.buildTree(k)
-	completed = true
-	return b.t
+	}
+	if t.panicked != nil {
+		panic(t.panicked)
+	}
+	return t, nil
 }
 
 func (c *shardedTreeCache) stats() CacheStats {
@@ -210,6 +193,12 @@ func (c *shardedTreeCache) stats() CacheStats {
 		st.Builds += s.builds
 		st.BuildNS += s.buildNS
 		st.Len += len(s.items)
+		for _, e := range s.items {
+			if kept := e.t.kept.Load(); kept > 0 && !e.t.done.Load() {
+				st.Suspended++
+				st.Bytes += int64(kept)
+			}
+		}
 		st.Warmed += s.warmed
 		st.WarmHits += s.warmHits
 		s.mu.Unlock()
@@ -217,22 +206,24 @@ func (c *shardedTreeCache) stats() CacheStats {
 	return st
 }
 
-// insert caches the tree just built for k (so k is not resident). A
-// reader's goes in at the front, evicting the least recently used entry
-// when the shard is full. A warm one goes in at the cold end and only into
-// a free slot: a guess never evicts, and never outranks a tree a reader
-// asked for.
-func (s *cacheShard) insert(k uint64, t *tree, warm bool) {
+// insert caches t, whose key is not resident. A reader's goes in at the
+// front, evicting the least recently used entry when the shard is full. A
+// warm one goes in at the cold end, and only into a free slot (warm checks):
+// a guess never evicts, and never outranks a tree a reader asked for.
+func (s *cacheShard) insert(t *tree, warm bool) {
 	if len(s.items) >= s.cap {
-		if warm {
-			return
-		}
 		oldest := s.tail
 		s.unlink(oldest)
-		delete(s.items, oldest.key)
+		delete(s.items, oldest.t.key)
+		select { // its frontier buffer goes to t unless an extension holds it
+		case oldest.t.lock <- struct{}{}:
+			t.frontier, oldest.t.frontier = oldest.t.frontier, nil
+			<-oldest.t.lock
+		default:
+		}
 	}
-	e := &lruEntry{key: k, t: t, warm: warm}
-	s.items[k] = e
+	e := &lruEntry{t: t, warm: warm}
+	s.items[t.key] = e
 	if !warm {
 		s.pushFront(e)
 		return
@@ -291,7 +282,7 @@ func (c *shardedTreeCache) keysMRU() []uint64 {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for e := s.head; e != nil; e = e.next {
-			per[i] = append(per[i], e.key)
+			per[i] = append(per[i], e.t.key)
 		}
 		s.mu.Unlock()
 		n += len(per[i])

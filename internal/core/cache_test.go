@@ -20,10 +20,24 @@ func fakeTree(id int32) *tree { return &tree{hop: []int32{id}} }
 
 func treeTag(t *tree) int32 { return t.hop[0] }
 
-// builderFunc adapts a plain function to treeBuilder.
+// builderFunc adapts a plain function to treeBuilder: a tree's one
+// extension calls it and finishes the tree with the hop words it returns.
 type builderFunc func(uint64) *tree
 
-func (f builderFunc) buildTree(k uint64) *tree { return f(k) }
+func (f builderFunc) newTree(k uint64) *tree { return bareTree(k) }
+
+// getOrCompute is a reader's door in one call: lookup, then extend.
+func (c *shardedTreeCache) getOrCompute(ctx context.Context, k uint64, bld treeBuilder, need []int32) (*tree, error) {
+	return c.extend(ctx, c.lookup(k, bld), bld, need, 0)
+}
+
+// bareTree is k's tree with no nodes: all a fake extension needs.
+func bareTree(k uint64) *tree { return &tree{key: k, lock: make(chan struct{}, 1)} }
+
+func (f builderFunc) extend(t *tree, _ []int32, _ int) {
+	t.hop = f(t.key).hop
+	t.done.Store(true)
+}
 
 // TestLRUEvictionOrder drives a single-shard cache through scripted access
 // sequences and checks exactly which keys survive and in what recency
@@ -71,7 +85,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 			c := newShardedTreeCache(tc.cap, 1)
 			for _, k := range tc.ops {
 				k := k
-				got, err := c.getOrCompute(context.Background(), k, builderFunc(func(uint64) *tree { return fakeTree(int32(k)) }))
+				got, err := c.getOrCompute(context.Background(), k, builderFunc(func(uint64) *tree { return fakeTree(int32(k)) }), nil)
 				if err != nil {
 					t.Fatalf("key %d: %v", k, err)
 				}
@@ -100,9 +114,9 @@ func TestEvictedKeyRecomputes(t *testing.T) {
 		builds++
 		return fakeTree(int32(k))
 	}
-	c.getOrCompute(context.Background(), 7, builderFunc(func(uint64) *tree { return build(7) }))
-	c.getOrCompute(context.Background(), 8, builderFunc(func(uint64) *tree { return build(8) })) // evicts 7
-	c.getOrCompute(context.Background(), 7, builderFunc(func(uint64) *tree { return build(7) })) // must rebuild
+	c.getOrCompute(context.Background(), 7, builderFunc(func(uint64) *tree { return build(7) }), nil)
+	c.getOrCompute(context.Background(), 8, builderFunc(func(uint64) *tree { return build(8) }), nil) // evicts 7
+	c.getOrCompute(context.Background(), 7, builderFunc(func(uint64) *tree { return build(7) }), nil) // must rebuild
 	if builds != 3 {
 		t.Fatalf("builds = %d, want 3", builds)
 	}
@@ -155,10 +169,10 @@ func TestSingleflightDedup(t *testing.T) {
 				computes.Add(1)
 				<-release // hold the build so every goroutine joins it
 				return fakeTree(42)
-			}))
+			}), nil)
 		}(g)
 	}
-	// Let the other goroutines reach the inflight wait, then release. The
+	// Let the other goroutines reach the tree's lock, then release. The
 	// sleep-free way: computes hitting 1 means one goroutine is inside
 	// compute; the rest either wait on wg or haven't started. Closing
 	// release lets the build finish; latecomers then hit the cache.
@@ -193,7 +207,7 @@ func TestSingleflightDistinctKeysIndependent(t *testing.T) {
 			got, _ := c.getOrCompute(context.Background(), k, builderFunc(func(uint64) *tree {
 				computes.Add(1)
 				return fakeTree(int32(k))
-			}))
+			}), nil)
 			if treeTag(got) != int32(k) {
 				t.Errorf("key %d returned tree tagged %d", k, treeTag(got))
 			}
@@ -220,7 +234,7 @@ func TestSingleflightWaiterHonorsContext(t *testing.T) {
 			close(started)
 			<-release // a slow build holding the singleflight
 			return fakeTree(5)
-		}))
+		}), nil)
 	}()
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
@@ -228,7 +242,7 @@ func TestSingleflightWaiterHonorsContext(t *testing.T) {
 	got, err := c.getOrCompute(ctx, 5, builderFunc(func(uint64) *tree {
 		t.Error("waiter must join the in-flight build, not start its own")
 		return nil
-	}))
+	}), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter returned (%v, %v), want context.Canceled", got, err)
 	}
@@ -238,7 +252,7 @@ func TestSingleflightWaiterHonorsContext(t *testing.T) {
 	got, err = c.getOrCompute(context.Background(), 5, builderFunc(func(uint64) *tree {
 		t.Error("tree should be cached after the build completed")
 		return nil
-	}))
+	}), nil)
 	if err != nil || treeTag(got) != 5 {
 		t.Fatalf("retry after cancellation got (%v, %v)", got, err)
 	}
@@ -255,11 +269,11 @@ func TestSingleflightPanicDoesNotPoisonKey(t *testing.T) {
 				t.Fatal("builder's panic was swallowed")
 			}
 		}()
-		c.getOrCompute(context.Background(), 9, builderFunc(func(uint64) *tree { panic("dijkstra bug") }))
+		c.getOrCompute(context.Background(), 9, builderFunc(func(uint64) *tree { panic("dijkstra bug") }), nil)
 	}()
 	done := make(chan *tree, 1)
 	go func() {
-		got, _ := c.getOrCompute(context.Background(), 9, builderFunc(func(uint64) *tree { return fakeTree(9) }))
+		got, _ := c.getOrCompute(context.Background(), 9, builderFunc(func(uint64) *tree { return fakeTree(9) }), nil)
 		done <- got
 	}()
 	got := <-done

@@ -224,13 +224,13 @@ func TestLateExitChainStaysOrdered(t *testing.T) {
 	}
 	e := New(a, Options{ThreeTuple: true})
 	sc := newRunScratch(e.numNodes())
-	tr := e.build(sc, 0, 1)
+	tr := e.fullTree(sc, treeKey(0, 1))
 	next, _ := e.unpack(tr)
 
 	for c := 1; c <= chain+1; c++ {
 		id, prev := e.nodeID(cluster.ClusterID(c), planeToDst, stateUp), e.nodeID(cluster.ClusterID(c-1), planeToDst, stateUp)
-		if !tr.reached(id) || next[id] != prev {
-			t.Fatalf("cluster %d: reached=%v next=%d, want next %d", c, tr.reached(id), next[id], prev)
+		if !tr.has(id) || next[id] != prev {
+			t.Fatalf("cluster %d: settled=%v next=%d, want next %d", c, tr.has(id), next[id], prev)
 		}
 		if sc.labels[id].cost < sc.labels[prev].cost {
 			t.Fatalf("cluster %d: cost %#x below its successor's %#x", c, sc.labels[id].cost, sc.labels[prev].cost)
@@ -273,7 +273,10 @@ func TestWalkEndsOnCyclicTree(t *testing.T) {
 	e := New(a, Options{ThreeTuple: true})
 	// Edges are bucketed by arrival: edge 0 arrives at cluster 0, edge 1 at 1.
 	p := Prediction{Clusters: make([]cluster.ClusterID, 0, 4)}
-	e.pathFromInto(&tree{hop: []int32{1 << 2, 0 << 2}}, 0, &p)
+	tr := e.newTree(0)
+	tr.hop[0], tr.hop[1] = 1<<2, 0<<2
+	tr.settled[0].Store(3)
+	e.pathFromInto(tr, 0, &p)
 	if p.Found || len(p.Clusters) != 0 || p.LatencyMS != 0 {
 		t.Fatalf("cyclic tree: %+v, want no prediction", p)
 	}

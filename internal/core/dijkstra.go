@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
+	"runtime"
+	"sync/atomic"
 
 	"inano/internal/atlas"
-	"inano/internal/cluster"
 	"inano/internal/netsim"
 )
 
@@ -56,33 +58,53 @@ func latUnits(ms float32) uint64 {
 	return uint64(v)
 }
 
-// tree is the retained result of one backtracking run from a destination:
-// one word a node, the step the predicted path takes from it. That is all
-// the walk needs, 4 bytes a node; the search's own labels stay behind in the
-// runScratch.
+// tree is one backtracking search from a destination, run as far as readers
+// asked (§4.2): a hop word a node, final once its settled bit is set, and
+// while suspended the labels a resume reads again (frontier), no scratch.
 type tree struct {
-	originAS netsim.ASN
-	// hop is noRoute at a node the search never reached, hopDest at the
+	key uint64 // treeKey: the destination cluster and its prefix's origin AS
+	// hop is noRoute at a node the search has not reached, hopDest at the
 	// destination, else a step toward it with its kind in the low two bits.
 	// A link is ei<<2 | ud: the flat-atlas edge index of the link taken, from
 	// which the walk reads latency and loss, and the up/down state of the
 	// node it arrives at — the cluster is Engine.edgeTo[ei], the plane stays.
 	// hopTurn and hopToDst are the synthetic cross edges inside one cluster.
-	hop []int32
+	hop      []int32
+	settled  []atomic.Uint64 // one bit a node, stored after the hop words on its path
+	kept     atomic.Int32    // cap(frontier), for CacheStats, which takes no tree's lock
+	waiting  atomic.Int32    // extenders blocked on lock: the warmer stops for them
+	lock     chan struct{}   // one slot, so a waiter can give up on its context; guards the rest but popular
+	count    int             // nodes settled so far
+	done     atomic.Bool     // the queue ran dry: every reachable node is settled (read without lock)
+	phase    uint8           // the GRAPH phase the search is in, from 1
+	popular  bool            // on the list Engine.Warm is warming, set before t is published: searched whole
+	frontier []byte          // what a resume reads again (see suspend); nil once done
+	panicked any             // what an extension panicked with: every waiter re-panics
 }
 
 const (
-	noRoute  = -2 // a node the search never reached
+	noRoute  = -2 // a node the search has not reached
 	hopDest  = -1
 	hopTurn  = 2 // up_c -> down_c
 	hopToDst = 3 // FROM_SRC_c -> TO_DST_c
 
 	// maxEdges bounds the link table so a link's hop word stays positive.
-	maxEdges = 1 << 29
+	maxEdges      = 1 << 29
+	frontierLabel = 13 // bytes a kept label takes: cost, next AS, pending count
 )
 
-// reached reports whether the tree holds a path from node id.
-func (t *tree) reached(id int32) bool { return t.hop[id] != noRoute }
+// has reports whether node id is settled: its path is in the tree for good.
+func (t *tree) has(id int32) bool { return t.settled[id>>6].Load()&(1<<(id&63)) != 0 }
+
+// ready reports whether need (all of it when empty) is settled or t done.
+func (t *tree) ready(need []int32) bool {
+	for _, id := range need {
+		if !t.has(id) {
+			return t.done.Load()
+		}
+	}
+	return len(need) > 0 || t.done.Load()
+}
 
 // label is one node's build-time state: its best cost so far, the pending
 // late-exit count and the next AS on the selected path (for 3-tuple checks
@@ -232,77 +254,160 @@ func (s *nodeSet) popMin() int32 {
 	return int32(id)
 }
 
-// runScratch is everything a Dijkstra build reads and writes besides the
-// tree it returns: the per-node labels and the queue's storage. Pooled on
-// the engine (Engine.scratch) and refilled, never reallocated, per build.
+// runScratch is what a search uses besides the tree: labels, the settled
+// bits before they are published, the nodes with a label, and the queue.
+// Pooled on the engine (Engine.scratch) and refilled, never reallocated.
 type runScratch struct {
-	labels []label
-	q      costQueue
+	labels         []label
+	marks, reached []uint64
+	q              costQueue
 }
 
 func newRunScratch(n int) *runScratch {
-	return &runScratch{labels: make([]label, n), q: costQueue{ties: newNodeSet(n), items: make([]queued, 0, n)}}
+	return &runScratch{labels: make([]label, n), marks: make([]uint64, (n+63)/64), reached: make([]uint64, (n+63)/64), q: costQueue{ties: newNodeSet(n), items: make([]queued, 0, n)}}
 }
 
-// run executes the backtracking Dijkstra from the destination cluster,
-// producing the full prediction tree. originAS is the destination prefix's
-// BGP origin, used by the provider check.
-func (e *Engine) run(dst cluster.ClusterID, originAS netsim.ASN) *tree {
-	sc := e.scratch.Get().(*runScratch)
-	t := e.build(sc, dst, originAS)
-	e.scratch.Put(sc)
-	return t
-}
-
-// build is run on a caller-held scratch, whose labels describe the
-// returned tree until the scratch is reused.
-func (e *Engine) build(sc *runScratch, dst cluster.ClusterID, originAS netsim.ASN) *tree {
+// newTree and extend make *Engine the cache's treeBuilder.
+func (e *Engine) newTree(k uint64) *tree {
 	n := e.numNodes()
-	t := &tree{originAS: originAS, hop: make([]int32, n)}
+	t := &tree{key: k, hop: make([]int32, n), settled: make([]atomic.Uint64, (n+63)/64), lock: make(chan struct{}, 1), phase: 1}
 	for i := range t.hop {
 		t.hop[i] = noRoute
 	}
-	lab := sc.labels[:n]
-	for i := range lab {
-		lab[i] = label{cost: infCost}
-	}
-	q := &sc.q
-	q.reset()
+	return t
+}
 
-	start := e.nodeID(dst, planeToDst, stateDown)
-	lab[start].cost = 0
-	t.hop[start] = hopDest
-	q.push(0, start)
+func (e *Engine) extend(t *tree, need []int32, slice int) {
+	sc := e.scratch.Get().(*runScratch)
+	e.search(t, sc, need, slice)
+	e.scratch.Put(sc)
+}
 
-	maxPhase := 1
+// search extends t's Dijkstra on sc, under t's lock, until need is settled
+// or the queue runs dry. Only a first ask of a tree off the warm list stops
+// short: one asked again is popular, and pieces cost more than a whole. The
+// warmer's slice > 0: it yields every slice settles, stops for a waiter.
+func (e *Engine) search(t *tree, sc *runScratch, need []int32, slice int) {
+	lab, marks, q := sc.labels[:len(t.hop)], sc.marks[:len(t.settled)], &sc.q
+	e.resume(t, sc)
+	maxPhase := uint8(1)
 	if !e.opts.ThreeTuple {
 		maxPhase = 3 // GRAPH's customer -> peer -> provider frontier
 	}
-	for phase := 1; phase <= maxPhase; phase++ {
-		if phase > 1 {
+	done, settles, asked, phase := false, 0, 0, t.phase // need[:asked] is settled
+	for {
+		cost, node, ok := q.pop()
+		if !ok {
+			if done = phase == maxPhase; done {
+				break
+			}
 			// Later phases may only extend from already-settled nodes
 			// (their costs are final: better-preferred classes win
 			// regardless of length).
+			phase++
 			q.reset()
 			for id := range lab {
 				if lab[id].settled {
-					e.relaxFrom(t, sc, int32(id), phase)
+					e.relaxFrom(t, sc, int32(id), int(phase))
 				}
 			}
+			continue
 		}
-		for {
-			cost, node, ok := q.pop()
-			if !ok {
+		if lab[node].settled || cost != lab[node].cost {
+			continue // stale queue entry
+		}
+		lab[node].settled = true
+		marks[node>>6] |= 1 << (node & 63)
+		e.relaxFrom(t, sc, node, int(phase))
+		for asked < len(need) && lab[need[asked]].settled {
+			asked++
+		}
+		if settles++; asked == len(need) && asked > 0 && t.count == 0 && !t.popular {
+			break // t.count is the count before this search
+		}
+		if slice > 0 && settles%slice == 0 {
+			runtime.Gosched() // with no processor to spare, a reader gets to ask for t
+			if t.waiting.Load() > 0 {
 				break
 			}
-			if lab[node].settled || cost != lab[node].cost {
-				continue // stale queue entry
-			}
-			lab[node].settled = true
-			e.relaxFrom(t, sc, node, phase)
 		}
 	}
-	return t
+	t.count, t.phase = t.count+settles, phase
+	for w, m := range marks {
+		t.settled[w].Store(m)
+	}
+	if done {
+		t.frontier = nil
+	} else {
+		e.suspend(t, sc)
+	}
+	t.done.Store(done)
+}
+
+// suspend keeps in t.frontier's buffer a bitset of the nodes whose labels a
+// resume reads — reached unsettled ones, and under GRAPH, whose phase change
+// relaxes settled ones again, those too — then the labels in node order.
+func (e *Engine) suspend(t *tree, sc *runScratch) {
+	keep, n := sc.reached[:len(t.settled)], 0
+	for w := range keep {
+		if e.opts.ThreeTuple {
+			keep[w] &^= sc.marks[w]
+		}
+		n += bits.OnesCount64(keep[w])
+	}
+	fr := append(t.frontier[:0], make([]byte, 8*len(keep)+n*frontierLabel)...)
+	kept := fr[8*len(keep):]
+	for w, m := range keep {
+		binary.LittleEndian.PutUint64(fr[8*w:], m)
+		for ; m != 0; m &= m - 1 {
+			l := &sc.labels[w<<6|bits.TrailingZeros64(m)]
+			binary.LittleEndian.PutUint64(kept, l.cost)
+			binary.LittleEndian.PutUint32(kept[8:], uint32(l.nextAS))
+			kept[12] = l.pend
+			kept = kept[frontierLabel:]
+		}
+	}
+	t.frontier = fr
+	t.kept.Store(int32(cap(fr)))
+}
+
+// resume refills sc: settled bits, kept labels, unsettled ones queued (a
+// new tree's: its zero label). No other settled label is read again, and
+// the queue pops (cost, node) in one total order: exactly as if unstopped.
+func (e *Engine) resume(t *tree, sc *runScratch) {
+	lab, marks, reached, q := sc.labels[:len(t.hop)], sc.marks[:len(t.settled)], sc.reached[:len(t.settled)], &sc.q
+	q.reset()
+	for i := range lab {
+		lab[i] = label{cost: infCost}
+	}
+	if t.count == 0 {
+		clear(marks)
+		clear(reached)
+		dst, _ := splitTreeKey(t.key)
+		start := e.nodeID(dst, planeToDst, stateDown)
+		lab[start].cost, t.hop[start] = 0, hopDest
+		reached[start>>6] |= 1 << (start & 63)
+		q.push(0, start)
+		return
+	}
+	kept := t.frontier[8*len(marks):]
+	for w := range marks {
+		marks[w] = t.settled[w].Load()
+		for m := marks[w]; m != 0; m &= m - 1 {
+			lab[w<<6|bits.TrailingZeros64(m)].settled = true
+		}
+		keep := binary.LittleEndian.Uint64(t.frontier[8*w:])
+		reached[w] = marks[w] | keep
+		for ; keep != 0; keep &= keep - 1 {
+			id := w<<6 | bits.TrailingZeros64(keep)
+			l := &lab[id]
+			l.cost, l.nextAS, l.pend = binary.LittleEndian.Uint64(kept), netsim.ASN(binary.LittleEndian.Uint32(kept[8:])), kept[12]
+			kept = kept[frontierLabel:]
+			if !l.settled {
+				q.push(l.cost, int32(id))
+			}
+		}
+	}
 }
 
 // relaxFrom relaxes all backtracking edges out of node wid (that is, atlas
@@ -321,6 +426,7 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 	wCost := lab[wid].cost
 	wPend := lab[wid].pend
 	wNextAS := lab[wid].nextAS
+	_, originAS := splitTreeKey(t.key)
 	f := e.f
 
 	planeBit := uint8(1) // atlas.PlaneToDst
@@ -367,7 +473,7 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 		if threeTuple && !e.tupleOK(f, ei, sameAS, wNextAS) {
 			continue
 		}
-		if e.opts.Providers && !sameAS && toAS == t.originAS &&
+		if e.opts.Providers && !sameAS && toAS == originAS &&
 			!f.ProviderCheck(toAS, f.EdgeFromAS[ei]) {
 			continue // §4.3.4: must enter the origin AS via a provider
 		}
@@ -376,6 +482,7 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 		}
 		v.cost, v.pend, v.nextAS = newCost, newPend, vNextAS
 		t.hop[vid] = int32(ei)<<2 | int32(wUD)
+		sc.reached[vid>>6] |= 1 << (vid & 63)
 		if improves {
 			sc.q.push(newCost, vid)
 		}
@@ -401,6 +508,7 @@ func (e *Engine) relaxZero(t *tree, sc *runScratch, wid, vid, kind int32) {
 	}
 	v.cost, v.pend, v.nextAS = w.cost, w.pend, w.nextAS
 	t.hop[vid] = kind
+	sc.reached[vid>>6] |= 1 << (vid & 63)
 	sc.q.push(w.cost, vid)
 }
 

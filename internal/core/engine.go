@@ -32,7 +32,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -92,13 +92,13 @@ func INanoOptions() Options {
 // unbounded concurrent use. The per-destination prediction tree cache is
 // sharded by destination, so concurrent queries to distinct destinations
 // never serialize on a shared lock, and concurrent queries to the same
-// cold destination run its backtracking Dijkstra exactly once
-// (singleflight). Cancellation of a batch skips not-yet-started tree
-// builds and unblocks callers waiting on another caller's in-flight build;
-// a build already running completes and stays cached, so a retry resumes
-// cheaply. The engine itself is immutable after New: to change the atlas,
-// build a new engine and publish it with one atomic pointer store (as
-// inano.Client does; its readers take no lock).
+// cold destination share one backtracking Dijkstra, run only as far as an
+// answer needs. Cancellation of a batch skips not-yet-started searches and
+// unblocks callers waiting on another caller's; an extension already
+// running completes and stays cached, so a retry resumes cheaply. The
+// engine itself is immutable after New: to change the atlas, build a new
+// engine and publish it with one atomic pointer store (as inano.Client
+// does; its readers take no lock).
 type Engine struct {
 	// f is the compiled flat serving form; every query reads only this.
 	f    *atlas.Flat
@@ -110,10 +110,10 @@ type Engine struct {
 	degThreshold int32
 
 	trees *shardedTreeCache
-	// scratch pools per-build Dijkstra working state (*runScratch: the
-	// node labels and the queue). What a build returns — tree.hop — is NOT
-	// pooled: trees live in the LRU cache and an evicted tree may still be
-	// walked by an in-flight query, so recycling that array would be a
+	// scratch pools per-extension Dijkstra working state (*runScratch: the
+	// node labels, the settled bits and the queue). A tree's own arrays are
+	// NOT pooled: trees live in the LRU cache and an evicted tree may still
+	// be walked by an in-flight query, so recycling them would be a
 	// use-after-free.
 	scratch sync.Pool
 	// edgeTo is the cluster each CSR edge arrives at (its bucket in
@@ -210,39 +210,40 @@ func (e *Engine) WarmList(prev *Engine) []uint64 {
 	return prev.trees.keysMRU()
 }
 
-// Warm builds on e the trees keys name, in order, until the list is done
-// or stop reports true (e was superseded). Yesterday's residency is a guess
-// at today's demand and costs a reader nothing when wrong: a key whose
-// cluster e's atlas lacks is skipped, as is one resident or in flight; a
-// reader's miss on a key being built joins that build; and what is built
-// enters its shard at the cold end, into a free slot only (see insert).
+// Warm builds on e the trees keys name, in order, until done or stop
+// reports true (e was superseded). Yesterday's residency is a guess at
+// today's demand, free when wrong. Until Warm returns, a miss on a key is
+// searched whole; a key e's atlas lacks is skipped, others go in (warm).
 func (e *Engine) Warm(keys []uint64, stop func() bool) {
+	popular := slices.Sorted(slices.Values(keys))
+	e.trees.popular.Store(&popular)
+	defer e.trees.popular.Store(new([]uint64))
 	for _, k := range keys {
 		if stop() {
 			return
 		}
 		if k>>32 < uint64(e.numClusters) {
 			e.trees.warm(k, e)
-			runtime.Gosched() // with no processor to spare, a reader waits for one tree, not a time slice of them
 		}
 	}
 }
 
-// CacheStats reports tree cache counters (hits, misses, Dijkstra builds,
-// trees resident and the bytes they retain, trees warmed and hit). Builds
-// lag misses when singleflight coalesces concurrent misses on one
-// destination.
+// CacheStats reports tree cache counters: hits, misses, searches started,
+// trees resident, suspended and retained bytes, trees warmed and hit.
 func (e *Engine) CacheStats() CacheStats {
 	st := e.trees.stats()
-	st.Bytes = int64(st.Len) * e.treeBytes()
+	st.Bytes += int64(st.Len) * e.treeBytes()
 	return st
 }
 
-// treeBytes is what one resident tree retains: its header and one word a
-// node, before the allocator rounds the array up to a size class.
+// treeBytes is what one tree retains besides a suspended search's frontier:
+// header, hop word and settled bit a node, and lock, before size classes.
 func (e *Engine) treeBytes() int64 {
-	return int64(unsafe.Sizeof(tree{})) + 4*int64(e.numNodes())
+	n := int64(e.numNodes())
+	return int64(unsafe.Sizeof(tree{})) + 4*n + 8*((n+63)/64) + lockBytes
 }
+
+const lockBytes = 96 // a channel header, with no buffer for struct{}
 
 // Flat returns the engine's compiled serving-form atlas.
 func (e *Engine) Flat() *atlas.Flat { return e.f }

@@ -399,7 +399,7 @@ func TestConcurrentColdBuilds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := g; i < len(dests); i += workers {
-				got[i], _ = e.trees.getOrCompute(context.Background(), dests[i], e)
+				got[i], _ = e.trees.getOrCompute(context.Background(), dests[i], e, nil)
 			}
 		}()
 	}
@@ -408,8 +408,8 @@ func TestConcurrentColdBuilds(t *testing.T) {
 		t.Fatalf("%d builds for %d disjoint destinations", st.Builds, len(dests))
 	}
 	for i, k := range dests {
-		want := serial.buildTree(k)
-		if !slices.Equal(want.hop, got[i].hop) || want.originAS != got[i].originAS {
+		want := serial.fullTree(newRunScratch(serial.numNodes()), k)
+		if !slices.Equal(want.hop, got[i].hop) || want.key != got[i].key {
 			t.Fatalf("tree %#x: concurrently built tree differs from the serial one", k)
 		}
 	}
@@ -463,7 +463,7 @@ func TestTreeCostMonotone(t *testing.T) {
 			if !ok {
 				continue
 			}
-			tr := e.build(sc, dstCl, w.a.PrefixAS[dst])
+			tr := e.fullTree(sc, treeKey(dstCl, w.a.PrefixAS[dst]))
 			cost := func(id int32) uint64 { return sc.labels[id].cost }
 			start := e.nodeID(dstCl, planeToDst, stateDown)
 			if cost(start) != 0 {
@@ -472,10 +472,10 @@ func TestTreeCostMonotone(t *testing.T) {
 			next, _ := e.unpack(tr)
 			for i := range tr.hop {
 				id := int32(i)
-				if tr.reached(id) != (cost(id) != infCost) {
-					t.Fatalf("%s: node %d reached=%v at cost %d", name, id, tr.reached(id), cost(id))
+				if tr.has(id) != (cost(id) != infCost) {
+					t.Fatalf("%s: node %d settled=%v at cost %d", name, id, tr.has(id), cost(id))
 				}
-				if !tr.reached(id) {
+				if !tr.has(id) {
 					continue
 				}
 				nxt := next[id]

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -497,10 +500,20 @@ func (e *Engine) unpack(t *tree) (next, edge []int32) {
 	return next, edge
 }
 
-// sameTrees compares a reference run with a production build node for
-// node: the scratch labels the build left behind (cost, pend, nextAS), the
-// next node each hop word decodes to with its unreached mark, and the CSR
-// edge it names, which must be the very link the reference relaxed over.
+// fullTree runs k's whole search in one extension on sc, whose labels then
+// describe the tree until sc is reused.
+func (e *Engine) fullTree(sc *runScratch, k uint64) *tree {
+	t := e.newTree(k)
+	e.search(t, sc, nil, 0)
+	return t
+}
+
+// sameTrees compares a reference run with a production tree node for node
+// wherever the tree has settled: the labels the search left there (cost,
+// pend, nextAS), the next node each hop word decodes to, and the CSR edge it
+// names, which must be the very link the reference relaxed over. Once the
+// search is done, a node is settled exactly when the reference reached it,
+// and one that is not has no hop word.
 func sameTrees(t *testing.T, name string, dst cluster.ClusterID, ref *refTree, e *Engine, got *tree, lab []label) {
 	t.Helper()
 	if len(ref.cost) != len(got.hop) || len(ref.cost) != len(lab) {
@@ -510,18 +523,20 @@ func sameTrees(t *testing.T, name string, dst cluster.ClusterID, ref *refTree, e
 	f := e.f
 	next, edge := e.unpack(got)
 	for id := range ref.cost {
+		if !got.has(int32(id)) {
+			if got.done.Load() && (ref.cost[id] != infCost || got.hop[id] != noRoute) {
+				t.Fatalf("%s dst=%d node=%d: unsettled in a done tree with hop %d, reference cost %d", name, dst, id, got.hop[id], ref.cost[id])
+			}
+			continue
+		}
 		if ref.cost[id] != lab[id].cost {
 			t.Fatalf("%s dst=%d node=%d: cost %d, reference %d", name, dst, id, lab[id].cost, ref.cost[id])
 		}
-		wantNext := ref.next[id]
 		if ref.cost[id] == infCost {
-			wantNext = noRoute
+			t.Fatalf("%s dst=%d node=%d: settled, the reference never reached it", name, dst, id)
 		}
-		if wantNext != next[id] {
-			t.Fatalf("%s dst=%d node=%d: next %d, reference %d", name, dst, id, next[id], wantNext)
-		}
-		if got.reached(int32(id)) != (ref.cost[id] != infCost) {
-			t.Fatalf("%s dst=%d node=%d: reached=%v at reference cost %d", name, dst, id, got.reached(int32(id)), ref.cost[id])
+		if ref.next[id] != next[id] {
+			t.Fatalf("%s dst=%d node=%d: next %d, reference %d", name, dst, id, next[id], ref.next[id])
 		}
 		if ref.pend[id] != lab[id].pend {
 			t.Fatalf("%s dst=%d node=%d: pend %d, reference %d", name, dst, id, lab[id].pend, ref.pend[id])
@@ -551,8 +566,86 @@ func sameTreesAsReference(t *testing.T, name string, w *world, opts Options) {
 	sc := newRunScratch(e.numNodes())
 	for _, k := range w.treeKeys() {
 		dstCl, origin := splitTreeKey(k)
-		sameTrees(t, name, dstCl, r.run(dstCl, origin), e, e.build(sc, dstCl, origin), sc.labels)
+		sameTrees(t, name, dstCl, r.run(dstCl, origin), e, e.fullTree(sc, k), sc.labels)
 	}
+}
+
+// TestResumedTreeMatchesFull extends trees one random ask at a time — a
+// few nodes the reference reaches, now and then one it does not, or a
+// warmer's slice of so many settles with a reader waiting — on one of two
+// scratches picked at random, now and then left dirty by another tree's
+// search first, so every step resumes from nothing but the tree. After
+// every step the tree equals the reference on every node it has settled,
+// each with the label of the extension that settled it; once done,
+// everywhere. A tree's first ask stops once its nodes are settled, a later
+// one runs to the end, and a slice stops after exactly its count. Every option variant, GRAPH's three
+// phases among them, on three worlds.
+func TestResumedTreeMatchesFull(t *testing.T) {
+	resumes := 0
+	for _, seed := range []int64{61, 62, 63} {
+		w := buildWorld(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		for name, opts := range allOptionVariants() {
+			e, r := New(w.a, opts), newRefEngine(w.a, opts)
+			n := e.numNodes()
+			scs := [2]*runScratch{newRunScratch(n), newRunScratch(n)}
+			for _, k := range w.treeKeys() {
+				dst, origin := splitTreeKey(k)
+				ref := r.run(dst, origin)
+				tr, lab := e.newTree(k), make([]label, n)
+				for step := 0; !tr.done.Load(); step++ {
+					var need []int32
+					limit := 0
+					if rng.Intn(4) > 0 {
+						limit = 1 + rng.Intn(n/16+1)
+					} else {
+						for len(need) < 1+rng.Intn(3) {
+							id := int32(rng.Intn(n))
+							if ref.cost[id] != infCost || rng.Intn(20) == 0 {
+								need = append(need, id)
+							}
+						}
+					}
+					sc := scs[rng.Intn(2)]
+					if rng.Intn(4) == 0 {
+						e.fullTree(sc, w.treeKeys()[rng.Intn(len(w.treeKeys()))])
+					}
+					before := settledCount(tr)
+					tr.waiting.Store(int32(min(limit, 1))) // a reader waits: the slice stops at its end
+					e.search(tr, sc, need, limit)
+					for id, l := range sc.labels[:n] {
+						if l.settled && l.cost != infCost {
+							lab[id] = l
+						}
+					}
+					name := fmt.Sprintf("%s/step %d", name, step)
+					sameTrees(t, name, dst, ref, e, tr, lab)
+					more := settledCount(tr) - before
+					if !tr.done.Load() && ((limit > 0 && more != limit) || (limit == 0 && (!tr.ready(need) || before > 0))) {
+						t.Fatalf("%s dst=%d: asked %v and %d settles with %d settled, settled %d more", name, dst, need, limit, before, more)
+					}
+					if step > 0 {
+						resumes++
+					}
+				}
+				if tr.frontier != nil {
+					t.Fatalf("%s dst=%d: a done tree keeps %d frontier bytes", name, dst, len(tr.frontier))
+				}
+			}
+		}
+	}
+	if resumes < 1000 {
+		t.Fatalf("%d resumes in all, want the trees resumed many times over", resumes)
+	}
+	t.Logf("%d resumes", resumes)
+}
+
+func settledCount(t *tree) int {
+	n := 0
+	for i := range t.settled {
+		n += bits.OnesCount64(t.settled[i].Load())
+	}
+	return n
 }
 
 func samePrediction(t *testing.T, name string, ref, got Prediction) {

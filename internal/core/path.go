@@ -62,24 +62,17 @@ func treeKey(dst cluster.ClusterID, origin netsim.ASN) uint64 {
 	return uint64(uint32(dst))<<32 | uint64(origin)
 }
 
-// buildTree computes the prediction tree for a cache key — the
-// treeBuilder hook the tree cache invokes on a miss. Taking the key (and
-// not a closure) keeps the warm-hit lookup allocation-free.
-func (e *Engine) buildTree(k uint64) *tree {
-	return e.run(splitTreeKey(k))
-}
-
 func splitTreeKey(k uint64) (cluster.ClusterID, netsim.ASN) {
 	return cluster.ClusterID(uint32(k >> 32)), netsim.ASN(uint32(k))
 }
 
-// treeFor returns (building if needed) the prediction tree for a
-// destination cluster and origin AS. Concurrent callers for the same cold
-// destination share one Dijkstra run (see shardedTreeCache); a caller
-// joining another caller's in-flight build stops waiting and returns
-// ctx.Err() when ctx is cancelled.
-func (e *Engine) treeFor(ctx context.Context, dst cluster.ClusterID, origin netsim.ASN) (*tree, error) {
-	return e.trees.getOrCompute(ctx, treeKey(dst, origin), e)
+// askNode is the node a leg from srcCl needs settled for pathFromInto's
+// answer to be final: FROM_SRC, or TO_DST without Asymmetry.
+func (e *Engine) askNode(srcCl cluster.ClusterID) int32 {
+	if e.opts.Asymmetry {
+		return e.nodeID(srcCl, planeFromSrc, stateUp)
+	}
+	return e.nodeID(srcCl, planeToDst, stateUp)
 }
 
 // endpoint is one end of a query resolved against the atlas: the prefix's
@@ -118,8 +111,8 @@ func (e *Engine) PredictForward(src, dst netsim.Prefix) Prediction {
 var bgCtx = context.Background()
 
 // predictInto fills p with the residual-uncorrected prediction from s to
-// d, fetching (building if cold) d's tree and reusing p's slice capacity.
-// The only error is ctx's, ending a wait for a tree another caller builds.
+// d, searching d's tree until s's node is settled, reusing p's capacity.
+// The only error is ctx's, ending a wait for another caller's search.
 //
 //inano:zeroalloc
 func (e *Engine) predictInto(ctx context.Context, p *Prediction, s, d endpoint) error {
@@ -127,17 +120,22 @@ func (e *Engine) predictInto(ctx context.Context, p *Prediction, s, d endpoint) 
 	if !s.ok || !d.ok {
 		return nil
 	}
-	t, err := e.treeFor(ctx, d.cl, d.as)
-	if err != nil {
-		return err
+	t := e.trees.lookup(treeKey(d.cl, d.as), e)
+	if node := e.askNode(s.cl); !t.done.Load() && !t.has(node) {
+		var err error
+		//inano:alloc-ok a search that runs allocates anyway
+		if t, err = e.trees.extend(ctx, t, e, []int32{node}, 0); err != nil {
+			return err
+		}
 	}
 	e.legInto(p, t, s, d, true)
 	return nil
 }
 
-// legInto reads the leg from s to d out of d's tree t into p, which must
-// be reset: the one leg function of single queries and batch windows, and
-// the allocation-free core of both. asPath false leaves p.ASPath empty.
+// legInto reads the leg from s to d out of d's tree t, searched until s's
+// askNode settled, into p, which must be reset: the one leg function of
+// single queries and batch windows, and the allocation-free core of both.
+// asPath false leaves p.ASPath empty.
 //
 //inano:zeroalloc
 func (e *Engine) legInto(p *Prediction, t *tree, s, d endpoint, asPath bool) {
@@ -190,16 +188,16 @@ func (e *Engine) AttachmentCluster(p netsim.Prefix) (cluster.ClusterID, bool) {
 
 // pathFromInto extracts the predicted path from a source cluster out of a
 // prediction tree into a caller-owned Prediction, preferring the FROM_SRC
-// plane and falling back to TO_DST-only (§4.3.1). The walk carries (cluster,
-// plane, up/down) and reads one hop word a node: a link's word names its CSR
-// edge, which gives latency and loss and — through edgeTo — the next
-// cluster, so no link-table lookup and no other tree array. p must be reset
-// (or zero) except for slice capacity.
+// plane and falling back to TO_DST-only (§4.3.1) once the search is done.
+// A walk starts only from a settled node (else p stays empty), carries
+// (cluster, plane, up/down) and reads one hop word a node: a link's word
+// names its CSR edge, which gives latency and loss and — through edgeTo —
+// the next cluster. p must be reset (or zero) except for slice capacity.
 func (e *Engine) pathFromInto(t *tree, srcCl cluster.ClusterID, p *Prediction) {
 	plane := planeFromSrc
-	if !e.opts.Asymmetry || !t.reached(e.nodeID(srcCl, planeFromSrc, stateUp)) {
-		plane = planeToDst
-		if !t.reached(e.nodeID(srcCl, planeToDst, stateUp)) {
+	if !e.opts.Asymmetry || !t.has(e.nodeID(srcCl, planeFromSrc, stateUp)) {
+		plane = planeToDst // FROM_SRC may settle yet unless the search is done
+		if e.opts.Asymmetry && !t.done.Load() || !t.has(e.nodeID(srcCl, planeToDst, stateUp)) {
 			return
 		}
 	}
@@ -290,10 +288,10 @@ func (e *Engine) QueryInto(info *PathInfo, src, dst netsim.Prefix) {
 }
 
 // QueryCtx is QueryInto under a context: when ctx ends before the answer is
-// complete — while a leg waits for a tree another caller is building, or
+// complete — while a leg waits for a tree another caller is searching, or
 // by the time both legs are read — it returns ctx's error, as
-// StreamBatch.Run does for a window, and info holds no answer. A tree this
-// call builds itself runs to completion and stays cached.
+// StreamBatch.Run does for a window, and info holds no answer. A search
+// this call extends itself runs until its answer is final and stays cached.
 //
 //inano:zeroalloc
 func (e *Engine) QueryCtx(ctx context.Context, info *PathInfo, src, dst netsim.Prefix) error {

@@ -40,10 +40,11 @@ type PairReq struct {
 const DefaultStreamWindow = 1024
 
 // batchGroup collects the batch legs that share one prediction tree: the
-// tree of dst, the destination endpoint of every leg in idxs.
+// tree of dst, the destination of every leg in idxs; need are their askNodes.
 type batchGroup struct {
 	dst  endpoint
 	idxs []int
+	need []int32
 }
 
 // StreamBatch is the batch runner: Run answers one window of pair
@@ -73,16 +74,17 @@ type StreamBatch struct {
 	// Per-window state, reused across Run calls. Request i's source is
 	// eps[2i] and its destination eps[2i+1], so leg j — even forward, odd
 	// reverse — runs from eps[j] to eps[j^1].
-	reqs      []PairReq        // current window (caller-owned, aliased during Run)
-	eps       []endpoint       // every request endpoint, resolved once
-	deadlines bool             // some request of the window carries a deadline
-	legExp    []bool           // per-leg deadline expiry
-	out       []PathInfo       // composed answers, aligned with reqs
-	expired   []bool           // per-pair expiry, aligned with reqs
-	byKey     map[uint64]int32 // treeKey -> index into groups
-	groups    []batchGroup     // the window's groups
-	claimed   atomic.Int32     // groups handed out so far (fan-out only)
-	helpers   sync.WaitGroup   // the fan-out's helper goroutines
+	reqs      []PairReq           // current window (caller-owned, aliased during Run)
+	eps       []endpoint          // every request endpoint, resolved once
+	deadlines bool                // some request of the window carries a deadline
+	legExp    []bool              // per-leg deadline expiry
+	out       []PathInfo          // composed answers, aligned with reqs
+	expired   []bool              // per-pair expiry, aligned with reqs
+	byKey     map[uint64]int32    // treeKey -> index into groups
+	groups    []batchGroup        // the window's groups
+	claimed   atomic.Int32        // groups handed out so far (fan-out only)
+	helpers   sync.WaitGroup      // the fan-out's helper goroutines
+	panicked  atomic.Pointer[any] // the first panic of a fan-out goroutine
 }
 
 // NewStreamBatch returns a reusable windowed batch runner bound to this
@@ -102,14 +104,14 @@ func (e *Engine) NewStreamBatch(noASPaths bool) *StreamBatch {
 // not found; AS paths empty under noASPaths), and expired[i] reports that
 // pair i's deadline passed before its answer was ready — its PathInfo is
 // then the zero value, partial results instead of an aborted window.
-// Pairs sharing a prediction tree are grouped; a group's tree build is
+// Pairs sharing a prediction tree are grouped; a group's tree search is
 // bounded by the latest deadline among its members (any member without
 // one lifts the bound), so one hopeless deadline cannot starve patient
 // pairs of the same destination, and an expired build leaves the other
 // groups' answers intact. Distinct trees fan across up to GOMAXPROCS
 // goroutines, the caller's among them. Cancellation of ctx itself aborts
-// the whole window with ctx.Err() and nil slices; trees already built stay
-// cached, so a retry resumes cheaply. Both returned slices are reused by
+// the whole window with ctx.Err() and nil slices; trees already searched
+// stay cached, so a retry resumes cheaply. Both returned slices are reused by
 // the next Run call.
 //
 //inano:zeroalloc
@@ -175,8 +177,8 @@ func (b *StreamBatch) Run(ctx context.Context, reqs []PairReq) ([]PathInfo, []bo
 }
 
 // group buckets the window's legs by destination tree, reusing the map,
-// the group backing store, and each group's idxs capacity from previous
-// windows. Legs whose destination prefix is unknown stay ungrouped and
+// the group backing store, and each group's idxs and need capacity from
+// previous windows. Legs whose destination prefix is unknown stay ungrouped and
 // keep the zero (not-found) prediction.
 func (b *StreamBatch) group() {
 	clear(b.byKey)
@@ -193,8 +195,7 @@ func (b *StreamBatch) group() {
 			if cap(b.groups) > len(b.groups) {
 				b.groups = b.groups[:gi+1]
 				g := &b.groups[gi]
-				g.dst = dst
-				g.idxs = g.idxs[:0]
+				g.dst, g.idxs, g.need = dst, g.idxs[:0], g.need[:0]
 			} else {
 				b.groups = append(b.groups, batchGroup{dst: dst})
 			}
@@ -202,13 +203,16 @@ func (b *StreamBatch) group() {
 		}
 		g := &b.groups[gi]
 		g.idxs = append(g.idxs, i)
+		if src := b.eps[i]; src.ok {
+			g.need = append(g.need, b.e.askNode(src.cl))
+		}
 	}
 }
 
 // runGroups answers every group of the window on up to GOMAXPROCS
 // goroutines — the caller's and helpers that live for this window only —
 // each claiming the next unanswered group from one counter until none is
-// left or ctx is cancelled. No helper outlives the call.
+// left or ctx is cancelled. No helper outlives the call nor keeps its panic.
 func (b *StreamBatch) runGroups(ctx context.Context) error {
 	workers := min(runtime.GOMAXPROCS(0), len(b.groups))
 	if workers <= 1 {
@@ -219,8 +223,8 @@ func (b *StreamBatch) runGroups(ctx context.Context) error {
 			b.runGroup(ctx, &b.groups[i])
 		}
 		// ctx may have expired during the last group's work (e.g. while
-		// joining an in-flight tree build), leaving zero-value results;
-		// report it like the parallel path does.
+		// waiting for a tree another caller is searching), leaving
+		// zero-value results; report it like the parallel path does.
 		return ctx.Err()
 	}
 	b.claimed.Store(0)
@@ -233,11 +237,20 @@ func (b *StreamBatch) runGroups(ctx context.Context) error {
 	}
 	b.claimGroups(ctx)
 	b.helpers.Wait()
+	if p := b.panicked.Swap(nil); p != nil {
+		panic(*p)
+	}
 	return ctx.Err()
 }
 
 // claimGroups is one goroutine's share of the fan-out.
 func (b *StreamBatch) claimGroups(ctx context.Context) {
+	defer func() {
+		if p := recover(); p != nil {
+			v := p // escapes: declared here, it costs nothing without a panic
+			b.panicked.CompareAndSwap(nil, &v)
+		}
+	}()
 	for ctx.Err() == nil {
 		i := int(b.claimed.Add(1)) - 1
 		if i >= len(b.groups) {
@@ -250,9 +263,9 @@ func (b *StreamBatch) claimGroups(ctx context.Context) {
 // runGroup answers one destination group's legs in place, possibly on a
 // helper goroutine (groups are disjoint, and even/odd legs of one pair
 // write disjoint PathInfo fields, so concurrent groups never race). The
-// tree build runs under the latest member deadline, and members whose own
-// deadline has passed when the tree is ready expire individually; a window
-// without a deadline reads no clock.
+// tree is searched until every member's askNode settled, under the latest
+// member deadline, and members whose own deadline has passed by then expire
+// individually; a window without a deadline reads no clock.
 func (b *StreamBatch) runGroup(ctx context.Context, g *batchGroup) {
 	e := b.e
 	var groupDl time.Time
@@ -276,7 +289,7 @@ func (b *StreamBatch) runGroup(ctx context.Context, g *batchGroup) {
 		ctx, cancel = context.WithDeadline(ctx, groupDl)
 		defer cancel()
 	}
-	t, err := e.treeFor(ctx, g.dst.cl, g.dst.as)
+	t, err := e.trees.extend(ctx, e.trees.lookup(treeKey(g.dst.cl, g.dst.as), e), e, g.need, 0)
 	if err != nil {
 		for _, i := range g.idxs {
 			b.legExp[i] = true

@@ -309,6 +309,51 @@ func TestConcurrentBatchAndSingleQueries(t *testing.T) {
 	wg.Wait()
 }
 
+// poisonBuilder's trees have failed before anyone asks: whoever does
+// re-panics.
+type poisonBuilder struct{ *Engine }
+
+func (b poisonBuilder) newTree(k uint64) *tree {
+	t := b.Engine.newTree(k)
+	t.panicked = "poisoned tree"
+	return t
+}
+
+func (poisonBuilder) extend(*tree, []int32, int) {}
+
+// TestStreamBatchPanicReachesCaller: when every tree of a window panics
+// whoever asks for it, Run panics on the caller's goroutine — on one
+// processor from the serial loop, on more from whichever goroutine of the
+// fan-out asked — and leaves no helper behind. CI runs it at -cpu 1,4.
+func TestStreamBatchPanicReachesCaller(t *testing.T) {
+	w := buildWorld(t, 86)
+	e := New(w.a, INanoOptions())
+	reqs := randomReqs(rand.New(rand.NewSource(3)), w, 256)
+	for _, rq := range reqs {
+		if d := e.resolve(rq.Dst); d.ok {
+			e.trees.lookup(treeKey(d.cl, d.as), poisonBuilder{e})
+		}
+	}
+	sb := e.NewStreamBatch(true)
+	base := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		sb.Run(context.Background(), reqs)
+	}()
+	if got != "poisoned tree" {
+		t.Fatalf("Run's caller recovered %v, want the tree's panic", got)
+	}
+	if len(sb.groups) < 4 || sb.panicked.Load() != nil {
+		t.Fatalf("%d groups, panic %v kept: want a window that fans out and nothing held over", len(sb.groups), sb.panicked.Load())
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panic, %d before", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
 // warmWindow is the 64-pair window of the allocation gate and benchmark.
 func warmWindow(w *world) []PairReq {
 	reqs := make([]PairReq, 0, 64)

@@ -13,14 +13,16 @@ func never() bool { return false }
 // fakeBuilder builds tagged fake trees and counts them.
 type fakeBuilder struct{ built []uint64 }
 
-func (b *fakeBuilder) buildTree(k uint64) *tree {
-	b.built = append(b.built, k)
-	return fakeTree(int32(k))
+func (b *fakeBuilder) newTree(k uint64) *tree { return bareTree(k) }
+
+func (b *fakeBuilder) extend(t *tree, _ []int32, _ int) {
+	b.built = append(b.built, t.key)
+	builderFunc(func(k uint64) *tree { return fakeTree(int32(k)) }).extend(t, nil, 0)
 }
 
 func (c *shardedTreeCache) mustGet(t *testing.T, k uint64, b treeBuilder) *tree {
 	t.Helper()
-	got, err := c.getOrCompute(context.Background(), k, b)
+	got, err := c.getOrCompute(context.Background(), k, b, nil)
 	if err != nil || treeTag(got) != int32(k) {
 		t.Fatalf("key %d: (%v, %v)", k, got, err)
 	}
@@ -65,7 +67,8 @@ func TestWarmColdEndFreeSlotOnly(t *testing.T) {
 
 // TestWarmSkipsResidentAndInflight: warming a resident key neither rebuilds
 // it nor refreshes its recency nor counts a hit, and warming a key a reader
-// is building returns at once instead of waiting for the build.
+// is building returns at once instead of waiting for the build: the
+// reader's miss made the key resident, so warm starts no second search.
 func TestWarmSkipsResidentAndInflight(t *testing.T) {
 	c := newShardedTreeCache(4, 1)
 	b := &fakeBuilder{}
@@ -82,20 +85,21 @@ func TestWarmSkipsResidentAndInflight(t *testing.T) {
 			close(started)
 			<-release
 			return fakeTree(5)
-		}))
+		}), nil)
 	}()
 	<-started
-	c.warm(5, b) // would deadlock the test if it joined the build
+	c.warm(5, b) // would deadlock the test if it waited for the reader's search
 	close(release)
 	<-done
-	if st := c.stats(); st.Builds != 3 || st.Warmed != 0 || st.Hits != 0 {
-		t.Fatalf("stats %+v", st)
+	if st := c.stats(); st.Builds != 3 || st.Warmed != 0 || st.Hits != 0 || len(b.built) != 2 {
+		t.Fatalf("stats %+v, warmer built %v", st, b.built)
 	}
 }
 
-// TestWarmBuildJoinedByReader: a reader missing on a key the warmer is
-// building waits for that build — one build, not two — and the tree then
-// belongs to the reader: front of the shard, counted warmed and hit.
+// TestWarmBuildJoinedByReader: a reader asking for a key the warmer is
+// building finds its tree resident and waits for the warmer's search — one
+// build, not two — and the tree then belongs to the reader: front of the
+// shard, counted warmed and hit.
 func TestWarmBuildJoinedByReader(t *testing.T) {
 	c := newShardedTreeCache(4, 1)
 	c.mustGet(t, 1, &fakeBuilder{})
@@ -114,10 +118,10 @@ func TestWarmBuildJoinedByReader(t *testing.T) {
 		tr, _ := c.getOrCompute(context.Background(), 5, builderFunc(func(uint64) *tree {
 			t.Error("the reader built a tree the warmer was already building")
 			return fakeTree(5)
-		}))
+		}), nil)
 		got <- tr
 	}()
-	for c.stats().Misses < 2 { // the reader's miss is counted under the lock it joins under
+	for c.stats().Hits < 1 { // the reader's lookup found the warm tree, and waits for its lock
 		runtime.Gosched()
 	}
 	close(release)
@@ -150,7 +154,7 @@ func TestKeysMRUInterleavesShards(t *testing.T) {
 	for i := range c.shards {
 		n := 0
 		for e := c.shards[i].head; e != nil; e = e.next {
-			rank[e.key] = n
+			rank[e.t.key] = n
 			n++
 		}
 	}

@@ -15,8 +15,8 @@ import (
 // hot prefix). A reference engine answers the workload serially to pin
 // the expected answers and the number of prediction-tree builds it
 // costs; then 16 concurrent workers hammer one shared engine with the
-// same workload many times over. Invariants: the tree cache's
-// singleflight keeps the total Dijkstra builds O(1) — no higher than the
+// same workload many times over. Invariants: the tree cache's one search
+// a key keeps the total Dijkstra builds O(1) — no higher than the
 // serial reference plus slack — every concurrent answer is byte-equal to
 // the reference, and tail latency stays bounded.
 //

@@ -11,8 +11,8 @@
 //     in bounded windows, so a million-pair batch never buffers in memory
 //     on either side. Each stream reads one atlas snapshot pinned at
 //     request start — a hot reload mid-stream never tears an answer.
-//   - Concurrent single queries to the same cold destination coalesce into
-//     one prediction-tree build via the engine's singleflight cache.
+//   - Concurrent single queries to the same cold destination share one
+//     prediction-tree search via the engine's tree cache.
 //   - Hot reload (WatchDeltaFile / WatchManifest) applies daily deltas
 //     copy-on-write: in-flight requests keep their snapshot, new requests
 //     see the new day.
@@ -248,7 +248,7 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.c.CacheStats().Hits) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_misses", "Tree cache misses (resets on reload).", "",
 		func() float64 { return float64(s.c.CacheStats().Misses) })
-	s.reg.NewGaugeFunc("inanod_tree_cache_builds", "Dijkstra tree builds, the warmer's behind a reload included (resets on reload).", "",
+	s.reg.NewGaugeFunc("inanod_tree_cache_builds", "Dijkstra tree searches started, the warmer's behind a reload included (resets on reload).", "",
 		func() float64 { return float64(s.c.CacheStats().Builds) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_warmed", "Trees rebuilt behind the last reload from those resident before it (resets on reload).", "",
 		func() float64 { return float64(s.c.CacheStats().Warmed) })
@@ -259,6 +259,8 @@ func New(cfg Config) *Server {
 		func() float64 { return time.Duration(s.c.CacheStats().BuildNS).Seconds() })
 	s.reg.NewGaugeFunc("inanod_tree_cache_resident", "Prediction trees currently cached.", "",
 		func() float64 { return float64(s.c.CacheStats().Len) })
+	s.reg.NewGaugeFunc("inanod_tree_cache_suspended", "Resident trees whose search stopped short of the end and kept its frontier to resume from.", "",
+		func() float64 { return float64(s.c.CacheStats().Suspended) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_bytes", "Bytes those trees retain: resident times the size of one tree, computed, not sampled.", "",
 		func() float64 { return float64(s.c.CacheStats().Bytes) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_hit_ratio", "Hits / lookups of the tree cache.", "",
@@ -462,7 +464,7 @@ var linePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // handleQuery answers one (src, dst) query. GET with ?src=&dst= or POST
 // with a {"src","dst"} body; ?deadline_ms= bounds it. Concurrent queries to
-// one cold destination share a single tree build (engine singleflight).
+// one cold destination share a single tree search (the engine's cache).
 // The answer is a batch answer line plus the two AS paths, from the same
 // encoder, written in one piece.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
@@ -759,6 +761,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			"builds":        st.Builds,
 			"build_us_mean": buildMeanUS,
 			"resident":      st.Len,
+			"suspended":     st.Suspended,
 			"bytes":         st.Bytes,
 			"hit_ratio":     hitRatio,
 			"warmed":        st.Warmed,

@@ -139,7 +139,7 @@ func TestQueryEndpointParity(t *testing.T) {
 
 // TestQueryCoalescesConcurrentSingles is the daemon-level cache-warming
 // property: N concurrent /v1/query requests for one cold pair must cost
-// exactly one forward and one reverse tree build (engine singleflight), not
+// exactly one forward and one reverse tree build (one search a key), not
 // N of each.
 func TestQueryCoalescesConcurrentSingles(t *testing.T) {
 	f := buildFixture(t, 202)
@@ -551,6 +551,7 @@ func TestMetricsAndStats(t *testing.T) {
 		fmt.Sprintf("inanod_tree_cache_build_seconds %g", time.Duration(st.BuildNS).Seconds()),
 		fmt.Sprintf("inanod_tree_cache_resident %d", st.Len),
 		fmt.Sprintf("inanod_tree_cache_bytes %d", st.Bytes),
+		fmt.Sprintf("inanod_tree_cache_suspended %d", st.Suspended),
 		"inanod_atlas_day 0",
 		"inanod_http_inflight",
 		"inanod_atlas_reloads_total 0",
@@ -564,6 +565,7 @@ func TestMetricsAndStats(t *testing.T) {
 		TreeCache struct {
 			Builds      uint64  `json:"builds"`
 			Bytes       int64   `json:"bytes"`
+			Suspended   int     `json:"suspended"`
 			BuildMeanUS float64 `json:"build_us_mean"`
 			HitRatio    float64 `json:"hit_ratio"`
 		} `json:"tree_cache"`
@@ -575,8 +577,8 @@ func TestMetricsAndStats(t *testing.T) {
 	if stats.TreeCache.Builds != st.Builds {
 		t.Errorf("stats builds = %d, want %d", stats.TreeCache.Builds, st.Builds)
 	}
-	if st.Bytes == 0 || stats.TreeCache.Bytes != st.Bytes {
-		t.Errorf("stats bytes = %d, want %d", stats.TreeCache.Bytes, st.Bytes)
+	if st.Bytes == 0 || stats.TreeCache.Bytes != st.Bytes || stats.TreeCache.Suspended != st.Suspended {
+		t.Errorf("stats bytes = %d, suspended = %d, want %d and %d", stats.TreeCache.Bytes, stats.TreeCache.Suspended, st.Bytes, st.Suspended)
 	}
 	if want := float64(st.BuildNS) / 1e3 / float64(st.Builds); st.Builds == 0 || st.BuildNS <= 0 ||
 		math.Abs(stats.TreeCache.BuildMeanUS-want) > 1e-6*want {
