@@ -53,7 +53,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7360", "HTTP listen address (port 0 picks one)")
 	replicas := flag.String("replicas", "", "comma-separated inanod base URLs (required)")
 	atlasFlat := flag.String("atlas-flat", "", "flat atlas (inano-build -flat) supplying the prefix→cluster routing table; must be the atlas the replicas serve (required)")
-	flatValidate := flag.Bool("flat-validate", true, "structurally validate the flat atlas at startup")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "replica /healthz poll interval")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
 	window := flag.Int("window", 0, "batch stream window in pairs when the request carries no ?window= (0 = 1024)")
@@ -77,7 +76,7 @@ func main() {
 		}
 	}
 
-	ff, err := atlas.OpenFlat(*atlasFlat, *flatValidate)
+	ff, err := atlas.OpenFlat(*atlasFlat, true)
 	if err != nil {
 		fatal(err)
 	}

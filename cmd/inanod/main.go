@@ -73,7 +73,6 @@ const readHeaderTimeout = 10 * time.Second
 func main() {
 	atlasPath := flag.String("atlas", "", "atlas file produced by inano-build")
 	atlasFlat := flag.String("atlas-flat", "", "compiled flat atlas (inano-build -flat): mmap'd read-only, so startup cost is O(1) in atlas size and N replicas share the page cache (alternative to -atlas)")
-	flatValidate := flag.Bool("flat-validate", true, "structurally validate a -atlas-flat file at startup (the checksum is always verified)")
 	fetchManifest := flag.String("fetch-manifest", "", "fetch the initial atlas from the swarm via this manifest file (alternative to -atlas)")
 	listen := flag.String("listen", "127.0.0.1:7353", "HTTP listen address (port 0 picks one)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
@@ -110,7 +109,7 @@ func main() {
 		if *atlasPath != "" || *fetchManifest != "" {
 			fatal(errors.New("-atlas-flat cannot be combined with -atlas or -fetch-manifest"))
 		}
-		ff, err := atlas.OpenFlat(*atlasFlat, *flatValidate)
+		ff, err := atlas.OpenFlat(*atlasFlat, true)
 		if err != nil {
 			fatal(err)
 		}

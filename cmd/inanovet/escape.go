@@ -15,18 +15,19 @@ import (
 )
 
 // escapeCheck replays the compiler's escape analysis (`go build
-// -gcflags=-m`) over patterns and reports every heap-escape diagnostic
-// that lands inside a //inano:zeroalloc function and is not suppressed by
-// //inano:alloc-ok. The AST walk in the zeroalloc analyzer models the
-// compiler; this mode asks the compiler itself, so the two cross-check
-// each other (the walk runs without a build, this catches what the walk
-// cannot prove, e.g. an argument unexpectedly escaping through a callee).
-func escapeCheck(fset *token.FileSet, units []*analysis.Unit, patterns []string, root string) ([]analysis.Diagnostic, error) {
-	ranges := annotatedRanges(fset, units)
-	if len(ranges) == 0 {
+// -gcflags=-m`) over the loaded packages that hold a //inano:zeroalloc
+// function and reports every heap-escape diagnostic that lands inside one
+// and is not suppressed by //inano:alloc-ok. The AST walk in the zeroalloc
+// analyzer models the compiler; this check asks the compiler itself, so
+// the two cross-check each other (the walk runs without a build, this
+// catches what the walk cannot prove, e.g. an argument unexpectedly
+// escaping through a callee).
+func escapeCheck(units []*analysis.Unit, root string) ([]analysis.Diagnostic, error) {
+	ranges, pkgs := annotatedRanges(units)
+	if len(pkgs) == 0 {
 		return nil, nil
 	}
-	args := append([]string{"build", "-gcflags=-m"}, patterns...)
+	args := append([]string{"build", "-gcflags=-m"}, pkgs...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = root
 	var out bytes.Buffer
@@ -81,10 +82,13 @@ type funcRange struct {
 }
 
 // annotatedRanges maps absolute file path -> the //inano:zeroalloc
-// function extents in it.
-func annotatedRanges(fset *token.FileSet, units []*analysis.Unit) map[string][]funcRange {
+// function extents in it, and lists the import paths of the packages that
+// hold them: the packages the escape check builds.
+func annotatedRanges(units []*analysis.Unit) (map[string][]funcRange, []string) {
 	out := map[string][]funcRange{}
+	var pkgs []string
 	for _, u := range units {
+		fset, annotated := u.Fset, false
 		for _, f := range u.Files {
 			var sup map[int]bool
 			for _, decl := range f.Decls {
@@ -95,6 +99,7 @@ func annotatedRanges(fset *token.FileSet, units []*analysis.Unit) map[string][]f
 				if sup == nil {
 					sup = analysis.AllocOKLines(fset, f)
 				}
+				annotated = true
 				start := fset.Position(fd.Pos())
 				end := fset.Position(fd.End())
 				out[start.Filename] = append(out[start.Filename], funcRange{
@@ -105,8 +110,11 @@ func annotatedRanges(fset *token.FileSet, units []*analysis.Unit) map[string][]f
 				})
 			}
 		}
+		if annotated {
+			pkgs = append(pkgs, u.Pkg.Path())
+		}
 	}
-	return out
+	return out, pkgs
 }
 
 // parseEscapeLine splits "path:line:col: message" (column optional).

@@ -1,28 +1,15 @@
 // Command inanovet runs the project's analyzer suite (internal/analysis):
-// zeroalloc, mmapalias, lockorder, snapmut, and metricdoc — the lint-time
-// proofs of inano's hot-path and concurrency invariants.
+// zeroalloc, mmapalias, lockorder and metricdoc — the lint-time proofs of
+// inano's hot-path and concurrency invariants — and then cross-checks
+// every //inano:zeroalloc function against the compiler's escape analysis.
 //
-// Standalone:
-//
-//	inanovet [-analyzers a,b] [-escape] [-json] [packages]
+//	inanovet [packages]
 //
 // Packages default to ./... relative to the module root. The exit status
 // is 1 when any diagnostic is reported, 2 on operational failure.
-//
-// As a vet tool (go vet -vettool=$(which inanovet) ./...) it speaks the
-// cmd/go unitchecker protocol: the -V=full handshake, a single *.cfg
-// argument per package, and .vetx fact files carrying the cross-package
-// annotation database (//inano:mmap fields) between units.
-//
-// -escape cross-checks every //inano:zeroalloc function against the
-// compiler's own escape analysis: it replays `go build -gcflags=-m` and
-// reports any "escapes to heap"/"moved to heap" line landing inside an
-// annotated function, catching allocations the AST walk cannot see.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,78 +20,39 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	// go vet's tool handshake: print an identity line and exit.
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "-V") {
-		fmt.Printf("%s version devel inanovet buildID=none\n", filepath.Base(os.Args[0]))
-		return
-	}
-	// cmd/go also probes the tool's extra flags; it expects a JSON array.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	// Unitchecker protocol: a single per-package config file.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetMode(args[0]))
-	}
-	os.Exit(standalone(args))
+	os.Exit(run(os.Args[1:]))
 }
 
-func standalone(args []string) int {
-	fs := flag.NewFlagSet("inanovet", flag.ExitOnError)
-	analyzersFlag := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	escape := fs.Bool("escape", false, "cross-check //inano:zeroalloc functions against the compiler escape log")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
-	fs.Parse(args)
-	patterns := fs.Args()
+func run(patterns []string) int {
+	for _, p := range patterns {
+		// The patterns go to `go list` and `go build` as they are, where a
+		// leading dash would be read as one of their flags.
+		if strings.HasPrefix(p, "-") {
+			fmt.Fprintln(os.Stderr, "usage: inanovet [packages]")
+			return 2
+		}
+	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	var names []string
-	if *analyzersFlag != "" {
-		names = strings.Split(*analyzersFlag, ",")
-	}
-	analyzers, err := analysis.ByName(names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "inanovet:", err)
-		return 2
-	}
-
-	pkgs, fset, root, err := loader.Load(patterns)
+	units, root, err := loader.Load(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "inanovet: load:", err)
 		return 2
 	}
-	units := make([]*analysis.Unit, len(pkgs))
-	for i, p := range pkgs {
-		units[i] = p.Unit
-	}
-	diags, err := analysis.RunAnalyzers(units, analyzers, nil, root)
+	diags, err := analysis.RunAnalyzers(units, analysis.All(), root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "inanovet:", err)
 		return 2
 	}
-	if *escape {
-		ediags, err := escapeCheck(fset, units, patterns, root)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "inanovet: escape check:", err)
-			return 2
-		}
-		diags = append(diags, ediags...)
+	ediags, err := escapeCheck(units, root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "inanovet: escape check:", err)
+		return 2
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(os.Stderr, "inanovet:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s: [%s] %s\n", relPos(d, root), d.Analyzer, d.Message)
-		}
+	diags = append(diags, ediags...)
+	for _, d := range diags {
+		fmt.Printf("%s: [%s] %s\n", relPos(d, root), d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		return 1

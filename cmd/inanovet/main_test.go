@@ -1,14 +1,14 @@
 package main
 
 import (
-	"go/ast"
-	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"inano/internal/analysis"
+	"inano/internal/analysis/loader"
 )
 
 func TestParseEscapeLine(t *testing.T) {
@@ -34,7 +34,7 @@ func TestParseEscapeLine(t *testing.T) {
 	}
 }
 
-const annotatedSrc = `package p
+const annotatedSrc = `package hot
 
 // Hot is on the zero-alloc path.
 //
@@ -49,16 +49,36 @@ func Hot() {
 func Cold() {}
 `
 
-func TestAnnotatedRanges(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", annotatedSrc, parser.ParseComments)
+// loadFixture type-checks two packages: hot, which holds one annotated
+// function, and plain, which holds none.
+func loadFixture(t *testing.T) (units []*analysis.Unit, hotFile string) {
+	t.Helper()
+	dir := t.TempDir()
+	srcs := map[string]string{"hot": annotatedSrc, "plain": "package plain\n\nfunc Plain() {}\n"}
+	var specs [][2]string
+	for _, pkg := range []string{"hot", "plain"} {
+		pkgDir := filepath.Join(dir, pkg)
+		if err := os.Mkdir(pkgDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(pkgDir, pkg+".go"), []byte(srcs[pkg]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, [2]string{pkgDir, pkg})
+	}
+	units, _, err := loader.TypeCheckDirs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges := annotatedRanges(fset, []*analysis.Unit{{Fset: fset, Files: []*ast.File{f}}})
-	fr, ok := ranges["p.go"]
-	if !ok || len(fr) != 1 {
-		t.Fatalf("ranges = %v, want one entry for p.go", ranges)
+	return units, filepath.Join(dir, "hot", "hot.go")
+}
+
+func TestAnnotatedRanges(t *testing.T) {
+	units, hotFile := loadFixture(t)
+	ranges, _ := annotatedRanges(units)
+	fr, ok := ranges[hotFile]
+	if !ok || len(ranges) != 1 || len(fr) != 1 {
+		t.Fatalf("ranges = %v, want one entry for %s", ranges, hotFile)
 	}
 	r := fr[0]
 	if r.name != "Hot" {
@@ -74,6 +94,25 @@ func TestAnnotatedRanges(t *testing.T) {
 	}
 }
 
+// TestEscapePackages: the escape check builds exactly the packages that
+// hold an //inano:zeroalloc function, whatever patterns were loaded.
+func TestEscapePackages(t *testing.T) {
+	units, _ := loadFixture(t)
+	if _, pkgs := annotatedRanges(units); !slices.Equal(pkgs, []string{"hot"}) {
+		t.Fatalf("escape packages = %q, want [hot]", pkgs)
+	}
+}
+
+// TestRunRejectsFlags: inanovet has no options, and a leading dash must
+// not reach go list or go build as one of theirs.
+func TestRunRejectsFlags(t *testing.T) {
+	for _, args := range [][]string{{"-json"}, {"./...", "-escape"}} {
+		if got := run(args); got != 2 {
+			t.Fatalf("run(%q) = %d, want 2", args, got)
+		}
+	}
+}
+
 func TestRelPos(t *testing.T) {
 	d := analysis.Diagnostic{Pos: token.Position{Filename: "/repo/internal/core/path.go", Line: 3, Column: 7}}
 	if got := relPos(d, "/repo"); got != "internal/core/path.go:3:7" {
@@ -81,24 +120,5 @@ func TestRelPos(t *testing.T) {
 	}
 	if got := relPos(d, "/elsewhere"); got != "/repo/internal/core/path.go:3:7" {
 		t.Fatalf("relPos outside root = %q, want absolute path kept", got)
-	}
-}
-
-func TestModuleRootFrom(t *testing.T) {
-	root := t.TempDir()
-	nested := filepath.Join(root, "internal", "core")
-	if err := os.MkdirAll(nested, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module x\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := moduleRootFrom(nested); got != root {
-		t.Fatalf("moduleRootFrom(%q) = %q, want %q", nested, got, root)
-	}
-	// Without a go.mod anywhere above, the starting dir comes back.
-	orphan := t.TempDir()
-	if got := moduleRootFrom(orphan); got != orphan {
-		t.Fatalf("moduleRootFrom with no go.mod = %q, want %q", got, orphan)
 	}
 }

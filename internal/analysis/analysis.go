@@ -24,7 +24,6 @@ import (
 // Q even though Q is only visible to P as compiled export data.
 type Analyzer struct {
 	Name string
-	Doc  string
 
 	// Collect gathers cross-package facts. It must only write pass.Facts
 	// and must not report diagnostics.
@@ -42,8 +41,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is shared across all packages of one driver invocation (or
-	// deserialized from dependency .vetx files in vettool mode).
+	// Facts is shared across all packages of one driver invocation.
 	Facts *FactStore
 
 	// RepoRoot is the module root directory, for analyzers that check
@@ -74,59 +72,18 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// FactStore is the cross-package annotation database: namespace -> set of
-// keys. Namespaces are per-analyzer strings ("mmap.fields"); keys encode
-// whatever the analyzer needs ("inano/internal/atlas.Flat.EdgeLat"). The
-// representation is flat strings so vettool mode can serialize it.
+// FactStore is the cross-package annotation database: keys recorded under
+// per-analyzer namespaces ("mmap.fields"), each key encoding whatever the
+// analyzer needs ("inano/internal/atlas.Flat.EdgeLat").
 type FactStore struct {
-	m map[string]map[string]bool
-}
-
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{m: make(map[string]map[string]bool)}
+	m map[[2]string]bool
 }
 
 // Add records key under namespace ns.
-func (s *FactStore) Add(ns, key string) {
-	set := s.m[ns]
-	if set == nil {
-		set = make(map[string]bool)
-		s.m[ns] = set
-	}
-	set[key] = true
-}
+func (s *FactStore) Add(ns, key string) { s.m[[2]string{ns, key}] = true }
 
 // Has reports whether key is recorded under ns.
-func (s *FactStore) Has(ns, key string) bool { return s.m[ns][key] }
-
-// Keys returns the sorted keys under ns.
-func (s *FactStore) Keys(ns string) []string {
-	out := make([]string, 0, len(s.m[ns]))
-	for k := range s.m[ns] {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Export flattens the store for serialization (vettool fact files).
-func (s *FactStore) Export() map[string][]string {
-	out := make(map[string][]string, len(s.m))
-	for ns := range s.m {
-		out[ns] = s.Keys(ns)
-	}
-	return out
-}
-
-// Merge folds a flattened store (a dependency's fact file) into s.
-func (s *FactStore) Merge(flat map[string][]string) {
-	for ns, keys := range flat {
-		for _, k := range keys {
-			s.Add(ns, k)
-		}
-	}
-}
+func (s *FactStore) Has(ns, key string) bool { return s.m[[2]string{ns, key}] }
 
 // Unit is one loaded, type-checked package handed to the driver.
 type Unit struct {
@@ -138,12 +95,9 @@ type Unit struct {
 
 // RunAnalyzers executes the full two-phase protocol — every analyzer's
 // Collect over every unit, then every Run — and returns the diagnostics
-// sorted by position. facts may be pre-seeded (vettool mode); pass nil for
-// a fresh store.
-func RunAnalyzers(units []*Unit, analyzers []*Analyzer, facts *FactStore, repoRoot string) ([]Diagnostic, error) {
-	if facts == nil {
-		facts = NewFactStore()
-	}
+// sorted by position.
+func RunAnalyzers(units []*Unit, analyzers []*Analyzer, repoRoot string) ([]Diagnostic, error) {
+	facts := &FactStore{m: map[[2]string]bool{}}
 	var diags []Diagnostic
 	pass := func(a *Analyzer, u *Unit) *Pass {
 		return &Pass{
@@ -195,25 +149,5 @@ func RunAnalyzers(units []*Unit, analyzers []*Analyzer, facts *FactStore, repoRo
 
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{ZeroAlloc, MmapAlias, LockOrder, SnapMut, MetricDoc}
-}
-
-// ByName resolves a comma-separated analyzer list ("" = all).
-func ByName(names []string) ([]*Analyzer, error) {
-	if len(names) == 0 {
-		return All(), nil
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	out := make([]*Analyzer, 0, len(names))
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	return []*Analyzer{ZeroAlloc, MmapAlias, LockOrder, MetricDoc}
 }

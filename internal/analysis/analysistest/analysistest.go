@@ -56,7 +56,7 @@ func Run(t *testing.T, testdata string, pkgs []string, analyzers ...*analysis.An
 			wants = append(wants, ws...)
 		}
 	}
-	diags, err := analysis.RunAnalyzers(units, analyzers, nil, testdata)
+	diags, err := analysis.RunAnalyzers(units, analyzers, testdata)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}

@@ -26,14 +26,6 @@ import (
 	"inano/internal/analysis"
 )
 
-// Package is one loaded module package.
-type Package struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Unit       *analysis.Unit
-}
-
 // listEntry is the subset of `go list -json` output the loader reads.
 type listEntry struct {
 	Dir        string
@@ -48,20 +40,20 @@ type listEntry struct {
 }
 
 // Load lists patterns (plus their dependency closure), type-checks every
-// non-standard package from source, and returns them in dependency order
-// together with the shared FileSet and the module root directory.
-func Load(patterns []string) ([]*Package, *token.FileSet, string, error) {
+// non-standard package from source, and returns them in dependency order,
+// sharing one FileSet, together with the module root directory.
+func Load(patterns []string) ([]*analysis.Unit, string, error) {
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
 		"-json=ImportPath,Dir,Name,Export,Standard,GoFiles,Incomplete,Error,DepsErrors",
 	}, patterns...)
 	out, err := runGo(args...)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	root, err := moduleRoot()
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 
 	fset := token.NewFileSet()
@@ -70,21 +62,21 @@ func Load(patterns []string) ([]*Package, *token.FileSet, string, error) {
 	imp := &depImporter{exports: exports, typed: typed}
 	imp.gc = importer.ForCompiler(fset, "gc", imp.lookup)
 
-	var pkgs []*Package
+	var units []*analysis.Unit
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var e listEntry
 		if err := dec.Decode(&e); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, "", fmt.Errorf("go list output: %w", err)
+			return nil, "", fmt.Errorf("go list output: %w", err)
 		}
 		if e.Error != nil || e.Incomplete {
 			msg := "incomplete package"
 			if e.Error != nil {
 				msg = e.Error.Err
 			}
-			return nil, nil, "", fmt.Errorf("%s: %s", e.ImportPath, msg)
+			return nil, "", fmt.Errorf("%s: %s", e.ImportPath, msg)
 		}
 		if e.Standard {
 			if e.Export != "" {
@@ -92,25 +84,14 @@ func Load(patterns []string) ([]*Package, *token.FileSet, string, error) {
 			}
 			continue
 		}
-		p, err := typeCheck(fset, &e, imp)
+		u, err := typeCheck(fset, &e, imp)
 		if err != nil {
-			return nil, nil, "", err
+			return nil, "", err
 		}
-		typed[e.ImportPath] = p.Unit.Pkg
-		pkgs = append(pkgs, p)
+		typed[e.ImportPath] = u.Pkg
+		units = append(units, u)
 	}
-	return pkgs, fset, root, nil
-}
-
-// TypeCheckDir loads the .go files of one directory as a single package
-// (the analysistest entry point: testdata trees are not part of the module
-// graph). Imports are restricted to the standard library.
-func TypeCheckDir(dir, pkgPath string) (*analysis.Unit, error) {
-	units, _, err := TypeCheckDirs([][2]string{{dir, pkgPath}})
-	if err != nil {
-		return nil, err
-	}
-	return units[0], nil
+	return units, root, nil
 }
 
 // TypeCheckDirs loads several directories as packages sharing one FileSet,
@@ -202,23 +183,16 @@ func stdlibExports(imports map[string]bool) (map[string]string, error) {
 	return exports, nil
 }
 
-func typeCheck(fset *token.FileSet, e *listEntry, imp *depImporter) (*Package, error) {
+func typeCheck(fset *token.FileSet, e *listEntry, imp *depImporter) (*analysis.Unit, error) {
 	var files []*ast.File
-	var paths []string
 	for _, name := range e.GoFiles {
-		path := filepath.Join(e.Dir, name)
-		af, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		af, err := parser.ParseFile(fset, filepath.Join(e.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, af)
-		paths = append(paths, path)
 	}
-	unit, err := check(fset, e.ImportPath, files, imp)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{ImportPath: e.ImportPath, Dir: e.Dir, GoFiles: paths, Unit: unit}, nil
+	return check(fset, e.ImportPath, files, imp)
 }
 
 func check(fset *token.FileSet, pkgPath string, files []*ast.File, imp *depImporter) (*analysis.Unit, error) {
@@ -265,66 +239,6 @@ func (i *depImporter) lookup(path string) (io.ReadCloser, error) {
 		return nil, fmt.Errorf("no export data for %q", path)
 	}
 	return os.Open(f)
-}
-
-// ExportLookup adapts an explicit path->export-file map (the vettool
-// config's PackageFile) plus an import-path canonicalization map into a
-// types importer.
-func ExportLookup(fset *token.FileSet, packageFile, importMap map[string]string) types.Importer {
-	imp := &vetImporter{packageFile: packageFile, importMap: importMap}
-	imp.gc = importer.ForCompiler(fset, "gc", imp.lookup)
-	return imp
-}
-
-type vetImporter struct {
-	packageFile map[string]string
-	importMap   map[string]string
-	gc          types.Importer
-}
-
-func (i *vetImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if c, ok := i.importMap[path]; ok {
-		path = c
-	}
-	return i.gc.Import(path)
-}
-
-func (i *vetImporter) lookup(path string) (io.ReadCloser, error) {
-	f, ok := i.packageFile[path]
-	if !ok {
-		return nil, fmt.Errorf("no export data for %q", path)
-	}
-	return os.Open(f)
-}
-
-// CheckFiles type-checks an explicit file list with an explicit importer —
-// the vettool entry point, where cmd/go supplies both.
-func CheckFiles(fset *token.FileSet, pkgPath string, filenames []string, imp types.Importer) (*analysis.Unit, error) {
-	var files []*ast.File
-	for _, f := range filenames {
-		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, af)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
-	pkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %w", pkgPath, err)
-	}
-	return &analysis.Unit{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
 }
 
 func moduleRoot() (string, error) {

@@ -1,10 +1,7 @@
 package loader
 
 import (
-	"go/token"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"inano/internal/analysis"
@@ -16,28 +13,28 @@ import (
 func TestLoadModulePackage(t *testing.T) {
 	// An import-path pattern, not a ./ one: the test's cwd is this package's
 	// directory, but import paths resolve anywhere inside the module.
-	pkgs, fset, root, err := Load([]string{"inano/internal/metrics"})
+	units, root, err := Load([]string{"inano/internal/metrics"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fset == nil || root == "" {
-		t.Fatalf("fset=%v root=%q", fset, root)
+	if root == "" {
+		t.Fatal("no module root")
 	}
-	var metrics *Package
-	for _, p := range pkgs {
-		if p.ImportPath == "inano/internal/metrics" {
-			metrics = p
+	var metrics *analysis.Unit
+	for _, u := range units {
+		if u.Pkg.Path() == "inano/internal/metrics" {
+			metrics = u
 		}
 	}
 	if metrics == nil {
-		t.Fatalf("inano/internal/metrics not among %d loaded packages", len(pkgs))
+		t.Fatalf("inano/internal/metrics not among %d loaded packages", len(units))
 	}
-	if metrics.Unit == nil || metrics.Unit.Pkg == nil || len(metrics.Unit.Files) == 0 {
-		t.Fatal("metrics package loaded without a typed unit")
+	if metrics.Fset == nil || len(metrics.Files) == 0 {
+		t.Fatal("metrics package loaded without parsed files")
 	}
 	// Comments must survive: the analyzers read //inano: directives.
 	hasComment := false
-	for _, f := range metrics.Unit.Files {
+	for _, f := range metrics.Files {
 		if len(f.Comments) > 0 {
 			hasComment = true
 		}
@@ -53,7 +50,7 @@ func TestLoadModulePackage(t *testing.T) {
 // TestLoadReportsBrokenPackage: a pattern that matches nothing loadable
 // must surface go list's error, not silently analyze zero packages.
 func TestLoadReportsBrokenPackage(t *testing.T) {
-	_, _, _, err := Load([]string{"./does/not/exist"})
+	_, _, err := Load([]string{"./does/not/exist"})
 	if err == nil {
 		t.Fatal("Load of a nonexistent pattern succeeded")
 	}
@@ -61,12 +58,12 @@ func TestLoadReportsBrokenPackage(t *testing.T) {
 
 func TestTypeCheckDirSingle(t *testing.T) {
 	dir := filepath.Join("..", "testdata", "src", "lockorder")
-	unit, err := TypeCheckDir(dir, "lockorder")
+	units, _, err := TypeCheckDirs([][2]string{{dir, "lockorder"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unit.Pkg.Path() != "lockorder" {
-		t.Fatalf("pkg path = %q", unit.Pkg.Path())
+	if len(units) != 1 || units[0].Pkg.Path() != "lockorder" {
+		t.Fatalf("got %d units, want the one package lockorder", len(units))
 	}
 }
 
@@ -105,28 +102,14 @@ func TestTypeCheckDirsRejectsEmptyDir(t *testing.T) {
 	}
 }
 
-// TestCheckFilesTypeError: the vettool entry point must return the type
-// error (cmd/go decides via SucceedOnTypecheckFailure what to do with it).
-func TestCheckFilesTypeError(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.go")
-	if err := os.WriteFile(bad, []byte("package bad\n\nfunc f() { undefined() }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := CheckFiles(token.NewFileSet(), "bad", []string{bad}, ExportLookup(token.NewFileSet(), nil, nil))
-	if err == nil || !strings.Contains(err.Error(), "type-checking") {
-		t.Fatalf("err = %v, want type-checking failure", err)
-	}
-}
-
 // Checked units from TypeCheckDirs must be usable by the framework as-is.
 func TestUnitsRunThroughFramework(t *testing.T) {
 	dir := filepath.Join("..", "testdata", "src", "lockorder")
-	unit, err := TypeCheckDir(dir, "lockorder")
+	units, _, err := TypeCheckDirs([][2]string{{dir, "lockorder"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunAnalyzers([]*analysis.Unit{unit}, []*analysis.Analyzer{analysis.LockOrder}, nil, dir)
+	diags, err := analysis.RunAnalyzers(units, []*analysis.Analyzer{analysis.LockOrder}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

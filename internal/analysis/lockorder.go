@@ -7,25 +7,21 @@ import (
 	"go/types"
 )
 
-// LockOrder enforces the repository's lock discipline with three checks:
+// LockOrder enforces the repository's lock discipline with two checks:
 //
-//  1. copy-by-value: a value whose type contains a sync.Mutex/RWMutex
-//     (recursively, through struct fields and arrays) must not be copied —
-//     by assignment, argument passing, range, or by-value
-//     parameter/receiver/result declarations. This is the vet copylocks
-//     family, reimplemented so the whole suite runs in one tool.
-//
-//  2. missing unlock: a path that returns (or falls off the end of the
+//  1. missing unlock: a path that returns (or falls off the end of the
 //     function) while a mutex acquired in that function is still held and
 //     no defer covers it. This is the exact shape of the PR 6 linkIndex
 //     lost-invalidation fix — invalidateIndex exists because a bare
 //     store outside idxMu raced buildIndex; a forgotten unlock on an early
 //     return is the same class of one-path mistake.
 //
-//  3. inconsistent acquisition order: when one function in a package
+//  2. inconsistent acquisition order: when one function in a package
 //     acquires lock B while holding A, and another acquires A while
 //     holding B (locks keyed by declaring type + field, e.g.
 //     atlas.Atlas.idxMu), the pair can deadlock. Both sites are reported.
+//
+// Copying a lock is go vet's copylocks check, not this one's.
 //
 // The unlock analysis is a conservative per-block state walk, not a full
 // CFG: conditional unlocks without a following return release the lock on
@@ -34,7 +30,6 @@ import (
 // unlocks a mutex marks it covered for the rest of the walk.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "mutex copy-by-value, missing-unlock paths, and inconsistent lock order",
 	Run:  runLockOrder,
 }
 
@@ -42,16 +37,8 @@ func runLockOrder(pass *Pass) error {
 	lo := &lockOrderCheck{pass: pass, edges: map[[2]string]token.Pos{}}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				lo.checkFieldList(fd.Recv)
-				if fd.Type != nil {
-					lo.checkFieldList(fd.Type.Params)
-					lo.checkFieldList(fd.Type.Results)
-				}
-				if fd.Body != nil {
-					lo.checkCopies(fd.Body)
-					lo.checkUnlocks(fd.Body)
-				}
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				lo.checkUnlocks(fd.Body)
 			}
 		}
 	}
@@ -71,113 +58,6 @@ type lockOrderCheck struct {
 	// edges records "B acquired while holding A" -> first such position.
 	edges map[[2]string]token.Pos
 }
-
-// --- check 1: copy-by-value ---------------------------------------------
-
-func (lo *lockOrderCheck) checkFieldList(fl *ast.FieldList) {
-	if fl == nil {
-		return
-	}
-	for _, f := range fl.List {
-		t := lo.pass.TypesInfo.TypeOf(f.Type)
-		if t != nil && containsLock(t) {
-			lo.pass.Reportf(f.Pos(), "%s passed by value contains a mutex (copying a held lock deadlocks)", t)
-		}
-	}
-}
-
-// checkCopies flags assignments, call arguments, and range clauses that
-// copy a lock-containing value. Composite literals and call results are
-// fresh values and allowed, matching vet's copylocks.
-func (lo *lockOrderCheck) checkCopies(body *ast.BlockStmt) {
-	info := lo.pass.TypesInfo
-	isCopy := func(e ast.Expr) bool {
-		switch e.(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr, *ast.ParenExpr:
-		default:
-			return false
-		}
-		t := info.TypeOf(e)
-		return t != nil && containsLock(t)
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if isCopy(rhs) {
-					lo.pass.Reportf(rhs.Pos(), "assignment copies a mutex-containing value (%s)", info.TypeOf(rhs))
-				}
-			}
-		case *ast.CallExpr:
-			if tv, ok := info.Types[n.Fun]; ok && tv.IsType() {
-				return true // conversions don't copy lock semantics away
-			}
-			for _, arg := range n.Args {
-				if isCopy(arg) {
-					lo.pass.Reportf(arg.Pos(), "call passes a mutex-containing value by value (%s)", info.TypeOf(arg))
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if t := info.TypeOf(n.Value); t != nil && containsLock(t) {
-					lo.pass.Reportf(n.Value.Pos(), "range clause copies mutex-containing values (%s)", t)
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if isCopy(r) {
-					lo.pass.Reportf(r.Pos(), "return copies a mutex-containing value (%s)", info.TypeOf(r))
-				}
-			}
-		}
-		return true
-	})
-}
-
-// containsLock reports whether t (not a pointer to t) embeds a sync mutex.
-func containsLock(t types.Type) bool {
-	seen := map[types.Type]bool{}
-	var rec func(t types.Type) bool
-	rec = func(t types.Type) bool {
-		if seen[t] {
-			return false
-		}
-		seen[t] = true
-		if isSyncLock(t) {
-			return true
-		}
-		switch u := t.Underlying().(type) {
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if rec(u.Field(i).Type()) {
-					return true
-				}
-			}
-		case *types.Array:
-			return rec(u.Elem())
-		}
-		return false
-	}
-	return rec(t)
-}
-
-func isSyncLock(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	switch obj.Name() {
-	case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-		return true
-	}
-	return false
-}
-
-// --- checks 2+3: unlock paths and acquisition order ---------------------
 
 // lockKey identifies a mutex for held-state tracking: the declaring type
 // and field for struct mutexes ("core.cacheShard.mu"), the object position

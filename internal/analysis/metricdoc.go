@@ -19,7 +19,6 @@ import (
 // before matching.
 var MetricDoc = &Analyzer{
 	Name: "metricdoc",
-	Doc:  "require every registered metric name to appear in docs/api.md",
 	Run:  runMetricDoc,
 }
 

@@ -24,7 +24,6 @@ import (
 // allowed: the invariant attaches when the value escapes the constructor.
 var MmapAlias = &Analyzer{
 	Name:    "mmapalias",
-	Doc:     "forbid writes through and retention of //inano:mmap slices",
 	Collect: collectMmapFields,
 	Run:     runMmapAlias,
 }

@@ -21,31 +21,8 @@ func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", []string{"lockorder"}, analysis.LockOrder)
 }
 
-func TestSnapMut(t *testing.T) {
-	defer func(tk map[string]bool, at string) {
-		analysis.SnapshotTakers, analysis.SnapshotAtlasType = tk, at
-	}(analysis.SnapshotTakers, analysis.SnapshotAtlasType)
-	analysis.SnapshotTakers = map[string]bool{"snapcore.New": true}
-	analysis.SnapshotAtlasType = "snapatlas.Atlas"
-	analysistest.Run(t, "testdata", []string{"snapatlas", "snapcore", "snapuse"}, analysis.SnapMut)
-}
-
 func TestMetricDoc(t *testing.T) {
 	defer func(p string) { analysis.MetricsPkgPath = p }(analysis.MetricsPkgPath)
 	analysis.MetricsPkgPath = "fixmetrics"
 	analysistest.Run(t, "testdata", []string{"fixmetrics", "metricuse"}, analysis.MetricDoc)
-}
-
-func TestByName(t *testing.T) {
-	all, err := analysis.ByName(nil)
-	if err != nil || len(all) != 5 {
-		t.Fatalf("ByName(nil) = %d analyzers, err %v; want 5, nil", len(all), err)
-	}
-	some, err := analysis.ByName([]string{"zeroalloc", "lockorder"})
-	if err != nil || len(some) != 2 {
-		t.Fatalf("ByName subset: %d, %v", len(some), err)
-	}
-	if _, err := analysis.ByName([]string{"nope"}); err == nil {
-		t.Fatal("ByName(nope) should fail")
-	}
 }

@@ -1,6 +1,6 @@
-// Package lockorder exercises the lockorder analyzer: copy-by-value,
-// missing-unlock paths, and inconsistent acquisition order, next to the
-// clean idioms (defer unlock, unlock-and-early-return) it must accept.
+// Package lockorder exercises the lockorder analyzer: missing-unlock paths
+// and inconsistent acquisition order, next to the clean idioms (defer
+// unlock, unlock-and-early-return) it must accept.
 package lockorder
 
 import (
@@ -16,23 +16,6 @@ type guarded struct {
 type pair struct {
 	a sync.Mutex
 	b sync.Mutex
-}
-
-func byValueParam(g guarded) int { // want `passed by value contains a mutex`
-	return g.n
-}
-
-func takes(g guarded) { // want `passed by value contains a mutex`
-	_ = g.n
-}
-
-func copies(g *guarded) {
-	local := *g // want `assignment copies a mutex-containing value`
-	local.n++
-}
-
-func passesByValue(g *guarded) {
-	takes(*g) // want `call passes a mutex-containing value by value`
 }
 
 func missingUnlockOnReturn(g *guarded) int {
@@ -104,9 +87,4 @@ func (p *published) writeLeaks(n int) bool {
 	p.cur.Store(&next)
 	p.wmu.Unlock()
 	return true
-}
-
-func copiesPublished(p *published) int {
-	q := *p // want `assignment copies a mutex-containing value`
-	return q.read()
 }

@@ -19,11 +19,10 @@ import (
 // A line whose allocation is intentional (amortized buffer growth, a
 // first-use sizing) is suppressed with //inano:alloc-ok <reason> on or
 // directly above it. The check is intraprocedural: callees must either be
-// annotated themselves or be known-clean (the -escape mode of cmd/inanovet
+// annotated themselves or be known-clean (cmd/inanovet's escape check
 // cross-checks the compiler's actual escape log over the same functions).
 var ZeroAlloc = &Analyzer{
 	Name: "zeroalloc",
-	Doc:  "report allocation-introducing constructs in //inano:zeroalloc functions",
 	Run:  runZeroAlloc,
 }
 
@@ -247,7 +246,7 @@ func (za *zeroAllocCheck) checkAppend(call *ast.CallExpr) {
 	}
 	// Appends into caller-provided or pre-grown buffers are the idiom the
 	// hot paths are built on; whether they regrow is a capacity question
-	// the alloc-count tests and -escape mode own.
+	// the alloc-count tests and the escape check own.
 }
 
 func (za *zeroAllocCheck) checkBinary(n *ast.BinaryExpr) {

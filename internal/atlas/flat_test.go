@@ -2,10 +2,14 @@ package atlas
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"inano/internal/cluster"
@@ -342,7 +346,7 @@ func TestFlatOpenRejectsCorruption(t *testing.T) {
 
 // TestFlatValidateCatchesStructuralDamage mutates a valid Flat in ways a
 // checksum cannot catch (the file was written that way) and checks the
-// structural validator does.
+// structural validator does, on the Flat and on the file written from it.
 func TestFlatValidateCatchesStructuralDamage(t *testing.T) {
 	mk := func() *Flat { _, f := flatFixture(t, 26); return f }
 	cases := []struct {
@@ -369,8 +373,117 @@ func TestFlatValidateCatchesStructuralDamage(t *testing.T) {
 			if err := f.Validate(); err == nil {
 				t.Fatal("validator missed the damage")
 			}
+			var buf bytes.Buffer
+			if err := WriteFlat(&buf, f); err != nil {
+				t.Fatal(err)
+			}
+			if checkFlatFile(t, "written", buf.Bytes()) {
+				t.Fatal("ReadFlat accepted the damaged file")
+			}
 		})
 	}
+}
+
+// TestFlatMutations is a fuzz body on a seeded loop (go test -fuzz needs
+// workers a plain test run does not): 2 000 rounds, each flipping a few bits
+// of a written flat file or truncating it, then rewriting the header's
+// payload length and checksum so the damage meets parseFlat and Validate
+// rather than the checksum. ReadFlat must refuse each file, or return a
+// Flat that serves it without a panic.
+func TestFlatMutations(t *testing.T) {
+	_, f := flatFixture(t, 27)
+	var buf bytes.Buffer
+	if err := WriteFlat(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	accepted := 0
+	for seed := int64(0); seed < 2000; seed++ {
+		if checkFlatFile(t, fmt.Sprintf("seed %d", seed), mutateFlat(good, seed)) {
+			accepted++
+		}
+	}
+	if accepted == 0 || accepted == 2000 {
+		t.Fatalf("accepted %d mutated files of 2000: the mutations miss the parser", accepted)
+	}
+	t.Logf("accepted %d mutated files of 2000", accepted)
+}
+
+// mutateFlat returns a copy of file with one to three payload bits flipped
+// or its payload truncated, and its header's payload length and checksum
+// rewritten to match.
+func mutateFlat(file []byte, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := slices.Clone(file)
+	if rng.Intn(2) == 0 {
+		for range 1 + rng.Intn(3) {
+			out[flatHeaderSize+rng.Intn(len(out)-flatHeaderSize)] ^= 1 << rng.Intn(8)
+		}
+	} else {
+		out = out[:flatHeaderSize+rng.Intn(len(out)-flatHeaderSize)]
+	}
+	return resealFlat(out)
+}
+
+// resealFlat rewrites a flat file's header to its payload's length and
+// checksum.
+func resealFlat(file []byte) []byte {
+	payload := file[flatHeaderSize:]
+	binary.LittleEndian.PutUint64(file[16:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(file[24:], crc32.ChecksumIEEE(payload))
+	return file
+}
+
+// checkFlatFile reads one flat file and reports whether ReadFlat accepted
+// it. An accepted Flat must resolve every prefix key of its tables to that
+// key's own value and walk every EdgeStart bucket across the edge arrays;
+// a panic on the way fails the test, naming the file what.
+func checkFlatFile(t *testing.T, what string, data []byte) bool {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s: panic: %v", what, r)
+		}
+	}()
+	f, err := ReadFlat(data)
+	if err != nil {
+		return false
+	}
+	for i, p := range f.PrefixClKeys {
+		if cl, ok := f.ClusterOf(p); !ok || cl != f.PrefixClVals[i] {
+			t.Fatalf("%s: ClusterOf(%d) = (%d,%v), want %d", what, p, cl, ok, f.PrefixClVals[i])
+		}
+	}
+	for i, p := range f.PrefixASKeys {
+		if as := f.OriginAS(p); as != f.PrefixASVals[i] {
+			t.Fatalf("%s: OriginAS(%d) = %d, want %d", what, p, as, f.PrefixASVals[i])
+		}
+	}
+	for i, p := range f.IfaceKeys {
+		if cl, ok := f.IfaceClusterOf(p); !ok || cl != f.IfaceVals[i] {
+			t.Fatalf("%s: IfaceClusterOf(%d) = (%d,%v), want %d", what, p, cl, ok, f.IfaceVals[i])
+		}
+	}
+	for i, p := range f.AdjustKeys {
+		g, l, ok := f.Adjust(p)
+		if !ok || math.Float32bits(g) != math.Float32bits(f.AdjustGlobal[i]) || math.Float32bits(l) != math.Float32bits(f.AdjustLocal[i]) {
+			t.Fatalf("%s: Adjust(%d) = (%v,%v,%v), want (%v,%v)", what, p, g, l, ok, f.AdjustGlobal[i], f.AdjustLocal[i])
+		}
+	}
+	for w := range f.NumClusters {
+		to := cluster.ClusterID(w)
+		for ei := f.EdgeStart[w]; ei < f.EdgeStart[w+1]; ei++ {
+			from := f.EdgeFrom[ei]
+			if _, ok := f.LinkAt(from, to); !ok {
+				t.Fatalf("%s: edge %d into cluster %d not found by LinkAt", what, ei, w)
+			}
+			_ = f.ClusterAS[from] + f.EdgeFromAS[ei] + f.EdgeToAS[ei]
+			_ = f.EdgeLat[ei] + f.EdgeLoss[ei]
+			_ = f.EdgePlanes[ei] + f.EdgeFlags[ei] + uint8(f.EdgeRel[ei])
+			_ = f.EdgeToDeg[ei]
+		}
+	}
+	return true
 }
 
 // TestFlatRandomAtlasAccessorProperty cross-checks flat lookups against

@@ -269,7 +269,9 @@ func rdSec8[T ~uint8 | ~int8](r *flatReader) []T {
 
 // parseFlat decodes a full flat file (header + payload). With alias set,
 // slice fields of the result point into data, which must stay mapped and
-// immutable for the Flat's lifetime.
+// immutable for the Flat's lifetime. The result has no search index yet:
+// building one trusts the tables Validate checks, so the caller validates
+// first and then calls buildIndex.
 func parseFlat(data []byte, alias bool) (*Flat, error) {
 	if len(data) < flatHeaderSize || string(data[:8]) != flatMagic {
 		return nil, fmt.Errorf("atlas: flat: bad magic (not an %s file)", flatMagic)
@@ -330,7 +332,6 @@ func parseFlat(data []byte, alias bool) (*Flat, error) {
 	if r.off != len(payload) {
 		return nil, fmt.Errorf("atlas: flat: %d trailing bytes after last section", len(payload)-r.off)
 	}
-	f.buildIndex()
 	return f, nil
 }
 
@@ -339,12 +340,13 @@ func parseFlat(data []byte, alias bool) (*Flat, error) {
 // validator runs before returning.
 func ReadFlat(data []byte) (*Flat, error) {
 	f, err := parseFlat(data, false)
+	if err == nil {
+		err = f.Validate()
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
+	f.buildIndex()
 	return f, nil
 }
 
@@ -384,5 +386,6 @@ func OpenFlat(path string, validate bool) (*FlatFile, error) {
 		closer()
 		return nil, err
 	}
+	f.buildIndex()
 	return &FlatFile{Flat: f, close: closer}, nil
 }

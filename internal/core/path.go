@@ -106,7 +106,7 @@ func (e *Engine) PredictForward(src, dst netsim.Prefix) Prediction {
 
 // bgCtx hoists context.Background() out of the query hot path: building
 // the Context interface value per call is an escape-analysis hit inside a
-// //inano:zeroalloc function (found by inanovet -escape), and the
+// //inano:zeroalloc function (found by inanovet's escape check), and the
 // singleton is what every call produced anyway.
 var bgCtx = context.Background()
 
