@@ -2,6 +2,9 @@ package atlas
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"inano/internal/bgpsim"
@@ -120,6 +123,13 @@ func TestScaleStreamBuild(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("scale atlas does not round-trip the codec")
+	}
+	// The out-of-core build is pinned to the byte, as sim's
+	// TestBuildGoldenBytes pins the materialized one: a change to the
+	// builder that moves a byte here has changed the atlas, not its cost.
+	sum := sha256.Sum256(buf.Bytes())
+	if got, want := fmt.Sprintf("%s/%d", hex.EncodeToString(sum[:4]), buf.Len()), "026cd022/4794"; got != want {
+		t.Errorf("scale atlas sha256 prefix/size = %s, want %s", got, want)
 	}
 	if f := Compile(a); f == nil {
 		t.Fatal("scale atlas does not compile to flat form")
