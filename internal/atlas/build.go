@@ -1,6 +1,7 @@
 package atlas
 
 import (
+	"encoding/binary"
 	"maps"
 	"math"
 	"slices"
@@ -123,13 +124,13 @@ func physicalLink(top *netsim.Topology, a, b netsim.PoPID) netsim.LinkID {
 	return best
 }
 
-// asPathKey builds a compact string key for an AS path.
-func asPathKey(p []netsim.ASN) string {
-	b := make([]byte, 0, len(p)*4)
+// appendASPathKey appends the compact key of an AS path: each ASN's four
+// bytes, big-endian, so keys order as the paths do element by element.
+func appendASPathKey(b []byte, p []netsim.ASN) []byte {
 	for _, a := range p {
-		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+		b = binary.BigEndian.AppendUint32(b, uint32(a))
 	}
-	return string(b)
+	return b
 }
 
 // weightedPath is an observed AS path with its observation count.

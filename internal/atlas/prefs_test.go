@@ -139,7 +139,7 @@ func TestInferPreferencesMatchesReference(t *testing.T) {
 			if rng.Intn(20) == 0 {
 				p = append(p, netsim.ASN(900000+rng.Intn(3))) // in no adjacency
 			}
-			paths = append(paths, &weightedPath{path: p, key: asPathKey(p), count: 1 + rng.Intn(4)})
+			paths = append(paths, &weightedPath{path: p, key: string(appendASPathKey(nil, p)), count: 1 + rng.Intn(4)})
 			if len(p) >= 3 {
 				dests[p[len(p)-1]] = true
 			}

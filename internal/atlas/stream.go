@@ -1,7 +1,10 @@
 package atlas
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"inano/internal/bgpsim"
 	"inano/internal/cluster"
@@ -114,10 +117,12 @@ type StreamInput struct {
 
 // linkInfo accumulates one directed cluster link's evidence.
 type linkInfo struct {
-	planes    uint8
-	popA      netsim.PoPID
-	popB      netsim.PoPID
-	observers map[int]bool
+	planes uint8
+	popA   netsim.PoPID
+	popB   netsim.PoPID
+	// observers has bit i set when the vantage point of vpIndex i saw the
+	// link.
+	observers []uint64
 }
 
 // clusterVote is one (cluster, count) attachment vote; votes per prefix
@@ -154,6 +159,9 @@ type StreamBuilder struct {
 	uniq        map[string]*weightedPath
 	feedTargets map[netsim.Prefix]bool
 	ipsBuf      []netsim.IP
+	hopCl       []cluster.ClusterID // the trace's hop clusters, -1 unplaced
+	pathBuf     []netsim.ASN
+	keyBuf      []byte
 }
 
 // NewStreamBuilder prepares an out-of-core build.
@@ -218,17 +226,37 @@ func (b *StreamBuilder) addVote(p netsim.Prefix, c cluster.ClusterID) {
 	b.votes[p] = append(vs, clusterVote{c: c, n: 1})
 }
 
-// addPath folds one observed AS path with weight w.
+// addPath folds one observed AS path with weight w. A path seen before
+// costs a lookup; a new one is copied, so p may be a reused buffer.
 func (b *StreamBuilder) addPath(p []netsim.ASN, w int) {
 	if len(p) < 1 {
 		return
 	}
-	k := asPathKey(p)
-	if u, ok := b.uniq[k]; ok {
+	b.keyBuf = appendASPathKey(b.keyBuf[:0], p)
+	if u, ok := b.uniq[string(b.keyBuf)]; ok {
 		u.count += w
 		return
 	}
-	b.uniq[k] = &weightedPath{path: p, key: k, count: w}
+	k := string(b.keyBuf)
+	b.uniq[k] = &weightedPath{path: slices.Clone(p), key: k, count: w}
+}
+
+// addLink records one directed cluster link; the interfaces of its first
+// sighting place it, and vp >= 0 marks that vantage point as an observer.
+func (b *StreamBuilder) addLink(ip1, ip2 netsim.IP, c1, c2 cluster.ClusterID, plane uint8, vp int) {
+	k := LinkKey(c1, c2)
+	li := b.links[k]
+	if li == nil {
+		li = &linkInfo{popA: b.in.Tools.RouterPoP(ip1), popB: b.in.Tools.RouterPoP(ip2)}
+		b.links[k] = li
+	}
+	li.planes |= plane
+	if vp >= 0 {
+		if w := vp / 64; w >= len(li.observers) {
+			li.observers = append(li.observers, make([]uint64, w+1-len(li.observers))...)
+		}
+		li.observers[vp/64] |= 1 << (vp % 64)
+	}
 }
 
 // AddTrace ingests one pass-2 trace: link extraction with access-tail
@@ -236,42 +264,35 @@ func (b *StreamBuilder) addPath(p []netsim.ASN, w int) {
 // retained.
 func (b *StreamBuilder) AddTrace(tr *trace.Traceroute, fromVP bool) {
 	cl := b.cl
-	plane := PlaneFromSrc
+	plane, vp := PlaneFromSrc, -1
 	if fromVP {
 		plane = PlaneToDst
-		if _, ok := b.vpIndex[tr.Src]; !ok {
-			b.vpIndex[tr.Src] = len(b.vpIndex)
+		i, ok := b.vpIndex[tr.Src]
+		if !ok {
+			i = len(b.vpIndex)
+			b.vpIndex[tr.Src] = i
 		}
+		vp = i
 		b.feedTargets[tr.Dst] = true
 	}
-	originAS := b.in.Tools.OriginAS(tr.Dst)
-	add := func(ip1, ip2 netsim.IP, c1, c2 cluster.ClusterID) {
-		k := LinkKey(c1, c2)
-		li := b.links[k]
-		if li == nil {
-			li = &linkInfo{
-				popA:      b.in.Tools.RouterPoP(ip1),
-				popB:      b.in.Tools.RouterPoP(ip2),
-				observers: make(map[int]bool),
-			}
-			b.links[k] = li
+	// Each hop's cluster, resolved once; -1 for a '*' or an unclustered
+	// interface.
+	b.hopCl = b.hopCl[:0]
+	for _, h := range tr.Hops {
+		c, ok := cl.ClusterOf[h.IP]
+		if h.IP == 0 || !ok {
+			c = -1
 		}
-		li.planes |= plane
-		if fromVP {
-			li.observers[b.vpIndex[tr.Src]] = true
-		}
+		b.hopCl = append(b.hopCl, c)
 	}
+	originAS := b.in.Tools.OriginAS(tr.Dst)
 	for i := 0; i+1 < len(tr.Hops); i++ {
+		c1, c2 := b.hopCl[i], b.hopCl[i+1]
+		if c1 < 0 || c2 < 0 || c1 == c2 {
+			continue
+		}
 		ip1, ip2 := tr.Hops[i].IP, tr.Hops[i+1].IP
-		if ip1 == 0 || ip2 == 0 {
-			continue
-		}
-		c1, ok1 := cl.ClusterOf[ip1]
-		c2, ok2 := cl.ClusterOf[ip2]
-		if !ok1 || !ok2 || c1 == c2 {
-			continue
-		}
-		add(ip1, ip2, c1, c2)
+		b.addLink(ip1, ip2, c1, c2, plane, vp)
 		// Access-tail reversal: links inside (or entering) the
 		// destination's origin AS also yield the reverse direction.
 		// Stubs never transit, so traceroutes can only ever *enter*
@@ -279,19 +300,15 @@ func (b *StreamBuilder) AddTrace(tr *trace.Traceroute, fromVP bool) {
 		// is ever predictable. Physically these access tails are the
 		// same circuits in both directions, so the annotation holds.
 		if cl.ClusterAS[c2] == originAS && originAS != 0 {
-			add(ip2, ip1, c2, c1)
+			b.addLink(ip2, ip1, c2, c1, plane, vp)
 		}
 	}
 
 	// Attachment votes: destinations vote with their last responsive
 	// infrastructure hop, sources with their first.
 	var first, last cluster.ClusterID = -1, -1
-	for _, h := range tr.Hops {
-		if h.IP == 0 {
-			continue
-		}
-		c, ok := cl.ClusterOf[h.IP]
-		if !ok {
+	for _, c := range b.hopCl {
+		if c < 0 {
 			continue
 		}
 		if first < 0 {
@@ -311,7 +328,8 @@ func (b *StreamBuilder) AddTrace(tr *trace.Traceroute, fromVP bool) {
 	for _, h := range tr.Hops {
 		b.ipsBuf = append(b.ipsBuf, h.IP)
 	}
-	if p, ok := cluster.ASPathOfFunc(b.ipsBuf, b.in.Tools.OriginAS); ok {
+	if p, ok := cluster.ASPathOfFunc(b.pathBuf, b.ipsBuf, b.in.Tools.OriginAS); ok {
+		b.pathBuf = p
 		b.addPath(p, 1)
 	}
 }
@@ -329,15 +347,40 @@ func pickBestVote(vs []clusterVote) cluster.ClusterID {
 }
 
 // Finish runs the aggregate inference stages over the accumulated
-// evidence and returns the atlas.
+// evidence and returns the atlas. The links and the paths are independent
+// chains of inference, each writing its own fields of the atlas, and they
+// run at once; once the paths are gathered, preference inference runs
+// beside the other path stages. Every measurement's noise is keyed by what
+// it measures, so neither order nor overlap can move a byte.
 func (b *StreamBuilder) Finish() *Atlas {
-	in := b.in
 	cl := b.cl
 	a := New()
-	a.Day = in.Day
+	a.Day = b.in.Day
 	a.NumClusters = cl.NumClusters
 	a.ClusterAS = append([]netsim.ASN(nil), cl.ClusterAS...)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		b.finishLinks(a)
+		b.finishPrefixes(a)
+	}()
+	paths, asAdj := b.finishPaths(a)
+	go func() {
+		defer wg.Done()
+		// Preference tuples (§4.3.3).
+		a.Prefs = inferPreferences(paths, asAdj, b.in.PrefsMaxDests)
+	}()
+	b.finishPathSets(a, paths)
+	wg.Wait()
+	a.invalidateIndex()
+	return a
+}
 
+// finishLinks annotates the observed links (Links, Loss) and detects
+// late-exit adjacencies among them (LateExit).
+func (b *StreamBuilder) finishLinks(a *Atlas) {
+	in := b.in
 	// Frontier-assign links to vantage points and annotate.
 	keys := make([]uint64, 0, len(b.links))
 	for k := range b.links {
@@ -346,10 +389,11 @@ func (b *StreamBuilder) Finish() *Atlas {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	observers := make([][]int, len(keys))
 	for i, k := range keys {
-		for vp := range b.links[k].observers {
-			observers[i] = append(observers[i], vp)
+		for w, word := range b.links[k].observers {
+			for ; word != 0; word &= word - 1 {
+				observers[i] = append(observers[i], w*64+bits.TrailingZeros64(word))
+			}
 		}
-		sort.Ints(observers[i])
 	}
 	assign := frontier.Assign(observers, in.Redundancy)
 	for i, k := range keys {
@@ -383,6 +427,34 @@ func (b *StreamBuilder) Finish() *Atlas {
 		}
 	}
 
+	// Late-exit detection (Spring et al. [54] stand-in): adjacencies
+	// present in the observed link set are tested against the ground
+	// truth with a 90% detection rate.
+	seenPairs := make(map[uint64]bool)
+	for _, l := range a.Links {
+		x, y := a.ClusterAS[l.From], a.ClusterAS[l.To]
+		if x != y && x != 0 && y != 0 {
+			seenPairs[netsim.ASPairKey(x, y)] = true
+		}
+	}
+	for k := range seenPairs {
+		if in.Tools.LateExitTruth(k) && detect(k, 0.9) {
+			a.LateExit[k] = true
+		}
+	}
+
+	sort.Slice(a.Links, func(i, j int) bool {
+		if a.Links[i].From != a.Links[j].From {
+			return a.Links[i].From < a.Links[j].From
+		}
+		return a.Links[i].To < a.Links[j].To
+	})
+}
+
+// finishPrefixes elects each prefix's attachment cluster (PrefixCluster,
+// IfaceCluster) and copies the origin table (PrefixAS).
+func (b *StreamBuilder) finishPrefixes(a *Atlas) {
+	cl := b.cl
 	// Prefix attachment elections.
 	for p, vs := range b.votes {
 		a.PrefixCluster[p] = pickBestVote(vs)
@@ -414,10 +486,15 @@ func (b *StreamBuilder) Finish() *Atlas {
 	}
 
 	// BGP origin table (full, as RouteViews provides).
-	in.Tools.ForEachPrefixOrigin(func(p netsim.Prefix, asn netsim.ASN) {
+	b.in.Tools.ForEachPrefixOrigin(func(p netsim.Prefix, asn netsim.ASN) {
 		a.PrefixAS[p] = asn
 	})
+}
 
+// finishPaths folds the feeds' paths into the observed ones and returns
+// them in key order with the observed AS graph, whose degrees it records
+// (ASDegree).
+func (b *StreamBuilder) finishPaths(a *Atlas) ([]*weightedPath, map[netsim.ASN]map[netsim.ASN]bool) {
 	// BGP feeds advertise paths for every prefix targeted by the
 	// campaign (a full-table stand-in).
 	feedList := make([]netsim.Prefix, 0, len(b.feedTargets))
@@ -426,7 +503,7 @@ func (b *StreamBuilder) Finish() *Atlas {
 	}
 	sort.Slice(feedList, func(i, j int) bool { return feedList[i] < feedList[j] })
 	for _, p := range feedList {
-		in.Tools.FeedPaths(p, func(fp []netsim.ASN) { b.addPath(fp, 1) })
+		b.in.Tools.FeedPaths(p, func(fp []netsim.ASN) { b.addPath(fp, 1) })
 	}
 	paths := make([]*weightedPath, 0, len(b.uniq))
 	for _, u := range b.uniq {
@@ -453,23 +530,25 @@ func (b *StreamBuilder) Finish() *Atlas {
 	for asn, nbs := range asAdj {
 		a.ASDegree[asn] = int32(len(nbs))
 	}
+	return paths, asAdj
+}
 
+// finishPathSets records what the observed paths show directly: the
+// 3-tuples, the providers and the relationships (Tuples, Providers, Rels).
+func (b *StreamBuilder) finishPathSets(a *Atlas, paths []*weightedPath) {
 	// 3-tuples with commutative closure, recorded only when the middle
 	// AS clears the degree threshold (low-degree edge ASes are too poorly
 	// observed for the check to be sound, §4.3.2).
 	for _, u := range paths {
 		p := u.path
 		for i := 0; i+2 < len(p); i++ {
-			if int(a.ASDegree[p[i+1]]) <= in.DegreeThreshold {
+			if int(a.ASDegree[p[i+1]]) <= b.in.DegreeThreshold {
 				continue
 			}
 			a.Tuples[PackTriple(p[i], p[i+1], p[i+2])] = true
 			a.Tuples[PackTriple(p[i+2], p[i+1], p[i])] = true
 		}
 	}
-
-	// Preference tuples (§4.3.3).
-	a.Prefs = inferPreferences(paths, asAdj, in.PrefsMaxDests)
 
 	// Provider mappings: penultimate ASes of paths that terminate at
 	// the origin.
@@ -502,29 +581,4 @@ func (b *StreamBuilder) Finish() *Atlas {
 		plain[i] = u.path
 	}
 	a.Rels = cluster.InferRelationships(plain)
-
-	// Late-exit detection (Spring et al. [54] stand-in): adjacencies
-	// present in the observed link set are tested against the ground
-	// truth with a 90% detection rate.
-	seenPairs := make(map[uint64]bool)
-	for _, l := range a.Links {
-		x, y := a.ClusterAS[l.From], a.ClusterAS[l.To]
-		if x != y && x != 0 && y != 0 {
-			seenPairs[netsim.ASPairKey(x, y)] = true
-		}
-	}
-	for k := range seenPairs {
-		if in.Tools.LateExitTruth(k) && detect(k, 0.9) {
-			a.LateExit[k] = true
-		}
-	}
-
-	sort.Slice(a.Links, func(i, j int) bool {
-		if a.Links[i].From != a.Links[j].From {
-			return a.Links[i].From < a.Links[j].From
-		}
-		return a.Links[i].To < a.Links[j].To
-	})
-	a.invalidateIndex()
-	return a
 }

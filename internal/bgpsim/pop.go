@@ -152,7 +152,7 @@ func (v *Day) PoPPath(srcPoP netsim.PoPID, dst netsim.Prefix) (Path, bool) {
 		}
 		pairKey := netsim.ASPairKey(a, b)
 		late := top.LateExit[pairKey]
-		salt := v.exitSaltFor(pairKey)
+		salt := v.exitSalt[pairKey]
 		best, bestCost := netsim.LinkID(-1), math.Inf(1)
 		var bestNear, bestFar netsim.PoPID
 		for _, lid := range links {

@@ -44,9 +44,11 @@ type Day struct {
 	day       int
 	quirkSalt []uint64
 
-	tables         []filled[*RouteTable] // by destination ASN-1
-	te             fillMap[netsim.Prefix, teOverride]
-	exitSalt       fillMap[uint64, uint64]
+	tables []filled[*RouteTable] // by destination ASN-1
+	te     fillMap[netsim.Prefix, teOverride]
+	// exitSalt holds the day's exit-noise salt of every AS adjacency, by
+	// ASPairKey; it is filled before the day is shared and only read after.
+	exitSalt       map[uint64]uint64
 	tablesComputed atomic.Int64 // computeTable runs: each table is computed once
 }
 
@@ -76,25 +78,11 @@ func (c *fillMap[K, V]) get(k K, fill func() V) V {
 		if c.m == nil {
 			c.m = make(map[K]*filled[V])
 		}
-		f = &filled[V]{}
+		f = new(filled[V])
 		c.m[k] = f
 	}
 	c.mu.Unlock()
 	return f.get(fill)
-}
-
-// exitSaltFor chains per-day exit-noise re-rolls for one AS adjacency.
-func (v *Day) exitSaltFor(pairKey uint64) uint64 {
-	return v.exitSalt.get(pairKey, func() uint64 {
-		s := v.sim
-		last := 0
-		for d := 1; d <= v.day; d++ {
-			if hashFloat(mix(uint64(s.seed), 0xee, pairKey, uint64(d))) < s.Cfg.ExitChurnPerDay {
-				last = d
-			}
-		}
-		return mix(uint64(s.seed), 0xef, pairKey, uint64(last))
-	})
 }
 
 type teOverride struct {
@@ -151,17 +139,14 @@ func (v *Day) computeTable(d netsim.ASN) *RouteTable {
 	t.Class[d-1] = ClassOrigin
 
 	// round has every AS of from advertise its route to its unsettled
-	// neighbors that are relA or relB to it, then settles the ones that heard
-	// a route, in class, and returns them. An AS stays unsettled (Hops < 0)
-	// while a round's offers are coming in. Neighbors that may not learn d's
-	// own prefixes directly from d (no-self-export transit engineering) are
+	// neighbors in nbrs, then settles the ones that heard a route, in
+	// class, and returns them. An AS stays unsettled (Hops < 0) while a
+	// round's offers are coming in. Neighbors that may not learn d's own
+	// prefixes directly from d (no-self-export transit engineering) are
 	// passed over.
-	round := func(from []netsim.ASN, relA, relB netsim.Rel, class RouteClass) (heard []netsim.ASN) {
+	round := func(from []netsim.ASN, nbrs [][]netsim.ASN, class RouteClass) (heard []netsim.ASN) {
 		for _, x := range from {
-			for _, y := range top.ASAdj[x-1] {
-				if r := top.RelOf(x, y); r != relA && r != relB {
-					continue
-				}
+			for _, y := range nbrs[x-1] {
 				if t.Hops[y-1] >= 0 || (x == d && top.NoSelfExport[netsim.DirASPairKey(y, d)]) {
 					continue
 				}
@@ -193,11 +178,11 @@ func (v *Day) computeTable(d netsim.ASN) *RouteTable {
 	// Phase 1: customer routes, BFS by hop count (each wave settles hops
 	// equal to the wave number, so plain BFS is exact shortest-path).
 	for frontier := []netsim.ASN{d}; len(frontier) > 0; {
-		frontier = round(frontier, netsim.RelProvider, netsim.RelSibling, ClassCustomer)
+		frontier = round(frontier, v.sim.up, ClassCustomer)
 	}
 
 	// Phase 2: peer routes — single step from customer-settled ASes.
-	round(slices.Concat(settled()...), netsim.RelPeer, netsim.RelPeer, ClassPeer)
+	round(slices.Concat(settled()...), v.sim.peers, ClassPeer)
 
 	// Phase 3: provider routes descend (only customers and siblings hear
 	// an AS's full table). Settled ASes have heterogeneous hop counts, so
@@ -205,7 +190,7 @@ func (v *Day) computeTable(d netsim.ASN) *RouteTable {
 	// guarantees each AS settles at its true shortest provider-route length.
 	buckets := settled()
 	for h := 0; h < len(buckets); h++ {
-		if heard := round(buckets[h], netsim.RelCustomer, netsim.RelSibling, ClassProvider); len(heard) > 0 {
+		if heard := round(buckets[h], v.sim.down, ClassProvider); len(heard) > 0 {
 			if h+1 == len(buckets) {
 				buckets = append(buckets, nil)
 			}

@@ -68,17 +68,40 @@ type Sim struct {
 	mu    sync.Mutex
 	days  map[int]*Day
 	intra *intraCache
+	// up, peers and down list each AS's neighbours (by ASN-1, in ASAdj
+	// order) that are its providers or siblings, its peers, and its
+	// customers or siblings: the neighbours route selection offers its
+	// routes to in each phase, without a relationship probe per adjacency.
+	up, peers, down [][]netsim.ASN
 }
 
 // New creates a simulator over top.
 func New(top *netsim.Topology, cfg Config) *Sim {
-	return &Sim{
+	s := &Sim{
 		Top:   top,
 		Cfg:   cfg,
 		seed:  top.Cfg.Seed*0x9e3779b9 + 0x1234,
 		days:  make(map[int]*Day),
 		intra: &intraCache{top: top, byAS: make([]filled[*intraAS], len(top.ASes))},
+		up:    make([][]netsim.ASN, len(top.ASAdj)),
+		peers: make([][]netsim.ASN, len(top.ASAdj)),
+		down:  make([][]netsim.ASN, len(top.ASAdj)),
 	}
+	for i, nbs := range top.ASAdj {
+		for _, y := range nbs {
+			r := top.RelOf(netsim.ASN(i+1), y)
+			if r == netsim.RelProvider || r == netsim.RelSibling {
+				s.up[i] = append(s.up[i], y)
+			}
+			if r == netsim.RelPeer {
+				s.peers[i] = append(s.peers[i], y)
+			}
+			if r == netsim.RelCustomer || r == netsim.RelSibling {
+				s.down[i] = append(s.down[i], y)
+			}
+		}
+	}
+	return s
 }
 
 // Day returns the routing view for simulated day d (d >= 0).
@@ -92,6 +115,10 @@ func (s *Sim) Day(d int) *Day {
 	v.quirkSalt = make([]uint64, len(s.Top.ASes))
 	for i := range v.quirkSalt {
 		v.quirkSalt[i] = s.quirkSaltFor(netsim.ASN(i+1), d)
+	}
+	v.exitSalt = make(map[uint64]uint64, len(s.Top.Rels))
+	for k := range s.Top.Rels {
+		v.exitSalt[k] = s.exitSaltFor(k, d)
 	}
 	s.days[d] = v
 	return v
@@ -108,6 +135,17 @@ func (s *Sim) quirkSaltFor(a netsim.ASN, day int) uint64 {
 		}
 	}
 	return mix(uint64(s.seed), 0x55, uint64(a), uint64(last))
+}
+
+// exitSaltFor chains per-day exit-noise re-rolls for one AS adjacency.
+func (s *Sim) exitSaltFor(pairKey uint64, day int) uint64 {
+	last := 0
+	for d := 1; d <= day; d++ {
+		if hashFloat(mix(uint64(s.seed), 0xee, pairKey, uint64(d))) < s.Cfg.ExitChurnPerDay {
+			last = d
+		}
+	}
+	return mix(uint64(s.seed), 0xef, pairKey, uint64(last))
 }
 
 // Loss rates churn on quarter-day boundaries so the 6/12/24-hour

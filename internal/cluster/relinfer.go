@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 
 	"inano/internal/netsim"
@@ -11,14 +12,16 @@ import (
 // collapse consecutive duplicates. ok is false if the result has an AS-level
 // loop (the paper discards such paths).
 func ASPathOf(hops []netsim.IP, prefixAS map[netsim.Prefix]netsim.ASN) (path []netsim.ASN, ok bool) {
-	return ASPathOfFunc(hops, func(p netsim.Prefix) netsim.ASN { return prefixAS[p] })
+	return ASPathOfFunc(nil, hops, func(p netsim.Prefix) netsim.ASN { return prefixAS[p] })
 }
 
 // ASPathOfFunc is ASPathOf over an origin-lookup function instead of a
 // materialized table, for callers (the streaming atlas builder) whose
 // origin data is arithmetic rather than a map. origin returns 0 for
-// unknown prefixes (0 is never a valid ASN).
-func ASPathOfFunc(hops []netsim.IP, origin func(netsim.Prefix) netsim.ASN) (path []netsim.ASN, ok bool) {
+// unknown prefixes (0 is never a valid ASN). The path is written over
+// buf's backing array, which a caller that keeps no path may reuse.
+func ASPathOfFunc(buf []netsim.ASN, hops []netsim.IP, origin func(netsim.Prefix) netsim.ASN) (path []netsim.ASN, ok bool) {
+	path = buf[:0]
 	for _, ip := range hops {
 		if ip == 0 {
 			continue
@@ -32,12 +35,10 @@ func ASPathOfFunc(hops []netsim.IP, origin func(netsim.Prefix) netsim.ASN) (path
 		}
 		path = append(path, asn)
 	}
-	seen := make(map[netsim.ASN]bool, len(path))
-	for _, a := range path {
-		if seen[a] {
+	for i, a := range path {
+		if slices.Contains(path[:i], a) {
 			return nil, false
 		}
-		seen[a] = true
 	}
 	return path, len(path) > 0
 }

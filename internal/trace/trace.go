@@ -19,8 +19,10 @@
 package trace
 
 import (
+	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"inano/internal/bgpsim"
 	"inano/internal/netsim"
@@ -83,21 +85,18 @@ type Meter struct {
 	// "extremely stable" per §6.2 — re-rolled daily they balloon the deltas).
 	seed, stableSeed uint64
 
-	// rev remembers the reverse one-way latency from each PoP a traceroute
-	// hop asked about back to its source: a campaign asks a dozen times per
-	// distinct (source, PoP), and a day's routes never change. Sharded by
-	// source, because RunCampaign's workers each probe from their own.
-	rev [revShards]revShard
+	// rev remembers, for each source a traceroute ran from, the one-way
+	// latency of the day's path back to it from each PoP a hop asked about:
+	// a campaign asks a dozen times per distinct (source, PoP), and a day's
+	// routes never change. A traceroute takes its source's table once,
+	// under mu; its hops read and fill slots without a lock.
+	mu  sync.Mutex
+	rev map[netsim.Prefix][]atomic.Uint64
 }
 
-const revShards = 64
-
-// revShard maps source<<32 | PoP to the one-way latency of the path from
-// the PoP back to the source, negative when there is none.
-type revShard struct {
-	mu sync.Mutex
-	ms map[uint64]float64
-}
+// A rev slot holds math.Float64bits of the latency plus one, revNone when
+// there is no path back, and 0 until it is first asked for.
+const revNone = math.MaxUint64
 
 // NewMeter creates a measurement harness for the given day view.
 func NewMeter(day *bgpsim.Day, opts Options) *Meter {
@@ -109,27 +108,35 @@ func NewMeter(day *bgpsim.Day, opts Options) *Meter {
 	}
 }
 
-// revMS returns the one-way latency of the day's path from PoP p back to
-// src, computing it the first time it is asked for. Two goroutines that
-// miss together both compute it; the answers are equal.
-func (m *Meter) revMS(p netsim.PoPID, src netsim.Prefix) (ms float64, ok bool) {
-	sh, k := &m.rev[src%revShards], uint64(src)<<32|uint64(uint32(p))
-	sh.mu.Lock()
-	ms, seen := sh.ms[k]
-	sh.mu.Unlock()
-	if !seen {
-		ms = -1
-		if rev, ok := m.day.PoPPath(p, src); ok {
-			ms = rev.OneWayMS
+// revFor returns src's table of reverse latencies, by PoP.
+func (m *Meter) revFor(src netsim.Prefix) []atomic.Uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rev := m.rev[src]
+	if rev == nil {
+		if m.rev == nil {
+			m.rev = make(map[netsim.Prefix][]atomic.Uint64)
 		}
-		sh.mu.Lock()
-		if sh.ms == nil {
-			sh.ms = make(map[uint64]float64)
-		}
-		sh.ms[k] = ms
-		sh.mu.Unlock()
+		rev = make([]atomic.Uint64, len(m.top.PoPs))
+		m.rev[src] = rev
 	}
-	return ms, ms >= 0
+	return rev
+}
+
+// revMS returns the one-way latency of the day's path from PoP p back to
+// src, whose table is rev, computing it the first time it is asked for.
+// Two goroutines that miss together both compute it; the answers are
+// equal.
+func (m *Meter) revMS(rev []atomic.Uint64, p netsim.PoPID, src netsim.Prefix) (ms float64, ok bool) {
+	w := rev[p].Load()
+	if w == 0 {
+		w = revNone
+		if path, ok := m.day.PoPPath(p, src); ok {
+			w = math.Float64bits(path.OneWayMS) + 1
+		}
+		rev[p].Store(w)
+	}
+	return math.Float64frombits(w - 1), w != revNone
 }
 
 // ifaceFor returns the interface revealed when entering PoP p via link l
@@ -166,7 +173,7 @@ func (m *Meter) Traceroute(src, dst netsim.Prefix) Traceroute {
 	}
 	rng := noiseFor(m.seed, 1, uint64(src), uint64(dst))
 	defer noisePool.Put(rng)
-	top := m.top
+	top, rev := m.top, m.revFor(src)
 	accessSrc := top.PrefixAccessMS[src]
 	fwdAccum := 0.0
 	tr.TruePoPs = fwd.PoPs()
@@ -179,7 +186,7 @@ func (m *Meter) Traceroute(src, dst netsim.Prefix) Traceroute {
 			tr.Hops = append(tr.Hops, Hop{})
 			continue
 		}
-		revMS, ok := m.revMS(h.PoP, src)
+		revMS, ok := m.revMS(rev, h.PoP, src)
 		if !ok {
 			tr.Hops = append(tr.Hops, Hop{})
 			continue
@@ -192,7 +199,7 @@ func (m *Meter) Traceroute(src, dst netsim.Prefix) Traceroute {
 	if rng.Float64() >= m.opts.UnreachableProb {
 		// Day.RTT(src, dst), from the forward route already in hand and the
 		// remembered reverse one.
-		if revMS, ok := m.revMS(top.PrefixHome[dst], src); ok {
+		if revMS, ok := m.revMS(rev, top.PrefixHome[dst], src); ok {
 			rtt := fwd.OneWayMS + revMS + 2*(accessSrc+top.PrefixAccessMS[dst])
 			rtt *= 1 + m.opts.RTTNoiseFrac*rng.Float64()
 			tr.Hops = append(tr.Hops, Hop{IP: dst.HostIP(), RTTMS: rtt})
