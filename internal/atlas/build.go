@@ -182,8 +182,9 @@ func inferPreferences(paths []*weightedPath, asAdj map[netsim.ASN]map[netsim.ASN
 	// Routes long enough to vote, chained by destination: first[d] is one
 	// past the index of asns[d]'s first route, next[i] one past that of the
 	// route after paths[i], and 0 ends the chain.
+	// reach[d] is the farthest from asns[d] any of its routes asks about.
 	first, next := make([]int32, len(asns)), make([]int32, len(paths))
-	weight := make([]int, len(asns))
+	weight, reach := make([]int, len(asns)), make([]int32, len(asns))
 	var dests []int32
 	for i := len(paths) - 1; i >= 0; i-- {
 		if p := paths[i].path; len(p) >= 3 {
@@ -193,6 +194,7 @@ func inferPreferences(paths []*weightedPath, asAdj map[netsim.ASN]map[netsim.ASN
 			}
 			next[i], first[d] = first[d], int32(i+1)
 			weight[d] += paths[i].count
+			reach[d] = max(reach[d], int32(len(p)-2))
 		}
 	}
 	if maxDests > 0 && len(dests) > maxDests {
@@ -206,16 +208,21 @@ func inferPreferences(paths []*weightedPath, asAdj map[netsim.ASN]map[netsim.ASN
 	}
 
 	// One BFS per destination into one distance field, which that
-	// destination's routes vote from before the next BFS overwrites it.
+	// destination's routes vote from before the next BFS clears it. The
+	// search stops at the destination's reach: a farther AS keeps -1,
+	// which no route's remaining hop count equals.
 	votes := make(map[uint64]int)
 	dist, queue := make([]int32, len(asns)), make([]int32, 0, len(asns))
+	for i := range dist {
+		dist[i] = -1
+	}
 	for _, d := range dests {
-		for i := range dist {
-			dist[i] = -1
+		for _, x := range queue {
+			dist[x] = -1
 		}
 		dist[d] = 0
 		queue = append(queue[:0], d)
-		for head := 0; head < len(queue); head++ {
+		for head := 0; head < len(queue) && dist[queue[head]] < reach[d]; head++ {
 			x := queue[head]
 			for _, y := range nbrs[off[x]:off[x+1]] {
 				if dist[y] < 0 {

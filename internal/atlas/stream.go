@@ -214,16 +214,15 @@ func (b *StreamBuilder) StartTraces() {
 	b.cl = b.in.Tools.Cluster(ifaces)
 }
 
-// addVote casts one attachment vote.
-func (b *StreamBuilder) addVote(p netsim.Prefix, c cluster.ClusterID) {
-	vs := b.votes[p]
+// vote casts one vote for c into vs.
+func vote(vs []clusterVote, c cluster.ClusterID) []clusterVote {
 	for i := range vs {
 		if vs[i].c == c {
 			vs[i].n++
-			return
+			return vs
 		}
 	}
-	b.votes[p] = append(vs, clusterVote{c: c, n: 1})
+	return append(vs, clusterVote{c: c, n: 1})
 }
 
 // addPath folds one observed AS path with weight w. A path seen before
@@ -252,8 +251,8 @@ func (b *StreamBuilder) addLink(ip1, ip2 netsim.IP, c1, c2 cluster.ClusterID, pl
 	}
 	li.planes |= plane
 	if vp >= 0 {
-		if w := vp / 64; w >= len(li.observers) {
-			li.observers = append(li.observers, make([]uint64, w+1-len(li.observers))...)
+		for len(li.observers) <= vp/64 {
+			li.observers = append(li.observers, 0)
 		}
 		li.observers[vp/64] |= 1 << (vp % 64)
 	}
@@ -267,12 +266,11 @@ func (b *StreamBuilder) AddTrace(tr *trace.Traceroute, fromVP bool) {
 	plane, vp := PlaneFromSrc, -1
 	if fromVP {
 		plane = PlaneToDst
-		i, ok := b.vpIndex[tr.Src]
-		if !ok {
-			i = len(b.vpIndex)
-			b.vpIndex[tr.Src] = i
+		var ok bool
+		if vp, ok = b.vpIndex[tr.Src]; !ok {
+			vp = len(b.vpIndex)
+			b.vpIndex[tr.Src] = vp
 		}
-		vp = i
 		b.feedTargets[tr.Dst] = true
 	}
 	// Each hop's cluster, resolved once; -1 for a '*' or an unclustered
@@ -317,10 +315,10 @@ func (b *StreamBuilder) AddTrace(tr *trace.Traceroute, fromVP bool) {
 		last = c
 	}
 	if first >= 0 {
-		b.addVote(tr.Src, first)
+		b.votes[tr.Src] = vote(b.votes[tr.Src], first)
 	}
 	if tr.Reached && last >= 0 {
-		b.addVote(tr.Dst, last)
+		b.votes[tr.Dst] = vote(b.votes[tr.Dst], last)
 	}
 
 	// AS-level path observation.
@@ -381,12 +379,13 @@ func (b *StreamBuilder) Finish() *Atlas {
 // late-exit adjacencies among them (LateExit).
 func (b *StreamBuilder) finishLinks(a *Atlas) {
 	in := b.in
-	// Frontier-assign links to vantage points and annotate.
+	// Frontier-assign links to vantage points and annotate, in key order:
+	// (From, To) order, the order an atlas keeps its links in.
 	keys := make([]uint64, 0, len(b.links))
 	for k := range b.links {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	observers := make([][]int, len(keys))
 	for i, k := range keys {
 		for w, word := range b.links[k].observers {
@@ -442,13 +441,6 @@ func (b *StreamBuilder) finishLinks(a *Atlas) {
 			a.LateExit[k] = true
 		}
 	}
-
-	sort.Slice(a.Links, func(i, j int) bool {
-		if a.Links[i].From != a.Links[j].From {
-			return a.Links[i].From < a.Links[j].From
-		}
-		return a.Links[i].To < a.Links[j].To
-	})
 }
 
 // finishPrefixes elects each prefix's attachment cluster (PrefixCluster,
@@ -468,18 +460,7 @@ func (b *StreamBuilder) finishPrefixes(a *Atlas) {
 	ifaceVotes := make(map[netsim.Prefix][]clusterVote)
 	for ip, c := range cl.ClusterOf {
 		p := netsim.PrefixOf(ip)
-		vs := ifaceVotes[p]
-		grown := false
-		for i := range vs {
-			if vs[i].c == c {
-				vs[i].n++
-				grown = true
-				break
-			}
-		}
-		if !grown {
-			ifaceVotes[p] = append(vs, clusterVote{c: c, n: 1})
-		}
+		ifaceVotes[p] = vote(ifaceVotes[p], c)
 	}
 	for p, vs := range ifaceVotes {
 		a.IfaceCluster[p] = pickBestVote(vs)

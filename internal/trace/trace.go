@@ -105,6 +105,7 @@ func NewMeter(day *bgpsim.Day, opts Options) *Meter {
 	return &Meter{
 		day: day, top: s.Top, opts: opts,
 		seed: stable + uint64(day.DayNum())*0x14057b7ef767814f, stableSeed: stable,
+		rev: make(map[netsim.Prefix][]atomic.Uint64),
 	}
 }
 
@@ -114,9 +115,6 @@ func (m *Meter) revFor(src netsim.Prefix) []atomic.Uint64 {
 	defer m.mu.Unlock()
 	rev := m.rev[src]
 	if rev == nil {
-		if m.rev == nil {
-			m.rev = make(map[netsim.Prefix][]atomic.Uint64)
-		}
 		rev = make([]atomic.Uint64, len(m.top.PoPs))
 		m.rev[src] = rev
 	}
