@@ -446,7 +446,6 @@ func (b *StreamBuilder) finishLinks(a *Atlas) {
 // finishPrefixes elects each prefix's attachment cluster (PrefixCluster,
 // IfaceCluster) and copies the origin table (PrefixAS).
 func (b *StreamBuilder) finishPrefixes(a *Atlas) {
-	cl := b.cl
 	// Prefix attachment elections.
 	for p, vs := range b.votes {
 		a.PrefixCluster[p] = pickBestVote(vs)
@@ -458,7 +457,7 @@ func (b *StreamBuilder) finishPrefixes(a *Atlas) {
 	// through. A /24 spanning several clusters goes to the majority — a
 	// coarsening the agreement voting downstream tolerates.
 	ifaceVotes := make(map[netsim.Prefix][]clusterVote)
-	for ip, c := range cl.ClusterOf {
+	for ip, c := range b.cl.ClusterOf {
 		p := netsim.PrefixOf(ip)
 		ifaceVotes[p] = vote(ifaceVotes[p], c)
 	}

@@ -36,10 +36,11 @@ func (p Path) PoPs() []netsim.PoPID {
 type intraCache struct {
 	top  *netsim.Topology
 	byAS []filled[*intraAS] // by ASN-1
+	idx  []int32            // by PoP: its position in its AS's PoP list
 }
 
 type intraAS struct {
-	idx  map[netsim.PoPID]int
+	idx  []int32 // the cache's
 	pops []netsim.PoPID
 	dist [][]float64
 	// next[i][j] is the first link to take from pops[i] toward pops[j];
@@ -54,10 +55,7 @@ func (c *intraCache) get(a netsim.ASN) *intraAS {
 func (c *intraCache) compute(a netsim.ASN) *intraAS {
 	pops := c.top.AS(a).PoPs
 	n := len(pops)
-	ia := &intraAS{idx: make(map[netsim.PoPID]int, n), pops: pops}
-	for i, p := range pops {
-		ia.idx[p] = i
-	}
+	ia := &intraAS{idx: c.idx, pops: pops}
 	ia.dist = make([][]float64, n)
 	ia.next = make([][]netsim.LinkID, n)
 	for i := range ia.dist {
@@ -76,10 +74,10 @@ func (c *intraCache) compute(a netsim.ASN) *intraAS {
 			if l.Kind != netsim.LinkIntra {
 				continue
 			}
-			j, ok := ia.idx[adj.To]
-			if !ok {
+			if c.top.PoPAS(adj.To) != a {
 				continue
 			}
+			j := ia.idx[adj.To]
 			if l.LatencyMS < ia.dist[i][j] {
 				ia.dist[i][j] = l.LatencyMS
 				ia.next[i][j] = l.ID
@@ -146,30 +144,27 @@ func (v *Day) PoPPath(srcPoP netsim.PoPID, dst netsim.Prefix) (Path, bool) {
 	for i := 0; i+1 < len(asPath); i++ {
 		a, b := asPath[i], asPath[i+1]
 		ia := v.sim.intra.get(a)
-		links := top.InterLinks(a, b)
-		if len(links) == 0 {
+		pair := v.pairs[netsim.ASPairKey(a, b)]
+		if len(pair.links) == 0 {
 			return Path{}, false
 		}
-		pairKey := netsim.ASPairKey(a, b)
-		late := top.LateExit[pairKey]
-		salt := v.exitSalt[pairKey]
 		best, bestCost := netsim.LinkID(-1), math.Inf(1)
 		var bestNear, bestFar netsim.PoPID
-		for _, lid := range links {
+		for _, lid := range pair.links {
 			l := &top.Links[lid]
 			near, far := l.A, l.B
 			if top.PoPAS(near) != a {
 				near, far = far, near
 			}
 			cost := ia.distBetween(cur, near)
-			if late {
+			if pair.late {
 				// Cold potato: carry toward the destination, handing
 				// off at the exit that minimizes the whole remaining
 				// geographic haul.
 				cost += l.LatencyMS + top.PoPs[far].Loc.Dist(dstLoc)*top.Cfg.MSPerUnit
 			}
 			// Day-varying IGP noise flips near-tie exit choices.
-			cost = (cost + 0.1) * (1 + v.sim.Cfg.ExitNoiseFrac*hashFloat(mix(salt, uint64(lid), uint64(cur), 0)))
+			cost = (cost + 0.1) * (1 + v.sim.Cfg.ExitNoiseFrac*hashFloat(mix(pair.salt, uint64(lid), uint64(cur), 0)))
 			if cost < bestCost || (cost == bestCost && lid < best) {
 				best, bestCost = lid, cost
 				bestNear, bestFar = near, far

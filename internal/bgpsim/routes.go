@@ -46,10 +46,19 @@ type Day struct {
 
 	tables []filled[*RouteTable] // by destination ASN-1
 	te     fillMap[netsim.Prefix, teOverride]
-	// exitSalt holds the day's exit-noise salt of every AS adjacency, by
-	// ASPairKey; it is filled before the day is shared and only read after.
-	exitSalt       map[uint64]uint64
+	// pairs holds every AS adjacency, by ASPairKey; it is filled before the
+	// day is shared and only read after.
+	pairs          map[uint64]asPair
 	tablesComputed atomic.Int64 // computeTable runs: each table is computed once
+}
+
+// asPair is what expanding an AS hop across one adjacency reads: the links
+// joining the two ASes, whether they hand traffic off late, and the day's
+// exit-noise salt.
+type asPair struct {
+	links []netsim.LinkID
+	late  bool
+	salt  uint64
 }
 
 // filled is a value computed once, by the first caller of get; callers
@@ -139,14 +148,18 @@ func (v *Day) computeTable(d netsim.ASN) *RouteTable {
 	t.Class[d-1] = ClassOrigin
 
 	// round has every AS of from advertise its route to its unsettled
-	// neighbors in nbrs, then settles the ones that heard a route, in
-	// class, and returns them. An AS stays unsettled (Hops < 0) while a
-	// round's offers are coming in. Neighbors that may not learn d's own
-	// prefixes directly from d (no-self-export transit engineering) are
+	// neighbors that are relA or relB to it, then settles the ones that heard
+	// a route, in class, and returns them. An AS stays unsettled (Hops < 0)
+	// while a round's offers are coming in. Neighbors that may not learn d's
+	// own prefixes directly from d (no-self-export transit engineering) are
 	// passed over.
-	round := func(from []netsim.ASN, nbrs [][]netsim.ASN, class RouteClass) (heard []netsim.ASN) {
+	round := func(from []netsim.ASN, relA, relB netsim.Rel, class RouteClass) (heard []netsim.ASN) {
 		for _, x := range from {
-			for _, y := range nbrs[x-1] {
+			rels := v.sim.rels[x-1]
+			for i, y := range top.ASAdj[x-1] {
+				if r := rels[i]; r != relA && r != relB {
+					continue
+				}
 				if t.Hops[y-1] >= 0 || (x == d && top.NoSelfExport[netsim.DirASPairKey(y, d)]) {
 					continue
 				}
@@ -178,11 +191,11 @@ func (v *Day) computeTable(d netsim.ASN) *RouteTable {
 	// Phase 1: customer routes, BFS by hop count (each wave settles hops
 	// equal to the wave number, so plain BFS is exact shortest-path).
 	for frontier := []netsim.ASN{d}; len(frontier) > 0; {
-		frontier = round(frontier, v.sim.up, ClassCustomer)
+		frontier = round(frontier, netsim.RelProvider, netsim.RelSibling, ClassCustomer)
 	}
 
 	// Phase 2: peer routes — single step from customer-settled ASes.
-	round(slices.Concat(settled()...), v.sim.peers, ClassPeer)
+	round(slices.Concat(settled()...), netsim.RelPeer, netsim.RelPeer, ClassPeer)
 
 	// Phase 3: provider routes descend (only customers and siblings hear
 	// an AS's full table). Settled ASes have heterogeneous hop counts, so
@@ -190,7 +203,7 @@ func (v *Day) computeTable(d netsim.ASN) *RouteTable {
 	// guarantees each AS settles at its true shortest provider-route length.
 	buckets := settled()
 	for h := 0; h < len(buckets); h++ {
-		if heard := round(buckets[h], v.sim.down, ClassProvider); len(heard) > 0 {
+		if heard := round(buckets[h], netsim.RelCustomer, netsim.RelSibling, ClassProvider); len(heard) > 0 {
 			if h+1 == len(buckets) {
 				buckets = append(buckets, nil)
 			}

@@ -68,11 +68,9 @@ type Sim struct {
 	mu    sync.Mutex
 	days  map[int]*Day
 	intra *intraCache
-	// up, peers and down list each AS's neighbours (by ASN-1, in ASAdj
-	// order) that are its providers or siblings, its peers, and its
-	// customers or siblings: the neighbours route selection offers its
-	// routes to in each phase, without a relationship probe per adjacency.
-	up, peers, down [][]netsim.ASN
+	// rels[a-1][i] is Top.RelOf(a, Top.ASAdj[a-1][i]): route selection
+	// reads an adjacency's relationship without a map probe.
+	rels [][]netsim.Rel
 }
 
 // New creates a simulator over top.
@@ -82,23 +80,17 @@ func New(top *netsim.Topology, cfg Config) *Sim {
 		Cfg:   cfg,
 		seed:  top.Cfg.Seed*0x9e3779b9 + 0x1234,
 		days:  make(map[int]*Day),
-		intra: &intraCache{top: top, byAS: make([]filled[*intraAS], len(top.ASes))},
-		up:    make([][]netsim.ASN, len(top.ASAdj)),
-		peers: make([][]netsim.ASN, len(top.ASAdj)),
-		down:  make([][]netsim.ASN, len(top.ASAdj)),
+		intra: &intraCache{top: top, byAS: make([]filled[*intraAS], len(top.ASes)), idx: make([]int32, len(top.PoPs))},
+		rels:  make([][]netsim.Rel, len(top.ASAdj)),
+	}
+	for _, as := range top.ASes {
+		for i, p := range as.PoPs {
+			s.intra.idx[p] = int32(i)
+		}
 	}
 	for i, nbs := range top.ASAdj {
 		for _, y := range nbs {
-			r := top.RelOf(netsim.ASN(i+1), y)
-			if r == netsim.RelProvider || r == netsim.RelSibling {
-				s.up[i] = append(s.up[i], y)
-			}
-			if r == netsim.RelPeer {
-				s.peers[i] = append(s.peers[i], y)
-			}
-			if r == netsim.RelCustomer || r == netsim.RelSibling {
-				s.down[i] = append(s.down[i], y)
-			}
+			s.rels[i] = append(s.rels[i], top.RelOf(netsim.ASN(i+1), y))
 		}
 	}
 	return s
@@ -116,9 +108,10 @@ func (s *Sim) Day(d int) *Day {
 	for i := range v.quirkSalt {
 		v.quirkSalt[i] = s.quirkSaltFor(netsim.ASN(i+1), d)
 	}
-	v.exitSalt = make(map[uint64]uint64, len(s.Top.Rels))
+	v.pairs = make(map[uint64]asPair, len(s.Top.Rels))
 	for k := range s.Top.Rels {
-		v.exitSalt[k] = s.exitSaltFor(k, d)
+		links := s.Top.InterLinks(netsim.ASN(k>>32), netsim.ASN(uint32(k)))
+		v.pairs[k] = asPair{links: links, late: s.Top.LateExit[k], salt: s.exitSaltFor(k, d)}
 	}
 	s.days[d] = v
 	return v

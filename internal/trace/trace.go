@@ -113,12 +113,10 @@ func NewMeter(day *bgpsim.Day, opts Options) *Meter {
 func (m *Meter) revFor(src netsim.Prefix) []atomic.Uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rev := m.rev[src]
-	if rev == nil {
-		rev = make([]atomic.Uint64, len(m.top.PoPs))
-		m.rev[src] = rev
+	if m.rev[src] == nil {
+		m.rev[src] = make([]atomic.Uint64, len(m.top.PoPs))
 	}
-	return rev
+	return m.rev[src]
 }
 
 // revMS returns the one-way latency of the day's path from PoP p back to
