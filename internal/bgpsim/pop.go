@@ -138,7 +138,7 @@ func (v *Day) PoPPath(srcPoP netsim.PoPID, dst netsim.Prefix) (Path, bool) {
 		return Path{}, false
 	}
 	dstLoc := top.PoPs[home].Loc
-	path := []Hop{{PoP: srcPoP, Link: -1}}
+	path := append(make([]Hop, 0, 16), Hop{PoP: srcPoP, Link: -1})
 	total := 0.0
 	cur := srcPoP
 	for i := 0; i+1 < len(asPath); i++ {

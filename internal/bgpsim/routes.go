@@ -303,7 +303,7 @@ func (v *Day) ASPath(srcAS netsim.ASN, dst netsim.Prefix) (path []netsim.ASN, ok
 	t := v.Table(origin)
 	te := v.teFor(dst)
 	cur := srcAS
-	path = append(path, cur)
+	path = append(make([]netsim.ASN, 0, 8), cur)
 	for cur != origin {
 		if len(path) > 64 {
 			return nil, false
