@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"inano/internal/atlas"
@@ -126,6 +128,35 @@ func TestBuildGoldenBytes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSetupAllocBudget bounds what one two-day set-up of the benchmark's
+// world allocates, at 10 % above what it measured when the bound was set
+// (86.4 MB in 575 k allocations; 99.7 MB in 1.195 M before the route walks
+// sized their paths and the builder stopped keying and copying per trace).
+// A campaign or builder change that brings back per-hop or per-trace
+// garbage trips it.
+func TestSetupAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("medium world in -short")
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector changes what is allocated")
+			}
+		}
+	}
+	const maxBytes, maxAllocs = 95_000_000, 633_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	goldenBuild(t, Medium, 1)
+	runtime.ReadMemStats(&after)
+	size, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("one set-up allocates %d B in %d allocations", size, allocs)
+	if size > maxBytes || allocs > maxAllocs {
+		t.Errorf("one set-up allocates %d B in %d allocations, budget %d B in %d", size, allocs, maxBytes, maxAllocs)
 	}
 }
 
