@@ -716,3 +716,39 @@ func TestReloadWarmsTreeCache(t *testing.T) {
 		t.Errorf("/debug/stats tree_cache %+v, want warmed %d warm_hits %d", stats.TreeCache, st.Warmed, st.WarmHits)
 	}
 }
+
+// BenchmarkQueryRoundTrip prices one warm GET /v1/query over a loopback
+// connection, client and server together. Its allocations are the whole
+// process's: read them against the handler's own (the ledger's
+// server.allocs_per_query) for what net/http and the client add around it.
+func BenchmarkQueryRoundTrip(b *testing.B) {
+	f := buildFixture(b, 212)
+	_, ts := start(b, f, nil)
+	client := ts.Client()
+	var urls []string
+	for i := 0; i < 64; i++ {
+		urls = append(urls, fmt.Sprintf("%s/v1/query?src=%s&dst=%s",
+			ts.URL, ipStr(f.vps[i%len(f.vps)]), ipStr(f.targets[(i*7)%len(f.targets)])))
+	}
+	get := func(url string) {
+		resp, err := client.Get(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("GET %s: %s", url, resp.Status)
+		}
+	}
+	for _, url := range urls {
+		get(url) // warm the trees and the connection
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get(urls[i%len(urls)])
+	}
+}
