@@ -19,6 +19,9 @@ import (
 // clustering, and late-exit detection. Build wires it to a materialized
 // Topology/Day/Meter triple; internet-scale worlds wire it to
 // netsim.ScaleWorld arithmetic so nothing world-sized is materialized.
+// Finish calls it from two goroutines at once, so an implementation must
+// be safe for concurrent use: both are (simTools' meter and route tables
+// serve a campaign's workers; ScaleTools only reads an immutable world).
 type Tools interface {
 	// RouterPoP places an infrastructure interface, or -1.
 	RouterPoP(ip netsim.IP) netsim.PoPID
