@@ -133,10 +133,8 @@ func TestBuildGoldenBytes(t *testing.T) {
 
 // TestSetupAllocBudget bounds what one two-day set-up of the benchmark's
 // world allocates, at 10 % above what it measured when the bound was set
-// (86.4 MB in 575 k allocations; 99.7 MB in 1.195 M before the route walks
-// sized their paths and the builder stopped keying and copying per trace).
-// A campaign or builder change that brings back per-hop or per-trace
-// garbage trips it.
+// (86.4 MB in 575 k allocations). A campaign or builder change that brings
+// back per-hop or per-trace garbage trips it.
 func TestSetupAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("medium world in -short")
