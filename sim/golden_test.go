@@ -3,24 +3,29 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"inano"
 	"inano/internal/atlas"
 	"inano/internal/cluster"
+	"inano/internal/netsim"
 )
 
 // goldenBuild runs the server-side pipeline the benchmark's set-up runs —
 // world, 16 vantage points + 8 client agents over every edge prefix, days
 // 0 and 1 chained through one cluster registry — and returns the encoded
 // atlases and the encoded day 0 -> 1 delta (diffed, like a client would
-// see it, between the decoded atlases: the codec quantizes latencies).
-func goldenBuild(t testing.TB, scale Scale, seed int64) (bins [2][]byte, delta []byte) {
+// see it, between the decoded atlases: the codec quantizes latencies),
+// with the 24 vantage points and the edge prefixes they measured.
+func goldenBuild(t testing.TB, scale Scale, seed int64) (bins [2][]byte, delta []byte, vps, dsts []netsim.Prefix) {
 	t.Helper()
 	w := NewWorld(scale, seed)
-	vps := w.VantagePoints(16 + 8)
+	vps = w.VantagePoints(16 + 8)
 	var decoded [2]*atlas.Atlas
 	var prev *cluster.Clustering
 	for day := range bins {
@@ -40,7 +45,7 @@ func goldenBuild(t testing.TB, scale Scale, seed int64) (bins [2][]byte, delta [
 	if err := atlas.Diff(decoded[0], decoded[1]).Encode(&buf); err != nil {
 		t.Fatalf("encoding delta: %v", err)
 	}
-	return bins, buf.Bytes()
+	return bins, buf.Bytes(), vps, w.EdgePrefixes()
 }
 
 // servedFlats returns what a peer serves from after a full load of day 0,
@@ -112,7 +117,7 @@ func TestBuildGoldenBytes(t *testing.T) {
 			if tc.scale != Tiny && testing.Short() {
 				t.Skip("medium world in -short")
 			}
-			bins, delta := goldenBuild(t, tc.scale, tc.seed)
+			bins, delta, _, _ := goldenBuild(t, tc.scale, tc.seed)
 			flats := servedFlats(t, bins, delta)
 			for _, g := range []struct {
 				what string
@@ -129,6 +134,94 @@ func TestBuildGoldenBytes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAnswerDigest pins what a peer answers, apart from the bytes it
+// serves from: a SHA-256 over the answer to every (vantage point, edge
+// prefix) query of each golden world, for day 0 and day 1 loaded in full
+// and for day 0 followed by the delta. Each state is reached two ways —
+// inano.Load (then ApplyDelta), and a reload of the served flat file — and
+// both must give the pinned digest. A change to a file format may re-pin
+// TestBuildGoldenBytes; a digest that moves with it has changed answers.
+func TestAnswerDigest(t *testing.T) {
+	cases := []struct {
+		name                 string
+		scale                Scale
+		seed                 int64
+		day0, day1, followed string // leading bytes of the SHA-256, hex
+	}{
+		{"tiny_seed1", Tiny, 1, "5e574909", "bf8ec9f2", "3365204b"},
+		{"tiny_seed2", Tiny, 2, "c4cb4fa8", "858fb81a", "e8b6dabd"},
+		{"medium_seed1", Medium, 1, "eb3ffdae", "dc6540b8", "8593bf86"},
+		{"medium_seed2", Medium, 2, "625e16b4", "3f874110", "bdeb4838"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.scale != Tiny && testing.Short() {
+				t.Skip("medium world in -short")
+			}
+			bins, delta, vps, dsts := goldenBuild(t, tc.scale, tc.seed)
+			var loaded [3]*inano.Client
+			for day, bin := range bins {
+				c, err := inano.Load(bytes.NewReader(bin))
+				if err != nil {
+					t.Fatalf("loading day %d: %v", day, err)
+				}
+				loaded[day] = c
+			}
+			followed, err := inano.Load(bytes.NewReader(bins[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := followed.ApplyDelta(bytes.NewReader(delta)); err != nil {
+				t.Fatal(err)
+			}
+			loaded[2] = followed
+			flats := servedFlats(t, bins, delta)
+			for i, want := range []string{tc.day0, tc.day1, tc.followed} {
+				state := []string{"day 0", "day 1", "day 0 + delta"}[i]
+				f, err := atlas.ReadFlat(flats[i])
+				if err != nil {
+					t.Fatalf("%s: reading the served flat: %v", state, err)
+				}
+				viaLoad := answerDigest(loaded[i], vps, dsts)
+				viaFlat := answerDigest(inano.FromFlat(f), vps, dsts)
+				if viaLoad != want || viaFlat != want {
+					t.Errorf("%s: answer digest %s through Load, %s through the flat file, want %s", state, viaLoad, viaFlat, want)
+				}
+			}
+		})
+	}
+}
+
+// answerDigest hashes c's answer from every vantage point to every
+// destination, in order: found, then RTT and loss at wire quantisation
+// (0.01 ms, 0.01 %), then the forward and the reverse AS path. It returns
+// the leading four bytes of the SHA-256, hex.
+func answerDigest(c *inano.Client, vps, dsts []netsim.Prefix) string {
+	h := sha256.New()
+	var rec []byte
+	for _, src := range vps {
+		for _, dst := range dsts {
+			p := c.QueryPrefix(src, dst)
+			rec = rec[:0]
+			if p.Found {
+				rec = append(rec, 1)
+			} else {
+				rec = append(rec, 0)
+			}
+			rec = binary.AppendUvarint(rec, uint64(math.Round(p.RTTMS*100)))
+			rec = binary.AppendUvarint(rec, uint64(math.Round(p.LossRate*10000)))
+			for _, path := range [][]netsim.ASN{p.Fwd.ASPath, p.Rev.ASPath} {
+				rec = binary.AppendUvarint(rec, uint64(len(path)))
+				for _, as := range path {
+					rec = binary.AppendUvarint(rec, uint64(as))
+				}
+			}
+			h.Write(rec)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:4])
 }
 
 // TestSetupAllocBudget bounds what one two-day set-up of the benchmark's
