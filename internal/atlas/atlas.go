@@ -55,6 +55,11 @@ func LinkKey(from, to cluster.ClusterID) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
+// DegreeThreshold is the AS degree at or below which the 3-tuple export
+// check is not sound (§4.3.2): the builder records a tuple, and the engine
+// enforces one, only when the middle AS's degree is above it.
+const DegreeThreshold = 5
+
 // MaxASN is the largest ASN representable in packed 3-tuples (21 bits per
 // component). Dense synthetic ASNs are far below this.
 const MaxASN = 1<<21 - 1

@@ -45,9 +45,6 @@ type BuildInput struct {
 	LossProbes int
 	// Redundancy is the frontier assignment redundancy.
 	Redundancy int
-	// DegreeThreshold gates the 3-tuple check: tuples are only recorded
-	// and enforced when the middle AS has a degree above it (§4.3.2).
-	DegreeThreshold int
 }
 
 // DefaultFeeds picks the highest-degree ASes as BGP route collectors.
@@ -83,12 +80,11 @@ func DefaultFeeds(top *netsim.Topology, n int) []netsim.ASN {
 // out-of-core trace stream.
 func Build(in BuildInput) *Atlas {
 	sb := NewStreamBuilder(StreamInput{
-		Tools:           NewSimTools(in.Top, in.Day, in.Meter, in.BGPFeeds, in.ClusterCfg),
-		Day:             in.Day.DayNum(),
-		Clusters:        in.Clusters,
-		LossProbes:      in.LossProbes,
-		Redundancy:      in.Redundancy,
-		DegreeThreshold: in.DegreeThreshold,
+		Tools:      NewSimTools(in.Top, in.Day, in.Meter, in.BGPFeeds, in.ClusterCfg),
+		Day:        in.Day.DayNum(),
+		Clusters:   in.Clusters,
+		LossProbes: in.LossProbes,
+		Redundancy: in.Redundancy,
 	})
 	forEachTrace(in, func(tr *trace.Traceroute, _ bool) { sb.ObserveIfaces(tr) })
 	sb.StartTraces()

@@ -140,9 +140,9 @@ func TestDiffApplyPropertyRandomAtlases(t *testing.T) {
 }
 
 // addMonthlyAndCorrections gives a random atlas the datasets makeRandomAtlas
-// leaves empty and Flat.Apply reads or rewrites: the relationship, late-exit
-// and degree tables a new edge's baked facts come from, and both correction
-// tables.
+// leaves empty and Flat.Apply reads or rewrites: the relationship and
+// degree tables it carries, the late-exit table a new edge's flags come
+// from, and both correction tables.
 func addMonthlyAndCorrections(rng *rand.Rand, a *Atlas) {
 	for x := netsim.ASN(1); x <= 10; x++ {
 		if rng.Intn(4) > 0 {

@@ -23,11 +23,10 @@ import (
 //
 //   - The link table is a structure-of-arrays CSR keyed by destination
 //     cluster: EdgeStart[w]..EdgeStart[w+1] index the edges arriving at
-//     cluster w (traffic direction from->w), with parallel latency, loss,
-//     plane, relationship, AS, and degree arrays — exactly the shape the
-//     backtracking Dijkstra relaxes over. Per-edge derived facts the old
-//     engine recomputed from maps (same-AS, late-exit, inferred rel,
-//     origin degree) are baked in at compile time.
+//     cluster w (traffic direction from->w), with parallel source,
+//     latency, loss, plane and flag (same-AS, late-exit) arrays — exactly
+//     the shape the backtracking Dijkstra relaxes over. An edge's ASes are
+//     ClusterAS of its bucket and of its source; nothing else is baked in.
 //   - Prefix tables (attachment cluster, BGP origin, interface clusters,
 //     residual corrections) are sorted parallel key/value slices answered
 //     by branch-free binary search.
@@ -65,14 +64,6 @@ type Flat struct {
 	EdgePlanes []uint8
 	//inano:mmap
 	EdgeFlags []uint8 // EdgeSameAS | EdgeLate
-	//inano:mmap
-	EdgeRel []netsim.Rel // relationship of To's AS from From's perspective
-	//inano:mmap
-	EdgeFromAS []netsim.ASN
-	//inano:mmap
-	EdgeToAS []netsim.ASN
-	//inano:mmap
-	EdgeToDeg []int32 // observed AS-graph degree of the edge's To AS
 
 	// Sorted prefix tables (parallel key/value slices): destination /24
 	// to attachment cluster, destination /24 to BGP origin AS, and
@@ -112,8 +103,8 @@ type Flat struct {
 	RelVals []netsim.Rel
 	//inano:mmap
 	LateExit []uint64 // netsim.ASPairKey
-	// Full degree and loss tables (the per-edge arrays above carry the
-	// hot-path values; these exist so Inflate can reconstruct the maps).
+	// Degree and loss tables: the engine reads ClusterDegrees once, and
+	// finish and Apply fill EdgeLoss from the loss table.
 	//inano:mmap
 	DegKeys []netsim.ASN
 	//inano:mmap
@@ -179,10 +170,11 @@ func providerKeys(m map[netsim.ASN][]netsim.ASN) []uint64 {
 
 // finish is the step Compile and DecodeFlat end in: with every table of f
 // set, it derives the search indexes and builds the CSR link table from
-// links, each edge's baked facts taken from f's own sorted tables. The
-// counting sort by To keeps, inside each bucket, the order links are in
-// (the order the map engine appended its in-edges: tie-break parity).
-// Links outside the cluster space are skipped.
+// links. The counting sort by To keeps, inside each bucket, the order links
+// are in (the order the map engine appended its in-edges: tie-break
+// parity). An edge's flags take one late-exit search. Its loss is read
+// from LossKeys by a merge along the links, which arrive in the same
+// (From, To) order (seek). Links outside the cluster space are skipped.
 func (f *Flat) finish(links []Link) {
 	f.buildIndex()
 	n := int(f.NumClusters)
@@ -202,11 +194,8 @@ func (f *Flat) finish(links []Link) {
 	loss := make([]float32, valid)
 	planes := make([]uint8, valid)
 	flags := make([]uint8, valid)
-	rel := make([]netsim.Rel, valid)
-	fromAS := make([]netsim.ASN, valid)
-	toAS := make([]netsim.ASN, valid)
-	toDeg := make([]int32, valid)
 	next := slices.Clone(start[:n])
+	li := 0 // where the last link's key stands in LossKeys
 	for i := range links {
 		l := &links[i]
 		if !inSpace(l) {
@@ -215,30 +204,42 @@ func (f *Flat) finish(links []Link) {
 		ei := next[l.To]
 		next[l.To]++
 		from[ei], lat[ei], planes[ei] = l.From, l.LatencyMS, l.Planes
-		if li, ok := slices.BinarySearch(f.LossKeys, LinkKey(l.From, l.To)); ok {
+		k := LinkKey(l.From, l.To)
+		if li = seek(f.LossKeys, li, k); li < len(f.LossKeys) && f.LossKeys[li] == k {
 			loss[ei] = f.LossVals[li]
 		}
-		fromAS[ei], toAS[ei] = f.ClusterAS[l.From], f.ClusterAS[l.To]
-		flags[ei], rel[ei], toDeg[ei] = f.edgeFacts(fromAS[ei], toAS[ei])
+		flags[ei] = f.edgeFlags(f.ClusterAS[l.From], f.ClusterAS[l.To])
 	}
 	f.EdgeStart, f.EdgeFrom, f.EdgeLat, f.EdgeLoss = start, from, lat, loss
-	f.EdgePlanes, f.EdgeFlags, f.EdgeRel = planes, flags, rel
-	f.EdgeFromAS, f.EdgeToAS, f.EdgeToDeg = fromAS, toAS, toDeg
+	f.EdgePlanes, f.EdgeFlags = planes, flags
 }
 
-// edgeFacts returns what an edge from a cluster of AS fa into one of AS ta
-// bakes in from the monthly tables: its flags, the relationship of ta from
-// fa's side, and ta's degree.
-func (f *Flat) edgeFacts(fa, ta netsim.ASN) (flags uint8, rel netsim.Rel, toDeg int32) {
+// seek returns the index of the first of keys not below k, given from, what
+// a seek for an earlier key returned. It gallops on from there, so keys
+// sought in ascending order cost one pass over keys in all; a key below the
+// one before from is looked for from the start.
+func seek[K cmp.Ordered](keys []K, from int, k K) int {
+	if from > 0 && keys[from-1] >= k {
+		from = 0
+	}
+	hi := from
+	for step := 1; hi < len(keys) && keys[hi] < k; step *= 2 {
+		from, hi = hi+1, hi+step
+	}
+	i, _ := slices.BinarySearch(keys[from:min(hi, len(keys))], k)
+	return from + i
+}
+
+// edgeFlags returns the flags of an edge from a cluster of AS fa into one
+// of AS ta.
+func (f *Flat) edgeFlags(fa, ta netsim.ASN) uint8 {
 	if fa == ta {
-		flags = EdgeSameAS
-	} else if _, late := slices.BinarySearch(f.LateExit, netsim.ASPairKey(fa, ta)); late {
-		flags = EdgeLate
+		return EdgeSameAS
 	}
-	if i, ok := slices.BinarySearch(f.DegKeys, ta); ok {
-		toDeg = f.DegVals[i]
+	if _, late := slices.BinarySearch(f.LateExit, netsim.ASPairKey(fa, ta)); late {
+		return EdgeLate
 	}
-	return flags, f.RelOf(fa, ta), toDeg
+	return 0
 }
 
 // sortedKeys returns m's keys in ascending order.
@@ -350,6 +351,19 @@ func (f *Flat) ProviderCheck(origin, fromAS netsim.ASN) bool {
 		return true // no provider data: cannot enforce
 	}
 	return f.idx.provs.contains(uint64(origin)<<32 | uint64(fromAS))
+}
+
+// ClusterDegrees returns a new slice of each cluster's AS degree (0 for an
+// AS the degree table lacks).
+func (f *Flat) ClusterDegrees() []int32 {
+	deg := make([]int32, len(f.ClusterAS))
+	di := 0
+	for c, as := range f.ClusterAS {
+		if di = seek(f.DegKeys, di, as); di < len(f.DegKeys) && f.DegKeys[di] == as {
+			deg[c] = f.DegVals[di]
+		}
+	}
+	return deg
 }
 
 // RelOf returns the inferred relationship of y from x's perspective.
@@ -486,8 +500,6 @@ func (f *Flat) Validate() error {
 	}{
 		{"EdgeLat", len(f.EdgeLat)}, {"EdgeLoss", len(f.EdgeLoss)},
 		{"EdgePlanes", len(f.EdgePlanes)}, {"EdgeFlags", len(f.EdgeFlags)},
-		{"EdgeRel", len(f.EdgeRel)}, {"EdgeFromAS", len(f.EdgeFromAS)},
-		{"EdgeToAS", len(f.EdgeToAS)}, {"EdgeToDeg", len(f.EdgeToDeg)},
 	} {
 		if lens.got != ne {
 			return fmt.Errorf("atlas: flat: %s has %d entries, want %d edges", lens.name, lens.got, ne)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"inano/internal/cluster"
@@ -130,7 +131,9 @@ func TestFlatCompileMatchesMaps(t *testing.T) {
 // nothing of Compile in between: walking a.Links in order fills every CSR
 // bucket front to back (a bucket keeps the order links come in, which is
 // what breaks ties between equal-cost edges), and each edge carries its
-// link's annotations and the facts the maps hold for its two ASes.
+// link's annotations, its loss, and the flags the maps imply for its two
+// ASes. What else the search reads of those ASes the engine derives
+// (core's TestEngineDerivesEdgeFacts holds it to the maps).
 func edgesMatchMaps(t testing.TB, a *Atlas, f *Flat) {
 	t.Helper()
 	if f.NumEdges() != len(a.Links) {
@@ -157,10 +160,6 @@ func edgesMatchMaps(t testing.TB, a *Atlas, f *Flat) {
 		wantLate := !wantSame && a.LateExit[netsim.ASPairKey(fa, ta)]
 		if (f.EdgeFlags[ei]&EdgeLate != 0) != wantLate {
 			t.Fatalf("edge %d->%d late flag mismatch", l.From, l.To)
-		}
-		if f.EdgeFromAS[ei] != fa || f.EdgeToAS[ei] != ta ||
-			f.EdgeRel[ei] != a.RelOf(fa, ta) || f.EdgeToDeg[ei] != a.ASDegree[ta] {
-			t.Fatalf("edge %d->%d AS annotation mismatch", l.From, l.To)
 		}
 	}
 }
@@ -344,6 +343,33 @@ func TestFlatOpenRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFlatRefusesVersion1 checks that a file under a version 1 header —
+// the layout with four more per-edge sections — is refused by both
+// readers with the version named, and that WriteFlat writes version 2.
+func TestFlatRefusesVersion1(t *testing.T) {
+	_, f := flatFixture(t, 25)
+	var buf bytes.Buffer
+	if err := WriteFlat(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(buf.Bytes()[8:]); v != 2 {
+		t.Fatalf("WriteFlat wrote version %d, want 2", v)
+	}
+	old := slices.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint32(old[8:], 1)
+	const want = "unsupported version 1 (want 2)"
+	if _, err := ReadFlat(old); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadFlat of a version 1 file: %v, want an error containing %q", err, want)
+	}
+	path := filepath.Join(t.TempDir(), "v1.flat")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFlat(path, true); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenFlat of a version 1 file: %v, want an error containing %q", err, want)
+	}
+}
+
 // TestFlatValidateCatchesStructuralDamage mutates a valid Flat in ways a
 // checksum cannot catch (the file was written that way) and checks the
 // structural validator does, on the Flat and on the file written from it.
@@ -477,10 +503,9 @@ func checkFlatFile(t *testing.T, what string, data []byte) bool {
 			if _, ok := f.LinkAt(from, to); !ok {
 				t.Fatalf("%s: edge %d into cluster %d not found by LinkAt", what, ei, w)
 			}
-			_ = f.ClusterAS[from] + f.EdgeFromAS[ei] + f.EdgeToAS[ei]
+			_ = f.ClusterAS[from] + f.ClusterAS[to]
 			_ = f.EdgeLat[ei] + f.EdgeLoss[ei]
-			_ = f.EdgePlanes[ei] + f.EdgeFlags[ei] + uint8(f.EdgeRel[ei])
-			_ = f.EdgeToDeg[ei]
+			_ = f.EdgePlanes[ei] + f.EdgeFlags[ei]
 		}
 	}
 	return true
@@ -547,5 +572,33 @@ func TestFlatExtremeLatencyRoundTrip(t *testing.T) {
 	}
 	if got.EdgeLat[0] != math.MaxFloat32 && got.EdgeLat[1] != math.MaxFloat32 {
 		t.Fatal("extreme latency lost in round trip")
+	}
+}
+
+// TestSeekMatchesSearch holds seek to a binary search over the whole
+// table, for keys sought in ascending order, in any order, and absent.
+func TestSeekMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := range 200 {
+		keys := make([]uint64, rng.Intn(40))
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(100))
+		}
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		asked := make([]uint64, rng.Intn(60))
+		for i := range asked {
+			asked[i] = uint64(rng.Intn(110))
+		}
+		if round%2 == 0 {
+			slices.Sort(asked)
+		}
+		at := 0
+		for _, k := range asked {
+			want, _ := slices.BinarySearch(keys, k)
+			if at = seek(keys, at, k); at != want {
+				t.Fatalf("round %d: seek(%v, %d) = %d, want %d", round, keys, k, at, want)
+			}
+		}
 	}
 }

@@ -259,10 +259,10 @@ func (f *Flat) mergeAdjust(nf *Flat, d *Delta, st *RollStats) {
 // mergeLinks writes nf's CSR link table: f's edges without d.DelLinks and
 // with d.UpLinks upserted (an upsert wins over a deletion of its key),
 // every bucket in From order — the order map Apply's re-sort and Compile's
-// counting sort leave. A carried edge keeps its baked per-edge facts (its
-// clusters' ASes cannot change in a delta); a new edge gets them from f's
-// own relationship, late-exit and degree tables, which no delta touches.
-// EdgeLoss is rewritten from nf's already merged loss table.
+// counting sort leave. A carried edge keeps its flags (its clusters' ASes
+// cannot change in a delta); a new edge gets them from f's own late-exit
+// table, which no delta touches. EdgeLoss is rewritten from nf's already
+// merged loss table.
 func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 	n := int(nf.NumClusters)
 	inRange := func(c cluster.ClusterID) bool { return c >= 0 && int(c) < n }
@@ -301,22 +301,14 @@ func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 	lat := make([]float32, size)
 	planes := make([]uint8, size)
 	flags := make([]uint8, size)
-	rel := make([]netsim.Rel, size)
-	fromAS := make([]netsim.ASN, size)
-	toAS := make([]netsim.ASN, size)
-	toDeg := make([]int32, size)
 	o := 0
 	carry := func(ei uint32, latMS float32, pl uint8) {
-		from[o], lat[o], planes[o] = f.EdgeFrom[ei], latMS, pl
-		flags[o], rel[o] = f.EdgeFlags[ei], f.EdgeRel[ei]
-		fromAS[o], toAS[o], toDeg[o] = f.EdgeFromAS[ei], f.EdgeToAS[ei], f.EdgeToDeg[ei]
+		from[o], lat[o], planes[o], flags[o] = f.EdgeFrom[ei], latMS, pl, f.EdgeFlags[ei]
 		o++
 	}
 	create := func(l Link) {
-		fa, ta := nf.ClusterAS[l.From], nf.ClusterAS[l.To]
 		from[o], lat[o], planes[o] = l.From, l.LatencyMS, l.Planes
-		flags[o], rel[o], toDeg[o] = f.edgeFacts(fa, ta)
-		fromAS[o], toAS[o] = fa, ta
+		flags[o] = f.edgeFlags(nf.ClusterAS[l.From], nf.ClusterAS[l.To])
 		o++
 		st.LinksAdded++
 	}
@@ -387,8 +379,7 @@ func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 	}
 
 	nf.EdgeStart, nf.EdgeFrom, nf.EdgeLat, nf.EdgeLoss = start, from[:o], lat[:o], loss
-	nf.EdgePlanes, nf.EdgeFlags, nf.EdgeRel = planes[:o], flags[:o], rel[:o]
-	nf.EdgeFromAS, nf.EdgeToAS, nf.EdgeToDeg = fromAS[:o], toAS[:o], toDeg[:o]
+	nf.EdgePlanes, nf.EdgeFlags = planes[:o], flags[:o]
 }
 
 // fromOrder returns nil when every CSR bucket of f is already in ascending

@@ -30,7 +30,9 @@ import (
 // which must stay in lockstep). All integers are little-endian.
 const flatMagic = "INANOFL1"
 
-const flatVersion = 1
+// flatVersion 2 dropped version 1's four derivable per-edge sections
+// (relationship, From and To AS, To AS degree); version 1 is refused.
+const flatVersion = 2
 
 // flatHeaderSize is 8 (magic) + 4 + 4 + 8 + 4 + 4 — a multiple of 8 so
 // the payload (and every section in it) stays 8-byte aligned relative to
@@ -118,10 +120,6 @@ func writeFlatPayload(f *Flat) []byte {
 	secF32(w, f.EdgeLoss)
 	sec8(w, f.EdgePlanes)
 	sec8(w, f.EdgeFlags)
-	sec8(w, f.EdgeRel)
-	sec32(w, f.EdgeFromAS)
-	sec32(w, f.EdgeToAS)
-	sec32(w, f.EdgeToDeg)
 	sec32(w, f.PrefixClKeys)
 	sec32(w, f.PrefixClVals)
 	sec32(w, f.PrefixASKeys)
@@ -303,10 +301,6 @@ func parseFlat(data []byte, alias bool) (*Flat, error) {
 	f.EdgeLoss = rdSec32[float32](r)
 	f.EdgePlanes = rdSec8[uint8](r)
 	f.EdgeFlags = rdSec8[uint8](r)
-	f.EdgeRel = rdSec8[netsim.Rel](r)
-	f.EdgeFromAS = rdSec32[netsim.ASN](r)
-	f.EdgeToAS = rdSec32[netsim.ASN](r)
-	f.EdgeToDeg = rdSec32[int32](r)
 	f.PrefixClKeys = rdSec32[netsim.Prefix](r)
 	f.PrefixClVals = rdSec32[cluster.ClusterID](r)
 	f.PrefixASKeys = rdSec32[netsim.Prefix](r)

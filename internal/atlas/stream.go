@@ -107,10 +107,9 @@ type StreamInput struct {
 	// Clusters optionally supplies a precomputed (registry-stabilized)
 	// clustering; when nil the builder clusters pass-1 interfaces itself.
 	Clusters *cluster.Clustering
-	// LossProbes, Redundancy, DegreeThreshold as in BuildInput.
-	LossProbes      int
-	Redundancy      int
-	DegreeThreshold int
+	// LossProbes, Redundancy as in BuildInput.
+	LossProbes int
+	Redundancy int
 	// PrefsMaxDests caps the destination-AS count the preference
 	// inference runs BFS for (0 = unlimited, Build's behavior). Capping
 	// keeps million-prefix builds out of the O(dests * ASes) regime; the
@@ -174,9 +173,6 @@ func NewStreamBuilder(in StreamInput) *StreamBuilder {
 	}
 	if in.Redundancy <= 0 {
 		in.Redundancy = 2
-	}
-	if in.DegreeThreshold <= 0 {
-		in.DegreeThreshold = 5
 	}
 	return &StreamBuilder{
 		in:          in,
@@ -520,12 +516,11 @@ func (b *StreamBuilder) finishPaths(a *Atlas) ([]*weightedPath, map[netsim.ASN]m
 // 3-tuples, the providers and the relationships (Tuples, Providers, Rels).
 func (b *StreamBuilder) finishPathSets(a *Atlas, paths []*weightedPath) {
 	// 3-tuples with commutative closure, recorded only when the middle
-	// AS clears the degree threshold (low-degree edge ASes are too poorly
-	// observed for the check to be sound, §4.3.2).
+	// AS clears DegreeThreshold.
 	for _, u := range paths {
 		p := u.path
 		for i := 0; i+2 < len(p); i++ {
-			if int(a.ASDegree[p[i+1]]) <= b.in.DegreeThreshold {
+			if a.ASDegree[p[i+1]] <= DegreeThreshold {
 				continue
 			}
 			a.Tuples[PackTriple(p[i], p[i+1], p[i+2])] = true

@@ -413,11 +413,13 @@ func (e *Engine) resume(t *tree, sc *runScratch) {
 // relaxFrom relaxes all backtracking edges out of node wid (that is, atlas
 // edges arriving at wid's cluster, plus the synthetic cross edges), gated to
 // the given preference phase. The edge scan walks the flat atlas's CSR
-// bucket for wid's cluster — parallel arrays indexed by ei. An edge's tests
-// run cheapest first: the array reads that discard most edges, the cost
-// compare, and only for an edge that would change a label the set probes
-// of the export, provider and preference checks. All are pure, so the
-// order cannot change the outcome.
+// bucket for wid's cluster — parallel arrays indexed by ei. Every edge of
+// the bucket arrives in one AS, so its AS, and whether the export check
+// can apply, are read once for the node. An edge's tests run cheapest
+// first: the array reads that discard most edges, the cost compare, and
+// only for an edge that would change a label its source AS and the set
+// probes of the export, provider and preference checks. All are pure, so
+// the order cannot change the outcome.
 func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 	lab := sc.labels
 	wc := e.nodeCluster(wid)
@@ -428,6 +430,7 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 	wNextAS := lab[wid].nextAS
 	_, originAS := splitTreeKey(t.key)
 	f := e.f
+	toAS := f.ClusterAS[wc]
 
 	planeBit := uint8(1) // atlas.PlaneToDst
 	if wPlane == planeFromSrc {
@@ -435,6 +438,9 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 	}
 
 	threeTuple := e.opts.ThreeTuple
+	// Relationship-agnostic mode: validity comes from the observed export
+	// 3-tuples instead of the up/down construction, where they can apply.
+	checkTuples := threeTuple && wNextAS != 0 && wNextAS != toAS && e.clusterDeg[wc] > atlas.DegreeThreshold
 	for ei, end := f.EdgeStart[wc], f.EdgeStart[wc+1]; ei < end; ei++ {
 		if f.EdgePlanes[ei]&planeBit == 0 {
 			continue
@@ -445,7 +451,7 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 		if !threeTuple {
 			var edgePhase int
 			var ok bool
-			vUD, edgePhase, ok = graphTransition(sameAS, f.EdgeRel[ei], wUD)
+			vUD, edgePhase, ok = graphTransition(sameAS, e.edgeRel[ei], wUD)
 			if !ok || edgePhase > phase {
 				continue
 			}
@@ -456,7 +462,6 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 			continue
 		}
 		newCost, newPend := relaxCost(wCost, wPend, sameAS, flags&atlas.EdgeLate != 0, f.EdgeLat[ei])
-		toAS := f.EdgeToAS[ei]
 		vNextAS := wNextAS
 		if !sameAS {
 			vNextAS = toAS
@@ -468,16 +473,15 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 		if !improves && (newCost > v.cost || !e.opts.Preferences || vNextAS == v.nextAS) {
 			continue
 		}
-		// Relationship-agnostic mode: validity comes from the observed
-		// export 3-tuples instead of the up/down construction.
-		if threeTuple && !e.tupleOK(f, ei, sameAS, wNextAS) {
+		fromAS := f.ClusterAS[f.EdgeFrom[ei]]
+		if checkTuples && !sameAS && fromAS != wNextAS && !e.tupleOK(f, ei, fromAS, toAS, wNextAS) {
 			continue
 		}
 		if e.opts.Providers && !sameAS && toAS == originAS &&
-			!f.ProviderCheck(toAS, f.EdgeFromAS[ei]) {
+			!f.ProviderCheck(toAS, fromAS) {
 			continue // §4.3.4: must enter the origin AS via a provider
 		}
-		if !improves && !f.Prefers(f.EdgeFromAS[ei], vNextAS, v.nextAS) {
+		if !improves && !f.Prefers(fromAS, vNextAS, v.nextAS) {
 			continue
 		}
 		v.cost, v.pend, v.nextAS = newCost, newPend, vNextAS
@@ -561,19 +565,10 @@ func graphTransition(sameAS bool, rel netsim.Rel, wUD int) (vUD, phase int, ok b
 	}
 }
 
-// tupleOK applies the 3-tuple export check of §4.3.2 to extending a path
-// whose next AS after edge ei's target is wNextAS.
-func (e *Engine) tupleOK(f *atlas.Flat, ei uint32, sameAS bool, wNextAS netsim.ASN) bool {
-	if sameAS || wNextAS == 0 {
-		return true
-	}
-	fromAS, toAS := f.EdgeFromAS[ei], f.EdgeToAS[ei]
-	if toAS == wNextAS || fromAS == wNextAS || fromAS == toAS {
-		return true
-	}
-	if f.EdgeToDeg[ei] <= e.degThreshold {
-		return true // edge ASes are too poorly observed to enforce
-	}
+// tupleOK applies the 3-tuple export check of §4.3.2 to extending, over
+// inter-AS edge ei from fromAS into toAS, a path whose next AS after toAS
+// is wNextAS, once relaxFrom has found that the check applies.
+func (e *Engine) tupleOK(f *atlas.Flat, ei uint32, fromAS, toAS, wNextAS netsim.ASN) bool {
 	// The edge's run of f.Tuples: 0 until first asked, then 1<<63|lo<<32|hi.
 	run := e.tupleRuns[ei].Load()
 	if run == 0 {

@@ -59,9 +59,6 @@ type Options struct {
 	// Providers rejects paths entering the destination AS through an AS
 	// never observed as its provider (§4.3.4).
 	Providers bool
-	// DegreeThreshold gates the 3-tuple check on the middle AS's degree;
-	// 0 means the paper's default of 5.
-	DegreeThreshold int
 	// TreeCacheSize bounds the per-destination prediction tree cache;
 	// 0 means a default of 4096 trees. A tree is 4 bytes a node (clusters
 	// x 2 with Asymmetry, x 2 again without ThreeTuple): ~11 KB on the
@@ -104,10 +101,9 @@ type Engine struct {
 	f    *atlas.Flat
 	opts Options
 
-	numClusters  int
-	planes       int // 1 (TO_DST only) or 2 (with FROM_SRC)
-	statesPerCl  int // planes * (1 or 2 for up/down)
-	degThreshold int32
+	numClusters int
+	planes      int // 1 (TO_DST only) or 2 (with FROM_SRC)
+	statesPerCl int // planes * (1 or 2 for up/down)
 
 	trees *shardedTreeCache
 	// scratch pools per-extension Dijkstra working state (*runScratch: the
@@ -125,6 +121,12 @@ type Engine struct {
 	// (tupleOK): filled up front it would cost every day roll's new engine
 	// a search an edge, reached or not. Nil unless opts.ThreeTuple.
 	tupleRuns []atomic.Uint64
+	// clusterDeg is each cluster's AS degree, which gates the export check
+	// on the edges arriving there. Nil unless opts.ThreeTuple.
+	clusterDeg []int32
+	// edgeRel is each CSR edge's inferred relationship (To's AS from
+	// From's), what GRAPH's up/down construction reads. Nil with ThreeTuple.
+	edgeRel []netsim.Rel
 }
 
 // New builds an engine over a, compiling its flat serving form. The atlas
@@ -151,15 +153,12 @@ func NewFromFlat(f *atlas.Flat, opts Options) *Engine {
 // — and opts must equal prev's. Used when an applied delta changed
 // corrections only (a residual-only traceroute merge, a correction push),
 // where NewFromFlat would needlessly cold-start a warm serving cache; prev
-// keeps working, sharing the cache (and edgeTo and the tuple runs: same
-// links, same 3-tuple set), which the new engine then does not build. A
-// nil prev is NewFromFlat.
+// keeps working, sharing the cache (and what is derived per edge and per
+// cluster: same links, same ASes and policy tables), which the new engine
+// then does not build. A nil prev is NewFromFlat.
 func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 	if f.NumEdges() >= maxEdges {
 		panic(fmt.Sprintf("core: link table of %d edges, a tree's hop word holds %d", f.NumEdges(), maxEdges-1))
-	}
-	if opts.DegreeThreshold <= 0 {
-		opts.DegreeThreshold = 5
 	}
 	if opts.TreeCacheSize <= 0 {
 		opts.TreeCacheSize = 4096
@@ -171,7 +170,6 @@ func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 		}
 	}
 	e := &Engine{f: f, opts: opts, numClusters: int(f.NumClusters)}
-	e.degThreshold = int32(opts.DegreeThreshold)
 	e.planes = 1
 	if opts.Asymmetry {
 		e.planes = 2
@@ -184,18 +182,24 @@ func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 	e.scratch.New = func() any { return newRunScratch(n) }
 	if prev != nil {
 		e.trees, e.edgeTo, e.tupleRuns = prev.trees, prev.edgeTo, prev.tupleRuns
+		e.clusterDeg, e.edgeRel = prev.clusterDeg, prev.edgeRel
 		return e
 	}
 	e.trees = newShardedTreeCache(opts.TreeCacheSize, opts.TreeCacheShards)
 	e.edgeTo = make([]cluster.ClusterID, f.NumEdges())
-	for w := range e.numClusters {
-		bucket := e.edgeTo[f.EdgeStart[w]:f.EdgeStart[w+1]]
-		for i := range bucket {
-			bucket[i] = cluster.ClusterID(w)
-		}
-	}
 	if opts.ThreeTuple {
 		e.tupleRuns = make([]atomic.Uint64, f.NumEdges())
+		e.clusterDeg = f.ClusterDegrees()
+	} else {
+		e.edgeRel = make([]netsim.Rel, f.NumEdges())
+	}
+	for w := range e.numClusters {
+		for ei := f.EdgeStart[w]; ei < f.EdgeStart[w+1]; ei++ {
+			e.edgeTo[ei] = cluster.ClusterID(w)
+			if !opts.ThreeTuple {
+				e.edgeRel[ei] = f.RelOf(f.ClusterAS[f.EdgeFrom[ei]], f.ClusterAS[w])
+			}
+		}
 	}
 	return e
 }

@@ -508,3 +508,50 @@ func TestCostPacking(t *testing.T) {
 		t.Fatal("hop ordering broken")
 	}
 }
+
+// TestEngineDerivesEdgeFacts holds what an engine derives of its edges'
+// ASes, which the flat form no longer carries, to the map atlas: a GRAPH
+// engine's relationship for each edge is Flat.RelOf of the edge's end ASes
+// and the maps' own, and an iNano engine's degree for each cluster is its
+// AS's in the maps. An engine that adopts a cache adopts both.
+func TestEngineDerivesEdgeFacts(t *testing.T) {
+	w := buildWorld(t, 61)
+	a := w.a
+	graph, inano := New(a, GraphOptions()), New(a, INanoOptions())
+	f := graph.f
+	if graph.clusterDeg != nil || inano.edgeRel != nil {
+		t.Fatal("an engine derived what its options never read")
+	}
+	if len(graph.edgeRel) != f.NumEdges() || len(inano.clusterDeg) != int(f.NumClusters) {
+		t.Fatalf("%d relationships for %d edges, %d degrees for %d clusters",
+			len(graph.edgeRel), f.NumEdges(), len(inano.clusterDeg), f.NumClusters)
+	}
+	gated, rels := 0, 0
+	for c := range int(f.NumClusters) {
+		ta := a.ClusterAS[c]
+		if inano.clusterDeg[c] != a.ASDegree[ta] {
+			t.Fatalf("cluster %d (AS %d): degree %d, want %d", c, ta, inano.clusterDeg[c], a.ASDegree[ta])
+		}
+		if inano.clusterDeg[c] > atlas.DegreeThreshold {
+			gated++
+		}
+		for ei := f.EdgeStart[c]; ei < f.EdgeStart[c+1]; ei++ {
+			fa := a.ClusterAS[f.EdgeFrom[ei]]
+			if got := graph.edgeRel[ei]; got != f.RelOf(fa, ta) || got != a.RelOf(fa, ta) {
+				t.Fatalf("edge %d (AS %d -> %d): relationship %v, Flat.RelOf %v, maps %v", ei, fa, ta, got, f.RelOf(fa, ta), a.RelOf(fa, ta))
+			}
+			if graph.edgeRel[ei] != netsim.RelNone {
+				rels++
+			}
+		}
+	}
+	if gated == 0 || gated == int(f.NumClusters) || rels == 0 {
+		t.Fatalf("%d of %d clusters gated, %d edges with a relationship: the world exercises neither side", gated, f.NumClusters, rels)
+	}
+	if next := NewWithCache(f, graph.opts, graph); &next.edgeRel[0] != &graph.edgeRel[0] {
+		t.Fatal("NewWithCache derived its own relationships")
+	}
+	if next := NewWithCache(f, inano.opts, inano); &next.clusterDeg[0] != &inano.clusterDeg[0] {
+		t.Fatal("NewWithCache derived its own degrees")
+	}
+}

@@ -128,9 +128,6 @@ type refEdge struct {
 }
 
 func newRefEngine(a *atlas.Atlas, opts Options) *refEngine {
-	if opts.DegreeThreshold <= 0 {
-		opts.DegreeThreshold = 5
-	}
 	r := &refEngine{a: a, opts: opts, numClusters: a.NumClusters}
 	r.planes = 1
 	if opts.Asymmetry {
@@ -367,7 +364,7 @@ func (r *refEngine) tupleOK(ed *refEdge, wNextAS netsim.ASN) bool {
 	if ed.toAS == wNextAS || ed.fromAS == wNextAS || ed.fromAS == ed.toAS {
 		return true
 	}
-	if int(r.a.ASDegree[ed.toAS]) <= r.opts.DegreeThreshold {
+	if r.a.ASDegree[ed.toAS] <= atlas.DegreeThreshold {
 		return true
 	}
 	return r.a.HasTuple(ed.fromAS, ed.toAS, wNextAS)

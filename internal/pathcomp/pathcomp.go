@@ -52,8 +52,6 @@ type Options struct {
 	// Improved applies iNano's 3-tuple and preference checks when
 	// splicing (the "improved path-based" bars of Fig. 5).
 	Improved bool
-	// DegreeThreshold gates the tuple check (default 5).
-	DegreeThreshold int
 }
 
 // BuildFromTraces constructs the path atlas from measured traceroutes,
@@ -140,9 +138,6 @@ type Prediction struct {
 // (AS hops, latency estimate), the heuristic that iPlane found to best
 // match real routes.
 func (a *Atlas) Predict(src, dst netsim.Prefix, opts Options) Prediction {
-	if opts.DegreeThreshold <= 0 {
-		opts.DegreeThreshold = 5
-	}
 	outs := a.bySrc[src]
 	ins := a.byDst[dst]
 	if len(outs) == 0 || len(ins) == 0 {
@@ -174,7 +169,7 @@ func (a *Atlas) Predict(src, dst netsim.Prefix, opts Options) Prediction {
 			for _, op := range outAt[c] {
 				o := &a.Paths[op.oi]
 				cd := cand{out: op.oi, in: ii, oc: op.oc, ic: ic}
-				if opts.Improved && !a.spliceOK(o, op.oc, ip, ic, opts.DegreeThreshold) {
+				if opts.Improved && !a.spliceOK(o, op.oc, ip, ic) {
 					continue
 				}
 				cd.asHops = asHopsOf(o.AS[:op.oc+1]) + asHopsOf(ip.AS[ic:])
@@ -278,14 +273,14 @@ func nextASAfter(as []netsim.ASN, i int) netsim.ASN {
 
 // spliceOK applies the Improved variant's 3-tuple check to the AS sequence
 // prior to, at, and after the intersection (§6.3.1).
-func (a *Atlas) spliceOK(op *StoredPath, oc int, ip *StoredPath, ic int, thresh int) bool {
+func (a *Atlas) spliceOK(op *StoredPath, oc int, ip *StoredPath, ic int) bool {
 	at := op.AS[oc]
 	prev := prevASBefore(op.AS, oc)
 	next := nextASAfter(ip.AS, ic)
 	if prev == 0 || next == 0 || prev == next || prev == at || at == next {
 		return true
 	}
-	if int(a.link.ASDegree[at]) <= thresh {
+	if a.link.ASDegree[at] <= atlas.DegreeThreshold {
 		return true
 	}
 	return a.link.HasTuple(prev, at, next)

@@ -50,7 +50,7 @@ func goldenBuild(t testing.TB, scale Scale, seed int64) (bins [2][]byte, delta [
 
 // servedFlats returns what a peer serves from after a full load of day 0,
 // after one of day 1, and after following day 0 with the delta: each
-// decoded from the wire and written as INANOFL1.
+// decoded from the wire and written as a flat file.
 func servedFlats(t testing.TB, bins [2][]byte, delta []byte) (flats [3][]byte) {
 	t.Helper()
 	var decoded [2]*atlas.Flat
@@ -86,9 +86,12 @@ func servedFlats(t testing.TB, bins [2][]byte, delta []byte) (flats [3][]byte) {
 // column-major sections, split keys, each link pair written once. The
 // served forms (flat0, flat1, followed) were pinned under v3 and did not
 // move when v4 replaced it — the proof that the wire change moved the
-// encoding and nothing a peer serves from. A change that moves a wire pin
-// but no served one has changed only the encoding; one that moves a served
-// pin has changed the world or the decoders.
+// encoding and nothing a peer serves from. They were re-pinned once, when
+// the flat file moved to version 2 (four derivable per-edge sections
+// dropped), with the wire pins and TestAnswerDigest unmoved. A change that
+// moves a wire pin but no served one has changed only the encoding; one
+// that moves a served pin has changed the world, the decoders or the flat
+// layout, and TestAnswerDigest tells which.
 func TestBuildGoldenBytes(t *testing.T) {
 	type artifact struct {
 		sum  string // leading bytes of the SHA-256, hex
@@ -99,18 +102,18 @@ func TestBuildGoldenBytes(t *testing.T) {
 		scale             Scale
 		seed              int64
 		day0, day1, delta artifact
-		// What a peer serves from (INANOFL1): day 0 and day 1 loaded in
-		// full, and day 0 followed by the delta.
+		// What a peer serves from (the flat file): day 0 and day 1 loaded
+		// in full, and day 0 followed by the delta.
 		flat0, flat1, followed artifact
 	}{
 		{"tiny_seed1", Tiny, 1, artifact{"c165e301", 3742}, artifact{"41e85652", 3658}, artifact{"c2062707", 1176},
-			artifact{"e0d5a10a", 38792}, artifact{"738e3565", 36408}, artifact{"043d57f4", 37280}},
+			artifact{"ac40d99d", 30512}, artifact{"6c8ccdcc", 28704}, artifact{"6defae10", 29576}},
 		{"tiny_seed2", Tiny, 2, artifact{"c51bb29d", 3807}, artifact{"30030df9", 3828}, artifact{"163966d7", 940},
-			artifact{"4093831d", 39864}, artifact{"a25a1c6f", 39872}, artifact{"013fbe93", 39712}},
+			artifact{"3884fc86", 30704}, artifact{"eb8dc8b4", 30792}, artifact{"ed98101f", 30632}},
 		{"medium_seed1", Medium, 1, artifact{"c5a16a4e", 30126}, artifact{"700d774c", 30299}, artifact{"3729da28", 7695},
-			artifact{"0cd5c4b8", 306952}, artifact{"6807efcd", 305344}, artifact{"0bd70041", 307128}},
+			artifact{"4da91065", 244072}, artifact{"45fea50e", 242128}, artifact{"b3327c8b", 243912}},
 		{"medium_seed2", Medium, 2, artifact{"5004c0dd", 29487}, artifact{"2da48ab3", 29975}, artifact{"8ce6f400", 6206},
-			artifact{"60e0072b", 287784}, artifact{"db3eb8c7", 289896}, artifact{"79b98f16", 289648}},
+			artifact{"44dbd0ff", 226520}, artifact{"a77c36a6", 228088}, artifact{"e61546dd", 227840}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
