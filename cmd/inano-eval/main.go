@@ -21,7 +21,7 @@
 // paths serve byte-identical answers and (optionally) that peak RSS
 // stayed under a bound:
 //
-//	inano-eval -scale-build -scale-ases 50000 -scale-prefixes 1000000 -max-rss-mb 12288
+//	inano-eval -scale-build -scale-ases 50000 -scale-prefixes 1000000 -max-rss-mb 2036
 //
 // With -loadgen it instead drives a running inanod daemon with serving
 // workloads (concurrent singles or streamed batches) and reports

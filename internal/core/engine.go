@@ -187,18 +187,19 @@ func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 	}
 	e.trees = newShardedTreeCache(opts.TreeCacheSize, opts.TreeCacheShards)
 	e.edgeTo = make([]cluster.ClusterID, f.NumEdges())
+	for w := range e.numClusters {
+		bucket := e.edgeTo[f.EdgeStart[w]:f.EdgeStart[w+1]]
+		for i := range bucket {
+			bucket[i] = cluster.ClusterID(w)
+		}
+	}
 	if opts.ThreeTuple {
 		e.tupleRuns = make([]atomic.Uint64, f.NumEdges())
 		e.clusterDeg = f.ClusterDegrees()
 	} else {
 		e.edgeRel = make([]netsim.Rel, f.NumEdges())
-	}
-	for w := range e.numClusters {
-		for ei := f.EdgeStart[w]; ei < f.EdgeStart[w+1]; ei++ {
-			e.edgeTo[ei] = cluster.ClusterID(w)
-			if !opts.ThreeTuple {
-				e.edgeRel[ei] = f.RelOf(f.ClusterAS[f.EdgeFrom[ei]], f.ClusterAS[w])
-			}
+		for ei, w := range e.edgeTo {
+			e.edgeRel[ei] = f.RelOf(f.ClusterAS[f.EdgeFrom[ei]], f.ClusterAS[w])
 		}
 	}
 	return e
