@@ -128,7 +128,7 @@ func main() {
 
 	var agg *feedback.Aggregator
 	if *aggregate {
-		agg = feedback.NewAggregator(feedback.AggregatorConfig{})
+		agg = feedback.NewAggregator()
 	} else if *obsSnapshot != "" {
 		fatal(errors.New("-obs-snapshot requires -aggregate"))
 	}
@@ -175,7 +175,7 @@ func main() {
 	// queue into an uploader that periodically flushes to the build server.
 	var uploader *inano.Uploader
 	if *uploadURL != "" {
-		uploader = inano.NewUploader(inano.UploaderConfig{URL: *uploadURL})
+		uploader = inano.NewUploader(*uploadURL)
 		watchers.Add(1)
 		go func() {
 			defer watchers.Done()
@@ -324,7 +324,7 @@ func simProber(spec string, day func() int) (feedback.Prober, error) {
 	}
 	w := sim.NewWorld(scale, seed)
 	return feedback.ProberFunc(func(ctx context.Context, src, dst inano.Prefix) (feedback.Traceroute, error) {
-		m := trace.NewMeter(w.Sim.Day(day()), trace.DefaultOptions())
+		m := trace.NewMeter(w.Sim.Day(day()))
 		return feedback.SimProber{Meter: m}.Probe(ctx, src, dst)
 	}), nil
 }

@@ -32,7 +32,7 @@ func main() {
 
 	// The build server: serves the atlas and aggregates uploaded
 	// observations (inanod -aggregate).
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	srv := server.New(server.Config{
 		Client:     inano.FromAtlas(base.Clone()),
 		Aggregator: agg,
@@ -47,7 +47,7 @@ func main() {
 	shipped := 0
 	for _, me := range reporters {
 		c := inano.FromAtlas(base.Clone())
-		up := inano.NewUploader(inano.UploaderConfig{URL: ts.URL + "/v1/observations"})
+		up := inano.NewUploader(ts.URL + "/v1/observations")
 		for _, p := range peers {
 			truth, ok := w.TrueRTT(0, me, p)
 			if !ok {

@@ -30,23 +30,23 @@ type (
 	UpstreamObservation = feedback.UpstreamObservation
 	// Uploader batches and ships corrective observations upstream.
 	Uploader = feedback.Uploader
-	// UploaderConfig tunes upstream observation shipping.
-	UploaderConfig = feedback.UploaderConfig
 )
 
 // NewUploader builds an uploader shipping this host's corrective
-// observations to a build server's POST /v1/observations endpoint — the
-// upstream half of the measurement loop (§5 both ways: the aggregate of
+// observations to url, a build server's POST /v1/observations endpoint —
+// the upstream half of the measurement loop (§5 both ways: the aggregate of
 // everyone's corrections comes back to every peer in the next daily
 // delta). Wire it into a corrector through the Observe hook:
 //
-//	up := inano.NewUploader(inano.UploaderConfig{URL: buildURL + "/v1/observations"})
+//	up := inano.NewUploader(buildURL + "/v1/observations")
 //	cor := client.NewCorrector(prober, inano.CorrectorConfig{Observe: up.Observe})
 //	// ... periodically: up.Flush(ctx)
 //
 // Sharing is strictly opt-in: a client that never constructs an uploader
-// shares nothing.
-func NewUploader(cfg UploaderConfig) *Uploader { return feedback.NewUploader(cfg) }
+// shares nothing. It holds up to 1024 observations (the oldest dropped
+// first), ships at most 256 a POST, and tries a POST three times, 500 ms
+// and then 1 s apart.
+func NewUploader(url string) *Uploader { return feedback.NewUploader(url) }
 
 // ObserveRTT reports an application-observed round-trip time for traffic
 // from src to dst and returns how it compares with the current
@@ -79,10 +79,6 @@ func (c *Client) ObserveRTTContext(ctx context.Context, src, dst IP, observedMS 
 	}
 	return c.tracker.Record(cluster, rq.Src, rq.Dst, info.RTTMS, observedMS, info.Found, time.Now()), nil
 }
-
-// FeedbackTracker exposes the client's error tracker (for serving-side
-// scheduling and introspection).
-func (c *Client) FeedbackTracker() *feedback.Tracker { return c.tracker }
 
 // FeedbackStats summarizes the client's tracked prediction error.
 func (c *Client) FeedbackStats() FeedbackStats { return c.tracker.Stats() }

@@ -45,6 +45,16 @@
 // no query ever waits for one: queries in flight finish on the engine they
 // started on, later ones see the new atlas — and, when the change emptied
 // the prediction-tree cache, find yesterday's trees being rebuilt behind it.
+//
+// # Measurement feedback
+//
+// ObserveRTT scores an application's measured RTT against the prediction
+// and folds the error into the client's tracker (feedback.NewTracker(),
+// which takes no settings: a new sample weighs 0.25, at most 4096
+// destination clusters are tracked, and error older than 15 minutes is
+// not acted on); NewCorrector spends corrective traceroutes on the worst
+// of them. Sharing the corrections with a build server is opt-in, through
+// NewUploader(url), which takes only the server's observation endpoint.
 package inano
 
 import (
@@ -76,12 +86,8 @@ type (
 	PathInfo = core.PathInfo
 	// Prediction is a one-way predicted path.
 	Prediction = core.Prediction
-	// Options selects the prediction algorithm variant.
-	Options = core.Options
 	// CacheStats reports prediction-tree cache counters.
 	CacheStats = core.CacheStats
-	// Atlas is the in-memory atlas.
-	Atlas = atlas.Atlas
 	// Delta is a day-over-day atlas update.
 	Delta = atlas.Delta
 	// Manifest describes a swarmed atlas file.
@@ -147,7 +153,7 @@ func FromFlatOptions(f *atlas.Flat, opts core.Options) *Client {
 	c := &Client{
 		opts:         opts,
 		localCluster: make(map[Prefix]int32),
-		tracker:      feedback.NewTracker(feedback.TrackerConfig{}),
+		tracker:      feedback.NewTracker(),
 	}
 	c.engine.Store(core.NewFromFlat(f, opts))
 	return c

@@ -17,9 +17,9 @@ import (
 func buildTestAtlas(t testing.TB, seed int64, day int) (*Atlas, *netsim.Topology, *bgpsim.Sim) {
 	t.Helper()
 	top := netsim.Generate(netsim.TestConfig(seed))
-	sim := bgpsim.New(top, bgpsim.DefaultConfig())
+	sim := bgpsim.New(top)
 	dv := sim.Day(day)
-	m := trace.NewMeter(dv, trace.DefaultOptions())
+	m := trace.NewMeter(dv)
 	vps := trace.SelectVantagePoints(top, 12)
 	targets := top.EdgePrefixes
 	if len(targets) > 80 {

@@ -41,10 +41,6 @@ type BuildInput struct {
 	// production server's persistent registry would). When nil, the
 	// builder clusters the observed interfaces itself.
 	Clusters *cluster.Clustering
-	// LossProbes is the probe-train length per link loss measurement.
-	LossProbes int
-	// Redundancy is the frontier assignment redundancy.
-	Redundancy int
 }
 
 // DefaultFeeds picks the highest-degree ASes as BGP route collectors.
@@ -80,11 +76,9 @@ func DefaultFeeds(top *netsim.Topology, n int) []netsim.ASN {
 // out-of-core trace stream.
 func Build(in BuildInput) *Atlas {
 	sb := NewStreamBuilder(StreamInput{
-		Tools:      NewSimTools(in.Top, in.Day, in.Meter, in.BGPFeeds, in.ClusterCfg),
-		Day:        in.Day.DayNum(),
-		Clusters:   in.Clusters,
-		LossProbes: in.LossProbes,
-		Redundancy: in.Redundancy,
+		Tools:    NewSimTools(in.Top, in.Day, in.Meter, in.BGPFeeds, in.ClusterCfg),
+		Day:      in.Day.DayNum(),
+		Clusters: in.Clusters,
 	})
 	forEachTrace(in, func(tr *trace.Traceroute, _ bool) { sb.ObserveIfaces(tr) })
 	sb.StartTraces()

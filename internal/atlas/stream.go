@@ -107,9 +107,6 @@ type StreamInput struct {
 	// Clusters optionally supplies a precomputed (registry-stabilized)
 	// clustering; when nil the builder clusters pass-1 interfaces itself.
 	Clusters *cluster.Clustering
-	// LossProbes, Redundancy as in BuildInput.
-	LossProbes int
-	Redundancy int
 	// PrefsMaxDests caps the destination-AS count the preference
 	// inference runs BFS for (0 = unlimited, Build's behavior). Capping
 	// keeps million-prefix builds out of the O(dests * ASes) regime; the
@@ -168,12 +165,6 @@ type StreamBuilder struct {
 
 // NewStreamBuilder prepares an out-of-core build.
 func NewStreamBuilder(in StreamInput) *StreamBuilder {
-	if in.LossProbes <= 0 {
-		in.LossProbes = 100
-	}
-	if in.Redundancy <= 0 {
-		in.Redundancy = 2
-	}
 	return &StreamBuilder{
 		in:          in,
 		ifaceSet:    make(map[netsim.IP]bool),
@@ -374,6 +365,14 @@ func (b *StreamBuilder) Finish() *Atlas {
 	return a
 }
 
+const (
+	// linkRedundancy is how many observing vantage points the frontier
+	// assignment puts on each link to measure its latency.
+	linkRedundancy = 2
+	// lossProbes is the probe-train length per link loss measurement.
+	lossProbes = 100
+)
+
 // finishLinks annotates the observed links (Links, Loss) and detects
 // late-exit adjacencies among them (LateExit).
 func (b *StreamBuilder) finishLinks(a *Atlas) {
@@ -393,7 +392,7 @@ func (b *StreamBuilder) finishLinks(a *Atlas) {
 			}
 		}
 	}
-	assign := frontier.Assign(observers, in.Redundancy)
+	assign := frontier.Assign(observers, linkRedundancy)
 	for i, k := range keys {
 		li := b.links[k]
 		phys := in.Tools.PhysicalLink(li.popA, li.popB)
@@ -418,7 +417,7 @@ func (b *StreamBuilder) finishLinks(a *Atlas) {
 			Planes:    li.planes,
 		})
 		if len(assign[i]) > 0 && phys >= 0 {
-			loss := in.Tools.MeasureLinkLoss(phys, li.popA, in.LossProbes)
+			loss := in.Tools.MeasureLinkLoss(phys, li.popA, lossProbes)
 			if loss >= 0.005 {
 				a.Loss[k] = float32(loss)
 			}

@@ -18,9 +18,9 @@ import (
 // byte-identical to Build's.
 func TestStreamBuilderMatchesBuild(t *testing.T) {
 	top := netsim.Generate(netsim.TestConfig(91))
-	sim := bgpsim.New(top, bgpsim.DefaultConfig())
+	sim := bgpsim.New(top)
 	dv := sim.Day(0)
-	m := trace.NewMeter(dv, trace.DefaultOptions())
+	m := trace.NewMeter(dv)
 	vps := trace.SelectVantagePoints(top, 10)
 	targets := top.EdgePrefixes
 	if len(targets) > 60 {

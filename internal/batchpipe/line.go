@@ -27,6 +27,10 @@ import (
 	"inano/internal/netsim"
 )
 
+// MaxLineBytes caps one request line, on a replica and on the router
+// alike: a longer line ends the stream with its terminal line.
+const MaxLineBytes = 64 << 10
+
 // Line is one parsed request line. A canonical line leaves Src and Dst
 // empty: the addresses' canonical text is the line's own. Any other line
 // keeps the request's strings verbatim, for the echo.

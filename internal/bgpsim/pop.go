@@ -164,7 +164,7 @@ func (v *Day) PoPPath(srcPoP netsim.PoPID, dst netsim.Prefix) (Path, bool) {
 				cost += l.LatencyMS + top.PoPs[far].Loc.Dist(dstLoc)*top.Cfg.MSPerUnit
 			}
 			// Day-varying IGP noise flips near-tie exit choices.
-			cost = (cost + 0.1) * (1 + v.sim.Cfg.ExitNoiseFrac*hashFloat(mix(pair.salt, uint64(lid), uint64(cur), 0)))
+			cost = (cost + 0.1) * (1 + exitNoiseFrac*hashFloat(mix(pair.salt, uint64(lid), uint64(cur), 0)))
 			if cost < bestCost || (cost == bestCost && lid < best) {
 				best, bestCost = lid, cost
 				bestNear, bestFar = near, far

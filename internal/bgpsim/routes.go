@@ -246,12 +246,12 @@ func (v *Day) computeTE(p netsim.Prefix) teOverride {
 	// Chain per-day TE re-rolls like quirks.
 	last := 0
 	for d := 1; d <= v.day; d++ {
-		if hashFloat(mix(uint64(s.seed), 0xcc, uint64(p), uint64(d))) < s.Cfg.TEChurnPerDay {
+		if hashFloat(mix(uint64(s.seed), 0xcc, uint64(p), uint64(d))) < teChurnPerDay {
 			last = d
 		}
 	}
 	salt := mix(uint64(s.seed), 0xcd, uint64(p), uint64(last))
-	if hashFloat(mix(salt, 1, 0, 0)) >= s.Cfg.TEFrac {
+	if hashFloat(mix(salt, 1, 0, 0)) >= teFrac {
 		return teOverride{}
 	}
 	origin, ok := s.Top.PrefixOrigin[p]

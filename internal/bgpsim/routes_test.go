@@ -10,7 +10,7 @@ import (
 func testSim(t *testing.T, seed int64) *Sim {
 	t.Helper()
 	top := netsim.Generate(netsim.TestConfig(seed))
-	return New(top, DefaultConfig())
+	return New(top)
 }
 
 func TestAllPrefixesReachable(t *testing.T) {
@@ -111,7 +111,7 @@ func TestASPathNoLoops(t *testing.T) {
 
 func TestRoutesDeterministicPerDay(t *testing.T) {
 	s1 := testSim(t, 4)
-	s2 := New(s1.Top, DefaultConfig())
+	s2 := New(s1.Top)
 	d1, d2 := s1.Day(3), s2.Day(3)
 	for _, dst := range s1.Top.EdgePrefixes[:10] {
 		for _, src := range sampleASNs(s1.Top, 8) {

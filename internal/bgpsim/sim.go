@@ -19,49 +19,36 @@ import (
 	"inano/internal/netsim"
 )
 
-// Config tunes the routing simulation.
-type Config struct {
-	// QuirkChurnPerDay is the per-day probability that one AS re-rolls its
+// Churn rates, calibrated so that roughly half of PoP-level paths are
+// identical across consecutive days, matching the stationarity the paper
+// measures (Fig. 4).
+const (
+	// quirkChurnPerDay is the per-day probability that one AS re-rolls its
 	// neighbor tie-break ordering.
-	QuirkChurnPerDay float64
-	// TEFrac is the fraction of edge prefixes whose routes are deflected
+	quirkChurnPerDay = 0.06
+	// teFrac is the fraction of edge prefixes whose routes are deflected
 	// by per-prefix traffic engineering on a given day.
-	TEFrac float64
-	// TEChurnPerDay is the per-day probability that a prefix's TE decision
+	teFrac = 0.08
+	// teChurnPerDay is the per-day probability that a prefix's TE decision
 	// re-rolls.
-	TEChurnPerDay float64
-	// LossChurnPerDay is the per-day probability that a directed link's
+	teChurnPerDay = 0.35
+	// lossChurnPerDay is the per-day probability that a directed link's
 	// loss rate re-rolls.
-	LossChurnPerDay float64
-	// ExitNoiseFrac scales the multiplicative noise applied to candidate
+	lossChurnPerDay = 0.8
+	// exitNoiseFrac scales the multiplicative noise applied to candidate
 	// exit-link costs during PoP-level path expansion, modeling IGP weight
 	// changes and intradomain load balancing that flip near-tie exit
 	// choices without changing the AS path.
-	ExitNoiseFrac float64
-	// ExitChurnPerDay is the per-day probability that one AS adjacency's
+	exitNoiseFrac = 0.5
+	// exitChurnPerDay is the per-day probability that one AS adjacency's
 	// exit noise re-rolls.
-	ExitChurnPerDay float64
-}
-
-// DefaultConfig returns churn rates calibrated so that roughly half of
-// PoP-level paths are identical across consecutive days, matching the
-// stationarity the paper measures (Fig. 4).
-func DefaultConfig() Config {
-	return Config{
-		QuirkChurnPerDay: 0.06,
-		TEFrac:           0.08,
-		TEChurnPerDay:    0.35,
-		LossChurnPerDay:  0.8,
-		ExitNoiseFrac:    0.5,
-		ExitChurnPerDay:  0.65,
-	}
-}
+	exitChurnPerDay = 0.65
+)
 
 // Sim is the routing simulator. It is safe for concurrent use; per-day route
 // state is built lazily and cached.
 type Sim struct {
 	Top *netsim.Topology
-	Cfg Config
 
 	seed int64
 
@@ -74,10 +61,9 @@ type Sim struct {
 }
 
 // New creates a simulator over top.
-func New(top *netsim.Topology, cfg Config) *Sim {
+func New(top *netsim.Topology) *Sim {
 	s := &Sim{
 		Top:   top,
-		Cfg:   cfg,
 		seed:  top.Cfg.Seed*0x9e3779b9 + 0x1234,
 		days:  make(map[int]*Day),
 		intra: &intraCache{top: top, byAS: make([]filled[*intraAS], len(top.ASes)), idx: make([]int32, len(top.PoPs))},
@@ -123,7 +109,7 @@ func (s *Sim) Day(d int) *Day {
 func (s *Sim) quirkSaltFor(a netsim.ASN, day int) uint64 {
 	last := 0
 	for d := 1; d <= day; d++ {
-		if hashFloat(mix(uint64(s.seed), 0x71, uint64(a), uint64(d))) < s.Cfg.QuirkChurnPerDay {
+		if hashFloat(mix(uint64(s.seed), 0x71, uint64(a), uint64(d))) < quirkChurnPerDay {
 			last = d
 		}
 	}
@@ -134,7 +120,7 @@ func (s *Sim) quirkSaltFor(a netsim.ASN, day int) uint64 {
 func (s *Sim) exitSaltFor(pairKey uint64, day int) uint64 {
 	last := 0
 	for d := 1; d <= day; d++ {
-		if hashFloat(mix(uint64(s.seed), 0xee, pairKey, uint64(d))) < s.Cfg.ExitChurnPerDay {
+		if hashFloat(mix(uint64(s.seed), 0xee, pairKey, uint64(d))) < exitChurnPerDay {
 			last = d
 		}
 	}
@@ -143,14 +129,11 @@ func (s *Sim) exitSaltFor(pairKey uint64, day int) uint64 {
 
 // Loss rates churn on quarter-day boundaries so the 6/12/24-hour
 // stationarity experiment (§6.2.2) has sub-day dynamics; the per-quarter
-// churn probability compounds to LossChurnPerDay over four quarters.
+// churn probability compounds to lossChurnPerDay over four quarters.
 const lossQuartersPerDay = 4
 
 func (s *Sim) lossChurnPerQuarter() float64 {
-	d := s.Cfg.LossChurnPerDay
-	if d <= 0 {
-		return 0
-	}
+	d := float64(lossChurnPerDay) // 1-d in float64, not in exact constant arithmetic
 	return 1 - math.Pow(1-d, 1.0/lossQuartersPerDay)
 }
 
@@ -209,7 +192,7 @@ func (s *Sim) AccessLoss(p netsim.Prefix, day int) float64 {
 	}
 	last := 0
 	for d := 1; d <= day; d++ {
-		if hashFloat(mix(uint64(s.seed), 0xaa, uint64(p), uint64(d))) < s.Cfg.LossChurnPerDay {
+		if hashFloat(mix(uint64(s.seed), 0xaa, uint64(p), uint64(d))) < lossChurnPerDay {
 			last = d
 		}
 	}

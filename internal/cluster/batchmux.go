@@ -85,7 +85,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	}
 
 	scanner := bufio.NewScanner(r.Body)
-	scanner.Buffer(make([]byte, 0, 4096), rt.cfg.MaxLineBytes)
+	scanner.Buffer(make([]byte, 0, 4096), batchpipe.MaxLineBytes)
 	st, slot := batchpipe.Start(w, rc, func(win *routedWindow) ([]byte, int, error) {
 		return rt.answerWindow(ctx, win)
 	})

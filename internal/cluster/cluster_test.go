@@ -10,8 +10,8 @@ import (
 
 func observedIfaces(t *testing.T, top *netsim.Topology, seed int64) ([]netsim.IP, *trace.Campaign) {
 	t.Helper()
-	sim := bgpsim.New(top, bgpsim.DefaultConfig())
-	m := trace.NewMeter(sim.Day(0), trace.DefaultOptions())
+	sim := bgpsim.New(top)
+	m := trace.NewMeter(sim.Day(0))
 	vps := trace.SelectVantagePoints(top, 10)
 	n := len(top.EdgePrefixes)
 	if n > 60 {
@@ -116,7 +116,7 @@ func TestClusterDeterministic(t *testing.T) {
 func TestASPathOf(t *testing.T) {
 	top := netsim.Generate(netsim.TestConfig(35))
 	_, c := observedIfaces(t, top, 35)
-	sim := bgpsim.New(top, bgpsim.DefaultConfig())
+	sim := bgpsim.New(top)
 	day := sim.Day(0)
 	checked := 0
 	for _, tr := range c.Traceroutes {

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"inano/internal/batchpipe"
 	"inano/internal/metrics"
 	"inano/internal/netsim"
 )
@@ -50,9 +51,6 @@ type RouterConfig struct {
 	// carries no ?window= (<= 0 = 1024): the router answers a stream a
 	// window at a time, as a replica does, and holds two windows of it.
 	Window int
-	// MaxLineBytes caps one client NDJSON line (<= 0 = 64KiB), matching
-	// the replica-side cap.
-	MaxLineBytes int
 	// Client issues the proxied requests (nil = a keep-alive tuned
 	// default). Leave its timeout zero: a request is bounded by its own
 	// context, and a timeout here would eject a replica that is only slow.
@@ -106,9 +104,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 1024
-	}
-	if cfg.MaxLineBytes <= 0 {
-		cfg.MaxLineBytes = 64 << 10
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -456,7 +451,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		dst = r.URL.Query().Get("dst")
 	case http.MethodPost:
 		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, int64(rt.cfg.MaxLineBytes)))
+		body, err = io.ReadAll(io.LimitReader(r.Body, batchpipe.MaxLineBytes))
 		if err != nil {
 			return routerError(w, http.StatusBadRequest, "reading body: %v", err)
 		}

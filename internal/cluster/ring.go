@@ -110,10 +110,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Nodes returns the ring's members, sorted. The slice is shared; do not
-// mutate.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Len returns the number of member nodes.
 func (r *Ring) Len() int { return len(r.nodes) }
 

@@ -61,14 +61,23 @@ type CacheStats struct {
 	Warmed, WarmHits uint64
 }
 
-// newShardedTreeCache builds a cache holding up to capacity trees across
-// shardCount shards (rounded up to a power of two). Every shard holds at
-// least one tree, so tiny capacities still cache.
-func newShardedTreeCache(capacity, shardCount int) *shardedTreeCache {
-	n := 1
-	for n < shardCount {
-		n <<= 1
+// treeCacheShards is the lock-shard count of a cache of capacity trees:
+// 32, halved until a shard holds 8 trees, since a shard is its own LRU and
+// one of two entries forgets what the cache as a whole would keep. More
+// shards reduce contention between concurrent queries to distinct
+// destinations.
+func treeCacheShards(capacity int) int {
+	n := 32
+	for n > 1 && capacity < 8*n {
+		n /= 2
 	}
+	return n
+}
+
+// newShardedTreeCache builds a cache holding up to capacity trees across n
+// shards, a power of two. Every shard holds at least one tree, so tiny
+// capacities still cache.
+func newShardedTreeCache(capacity, n int) *shardedTreeCache {
 	perShard := max((capacity+n-1)/n, 1)
 	c := &shardedTreeCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
 	c.popular.Store(new([]uint64))

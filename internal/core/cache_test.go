@@ -135,8 +135,6 @@ func TestShardCapacitySplit(t *testing.T) {
 		{64, 16, 16, 4},
 		{10, 4, 4, 3},  // ceil(10/4)
 		{1, 16, 16, 1}, // floor of one per shard
-		{100, 3, 4, 25},
-		{5, 0, 1, 5}, // shards default to at least one
 	}
 	for _, tc := range cases {
 		c := newShardedTreeCache(tc.capacity, tc.shards)
@@ -312,7 +310,6 @@ func TestEngineCacheBoundedUnderChurn(t *testing.T) {
 	w := buildWorld(t, 74)
 	opts := INanoOptions()
 	opts.TreeCacheSize = 8
-	opts.TreeCacheShards = 4
 	e := New(w.a, opts)
 	for i, dst := range w.targets {
 		e.PredictForward(w.vps[i%len(w.vps)], dst)
@@ -327,36 +324,36 @@ func TestEngineCacheBoundedUnderChurn(t *testing.T) {
 }
 
 // TestDefaultShardsFollowCapacity checks the shard count an engine picks
-// when none is given — a shard is its own LRU, so a small cache gets fewer,
-// each of at least 8 trees — and that a count given is kept.
+// for its cache size: a shard is its own LRU, so a small cache gets fewer,
+// each of at least 8 trees.
 func TestDefaultShardsFollowCapacity(t *testing.T) {
 	a := atlas.New()
 	a.NumClusters, a.ClusterAS = 1, []netsim.ASN{1}
-	for _, tc := range []struct{ size, shards, wantShards, wantCap int }{
+	for _, tc := range []struct{ size, wantShards, wantCap int }{
 		{size: 64, wantShards: 8, wantCap: 8},
 		{size: 4096, wantShards: 32, wantCap: 128},
 		{size: 0, wantShards: 32, wantCap: 128},
 		{size: 5, wantShards: 1, wantCap: 5},
-		{size: 64, shards: 32, wantShards: 32, wantCap: 2},
 	} {
-		c := New(a, Options{TreeCacheSize: tc.size, TreeCacheShards: tc.shards}).trees
+		c := New(a, Options{TreeCacheSize: tc.size}).trees
 		if len(c.shards) != tc.wantShards || c.shards[0].cap != tc.wantCap {
-			t.Errorf("size %d, shards %d: %d shards of %d, want %d of %d",
-				tc.size, tc.shards, len(c.shards), c.shards[0].cap, tc.wantShards, tc.wantCap)
+			t.Errorf("size %d: %d shards of %d, want %d of %d",
+				tc.size, len(c.shards), c.shards[0].cap, tc.wantShards, tc.wantCap)
 		}
 	}
 }
 
 // TestSmallCacheKeepsRecentTrees replays one seeded stream — 24 keys that
 // keep coming back, each within a few dozen lookups, among keys asked for
-// once — on a 64-tree engine with the default shards and with 32 given.
+// once — on a 64-tree engine with the shards its size picks and with 32.
 // Every recurring key fits the cache several times over; two-entry shards
-// lose them anyway, so the default must build strictly fewer trees.
+// lose them anyway, so the picked count must build strictly fewer trees.
 func TestSmallCacheKeepsRecentTrees(t *testing.T) {
 	a := atlas.New()
 	a.NumClusters, a.ClusterAS = 1, []netsim.ASN{1}
 	builds := func(shards int) uint64 {
-		e := New(a, Options{TreeCacheSize: 64, TreeCacheShards: shards})
+		e := New(a, Options{TreeCacheSize: 64})
+		e.trees = newShardedTreeCache(64, shards)
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 20000; i++ {
 			k := treeKey(cluster.ClusterID(rng.Intn(24)), 1)
@@ -367,7 +364,7 @@ func TestSmallCacheKeepsRecentTrees(t *testing.T) {
 		}
 		return e.CacheStats().Builds
 	}
-	if def, split := builds(0), builds(32); def >= split {
+	if def, split := builds(treeCacheShards(64)), builds(32); def >= split {
 		t.Fatalf("default shards built %d trees, 32 shards %d: want strictly fewer", def, split)
 	} else {
 		t.Logf("builds over 20000 lookups: default shards %d, 32 shards %d", def, split)

@@ -65,13 +65,6 @@ type Options struct {
 	// bench's 1 300-cluster world, so a full default cache is ~43 MB
 	// there (CacheStats.Bytes reports what is resident).
 	TreeCacheSize int
-	// TreeCacheShards sets the tree cache's lock-shard count (rounded up
-	// to a power of two); 0 means a default that follows the capacity: 32,
-	// halved until a shard holds 8 trees, since a shard is its own LRU and
-	// one of two entries forgets what the cache as a whole would keep. More
-	// shards reduce contention between concurrent queries to distinct
-	// destinations.
-	TreeCacheShards int
 }
 
 // GraphOptions returns the configuration of the GRAPH baseline.
@@ -163,12 +156,6 @@ func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 	if opts.TreeCacheSize <= 0 {
 		opts.TreeCacheSize = 4096
 	}
-	if opts.TreeCacheShards <= 0 {
-		opts.TreeCacheShards = 32
-		for opts.TreeCacheShards > 1 && opts.TreeCacheSize < 8*opts.TreeCacheShards {
-			opts.TreeCacheShards /= 2
-		}
-	}
 	e := &Engine{f: f, opts: opts, numClusters: int(f.NumClusters)}
 	e.planes = 1
 	if opts.Asymmetry {
@@ -185,7 +172,7 @@ func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 		e.clusterDeg, e.edgeRel = prev.clusterDeg, prev.edgeRel
 		return e
 	}
-	e.trees = newShardedTreeCache(opts.TreeCacheSize, opts.TreeCacheShards)
+	e.trees = newShardedTreeCache(opts.TreeCacheSize, treeCacheShards(opts.TreeCacheSize))
 	e.edgeTo = make([]cluster.ClusterID, f.NumEdges())
 	for w := range e.numClusters {
 		bucket := e.edgeTo[f.EdgeStart[w]:f.EdgeStart[w+1]]

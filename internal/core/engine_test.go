@@ -27,9 +27,9 @@ type world struct {
 func buildWorld(t testing.TB, seed int64) *world {
 	t.Helper()
 	top := netsim.Generate(netsim.TestConfig(seed))
-	sim := bgpsim.New(top, bgpsim.DefaultConfig())
+	sim := bgpsim.New(top)
 	day := sim.Day(0)
-	m := trace.NewMeter(day, trace.DefaultOptions())
+	m := trace.NewMeter(day)
 	vps := trace.SelectVantagePoints(top, 14)
 	targets := top.EdgePrefixes
 	if len(targets) > 100 {

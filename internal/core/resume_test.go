@@ -216,7 +216,7 @@ func TestConcurrentResumeAndWarm(t *testing.T) {
 func TestEvictedTreeYieldsFrontier(t *testing.T) {
 	a, srcs, dsts := benchWorld(t)
 	opts := INanoOptions()
-	opts.TreeCacheSize, opts.TreeCacheShards = 1, 1
+	opts.TreeCacheSize = 1
 	e := New(a, opts)
 	legs := coldLegs(e, srcs, dsts)
 	var old *tree

@@ -281,8 +281,7 @@ func TestStreamBatchSharesTrees(t *testing.T) {
 func TestConcurrentBatchAndSingleQueries(t *testing.T) {
 	w := buildWorld(t, 85)
 	opts := INanoOptions()
-	opts.TreeCacheSize = 16 // small cache forces eviction churn during the race
-	opts.TreeCacheShards = 4
+	opts.TreeCacheSize = 16 // small cache of two shards forces eviction churn during the race
 	e := New(w.a, opts)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -35,24 +35,21 @@ type Config struct {
 	// ValidationSrcs is how many vantage points act as representative
 	// end hosts (paper: 37).
 	ValidationSrcs int
-	// HoldoutMod: a (src,dst) traceroute is held out for validation when
-	// hash(src,dst)%HoldoutMod == 0.
-	HoldoutMod int
 }
 
 // QuickConfig is a fast configuration for tests and benchmarks.
 func QuickConfig(seed int64) Config {
-	return Config{Scale: sim.Tiny, Seed: seed, NumVPs: 14, NumTargets: 90, ValidationSrcs: 6, HoldoutMod: 4}
+	return Config{Scale: sim.Tiny, Seed: seed, NumVPs: 14, NumTargets: 90, ValidationSrcs: 6}
 }
 
 // EvalConfig is the full paper-reproduction configuration.
 func EvalConfig(seed int64) Config {
-	return Config{Scale: sim.Eval, Seed: seed, NumVPs: 197, NumTargets: 2400, ValidationSrcs: 37, HoldoutMod: 4}
+	return Config{Scale: sim.Eval, Seed: seed, NumVPs: 197, NumTargets: 2400, ValidationSrcs: 37}
 }
 
 // MediumConfig sits between the two; cmd/inano-eval's default.
 func MediumConfig(seed int64) Config {
-	return Config{Scale: sim.Medium, Seed: seed, NumVPs: 60, NumTargets: 600, ValidationSrcs: 15, HoldoutMod: 4}
+	return Config{Scale: sim.Medium, Seed: seed, NumVPs: 60, NumTargets: 600, ValidationSrcs: 15}
 }
 
 // VPair is one held-out validation pair.
@@ -129,17 +126,18 @@ func NewLab(cfg Config) *Lab {
 	return l
 }
 
+// holdoutMod holds out one (src,dst) traceroute in holdoutMod for
+// validation: those whose hash is 0 modulo it.
+const holdoutMod = 4
+
 // heldOut reports whether the (src,dst) traceroute belongs to the
 // validation set.
 func (l *Lab) heldOut(src, dst netsim.Prefix) bool {
-	if l.Cfg.HoldoutMod <= 1 {
-		return false
-	}
 	h := uint64(src)*0x9e3779b97f4a7c15 ^ uint64(dst)*0xbf58476d1ce4e5b9 ^ uint64(l.Cfg.Seed)
 	h ^= h >> 29
 	h *= 0x94d049bb133111eb
 	h ^= h >> 32
-	return h%uint64(l.Cfg.HoldoutMod) == 0
+	return h%holdoutMod == 0
 }
 
 func (l *Lab) isValSrc(p netsim.Prefix) bool {

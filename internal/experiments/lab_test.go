@@ -87,9 +87,9 @@ func TestHeldOutFraction(t *testing.T) {
 		}
 	}
 	frac := float64(held) / float64(n)
-	want := 1 / float64(l.Cfg.HoldoutMod)
+	want := 1.0 / holdoutMod
 	if frac < want/2 || frac > want*2 {
-		t.Fatalf("holdout fraction %.3f far from 1/%d", frac, l.Cfg.HoldoutMod)
+		t.Fatalf("holdout fraction %.3f far from 1/%d", frac, holdoutMod)
 	}
 }
 

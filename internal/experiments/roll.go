@@ -62,7 +62,7 @@ func CollectResiduals(l *Lab, day int, reporters []netsim.Prefix, dsts []netsim.
 	serving := inano.FromAtlas(dd.Atlas.Clone())
 	snap := serving.Snapshot()
 	ro := &RollObservations{
-		Agg:    feedback.NewAggregator(feedback.AggregatorConfig{}),
+		Agg:    feedback.NewAggregator(),
 		Honest: make(map[netsim.Prefix][]float64),
 	}
 	for _, r := range reporters {

@@ -79,7 +79,7 @@ func UpstreamStructure(l *Lab, reporters, minReporters int) UpstreamStructureRes
 	// lists; the ingest clusterizes each against the day-0 serving atlas
 	// (exactly what /v1/observations does) and stores it under the
 	// reporter's source cluster for agreement voting.
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	for _, r := range reps {
 		srcCl, ok := srcClusterOf(r)
 		if !ok {

@@ -34,8 +34,7 @@ import (
 //     both the prefix table and the per-prefix reporter sets are bounded
 //     with stalest-eviction.
 type Aggregator struct {
-	mu  sync.Mutex
-	cfg AggregatorConfig
+	mu sync.Mutex
 
 	prefixes map[netsim.Prefix]*prefixAgg
 	recorded int
@@ -43,33 +42,18 @@ type Aggregator struct {
 	nowFn    func() time.Time // test hook
 }
 
-// AggregatorConfig bounds the aggregation tables. The zero value uses
-// defaults.
-type AggregatorConfig struct {
-	// MaxPrefixes caps tracked destination prefixes (default 8192); beyond
-	// it the prefix with the stalest newest-report is evicted.
-	MaxPrefixes int
-	// MaxReportersPerPrefix caps reporter slots per prefix (default 32);
-	// beyond it the stalest reporter is evicted.
-	MaxReportersPerPrefix int
-	// StaleAfter drops a reporter's residual from aggregation when its
-	// newest report is older than this (default 24h: an aggregate folded
-	// into tomorrow's delta should reflect today's measurements).
-	StaleAfter time.Duration
-}
-
-func (c AggregatorConfig) withDefaults() AggregatorConfig {
-	if c.MaxPrefixes <= 0 {
-		c.MaxPrefixes = 8192
-	}
-	if c.MaxReportersPerPrefix <= 0 {
-		c.MaxReportersPerPrefix = 32
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 24 * time.Hour
-	}
-	return c
-}
+const (
+	// aggMaxPrefixes caps tracked destination prefixes; beyond it the
+	// prefix with the stalest newest-report is evicted.
+	aggMaxPrefixes = 8192
+	// aggMaxReporters caps reporter slots per prefix; beyond it the
+	// stalest reporter is evicted.
+	aggMaxReporters = 32
+	// aggStaleAfter drops a reporter's residual from aggregation when its
+	// newest report is older than this: an aggregate folded into
+	// tomorrow's delta should reflect today's measurements.
+	aggStaleAfter = 24 * time.Hour
+)
 
 // prefixAgg is one destination prefix's reporter table.
 type prefixAgg struct {
@@ -95,9 +79,8 @@ type reporterObs struct {
 }
 
 // NewAggregator returns an empty aggregator.
-func NewAggregator(cfg AggregatorConfig) *Aggregator {
+func NewAggregator() *Aggregator {
 	return &Aggregator{
-		cfg:      cfg.withDefaults(),
 		prefixes: make(map[netsim.Prefix]*prefixAgg),
 		nowFn:    time.Now,
 	}
@@ -160,7 +143,7 @@ func (g *Aggregator) reporterSlotLocked(srcCluster int32, dst netsim.Prefix) *re
 	g.recorded++
 	pa := g.prefixes[dst]
 	if pa == nil {
-		if len(g.prefixes) >= g.cfg.MaxPrefixes {
+		if len(g.prefixes) >= aggMaxPrefixes {
 			g.evictStalestPrefixLocked()
 		}
 		pa = &prefixAgg{reporters: make(map[int32]*reporterObs)}
@@ -168,7 +151,7 @@ func (g *Aggregator) reporterSlotLocked(srcCluster int32, dst netsim.Prefix) *re
 	}
 	ro := pa.reporters[srcCluster]
 	if ro == nil {
-		if len(pa.reporters) >= g.cfg.MaxReportersPerPrefix {
+		if len(pa.reporters) >= aggMaxReporters {
 			evictStalestReporter(pa)
 		}
 		ro = &reporterObs{}
@@ -273,7 +256,7 @@ func (s *ObservationSnapshot) Residuals(minReporters int) map[netsim.Prefix]floa
 }
 
 // Snapshot cuts the current aggregate: per prefix, the median residual
-// over reporters whose newest report is fresher than StaleAfter, plus the
+// over reporters whose newest report is fresher than 24 hours, plus the
 // reporter-voted path tail for prefixes with structural reports. day
 // labels the atlas the residuals were measured against.
 func (g *Aggregator) Snapshot(day int) ObservationSnapshot {
@@ -285,10 +268,10 @@ func (g *Aggregator) Snapshot(day int) ObservationSnapshot {
 		var resids []float64
 		var paths []*reporterObs
 		for _, r := range pa.reporters {
-			if r.hasResidual && now.Sub(r.residAt) <= g.cfg.StaleAfter {
+			if r.hasResidual && now.Sub(r.residAt) <= aggStaleAfter {
 				resids = append(resids, r.residualMS)
 			}
-			if len(r.path) >= 2 && now.Sub(r.pathAt) <= g.cfg.StaleAfter {
+			if len(r.path) >= 2 && now.Sub(r.pathAt) <= aggStaleAfter {
 				paths = append(paths, r)
 			}
 		}
@@ -428,7 +411,7 @@ type AggregatorStats struct {
 	Paths int
 	// Recorded counts observations folded in since creation.
 	Recorded int
-	// EvictedPrefixes counts prefixes dropped to stay within MaxPrefixes.
+	// EvictedPrefixes counts prefixes dropped to stay within 8192 prefixes.
 	EvictedPrefixes int
 }
 

@@ -14,7 +14,7 @@ func fakeNow(start time.Time) (func() time.Time, func(time.Duration)) {
 }
 
 func TestAggregatorMedianAcrossReporters(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{})
+	g := NewAggregator()
 	p := netsim.Prefix(100)
 	g.Record(1, p, 10)
 	g.Record(2, p, 20)
@@ -34,7 +34,7 @@ func TestAggregatorMedianAcrossReporters(t *testing.T) {
 }
 
 func TestAggregatorDedupsPerReporter(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{})
+	g := NewAggregator()
 	p := netsim.Prefix(100)
 	// One source cluster reporting 100 times holds exactly one slot, and
 	// the newest residual wins.
@@ -59,7 +59,7 @@ func TestAggregatorSingleLiarBound(t *testing.T) {
 	p := netsim.Prefix(42)
 	honest := []float64{-5, 3, 12}
 	for _, lie := range []float64{1e6, -1e6, MaxAdjustMS, -MaxAdjustMS} {
-		g := NewAggregator(AggregatorConfig{})
+		g := NewAggregator()
 		for i, r := range honest {
 			g.Record(int32(i), p, r)
 		}
@@ -72,7 +72,7 @@ func TestAggregatorSingleLiarBound(t *testing.T) {
 }
 
 func TestAggregatorClampsResiduals(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{})
+	g := NewAggregator()
 	g.Record(1, 1, 1e9)
 	g.Record(2, 2, -1e9)
 	snap := g.Snapshot(0)
@@ -84,33 +84,32 @@ func TestAggregatorClampsResiduals(t *testing.T) {
 }
 
 func TestAggregatorBounds(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{MaxPrefixes: 3, MaxReportersPerPrefix: 2})
+	g := NewAggregator()
 	now, advance := fakeNow(time.Unix(1000, 0))
 	g.nowFn = now
 
-	// Prefix table bound: the stalest prefix is evicted.
-	for i := 0; i < 5; i++ {
+	// Prefix table bound: the 8193rd prefix evicts the stalest.
+	for i := 0; i <= 8192; i++ {
 		g.Record(1, netsim.Prefix(i), 1)
 		advance(time.Second)
 	}
 	st := g.Stats()
-	if st.Prefixes != 3 || st.EvictedPrefixes != 2 {
+	if st.Prefixes != 8192 || st.EvictedPrefixes != 1 {
 		t.Fatalf("prefix bound: %+v", st)
 	}
 	if _, ok := g.prefixes[netsim.Prefix(0)]; ok {
 		t.Fatal("stalest prefix survived eviction")
 	}
 
-	// Reporter bound: the stalest reporter slot is evicted.
-	p := netsim.Prefix(9)
-	g.Record(1, p, 1)
-	advance(time.Second)
-	g.Record(2, p, 2)
-	advance(time.Second)
-	g.Record(3, p, 3)
+	// Reporter bound: the 33rd reporter evicts the stalest slot.
+	p := netsim.Prefix(1 << 20)
+	for c := int32(1); c <= 33; c++ {
+		g.Record(c, p, float64(c))
+		advance(time.Second)
+	}
 	pa := g.prefixes[p]
-	if len(pa.reporters) != 2 {
-		t.Fatalf("reporter slots = %d, want 2", len(pa.reporters))
+	if len(pa.reporters) != 32 {
+		t.Fatalf("reporter slots = %d, want 32", len(pa.reporters))
 	}
 	if _, ok := pa.reporters[1]; ok {
 		t.Fatal("stalest reporter survived eviction")
@@ -118,12 +117,12 @@ func TestAggregatorBounds(t *testing.T) {
 }
 
 func TestAggregatorStaleReportersExcluded(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
+	g := NewAggregator()
 	now, advance := fakeNow(time.Unix(1000, 0))
 	g.nowFn = now
 	p := netsim.Prefix(5)
 	g.Record(1, p, 50)
-	advance(2 * time.Hour) // reporter 1 goes stale
+	advance(25 * time.Hour) // reporter 1 goes stale
 	g.Record(2, p, 10)
 	snap := g.Snapshot(0)
 	if len(snap.Prefixes) != 1 {
@@ -133,14 +132,14 @@ func TestAggregatorStaleReportersExcluded(t *testing.T) {
 		t.Fatalf("stale reporter still aggregated: %+v", ag)
 	}
 	// A prefix whose every reporter is stale drops out entirely.
-	advance(2 * time.Hour)
+	advance(25 * time.Hour)
 	if snap := g.Snapshot(0); len(snap.Prefixes) != 0 {
 		t.Fatalf("all-stale prefix still aggregated: %+v", snap)
 	}
 }
 
 func TestSnapshotSaveLoadAndResiduals(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{})
+	g := NewAggregator()
 	g.Record(1, 10, 4)
 	g.Record(2, 10, 6)
 	g.Record(3, 10, 8)

@@ -12,7 +12,7 @@ import (
 // seedTracker fills a tracker with n badly mispredicted destinations on
 // distinct clusters.
 func seedTracker(n int) *Tracker {
-	tr := NewTracker(TrackerConfig{})
+	tr := NewTracker()
 	now := time.Now()
 	for i := 0; i < n; i++ {
 		tr.Record(int32(i), netsim.Prefix(1), netsim.Prefix(100+i), 0, 100, false, now)
@@ -108,7 +108,7 @@ func TestCorrectorPredictHook(t *testing.T) {
 // window and schedulable again after it — with no wall-clock sleeps, so
 // the test cannot flake under load.
 func TestCorrectorCooldownExpiresOnFakeClock(t *testing.T) {
-	tr := NewTracker(TrackerConfig{StaleAfter: 24 * time.Hour})
+	tr := NewTracker()
 	base := time.Unix(10_000, 0)
 	tr.Record(1, netsim.Prefix(1), netsim.Prefix(100), 0, 100, false, base)
 
@@ -142,10 +142,10 @@ func TestCorrectorCooldownExpiresOnFakeClock(t *testing.T) {
 }
 
 // TestCorrectorStalenessOnFakeClock: tracked error older than the
-// tracker's StaleAfter says nothing about the current atlas and must not
+// tracker's 15-minute staleness bound says nothing about the current atlas and must not
 // be probed, however large it is.
 func TestCorrectorStalenessOnFakeClock(t *testing.T) {
-	tr := NewTracker(TrackerConfig{StaleAfter: 15 * time.Minute})
+	tr := NewTracker()
 	base := time.Unix(10_000, 0)
 	tr.Record(1, netsim.Prefix(1), netsim.Prefix(100), 0, 100, false, base)
 

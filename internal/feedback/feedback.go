@@ -25,11 +25,10 @@ package feedback
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"strings"
 
 	"inano/internal/netsim"
 )
@@ -98,39 +97,54 @@ const (
 // an error naming the line — callers may account the good prefix and
 // reject the rest.
 func ParseReport(r io.Reader) ([]Observation, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1024), MaxLineBytes)
-	var out []Observation
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if len(out) >= MaxObservations {
-			return out, fmt.Errorf("line %d: report exceeds %d observations", lineNo, MaxObservations)
-		}
+	return parseNDJSON(r, MaxLineBytes, MaxObservations, func(line []byte) (Observation, error) {
 		var w struct {
 			Src   string  `json:"src"`
 			Dst   string  `json:"dst"`
 			RTTMS float64 `json:"rtt_ms"`
 		}
-		if err := json.Unmarshal([]byte(line), &w); err != nil {
-			return out, fmt.Errorf("line %d: bad observation: %v", lineNo, err)
+		if err := json.Unmarshal(line, &w); err != nil {
+			return Observation{}, fmt.Errorf("bad observation: %v", err)
 		}
 		src, err := ParseIPv4(w.Src)
 		if err != nil {
-			return out, fmt.Errorf("line %d: src: %v", lineNo, err)
+			return Observation{}, fmt.Errorf("src: %v", err)
 		}
 		dst, err := ParseIPv4(w.Dst)
 		if err != nil {
-			return out, fmt.Errorf("line %d: dst: %v", lineNo, err)
+			return Observation{}, fmt.Errorf("dst: %v", err)
 		}
-		if !(w.RTTMS > 0) || math.IsInf(w.RTTMS, 0) || w.RTTMS > MaxObservedRTTMS {
-			return out, fmt.Errorf("line %d: bad rtt_ms %v", lineNo, w.RTTMS)
+		if !validRTT(w.RTTMS) {
+			return Observation{}, fmt.Errorf("bad rtt_ms %v", w.RTTMS)
 		}
-		out = append(out, Observation{Src: src, Dst: dst, RTTMS: w.RTTMS})
+		return Observation{Src: src, Dst: dst, RTTMS: w.RTTMS}, nil
+	})
+}
+
+// parseNDJSON is the report reader both NDJSON formats share. It scans r
+// one line of at most maxLine bytes at a time, skips blank lines, and
+// hands each other line, trimmed of surrounding space, to parse. On a line
+// parse rejects, or one past maxCount items, it returns the items parsed
+// so far with an error naming the line.
+func parseNDJSON[T any](r io.Reader, maxLine, maxCount int, parse func(line []byte) (T, error)) ([]T, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1024), maxLine)
+	var out []T
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		if len(out) >= maxCount {
+			return out, fmt.Errorf("line %d: report exceeds %d observations", lineNo, maxCount)
+		}
+		v, err := parse(line)
+		if err != nil {
+			return out, fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		out = append(out, v)
 	}
 	if err := sc.Err(); err != nil {
 		return out, fmt.Errorf("line %d: %w", lineNo+1, err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"inano/internal/netsim"
 )
@@ -106,65 +105,52 @@ func EncodeObservations(w io.Writer, obs []UpstreamObservation) error {
 // observations parsed so far together with an error naming the line —
 // callers may account the good prefix and reject the rest.
 func ParseObservationReport(r io.Reader) ([]UpstreamObservation, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1024), MaxObservationLineBytes)
-	var out []UpstreamObservation
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if len(out) >= MaxUpstreamObservations {
-			return out, fmt.Errorf("line %d: report exceeds %d observations", lineNo, MaxUpstreamObservations)
-		}
-		var w obsWire
-		if err := json.Unmarshal([]byte(line), &w); err != nil {
-			return out, fmt.Errorf("line %d: bad observation: %v", lineNo, err)
-		}
-		src, err := ParseIPv4(w.Src)
-		if err != nil {
-			return out, fmt.Errorf("line %d: src: %v", lineNo, err)
-		}
-		dst, err := ParseIPv4(w.Dst)
-		if err != nil {
-			return out, fmt.Errorf("line %d: dst: %v", lineNo, err)
-		}
-		if !validRTT(w.RTTMS) {
-			return out, fmt.Errorf("line %d: bad rtt_ms %v", lineNo, w.RTTMS)
-		}
-		// predicted_ms is optional when the line carries hops (a
-		// structure-only observation from a pair the client could not
-		// predict); a line with neither residual nor hops says nothing.
-		if w.PredictedMS != 0 && !validRTT(w.PredictedMS) {
-			return out, fmt.Errorf("line %d: bad predicted_ms %v", lineNo, w.PredictedMS)
-		}
-		if w.PredictedMS == 0 && len(w.Hops) == 0 {
-			return out, fmt.Errorf("line %d: observation carries neither predicted_ms nor hops", lineNo)
-		}
-		if len(w.Hops) > MaxObservationHops {
-			return out, fmt.Errorf("line %d: %d hops exceeds %d", lineNo, len(w.Hops), MaxObservationHops)
-		}
-		o := UpstreamObservation{Src: src, Dst: dst, RTTMS: w.RTTMS, PredictedMS: w.PredictedMS}
-		for i, hw := range w.Hops {
-			h := Hop{RTTMS: hw.RTTMS}
-			if hw.IP != "" {
-				if h.IP, err = ParseIPv4(hw.IP); err != nil {
-					return out, fmt.Errorf("line %d: hop %d: %v", lineNo, i, err)
-				}
-			}
-			if hw.RTTMS < 0 || math.IsNaN(hw.RTTMS) || hw.RTTMS > MaxObservedRTTMS {
-				return out, fmt.Errorf("line %d: hop %d: bad rtt_ms %v", lineNo, i, hw.RTTMS)
-			}
-			o.Hops = append(o.Hops, h)
-		}
-		out = append(out, o)
+	return parseNDJSON(r, MaxObservationLineBytes, MaxUpstreamObservations, parseObservationLine)
+}
+
+// parseObservationLine validates one line of an observation report.
+func parseObservationLine(line []byte) (UpstreamObservation, error) {
+	var w obsWire
+	if err := json.Unmarshal(line, &w); err != nil {
+		return UpstreamObservation{}, fmt.Errorf("bad observation: %v", err)
 	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("line %d: %w", lineNo+1, err)
+	src, err := ParseIPv4(w.Src)
+	if err != nil {
+		return UpstreamObservation{}, fmt.Errorf("src: %v", err)
 	}
-	return out, nil
+	dst, err := ParseIPv4(w.Dst)
+	if err != nil {
+		return UpstreamObservation{}, fmt.Errorf("dst: %v", err)
+	}
+	if !validRTT(w.RTTMS) {
+		return UpstreamObservation{}, fmt.Errorf("bad rtt_ms %v", w.RTTMS)
+	}
+	// predicted_ms is optional when the line carries hops (a
+	// structure-only observation from a pair the client could not
+	// predict); a line with neither residual nor hops says nothing.
+	if w.PredictedMS != 0 && !validRTT(w.PredictedMS) {
+		return UpstreamObservation{}, fmt.Errorf("bad predicted_ms %v", w.PredictedMS)
+	}
+	if w.PredictedMS == 0 && len(w.Hops) == 0 {
+		return UpstreamObservation{}, fmt.Errorf("observation carries neither predicted_ms nor hops")
+	}
+	if len(w.Hops) > MaxObservationHops {
+		return UpstreamObservation{}, fmt.Errorf("%d hops exceeds %d", len(w.Hops), MaxObservationHops)
+	}
+	o := UpstreamObservation{Src: src, Dst: dst, RTTMS: w.RTTMS, PredictedMS: w.PredictedMS}
+	for i, hw := range w.Hops {
+		h := Hop{RTTMS: hw.RTTMS}
+		if hw.IP != "" {
+			if h.IP, err = ParseIPv4(hw.IP); err != nil {
+				return UpstreamObservation{}, fmt.Errorf("hop %d: %v", i, err)
+			}
+		}
+		if hw.RTTMS < 0 || math.IsNaN(hw.RTTMS) || hw.RTTMS > MaxObservedRTTMS {
+			return UpstreamObservation{}, fmt.Errorf("hop %d: bad rtt_ms %v", i, hw.RTTMS)
+		}
+		o.Hops = append(o.Hops, h)
+	}
+	return o, nil
 }
 
 // validRTT bounds a millisecond value: finite, positive, physically sane.

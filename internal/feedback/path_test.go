@@ -141,7 +141,7 @@ func onesMS(n int) []float64 {
 }
 
 func TestAgreedPathsSingleReporterNeverShips(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{})
+	g := NewAggregator()
 	dst := netsim.Prefix(500)
 	// One reporter, re-reporting many times (and however many source
 	// addresses it rotates through, the ingest resolves them to the same
@@ -161,7 +161,7 @@ func TestAgreedPathsSingleReporterNeverShips(t *testing.T) {
 }
 
 func TestAgreedPathsRotationBuysNoVotes(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{})
+	g := NewAggregator()
 	dst := netsim.Prefix(500)
 	// Two honest reporters agree on the tail; a third party rotating
 	// "identities" that all resolve to one source cluster replaces its own
@@ -182,7 +182,7 @@ func TestAgreedPathsRotationBuysNoVotes(t *testing.T) {
 }
 
 func TestAgreedPathsSuffixVotingAndTrim(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{})
+	g := NewAggregator()
 	dst := netsim.Prefix(500)
 	// Three reporters share [5 6 7]; two of them also share the deeper
 	// [4 5 6 7]. minReporters=3 trims to the triple-agreed suffix.
@@ -204,7 +204,7 @@ func TestAgreedPathsSuffixVotingAndTrim(t *testing.T) {
 }
 
 func TestAgreedPathsSingleLiarCannotShipFabrication(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{})
+	g := NewAggregator()
 	dst := netsim.Prefix(500)
 	g.RecordPath(1, dst, pathOf(5, 6, 7), onesMS(2))
 	g.RecordPath(2, dst, pathOf(5, 6, 7), onesMS(2))
@@ -226,7 +226,7 @@ func TestAgreedPathsSingleLiarCannotShipFabrication(t *testing.T) {
 }
 
 func TestRecordPathRejectsMalformed(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{})
+	g := NewAggregator()
 	dst := netsim.Prefix(500)
 	g.RecordPath(1, dst, pathOf(5), nil)             // too short
 	g.RecordPath(1, dst, pathOf(5, 6), onesMS(5))    // mismatched linkMS
@@ -238,7 +238,7 @@ func TestRecordPathRejectsMalformed(t *testing.T) {
 }
 
 func TestPathStalenessExcludesOldReporters(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
+	g := NewAggregator()
 	now := time.Unix(1000000, 0)
 	g.nowFn = func() time.Time { return now }
 	dst := netsim.Prefix(500)
@@ -247,14 +247,14 @@ func TestPathStalenessExcludesOldReporters(t *testing.T) {
 	if agreed := g.Snapshot(0).AgreedPaths(2); len(agreed) != 1 {
 		t.Fatalf("fresh: %+v", agreed)
 	}
-	now = now.Add(2 * time.Hour)
+	now = now.Add(25 * time.Hour)
 	g.RecordPath(2, dst, pathOf(5, 6, 7), onesMS(2))
 	if agreed := g.Snapshot(0).AgreedPaths(2); len(agreed) != 0 {
 		t.Fatalf("reporter 1 went stale, agreement must drop below 2: %+v", agreed)
 	}
 	// Scalar re-reports must not keep an obsolete path looking fresh:
 	// reporter 1 keeps reporting residuals, but its hop path (recorded
-	// two hours ago) stays stale.
+	// 25 hours ago) stays stale.
 	g.Record(1, dst, 5)
 	snap := g.Snapshot(0)
 	if agreed := snap.AgreedPaths(2); len(agreed) != 0 {
@@ -281,7 +281,7 @@ func TestAgreedPathsSkipsMalformedSnapshotEntries(t *testing.T) {
 }
 
 func TestSnapshotPathsSurviveDiskRoundTrip(t *testing.T) {
-	g := NewAggregator(AggregatorConfig{})
+	g := NewAggregator()
 	dst := netsim.Prefix(500)
 	g.RecordPath(1, dst, pathOf(5, 6, 7), []float64{1.5, 2.5})
 	g.RecordPath(2, dst, pathOf(5, 6, 7), []float64{2.5, 3.5})

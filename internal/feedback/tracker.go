@@ -15,31 +15,17 @@ import (
 // forever.
 const ErrCap = 2.0
 
-// TrackerConfig tunes error aggregation. The zero value uses defaults.
-type TrackerConfig struct {
-	// Alpha is the EWMA weight of the newest sample (default 0.25).
-	Alpha float64
-	// MaxEntries caps tracked destination clusters; beyond it the entry
-	// with the oldest sample is evicted (default 4096).
-	MaxEntries int
-	// StaleAfter excludes destinations whose last sample is older than
-	// this from corrective scheduling (default 15m): stale error says
-	// nothing about the current atlas.
-	StaleAfter time.Duration
-}
-
-func (c TrackerConfig) withDefaults() TrackerConfig {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.25
-	}
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 4096
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 15 * time.Minute
-	}
-	return c
-}
+const (
+	// trackerAlpha is the EWMA weight of the newest sample.
+	trackerAlpha = 0.25
+	// trackerMaxEntries caps tracked destination clusters; beyond it the
+	// entry with the oldest sample is evicted.
+	trackerMaxEntries = 4096
+	// trackerStaleAfter excludes destinations whose last sample is older
+	// than this from corrective scheduling: stale error says nothing about
+	// the current atlas.
+	trackerStaleAfter = 15 * time.Minute
+)
 
 // Sample is the outcome of recording one observation.
 type Sample struct {
@@ -73,7 +59,7 @@ type Stats struct {
 	Entries int
 	// TotalSamples counts observations recorded since creation.
 	TotalSamples int
-	// Evicted counts entries dropped to stay within MaxEntries.
+	// Evicted counts entries dropped to stay within 4096 destinations.
 	Evicted int
 	// MeanErr is the unweighted mean EWMA error over entries.
 	MeanErr float64
@@ -94,15 +80,14 @@ type entry struct {
 // cluster. It is safe for concurrent use.
 type Tracker struct {
 	mu      sync.Mutex
-	cfg     TrackerConfig
 	ents    map[int32]*entry
 	total   int
 	dropped int
 }
 
 // NewTracker returns an empty tracker.
-func NewTracker(cfg TrackerConfig) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), ents: make(map[int32]*entry)}
+func NewTracker() *Tracker {
+	return &Tracker{ents: make(map[int32]*entry)}
 }
 
 // RelErr computes the capped relative RTT error of one observation. A
@@ -138,13 +123,13 @@ func (t *Tracker) Record(cluster int32, src, dst netsim.Prefix, predictedMS, obs
 	t.total++
 	e := t.ents[cluster]
 	if e == nil {
-		if len(t.ents) >= t.cfg.MaxEntries {
+		if len(t.ents) >= trackerMaxEntries {
 			t.evictOldestLocked()
 		}
 		e = &entry{cluster: cluster, ewmaErr: s.Err}
 		t.ents[cluster] = e
 	} else {
-		e.ewmaErr = t.cfg.Alpha*s.Err + (1-t.cfg.Alpha)*e.ewmaErr
+		e.ewmaErr = trackerAlpha*s.Err + (1-trackerAlpha)*e.ewmaErr
 	}
 	e.samples++
 	e.lastSample = now
@@ -169,7 +154,7 @@ func (t *Tracker) evictOldestLocked() {
 
 // Worst ranks the corrective-probe candidates: destinations with at least
 // minSamples fresh observations, EWMA error of at least minErr, not probed
-// within cooldown, and sampled within StaleAfter. The score weighs error
+// within cooldown, and sampled within the last 15 minutes. The score weighs error
 // by sample support, so one noisy observation does not outrank a
 // consistently mispredicted popular destination. At most n targets are
 // returned, worst first.
@@ -191,7 +176,7 @@ func (t *Tracker) Worst(n, minSamples int, minErr float64, cooldown time.Duratio
 		if e.samples < minSamples || e.ewmaErr < minErr {
 			continue
 		}
-		if now.Sub(e.lastSample) > t.cfg.StaleAfter {
+		if now.Sub(e.lastSample) > trackerStaleAfter {
 			continue
 		}
 		if !e.corrected.IsZero() && now.Sub(e.corrected) < cooldown {

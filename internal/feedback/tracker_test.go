@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func TestRelErr(t *testing.T) {
 }
 
 func TestTrackerEWMAAndWorstRanking(t *testing.T) {
-	tr := NewTracker(TrackerConfig{Alpha: 0.5})
+	tr := NewTracker()
 	now := time.Now()
 	src, d1, d2, d3 := netsim.Prefix(1), netsim.Prefix(10), netsim.Prefix(20), netsim.Prefix(30)
 
@@ -74,7 +75,7 @@ func TestTrackerEWMAAndWorstRanking(t *testing.T) {
 }
 
 func TestTrackerEWMAConverges(t *testing.T) {
-	tr := NewTracker(TrackerConfig{Alpha: 0.5})
+	tr := NewTracker()
 	now := time.Now()
 	// Start terrible, then deliver perfect predictions: the EWMA must decay.
 	tr.Record(7, 1, 2, 0, 100, false, now)
@@ -85,25 +86,26 @@ func TestTrackerEWMAConverges(t *testing.T) {
 	if st.Entries != 1 || st.TotalSamples != 11 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.WorstErr > 0.01 {
-		t.Fatalf("EWMA did not converge down: %+v", st)
+	// Each perfect sample keeps three quarters of the error (alpha 0.25).
+	if want := math.Pow(0.75, 10); math.Abs(st.WorstErr-want) > 1e-12 {
+		t.Fatalf("EWMA after 10 perfect samples = %v, want %v: %+v", st.WorstErr, want, st)
 	}
 }
 
 func TestTrackerStaleness(t *testing.T) {
-	tr := NewTracker(TrackerConfig{StaleAfter: time.Minute})
+	tr := NewTracker()
 	base := time.Now()
 	tr.Record(1, 1, 2, 0, 100, false, base)
-	if got := tr.Worst(10, 1, 0.05, 0, base.Add(30*time.Second)); len(got) != 1 {
+	if got := tr.Worst(10, 1, 0.05, 0, base.Add(14*time.Minute)); len(got) != 1 {
 		t.Fatalf("fresh entry not scheduled: %+v", got)
 	}
-	if got := tr.Worst(10, 1, 0.05, 0, base.Add(2*time.Minute)); len(got) != 0 {
+	if got := tr.Worst(10, 1, 0.05, 0, base.Add(16*time.Minute)); len(got) != 0 {
 		t.Fatalf("stale entry scheduled: %+v", got)
 	}
 }
 
 func TestTrackerCooldownAndMarkCorrected(t *testing.T) {
-	tr := NewTracker(TrackerConfig{})
+	tr := NewTracker()
 	now := time.Now()
 	for i := 0; i < 3; i++ {
 		tr.Record(1, 1, 2, 0, 100, false, now)
@@ -127,25 +129,31 @@ func TestTrackerCooldownAndMarkCorrected(t *testing.T) {
 }
 
 func TestTrackerEviction(t *testing.T) {
-	tr := NewTracker(TrackerConfig{MaxEntries: 2})
+	tr := NewTracker()
 	base := time.Now()
-	tr.Record(1, 1, 10, 0, 100, false, base)
-	tr.Record(2, 1, 20, 0, 100, false, base.Add(time.Second))
-	tr.Record(3, 1, 30, 0, 100, false, base.Add(2*time.Second))
-	if tr.Len() != 2 {
-		t.Fatalf("len = %d, want 2", tr.Len())
+	for c := int32(0); c <= 4096; c++ { // one destination past the cap
+		tr.Record(c, 1, netsim.Prefix(c), 0, 100, false, base.Add(time.Duration(c)*time.Millisecond))
 	}
-	// The oldest (cluster 1) was evicted; 2 and 3 remain.
-	got := tr.Worst(10, 1, 0, 0, base.Add(2*time.Second))
+	if tr.Len() != 4096 {
+		t.Fatalf("len = %d, want 4096", tr.Len())
+	}
+	if st := tr.Stats(); st.Evicted != 1 {
+		t.Fatalf("evicted %d, want 1", st.Evicted)
+	}
+	// The oldest (cluster 0) was evicted; the rest remain.
+	got := tr.Worst(5000, 1, 0, 0, base.Add(5*time.Second))
+	if len(got) != 4096 {
+		t.Fatalf("%d targets, want 4096", len(got))
+	}
 	for _, tg := range got {
-		if tg.Cluster == 1 {
-			t.Fatalf("evicted cluster still scheduled: %+v", got)
+		if tg.Cluster == 0 {
+			t.Fatalf("evicted cluster still scheduled: %+v", tg)
 		}
 	}
 }
 
 func TestTrackerUntrackedCluster(t *testing.T) {
-	tr := NewTracker(TrackerConfig{})
+	tr := NewTracker()
 	s := tr.Record(-1, 1, 2, 0, 100, false, time.Now())
 	if s.Tracked {
 		t.Fatal("cluster -1 must not be tracked")

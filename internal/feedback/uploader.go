@@ -13,56 +13,20 @@ import (
 	"time"
 )
 
-// UploaderConfig tunes upstream observation shipping. The zero value (plus
-// a URL) uses defaults.
-type UploaderConfig struct {
-	// URL is the build server's observation endpoint (e.g.
-	// http://build:7353/v1/observations). Required.
-	URL string
-	// MaxBuffered caps observations held between flushes (default 1024).
-	// When full, the oldest observation is dropped: fresher residuals
-	// supersede stale ones by construction.
-	MaxBuffered int
-	// MaxBatch caps observations shipped per POST (default 256); a larger
-	// buffer drains over several requests.
-	MaxBatch int
-	// MaxAttempts bounds tries per flush including the first (default 3).
-	MaxAttempts int
-	// Backoff is the initial retry delay, doubled per attempt (default
-	// 500ms).
-	Backoff time.Duration
-	// Client is the HTTP client (default http.DefaultClient shape with a
-	// 10s timeout).
-	Client *http.Client
-
-	// sleep is the test hook for backoff waits.
-	sleep func(context.Context, time.Duration) error
-}
-
-func (c UploaderConfig) withDefaults() UploaderConfig {
-	if c.MaxBuffered <= 0 {
-		c.MaxBuffered = 1024
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxBatch > MaxUpstreamObservations {
-		c.MaxBatch = MaxUpstreamObservations
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 500 * time.Millisecond
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if c.sleep == nil {
-		c.sleep = sleepCtx
-	}
-	return c
-}
+const (
+	// uploadMaxBuffered caps observations held between flushes. When full,
+	// the oldest observation is dropped: fresher residuals supersede stale
+	// ones by construction.
+	uploadMaxBuffered = 1024
+	// uploadMaxBatch caps observations shipped per POST, well under the
+	// server's MaxUpstreamObservations; a larger buffer drains over
+	// several requests.
+	uploadMaxBatch = 256
+	// uploadMaxAttempts bounds tries per flush including the first.
+	uploadMaxAttempts = 3
+	// uploadBackoff is the first retry delay, doubled per attempt.
+	uploadBackoff = 500 * time.Millisecond
+)
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
@@ -95,16 +59,19 @@ type UploadStats struct {
 // bounded buffering and retry/backoff. Safe for concurrent use; a
 // Corrector's Observe hook can feed it while another goroutine flushes.
 type Uploader struct {
-	cfg UploaderConfig
+	url    string
+	client *http.Client
+	sleep  func(context.Context, time.Duration) error // test hook for backoff waits
 
 	mu    sync.Mutex
 	queue []UpstreamObservation
 	st    UploadStats
 }
 
-// NewUploader builds an uploader shipping to cfg.URL.
-func NewUploader(cfg UploaderConfig) *Uploader {
-	return &Uploader{cfg: cfg.withDefaults()}
+// NewUploader builds an uploader shipping to url, the build server's
+// observation endpoint (e.g. http://build:7353/v1/observations).
+func NewUploader(url string) *Uploader {
+	return &Uploader{url: url, client: &http.Client{Timeout: 10 * time.Second}, sleep: sleepCtx}
 }
 
 // Add queues one observation; when the buffer is full the oldest queued
@@ -114,8 +81,8 @@ func (u *Uploader) Add(o UpstreamObservation) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	clean := true
-	if len(u.queue) >= u.cfg.MaxBuffered {
-		drop := len(u.queue) - u.cfg.MaxBuffered + 1
+	if len(u.queue) >= uploadMaxBuffered {
+		drop := len(u.queue) - uploadMaxBuffered + 1
 		u.queue = append(u.queue[:0], u.queue[drop:]...)
 		u.st.Dropped += drop
 		clean = false
@@ -161,7 +128,7 @@ type obsResponse struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// Flush ships queued observations in MaxBatch-sized POSTs until the queue
+// Flush ships queued observations in POSTs of at most 256 until the queue
 // is empty or the server pushes back. The outcome of each batch decides
 // its observations' fate:
 //
@@ -169,7 +136,7 @@ type obsResponse struct {
 //     re-sending an unknown destination meets the same verdict;
 //   - rate-limited (the server's "retry after backing off" contract):
 //     re-queued in front, and the flush stops — the bucket needs time;
-//   - transport failure after MaxAttempts: re-queued in front, error
+//   - transport failure after 3 attempts: re-queued in front, error
 //     returned;
 //   - a final 4xx verdict (malformed, endpoint disabled): the batch is
 //     dropped, not re-queued — re-sending identical bytes cannot succeed,
@@ -186,10 +153,7 @@ func (u *Uploader) Flush(ctx context.Context) (int, error) {
 			u.mu.Unlock()
 			return shipped, nil
 		}
-		n := len(u.queue)
-		if n > u.cfg.MaxBatch {
-			n = u.cfg.MaxBatch
-		}
+		n := min(len(u.queue), uploadMaxBatch)
 		batch := append([]UpstreamObservation(nil), u.queue[:n]...)
 		u.queue = append(u.queue[:0], u.queue[n:]...)
 		u.st.Flushes++
@@ -231,7 +195,7 @@ func (u *Uploader) Flush(ctx context.Context) (int, error) {
 // oldest entries when the cap overflows. Caller holds u.mu.
 func (u *Uploader) requeueLocked(batch []UpstreamObservation) {
 	merged := append(append([]UpstreamObservation(nil), batch...), u.queue...)
-	if over := len(merged) - u.cfg.MaxBuffered; over > 0 {
+	if over := len(merged) - uploadMaxBuffered; over > 0 {
 		merged = merged[over:]
 		u.st.Dropped += over
 	}
@@ -244,21 +208,21 @@ func (u *Uploader) post(ctx context.Context, batch []UpstreamObservation) (obsRe
 	if err := EncodeObservations(&body, batch); err != nil {
 		return obsResponse{}, err
 	}
-	backoff := u.cfg.Backoff
+	backoff := uploadBackoff
 	var lastErr error
-	for attempt := 0; attempt < u.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < uploadMaxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := u.cfg.sleep(ctx, backoff); err != nil {
+			if err := u.sleep(ctx, backoff); err != nil {
 				return obsResponse{}, err
 			}
 			backoff *= 2
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.cfg.URL, bytes.NewReader(body.Bytes()))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.url, bytes.NewReader(body.Bytes()))
 		if err != nil {
 			return obsResponse{}, err
 		}
 		req.Header.Set("Content-Type", "application/x-ndjson")
-		resp, err := u.cfg.Client.Do(req)
+		resp, err := u.client.Do(req)
 		if err != nil {
 			lastErr = err
 			continue
@@ -275,7 +239,7 @@ func (u *Uploader) post(ctx context.Context, batch []UpstreamObservation) (obsRe
 		}
 		return out, nil
 	}
-	return obsResponse{}, fmt.Errorf("feedback: upload failed after %d attempts: %w", u.cfg.MaxAttempts, lastErr)
+	return obsResponse{}, fmt.Errorf("feedback: upload failed after %d attempts: %w", uploadMaxAttempts, lastErr)
 }
 
 // errFinalVerdict marks a server rejection retrying cannot fix; Flush

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,9 +44,22 @@ func obsServer(t *testing.T, failN *atomic.Int64) (*httptest.Server, *atomic.Int
 }
 
 func TestUploaderFlush(t *testing.T) {
-	srv, received := obsServer(t, nil)
-	u := NewUploader(UploaderConfig{URL: srv.URL, MaxBatch: 4})
-	for i := 0; i < 10; i++ {
+	var mu sync.Mutex
+	var sizes []int
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		obs, err := ParseObservationReport(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		sizes = append(sizes, len(obs))
+		mu.Unlock()
+		fmt.Fprintf(w, `{"accepted":%d}`, len(obs))
+	}))
+	defer srv.Close()
+	u := NewUploader(srv.URL)
+	for i := 0; i < 600; i++ {
 		if !u.Add(testObs(i)) {
 			t.Fatalf("observation %d dropped below the cap", i)
 		}
@@ -54,36 +68,43 @@ func TestUploaderFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 || received.Load() != 10 {
-		t.Fatalf("shipped %d (server saw %d), want 10", n, received.Load())
+	if n != 600 {
+		t.Fatalf("shipped %d, want 600", n)
 	}
 	if u.Len() != 0 {
 		t.Fatalf("queue not drained: %d", u.Len())
 	}
-	st := u.Stats()
-	if st.Shipped != 10 || st.Flushes != 3 { // 4+4+2 under MaxBatch=4
+	if fmt.Sprint(sizes) != "[256 256 88]" {
+		t.Fatalf("POST sizes %v, want [256 256 88]", sizes)
+	}
+	if st := u.Stats(); st.Shipped != 600 || st.Flushes != 3 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
 
 func TestUploaderBufferCapDropsOldest(t *testing.T) {
-	u := NewUploader(UploaderConfig{URL: "http://unused", MaxBuffered: 3})
-	for i := 0; i < 5; i++ {
-		u.Add(testObs(i))
+	u := NewUploader("http://unused")
+	for i := 0; i < 1024; i++ {
+		if !u.Add(testObs(i)) {
+			t.Fatalf("observation %d dropped below the cap", i)
+		}
 	}
-	if u.Len() != 3 {
-		t.Fatalf("queue = %d, want cap 3", u.Len())
+	if u.Add(testObs(1024)) {
+		t.Fatal("the 1025th observation reported no drop")
+	}
+	if u.Len() != 1024 {
+		t.Fatalf("queue = %d, want cap 1024", u.Len())
 	}
 	st := u.Stats()
-	if st.Dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", st.Dropped)
+	if st.Dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", st.Dropped)
 	}
-	// The survivors are the newest three.
+	// The survivors are the newest 1024.
 	u.mu.Lock()
 	first := u.queue[0]
 	u.mu.Unlock()
-	if first.Dst != testObs(2).Dst {
-		t.Fatalf("oldest surviving = %v, want obs 2", first.Dst)
+	if first.Dst != testObs(1).Dst {
+		t.Fatalf("oldest surviving = %v, want obs 1", first.Dst)
 	}
 }
 
@@ -92,13 +113,11 @@ func TestUploaderRetryBackoff(t *testing.T) {
 	fail.Store(2) // first two attempts 503, third succeeds
 	srv, received := obsServer(t, &fail)
 	var sleeps []time.Duration
-	u := NewUploader(UploaderConfig{
-		URL: srv.URL, MaxAttempts: 3, Backoff: 10 * time.Millisecond,
-		sleep: func(_ context.Context, d time.Duration) error {
-			sleeps = append(sleeps, d)
-			return nil
-		},
-	})
+	u := NewUploader(srv.URL)
+	u.sleep = func(_ context.Context, d time.Duration) error {
+		sleeps = append(sleeps, d)
+		return nil
+	}
 	u.Add(testObs(0))
 	n, err := u.Flush(context.Background())
 	if err != nil || n != 1 {
@@ -108,7 +127,7 @@ func TestUploaderRetryBackoff(t *testing.T) {
 		t.Fatalf("server saw %d", received.Load())
 	}
 	// Two retries with doubling backoff.
-	if len(sleeps) != 2 || sleeps[0] != 10*time.Millisecond || sleeps[1] != 20*time.Millisecond {
+	if len(sleeps) != 2 || sleeps[0] != 500*time.Millisecond || sleeps[1] != time.Second {
 		t.Fatalf("backoff schedule: %v", sleeps)
 	}
 }
@@ -117,10 +136,8 @@ func TestUploaderRequeuesOnFailure(t *testing.T) {
 	var fail atomic.Int64
 	fail.Store(1000) // never succeeds
 	srv, _ := obsServer(t, &fail)
-	u := NewUploader(UploaderConfig{
-		URL: srv.URL, MaxAttempts: 2, Backoff: time.Millisecond,
-		sleep: func(context.Context, time.Duration) error { return nil },
-	})
+	u := NewUploader(srv.URL)
+	u.sleep = func(context.Context, time.Duration) error { return nil }
 	for i := 0; i < 3; i++ {
 		u.Add(testObs(i))
 	}
@@ -143,10 +160,8 @@ func TestUploaderBadRequestNotRetried(t *testing.T) {
 		json.NewEncoder(w).Encode(map[string]string{"error": "malformed"})
 	}))
 	defer srv.Close()
-	u := NewUploader(UploaderConfig{
-		URL: srv.URL, MaxAttempts: 5, Backoff: time.Millisecond,
-		sleep: func(context.Context, time.Duration) error { return nil },
-	})
+	u := NewUploader(srv.URL)
+	u.sleep = func(context.Context, time.Duration) error { return nil }
 	u.Add(testObs(0))
 	if _, err := u.Flush(context.Background()); err == nil {
 		t.Fatal("flush reported success on a 400")
@@ -178,7 +193,7 @@ func TestUploaderRateLimitedTailRequeued(t *testing.T) {
 		fmt.Fprintf(w, `{"accepted":%d,"rate_limited":%d}`, grant, len(obs)-grant)
 	}))
 	defer srv.Close()
-	u := NewUploader(UploaderConfig{URL: srv.URL, MaxBatch: 8})
+	u := NewUploader(srv.URL)
 	for i := 0; i < 5; i++ {
 		u.Add(testObs(i))
 	}
@@ -207,7 +222,7 @@ func TestUploaderRateLimitedTailRequeued(t *testing.T) {
 
 func TestUploaderObserveFromTraceroutes(t *testing.T) {
 	srv, received := obsServer(t, nil)
-	u := NewUploader(UploaderConfig{URL: srv.URL})
+	u := NewUploader(srv.URL)
 	dst := netsim.Prefix(0x0a0002)
 	trs := []Traceroute{
 		{ // carries a residual: queued

@@ -280,15 +280,6 @@ func (t *Topology) RouterPoP(ip IP) PoPID {
 	return t.Routers[r].PoP
 }
 
-// LinkLoss returns the loss rate of link l in the direction from PoP `from`.
-func (t *Topology) LinkLoss(l LinkID, from PoPID) float64 {
-	lk := &t.Links[l]
-	if lk.A == from {
-		return lk.LossAB
-	}
-	return lk.LossBA
-}
-
 // OtherEnd returns the far end of link l as seen from PoP `from`.
 func (t *Topology) OtherEnd(l LinkID, from PoPID) PoPID {
 	lk := &t.Links[l]
@@ -297,9 +288,6 @@ func (t *Topology) OtherEnd(l LinkID, from PoPID) PoPID {
 	}
 	return lk.A
 }
-
-// NumASes returns the number of ASes in the world.
-func (t *Topology) NumASes() int { return len(t.ASes) }
 
 // Stats summarizes a generated world for logging.
 type Stats struct {

@@ -21,9 +21,9 @@ type fixture struct {
 func build(t testing.TB, seed int64) *fixture {
 	t.Helper()
 	top := netsim.Generate(netsim.TestConfig(seed))
-	sim := bgpsim.New(top, bgpsim.DefaultConfig())
+	sim := bgpsim.New(top)
 	day := sim.Day(0)
-	m := trace.NewMeter(day, trace.DefaultOptions())
+	m := trace.NewMeter(day)
 	vps := trace.SelectVantagePoints(top, 12)
 	targets := top.EdgePrefixes
 	if len(targets) > 80 {

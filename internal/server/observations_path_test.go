@@ -55,7 +55,7 @@ func obsLineWithHops(src, dst netsim.Prefix, rtt, predicted float64, hops string
 
 func TestObservationPathIngest(t *testing.T) {
 	f := buildFixture(t, 80)
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	_, ts := start(t, f, func(c *Config) { c.Aggregator = agg })
 
 	src, dst, pred := predictablePair(t, f)
@@ -80,7 +80,7 @@ func TestObservationPathIngest(t *testing.T) {
 
 func TestObservationPathLoopRejectedResidualKept(t *testing.T) {
 	f := buildFixture(t, 81)
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	_, ts := start(t, f, func(c *Config) { c.Aggregator = agg })
 
 	src, dst, pred := predictablePair(t, f)
@@ -103,7 +103,7 @@ func TestObservationPathLoopRejectedResidualKept(t *testing.T) {
 
 func TestObservationPathUnmappableRejected(t *testing.T) {
 	f := buildFixture(t, 82)
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	_, ts := start(t, f, func(c *Config) { c.Aggregator = agg })
 
 	src, dst, pred := predictablePair(t, f)
@@ -118,7 +118,7 @@ func TestObservationPathUnmappableRejected(t *testing.T) {
 
 func TestObservationStructureOnlyUnknownDestination(t *testing.T) {
 	f := buildFixture(t, 83)
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	_, ts := start(t, f, func(c *Config) { c.Aggregator = agg })
 
 	// A destination the serving atlas cannot place, probed by a client
@@ -146,7 +146,7 @@ func TestObservationStructureOnlyUnknownDestination(t *testing.T) {
 // corroborate each other into shipped structure.
 func TestObservationPathRotationBuysNoAgreement(t *testing.T) {
 	f := buildFixture(t, 84)
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	loopIP, err := feedback.ParseIPv4("127.0.0.1")
 	if err != nil {
 		t.Fatal(err)

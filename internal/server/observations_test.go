@@ -65,7 +65,7 @@ func TestObservationsDisabledWithoutAggregator(t *testing.T) {
 
 func TestObservationsIngestAndAggregate(t *testing.T) {
 	f := buildFixture(t, 71)
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	_, ts := start(t, f, func(c *Config) { c.Aggregator = agg })
 
 	src, dst, pred := predictablePair(t, f)
@@ -121,7 +121,7 @@ func TestObservationsIngestAndAggregate(t *testing.T) {
 // slots in the aggregate.
 func TestObservationsReporterIdentityFromConnection(t *testing.T) {
 	f := buildFixture(t, 74)
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	// Bind the loopback prefix (what httptest connections resolve to)
 	// into the serving atlas so the connection is placeable.
 	loopIP, err := feedback.ParseIPv4("127.0.0.1")
@@ -162,7 +162,7 @@ func TestObservationsReporterIdentityFromConnection(t *testing.T) {
 
 func TestObservationsRateLimit(t *testing.T) {
 	f := buildFixture(t, 72)
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	_, ts := start(t, f, func(c *Config) {
 		c.Aggregator = agg
 		c.ObservationRate = 0.001
@@ -186,7 +186,7 @@ func TestObservationsRateLimit(t *testing.T) {
 
 func TestRunObservationSnapshots(t *testing.T) {
 	f := buildFixture(t, 73)
-	agg := feedback.NewAggregator(feedback.AggregatorConfig{})
+	agg := feedback.NewAggregator()
 	s, ts := start(t, f, func(c *Config) { c.Aggregator = agg })
 	src, dst, pred := predictablePair(t, f)
 	if out, code := postObservations(t, ts.URL, upObsLine(src, dst, pred+30, pred)); code != 200 || out.Accepted != 1 {

@@ -53,8 +53,6 @@ type Config struct {
 	// (0 = core.DefaultStreamWindow). Smaller windows lower first-result
 	// latency; larger ones amortize fan-out.
 	StreamWindow int
-	// MaxBatchLineBytes caps one NDJSON request line (0 = 64KiB).
-	MaxBatchLineBytes int
 	// FeedbackRate is the per-source token refill rate of /v1/feedback in
 	// observations/second (0 = default 64; negative = unlimited).
 	FeedbackRate float64
@@ -135,9 +133,6 @@ type handlerMetrics struct {
 func New(cfg Config) *Server {
 	if cfg.Client == nil {
 		panic("server: Config.Client is required")
-	}
-	if cfg.MaxBatchLineBytes <= 0 {
-		cfg.MaxBatchLineBytes = 64 << 10
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -287,9 +282,6 @@ func New(cfg Config) *Server {
 		})
 	return s
 }
-
-// Registry exposes the server's metrics registry (for extra app metrics).
-func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // StartDraining moves the server into its terminal draining state:
 // /healthz answers 503 "draining" (pulling this replica out of any
@@ -565,7 +557,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	}
 
 	scanner := bufio.NewScanner(r.Body)
-	scanner.Buffer(make([]byte, 0, 4096), s.cfg.MaxBatchLineBytes)
+	scanner.Buffer(make([]byte, 0, 4096), batchpipe.MaxLineBytes)
 	var inputErr, streamErr error // either ends the stream with a terminal error line
 	lineNo := 0
 
@@ -655,6 +647,8 @@ type rankedCandidate struct {
 	RTTMS      float64 `json:"rtt_ms,omitempty"`
 	LossRate   float64 `json:"loss_rate,omitempty"`
 	TransferMS float64 `json:"transfer_ms,omitempty"`
+
+	dst netsim.Prefix // the candidate's prefix, RankReplicas' tie-break
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
@@ -693,7 +687,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 	params := tcpmodel.DefaultParams()
 	ranked := make([]rankedCandidate, len(infos))
 	for i, info := range infos {
-		rc := rankedCandidate{IP: req.Candidates[i], Found: info.Found}
+		rc := rankedCandidate{IP: req.Candidates[i], Found: info.Found, dst: reqs[i].Dst}
 		if info.Found {
 			rc.RTTMS = info.RTTMS
 			rc.LossRate = info.LossRate
@@ -704,22 +698,23 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 		ranked[i] = rc
 	}
 	// Predictable candidates first, cheapest first; the unpredictable keep
-	// input order at the tail (the ordering contract of RankByRTT/
-	// RankReplicas).
-	key := func(rc rankedCandidate) float64 {
-		if req.SizeBytes > 0 {
-			return rc.TransferMS
-		}
-		return rc.RTTMS
-	}
+	// input order at the tail. Equal transfer times go to the lower prefix,
+	// as in RankReplicas; equal RTTs keep input order, as in RankByRTT.
 	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].Found != ranked[j].Found {
-			return ranked[i].Found
+		a, b := &ranked[i], &ranked[j]
+		if a.Found != b.Found {
+			return a.Found
 		}
-		if !ranked[i].Found {
+		if !a.Found {
 			return false
 		}
-		return key(ranked[i]) < key(ranked[j])
+		if req.SizeBytes > 0 {
+			if a.TransferMS != b.TransferMS {
+				return a.TransferMS < b.TransferMS
+			}
+			return a.dst < b.dst
+		}
+		return a.RTTMS < b.RTTMS
 	})
 	return writeJSON(w, map[string]any{"src": req.Src, "day": snap.Day(), "ranked": ranked})
 }

@@ -21,6 +21,7 @@ import (
 	inano "inano"
 	"inano/internal/atlas"
 	"inano/internal/netsim"
+	"inano/internal/tcpmodel"
 	"inano/sim"
 )
 
@@ -486,6 +487,34 @@ func TestBatchMalformedLine(t *testing.T) {
 	}
 }
 
+// TestBatchLineCap: a request line may be 64 KiB long, newline included
+// (batchpipe.MaxLineBytes); one byte more ends the stream with the
+// terminal line.
+func TestBatchLineCap(t *testing.T) {
+	f := buildFixture(t, 206)
+	_, ts := start(t, f, nil)
+	line := batchLine(f.vps[0], f.targets[0])
+	for _, over := range []int{0, 1} {
+		body := strings.Repeat(" ", 64<<10-len(line)+over) + line
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got queryResult
+		if err := json.Unmarshal(bytes.TrimSpace(raw), &got); err != nil {
+			t.Fatalf("%d bytes over the cap: want one line, got %q", over, raw)
+		}
+		if failed := got.Error != ""; failed != (over > 0) {
+			t.Fatalf("%d bytes over the cap: answer %+v", over, got)
+		}
+	}
+}
+
 // TestRankEndpoint checks /v1/rank orders candidates exactly like the
 // library's RankByRTT.
 func TestRankEndpoint(t *testing.T) {
@@ -517,6 +546,60 @@ func TestRankEndpoint(t *testing.T) {
 	for i, rc := range out.Ranked {
 		if want := ipStr(wantOrder[i]); rc.IP != want {
 			t.Fatalf("rank %d = %s, want %s (full: %+v)", i, rc.IP, want, out.Ranked)
+		}
+	}
+}
+
+// TestRankTransferTies: with size_bytes, two candidates whose predicted
+// transfer times are equal come back in RankReplicas' order — the lower
+// prefix first — even when the request lists them the other way round.
+func TestRankTransferTies(t *testing.T) {
+	const size = 1_500_000
+	f := buildFixture(t, 42)
+	_, ts := start(t, f, nil)
+	src := f.vps[0]
+	// The first pair of candidates with equal transfer times, listed higher
+	// prefix first.
+	var cands []netsim.Prefix
+	seen := map[float64]netsim.Prefix{}
+	for _, p := range f.targets {
+		info := f.client.QueryPrefix(src, p)
+		if !info.Found || p == src {
+			continue
+		}
+		ms := tcpmodel.TransferTimeMS(size, info.RTTMS, info.LossRate, tcpmodel.DefaultParams())
+		if q, ok := seen[ms]; ok {
+			cands = []netsim.Prefix{max(p, q), min(p, q)}
+			break
+		}
+		seen[ms] = p
+	}
+	if cands == nil {
+		t.Fatal("no two candidates tie on transfer time in this world")
+	}
+	want := f.client.RankReplicas(src, cands, size)
+	if want[0] != cands[1] {
+		t.Fatalf("RankReplicas put %v first, want the lower prefix %v", want[0], cands[1])
+	}
+
+	raw, _ := json.Marshal(rankRequest{Src: ipStr(src), Candidates: []string{ipStr(cands[0]), ipStr(cands[1])}, SizeBytes: size})
+	resp, err := http.Post(ts.URL+"/v1/rank", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Ranked []rankedCandidate `json:"ranked"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Ranked) != 2 || out.Ranked[0].TransferMS != out.Ranked[1].TransferMS {
+		t.Fatalf("want two tied candidates, got %+v", out.Ranked)
+	}
+	for i, rc := range out.Ranked {
+		if rc.IP != ipStr(want[i]) {
+			t.Fatalf("rank %d = %s, want %s (RankReplicas' order; full: %+v)", i, rc.IP, ipStr(want[i]), out.Ranked)
 		}
 	}
 }

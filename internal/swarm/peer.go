@@ -136,9 +136,6 @@ func (p *Peer) Close() error {
 // Bytes returns the assembled file; valid once complete.
 func (p *Peer) Bytes() []byte { return p.st.bytes() }
 
-// Complete reports whether all chunks are present.
-func (p *Peer) Complete() bool { return p.st.complete() }
-
 func (p *Peer) accept() {
 	for {
 		conn, err := p.ln.Accept()

@@ -28,31 +28,21 @@ import (
 	"inano/internal/netsim"
 )
 
-// Options tunes measurement realism.
-type Options struct {
-	// DarkRouterProb is the probability that a PoP's routers never answer
+// Measurement realism, as used throughout the evaluation.
+const (
+	// darkRouterProb is the probability that a PoP's routers never answer
 	// traceroute probes (consistent per PoP).
-	DarkRouterProb float64
-	// TransientLossProb is the per-hop probability of a missing response
+	darkRouterProb = 0.04
+	// transientLossProb is the per-hop probability of a missing response
 	// on an otherwise responsive router.
-	TransientLossProb float64
-	// RTTNoiseFrac scales multiplicative RTT measurement noise.
-	RTTNoiseFrac float64
-	// UnreachableProb is the probability a destination host does not
+	transientLossProb = 0.02
+	// rttNoiseFrac scales multiplicative RTT measurement noise.
+	rttNoiseFrac = 0.03
+	// unreachableProb is the probability a destination host does not
 	// answer at all (probe filtered); the traceroute still records
 	// intermediate hops but Reached is false.
-	UnreachableProb float64
-}
-
-// DefaultOptions matches the realism knobs used throughout the evaluation.
-func DefaultOptions() Options {
-	return Options{
-		DarkRouterProb:    0.04,
-		TransientLossProb: 0.02,
-		RTTNoiseFrac:      0.03,
-		UnreachableProb:   0.03,
-	}
-}
+	unreachableProb = 0.03
+)
 
 // Hop is one observed traceroute hop.
 type Hop struct {
@@ -77,9 +67,8 @@ type Traceroute struct {
 
 // Meter issues simulated measurements against one routing day.
 type Meter struct {
-	day  *bgpsim.Day
-	top  *netsim.Topology
-	opts Options
+	day *bgpsim.Day
+	top *netsim.Topology
 	// seed derives the day's measurement noise; stableSeed that of
 	// measurements that must not drift day over day (link latencies are
 	// "extremely stable" per §6.2 — re-rolled daily they balloon the deltas).
@@ -99,11 +88,11 @@ type Meter struct {
 const revNone = math.MaxUint64
 
 // NewMeter creates a measurement harness for the given day view.
-func NewMeter(day *bgpsim.Day, opts Options) *Meter {
+func NewMeter(day *bgpsim.Day) *Meter {
 	s := day.Sim()
 	stable := uint64(s.Top.Cfg.Seed) * 0x5851f42d4c957f2d
 	return &Meter{
-		day: day, top: s.Top, opts: opts,
+		day: day, top: s.Top,
 		seed: stable + uint64(day.DayNum())*0x14057b7ef767814f, stableSeed: stable,
 		rev: make(map[netsim.Prefix][]atomic.Uint64),
 	}
@@ -157,7 +146,7 @@ func (m *Meter) popDark(p netsim.PoPID) bool {
 	h := uint64(m.top.Cfg.Seed)*0x2545f4914f6cdd1d ^ uint64(p)*0x9e3779b97f4a7c15
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
-	return float64(h>>11)/float64(1<<53) < m.opts.DarkRouterProb
+	return float64(h>>11)/float64(1<<53) < darkRouterProb
 }
 
 // Traceroute measures the path from a host in src to the probe host of dst.
@@ -178,7 +167,7 @@ func (m *Meter) Traceroute(src, dst netsim.Prefix) Traceroute {
 		if i > 0 {
 			fwdAccum += top.Links[h.Link].LatencyMS
 		}
-		if m.popDark(h.PoP) || rng.Float64() < m.opts.TransientLossProb {
+		if m.popDark(h.PoP) || rng.Float64() < transientLossProb {
 			tr.Hops = append(tr.Hops, Hop{})
 			continue
 		}
@@ -188,16 +177,16 @@ func (m *Meter) Traceroute(src, dst netsim.Prefix) Traceroute {
 			continue
 		}
 		rtt := 2*accessSrc + fwdAccum + revMS
-		rtt *= 1 + m.opts.RTTNoiseFrac*rng.Float64()
+		rtt *= 1 + rttNoiseFrac*rng.Float64()
 		tr.Hops = append(tr.Hops, Hop{IP: m.ifaceFor(h.PoP, h.Link), RTTMS: rtt})
 	}
 	// Destination host hop.
-	if rng.Float64() >= m.opts.UnreachableProb {
+	if rng.Float64() >= unreachableProb {
 		// Day.RTT(src, dst), from the forward route already in hand and the
 		// remembered reverse one.
 		if revMS, ok := m.revMS(rev, top.PrefixHome[dst], src); ok {
 			rtt := fwd.OneWayMS + revMS + 2*(accessSrc+top.PrefixAccessMS[dst])
-			rtt *= 1 + m.opts.RTTNoiseFrac*rng.Float64()
+			rtt *= 1 + rttNoiseFrac*rng.Float64()
 			tr.Hops = append(tr.Hops, Hop{IP: dst.HostIP(), RTTMS: rtt})
 			tr.Reached = true
 		}

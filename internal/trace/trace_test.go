@@ -14,8 +14,8 @@ import (
 func testMeter(t *testing.T, seed int64, day int) (*Meter, *netsim.Topology) {
 	t.Helper()
 	top := netsim.Generate(netsim.TestConfig(seed))
-	sim := bgpsim.New(top, bgpsim.DefaultConfig())
-	return NewMeter(sim.Day(day), DefaultOptions()), top
+	sim := bgpsim.New(top)
+	return NewMeter(sim.Day(day)), top
 }
 
 // TestTracerouteDeterministic: a traceroute is a function of (world, day,
@@ -160,7 +160,7 @@ func TestTracerouteHasUnresponsiveHops(t *testing.T) {
 
 func TestMeasureLossBinomial(t *testing.T) {
 	m, top := testMeter(t, 4, 0)
-	day := bgpsim.New(top, bgpsim.DefaultConfig()).Day(0)
+	day := bgpsim.New(top).Day(0)
 	found := false
 	for i := 0; i < len(top.EdgePrefixes) && !found; i++ {
 		src := top.EdgePrefixes[i]

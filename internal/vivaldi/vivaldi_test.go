@@ -11,7 +11,7 @@ import (
 
 func TestTrainConvergesOnSyntheticWorld(t *testing.T) {
 	top := netsim.Generate(netsim.TestConfig(81))
-	sim := bgpsim.New(top, bgpsim.DefaultConfig())
+	sim := bgpsim.New(top)
 	day := sim.Day(0)
 	hosts := trace.SelectVantagePoints(top, 30)
 	measure := func(a, b netsim.Prefix) (float64, bool) { return day.RTT(a, b) }
@@ -59,7 +59,7 @@ func TestEstimateSymmetric(t *testing.T) {
 	// Coordinates always predict symmetric latencies — the fundamental
 	// limitation of embeddings the paper calls out (§8.1).
 	top := netsim.Generate(netsim.TestConfig(82))
-	sim := bgpsim.New(top, bgpsim.DefaultConfig())
+	sim := bgpsim.New(top)
 	day := sim.Day(0)
 	hosts := trace.SelectVantagePoints(top, 12)
 	measure := func(a, b netsim.Prefix) (float64, bool) { return day.RTT(a, b) }
@@ -84,7 +84,7 @@ func TestEstimateUntrainedHost(t *testing.T) {
 
 func TestHeightNeverNegative(t *testing.T) {
 	top := netsim.Generate(netsim.TestConfig(83))
-	sim := bgpsim.New(top, bgpsim.DefaultConfig())
+	sim := bgpsim.New(top)
 	day := sim.Day(0)
 	hosts := trace.SelectVantagePoints(top, 15)
 	measure := func(a, b netsim.Prefix) (float64, bool) { return day.RTT(a, b) }

@@ -44,7 +44,7 @@ func NewWorld(scale Scale, seed int64) *World {
 		cfg = netsim.DefaultConfig(seed)
 	}
 	top := netsim.Generate(cfg)
-	return &World{Top: top, Sim: bgpsim.New(top, bgpsim.DefaultConfig())}
+	return &World{Top: top, Sim: bgpsim.New(top)}
 }
 
 // EdgePrefixes returns the probe-able edge prefixes of the world.
@@ -72,13 +72,14 @@ func (w *World) TrueASPath(day int, src, dst netsim.Prefix) ([]netsim.ASN, bool)
 
 // CampaignOptions tunes a measurement campaign.
 type CampaignOptions struct {
-	Day        int
-	VPs        []netsim.Prefix
-	Targets    []netsim.Prefix
-	ClientVPs  []netsim.Prefix // end-host agents contributing FROM_SRC traces
-	PerClient  int             // targets per client agent (default 50)
-	LossProbes int
+	Day       int
+	VPs       []netsim.Prefix
+	Targets   []netsim.Prefix
+	ClientVPs []netsim.Prefix // end-host agents contributing FROM_SRC traces
 }
+
+// perClient is how many targets each client agent traces.
+const perClient = 50
 
 // Campaign is one day's measurements plus the artifacts needed to build an
 // atlas from them.
@@ -88,21 +89,17 @@ type Campaign struct {
 	meter        *trace.Meter
 	VPTraces     []trace.Traceroute
 	ClientTraces []trace.Traceroute
-	opts         CampaignOptions
 }
 
 // Measure runs a measurement campaign against the world.
 func (w *World) Measure(o CampaignOptions) *Campaign {
 	day := w.Sim.Day(o.Day)
-	m := trace.NewMeter(day, trace.DefaultOptions())
-	if o.PerClient <= 0 {
-		o.PerClient = 50
-	}
-	c := &Campaign{world: w, day: day, meter: m, opts: o}
+	m := trace.NewMeter(day)
+	c := &Campaign{world: w, day: day, meter: m}
 	vpc := trace.RunCampaign(m, o.VPs, o.Targets)
 	c.VPTraces = vpc.Traceroutes
 	for i, src := range o.ClientVPs {
-		for k := 0; k < o.PerClient; k++ {
+		for k := range perClient {
 			dst := o.Targets[(i*131+k*17)%len(o.Targets)]
 			if dst == src {
 				continue
@@ -151,7 +148,6 @@ func (c *Campaign) BuildAtlasOver(cl *cluster.Clustering) *atlas.Atlas {
 		BGPFeeds:     atlas.DefaultFeeds(c.world.Top, 8),
 		ClusterCfg:   cluster.DefaultConfig(),
 		Clusters:     cl,
-		LossProbes:   c.opts.LossProbes,
 	})
 }
 

@@ -50,10 +50,10 @@ func TestClientAgents(t *testing.T) {
 	agents := w.EdgePrefixes()[50:54]
 	c := w.Measure(CampaignOptions{
 		Day: 0, VPs: vps, Targets: w.EdgePrefixes()[:30],
-		ClientVPs: agents, PerClient: 5,
+		ClientVPs: agents,
 	})
-	if len(c.ClientTraces) == 0 {
-		t.Fatal("no client traces")
+	if len(c.ClientTraces) != len(agents)*perClient { // no agent is among the targets
+		t.Fatalf("%d client traces, want %d", len(c.ClientTraces), len(agents)*perClient)
 	}
 	for _, tr := range c.ClientTraces {
 		found := false

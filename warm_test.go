@@ -165,7 +165,7 @@ func TestWarmSupersededByNextRoll(t *testing.T) {
 func TestWarmNeverEvictsReaders(t *testing.T) {
 	w, vps, days, deltas := dayChain(t, 152, 1)
 	opts := core.INanoOptions()
-	opts.TreeCacheSize, opts.TreeCacheShards = 6, 1
+	opts.TreeCacheSize = 6 // one shard
 	c := FromAtlasOptions(days[0], opts)
 	nextWarmer := parkWarm(c)
 	for _, dst := range spread(w.EdgePrefixes(), 12) {
@@ -268,10 +268,10 @@ func TestWarmHitRatio(t *testing.T) {
 // the roll hits at least nine in ten warmed trees. Warmed in any other
 // order, the slots go to the one-offs and the ratio is near zero.
 func TestWarmHottestFirst(t *testing.T) {
-	const n = 16
+	const n = 7
 	w, vps, days, deltas := dayChain(t, 156, 1)
 	opts := core.INanoOptions()
-	opts.TreeCacheSize, opts.TreeCacheShards = 2*n+1, 1 // the source's tree and two of the three sets
+	opts.TreeCacheSize = 2*n + 1 // the source's tree and two of the three sets, in one shard (under 16 trees)
 	src := vps[0]
 	// 3n destinations answered from src, no two sharing a tree, whose trees
 	// the roll neither retires nor merges.
