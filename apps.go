@@ -1,7 +1,9 @@
 package inano
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 
 	"inano/internal/tcpmodel"
@@ -14,113 +16,72 @@ import (
 // trees fan across workers, instead of running one Dijkstra per sequential
 // Query.
 
-// queryAll answers one src against many dsts on a single engine snapshot.
-func (c *Client) queryAll(src Prefix, dsts []Prefix) []PathInfo {
+// Ranked is one candidate as Snapshot.Rank scored it.
+type Ranked struct {
+	// Index is the candidate's position in the list Rank was given.
+	Index int
+	Dst   Prefix
+	// Found is false when the atlas predicts no path to the candidate; the
+	// numbers below are then zero.
+	Found           bool
+	RTTMS, LossRate float64
+	// TransferMS is the predicted time to download sizeBytes from the
+	// candidate; zero when sizeBytes is not positive.
+	TransferMS float64
+}
+
+// Rank scores every candidate from src in one batch and returns them best
+// first. With sizeBytes > 0 the score is the predicted download time of
+// that many bytes (PFTK TCP model over predicted latency and loss, §7.1:
+// short transfers are latency-dominated, long ones loss-sensitive), and
+// equal times go to the lower prefix. Otherwise it is the predicted RTT
+// ("which peers are closest", Fig. 7), and equal RTTs keep input order.
+// Candidates with no prediction come last, in input order. This is the one
+// ranking rule: BestReplica and inanod's /v1/rank both read it.
+func (s Snapshot) Rank(ctx context.Context, src Prefix, dsts []Prefix, sizeBytes int) ([]Ranked, error) {
 	reqs := make([]PairReq, len(dsts))
 	for i, d := range dsts {
 		reqs[i] = PairReq{Src: src, Dst: d}
 	}
-	out, _, err := c.QueryReqs(context.Background(), reqs)
+	infos, _, err := s.QueryReqs(ctx, reqs)
 	if err != nil {
-		// Unreachable with a background context; keep callers total anyway.
-		return make([]PathInfo, len(dsts))
+		return nil, err
 	}
-	return out
-}
-
-// RankByRTT orders destinations by predicted round-trip latency from src,
-// cheapest first. Destinations with no prediction sort last, in input
-// order. This backs "which peers are closest" decisions (Fig. 7).
-func (c *Client) RankByRTT(src Prefix, dsts []Prefix) []Prefix {
-	infos := c.queryAll(src, dsts)
-	type scored struct {
-		p    Prefix
-		rtt  float64
-		ok   bool
-		rank int
-	}
-	ss := make([]scored, len(dsts))
-	for i, d := range dsts {
-		ss[i] = scored{p: d, rtt: infos[i].RTTMS, ok: infos[i].Found, rank: i}
-	}
-	sort.SliceStable(ss, func(i, j int) bool {
-		if ss[i].ok != ss[j].ok {
-			return ss[i].ok
-		}
-		if !ss[i].ok {
-			return ss[i].rank < ss[j].rank
-		}
-		return ss[i].rtt < ss[j].rtt
-	})
-	out := make([]Prefix, len(ss))
-	for i, s := range ss {
-		out[i] = s.p
-	}
-	return out
-}
-
-// replicaScore is one replica's predicted download time; ok is false when
-// the path has no prediction.
-type replicaScore struct {
-	p    Prefix
-	t    float64
-	ok   bool
-	rank int // input position, preserved for no-prediction ordering
-}
-
-// scoreReplicas queries every replica in one batch and returns them sorted
-// cheapest predicted download first (PFTK TCP model over predicted latency
-// and loss, §7.1: short transfers are latency-dominated, long ones
-// loss-sensitive). Replicas with no prediction sort last, in input order;
-// ties break on the lower prefix. This ordering is the single definition
-// shared by RankReplicas and BestReplica.
-func (c *Client) scoreReplicas(src Prefix, replicas []Prefix, sizeBytes int) []replicaScore {
-	infos := c.queryAll(src, replicas)
 	params := tcpmodel.DefaultParams()
-	ss := make([]replicaScore, len(replicas))
-	for i, r := range replicas {
-		s := replicaScore{p: r, ok: infos[i].Found, rank: i}
-		if s.ok {
-			s.t = tcpmodel.TransferTimeMS(sizeBytes, infos[i].RTTMS, infos[i].LossRate, params)
+	out := make([]Ranked, len(dsts))
+	for i, info := range infos {
+		out[i] = Ranked{Index: i, Dst: dsts[i], Found: info.Found}
+		if info.Found {
+			out[i].RTTMS, out[i].LossRate = info.RTTMS, info.LossRate
+			out[i].TransferMS = tcpmodel.TransferTimeMS(sizeBytes, info.RTTMS, info.LossRate, params)
 		}
-		ss[i] = s
 	}
-	sort.SliceStable(ss, func(i, j int) bool {
-		if ss[i].ok != ss[j].ok {
-			return ss[i].ok
+	slices.SortStableFunc(out, func(a, b Ranked) int {
+		switch {
+		case a.Found != b.Found:
+			if a.Found {
+				return -1
+			}
+			return 1
+		case !a.Found:
+			return 0
+		case sizeBytes > 0:
+			return cmp.Or(cmp.Compare(a.TransferMS, b.TransferMS), cmp.Compare(a.Dst, b.Dst))
 		}
-		if !ss[i].ok {
-			return ss[i].rank < ss[j].rank
-		}
-		if ss[i].t != ss[j].t {
-			return ss[i].t < ss[j].t
-		}
-		return ss[i].p < ss[j].p
+		return cmp.Compare(a.RTTMS, b.RTTMS)
 	})
-	return ss
-}
-
-// RankReplicas orders replicas by predicted download time of sizeBytes for
-// the client at src, cheapest first. Replicas with no prediction sort
-// last, in input order.
-func (c *Client) RankReplicas(src Prefix, replicas []Prefix, sizeBytes int) []Prefix {
-	ss := c.scoreReplicas(src, replicas, sizeBytes)
-	out := make([]Prefix, len(ss))
-	for i, s := range ss {
-		out[i] = s.p
-	}
-	return out
+	return out, nil
 }
 
 // BestReplica picks the replica predicted to minimize the download time of
-// sizeBytes for the client at src — always RankReplicas' first entry. ok
-// is false when no replica has a prediction.
+// sizeBytes for the client at src — Rank's first entry. ok is false when
+// no replica has a prediction.
 func (c *Client) BestReplica(src Prefix, replicas []Prefix, sizeBytes int) (Prefix, bool) {
-	ss := c.scoreReplicas(src, replicas, sizeBytes)
-	if len(ss) == 0 || !ss[0].ok {
+	ranked, err := c.Snapshot().Rank(context.Background(), src, replicas, sizeBytes)
+	if err != nil || len(ranked) == 0 || !ranked[0].Found {
 		return 0, false
 	}
-	return ss[0].p, true
+	return ranked[0].Dst, true
 }
 
 // relayLegs predicts both legs (src->relay, relay->dst) for every usable
@@ -143,23 +104,6 @@ func (c *Client) relayLegs(ctx context.Context, src, dst Prefix, relays []Prefix
 	return kept, legs, err
 }
 
-// BestRelay picks a relay for a VoIP call from src to dst using the paper's
-// §7.2 strategy: take the k relays minimizing predicted end-to-end loss
-// through the relay, then among those the one minimizing end-to-end
-// latency. ok is false when no relay has predictions for both legs.
-func (c *Client) BestRelay(src, dst Prefix, relays []Prefix, k int) (Prefix, bool) {
-	pick, ok, _ := c.BestRelayContext(context.Background(), src, dst, relays, k)
-	return pick, ok
-}
-
-// BestRelayContext is BestRelay with cancellation bounding call-setup
-// latency: when ctx expires the underlying batch aborts and ctx.Err() is
-// returned.
-func (c *Client) BestRelayContext(ctx context.Context, src, dst Prefix, relays []Prefix, k int) (Prefix, bool, error) {
-	choice, ok, err := c.BestRelayInfo(ctx, src, dst, relays, k)
-	return choice.Relay, ok, err
-}
-
 // RelayChoice is the outcome of relay selection: the chosen relay plus
 // its predicted end-to-end performance through both legs — what a serving
 // daemon reports back to the caller placing the call.
@@ -174,11 +118,14 @@ type RelayChoice struct {
 	MOS float64
 }
 
-// BestRelayInfo picks a relay with the paper's §7.2 strategy (top-k by
-// predicted loss, then minimum latency among those) and returns the
-// choice annotated with its predicted end-to-end performance. ok is false
-// when no relay has predictions for both legs.
-func (c *Client) BestRelayInfo(ctx context.Context, src, dst Prefix, relays []Prefix, k int) (RelayChoice, bool, error) {
+// BestRelay picks a relay for a VoIP call from src to dst with the paper's
+// §7.2 strategy: take the k relays (10 when k <= 0) minimizing predicted
+// end-to-end loss through the relay, then among those the one minimizing
+// end-to-end latency. The choice comes annotated with its predicted
+// end-to-end performance. ok is false when no relay has predictions for
+// both legs. ctx bounds call-setup latency: when it expires the batch
+// aborts and ctx.Err() is returned.
+func (c *Client) BestRelay(ctx context.Context, src, dst Prefix, relays []Prefix, k int) (RelayChoice, bool, error) {
 	if k <= 0 {
 		k = 10
 	}
@@ -230,20 +177,6 @@ func (c *Client) BestRelayInfo(ctx context.Context, src, dst Prefix, relays []Pr
 		LossRate: best.loss,
 		MOS:      voip.RelayScore(best.leg1.RTTMS, best.leg1.LossRate, best.leg2.RTTMS, best.leg2.LossRate),
 	}, true, nil
-}
-
-// RelayMOS predicts the mean opinion score of a call from src to dst
-// relayed through relay.
-func (c *Client) RelayMOS(src, dst, relay Prefix) (float64, bool) {
-	legs, _, err := c.QueryReqs(context.Background(), []PairReq{{Src: src, Dst: relay}, {Src: relay, Dst: dst}})
-	if err != nil {
-		return 0, false
-	}
-	leg1, leg2 := legs[0], legs[1]
-	if !leg1.Found || !leg2.Found {
-		return 0, false
-	}
-	return voip.RelayScore(leg1.RTTMS, leg1.LossRate, leg2.RTTMS, leg2.LossRate), true
 }
 
 // RankDetours orders candidate detour nodes for recovering connectivity

@@ -29,16 +29,15 @@ func main() {
 	// latency.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	pick, ok, err := client.BestRelayContext(ctx, src, dst, relays, 10)
+	choice, ok, err := client.BestRelay(ctx, src, dst, relays, 10)
 	if err != nil {
 		log.Fatalf("relay scoring timed out: %v", err)
 	}
 	if !ok {
 		log.Fatal("no relay predictable for both legs")
 	}
-	if mos, ok := client.RelayMOS(src, dst, pick); ok {
-		fmt.Printf("iNano picks relay %v (predicted MOS %.2f)\n", pick, mos)
-	}
+	pick := choice.Relay
+	fmt.Printf("iNano picks relay %v (predicted MOS %.2f)\n", pick, choice.MOS)
 
 	// Score every relay with ground truth and show where the pick lands.
 	fmt.Printf("\n%-18s %10s %10s %8s\n", "relay", "loss", "delay(ms)", "MOS")

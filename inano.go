@@ -128,15 +128,10 @@ type Client struct {
 }
 
 // FromAtlas wraps an in-memory atlas with the full iNano configuration.
+// The atlas is compiled into its serving form here; the client keeps no
+// reference to a.
 func FromAtlas(a *atlas.Atlas) *Client {
-	return FromAtlasOptions(a, core.INanoOptions())
-}
-
-// FromAtlasOptions wraps an atlas with an explicit algorithm configuration
-// (used by evaluations to run ablations). The atlas is compiled into its
-// serving form here; the client keeps no reference to a.
-func FromAtlasOptions(a *atlas.Atlas, opts core.Options) *Client {
-	return FromFlatOptions(atlas.Compile(a), opts)
+	return FromFlat(atlas.Compile(a))
 }
 
 // FromFlat wraps a compiled flat atlas (e.g. one mmap'd from disk via
@@ -180,7 +175,7 @@ func FetchAtlas(ctx context.Context, trackerAddr string, m Manifest) (*Client, e
 	if err != nil {
 		return nil, fmt.Errorf("inano: fetching atlas: %w", err)
 	}
-	return Load(bytesReader(data))
+	return Load(bytes.NewReader(data))
 }
 
 // Day returns the measurement day of the loaded atlas.
@@ -252,13 +247,12 @@ func (c *Client) ApplyDelta(r io.Reader) error {
 // the stats show that nothing route computation reads has moved (no link,
 // cluster, loss, 3-tuple or attachment change: corrections only), the new
 // engine adopts cur's warm prediction-tree cache; otherwise it starts cold.
-// The trees hold link-table indexes, so the table must also lie as it did:
-// Apply reorders one whose buckets were not in From order.
+// The trees hold link-table indexes, which such a roll leaves as they were:
+// with no link or cluster change, Apply lays the table out edge for edge.
 func (c *Client) apply(cur *core.Engine, d *Delta) (*core.Engine, RollStats) {
 	next, st := cur.Flat().Apply(d)
 	if st.LinksChanged()+st.ClustersAdded+st.LossSet+st.LossCleared+
-		st.TuplesAdded+st.TuplesRemoved+st.PrefixesRehomed == 0 &&
-		slices.Equal(next.EdgeFrom, cur.Flat().EdgeFrom) {
+		st.TuplesAdded+st.TuplesRemoved+st.PrefixesRehomed == 0 {
 		return core.NewWithCache(next, c.opts, cur), st
 	}
 	return core.NewFromFlat(next, c.opts), st
@@ -280,7 +274,7 @@ func (c *Client) FetchDelta(ctx context.Context, trackerAddr string, m Manifest)
 	if err != nil {
 		return fmt.Errorf("inano: fetching delta: %w", err)
 	}
-	return c.ApplyDelta(bytesReader(data))
+	return c.ApplyDelta(bytes.NewReader(data))
 }
 
 // Query predicts forward and reverse paths between hosts and composes
@@ -420,5 +414,3 @@ func (c *Client) CacheStats() core.CacheStats {
 func (c *Client) PredictForward(src, dst Prefix) Prediction {
 	return c.engine.Load().PredictForward(src, dst)
 }
-
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }

@@ -217,13 +217,19 @@ func TestRankByRTTPrefersCloser(t *testing.T) {
 	f := buildFixture(t, 107, 0)
 	c := FromAtlas(f.a)
 	src := f.vps[0]
-	ranked := c.RankByRTT(src, f.targets[:20])
+	ranked, err := c.Snapshot().Rank(context.Background(), src, f.targets[:20], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ranked) != 20 {
 		t.Fatalf("ranked %d, want 20", len(ranked))
 	}
 	prev := -1.0
-	for _, d := range ranked {
-		info := c.QueryPrefix(src, d)
+	for _, r := range ranked {
+		info := c.QueryPrefix(src, r.Dst)
+		if r.Dst != f.targets[r.Index] || r.Found != info.Found || r.RTTMS != info.RTTMS {
+			t.Fatalf("candidate %d scored %+v, its query answers %+v", r.Index, r, info)
+		}
 		if !info.Found {
 			break // unfound sort last
 		}
@@ -242,20 +248,18 @@ func TestBestReplicaAndRelay(t *testing.T) {
 	if _, ok := c.BestReplica(src, replicas, 30_000); !ok {
 		t.Fatal("no replica chosen")
 	}
-	big, ok := c.BestReplica(src, replicas, 1_500_000)
-	if !ok {
+	if _, ok := c.BestReplica(src, replicas, 1_500_000); !ok {
 		t.Fatal("no large-file replica chosen")
 	}
-	if _, ok := c.RelayMOS(src, f.vps[1], big); big != src && !ok {
-		// RelayMOS can fail only if a leg is unpredictable.
-		t.Log("relay MOS unavailable for chosen replica")
+	choice, ok, err := c.BestRelay(context.Background(), src, f.vps[1], f.vps[2:8], 3)
+	if err != nil || !ok {
+		t.Fatalf("no relay chosen (err %v)", err)
 	}
-	relay, ok := c.BestRelay(src, f.vps[1], f.vps[2:8], 3)
-	if !ok {
-		t.Fatal("no relay chosen")
-	}
-	if relay == src || relay == f.vps[1] {
+	if choice.Relay == src || choice.Relay == f.vps[1] {
 		t.Fatal("relay is an endpoint")
+	}
+	if choice.MOS <= 0 || choice.RTTMS <= 0 {
+		t.Fatalf("choice carries no predicted performance: %+v", choice)
 	}
 }
 

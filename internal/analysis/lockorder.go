@@ -11,15 +11,13 @@ import (
 //
 //  1. missing unlock: a path that returns (or falls off the end of the
 //     function) while a mutex acquired in that function is still held and
-//     no defer covers it. This is the exact shape of the PR 6 linkIndex
-//     lost-invalidation fix — invalidateIndex exists because a bare
-//     store outside idxMu raced buildIndex; a forgotten unlock on an early
-//     return is the same class of one-path mistake.
+//     no defer covers it: a forgotten unlock on an early return, a
+//     mistake that lives on one path and hangs the next caller.
 //
 //  2. inconsistent acquisition order: when one function in a package
 //     acquires lock B while holding A, and another acquires A while
 //     holding B (locks keyed by declaring type + field, e.g.
-//     atlas.Atlas.idxMu), the pair can deadlock. Both sites are reported.
+//     swarm.peerConn.bitM), the pair can deadlock. Both sites are reported.
 //
 // Copying a lock is go vet's copylocks check, not this one's.
 //

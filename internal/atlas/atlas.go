@@ -19,8 +19,9 @@
 package atlas
 
 import (
+	"cmp"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"inano/internal/cluster"
@@ -86,7 +87,9 @@ type Atlas struct {
 	NumClusters int
 	// ClusterAS maps each cluster to its owning AS.
 	ClusterAS []netsim.ASN
-	// Links is the annotated link set, sorted by (From, To).
+	// Links is the annotated link set in strictly ascending (From, To)
+	// order (linkOrder): no pair appears twice. Every producer keeps it so,
+	// and LinkAt and Compile rely on it.
 	Links []Link
 	// Loss holds loss rates for lossy directed links, keyed by LinkKey.
 	Loss map[uint64]float32
@@ -164,12 +167,6 @@ type Atlas struct {
 	// the agreed path's last infrastructure cluster, and shed it again a
 	// few rolls after reporters stop re-supporting it.
 	ObservedAttach map[netsim.Prefix]uint8
-
-	// linkIndex is the lazily built (From,To) -> Links index. It is an
-	// atomic pointer so concurrent readers stay lock-free; idxMu
-	// serializes (re)builds.
-	linkIndex atomic.Pointer[map[uint64]int32]
-	idxMu     sync.Mutex
 }
 
 // New returns an empty atlas with all maps allocated.
@@ -192,43 +189,25 @@ func New() *Atlas {
 	}
 }
 
-// LinkAt returns the index of the directed link from->to in Links, or -1.
-// Safe for concurrent use as long as Links is not being mutated.
+// LinkAt returns the index of the directed link from->to in Links, or -1:
+// a binary search, Links being in (From, To) order. Safe for concurrent use
+// as long as Links is not being mutated.
 func (a *Atlas) LinkAt(from, to cluster.ClusterID) int32 {
-	idx := a.linkIndex.Load()
-	if idx == nil {
-		idx = a.buildIndex()
-	}
-	if i, ok := (*idx)[LinkKey(from, to)]; ok {
-		return i
+	if i, ok := a.search(from, to); ok {
+		return int32(i)
 	}
 	return -1
 }
 
-func (a *Atlas) buildIndex() *map[uint64]int32 {
-	a.idxMu.Lock()
-	defer a.idxMu.Unlock()
-	if idx := a.linkIndex.Load(); idx != nil {
-		return idx
-	}
-	m := make(map[uint64]int32, len(a.Links))
-	for i, l := range a.Links {
-		m[LinkKey(l.From, l.To)] = int32(i)
-	}
-	a.linkIndex.Store(&m)
-	return &m
+// search returns where the link from->to stands in Links, or would be
+// inserted to keep Links in order, and whether it is there.
+func (a *Atlas) search(from, to cluster.ClusterID) (int, bool) {
+	return slices.BinarySearchFunc(a.Links, Link{From: from, To: to}, linkOrder)
 }
 
-// invalidateIndex must be called after Links mutates. It takes idxMu so
-// the invalidation serializes against a concurrent buildIndex: a bare
-// Store(nil) could be overwritten by a build that loaded nil before this
-// mutation and finished (under idxMu) after it, resurrecting an index over
-// the pre-mutation Links — a lost invalidation that would serve stale link
-// positions forever.
-func (a *Atlas) invalidateIndex() {
-	a.idxMu.Lock()
-	a.linkIndex.Store(nil)
-	a.idxMu.Unlock()
+// linkOrder is the order Links is kept in: by From, then by To.
+func linkOrder(x, y Link) int {
+	return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
 }
 
 // LossOf returns the loss rate of a directed link (0 when not recorded).

@@ -3,6 +3,7 @@ package atlas
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -370,6 +371,51 @@ func TestLinkAtIndex(t *testing.T) {
 		if l, ok := f.LinkAt(ft[0], ft[1]); ok {
 			t.Fatalf("Flat.LinkAt(%d,%d) found %+v", ft[0], ft[1], l)
 		}
+	}
+}
+
+// indexAtlas builds a small atlas with n sequential links 0->1->...->n.
+func indexAtlas(n int) *Atlas {
+	a := New()
+	a.NumClusters = n + 1
+	a.ClusterAS = make([]netsim.ASN, n+1)
+	for i := range a.ClusterAS {
+		a.ClusterAS[i] = netsim.ASN(100 + i)
+	}
+	for i := 0; i < n; i++ {
+		a.Links = append(a.Links, Link{
+			From: cluster.ClusterID(i), To: cluster.ClusterID(i + 1),
+			LatencyMS: float32(i + 1), Planes: PlaneToDst,
+		})
+	}
+	return a
+}
+
+// TestCloneLinkIsolation checks that a copy-on-write clone and its parent
+// never see each other's links: adding a link to the clone (the FoldPaths
+// pattern) must not surface in the parent's lookups, and vice versa.
+func TestCloneLinkIsolation(t *testing.T) {
+	parent := indexAtlas(8)
+	clone := parent.Clone()
+	clone.Links = append(clone.Links, Link{From: 7, To: 0, LatencyMS: 9, Planes: PlaneFromSrc})
+	slices.SortFunc(clone.Links, linkOrder)
+	if got := clone.LinkAt(7, 0); got < 0 {
+		t.Fatal("clone cannot see its own added link")
+	}
+	if got := parent.LinkAt(7, 0); got >= 0 {
+		t.Fatalf("parent sees the clone's link at %d", got)
+	}
+	for i := 0; i < 8; i++ {
+		li := parent.LinkAt(cluster.ClusterID(i), cluster.ClusterID(i+1))
+		if li < 0 || parent.Links[li].From != cluster.ClusterID(i) {
+			t.Fatalf("parent.LinkAt(%d,%d) resolved to %d", i, i+1, li)
+		}
+	}
+
+	parent.Links = append(parent.Links, Link{From: 5, To: 0, LatencyMS: 3, Planes: PlaneToDst})
+	slices.SortFunc(parent.Links, linkOrder)
+	if got := clone.LinkAt(5, 0); got >= 0 {
+		t.Fatalf("clone sees the parent's new link at %d", got)
 	}
 }
 

@@ -228,12 +228,7 @@ func (a *Atlas) Apply(d *Delta) {
 			delete(up, k)
 		}
 	}
-	sort.Slice(a.Links, func(i, j int) bool {
-		if a.Links[i].From != a.Links[j].From {
-			return a.Links[i].From < a.Links[j].From
-		}
-		return a.Links[i].To < a.Links[j].To
-	})
+	slices.SortFunc(a.Links, linkOrder)
 
 	for _, k := range d.DelLoss {
 		delete(a.Loss, k)
@@ -301,7 +296,6 @@ func (a *Atlas) Apply(d *Delta) {
 		a.AdjustMS[p] = v
 	}
 	a.Day = d.ToDay
-	a.invalidateIndex()
 }
 
 const deltaMagic = "INANODLT"

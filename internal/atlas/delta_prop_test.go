@@ -41,7 +41,7 @@ func makeRandomAtlas(rng *rand.Rand, day int) *Atlas {
 			a.Loss[LinkKey(from, to)] = float32(rng.Intn(1000)) / 10000
 		}
 	}
-	sortLinks(a)
+	slices.SortFunc(a.Links, linkOrder)
 	for i := 0; i < 100+rng.Intn(200); i++ {
 		a.Tuples[PackTriple(
 			netsim.ASN(1+rng.Intn(10)),
@@ -54,20 +54,7 @@ func makeRandomAtlas(rng *rand.Rand, day int) *Atlas {
 	for i := 0; i < 10+rng.Intn(30); i++ {
 		a.IfaceCluster[netsim.Prefix(1000+rng.Intn(200))] = cluster.ClusterID(rng.Intn(n))
 	}
-	a.invalidateIndex()
 	return a
-}
-
-func sortLinks(a *Atlas) {
-	for i := 1; i < len(a.Links); i++ {
-		for j := i; j > 0; j-- {
-			x, y := a.Links[j-1], a.Links[j]
-			if LinkKey(x.From, x.To) <= LinkKey(y.From, y.To) {
-				break
-			}
-			a.Links[j-1], a.Links[j] = y, x
-		}
-	}
 }
 
 // Diff/Apply must be exact on arbitrary atlases: applying Diff(a,b) to a
@@ -192,7 +179,7 @@ func sameFlat(t testing.TB, got, want *Flat) {
 }
 
 // mapPath is the oracle Flat.Apply is held to: back to maps, the map apply,
-// a fresh compile.
+// a new compile.
 func mapPath(f *Flat, d *Delta) *Flat {
 	a := f.Inflate()
 	a.Apply(d)
@@ -246,7 +233,7 @@ func hostile(rng *rand.Rand, d *Delta, cur *Atlas, n int) {
 
 // localSets returns client-local corrections as a traceroute merge would
 // set them: over a prefix that already carries a local term, one that
-// carries only a shipped term, a fresh prefix, and a set to exactly zero
+// carries only a shipped term, a new prefix, and a set to exactly zero
 // (which keeps its key, as a map entry would).
 func localSets(rng *rand.Rand, cur *Atlas) map[netsim.Prefix]float32 {
 	m := map[netsim.Prefix]float32{
@@ -309,7 +296,7 @@ func TestFlatApplyMatchesMapPath(t *testing.T) {
 					Link{From: nc, To: 1, LatencyMS: 8, Planes: PlaneFromSrc})
 				next.Loss[LinkKey(0, nc)] = 0.125
 				next.PrefixCluster[netsim.Prefix(400+day)] = nc
-				sortLinks(next)
+				slices.SortFunc(next.Links, linkOrder)
 			}
 			for i := 0; i < 8; i++ {
 				next.GlobalAdjustMS[netsim.Prefix(100+rng.Intn(200))] = float32(rng.Intn(3000)-1500) / 100
@@ -431,20 +418,6 @@ func TestFlatApplyOwnsItsMemory(t *testing.T) {
 		}
 	}
 	sameFlat(t, aliased, got)
-}
-
-// TestFlatApplySortsUnorderedBuckets covers a Flat compiled from an atlas
-// whose Links were never put in (From, To) order: the map path re-sorts
-// them on every apply, and so must the merge.
-func TestFlatApplySortsUnorderedBuckets(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := makeRandomAtlas(rng, 0)
-	rng.Shuffle(len(a.Links), func(i, j int) { a.Links[i], a.Links[j] = a.Links[j], a.Links[i] })
-	a.invalidateIndex()
-	f := Compile(a)
-	d := Diff(f.Inflate(), makeRandomAtlas(rng, 1))
-	got, _ := f.Apply(d)
-	sameFlat(t, got, mapPath(f, d))
 }
 
 // TestFlatApplyFromEmpty grows an atlas out of nothing but a delta: the

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"inano/internal/cluster"
 	"inano/internal/netsim"
@@ -49,9 +48,10 @@ type Flat struct {
 	//inano:mmap
 	ClusterAS []netsim.ASN
 
-	// CSR link table, bucketed by destination (To) cluster. Buckets
-	// preserve the Links slice order, so the engine relaxes edges in
-	// exactly the order the map-based engine did (tie-break parity).
+	// CSR link table, bucketed by destination (To) cluster. Within a
+	// bucket EdgeFrom strictly ascends — the (From, To) order of an
+	// Atlas's Links, which the engine's tie-breaks follow — and Validate
+	// refuses a bucket out of that order or with a source twice.
 	//inano:mmap
 	EdgeStart []uint32 // len NumClusters+1
 	//inano:mmap
@@ -170,11 +170,13 @@ func providerKeys(m map[netsim.ASN][]netsim.ASN) []uint64 {
 
 // finish is the step Compile and DecodeFlat end in: with every table of f
 // set, it derives the search indexes and builds the CSR link table from
-// links. The counting sort by To keeps, inside each bucket, the order links
-// are in (the order the map engine appended its in-edges: tie-break
-// parity). An edge's flags take one late-exit search. Its loss is read
-// from LossKeys by a merge along the links, which arrive in the same
-// (From, To) order (seek). Links outside the cluster space are skipped.
+// links, which must be in strictly ascending (From, To) order, as an
+// Atlas's Links are. The counting sort by To keeps that order inside each
+// bucket, so every bucket's sources ascend strictly (the order the map
+// engine appended its in-edges: tie-break parity). An edge's flags take
+// one late-exit search. Its loss is read from LossKeys by a merge along
+// the links, which arrive in that (From, To) order (seek). Links outside
+// the cluster space are skipped.
 func (f *Flat) finish(links []Link) {
 	f.buildIndex()
 	n := int(f.NumClusters)
@@ -378,18 +380,18 @@ func (f *Flat) RelOf(x, y netsim.ASN) netsim.Rel {
 	return r.Invert()
 }
 
-// LinkAt returns the directed link from->to, scanning to's CSR bucket (a
-// cluster's in-degree is small); ok is false when the atlas has none.
+// LinkAt returns the directed link from->to, a binary search of to's CSR
+// bucket; ok is false when the atlas has none.
 func (f *Flat) LinkAt(from, to cluster.ClusterID) (l Link, ok bool) {
 	if to < 0 || int32(to) >= f.NumClusters {
 		return Link{}, false
 	}
-	for ei := f.EdgeStart[to]; ei < f.EdgeStart[to+1]; ei++ {
-		if f.EdgeFrom[ei] == from {
-			return Link{From: from, To: to, LatencyMS: f.EdgeLat[ei], Planes: f.EdgePlanes[ei]}, true
-		}
+	lo, hi := int(f.EdgeStart[to]), int(f.EdgeStart[to+1])
+	i, found := slices.BinarySearch(f.EdgeFrom[lo:hi], from)
+	if !found {
+		return Link{}, false
 	}
-	return Link{}, false
+	return Link{From: from, To: to, LatencyMS: f.EdgeLat[lo+i], Planes: f.EdgePlanes[lo+i]}, true
 }
 
 // NumEdges returns the CSR link count.
@@ -414,12 +416,7 @@ func (f *Flat) Inflate() *Atlas {
 			})
 		}
 	}
-	sort.Slice(a.Links, func(i, j int) bool {
-		if a.Links[i].From != a.Links[j].From {
-			return a.Links[i].From < a.Links[j].From
-		}
-		return a.Links[i].To < a.Links[j].To
-	})
+	slices.SortFunc(a.Links, linkOrder)
 	for i, k := range f.AdjustKeys {
 		if g := f.AdjustGlobal[i]; g != 0 {
 			a.GlobalAdjustMS[k] = g
@@ -471,9 +468,10 @@ func keySet(keys []uint64) map[uint64]bool {
 }
 
 // Validate checks the structural invariants every accessor relies on:
-// consistent array lengths, a monotone CSR, in-range cluster IDs, and
-// sorted key tables. OpenFlat runs it by default so a truncated or
-// hand-edited file fails fast instead of answering garbage.
+// consistent array lengths, a monotone CSR, in-range cluster IDs, each
+// bucket's sources in strictly ascending order, and sorted key tables.
+// OpenFlat runs it by default so a truncated or hand-edited file fails
+// fast instead of answering garbage.
 func (f *Flat) Validate() error {
 	n := int(f.NumClusters)
 	if n < 0 {
@@ -486,13 +484,8 @@ func (f *Flat) Validate() error {
 		return fmt.Errorf("atlas: flat: EdgeStart has %d entries, want %d", len(f.EdgeStart), n+1)
 	}
 	ne := f.NumEdges()
-	if n > 0 && (f.EdgeStart[0] != 0 || int(f.EdgeStart[n]) != ne) {
+	if f.EdgeStart[0] != 0 || int(f.EdgeStart[n]) != ne {
 		return fmt.Errorf("atlas: flat: CSR bounds [%d,%d] do not span %d edges", f.EdgeStart[0], f.EdgeStart[n], ne)
-	}
-	for w := 0; w < n; w++ {
-		if f.EdgeStart[w] > f.EdgeStart[w+1] {
-			return fmt.Errorf("atlas: flat: CSR not monotone at cluster %d", w)
-		}
 	}
 	for _, lens := range []struct {
 		name string
@@ -505,9 +498,20 @@ func (f *Flat) Validate() error {
 			return fmt.Errorf("atlas: flat: %s has %d entries, want %d edges", lens.name, lens.got, ne)
 		}
 	}
-	for _, from := range f.EdgeFrom {
-		if from < 0 || int(from) >= n {
-			return fmt.Errorf("atlas: flat: edge source cluster %d outside [0,%d)", from, n)
+	for w := 0; w < n; w++ {
+		lo, hi := f.EdgeStart[w], f.EdgeStart[w+1]
+		if lo > hi || int(hi) > ne {
+			return fmt.Errorf("atlas: flat: CSR not monotone at cluster %d", w)
+		}
+		prev := cluster.ClusterID(-1)
+		for _, from := range f.EdgeFrom[lo:hi] {
+			if from < 0 || int(from) >= n {
+				return fmt.Errorf("atlas: flat: edge source cluster %d outside [0,%d)", from, n)
+			}
+			if from <= prev {
+				return fmt.Errorf("atlas: flat: bucket %d: edge source %d after %d, sources must ascend strictly", w, from, prev)
+			}
+			prev = from
 		}
 	}
 	if len(f.PrefixClVals) != len(f.PrefixClKeys) || len(f.PrefixASVals) != len(f.PrefixASKeys) ||

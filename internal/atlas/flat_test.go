@@ -388,6 +388,14 @@ func TestFlatValidateCatchesStructuralDamage(t *testing.T) {
 		{"prefix value out of range", func(f *Flat) { f.PrefixClVals[0] = cluster.ClusterID(-2) }},
 		{"table length mismatch", func(f *Flat) { f.PrefixClVals = f.PrefixClVals[:len(f.PrefixClVals)-1] }},
 		{"edge array length mismatch", func(f *Flat) { f.EdgeLat = f.EdgeLat[:len(f.EdgeLat)-1] }},
+		{"bucket out of From order", func(f *Flat) {
+			lo := firstPairBucket(f)
+			swapEdges(f, lo, lo+1)
+		}},
+		{"From repeated in a bucket", func(f *Flat) {
+			lo := firstPairBucket(f)
+			f.EdgeFrom[lo+1] = f.EdgeFrom[lo]
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -410,12 +418,35 @@ func TestFlatValidateCatchesStructuralDamage(t *testing.T) {
 	}
 }
 
+// firstPairBucket returns where the first CSR bucket of f holding at least
+// two edges starts.
+func firstPairBucket(f *Flat) int {
+	for w := range f.NumClusters {
+		if f.EdgeStart[w+1]-f.EdgeStart[w] >= 2 {
+			return int(f.EdgeStart[w])
+		}
+	}
+	panic("no bucket holds two edges")
+}
+
+// swapEdges swaps edges i and j of f, every per-edge column alongside: the
+// link table stays what it was but for the order of its edges.
+func swapEdges(f *Flat, i, j int) {
+	f.EdgeFrom[i], f.EdgeFrom[j] = f.EdgeFrom[j], f.EdgeFrom[i]
+	f.EdgeLat[i], f.EdgeLat[j] = f.EdgeLat[j], f.EdgeLat[i]
+	f.EdgeLoss[i], f.EdgeLoss[j] = f.EdgeLoss[j], f.EdgeLoss[i]
+	f.EdgePlanes[i], f.EdgePlanes[j] = f.EdgePlanes[j], f.EdgePlanes[i]
+	f.EdgeFlags[i], f.EdgeFlags[j] = f.EdgeFlags[j], f.EdgeFlags[i]
+}
+
 // TestFlatMutations is a fuzz body on a seeded loop (go test -fuzz needs
 // workers a plain test run does not): 2 000 rounds, each flipping a few bits
 // of a written flat file or truncating it, then rewriting the header's
 // payload length and checksum so the damage meets parseFlat and Validate
 // rather than the checksum. ReadFlat must refuse each file, or return a
-// Flat that serves it without a panic.
+// Flat that serves it without a panic. Then 200 files, each with two edges
+// of one bucket swapped (every column alongside, so only the order moved),
+// must all be refused.
 func TestFlatMutations(t *testing.T) {
 	_, f := flatFixture(t, 27)
 	var buf bytes.Buffer
@@ -433,6 +464,29 @@ func TestFlatMutations(t *testing.T) {
 		t.Fatalf("accepted %d mutated files of 2000: the mutations miss the parser", accepted)
 	}
 	t.Logf("accepted %d mutated files of 2000", accepted)
+
+	var pairs []int // the first edge of each adjacent pair inside one bucket
+	for w := range f.NumClusters {
+		for ei := f.EdgeStart[w]; ei+1 < f.EdgeStart[w+1]; ei++ {
+			pairs = append(pairs, int(ei))
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	for round := range 200 {
+		g, err := ReadFlat(slices.Clone(good))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ei := pairs[rng.Intn(len(pairs))]
+		swapEdges(g, ei, ei+1)
+		var swapped bytes.Buffer
+		if err := WriteFlat(&swapped, g); err != nil {
+			t.Fatal(err)
+		}
+		if checkFlatFile(t, fmt.Sprintf("swap %d", round), swapped.Bytes()) {
+			t.Fatalf("round %d: ReadFlat accepted a file with edges %d and %d of a bucket swapped", round, ei, ei+1)
+		}
+	}
 }
 
 // mutateFlat returns a copy of file with one to three payload bits flipped

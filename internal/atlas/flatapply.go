@@ -257,9 +257,10 @@ func (f *Flat) mergeAdjust(nf *Flat, d *Delta, st *RollStats) {
 }
 
 // mergeLinks writes nf's CSR link table: f's edges without d.DelLinks and
-// with d.UpLinks upserted (an upsert wins over a deletion of its key),
-// every bucket in From order — the order map Apply's re-sort and Compile's
-// counting sort leave. A carried edge keeps its flags (its clusters' ASes
+// with d.UpLinks upserted (an upsert wins over a deletion of its key): a
+// merge of each of f's buckets, in strictly ascending From order as
+// Validate holds them, with that bucket's upserts, so every bucket of nf
+// is in that order too. A carried edge keeps its flags (its clusters' ASes
 // cannot change in a delta); a new edge gets them from f's own late-exit
 // table, which no delta touches. EdgeLoss is rewritten from nf's already
 // merged loss table.
@@ -313,7 +314,6 @@ func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 		st.LinksAdded++
 	}
 
-	order := f.fromOrder()
 	di := 0
 	for w := 0; w < n; w++ {
 		start[w] = uint32(o)
@@ -332,11 +332,7 @@ func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 		if w < int(f.NumClusters) {
 			lo, hi = f.EdgeStart[w], f.EdgeStart[w+1]
 		}
-		for k := lo; k < hi; k++ {
-			ei := k
-			if order != nil {
-				ei = order[k]
-			}
+		for ei := lo; ei < hi; ei++ {
 			src := f.EdgeFrom[ei]
 			for ; nextUp() && up[ui].From < src; ui++ {
 				create(up[ui])
@@ -371,36 +367,11 @@ func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 		if to >= n {
 			continue
 		}
-		bucket := from[start[to]:start[to+1]]
-		j, _ := slices.BinarySearch(bucket, src)
-		for ; j < len(bucket) && bucket[j] == src; j++ {
+		if j, ok := slices.BinarySearch(from[start[to]:start[to+1]], src); ok {
 			loss[int(start[to])+j] = nf.LossVals[i]
 		}
 	}
 
 	nf.EdgeStart, nf.EdgeFrom, nf.EdgeLat, nf.EdgeLoss = start, from[:o], lat[:o], loss
 	nf.EdgePlanes, nf.EdgeFlags = planes[:o], flags[:o]
-}
-
-// fromOrder returns nil when every CSR bucket of f is already in ascending
-// From order — every atlas the builder, the codec or Apply produced — and
-// otherwise the edge indexes permuted so that each bucket is (stably).
-func (f *Flat) fromOrder() []uint32 {
-	sorted := true
-	for w := 0; w < int(f.NumClusters) && sorted; w++ {
-		sorted = slices.IsSorted(f.EdgeFrom[f.EdgeStart[w]:f.EdgeStart[w+1]])
-	}
-	if sorted {
-		return nil
-	}
-	order := make([]uint32, f.NumEdges())
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	for w := 0; w < int(f.NumClusters); w++ {
-		slices.SortStableFunc(order[f.EdgeStart[w]:f.EdgeStart[w+1]], func(a, b uint32) int {
-			return cmp.Compare(f.EdgeFrom[a], f.EdgeFrom[b])
-		})
-	}
-	return order
 }

@@ -366,7 +366,9 @@ func (ff *FlatFile) Close() error {
 // directly, so startup cost is O(1) in atlas size and replicas share
 // pages. The checksum is always verified (one sequential pass); with
 // validate set, the structural validator runs too — skip it only for
-// files produced by a trusted pipeline where open latency matters.
+// files produced by a trusted pipeline where open latency matters: the
+// caller then vouches for everything Validate checks, the link order of
+// every bucket included.
 func OpenFlat(path string, validate bool) (*FlatFile, error) {
 	data, closer, err := mmapFile(path)
 	if err != nil {

@@ -24,7 +24,6 @@ func pathTestAtlas() *Atlas {
 	a.PrefixCluster[netsim.Prefix(100)] = 0
 	a.PrefixAS[netsim.Prefix(100)] = 1
 	a.PrefixAS[netsim.Prefix(777)] = 9 // the hidden destination's origin
-	a.invalidateIndex()
 	return a
 }
 
@@ -154,8 +153,6 @@ func TestCarryFoldedPathsDecayAndGraduation(t *testing.T) {
 	day1b := pathTestAtlas()
 	day1b.Day = 5
 	day1b.Links = append(day1b.Links, Link{From: 2, To: 4, LatencyMS: 4, Planes: PlaneToDst})
-	Finalize := func(a *Atlas) { a.invalidateIndex() }
-	Finalize(day1b)
 	carried, _ = CarryFoldedPaths(day1b, day0)
 	if _, ok := day1b.ObservedLinks[LinkKey(2, 4)]; ok {
 		t.Fatal("measured link must graduate out of the observed table")
@@ -231,7 +228,6 @@ func TestDeltaShipsClusterGrowthAndIfaceClusters(t *testing.T) {
 	next.NumClusters = 7
 	next.ClusterAS = append(next.ClusterAS, 11, 12)
 	next.Links = append(next.Links, Link{From: 5, To: 6, LatencyMS: 2, Planes: PlaneToDst})
-	next.invalidateIndex()
 	next.PrefixCluster[netsim.Prefix(888)] = 6
 	next.IfaceCluster[netsim.Prefix(432)] = 5
 

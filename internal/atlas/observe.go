@@ -1,7 +1,7 @@
 package atlas
 
 import (
-	"sort"
+	"slices"
 
 	"inano/internal/cluster"
 	"inano/internal/netsim"
@@ -68,7 +68,7 @@ func FoldObservations(a *Atlas, residuals map[netsim.Prefix]float64) (*Atlas, in
 // with the aggregated observation residuals folded into next first — so
 // the corrections ship to the swarm as ordinary delta structure and every
 // client applying the delta (reporting or not) serves them. next is
-// typically a fresh measurement build carrying prev's corrections forward
+// typically a new measurement build carrying prev's corrections forward
 // (CarryCorrections), so a destination nobody re-reported keeps its
 // correction until the builder expires it. It returns the delta, the
 // folded next-day atlas (what the build should archive as the day's
@@ -122,8 +122,9 @@ type PathFoldStats struct {
 	// too short — a stale or corrupt snapshot, not an honest aggregate).
 	PathsFolded, PathsSkipped int
 	// NewLinks is links the fold added; RefreshedLinks is folded links
-	// whose agreement was renewed; MeasuredLinks counts agreed links the
-	// campaign had already measured itself (nothing to add).
+	// whose lifetime the fold restored to ObservedTTLDays; MeasuredLinks
+	// counts agreed links the campaign had already measured itself
+	// (nothing to add).
 	NewLinks, RefreshedLinks, MeasuredLinks int
 	// NewAttach counts destination attachment entries learned from tails.
 	NewAttach int
@@ -149,8 +150,6 @@ func FoldPaths(a *Atlas, paths []ObservedPath) PathFoldStats {
 	if a.ObservedAttach == nil {
 		a.ObservedAttach = make(map[netsim.Prefix]uint8)
 	}
-	changed := false
-	fresh := make(map[uint64]bool)
 	for _, p := range paths {
 		if !foldablePath(a, p) {
 			st.PathsSkipped++
@@ -164,17 +163,13 @@ func FoldPaths(a *Atlas, paths []ObservedPath) PathFoldStats {
 			if lat < MinObservedLatencyMS {
 				lat = MinObservedLatencyMS
 			}
-			if foldLink(a, &st, fresh, from, to, lat) {
-				changed = true
-			}
+			foldLink(a, &st, from, to, lat)
 			// Access-tail reversal, as in the builder: links inside (or
 			// entering) the destination's origin AS are the same circuits
 			// in both directions, and without the reverse direction no
 			// path out of the destination's network is ever predictable.
 			if originAS != 0 && a.ClusterAS[to] == originAS {
-				if foldLink(a, &st, fresh, to, from, lat) {
-					changed = true
-				}
+				foldLink(a, &st, to, from, lat)
 			}
 		}
 		last := p.Clusters[len(p.Clusters)-1]
@@ -182,19 +177,9 @@ func FoldPaths(a *Atlas, paths []ObservedPath) PathFoldStats {
 			a.PrefixCluster[p.Dst] = last
 			a.ObservedAttach[p.Dst] = ObservedTTLDays
 			st.NewAttach++
-			changed = true
 		} else if _, obs := a.ObservedAttach[p.Dst]; obs {
 			a.ObservedAttach[p.Dst] = ObservedTTLDays
 		}
-	}
-	if changed {
-		sort.Slice(a.Links, func(i, j int) bool {
-			if a.Links[i].From != a.Links[j].From {
-				return a.Links[i].From < a.Links[j].From
-			}
-			return a.Links[i].To < a.Links[j].To
-		})
-		a.invalidateIndex()
 	}
 	return st
 }
@@ -214,36 +199,32 @@ func foldablePath(a *Atlas, p ObservedPath) bool {
 	return true
 }
 
-// foldLink folds one agreed directed link, reporting whether the link set
-// changed. Links the campaign measured itself are left untouched — a
-// precise vantage-point annotation beats a hop-RTT-delta estimate — and
-// graduate out of the observed table. fresh tracks links appended earlier
-// in this fold, which the stale link index cannot see yet.
-func foldLink(a *Atlas, st *PathFoldStats, fresh map[uint64]bool, from, to cluster.ClusterID, lat float64) bool {
+// foldLink folds one agreed directed link. Links the campaign measured
+// itself are left untouched — a precise vantage-point annotation beats a
+// hop-RTT-delta estimate — and graduate out of the observed table. A new
+// link goes in at its place in Links, so a later step of the fold finds it.
+func foldLink(a *Atlas, st *PathFoldStats, from, to cluster.ClusterID, lat float64) {
 	k := LinkKey(from, to)
-	if fresh[k] {
+	i, found := a.search(from, to)
+	if !found {
+		a.Links = slices.Insert(a.Links, i, Link{
+			From:      from,
+			To:        to,
+			LatencyMS: float32(lat),
+			Planes:    PlaneToDst | PlaneFromSrc,
+		})
 		a.ObservedLinks[k] = ObservedTTLDays
-		return false
+		st.NewLinks++
+		return
 	}
-	if li := a.LinkAt(from, to); li >= 0 {
-		if _, obs := a.ObservedLinks[k]; obs {
-			a.ObservedLinks[k] = ObservedTTLDays
-			st.RefreshedLinks++
-		} else {
-			st.MeasuredLinks++
-		}
-		return false
+	ttl, obs := a.ObservedLinks[k]
+	switch {
+	case !obs:
+		st.MeasuredLinks++
+	case ttl < ObservedTTLDays:
+		a.ObservedLinks[k] = ObservedTTLDays
+		st.RefreshedLinks++
 	}
-	a.Links = append(a.Links, Link{
-		From:      from,
-		To:        to,
-		LatencyMS: float32(lat),
-		Planes:    PlaneToDst | PlaneFromSrc,
-	})
-	a.ObservedLinks[k] = ObservedTTLDays
-	fresh[k] = true
-	st.NewLinks++
-	return true
 }
 
 // CarryFoldedPaths carries prev's crowd-observed structure onto a freshly
@@ -261,7 +242,6 @@ func CarryFoldedPaths(next, prev *Atlas) (carried, dropped int) {
 	if next.ObservedAttach == nil {
 		next.ObservedAttach = make(map[netsim.Prefix]uint8)
 	}
-	changed := false
 	for k, ttl := range prev.ObservedLinks {
 		from := cluster.ClusterID(uint32(k >> 32))
 		to := cluster.ClusterID(uint32(k))
@@ -269,7 +249,8 @@ func CarryFoldedPaths(next, prev *Atlas) (carried, dropped int) {
 			dropped++
 			continue
 		}
-		if next.LinkAt(from, to) >= 0 {
+		at, measured := next.search(from, to)
+		if measured {
 			continue // measured this campaign: graduated
 		}
 		if ttl <= 1 {
@@ -281,10 +262,9 @@ func CarryFoldedPaths(next, prev *Atlas) (carried, dropped int) {
 			dropped++ // prev lost the link some other way
 			continue
 		}
-		next.Links = append(next.Links, prev.Links[li])
+		next.Links = slices.Insert(next.Links, at, prev.Links[li])
 		next.ObservedLinks[k] = ttl - 1
 		carried++
-		changed = true
 	}
 	for p, ttl := range prev.ObservedAttach {
 		cl, ok := prev.PrefixCluster[p]
@@ -303,15 +283,6 @@ func CarryFoldedPaths(next, prev *Atlas) (carried, dropped int) {
 		next.ObservedAttach[p] = ttl - 1
 		carried++
 	}
-	if changed {
-		sort.Slice(next.Links, func(i, j int) bool {
-			if next.Links[i].From != next.Links[j].From {
-				return next.Links[i].From < next.Links[j].From
-			}
-			return next.Links[i].To < next.Links[j].To
-		})
-		next.invalidateIndex()
-	}
 	return carried, dropped
 }
 
@@ -329,7 +300,7 @@ func CarryCorrections(next, prev *Atlas, keep map[netsim.Prefix]float64) int {
 		if _, ok := next.PrefixCluster[p]; !ok {
 			continue
 		}
-		if _, fresh := keep[p]; !fresh {
+		if _, renewed := keep[p]; !renewed {
 			v /= 2
 			if v < minFoldMS && v > -minFoldMS {
 				continue

@@ -361,7 +361,6 @@ func (b *StreamBuilder) Finish() *Atlas {
 	}()
 	b.finishPathSets(a, paths)
 	wg.Wait()
-	a.invalidateIndex()
 	return a
 }
 

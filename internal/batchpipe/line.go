@@ -31,6 +31,11 @@ import (
 // alike: a longer line ends the stream with its terminal line.
 const MaxLineBytes = 64 << 10
 
+// MaxRankBytes caps a /v1/rank request body, on a replica and on the
+// router alike; a /v1/query POST body is one line, capped at MaxLineBytes.
+// A longer body is refused as a bad request.
+const MaxRankBytes = 1 << 20
+
 // Line is one parsed request line. A canonical line leaves Src and Dst
 // empty: the addresses' canonical text is the line's own. Any other line
 // keeps the request's strings verbatim, for the echo.

@@ -451,7 +451,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		dst = r.URL.Query().Get("dst")
 	case http.MethodPost:
 		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, batchpipe.MaxLineBytes))
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, batchpipe.MaxLineBytes))
 		if err != nil {
 			return routerError(w, http.StatusBadRequest, "reading body: %v", err)
 		}
@@ -481,7 +481,7 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
 		return routerError(w, http.StatusMethodNotAllowed, "use POST")
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, batchpipe.MaxRankBytes))
 	if err != nil {
 		return routerError(w, http.StatusBadRequest, "reading body: %v", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"inano/internal/batchpipe"
 	"inano/internal/netsim"
 )
 
@@ -384,6 +385,34 @@ func TestRankRoutesByFirstCandidate(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Inano-Backend"); got != want {
 		t.Fatalf("rank served by %s, first candidate's owner is %s", got, want)
+	}
+}
+
+// TestQueryBodyCap: the router reads a /v1/query POST body up to
+// batchpipe.MaxLineBytes, the cap its replicas hold it to. A valid query
+// followed by whitespace past the cap is refused, not cut at the cap and
+// forwarded; at the cap it is forwarded.
+func TestQueryBodyCap(t *testing.T) {
+	replicas := []*fakeReplica{newFakeReplica(t, 0)}
+	_, ts := newTestRouter(t, replicas, nil)
+	query := fmt.Sprintf(`{"src":"10.0.0.1","dst":%q}`, dstForIndex(3))
+	for size, want := range map[int]int{
+		batchpipe.MaxLineBytes:     http.StatusOK,
+		batchpipe.MaxLineBytes + 1: http.StatusBadRequest,
+	} {
+		body := query + strings.Repeat(" ", size-len(query))
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%d-byte body: status %d, want %d", size, resp.StatusCode, want)
+		}
+	}
+	if n := replicas[0].queries.Load(); n != 1 {
+		t.Fatalf("replica saw %d queries, want the one under the cap", n)
 	}
 }
 

@@ -129,20 +129,6 @@ func InferRelationships(paths [][]netsim.ASN) map[uint64]netsim.Rel {
 	return rels
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // RelAccuracy scores an inferred relationship map against ground truth,
 // returning the fraction of shared edges classified identically. Evaluation
 // helper only.

@@ -159,8 +159,9 @@ func TestTreeBytes(t *testing.T) {
 // what it adopts is the predecessor's own.
 func TestNewWithCacheAllocs(t *testing.T) {
 	w := buildWorld(t, 61)
-	prev := New(w.a, INanoOptions())
-	f, opts := prev.Flat(), prev.Opts()
+	opts := INanoOptions()
+	prev := New(w.a, opts)
+	f := prev.Flat()
 	bytesOf := func(build func()) uint64 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		var ms0, ms1 runtime.MemStats

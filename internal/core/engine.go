@@ -243,9 +243,6 @@ func (e *Engine) Flat() *atlas.Flat { return e.f }
 // Day returns the measurement day of the engine's atlas snapshot.
 func (e *Engine) Day() int { return int(e.f.Day) }
 
-// Opts returns the engine's configuration.
-func (e *Engine) Opts() Options { return e.opts }
-
 // HopCluster places a traceroute hop interface in the atlas's cluster
 // space: the interface-prefix table first (infrastructure /24s observed by
 // the build), then the end-host attachment table. ok is false when the

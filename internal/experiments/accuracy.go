@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"inano/internal/cluster"
@@ -112,7 +113,7 @@ func scoreFunc(name string, pairs []VPair, truth [][]netsim.ASN, predict func(VP
 			continue
 		}
 		answered++
-		if equalASPath(truth[i], got) {
+		if slices.Equal(truth[i], got) {
 			exact++
 		}
 		if len(truth[i]) == len(got) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -236,7 +237,8 @@ func Fig10VoIP(l *Lab, numCalls int) Fig10Result {
 		pick func(c call, relays []netsim.Prefix) (netsim.Prefix, bool)
 	}{
 		{"iNano", func(c call, relays []netsim.Prefix) (netsim.Prefix, bool) {
-			return client.BestRelay(c.src, c.dst, relays, 10)
+			choice, ok, _ := client.BestRelay(context.Background(), c.src, c.dst, relays, 10)
+			return choice.Relay, ok
 		}},
 		{"closest to source", func(c call, relays []netsim.Prefix) (netsim.Prefix, bool) {
 			return closestTo(c.src, relays)

@@ -70,10 +70,13 @@ type DayData struct {
 	Atlas        *atlas.Atlas
 	Clusters     *cluster.Clustering
 	ClusterOf    map[netsim.IP]cluster.ClusterID
-	pathAtlas    *pathcomp.Atlas
-	pathOnce     sync.Once
-	popClusters  map[netsim.PoPID][]cluster.ClusterID
-	popOnce      sync.Once
+	// campaign is the day's campaign with the held-out split applied: its
+	// VPTraces are AtlasTraces, its ClientTraces ClientTraces.
+	campaign    *sim.Campaign
+	pathAtlas   *pathcomp.Atlas
+	pathOnce    sync.Once
+	popClusters map[netsim.PoPID][]cluster.ClusterID
+	popOnce     sync.Once
 }
 
 // Lab owns the world and per-day data, built lazily and cached.
@@ -188,34 +191,15 @@ func (l *Lab) Day(d int) *DayData {
 	// Cluster today's interfaces, then stabilize IDs against the previous
 	// day's clustering — the server's persistent registry — so deltas
 	// compare like with like.
-	var ips []netsim.IP
-	collect := func(trs []trace.Traceroute) {
-		for _, tr := range trs {
-			for _, h := range tr.Hops {
-				if h.IP != 0 {
-					ips = append(ips, h.IP)
-				}
-			}
-		}
-	}
-	collect(dd.AtlasTraces)
-	collect(clientTraces)
-	cl := cluster.Cluster(l.W.Top, ips, cluster.DefaultConfig())
+	c.VPTraces, c.ClientTraces = dd.AtlasTraces, clientTraces
+	var prev *cluster.Clustering
 	if d > 0 {
-		cl = cluster.Stabilize(cl, l.Day(d-1).Clusters)
+		prev = l.Day(d - 1).Clusters
 	}
-	dd.Clusters = cl
-	dd.ClusterOf = cl.ClusterOf
-	dd.Atlas = atlas.Build(atlas.BuildInput{
-		Top:          l.W.Top,
-		Day:          dd.Day,
-		Meter:        dd.Meter,
-		VPTraces:     dd.AtlasTraces,
-		ClientTraces: clientTraces,
-		BGPFeeds:     atlas.DefaultFeeds(l.W.Top, 8),
-		ClusterCfg:   cluster.DefaultConfig(),
-		Clusters:     cl,
-	})
+	dd.campaign = c
+	dd.Clusters = c.Clusters(prev)
+	dd.ClusterOf = dd.Clusters.ClusterOf
+	dd.Atlas = c.BuildAtlasOver(dd.Clusters)
 
 	l.mu.Lock()
 	l.days[d] = dd
@@ -255,19 +239,6 @@ func (dd *DayData) ObservedASPaths(prefixAS map[netsim.Prefix]netsim.ASN) [][]ne
 	collect(dd.AtlasTraces)
 	collect(dd.ClientTraces)
 	return out
-}
-
-// equalASPath compares two AS paths.
-func equalASPath(a, b []netsim.ASN) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // median returns the p-quantile (0..1) of xs (copied, then sorted).

@@ -85,7 +85,7 @@ func CollectResiduals(l *Lab, day int, reporters []netsim.Prefix, dsts []netsim.
 				resid = mut(r, dst, resid)
 			}
 			ro.Agg.Record(srcCl, dst, resid)
-			ro.Honest[dst] = append(ro.Honest[dst], clampResid(resid))
+			ro.Honest[dst] = append(ro.Honest[dst], min(max(resid, -feedback.MaxAdjustMS), feedback.MaxAdjustMS))
 			ro.Observations++
 		}
 	}

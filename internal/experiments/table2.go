@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"inano/internal/atlas"
-	"inano/internal/cluster"
 	"inano/internal/netsim"
 	"inano/internal/trace"
 )
@@ -97,7 +97,7 @@ func VantagePointScaling(l *Lab, batches, agentsPerBatch, targetsPerAgent int) S
 	dd := l.Day(0)
 	// The baseline rebuilds with zero new agents so every point in the
 	// series shares one pipeline configuration.
-	base := rebuildWithClients(l, dd, nil)
+	base := rebuildWithClients(dd, nil)
 	res := ScalingResult{
 		Base:         ScalingPoint{Agents: 0, Links: len(base.Links), Tuples: len(base.Tuples)},
 		EdgePrefixes: len(l.W.EdgePrefixes()),
@@ -127,7 +127,7 @@ func VantagePointScaling(l *Lab, batches, agentsPerBatch, targetsPerAgent int) S
 				client = append(client, dd.Meter.Traceroute(src, dst))
 			}
 		}
-		a := rebuildWithClients(l, dd, client)
+		a := rebuildWithClients(dd, client)
 		res.Points = append(res.Points, ScalingPoint{
 			Agents: used,
 			Links:  len(a.Links),
@@ -146,20 +146,11 @@ func VantagePointScaling(l *Lab, batches, agentsPerBatch, targetsPerAgent int) S
 
 // rebuildWithClients rebuilds the day's atlas with extra end-host agent
 // traceroutes added to the FROM_SRC plane (alongside the validation
-// sources' own FROM_SRC traces).
-func rebuildWithClients(l *Lab, dd *DayData, client []trace.Traceroute) *atlas.Atlas {
-	all := make([]trace.Traceroute, 0, len(dd.ClientTraces)+len(client))
-	all = append(all, dd.ClientTraces...)
-	all = append(all, client...)
-	return atlas.Build(atlas.BuildInput{
-		Top:          l.W.Top,
-		Day:          dd.Day,
-		Meter:        dd.Meter,
-		VPTraces:     dd.AtlasTraces,
-		ClientTraces: all,
-		BGPFeeds:     atlas.DefaultFeeds(l.W.Top, 8),
-		ClusterCfg:   cluster.DefaultConfig(),
-	})
+// sources' own FROM_SRC traces), clustering from scratch.
+func rebuildWithClients(dd *DayData, client []trace.Traceroute) *atlas.Atlas {
+	c := *dd.campaign
+	c.ClientTraces = append(slices.Clip(dd.ClientTraces), client...)
+	return c.BuildAtlasOver(nil)
 }
 
 // Render formats the scaling study.
@@ -177,11 +168,4 @@ func (r ScalingResult) Render() string {
 		r.ExtrapolatedTuples, float64(r.ExtrapolatedTuples)/float64(max(1, r.Base.Tuples)))
 	fmt.Fprintf(&b, "(paper: 309K->2.2M links ~8x, 1.05M->2.7M tuples ~3x)\n")
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

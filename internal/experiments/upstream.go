@@ -129,16 +129,6 @@ func UpstreamLoop(l *Lab, reporters, minReporters int) UpstreamResult {
 	return res
 }
 
-func clampResid(r float64) float64 {
-	if r > feedback.MaxAdjustMS {
-		return feedback.MaxAdjustMS
-	}
-	if r < -feedback.MaxAdjustMS {
-		return -feedback.MaxAdjustMS
-	}
-	return r
-}
-
 // Render formats the upstream experiment.
 func (r UpstreamResult) Render() string {
 	var b strings.Builder

@@ -92,11 +92,7 @@ func NewAggregator() *Aggregator {
 // handler) is responsible for identity: srcCluster must come from the
 // serving atlas's view of the reporting peer, never from the report body.
 func (g *Aggregator) Record(srcCluster int32, dst netsim.Prefix, residualMS float64) {
-	if residualMS > MaxAdjustMS {
-		residualMS = MaxAdjustMS
-	} else if residualMS < -MaxAdjustMS {
-		residualMS = -MaxAdjustMS
-	}
+	residualMS = min(max(residualMS, -MaxAdjustMS), MaxAdjustMS)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	ro := g.reporterSlotLocked(srcCluster, dst)

@@ -90,12 +90,7 @@ func (m *merger) learnResidual(tr *Traceroute) int {
 	if !pending {
 		_, old, _ = m.f.Adjust(tr.Dst)
 	}
-	next := float64(old) + 0.5*resid
-	if next > MaxAdjustMS {
-		next = MaxAdjustMS
-	} else if next < -MaxAdjustMS {
-		next = -MaxAdjustMS
-	}
+	next := min(max(float64(old)+0.5*resid, -MaxAdjustMS), MaxAdjustMS)
 	m.d.LocalAdjust[tr.Dst] = float32(next)
 	if d := float32(next) - old; d > 0.5 || d < -0.5 {
 		return 1

@@ -166,7 +166,7 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 		return httpError(w, http.StatusBadRequest, "%v", err)
 	}
 	defer cancel()
-	choice, ok, err := s.c.BestRelayInfo(ctx, netsim.PrefixOf(src), netsim.PrefixOf(dst), relays, k)
+	choice, ok, err := s.c.BestRelay(ctx, netsim.PrefixOf(src), netsim.PrefixOf(dst), relays, k)
 	if err != nil {
 		return httpError(w, http.StatusGatewayTimeout, "relay selection aborted: %v", err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -156,12 +157,15 @@ func TestRelayEndpoint(t *testing.T) {
 	if out.Candidates != len(cands) {
 		t.Fatalf("candidates = %d, want %d", out.Candidates, len(cands))
 	}
-	want, ok := f.client.BestRelay(src, dst, cands, 3)
+	want, ok, err := f.client.BestRelay(context.Background(), src, dst, cands, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out.Found != ok {
 		t.Fatalf("found=%v, library says %v", out.Found, ok)
 	}
 	if ok {
-		if out.Relay != want.HostIP().String() {
+		if out.Relay != want.Relay.HostIP().String() {
 			t.Fatalf("relay %q, library picked %v", out.Relay, want)
 		}
 		if out.RTTMS <= 0 || out.MOS <= 0 {

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +37,6 @@ import (
 	"inano/internal/feedback"
 	"inano/internal/metrics"
 	"inano/internal/netsim"
-	"inano/internal/tcpmodel"
 )
 
 // Config configures a Server.
@@ -466,7 +464,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	case http.MethodGet:
 		req.Src, req.Dst = q.Get("src"), q.Get("dst")
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, batchpipe.MaxLineBytes)).Decode(&req); err != nil {
 			return httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		}
 	default:
@@ -647,16 +645,15 @@ type rankedCandidate struct {
 	RTTMS      float64 `json:"rtt_ms,omitempty"`
 	LossRate   float64 `json:"loss_rate,omitempty"`
 	TransferMS float64 `json:"transfer_ms,omitempty"`
-
-	dst netsim.Prefix // the candidate's prefix, RankReplicas' tie-break
 }
 
+// handleRank orders the candidates by inano.Snapshot.Rank.
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
 		return httpError(w, http.StatusMethodNotAllowed, "use POST")
 	}
 	var req rankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, batchpipe.MaxRankBytes)).Decode(&req); err != nil {
 		return httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	src, err := parseIP(req.Src)
@@ -666,13 +663,13 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 	if len(req.Candidates) == 0 {
 		return httpError(w, http.StatusBadRequest, "no candidates")
 	}
-	reqs := make([]inano.PairReq, len(req.Candidates))
+	dsts := make([]netsim.Prefix, len(req.Candidates))
 	for i, c := range req.Candidates {
 		dst, err := parseIP(c)
 		if err != nil {
 			return httpError(w, http.StatusBadRequest, "candidate %d: %v", i, err)
 		}
-		reqs[i] = inano.PairOf(src, dst)
+		dsts[i] = netsim.PrefixOf(dst)
 	}
 	ctx, cancel, err := s.requestContext(r, r.URL.Query())
 	if err != nil {
@@ -680,43 +677,15 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 	}
 	defer cancel()
 	snap := s.c.Snapshot()
-	infos, _, err := snap.QueryReqs(ctx, reqs)
+	ranked, err := snap.Rank(ctx, netsim.PrefixOf(src), dsts, req.SizeBytes)
 	if err != nil {
 		return httpError(w, http.StatusGatewayTimeout, "rank aborted: %v", err)
 	}
-	params := tcpmodel.DefaultParams()
-	ranked := make([]rankedCandidate, len(infos))
-	for i, info := range infos {
-		rc := rankedCandidate{IP: req.Candidates[i], Found: info.Found, dst: reqs[i].Dst}
-		if info.Found {
-			rc.RTTMS = info.RTTMS
-			rc.LossRate = info.LossRate
-			if req.SizeBytes > 0 {
-				rc.TransferMS = tcpmodel.TransferTimeMS(req.SizeBytes, info.RTTMS, info.LossRate, params)
-			}
-		}
-		ranked[i] = rc
+	out := make([]rankedCandidate, len(ranked))
+	for i, rk := range ranked {
+		out[i] = rankedCandidate{IP: req.Candidates[rk.Index], Found: rk.Found, RTTMS: rk.RTTMS, LossRate: rk.LossRate, TransferMS: rk.TransferMS}
 	}
-	// Predictable candidates first, cheapest first; the unpredictable keep
-	// input order at the tail. Equal transfer times go to the lower prefix,
-	// as in RankReplicas; equal RTTs keep input order, as in RankByRTT.
-	sort.SliceStable(ranked, func(i, j int) bool {
-		a, b := &ranked[i], &ranked[j]
-		if a.Found != b.Found {
-			return a.Found
-		}
-		if !a.Found {
-			return false
-		}
-		if req.SizeBytes > 0 {
-			if a.TransferMS != b.TransferMS {
-				return a.TransferMS < b.TransferMS
-			}
-			return a.dst < b.dst
-		}
-		return a.RTTMS < b.RTTMS
-	})
-	return writeJSON(w, map[string]any{"src": req.Src, "day": snap.Day(), "ranked": ranked})
+	return writeJSON(w, map[string]any{"src": req.Src, "day": snap.Day(), "ranked": out})
 }
 
 // handleStats renders a human-oriented JSON snapshot of the daemon's

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +22,7 @@ import (
 
 	inano "inano"
 	"inano/internal/atlas"
+	"inano/internal/batchpipe"
 	"inano/internal/netsim"
 	"inano/internal/tcpmodel"
 	"inano/sim"
@@ -135,6 +138,55 @@ func TestQueryEndpointParity(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad src: status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// postPadded POSTs to path a JSON object whose leading "pad" string makes
+// it exactly size bytes long, rest being the object's other members, and
+// returns the status.
+func postPadded(t *testing.T, url string, size int, rest string) int {
+	t.Helper()
+	skel := `{"pad":"",` + rest + `}`
+	body := `{"pad":"` + strings.Repeat("x", size-len(skel)) + `",` + rest + `}`
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestQueryBodyCap: a /v1/query POST body is one request line, so a body
+// past batchpipe.MaxLineBytes is a bad request even when the one JSON value
+// it carries would parse; at the cap it is answered.
+func TestQueryBodyCap(t *testing.T) {
+	f := buildFixture(t, 201)
+	_, ts := start(t, f, nil)
+	rest := fmt.Sprintf(`"src":%q,"dst":%q`, ipStr(f.vps[0]), ipStr(f.targets[7]))
+	for size, want := range map[int]int{
+		batchpipe.MaxLineBytes:     http.StatusOK,
+		batchpipe.MaxLineBytes + 1: http.StatusBadRequest,
+	} {
+		if got := postPadded(t, ts.URL+"/v1/query", size, rest); got != want {
+			t.Errorf("%d-byte body: status %d, want %d", size, got, want)
+		}
+	}
+}
+
+// TestRankBodyCap: a /v1/rank body past batchpipe.MaxRankBytes is a bad
+// request; at the cap it is answered.
+func TestRankBodyCap(t *testing.T) {
+	f := buildFixture(t, 207)
+	_, ts := start(t, f, nil)
+	rest := fmt.Sprintf(`"src":%q,"candidates":[%q,%q]`, ipStr(f.vps[2]), ipStr(f.targets[0]), ipStr(f.targets[1]))
+	for size, want := range map[int]int{
+		batchpipe.MaxRankBytes:     http.StatusOK,
+		batchpipe.MaxRankBytes + 1: http.StatusBadRequest,
+	} {
+		if got := postPadded(t, ts.URL+"/v1/rank", size, rest); got != want {
+			t.Errorf("%d-byte body: status %d, want %d", size, got, want)
+		}
 	}
 }
 
@@ -515,14 +567,22 @@ func TestBatchLineCap(t *testing.T) {
 	}
 }
 
-// TestRankEndpoint checks /v1/rank orders candidates exactly like the
-// library's RankByRTT.
+// TestRankEndpoint checks /v1/rank orders candidates by predicted RTT:
+// the predictable ones cheapest first, equal RTTs and the unpredictable
+// tail in input order.
 func TestRankEndpoint(t *testing.T) {
 	f := buildFixture(t, 207)
 	_, ts := start(t, f, nil)
 	src := f.vps[2]
 	cands := f.targets[:8]
-	wantOrder := f.client.RankByRTT(src, cands)
+	wantOrder := slices.Clone(cands)
+	rtt := func(p netsim.Prefix) float64 {
+		if info := f.client.QueryPrefix(src, p); info.Found {
+			return info.RTTMS
+		}
+		return math.Inf(1)
+	}
+	slices.SortStableFunc(wantOrder, func(a, b netsim.Prefix) int { return cmp.Compare(rtt(a), rtt(b)) })
 
 	reqBody := rankRequest{Src: ipStr(src)}
 	for _, c := range cands {
@@ -551,8 +611,7 @@ func TestRankEndpoint(t *testing.T) {
 }
 
 // TestRankTransferTies: with size_bytes, two candidates whose predicted
-// transfer times are equal come back in RankReplicas' order — the lower
-// prefix first — even when the request lists them the other way round.
+// transfer times are equal come back lower prefix first, even when the request lists them the other way round.
 func TestRankTransferTies(t *testing.T) {
 	const size = 1_500_000
 	f := buildFixture(t, 42)
@@ -577,10 +636,7 @@ func TestRankTransferTies(t *testing.T) {
 	if cands == nil {
 		t.Fatal("no two candidates tie on transfer time in this world")
 	}
-	want := f.client.RankReplicas(src, cands, size)
-	if want[0] != cands[1] {
-		t.Fatalf("RankReplicas put %v first, want the lower prefix %v", want[0], cands[1])
-	}
+	want := []netsim.Prefix{cands[1], cands[0]} // the lower prefix first
 
 	raw, _ := json.Marshal(rankRequest{Src: ipStr(src), Candidates: []string{ipStr(cands[0]), ipStr(cands[1])}, SizeBytes: size})
 	resp, err := http.Post(ts.URL+"/v1/rank", "application/json", bytes.NewReader(raw))
@@ -599,7 +655,7 @@ func TestRankTransferTies(t *testing.T) {
 	}
 	for i, rc := range out.Ranked {
 		if rc.IP != ipStr(want[i]) {
-			t.Fatalf("rank %d = %s, want %s (RankReplicas' order; full: %+v)", i, rc.IP, ipStr(want[i]), out.Ranked)
+			t.Fatalf("rank %d = %s, want %s (the lower prefix first; full: %+v)", i, rc.IP, ipStr(want[i]), out.Ranked)
 		}
 	}
 }

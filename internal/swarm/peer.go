@@ -247,8 +247,7 @@ func (p *Peer) broadcastHave(idx int) {
 
 // Fetch joins the swarm for m via the tracker, downloads all chunks
 // (rarest-first, serving others while downloading), and returns the
-// verified file. The peer keeps seeding until ctx is canceled only if
-// keepSeeding is set; otherwise it leaves once complete.
+// verified file. The peer leaves once complete.
 func Fetch(ctx context.Context, trackerAddr string, m Manifest) ([]byte, error) {
 	p, err := newPeer(m, newStore(&m))
 	if err != nil {
@@ -263,25 +262,6 @@ func Fetch(ctx context.Context, trackerAddr string, m Manifest) ([]byte, error) 
 		return nil, err
 	}
 	return data, nil
-}
-
-// FetchAndSeed is Fetch but leaves the peer running as a seeder; the caller
-// must Close it.
-func FetchAndSeed(ctx context.Context, trackerAddr string, m Manifest) (*Peer, []byte, error) {
-	p, err := newPeer(m, newStore(&m))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := p.download(ctx, trackerAddr); err != nil {
-		p.Close()
-		return nil, nil, err
-	}
-	data := p.Bytes()
-	if err := m.Verify(data); err != nil {
-		p.Close()
-		return nil, nil, err
-	}
-	return p, data, nil
 }
 
 // Stall pacing for the download loop: when nothing is requestable the

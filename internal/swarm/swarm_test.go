@@ -133,41 +133,6 @@ func TestSwarmManyPeers(t *testing.T) {
 	}
 }
 
-func TestFetchAndSeedServesOthers(t *testing.T) {
-	data := testData(200_000, 5)
-	m := NewManifest("atlas-day2", data, 32<<10)
-	tr, err := StartTracker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	origin, err := StartSeed(tr.Addr(), m, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	peer, got, err := FetchAndSeed(ctx, tr.Addr(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	if !bytes.Equal(got, data) {
-		t.Fatal("first fetch differs")
-	}
-	// Kill the origin seed; the second fetch must succeed purely from
-	// the first downloader.
-	origin.Close()
-	got2, err := Fetch(ctx, tr.Addr(), m)
-	if err != nil {
-		t.Fatalf("fetch from peer seeder: %v", err)
-	}
-	if !bytes.Equal(got2, data) {
-		t.Fatal("second fetch differs")
-	}
-}
-
 func TestFetchCancel(t *testing.T) {
 	data := testData(100_000, 6)
 	m := NewManifest("atlas-day3", data, 32<<10)

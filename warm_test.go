@@ -166,7 +166,7 @@ func TestWarmNeverEvictsReaders(t *testing.T) {
 	w, vps, days, deltas := dayChain(t, 152, 1)
 	opts := core.INanoOptions()
 	opts.TreeCacheSize = 6 // one shard
-	c := FromAtlasOptions(days[0], opts)
+	c := FromFlatOptions(atlas.Compile(days[0]), opts)
 	nextWarmer := parkWarm(c)
 	for _, dst := range spread(w.EdgePrefixes(), 12) {
 		c.QueryPrefix(vps[0], dst)
@@ -292,7 +292,7 @@ func TestWarmHottestFirst(t *testing.T) {
 	if len(dsts) < 3*n {
 		t.Fatalf("world has %d distinct destinations from %v, need %d", len(dsts), src, 3*n)
 	}
-	c := FromAtlasOptions(days[0], opts)
+	c := FromFlatOptions(atlas.Compile(days[0]), opts)
 	nextWarmer := parkWarm(c)
 	oneOffs, popular, fresh := dsts[:n], dsts[n:2*n], dsts[2*n:3*n]
 	ask := func(ps []Prefix) {
