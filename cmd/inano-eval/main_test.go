@@ -30,13 +30,15 @@ func TestGateVerdicts(t *testing.T) {
 // distinct from 1, which means invariants failed.
 func TestRunUsageErrors(t *testing.T) {
 	cases := map[string][]string{
-		"unknown flag":      {"-no-such-flag"},
-		"unknown scale":     {"-scale", "wat"},
-		"unknown scenario":  {"-scenario", "nope"},
-		"unknown mutation":  {"-scenario", "churn", "-scenario-mutate", "nope"},
-		"scenario at eval":  {"-scenario", "churn", "-scale", "eval"},
-		"scale-build tiny1": {"-scale-build", "-scale-ases", "1"},
-		"scale-build huge":  {"-scale-build", "-scale-ases", "100", "-scale-prefixes", "-5"},
+		"unknown flag":           {"-no-such-flag"},
+		"unknown scale":          {"-scale", "wat"},
+		"unknown scenario":       {"-scenario", "nope"},
+		"unknown mutation":       {"-scenario", "churn", "-scenario-mutate", "nope"},
+		"scenario at eval":       {"-scenario", "churn", "-scale", "eval"},
+		"scale-build tiny1":      {"-scale-build", "-scale-ases", "1"},
+		"scale-build huge":       {"-scale-build", "-scale-ases", "100", "-scale-prefixes", "-5"},
+		"scale-build no clients": {"-scale-build", "-scale-clients", "0"},
+		"scale-build no VPs":     {"-scale-build", "-scale-vps", "0"},
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -88,7 +90,7 @@ func TestRunScaleBuildTiny(t *testing.T) {
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("scale build exited %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
-	for _, want := range []string{"0 load-path mismatches", "peak RSS"} {
+	for _, want := range []string{"0 load-path mismatches", "cold trees: ", "peak RSS"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}

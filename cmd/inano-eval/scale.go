@@ -36,6 +36,10 @@ type scaleBuildConfig struct {
 // build stayed out-of-core.
 func runScaleBuild(cfg scaleBuildConfig, stdout, stderr io.Writer) int {
 	g := &gate{stderr: stderr}
+	if cfg.vps < 1 || cfg.clients < 1 {
+		fmt.Fprintf(stderr, "inano-eval: -scale-vps %d and -scale-clients %d must each be at least 1\n", cfg.vps, cfg.clients)
+		return 2
+	}
 	wc := netsim.DefaultScaleConfig(cfg.seed)
 	wc.ASes = cfg.ases
 	wc.Prefixes = cfg.prefixes
@@ -182,6 +186,11 @@ func runScaleBuild(cfg scaleBuildConfig, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "verify: %d pairs, %d answered, %d load-path mismatches [%v]\n",
 		checked, found, mismatches, time.Since(t1).Round(time.Millisecond))
+	// What a cold tree costs at this size: the flat client searched one a
+	// new destination (a first ask stops where its answer is final).
+	st := engFlat.CacheStats()
+	fmt.Fprintf(stdout, "cold trees: %d builds, %.2f ms a build, %.1f KB a resident tree, %d resident, %d suspended\n",
+		st.Builds, float64(st.BuildNS)/1e6/float64(max(st.Builds, 1)), float64(st.Bytes)/1024/float64(max(st.Len, 1)), st.Len, st.Suspended)
 	g.Check(found > 0, "scale atlas answered %d/%d verification pairs", found, checked)
 	g.Check(mismatches == 0, ".bin and flat load paths byte-identical on %d pairs (%d mismatches)", checked, mismatches)
 

@@ -135,14 +135,16 @@ type queued struct {
 // the queue at any moment — a hundred entries on average — sits at exactly
 // the cost being popped. Those need no cost and no compares: ties is a
 // bitmap of node ids. Entries above last wait in radix bucket
-// bits.Len64(cost^last)-1; when ties runs dry the lowest bucket's minimum
-// becomes last and its entries fall into ties or strictly lower buckets.
+// bits.Len64(cost^last)-1, each bucket keeping its least cost as entries
+// link in; when ties runs dry the lowest bucket's least cost becomes last
+// and its entries fall into ties or strictly lower buckets.
 type costQueue struct {
 	last     uint64
-	ties     nodeSet   // the nodes queued at cost == last
-	nonEmpty uint64    // bit b set when bucket b holds entries
-	head     [64]int32 // first entry of bucket b; valid while bit b is set
-	items    []queued  // every entry pushed above last since the reset
+	ties     nodeSet    // the nodes queued at cost == last
+	nonEmpty uint64     // bit b set when bucket b holds entries
+	head     [64]int32  // first entry of bucket b; valid while bit b is set
+	least    [64]uint64 // the least cost in bucket b; valid while bit b is set
+	items    []queued   // every entry pushed above last since the reset
 }
 
 // reset empties the queue and rewinds last to zero: a new build, or a new
@@ -165,12 +167,13 @@ func (q *costQueue) push(cost uint64, node int32) {
 
 // link puts items[i], whose cost is above last, at the head of its bucket.
 func (q *costQueue) link(i int32) {
-	b := bits.Len64(q.items[i].cost^q.last) - 1
+	cost := q.items[i].cost
+	b := bits.Len64(cost^q.last) - 1
 	q.items[i].next = -1
 	if q.nonEmpty&(1<<b) != 0 {
-		q.items[i].next = q.head[b]
+		q.items[i].next, cost = q.head[b], min(cost, q.least[b])
 	}
-	q.head[b] = i
+	q.head[b], q.least[b] = i, cost
 	q.nonEmpty |= 1 << b
 }
 
@@ -186,12 +189,8 @@ func (q *costQueue) pop() (cost uint64, node int32, ok bool) {
 		// ties or to a strictly lower bucket.
 		b := bits.TrailingZeros64(q.nonEmpty)
 		q.nonEmpty &^= 1 << b
-		first := q.head[b]
-		q.last = q.items[first].cost
-		for i := q.items[first].next; i >= 0; i = q.items[i].next {
-			q.last = min(q.last, q.items[i].cost)
-		}
-		for i := first; i >= 0; {
+		q.last = q.least[b]
+		for i := q.head[b]; i >= 0; {
 			next := q.items[i].next
 			if q.items[i].cost == q.last {
 				q.ties.add(q.items[i].node)
@@ -295,30 +294,40 @@ func (e *Engine) search(t *tree, sc *runScratch, need []int32, slice int) {
 		maxPhase = 3 // GRAPH's customer -> peer -> provider frontier
 	}
 	done, settles, asked, phase := false, 0, 0, t.phase // need[:asked] is settled
+	// twin is the leaf twin the last relaxation labelled, which settles next.
+	twin := int32(-1)
 	for {
-		cost, node, ok := q.pop()
-		if !ok {
-			if done = phase == maxPhase; done {
-				break
-			}
-			// Later phases may only extend from already-settled nodes
-			// (their costs are final: better-preferred classes win
-			// regardless of length).
-			phase++
-			q.reset()
-			for id := range lab {
-				if lab[id].settled {
-					e.relaxFrom(t, sc, int32(id), int(phase))
+		node, relax := twin, twin < 0
+		if relax {
+			cost, n, ok := q.pop()
+			if !ok {
+				if done = phase == maxPhase; done {
+					break
 				}
+				// Later phases may only extend from already-settled nodes
+				// (their costs are final: better-preferred classes win
+				// regardless of length).
+				phase++
+				q.reset()
+				for id := range lab {
+					if lab[id].settled {
+						e.relaxFrom(t, sc, int32(id), int(phase))
+					}
+				}
+				continue
 			}
-			continue
-		}
-		if lab[node].settled || cost != lab[node].cost {
-			continue // stale queue entry
+			if lab[n].settled || cost != lab[n].cost {
+				continue // stale queue entry
+			}
+			node = n
 		}
 		lab[node].settled = true
 		marks[node>>6] |= 1 << (node & 63)
-		e.relaxFrom(t, sc, node, int(phase))
+		if relax {
+			twin = e.relaxFrom(t, sc, node, int(phase))
+		} else {
+			twin = -1 // a leaf twin relaxes nothing
+		}
 		for asked < len(need) && lab[need[asked]].settled {
 			asked++
 		}
@@ -412,15 +421,16 @@ func (e *Engine) resume(t *tree, sc *runScratch) {
 
 // relaxFrom relaxes all backtracking edges out of node wid (that is, atlas
 // edges arriving at wid's cluster, plus the synthetic cross edges), gated to
-// the given preference phase. The edge scan walks the flat atlas's CSR
-// bucket for wid's cluster — parallel arrays indexed by ei. Every edge of
-// the bucket arrives in one AS, so its AS, and whether the export check
-// can apply, are read once for the node. An edge's tests run cheapest
-// first: the array reads that discard most edges, the cost compare, and
-// only for an edge that would change a label its source AS and the set
-// probes of the export, provider and preference checks. All are pure, so
-// the order cannot change the outcome.
-func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
+// the given preference phase, and returns the leaf twin it labelled, or -1.
+// The edge scan walks wid's plane's arc table (Engine.arcs), which holds
+// only the edges usable there, each a 16-byte record with its latency in
+// cost units. Every arc of the bucket arrives in one AS, so its AS, and
+// whether the export check can apply, are read once for the node. An arc's
+// tests run cheapest first: the relationship and phase under GRAPH, the
+// settled bit, the cost compare, and only for an arc that would change a
+// label its source AS and the set probes of the export, provider and
+// preference checks. All are pure, so the order cannot change the outcome.
+func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) int32 {
 	lab := sc.labels
 	wc := e.nodeCluster(wid)
 	wPlane := e.nodePlane(wid)
@@ -432,36 +442,32 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 	f := e.f
 	toAS := f.ClusterAS[wc]
 
-	planeBit := uint8(1) // atlas.PlaneToDst
-	if wPlane == planeFromSrc {
-		planeBit = 2 // atlas.PlaneFromSrc
-	}
-
 	threeTuple := e.opts.ThreeTuple
 	// Relationship-agnostic mode: validity comes from the observed export
 	// 3-tuples instead of the up/down construction, where they can apply.
 	checkTuples := threeTuple && wNextAS != 0 && wNextAS != toAS && e.clusterDeg[wc] > atlas.DegreeThreshold
-	for ei, end := f.EdgeStart[wc], f.EdgeStart[wc+1]; ei < end; ei++ {
-		if f.EdgePlanes[ei]&planeBit == 0 {
-			continue
-		}
-		flags := f.EdgeFlags[ei]
+	checkProviders, prefs := e.opts.Providers && toAS == originAS, e.opts.Preferences
+	start := e.arcStart[wPlane]
+	arcs := e.arcs[wPlane][start[wc]:start[wc+1]]
+	for i := range arcs {
+		a := &arcs[i]
+		flags := a.flags()
 		sameAS := flags&atlas.EdgeSameAS != 0
 		vUD := stateUp
 		if !threeTuple {
 			var edgePhase int
 			var ok bool
-			vUD, edgePhase, ok = graphTransition(sameAS, e.edgeRel[ei], wUD)
+			vUD, edgePhase, ok = graphTransition(sameAS, a.rel(), wUD)
 			if !ok || edgePhase > phase {
 				continue
 			}
 		}
-		vid := e.nodeID(f.EdgeFrom[ei], wPlane, vUD)
+		vid := e.nodeID(a.from, wPlane, vUD)
 		v := &lab[vid]
 		if v.settled {
 			continue
 		}
-		newCost, newPend := relaxCost(wCost, wPend, sameAS, flags&atlas.EdgeLate != 0, f.EdgeLat[ei])
+		newCost, newPend := relaxCost(wCost, wPend, sameAS, flags&atlas.EdgeLate != 0, a.lat())
 		vNextAS := wNextAS
 		if !sameAS {
 			vNextAS = toAS
@@ -470,22 +476,21 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 		// an inferred AS preference between two different next ASes
 		// (§4.3.3); anything else that does not lower the cost is done.
 		improves := newCost < v.cost
-		if !improves && (newCost > v.cost || !e.opts.Preferences || vNextAS == v.nextAS) {
+		if !improves && (newCost > v.cost || !prefs || vNextAS == v.nextAS) {
 			continue
 		}
-		fromAS := f.ClusterAS[f.EdgeFrom[ei]]
-		if checkTuples && !sameAS && fromAS != wNextAS && !e.tupleOK(f, ei, fromAS, toAS, wNextAS) {
+		fromAS := f.ClusterAS[a.from]
+		if checkTuples && !sameAS && fromAS != wNextAS && !e.tupleOK(f, a.ei, fromAS, toAS, wNextAS) {
 			continue
 		}
-		if e.opts.Providers && !sameAS && toAS == originAS &&
-			!f.ProviderCheck(toAS, fromAS) {
+		if checkProviders && !sameAS && !f.ProviderCheck(toAS, fromAS) {
 			continue // §4.3.4: must enter the origin AS via a provider
 		}
 		if !improves && !f.Prefers(fromAS, vNextAS, v.nextAS) {
 			continue
 		}
 		v.cost, v.pend, v.nextAS = newCost, newPend, vNextAS
-		t.hop[vid] = int32(ei)<<2 | int32(wUD)
+		t.hop[vid] = int32(a.ei)<<2 | int32(wUD)
 		sc.reached[vid>>6] |= 1 << (vid & 63)
 		if improves {
 			sc.q.push(newCost, vid)
@@ -496,16 +501,24 @@ func (e *Engine) relaxFrom(t *tree, sc *runScratch, wid int32, phase int) {
 	// up_c -> down_c (traffic turns from climbing to descending), and
 	// FROM_SRC_c -> TO_DST_c (client-contributed links feed the core).
 	if !threeTuple && wUD == stateDown {
-		e.relaxZero(t, sc, wid, e.nodeID(wc, wPlane, stateUp), hopTurn)
+		e.relaxZero(t, sc, wid, e.nodeID(wc, wPlane, stateUp), hopTurn, true)
 	}
 	if e.opts.Asymmetry && wPlane == planeToDst {
-		e.relaxZero(t, sc, wid, e.nodeID(wc, planeFromSrc, wUD), hopToDst)
+		// Nothing else reaches a leaf twin, so this label is its last, and
+		// it relaxes nothing: it settles next, without the queue.
+		twin := e.nodeID(wc, planeFromSrc, wUD)
+		leaf := e.leafTwins != nil && e.leafTwins[wc>>6]&(1<<(wc&63)) != 0
+		if e.relaxZero(t, sc, wid, twin, hopToDst, !leaf); leaf {
+			return twin
+		}
 	}
+	return -1
 }
 
 // relaxZero relaxes a synthetic zero-cost cross edge wid -> vid (same
-// cluster, so the hop word is the edge's kind alone).
-func (e *Engine) relaxZero(t *tree, sc *runScratch, wid, vid, kind int32) {
+// cluster, so the hop word is the edge's kind alone), queueing vid if it
+// lowered its label and queue is set.
+func (e *Engine) relaxZero(t *tree, sc *runScratch, wid, vid, kind int32, queue bool) {
 	w, v := sc.labels[wid], &sc.labels[vid]
 	if v.settled || w.cost >= v.cost {
 		return
@@ -513,29 +526,24 @@ func (e *Engine) relaxZero(t *tree, sc *runScratch, wid, vid, kind int32) {
 	v.cost, v.pend, v.nextAS = w.cost, w.pend, w.nextAS
 	t.hop[vid] = kind
 	sc.reached[vid>>6] |= 1 << (vid & 63)
-	sc.q.push(w.cost, vid)
+	if queue {
+		sc.q.push(w.cost, vid)
+	}
 }
 
-// relaxCost applies the ⊕ operator of §4.2 for an edge traversed (in
-// traffic direction) into the node whose cost is (wCost, wPend).
-func relaxCost(wCost uint64, wPend uint8, sameAS, late bool, lat float32) (uint64, uint8) {
-	h := costHops(wCost)
-	eu := wCost & costEMask
-	switch {
-	case sameAS:
-		return packCost(h, eu+latUnits(lat)), wPend
-	case late:
-		// Late exit: treated as an intra-AS edge, one more hop pending.
-		if wPend < math.MaxUint8 {
-			wPend++
-		}
-		return packCost(h, eu+latUnits(lat)), wPend
-	default:
+// relaxCost applies the ⊕ operator of §4.2 for an edge of lat cost units
+// traversed (in traffic direction) into the node whose cost is (wCost, wPend).
+func relaxCost(wCost uint64, wPend uint8, sameAS, late bool, lat uint64) (uint64, uint8) {
+	if !sameAS && !late {
 		// Normal AS crossing: fold pending hops, reset exit cost. With H
 		// saturated the reset alone would lower the cost, which the
 		// monotone queue must never see: the cost stays where it is.
-		return max(packCost(h+uint32(wPend)+1, 0), wCost), 0
+		return max(packCost(costHops(wCost)+uint32(wPend)+1, 0), wCost), 0
 	}
+	if !sameAS && wPend < math.MaxUint8 {
+		wPend++ // late exit: treated as an intra-AS edge, one more hop pending
+	}
+	return wCost&^costEMask | min(wCost&costEMask+lat, costEMask), wPend // H stays, E saturates
 }
 
 // graphTransition maps an edge's inferred relationship onto the up/down

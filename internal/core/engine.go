@@ -95,8 +95,8 @@ type Engine struct {
 	opts Options
 
 	numClusters int
-	planes      int // 1 (TO_DST only) or 2 (with FROM_SRC)
-	statesPerCl int // planes * (1 or 2 for up/down)
+	planes      int  // 1 (TO_DST only) or 2 (with FROM_SRC)
+	shift       uint // log2 of a cluster's nodes: planes, times 2 for up/down
 
 	trees *shardedTreeCache
 	// scratch pools per-extension Dijkstra working state (*runScratch: the
@@ -117,10 +117,37 @@ type Engine struct {
 	// clusterDeg is each cluster's AS degree, which gates the export check
 	// on the edges arriving there. Nil unless opts.ThreeTuple.
 	clusterDeg []int32
-	// edgeRel is each CSR edge's inferred relationship (To's AS from
-	// From's), what GRAPH's up/down construction reads. Nil with ThreeTuple.
-	edgeRel []netsim.Rel
+	// arcStart and arcs are the search's view of the link table, one CSR
+	// over clusters a plane: the edges usable in plane p that arrive at
+	// cluster c are arcs[p][arcStart[p][c]:arcStart[p][c+1]], in edge order.
+	arcStart [2][]uint32
+	arcs     [2][]arc
+	// leafTwins has bit c set when cluster c's FROM_SRC node is a leaf twin:
+	// no FROM_SRC arc arrives at c or leaves it, so the node is reached
+	// only over the cross edge from its TO_DST twin, at that twin's label,
+	// and relaxes nothing. The search settles it right after the twin,
+	// without the queue. Nil unless opts.ThreeTuple and opts.Asymmetry.
+	leafTwins []uint64
 }
+
+// arc is one edge as the search reads it, in 16 bytes: w packs the edge's
+// latency in cost units (latUnits, so at most costEMask) with its atlas
+// flags and, under GRAPH, its inferred relationship (To's AS from From's)
+// above them; then the From cluster, and the edge index a hop word names.
+type arc struct {
+	w    uint64
+	from cluster.ClusterID
+	ei   uint32
+}
+
+const (
+	arcRelShift   = 48 // the relationship's byte in arc.w
+	arcFlagsShift = 56 // the flags' byte in arc.w
+)
+
+func (a *arc) lat() uint64     { return a.w & costEMask }
+func (a *arc) flags() uint8    { return uint8(a.w >> arcFlagsShift) }
+func (a *arc) rel() netsim.Rel { return netsim.Rel(uint8(a.w >> arcRelShift)) }
 
 // New builds an engine over a, compiling its flat serving form. The atlas
 // must not be mutated while New runs; afterwards the engine holds no
@@ -161,35 +188,72 @@ func NewWithCache(f *atlas.Flat, opts Options, prev *Engine) *Engine {
 	if opts.Asymmetry {
 		e.planes = 2
 	}
-	e.statesPerCl = e.planes
+	e.shift = uint(e.planes - 1)
 	if !opts.ThreeTuple {
-		e.statesPerCl *= 2 // up/down doubling
+		e.shift++ // up/down doubling
 	}
 	n := e.numNodes()
 	e.scratch.New = func() any { return newRunScratch(n) }
 	if prev != nil {
 		e.trees, e.edgeTo, e.tupleRuns = prev.trees, prev.edgeTo, prev.tupleRuns
-		e.clusterDeg, e.edgeRel = prev.clusterDeg, prev.edgeRel
+		e.clusterDeg, e.arcStart, e.arcs, e.leafTwins = prev.clusterDeg, prev.arcStart, prev.arcs, prev.leafTwins
 		return e
 	}
 	e.trees = newShardedTreeCache(opts.TreeCacheSize, treeCacheShards(opts.TreeCacheSize))
-	e.edgeTo = make([]cluster.ClusterID, f.NumEdges())
-	for w := range e.numClusters {
-		bucket := e.edgeTo[f.EdgeStart[w]:f.EdgeStart[w+1]]
-		for i := range bucket {
-			bucket[i] = cluster.ClusterID(w)
-		}
-	}
+	e.deriveEdges(f, !opts.ThreeTuple)
 	if opts.ThreeTuple {
 		e.tupleRuns = make([]atomic.Uint64, f.NumEdges())
 		e.clusterDeg = f.ClusterDegrees()
-	} else {
-		e.edgeRel = make([]netsim.Rel, f.NumEdges())
-		for ei, w := range e.edgeTo {
-			e.edgeRel[ei] = f.RelOf(f.ClusterAS[f.EdgeFrom[ei]], f.ClusterAS[w])
+		if opts.Asymmetry {
+			e.leafTwins = make([]uint64, (e.numClusters+63)/64)
+			for c := range e.numClusters {
+				if e.arcStart[planeFromSrc][c] == e.arcStart[planeFromSrc][c+1] {
+					e.leafTwins[c>>6] |= 1 << (c & 63) // no FROM_SRC arc arrives...
+				}
+			}
+			for _, a := range e.arcs[planeFromSrc] {
+				e.leafTwins[a.from>>6] &^= 1 << (a.from & 63) // ...nor leaves
+			}
 		}
 	}
 	return e
+}
+
+// deriveEdges fills, in one pass over f's CSR, edgeTo and the arc table of
+// each of e's planes (an edge in both planes is one record twice). Under
+// GRAPH (graph) an arc carries its relationship, which the up/down
+// construction reads.
+func (e *Engine) deriveEdges(f *atlas.Flat, graph bool) {
+	var n [2]int
+	for _, p := range f.EdgePlanes {
+		n[planeToDst] += int(p & atlas.PlaneToDst)
+		n[planeFromSrc] += int(p&atlas.PlaneFromSrc) >> 1
+	}
+	all := make([]arc, n[planeToDst]+n[planeFromSrc]*(e.planes-1))
+	for p := range e.planes {
+		e.arcStart[p], e.arcs[p], all = make([]uint32, e.numClusters+1), all[:n[p]], all[n[p]:]
+	}
+	e.edgeTo = make([]cluster.ClusterID, f.NumEdges())
+	toDst, fromSrc, asym := e.arcs[planeToDst], e.arcs[planeFromSrc], e.planes == 2
+	var k [2]uint32
+	for c := range e.numClusters {
+		for ei := f.EdgeStart[c]; ei < f.EdgeStart[c+1]; ei++ {
+			e.edgeTo[ei] = cluster.ClusterID(c)
+			a := arc{w: latUnits(f.EdgeLat[ei]) | uint64(f.EdgeFlags[ei])<<arcFlagsShift, from: f.EdgeFrom[ei], ei: ei}
+			if graph {
+				a.w |= uint64(uint8(f.RelOf(f.ClusterAS[a.from], f.ClusterAS[c]))) << arcRelShift
+			}
+			if f.EdgePlanes[ei]&atlas.PlaneToDst != 0 {
+				toDst[k[planeToDst]], k[planeToDst] = a, k[planeToDst]+1
+			}
+			if asym && f.EdgePlanes[ei]&atlas.PlaneFromSrc != 0 {
+				fromSrc[k[planeFromSrc]], k[planeFromSrc] = a, k[planeFromSrc]+1
+			}
+		}
+		for p := range e.planes {
+			e.arcStart[p][c+1] = k[p]
+		}
+	}
 }
 
 // WarmList returns the keys of the trees resident in prev, hottest first —
@@ -272,23 +336,18 @@ const (
 
 func (e *Engine) nodeID(c cluster.ClusterID, plane, ud int) int32 {
 	if e.opts.ThreeTuple {
-		return int32(c)*int32(e.planes) + int32(plane)
+		return int32(c)<<e.shift | int32(plane)
 	}
-	return int32(c)*int32(2*e.planes) + int32(plane)*2 + int32(ud)
+	return int32(c)<<e.shift | int32(plane)<<1 | int32(ud)
 }
 
-func (e *Engine) nodeCluster(id int32) cluster.ClusterID {
-	if e.opts.ThreeTuple {
-		return cluster.ClusterID(id / int32(e.planes))
-	}
-	return cluster.ClusterID(id / int32(2*e.planes))
-}
+func (e *Engine) nodeCluster(id int32) cluster.ClusterID { return cluster.ClusterID(id >> e.shift) }
 
 func (e *Engine) nodePlane(id int32) int {
 	if e.opts.ThreeTuple {
-		return int(id) % e.planes
+		return int(id) & (e.planes - 1)
 	}
-	return int(id) / 2 % e.planes
+	return int(id) >> 1 & (e.planes - 1)
 }
 
 func (e *Engine) nodeUD(id int32) int {
@@ -298,4 +357,4 @@ func (e *Engine) nodeUD(id int32) int {
 	return int(id) % 2
 }
 
-func (e *Engine) numNodes() int { return e.numClusters * e.statesPerCl }
+func (e *Engine) numNodes() int { return e.numClusters << e.shift }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -415,10 +416,14 @@ func TestConcurrentColdBuilds(t *testing.T) {
 	}
 }
 
-// TestEdgeToMatchesBuckets checks Engine.edgeTo against the CSR bounds it
-// was filled from, on random link tables with empty buckets at either end
-// and in between, and that an engine that adopts a cache adopts the array.
+// TestEdgeToMatchesBuckets checks Engine.edgeTo and the arc tables against
+// the CSR they were derived from, on random link tables with empty buckets
+// at either end and in between, links in one plane or both, latencies from
+// zero to past the cost field, late-exit and same-AS flags and
+// relationships of every kind, under iNano and GRAPH+Asymmetry; and that an
+// engine that adopts a cache adopts both.
 func TestEdgeToMatchesBuckets(t *testing.T) {
+	lats := []float32{0, 0.004, 1, 37.5, 3e9, 1e30}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a := atlas.New()
@@ -426,25 +431,88 @@ func TestEdgeToMatchesBuckets(t *testing.T) {
 		for c := 0; c < a.NumClusters; c++ {
 			a.ClusterAS = append(a.ClusterAS, netsim.ASN(1+c/3))
 		}
+		for as := 1; as <= (a.NumClusters+2)/3; as++ {
+			for bs := as + 1; bs <= as+3; bs++ {
+				a.Rels[netsim.ASPairKey(netsim.ASN(as), netsim.ASN(bs))] = netsim.Rel(rng.Intn(5))
+				a.LateExit[netsim.ASPairKey(netsim.ASN(as), netsim.ASN(bs))] = rng.Intn(3) == 0
+			}
+		}
 		for i, n := 0, rng.Intn(4*a.NumClusters); i < n; i++ {
 			// The product skews To low, leaving whole runs of clusters no link arrives at.
 			to := rng.Intn(a.NumClusters) * rng.Intn(a.NumClusters) / a.NumClusters
 			a.Links = append(a.Links, atlas.Link{
-				From: cluster.ClusterID(rng.Intn(a.NumClusters)), To: cluster.ClusterID(to), LatencyMS: 1, Planes: atlas.PlaneToDst,
+				From: cluster.ClusterID(rng.Intn(a.NumClusters)), To: cluster.ClusterID(to),
+				LatencyMS: lats[rng.Intn(len(lats))], Planes: uint8(1 + rng.Intn(3)),
 			})
 		}
-		e := New(a, INanoOptions())
-		f := e.f
-		if len(e.edgeTo) != f.NumEdges() {
-			t.Fatalf("seed %d: edgeTo has %d entries for %d edges", seed, len(e.edgeTo), f.NumEdges())
-		}
-		for ei, w := range e.edgeTo {
-			if uint32(ei) < f.EdgeStart[w] || uint32(ei) >= f.EdgeStart[w+1] {
-				t.Fatalf("seed %d: edge %d arrives at cluster %d, whose bucket is [%d, %d)", seed, ei, w, f.EdgeStart[w], f.EdgeStart[w+1])
+		for _, opts := range []Options{INanoOptions(), {Asymmetry: true}} {
+			e := New(a, opts)
+			f := e.f
+			if len(e.edgeTo) != f.NumEdges() {
+				t.Fatalf("seed %d: edgeTo has %d entries for %d edges", seed, len(e.edgeTo), f.NumEdges())
+			}
+			for ei, w := range e.edgeTo {
+				if uint32(ei) < f.EdgeStart[w] || uint32(ei) >= f.EdgeStart[w+1] {
+					t.Fatalf("seed %d: edge %d arrives at cluster %d, whose bucket is [%d, %d)", seed, ei, w, f.EdgeStart[w], f.EdgeStart[w+1])
+				}
+			}
+			sameArcs(t, fmt.Sprintf("seed %d %+v", seed, opts), e, a.RelOf)
+			next := NewWithCache(f, e.opts, e)
+			if len(e.edgeTo) > 0 && &next.edgeTo[0] != &e.edgeTo[0] {
+				t.Fatalf("seed %d: NewWithCache filled its own edgeTo", seed)
+			}
+			for p := range e.planes {
+				if &next.arcStart[p][0] != &e.arcStart[p][0] || len(e.arcs[p]) > 0 && &next.arcs[p][0] != &e.arcs[p][0] {
+					t.Fatalf("seed %d: NewWithCache built its own plane %d arc table", seed, p)
+				}
 			}
 		}
-		if next := NewWithCache(f, e.opts, e); len(e.edgeTo) > 0 && &next.edgeTo[0] != &e.edgeTo[0] {
-			t.Fatalf("seed %d: NewWithCache filled its own edgeTo", seed)
+	}
+}
+
+// sameArcs holds e's arc tables to its flat atlas: for each plane and each
+// cluster, exactly the cluster's bucket's edges with the plane's bit, in
+// edge order, and each record exactly latUnits of the edge's latency, its
+// flags, its relationship — rel of its ASes under GRAPH, none under
+// ThreeTuple — its From cluster and its edge index. A plane the options
+// leave out has no table.
+func sameArcs(t *testing.T, name string, e *Engine, rel func(x, y netsim.ASN) netsim.Rel) {
+	t.Helper()
+	f := e.f
+	for p, arcs := range e.arcs {
+		start := e.arcStart[p]
+		if p >= e.planes {
+			if start != nil || arcs != nil {
+				t.Fatalf("%s: an arc table for plane %d, which the options leave out", name, p)
+			}
+			continue
+		}
+		if len(start) != int(f.NumClusters)+1 || start[0] != 0 || int(start[f.NumClusters]) != len(arcs) {
+			t.Fatalf("%s: plane %d's table starts %d clusters at %v over %d arcs", name, p, len(start)-1, start[:min(len(start), 1)], len(arcs))
+		}
+		for c := range int(f.NumClusters) {
+			got := arcs[start[c]:start[c+1]]
+			i := 0
+			for ei := f.EdgeStart[c]; ei < f.EdgeStart[c+1]; ei++ {
+				if f.EdgePlanes[ei]&(1<<p) == 0 {
+					continue
+				}
+				r := netsim.RelNone
+				if !e.opts.ThreeTuple {
+					r = rel(f.ClusterAS[f.EdgeFrom[ei]], f.ClusterAS[c])
+				}
+				want := arc{w: latUnits(f.EdgeLat[ei]) | uint64(f.EdgeFlags[ei])<<arcFlagsShift | uint64(uint8(r))<<arcRelShift, from: f.EdgeFrom[ei], ei: ei}
+				if i >= len(got) || got[i] != want {
+					t.Fatalf("%s: plane %d, cluster %d, arc %d of %d: %+v, want %+v (edge %d)", name, p, c, i, len(got), got[min(i, len(got)-1)], want, ei)
+				}
+				if got[i].lat() != latUnits(f.EdgeLat[ei]) || got[i].flags() != f.EdgeFlags[ei] || got[i].rel() != r {
+					t.Fatalf("%s: edge %d reads back latency %d, flags %#x, relationship %v", name, ei, got[i].lat(), got[i].flags(), got[i].rel())
+				}
+				i++
+			}
+			if i != len(got) {
+				t.Fatalf("%s: plane %d, cluster %d: %d arcs for %d edges with the plane's bit", name, p, c, len(got), i)
+			}
 		}
 	}
 }
@@ -511,21 +579,24 @@ func TestCostPacking(t *testing.T) {
 
 // TestEngineDerivesEdgeFacts holds what an engine derives of its edges'
 // ASes, which the flat form no longer carries, to the map atlas: a GRAPH
-// engine's relationship for each edge is Flat.RelOf of the edge's end ASes
-// and the maps' own, and an iNano engine's degree for each cluster is its
-// AS's in the maps. An engine that adopts a cache adopts both.
+// engine's arc for each edge carries Flat.RelOf of the edge's end ASes, which
+// is the maps' own, an iNano engine's carries none, and an iNano engine's
+// degree for each cluster is its AS's in the maps. An engine that adopts a
+// cache adopts the degrees and the arc tables.
 func TestEngineDerivesEdgeFacts(t *testing.T) {
 	w := buildWorld(t, 61)
 	a := w.a
 	graph, inano := New(a, GraphOptions()), New(a, INanoOptions())
 	f := graph.f
-	if graph.clusterDeg != nil || inano.edgeRel != nil {
-		t.Fatal("an engine derived what its options never read")
+	if graph.clusterDeg != nil || graph.leafTwins != nil {
+		t.Fatal("a GRAPH engine derived what its options never read")
 	}
-	if len(graph.edgeRel) != f.NumEdges() || len(inano.clusterDeg) != int(f.NumClusters) {
-		t.Fatalf("%d relationships for %d edges, %d degrees for %d clusters",
-			len(graph.edgeRel), f.NumEdges(), len(inano.clusterDeg), f.NumClusters)
+	if len(inano.clusterDeg) != int(f.NumClusters) {
+		t.Fatalf("%d degrees for %d clusters", len(inano.clusterDeg), f.NumClusters)
 	}
+	sameArcs(t, "GRAPH", graph, f.RelOf)
+	sameArcs(t, "GRAPH", graph, a.RelOf)
+	sameArcs(t, "iNano", inano, nil)
 	gated, rels := 0, 0
 	for c := range int(f.NumClusters) {
 		ta := a.ClusterAS[c]
@@ -535,23 +606,19 @@ func TestEngineDerivesEdgeFacts(t *testing.T) {
 		if inano.clusterDeg[c] > atlas.DegreeThreshold {
 			gated++
 		}
-		for ei := f.EdgeStart[c]; ei < f.EdgeStart[c+1]; ei++ {
-			fa := a.ClusterAS[f.EdgeFrom[ei]]
-			if got := graph.edgeRel[ei]; got != f.RelOf(fa, ta) || got != a.RelOf(fa, ta) {
-				t.Fatalf("edge %d (AS %d -> %d): relationship %v, Flat.RelOf %v, maps %v", ei, fa, ta, got, f.RelOf(fa, ta), a.RelOf(fa, ta))
-			}
-			if graph.edgeRel[ei] != netsim.RelNone {
-				rels++
-			}
+	}
+	for _, ar := range graph.arcs[planeToDst] {
+		if ar.rel() != netsim.RelNone {
+			rels++
 		}
 	}
 	if gated == 0 || gated == int(f.NumClusters) || rels == 0 {
-		t.Fatalf("%d of %d clusters gated, %d edges with a relationship: the world exercises neither side", gated, f.NumClusters, rels)
+		t.Fatalf("%d of %d clusters gated, %d arcs with a relationship: the world exercises neither side", gated, f.NumClusters, rels)
 	}
-	if next := NewWithCache(f, graph.opts, graph); &next.edgeRel[0] != &graph.edgeRel[0] {
-		t.Fatal("NewWithCache derived its own relationships")
+	if next := NewWithCache(f, graph.opts, graph); &next.arcs[planeToDst][0] != &graph.arcs[planeToDst][0] {
+		t.Fatal("NewWithCache derived its own arc table")
 	}
-	if next := NewWithCache(f, inano.opts, inano); &next.clusterDeg[0] != &inano.clusterDeg[0] {
-		t.Fatal("NewWithCache derived its own degrees")
+	if next := NewWithCache(f, inano.opts, inano); &next.clusterDeg[0] != &inano.clusterDeg[0] || &next.leafTwins[0] != &inano.leafTwins[0] {
+		t.Fatal("NewWithCache derived its own degrees or leaf twins")
 	}
 }

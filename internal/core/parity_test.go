@@ -728,6 +728,90 @@ func TestTieHeavyTreeParity(t *testing.T) {
 	}
 }
 
+// TestLeafTwinTreeParity gives each cluster of random worlds a class —
+// FROM_SRC arcs may arrive there or not, may leave or not — and each link a
+// plane its ends allow (FROM_SRC only, both, or TO_DST only), and flattens
+// half the latencies to 0 or 1 ms so that labels tie. A world then holds
+// leaf twins, which the search settles right after their TO_DST twins
+// without the queue, twins whose cluster is the From of a FROM_SRC arc and
+// has none arriving, and twins with arcs both ways. Under every option set,
+// each tree is the reference's, node for node, searched whole, and resumed
+// in the warmer's slices, from one settle to warmSlice, every slice but the
+// last settling exactly its count.
+func TestLeafTwinTreeParity(t *testing.T) {
+	for _, seed := range []int64{61, 62, 63} {
+		w := buildWorld(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		class := make([]int, w.a.NumClusters) // bit 0: FROM_SRC arcs may arrive; bit 1: may leave
+		for c := range class {
+			class[c] = rng.Intn(4)
+		}
+		for i := range w.a.Links {
+			l := &w.a.Links[i]
+			l.Planes = atlas.PlaneToDst
+			if class[l.From]&2 != 0 && class[l.To]&1 != 0 {
+				l.Planes = []uint8{atlas.PlaneFromSrc, atlas.PlaneMask, atlas.PlaneToDst}[rng.Intn(3)]
+			}
+			if rng.Intn(2) == 0 {
+				l.LatencyMS = float32(rng.Intn(2))
+			}
+		}
+		e := New(w.a, INanoOptions())
+		receive, send, leaves, sendOnly := 0, 0, 0, 0 // twins by FROM_SRC arcs arriving, leaving
+		for c := range e.numClusters {
+			start := e.arcStart[planeFromSrc]
+			arrive, leave := start[c] < start[c+1], false
+			for _, a := range e.arcs[planeFromSrc] {
+				leave = leave || a.from == cluster.ClusterID(c)
+			}
+			if e.leafTwins[c>>6]&(1<<(c&63)) != 0 != (!arrive && !leave) {
+				t.Fatalf("seed %d: cluster %d with FROM_SRC arcs arriving %v, leaving %v, is a leaf twin: %v", seed, c, arrive, leave, !arrive && !leave)
+			}
+			switch {
+			case !arrive && !leave:
+				leaves++
+			case !arrive:
+				sendOnly++
+			}
+			if arrive {
+				receive++
+			}
+			if leave {
+				send++
+			}
+		}
+		if leaves == 0 || sendOnly == 0 || receive == 0 || send == 0 {
+			t.Fatalf("seed %d: %d leaf twins, %d that only send, %d receive, %d send: the world lacks a kind", seed, leaves, sendOnly, receive, send)
+		}
+		for name, opts := range allOptionSets() {
+			e, r := New(w.a, opts), newRefEngine(w.a, opts)
+			n := e.numNodes()
+			sc := newRunScratch(n)
+			for _, k := range w.treeKeys() {
+				dst, origin := splitTreeKey(k)
+				ref := r.run(dst, origin)
+				sameTrees(t, name+"/whole", dst, ref, e, e.fullTree(sc, k), sc.labels)
+				tr, lab := e.newTree(k), make([]label, n)
+				tr.waiting.Store(1) // a reader waits: each slice stops at its end
+				for step := 0; !tr.done.Load(); step++ {
+					slice := []int{1, 1 + rng.Intn(8), warmSlice}[rng.Intn(3)]
+					before := settledCount(tr)
+					e.search(tr, sc, nil, slice)
+					for id, l := range sc.labels[:n] {
+						if l.settled && l.cost != infCost {
+							lab[id] = l
+						}
+					}
+					sameTrees(t, fmt.Sprintf("%s/step %d", name, step), dst, ref, e, tr, lab)
+					if more := settledCount(tr) - before; more != slice && !tr.done.Load() || tr.count != before+more {
+						t.Fatalf("%s dst=%d step %d: a slice of %d settled %d nodes, counted %d", name, dst, step, slice, more, tr.count-before)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFlatQueryParity compares full bidirectional query answers.
 func TestFlatQueryParity(t *testing.T) {
 	w := buildWorld(t, 64)

@@ -124,25 +124,31 @@ func TestColdLegSettlesPart(t *testing.T) {
 // BenchmarkColdLeg times the searches TestColdLegSettlesPart counts, on the
 // same legs: "leg" stops where the leg's answer is final, "whole" asks for
 // every node. ns/op is one tree; the ratio of the two is what a cold query
-// saves.
+// saves. iNano is the default configuration; GRAPH and GRAPH+asym price the
+// up/down construction, whose arcs carry their relationships.
 func BenchmarkColdLeg(b *testing.B) {
 	a, srcs, dsts := benchWorld(b)
-	e := New(a, INanoOptions())
-	sc := newRunScratch(e.numNodes())
-	legs := coldLegs(e, srcs, dsts)
-	for _, bc := range []struct {
+	for _, o := range []struct {
 		name string
-		need func(coldLeg) []int32
-	}{
-		{"leg", func(l coldLeg) []int32 { return []int32{l.need} }},
-		{"whole", func(coldLeg) []int32 { return nil }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				l := legs[i%len(legs)]
-				e.search(e.newTree(l.k), sc, bc.need(l), 0)
-			}
-		})
+		opts Options
+	}{{"iNano", INanoOptions()}, {"GRAPH", GraphOptions()}, {"GRAPH+asym", Options{Asymmetry: true}}} {
+		e := New(a, o.opts)
+		sc := newRunScratch(e.numNodes())
+		legs := coldLegs(e, srcs, dsts)
+		for _, bc := range []struct {
+			name string
+			need func(coldLeg) []int32
+		}{
+			{"leg", func(l coldLeg) []int32 { return []int32{l.need} }},
+			{"whole", func(coldLeg) []int32 { return nil }},
+		} {
+			b.Run(o.name+"/"+bc.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					l := legs[i%len(legs)]
+					e.search(e.newTree(l.k), sc, bc.need(l), 0)
+				}
+			})
+		}
 	}
 }
 
