@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"os"
@@ -42,18 +41,7 @@ func main() {
 		fmt.Printf("tracker listening on %s\n", addr)
 	}
 
-	mf, err := os.Create(*manifestPath)
-	if err != nil {
-		fatal(err)
-	}
-	enc := gob.NewEncoder(mf)
-	if err := enc.Encode(addr); err != nil {
-		fatal(err)
-	}
-	if err := enc.Encode(&m); err != nil {
-		fatal(err)
-	}
-	if err := mf.Close(); err != nil {
+	if err := swarm.WriteManifestFile(*manifestPath, addr, m); err != nil {
 		fatal(err)
 	}
 

@@ -60,6 +60,7 @@ import (
 	"inano/internal/atlas"
 	"inano/internal/feedback"
 	"inano/internal/server"
+	"inano/internal/swarm"
 	"inano/internal/trace"
 	"inano/sim"
 )
@@ -284,7 +285,7 @@ func loadClient(atlasPath, fetchManifest string) (*inano.Client, error) {
 		defer f.Close()
 		return inano.Load(f)
 	case fetchManifest != "":
-		addr, m, err := server.ReadManifest(fetchManifest)
+		addr, m, err := swarm.ReadManifestFile(fetchManifest)
 		if err != nil {
 			return nil, err
 		}

@@ -35,7 +35,7 @@ func TestStressQueriesDuringDeltaChurn(t *testing.T) {
 	fwd := encodeDelta(t, atlas.Diff(f0.a, f1.a))
 	back := encodeDelta(t, atlas.Diff(f1.a, f0.a))
 
-	c := FromAtlas(f0.a.Clone())
+	c := FromAtlas(f0.a)
 	var stop atomic.Bool
 	var queries atomic.Int64
 	var wg sync.WaitGroup

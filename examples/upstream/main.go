@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
@@ -34,7 +35,7 @@ func main() {
 	// observations (inanod -aggregate).
 	agg := feedback.NewAggregator()
 	srv := server.New(server.Config{
-		Client:     inano.FromAtlas(base.Clone()),
+		Client:     inano.FromAtlas(base),
 		Aggregator: agg,
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -46,7 +47,7 @@ func main() {
 	peers := vps[6:]
 	shipped := 0
 	for _, me := range reporters {
-		c := inano.FromAtlas(base.Clone())
+		c := inano.FromAtlas(base)
 		up := inano.NewUploader(ts.URL + "/v1/observations")
 		for _, p := range peers {
 			truth, ok := w.TrueRTT(0, me, p)
@@ -82,7 +83,7 @@ func main() {
 	// arrives through the swarm via WatchManifest) and serves the
 	// swarm-learned corrections.
 	me := vps[0]
-	freeRider := inano.FromAtlas(base.Clone())
+	freeRider := inano.FromAtlas(base)
 	meanErr := func(c *inano.Client) float64 {
 		sum, cnt := 0.0, 0
 		for _, p := range peers {
@@ -98,8 +99,13 @@ func main() {
 	}
 	before := meanErr(freeRider)
 
-	applied := base.Clone()
-	applied.Apply(delta)
-	after := meanErr(inano.FromAtlas(applied))
+	var wire bytes.Buffer
+	if err := delta.Encode(&wire); err != nil {
+		panic(err)
+	}
+	if err := freeRider.ApplyDelta(&wire); err != nil {
+		panic(err)
+	}
+	after := meanErr(freeRider)
 	fmt.Printf("non-reporting client: mean RTT error %.3f -> %.3f\n", before, after)
 }

@@ -2,6 +2,7 @@ package inano
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"inano/internal/feedback"
@@ -54,7 +55,8 @@ func NewUploader(url string) *Uploader { return feedback.NewUploader(url) }
 // client's error tracker, feeding the corrective scheduler; observations
 // for destinations unknown to the atlas are scored (Predicted=false,
 // Err=1) but untracked, since a corrective traceroute could not patch
-// them anyway.
+// them anyway. An observedMS that is NaN, infinite, not positive or over
+// 60 s is no measurement: it comes back untracked and unscored.
 func (c *Client) ObserveRTT(src, dst IP, observedMS float64) FeedbackSample {
 	s, _ := c.ObserveRTTContext(context.Background(), src, dst, observedMS)
 	return s
@@ -64,8 +66,12 @@ func (c *Client) ObserveRTT(src, dst IP, observedMS float64) FeedbackSample {
 // observation may build prediction trees for a cold destination, and ctx
 // bounds that work (a serving daemon must not burn unbounded CPU on a
 // hostile report naming thousands of cold destinations). On cancellation
-// the observation is dropped and ctx.Err() returned.
+// the observation is dropped and ctx.Err() returned; an observedMS
+// ObserveRTT refuses is dropped with an error.
 func (c *Client) ObserveRTTContext(ctx context.Context, src, dst IP, observedMS float64) (FeedbackSample, error) {
+	if !feedback.ValidRTT(observedMS) {
+		return FeedbackSample{Cluster: -1}, fmt.Errorf("inano: observed RTT %v ms is not in (0, %d]", observedMS, feedback.MaxObservedRTTMS)
+	}
 	snap := c.Snapshot()
 	rq := PairOf(src, dst)
 	infos, _, err := snap.QueryReqs(ctx, []PairReq{rq})

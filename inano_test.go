@@ -93,7 +93,7 @@ func TestApplyDelta(t *testing.T) {
 	if err := delta.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c := FromAtlas(f0.a.Clone())
+	c := FromAtlas(f0.a)
 	if err := c.ApplyDelta(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFetchAtlasViaSwarm(t *testing.T) {
 
 func TestAddTraceroutesImprovesSourceCoverage(t *testing.T) {
 	f := buildFixture(t, 106, 0)
-	c := FromAtlas(f.a.Clone())
+	c := FromAtlas(f.a)
 	// A brand-new host not in the atlas measures a few traceroutes; its
 	// prefix must become queryable.
 	var newSrc Prefix
@@ -313,7 +313,7 @@ func TestRankDetoursDisjointFirst(t *testing.T) {
 func TestConcurrentQueriesAndDelta(t *testing.T) {
 	f0 := buildFixture(t, 110, 0)
 	f1 := buildFixture(t, 110, 1)
-	c := FromAtlas(f0.a.Clone())
+	c := FromAtlas(f0.a)
 	done := make(chan bool)
 	for g := 0; g < 4; g++ {
 		go func(g int) {

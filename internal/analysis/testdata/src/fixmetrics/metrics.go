@@ -8,6 +8,9 @@ type Registry struct{}
 // NewCounter registers a counter.
 func (r *Registry) NewCounter(name, help string, labels ...string) int { return 0 }
 
+// NewCounterFunc registers a computed counter.
+func (r *Registry) NewCounterFunc(name, help string, f func() float64) int { return 0 }
+
 // NewGauge registers a gauge.
 func (r *Registry) NewGauge(name, help string, labels ...string) int { return 0 }
 

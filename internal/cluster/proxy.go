@@ -122,6 +122,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		started: time.Now(),
 		nodes:   make(map[string]*nodeState),
 	}
+	rt.reg.NewGaugeFunc("inano_router_uptime_seconds", "Seconds since the router was built.", "",
+		func() float64 { return time.Since(rt.started).Seconds() })
 	for _, n := range cfg.Nodes {
 		n = strings.TrimRight(n, "/")
 		if n == "" || rt.nodes[n] != nil {
@@ -159,6 +161,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		"Batch lines sent to replicas, re-sends included.", "")
 	rt.batchRetry = rt.reg.NewCounter("inano_router_batch_retried_total",
 		"Batch lines re-sent to another replica after the first did not answer them.", "")
+	rt.reg.NewGaugeFunc("inano_router_ring_nodes", "Replicas in the serving ring.", "",
+		func() float64 { return float64(rt.ring.Load().Len()) })
 	rt.ring.Store(NewRing(rt.order, cfg.VNodes))
 	return rt, nil
 }
@@ -286,7 +290,10 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", rt.instrument("healthz", rt.handleHealthz))
 	mux.HandleFunc("/metrics", rt.instrument("metrics", rt.handleMetrics))
-	mux.HandleFunc("/debug/stats", rt.instrument("stats", rt.handleStats))
+	mux.HandleFunc("/debug/stats", rt.instrument("stats", func(w http.ResponseWriter, r *http.Request) error {
+		w.Header().Set("Content-Type", "application/json")
+		return rt.reg.WriteJSON(w)
+	}))
 	mux.HandleFunc("/v1/query", rt.instrument("query", rt.handleQuery))
 	mux.HandleFunc("/v1/rank", rt.instrument("rank", rt.handleRank))
 	mux.HandleFunc("/v1/relay", rt.instrument("relay", rt.handleRelay))
@@ -336,32 +343,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	return rt.reg.WritePrometheus(w)
-}
-
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) error {
-	perHandler := make(map[string]any, len(rt.requests))
-	for name, c := range rt.requests {
-		perHandler[name] = map[string]any{
-			"requests": c.Value(),
-			"errors":   rt.errors[name].Value(),
-		}
-	}
-	replicas := make(map[string]any, len(rt.order))
-	for _, n := range rt.order {
-		replicas[n] = map[string]any{"up": rt.nodes[n].up.Load()}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	return json.NewEncoder(w).Encode(map[string]any{
-		"uptime_s":      int64(time.Since(rt.started).Seconds()),
-		"replicas":      replicas,
-		"ring_nodes":    rt.ring.Load().Len(),
-		"retries":       rt.retries.Value(),
-		"reshards":      rt.reshards.Value(),
-		"no_replica":    rt.noReplica.Value(),
-		"batch_lines":   rt.batchLines.Value(),
-		"batch_retried": rt.batchRetry.Value(),
-		"http":          perHandler,
-	})
 }
 
 // routerError writes a JSON error body, mirroring the replica contract.

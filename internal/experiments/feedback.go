@@ -40,7 +40,7 @@ type FeedbackResult struct {
 // from.
 func FeedbackLoop(l *Lab, budget, rounds int) FeedbackResult {
 	dd := l.Day(0)
-	client := inano.FromAtlas(dd.Atlas.Clone())
+	client := inano.FromAtlas(dd.Atlas)
 	prober := feedback.SimProber{Meter: dd.Meter}
 
 	type obs struct {
@@ -76,9 +76,8 @@ func FeedbackLoop(l *Lab, budget, rounds int) FeedbackResult {
 		// The replay is dense, so a destination observed once is eligible
 		// and every probed destination stays off the schedule for the
 		// whole run (each round's budget reaches fresh destinations).
-		MinSamples: 1,
-		MinError:   0.05,
-		Cooldown:   time.Hour,
+		MinError: 0.05,
+		Cooldown: time.Hour,
 	}
 	ctx := context.Background()
 	for r := 0; r < rounds; r++ {

@@ -59,7 +59,7 @@ type Mutator func(src netsim.Prefix, dst netsim.Prefix, resid float64) float64
 // fold (3 buys the median's single-liar bound).
 func CollectResiduals(l *Lab, day int, reporters []netsim.Prefix, dsts []netsim.Prefix, minReporters int, mut Mutator) *RollObservations {
 	dd := l.Day(day)
-	serving := inano.FromAtlas(dd.Atlas.Clone())
+	serving := inano.FromAtlas(dd.Atlas)
 	snap := serving.Snapshot()
 	ro := &RollObservations{
 		Agg:    feedback.NewAggregator(),

@@ -37,7 +37,6 @@ type Aggregator struct {
 	mu sync.Mutex
 
 	prefixes map[netsim.Prefix]*prefixAgg
-	recorded int
 	evicted  int
 	nowFn    func() time.Time // test hook
 }
@@ -136,7 +135,6 @@ func (g *Aggregator) RecordPath(srcCluster int32, dst netsim.Prefix, path []clus
 // slot for dst, applying the prefix and per-prefix reporter bounds.
 func (g *Aggregator) reporterSlotLocked(srcCluster int32, dst netsim.Prefix) *reporterObs {
 	now := g.nowFn()
-	g.recorded++
 	pa := g.prefixes[dst]
 	if pa == nil {
 		if len(g.prefixes) >= aggMaxPrefixes {
@@ -405,8 +403,6 @@ type AggregatorStats struct {
 	Reporters int
 	// Paths is how many reporter slots hold a clusterized hop path.
 	Paths int
-	// Recorded counts observations folded in since creation.
-	Recorded int
 	// EvictedPrefixes counts prefixes dropped to stay within 8192 prefixes.
 	EvictedPrefixes int
 }
@@ -417,7 +413,6 @@ func (g *Aggregator) Stats() AggregatorStats {
 	defer g.mu.Unlock()
 	st := AggregatorStats{
 		Prefixes:        len(g.prefixes),
-		Recorded:        g.recorded,
 		EvictedPrefixes: g.evicted,
 	}
 	for _, pa := range g.prefixes {

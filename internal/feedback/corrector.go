@@ -47,8 +47,6 @@ type Config struct {
 	Budget int
 	// Interval spaces rounds of the background loop (default 1m).
 	Interval time.Duration
-	// MinSamples gates a destination's eligibility (default 1).
-	MinSamples int
 	// MinError is the EWMA error below which a destination is considered
 	// well-predicted and never probed (default 0.10 = 10%).
 	MinError float64
@@ -74,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Interval <= 0 {
 		c.Interval = time.Minute
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 1
 	}
 	if c.MinError <= 0 {
 		c.MinError = 0.10
@@ -137,7 +132,7 @@ func (c *Corrector) Config() Config { return c.cfg }
 // are still merged.
 func (c *Corrector) RunOnce(ctx context.Context) Round {
 	now := c.nowFn()
-	targets := c.tracker.Worst(c.cfg.Budget, c.cfg.MinSamples, c.cfg.MinError, c.cfg.Cooldown, now)
+	targets := c.tracker.Worst(c.cfg.Budget, c.cfg.MinError, c.cfg.Cooldown, now)
 	r := Round{Budget: c.cfg.Budget, Targets: len(targets)}
 	var trs []Traceroute
 	for _, tg := range targets {

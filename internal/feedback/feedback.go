@@ -114,7 +114,7 @@ func ParseReport(r io.Reader) ([]Observation, error) {
 		if err != nil {
 			return Observation{}, fmt.Errorf("dst: %v", err)
 		}
-		if !validRTT(w.RTTMS) {
+		if !ValidRTT(w.RTTMS) {
 			return Observation{}, fmt.Errorf("bad rtt_ms %v", w.RTTMS)
 		}
 		return Observation{Src: src, Dst: dst, RTTMS: w.RTTMS}, nil

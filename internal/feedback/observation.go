@@ -122,13 +122,13 @@ func parseObservationLine(line []byte) (UpstreamObservation, error) {
 	if err != nil {
 		return UpstreamObservation{}, fmt.Errorf("dst: %v", err)
 	}
-	if !validRTT(w.RTTMS) {
+	if !ValidRTT(w.RTTMS) {
 		return UpstreamObservation{}, fmt.Errorf("bad rtt_ms %v", w.RTTMS)
 	}
 	// predicted_ms is optional when the line carries hops (a
 	// structure-only observation from a pair the client could not
 	// predict); a line with neither residual nor hops says nothing.
-	if w.PredictedMS != 0 && !validRTT(w.PredictedMS) {
+	if w.PredictedMS != 0 && !ValidRTT(w.PredictedMS) {
 		return UpstreamObservation{}, fmt.Errorf("bad predicted_ms %v", w.PredictedMS)
 	}
 	if w.PredictedMS == 0 && len(w.Hops) == 0 {
@@ -153,8 +153,10 @@ func parseObservationLine(line []byte) (UpstreamObservation, error) {
 	return o, nil
 }
 
-// validRTT bounds a millisecond value: finite, positive, physically sane.
-func validRTT(ms float64) bool {
+// ValidRTT bounds a millisecond value: finite, positive, physically sane.
+// It is the one rule every door that takes an observed RTT applies: the
+// report parsers, the tracker, and the library's ObserveRTT.
+func ValidRTT(ms float64) bool {
 	return ms > 0 && !math.IsInf(ms, 0) && ms <= MaxObservedRTTMS
 }
 
@@ -168,7 +170,7 @@ func validRTT(ms float64) bool {
 // fold exists to grow.
 func ObservationFromTraceroute(tr *Traceroute) (UpstreamObservation, bool) {
 	measured, ok := tr.MeasuredRTT()
-	if !ok || !validRTT(measured) {
+	if !ok || !ValidRTT(measured) {
 		return UpstreamObservation{}, false
 	}
 	o := UpstreamObservation{
@@ -176,7 +178,7 @@ func ObservationFromTraceroute(tr *Traceroute) (UpstreamObservation, bool) {
 		Dst:   tr.Dst.HostIP(),
 		RTTMS: measured,
 	}
-	if tr.Predicted && validRTT(tr.PredictedRTTMS) {
+	if tr.Predicted && ValidRTT(tr.PredictedRTTMS) {
 		o.PredictedMS = tr.PredictedRTTMS
 	}
 	hops := tr.Hops

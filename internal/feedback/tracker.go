@@ -111,9 +111,14 @@ func RelErr(predictedMS, observedMS float64, predicted bool) float64 {
 
 // Record folds one observation into the per-cluster EWMA. cluster < 0
 // (destination unknown to the atlas) is accepted but untracked, so
-// callers can still account the sample.
+// callers can still account the sample. An observedMS that is not a
+// ValidRTT leaves the tracker untouched and scores nothing: one NaN
+// folded into an EWMA would stay there for good.
 func (t *Tracker) Record(cluster int32, src, dst netsim.Prefix, predictedMS, observedMS float64, predicted bool, now time.Time) Sample {
 	s := Sample{Cluster: cluster, PredictedMS: predictedMS, Predicted: predicted}
+	if !ValidRTT(observedMS) {
+		return s
+	}
 	s.Err = RelErr(predictedMS, observedMS, predicted)
 	if cluster < 0 {
 		return s
@@ -152,18 +157,15 @@ func (t *Tracker) evictOldestLocked() {
 	}
 }
 
-// Worst ranks the corrective-probe candidates: destinations with at least
-// minSamples fresh observations, EWMA error of at least minErr, not probed
-// within cooldown, and sampled within the last 15 minutes. The score weighs error
-// by sample support, so one noisy observation does not outrank a
-// consistently mispredicted popular destination. At most n targets are
-// returned, worst first.
-func (t *Tracker) Worst(n, minSamples int, minErr float64, cooldown time.Duration, now time.Time) []Target {
+// Worst ranks the corrective-probe candidates: destinations with a fresh
+// observation since their last correction, EWMA error of at least minErr,
+// not probed within cooldown, and sampled within the last 15 minutes. The
+// score weighs error by sample support, so one noisy observation does not
+// outrank a consistently mispredicted popular destination. At most n
+// targets are returned, worst first.
+func (t *Tracker) Worst(n int, minErr float64, cooldown time.Duration, now time.Time) []Target {
 	if n <= 0 {
 		return nil
-	}
-	if minSamples < 1 {
-		minSamples = 1
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -173,7 +175,7 @@ func (t *Tracker) Worst(n, minSamples int, minErr float64, cooldown time.Duratio
 	}
 	var cands []scored
 	for _, e := range t.ents {
-		if e.samples < minSamples || e.ewmaErr < minErr {
+		if e.samples == 0 || e.ewmaErr < minErr {
 			continue
 		}
 		if now.Sub(e.lastSample) > trackerStaleAfter {

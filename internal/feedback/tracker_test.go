@@ -50,7 +50,7 @@ func TestTrackerEWMAAndWorstRanking(t *testing.T) {
 		tr.Record(3, src, d3, 99, 100, true, now)
 	}
 
-	worst := tr.Worst(10, 1, 0.05, 0, now)
+	worst := tr.Worst(10, 0.05, 0, now)
 	if len(worst) != 2 {
 		t.Fatalf("Worst returned %d targets, want 2 (cluster 3 is under minErr): %+v", len(worst), worst)
 	}
@@ -64,12 +64,8 @@ func TestTrackerEWMAAndWorstRanking(t *testing.T) {
 		t.Fatalf("samples = %d, want 4", worst[0].Samples)
 	}
 
-	// minSamples gates eligibility.
-	if got := tr.Worst(10, 5, 0.05, 0, now); len(got) != 0 {
-		t.Fatalf("minSamples=5 should exclude all: %+v", got)
-	}
 	// n caps the schedule.
-	if got := tr.Worst(1, 1, 0.05, 0, now); len(got) != 1 || got[0].Cluster != 1 {
+	if got := tr.Worst(1, 0.05, 0, now); len(got) != 1 || got[0].Cluster != 1 {
 		t.Fatalf("n=1 should return only the worst: %+v", got)
 	}
 }
@@ -96,10 +92,10 @@ func TestTrackerStaleness(t *testing.T) {
 	tr := NewTracker()
 	base := time.Now()
 	tr.Record(1, 1, 2, 0, 100, false, base)
-	if got := tr.Worst(10, 1, 0.05, 0, base.Add(14*time.Minute)); len(got) != 1 {
+	if got := tr.Worst(10, 0.05, 0, base.Add(14*time.Minute)); len(got) != 1 {
 		t.Fatalf("fresh entry not scheduled: %+v", got)
 	}
-	if got := tr.Worst(10, 1, 0.05, 0, base.Add(16*time.Minute)); len(got) != 0 {
+	if got := tr.Worst(10, 0.05, 0, base.Add(16*time.Minute)); len(got) != 0 {
 		t.Fatalf("stale entry scheduled: %+v", got)
 	}
 }
@@ -113,17 +109,17 @@ func TestTrackerCooldownAndMarkCorrected(t *testing.T) {
 	tr.MarkCorrected(1, now)
 	// Within cooldown: ineligible even with fresh samples.
 	tr.Record(1, 1, 2, 0, 100, false, now)
-	if got := tr.Worst(10, 1, 0.05, 5*time.Minute, now.Add(time.Minute)); len(got) != 0 {
+	if got := tr.Worst(10, 0.05, 5*time.Minute, now.Add(time.Minute)); len(got) != 0 {
 		t.Fatalf("corrected entry rescheduled within cooldown: %+v", got)
 	}
 	// After cooldown with fresh samples: eligible again.
 	tr.Record(1, 1, 2, 0, 100, false, now.Add(6*time.Minute))
-	if got := tr.Worst(10, 1, 0.05, 5*time.Minute, now.Add(6*time.Minute)); len(got) != 1 {
+	if got := tr.Worst(10, 0.05, 5*time.Minute, now.Add(6*time.Minute)); len(got) != 1 {
 		t.Fatalf("corrected entry not rescheduled after cooldown: %+v", got)
 	}
 	// MarkCorrected resets the sample count (entry must re-earn eligibility).
 	tr.MarkCorrected(1, now.Add(6*time.Minute))
-	if got := tr.Worst(10, 2, 0.05, 0, now.Add(6*time.Minute)); len(got) != 0 {
+	if got := tr.Worst(10, 0.05, 0, now.Add(6*time.Minute)); len(got) != 0 {
 		t.Fatalf("sample count not reset by MarkCorrected: %+v", got)
 	}
 }
@@ -141,7 +137,7 @@ func TestTrackerEviction(t *testing.T) {
 		t.Fatalf("evicted %d, want 1", st.Evicted)
 	}
 	// The oldest (cluster 0) was evicted; the rest remain.
-	got := tr.Worst(5000, 1, 0, 0, base.Add(5*time.Second))
+	got := tr.Worst(5000, 0, 0, base.Add(5*time.Second))
 	if len(got) != 4096 {
 		t.Fatalf("%d targets, want 4096", len(got))
 	}
@@ -163,5 +159,26 @@ func TestTrackerUntrackedCluster(t *testing.T) {
 	}
 	if tr.Len() != 0 {
 		t.Fatal("untracked sample entered the table")
+	}
+}
+
+// TestTrackerRefusesInvalidRTT: Record holds every observed RTT to
+// ValidRTT, so no door can fold a NaN, an infinity or a non-positive
+// value into an EWMA, where it would stay and outrank nothing (NaN scores
+// compare false) while reading NaN in every mean.
+func TestTrackerRefusesInvalidRTT(t *testing.T) {
+	tr := NewTracker()
+	now := time.Now()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), 0, -1, MaxObservedRTTMS + 1} {
+		if s := tr.Record(1, 1, 2, 50, bad, true, now); s.Tracked || s.Err != 0 {
+			t.Errorf("Record(%v) = %+v, want untracked and unscored", bad, s)
+		}
+	}
+	if st := tr.Stats(); st != (Stats{}) {
+		t.Fatalf("stats after refused samples: %+v, want empty", st)
+	}
+	tr.Record(1, 1, 2, 50, 100, true, now)
+	if st := tr.Stats(); st.TotalSamples != 1 || st.MeanErr != 0.5 || st.WorstErr != 0.5 {
+		t.Fatalf("stats after one good sample: %+v", st)
 	}
 }

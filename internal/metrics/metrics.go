@@ -1,12 +1,15 @@
 // Package metrics is a small dependency-free instrumentation registry for
 // the query daemon: counters, gauges, and fixed-bucket histograms with
-// lock-free hot paths, exposed in the Prometheus text format. It implements
-// just the subset inanod needs — constant label sets chosen at registration
-// time, cumulative histograms with approximate quantiles for human-readable
-// stats — so the serving path carries no external client library.
+// lock-free hot paths, exposed in the Prometheus text format and, for
+// people, as one JSON object of the same series. It implements just the
+// subset inanod needs — constant label sets chosen at registration time,
+// cumulative histograms with approximate quantiles — so the serving path
+// carries no external client library.
 package metrics
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -191,6 +194,12 @@ func (r *Registry) NewCounter(name, help, labels string) *Counter {
 	return c
 }
 
+// NewCounterFunc registers a counter whose value is sampled at render time
+// — the shape for monotonic counts owned elsewhere (evictions, samples).
+func (r *Registry) NewCounterFunc(name, help, labels string, fn func() float64) {
+	r.register(name, help, "counter", labels).value = fn
+}
+
 // NewGauge registers a gauge.
 func (r *Registry) NewGauge(name, help, labels string) *Gauge {
 	g := &Gauge{}
@@ -241,6 +250,46 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteJSON renders every registered series as one JSON object, in
+// registration order, keyed by its exposition name: the family name, with
+// its labels in braces when it has any (`name{handler="query"}`). A scalar
+// is a number, null when it is not finite. A histogram is an object of its
+// count, sum and estimated p50, p90 and p99 (Histogram.Quantile).
+func (r *Registry) WriteJSON(w io.Writer) error {
+	r.mu.Lock()
+	fams := append([]*family(nil), r.families...)
+	r.mu.Unlock()
+	bw := bufio.NewWriter(w)
+	sep := "{\n"
+	for _, f := range fams {
+		for _, s := range f.series {
+			key, _ := json.Marshal(f.name + braced(s.labels))
+			fmt.Fprintf(bw, "%s%s:", sep, key)
+			sep = ",\n"
+			if s.hist == nil {
+				bw.WriteString(jsonValue(s.value()))
+				continue
+			}
+			h := s.hist
+			fmt.Fprintf(bw, `{"count":%d,"sum":%s,"p50":%s,"p90":%s,"p99":%s}`, h.Count(), jsonValue(h.Sum()),
+				jsonValue(h.Quantile(0.50)), jsonValue(h.Quantile(0.90)), jsonValue(h.Quantile(0.99)))
+		}
+	}
+	if sep == "{\n" {
+		bw.WriteString("{")
+	}
+	bw.WriteString("}\n")
+	return bw.Flush()
+}
+
+// jsonValue renders v as a JSON number, or null when JSON has none for it.
+func jsonValue(v float64) string {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return "null"
+	}
+	return formatValue(v)
 }
 
 func writeHistogram(w io.Writer, name, labels string, h *Histogram) error {

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -140,4 +142,138 @@ func TestDuplicateSeriesPanics(t *testing.T) {
 		}
 	}()
 	r.NewCounter("dup", "d", "")
+}
+
+// TestWriteJSONAgreesWithPrometheus: the JSON object and the Prometheus
+// exposition are two renderings of one registry, series for series and in
+// the same order — each key is a series' name with its labels, a scalar's
+// value is the exposition's, and a histogram carries the exposition's
+// count and sum.
+func TestWriteJSONAgreesWithPrometheus(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("req_total", "Requests.", `handler="query"`).Add(3)
+	r.NewGauge("inflight", "In flight.", "").Set(-2)
+	h := r.NewHistogram("latency_seconds", "Latency.", `handler="query"`, []float64{0.01, 0.1})
+	for _, v := range []float64{0.005, 0.05, 0.05, 3} {
+		h.Observe(v)
+	}
+	r.NewHistogram("size_bytes", "Size.", "", []float64{10}).Observe(4)
+	r.NewCounter("req_total", "Requests.", `handler="batch"`).Inc()
+	r.NewGaugeFunc("ratio", "A ratio.", "", func() float64 { return 0.375 })
+	r.NewCounterFunc("evicted_total", "Evictions.", "", func() float64 { return 1e16 })
+
+	var js, prom strings.Builder
+	if err := r.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+
+	// The exposition's series in order, and its sample lines by name.
+	hist := map[string]bool{}
+	samples := map[string]string{}
+	var want []string
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(typ, " ")
+			hist[name] = kind == "histogram"
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, val, _ := strings.Cut(line, " ")
+		samples[key] = val
+		name, labels := splitKey(key)
+		if base, ok := strings.CutSuffix(name, "_count"); ok && hist[base] {
+			want = append(want, base+labels)
+		} else if !hist[strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum")] {
+			want = append(want, key)
+		}
+	}
+
+	dec := json.NewDecoder(strings.NewReader(js.String()))
+	dec.UseNumber()
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("WriteJSON does not open an object: %v %v\n%s", tok, err, js.String())
+	}
+	var got []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, js.String())
+		}
+		key := tok.(string)
+		got = append(got, key)
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("%s: %v\n%s", key, err, js.String())
+		}
+		m, isHist := v.(map[string]any)
+		if !isHist {
+			if fmt.Sprint(v) != samples[key] {
+				t.Errorf("%s = %v, exposition says %q", key, v, samples[key])
+			}
+			continue
+		}
+		name, labels := splitKey(key)
+		for _, part := range []string{"count", "sum"} {
+			if p := samples[name+"_"+part+labels]; fmt.Sprint(m[part]) != p {
+				t.Errorf("%s %s = %v, exposition says %q", key, part, m[part], p)
+			}
+		}
+		for _, q := range []string{"p50", "p90", "p99"} {
+			if _, ok := m[q].(json.Number); !ok {
+				t.Errorf("%s %s = %v, want a number", key, q, m[q])
+			}
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("JSON series\n%v\nexposition series\n%v", got, want)
+	}
+}
+
+// splitKey cuts a series key into its name and its braced labels ("" for
+// none).
+func splitKey(key string) (name, labels string) {
+	if i := strings.IndexByte(key, '{'); i >= 0 {
+		return key[:i], key[i:]
+	}
+	return key, ""
+}
+
+// TestWriteJSONNonFinite: JSON has no NaN or infinity, so a gauge that
+// reads one renders as null and the object around it stays whole.
+func TestWriteJSONNonFinite(t *testing.T) {
+	r := NewRegistry()
+	r.NewGaugeFunc("nan", "NaN.", "", math.NaN)
+	r.NewGaugeFunc("inf", "Inf.", "", func() float64 { return math.Inf(-1) })
+	r.NewGauge("ok", "Fine.", "").Set(7)
+	r.NewHistogram("h", "Histogram.", "", nil).Observe(math.Inf(1))
+	var sb strings.Builder
+	if err := r.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, sb.String())
+	}
+	if v, ok := got["nan"]; !ok || v != nil {
+		t.Errorf("nan = %v (present %v), want null", v, ok)
+	}
+	if v, ok := got["inf"]; !ok || v != nil {
+		t.Errorf("inf = %v (present %v), want null", v, ok)
+	}
+	if got["ok"] != 7.0 {
+		t.Errorf("ok = %v, want 7", got["ok"])
+	}
+	if h := got["h"].(map[string]any); h["count"] != 1.0 || h["sum"] != nil {
+		t.Errorf("h = %v, want count 1 and a null sum", h)
+	}
+	// An empty registry is an empty object.
+	sb.Reset()
+	if err := NewRegistry().WriteJSON(&sb); err != nil || sb.String() != "{}\n" {
+		t.Errorf("empty registry rendered %q, %v", sb.String(), err)
+	}
 }

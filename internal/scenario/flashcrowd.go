@@ -35,7 +35,7 @@ func flashcrowdScenario() Scenario {
 			// The hot destination: the first validation destination the
 			// engine can actually answer, stormed from every distinct
 			// validation source.
-			ref := inano.FromAtlas(a0.Clone())
+			ref := inano.FromAtlas(a0)
 			var hotDst netsim.Prefix
 			var srcs []netsim.Prefix
 			seenSrc := make(map[netsim.Prefix]bool)
@@ -64,11 +64,11 @@ func flashcrowdScenario() Scenario {
 
 			const workers = 16
 			const perWorker = 200
-			shared := inano.FromAtlas(a0.Clone())
+			shared := inano.FromAtlas(a0)
 			engines := make([]*inano.Client, workers)
 			for i := range engines {
 				if cfg.Mutation == "cache-off" {
-					engines[i] = inano.FromAtlas(a0.Clone()) // private cache per worker
+					engines[i] = inano.FromAtlas(a0) // private cache per worker
 				} else {
 					engines[i] = shared
 				}

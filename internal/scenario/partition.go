@@ -129,14 +129,14 @@ func partitionScenario() Scenario {
 			// workload, and — on the serialized converged state — the .bin
 			// load path (decode into a map atlas) and the flat load path
 			// (compile to the serving form) must answer byte-identically.
-			engA := inano.FromAtlas(sideA.Clone())
-			engB := inano.FromAtlas(sideB.Clone())
+			engA := inano.FromAtlas(sideA)
+			engB := inano.FromAtlas(sideB)
 			dec, err := atlas.Decode(bytes.NewReader(ea.Bytes()))
 			if !rep.Check(err == nil, "A's encoding decodes: %v", err) {
 				return
 			}
 			engBin := inano.FromAtlas(dec)
-			engFlat := inano.FromFlat(atlas.Compile(dec.Clone()))
+			engFlat := inano.FromFlat(atlas.Compile(dec))
 			pairs := l.Day(2).Validation
 			if len(pairs) > 400 {
 				pairs = pairs[:400]

@@ -218,11 +218,3 @@ func (s *Server) noteRound(r feedback.Round) {
 			r.Probes, r.Budget, r.Merged)
 	}
 }
-
-// lastRoundUtilization samples the most recent round's budget
-// utilization for the gauge.
-func (s *Server) lastRoundUtilization() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastRound.Utilization()
-}

@@ -7,8 +7,8 @@ import (
 
 // tokenBuckets rate-limits feedback ingestion per source: each key (the
 // reporting peer) gets an independent token bucket of `burst` capacity
-// refilled at `rate` tokens/second. The table is bounded — when full, the
-// stalest bucket is evicted — so an attacker rotating source addresses
+// refilled at `rate` tokens/second. The table is bounded at maxSources —
+// when full, the stalest bucket is evicted — so an attacker rotating source addresses
 // cannot grow daemon memory without bound (each fresh key starts with
 // only `burst` tokens, so rotation buys burst observations per key, not
 // an unlimited rate-free ride on a fresh bucket's refill history).
@@ -16,11 +16,13 @@ type tokenBuckets struct {
 	mu      sync.Mutex
 	rate    float64 // tokens per second
 	burst   float64
-	maxKeys int
 	buckets map[string]*bucket
 	nowFn   func() time.Time // test hook
 	evicted uint64
 }
+
+// maxSources bounds a limiter's table of source buckets.
+const maxSources = 4096
 
 type bucket struct {
 	tokens float64
@@ -29,17 +31,13 @@ type bucket struct {
 
 // newTokenBuckets builds a limiter; rate <= 0 disables limiting (every
 // take succeeds).
-func newTokenBuckets(rate float64, burst int, maxKeys int) *tokenBuckets {
+func newTokenBuckets(rate float64, burst int) *tokenBuckets {
 	if burst <= 0 {
 		burst = 1
-	}
-	if maxKeys <= 0 {
-		maxKeys = 4096
 	}
 	return &tokenBuckets{
 		rate:    rate,
 		burst:   float64(burst),
-		maxKeys: maxKeys,
 		buckets: make(map[string]*bucket),
 		nowFn:   time.Now,
 	}
@@ -57,7 +55,7 @@ func (t *tokenBuckets) take(key string, n int) int {
 	defer t.mu.Unlock()
 	b := t.buckets[key]
 	if b == nil {
-		if len(t.buckets) >= t.maxKeys {
+		if len(t.buckets) >= maxSources {
 			t.evictStalestLocked()
 		}
 		b = &bucket{tokens: t.burst, last: now}
@@ -91,7 +89,7 @@ func (t *tokenBuckets) evictStalestLocked() {
 	}
 }
 
-// len reports tracked sources (for /debug/stats).
+// len reports tracked sources.
 func (t *tokenBuckets) len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -99,7 +97,7 @@ func (t *tokenBuckets) len() int {
 }
 
 // evictions reports how many source buckets were evicted to stay within
-// maxKeys (for /debug/stats).
+// maxSources.
 func (t *tokenBuckets) evictions() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

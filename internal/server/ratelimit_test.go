@@ -8,7 +8,7 @@ import (
 
 func TestTokenBucketsBurstAndRefill(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tb := newTokenBuckets(2, 4, 0) // 2 tokens/s, burst 4
+	tb := newTokenBuckets(2, 4) // 2 tokens/s, burst 4
 	tb.nowFn = func() time.Time { return now }
 
 	if got := tb.take("a", 3); got != 3 {
@@ -41,7 +41,7 @@ func TestTokenBucketsBurstAndRefill(t *testing.T) {
 // fraction stays behind for the next refill.
 func TestTokenBucketsPartialGrantTruncation(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tb := newTokenBuckets(1, 10, 0) // 1 token/s, burst 10
+	tb := newTokenBuckets(1, 10) // 1 token/s, burst 10
 	tb.nowFn = func() time.Time { return now }
 
 	if got := tb.take("a", 10); got != 10 {
@@ -69,17 +69,16 @@ func TestTokenBucketsPartialGrantTruncation(t *testing.T) {
 // evicted while any staler (abandoned) bucket exists.
 func TestTokenBucketsRotationChurnKeepsActiveBucket(t *testing.T) {
 	now := time.Unix(1000, 0)
-	const maxKeys = 8
-	tb := newTokenBuckets(1, 4, maxKeys)
+	tb := newTokenBuckets(1, 4)
 	tb.nowFn = func() time.Time { return now }
 
 	// The legitimate source drains half its bucket, establishing history.
 	if got := tb.take("legit", 2); got != 2 {
 		t.Fatalf("legit initial take: %d", got)
 	}
-	// Churn: far more rotating keys than the table holds, each used once
-	// and abandoned, while the legitimate source keeps reporting.
-	for i := 0; i < 10*maxKeys; i++ {
+	// Churn: more rotating keys than the table holds, each used once and
+	// abandoned, while the legitimate source keeps reporting.
+	for i := 0; i < maxSources+64; i++ {
 		now = now.Add(100 * time.Millisecond)
 		tb.take(fmt.Sprintf("attacker-%d", i), 4)
 		now = now.Add(100 * time.Millisecond)
@@ -87,14 +86,14 @@ func TestTokenBucketsRotationChurnKeepsActiveBucket(t *testing.T) {
 			t.Fatalf("zero-take granted %d", got)
 		}
 	}
-	if n := tb.len(); n != maxKeys {
-		t.Fatalf("table size %d, want bound %d", n, maxKeys)
+	if n := tb.len(); n != maxSources {
+		t.Fatalf("table size %d, want bound %d", n, maxSources)
 	}
 	if ev := tb.evictions(); ev == 0 {
 		t.Fatal("churn produced no evictions; test is not exercising the bound")
 	}
 	// The legitimate bucket survived with its refill history: after the
-	// ~16s of churn above it holds its full burst but NOT a fresh-bucket
+	// churn above it holds its full burst but NOT a fresh-bucket
 	// reset — prove it is the same bucket by draining it and checking the
 	// next take sees an empty (not burst-fresh) bucket.
 	if got := tb.take("legit", 10); got != 4 {
@@ -111,7 +110,7 @@ func TestTokenBucketsRotationChurnKeepsActiveBucket(t *testing.T) {
 }
 
 func TestTokenBucketsUnlimited(t *testing.T) {
-	tb := newTokenBuckets(-1, 4, 0)
+	tb := newTokenBuckets(-1, 4)
 	if got := tb.take("a", 1_000_000); got != 1_000_000 {
 		t.Fatalf("negative rate should disable limiting: %d", got)
 	}
@@ -119,23 +118,27 @@ func TestTokenBucketsUnlimited(t *testing.T) {
 
 func TestTokenBucketsEviction(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tb := newTokenBuckets(1, 1, 3)
+	tb := newTokenBuckets(1e-6, 1) // a drained bucket stays drained
 	tb.nowFn = func() time.Time { return now }
-	for i, k := range []string{"a", "b", "c"} {
-		now = now.Add(time.Duration(i) * time.Second)
-		tb.take(k, 1)
+	for i := 0; i < maxSources; i++ {
+		now = now.Add(time.Second)
+		tb.take(fmt.Sprint("src-", i), 1)
 	}
-	if tb.len() != 3 {
+	if tb.len() != maxSources {
 		t.Fatalf("len = %d", tb.len())
 	}
-	// A fourth source evicts the stalest ("a"); the table stays bounded.
+	// One more source evicts the stalest ("src-0"); the table stays bounded.
 	now = now.Add(time.Second)
-	tb.take("d", 1)
-	if tb.len() != 3 {
-		t.Fatalf("table grew past maxKeys: %d", tb.len())
+	tb.take("new", 1)
+	if tb.len() != maxSources || tb.evictions() != 1 {
+		t.Fatalf("table at %d sources after %d evictions, want %d after 1", tb.len(), tb.evictions(), maxSources)
 	}
-	// "a" was evicted: a fresh bucket starts at burst, not its drained state.
-	if got := tb.take("a", 1); got != 1 {
+	// "src-0" was evicted: a fresh bucket starts at burst, not its drained
+	// state; "src-1" was not, and is still drained.
+	if got := tb.take("src-1", 1); got != 0 {
+		t.Fatalf("kept source granted %d, want its drained 0", got)
+	}
+	if got := tb.take("src-0", 1); got != 1 {
 		t.Fatalf("re-added source should start with burst: %d", got)
 	}
 }

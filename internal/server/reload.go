@@ -2,12 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/gob"
-	"fmt"
 	"os"
 	"time"
 
-	inano "inano"
+	"inano/internal/swarm"
 )
 
 // Hot reload: the daemon keeps its atlas current while serving. Both
@@ -107,25 +105,6 @@ func (s *Server) WatchDeltaFile(ctx context.Context, path string, interval time.
 	})
 }
 
-// ReadManifest decodes a manifest file as written by inano-seed: a gob
-// stream of the tracker address followed by the swarm manifest. Shared by
-// the daemon's initial -fetch-manifest load and the delta watcher below.
-func ReadManifest(path string) (addr string, m inano.Manifest, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", m, err
-	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	if err := dec.Decode(&addr); err != nil {
-		return "", m, fmt.Errorf("manifest %s: tracker address: %w", path, err)
-	}
-	if err := dec.Decode(&m); err != nil {
-		return "", m, fmt.Errorf("manifest %s: %w", path, err)
-	}
-	return addr, m, nil
-}
-
 // WatchManifest polls a swarm manifest file (as written by inano-seed for a
 // delta) and, whenever the manifest changes, fetches the delta from the
 // swarm and applies it — the tracker-polling reload path of §5: each day
@@ -137,7 +116,7 @@ func (s *Server) WatchManifest(ctx context.Context, path string, interval time.D
 		interval = 30 * time.Second
 	}
 	watchFile(ctx, path, interval, func() {
-		addr, m, err := ReadManifest(path)
+		addr, m, err := swarm.ReadManifestFile(path)
 		if err != nil {
 			s.reloadErrors.Inc()
 			s.cfg.Logf("inanod: %v", err)

@@ -2,8 +2,8 @@
 // serving surface over an inano.Client. One daemon answers single queries
 // (/v1/query), streamed NDJSON batches with per-request deadlines
 // (/v1/batch), candidate ranking (/v1/rank), and exposes liveness
-// (/healthz), Prometheus metrics (/metrics), and human-readable internals
-// (/debug/stats).
+// (/healthz) and one metrics registry twice: in the Prometheus text format
+// (/metrics) and as a JSON object for people (/debug/stats).
 //
 // Serving properties:
 //
@@ -156,10 +156,12 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		reg:        metrics.NewRegistry(),
 		started:    time.Now(),
-		fbLimiter:  newTokenBuckets(fbRate, fbBurst, 0),
-		obsLimiter: newTokenBuckets(obsRate, obsBurst, 0),
+		fbLimiter:  newTokenBuckets(fbRate, fbBurst),
+		obsLimiter: newTokenBuckets(obsRate, obsBurst),
 		handlers:   make(map[string]*handlerMetrics),
 	}
+	s.reg.NewGaugeFunc("inanod_uptime_seconds", "Seconds since the server was built.", "",
+		func() float64 { return time.Since(s.started).Seconds() })
 	s.inflight = s.reg.NewGauge("inanod_http_inflight",
 		"Requests currently being served.", "")
 	for _, h := range []string{"query", "batch", "rank", "feedback", "relay", "observations", "healthz", "metrics", "stats"} {
@@ -214,6 +216,12 @@ func New(cfg Config) *Server {
 		"Upstream observations dropped by the per-source rate limit.", "")
 	s.obsSnapshots = s.reg.NewCounter("inanod_observation_snapshots_total",
 		"Aggregator snapshots written to disk.", "")
+	s.reg.NewGaugeFunc("inanod_observation_sources",
+		"Reporting peers holding a /v1/observations rate-limit bucket.", "",
+		func() float64 { return float64(s.obsLimiter.len()) })
+	s.reg.NewCounterFunc("inanod_observation_sources_evicted_total",
+		"/v1/observations rate-limit buckets evicted to keep the table bounded.", "",
+		func() float64 { return float64(s.obsLimiter.evictions()) })
 	if cfg.Aggregator != nil {
 		s.reg.NewGaugeFunc("inanod_observation_prefixes",
 			"Destination prefixes in the upstream-observation aggregate.", "",
@@ -224,16 +232,51 @@ func New(cfg Config) *Server {
 		s.reg.NewGaugeFunc("inanod_observation_path_slots",
 			"Reporter slots holding a clusterized hop path.", "",
 			func() float64 { return float64(cfg.Aggregator.Stats().Paths) })
+		s.reg.NewCounterFunc("inanod_observation_evicted_prefixes_total",
+			"Prefixes the aggregate dropped to stay within its bound.", "",
+			func() float64 { return float64(cfg.Aggregator.Stats().EvictedPrefixes) })
+	}
+
+	lastRound := func(v func(feedback.Round) float64) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return v(s.lastRound)
+		}
 	}
 	s.reg.NewGaugeFunc("inanod_corrective_budget_utilization",
 		"Fraction of the corrective budget spent in the last round.", "",
-		s.lastRoundUtilization)
+		lastRound(feedback.Round.Utilization))
+	s.reg.NewGaugeFunc("inanod_corrective_last_round_budget",
+		"Probe budget of the last corrective round.", "",
+		lastRound(func(r feedback.Round) float64 { return float64(r.Budget) }))
+	s.reg.NewGaugeFunc("inanod_corrective_last_round_probes",
+		"Corrective traceroutes issued in the last round.", "",
+		lastRound(func(r feedback.Round) float64 { return float64(r.Probes) }))
+	s.reg.NewGaugeFunc("inanod_corrective_last_round_merged",
+		"Atlas changes merged from the last round's traceroutes.", "",
+		lastRound(func(r feedback.Round) float64 { return float64(r.Merged) }))
+	s.reg.NewGaugeFunc("inanod_feedback_sources",
+		"Reporting peers holding a /v1/feedback rate-limit bucket.", "",
+		func() float64 { return float64(s.fbLimiter.len()) })
+	s.reg.NewCounterFunc("inanod_feedback_sources_evicted_total",
+		"/v1/feedback rate-limit buckets evicted to keep the table bounded.", "",
+		func() float64 { return float64(s.fbLimiter.evictions()) })
 	s.reg.NewGaugeFunc("inanod_feedback_tracked_destinations",
 		"Destination clusters currently tracked by the error tracker.", "",
 		func() float64 { return float64(s.c.FeedbackStats().Entries) })
+	s.reg.NewCounterFunc("inanod_feedback_tracked_samples_total",
+		"Observations folded into the error tracker.", "",
+		func() float64 { return float64(s.c.FeedbackStats().TotalSamples) })
+	s.reg.NewCounterFunc("inanod_feedback_destinations_evicted_total",
+		"Destination clusters the error tracker dropped to stay within its bound.", "",
+		func() float64 { return float64(s.c.FeedbackStats().Evicted) })
 	s.reg.NewGaugeFunc("inanod_feedback_mean_error",
 		"Mean EWMA relative RTT error over tracked destinations.", "",
 		func() float64 { return s.c.FeedbackStats().MeanErr })
+	s.reg.NewGaugeFunc("inanod_feedback_worst_error",
+		"Largest EWMA relative RTT error over tracked destinations.", "",
+		func() float64 { return s.c.FeedbackStats().WorstErr })
 
 	// Engine-owned values are sampled at scrape time. The tree cache resets
 	// when a reload swaps the engine, so these are gauges, not counters.
@@ -266,19 +309,54 @@ func New(cfg Config) *Server {
 		})
 	s.reg.NewGaugeFunc("inanod_atlas_day", "Measurement day of the serving atlas.", "",
 		func() float64 { return float64(s.c.Day()) })
+	s.reg.NewGaugeFunc("inanod_atlas_clusters", "Clusters in the serving atlas.", "",
+		func() float64 { return float64(s.c.Snapshot().AtlasStats().Clusters) })
+	s.reg.NewGaugeFunc("inanod_atlas_links", "Links in the serving atlas.", "",
+		func() float64 { return float64(s.c.Snapshot().AtlasStats().Links) })
+	s.reg.NewGaugeFunc("inanod_atlas_prefixes", "Prefixes the serving atlas attaches to a cluster.", "",
+		func() float64 { return float64(s.c.Snapshot().AtlasStats().Prefixes) })
+	// The last applied delta, read at scrape time; every value is 0 before
+	// the first.
+	lastRoll := func(v func(inano.RollStats) float64) func() float64 {
+		return func() float64 {
+			st, _ := s.c.LastRoll()
+			return v(st)
+		}
+	}
 	s.reg.NewGaugeFunc("inanod_reload_seconds",
 		"Time the last applied delta took to merge into the serving atlas (0 = none applied).", "",
-		func() float64 {
-			st, _ := s.c.LastRoll()
-			return st.Duration.Seconds()
-		})
+		lastRoll(func(st inano.RollStats) float64 { return st.Duration.Seconds() }))
 	s.reg.NewGaugeFunc("inanod_reload_links_changed",
 		"Links the last applied delta added, removed or re-tagged.", "",
-		func() float64 {
-			st, _ := s.c.LastRoll()
-			return float64(st.LinksChanged())
-		})
+		lastRoll(func(st inano.RollStats) float64 { return float64(st.LinksChanged()) }))
+	s.reg.NewGaugeFunc("inanod_reload_from_day",
+		"Day the last applied delta rolled from (0 = none applied).", "",
+		lastRoll(func(st inano.RollStats) float64 { return float64(st.FromDay) }))
+	for _, ch := range rollChanges {
+		s.reg.NewGaugeFunc("inanod_reload_changes",
+			"What the last applied delta changed, by kind of change (0 = none applied).", `change="`+ch.name+`"`,
+			lastRoll(func(st inano.RollStats) float64 { return float64(ch.count(st)) }))
+	}
 	return s
+}
+
+// rollChanges lists the counts of a roll that inanod_reload_changes
+// exports, one series each.
+var rollChanges = []struct {
+	name  string
+	count func(inano.RollStats) int
+}{
+	{"links_added", func(st inano.RollStats) int { return st.LinksAdded }},
+	{"links_removed", func(st inano.RollStats) int { return st.LinksRemoved }},
+	{"links_retagged", func(st inano.RollStats) int { return st.LinksRetagged }},
+	{"loss_set", func(st inano.RollStats) int { return st.LossSet }},
+	{"loss_cleared", func(st inano.RollStats) int { return st.LossCleared }},
+	{"tuples_added", func(st inano.RollStats) int { return st.TuplesAdded }},
+	{"tuples_removed", func(st inano.RollStats) int { return st.TuplesRemoved }},
+	{"prefixes_rehomed", func(st inano.RollStats) int { return st.PrefixesRehomed }},
+	{"clusters_added", func(st inano.RollStats) int { return st.ClustersAdded }},
+	{"local_decayed", func(st inano.RollStats) int { return st.LocalDecayed }},
+	{"local_dropped", func(st inano.RollStats) int { return st.LocalDropped }},
 }
 
 // StartDraining moves the server into its terminal draining state:
@@ -312,7 +390,10 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
 	mux.HandleFunc("/metrics", s.instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("/debug/stats", s.instrument("stats", s.handleStats))
+	mux.HandleFunc("/debug/stats", s.instrument("stats", func(w http.ResponseWriter, r *http.Request) error {
+		w.Header().Set("Content-Type", "application/json")
+		return s.reg.WriteJSON(w)
+	}))
 	mux.HandleFunc("/v1/query", s.instrument("query", s.handleQuery))
 	mux.HandleFunc("/v1/batch", s.instrument("batch", s.handleBatch))
 	mux.HandleFunc("/v1/rank", s.instrument("rank", s.handleRank))
@@ -686,138 +767,4 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 		out[i] = rankedCandidate{IP: req.Candidates[rk.Index], Found: rk.Found, RTTMS: rk.RTTMS, LossRate: rk.LossRate, TransferMS: rk.TransferMS}
 	}
 	return writeJSON(w, map[string]any{"src": req.Src, "day": snap.Day(), "ranked": out})
-}
-
-// handleStats renders a human-oriented JSON snapshot of the daemon's
-// internals; /metrics is the machine-oriented view of the same state.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
-	st := s.c.CacheStats()
-	a := s.c.Snapshot().AtlasStats()
-	hitRatio := 0.0
-	if st.Hits+st.Misses > 0 {
-		hitRatio = float64(st.Hits) / float64(st.Hits+st.Misses)
-	}
-	buildMeanUS := 0.0
-	if st.Builds > 0 {
-		buildMeanUS = float64(st.BuildNS) / 1e3 / float64(st.Builds)
-	}
-	perHandler := make(map[string]any, len(s.handlers))
-	for name, hm := range s.handlers {
-		perHandler[name] = map[string]any{
-			"requests": hm.requests.Value(),
-			"errors":   hm.errors.Value(),
-			"p50_ms":   hm.latency.Quantile(0.50) * 1000,
-			"p90_ms":   hm.latency.Quantile(0.90) * 1000,
-			"p99_ms":   hm.latency.Quantile(0.99) * 1000,
-		}
-	}
-	return writeJSON(w, map[string]any{
-		"uptime_s": int64(time.Since(s.started).Seconds()),
-		"atlas": map[string]any{
-			"day":      a.Day,
-			"clusters": a.Clusters,
-			"links":    a.Links,
-			"prefixes": a.Prefixes,
-		},
-		"tree_cache": map[string]any{
-			"hits":          st.Hits,
-			"misses":        st.Misses,
-			"builds":        st.Builds,
-			"build_us_mean": buildMeanUS,
-			"resident":      st.Len,
-			"suspended":     st.Suspended,
-			"bytes":         st.Bytes,
-			"hit_ratio":     hitRatio,
-			"warmed":        st.Warmed,
-			"warm_hits":     st.WarmHits,
-		},
-		"reloads": map[string]any{
-			"applied":     s.reloads.Value(),
-			"errors":      s.reloadErrors.Value(),
-			"last_unix_s": s.lastReload.Value(),
-			"last_roll":   s.lastRollStats(),
-		},
-		"feedback":             s.feedbackStats(),
-		"observations":         s.observationStats(),
-		"inflight":             s.inflight.Value(),
-		"batch_pairs_streamed": s.pairsTotal.Value(),
-		"http":                 perHandler,
-	})
-}
-
-// lastRollStats renders what the last applied delta changed for
-// /debug/stats; nil before the first.
-func (s *Server) lastRollStats() map[string]any {
-	st, ok := s.c.LastRoll()
-	if !ok {
-		return nil
-	}
-	return map[string]any{
-		"from_day":         st.FromDay,
-		"to_day":           st.ToDay,
-		"apply_ms":         float64(st.Duration.Microseconds()) / 1000,
-		"links_added":      st.LinksAdded,
-		"links_removed":    st.LinksRemoved,
-		"links_retagged":   st.LinksRetagged,
-		"loss_set":         st.LossSet,
-		"loss_cleared":     st.LossCleared,
-		"tuples_added":     st.TuplesAdded,
-		"tuples_removed":   st.TuplesRemoved,
-		"prefixes_rehomed": st.PrefixesRehomed,
-		"clusters_added":   st.ClustersAdded,
-		"local_decayed":    st.LocalDecayed,
-		"local_dropped":    st.LocalDropped,
-	}
-}
-
-// observationStats renders the upstream-observation ingest state for
-// /debug/stats.
-func (s *Server) observationStats() map[string]any {
-	out := map[string]any{
-		"enabled":      s.cfg.Aggregator != nil,
-		"accepted":     s.obsAccepted.Value(),
-		"paths":        s.obsPaths.Value(),
-		"path_rejects": s.obsPathRejects.Value(),
-		"unknown":      s.obsUnknown.Value(),
-		"rate_limited": s.obsRateLimited.Value(),
-		"snapshots":    s.obsSnapshots.Value(),
-	}
-	if s.cfg.Aggregator != nil {
-		st := s.cfg.Aggregator.Stats()
-		out["prefixes"] = st.Prefixes
-		out["reporters"] = st.Reporters
-		out["path_slots"] = st.Paths
-		out["evicted_prefixes"] = st.EvictedPrefixes
-	}
-	return out
-}
-
-// feedbackStats renders the feedback loop's state for /debug/stats.
-func (s *Server) feedbackStats() map[string]any {
-	fs := s.c.FeedbackStats()
-	s.mu.Lock()
-	last := s.lastRound
-	s.mu.Unlock()
-	return map[string]any{
-		"observations":    s.fbObservations.Value(),
-		"rate_limited":    s.fbRateLimited.Value(),
-		"sources":         s.fbLimiter.len(),
-		"sources_evicted": s.fbLimiter.evictions(),
-		"tracked":         fs.Entries,
-		"mean_error":      fs.MeanErr,
-		"worst_error":     fs.WorstErr,
-		"error_p50":       s.fbError.Quantile(0.50),
-		"error_p90":       s.fbError.Quantile(0.90),
-		"error_p99":       s.fbError.Quantile(0.99),
-		"rounds":          s.corrRounds.Value(),
-		"probes_issued":   s.corrProbes.Value(),
-		"probe_errors":    s.corrProbeErrors.Value(),
-		"merged":          s.corrMerged.Value(),
-		"last_round": map[string]any{
-			"budget":      last.Budget,
-			"probes":      last.Probes,
-			"merged":      last.Merged,
-			"utilization": last.Utilization(),
-		},
-	}
 }

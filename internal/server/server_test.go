@@ -700,31 +700,29 @@ func TestMetricsAndStats(t *testing.T) {
 		}
 	}
 
-	var stats struct {
-		TreeCache struct {
-			Builds      uint64  `json:"builds"`
-			Bytes       int64   `json:"bytes"`
-			Suspended   int     `json:"suspended"`
-			BuildMeanUS float64 `json:"build_us_mean"`
-			HitRatio    float64 `json:"hit_ratio"`
-		} `json:"tree_cache"`
-		HTTP map[string]struct {
-			Requests uint64 `json:"requests"`
-		} `json:"http"`
-	}
+	// /debug/stats is the same registry as JSON: a series' name, with its
+	// labels, is its key; the mean build is the quotient of two series.
+	var stats map[string]any
 	getJSON(t, ts.URL+"/debug/stats", &stats)
-	if stats.TreeCache.Builds != st.Builds {
-		t.Errorf("stats builds = %d, want %d", stats.TreeCache.Builds, st.Builds)
+	for key, want := range map[string]float64{
+		"inanod_tree_cache_builds":                    float64(st.Builds),
+		"inanod_tree_cache_bytes":                     float64(st.Bytes),
+		"inanod_tree_cache_suspended":                 float64(st.Suspended),
+		`inanod_http_requests_total{handler="query"}`: 3,
+		"inanod_atlas_clusters":                       float64(f.client.Snapshot().AtlasStats().Clusters),
+	} {
+		if stats[key] != want {
+			t.Errorf("stats %s = %v, want %v", key, stats[key], want)
+		}
 	}
-	if st.Bytes == 0 || stats.TreeCache.Bytes != st.Bytes || stats.TreeCache.Suspended != st.Suspended {
-		t.Errorf("stats bytes = %d, suspended = %d, want %d and %d", stats.TreeCache.Bytes, stats.TreeCache.Suspended, st.Bytes, st.Suspended)
+	if h, _ := stats[`inanod_http_request_seconds{handler="query"}`].(map[string]any); h["count"] != 3.0 {
+		t.Errorf("stats query latency histogram = %v, want count 3", h)
 	}
+	buildSeconds, _ := stats["inanod_tree_cache_build_seconds"].(float64)
+	builds, _ := stats["inanod_tree_cache_builds"].(float64)
 	if want := float64(st.BuildNS) / 1e3 / float64(st.Builds); st.Builds == 0 || st.BuildNS <= 0 ||
-		math.Abs(stats.TreeCache.BuildMeanUS-want) > 1e-6*want {
-		t.Errorf("stats build_us_mean = %v, want %v (%d ns over %d builds)", stats.TreeCache.BuildMeanUS, want, st.BuildNS, st.Builds)
-	}
-	if stats.HTTP["query"].Requests != 3 {
-		t.Errorf("stats query requests = %d, want 3", stats.HTTP["query"].Requests)
+		math.Abs(buildSeconds*1e6/builds-want) > 1e-6*want {
+		t.Errorf("stats build_seconds/builds = %v µs, want %v (%d ns over %d builds)", buildSeconds*1e6/builds, want, st.BuildNS, st.Builds)
 	}
 }
 
@@ -844,15 +842,24 @@ func TestReloadWarmsTreeCache(t *testing.T) {
 			t.Errorf("/metrics missing %q", w)
 		}
 	}
-	var stats struct {
-		TreeCache struct {
-			Warmed   uint64 `json:"warmed"`
-			WarmHits uint64 `json:"warm_hits"`
-		} `json:"tree_cache"`
-	}
+	roll, _ := f.client.LastRoll()
+	var stats map[string]any
 	getJSON(t, ts.URL+"/debug/stats", &stats)
-	if stats.TreeCache.Warmed != st.Warmed || stats.TreeCache.WarmHits != st.WarmHits {
-		t.Errorf("/debug/stats tree_cache %+v, want warmed %d warm_hits %d", stats.TreeCache, st.Warmed, st.WarmHits)
+	for key, want := range map[string]float64{
+		"inanod_tree_cache_warmed":                         float64(st.Warmed),
+		"inanod_tree_cache_warm_hits":                      float64(st.WarmHits),
+		"inanod_reload_from_day":                           float64(roll.FromDay),
+		"inanod_atlas_day":                                 float64(roll.ToDay),
+		`inanod_reload_changes{change="links_added"}`:      float64(roll.LinksAdded),
+		`inanod_reload_changes{change="links_removed"}`:    float64(roll.LinksRemoved),
+		`inanod_reload_changes{change="prefixes_rehomed"}`: float64(roll.PrefixesRehomed),
+	} {
+		if stats[key] != want {
+			t.Errorf("/debug/stats %s = %v, want %v", key, stats[key], want)
+		}
+	}
+	if roll.LinksChanged() == 0 {
+		t.Errorf("the fixture's roll changed no link: %+v", roll)
 	}
 }
 

@@ -8,12 +8,15 @@
 package swarm
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 )
 
@@ -86,6 +89,38 @@ func (m *Manifest) Verify(data []byte) error {
 		}
 	}
 	return nil
+}
+
+// WriteManifestFile writes the file a fetching peer starts from: a gob
+// stream of the tracker's address followed by m. ReadManifestFile reads it.
+func WriteManifestFile(path, trackerAddr string, m Manifest) error {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(trackerAddr); err != nil {
+		return fmt.Errorf("manifest %s: %w", path, err)
+	}
+	if err := enc.Encode(&m); err != nil {
+		return fmt.Errorf("manifest %s: %w", path, err)
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
+}
+
+// ReadManifestFile reads a file WriteManifestFile wrote. Its errors name
+// the file.
+func ReadManifestFile(path string) (trackerAddr string, m Manifest, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", m, err
+	}
+	defer f.Close()
+	dec := gob.NewDecoder(f)
+	if err := dec.Decode(&trackerAddr); err != nil {
+		return "", m, fmt.Errorf("manifest %s: tracker address: %w", path, err)
+	}
+	if err := dec.Decode(&m); err != nil {
+		return "", m, fmt.Errorf("manifest %s: %w", path, err)
+	}
+	return trackerAddr, m, nil
 }
 
 // store holds a peer's chunks.

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,5 +163,36 @@ func TestSeedRejectsWrongData(t *testing.T) {
 	defer tr.Close()
 	if _, err := StartSeed(tr.Addr(), m, testData(50_000, 8)); err == nil {
 		t.Fatal("seed accepted mismatched data")
+	}
+}
+
+// TestManifestFileRoundTrip: the manifest file inano-seed writes reads
+// back as the tracker address and the manifest it was written from, and a
+// truncated one is refused with an error that names the file.
+func TestManifestFileRoundTrip(t *testing.T) {
+	m := NewManifest("delta-7.bin", testData(150_000, 3), ChunkSize)
+	path := filepath.Join(t.TempDir(), "delta.manifest")
+	if err := WriteManifestFile(path, "127.0.0.1:7001", m); err != nil {
+		t.Fatal(err)
+	}
+	addr, got, err := ReadManifestFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr != "127.0.0.1:7001" || !reflect.DeepEqual(got, m) {
+		t.Fatalf("read back %q %+v, want %q %+v", addr, got, "127.0.0.1:7001", m)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 5, len(raw) / 2, len(raw) - 1} {
+		if err := os.WriteFile(path, raw[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadManifestFile(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("manifest cut to %d of %d bytes: err = %v, want one naming %s", n, len(raw), err, path)
+		}
 	}
 }

@@ -72,7 +72,7 @@ func realTraceroutes(f *fixture, src Prefix, n int) []LocalTraceroute {
 // never invalidates its warm tree cache.
 func TestAddTraceroutesIdempotent(t *testing.T) {
 	f := buildFixture(t, 131, 0)
-	c := FromAtlas(f.a.Clone())
+	c := FromAtlas(f.a)
 	trs := realTraceroutes(f, f.vps[0], 8)
 	if added := c.AddTraceroutes(trs); added == 0 {
 		t.Skip("world produced no mergeable traceroutes")
@@ -94,7 +94,7 @@ func TestAddTraceroutesIdempotent(t *testing.T) {
 // never produce self-links.
 func TestAddTraceroutesDuplicateHops(t *testing.T) {
 	f := buildFixture(t, 132, 0)
-	c := FromAtlas(f.a.Clone())
+	c := FromAtlas(f.a)
 	trs := realTraceroutes(f, f.vps[0], 6)
 	// Duplicate every responsive hop in place.
 	for i := range trs {
@@ -120,7 +120,7 @@ func TestAddTraceroutesDuplicateHops(t *testing.T) {
 // at the floor, never merge a negative or zero latency.
 func TestAddTraceroutesDecreasingRTT(t *testing.T) {
 	f := buildFixture(t, 133, 0)
-	c := FromAtlas(f.a.Clone())
+	c := FromAtlas(f.a)
 	trs := realTraceroutes(f, f.vps[0], 6)
 	for i := range trs {
 		// Reverse each traceroute's RTT sequence so deltas go negative.
@@ -143,7 +143,7 @@ func TestAddTraceroutesDecreasingRTT(t *testing.T) {
 // untouched, so the new engine adopts the old cache.
 func TestResidualOnlyMergeKeepsTreeCache(t *testing.T) {
 	f := buildFixture(t, 108, 0)
-	c := FromAtlas(f.a.Clone())
+	c := FromAtlas(f.a)
 	src := f.vps[0]
 	trs := realTraceroutes(f, src, 6)
 	if c.AddTraceroutes(trs) == 0 {
@@ -182,7 +182,7 @@ func TestResidualOnlyMergeKeepsTreeCache(t *testing.T) {
 // the map path makes of the delta the merge emitted.
 func TestAddTraceroutesStaysFlat(t *testing.T) {
 	f := buildFixture(t, 108, 0)
-	c := FromAtlas(f.a.Clone())
+	c := FromAtlas(f.a)
 	trs := realTraceroutes(f, f.vps[0], 6)
 	sweep := func(c *Client) []PathInfo {
 		var out []PathInfo
@@ -261,7 +261,7 @@ func TestLastRollIgnoresTracerouteMerges(t *testing.T) {
 // observed truth.
 func TestObserveAndCorrectClosesLoop(t *testing.T) {
 	f := buildFixture(t, 108, 0)
-	c := FromAtlas(f.a.Clone())
+	c := FromAtlas(f.a)
 	src := f.vps[0]
 	meter := f.w.Measure(sim.CampaignOptions{Day: 0, VPs: nil, Targets: f.targets[:1]}).Meter()
 
@@ -326,7 +326,7 @@ func TestObserveAndCorrectClosesLoop(t *testing.T) {
 // AdjustMS), and stack with a locally learned correction.
 func TestGlobalAdjustAppliesAndStacks(t *testing.T) {
 	f := buildFixture(t, 136, 0)
-	c := FromAtlas(f.a.Clone())
+	c := FromAtlas(f.a)
 	var src, dst Prefix
 	var base float64
 	found := false

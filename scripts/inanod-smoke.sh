@@ -39,6 +39,21 @@ wait_for_addr() {
 # rtt_of JSON: extracts the rtt_ms number from a /v1/query answer.
 rtt_of() { sed -n 's#.*"rtt_ms":\([0-9.]*\).*#\1#p' <<<"$1"; }
 
+# check_one_list BASE: /debug/stats is the metrics registry as JSON, so
+# every family /metrics declares has a key there, its name alone or with
+# its labels.
+check_one_list() {
+  local stats families fam missing=""
+  stats="$(curl -fsS "$1/debug/stats")"
+  families="$(curl -fsS "$1/metrics" | sed -n 's/^# TYPE \([^ ]*\) .*/\1/p')"
+  [[ -n "$families" ]] || { echo "FAIL: /metrics declares no family"; exit 1; }
+  for fam in $families; do
+    grep -qE "\"$fam(\{|\")" <<<"$stats" || missing+=" $fam"
+  done
+  [[ -z "$missing" ]] || { echo "FAIL: /metrics families with no /debug/stats key:$missing"; exit 1; }
+  echo "   $(wc -w <<<"$families") families, each keyed on /debug/stats"
+}
+
 echo "== building binaries"
 go build -o "$workdir/" ./cmd/inanod ./cmd/inano-build ./cmd/inano-query
 
@@ -88,6 +103,9 @@ echo "== /metrics"
 metrics="$(curl -fsS "$base/metrics")"
 grep -q '^inanod_batch_pairs_streamed_total 500$' <<<"$metrics" \
   || { echo "FAIL: streamed-pairs metric missing"; exit 1; }
+
+echo "== /debug/stats (the same registry as JSON)"
+check_one_list "$base"
 
 echo "== /v1/feedback (observation report)"
 feedback="$(printf '{"src":"%s","dst":"%s","rtt_ms":250}\n{"src":"%s","dst":"%s","rtt_ms":300}\n' \
@@ -168,8 +186,9 @@ path_resp="$( { printf '{"src":"%s","dst":"%s","rtt_ms":40,"hops":[{"ip":"%s","r
 echo "   $path_resp"
 grep -q '"paths":2' <<<"$path_resp" || { echo "FAIL: hop tails not accepted"; exit 1; }
 stats2="$(curl -fsS "$base2/debug/stats")"
-grep -q '"path_slots":2' <<<"$stats2" \
+grep -q '"inanod_observation_path_slots":2' <<<"$stats2" \
   || { echo "FAIL: want 2 distinct reporter path slots"; echo "$stats2" | head -40; exit 1; }
+check_one_list "$base2"
 
 echo "== waiting for the aggregator snapshot"
 snap_ok=""

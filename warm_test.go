@@ -321,7 +321,7 @@ func TestWarmHottestFirst(t *testing.T) {
 // residuals (the cache is kept), starts none.
 func TestAddTraceroutesWarm(t *testing.T) {
 	f := buildFixture(t, 108, 0)
-	c := FromAtlas(f.a.Clone())
+	c := FromAtlas(f.a)
 	started := 0
 	c.startWarm = func(warm func()) { started++; warm() }
 	src := f.vps[0]
