@@ -38,7 +38,11 @@ type Aggregator struct {
 
 	prefixes map[netsim.Prefix]*prefixAgg
 	evicted  int
-	nowFn    func() time.Time // test hook
+	// reporters and paths count the slots in use and those holding a hop
+	// path, kept as slots come and go so Stats never walks the table
+	// under the lock ingest takes.
+	reporters, paths int
+	nowFn            func() time.Time // test hook
 }
 
 const (
@@ -126,6 +130,9 @@ func (g *Aggregator) RecordPath(srcCluster int32, dst netsim.Prefix, path []clus
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	ro := g.reporterSlotLocked(srcCluster, dst)
+	if ro.path == nil {
+		g.paths++
+	}
 	ro.path = append([]cluster.ClusterID(nil), path...)
 	ro.linkMS = append([]float64(nil), linkMS...)
 	ro.pathAt = ro.at
@@ -146,10 +153,11 @@ func (g *Aggregator) reporterSlotLocked(srcCluster int32, dst netsim.Prefix) *re
 	ro := pa.reporters[srcCluster]
 	if ro == nil {
 		if len(pa.reporters) >= aggMaxReporters {
-			evictStalestReporter(pa)
+			g.evictStalestReporterLocked(pa)
 		}
 		ro = &reporterObs{}
 		pa.reporters[srcCluster] = ro
+		g.reporters++
 	}
 	ro.at = now
 	if now.After(pa.newest) {
@@ -168,12 +176,15 @@ func (g *Aggregator) evictStalestPrefixLocked() {
 		}
 	}
 	if !first {
+		for _, r := range g.prefixes[victim].reporters {
+			g.forgetLocked(r)
+		}
 		delete(g.prefixes, victim)
 		g.evicted++
 	}
 }
 
-func evictStalestReporter(pa *prefixAgg) {
+func (g *Aggregator) evictStalestReporterLocked(pa *prefixAgg) {
 	var victim int32
 	var victimAt time.Time
 	first := true
@@ -183,7 +194,16 @@ func evictStalestReporter(pa *prefixAgg) {
 		}
 	}
 	if !first {
+		g.forgetLocked(pa.reporters[victim])
 		delete(pa.reporters, victim)
+	}
+}
+
+// forgetLocked takes an evicted reporter slot out of the running counts.
+func (g *Aggregator) forgetLocked(ro *reporterObs) {
+	g.reporters--
+	if ro.path != nil {
+		g.paths--
 	}
 }
 
@@ -407,23 +427,17 @@ type AggregatorStats struct {
 	EvictedPrefixes int
 }
 
-// Stats summarizes the aggregator.
+// Stats summarizes the aggregator. It reads running counts, so a scrape
+// holds the lock for no longer when the aggregate is full.
 func (g *Aggregator) Stats() AggregatorStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := AggregatorStats{
+	return AggregatorStats{
 		Prefixes:        len(g.prefixes),
+		Reporters:       g.reporters,
+		Paths:           g.paths,
 		EvictedPrefixes: g.evicted,
 	}
-	for _, pa := range g.prefixes {
-		st.Reporters += len(pa.reporters)
-		for _, r := range pa.reporters {
-			if len(r.path) >= 2 {
-				st.Paths++
-			}
-		}
-	}
-	return st
 }
 
 // median returns the middle residual (mean of the middle two for even

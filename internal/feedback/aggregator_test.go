@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"inano/internal/cluster"
 	"inano/internal/netsim"
 )
 
@@ -113,6 +114,42 @@ func TestAggregatorBounds(t *testing.T) {
 	}
 	if _, ok := pa.reporters[1]; ok {
 		t.Fatal("stalest reporter survived eviction")
+	}
+}
+
+// TestAggregatorStatsCounts: Stats reads running counts of reporter
+// slots and hop paths, so they must match a walk of the table through
+// both evictions and a reporter's path being replaced.
+func TestAggregatorStatsCounts(t *testing.T) {
+	g := NewAggregator()
+	now, advance := fakeNow(time.Unix(1000, 0))
+	g.nowFn = now
+	path := []cluster.ClusterID{1, 2, 3}
+	linkMS := []float64{4, 5}
+	for i := 0; i < aggMaxPrefixes+40; i++ {
+		p := netsim.Prefix(i % (aggMaxPrefixes + 20)) // evicted prefixes come back
+		for c := int32(0); c <= int32(i%(aggMaxReporters+8)); c++ {
+			if c%3 == 0 {
+				g.RecordPath(c, p, path, linkMS)
+				g.RecordPath(c, p, path[1:], linkMS[1:]) // replaces, adds no slot
+			} else {
+				g.Record(c, p, float64(c))
+			}
+		}
+		advance(time.Second)
+	}
+	var want AggregatorStats
+	want.Prefixes, want.EvictedPrefixes = len(g.prefixes), g.evicted
+	for _, pa := range g.prefixes {
+		want.Reporters += len(pa.reporters)
+		for _, r := range pa.reporters {
+			if len(r.path) >= 2 {
+				want.Paths++
+			}
+		}
+	}
+	if st := g.Stats(); st != want || st.EvictedPrefixes == 0 || st.Paths == 0 {
+		t.Fatalf("Stats = %+v, walk = %+v", st, want)
 	}
 }
 

@@ -111,14 +111,9 @@ func RelErr(predictedMS, observedMS float64, predicted bool) float64 {
 
 // Record folds one observation into the per-cluster EWMA. cluster < 0
 // (destination unknown to the atlas) is accepted but untracked, so
-// callers can still account the sample. An observedMS that is not a
-// ValidRTT leaves the tracker untouched and scores nothing: one NaN
-// folded into an EWMA would stay there for good.
+// callers can still account the sample.
 func (t *Tracker) Record(cluster int32, src, dst netsim.Prefix, predictedMS, observedMS float64, predicted bool, now time.Time) Sample {
 	s := Sample{Cluster: cluster, PredictedMS: predictedMS, Predicted: predicted}
-	if !ValidRTT(observedMS) {
-		return s
-	}
 	s.Err = RelErr(predictedMS, observedMS, predicted)
 	if cluster < 0 {
 		return s

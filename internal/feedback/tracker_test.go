@@ -161,24 +161,3 @@ func TestTrackerUntrackedCluster(t *testing.T) {
 		t.Fatal("untracked sample entered the table")
 	}
 }
-
-// TestTrackerRefusesInvalidRTT: Record holds every observed RTT to
-// ValidRTT, so no door can fold a NaN, an infinity or a non-positive
-// value into an EWMA, where it would stay and outrank nothing (NaN scores
-// compare false) while reading NaN in every mean.
-func TestTrackerRefusesInvalidRTT(t *testing.T) {
-	tr := NewTracker()
-	now := time.Now()
-	for _, bad := range []float64{math.NaN(), math.Inf(1), 0, -1, MaxObservedRTTMS + 1} {
-		if s := tr.Record(1, 1, 2, 50, bad, true, now); s.Tracked || s.Err != 0 {
-			t.Errorf("Record(%v) = %+v, want untracked and unscored", bad, s)
-		}
-	}
-	if st := tr.Stats(); st != (Stats{}) {
-		t.Fatalf("stats after refused samples: %+v, want empty", st)
-	}
-	tr.Record(1, 1, 2, 50, 100, true, now)
-	if st := tr.Stats(); st.TotalSamples != 1 || st.MeanErr != 0.5 || st.WorstErr != 0.5 {
-		t.Fatalf("stats after one good sample: %+v", st)
-	}
-}

@@ -715,6 +715,9 @@ func TestMetricsAndStats(t *testing.T) {
 			t.Errorf("stats %s = %v, want %v", key, stats[key], want)
 		}
 	}
+	if st.Bytes == 0 {
+		t.Errorf("tree cache reports 0 bytes after serving queries (%d resident)", st.Len)
+	}
 	if h, _ := stats[`inanod_http_request_seconds{handler="query"}`].(map[string]any); h["count"] != 3.0 {
 		t.Errorf("stats query latency histogram = %v, want count 3", h)
 	}
