@@ -37,7 +37,8 @@ type Ranked struct {
 // equal times go to the lower prefix. Otherwise it is the predicted RTT
 // ("which peers are closest", Fig. 7), and equal RTTs keep input order.
 // Candidates with no prediction come last, in input order. This is the one
-// ranking rule: BestReplica and inanod's /v1/rank both read it.
+// ranking rule: a CDN client's replica pick is its first Found entry, and
+// inanod's /v1/rank reads it too.
 func (s Snapshot) Rank(ctx context.Context, src Prefix, dsts []Prefix, sizeBytes int) ([]Ranked, error) {
 	reqs := make([]PairReq, len(dsts))
 	for i, d := range dsts {
@@ -73,24 +74,13 @@ func (s Snapshot) Rank(ctx context.Context, src Prefix, dsts []Prefix, sizeBytes
 	return out, nil
 }
 
-// BestReplica picks the replica predicted to minimize the download time of
-// sizeBytes for the client at src — Rank's first entry. ok is false when
-// no replica has a prediction.
-func (c *Client) BestReplica(src Prefix, replicas []Prefix, sizeBytes int) (Prefix, bool) {
-	ranked, err := c.Snapshot().Rank(context.Background(), src, replicas, sizeBytes)
-	if err != nil || len(ranked) == 0 || !ranked[0].Found {
-		return 0, false
-	}
-	return ranked[0].Dst, true
-}
-
 // relayLegs predicts both legs (src->relay, relay->dst) for every usable
 // relay in one batch; the src->relay legs share src's reverse tree and
 // every relay->dst leg shares dst's forward tree. Relays equal to an
 // endpoint cannot carry the call and are filtered out before querying;
 // kept lists the relays actually scored, with legs[2*i] and legs[2*i+1]
 // holding kept[i]'s legs.
-func (c *Client) relayLegs(ctx context.Context, src, dst Prefix, relays []Prefix) (kept []Prefix, legs []PathInfo, err error) {
+func (s Snapshot) relayLegs(ctx context.Context, src, dst Prefix, relays []Prefix) (kept []Prefix, legs []PathInfo, err error) {
 	kept = make([]Prefix, 0, len(relays))
 	reqs := make([]PairReq, 0, 2*len(relays))
 	for _, r := range relays {
@@ -100,7 +90,7 @@ func (c *Client) relayLegs(ctx context.Context, src, dst Prefix, relays []Prefix
 		kept = append(kept, r)
 		reqs = append(reqs, PairReq{Src: src, Dst: r}, PairReq{Src: r, Dst: dst})
 	}
-	legs, _, err = c.QueryReqs(ctx, reqs)
+	legs, _, err = s.QueryReqs(ctx, reqs)
 	return kept, legs, err
 }
 
@@ -125,11 +115,11 @@ type RelayChoice struct {
 // end-to-end performance. ok is false when no relay has predictions for
 // both legs. ctx bounds call-setup latency: when it expires the batch
 // aborts and ctx.Err() is returned.
-func (c *Client) BestRelay(ctx context.Context, src, dst Prefix, relays []Prefix, k int) (RelayChoice, bool, error) {
+func (s Snapshot) BestRelay(ctx context.Context, src, dst Prefix, relays []Prefix, k int) (RelayChoice, bool, error) {
 	if k <= 0 {
 		k = 10
 	}
-	kept, legs, err := c.relayLegs(ctx, src, dst, relays)
+	kept, legs, err := s.relayLegs(ctx, src, dst, relays)
 	if err != nil {
 		return RelayChoice{}, false, err
 	}
@@ -182,8 +172,9 @@ func (c *Client) BestRelay(ctx context.Context, src, dst Prefix, relays []Prefix
 // RankDetours orders candidate detour nodes for recovering connectivity
 // from src to dst, maximizing path disjointness (§7.3): the (k+1)-th detour
 // minimizes first the PoP clusters and then the ASes shared with the direct
-// path and with the k previously chosen detours.
-func (c *Client) RankDetours(src, dst Prefix, candidates []Prefix) []Prefix {
+// path and with the k previously chosen detours. ctx bounds the one batch
+// that predicts the paths: when it ends first, ctx.Err() is returned.
+func (s Snapshot) RankDetours(ctx context.Context, src, dst Prefix, candidates []Prefix) ([]Prefix, error) {
 	// One batch predicts the direct path plus both legs of every detour:
 	// all src->X legs share src's plane, all X->dst legs share dst's tree.
 	// Only the forward direction of each answer is read.
@@ -197,10 +188,9 @@ func (c *Client) RankDetours(src, dst Prefix, candidates []Prefix) []Prefix {
 		kept = append(kept, d)
 		reqs = append(reqs, PairReq{Src: src, Dst: d}, PairReq{Src: d, Dst: dst})
 	}
-	infos, _, err := c.QueryReqs(context.Background(), reqs)
+	infos, _, err := s.QueryReqs(ctx, reqs)
 	if err != nil {
-		// Unreachable with a background context; keep the helper total.
-		infos = make([]PathInfo, len(reqs))
+		return nil, err
 	}
 	direct := infos[0].Fwd
 
@@ -275,5 +265,5 @@ func (c *Client) RankDetours(src, dst Prefix, candidates []Prefix) []Prefix {
 		}
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
-	return out
+	return out, nil
 }

@@ -138,6 +138,12 @@ func BenchmarkFig11_DetourFailures(b *testing.B) {
 
 // --- Micro-benchmarks: the library's hot paths. ---
 
+// queryPair answers one pair through Client.Query, the library's
+// one-line door.
+func queryPair(c *inano.Client, src, dst inano.Prefix) inano.PathInfo {
+	return c.Query(src.HostIP(), dst.HostIP())
+}
+
 func benchClient(b *testing.B) (*inano.Client, *experiments.Lab) {
 	l := benchLab()
 	return inano.FromAtlas(l.Day(0).Atlas), l
@@ -149,7 +155,7 @@ func BenchmarkQuery_ColdDestinations(b *testing.B) {
 	dsts := l.Targets
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.QueryPrefix(l.VPs[i%len(l.VPs)], dsts[i%len(dsts)])
+		queryPair(c, l.VPs[i%len(l.VPs)], dsts[i%len(dsts)])
 	}
 }
 
@@ -158,10 +164,10 @@ func BenchmarkQuery_ColdDestinations(b *testing.B) {
 func BenchmarkQuery_HotDestination(b *testing.B) {
 	c, l := benchClient(b)
 	dst := l.Targets[3]
-	c.QueryPrefix(l.VPs[0], dst) // warm the tree cache
+	queryPair(c, l.VPs[0], dst) // warm the tree cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.QueryPrefix(l.VPs[i%len(l.VPs)], dst)
+		queryPair(c, l.VPs[i%len(l.VPs)], dst)
 	}
 }
 
@@ -215,7 +221,7 @@ func BenchmarkLoad(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !c.QueryPrefix(vps[0], vps[1]).Found {
+		if !queryPair(c, vps[0], vps[1]).Found {
 			b.Fatal("no answer")
 		}
 	}
@@ -257,14 +263,14 @@ func BenchmarkQuery_Concurrent(b *testing.B) {
 	c, l := benchClient(b)
 	// Warm the trees so the parallel section measures lookup throughput.
 	for i := 0; i < len(l.Targets); i++ {
-		c.QueryPrefix(l.VPs[i%len(l.VPs)], l.Targets[i])
+		queryPair(c, l.VPs[i%len(l.VPs)], l.Targets[i])
 	}
 	var ctr atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := int(ctr.Add(1000003)) // distinct stride per goroutine
 		for pb.Next() {
-			c.QueryPrefix(l.VPs[i%len(l.VPs)], l.Targets[i%len(l.Targets)])
+			queryPair(c, l.VPs[i%len(l.VPs)], l.Targets[i%len(l.Targets)])
 			i++
 		}
 	})
@@ -294,7 +300,7 @@ func BenchmarkQueryBatch_SharedDestination(b *testing.B) {
 		b.StopTimer()
 		c := inano.FromAtlas(l.Day(0).Atlas) // fresh engine: trees are cold
 		b.StartTimer()
-		if _, _, err := c.QueryReqs(context.Background(), pairs); err != nil {
+		if _, _, err := c.Snapshot().QueryReqs(context.Background(), pairs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,7 +316,7 @@ func BenchmarkQueryBatch_SequentialBaseline(b *testing.B) {
 		c := inano.FromAtlas(l.Day(0).Atlas)
 		b.StartTimer()
 		for _, p := range pairs {
-			c.QueryPrefix(p.Src, p.Dst)
+			queryPair(c, p.Src, p.Dst)
 		}
 	}
 }
@@ -333,7 +339,7 @@ func BenchmarkQueryBatch_ManyDestinations(b *testing.B) {
 		b.StopTimer()
 		c := inano.FromAtlas(l.Day(0).Atlas)
 		b.StartTimer()
-		if _, _, err := c.QueryReqs(context.Background(), reqs); err != nil {
+		if _, _, err := c.Snapshot().QueryReqs(context.Background(), reqs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,7 +356,7 @@ func BenchmarkAblation_BatchByDestination(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pairs {
-			c.QueryPrefix(p[0], p[1])
+			queryPair(c, p[0], p[1])
 		}
 	}
 }

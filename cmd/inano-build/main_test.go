@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -69,8 +70,8 @@ func TestWrittenDeltaIsFollowable(t *testing.T) {
 	if err := follower.ApplyDelta(bytes.NewReader(delta)); err != nil {
 		t.Fatal(err)
 	}
-	if follower.Day() != 1 {
-		t.Fatalf("follower serves day %d after the delta", follower.Day())
+	if day := follower.Snapshot().Day(); day != 1 {
+		t.Fatalf("follower serves day %d after the delta", day)
 	}
 
 	// The reference for "identical": the map-form apply under a plain
@@ -93,13 +94,15 @@ func TestWrittenDeltaIsFollowable(t *testing.T) {
 
 	w := sim.NewWorld(sim.Tiny, 42)
 	var followed, loaded, both, agree int
+	followerSnap, directSnap := follower.Snapshot(), direct.Snapshot()
 	for _, src := range w.VantagePoints(12) {
 		for _, dst := range w.EdgePrefixes() {
-			got, want := follower.QueryPrefix(src, dst), refEngine.Query(src, dst)
+			got, _ := followerSnap.Query(context.Background(), src, dst)
+			want := refEngine.Query(src, dst)
 			if got.Found != want.Found || got.RTTMS != want.RTTMS || got.LossRate != want.LossRate {
 				t.Fatalf("%v -> %v: follower answers %+v, the delta's reference %+v", src, dst, got, want)
 			}
-			day1 := direct.QueryPrefix(src, dst)
+			day1, _ := directSnap.Query(context.Background(), src, dst)
 			if got.Found {
 				followed++
 			}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -167,14 +168,15 @@ func runScaleBuild(cfg scaleBuildConfig, stdout, stderr io.Writer) int {
 		per = 1
 	}
 	checked, found, mismatches := 0, 0, 0
+	binSnap, flatSnap := engBin.Snapshot(), engFlat.Snapshot()
 	for ci, src := range clients {
 		for k := 0; k < per; k++ {
 			dst := w.EdgePrefixAt((ci*7919 + k*104729) % total)
 			if src == dst {
 				continue
 			}
-			ib := engBin.QueryPrefix(src, dst)
-			fb := engFlat.QueryPrefix(src, dst)
+			ib, _ := binSnap.Query(context.Background(), src, dst)  // the background context never ends
+			fb, _ := flatSnap.Query(context.Background(), src, dst) // likewise
 			if fmt.Sprintf("%+v", ib) != fmt.Sprintf("%+v", fb) {
 				mismatches++
 			}

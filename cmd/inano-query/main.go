@@ -2,8 +2,8 @@
 // the client side of §5 as a CLI.
 //
 // With one destination it prints the full bidirectional prediction; with
-// several it issues one QueryReqs batch and prints a ranking table, the CDN
-// replica-selection shape of §7.1.
+// several it issues one Snapshot.QueryReqs batch and prints a ranking
+// table, the CDN replica-selection shape of §7.1.
 //
 // Usage:
 //
@@ -19,10 +19,9 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	inano "inano"
+	"inano/internal/netsim"
 )
 
 func main() {
@@ -54,10 +53,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(err)
 	}
-	fmt.Fprintf(stdout, "atlas day %d loaded\n", client.Day())
+	snap := client.Snapshot()
+	fmt.Fprintf(stdout, "atlas day %d loaded\n", snap.Day())
 
 	if *list {
-		snap := client.Snapshot()
 		for p := range snap.Prefixes() {
 			cl, _ := snap.AttachmentCluster(p)
 			fmt.Fprintf(stdout, "%s -> cluster %d (AS%d)\n", p, cl, snap.OriginAS(p))
@@ -69,14 +68,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: inano-query -atlas atlas.bin <src-ip> <dst-ip> [<dst-ip>...]")
 		return 2
 	}
-	src, err := parseIP(fs.Arg(0))
+	src, err := netsim.ParseIPv4(fs.Arg(0))
 	if err != nil {
 		return fatal(err)
 	}
 	dsts := make([]inano.IP, fs.NArg()-1)
 	reqs := make([]inano.PairReq, len(dsts))
 	for i := range dsts {
-		if dsts[i], err = parseIP(fs.Arg(i + 1)); err != nil {
+		if dsts[i], err = netsim.ParseIPv4(fs.Arg(i + 1)); err != nil {
 			return fatal(err)
 		}
 		reqs[i] = inano.PairOf(src, dsts[i])
@@ -88,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	infos, _, err := client.QueryReqs(ctx, reqs)
+	infos, _, err := snap.QueryReqs(ctx, reqs)
 	if err != nil {
 		return fatal(fmt.Errorf("query aborted: %w", err))
 	}
@@ -143,20 +142,4 @@ func printRanking(w io.Writer, dsts []inano.IP, infos []inano.PathInfo) int {
 		fmt.Fprintf(w, "%-18v %10.1f %7.2f%% %v\n", r.dst, r.info.RTTMS, r.info.LossRate*100, r.info.Fwd.ASPath)
 	}
 	return code
-}
-
-func parseIP(s string) (inano.IP, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("bad IPv4 address %q", s)
-	}
-	var ip uint32
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
-			return 0, fmt.Errorf("bad IPv4 address %q", s)
-		}
-		ip = ip<<8 | uint32(v)
-	}
-	return inano.IP(ip), nil
 }

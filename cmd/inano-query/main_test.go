@@ -152,6 +152,9 @@ func TestFailures(t *testing.T) {
 		{"too few arguments", []string{"-atlas", path, src}, 2, "usage: inano-query"},
 		{"bad source", []string{"-atlas", path, "10.0.0", dst}, 1, `bad IPv4 address "10.0.0"`},
 		{"bad destination", []string{"-atlas", path, src, dst, "10.0.0.256"}, 1, `bad IPv4 address "10.0.0.256"`},
+		// The daemon's parser: no leading zero, no sign.
+		{"leading zero", []string{"-atlas", path, "0" + src, dst}, 1, `bad IPv4 address "0` + src + `"`},
+		{"signed octet", []string{"-atlas", path, src, "+" + dst}, 1, `bad IPv4 address "+` + dst + `"`},
 		{"missing atlas", []string{"-atlas", filepath.Join(t.TempDir(), "none.bin"), src, dst}, 1, "no such file"},
 		{"expired timeout", []string{"-atlas", path, "-timeout", "1ns", src, dst}, 1, "query aborted"},
 	} {

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -18,15 +20,32 @@ import (
 )
 
 func main() {
-	atlasPath := flag.String("atlas", "atlas.bin", "atlas file to seed")
-	manifestPath := flag.String("manifest", "atlas.manifest", "manifest output file")
-	trackerAddr := flag.String("tracker", "", "existing tracker address (empty = start one)")
-	listen := flag.String("listen", "127.0.0.1:0", "tracker listen address when starting one")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it seeds until ctx ends and then returns 0; 1 when
+// the atlas cannot be read or the tracker, the manifest or the seed fails;
+// 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("inano-seed", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	atlasPath := fs.String("atlas", "atlas.bin", "atlas file to seed")
+	manifestPath := fs.String("manifest", "atlas.manifest", "manifest output file")
+	trackerAddr := fs.String("tracker", "", "existing tracker address (empty = start one)")
+	listen := fs.String("listen", "127.0.0.1:0", "tracker listen address when starting one")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "inano-seed:", err)
+		return 1
+	}
 
 	data, err := os.ReadFile(*atlasPath)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	m := swarm.NewManifest(*atlasPath, data, swarm.ChunkSize)
 
@@ -34,32 +53,25 @@ func main() {
 	if addr == "" {
 		tr, err := swarm.StartTracker(*listen)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		defer tr.Close()
 		addr = tr.Addr()
-		fmt.Printf("tracker listening on %s\n", addr)
+		fmt.Fprintf(stdout, "tracker listening on %s\n", addr)
 	}
 
 	if err := swarm.WriteManifestFile(*manifestPath, addr, m); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	seed, err := swarm.StartSeed(addr, m, data)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	defer seed.Close()
-	fmt.Printf("seeding %s (%d bytes, %d chunks) as %s; manifest written to %s\n",
+	fmt.Fprintf(stdout, "seeding %s (%d bytes, %d chunks) as %s; manifest written to %s\n",
 		*atlasPath, len(data), m.NumChunks(), seed.Addr(), *manifestPath)
-	fmt.Println("press ctrl-c to stop")
-
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	<-ch
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "inano-seed:", err)
-	os.Exit(1)
+	fmt.Fprintln(stdout, "press ctrl-c to stop")
+	<-ctx.Done()
+	return 0
 }

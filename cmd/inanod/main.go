@@ -205,7 +205,7 @@ func main() {
 		}()
 	}
 	if *probeSim != "" {
-		prober, err := simProber(*probeSim, client.Day)
+		prober, err := simProber(*probeSim, func() int { return client.Snapshot().Day() })
 		if err != nil {
 			fatal(err)
 		}

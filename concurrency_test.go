@@ -52,7 +52,7 @@ func TestStressQueriesDuringDeltaChurn(t *testing.T) {
 					for k := range reqs {
 						reqs[k] = PairOf(src.HostIP(), f0.targets[(g*7+i+k)%len(f0.targets)].HostIP())
 					}
-					infos, _, err := c.QueryReqs(context.Background(), reqs)
+					infos, _, err := c.Snapshot().QueryReqs(context.Background(), reqs)
 					if err != nil {
 						t.Error(err)
 						return
@@ -81,7 +81,7 @@ func TestStressQueriesDuringDeltaChurn(t *testing.T) {
 					}
 					queries.Add(int64(len(reqs)))
 				default:
-					checkConsistent(t, c.QueryPrefix(src, f0.targets[(g*13+i*5)%len(f0.targets)]))
+					checkConsistent(t, queryPair(c, src, f0.targets[(g*13+i*5)%len(f0.targets)]))
 					queries.Add(1)
 				}
 			}
@@ -146,7 +146,7 @@ func TestClientQueryReqsMatchesSequential(t *testing.T) {
 	for i, pr := range pairs {
 		reqs[i] = PairOf(pr[0], pr[1])
 	}
-	batch, expired, err := c.QueryReqs(context.Background(), reqs)
+	batch, expired, err := c.Snapshot().QueryReqs(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestQueryReqsCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reqs := []PairReq{PairOf(f.vps[0].HostIP(), f.targets[0].HostIP()), PairOf(f.vps[0].HostIP(), f.targets[1].HostIP())}
-	if _, _, err := c.QueryReqs(ctx, reqs); err != context.Canceled {
+	if _, _, err := c.Snapshot().QueryReqs(ctx, reqs); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -3,12 +3,13 @@
 // latency and loss estimates with a TCP throughput model — and we check the
 // choice against ground truth.
 //
-// Each client scores all of its candidate replicas with one QueryReqs
+// Each client ranks all of its candidate replicas with one Snapshot.Rank
 // batch: the engine answers the whole candidate set off shared prediction
 // trees instead of running one Dijkstra per replica.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -40,13 +41,17 @@ func main() {
 				replicas = append(replicas, r)
 			}
 		}
-		// One batch query scores every replica by predicted download time
-		// over the shared prediction trees.
-		pick, ok := client.BestReplica(cl, replicas, fileSize)
-		if !ok {
+		// One batch query ranks every replica by predicted download time
+		// over the shared prediction trees; the pick is the first.
+		ranked, err := client.Snapshot().Rank(context.Background(), cl, replicas, fileSize)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !ranked[0].Found {
 			log.Printf("client %v: no prediction for any replica", cl)
 			continue
 		}
+		pick := ranked[0].Dst
 		// Score every replica with ground truth to see what we gave up.
 		best, bestT := replicas[0], 0.0
 		var pickT, randT float64

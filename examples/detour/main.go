@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,10 @@ func main() {
 	for _, v := range vps[1:] {
 		candidates = append(candidates, v)
 	}
-	ranked := client.RankDetours(src, dst, candidates)
+	ranked, err := client.Snapshot().RankDetours(context.Background(), src, dst, candidates)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("detours in iNano's disjointness order:")
 	for i, d := range ranked {
 		works := !crossesFailure(src, d) && !crossesFailure(d, dst)

@@ -32,6 +32,7 @@ func main() {
 	me := vps[0]
 	peers := vps[1:]
 
+	ctx := context.Background()
 	meanErr := func() float64 {
 		sum := 0.0
 		for _, p := range peers {
@@ -39,7 +40,7 @@ func main() {
 			if !ok {
 				continue
 			}
-			info := client.QueryPrefix(me, p)
+			info, _ := client.Snapshot().Query(ctx, me, p) // the background context never ends
 			sum += feedback.RelErr(info.RTTMS, truth, info.Found)
 		}
 		return sum / float64(len(peers))
@@ -52,13 +53,13 @@ func main() {
 	for round := 1; round <= 3; round++ {
 		for _, p := range peers {
 			if truth, ok := w.TrueRTT(0, me, p); ok {
-				client.ObserveRTT(me.HostIP(), p.HostIP(), truth)
+				client.ObserveRTT(ctx, me, p, truth)
 			}
 		}
 		// The corrective scheduler traceroutes the worst-mispredicted
 		// destinations, bounded by the budget, and merges the results.
-		r := client.CorrectOnce(context.Background(), feedback.SimProber{Meter: campaign.Meter()},
-			inano.CorrectorConfig{Budget: 4, MinError: 0.05, Cooldown: time.Hour})
+		r := client.NewCorrector(feedback.SimProber{Meter: campaign.Meter()},
+			inano.CorrectorConfig{Budget: 4, MinError: 0.05, Cooldown: time.Hour}).RunOnce(ctx)
 		fmt.Printf("round %d: %d/%d probes spent, %d atlas changes, mean error now %.3f\n",
 			round, r.Probes, r.Budget, r.Merged, meanErr())
 	}

@@ -5,6 +5,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,10 @@ func main() {
 		log.Fatal(err)
 	}
 	src, dst := vps[0], world.EdgePrefixes()[7]
-	info := client.QueryPrefix(src, dst)
+	info, err := client.Snapshot().Query(context.Background(), src, dst)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !info.Found {
 		log.Fatalf("no prediction for %v -> %v", src, dst)
 	}

@@ -54,7 +54,7 @@ func main() {
 			if !ok {
 				continue
 			}
-			info := c.QueryPrefix(me, p)
+			info, _ := c.Snapshot().Query(context.Background(), me, p) // the background context never ends
 			if !info.Found {
 				continue
 			}
@@ -91,7 +91,7 @@ func main() {
 			if !ok {
 				continue
 			}
-			info := c.QueryPrefix(me, p)
+			info, _ := c.Snapshot().Query(context.Background(), me, p) // the background context never ends
 			sum += feedback.RelErr(info.RTTMS, truth, info.Found)
 			cnt++
 		}

@@ -25,11 +25,11 @@ func main() {
 	fmt.Printf("call %v -> %v, %d candidate relays\n\n", src, dst, len(relays))
 
 	// Relay selection is a batch workload: both legs of every candidate go
-	// out as one QueryReqs batch under a deadline, bounding call-setup
-	// latency.
+	// out as one Snapshot.QueryReqs batch under a deadline, bounding
+	// call-setup latency.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	choice, ok, err := client.BestRelay(ctx, src, dst, relays, 10)
+	choice, ok, err := client.Snapshot().BestRelay(ctx, src, dst, relays, 10)
 	if err != nil {
 		log.Fatalf("relay scoring timed out: %v", err)
 	}

@@ -50,40 +50,31 @@ type (
 func NewUploader(url string) *Uploader { return feedback.NewUploader(url) }
 
 // ObserveRTT reports an application-observed round-trip time for traffic
-// from src to dst and returns how it compares with the current
-// prediction. The error is attributed to dst's attachment cluster in the
-// client's error tracker, feeding the corrective scheduler; observations
-// for destinations unknown to the atlas are scored (Predicted=false,
-// Err=1) but untracked, since a corrective traceroute could not patch
-// them anyway. An observedMS that is NaN, infinite, not positive or over
-// 60 s is no measurement: it comes back untracked and unscored.
-func (c *Client) ObserveRTT(src, dst IP, observedMS float64) FeedbackSample {
-	s, _ := c.ObserveRTTContext(context.Background(), src, dst, observedMS)
-	return s
-}
-
-// ObserveRTTContext is ObserveRTT with cancellation: scoring an
-// observation may build prediction trees for a cold destination, and ctx
-// bounds that work (a serving daemon must not burn unbounded CPU on a
-// hostile report naming thousands of cold destinations). On cancellation
-// the observation is dropped and ctx.Err() returned; an observedMS
-// ObserveRTT refuses is dropped with an error.
-func (c *Client) ObserveRTTContext(ctx context.Context, src, dst IP, observedMS float64) (FeedbackSample, error) {
+// from src to dst and returns how it compares with the prediction of the
+// current snapshot. The error is attributed to dst's attachment cluster in
+// the client's error tracker, feeding the corrective scheduler;
+// observations for destinations unknown to the atlas are scored
+// (Predicted=false, Err=1) but untracked, since a corrective traceroute
+// could not patch them anyway. Scoring may build prediction trees for a
+// cold destination, and ctx bounds that work (a serving daemon must not
+// burn unbounded CPU on a hostile report naming thousands of cold
+// destinations). On every error the observation is dropped and the sample
+// names no cluster (Cluster -1): when ctx ends first, or when observedMS
+// is NaN, infinite, not positive or over 60 s, which is no measurement.
+func (c *Client) ObserveRTT(ctx context.Context, src, dst Prefix, observedMS float64) (FeedbackSample, error) {
 	if !feedback.ValidRTT(observedMS) {
 		return FeedbackSample{Cluster: -1}, fmt.Errorf("inano: observed RTT %v ms is not in (0, %d]", observedMS, feedback.MaxObservedRTTMS)
 	}
 	snap := c.Snapshot()
-	rq := PairOf(src, dst)
-	infos, _, err := snap.QueryReqs(ctx, []PairReq{rq})
+	info, err := snap.Query(ctx, src, dst)
 	if err != nil {
-		return FeedbackSample{}, err
+		return FeedbackSample{Cluster: -1}, err
 	}
-	info := infos[0]
-	cluster, ok := snap.AttachmentCluster(rq.Dst)
+	cluster, ok := snap.AttachmentCluster(dst)
 	if !ok {
 		cluster = -1
 	}
-	return c.tracker.Record(cluster, rq.Src, rq.Dst, info.RTTMS, observedMS, info.Found, time.Now()), nil
+	return c.tracker.Record(cluster, src, dst, info.RTTMS, observedMS, info.Found, time.Now()), nil
 }
 
 // FeedbackStats summarizes the client's tracked prediction error.
@@ -99,18 +90,11 @@ func (c *Client) FeedbackStats() FeedbackStats { return c.tracker.Stats() }
 func (c *Client) NewCorrector(p Prober, cfg CorrectorConfig) *feedback.Corrector {
 	if cfg.Predict == nil {
 		cfg.Predict = func(src, dst Prefix) (float64, bool) {
-			info := c.QueryPrefix(src, dst)
+			info, _ := c.Snapshot().Query(context.Background(), src, dst) // the background context never ends
 			return info.RTTMS, info.Found
 		}
 	}
 	return feedback.NewCorrector(c.tracker, p, func(trs []feedback.Traceroute) int {
 		return c.AddTraceroutes(trs)
 	}, cfg)
-}
-
-// CorrectOnce runs a single corrective round with the given prober and
-// configuration — the one-shot shape of the loop for callers that manage
-// their own cadence.
-func (c *Client) CorrectOnce(ctx context.Context, p Prober, cfg CorrectorConfig) CorrectorRound {
-	return c.NewCorrector(p, cfg).RunOnce(ctx)
 }

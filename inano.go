@@ -16,25 +16,29 @@
 //	info := client.Query(srcIP, dstIP)
 //	fmt.Println(info.RTTMS, info.LossRate, info.Fwd.ASPath)
 //
-// # Batch queries and concurrency
+// # Questions and snapshots
 //
-// There are three ways to ask: Query for one pair, QueryReqs for a batch
-// of pairs ("predict from me to these N candidates" — the shape of CDN
-// replica selection and relay ranking — in one call), and
-// Snapshot.StreamBatch for a long stream answered window by window. A
-// batch is grouped by destination prediction tree and the tree
+// A Client owns the atlas's lifecycle: it loads it, rolls it (ApplyDelta,
+// FetchDelta, AddTraceroutes) and takes observations (ObserveRTT,
+// NewCorrector). Questions go to a Snapshot, a pinned atlas version that
+// answers each one with one method, under a context and keyed by Prefix:
+// Query for one pair, QueryReqs for a batch of pairs ("predict from me to
+// these N candidates" — the shape of CDN replica selection and relay
+// ranking — in one call), StreamBatch for a long stream answered window
+// by window, and Rank, BestRelay and RankDetours for the paper's case
+// studies. A batch is grouped by destination prediction tree and the tree
 // computation fanned across up to GOMAXPROCS workers, so a batch sharing
 // destinations costs far fewer Dijkstra runs than N sequential queries;
 // results are identical to issuing the queries one at a time. The context
 // bounds tail latency: cancellation skips remaining tree builds, unblocks
 // waits on builds owned by other callers, and returns ctx.Err(); a
-// PairReq.Deadline bounds one pair alone, Snapshot.QueryCtx a single query.
+// PairReq.Deadline bounds one pair alone.
 //
 //	reqs := make([]inano.PairReq, len(replicaIPs))
 //	for i, r := range replicaIPs {
 //		reqs[i] = inano.PairOf(me, r)
 //	}
-//	infos, _, err := client.QueryReqs(ctx, reqs)
+//	infos, _, err := client.Snapshot().QueryReqs(ctx, reqs)
 //
 // All query methods are safe for unbounded concurrent use and take no lock:
 // each loads the current engine from an atomic pointer. Mutations
@@ -178,21 +182,6 @@ func FetchAtlas(ctx context.Context, trackerAddr string, m Manifest) (*Client, e
 	return Load(bytes.NewReader(data))
 }
 
-// Day returns the measurement day of the loaded atlas.
-func (c *Client) Day() int {
-	return c.engine.Load().Day()
-}
-
-// Atlas returns a copy of the client's atlas in the mutable map-based
-// form, inflated from the compiled form on every call — a tool for
-// inspection and tests, and the only use the client has for that form: no
-// query and no change to the atlas goes through it. Editing the copy
-// changes nothing the client serves; the build-side observed-lifetime
-// tables are not part of the serving form and come back empty.
-func (c *Client) Atlas() *atlas.Atlas {
-	return c.engine.Load().Flat().Inflate()
-}
-
 // publish makes next the engine every later query reads in cur's place.
 // Unless next adopted cur's tree cache, one goroutine then rebuilds on next
 // the trees that were resident in cur, hottest first, until the list is
@@ -278,14 +267,11 @@ func (c *Client) FetchDelta(ctx context.Context, trackerAddr string, m Manifest)
 }
 
 // Query predicts forward and reverse paths between hosts and composes
-// end-to-end RTT and loss estimates.
+// end-to-end RTT and loss estimates, on the current engine: the one-line
+// door for an application with two addresses. Every other question goes
+// to a Snapshot.
 func (c *Client) Query(src, dst IP) PathInfo {
-	return c.QueryPrefix(netsim.PrefixOf(src), netsim.PrefixOf(dst))
-}
-
-// QueryPrefix is Query keyed by /24 prefixes.
-func (c *Client) QueryPrefix(src, dst Prefix) PathInfo {
-	return c.engine.Load().Query(src, dst)
+	return c.engine.Load().Query(netsim.PrefixOf(src), netsim.PrefixOf(dst))
 }
 
 // PairReq is one entry of a batch: a (src, dst) prefix pair with an
@@ -298,24 +284,13 @@ func PairOf(src, dst IP) PairReq {
 	return PairReq{Src: netsim.PrefixOf(src), Dst: netsim.PrefixOf(dst)}
 }
 
-// QueryReqs answers many independent (src, dst) queries in one batch
-// against one pinned snapshot — per §5 the API accepts "batches of
-// arbitrary sizes". Results align with reqs and are identical to calling
-// QueryPrefix for each pair. A pair whose Deadline passes before its
-// prediction trees are ready is reported expired (expired[i] true, zero
-// PathInfo) while the rest of the batch completes normally — partial
-// results instead of an aborted batch. ctx cancellation aborts the whole
-// batch with ctx.Err().
-func (c *Client) QueryReqs(ctx context.Context, reqs []PairReq) ([]PathInfo, []bool, error) {
-	return c.Snapshot().QueryReqs(ctx, reqs)
-}
-
-// Snapshot is a pinned view of one engine + atlas version: every call on
-// it answers from the same atlas day, even while deltas or traceroute
-// merges swap new snapshots into the Client concurrently. Use it when the
-// answers and the metadata about them (Day) must be mutually consistent —
-// e.g. a serving daemon labelling each response with the day it was
-// computed from.
+// Snapshot is a pinned view of one engine + atlas version, and the one
+// place a question is asked: every call on it answers from the same atlas
+// day, even while deltas or traceroute merges swap new snapshots into the
+// Client concurrently, so the answers and the metadata about them (Day)
+// are mutually consistent — e.g. a serving daemon labelling each response
+// with the day it was computed from. Taking one is an atomic load; it is
+// cheap to take per question and as cheap to keep for many.
 type Snapshot struct {
 	e *core.Engine
 }
@@ -347,24 +322,26 @@ func (s Snapshot) Prefixes() iter.Seq[Prefix] {
 // when unknown).
 func (s Snapshot) OriginAS(p Prefix) ASN { return s.e.Flat().OriginAS(p) }
 
-// Query answers one bidirectional query on the pinned snapshot.
-func (s Snapshot) Query(src, dst IP) PathInfo {
-	info, _ := s.QueryCtx(context.Background(), src, dst) // the background context never ends
-	return info
-}
-
-// QueryCtx is Query bounded by ctx: when ctx ends before the answer is
-// complete (a leg waiting on a prediction tree another caller is building,
-// typically) it returns ctx's error and no answer.
-func (s Snapshot) QueryCtx(ctx context.Context, src, dst IP) (PathInfo, error) {
+// Query predicts forward and reverse paths from a host in src to a host
+// in dst on the pinned snapshot and composes end-to-end RTT and loss
+// estimates. When ctx ends before the answer is complete (a leg waiting
+// on a prediction tree another caller is building, typically) it returns
+// ctx's error and no answer.
+func (s Snapshot) Query(ctx context.Context, src, dst Prefix) (PathInfo, error) {
 	var info PathInfo
-	if err := s.e.QueryCtx(ctx, &info, netsim.PrefixOf(src), netsim.PrefixOf(dst)); err != nil {
+	if err := s.e.QueryCtx(ctx, &info, src, dst); err != nil {
 		return PathInfo{}, err
 	}
 	return info, nil
 }
 
-// QueryReqs answers a batch on the pinned snapshot (see Client.QueryReqs).
+// QueryReqs answers many independent (src, dst) queries in one batch on
+// the pinned snapshot — per §5 the API accepts "batches of arbitrary
+// sizes". Results align with reqs and are identical to calling Query for
+// each pair. A pair whose Deadline passes before its prediction trees are
+// ready is reported expired (expired[i] true, zero PathInfo) while the
+// rest of the batch completes normally — partial results instead of an
+// aborted batch. ctx cancellation aborts the whole batch with ctx.Err().
 func (s Snapshot) QueryReqs(ctx context.Context, reqs []PairReq) ([]PathInfo, []bool, error) {
 	return s.e.NewStreamBatch(false).Run(ctx, reqs)
 }
@@ -390,13 +367,13 @@ func (s Snapshot) AttachmentCluster(p Prefix) (int32, bool) {
 	return int32(cl), ok
 }
 
-// HopCluster places a traceroute hop interface in the pinned atlas's
-// cluster space: the interface-prefix table first (infrastructure /24s
-// observed by the build), then the end-host attachment table. The
+// HopCluster places the /24 of a traceroute hop interface in the pinned
+// atlas's cluster space: the interface-prefix table first (infrastructure
+// /24s observed by the build), then the end-host attachment table. The
 // upstream observation ingest clusterizes uploaded hop lists through it.
-// ok is false when the atlas has never seen the hop's /24.
-func (s Snapshot) HopCluster(ip IP) (int32, bool) {
-	cl, ok := s.e.HopCluster(netsim.PrefixOf(ip))
+// ok is false when the atlas has never seen the prefix.
+func (s Snapshot) HopCluster(p Prefix) (int32, bool) {
+	cl, ok := s.e.HopCluster(p)
 	return int32(cl), ok
 }
 
@@ -408,9 +385,4 @@ func (s Snapshot) HopCluster(ip IP) (int32, bool) {
 // then say how the rebuild behind that swap is doing.
 func (c *Client) CacheStats() core.CacheStats {
 	return c.engine.Load().CacheStats()
-}
-
-// PredictForward predicts only the one-way path from src to dst.
-func (c *Client) PredictForward(src, dst Prefix) Prediction {
-	return c.engine.Load().PredictForward(src, dst)
 }

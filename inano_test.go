@@ -12,6 +12,13 @@ import (
 	"inano/sim"
 )
 
+// queryPair answers one pair on c's current snapshot; the background
+// context never ends, so there is no error to look at.
+func queryPair(c *Client, src, dst Prefix) PathInfo {
+	info, _ := c.Snapshot().Query(context.Background(), src, dst)
+	return info
+}
+
 type fixture struct {
 	w       *sim.World
 	a       *atlas.Atlas
@@ -54,11 +61,11 @@ func TestLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if client.Day() != 0 {
-		t.Fatalf("day = %d", client.Day())
+	if client.Snapshot().Day() != 0 {
+		t.Fatalf("day = %d", client.Snapshot().Day())
 	}
-	info := client.QueryPrefix(f.vps[0], f.targets[5])
-	direct := FromAtlas(f.a).QueryPrefix(f.vps[0], f.targets[5])
+	info := queryPair(client, f.vps[0], f.targets[5])
+	direct := queryPair(FromAtlas(f.a), f.vps[0], f.targets[5])
 	if info.Found != direct.Found {
 		t.Fatalf("decoded atlas answers differently: %+v vs %+v", info, direct)
 	}
@@ -79,7 +86,7 @@ func TestQueryByIP(t *testing.T) {
 	c := FromAtlas(f.a)
 	src, dst := f.vps[0], f.targets[3]
 	byIP := c.Query(src.HostIP(), dst.HostIP())
-	byPfx := c.QueryPrefix(src, dst)
+	byPfx := queryPair(c, src, dst)
 	if byIP.Found != byPfx.Found || byIP.RTTMS != byPfx.RTTMS {
 		t.Fatal("IP and prefix queries disagree")
 	}
@@ -97,8 +104,8 @@ func TestApplyDelta(t *testing.T) {
 	if err := c.ApplyDelta(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if c.Day() != 1 {
-		t.Fatalf("day after delta = %d", c.Day())
+	if c.Snapshot().Day() != 1 {
+		t.Fatalf("day after delta = %d", c.Snapshot().Day())
 	}
 	// Applying the same delta again must fail (wrong base day).
 	var buf2 bytes.Buffer
@@ -141,8 +148,8 @@ func TestFetchAtlasViaSwarm(t *testing.T) {
 	agreed := 0
 	for i, src := range f.vps {
 		dst := f.targets[(i*7+1)%len(f.targets)]
-		a := c.QueryPrefix(src, dst)
-		b := direct.QueryPrefix(src, dst)
+		a := queryPair(c, src, dst)
+		b := queryPair(direct, src, dst)
 		if a.Found != b.Found {
 			t.Fatalf("swarm-fetched atlas disagrees on %v->%v: found %v vs %v", src, dst, a.Found, b.Found)
 		}
@@ -193,7 +200,7 @@ func TestAddTraceroutesImprovesSourceCoverage(t *testing.T) {
 	// unpredictable by design.
 	before := 0
 	for _, dst := range f.targets[:20] {
-		if dst != newSrc && c.PredictForward(newSrc, dst).Found {
+		if dst != newSrc && queryPair(c, newSrc, dst).Fwd.Found {
 			before++
 		}
 	}
@@ -203,7 +210,7 @@ func TestAddTraceroutesImprovesSourceCoverage(t *testing.T) {
 	}
 	after := 0
 	for _, dst := range f.targets[:20] {
-		if dst != newSrc && c.PredictForward(newSrc, dst).Found {
+		if dst != newSrc && queryPair(c, newSrc, dst).Fwd.Found {
 			after++
 		}
 	}
@@ -226,7 +233,7 @@ func TestRankByRTTPrefersCloser(t *testing.T) {
 	}
 	prev := -1.0
 	for _, r := range ranked {
-		info := c.QueryPrefix(src, r.Dst)
+		info := queryPair(c, src, r.Dst)
 		if r.Dst != f.targets[r.Index] || r.Found != info.Found || r.RTTMS != info.RTTMS {
 			t.Fatalf("candidate %d scored %+v, its query answers %+v", r.Index, r, info)
 		}
@@ -245,13 +252,13 @@ func TestBestReplicaAndRelay(t *testing.T) {
 	c := FromAtlas(f.a)
 	src := f.vps[0]
 	replicas := f.vps[1:6]
-	if _, ok := c.BestReplica(src, replicas, 30_000); !ok {
-		t.Fatal("no replica chosen")
+	snap := c.Snapshot()
+	for _, size := range []int{30_000, 1_500_000} {
+		if ranked, err := snap.Rank(context.Background(), src, replicas, size); err != nil || !ranked[0].Found {
+			t.Fatalf("no replica chosen for %d bytes (err %v)", size, err)
+		}
 	}
-	if _, ok := c.BestReplica(src, replicas, 1_500_000); !ok {
-		t.Fatal("no large-file replica chosen")
-	}
-	choice, ok, err := c.BestRelay(context.Background(), src, f.vps[1], f.vps[2:8], 3)
+	choice, ok, err := snap.BestRelay(context.Background(), src, f.vps[1], f.vps[2:8], 3)
 	if err != nil || !ok {
 		t.Fatalf("no relay chosen (err %v)", err)
 	}
@@ -268,7 +275,10 @@ func TestRankDetoursDisjointFirst(t *testing.T) {
 	c := FromAtlas(f.a)
 	src, dst := f.vps[0], f.vps[1]
 	cands := f.vps[2:10]
-	ranked := c.RankDetours(src, dst, cands)
+	ranked, err := c.Snapshot().RankDetours(context.Background(), src, dst, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ranked) != len(cands) {
 		t.Fatalf("ranked %d of %d candidates", len(ranked), len(cands))
 	}
@@ -281,7 +291,7 @@ func TestRankDetoursDisjointFirst(t *testing.T) {
 	}
 	// The first-ranked detour must share no more clusters with the
 	// direct path than the last-ranked one (monotone by construction).
-	direct := c.PredictForward(src, dst)
+	direct := queryPair(c, src, dst).Fwd
 	if direct.Found && len(ranked) >= 2 {
 		shared := func(d Prefix) int {
 			n := 0
@@ -289,8 +299,8 @@ func TestRankDetoursDisjointFirst(t *testing.T) {
 			for _, cl := range direct.Clusters {
 				onPath[int32(cl)] = true
 			}
-			via := c.PredictForward(src, d)
-			onward := c.PredictForward(d, dst)
+			via := queryPair(c, src, d).Fwd
+			onward := queryPair(c, d, dst).Fwd
 			for _, p := range []Prediction{via, onward} {
 				if !p.Found {
 					return 1 << 20
@@ -319,7 +329,7 @@ func TestConcurrentQueriesAndDelta(t *testing.T) {
 		go func(g int) {
 			defer func() { done <- true }()
 			for i := 0; i < 30; i++ {
-				c.QueryPrefix(f0.vps[(g+i)%len(f0.vps)], f0.targets[(g*7+i)%len(f0.targets)])
+				queryPair(c, f0.vps[(g+i)%len(f0.vps)], f0.targets[(g*7+i)%len(f0.targets)])
 			}
 		}(g)
 	}
@@ -334,8 +344,8 @@ func TestConcurrentQueriesAndDelta(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		<-done
 	}
-	if c.Day() != 1 {
-		t.Fatalf("day = %d", c.Day())
+	if c.Snapshot().Day() != 1 {
+		t.Fatalf("day = %d", c.Snapshot().Day())
 	}
 }
 

@@ -13,10 +13,10 @@
 //
 // with strictly canonical dotted quads (digit-only octets, no leading
 // zeros, 0-255) and a plain non-negative integer deadline. Everything
-// else — reordered fields, whitespace, escapes, exponents, and the
-// non-canonical addresses netsim.ParseIPv4 happens to accept (leading
-// '+', "-0") — goes to parseLineJSON, which keeps the original strings
-// and reports encoding/json's errors. On every line the strict parser
+// else — reordered fields, whitespace, escapes, exponents, and addresses
+// netsim.ParseIPv4 refuses — goes to parseLineJSON, which keeps the
+// decoded strings and reports encoding/json's and the address parser's
+// errors. On every line the strict parser
 // claims, the two agree (FuzzParseBatchLine).
 package batchpipe
 

@@ -23,7 +23,8 @@ var parseLineCases = []struct {
 	// Everything below must be left to parseLineJSON.
 	{line: `{"src": "1.2.3.4","dst":"5.6.7.8"}`, src: "1.2.3.4", dst: "5.6.7.8"},                                // whitespace
 	{line: `{"dst":"5.6.7.8","src":"1.2.3.4"}`, src: "1.2.3.4", dst: "5.6.7.8"},                                 // reordered
-	{line: `{"src":"+1.2.3.4","dst":"5.6.7.8"}`, src: "+1.2.3.4", dst: "5.6.7.8"},                               // ParseIPv4 quirk form
+	{line: `{"src":"+1.2.3.4","dst":"5.6.7.8"}`, errText: `src: bad IPv4 address "+1.2.3.4"`},                   // signed octet
+	{line: `{"src":"1\u002e2.3.4","dst":"5.6.7.8"}`, src: "1.2.3.4", dst: "5.6.7.8"},                            // escaped address
 	{line: `{"src":"01.2.3.4","dst":"5.6.7.8"}`, errText: `src: bad IPv4 address "01.2.3.4"`},                   // leading zero
 	{line: `{"src":"1.2.3.256","dst":"5.6.7.8"}`, errText: `src: bad IPv4 address "1.2.3.256"`},                 // octet overflow
 	{line: `{"src":"1.2.3","dst":"5.6.7.8"}`, errText: `src: bad IPv4 address "1.2.3"`},                         // 3 octets

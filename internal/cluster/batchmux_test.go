@@ -99,7 +99,7 @@ func TestBatchReassemblesInOrderAcrossReplicas(t *testing.T) {
 			t.Fatalf("answer %d out of order: dst %q, want %q", i, a.Dst, dstForIndex(i))
 		}
 		// Each line must have been answered by its ring owner.
-		ip, _ := parseDst(a.Dst)
+		ip, _ := netsim.ParseIPv4(a.Dst)
 		want := replicaByURL(replicas, rt.Ring().Owner(KeyForCluster(ClusterID(ip>>8)))).id
 		if a.Day != want {
 			t.Fatalf("answer %d served by replica %d, owner is %d", i, a.Day, want)
@@ -112,19 +112,6 @@ func TestBatchReassemblesInOrderAcrossReplicas(t *testing.T) {
 	if got := rt.batchLines.Value(); got != n {
 		t.Fatalf("batch_lines metric = %d, want %d", got, n)
 	}
-}
-
-func parseDst(s string) (uint32, error) {
-	ip, err := parseIPv4ForTest(s)
-	return ip, err
-}
-
-func parseIPv4ForTest(s string) (uint32, error) {
-	var a, b, c, d uint32
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0, err
-	}
-	return a<<24 | b<<16 | c<<8 | d, nil
 }
 
 // TestBatchRetriesOnMidStreamDeath kills one replica after a few answers

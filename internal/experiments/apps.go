@@ -108,7 +108,11 @@ func Fig9CDN(l *Lab, sizeBytes, numClients, replicasPerClient int) Fig9Result {
 			return best, ok
 		}},
 		{"iNano", func(cl netsim.Prefix, reps []netsim.Prefix) (netsim.Prefix, bool) {
-			return client.BestReplica(cl, reps, sizeBytes)
+			ranked, _ := client.Snapshot().Rank(context.Background(), cl, reps, sizeBytes) // the background context never ends
+			if len(ranked) == 0 || !ranked[0].Found {
+				return 0, false
+			}
+			return ranked[0].Dst, true
 		}},
 		{"Vivaldi", func(cl netsim.Prefix, reps []netsim.Prefix) (netsim.Prefix, bool) {
 			best, bestT, ok := netsim.Prefix(0), 0.0, false
@@ -237,7 +241,7 @@ func Fig10VoIP(l *Lab, numCalls int) Fig10Result {
 		pick func(c call, relays []netsim.Prefix) (netsim.Prefix, bool)
 	}{
 		{"iNano", func(c call, relays []netsim.Prefix) (netsim.Prefix, bool) {
-			choice, ok, _ := client.BestRelay(context.Background(), c.src, c.dst, relays, 10)
+			choice, ok, _ := client.Snapshot().BestRelay(context.Background(), c.src, c.dst, relays, 10)
 			return choice.Relay, ok
 		}},
 		{"closest to source", func(c call, relays []netsim.Prefix) (netsim.Prefix, bool) {

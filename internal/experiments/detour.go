@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -98,7 +99,7 @@ func Fig11Detour(l *Lab, trials, maxDetours int) Fig11Result {
 				return !usesEdge(src, d, fa, fb) && !usesEdge(d, dst, fa, fb)
 			}
 			// iNano: disjointness-ranked detours.
-			ranked := client.RankDetours(src, dst, cands)
+			ranked, _ := client.Snapshot().RankDetours(context.Background(), src, dst, cands) // the background context never ends
 			rescuedAt := maxDetours + 1
 			for i := 0; i < len(ranked) && i < maxDetours; i++ {
 				if works(ranked[i]) {

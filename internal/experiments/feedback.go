@@ -58,10 +58,11 @@ func FeedbackLoop(l *Lab, budget, rounds int) FeedbackResult {
 		return res
 	}
 
+	ctx := context.Background()
 	meanErr := func() (float64, int) {
 		sum, answered := 0.0, 0
 		for _, o := range work {
-			info := client.QueryPrefix(o.src, o.dst)
+			info, _ := client.Snapshot().Query(ctx, o.src, o.dst) // the background context never ends
 			if info.Found {
 				answered++
 			}
@@ -79,12 +80,11 @@ func FeedbackLoop(l *Lab, budget, rounds int) FeedbackResult {
 		MinError: 0.05,
 		Cooldown: time.Hour,
 	}
-	ctx := context.Background()
 	for r := 0; r < rounds; r++ {
 		for _, o := range work {
-			client.ObserveRTT(o.src.HostIP(), o.dst.HostIP(), o.trueRTT)
+			client.ObserveRTT(ctx, o.src, o.dst, o.trueRTT)
 		}
-		round := client.CorrectOnce(ctx, prober, cfg)
+		round := client.NewCorrector(prober, cfg).RunOnce(ctx)
 		res.Probes += round.Probes
 		res.Merged += round.Merged
 	}

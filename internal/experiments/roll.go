@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	inano "inano"
@@ -76,7 +77,7 @@ func CollectResiduals(l *Lab, day int, reporters []netsim.Prefix, dsts []netsim.
 			if !ok {
 				continue
 			}
-			info := snap.Query(r.HostIP(), dst.HostIP())
+			info, _ := snap.Query(context.Background(), r, dst) // the background context never ends
 			if !info.Found {
 				continue
 			}
@@ -109,7 +110,7 @@ func ScoreDelta(l *Lab, from, to int, src netsim.Prefix, d *atlas.Delta) (meanEr
 // ScoreAtlas scores src's day-`from` held-out pairs against day-`to`
 // truth when served from a. The atlas is used as given (not cloned).
 func ScoreAtlas(l *Lab, from, to int, src netsim.Prefix, a *atlas.Atlas) (meanErr float64, answered, pairs int) {
-	client := inano.FromAtlas(a)
+	snap := inano.FromAtlas(a).Snapshot()
 	sum, n := 0.0, 0
 	for _, vp := range l.Day(from).Validation {
 		if vp.Src != src {
@@ -121,7 +122,7 @@ func ScoreAtlas(l *Lab, from, to int, src netsim.Prefix, a *atlas.Atlas) (meanEr
 			continue
 		}
 		n++
-		info := client.QueryPrefix(vp.Src, vp.Dst)
+		info, _ := snap.Query(context.Background(), vp.Src, vp.Dst) // the background context never ends
 		if info.Found {
 			answered++
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -147,10 +148,11 @@ func UpstreamStructure(l *Lab, reporters, minReporters int) UpstreamStructureRes
 	score := func(d *atlas.Delta) (float64, int) {
 		a := d0.Atlas.Clone()
 		a.Apply(d)
-		client := inano.FromAtlas(a)
+		snap := inano.FromAtlas(a).Snapshot()
 		sum, answered := 0.0, 0
 		for _, w := range work {
-			pred := client.PredictForward(nonReporter, w.dst)
+			info, _ := snap.Query(context.Background(), nonReporter, w.dst) // the background context never ends
+			pred := info.Fwd
 			if !pred.Found {
 				continue
 			}
@@ -187,12 +189,11 @@ func hiddenDestinations(l *Lab, d0, d1 *DayData, max int) []netsim.Prefix {
 	return out
 }
 
-// atlasResolver maps a hop interface to its cluster the way the serving
+// atlasResolver maps a hop interface's /24 to its cluster the way the serving
 // daemon's Snapshot.HopCluster does: the interface-prefix table first,
 // the end-host attachment table as fallback.
-func atlasResolver(a *atlas.Atlas) func(netsim.IP) (int32, bool) {
-	return func(ip netsim.IP) (int32, bool) {
-		p := netsim.PrefixOf(ip)
+func atlasResolver(a *atlas.Atlas) func(netsim.Prefix) (int32, bool) {
+	return func(p netsim.Prefix) (int32, bool) {
 		if c, ok := a.IfaceCluster[p]; ok {
 			return int32(c), true
 		}
@@ -214,13 +215,13 @@ func feedbackHops(hops []trace.Hop) []feedback.Hop {
 // mappable responsive infrastructure hop contributes its cluster (gaps
 // and unknown hops are skipped, not rejected — truth is a reference set,
 // not an upload to validate).
-func truthClusters(hops []feedback.Hop, dst netsim.Prefix, resolve func(netsim.IP) (int32, bool)) map[cluster.ClusterID]bool {
+func truthClusters(hops []feedback.Hop, dst netsim.Prefix, resolve func(netsim.Prefix) (int32, bool)) map[cluster.ClusterID]bool {
 	out := make(map[cluster.ClusterID]bool)
 	for _, h := range hops {
 		if h.IP == 0 || netsim.PrefixOf(h.IP) == dst {
 			continue
 		}
-		if c, ok := resolve(h.IP); ok {
+		if c, ok := resolve(netsim.PrefixOf(h.IP)); ok {
 			out[cluster.ClusterID(c)] = true
 		}
 	}

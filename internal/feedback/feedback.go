@@ -106,11 +106,11 @@ func ParseReport(r io.Reader) ([]Observation, error) {
 		if err := json.Unmarshal(line, &w); err != nil {
 			return Observation{}, fmt.Errorf("bad observation: %v", err)
 		}
-		src, err := ParseIPv4(w.Src)
+		src, err := netsim.ParseIPv4(w.Src)
 		if err != nil {
 			return Observation{}, fmt.Errorf("src: %v", err)
 		}
-		dst, err := ParseIPv4(w.Dst)
+		dst, err := netsim.ParseIPv4(w.Dst)
 		if err != nil {
 			return Observation{}, fmt.Errorf("dst: %v", err)
 		}
@@ -150,11 +150,4 @@ func parseNDJSON[T any](r io.Reader, maxLine, maxCount int, parse func(line []by
 		return out, fmt.Errorf("line %d: %w", lineNo+1, err)
 	}
 	return out, nil
-}
-
-// ParseIPv4 parses a strict dotted-quad IPv4 address (no leading zeros,
-// exactly four octets). It delegates to netsim.ParseIPv4 so ingest and
-// the cluster router agree on one parser.
-func ParseIPv4(s string) (netsim.IP, error) {
-	return netsim.ParseIPv4(s)
 }

@@ -3,6 +3,8 @@ package feedback
 import (
 	"strings"
 	"testing"
+
+	"inano/internal/netsim"
 )
 
 // FuzzFeedbackReport feeds the /v1/feedback NDJSON parser arbitrary
@@ -30,7 +32,7 @@ func FuzzFeedbackReport(f *testing.F) {
 				t.Fatalf("observation %d has out-of-bounds rtt %v", i, o.RTTMS)
 			}
 			// Accepted IPs must round-trip through the strict parser.
-			if back, err := ParseIPv4(o.Src.String()); err != nil || back != o.Src {
+			if back, err := netsim.ParseIPv4(o.Src.String()); err != nil || back != o.Src {
 				t.Fatalf("observation %d src does not round-trip: %v", i, o.Src)
 			}
 		}
@@ -78,7 +80,7 @@ func FuzzObservationReport(f *testing.F) {
 					t.Fatalf("observation %d hop %d rtt %v", i, j, h.RTTMS)
 				}
 			}
-			if back, err := ParseIPv4(o.Dst.String()); err != nil || back != o.Dst {
+			if back, err := netsim.ParseIPv4(o.Dst.String()); err != nil || back != o.Dst {
 				t.Fatalf("observation %d dst does not round-trip: %v", i, o.Dst)
 			}
 		}

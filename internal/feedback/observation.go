@@ -114,11 +114,11 @@ func parseObservationLine(line []byte) (UpstreamObservation, error) {
 	if err := json.Unmarshal(line, &w); err != nil {
 		return UpstreamObservation{}, fmt.Errorf("bad observation: %v", err)
 	}
-	src, err := ParseIPv4(w.Src)
+	src, err := netsim.ParseIPv4(w.Src)
 	if err != nil {
 		return UpstreamObservation{}, fmt.Errorf("src: %v", err)
 	}
-	dst, err := ParseIPv4(w.Dst)
+	dst, err := netsim.ParseIPv4(w.Dst)
 	if err != nil {
 		return UpstreamObservation{}, fmt.Errorf("dst: %v", err)
 	}
@@ -141,7 +141,7 @@ func parseObservationLine(line []byte) (UpstreamObservation, error) {
 	for i, hw := range w.Hops {
 		h := Hop{RTTMS: hw.RTTMS}
 		if hw.IP != "" {
-			if h.IP, err = ParseIPv4(hw.IP); err != nil {
+			if h.IP, err = netsim.ParseIPv4(hw.IP); err != nil {
 				return UpstreamObservation{}, fmt.Errorf("hop %d: %v", i, err)
 			}
 		}

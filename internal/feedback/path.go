@@ -58,11 +58,11 @@ var (
 //
 // A valid but too-short tail (fewer than two clusters) returns a nil path
 // and no error: nothing structural to share, nothing to reject. resolve
-// maps a hop interface to its cluster — use inano.Snapshot.HopCluster
+// maps a hop interface's /24 to its cluster — use inano.Snapshot.HopCluster
 // (the interface-prefix table with the attachment table as fallback);
 // the attachment table alone cannot place infrastructure /24s and would
 // reject most real hop lists.
-func ClusterizeHops(hops []Hop, dst netsim.Prefix, resolve func(netsim.IP) (int32, bool)) ([]cluster.ClusterID, []float64, error) {
+func ClusterizeHops(hops []Hop, dst netsim.Prefix, resolve func(netsim.Prefix) (int32, bool)) ([]cluster.ClusterID, []float64, error) {
 	// Keep the contiguous run after the last unresponsive hop.
 	tail := hops
 	for i := len(hops) - 1; i >= 0; i-- {
@@ -78,10 +78,11 @@ func ClusterizeHops(hops []Hop, dst netsim.Prefix, resolve func(netsim.IP) (int3
 	}
 	var steps []step
 	for _, h := range tail {
-		if netsim.PrefixOf(h.IP) == dst {
+		p := netsim.PrefixOf(h.IP)
+		if p == dst {
 			continue // destination host hop, not infrastructure
 		}
-		cl, ok := resolve(h.IP)
+		cl, ok := resolve(p)
 		if !ok {
 			return nil, nil, ErrUnmappableHop
 		}

@@ -14,9 +14,9 @@ import (
 
 // mapResolver builds a ClusterizeHops resolver from an explicit
 // /24 -> cluster table.
-func mapResolver(m map[netsim.Prefix]int32) func(netsim.IP) (int32, bool) {
-	return func(ip netsim.IP) (int32, bool) {
-		c, ok := m[netsim.PrefixOf(ip)]
+func mapResolver(m map[netsim.Prefix]int32) func(netsim.Prefix) (int32, bool) {
+	return func(p netsim.Prefix) (int32, bool) {
+		c, ok := m[p]
 		return c, ok
 	}
 }

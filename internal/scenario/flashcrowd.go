@@ -40,7 +40,7 @@ func flashcrowdScenario() Scenario {
 			var srcs []netsim.Prefix
 			seenSrc := make(map[netsim.Prefix]bool)
 			for _, vp := range l.Day(0).Validation {
-				if hotDst == 0 && ref.QueryPrefix(vp.Src, vp.Dst).Found {
+				if hotDst == 0 && query(ref, vp.Src, vp.Dst).Found {
 					hotDst = vp.Dst
 				}
 				if !seenSrc[vp.Src] {
@@ -56,7 +56,7 @@ func flashcrowdScenario() Scenario {
 			// Serial reference: answers + build cost.
 			refAnswers := make(map[netsim.Prefix]string, len(srcs))
 			for _, s := range srcs {
-				refAnswers[s] = fmt.Sprintf("%+v", ref.QueryPrefix(s, hotDst))
+				refAnswers[s] = fmt.Sprintf("%+v", query(ref, s, hotDst))
 			}
 			refBuilds := ref.CacheStats().Builds
 			rep.Logf("serial reference: %d tree builds for the hot workload", refBuilds)
@@ -85,7 +85,7 @@ func flashcrowdScenario() Scenario {
 					for q := 0; q < perWorker; q++ {
 						src := srcs[(w*perWorker+q)%len(srcs)]
 						t0 := time.Now()
-						got := fmt.Sprintf("%+v", eng.QueryPrefix(src, hotDst))
+						got := fmt.Sprintf("%+v", query(eng, src, hotDst))
 						latencies[w] = append(latencies[w], time.Since(t0))
 						if got != refAnswers[src] {
 							mismatches[w]++

@@ -143,17 +143,17 @@ func partitionScenario() Scenario {
 			}
 			mismatchAB, mismatchFlat, found := 0, 0, 0
 			for _, vp := range pairs {
-				ra := fmt.Sprintf("%+v", engA.QueryPrefix(vp.Src, vp.Dst))
-				rb := fmt.Sprintf("%+v", engB.QueryPrefix(vp.Src, vp.Dst))
-				rbin := fmt.Sprintf("%+v", engBin.QueryPrefix(vp.Src, vp.Dst))
-				rf := fmt.Sprintf("%+v", engFlat.QueryPrefix(vp.Src, vp.Dst))
+				ra := fmt.Sprintf("%+v", query(engA, vp.Src, vp.Dst))
+				rb := fmt.Sprintf("%+v", query(engB, vp.Src, vp.Dst))
+				rbin := fmt.Sprintf("%+v", query(engBin, vp.Src, vp.Dst))
+				rf := fmt.Sprintf("%+v", query(engFlat, vp.Src, vp.Dst))
 				if ra != rb {
 					mismatchAB++
 				}
 				if rbin != rf {
 					mismatchFlat++
 				}
-				if engA.QueryPrefix(vp.Src, vp.Dst).Found {
+				if query(engA, vp.Src, vp.Dst).Found {
 					found++
 				}
 			}

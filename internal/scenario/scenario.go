@@ -13,11 +13,21 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	inano "inano"
 	"inano/internal/experiments"
+	"inano/internal/netsim"
 )
+
+// query answers one pair on c's current snapshot. The replays ask under
+// the background context, which never ends, so there is no error.
+func query(c *inano.Client, src, dst netsim.Prefix) inano.PathInfo {
+	info, _ := c.Snapshot().Query(context.Background(), src, dst)
+	return info
+}
 
 // Config selects the world a scenario replays against.
 type Config struct {

@@ -109,8 +109,8 @@ func appendWindow(buf []byte, lines []answerLine, day int) []byte {
 
 // appendEchoString appends the echoed address: the canonical regeneration
 // for a canonical line, the retained string otherwise — through
-// encoding/json should it need escaping, a guard only: no string parseIP
-// accepts today does (digits, '.', '+', '-').
+// encoding/json should it need escaping, a guard only: no string
+// netsim.ParseIPv4 accepts does (digits and '.').
 func appendEchoString(b []byte, s string, ip inano.IP) []byte {
 	switch {
 	case s == "":

@@ -34,7 +34,8 @@ var parseBatchLineCases = []struct {
 	// Everything below must be left to encoding/json.
 	{line: `{"src": "1.2.3.4","dst":"5.6.7.8"}`},                                  // whitespace
 	{line: `{"dst":"5.6.7.8","src":"1.2.3.4"}`},                                   // reordered
-	{line: `{"src":"+1.2.3.4","dst":"5.6.7.8"}`},                                  // ParseIPv4 quirk form
+	{line: `{"src":"+1.2.3.4","dst":"5.6.7.8"}`},                                  // signed octet
+	{line: `{"src":"1\u002e2.3.4","dst":"5.6.7.8"}`},                              // escaped address
 	{line: `{"src":"01.2.3.4","dst":"5.6.7.8"}`},                                  // leading zero
 	{line: `{"src":"1.2.3.256","dst":"5.6.7.8"}`},                                 // octet overflow
 	{line: `{"src":"1.2.3","dst":"5.6.7.8"}`},                                     // 3 octets
@@ -67,7 +68,7 @@ func TestParseBatchLine(t *testing.T) {
 		}
 		// Round trip through the strict parser must agree with the
 		// shared production parser.
-		want, err := parseIP(tc.src)
+		want, err := netsim.ParseIPv4(tc.src)
 		if err != nil || want != l.SrcIP {
 			t.Errorf("ParseLine(%q) src %v != ParseIPv4 %v (%v)", tc.line, l.SrcIP, want, err)
 		}
@@ -133,7 +134,7 @@ func TestAppendResultLineMatchesEncoder(t *testing.T) {
 		info := randInfo()
 		e := answerLine{srcIP: inano.IP(rng.Uint32()), dstIP: inano.IP(rng.Uint32())}
 		if trial%3 == 0 {
-			e.src = "+1.2.3.4" // non-canonical line's echo string, kept verbatim
+			e.src = "1.2.3.4" // a non-canonical line's echo string, kept verbatim
 			e.dst = "9.9.9.9"
 		}
 		expired := trial%5 == 0
@@ -166,7 +167,7 @@ func TestAppendResultLineMatchesEncoder(t *testing.T) {
 }
 
 // TestAppendResultLineEscapes drives the echo's guard arm: a string that
-// needs escaping (none reaches it today: parseIP admits none) comes out as
+// needs escaping (none reaches it: netsim.ParseIPv4 admits none) comes out as
 // json.Encoder writes it.
 func TestAppendResultLineEscapes(t *testing.T) {
 	info := inano.PathInfo{Found: true, RTTMS: 3, LossRate: 0.5}
@@ -207,8 +208,8 @@ func FuzzParseBatchLine(f *testing.F) {
 		if err := json.Unmarshal(line, &req); err != nil {
 			t.Fatalf("strict parser claimed %q, encoding/json rejects it: %v", line, err)
 		}
-		src, errSrc := parseIP(req.Src)
-		dst, errDst := parseIP(req.Dst)
+		src, errSrc := netsim.ParseIPv4(req.Src)
+		dst, errDst := netsim.ParseIPv4(req.Dst)
 		if errSrc != nil || errDst != nil || src != l.SrcIP || dst != l.DstIP || req.DeadlineMS != l.DeadlineMS {
 			t.Fatalf("%q: strict %v,%v,%d != json %v,%v,%d (%v, %v)", line, l.SrcIP, l.DstIP, l.DeadlineMS, src, dst, req.DeadlineMS, errSrc, errDst)
 		}
@@ -262,8 +263,8 @@ func TestBatchFastPathParity(t *testing.T) {
 		case 2: // unknown destination: found=false line
 			fmt.Fprintf(&canon, "{\"src\":%q,\"dst\":\"255.255.255.254\"}\n", src)
 			fmt.Fprintf(&generic, " {\"src\":%q , \"dst\":\"255.255.255.254\"}\n", src)
-		case 3: // quirk address ParseIPv4 accepts: never canonical, echoed verbatim
-			line := fmt.Sprintf("{\"src\":\"+%s\",\"dst\":%q}\n\n", src, dst)
+		case 3: // escaped address: never canonical, decodes to the same address
+			line := fmt.Sprintf("{\"src\":\"%s\",\"dst\":%q}\n\n", strings.Replace(src, ".", `\u002e`, 1), dst)
 			canon.WriteString(line)
 			generic.WriteString(line)
 		}

@@ -17,6 +17,7 @@ import (
 	inano "inano"
 	"inano/internal/batchpipe"
 	"inano/internal/core"
+	"inano/internal/netsim"
 )
 
 // duplexWriter is a hand-made ResponseWriter that drives handleBatch
@@ -130,13 +131,12 @@ func TestBatchPipelineBytes(t *testing.T) {
 				case i%6 == 3:
 					dst = inano.IP(0xfffffffe) // no such prefix: found=false
 					add("{\"src\":%q,\"dst\":%q}\n", srcStr, dst)
-				case i%6 == 4:
-					srcStr = "+" + srcStr // ParseIPv4 takes it; echoed verbatim
-					add("\n  \n{\"src\":%q,\"dst\":%q}\n", srcStr, dst)
+				case i%6 == 4: // escaped address: decodes to the same address
+					add("\n  \n{\"src\":\"%s\",\"dst\":%q}\n", strings.Replace(srcStr, ".", `\u002e`, 1), dst)
 				case i%6 == 5:
 					add(" {\"deadline_ms\": 60000, \"src\":%q , \"dst\":%q}\n", srcStr, dst)
 				}
-				res := resultFor(srcStr, dst.String(), snap.Day(), snap.Query(src, dst), false)
+				res := resultFor(srcStr, dst.String(), snap.Day(), queryPair(snap, netsim.PrefixOf(src), netsim.PrefixOf(dst)), false)
 				if errMsg != "" {
 					res = queryResult{Src: srcStr, Dst: dst.String(), Day: snap.Day(), Error: errMsg}
 				}
@@ -351,7 +351,7 @@ func TestBatchTerminalLineLast(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		src, dst := f.vps[i%len(f.vps)], f.targets[i%len(f.targets)]
 		lines = append(lines, []byte(batchLine(src, dst)))
-		answers = append(answers, encoderLine(t, resultFor(ipStr(src), ipStr(dst), snap.Day(), snap.Query(src.HostIP(), dst.HostIP()), false)))
+		answers = append(answers, encoderLine(t, resultFor(ipStr(src), ipStr(dst), snap.Day(), queryPair(snap, src, dst), false)))
 	}
 	_, badLine := batchpipe.ParseLine([]byte("this is not json"))
 	for _, tc := range []struct {

@@ -65,7 +65,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) error {
 	granted := s.fbLimiter.take(sourceKey(r), len(obs))
 	resp := feedbackResponse{
 		RateLimited: len(obs) - granted,
-		Day:         s.c.Day(),
+		Day:         s.c.Snapshot().Day(),
 	}
 	if parseErr != nil {
 		resp.Error = parseErr.Error()
@@ -74,7 +74,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) error {
 		// Scoring may build trees for cold destinations; the request
 		// deadline bounds that work so one report cannot stall the
 		// handler indefinitely.
-		sample, err := s.c.ObserveRTTContext(ctx, o.Src, o.Dst, o.RTTMS)
+		sample, err := s.c.ObserveRTT(ctx, netsim.PrefixOf(o.Src), netsim.PrefixOf(o.Dst), o.RTTMS)
 		if err != nil {
 			resp.Error = fmt.Sprintf("aborted after %d observations: %v", resp.Accepted, err)
 			break
@@ -129,11 +129,11 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 		return httpError(w, http.StatusMethodNotAllowed, "use GET")
 	}
 	q := r.URL.Query()
-	src, err := parseIP(q.Get("src"))
+	src, err := netsim.ParseIPv4(q.Get("src"))
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "src: %v", err)
 	}
-	dst, err := parseIP(q.Get("dst"))
+	dst, err := netsim.ParseIPv4(q.Get("dst"))
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "dst: %v", err)
 	}
@@ -145,7 +145,7 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 		if raw == "" {
 			continue
 		}
-		ip, err := parseIP(raw)
+		ip, err := netsim.ParseIPv4(raw)
 		if err != nil {
 			return httpError(w, http.StatusBadRequest, "relays: %v", err)
 		}
@@ -166,7 +166,9 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 		return httpError(w, http.StatusBadRequest, "%v", err)
 	}
 	defer cancel()
-	choice, ok, err := s.c.BestRelay(ctx, netsim.PrefixOf(src), netsim.PrefixOf(dst), relays, k)
+	// The snapshot that picks the relay labels the answer with its day.
+	snap := s.c.Snapshot()
+	choice, ok, err := snap.BestRelay(ctx, netsim.PrefixOf(src), netsim.PrefixOf(dst), relays, k)
 	if err != nil {
 		return httpError(w, http.StatusGatewayTimeout, "relay selection aborted: %v", err)
 	}
@@ -175,7 +177,7 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 		Dst:        q.Get("dst"),
 		Found:      ok,
 		Candidates: len(relays),
-		Day:        s.c.Day(),
+		Day:        snap.Day(),
 	}
 	if ok {
 		resp.RTTMS = choice.RTTMS

@@ -157,7 +157,7 @@ func TestRelayEndpoint(t *testing.T) {
 	if out.Candidates != len(cands) {
 		t.Fatalf("candidates = %d, want %d", out.Candidates, len(cands))
 	}
-	want, ok, err := f.client.BestRelay(context.Background(), src, dst, cands, 3)
+	want, ok, err := f.client.Snapshot().BestRelay(context.Background(), src, dst, cands, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

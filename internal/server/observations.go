@@ -164,12 +164,12 @@ func (s *Server) ingestObservation(ctx context.Context, r *http.Request, snap in
 	// as corrective rather than structure-only.
 	if o.PredictedMS > 0 {
 		if _, ok := snap.AttachmentCluster(dstP); ok {
-			infos, _, err := snap.QueryReqs(ctx, []inano.PairReq{{Src: srcP, Dst: dstP}})
+			info, err := snap.Query(ctx, srcP, dstP)
 			if err != nil {
 				return res, err
 			}
-			if infos[0].Found {
-				s.cfg.Aggregator.Record(srcCl, dstP, o.RTTMS-infos[0].RTTMS)
+			if info.Found {
+				s.cfg.Aggregator.Record(srcCl, dstP, o.RTTMS-info.RTTMS)
 				res.residual = true
 			}
 		}
@@ -186,7 +186,7 @@ func (s *Server) ingestObservation(ctx context.Context, r *http.Request, snap in
 // bounds how fast such a reporter can touch slots. The claimed src always
 // drives the prediction pair the residual is scored against.
 func (s *Server) reporterCluster(r *http.Request, snap inano.Snapshot, claimed netsim.Prefix) (int32, bool) {
-	if ip, err := feedback.ParseIPv4(sourceKey(r)); err == nil {
+	if ip, err := netsim.ParseIPv4(sourceKey(r)); err == nil {
 		if cl, ok := snap.AttachmentCluster(netsim.PrefixOf(ip)); ok {
 			return cl, true
 		}
@@ -207,7 +207,7 @@ func (s *Server) RunObservationSnapshots(ctx context.Context, path string, inter
 		interval = time.Minute
 	}
 	write := func() {
-		snap := s.cfg.Aggregator.Snapshot(s.c.Day())
+		snap := s.cfg.Aggregator.Snapshot(s.c.Snapshot().Day())
 		if err := feedback.SaveSnapshot(path, snap); err != nil {
 			s.cfg.Logf("inanod: observation snapshot %s: %v", path, err)
 			return

@@ -17,7 +17,7 @@ import (
 // the fixture's atlas — raw material for a mappable, loop-free hop list.
 func hopChain(t *testing.T, f *fixture, n int) []netsim.Prefix {
 	t.Helper()
-	a := f.client.Atlas()
+	a := f.day0.Clone()
 	seen := make(map[cluster.ClusterID]bool)
 	var out []netsim.Prefix
 	for p, c := range a.IfaceCluster {
@@ -147,11 +147,11 @@ func TestObservationStructureOnlyUnknownDestination(t *testing.T) {
 func TestObservationPathRotationBuysNoAgreement(t *testing.T) {
 	f := buildFixture(t, 84)
 	agg := feedback.NewAggregator()
-	loopIP, err := feedback.ParseIPv4("127.0.0.1")
+	loopIP, err := netsim.ParseIPv4("127.0.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := f.client.Atlas()
+	a := f.day0.Clone()
 	a.PrefixCluster[netsim.PrefixOf(loopIP)] = a.PrefixCluster[f.vps[0]]
 	// The engine serves from a compiled snapshot of the atlas, so the
 	// patched attachment table only takes effect through a rebuild.
@@ -161,7 +161,7 @@ func TestObservationPathRotationBuysNoAgreement(t *testing.T) {
 	src1, dst, pred := predictablePair(t, f)
 	var src2 netsim.Prefix
 	for _, vp := range f.vps {
-		if vp != src1 && vp != dst && f.client.QueryPrefix(vp, dst).Found {
+		if vp != src1 && vp != dst && queryPair(f.client.Snapshot(), vp, dst).Found {
 			src2 = vp
 			break
 		}

@@ -44,7 +44,7 @@ func predictablePair(t *testing.T, f *fixture) (netsim.Prefix, netsim.Prefix, fl
 			if dst == vp {
 				continue
 			}
-			if info := f.client.QueryPrefix(vp, dst); info.Found {
+			if info := queryPair(f.client.Snapshot(), vp, dst); info.Found {
 				return vp, dst, info.RTTMS
 			}
 		}
@@ -124,11 +124,11 @@ func TestObservationsReporterIdentityFromConnection(t *testing.T) {
 	agg := feedback.NewAggregator()
 	// Bind the loopback prefix (what httptest connections resolve to)
 	// into the serving atlas so the connection is placeable.
-	loopIP, err := feedback.ParseIPv4("127.0.0.1")
+	loopIP, err := netsim.ParseIPv4("127.0.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := f.client.Atlas()
+	a := f.day0.Clone()
 	a.PrefixCluster[netsim.PrefixOf(loopIP)] = a.PrefixCluster[f.vps[0]]
 	// The engine serves from a compiled snapshot of the atlas, so the
 	// patched attachment table only takes effect through a rebuild.
@@ -138,7 +138,7 @@ func TestObservationsReporterIdentityFromConnection(t *testing.T) {
 	src1, dst, pred := predictablePair(t, f)
 	var src2 netsim.Prefix
 	for _, vp := range f.vps {
-		if vp != src1 && vp != dst && f.client.QueryPrefix(vp, dst).Found {
+		if vp != src1 && vp != dst && queryPair(f.client.Snapshot(), vp, dst).Found {
 			src2 = vp
 			break
 		}

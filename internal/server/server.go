@@ -308,7 +308,7 @@ func New(cfg Config) *Server {
 			return float64(st.Hits) / float64(st.Hits+st.Misses)
 		})
 	s.reg.NewGaugeFunc("inanod_atlas_day", "Measurement day of the serving atlas.", "",
-		func() float64 { return float64(s.c.Day()) })
+		func() float64 { return float64(s.c.Snapshot().Day()) })
 	s.reg.NewGaugeFunc("inanod_atlas_clusters", "Clusters in the serving atlas.", "",
 		func() float64 { return float64(s.c.Snapshot().AtlasStats().Clusters) })
 	s.reg.NewGaugeFunc("inanod_atlas_links", "Links in the serving atlas.", "",
@@ -497,19 +497,12 @@ type queryResult struct {
 	Error    string       `json:"error,omitempty"`
 }
 
-// parseIP parses a dotted-quad IPv4 address — one strict parser shared
-// with the /v1/feedback wire format, so the endpoints can never diverge
-// on what an address is.
-func parseIP(s string) (inano.IP, error) {
-	return feedback.ParseIPv4(s)
-}
-
 // --- endpoints ---
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	body := map[string]any{
 		"status":   "ok",
-		"day":      s.c.Day(),
+		"day":      s.c.Snapshot().Day(),
 		"uptime_s": int64(time.Since(s.started).Seconds()),
 	}
 	if s.cfg.PeerID != "" {
@@ -551,11 +544,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	default:
 		return httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
 	}
-	src, err := parseIP(req.Src)
+	src, err := netsim.ParseIPv4(req.Src)
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "src: %v", err)
 	}
-	dst, err := parseIP(req.Dst)
+	dst, err := netsim.ParseIPv4(req.Dst)
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "dst: %v", err)
 	}
@@ -567,7 +560,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	// One pinned snapshot answers and labels the result, so the reported
 	// day always matches the atlas that produced the numbers.
 	snap := s.c.Snapshot()
-	info, err := snap.QueryCtx(ctx, src, dst)
+	info, err := snap.Query(ctx, netsim.PrefixOf(src), netsim.PrefixOf(dst))
 	if err != nil {
 		return httpError(w, http.StatusGatewayTimeout, "query aborted: %v", err)
 	}
@@ -737,7 +730,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, batchpipe.MaxRankBytes)).Decode(&req); err != nil {
 		return httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
-	src, err := parseIP(req.Src)
+	src, err := netsim.ParseIPv4(req.Src)
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "src: %v", err)
 	}
@@ -746,7 +739,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 	}
 	dsts := make([]netsim.Prefix, len(req.Candidates))
 	for i, c := range req.Candidates {
-		dst, err := parseIP(c)
+		dst, err := netsim.ParseIPv4(c)
 		if err != nil {
 			return httpError(w, http.StatusBadRequest, "candidate %d: %v", i, err)
 		}

@@ -35,7 +35,15 @@ type fixture struct {
 	vps     []netsim.Prefix
 	targets []netsim.Prefix
 	delta   []byte
+	day0    *atlas.Atlas // the client's atlas, in map form
 	day1    *atlas.Atlas
+}
+
+// queryPair answers one pair on snap under the background context, which
+// never ends, so there is no error to look at.
+func queryPair(snap inano.Snapshot, src, dst netsim.Prefix) inano.PathInfo {
+	info, _ := snap.Query(context.Background(), src, dst)
+	return info
 }
 
 func buildFixture(t testing.TB, seed int64) *fixture {
@@ -65,6 +73,7 @@ func buildFixture(t testing.TB, seed int64) *fixture {
 		vps:     vps,
 		targets: targets,
 		delta:   buf.Bytes(),
+		day0:    a0,
 		day1:    a1,
 	}
 }
@@ -116,7 +125,7 @@ func TestQueryEndpointParity(t *testing.T) {
 	f := buildFixture(t, 201)
 	_, ts := start(t, f, nil)
 	src, dst := f.vps[0], f.targets[7]
-	want := f.client.QueryPrefix(src, dst)
+	want := queryPair(f.client.Snapshot(), src, dst)
 
 	var got queryResult
 	resp := getJSON(t, fmt.Sprintf("%s/v1/query?src=%s&dst=%s", ts.URL, ipStr(src), ipStr(dst)), &got)
@@ -306,7 +315,7 @@ func TestBatchStreamsIncrementally(t *testing.T) {
 		for i, res := range readWindow() {
 			src := f.vps[(k*window+i)%len(f.vps)]
 			dst := f.targets[(k*window+i)%len(f.targets)]
-			want := f.client.QueryPrefix(src, dst)
+			want := queryPair(f.client.Snapshot(), src, dst)
 			if res.Found != want.Found || res.RTTMS != want.RTTMS {
 				t.Fatalf("round %d result %d: wire %+v != library %+v", k, i, res, want)
 			}
@@ -391,7 +400,7 @@ func TestBatchHotReloadMidStream(t *testing.T) {
 			if err := s.ApplyDeltaFile(deltaPath); err != nil {
 				t.Fatalf("hot reload failed: %v", err)
 			}
-			if d := f.client.Day(); d != f.day1.Day {
+			if d := f.client.Snapshot().Day(); d != f.day1.Day {
 				t.Fatalf("after reload client serves day %d, want %d", d, f.day1.Day)
 			}
 		}
@@ -577,7 +586,7 @@ func TestRankEndpoint(t *testing.T) {
 	cands := f.targets[:8]
 	wantOrder := slices.Clone(cands)
 	rtt := func(p netsim.Prefix) float64 {
-		if info := f.client.QueryPrefix(src, p); info.Found {
+		if info := queryPair(f.client.Snapshot(), src, p); info.Found {
 			return info.RTTMS
 		}
 		return math.Inf(1)
@@ -622,7 +631,7 @@ func TestRankTransferTies(t *testing.T) {
 	var cands []netsim.Prefix
 	seen := map[float64]netsim.Prefix{}
 	for _, p := range f.targets {
-		info := f.client.QueryPrefix(src, p)
+		info := queryPair(f.client.Snapshot(), src, p)
 		if !info.Found || p == src {
 			continue
 		}
@@ -750,9 +759,9 @@ func TestWatchDeltaFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for f.client.Day() != f.day1.Day {
+	for f.client.Snapshot().Day() != f.day1.Day {
 		if time.Now().After(deadline) {
-			t.Fatalf("watcher did not apply the delta (still day %d)", f.client.Day())
+			t.Fatalf("watcher did not apply the delta (still day %d)", f.client.Snapshot().Day())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -771,8 +780,8 @@ func TestWatchDeltaFile(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if f.client.Day() != f.day1.Day {
-		t.Fatalf("stale delta changed the serving day to %d", f.client.Day())
+	if f.client.Snapshot().Day() != f.day1.Day {
+		t.Fatalf("stale delta changed the serving day to %d", f.client.Snapshot().Day())
 	}
 	cancel()
 	<-done

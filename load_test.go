@@ -40,7 +40,7 @@ func TestLoadMatchesFromAtlas(t *testing.T) {
 			found := 0
 			for _, src := range append(vps, w.EdgePrefixes()[:8]...) {
 				for _, dst := range w.EdgePrefixes() {
-					got, want := loaded.QueryPrefix(src, dst), ref.QueryPrefix(src, dst)
+					got, want := queryPair(loaded, src, dst), queryPair(ref, src, dst)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("day %d %s: %v -> %v\n Load:      %+v\n FromAtlas: %+v", day, stage, src, dst, got, want)
 					}

@@ -108,7 +108,7 @@ func TestAddTraceroutesDuplicateHops(t *testing.T) {
 		trs[i].Hops = dup
 	}
 	c.AddTraceroutes(trs)
-	for _, l := range c.Atlas().Links {
+	for _, l := range c.engine.Load().Flat().Inflate().Links {
 		if l.From == l.To {
 			t.Fatalf("self-link merged: %+v", l)
 		}
@@ -130,7 +130,7 @@ func TestAddTraceroutesDecreasingRTT(t *testing.T) {
 		}
 	}
 	c.AddTraceroutes(trs)
-	for _, l := range c.Atlas().Links {
+	for _, l := range c.engine.Load().Flat().Inflate().Links {
 		if l.LatencyMS < 0.1 {
 			t.Fatalf("link below latency floor: %+v", l)
 		}
@@ -151,7 +151,7 @@ func TestResidualOnlyMergeKeepsTreeCache(t *testing.T) {
 	}
 	// Warm the cache.
 	for _, dst := range f.vps[1:] {
-		c.QueryPrefix(src, dst)
+		queryPair(c, src, dst)
 	}
 	warm := c.CacheStats()
 	if warm.Len == 0 {
@@ -160,7 +160,7 @@ func TestResidualOnlyMergeKeepsTreeCache(t *testing.T) {
 	// The same paths re-measured with a prediction attached: structurally
 	// a no-op, but the measured RTT teaches a residual.
 	for i := range trs {
-		info := c.QueryPrefix(trs[i].Src, trs[i].Dst)
+		info := queryPair(c, trs[i].Src, trs[i].Dst)
 		trs[i].PredictedRTTMS = info.RTTMS + 1000 // force a large residual step
 		trs[i].Predicted = true
 	}
@@ -171,7 +171,7 @@ func TestResidualOnlyMergeKeepsTreeCache(t *testing.T) {
 	if got := c.CacheStats(); got.Len < warm.Len || got.Builds < warm.Builds {
 		t.Fatalf("residual-only merge dropped the warm tree cache: %+v -> %+v", warm, got)
 	}
-	if len(c.Atlas().AdjustMS) == 0 {
+	if len(c.engine.Load().Flat().Inflate().AdjustMS) == 0 {
 		t.Fatal("no residual corrections recorded")
 	}
 }
@@ -188,7 +188,7 @@ func TestAddTraceroutesStaysFlat(t *testing.T) {
 		var out []PathInfo
 		for _, src := range f.vps {
 			for _, dst := range f.targets {
-				out = append(out, c.QueryPrefix(src, dst))
+				out = append(out, queryPair(c, src, dst))
 			}
 		}
 		return out
@@ -220,7 +220,7 @@ func TestAddTraceroutesStaysFlat(t *testing.T) {
 	merge("structural", true)
 	// The same paths again with a prediction attached: only residuals move.
 	for i := range trs {
-		info := c.QueryPrefix(trs[i].Src, trs[i].Dst)
+		info := queryPair(c, trs[i].Src, trs[i].Dst)
 		trs[i].PredictedRTTMS, trs[i].Predicted = info.RTTMS+40, true
 	}
 	merge("residual-only", false)
@@ -283,10 +283,10 @@ func TestObserveAndCorrectClosesLoop(t *testing.T) {
 		if !ok {
 			continue
 		}
-		info := c.QueryPrefix(src, dst)
+		info := queryPair(c, src, dst)
 		work = append(work, workItem{dst: dst, rtt: rtt, err0: feedback.RelErr(info.RTTMS, rtt, info.Found)})
-		sample := c.ObserveRTT(src.HostIP(), dst.HostIP(), rtt)
-		if sample.Err != work[len(work)-1].err0 {
+		sample, err := c.ObserveRTT(context.Background(), src, dst, rtt)
+		if err != nil || sample.Err != work[len(work)-1].err0 {
 			t.Fatalf("ObserveRTT error mismatch: %v vs %v", sample.Err, work[len(work)-1].err0)
 		}
 	}
@@ -297,11 +297,11 @@ func TestObserveAndCorrectClosesLoop(t *testing.T) {
 		t.Fatalf("tracker empty after observations: %+v", got)
 	}
 
-	round := c.CorrectOnce(context.Background(), feedback.SimProber{Meter: meter}, CorrectorConfig{
+	round := c.NewCorrector(feedback.SimProber{Meter: meter}, CorrectorConfig{
 		Budget:   8,
 		MinError: 0.05,
 		Cooldown: time.Hour,
-	})
+	}).RunOnce(context.Background())
 	if round.Probes == 0 {
 		t.Fatal("no corrective probes issued")
 	}
@@ -311,7 +311,7 @@ func TestObserveAndCorrectClosesLoop(t *testing.T) {
 
 	before, after := 0.0, 0.0
 	for _, w := range work {
-		info := c.QueryPrefix(src, w.dst)
+		info := queryPair(c, src, w.dst)
 		before += w.err0
 		after += feedback.RelErr(info.RTTMS, w.rtt, info.Found)
 	}
@@ -335,7 +335,7 @@ func TestGlobalAdjustAppliesAndStacks(t *testing.T) {
 			if s == d {
 				continue
 			}
-			if info := c.QueryPrefix(s, d); info.Found {
+			if info := queryPair(c, s, d); info.Found {
 				src, dst, base, found = s, d, info.RTTMS, true
 				break
 			}
@@ -351,14 +351,14 @@ func TestGlobalAdjustAppliesAndStacks(t *testing.T) {
 	a := f.a.Clone()
 	a.GlobalAdjustMS[dst] = 25
 	c2 := FromAtlas(a)
-	if got := c2.QueryPrefix(src, dst).RTTMS; !close2(got, base+25) {
+	if got := queryPair(c2, src, dst).RTTMS; !close2(got, base+25) {
 		t.Fatalf("global correction not applied: %v, want %v", got, base+25)
 	}
 	// The reverse query toward src must not absorb dst's correction
 	// twice: only the forward leg of an answer carries its destination's
 	// adjustment.
-	if revBase := c.QueryPrefix(dst, src).RTTMS; revBase > 0 {
-		if got := c2.QueryPrefix(dst, src).RTTMS; !close2(got, revBase) {
+	if revBase := queryPair(c, dst, src).RTTMS; revBase > 0 {
+		if got := queryPair(c2, dst, src).RTTMS; !close2(got, revBase) {
 			t.Fatalf("reverse query absorbed dst correction: %v vs %v", got, revBase)
 		}
 	}
@@ -368,7 +368,7 @@ func TestGlobalAdjustAppliesAndStacks(t *testing.T) {
 	a2.GlobalAdjustMS[dst] = 25
 	a2.AdjustMS[dst] = -10
 	c3 := FromAtlas(a2)
-	if got := c3.QueryPrefix(src, dst).RTTMS; !close2(got, base+15) {
+	if got := queryPair(c3, src, dst).RTTMS; !close2(got, base+15) {
 		t.Fatalf("corrections did not stack: %v, want %v", got, base+15)
 	}
 
@@ -381,7 +381,7 @@ func TestGlobalAdjustAppliesAndStacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded.Atlas().GlobalAdjustMS[dst]; got != 25 {
+	if got := loaded.engine.Load().Flat().Inflate().GlobalAdjustMS[dst]; got != 25 {
 		t.Fatalf("global correction lost in the codec: %v", got)
 	}
 }
@@ -406,7 +406,7 @@ func TestAdjustMSLocalOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Atlas().AdjustMS) != 0 {
+	if len(c.engine.Load().Flat().Inflate().AdjustMS) != 0 {
 		t.Fatal("AdjustMS leaked through the codec")
 	}
 }

@@ -2,6 +2,7 @@ package inano
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -83,7 +84,7 @@ func TestDeltaRollMatchesReference(t *testing.T) {
 		answered := 0
 		for _, src := range vps {
 			for _, dst := range w.EdgePrefixes() {
-				got, exp := c.QueryPrefix(src, dst), want.Query(src, dst)
+				got, exp := queryPair(c, src, dst), want.Query(src, dst)
 				if !reflect.DeepEqual(got, exp) {
 					t.Fatalf("after delta %d, %v -> %v:\n client    %+v\n reference %+v", i, src, dst, got, exp)
 				}
@@ -120,11 +121,11 @@ func TestQueryDoesNotWaitForMutation(t *testing.T) {
 	go func() {
 		snap := c.Snapshot()
 		c.Query(src, dst)
-		snap.Query(src, dst)
+		snap.Query(context.Background(), vps[0], vps[1])
 		c.CacheStats()
 		c.LastRoll()
 		snap.AtlasStats()
-		read <- c.Day() + snap.Day()
+		read <- c.Snapshot().Day() + snap.Day()
 	}()
 	select {
 	case day := <-read:
@@ -138,8 +139,8 @@ func TestQueryDoesNotWaitForMutation(t *testing.T) {
 	if err := <-applied; err != nil {
 		t.Fatal(err)
 	}
-	if c.Day() != 1 {
-		t.Fatalf("day %d after the roll", c.Day())
+	if c.Snapshot().Day() != 1 {
+		t.Fatalf("day %d after the roll", c.Snapshot().Day())
 	}
 }
 
@@ -174,7 +175,7 @@ func TestRollFreesTheMapping(t *testing.T) {
 	var mapped []answer
 	for _, src := range vps {
 		for _, dst := range w.EdgePrefixes() {
-			mapped = append(mapped, answer{src, dst, c.QueryPrefix(src, dst)})
+			mapped = append(mapped, answer{src, dst, queryPair(c, src, dst)})
 		}
 	}
 	if err := ff.Close(); err != nil {
@@ -185,7 +186,7 @@ func TestRollFreesTheMapping(t *testing.T) {
 	cold := FromFlatOptions(c.Snapshot().e.Flat(), core.INanoOptions())
 	found := 0
 	for _, a := range mapped {
-		if got := cold.QueryPrefix(a.src, a.dst); !reflect.DeepEqual(got, a.info) {
+		if got := queryPair(cold, a.src, a.dst); !reflect.DeepEqual(got, a.info) {
 			t.Fatalf("%v -> %v changed once the mapping was closed:\n before %+v\n after  %+v", a.src, a.dst, a.info, got)
 		}
 		if a.info.Found {
@@ -195,7 +196,7 @@ func TestRollFreesTheMapping(t *testing.T) {
 	if found == 0 {
 		t.Fatal("the sweep answered nothing")
 	}
-	if c.Atlas().Day != 1 {
+	if c.engine.Load().Flat().Inflate().Day != 1 {
 		t.Fatal("Atlas() after the roll is not day 1")
 	}
 }
@@ -211,7 +212,7 @@ func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 	correction := encodeDelta(t, &atlas.Delta{UpAdjust: map[Prefix]float32{dst: 12}})
 	warmUp := func(c *Client) CacheStats {
 		for _, d := range vps[1:] {
-			c.QueryPrefix(src, d)
+			queryPair(c, src, d)
 		}
 		return c.CacheStats()
 	}
@@ -219,7 +220,7 @@ func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 	c := FromAtlas(days[0])
 	c.startWarm = func(func()) { t.Error("a delta that kept the tree cache started a warmer") }
 	warm := warmUp(c)
-	base := c.QueryPrefix(src, dst)
+	base := queryPair(c, src, dst)
 	if warm.Len == 0 || !base.Found {
 		t.Fatalf("nothing to keep warm: %+v, %v -> %v found %v", warm, src, dst, base.Found)
 	}
@@ -229,7 +230,7 @@ func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 	if got := c.CacheStats(); got.Len != warm.Len || got.Builds != warm.Builds {
 		t.Fatalf("a correction-only delta dropped the tree cache: %+v -> %+v", warm, got)
 	}
-	if got := c.QueryPrefix(src, dst).RTTMS; !close2(got, base.RTTMS+12) {
+	if got := queryPair(c, src, dst).RTTMS; !close2(got, base.RTTMS+12) {
 		t.Fatalf("correction not served: RTT %v, want %v", got, base.RTTMS+12)
 	}
 	if st, ok := c.LastRoll(); !ok || st.FromDay != 0 || st.ToDay != 0 {
@@ -250,7 +251,7 @@ func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 	}
 	never := FromFlat(c.Snapshot().e.Flat())
 	for _, d := range vps[1:] {
-		if got, want := c.QueryPrefix(src, d), never.QueryPrefix(src, d); !reflect.DeepEqual(got, want) {
+		if got, want := queryPair(c, src, d), queryPair(never, src, d); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v -> %v after the re-tag:\n warmed %+v\n cold   %+v", src, d, got, want)
 		}
 	}
@@ -267,7 +268,7 @@ func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 	}
 	cold := FromFlat(cr.Snapshot().e.Flat())
 	for _, d := range vps[1:] {
-		if got, want := cr.QueryPrefix(src, d), cold.QueryPrefix(src, d); !reflect.DeepEqual(got, want) {
+		if got, want := queryPair(cr, src, d), queryPair(cold, src, d); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v -> %v answered off trees over the old link order:\n warm %+v\n cold %+v", src, d, got, want)
 		}
 	}
@@ -286,7 +287,7 @@ func BenchmarkPostRoll(b *testing.B) {
 	popular, day0 := spread(w.EdgePrefixes(), 64), atlas.Compile(days[0])
 	ask := func(c *Client, n int) {
 		for i := 0; i < n; i++ {
-			c.QueryPrefix(vps[i%len(vps)], popular[i%len(popular)])
+			queryPair(c, vps[i%len(vps)], popular[i%len(popular)])
 		}
 	}
 	for _, name := range []string{"warmer", "held"} {

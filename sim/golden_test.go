@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -204,9 +205,10 @@ func TestAnswerDigest(t *testing.T) {
 func answerDigest(c *inano.Client, vps, dsts []netsim.Prefix) string {
 	h := sha256.New()
 	var rec []byte
+	snap := c.Snapshot()
 	for _, src := range vps {
 		for _, dst := range dsts {
-			p := c.QueryPrefix(src, dst)
+			p, _ := snap.Query(context.Background(), src, dst)
 			rec = rec[:0]
 			if p.Found {
 				rec = append(rec, 1)

@@ -80,7 +80,7 @@ func TestWarmRollMatchesUnwarmed(t *testing.T) {
 	holdWarm(plain)
 	for _, c := range []*Client{warmed, plain} {
 		for i, dst := range popular {
-			c.QueryPrefix(vps[i%4], dst)
+			queryPair(c, vps[i%4], dst)
 		}
 		mustApply(t, c, deltas[0])
 	}
@@ -89,7 +89,7 @@ func TestWarmRollMatchesUnwarmed(t *testing.T) {
 		for _, dsts := range [][]Prefix{popular, others} {
 			for i, dst := range dsts {
 				for _, src := range []Prefix{vps[i%4], vps[4+i%4]} {
-					got, want := warmed.QueryPrefix(src, dst), plain.QueryPrefix(src, dst)
+					got, want := queryPair(warmed, src, dst), queryPair(plain, src, dst)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s, %v -> %v:\n warmed   %+v\n unwarmed %+v", when, src, dst, got, want)
 					}
@@ -128,13 +128,13 @@ func TestWarmSupersededByNextRoll(t *testing.T) {
 	c := FromAtlas(days[0])
 	nextWarmer := parkWarm(c)
 	for _, dst := range day0 {
-		c.QueryPrefix(vps[0], dst)
+		queryPair(c, vps[0], dst)
 	}
 	resident0 := c.CacheStats().Len
 	mustApply(t, c, deltas[0])
 	engine1 := c.Snapshot()
 	for _, dst := range day1 {
-		c.QueryPrefix(vps[1], dst)
+		queryPair(c, vps[1], dst)
 	}
 	resident1 := c.CacheStats()
 	if resident1.Len == 0 || resident1.Len*2 > resident0 {
@@ -151,7 +151,7 @@ func TestWarmSupersededByNextRoll(t *testing.T) {
 		t.Fatalf("engine 2 warmed %+v, want the %d trees resident in engine 1", st, resident1.Len)
 	}
 	for _, dst := range day1 {
-		c.QueryPrefix(vps[1], dst)
+		queryPair(c, vps[1], dst)
 	}
 	// All but a key the second roll retired, that is.
 	if got := c.CacheStats(); got.WarmHits+1 < got.Warmed || got.Builds-st.Builds != got.Warmed-got.WarmHits {
@@ -169,7 +169,7 @@ func TestWarmNeverEvictsReaders(t *testing.T) {
 	c := FromFlatOptions(atlas.Compile(days[0]), opts)
 	nextWarmer := parkWarm(c)
 	for _, dst := range spread(w.EdgePrefixes(), 12) {
-		c.QueryPrefix(vps[0], dst)
+		queryPair(c, vps[0], dst)
 	}
 	mustApply(t, c, deltas[0])
 	var asked []Prefix
@@ -177,7 +177,7 @@ func TestWarmNeverEvictsReaders(t *testing.T) {
 		if c.CacheStats().Len == opts.TreeCacheSize {
 			break
 		}
-		if c.QueryPrefix(vps[1], dst).Found {
+		if queryPair(c, vps[1], dst).Found {
 			asked = append(asked, dst)
 		}
 	}
@@ -190,7 +190,7 @@ func TestWarmNeverEvictsReaders(t *testing.T) {
 		t.Fatalf("the warmer moved a full shard: %+v -> %+v", full, got)
 	}
 	for _, dst := range asked {
-		c.QueryPrefix(vps[1], dst)
+		queryPair(c, vps[1], dst)
 	}
 	if got := c.CacheStats(); got.Builds != full.Builds {
 		t.Fatalf("%d of the readers' trees were gone after the warmer ran", got.Builds-full.Builds)
@@ -206,7 +206,7 @@ func TestWarmRehomedPrefix(t *testing.T) {
 	inlineWarm(c)
 	src, moved := vps[0], vps[1]
 	for _, dst := range vps[1:] {
-		c.QueryPrefix(src, dst)
+		queryPair(c, src, dst)
 	}
 	from, to := days[0].PrefixCluster[moved], days[0].PrefixCluster[vps[2]]
 	if from == to {
@@ -219,7 +219,7 @@ func TestWarmRehomedPrefix(t *testing.T) {
 	}
 	cold := FromFlat(c.Snapshot().e.Flat())
 	for _, dst := range vps[1:] {
-		if got, want := c.QueryPrefix(src, dst), cold.QueryPrefix(src, dst); !reflect.DeepEqual(got, want) {
+		if got, want := queryPair(c, src, dst), queryPair(cold, src, dst); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v -> %v:\n warmed %+v\n cold   %+v", src, dst, got, want)
 		}
 	}
@@ -241,7 +241,7 @@ func TestWarmHitRatio(t *testing.T) {
 	popular := func() {
 		for round := 0; round < 3; round++ {
 			for i, dst := range spread(w.EdgePrefixes(), 64) {
-				c.QueryPrefix(vps[i%3], dst)
+				queryPair(c, vps[i%3], dst)
 			}
 		}
 	}
@@ -284,7 +284,7 @@ func TestWarmHottestFirst(t *testing.T) {
 	for _, p := range append([]Prefix{src}, w.EdgePrefixes()...) {
 		if k := key(day0, p); k == key(day1, p) && !seen[k] {
 			seen[k] = true
-			if p != src && day0.QueryPrefix(src, p).Found && day1.QueryPrefix(src, p).Found {
+			if p != src && queryPair(day0, src, p).Found && queryPair(day1, src, p).Found {
 				dsts = append(dsts, p)
 			}
 		}
@@ -297,7 +297,7 @@ func TestWarmHottestFirst(t *testing.T) {
 	oneOffs, popular, fresh := dsts[:n], dsts[n:2*n], dsts[2*n:3*n]
 	ask := func(ps []Prefix) {
 		for _, dst := range ps {
-			c.QueryPrefix(src, dst)
+			queryPair(c, src, dst)
 		}
 	}
 	ask(oneOffs)
@@ -326,7 +326,7 @@ func TestAddTraceroutesWarm(t *testing.T) {
 	c.startWarm = func(warm func()) { started++; warm() }
 	src := f.vps[0]
 	for _, dst := range f.vps[1:] {
-		c.QueryPrefix(src, dst)
+		queryPair(c, src, dst)
 	}
 	resident := c.CacheStats().Len
 	trs := realTraceroutes(f, src, 6)
@@ -340,7 +340,7 @@ func TestAddTraceroutesWarm(t *testing.T) {
 		t.Fatalf("the same traceroutes again merged %d changes and started warmer %d", n, started)
 	}
 	for i := range trs {
-		trs[i].PredictedRTTMS = c.QueryPrefix(trs[i].Src, trs[i].Dst).RTTMS + 1000
+		trs[i].PredictedRTTMS = queryPair(c, trs[i].Src, trs[i].Dst).RTTMS + 1000
 		trs[i].Predicted = true
 	}
 	if c.AddTraceroutes(trs) > 0 && started != 1 {
@@ -354,7 +354,7 @@ func TestWarmGoroutineEnds(t *testing.T) {
 	w, vps, days, deltas := dayChain(t, 155, 1)
 	c := FromAtlas(days[0])
 	for _, dst := range spread(w.EdgePrefixes(), 32) {
-		c.QueryPrefix(vps[0], dst)
+		queryPair(c, vps[0], dst)
 	}
 	resident := c.CacheStats().Len
 	base := runtime.NumGoroutine()
