@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -50,24 +51,40 @@ import (
 const readHeaderTimeout = 10 * time.Second
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:7360", "HTTP listen address (port 0 picks one)")
-	replicas := flag.String("replicas", "", "comma-separated inanod base URLs (required)")
-	atlasFlat := flag.String("atlas-flat", "", "flat atlas (inano-build -flat) supplying the prefix→cluster routing table; must be the atlas the replicas serve (required)")
-	healthInterval := flag.Duration("health-interval", 2*time.Second, "replica /healthz poll interval")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
-	window := flag.Int("window", 0, "batch stream window in pairs when the request carries no ?window= (0 = 1024)")
-	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "how long to drain in-flight requests on shutdown")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the command: it routes until ctx ends, drains and returns 0; 1
+// when -replicas or -atlas-flat is missing, the atlas cannot be read, or
+// the listener cannot start or fails; 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("inano-router", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", "127.0.0.1:7360", "HTTP listen address (port 0 picks one)")
+	replicas := fs.String("replicas", "", "comma-separated inanod base URLs (required)")
+	atlasFlat := fs.String("atlas-flat", "", "flat atlas (inano-build -flat) supplying the prefix→cluster routing table; must be the atlas the replicas serve (required)")
+	healthInterval := fs.Duration("health-interval", 2*time.Second, "replica /healthz poll interval")
+	vnodes := fs.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
+	window := fs.Int("window", 0, "batch stream window in pairs when the request carries no ?window= (0 = 1024)")
+	shutdownGrace := fs.Duration("shutdown-grace", 10*time.Second, "how long to drain in-flight requests on shutdown")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		fmt.Fprintf(stderr, format+"\n", args...)
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "inano-router:", err)
+		return 1
 	}
 
 	if *replicas == "" {
-		fatal(errors.New("-replicas is required"))
+		return fatal(errors.New("-replicas is required"))
 	}
 	if *atlasFlat == "" {
-		fatal(errors.New("-atlas-flat is required"))
+		return fatal(errors.New("-atlas-flat is required"))
 	}
 	var nodes []string
 	for _, n := range strings.Split(*replicas, ",") {
@@ -78,7 +95,7 @@ func main() {
 
 	ff, err := atlas.OpenFlat(*atlasFlat, true)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	// The mapping backs the routing table for the process lifetime.
 	logf("inano-router: routing table from flat atlas day %d: %d clusters, %d prefixes",
@@ -93,19 +110,19 @@ func main() {
 		Logf:           logf,
 	})
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	// Parsed by the cluster smoke test and ops tooling: keep this line stable.
-	fmt.Printf("inano-router: listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(stdout, "inano-router: listening on http://%s\n", ln.Addr())
 	logf("inano-router: fronting %d replicas: %s", len(nodes), strings.Join(nodes, " "))
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ctx, stopRouting := context.WithCancel(ctx) // health checks end with run
+	defer stopRouting()
 	go rt.Run(ctx)
 
 	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: readHeaderTimeout}
@@ -114,7 +131,7 @@ func main() {
 
 	select {
 	case err := <-serveErr:
-		fatal(err)
+		return fatal(err)
 	case <-ctx.Done():
 	}
 	logf("inano-router: signal received; draining for up to %v", *shutdownGrace)
@@ -126,10 +143,6 @@ func main() {
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logf("inano-router: serve: %v", err)
 	}
-	fmt.Println("inano-router: shutdown complete")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "inano-router:", err)
-	os.Exit(1)
+	fmt.Fprintln(stdout, "inano-router: shutdown complete")
+	return 0
 }

@@ -60,15 +60,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "tracker listening on %s\n", addr)
 	}
 
-	if err := swarm.WriteManifestFile(*manifestPath, addr, m); err != nil {
-		return fatal(err)
-	}
-
+	// The manifest names a swarm someone seeds: it is written only once the
+	// seed has registered with the tracker.
 	seed, err := swarm.StartSeed(addr, m, data)
 	if err != nil {
 		return fatal(err)
 	}
 	defer seed.Close()
+	if err := swarm.WriteManifestFile(*manifestPath, addr, m); err != nil {
+		return fatal(err)
+	}
 	fmt.Fprintf(stdout, "seeding %s (%d bytes, %d chunks) as %s; manifest written to %s\n",
 		*atlasPath, len(data), m.NumChunks(), seed.Addr(), *manifestPath)
 	fmt.Fprintln(stdout, "press ctrl-c to stop")

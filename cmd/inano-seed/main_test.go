@@ -100,5 +100,10 @@ func TestSeedFailures(t *testing.T) {
 		if code != tc.code || !strings.Contains(stderr.String(), tc.stderr) {
 			t.Errorf("%s: exit %d, stderr %q; want exit %d and %q", tc.name, code, stderr.String(), tc.code, tc.stderr)
 		}
+		// A failed run leaves no manifest naming a swarm nobody seeds.
+		if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+			t.Errorf("%s: a manifest was left behind (%v)", tc.name, err)
+			os.Remove(manifest)
+		}
 	}
 }

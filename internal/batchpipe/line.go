@@ -5,24 +5,31 @@
 // in how a window is filled: inanod encodes its own answers, the router asks
 // the replicas.
 //
+// The same parser reads a /v1/query POST body, which is one request line,
+// on a replica and on the router alike.
+//
 // Correctness contract of the parser: the strict half claims a line only when
 // it is byte-for-byte in the canonical shape
 //
 //	{"src":"A.B.C.D","dst":"A.B.C.D"}
 //	{"src":"A.B.C.D","dst":"A.B.C.D","deadline_ms":N}
 //
-// with strictly canonical dotted quads (digit-only octets, no leading
+// with dotted quads netsim.ParseIPv4 accepts (digit-only octets, no leading
 // zeros, 0-255) and a plain non-negative integer deadline. Everything
 // else — reordered fields, whitespace, escapes, exponents, and addresses
-// netsim.ParseIPv4 refuses — goes to parseLineJSON, which keeps the
-// decoded strings and reports encoding/json's and the address parser's
-// errors. On every line the strict parser
-// claims, the two agree (FuzzParseBatchLine).
+// netsim.ParseIPv4 refuses — goes to parseLineJSON, which reports
+// encoding/json's and the address parser's errors. On every line the strict
+// parser claims, the two agree (FuzzParseBatchLine). A parsed line keeps
+// only its addresses: the grammar admits one spelling of each, so printing
+// an address gives back the string the request's JSON held.
 package batchpipe
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"time"
 
 	"inano/internal/netsim"
 )
@@ -36,23 +43,30 @@ const MaxLineBytes = 64 << 10
 // A longer body is refused as a bad request.
 const MaxRankBytes = 1 << 20
 
-// Line is one parsed request line. A canonical line leaves Src and Dst
-// empty: the addresses' canonical text is the line's own. Any other line
-// keeps the request's strings verbatim, for the echo.
+// Line is one parsed request line: its addresses, whose one spelling is
+// also the echo's (netsim.IP.AppendTo), and its deadline.
 type Line struct {
-	Src, Dst     string
 	SrcIP, DstIP netsim.IP
 	DeadlineMS   int64 // the pair's own deadline; 0 = none
 }
 
+// maxDeadlineMS is the longest deadline a time.Duration holds, some 292
+// years: ParseLine clamps a longer one to it, which is as good as none,
+// rather than let the conversion wrap it into the past.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // ParseLine parses one request line, trimmed of surrounding space: the
 // strict parser claims a canonical line without allocating, any other line
 // is encoding/json's.
-func ParseLine(line []byte) (Line, error) {
-	if l, ok := parseCanonLine(line); ok {
-		return l, nil
+func ParseLine(line []byte) (l Line, err error) {
+	l, ok := parseCanonLine(line)
+	if !ok {
+		if l, err = parseLineJSON(line); err != nil {
+			return l, err
+		}
 	}
-	return parseLineJSON(line)
+	l.DeadlineMS = min(l.DeadlineMS, maxDeadlineMS)
+	return l, nil
 }
 
 var (
@@ -62,70 +76,48 @@ var (
 	canonDMS = []byte(`","deadline_ms":`)
 )
 
-// parseCanonIPv4 parses a strictly canonical dotted quad at the start of
-// b, returning the address and the number of bytes consumed (-1 when b
-// does not start with one).
+// cutIPv4 reads the address at the start of b, up to the quote that closes
+// its JSON string, and returns the rest of b from that quote on. ok is
+// false unless the string is a dotted quad netsim.ParseIPv4 accepts, which
+// has no character JSON escapes.
 //
 //inano:zeroalloc
-func parseCanonIPv4(b []byte) (netsim.IP, int) {
-	var ip uint32
-	i := 0
-	for oct := 0; oct < 4; oct++ {
-		if oct > 0 {
-			if i >= len(b) || b[i] != '.' {
-				return 0, -1
-			}
-			i++
-		}
-		start := i
-		v := 0
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' && i-start < 3 {
-			v = v*10 + int(b[i]-'0')
-			i++
-		}
-		if i == start || v > 255 {
-			return 0, -1
-		}
-		if b[start] == '0' && i-start > 1 {
-			return 0, -1 // leading zero: not canonical
-		}
-		ip = ip<<8 | uint32(v)
+func cutIPv4(b []byte) (ip netsim.IP, rest []byte, ok bool) {
+	j := bytes.IndexByte(b, '"')
+	if j < 0 {
+		return 0, nil, false
 	}
-	return netsim.IP(ip), i
+	// An address the grammar refuses costs its error's allocation, on a
+	// line parseLineJSON then refuses too.
+	ip, err := netsim.ParseIPv4(b[:j])
+	return ip, b[j:], err == nil
 }
 
-// parseCanonLine parses one canonical request line without allocating. ok
-// is false when the line is anything but the exact canonical shape.
+// parseCanonLine parses one canonical request line. ok is false when the
+// line is anything but the exact canonical shape; a line it claims costs
+// no allocation.
 //
 //inano:zeroalloc
 func parseCanonLine(line []byte) (l Line, ok bool) {
-	if len(line) < len(canonSrc) || string(line[:len(canonSrc)]) != string(canonSrc) {
+	rest, ok := bytes.CutPrefix(line, canonSrc)
+	if !ok {
 		return Line{}, false
 	}
-	i := len(canonSrc)
-	src, n := parseCanonIPv4(line[i:])
-	if n < 0 {
+	if l.SrcIP, rest, ok = cutIPv4(rest); !ok {
 		return Line{}, false
 	}
-	i += n
-	if len(line)-i < len(canonDst) || string(line[i:i+len(canonDst)]) != string(canonDst) {
+	if rest, ok = bytes.CutPrefix(rest, canonDst); !ok {
 		return Line{}, false
 	}
-	i += len(canonDst)
-	dst, n := parseCanonIPv4(line[i:])
-	if n < 0 {
+	if l.DstIP, rest, ok = cutIPv4(rest); !ok {
 		return Line{}, false
 	}
-	i += n
-	l.SrcIP, l.DstIP = src, dst
-	rest := line[i:]
-	if len(rest) == len(canonEnd) && string(rest) == string(canonEnd) {
+	if bytes.Equal(rest, canonEnd) {
 		return l, true
 	}
-	if len(rest) < len(canonDMS) || string(rest[:len(canonDMS)]) != string(canonDMS) {
+	if rest, ok = bytes.CutPrefix(rest, canonDMS); !ok {
 		return Line{}, false
 	}
-	rest = rest[len(canonDMS):]
 	if len(rest) < 2 || rest[len(rest)-1] != '}' {
 		return Line{}, false
 	}
@@ -168,6 +160,6 @@ func parseLineJSON(line []byte) (l Line, err error) {
 	if req.DeadlineMS < 0 {
 		return l, fmt.Errorf("bad deadline_ms %d", req.DeadlineMS)
 	}
-	l.Src, l.Dst, l.DeadlineMS = req.Src, req.Dst, req.DeadlineMS
+	l.DeadlineMS = req.DeadlineMS
 	return l, nil
 }

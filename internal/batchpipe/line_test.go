@@ -1,6 +1,7 @@
 package batchpipe
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ var parseLineCases = []struct {
 	line     string
 	ok       bool   // the strict parser claims it
 	src, dst string // its addresses when ok
-	dms      int64
+	dms      int64  // the deadline read, before ParseLine clamps it
 	errText  string // what ParseLine reports; "" = accepted
 }{
 	{line: `{"src":"1.2.3.4","dst":"5.6.7.8"}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 0},
@@ -37,6 +38,9 @@ var parseLineCases = []struct {
 	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","x":1}`, src: "1.2.3.4", dst: "5.6.7.8"},                           // unknown field
 	{line: `{"src":"1.2.3.4"}`, errText: `dst: bad IPv4 address ""`},
 	{line: ``, errText: `bad pair: unexpected end of JSON input`},
+	// A deadline past what a time.Duration holds is clamped to it.
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":999999999999999999}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 999999999999999999},
+	{line: `{"deadline_ms":999999999999999999,"src":"1.2.3.4","dst":"5.6.7.8"}`, src: "1.2.3.4", dst: "5.6.7.8", dms: maxDeadlineMS},
 }
 
 func TestParseBatchLine(t *testing.T) {
@@ -47,8 +51,8 @@ func TestParseBatchLine(t *testing.T) {
 			continue
 		}
 		if ok {
-			if l.Src != "" || l.Dst != "" || l.SrcIP.String() != tc.src || l.DstIP.String() != tc.dst || l.DeadlineMS != tc.dms {
-				t.Errorf("parseCanonLine(%q) = %+v, want %s,%s,%d and no strings", tc.line, l, tc.src, tc.dst, tc.dms)
+			if l.SrcIP.String() != tc.src || l.DstIP.String() != tc.dst || l.DeadlineMS != tc.dms {
+				t.Errorf("parseCanonLine(%q) = %+v, want %s,%s,%d", tc.line, l, tc.src, tc.dst, tc.dms)
 			}
 			// Round trip through the strict parser must agree with the
 			// shared production parser.
@@ -57,7 +61,7 @@ func TestParseBatchLine(t *testing.T) {
 			}
 		}
 		// The door both daemons use: the one set of error texts, and the
-		// request's own strings kept for any line the strict parser left.
+		// request's addresses and deadline whichever parser read them.
 		got, err := ParseLine([]byte(tc.line))
 		switch {
 		case tc.errText != "":
@@ -66,40 +70,45 @@ func TestParseBatchLine(t *testing.T) {
 			}
 		case err != nil:
 			t.Errorf("ParseLine(%q): %v", tc.line, err)
-		case ok && got != l:
-			t.Errorf("ParseLine(%q) = %+v, the strict parser's %+v", tc.line, got, l)
-		case !ok && (got.Src != tc.src || got.Dst != tc.dst):
-			t.Errorf("ParseLine(%q) keeps %q,%q, want the request's %q,%q", tc.line, got.Src, got.Dst, tc.src, tc.dst)
+		case got.SrcIP.String() != tc.src || got.DstIP.String() != tc.dst || got.DeadlineMS != min(tc.dms, maxDeadlineMS):
+			t.Errorf("ParseLine(%q) = %+v, want the request's %s,%s,%d", tc.line, got, tc.src, tc.dst, min(tc.dms, maxDeadlineMS))
 		}
 	}
 }
 
 // FuzzParseBatchLine is the proof that one batch loop with two parsers
-// serves one wire format: whenever the strict parser claims a line,
-// encoding/json and the shared address parser accept it with the same
-// addresses and deadline, and the addresses' canonical text is, byte for
-// byte, the strings that parser would have kept for the echo.
+// serves one wire format, and that an echo need not keep the request's
+// text: whenever the strict parser claims a line, encoding/json and the
+// shared address parser accept it with the same addresses and deadline;
+// and for every line ParseLine accepts, printing its addresses gives back,
+// byte for byte, the strings its JSON holds.
 func FuzzParseBatchLine(f *testing.F) {
 	for _, tc := range parseLineCases {
 		f.Add([]byte(tc.line))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		l, ok := parseCanonLine(line)
-		if !ok {
+		if l, ok := parseCanonLine(line); ok {
+			j, err := parseLineJSON(line)
+			if err != nil {
+				t.Fatalf("strict parser claimed %q, parseLineJSON rejects it: %v", line, err)
+			}
+			if j != l {
+				t.Fatalf("%q: strict %+v != json %+v", line, l, j)
+			}
+		}
+		l, err := ParseLine(line)
+		if err != nil {
 			return
 		}
-		j, err := parseLineJSON(line)
-		if err != nil {
-			t.Fatalf("strict parser claimed %q, parseLineJSON rejects it: %v", line, err)
+		var req struct{ Src, Dst string }
+		if err := json.Unmarshal(line, &req); err != nil {
+			t.Fatalf("ParseLine accepted %q, encoding/json rejects it: %v", line, err)
 		}
-		if j.SrcIP != l.SrcIP || j.DstIP != l.DstIP || j.DeadlineMS != l.DeadlineMS {
-			t.Fatalf("%q: strict %+v != json %+v", line, l, j)
+		if got := string(l.SrcIP.AppendTo(nil)); got != req.Src {
+			t.Fatalf("%q: src %q printed as %q", line, req.Src, got)
 		}
-		if got := l.SrcIP.String(); got != j.Src {
-			t.Fatalf("%q: src echo %q regenerated as %q", line, j.Src, got)
-		}
-		if got := l.DstIP.String(); got != j.Dst {
-			t.Fatalf("%q: dst echo %q regenerated as %q", line, j.Dst, got)
+		if got := string(l.DstIP.AppendTo(nil)); got != req.Dst {
+			t.Fatalf("%q: dst %q printed as %q", line, req.Dst, got)
 		}
 	})
 }

@@ -30,15 +30,15 @@ func Window(q url.Values, def int) (int, error) {
 }
 
 // RequestContext derives a request's context from its deadline: ?deadline_ms=
-// when the request carries one, def otherwise, capped by max; with none at
-// all parent itself serves.
+// when the request carries one (clamped to what a time.Duration holds), def
+// otherwise, capped by max; with none at all parent itself serves.
 func RequestContext(parent context.Context, q url.Values, def, max time.Duration) (context.Context, context.CancelFunc, error) {
 	if raw := q.Get("deadline_ms"); raw != "" {
 		ms, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || ms <= 0 {
 			return nil, nil, fmt.Errorf("bad deadline_ms %q", raw)
 		}
-		def = time.Duration(ms) * time.Millisecond
+		def = time.Duration(min(ms, maxDeadlineMS)) * time.Millisecond
 	}
 	if max > 0 && (def == 0 || def > max) {
 		def = max

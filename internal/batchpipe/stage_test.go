@@ -192,6 +192,8 @@ func TestWindowAndDeadline(t *testing.T) {
 		{"deadline_ms=0", 1024, 0, `bad deadline_ms "0"`},
 		{"deadline_ms=-1", 1024, 0, `bad deadline_ms "-1"`},
 		{"deadline_ms=soon", 1024, 0, `bad deadline_ms "soon"`},
+		// Past what a time.Duration holds: clamped, not wrapped to 448µs.
+		{"deadline_ms=18446744073710", 1024, time.Duration(maxDeadlineMS) * time.Millisecond, ""},
 	} {
 		q, err := url.ParseQuery(tc.query)
 		if err != nil {

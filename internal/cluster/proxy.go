@@ -423,34 +423,34 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, key uint64, body
 	return routerError(w, http.StatusServiceUnavailable, "no live replica for this destination")
 }
 
-// handleQuery routes one (src, dst) query by destination cluster.
+// handleQuery routes one (src, dst) query by destination cluster. Its
+// addresses, and a POST body as one /v1/batch request line, are parsed here
+// as the replica parses them, so a malformed query gets the replica's
+// status and error text without a round trip.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	var dst string
-	var body []byte
 	switch r.Method {
 	case http.MethodGet:
-		dst = r.URL.Query().Get("dst")
-	case http.MethodPost:
-		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, batchpipe.MaxLineBytes))
+		q := r.URL.Query()
+		if _, err := netsim.ParseIPv4(q.Get("src")); err != nil {
+			return routerError(w, http.StatusBadRequest, "src: %v", err)
+		}
+		key, err := rt.keyForDstIP(q.Get("dst"))
 		if err != nil {
-			return routerError(w, http.StatusBadRequest, "reading body: %v", err)
+			return routerError(w, http.StatusBadRequest, "dst: %v", err)
 		}
-		var req struct {
-			Dst string `json:"dst"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
+		return rt.proxy(w, r, key, nil)
+	case http.MethodPost:
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, batchpipe.MaxLineBytes))
+		if err != nil {
 			return routerError(w, http.StatusBadRequest, "bad request body: %v", err)
 		}
-		dst = req.Dst
-	default:
-		return routerError(w, http.StatusMethodNotAllowed, "use GET or POST")
+		l, err := batchpipe.ParseLine(bytes.TrimSpace(body))
+		if err != nil {
+			return routerError(w, http.StatusBadRequest, "%v", err)
+		}
+		return rt.proxy(w, r, rt.keyFor(l.DstIP), body)
 	}
-	key, err := rt.keyForDstIP(dst)
-	if err != nil {
-		return routerError(w, http.StatusBadRequest, "dst: %v", err)
-	}
-	return rt.proxy(w, r, key, body)
+	return routerError(w, http.StatusMethodNotAllowed, "use GET or POST")
 }
 
 // handleRank routes a candidate-ranking request. A rank answer touches

@@ -44,14 +44,11 @@ func (p Prefix) HostIP() IP { return IP(p)<<8 + 1 }
 
 // String formats the prefix in dotted-quad/24 notation.
 func (p Prefix) String() string {
-	ip := uint32(p) << 8
-	return fmt.Sprintf("%d.%d.%d.0/24", byte(ip>>24), byte(ip>>16), byte(ip>>8))
+	return string(append(p.FirstIP().AppendTo(make([]byte, 0, 18)), "/24"...))
 }
 
-// String formats the address in dotted-quad notation.
-func (ip IP) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
-}
+// String formats the address in dotted-quad notation (IP.AppendTo).
+func (ip IP) String() string { return string(ip.AppendTo(make([]byte, 0, 15))) }
 
 // Tier classifies an AS's position in the provider hierarchy.
 type Tier int8

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
 	"strconv"
 
@@ -14,19 +13,6 @@ import (
 // canonical lines allocates nothing. It replicates encoding/json's output
 // for queryResult byte for byte (field order, omitempty, float formatting,
 // trailing newline), pinned by TestAppendResultLineMatchesEncoder.
-
-// appendIPv4 appends the canonical dotted-quad form of ip. For the addresses
-// of a canonical line (batchpipe.ParseLine) this regenerates the request
-// bytes exactly, so such lines need not retain their src/dst strings at all.
-func appendIPv4(b []byte, ip inano.IP) []byte {
-	for shift := 24; shift >= 0; shift -= 8 {
-		if shift < 24 {
-			b = append(b, '.')
-		}
-		b = strconv.AppendUint(b, uint64(uint8(ip>>uint(shift))), 10)
-	}
-	return b
-}
 
 // appendJSONFloat appends f exactly as encoding/json encodes a float64:
 // shortest representation, 'f' form unless the magnitude calls for 'e'
@@ -48,27 +34,12 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// jsonSafe reports whether s can be embedded in a JSON string without
-// any escaping, under json.Encoder's default HTML-escaping rules.
-func jsonSafe(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
-}
-
 // answerLine is one answer on its way to the wire. From the moment its
-// request is parsed it holds what to echo back as src/dst: for a canonical
-// request line only the addresses (src == ""), whose canonical text is
-// regenerated, for any other the request's own strings verbatim. Once the
-// pair is answered it holds what the line carries of the PathInfo, copied
-// out so that the line can be encoded after the PathInfo's owner has reused
-// it.
+// request is parsed it holds the addresses to echo back as src/dst, printed
+// in their one spelling. Once the pair is answered it holds what the line
+// carries of the PathInfo, copied out so that the line can be encoded after
+// the PathInfo's owner has reused it.
 type answerLine struct {
-	src, dst                      string
 	srcIP, dstIP                  inano.IP
 	rttMS, lossRate, fwdMS, revMS float64
 	found, expired                bool
@@ -107,21 +78,6 @@ func appendWindow(buf []byte, lines []answerLine, day int) []byte {
 	return buf
 }
 
-// appendEchoString appends the echoed address: the canonical regeneration
-// for a canonical line, the retained string otherwise — through
-// encoding/json should it need escaping, a guard only: no string
-// netsim.ParseIPv4 accepts does (digits and '.').
-func appendEchoString(b []byte, s string, ip inano.IP) []byte {
-	switch {
-	case s == "":
-		return appendIPv4(b, ip)
-	case jsonSafe(s):
-		return append(b, s...)
-	}
-	quoted, _ := json.Marshal(s) // a string cannot fail
-	return append(b, quoted[1:len(quoted)-1]...)
-}
-
 // appendASPath appends `,"<key>":[a,b,...]`, or nothing for an empty path
 // (omitempty).
 func appendASPath(buf []byte, key string, path []netsim.ASN) []byte {
@@ -147,9 +103,9 @@ func appendASPath(buf []byte, key string, path []netsim.ASN) []byte {
 //inano:zeroalloc
 func appendResultLine(buf []byte, l *answerLine, day int, fwdAS, revAS []netsim.ASN) []byte {
 	buf = append(buf, `{"src":"`...)
-	buf = appendEchoString(buf, l.src, l.srcIP)
+	buf = l.srcIP.AppendTo(buf)
 	buf = append(buf, `","dst":"`...)
-	buf = appendEchoString(buf, l.dst, l.dstIP)
+	buf = l.dstIP.AppendTo(buf)
 	buf = append(buf, `","found":`...)
 	if l.found {
 		buf = append(buf, "true"...)

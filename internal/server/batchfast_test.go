@@ -19,12 +19,12 @@ import (
 )
 
 // parseBatchLineCases is TestParseBatchLine's table and
-// FuzzParseBatchLine's seed corpus: batchpipe's own, here for what the
-// server adds to the parser — the echo it regenerates for a canonical line.
+// FuzzParseBatchLine's seed corpus: batchpipe's own lines, here for what the
+// server adds to the parser — the echo it prints for every line it takes.
 var parseBatchLineCases = []struct {
 	line     string
 	ok       bool
-	src, dst string // canonical echo when ok
+	src, dst string // the echo when ok
 	dms      int64
 }{
 	{line: `{"src":"1.2.3.4","dst":"5.6.7.8"}`, ok: true, src: "1.2.3.4", dst: "5.6.7.8", dms: 0},
@@ -52,27 +52,29 @@ var parseBatchLineCases = []struct {
 
 func TestParseBatchLine(t *testing.T) {
 	for _, tc := range parseBatchLineCases {
-		l, err := batchpipe.ParseLine([]byte(tc.line))
-		if ok := err == nil && l.Src == ""; ok != tc.ok {
-			t.Errorf("ParseLine(%q) canonical=%v, want %v", tc.line, ok, tc.ok)
-			continue
-		}
 		if !tc.ok {
+			continue // FuzzParseBatchLine's seeds check every line's echo
+		}
+		l, err := batchpipe.ParseLine([]byte(tc.line))
+		if err != nil {
+			t.Errorf("ParseLine(%q): %v", tc.line, err)
 			continue
 		}
-		gotSrc := string(appendIPv4(nil, l.SrcIP))
-		gotDst := string(appendIPv4(nil, l.DstIP))
-		if gotSrc != tc.src || gotDst != tc.dst || l.DeadlineMS != tc.dms {
+		if echo := echoOf(t, l); echo.Src != tc.src || echo.Dst != tc.dst || l.DeadlineMS != tc.dms {
 			t.Errorf("ParseLine(%q) = %s,%s,%d want %s,%s,%d",
-				tc.line, gotSrc, gotDst, l.DeadlineMS, tc.src, tc.dst, tc.dms)
-		}
-		// Round trip through the strict parser must agree with the
-		// shared production parser.
-		want, err := netsim.ParseIPv4(tc.src)
-		if err != nil || want != l.SrcIP {
-			t.Errorf("ParseLine(%q) src %v != ParseIPv4 %v (%v)", tc.line, l.SrcIP, want, err)
+				tc.line, echo.Src, echo.Dst, l.DeadlineMS, tc.src, tc.dst, tc.dms)
 		}
 	}
+}
+
+// echoOf is the src/dst an answer line for l carries.
+func echoOf(t testing.TB, l batchpipe.Line) (echo struct{ Src, Dst string }) {
+	t.Helper()
+	a := answerLine{srcIP: l.SrcIP, dstIP: l.DstIP}
+	if err := json.Unmarshal(appendResultLine(nil, &a, 0, nil, nil), &echo); err != nil {
+		t.Fatal(err)
+	}
+	return echo
 }
 
 // resultFor fills the wire struct encoding/json reads: the reference the
@@ -133,10 +135,6 @@ func TestAppendResultLineMatchesEncoder(t *testing.T) {
 	for trial := 0; trial < 4000; trial++ {
 		info := randInfo()
 		e := answerLine{srcIP: inano.IP(rng.Uint32()), dstIP: inano.IP(rng.Uint32())}
-		if trial%3 == 0 {
-			e.src = "1.2.3.4" // a non-canonical line's echo string, kept verbatim
-			e.dst = "9.9.9.9"
-		}
 		expired := trial%5 == 0
 		if expired {
 			info = inano.PathInfo{}
@@ -151,12 +149,7 @@ func TestAppendResultLineMatchesEncoder(t *testing.T) {
 		}
 		got := appendResultLine(nil, &e, day, fwdAS, revAS)
 
-		srcStr, dstStr := e.src, e.dst
-		if srcStr == "" {
-			srcStr = string(appendIPv4(nil, e.srcIP))
-			dstStr = string(appendIPv4(nil, e.dstIP))
-		}
-		res := resultFor(srcStr, dstStr, day, info, withPaths)
+		res := resultFor(e.srcIP.String(), e.dstIP.String(), day, info, withPaths)
 		if expired {
 			res.Error = "deadline_ms exceeded"
 		}
@@ -166,58 +159,30 @@ func TestAppendResultLineMatchesEncoder(t *testing.T) {
 	}
 }
 
-// TestAppendResultLineEscapes drives the echo's guard arm: a string that
-// needs escaping (none reaches it: netsim.ParseIPv4 admits none) comes out as
-// json.Encoder writes it.
-func TestAppendResultLineEscapes(t *testing.T) {
-	info := inano.PathInfo{Found: true, RTTMS: 3, LossRate: 0.5}
-	info.Fwd.LatencyMS, info.Rev.LatencyMS = 1, 2
-	info.Fwd.ASPath = []netsim.ASN{1, 2}
-	for _, expired := range []bool{false, true} {
-		e := answerLine{src: "<1.2.3.4>&\u2028", dst: "a\"b\\\x01é"}
-		if expired {
-			info = inano.PathInfo{}
-		}
-		e.answer(&info, expired)
-		got := appendResultLine([]byte("x"), &e, 3, info.Fwd.ASPath, info.Rev.ASPath)
-		res := resultFor(e.src, e.dst, 3, info, true)
-		if expired {
-			res.Error = "deadline_ms exceeded"
-		}
-		if want := append([]byte("x"), encoderLine(t, res)...); !bytes.Equal(got, want) {
-			t.Fatalf("expired=%v:\nappend  %q\nencoder %q", expired, got, want)
-		}
-	}
-}
-
-// FuzzParseBatchLine is the proof that one batch loop with two parsers
-// serves one wire format, seen from the encoder: whenever the strict parser
-// claims a line (it keeps no strings), encoding/json and the shared address
-// parser read the same addresses and deadline out of it, and appendIPv4
-// regenerates, byte for byte, the strings they would have echoed.
+// FuzzParseBatchLine is the proof, seen from the wire, that an echo need
+// not keep the request's text: for every line batchpipe.ParseLine takes,
+// the answer line the server writes is, byte for byte, what encoding/json
+// writes for an answer echoing the strings the request's JSON holds.
 func FuzzParseBatchLine(f *testing.F) {
 	for _, tc := range parseBatchLineCases {
 		f.Add([]byte(tc.line))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		l, err := batchpipe.ParseLine(line)
-		if err != nil || l.Src != "" {
+		if err != nil {
 			return
 		}
-		var req pairRequest
+		var req struct{ Src, Dst string }
 		if err := json.Unmarshal(line, &req); err != nil {
-			t.Fatalf("strict parser claimed %q, encoding/json rejects it: %v", line, err)
+			t.Fatalf("ParseLine took %q, encoding/json rejects it: %v", line, err)
 		}
-		src, errSrc := netsim.ParseIPv4(req.Src)
-		dst, errDst := netsim.ParseIPv4(req.Dst)
-		if errSrc != nil || errDst != nil || src != l.SrcIP || dst != l.DstIP || req.DeadlineMS != l.DeadlineMS {
-			t.Fatalf("%q: strict %v,%v,%d != json %v,%v,%d (%v, %v)", line, l.SrcIP, l.DstIP, l.DeadlineMS, src, dst, req.DeadlineMS, errSrc, errDst)
-		}
-		if got := string(appendIPv4(nil, l.SrcIP)); got != req.Src {
-			t.Fatalf("%q: src echo %q regenerated as %q", line, req.Src, got)
-		}
-		if got := string(appendIPv4(nil, l.DstIP)); got != req.Dst {
-			t.Fatalf("%q: dst echo %q regenerated as %q", line, req.Dst, got)
+		info := inano.PathInfo{Found: true, RTTMS: 3, LossRate: 0.5}
+		info.Fwd.LatencyMS, info.Rev.LatencyMS = 1, 2
+		a := answerLine{srcIP: l.SrcIP, dstIP: l.DstIP}
+		a.answer(&info, false)
+		got := appendResultLine(nil, &a, 4, nil, nil)
+		if want := encoderLine(t, resultFor(req.Src, req.Dst, 4, info, false)); !bytes.Equal(got, want) {
+			t.Fatalf("%q:\nappend  %q\nencoder %q", line, got, want)
 		}
 	})
 }
@@ -241,7 +206,7 @@ func postBatch(t testing.TB, url string, body io.Reader) string {
 }
 
 // TestBatchFastPathParity sends one mixed stream — canonical lines,
-// per-pair deadlines, unknown destinations, ParseIPv4-quirk addresses,
+// per-pair deadlines, unknown destinations, escaped addresses,
 // blank lines — twice: as written, and with every canonical line rewritten
 // (fields swapped, whitespace added) so that only encoding/json will take
 // it. The two response bodies must be byte-identical.
@@ -270,7 +235,11 @@ func TestBatchFastPathParity(t *testing.T) {
 		}
 	}
 	for _, line := range strings.Split(generic.String(), "\n") {
-		if l, err := batchpipe.ParseLine([]byte(strings.TrimSpace(line))); err == nil && l.Src == "" {
+		line = strings.TrimSpace(line)
+		l, err := batchpipe.ParseLine([]byte(line))
+		// Every line the strict parser claims starts like this.
+		canonical := fmt.Sprintf(`{"src":"%v","dst":"%v"`, l.SrcIP, l.DstIP)
+		if err == nil && strings.HasPrefix(line, canonical) {
 			t.Fatalf("rewritten line %q is still canonical", line)
 		}
 	}
@@ -342,11 +311,11 @@ func TestBatchFastPathZeroAlloc(t *testing.T) {
 		reqs, slot.lines = reqs[:0], slot.lines[:0]
 		for _, line := range lines {
 			l, err := batchpipe.ParseLine(line)
-			if err != nil || l.Src != "" {
-				t.Fatal("fixture line not canonical")
+			if err != nil {
+				t.Fatal(err)
 			}
 			reqs = append(reqs, inano.PairOf(l.SrcIP, l.DstIP))
-			slot.lines = append(slot.lines, answerLine{src: l.Src, dst: l.Dst, srcIP: l.SrcIP, dstIP: l.DstIP})
+			slot.lines = append(slot.lines, answerLine{srcIP: l.SrcIP, dstIP: l.DstIP})
 		}
 		infos, expired, err := sb.Run(context.Background(), reqs)
 		if err != nil {

@@ -138,7 +138,7 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 		return httpError(w, http.StatusBadRequest, "dst: %v", err)
 	}
 	rawRelays := strings.Split(q.Get("relays"), ",")
-	var cands []string
+	var ips []netsim.IP
 	var relays []inano.Prefix
 	for _, raw := range rawRelays {
 		raw = strings.TrimSpace(raw)
@@ -149,7 +149,7 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return httpError(w, http.StatusBadRequest, "relays: %v", err)
 		}
-		cands = append(cands, raw)
+		ips = append(ips, ip)
 		relays = append(relays, netsim.PrefixOf(ip))
 	}
 	if len(relays) == 0 {
@@ -173,8 +173,8 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 		return httpError(w, http.StatusGatewayTimeout, "relay selection aborted: %v", err)
 	}
 	resp := relayResponse{
-		Src:        q.Get("src"),
-		Dst:        q.Get("dst"),
+		Src:        src.String(),
+		Dst:        dst.String(),
 		Found:      ok,
 		Candidates: len(relays),
 		Day:        snap.Day(),
@@ -183,11 +183,11 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 		resp.RTTMS = choice.RTTMS
 		resp.LossRate = choice.LossRate
 		resp.MOS = choice.MOS
-		// Echo the candidate string whose prefix won, so callers get back
-		// an address they sent.
+		// Echo the candidate whose prefix won, so callers get back an
+		// address they sent.
 		for i, p := range relays {
 			if p == choice.Relay {
-				resp.Relay = cands[i]
+				resp.Relay = ips[i].String()
 				break
 			}
 		}

@@ -187,3 +187,62 @@ func TestRoutedBatchBytes(t *testing.T) {
 		t.Fatalf("inano_router_batch_lines_total = %d, want %d lines sent + %d re-sent", got, sent, retried)
 	}
 }
+
+// TestRoutedQueryRefusals: the router parses a /v1/query, its POST body or
+// its parameters, as its replicas do, so a malformed one gets the replica's
+// status and error text from the router itself, and only a well-formed one
+// reaches a replica — whose answer the router forwards as it is.
+func TestRoutedQueryRefusals(t *testing.T) {
+	f := buildFixture(t, 219)
+	s, _ := start(t, f, nil)
+	node := s.Handler()
+	var reached atomic.Int64
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/query" {
+			reached.Add(1)
+		}
+		node.ServeHTTP(w, r)
+	}))
+	defer replica.Close()
+	rt, err := cluster.NewRouter(cluster.RouterConfig{
+		Nodes: []string{replica.URL}, ClusterOf: atlas.Compile(f.day0).ClusterOf, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := rt.Handler()
+	// ask POSTs body to /v1/query, or GETs /v1/query?<body> when it is a
+	// query string.
+	ask := func(h http.Handler, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body))
+		if strings.HasPrefix(body, "src=") {
+			req = httptest.NewRequest(http.MethodGet, "/v1/query?"+body, nil)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	src, dst := ipStr(f.vps[1]), ipStr(f.targets[2])
+	for _, body := range []string{
+		fmt.Sprintf(`{"src":"+1.2.3.4","dst":%q}`, dst),
+		fmt.Sprintf(`{"src":%q,"dst":"1.2.3"}`, src),
+		fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":-1}`, src, dst),
+		fmt.Sprintf(`{"src":%q,"dst":%q`, src, dst),
+		``,
+		"src=%2B1.2.3.4&dst=1.2.3",
+		"src=" + src + "&dst=01.2.3.4",
+	} {
+		want, got := ask(node, body), ask(routed, body)
+		if got.Code != http.StatusBadRequest || got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Errorf("query %q: router %d %q, replica %d %q", body, got.Code, got.Body, want.Code, want.Body)
+		}
+	}
+	if n := reached.Load(); n != 0 {
+		t.Fatalf("%d malformed queries reached the replica", n)
+	}
+	body := fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":60000}`, src, dst)
+	want, got := ask(node, body), ask(routed, body)
+	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() || reached.Load() != 1 {
+		t.Fatalf("router %d %q, replica %d %q, %d requests reached the replica", got.Code, got.Body, want.Code, want.Body, reached.Load())
+	}
+}

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sync"
@@ -472,14 +473,6 @@ func writeJSONBody(w http.ResponseWriter, v any) error {
 
 // --- wire types ---
 
-// pairRequest is a /v1/query POST body: one /v1/batch line (batchpipe.Line)
-// as encoding/json reads it.
-type pairRequest struct {
-	Src        string `json:"src"`
-	Dst        string `json:"dst"`
-	DeadlineMS int64  `json:"deadline_ms,omitempty"`
-}
-
 // queryResult is the answer for one (src, dst) pair, shared by /v1/query
 // and /v1/batch lines. FwdMS+RevMS always sum to RTTMS — a cheap
 // client-side integrity check that an answer was not torn.
@@ -526,49 +519,57 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 // linePool holds the buffers /v1/query answers are encoded into.
 var linePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// handleQuery answers one (src, dst) query. GET with ?src=&dst= or POST
-// with a {"src","dst"} body; ?deadline_ms= bounds it. Concurrent queries to
-// one cold destination share a single tree search (the engine's cache).
-// The answer is a batch answer line plus the two AS paths, from the same
-// encoder, written in one piece.
+// handleQuery answers one (src, dst) query. GET with ?src=&dst=, or POST
+// with one /v1/batch request line as the body (batchpipe.ParseLine), whose
+// deadline_ms bounds the answer inside the request's own deadline;
+// ?deadline_ms= bounds either. Concurrent queries to one cold destination
+// share a single tree search (the engine's cache). The answer is a batch
+// answer line plus the two AS paths, from the same encoder, written in one
+// piece.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	var req pairRequest
+	var l batchpipe.Line
 	q := r.URL.Query()
 	switch r.Method {
 	case http.MethodGet:
-		req.Src, req.Dst = q.Get("src"), q.Get("dst")
+		var err error
+		if l.SrcIP, err = netsim.ParseIPv4(q.Get("src")); err != nil {
+			return httpError(w, http.StatusBadRequest, "src: %v", err)
+		}
+		if l.DstIP, err = netsim.ParseIPv4(q.Get("dst")); err != nil {
+			return httpError(w, http.StatusBadRequest, "dst: %v", err)
+		}
 	case http.MethodPost:
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, batchpipe.MaxLineBytes)).Decode(&req); err != nil {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, batchpipe.MaxLineBytes))
+		if err != nil {
 			return httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		}
+		if l, err = batchpipe.ParseLine(bytes.TrimSpace(body)); err != nil {
+			return httpError(w, http.StatusBadRequest, "%v", err)
 		}
 	default:
 		return httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
-	}
-	src, err := netsim.ParseIPv4(req.Src)
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "src: %v", err)
-	}
-	dst, err := netsim.ParseIPv4(req.Dst)
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "dst: %v", err)
 	}
 	ctx, cancel, err := s.requestContext(r, q)
 	if err != nil {
 		return httpError(w, http.StatusBadRequest, "%v", err)
 	}
 	defer cancel()
+	if l.DeadlineMS > 0 {
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(l.DeadlineMS)*time.Millisecond)
+		defer cancel()
+	}
 	// One pinned snapshot answers and labels the result, so the reported
 	// day always matches the atlas that produced the numbers.
 	snap := s.c.Snapshot()
-	info, err := snap.Query(ctx, netsim.PrefixOf(src), netsim.PrefixOf(dst))
+	info, err := snap.Query(ctx, netsim.PrefixOf(l.SrcIP), netsim.PrefixOf(l.DstIP))
 	if err != nil {
 		return httpError(w, http.StatusGatewayTimeout, "query aborted: %v", err)
 	}
-	l := answerLine{src: req.Src, dst: req.Dst}
-	l.answer(&info, false)
+	a := answerLine{srcIP: l.SrcIP, dstIP: l.DstIP}
+	a.answer(&info, false)
 	buf := linePool.Get().(*[]byte)
 	defer linePool.Put(buf)
-	*buf = appendResultLine((*buf)[:0], &l, snap.Day(), info.Fwd.ASPath, info.Rev.ASPath)
+	*buf = appendResultLine((*buf)[:0], &a, snap.Day(), info.Fwd.ASPath, info.Rev.ASPath)
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := w.Write(*buf); err != nil {
 		return fmt.Errorf("writing query response: %w", err)
@@ -690,7 +691,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 			pr.Deadline = time.Now().Add(time.Duration(l.DeadlineMS) * time.Millisecond)
 		}
 		reqs = append(reqs, pr)
-		slot.lines = append(slot.lines, answerLine{src: l.Src, dst: l.Dst, srcIP: l.SrcIP, dstIP: l.DstIP})
+		slot.lines = append(slot.lines, answerLine{srcIP: l.SrcIP, dstIP: l.DstIP})
 		if len(reqs) >= window {
 			live = runWindow()
 		}
@@ -737,13 +738,13 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 	if len(req.Candidates) == 0 {
 		return httpError(w, http.StatusBadRequest, "no candidates")
 	}
+	ips := make([]netsim.IP, len(req.Candidates))
 	dsts := make([]netsim.Prefix, len(req.Candidates))
 	for i, c := range req.Candidates {
-		dst, err := netsim.ParseIPv4(c)
-		if err != nil {
+		if ips[i], err = netsim.ParseIPv4(c); err != nil {
 			return httpError(w, http.StatusBadRequest, "candidate %d: %v", i, err)
 		}
-		dsts[i] = netsim.PrefixOf(dst)
+		dsts[i] = netsim.PrefixOf(ips[i])
 	}
 	ctx, cancel, err := s.requestContext(r, r.URL.Query())
 	if err != nil {
@@ -757,7 +758,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
 	}
 	out := make([]rankedCandidate, len(ranked))
 	for i, rk := range ranked {
-		out[i] = rankedCandidate{IP: req.Candidates[rk.Index], Found: rk.Found, RTTMS: rk.RTTMS, LossRate: rk.LossRate, TransferMS: rk.TransferMS}
+		out[i] = rankedCandidate{IP: ips[rk.Index].String(), Found: rk.Found, RTTMS: rk.RTTMS, LossRate: rk.LossRate, TransferMS: rk.TransferMS}
 	}
-	return writeJSON(w, map[string]any{"src": req.Src, "day": snap.Day(), "ranked": out})
+	return writeJSON(w, map[string]any{"src": src.String(), "day": snap.Day(), "ranked": out})
 }

@@ -183,6 +183,69 @@ func TestQueryBodyCap(t *testing.T) {
 	}
 }
 
+// TestQueryBodyIsOneLine: a /v1/query POST body is one /v1/batch request
+// line. Any spelling encoding/json takes is answered as the canonical line
+// is, the echo being the address printed; deadline_ms 0 means none, and a
+// negative one is refused as on a batch line.
+func TestQueryBodyIsOneLine(t *testing.T) {
+	f := buildFixture(t, 201)
+	_, ts := start(t, f, nil)
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(out)
+	}
+	src, dst := ipStr(f.vps[0]), ipStr(f.targets[7])
+	code, want := post(fmt.Sprintf(`{"src":%q,"dst":%q}`, src, dst))
+	if code != http.StatusOK || !strings.HasPrefix(want, fmt.Sprintf(`{"src":%q,"dst":%q,"found":true`, src, dst)) {
+		t.Fatalf("canonical body: status %d, %s", code, want)
+	}
+	for _, body := range []string{
+		fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":0}`, src, dst),
+		fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":60000}`, src, dst),
+		fmt.Sprintf(" {\"dst\": %q, \"src\": %q}\n", dst, src),
+		fmt.Sprintf(`{"src":"%s","dst":%q}`, strings.Replace(src, ".", `\u002e`, 1), dst),
+	} {
+		if code, got := post(body); code != http.StatusOK || got != want {
+			t.Errorf("body %q: status %d, %s; want 200, %s", body, code, got, want)
+		}
+	}
+	for body, msg := range map[string]string{
+		fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":-1}`, src, dst): "bad deadline_ms -1",
+		fmt.Sprintf(`{"src":"+1.2.3.4","dst":%q}`, dst):               `src: bad IPv4 address \"+1.2.3.4\"`,
+	} {
+		if code, got := post(body); code != http.StatusBadRequest || got != `{"error":"`+msg+`"}`+"\n" {
+			t.Errorf("body %q: status %d, %s; want 400 and %q", body, code, got, msg)
+		}
+	}
+}
+
+// TestHugeDeadlineIsNone: a per-pair deadline_ms past what a
+// time.Duration holds is as good as none, on a /v1/batch line and a
+// /v1/query body alike, instead of wrapping into the past and expiring the
+// pair at once.
+func TestHugeDeadlineIsNone(t *testing.T) {
+	f := buildFixture(t, 202)
+	_, ts := start(t, f, nil)
+	src, dst := ipStr(f.vps[1]), ipStr(f.targets[3])
+	plain := fmt.Sprintf(`{"src":%q,"dst":%q}`, src, dst)
+	huge := fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":9999999999999}`, src, dst)
+	if a, b := postBatch(t, ts.URL+"/v1/batch", strings.NewReader(plain)), postBatch(t, ts.URL+"/v1/batch", strings.NewReader(huge)); a != b {
+		t.Errorf("batch line with a huge deadline answered %s, without one %s", b, a)
+	}
+	if a, b := postBatch(t, ts.URL+"/v1/query", strings.NewReader(plain)), postBatch(t, ts.URL+"/v1/query", strings.NewReader(huge)); a != b {
+		t.Errorf("query with a huge deadline answered %s, without one %s", b, a)
+	}
+}
+
 // TestRankBodyCap: a /v1/rank body past batchpipe.MaxRankBytes is a bad
 // request; at the cap it is answered.
 func TestRankBodyCap(t *testing.T) {
