@@ -46,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -72,66 +73,76 @@ import (
 const readHeaderTimeout = 10 * time.Second
 
 func main() {
-	atlasPath := flag.String("atlas", "", "atlas file produced by inano-build")
-	atlasFlat := flag.String("atlas-flat", "", "compiled flat atlas (inano-build -flat): mmap'd read-only, so startup cost is O(1) in atlas size and N replicas share the page cache (alternative to -atlas)")
-	fetchManifest := flag.String("fetch-manifest", "", "fetch the initial atlas from the swarm via this manifest file (alternative to -atlas)")
-	listen := flag.String("listen", "127.0.0.1:7353", "HTTP listen address (port 0 picks one)")
-	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
-	maxDeadline := flag.Duration("max-deadline", 0, "cap on client-requested deadlines (0 = uncapped)")
-	window := flag.Int("window", 0, "batch stream window in pairs (0 = default)")
-	watchDelta := flag.String("watch-delta", "", "delta file to poll and hot-apply when it changes")
-	watchInterval := flag.Duration("watch-interval", 5*time.Second, "delta file poll interval")
-	deltaManifest := flag.String("delta-manifest", "", "swarm manifest file to poll for daily deltas")
-	manifestInterval := flag.Duration("manifest-interval", 30*time.Second, "delta manifest poll interval")
-	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "how long to drain in-flight requests on shutdown")
-	feedbackRate := flag.Float64("feedback-rate", 0, "per-source /v1/feedback observations per second (0 = default 64, negative = unlimited)")
-	feedbackBurst := flag.Int("feedback-burst", 0, "per-source /v1/feedback burst (0 = default 256)")
-	probeSim := flag.String("probe-sim", "", "enable the corrective prober against a synthetic world, as scale:seed (e.g. tiny:42; must match the atlas build)")
-	correctInterval := flag.Duration("correct-interval", time.Minute, "corrective round interval")
-	correctBudget := flag.Int("correct-budget", 8, "corrective traceroutes per round")
-	correctMinError := flag.Float64("correct-min-error", 0.10, "EWMA error below which a destination is never probed")
-	aggregate := flag.Bool("aggregate", false, "enable POST /v1/observations: aggregate clients' corrective observations for the next build")
-	obsSnapshot := flag.String("obs-snapshot", "", "write the observation aggregate to this file (with -aggregate; inano-build -observations folds it into the next delta)")
-	obsSnapshotInterval := flag.Duration("obs-snapshot-interval", time.Minute, "observation snapshot write interval")
-	obsRate := flag.Float64("obs-rate", 0, "per-source /v1/observations observations per second (0 = default 8, negative = unlimited)")
-	obsBurst := flag.Int("obs-burst", 0, "per-source /v1/observations burst (0 = default 64)")
-	uploadURL := flag.String("upload-observations", "", "opt in to sharing this daemon's corrective observations: a build server's /v1/observations URL")
-	uploadInterval := flag.Duration("upload-interval", time.Minute, "observation upload flush interval")
-	peerID := flag.String("peer-id", "", "cluster peer identity, echoed in /healthz and the X-Inano-Peer response header")
-	drain := flag.Bool("drain", false, "on SIGTERM, drain instead of hard shutdown: /healthz turns 503 so a router pulls this replica from the ring, in-flight requests finish, new serving requests are refused, and the process exits 0 once idle")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the command: it serves until ctx ends, shuts down and returns 0;
+// 1 when the flags ask for what cannot be (-atlas-flat with -atlas or
+// -fetch-manifest, -obs-snapshot without -aggregate, a bad -probe-sim), no
+// atlas is named or it cannot be read, or the listener cannot start or
+// fails; 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("inanod", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	atlasPath := fs.String("atlas", "", "atlas file produced by inano-build")
+	atlasFlat := fs.String("atlas-flat", "", "compiled flat atlas (inano-build -flat): mmap'd read-only, so startup cost is O(1) in atlas size and N replicas share the page cache (alternative to -atlas)")
+	fetchManifest := fs.String("fetch-manifest", "", "fetch the initial atlas from the swarm via this manifest file (alternative to -atlas)")
+	listen := fs.String("listen", "127.0.0.1:7353", "HTTP listen address (port 0 picks one)")
+	deadline := fs.Duration("deadline", 0, "default per-request deadline (0 = none)")
+	maxDeadline := fs.Duration("max-deadline", 0, "cap on client-requested deadlines (0 = uncapped)")
+	window := fs.Int("window", 0, "batch stream window in pairs (0 = default)")
+	watchDelta := fs.String("watch-delta", "", "delta file to poll and hot-apply when it changes")
+	watchInterval := fs.Duration("watch-interval", 5*time.Second, "delta file poll interval")
+	deltaManifest := fs.String("delta-manifest", "", "swarm manifest file to poll for daily deltas")
+	manifestInterval := fs.Duration("manifest-interval", 30*time.Second, "delta manifest poll interval")
+	shutdownGrace := fs.Duration("shutdown-grace", 10*time.Second, "how long to drain in-flight requests on shutdown")
+	feedbackRate := fs.Float64("feedback-rate", 0, "per-source /v1/feedback observations per second (0 = default 64, negative = unlimited)")
+	feedbackBurst := fs.Int("feedback-burst", 0, "per-source /v1/feedback burst (0 = default 256)")
+	probeSim := fs.String("probe-sim", "", "enable the corrective prober against a synthetic world, as scale:seed (e.g. tiny:42; must match the atlas build)")
+	correctInterval := fs.Duration("correct-interval", time.Minute, "corrective round interval")
+	correctBudget := fs.Int("correct-budget", 8, "corrective traceroutes per round")
+	correctMinError := fs.Float64("correct-min-error", 0.10, "EWMA error below which a destination is never probed")
+	aggregate := fs.Bool("aggregate", false, "enable POST /v1/observations: aggregate clients' corrective observations for the next build")
+	obsSnapshot := fs.String("obs-snapshot", "", "write the observation aggregate to this file (with -aggregate; inano-build -observations folds it into the next delta)")
+	obsSnapshotInterval := fs.Duration("obs-snapshot-interval", time.Minute, "observation snapshot write interval")
+	obsRate := fs.Float64("obs-rate", 0, "per-source /v1/observations observations per second (0 = default 8, negative = unlimited)")
+	obsBurst := fs.Int("obs-burst", 0, "per-source /v1/observations burst (0 = default 64)")
+	uploadURL := fs.String("upload-observations", "", "opt in to sharing this daemon's corrective observations: a build server's /v1/observations URL")
+	uploadInterval := fs.Duration("upload-interval", time.Minute, "observation upload flush interval")
+	peerID := fs.String("peer-id", "", "cluster peer identity, echoed in /healthz and the X-Inano-Peer response header")
+	drain := fs.Bool("drain", false, "on SIGTERM, drain instead of hard shutdown: /healthz turns 503 so a router pulls this replica from the ring, in-flight requests finish, new serving requests are refused, and the process exits 0 once idle")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		fmt.Fprintf(stderr, format+"\n", args...)
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "inanod:", err)
+		return 1
 	}
 
-	var client *inano.Client
-	if *atlasFlat != "" {
-		if *atlasPath != "" || *fetchManifest != "" {
-			fatal(errors.New("-atlas-flat cannot be combined with -atlas or -fetch-manifest"))
-		}
-		ff, err := atlas.OpenFlat(*atlasFlat, true)
-		if err != nil {
-			fatal(err)
-		}
-		// The mapping lives as long as the daemon; process exit unmaps.
-		client = inano.FromFlat(ff.Flat)
-	} else {
-		var err error
-		client, err = loadClient(*atlasPath, *fetchManifest)
-		if err != nil {
-			fatal(err)
-		}
+	client, err := loadClient(*atlasPath, *atlasFlat, *fetchManifest)
+	if err != nil {
+		return fatal(err)
 	}
 	st := client.Snapshot().AtlasStats()
 	logf("inanod: atlas day %d ready: %d clusters, %d links, %d prefixes",
 		st.Day, st.Clusters, st.Links, st.Prefixes)
 
+	var prober feedback.Prober
+	if *probeSim != "" {
+		if prober, err = simProber(*probeSim, func() int { return client.Snapshot().Day() }); err != nil {
+			return fatal(err)
+		}
+	}
 	var agg *feedback.Aggregator
 	if *aggregate {
 		agg = feedback.NewAggregator()
 	} else if *obsSnapshot != "" {
-		fatal(errors.New("-obs-snapshot requires -aggregate"))
+		return fatal(errors.New("-obs-snapshot requires -aggregate"))
 	}
 	s := server.New(server.Config{
 		Client:           client,
@@ -149,37 +160,32 @@ func main() {
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	// Parsed by the smoke test and ops tooling: keep this line stable.
-	fmt.Printf("inanod: listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(stdout, "inanod: listening on http://%s\n", ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ctx, stopServing := context.WithCancel(ctx) // the loops below end with run
+	defer stopServing()
 
+	// watch runs f beside the server until ctx ends; shutdown waits for it.
 	var watchers sync.WaitGroup
-	if *watchDelta != "" {
+	watch := func(f func()) {
 		watchers.Add(1)
-		go func() {
-			defer watchers.Done()
-			s.WatchDeltaFile(ctx, *watchDelta, *watchInterval)
-		}()
+		go func() { defer watchers.Done(); f() }()
+	}
+	if *watchDelta != "" {
+		watch(func() { s.WatchDeltaFile(ctx, *watchDelta, *watchInterval) })
 	}
 	if *deltaManifest != "" {
-		watchers.Add(1)
-		go func() {
-			defer watchers.Done()
-			s.WatchManifest(ctx, *deltaManifest, *manifestInterval)
-		}()
+		watch(func() { s.WatchManifest(ctx, *deltaManifest, *manifestInterval) })
 	}
 	// Upstream sharing (opt-in): the corrector's successful traceroutes
 	// queue into an uploader that periodically flushes to the build server.
 	var uploader *inano.Uploader
 	if *uploadURL != "" {
 		uploader = inano.NewUploader(*uploadURL)
-		watchers.Add(1)
-		go func() {
-			defer watchers.Done()
+		watch(func() {
 			t := time.NewTicker(*uploadInterval)
 			defer t.Stop()
 			for {
@@ -202,13 +208,9 @@ func main() {
 					}
 				}
 			}
-		}()
+		})
 	}
-	if *probeSim != "" {
-		prober, err := simProber(*probeSim, func() int { return client.Snapshot().Day() })
-		if err != nil {
-			fatal(err)
-		}
+	if prober != nil {
 		cfg := feedback.Config{
 			Budget:   *correctBudget,
 			Interval: *correctInterval,
@@ -217,18 +219,10 @@ func main() {
 		if uploader != nil {
 			cfg.Observe = uploader.Observe
 		}
-		watchers.Add(1)
-		go func() {
-			defer watchers.Done()
-			s.RunCorrector(ctx, prober, cfg)
-		}()
+		watch(func() { s.RunCorrector(ctx, prober, cfg) })
 	}
 	if agg != nil && *obsSnapshot != "" {
-		watchers.Add(1)
-		go func() {
-			defer watchers.Done()
-			s.RunObservationSnapshots(ctx, *obsSnapshot, *obsSnapshotInterval)
-		}()
+		watch(func() { s.RunObservationSnapshots(ctx, *obsSnapshot, *obsSnapshotInterval) })
 	}
 
 	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
@@ -237,7 +231,7 @@ func main() {
 
 	select {
 	case err := <-serveErr:
-		fatal(err)
+		return fatal(err)
 	case <-ctx.Done():
 	}
 	if *drain {
@@ -267,16 +261,26 @@ func main() {
 		logf("inanod: serve: %v", err)
 	}
 	watchers.Wait()
-	fmt.Println("inanod: shutdown complete")
+	fmt.Fprintln(stdout, "inanod: shutdown complete")
+	return 0
 }
 
-// loadClient builds the serving client from a local atlas file or, when
-// fetchManifest is set, by fetching the atlas from the swarm (§5's startup
-// path).
-func loadClient(atlasPath, fetchManifest string) (*inano.Client, error) {
+// loadClient builds the serving client from a local atlas file, from a flat
+// atlas mapped read-only (for the daemon's life: process exit unmaps it),
+// or, when fetchManifest is set, by fetching the atlas from the swarm (§5's
+// startup path).
+func loadClient(atlasPath, atlasFlat, fetchManifest string) (*inano.Client, error) {
 	switch {
+	case atlasFlat != "" && (atlasPath != "" || fetchManifest != ""):
+		return nil, errors.New("-atlas-flat cannot be combined with -atlas or -fetch-manifest")
 	case atlasPath != "" && fetchManifest != "":
 		return nil, errors.New("use either -atlas or -fetch-manifest, not both")
+	case atlasFlat != "":
+		ff, err := atlas.OpenFlat(atlasFlat, true)
+		if err != nil {
+			return nil, err
+		}
+		return inano.FromFlat(ff.Flat), nil
 	case atlasPath != "":
 		f, err := os.Open(atlasPath)
 		if err != nil {
@@ -328,9 +332,4 @@ func simProber(spec string, day func() int) (feedback.Prober, error) {
 		m := trace.NewMeter(w.Sim.Day(day()))
 		return feedback.SimProber{Meter: m}.Probe(ctx, src, dst)
 	}), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "inanod:", err)
-	os.Exit(1)
 }

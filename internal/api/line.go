@@ -1,34 +1,24 @@
-// Package batchpipe is the /v1/batch window pipeline inanod and inano-router
-// share: the request-line parser, the ?window= and ?deadline_ms= parameters,
-// and the two-slot stage that writes a stream's answers a window at a time
-// and ends a failed stream with its terminal line. The daemons differ only
-// in how a window is filled: inanod encodes its own answers, the router asks
-// the replicas.
-//
-// The same parser reads a /v1/query POST body, which is one request line,
-// on a replica and on the router alike.
-//
-// Correctness contract of the parser: the strict half claims a line only when
-// it is byte-for-byte in the canonical shape
+package api
+
+// The request line — a pair of a /v1/batch stream, the body of a /v1/query
+// POST — has two parsers. The strict one claims only the canonical shape
 //
 //	{"src":"A.B.C.D","dst":"A.B.C.D"}
 //	{"src":"A.B.C.D","dst":"A.B.C.D","deadline_ms":N}
 //
-// with dotted quads netsim.ParseIPv4 accepts (digit-only octets, no leading
-// zeros, 0-255) and a plain non-negative integer deadline. Everything
-// else — reordered fields, whitespace, escapes, exponents, and addresses
-// netsim.ParseIPv4 refuses — goes to parseLineJSON, which reports
+// byte for byte, with addresses netsim.ParseIPv4 accepts and a plain
+// non-negative integer deadline; every other line is parseLineJSON's, with
 // encoding/json's and the address parser's errors. On every line the strict
-// parser claims, the two agree (FuzzParseBatchLine). A parsed line keeps
-// only its addresses: the grammar admits one spelling of each, so printing
-// an address gives back the string the request's JSON held.
-package batchpipe
+// parser claims the two agree (FuzzParseBatchLine). A parsed line keeps only
+// its addresses: each has one spelling, so printing it gives back the
+// string the request's JSON held.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"inano/internal/netsim"
@@ -39,8 +29,7 @@ import (
 const MaxLineBytes = 64 << 10
 
 // MaxRankBytes caps a /v1/rank request body, on a replica and on the
-// router alike; a /v1/query POST body is one line, capped at MaxLineBytes.
-// A longer body is refused as a bad request.
+// router alike; a longer body is refused as a bad request.
 const MaxRankBytes = 1 << 20
 
 // Line is one parsed request line: its addresses, whose one spelling is
@@ -158,7 +147,7 @@ func parseLineJSON(line []byte) (l Line, err error) {
 		return l, fmt.Errorf("dst: %v", err)
 	}
 	if req.DeadlineMS < 0 {
-		return l, fmt.Errorf("bad deadline_ms %d", req.DeadlineMS)
+		return l, fmt.Errorf("bad deadline_ms %q", strconv.FormatInt(req.DeadlineMS, 10))
 	}
 	l.DeadlineMS = req.DeadlineMS
 	return l, nil

@@ -1,4 +1,4 @@
-package batchpipe
+package api
 
 import (
 	"encoding/json"
@@ -30,7 +30,7 @@ var parseLineCases = []struct {
 	{line: `{"src":"1.2.3.256","dst":"5.6.7.8"}`, errText: `src: bad IPv4 address "1.2.3.256"`},                 // octet overflow
 	{line: `{"src":"1.2.3","dst":"5.6.7.8"}`, errText: `src: bad IPv4 address "1.2.3"`},                         // 3 octets
 	{line: `{"src":"1.2.3.4.5","dst":"5.6.7.8"}`, errText: `src: bad IPv4 address "1.2.3.4.5"`},                 // 5 octets
-	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":-1}`, errText: `bad deadline_ms -1`},                 // negative
+	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":-1}`, errText: `bad deadline_ms "-1"`},               // negative
 	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":1e3}`, errText: `bad pair: json: cannot unmarshal`},  // exponent
 	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":01}`, errText: `bad pair: invalid character`},        // leading zero
 	{line: `{"src":"1.2.3.4","dst":"5.6.7.8","deadline_ms":9999999999999999999}`, errText: `bad pair: json: c`}, // overflow

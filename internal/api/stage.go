@@ -1,54 +1,10 @@
-package batchpipe
+package api
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
-	"strconv"
-	"time"
 )
-
-// MaxWindow caps the client-controlled ?window=: a stream that sends
-// 64k-line windows grows its two slots to some thirty megabytes of lines
-// and answers, large enough to amortize any fan-out and small enough that
-// a hostile request cannot OOM the daemon.
-const MaxWindow = 1 << 16
-
-// Window is a stream's window in lines: ?window= when the request carries
-// one, def otherwise, clamped to MaxWindow.
-func Window(q url.Values, def int) (int, error) {
-	if raw := q.Get("window"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			return 0, fmt.Errorf("bad window %q", raw)
-		}
-		def = n
-	}
-	return min(def, MaxWindow), nil
-}
-
-// RequestContext derives a request's context from its deadline: ?deadline_ms=
-// when the request carries one (clamped to what a time.Duration holds), def
-// otherwise, capped by max; with none at all parent itself serves.
-func RequestContext(parent context.Context, q url.Values, def, max time.Duration) (context.Context, context.CancelFunc, error) {
-	if raw := q.Get("deadline_ms"); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || ms <= 0 {
-			return nil, nil, fmt.Errorf("bad deadline_ms %q", raw)
-		}
-		def = time.Duration(min(ms, maxDeadlineMS)) * time.Millisecond
-	}
-	if max > 0 && (def == 0 || def > max) {
-		def = max
-	}
-	if def <= 0 {
-		return parent, func() {}, nil
-	}
-	ctx, cancel := context.WithTimeout(parent, def)
-	return ctx, cancel, nil
-}
 
 // Stage is the second stage of a /v1/batch stream. The handler's goroutine
 // reads window N+1 into one slot while the stage's goroutine, alive for this

@@ -1,13 +1,11 @@
-package batchpipe
+package api
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,9 +20,10 @@ type recWriter struct {
 	beforeWrite     func(n int) error
 }
 
-func (w *recWriter) Header() http.Header { return http.Header{} }
-func (w *recWriter) WriteHeader(int)     {}
-func (w *recWriter) FlushError() error   { w.flushes++; return nil }
+func (w *recWriter) Header() http.Header     { return http.Header{} }
+func (w *recWriter) WriteHeader(int)         {}
+func (w *recWriter) FlushError() error       { w.flushes++; return nil }
+func (w *recWriter) EnableFullDuplex() error { return nil }
 func (w *recWriter) Write(p []byte) (int, error) {
 	w.writes++
 	if w.beforeWrite != nil {
@@ -172,76 +171,4 @@ func TestStagePanic(t *testing.T) {
 		t.Fatalf("%d written, body %q; want the first window", st.Written, w.body.String())
 	}
 	waitGoroutines(t, base)
-}
-
-func TestWindowAndDeadline(t *testing.T) {
-	for _, tc := range []struct {
-		query   string
-		window  int
-		d       time.Duration // the context's deadline from now; 0 = none
-		errText string
-	}{
-		{"", 1024, 0, ""},
-		{"window=7&deadline_ms=250", 7, 250 * time.Millisecond, ""},
-		{"window=65536", 65536, 0, ""},
-		{"window=65537", MaxWindow, 0, ""},
-		{"window=1000000000", MaxWindow, 0, ""},
-		{"window=0", 0, 0, `bad window "0"`},
-		{"window=-3", 0, 0, `bad window "-3"`},
-		{"window=many", 0, 0, `bad window "many"`},
-		{"deadline_ms=0", 1024, 0, `bad deadline_ms "0"`},
-		{"deadline_ms=-1", 1024, 0, `bad deadline_ms "-1"`},
-		{"deadline_ms=soon", 1024, 0, `bad deadline_ms "soon"`},
-		// Past what a time.Duration holds: clamped, not wrapped to 448µs.
-		{"deadline_ms=18446744073710", 1024, time.Duration(maxDeadlineMS) * time.Millisecond, ""},
-	} {
-		q, err := url.ParseQuery(tc.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		window, werr := Window(q, 1024)
-		ctx, cancel, derr := RequestContext(context.Background(), q, 0, 0)
-		if err := errors.Join(werr, derr); (err == nil) != (tc.errText == "") || (err != nil && err.Error() != tc.errText) {
-			t.Errorf("?%s: error %v, want %q", tc.query, err, tc.errText)
-		}
-		if window != tc.window {
-			t.Errorf("?%s: window %d, want %d", tc.query, window, tc.window)
-		}
-		if derr != nil {
-			continue
-		}
-		if at, ok := ctx.Deadline(); ok != (tc.d > 0) || (ok && (time.Until(at) > tc.d || time.Until(at) < tc.d-time.Second)) {
-			t.Errorf("?%s: deadline %v (%v), want %v from now", tc.query, at, ok, tc.d)
-		}
-		cancel()
-	}
-	if window, _ := Window(url.Values{}, 1<<20); window != MaxWindow {
-		t.Errorf("a default over the cap came back as %d", window)
-	}
-	// The daemon's own default and cap: a request without one gets the
-	// default, none may ask for more than the cap, and with neither the
-	// parent context itself serves.
-	for _, tc := range []struct {
-		query         string
-		def, max, out time.Duration
-	}{
-		{"", 0, 0, 0},
-		{"", time.Minute, 0, time.Minute},
-		{"", 0, time.Minute, time.Minute},
-		{"deadline_ms=5000", time.Minute, time.Hour, 5 * time.Second},
-		{"deadline_ms=7200000", 0, time.Hour, time.Hour},
-	} {
-		q, _ := url.ParseQuery(tc.query)
-		ctx, cancel, err := RequestContext(context.Background(), q, tc.def, tc.max)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if at, ok := ctx.Deadline(); ok != (tc.out > 0) || (ok && (time.Until(at) > tc.out || time.Until(at) < tc.out-time.Second)) {
-			t.Errorf("?%s, default %v, cap %v: deadline %v (%v), want %v from now", tc.query, tc.def, tc.max, at, ok, tc.out)
-		}
-		if tc.out == 0 && ctx != context.Background() {
-			t.Errorf("with no deadline at all the parent context did not come back")
-		}
-		cancel()
-	}
 }

@@ -1,10 +1,10 @@
 package cluster
 
 // Streamed /v1/batch through the router: the window loop inanod runs
-// (internal/batchpipe: one line parser, one two-slot stage, one Write and
-// one Flush a window, one terminal line) with the router's own fill step.
-// This goroutine reads a window of the client's lines, validates each
-// exactly as a replica would and keys it by destination cluster; the stage
+// (internal/api: one request reader, one two-slot stage, one Write and one
+// Flush a window, one terminal line) with the router's own fill step. This
+// goroutine reads a window of the client's lines, each read as a replica
+// reads it, and keys each by destination cluster; the stage
 // then answers the window at the replicas: the lines grouped by ring owner,
 // each group one complete POST /v1/batch?window=<its size> on the keep-alive
 // client, each answer line stored — byte-verbatim — at its line's position,
@@ -22,7 +22,6 @@ package cluster
 // not a failed replica.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -32,7 +31,7 @@ import (
 	"strconv"
 	"sync"
 
-	"inano/internal/batchpipe"
+	"inano/internal/api"
 )
 
 // routedLine is one request line of a window.
@@ -62,66 +61,38 @@ type subRequest struct {
 
 // handleBatch routes one client pair stream across the replica set.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return routerError(w, http.StatusMethodNotAllowed, "use POST")
-	}
-	q := r.URL.Query()
-	window, err := batchpipe.Window(q, rt.cfg.Window)
-	if err != nil {
-		return routerError(w, http.StatusBadRequest, "%v", err)
+	b, rf := api.ReadBatch(w, r, rt.cfg.Window)
+	if rf != nil {
+		return rf.Write(w)
 	}
 	// The request's deadline is the router's: it bounds the whole stream,
 	// and the replicas are not sent it.
-	ctx, cancel, err := batchpipe.RequestContext(r.Context(), q, 0, 0)
-	if err != nil {
-		return routerError(w, http.StatusBadRequest, "%v", err)
-	}
+	ctx, cancel := b.Deadline.Context(r.Context(), 0, 0)
 	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	// Full duplex: the client's lines are read while answers flow back.
-	rc := http.NewResponseController(w)
-	if err := rc.EnableFullDuplex(); err != nil {
-		return routerError(w, http.StatusInternalServerError, "streaming unsupported: %v", err)
-	}
-
-	scanner := bufio.NewScanner(r.Body)
-	scanner.Buffer(make([]byte, 0, 4096), batchpipe.MaxLineBytes)
-	st, slot := batchpipe.Start(w, rc, func(win *routedWindow) ([]byte, int, error) {
+	st, slot := api.Start(w, b.RC, func(win *routedWindow) ([]byte, int, error) {
 		return rt.answerWindow(ctx, win)
 	})
 	defer st.Finish() // a panic on this goroutine must not leave the stage behind
-	var inputErr error
-	lineNo, total := 0, 0
-	for slot != nil && scanner.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(scanner.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		l, err := batchpipe.ParseLine(line)
-		if err != nil {
-			inputErr = fmt.Errorf("line %d: %v", lineNo, err)
+	total := 0
+	for slot != nil {
+		line, l, ok := b.Next()
+		if !ok {
 			break
 		}
 		start := len(slot.req)
 		slot.req = append(append(slot.req, line...), '\n')
 		slot.lines = append(slot.lines, routedLine{from: start, to: len(slot.req), key: rt.keyFor(l.DstIP)})
 		total++
-		if len(slot.lines) >= window {
+		if len(slot.lines) >= b.Window {
 			if slot = st.Exchange(slot); slot != nil {
 				slot.first, slot.req, slot.lines = total, slot.req[:0], slot.lines[:0]
 			}
 		}
 	}
-	if slot != nil {
-		if err := scanner.Err(); err != nil && inputErr == nil {
-			inputErr = fmt.Errorf("reading batch body: %w", err)
-		}
-		if len(slot.lines) > 0 {
-			st.Exchange(slot)
-		}
+	if slot != nil && len(slot.lines) > 0 {
+		st.Exchange(slot)
 	}
-	return st.End(inputErr, nil)
+	return st.End(b.Err(), nil)
 }
 
 // answerWindow is the router's fill step: it answers a window at the

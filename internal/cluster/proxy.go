@@ -2,10 +2,10 @@ package cluster
 
 // The router: a thin HTTP tier that fronts N inanod replicas and
 // partitions query load by destination cluster over the consistent-hash
-// ring (ring.go). It terminates nothing itself — every answer is a
-// replica's answer, forwarded verbatim — so a cluster behind the router
-// serves byte-identical results to a single node, just from N tree
-// caches instead of one.
+// ring (ring.go). It reads each request as a replica does (internal/api)
+// and refuses a malformed one itself, in the replica's words; every answer
+// is a replica's, forwarded verbatim. So a cluster behind the router serves
+// byte-identical results to a single node, from N tree caches, not one.
 //
 // Fault model: replicas die (kill -9), drain (rolling atlas rolls), and
 // come back. The router health-checks every replica, rebuilds the ring
@@ -17,7 +17,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,7 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"inano/internal/batchpipe"
+	"inano/internal/api"
 	"inano/internal/metrics"
 	"inano/internal/netsim"
 )
@@ -275,15 +274,6 @@ func (rt *Router) keyFor(dst netsim.IP) uint64 {
 	return KeyForPrefix(uint32(p))
 }
 
-// keyForDstIP is keyFor of a destination still in its wire form.
-func (rt *Router) keyForDstIP(dst string) (uint64, error) {
-	ip, err := netsim.ParseIPv4(dst)
-	if err != nil {
-		return 0, err
-	}
-	return rt.keyFor(ip), nil
-}
-
 // Handler returns the router's HTTP surface: the proxied serving
 // endpoints plus the router's own /healthz, /metrics and /debug/stats.
 func (rt *Router) Handler() http.Handler {
@@ -330,9 +320,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	case live < len(rt.order):
 		status = "degraded"
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	return json.NewEncoder(w).Encode(map[string]any{
+	return api.WriteJSON(w, code, map[string]any{
 		"status":   status,
 		"live":     live,
 		"replicas": replicas,
@@ -343,15 +331,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	return rt.reg.WritePrometheus(w)
-}
-
-// routerError writes a JSON error body, mirroring the replica contract.
-func routerError(w http.ResponseWriter, code int, format string, args ...any) error {
-	msg := fmt.Sprintf(format, args...)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
-	return fmt.Errorf("%s", msg)
 }
 
 // retryableStatus reports whether a replica response means "try another
@@ -387,7 +366,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, key uint64, body
 		req, err := http.NewRequestWithContext(r.Context(), r.Method,
 			node+r.URL.RequestURI(), br)
 		if err != nil {
-			return routerError(w, http.StatusInternalServerError, "proxy: %v", err)
+			return api.Refuse(http.StatusInternalServerError, "proxy: %v", err).Write(w)
 		}
 		if ct := r.Header.Get("Content-Type"); ct != "" {
 			req.Header.Set("Content-Type", ct)
@@ -395,7 +374,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, key uint64, body
 		resp, err := rt.client.Do(req)
 		if err != nil {
 			if r.Context().Err() != nil {
-				return routerError(w, http.StatusGatewayTimeout, "proxy: %v", r.Context().Err())
+				return api.Refuse(http.StatusGatewayTimeout, "proxy: %v", r.Context().Err()).Write(w)
 			}
 			rt.markDown(node, fmt.Sprintf("proxy error: %v", err))
 			continue
@@ -420,76 +399,35 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, key uint64, body
 		return cpErr
 	}
 	rt.noReplica.Inc()
-	return routerError(w, http.StatusServiceUnavailable, "no live replica for this destination")
+	return api.Refuse(http.StatusServiceUnavailable, "no live replica for this destination").Write(w)
 }
 
-// handleQuery routes one (src, dst) query by destination cluster. Its
-// addresses, and a POST body as one /v1/batch request line, are parsed here
-// as the replica parses them, so a malformed query gets the replica's
-// status and error text without a round trip.
+// handleQuery routes one (src, dst) query by destination cluster. Read as a
+// replica reads it, a malformed one is refused here, in the replica's words.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query()
-		if _, err := netsim.ParseIPv4(q.Get("src")); err != nil {
-			return routerError(w, http.StatusBadRequest, "src: %v", err)
-		}
-		key, err := rt.keyForDstIP(q.Get("dst"))
-		if err != nil {
-			return routerError(w, http.StatusBadRequest, "dst: %v", err)
-		}
-		return rt.proxy(w, r, key, nil)
-	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, batchpipe.MaxLineBytes))
-		if err != nil {
-			return routerError(w, http.StatusBadRequest, "bad request body: %v", err)
-		}
-		l, err := batchpipe.ParseLine(bytes.TrimSpace(body))
-		if err != nil {
-			return routerError(w, http.StatusBadRequest, "%v", err)
-		}
-		return rt.proxy(w, r, rt.keyFor(l.DstIP), body)
+	q, rf := api.ReadQuery(w, r)
+	if rf != nil {
+		return rf.Write(w)
 	}
-	return routerError(w, http.StatusMethodNotAllowed, "use GET or POST")
+	return rt.proxy(w, r, rt.keyFor(q.Pair.DstIP), q.Body)
 }
 
-// handleRank routes a candidate-ranking request. A rank answer touches
-// one destination tree per candidate; the whole request goes to the
-// first candidate's owner so at least that tree is served hot (splitting
-// a rank across replicas would cost a round trip per candidate for a
-// single sorted answer).
+// handleRank routes a ranking to its first candidate's owner, so at least
+// that destination's tree is served hot: split across replicas, one sorted
+// answer would cost a round trip a candidate.
 func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return routerError(w, http.StatusMethodNotAllowed, "use POST")
+	rk, rf := api.ReadRank(w, r)
+	if rf != nil {
+		return rf.Write(w)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, batchpipe.MaxRankBytes))
-	if err != nil {
-		return routerError(w, http.StatusBadRequest, "reading body: %v", err)
-	}
-	var req struct {
-		Candidates []string `json:"candidates"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return routerError(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	if len(req.Candidates) == 0 {
-		return routerError(w, http.StatusBadRequest, "no candidates")
-	}
-	key, err := rt.keyForDstIP(req.Candidates[0])
-	if err != nil {
-		return routerError(w, http.StatusBadRequest, "candidate 0: %v", err)
-	}
-	return rt.proxy(w, r, key, body)
+	return rt.proxy(w, r, rt.keyFor(rk.Candidates[0]), rk.Body)
 }
 
 // handleRelay routes a relay selection by its destination cluster.
 func (rt *Router) handleRelay(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodGet {
-		return routerError(w, http.StatusMethodNotAllowed, "use GET")
+	rl, rf := api.ReadRelay(r)
+	if rf != nil {
+		return rf.Write(w)
 	}
-	key, err := rt.keyForDstIP(r.URL.Query().Get("dst"))
-	if err != nil {
-		return routerError(w, http.StatusBadRequest, "dst: %v", err)
-	}
-	return rt.proxy(w, r, key, nil)
+	return rt.proxy(w, r, rt.keyFor(rl.Dst), nil)
 }

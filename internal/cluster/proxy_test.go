@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"inano/internal/batchpipe"
+	"inano/internal/api"
 	"inano/internal/netsim"
 )
 
@@ -389,7 +389,7 @@ func TestRankRoutesByFirstCandidate(t *testing.T) {
 }
 
 // TestQueryBodyCap: the router reads a /v1/query POST body up to
-// batchpipe.MaxLineBytes, the cap its replicas hold it to. A valid query
+// api.MaxLineBytes, the cap its replicas hold it to. A valid query
 // followed by whitespace past the cap is refused, not cut at the cap and
 // forwarded; at the cap it is forwarded.
 func TestQueryBodyCap(t *testing.T) {
@@ -397,8 +397,8 @@ func TestQueryBodyCap(t *testing.T) {
 	_, ts := newTestRouter(t, replicas, nil)
 	query := fmt.Sprintf(`{"src":"10.0.0.1","dst":%q}`, dstForIndex(3))
 	for size, want := range map[int]int{
-		batchpipe.MaxLineBytes:     http.StatusOK,
-		batchpipe.MaxLineBytes + 1: http.StatusBadRequest,
+		api.MaxLineBytes:     http.StatusOK,
+		api.MaxLineBytes + 1: http.StatusBadRequest,
 	} {
 		body := query + strings.Repeat(" ", size-len(query))
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))

@@ -9,10 +9,11 @@ import (
 )
 
 // The answer encoder of /v1/batch and /v1/query: hand-rolled, so that with
-// batchpipe's strict line parser and core.StreamBatch a warm window of
+// api's strict line parser and core.StreamBatch a warm window of
 // canonical lines allocates nothing. It replicates encoding/json's output
-// for queryResult byte for byte (field order, omitempty, float formatting,
-// trailing newline), pinned by TestAppendResultLineMatchesEncoder.
+// for the answer's wire struct byte for byte (field order, omitempty, float
+// formatting, trailing newline), pinned by
+// TestAppendResultLineMatchesEncoder.
 
 // appendJSONFloat appends f exactly as encoding/json encodes a float64:
 // shortest representation, 'f' form unless the magnitude calls for 'e'
@@ -68,7 +69,7 @@ type batchSlot struct {
 }
 
 // appendWindow appends the answer line of every pair of a window, in order:
-// the server's fill step of the batchpipe.Stage.
+// the server's fill step of the api.Stage.
 //
 //inano:zeroalloc
 func appendWindow(buf []byte, lines []answerLine, day int) []byte {
@@ -95,7 +96,7 @@ func appendASPath(buf []byte, key string, path []netsim.ASN) []byte {
 }
 
 // appendResultLine appends one answer line + '\n', byte-for-byte identical
-// to json.Encoder encoding the equivalent queryResult: declared field
+// to json.Encoder encoding the equivalent wire struct: declared field
 // order, found/day always present, zero-valued floats and empty AS paths
 // omitted, error last. /v1/batch lines pass no AS paths, /v1/query the
 // answer's.

@@ -8,18 +8,19 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	inano "inano"
-	"inano/internal/batchpipe"
+	"inano/internal/api"
 	"inano/internal/core"
 	"inano/internal/netsim"
 )
 
 // parseBatchLineCases is TestParseBatchLine's table and
-// FuzzParseBatchLine's seed corpus: batchpipe's own lines, here for what the
+// FuzzParseBatchLine's seed corpus: api's own lines, here for what the
 // server adds to the parser — the echo it prints for every line it takes.
 var parseBatchLineCases = []struct {
 	line     string
@@ -55,7 +56,7 @@ func TestParseBatchLine(t *testing.T) {
 		if !tc.ok {
 			continue // FuzzParseBatchLine's seeds check every line's echo
 		}
-		l, err := batchpipe.ParseLine([]byte(tc.line))
+		l, err := api.ParseLine([]byte(tc.line))
 		if err != nil {
 			t.Errorf("ParseLine(%q): %v", tc.line, err)
 			continue
@@ -68,13 +69,32 @@ func TestParseBatchLine(t *testing.T) {
 }
 
 // echoOf is the src/dst an answer line for l carries.
-func echoOf(t testing.TB, l batchpipe.Line) (echo struct{ Src, Dst string }) {
+func echoOf(t testing.TB, l api.Line) (echo struct{ Src, Dst string }) {
 	t.Helper()
 	a := answerLine{srcIP: l.SrcIP, dstIP: l.DstIP}
 	if err := json.Unmarshal(appendResultLine(nil, &a, 0, nil, nil), &echo); err != nil {
 		t.Fatal(err)
 	}
 	return echo
+}
+
+// queryResult is the answer for one (src, dst) pair, a /v1/query body and a
+// /v1/batch line alike, as encoding/json writes and reads it: the reference
+// for appendResultLine, and the tests' decoder of answers. FwdMS+RevMS
+// always sum to RTTMS — a cheap client-side integrity check that an answer
+// was not torn.
+type queryResult struct {
+	Src      string       `json:"src"`
+	Dst      string       `json:"dst"`
+	Found    bool         `json:"found"`
+	RTTMS    float64      `json:"rtt_ms,omitempty"`
+	LossRate float64      `json:"loss_rate,omitempty"`
+	FwdMS    float64      `json:"fwd_ms,omitempty"`
+	RevMS    float64      `json:"rev_ms,omitempty"`
+	FwdAS    []netsim.ASN `json:"fwd_as_path,omitempty"`
+	RevAS    []netsim.ASN `json:"rev_as_path,omitempty"`
+	Day      int          `json:"day"`
+	Error    string       `json:"error,omitempty"`
 }
 
 // resultFor fills the wire struct encoding/json reads: the reference the
@@ -160,7 +180,7 @@ func TestAppendResultLineMatchesEncoder(t *testing.T) {
 }
 
 // FuzzParseBatchLine is the proof, seen from the wire, that an echo need
-// not keep the request's text: for every line batchpipe.ParseLine takes,
+// not keep the request's text: for every line api.ParseLine takes,
 // the answer line the server writes is, byte for byte, what encoding/json
 // writes for an answer echoing the strings the request's JSON holds.
 func FuzzParseBatchLine(f *testing.F) {
@@ -168,7 +188,7 @@ func FuzzParseBatchLine(f *testing.F) {
 		f.Add([]byte(tc.line))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		l, err := batchpipe.ParseLine(line)
+		l, err := api.ParseLine(line)
 		if err != nil {
 			return
 		}
@@ -236,7 +256,7 @@ func TestBatchFastPathParity(t *testing.T) {
 	}
 	for _, line := range strings.Split(generic.String(), "\n") {
 		line = strings.TrimSpace(line)
-		l, err := batchpipe.ParseLine([]byte(line))
+		l, err := api.ParseLine([]byte(line))
 		// Every line the strict parser claims starts like this.
 		canonical := fmt.Sprintf(`{"src":"%v","dst":"%v"`, l.SrcIP, l.DstIP)
 		if err == nil && strings.HasPrefix(line, canonical) {
@@ -287,32 +307,50 @@ func TestBatchFastPathExpiredParity(t *testing.T) {
 	}
 }
 
+// loopReader reads body over and over, without end.
+type loopReader struct {
+	body []byte
+	off  int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.body[r.off:])
+	r.off = (r.off + n) % len(r.body)
+	return n, nil
+}
+
 // TestBatchFastPathZeroAlloc is the CI allocation gate for the streamed
 // batch loop on canonical lines, mirroring TestWarmQueryZeroAlloc: one warm
-// window's whole step — strict line parse into a slot, StreamBatch run,
-// answers copied out, the window encoded into the slot's reused buffer —
-// must not allocate. It drives the same functions handleBatch and its
-// stage do, outside HTTP and on one goroutine.
+// window's whole step — each line read off the stream and parsed into a
+// slot (api.Batch.Next), StreamBatch run, answers copied out, the window
+// encoded into the slot's reused buffer — must not allocate. It drives the
+// same functions handleBatch and its stage do, outside HTTP and on one
+// goroutine.
 func TestBatchFastPathZeroAlloc(t *testing.T) {
 	f := buildFixture(t, 212)
 	snap := f.client.Snapshot()
 	sb := snap.StreamBatch(true)
 	day := snap.Day()
 
-	lines := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		lines = append(lines, fmt.Appendf(nil, "{\"src\":%q,\"dst\":%q}",
-			ipStr(f.vps[i%len(f.vps)]), ipStr(f.targets[(i*7)%len(f.targets)])))
+	const window = 64
+	var body []byte
+	for i := 0; i < window; i++ {
+		body = fmt.Appendf(body, "{\"src\":%q,\"dst\":%q}\n",
+			ipStr(f.vps[i%len(f.vps)]), ipStr(f.targets[(i*7)%len(f.targets)]))
+	}
+	b, rf := api.ReadBatch(newDuplexWriter(), httptest.NewRequest(http.MethodPost, "/v1/batch", &loopReader{body: body}), window)
+	if rf != nil {
+		t.Fatal(rf)
 	}
 	var reqs []core.PairReq
 	var slot batchSlot
 	var sink int
-	window := func() {
+	step := func() {
 		reqs, slot.lines = reqs[:0], slot.lines[:0]
-		for _, line := range lines {
-			l, err := batchpipe.ParseLine(line)
-			if err != nil {
-				t.Fatal(err)
+		for len(reqs) < b.Window {
+			_, l, ok := b.Next()
+			if !ok {
+				t.Fatal(b.Err())
 			}
 			reqs = append(reqs, inano.PairOf(l.SrcIP, l.DstIP))
 			slot.lines = append(slot.lines, answerLine{srcIP: l.SrcIP, dstIP: l.DstIP})
@@ -325,8 +363,8 @@ func TestBatchFastPathZeroAlloc(t *testing.T) {
 		slot.buf = appendWindow(slot.buf[:0], slot.lines, day)
 		sink += len(slot.buf)
 	}
-	window() // warm trees + buffers
-	allocs := testing.AllocsPerRun(50, window)
+	step() // warm trees + buffers
+	allocs := testing.AllocsPerRun(50, step)
 	if allocs != 0 {
 		t.Fatalf("warm canonical batch window allocates %v times, want 0 (sink %d)", allocs, sink)
 	}

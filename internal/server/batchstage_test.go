@@ -15,7 +15,7 @@ import (
 	"time"
 
 	inano "inano"
-	"inano/internal/batchpipe"
+	"inano/internal/api"
 	"inano/internal/core"
 	"inano/internal/netsim"
 )
@@ -353,7 +353,7 @@ func TestBatchTerminalLineLast(t *testing.T) {
 		lines = append(lines, []byte(batchLine(src, dst)))
 		answers = append(answers, encoderLine(t, resultFor(ipStr(src), ipStr(dst), snap.Day(), queryPair(snap, src, dst), false)))
 	}
-	_, badLine := batchpipe.ParseLine([]byte("this is not json"))
+	_, badLine := api.ParseLine([]byte("this is not json"))
 	for _, tc := range []struct {
 		name, url string
 		body      *pausedBody

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
+	"slices"
 
 	inano "inano"
+	"inano/internal/api"
 	"inano/internal/feedback"
 	"inano/internal/netsim"
 )
@@ -47,7 +47,7 @@ type feedbackResponse struct {
 // prefix is still accounted.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
-		return httpError(w, http.StatusMethodNotAllowed, "use POST")
+		return api.Refuse(http.StatusMethodNotAllowed, "use POST").Write(w)
 	}
 	// ParseReport bounds lines and observation counts; the byte cap below
 	// bounds the whole body so a hostile stream cannot hold the handler
@@ -55,12 +55,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) error {
 	body := http.MaxBytesReader(w, r.Body, int64(feedback.MaxObservations)*feedback.MaxLineBytes)
 	obs, parseErr := feedback.ParseReport(body)
 	if parseErr != nil && len(obs) == 0 {
-		return httpError(w, http.StatusBadRequest, "%v", parseErr)
+		return api.Refuse(http.StatusBadRequest, "%v", parseErr).Write(w)
 	}
-	ctx, cancel, err := s.requestContext(r, r.URL.Query())
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "%v", err)
+	d, rf := api.ReadDeadline(r.URL.Query())
+	if rf != nil {
+		return rf.Write(w)
 	}
+	ctx, cancel := s.requestContext(r, d)
 	defer cancel()
 	granted := s.fbLimiter.take(sourceKey(r), len(obs))
 	resp := feedbackResponse{
@@ -88,11 +89,9 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) error {
 	s.fbObservations.Add(uint64(resp.Accepted))
 	s.fbRateLimited.Add(uint64(resp.RateLimited))
 	if granted == 0 && resp.RateLimited > 0 {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusTooManyRequests)
-		return writeJSONBody(w, resp)
+		return api.WriteJSON(w, http.StatusTooManyRequests, resp)
 	}
-	return writeJSON(w, resp)
+	return api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // sourceKey identifies the reporting peer for rate limiting: the
@@ -119,62 +118,30 @@ type relayResponse struct {
 	Day        int     `json:"day"`
 }
 
-// handleRelay picks a VoIP relay for src->dst out of ?relays= (comma-
-// separated candidate IPs) with the paper's §7.2 strategy: among the ?k=
-// (default 10) candidates minimizing predicted end-to-end loss, the one
-// minimizing latency. GET with query parameters; ?deadline_ms= bounds the
-// underlying batch.
+// handleRelay picks a VoIP relay for src->dst out of ?relays= with the
+// paper's §7.2 strategy: among the ?k= (default 10) candidates minimizing
+// predicted end-to-end loss, the one minimizing latency (api.ReadRelay
+// reads the request). ?deadline_ms= bounds the underlying batch.
 func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodGet {
-		return httpError(w, http.StatusMethodNotAllowed, "use GET")
+	req, rf := api.ReadRelay(r)
+	if rf != nil {
+		return rf.Write(w)
 	}
-	q := r.URL.Query()
-	src, err := netsim.ParseIPv4(q.Get("src"))
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "src: %v", err)
+	relays := make([]inano.Prefix, len(req.Relays))
+	for i, ip := range req.Relays {
+		relays[i] = netsim.PrefixOf(ip)
 	}
-	dst, err := netsim.ParseIPv4(q.Get("dst"))
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "dst: %v", err)
-	}
-	rawRelays := strings.Split(q.Get("relays"), ",")
-	var ips []netsim.IP
-	var relays []inano.Prefix
-	for _, raw := range rawRelays {
-		raw = strings.TrimSpace(raw)
-		if raw == "" {
-			continue
-		}
-		ip, err := netsim.ParseIPv4(raw)
-		if err != nil {
-			return httpError(w, http.StatusBadRequest, "relays: %v", err)
-		}
-		ips = append(ips, ip)
-		relays = append(relays, netsim.PrefixOf(ip))
-	}
-	if len(relays) == 0 {
-		return httpError(w, http.StatusBadRequest, "no relay candidates")
-	}
-	k := 0
-	if raw := q.Get("k"); raw != "" {
-		if k, err = strconv.Atoi(raw); err != nil || k <= 0 {
-			return httpError(w, http.StatusBadRequest, "bad k %q", raw)
-		}
-	}
-	ctx, cancel, err := s.requestContext(r, q)
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "%v", err)
-	}
+	ctx, cancel := s.requestContext(r, req.Deadline)
 	defer cancel()
 	// The snapshot that picks the relay labels the answer with its day.
 	snap := s.c.Snapshot()
-	choice, ok, err := snap.BestRelay(ctx, netsim.PrefixOf(src), netsim.PrefixOf(dst), relays, k)
+	choice, ok, err := snap.BestRelay(ctx, netsim.PrefixOf(req.Src), netsim.PrefixOf(req.Dst), relays, req.K)
 	if err != nil {
-		return httpError(w, http.StatusGatewayTimeout, "relay selection aborted: %v", err)
+		return api.Refuse(http.StatusGatewayTimeout, "relay selection aborted: %v", err).Write(w)
 	}
 	resp := relayResponse{
-		Src:        src.String(),
-		Dst:        dst.String(),
+		Src:        req.Src.String(),
+		Dst:        req.Dst.String(),
 		Found:      ok,
 		Candidates: len(relays),
 		Day:        snap.Day(),
@@ -183,16 +150,12 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) error {
 		resp.RTTMS = choice.RTTMS
 		resp.LossRate = choice.LossRate
 		resp.MOS = choice.MOS
-		// Echo the candidate whose prefix won, so callers get back an
-		// address they sent.
-		for i, p := range relays {
-			if p == choice.Relay {
-				resp.Relay = ips[i].String()
-				break
-			}
+		// Echo the candidate whose prefix won: an address the caller sent.
+		if i := slices.Index(relays, choice.Relay); i >= 0 {
+			resp.Relay = req.Relays[i].String()
 		}
 	}
-	return writeJSON(w, resp)
+	return api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // RunCorrector runs the background corrective loop over the serving

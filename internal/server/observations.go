@@ -6,6 +6,7 @@ import (
 	"time"
 
 	inano "inano"
+	"inano/internal/api"
 	"inano/internal/feedback"
 	"inano/internal/netsim"
 )
@@ -61,20 +62,21 @@ type observationsResponse struct {
 // pair, so a stale or lying predicted_ms cannot skew the aggregate.
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
-		return httpError(w, http.StatusMethodNotAllowed, "use POST")
+		return api.Refuse(http.StatusMethodNotAllowed, "use POST").Write(w)
 	}
 	if s.cfg.Aggregator == nil {
-		return httpError(w, http.StatusNotImplemented, "observation ingest not enabled on this daemon")
+		return api.Refuse(http.StatusNotImplemented, "observation ingest not enabled on this daemon").Write(w)
 	}
 	body := http.MaxBytesReader(w, r.Body, maxObservationBody)
 	obs, parseErr := feedback.ParseObservationReport(body)
 	if parseErr != nil && len(obs) == 0 {
-		return httpError(w, http.StatusBadRequest, "%v", parseErr)
+		return api.Refuse(http.StatusBadRequest, "%v", parseErr).Write(w)
 	}
-	ctx, cancel, err := s.requestContext(r, r.URL.Query())
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "%v", err)
+	d, rf := api.ReadDeadline(r.URL.Query())
+	if rf != nil {
+		return rf.Write(w)
 	}
+	ctx, cancel := s.requestContext(r, d)
 	defer cancel()
 	granted := s.obsLimiter.take(sourceKey(r), len(obs))
 	// One pinned snapshot scores and labels the whole report: a hot
@@ -112,11 +114,9 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) erro
 	s.obsUnknown.Add(uint64(resp.Unknown))
 	s.obsRateLimited.Add(uint64(resp.RateLimited))
 	if granted == 0 && resp.RateLimited > 0 {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusTooManyRequests)
-		return writeJSONBody(w, resp)
+		return api.WriteJSON(w, http.StatusTooManyRequests, resp)
 	}
-	return writeJSON(w, resp)
+	return api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ingestResult reports what one observation contributed to the aggregate.

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	inano "inano"
+	"inano/internal/api"
 	"inano/internal/atlas"
 	"inano/internal/cluster"
 )
@@ -188,17 +190,18 @@ func TestRoutedBatchBytes(t *testing.T) {
 	}
 }
 
-// TestRoutedQueryRefusals: the router parses a /v1/query, its POST body or
-// its parameters, as its replicas do, so a malformed one gets the replica's
-// status and error text from the router itself, and only a well-formed one
-// reaches a replica — whose answer the router forwards as it is.
-func TestRoutedQueryRefusals(t *testing.T) {
+// TestRoutedRefusals: both daemons read every /v1 request through one
+// reader (internal/api), so a malformed request gets the same status and
+// body from a router as from a replica, and the router refuses it itself:
+// none of the table's requests reaches the replica. A well-formed request
+// does, and its answer comes back through the router as it is.
+func TestRoutedRefusals(t *testing.T) {
 	f := buildFixture(t, 219)
 	s, _ := start(t, f, nil)
 	node := s.Handler()
 	var reached atomic.Int64
 	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/query" {
+		if strings.HasPrefix(r.URL.Path, "/v1/") {
 			reached.Add(1)
 		}
 		node.ServeHTTP(w, r)
@@ -211,38 +214,86 @@ func TestRoutedQueryRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	routed := rt.Handler()
-	// ask POSTs body to /v1/query, or GETs /v1/query?<body> when it is a
-	// query string.
-	ask := func(h http.Handler, body string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body))
-		if strings.HasPrefix(body, "src=") {
-			req = httptest.NewRequest(http.MethodGet, "/v1/query?"+body, nil)
-		}
+	type request struct{ method, target, body string }
+	ask := func(h http.Handler, req request) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
+		h.ServeHTTP(rec, httptest.NewRequest(req.method, req.target, strings.NewReader(req.body)))
 		return rec
 	}
-	src, dst := ipStr(f.vps[1]), ipStr(f.targets[2])
-	for _, body := range []string{
-		fmt.Sprintf(`{"src":"+1.2.3.4","dst":%q}`, dst),
-		fmt.Sprintf(`{"src":%q,"dst":"1.2.3"}`, src),
-		fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":-1}`, src, dst),
-		fmt.Sprintf(`{"src":%q,"dst":%q`, src, dst),
-		``,
-		"src=%2B1.2.3.4&dst=1.2.3",
-		"src=" + src + "&dst=01.2.3.4",
+	src, dst, cand := ipStr(f.vps[1]), ipStr(f.targets[2]), ipStr(f.targets[3])
+	pair := fmt.Sprintf(`{"src":%q,"dst":%q}`, src, dst)
+	rank := fmt.Sprintf(`{"src":%q,"candidates":[%q,%q]}`, src, dst, cand)
+	rankOf := func(s, cands string) string { return fmt.Sprintf(`{"src":%q,"candidates":[%s]}`, s, cands) }
+	query := "/v1/query?src=" + src + "&dst=" + dst
+	relay := "/v1/relay?src=" + src + "&dst=" + dst + "&relays=" + cand + "," + dst
+	for _, req := range []request{
+		// /v1/query, GET
+		{"GET", "/v1/query?src=%2B1.2.3.4&dst=1.2.3", ""},
+		{"GET", "/v1/query?src=" + src + "&dst=01.2.3.4", ""},
+		{"GET", "/v1/query?src=bad&dst=bad", ""},
+		{"GET", "/v1/query?dst=" + dst, ""},
+		{"GET", query + "&deadline_ms=-1", ""},
+		{"GET", query + "&deadline_ms=0", ""},
+		{"GET", query + "&deadline_ms=soon", ""},
+		{"PUT", "/v1/query", pair},
+		// /v1/query, POST
+		{"POST", "/v1/query", fmt.Sprintf(`{"src":"+1.2.3.4","dst":%q}`, dst)},
+		{"POST", "/v1/query", fmt.Sprintf(`{"src":%q,"dst":"1.2.3"}`, src)},
+		{"POST", "/v1/query", `{"src":"bad","dst":"bad"}`},
+		{"POST", "/v1/query", fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":-1}`, src, dst)},
+		{"POST", "/v1/query", pair[:len(pair)-1]},
+		{"POST", "/v1/query", ""},
+		{"POST", "/v1/query", pair + " trailing"},
+		{"POST", "/v1/query", paddedBody(api.MaxLineBytes+1, pair[1:len(pair)-1])},
+		{"POST", "/v1/query?deadline_ms=-1", pair},
+		// /v1/rank
+		{"GET", "/v1/rank", ""},
+		{"POST", "/v1/rank", `{"src":"bad","candidates":["bad"]}`},
+		{"POST", "/v1/rank", rankOf("bad", strconv.Quote(dst))},
+		{"POST", "/v1/rank", rankOf(src, "")},
+		{"POST", "/v1/rank", fmt.Sprintf(`{"src":%q}`, src)},
+		{"POST", "/v1/rank", rankOf(src, strconv.Quote(dst)+`,"1.2.3"`)},
+		{"POST", "/v1/rank", rankOf(src, `"01.2.3.4"`)},
+		{"POST", "/v1/rank", fmt.Sprintf(`{"src":%q,"candidates":[%q],"size_bytes":"big"}`, src, dst)},
+		{"POST", "/v1/rank", rank + " trailing"},
+		{"POST", "/v1/rank", rank[:len(rank)-1]},
+		{"POST", "/v1/rank", ""},
+		{"POST", "/v1/rank", paddedBody(api.MaxRankBytes+1, rank[1:len(rank)-1])},
+		{"POST", "/v1/rank?deadline_ms=-1", rank},
+		// /v1/relay
+		{"POST", relay, ""},
+		{"GET", "/v1/relay?src=bad&dst=bad&relays=" + cand, ""},
+		{"GET", "/v1/relay?src=" + src + "&dst=bad&relays=" + cand, ""},
+		{"GET", "/v1/relay?src=" + src + "&dst=" + dst + "&relays=" + cand + ",1.2.3", ""},
+		{"GET", "/v1/relay?src=" + src + "&dst=" + dst + "&relays=,%20,", ""},
+		{"GET", "/v1/relay?src=" + src + "&dst=" + dst, ""},
+		{"GET", relay + "&k=0", ""},
+		{"GET", relay + "&k=x", ""},
+		{"GET", relay + "&deadline_ms=-1", ""},
+		// /v1/batch: what is refused before the stream starts
+		{"GET", "/v1/batch", ""},
+		{"POST", "/v1/batch?window=0", pair},
+		{"POST", "/v1/batch?window=x", pair},
+		{"POST", "/v1/batch?deadline_ms=-1", pair},
+		{"POST", "/v1/batch?window=x&deadline_ms=0", pair},
 	} {
-		want, got := ask(node, body), ask(routed, body)
-		if got.Code != http.StatusBadRequest || got.Code != want.Code || got.Body.String() != want.Body.String() {
-			t.Errorf("query %q: router %d %q, replica %d %q", body, got.Code, got.Body, want.Code, want.Body)
+		want, got := ask(node, req), ask(routed, req)
+		if got.Code != want.Code || got.Body.String() != want.Body.String() || got.Code/100 != 4 {
+			t.Errorf("%s %.80s %.80q: router %d %q, replica %d %q", req.method, req.target, req.body, got.Code, got.Body, want.Code, want.Body)
 		}
 	}
 	if n := reached.Load(); n != 0 {
-		t.Fatalf("%d malformed queries reached the replica", n)
+		t.Fatalf("%d malformed requests reached the replica", n)
 	}
-	body := fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":60000}`, src, dst)
-	want, got := ask(node, body), ask(routed, body)
-	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() || reached.Load() != 1 {
-		t.Fatalf("router %d %q, replica %d %q, %d requests reached the replica", got.Code, got.Body, want.Code, want.Body, reached.Load())
+	for i, req := range []request{
+		{"POST", "/v1/query", fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":60000}`, src, dst)},
+		{"GET", query + "&deadline_ms=60000", ""},
+		{"POST", "/v1/rank?deadline_ms=60000", rank},
+		{"GET", relay + "&k=1", ""},
+	} {
+		want, got := ask(node, req), ask(routed, req)
+		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() || reached.Load() != int64(i+1) {
+			t.Fatalf("%s %s: router %d %q, replica %d %q, %d requests reached the replica", req.method, req.target, got.Code, got.Body, want.Code, want.Body, reached.Load())
+		}
 	}
 }

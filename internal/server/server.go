@@ -19,21 +19,15 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	inano "inano"
-	"inano/internal/batchpipe"
+	"inano/internal/api"
 	"inano/internal/core"
 	"inano/internal/feedback"
 	"inano/internal/metrics"
@@ -135,6 +129,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
+	}
+	if cfg.StreamWindow <= 0 {
+		cfg.StreamWindow = core.DefaultStreamWindow
 	}
 	fbRate := cfg.FeedbackRate
 	if fbRate == 0 {
@@ -421,7 +418,7 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 			hm.requests.Inc()
 			hm.errors.Inc()
 			w.Header().Set("X-Inano-Draining", "1")
-			_ = httpError(w, http.StatusServiceUnavailable, "draining")
+			_ = api.Refuse(http.StatusServiceUnavailable, "draining").Write(w)
 			return
 		}
 		s.inflight.Inc()
@@ -445,49 +442,10 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 	}
 }
 
-// requestContext is batchpipe.RequestContext of the request's parsed query
-// string q with the server's DefaultDeadline and MaxDeadline.
-func (s *Server) requestContext(r *http.Request, q url.Values) (context.Context, context.CancelFunc, error) {
-	return batchpipe.RequestContext(r.Context(), q, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
-}
-
-// httpError writes a JSON error body and reports the error for counting.
-func httpError(w http.ResponseWriter, code int, format string, args ...any) error {
-	msg := fmt.Sprintf(format, args...)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
-	return errors.New(msg)
-}
-
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	return writeJSONBody(w, v)
-}
-
-// writeJSONBody encodes v without touching headers — for handlers that
-// already wrote a non-200 status.
-func writeJSONBody(w http.ResponseWriter, v any) error {
-	return json.NewEncoder(w).Encode(v)
-}
-
-// --- wire types ---
-
-// queryResult is the answer for one (src, dst) pair, shared by /v1/query
-// and /v1/batch lines. FwdMS+RevMS always sum to RTTMS — a cheap
-// client-side integrity check that an answer was not torn.
-type queryResult struct {
-	Src      string       `json:"src"`
-	Dst      string       `json:"dst"`
-	Found    bool         `json:"found"`
-	RTTMS    float64      `json:"rtt_ms,omitempty"`
-	LossRate float64      `json:"loss_rate,omitempty"`
-	FwdMS    float64      `json:"fwd_ms,omitempty"`
-	RevMS    float64      `json:"rev_ms,omitempty"`
-	FwdAS    []netsim.ASN `json:"fwd_as_path,omitempty"`
-	RevAS    []netsim.ASN `json:"rev_as_path,omitempty"`
-	Day      int          `json:"day"`
-	Error    string       `json:"error,omitempty"`
+// requestContext is the request's context under its ?deadline_ms= d and
+// the server's DefaultDeadline and MaxDeadline.
+func (s *Server) requestContext(r *http.Request, d api.Deadline) (context.Context, context.CancelFunc) {
+	return d.Context(r.Context(), s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 }
 
 // --- endpoints ---
@@ -504,11 +462,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	if s.draining.Load() {
 		body["status"] = "draining"
 		body["inflight"] = s.InFlight()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		return writeJSONBody(w, body)
+		return api.WriteJSON(w, http.StatusServiceUnavailable, body)
 	}
-	return writeJSON(w, body)
+	return api.WriteJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
@@ -519,51 +475,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 // linePool holds the buffers /v1/query answers are encoded into.
 var linePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// handleQuery answers one (src, dst) query. GET with ?src=&dst=, or POST
-// with one /v1/batch request line as the body (batchpipe.ParseLine), whose
-// deadline_ms bounds the answer inside the request's own deadline;
-// ?deadline_ms= bounds either. Concurrent queries to one cold destination
-// share a single tree search (the engine's cache). The answer is a batch
-// answer line plus the two AS paths, from the same encoder, written in one
-// piece.
+// handleQuery answers one (src, dst) query; a POST line's deadline_ms
+// bounds it inside the request's own deadline. Concurrent queries to one
+// cold destination share a tree search (the engine's cache). The answer is
+// a batch answer line plus the two AS paths, written in one piece.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	var l batchpipe.Line
-	q := r.URL.Query()
-	switch r.Method {
-	case http.MethodGet:
-		var err error
-		if l.SrcIP, err = netsim.ParseIPv4(q.Get("src")); err != nil {
-			return httpError(w, http.StatusBadRequest, "src: %v", err)
-		}
-		if l.DstIP, err = netsim.ParseIPv4(q.Get("dst")); err != nil {
-			return httpError(w, http.StatusBadRequest, "dst: %v", err)
-		}
-	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, batchpipe.MaxLineBytes))
-		if err != nil {
-			return httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		}
-		if l, err = batchpipe.ParseLine(bytes.TrimSpace(body)); err != nil {
-			return httpError(w, http.StatusBadRequest, "%v", err)
-		}
-	default:
-		return httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
+	q, rf := api.ReadQuery(w, r)
+	if rf != nil {
+		return rf.Write(w)
 	}
-	ctx, cancel, err := s.requestContext(r, q)
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "%v", err)
-	}
+	ctx, cancel := s.requestContext(r, q.Deadline)
 	defer cancel()
-	if l.DeadlineMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(l.DeadlineMS)*time.Millisecond)
+	if q.Pair.DeadlineMS > 0 {
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(q.Pair.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
 	// One pinned snapshot answers and labels the result, so the reported
 	// day always matches the atlas that produced the numbers.
 	snap := s.c.Snapshot()
+	l := q.Pair
 	info, err := snap.Query(ctx, netsim.PrefixOf(l.SrcIP), netsim.PrefixOf(l.DstIP))
 	if err != nil {
-		return httpError(w, http.StatusGatewayTimeout, "query aborted: %v", err)
+		return api.Refuse(http.StatusGatewayTimeout, "query aborted: %v", err).Write(w)
 	}
 	a := answerLine{srcIP: l.SrcIP, dstIP: l.DstIP}
 	a.answer(&info, false)
@@ -582,57 +515,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 // order, flushed every window so results reach the client while the request
 // body is still being produced. The whole stream reads one atlas snapshot.
 //
-// The stream runs in two stages over two window slots: this goroutine
-// reads, parses and answers (StreamBatch.Run) window N+1 into one slot
-// while a batchpipe.Stage goroutine, alive for this request only, encodes
-// window N from the other and hands it to the ResponseWriter in one Write
-// and one Flush. The ResponseWriter is this goroutine's before the stage
-// starts (headers, an early error) and after it has exited (the terminal
-// error line). Memory on the server is two windows, of lines and of encoded
-// answers, grown as the lines arrive, regardless of batch size.
+// The stream runs in two stages over two window slots (api.Stage): this
+// goroutine reads, parses and answers (StreamBatch.Run) window N+1 into one
+// slot while the stage encodes and writes window N from the other. Memory
+// is two windows, of lines and of encoded answers, whatever the batch size.
 //
-// A line may carry its own "deadline_ms": a per-pair answer-latency
-// bound measured from line receipt. A pair whose deadline passes before
-// its answer is ready — window buffering included, so clients pairing
-// tight deadlines with a large ?window= or a slow producer will expire
-// their own pairs — comes back as a per-pair failure line (src/dst
-// echoed, "found":false, "error":"deadline_ms exceeded") while the
-// stream continues: partial results instead of an aborted window.
+// A line's own "deadline_ms" bounds its answer's latency from the line's
+// receipt, window buffering included: a pair past it comes back as a
+// failure line (src/dst echoed, "found":false, "error":"deadline_ms
+// exceeded") and the stream goes on.
 //
 // A malformed line or an expired request deadline ends the stream with the
-// terminal line (batchpipe.Stage.End); a response the client no longer
+// terminal line (api.Stage.End); a response the client no longer
 // takes ends it at the reader's next window.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return httpError(w, http.StatusMethodNotAllowed, "use POST")
+	b, rf := api.ReadBatch(w, r, s.cfg.StreamWindow)
+	if rf != nil {
+		return rf.Write(w)
 	}
-	q := r.URL.Query()
-	ctx, cancel, err := s.requestContext(r, q)
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "%v", err)
-	}
+	ctx, cancel := s.requestContext(r, b.Deadline)
 	defer cancel()
-	window := s.cfg.StreamWindow
-	if window <= 0 {
-		window = core.DefaultStreamWindow
-	}
-	if window, err = batchpipe.Window(q, window); err != nil {
-		return httpError(w, http.StatusBadRequest, "%v", err)
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	// Full duplex lets us keep reading request pairs after response lines
-	// start flowing; without it the HTTP/1 server drains the request body
-	// before the first response flush, deadlocking an interleaved producer.
-	rc := http.NewResponseController(w)
-	if err := rc.EnableFullDuplex(); err != nil {
-		return httpError(w, http.StatusInternalServerError, "streaming unsupported: %v", err)
-	}
-
-	scanner := bufio.NewScanner(r.Body)
-	scanner.Buffer(make([]byte, 0, 4096), batchpipe.MaxLineBytes)
-	var inputErr, streamErr error // either ends the stream with a terminal error line
-	lineNo := 0
 
 	// One pinned snapshot serves the whole stream and labels every line;
 	// prediction trees built for one window stay cached for the next. The
@@ -642,7 +544,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	snap := s.c.Snapshot()
 	sb := snap.StreamBatch(true)
 	var reqs []core.PairReq
-	st, slot := batchpipe.Start(w, rc, func(slot *batchSlot) ([]byte, int, error) {
+	st, slot := api.Start(w, b.RC, func(slot *batchSlot) ([]byte, int, error) {
 		slot.buf = appendWindow(slot.buf[:0], slot.lines, snap.Day())
 		return slot.buf, len(slot.lines), nil
 	})
@@ -652,6 +554,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		st.Finish()
 		s.pairsTotal.Add(uint64(st.Written))
 	}()
+	var streamErr error // the request's context ended: the terminal line says so
 	// runWindow answers the buffered window in one per-pair-deadline batch,
 	// copies the answers out of the runner and passes the slot to the stage.
 	// It reports whether the stream goes on: not after a request-level
@@ -675,15 +578,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	}
 
 	live := true
-	for live && scanner.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(scanner.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		l, err := batchpipe.ParseLine(line)
-		if err != nil {
-			inputErr = fmt.Errorf("line %d: %v", lineNo, err)
+	for live {
+		_, l, ok := b.Next()
+		if !ok {
 			break
 		}
 		pr := inano.PairOf(l.SrcIP, l.DstIP)
@@ -692,26 +589,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		}
 		reqs = append(reqs, pr)
 		slot.lines = append(slot.lines, answerLine{srcIP: l.SrcIP, dstIP: l.DstIP})
-		if len(reqs) >= window {
+		if len(reqs) >= b.Window {
 			live = runWindow()
 		}
-	}
-	if err := scanner.Err(); err != nil && inputErr == nil && live {
-		inputErr = fmt.Errorf("reading batch body: %w", err)
 	}
 	if live {
 		runWindow()
 	}
-	return st.End(inputErr, streamErr)
-}
-
-// rankRequest asks to order candidate IPs for a source. With SizeBytes > 0
-// candidates are ranked by predicted TCP transfer time of that many bytes
-// (the CDN shape, §7.1); otherwise by predicted RTT.
-type rankRequest struct {
-	Src        string   `json:"src"`
-	Candidates []string `json:"candidates"`
-	SizeBytes  int      `json:"size_bytes"`
+	return st.End(b.Err(), streamErr)
 }
 
 type rankedCandidate struct {
@@ -724,41 +609,24 @@ type rankedCandidate struct {
 
 // handleRank orders the candidates by inano.Snapshot.Rank.
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return httpError(w, http.StatusMethodNotAllowed, "use POST")
+	req, rf := api.ReadRank(w, r)
+	if rf != nil {
+		return rf.Write(w)
 	}
-	var req rankRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, batchpipe.MaxRankBytes)).Decode(&req); err != nil {
-		return httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	src, err := netsim.ParseIPv4(req.Src)
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "src: %v", err)
-	}
-	if len(req.Candidates) == 0 {
-		return httpError(w, http.StatusBadRequest, "no candidates")
-	}
-	ips := make([]netsim.IP, len(req.Candidates))
 	dsts := make([]netsim.Prefix, len(req.Candidates))
-	for i, c := range req.Candidates {
-		if ips[i], err = netsim.ParseIPv4(c); err != nil {
-			return httpError(w, http.StatusBadRequest, "candidate %d: %v", i, err)
-		}
-		dsts[i] = netsim.PrefixOf(ips[i])
+	for i, ip := range req.Candidates {
+		dsts[i] = netsim.PrefixOf(ip)
 	}
-	ctx, cancel, err := s.requestContext(r, r.URL.Query())
-	if err != nil {
-		return httpError(w, http.StatusBadRequest, "%v", err)
-	}
+	ctx, cancel := s.requestContext(r, req.Deadline)
 	defer cancel()
 	snap := s.c.Snapshot()
-	ranked, err := snap.Rank(ctx, netsim.PrefixOf(src), dsts, req.SizeBytes)
+	ranked, err := snap.Rank(ctx, netsim.PrefixOf(req.Src), dsts, req.SizeBytes)
 	if err != nil {
-		return httpError(w, http.StatusGatewayTimeout, "rank aborted: %v", err)
+		return api.Refuse(http.StatusGatewayTimeout, "rank aborted: %v", err).Write(w)
 	}
 	out := make([]rankedCandidate, len(ranked))
 	for i, rk := range ranked {
-		out[i] = rankedCandidate{IP: ips[rk.Index].String(), Found: rk.Found, RTTMS: rk.RTTMS, LossRate: rk.LossRate, TransferMS: rk.TransferMS}
+		out[i] = rankedCandidate{IP: req.Candidates[rk.Index].String(), Found: rk.Found, RTTMS: rk.RTTMS, LossRate: rk.LossRate, TransferMS: rk.TransferMS}
 	}
-	return writeJSON(w, map[string]any{"src": src.String(), "day": snap.Day(), "ranked": out})
+	return api.WriteJSON(w, http.StatusOK, map[string]any{"src": req.Src.String(), "day": snap.Day(), "ranked": out})
 }

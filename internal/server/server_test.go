@@ -21,8 +21,8 @@ import (
 	"time"
 
 	inano "inano"
+	"inano/internal/api"
 	"inano/internal/atlas"
-	"inano/internal/batchpipe"
 	"inano/internal/netsim"
 	"inano/internal/tcpmodel"
 	"inano/sim"
@@ -150,14 +150,17 @@ func TestQueryEndpointParity(t *testing.T) {
 	}
 }
 
-// postPadded POSTs to path a JSON object whose leading "pad" string makes
-// it exactly size bytes long, rest being the object's other members, and
-// returns the status.
+// paddedBody is a JSON object whose leading "pad" string makes it exactly
+// size bytes long, rest being the object's other members.
+func paddedBody(size int, rest string) string {
+	skel := `{"pad":"",` + rest + `}`
+	return `{"pad":"` + strings.Repeat("x", size-len(skel)) + `",` + rest + `}`
+}
+
+// postPadded POSTs paddedBody(size, rest) to url and returns the status.
 func postPadded(t *testing.T, url string, size int, rest string) int {
 	t.Helper()
-	skel := `{"pad":"",` + rest + `}`
-	body := `{"pad":"` + strings.Repeat("x", size-len(skel)) + `",` + rest + `}`
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	resp, err := http.Post(url, "application/json", strings.NewReader(paddedBody(size, rest)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,15 +170,15 @@ func postPadded(t *testing.T, url string, size int, rest string) int {
 }
 
 // TestQueryBodyCap: a /v1/query POST body is one request line, so a body
-// past batchpipe.MaxLineBytes is a bad request even when the one JSON value
+// past api.MaxLineBytes is a bad request even when the one JSON value
 // it carries would parse; at the cap it is answered.
 func TestQueryBodyCap(t *testing.T) {
 	f := buildFixture(t, 201)
 	_, ts := start(t, f, nil)
 	rest := fmt.Sprintf(`"src":%q,"dst":%q`, ipStr(f.vps[0]), ipStr(f.targets[7]))
 	for size, want := range map[int]int{
-		batchpipe.MaxLineBytes:     http.StatusOK,
-		batchpipe.MaxLineBytes + 1: http.StatusBadRequest,
+		api.MaxLineBytes:     http.StatusOK,
+		api.MaxLineBytes + 1: http.StatusBadRequest,
 	} {
 		if got := postPadded(t, ts.URL+"/v1/query", size, rest); got != want {
 			t.Errorf("%d-byte body: status %d, want %d", size, got, want)
@@ -219,7 +222,7 @@ func TestQueryBodyIsOneLine(t *testing.T) {
 		}
 	}
 	for body, msg := range map[string]string{
-		fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":-1}`, src, dst): "bad deadline_ms -1",
+		fmt.Sprintf(`{"src":%q,"dst":%q,"deadline_ms":-1}`, src, dst): `bad deadline_ms \"-1\"`,
 		fmt.Sprintf(`{"src":"+1.2.3.4","dst":%q}`, dst):               `src: bad IPv4 address \"+1.2.3.4\"`,
 	} {
 		if code, got := post(body); code != http.StatusBadRequest || got != `{"error":"`+msg+`"}`+"\n" {
@@ -246,18 +249,41 @@ func TestHugeDeadlineIsNone(t *testing.T) {
 	}
 }
 
-// TestRankBodyCap: a /v1/rank body past batchpipe.MaxRankBytes is a bad
+// TestRankBodyCap: a /v1/rank body past api.MaxRankBytes is a bad
 // request; at the cap it is answered.
 func TestRankBodyCap(t *testing.T) {
 	f := buildFixture(t, 207)
 	_, ts := start(t, f, nil)
 	rest := fmt.Sprintf(`"src":%q,"candidates":[%q,%q]`, ipStr(f.vps[2]), ipStr(f.targets[0]), ipStr(f.targets[1]))
 	for size, want := range map[int]int{
-		batchpipe.MaxRankBytes:     http.StatusOK,
-		batchpipe.MaxRankBytes + 1: http.StatusBadRequest,
+		api.MaxRankBytes:     http.StatusOK,
+		api.MaxRankBytes + 1: http.StatusBadRequest,
 	} {
 		if got := postPadded(t, ts.URL+"/v1/rank", size, rest); got != want {
 			t.Errorf("%d-byte body: status %d, want %d", size, got, want)
+		}
+	}
+}
+
+// TestRankBodyIsOneValue: a /v1/rank body is one JSON value, as a
+// /v1/query POST body is; bytes after it are refused, space is not.
+func TestRankBodyIsOneValue(t *testing.T) {
+	f := buildFixture(t, 207)
+	_, ts := start(t, f, nil)
+	body := fmt.Sprintf(`{"src":%q,"candidates":[%q,%q]}`, ipStr(f.vps[2]), ipStr(f.targets[0]), ipStr(f.targets[1]))
+	for rest, want := range map[string]string{
+		"\n ":       "",
+		" trailing": `{"error":"bad request body: invalid character 't' after top-level value"}` + "\n",
+		`{}`:        `{"error":"bad request body: invalid character '{' after top-level value"}` + "\n",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/rank", "application/json", strings.NewReader(body+rest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if want == "" && resp.StatusCode != http.StatusOK || want != "" && (resp.StatusCode != http.StatusBadRequest || string(got) != want) {
+			t.Errorf("body + %q: status %d, %s; want %q", rest, resp.StatusCode, got, want)
 		}
 	}
 }
@@ -612,7 +638,7 @@ func TestBatchMalformedLine(t *testing.T) {
 }
 
 // TestBatchLineCap: a request line may be 64 KiB long, newline included
-// (batchpipe.MaxLineBytes); one byte more ends the stream with the
+// (api.MaxLineBytes); one byte more ends the stream with the
 // terminal line.
 func TestBatchLineCap(t *testing.T) {
 	f := buildFixture(t, 206)
@@ -637,6 +663,13 @@ func TestBatchLineCap(t *testing.T) {
 			t.Fatalf("%d bytes over the cap: answer %+v", over, got)
 		}
 	}
+}
+
+// rankRequest is a /v1/rank body.
+type rankRequest struct {
+	Src        string   `json:"src"`
+	Candidates []string `json:"candidates"`
+	SizeBytes  int      `json:"size_bytes"`
 }
 
 // TestRankEndpoint checks /v1/rank orders candidates by predicted RTT:
