@@ -131,8 +131,7 @@ func runScaleBuild(cfg scaleBuildConfig, stdout, stderr io.Writer) int {
 	}
 	wf.Close()
 	flatInfo, _ := os.Stat(flatPath)
-	fmt.Fprintf(stdout, "serving forms: atlas.bin %d MB, atlas.flat %d MB\n",
-		binInfo.Size()>>20, flatInfo.Size()>>20)
+	fmt.Fprintf(stdout, "serving forms: atlas.bin %d B, atlas.flat %d B\n", binInfo.Size(), flatInfo.Size())
 
 	// The two doors a serving client starts through, each timed; a load
 	// that went through maps would show as a jump in the peak RSS here.

@@ -249,6 +249,7 @@ type Batch struct {
 	Deadline Deadline // the whole stream's
 	RC       *http.ResponseController
 
+	body  io.ReadCloser
 	lines *bufio.Scanner
 	n     int   // lines read, blank ones included
 	err   error // why the lines ended early
@@ -278,10 +279,23 @@ func ReadBatch(w http.ResponseWriter, r *http.Request, window int) (*Batch, *Ref
 	if err := b.RC.EnableFullDuplex(); err != nil {
 		return nil, Refuse(http.StatusInternalServerError, "streaming unsupported: %v", err)
 	}
+	b.body = r.Body
 	b.lines = bufio.NewScanner(r.Body)
 	b.lines.Buffer(make([]byte, 0, 4096), MaxLineBytes)
 	return b, nil
 }
+
+// Close closes the request body, which drains what the stream left unread
+// (up to net/http's post-handler limit). A handler calls it last, after the
+// terminal line, so a client has heard the stream is over before the
+// daemon waits on its body. It must run inside the handler: in full-duplex
+// mode net/http leaves the body alone until the handler has returned and
+// it has stopped the connection's pending reads, and its own close then
+// drains the body to its end, which starts a read of the next request that
+// nothing stops — the connection's next request panics on it ("invalid
+// concurrent Body.Read call"). Closed here, the read starts while the
+// handler runs, and net/http stops it as it finishes the response.
+func (b *Batch) Close() error { return b.body.Close() }
 
 // Next reads the stream's next request line, trimmed, blank lines skipped:
 // its bytes, valid until the next call, and its parse. It returns false at

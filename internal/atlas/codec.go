@@ -32,7 +32,13 @@ const (
 	// atlasVersion 4 writes every section column-major, splits composite
 	// keys into high and low parts, and writes each link pair once, in
 	// both streams.
-	atlasVersion = 4
+	// atlasVersion 5 codes three atlas sections against the AS adjacency the
+	// relationships section ships, which now comes before them: each
+	// 3-tuple's (b, c), each preference's (b, c) and each provider is its
+	// index in a row of that graph (relcode.go); and the cluster → AS,
+	// prefix → cluster and interface → cluster values are zigzag
+	// differences from the value before. The delta stream is v4's.
+	atlasVersion = 5
 
 	// maxDecodedBytes caps how far Decode will inflate a stream. Real
 	// atlases decompress to tens of megabytes; the cap only exists so a
@@ -63,10 +69,10 @@ const (
 	secPrefixCluster
 	secPrefixAS
 	secASDegree
+	secRels // before the three sets coded against it
 	secTuples
 	secPrefs
 	secProviders
-	secRels
 	secLateExit
 	secGlobalAdjust
 	secObservedLink
@@ -417,12 +423,12 @@ func plain[K, V any](conv func(uint64) V) func(K, uint64) V {
 	return func(_ K, u uint64) V { return conv(u) }
 }
 
-// readASNs reads a count and that many AS numbers.
-func readASNs(r *wireReader) []netsim.ASN {
+// readASNs reads a count and that many AS numbers, each varint through val.
+func readASNs(r *wireReader, val func(uint64) netsim.ASN) []netsim.ASN {
 	n := r.count()
 	out := make([]netsim.ASN, 0, allocHint(n))
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		out = append(out, netsim.ASN(r.uvarint()))
+		out = append(out, val(r.uvarint()))
 	}
 	return out
 }
@@ -604,30 +610,53 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// encodeSection renders one dataset into w.
-func (a *Atlas) encodeSection(sec int, w *sectionWriter) {
-	attach := func(c cluster.ClusterID) uint64 { return uint64(uint32(c)) }
+// zigzagDiffs returns a column coder that writes each value as the zigzag
+// difference from the one before; unzigzagDiffs reads such a column.
+func zigzagDiffs() func(int64) uint64 {
+	var prev int64
+	return func(v int64) uint64 {
+		u := zigzag(v - prev)
+		prev = v
+		return u
+	}
+}
+
+func unzigzagDiffs() func(uint64) int64 {
+	var prev int64
+	return func(u uint64) int64 {
+		prev += unzigzag(u)
+		return prev
+	}
+}
+
+// encodeSection renders one dataset into w; g is the adjacency of a.Rels.
+func (a *Atlas) encodeSection(sec int, g *asGraph, w *sectionWriter) {
+	attach := func() func(cluster.ClusterID) uint64 {
+		next := zigzagDiffs()
+		return func(c cluster.ClusterID) uint64 { return next(int64(c)) }
+	}
 	ttl := func(v uint8) uint64 { return uint64(v) }
 	switch sec {
 	case secClusterAS:
+		next := zigzagDiffs()
 		w.uvarint(uint64(len(a.ClusterAS)))
-		w.column(len(a.ClusterAS), func(i int) uint64 { return uint64(a.ClusterAS[i]) })
+		w.column(len(a.ClusterAS), func(i int) uint64 { return next(int64(a.ClusterAS[i])) })
 	case secLinks:
 		writeLinks(w, a.Links)
 	case secLoss:
 		writeMap(w, a.Loss, splitPair, quantLoss)
 	case secPrefixCluster:
-		writeMap(w, a.PrefixCluster, unsplit, attach)
+		writeMap(w, a.PrefixCluster, unsplit, attach())
 	case secPrefixAS:
 		writeMap(w, a.PrefixAS, unsplit, func(as netsim.ASN) uint64 { return uint64(as) })
 	case secASDegree:
 		writeMap(w, a.ASDegree, unsplit, func(d int32) uint64 { return uint64(d) })
 	case secTuples:
-		writeTable(w, sortedKeys(a.Tuples), splitTriple)
+		writeRelSet(w, g, sortedKeys(a.Tuples), tupleShape)
 	case secPrefs:
-		writeTable(w, sortedKeys(a.Prefs), splitTriple)
+		writeRelSet(w, g, sortedKeys(a.Prefs), prefShape)
 	case secProviders:
-		writeTable(w, providerKeys(a.Providers), splitPair)
+		writeRelSet(w, g, providerKeys(a.Providers), providerShape)
 	case secRels:
 		writeMap(w, a.Rels, splitPair, func(r netsim.Rel) uint64 { return uint64(uint8(r)) })
 	case secLateExit:
@@ -639,7 +668,7 @@ func (a *Atlas) encodeSection(sec int, w *sectionWriter) {
 	case secObservedAttach:
 		writeMap(w, a.ObservedAttach, unsplit, ttl)
 	case secIfaceCluster:
-		writeMap(w, a.IfaceCluster, unsplit, attach)
+		writeMap(w, a.IfaceCluster, unsplit, attach())
 	}
 }
 
@@ -656,10 +685,11 @@ func (a *Atlas) Encode(w io.Writer) error {
 	if _, err := gz.Write(hdr.buf.Bytes()); err != nil {
 		return err
 	}
+	g := newASGraph(sortedKeys(a.Rels))
 	for sec := 0; sec < numSections; sec++ {
 		var sw sectionWriter
 		sw.uvarint(uint64(sec))
-		a.encodeSection(sec, &sw)
+		a.encodeSection(sec, g, &sw)
 		if _, err := gz.Write(sw.buf.Bytes()); err != nil {
 			return err
 		}
@@ -672,7 +702,8 @@ func (a *Atlas) Encode(w io.Writer) error {
 // stream order, and the build-side lifetime tables the serving form does
 // not carry.
 type wireAtlas struct {
-	flat          *Flat // the link table and the indexes are not built yet
+	flat          *Flat    // the link table and the indexes are not built yet
+	rels          *asGraph // the relationships' adjacency, once they are read
 	links         []Link
 	obsLinkKeys   []uint64
 	obsAttachKeys []netsim.Prefix
@@ -685,16 +716,31 @@ type wireAtlas struct {
 // count and the bounds the build keeps, so a failure names its section.
 func (w *wireAtlas) readSection(sec int, r *wireReader) {
 	f := w.flat
-	attach := func(p netsim.Prefix, u uint64) cluster.ClusterID {
-		c := cluster.ClusterID(uint32(u))
-		if c < 0 || int32(c) >= f.NumClusters {
-			r.fail("prefix %v maps to cluster %d outside cluster space %d", p, c, f.NumClusters)
+	attach := func() func(netsim.Prefix, uint64) cluster.ClusterID {
+		next := unzigzagDiffs()
+		return func(p netsim.Prefix, u uint64) cluster.ClusterID {
+			c := next(u)
+			if c < 0 || c >= int64(f.NumClusters) {
+				r.fail("prefix %v maps to cluster %d outside cluster space %d", p, c, f.NumClusters)
+			}
+			return cluster.ClusterID(c)
 		}
-		return c
+	}
+	if (sec == secTuples || sec == secPrefs || sec == secProviders) && w.rels == nil {
+		r.fail("written before section %s, which it is coded against", SectionName(secRels))
+		return
 	}
 	switch sec {
 	case secClusterAS:
-		if f.ClusterAS = readASNs(r); len(f.ClusterAS) != int(f.NumClusters) {
+		next := unzigzagDiffs()
+		f.ClusterAS = readASNs(r, func(u uint64) netsim.ASN {
+			as := next(u)
+			if as < 0 || as > math.MaxUint32 {
+				r.fail("cluster AS %d outside 32 bits", as)
+			}
+			return netsim.ASN(as)
+		})
+		if r.err == nil && len(f.ClusterAS) != int(f.NumClusters) {
 			r.fail("cluster count %d does not match AS table size %d", f.NumClusters, len(f.ClusterAS))
 		}
 	case secLinks:
@@ -702,19 +748,20 @@ func (w *wireAtlas) readSection(sec int, r *wireReader) {
 	case secLoss:
 		f.LossKeys, f.LossVals = readTable(r, splitPair, plain[uint64](unquantLoss))
 	case secPrefixCluster:
-		f.PrefixClKeys, f.PrefixClVals = readTable(r, unsplit, attach)
+		f.PrefixClKeys, f.PrefixClVals = readTable(r, unsplit, attach())
 	case secPrefixAS:
 		f.PrefixASKeys, f.PrefixASVals = readTable(r, unsplit, plain[netsim.Prefix](func(u uint64) netsim.ASN { return netsim.ASN(u) }))
 	case secASDegree:
 		f.DegKeys, f.DegVals = readTable(r, unsplit, plain[netsim.ASN](func(u uint64) int32 { return int32(u) }))
-	case secTuples:
-		f.Tuples, _ = readTable[uint64, struct{}](r, splitTriple, nil)
-	case secPrefs:
-		f.Prefs, _ = readTable[uint64, struct{}](r, splitTriple, nil)
-	case secProviders:
-		f.Providers, _ = readTable[uint64, struct{}](r, splitPair, nil)
 	case secRels:
 		f.RelKeys, f.RelVals = readTable(r, splitPair, plain[uint64](func(u uint64) netsim.Rel { return netsim.Rel(int8(u)) }))
+		w.rels = newASGraph(f.RelKeys)
+	case secTuples:
+		f.Tuples = readRelSet(r, w.rels, tupleShape)
+	case secPrefs:
+		f.Prefs = readRelSet(r, w.rels, prefShape)
+	case secProviders:
+		f.Providers = readRelSet(r, w.rels, providerShape)
 	case secLateExit:
 		f.LateExit, _ = readTable[uint64, struct{}](r, splitPair, nil)
 	case secGlobalAdjust:
@@ -724,7 +771,7 @@ func (w *wireAtlas) readSection(sec int, r *wireReader) {
 	case secObservedAttach:
 		w.obsAttachKeys, w.obsAttachTTL = readTable(r, unsplit, observedTTL[netsim.Prefix](r))
 	case secIfaceCluster:
-		f.IfaceKeys, f.IfaceVals = readTable(r, unsplit, attach)
+		f.IfaceKeys, f.IfaceVals = readTable(r, unsplit, attach())
 	}
 }
 
@@ -744,8 +791,9 @@ func observedTTL[K any](r *wireReader) func(K, uint64) uint8 {
 // rejected here: a stream that is not gzip, fails its checksum, inflates
 // past maxDecodedBytes or carries bytes after its last section; a wrong
 // magic or version; an unknown, repeated or (there being numSections of
-// them) missing section; a record count past maxSectionRecords; a key that
-// does not ascend; and whatever readSection finds out of range.
+// them) missing section; a set coded against the relationships that comes
+// before them; a record count past maxSectionRecords; a key that does not
+// ascend; and whatever readSection finds out of range.
 func parseAtlas(in io.Reader) (*wireAtlas, error) {
 	r, err := openWire(in, atlasMagic, "atlas")
 	if err != nil {
@@ -851,9 +899,10 @@ func (a *Atlas) SectionSizes() []SectionSize {
 		secIfaceCluster:   len(a.IfaceCluster),
 	}
 	out := make([]SectionSize, 0, numSections)
+	g := newASGraph(sortedKeys(a.Rels))
 	for sec := 0; sec < numSections; sec++ {
 		var sw sectionWriter
-		a.encodeSection(sec, &sw)
+		a.encodeSection(sec, g, &sw)
 		var gzBuf bytes.Buffer
 		gz := gzip.NewWriter(&gzBuf)
 		gz.Write(sw.buf.Bytes()) //nolint:errcheck // bytes.Buffer cannot fail

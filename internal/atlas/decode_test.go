@@ -41,6 +41,22 @@ func wireFixture() *Atlas {
 	return a
 }
 
+// offGraphFixture is wireFixture with 3-tuples, preferences and providers
+// off the relationship graph — a head, a first hop and a second hop no
+// relationship names, and a head at MaxASN, the widest a 3-tuple packs —
+// and a relationship key written high end first, whose row comes out of
+// order: every escape of the v5 coding.
+func offGraphFixture() *Atlas {
+	a := wireFixture()
+	a.Rels[netsim.DirASPairKey(9, 3)] = netsim.RelPeer // 9's row is [8 3]
+	for _, k := range [][3]netsim.ASN{{7, 9, 8}, {5, 7, 8}, {8, 9, 100}, {8, 9, 3}, {9, 3, 9}, {9, 8, 9}, {MaxASN, 8, 7}} {
+		a.Tuples[PackTriple(k[0], k[1], k[2])] = true
+	}
+	a.Prefs[PackTriple(9, 7, 8)], a.Prefs[PackTriple(9, 8, 3)], a.Prefs[PackTriple(4, 1, 2)] = true, true, true
+	a.Providers[100], a.Providers[9] = []netsim.ASN{8, 9}, []netsim.ASN{3, 7, 8}
+	return a
+}
+
 // rawAtlas hand-assembles an encoded atlas: a's own header and sections,
 // but for the sections in with, whose records (after the section id) the
 // given function writes — Encode sorts and bounds what it writes, so this
@@ -62,7 +78,7 @@ func rawAtlas(tb testing.TB, a *Atlas, order []int, with map[int]func(*sectionWr
 		if write := with[sec]; write != nil {
 			write(&sw)
 		} else {
-			a.encodeSection(sec, &sw)
+			a.encodeSection(sec, newASGraph(sortedKeys(a.Rels)), &sw)
 		}
 	}
 	return gzipped(tb, atlasMagic, sw.buf.Bytes())
@@ -130,6 +146,11 @@ func hostileAtlases(tb testing.TB) []hostileAtlas {
 	one := func(sec int, body func(*sectionWriter)) []byte {
 		return rawAtlas(tb, a, nil, map[int]func(*sectionWriter){sec: body})
 	}
+	// relSet writes keys as given against the fixture's relationships.
+	relSet := func(keys []uint64, s relShape) func(*sectionWriter) {
+		return func(sw *sectionWriter) { writeRelSet(sw, newASGraph(sortedKeys(a.Rels)), keys, s) }
+	}
+	tuplesFirst := []int{secClusterAS, secLinks, secLoss, secPrefixCluster, secPrefixAS, secASDegree, secTuples, secRels}
 	twice := []int{secClusterAS, secLinks, secLoss, secLoss}
 	for sec := secPrefixCluster; sec < numSections-1; sec++ {
 		twice = append(twice, sec)
@@ -140,11 +161,17 @@ func hostileAtlases(tb testing.TB) []hostileAtlas {
 	provider := func(origin, up uint64) uint64 { return origin<<32 | up }
 	return []hostileAtlas{
 		{"zero key delta", "Link loss rates", "ascend strictly", one(secLoss, table(splitPair, []uint64{5, 5}, []uint64{100, 200}))},
-		{"delta that wraps uint64", "AS three-tuples", "ascend strictly", one(secTuples, table(splitTriple, []uint64{10, 7}, nil))},
+		{"delta that wraps uint64", "AS three-tuples", "ascend strictly", one(secTuples, relSet([]uint64{PackTriple(9, 8, 7), PackTriple(7, 8, 9)}, tupleShape))},
+		{"3-tuples out of order", "AS three-tuples", "ascend strictly", one(secTuples, relSet([]uint64{10, 7}, tupleShape))},
+		{"index past the degree", "AS three-tuples", "index 5 past the degree 1 of AS 7", one(secTuples, records(1, 7, 0, 5))},
+		{"index past the degree of a second hop", "AS preferences", "index 3 past the degree 2 of AS 8", one(secPrefs, records(1, 8, 0, 0, 0, 3))},
+		{"3-tuples before the relationships", "AS three-tuples", "written before section AS relationships", rawAtlas(tb, a, tuplesFirst, nil)},
+		{"a second hop too wide", "AS three-tuples", "wider than 21 bits", one(secTuples, records(1, 5, 0, 0, 5, 0, 0, 1<<21))},
 		{"keys that collide as prefixes", "Prefix to AS", "ascend strictly", one(secPrefixAS, table(unsplit, []uint64{100, 1<<32 + 100}, []uint64{7, 9}))},
 		{"keys that collide as ASNs", "AS degrees", "ascend strictly", one(secASDegree, table(unsplit, []uint64{7, 1<<32 + 7}, []uint64{2, 2}))},
-		{"repeated provider", "Provider mappings", "ascend strictly", one(secProviders, table(splitPair, []uint64{provider(9, 7), provider(9, 7)}, nil))},
-		{"repeated origin", "Provider mappings", "ascend strictly", one(secProviders, table(splitPair, []uint64{provider(9, 7), provider(7, 8), provider(9, 8)}, nil))},
+		{"repeated provider", "Provider mappings", "ascend strictly", one(secProviders, relSet([]uint64{provider(9, 7), provider(9, 7)}, providerShape))},
+		{"repeated origin", "Provider mappings", "ascend strictly", one(secProviders, relSet([]uint64{provider(9, 7), provider(7, 8), provider(9, 8)}, providerShape))},
+		{"records past the count", "Provider mappings", "count says 1", one(secProviders, records(1, 9, 1, 0, 1, 100))},
 		{"repeated link", "Inter-cluster links", "ascend strictly", one(secLinks, linkRecords([]Link{link(0, 1, 1), link(0, 1, 1)}, nil))},
 		{"links out of order", "Inter-cluster links", "ascend strictly", one(secLinks, linkRecords([]Link{link(0, 2, 1), link(0, 1, 1)}, nil))},
 		{"undefined plane bits", "Inter-cluster links", "undefined plane bits", one(secLinks, linkRecords([]Link{link(0, 1, 4)}, nil))},
@@ -156,12 +183,14 @@ func hostileAtlases(tb testing.TB) []hostileAtlas {
 		{"pair written from its higher end", "Inter-cluster links", "not its pair's lower key", one(secLinks, linkRecords([]Link{link(1, 0, 1)}, []uint64{1}, 0, 2))},
 		{"self link paired with itself", "Inter-cluster links", "not its pair's lower key", one(secLinks, linkRecords([]Link{link(1, 1, 1)}, []uint64{1}, 0, 1))},
 		{"reverse latency below zero", "Inter-cluster links", "below zero", one(secLinks, linkRecords([]Link{link(0, 1, 1)}, []uint64{1}, zigzag(-101), 2))},
-		{"attachment outside the cluster space", "Prefix to cluster", "outside cluster space", one(secPrefixCluster, table(unsplit, []uint64{100}, []uint64{4}))},
+		{"attachment outside the cluster space", "Prefix to cluster", "outside cluster space", one(secPrefixCluster, table(unsplit, []uint64{100, 101}, []uint64{zigzag(3), zigzag(1)}))},
+		{"attachment below cluster 0", "Prefix to cluster", "outside cluster space", one(secPrefixCluster, table(unsplit, []uint64{100}, []uint64{zigzag(-1)}))},
 		{"interface outside the cluster space", "Interface prefix to cluster", "outside cluster space", one(secIfaceCluster, table(unsplit, []uint64{200}, []uint64{1 << 31}))},
 		{"over-bound correction", "Aggregated corrections", "bound", one(secGlobalAdjust, table(unsplit, []uint64{100}, []uint64{quantAdj(2 * MaxObservationFoldMS)}))},
 		{"observed TTL of 0", "Observed-link lifetimes", "lifetime", one(secObservedLink, table(splitPair, []uint64{LinkKey(3, 2)}, []uint64{0}))},
 		{"immortal attachment", "Observed-attachment lifetimes", "lifetime", one(secObservedAttach, table(unsplit, []uint64{101}, []uint64{ObservedTTLDays + 1}))},
-		{"short AS table", "Cluster to AS", "does not match", one(secClusterAS, records(3, 7, 7, 8))},
+		{"short AS table", "Cluster to AS", "does not match", one(secClusterAS, records(3, zigzag(7), 0, zigzag(1)))},
+		{"cluster AS below 0", "Cluster to AS", "outside 32 bits", one(secClusterAS, records(4, zigzag(7), 0, zigzag(-8), 0))},
 		{"lying record count", "Late-exit pairs", "exceeds limit", one(secLateExit, records(maxSectionRecords+1))},
 		{"section twice", "Link loss rates", "appears twice", rawAtlas(tb, a, twice, nil)},
 	}
@@ -173,10 +202,13 @@ func TestDecodeRejectsUnsortedKeys(t *testing.T) {
 	if raw := rawAtlas(t, wireFixture(), nil, nil); !decodeBothWays(t, raw) {
 		t.Fatal("the fixture itself does not decode")
 	}
-	// Any order of sections is a stream; Encode's is one of them.
-	backwards := make([]int, numSections)
-	for i := range backwards {
-		backwards[i] = numSections - 1 - i
+	// Any order of sections that puts the relationships before the three
+	// sets coded against them is a stream; Encode's is one of them.
+	backwards := []int{secRels}
+	for sec := numSections - 1; sec >= 0; sec-- {
+		if sec != secRels {
+			backwards = append(backwards, sec)
+		}
 	}
 	if !decodeBothWays(t, rawAtlas(t, wireFixture(), backwards, nil)) {
 		t.Fatal("sections in another order do not decode")

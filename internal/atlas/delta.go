@@ -359,7 +359,7 @@ func DecodeDelta(in io.Reader) (*Delta, error) {
 	d.DelTuples = keys(splitTriple)
 	d.UpAdjust = tableMap(readTable(r, unsplit, foldBounded(r)))
 	d.DelAdjust = keys(unsplit)
-	d.AddClusterAS = readASNs(r)
+	d.AddClusterAS = readASNs(r, func(u uint64) netsim.ASN { return netsim.ASN(u) })
 	d.UpPrefixCluster = tableMap(readTable(r, unsplit, attach))
 	d.DelPrefixCluster = keys(unsplit)
 	d.UpIfaceCluster = tableMap(readTable(r, unsplit, attach))

@@ -36,7 +36,7 @@ func atlasSeeds(tb testing.TB) [][]byte {
 		seeds = append(seeds, raw, raw[:len(raw)/2], raw[:16]) // whole, a torn download, a header
 	}
 	seeds = append(seeds, []byte{}, []byte("INANOATL"), []byte("INANOATL\x01junkjunkjunk"))
-	seeds = append(seeds, rawAtlas(tb, wireFixture(), nil, nil))
+	seeds = append(seeds, rawAtlas(tb, wireFixture(), nil, nil), rawAtlas(tb, offGraphFixture(), nil, nil))
 	for _, h := range hostileAtlases(tb) {
 		seeds = append(seeds, h.raw)
 	}

@@ -55,6 +55,54 @@ func linkTable(rng *rand.Rand) *Atlas {
 	return a
 }
 
+// relTable is an atlas of nothing but relationships and the three sets
+// coded against them, over ASes 1..10 and the widest a 3-tuple packs: most
+// entries walk the relationship graph, some leave it, and now and then a
+// relationship key is written high end first, so its rows come out of
+// order. Every path of the v5 coding turns up: indices, escapes at either
+// hop, heads with no row.
+func relTable(rng *rand.Rand) *Atlas {
+	a := New()
+	as := func() netsim.ASN {
+		if rng.Intn(20) == 0 {
+			return MaxASN
+		}
+		return netsim.ASN(1 + rng.Intn(10))
+	}
+	nbrs := map[netsim.ASN][]netsim.ASN{}
+	for range rng.Intn(16) {
+		x, y := as(), as()
+		k := netsim.ASPairKey(x, y)
+		if rng.Intn(8) == 0 {
+			k = netsim.DirASPairKey(max(x, y), min(x, y))
+		}
+		a.Rels[k] = netsim.Rel(rng.Intn(3) - 1)
+		nbrs[x], nbrs[y] = append(nbrs[x], y), append(nbrs[y], x)
+	}
+	// next is a neighbour of x, or an AS at random.
+	next := func(x netsim.ASN) netsim.ASN {
+		if ns := nbrs[x]; len(ns) > 0 && rng.Intn(4) != 0 {
+			return ns[rng.Intn(len(ns))]
+		}
+		return as()
+	}
+	for range rng.Intn(30) {
+		x := as()
+		y := next(x)
+		a.Tuples[PackTriple(x, y, next(y))] = true
+		a.Prefs[PackTriple(x, next(x), next(x))] = true
+	}
+	providers := map[uint64]bool{}
+	for range rng.Intn(12) {
+		x := as()
+		providers[uint64(x)<<32|uint64(next(x))] = true
+	}
+	for _, k := range sortedKeys(providers) {
+		a.Providers[netsim.ASN(k>>32)] = append(a.Providers[netsim.ASN(k>>32)], netsim.ASN(k))
+	}
+	return a
+}
+
 // sameShipped fails unless got and want agree on every dataset the wire
 // carries.
 func sameShipped(t testing.TB, what string, got, want *Atlas) {
@@ -111,10 +159,10 @@ func TestWireRoundTrip(t *testing.T) {
 			atlases = append(atlases, onGrid(a))
 		}
 	}
-	atlases = append(atlases, wireFixture())
+	atlases = append(atlases, wireFixture(), offGraphFixture())
 	rng := rand.New(rand.NewSource(31))
 	for range 60 {
-		atlases = append(atlases, linkTable(rng))
+		atlases = append(atlases, linkTable(rng), relTable(rng))
 	}
 	for i, a := range atlases {
 		b := wireBytes(t, a.Encode)
@@ -142,6 +190,43 @@ func TestWireRoundTrip(t *testing.T) {
 		want.Apply(d)
 		via.Apply(wire)
 		sameShipped(t, "delta", via, want)
+	}
+}
+
+// TestWireRelSetsOffGraph holds the two doors to each other, and to the
+// atlas, on 3-tuples, preferences and providers written against the
+// relationship graph: on it, off it, and against rows out of order.
+func TestWireRelSetsOffGraph(t *testing.T) {
+	atlases := []*Atlas{offGraphFixture()}
+	rng := rand.New(rand.NewSource(7))
+	for range 200 {
+		atlases = append(atlases, relTable(rng))
+	}
+	for i, a := range atlases {
+		b := wireBytes(t, a.Encode)
+		if !decodeBothWays(t, b) {
+			t.Fatalf("atlas %d does not decode", i)
+		}
+		got, err := Decode(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameShipped(t, "atlas", got, a)
+	}
+}
+
+// TestDecodeRefusesVersion4 pins what a peer holding a v4 file hears: the
+// version, not a misread section.
+func TestDecodeRefusesVersion4(t *testing.T) {
+	var sw sectionWriter
+	sw.uvarint(4)
+	raw := gzipped(t, atlasMagic, sw.buf.Bytes())
+	_, mapErr := Decode(bytes.NewReader(raw))
+	_, flatErr := DecodeFlat(bytes.NewReader(raw))
+	for _, err := range []error{mapErr, flatErr} {
+		if err == nil || err.Error() != "atlas: decoding atlas: unsupported version 4" {
+			t.Fatalf("err %v, want the unsupported version", err)
+		}
 	}
 }
 

@@ -65,6 +65,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	if rf != nil {
 		return rf.Write(w)
 	}
+	defer b.Close()
 	// The request's deadline is the router's: it bounds the whole stream,
 	// and the replicas are not sent it.
 	ctx, cancel := b.Deadline.Context(r.Context(), 0, 0)

@@ -8,7 +8,7 @@
 package metrics
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -158,6 +158,11 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+
+	// One render at a time, each numbered, so a Sampled source is read
+	// once a render.
+	rendering sync.Mutex
+	renders   uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -184,6 +189,40 @@ func (r *Registry) register(name, help, typ, labels string) *series {
 	s := &series{labels: labels}
 	f.series = append(f.series, s)
 	return s
+}
+
+// Sampled returns read as a source for the value functions of r's series:
+// one render reads it once, however many series draw on it, so they all
+// show the same instant — and a source that costs a lock or a sweep costs
+// it once a scrape. Call what it returns only from such functions: r's
+// renders, which run one at a time, are what keep it safe.
+func Sampled[T any](r *Registry, read func() T) func() T {
+	var (
+		at uint64 // the render v was read in
+		v  T
+	)
+	return func() T {
+		if at != r.renders {
+			at, v = r.renders, read()
+		}
+		return v
+	}
+}
+
+// render writes every registered family, as write renders them, to w. The
+// series are read into a buffer first, under the render lock — a client
+// slow to take the bytes holds up no other render.
+func (r *Registry) render(w io.Writer, write func(*bytes.Buffer, []*family)) error {
+	r.mu.Lock()
+	fams := append([]*family(nil), r.families...)
+	r.mu.Unlock()
+	var buf bytes.Buffer
+	r.rendering.Lock()
+	r.renders++
+	write(&buf, fams)
+	r.rendering.Unlock()
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // NewCounter registers a counter. labels is a raw constant label list like
@@ -230,26 +269,18 @@ func (r *Registry) NewHistogram(name, help, labels string, bounds []float64) *Hi
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4).
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.families...)
-	r.mu.Unlock()
-	for _, f := range fams {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
-			return err
-		}
-		for _, s := range f.series {
-			var err error
-			if s.hist != nil {
-				err = writeHistogram(w, f.name, s.labels, s.hist)
-			} else {
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, braced(s.labels), formatValue(s.value()))
-			}
-			if err != nil {
-				return err
+	return r.render(w, func(buf *bytes.Buffer, fams []*family) {
+		for _, f := range fams {
+			fmt.Fprintf(buf, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+			for _, s := range f.series {
+				if s.hist != nil {
+					writeHistogram(buf, f.name, s.labels, s.hist)
+				} else {
+					fmt.Fprintf(buf, "%s%s %s\n", f.name, braced(s.labels), formatValue(s.value()))
+				}
 			}
 		}
-	}
-	return nil
+	})
 }
 
 // WriteJSON renders every registered series as one JSON object, in
@@ -258,30 +289,27 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // is a number, null when it is not finite. A histogram is an object of its
 // count, sum and estimated p50, p90 and p99 (Histogram.Quantile).
 func (r *Registry) WriteJSON(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.families...)
-	r.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	sep := "{\n"
-	for _, f := range fams {
-		for _, s := range f.series {
-			key, _ := json.Marshal(f.name + braced(s.labels))
-			fmt.Fprintf(bw, "%s%s:", sep, key)
-			sep = ",\n"
-			if s.hist == nil {
-				bw.WriteString(jsonValue(s.value()))
-				continue
+	return r.render(w, func(buf *bytes.Buffer, fams []*family) {
+		sep := "{\n"
+		for _, f := range fams {
+			for _, s := range f.series {
+				key, _ := json.Marshal(f.name + braced(s.labels))
+				fmt.Fprintf(buf, "%s%s:", sep, key)
+				sep = ",\n"
+				if s.hist == nil {
+					buf.WriteString(jsonValue(s.value()))
+					continue
+				}
+				h := s.hist
+				fmt.Fprintf(buf, `{"count":%d,"sum":%s,"p50":%s,"p90":%s,"p99":%s}`, h.Count(), jsonValue(h.Sum()),
+					jsonValue(h.Quantile(0.50)), jsonValue(h.Quantile(0.90)), jsonValue(h.Quantile(0.99)))
 			}
-			h := s.hist
-			fmt.Fprintf(bw, `{"count":%d,"sum":%s,"p50":%s,"p90":%s,"p99":%s}`, h.Count(), jsonValue(h.Sum()),
-				jsonValue(h.Quantile(0.50)), jsonValue(h.Quantile(0.90)), jsonValue(h.Quantile(0.99)))
 		}
-	}
-	if sep == "{\n" {
-		bw.WriteString("{")
-	}
-	bw.WriteString("}\n")
-	return bw.Flush()
+		if sep == "{\n" {
+			buf.WriteString("{")
+		}
+		buf.WriteString("}\n")
+	})
 }
 
 // jsonValue renders v as a JSON number, or null when JSON has none for it.
@@ -292,26 +320,18 @@ func jsonValue(v float64) string {
 	return formatValue(v)
 }
 
-func writeHistogram(w io.Writer, name, labels string, h *Histogram) error {
+func writeHistogram(buf *bytes.Buffer, name, labels string, h *Histogram) {
 	cum := uint64(0)
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		le := formatValue(b)
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, braced(joinLabels(labels, `le="`+le+`"`)), cum); err != nil {
-			return err
-		}
+		fmt.Fprintf(buf, "%s_bucket%s %d\n", name, braced(joinLabels(labels, `le="`+formatValue(b)+`"`)), cum)
 	}
 	// The +Inf bucket equals _count by definition; read count last so the
 	// rendered buckets never exceed it under concurrent Observes.
 	total := cum + h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, braced(joinLabels(labels, `le="+Inf"`)), total); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, braced(labels), formatValue(h.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, braced(labels), total)
-	return err
+	fmt.Fprintf(buf, "%s_bucket%s %d\n", name, braced(joinLabels(labels, `le="+Inf"`)), total)
+	fmt.Fprintf(buf, "%s_sum%s %s\n", name, braced(labels), formatValue(h.Sum()))
+	fmt.Fprintf(buf, "%s_count%s %d\n", name, braced(labels), total)
 }
 
 func joinLabels(a, b string) string {

@@ -277,3 +277,56 @@ func TestWriteJSONNonFinite(t *testing.T) {
 		t.Errorf("empty registry rendered %q, %v", sb.String(), err)
 	}
 }
+
+// TestSampledReadsOncePerRender counts the reads of a source that five
+// series draw on: one a render, in either format and with renders racing,
+// and every series of a render shows the same reading.
+func TestSampledReadsOncePerRender(t *testing.T) {
+	r := NewRegistry()
+	var outputs sync.Map // what each render wrote
+	n := 0               // reads of the source
+	src := Sampled(r, func() int { n++; return n })
+	for i := range 5 {
+		r.NewGaugeFunc(fmt.Sprintf("g%d", i), "A reading.", "", func() float64 { return float64(src()) })
+	}
+	const renders = 40
+	var wg sync.WaitGroup
+	for i := range renders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sb strings.Builder
+			write := r.WritePrometheus
+			if i%2 == 1 {
+				write = r.WriteJSON
+			}
+			if err := write(&sb); err != nil {
+				t.Error(err)
+			}
+			outputs.Store(sb.String(), true)
+		}()
+	}
+	wg.Wait()
+	if n != renders {
+		t.Fatalf("%d renders read the source %d times, want once each", renders, n)
+	}
+	outputs.Range(func(out, _ any) bool {
+		var got map[string]float64
+		if err := json.Unmarshal([]byte(out.(string)), &got); err != nil {
+			got = map[string]float64{}
+			for _, line := range strings.Split(out.(string), "\n") {
+				var name string
+				var v float64
+				if _, err := fmt.Sscanf(line, "%s %g", &name, &v); err == nil && !strings.HasPrefix(line, "#") {
+					got[name] = v
+				}
+			}
+		}
+		for i := 1; i < 5; i++ {
+			if got[fmt.Sprintf("g%d", i)] != got["g0"] {
+				t.Fatalf("one render shows two readings: %v", got)
+			}
+		}
+		return true
+	})
+}

@@ -220,27 +220,31 @@ func New(cfg Config) *Server {
 	s.reg.NewCounterFunc("inanod_observation_sources_evicted_total",
 		"/v1/observations rate-limit buckets evicted to keep the table bounded.", "",
 		func() float64 { return float64(s.obsLimiter.evictions()) })
+	// A source several series show is read once a render (metrics.Sampled),
+	// so they show one instant.
 	if cfg.Aggregator != nil {
+		agg := metrics.Sampled(s.reg, cfg.Aggregator.Stats)
 		s.reg.NewGaugeFunc("inanod_observation_prefixes",
 			"Destination prefixes in the upstream-observation aggregate.", "",
-			func() float64 { return float64(cfg.Aggregator.Stats().Prefixes) })
+			func() float64 { return float64(agg().Prefixes) })
 		s.reg.NewGaugeFunc("inanod_observation_reporters",
 			"Reporter slots in use across aggregated prefixes.", "",
-			func() float64 { return float64(cfg.Aggregator.Stats().Reporters) })
+			func() float64 { return float64(agg().Reporters) })
 		s.reg.NewGaugeFunc("inanod_observation_path_slots",
 			"Reporter slots holding a clusterized hop path.", "",
-			func() float64 { return float64(cfg.Aggregator.Stats().Paths) })
+			func() float64 { return float64(agg().Paths) })
 		s.reg.NewCounterFunc("inanod_observation_evicted_prefixes_total",
 			"Prefixes the aggregate dropped to stay within its bound.", "",
-			func() float64 { return float64(cfg.Aggregator.Stats().EvictedPrefixes) })
+			func() float64 { return float64(agg().EvictedPrefixes) })
 	}
 
+	round := metrics.Sampled(s.reg, func() feedback.Round {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.lastRound
+	})
 	lastRound := func(v func(feedback.Round) float64) func() float64 {
-		return func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return v(s.lastRound)
-		}
+		return func() float64 { return v(round()) }
 	}
 	s.reg.NewGaugeFunc("inanod_corrective_budget_utilization",
 		"Fraction of the corrective budget spent in the last round.", "",
@@ -260,66 +264,70 @@ func New(cfg Config) *Server {
 	s.reg.NewCounterFunc("inanod_feedback_sources_evicted_total",
 		"/v1/feedback rate-limit buckets evicted to keep the table bounded.", "",
 		func() float64 { return float64(s.fbLimiter.evictions()) })
+	fb := metrics.Sampled(s.reg, s.c.FeedbackStats)
 	s.reg.NewGaugeFunc("inanod_feedback_tracked_destinations",
 		"Destination clusters currently tracked by the error tracker.", "",
-		func() float64 { return float64(s.c.FeedbackStats().Entries) })
+		func() float64 { return float64(fb().Entries) })
 	s.reg.NewCounterFunc("inanod_feedback_tracked_samples_total",
 		"Observations folded into the error tracker.", "",
-		func() float64 { return float64(s.c.FeedbackStats().TotalSamples) })
+		func() float64 { return float64(fb().TotalSamples) })
 	s.reg.NewCounterFunc("inanod_feedback_destinations_evicted_total",
 		"Destination clusters the error tracker dropped to stay within its bound.", "",
-		func() float64 { return float64(s.c.FeedbackStats().Evicted) })
+		func() float64 { return float64(fb().Evicted) })
 	s.reg.NewGaugeFunc("inanod_feedback_mean_error",
 		"Mean EWMA relative RTT error over tracked destinations.", "",
-		func() float64 { return s.c.FeedbackStats().MeanErr })
+		func() float64 { return fb().MeanErr })
 	s.reg.NewGaugeFunc("inanod_feedback_worst_error",
 		"Largest EWMA relative RTT error over tracked destinations.", "",
-		func() float64 { return s.c.FeedbackStats().WorstErr })
+		func() float64 { return fb().WorstErr })
 
 	// Engine-owned values are sampled at scrape time. The tree cache resets
 	// when a reload swaps the engine, so these are gauges, not counters.
+	cache := metrics.Sampled(s.reg, s.c.CacheStats)
 	s.reg.NewGaugeFunc("inanod_tree_cache_hits", "Tree cache hits (resets on reload).", "",
-		func() float64 { return float64(s.c.CacheStats().Hits) })
+		func() float64 { return float64(cache().Hits) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_misses", "Tree cache misses (resets on reload).", "",
-		func() float64 { return float64(s.c.CacheStats().Misses) })
+		func() float64 { return float64(cache().Misses) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_builds", "Dijkstra tree searches started, the warmer's behind a reload included (resets on reload).", "",
-		func() float64 { return float64(s.c.CacheStats().Builds) })
+		func() float64 { return float64(cache().Builds) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_warmed", "Trees rebuilt behind the last reload from those resident before it (resets on reload).", "",
-		func() float64 { return float64(s.c.CacheStats().Warmed) })
+		func() float64 { return float64(cache().Warmed) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_warm_hits", "Warmed trees a lookup has since asked for (resets on reload); over inanod_tree_cache_warmed, whether the rebuild was worth it.", "",
-		func() float64 { return float64(s.c.CacheStats().WarmHits) })
+		func() float64 { return float64(cache().WarmHits) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_build_seconds",
 		"Wall time spent in Dijkstra tree builds (resets on reload); over inanod_tree_cache_builds, the price of one cold destination.", "",
-		func() float64 { return time.Duration(s.c.CacheStats().BuildNS).Seconds() })
+		func() float64 { return time.Duration(cache().BuildNS).Seconds() })
 	s.reg.NewGaugeFunc("inanod_tree_cache_resident", "Prediction trees currently cached.", "",
-		func() float64 { return float64(s.c.CacheStats().Len) })
+		func() float64 { return float64(cache().Len) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_suspended", "Resident trees whose search stopped short of the end and kept its frontier to resume from.", "",
-		func() float64 { return float64(s.c.CacheStats().Suspended) })
+		func() float64 { return float64(cache().Suspended) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_bytes", "Bytes those trees retain: resident times the size of one tree, computed, not sampled.", "",
-		func() float64 { return float64(s.c.CacheStats().Bytes) })
+		func() float64 { return float64(cache().Bytes) })
 	s.reg.NewGaugeFunc("inanod_tree_cache_hit_ratio", "Hits / lookups of the tree cache.", "",
 		func() float64 {
-			st := s.c.CacheStats()
+			st := cache()
 			if st.Hits+st.Misses == 0 {
 				return 0
 			}
 			return float64(st.Hits) / float64(st.Hits+st.Misses)
 		})
+	atlas := metrics.Sampled(s.reg, func() inano.AtlasStats { return s.c.Snapshot().AtlasStats() })
 	s.reg.NewGaugeFunc("inanod_atlas_day", "Measurement day of the serving atlas.", "",
-		func() float64 { return float64(s.c.Snapshot().Day()) })
+		func() float64 { return float64(atlas().Day) })
 	s.reg.NewGaugeFunc("inanod_atlas_clusters", "Clusters in the serving atlas.", "",
-		func() float64 { return float64(s.c.Snapshot().AtlasStats().Clusters) })
+		func() float64 { return float64(atlas().Clusters) })
 	s.reg.NewGaugeFunc("inanod_atlas_links", "Links in the serving atlas.", "",
-		func() float64 { return float64(s.c.Snapshot().AtlasStats().Links) })
+		func() float64 { return float64(atlas().Links) })
 	s.reg.NewGaugeFunc("inanod_atlas_prefixes", "Prefixes the serving atlas attaches to a cluster.", "",
-		func() float64 { return float64(s.c.Snapshot().AtlasStats().Prefixes) })
+		func() float64 { return float64(atlas().Prefixes) })
 	// The last applied delta, read at scrape time; every value is 0 before
 	// the first.
+	roll := metrics.Sampled(s.reg, func() inano.RollStats {
+		st, _ := s.c.LastRoll()
+		return st
+	})
 	lastRoll := func(v func(inano.RollStats) float64) func() float64 {
-		return func() float64 {
-			st, _ := s.c.LastRoll()
-			return v(st)
-		}
+		return func() float64 { return v(roll()) }
 	}
 	s.reg.NewGaugeFunc("inanod_reload_seconds",
 		"Time the last applied delta took to merge into the serving atlas (0 = none applied).", "",
@@ -368,9 +376,6 @@ func (s *Server) StartDraining() {
 		s.cfg.Logf("inanod: draining: refusing new requests, %d in flight", s.InFlight())
 	}
 }
-
-// Draining reports whether StartDraining was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // InFlight returns the number of requests currently being served.
 func (s *Server) InFlight() int64 { return s.inflight.Value() }
@@ -533,6 +538,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	if rf != nil {
 		return rf.Write(w)
 	}
+	defer b.Close()
 	ctx, cancel := s.requestContext(r, b.Deadline)
 	defer cancel()
 

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -23,6 +24,7 @@ import (
 	inano "inano"
 	"inano/internal/api"
 	"inano/internal/atlas"
+	"inano/internal/cluster"
 	"inano/internal/netsim"
 	"inano/internal/tcpmodel"
 	"inano/sim"
@@ -86,9 +88,42 @@ func start(t testing.TB, f *fixture, mut func(*Config)) (*Server, *httptest.Serv
 		mut(&cfg)
 	}
 	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
+	return s, serve(t, s.Handler())
+}
+
+// serve serves h for the test, and fails the test if the HTTP server logs
+// anything: a recovered panic, a connection it could not serve.
+func serve(t testing.TB, h http.Handler) *httptest.Server {
+	ts := httptest.NewUnstartedServer(h)
+	var errs lockedBuffer
+	ts.Config.ErrorLog = log.New(&errs, "", 0)
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		if errs.String() != "" {
+			t.Errorf("the server logged:\n%s", errs.String())
+		}
+	})
+	return ts
+}
+
+// lockedBuffer is a bytes.Buffer for a logger shared by a server's
+// connections.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func getJSON(t *testing.T, url string, out any) *http.Response {
@@ -639,28 +674,39 @@ func TestBatchMalformedLine(t *testing.T) {
 
 // TestBatchLineCap: a request line may be 64 KiB long, newline included
 // (api.MaxLineBytes); one byte more ends the stream with the
-// terminal line.
+// terminal line, from a replica and from a router over it. The stream that
+// ends there leaves body bytes unread, and the connection then serves the
+// next request: the servers' error logs stay empty (serve), where net/http
+// used to log a recovered panic ("invalid concurrent Body.Read call") and
+// drop the connection.
 func TestBatchLineCap(t *testing.T) {
 	f := buildFixture(t, 206)
 	_, ts := start(t, f, nil)
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Nodes: []string{ts.URL}, ClusterOf: atlas.Compile(f.day0).ClusterOf, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := serve(t, rt.Handler())
 	line := batchLine(f.vps[0], f.targets[0])
-	for _, over := range []int{0, 1} {
-		body := strings.Repeat(" ", 64<<10-len(line)+over) + line
-		resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got queryResult
-		if err := json.Unmarshal(bytes.TrimSpace(raw), &got); err != nil {
-			t.Fatalf("%d bytes over the cap: want one line, got %q", over, raw)
-		}
-		if failed := got.Error != ""; failed != (over > 0) {
-			t.Fatalf("%d bytes over the cap: answer %+v", over, got)
+	for _, url := range []string{ts.URL, routed.URL} {
+		for _, over := range []int{0, 1, 0} {
+			body := strings.Repeat(" ", 64<<10-len(line)+over) + line
+			resp, err := http.Post(url+"/v1/batch", "application/x-ndjson", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got queryResult
+			if err := json.Unmarshal(bytes.TrimSpace(raw), &got); err != nil {
+				t.Fatalf("%s, %d bytes over the cap: want one line, got %q", url, over, raw)
+			}
+			if failed := got.Error != ""; failed != (over > 0) {
+				t.Fatalf("%s, %d bytes over the cap: answer %+v", url, over, got)
+			}
 		}
 	}
 }

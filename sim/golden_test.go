@@ -83,13 +83,16 @@ func servedFlats(t testing.TB, bins [2][]byte, delta []byte) (flats [3][]byte) {
 // the clustering or the builder that moves one byte here has changed the
 // world, not just its cost.
 //
-// The wire artifacts (day0, day1, delta) are pinned in the v4 layout:
-// column-major sections, split keys, each link pair written once. The
-// served forms (flat0, flat1, followed) were pinned under v3 and did not
-// move when v4 replaced it — the proof that the wire change moved the
-// encoding and nothing a peer serves from. They were re-pinned once, when
-// the flat file moved to version 2 (four derivable per-edge sections
-// dropped), with the wire pins and TestAnswerDigest unmoved. A change that
+// The wire artifacts (day0, day1, delta) are pinned in the v5 layout:
+// column-major sections, split keys, each link pair written once, the
+// 3-tuples, preferences and providers as indices into the relationship
+// graph, and attachment values as differences. The delta's body is v4's;
+// only its version moved it. The served forms (flat0, flat1, followed)
+// were pinned under v3 and did not move when v4 or v5 replaced it — the
+// proof that a wire change moved the encoding and nothing a peer serves
+// from. They were re-pinned once, when the flat file moved to version 2
+// (four derivable per-edge sections dropped), with the wire pins and
+// TestAnswerDigest unmoved. A change that
 // moves a wire pin but no served one has changed only the encoding; one
 // that moves a served pin has changed the world, the decoders or the flat
 // layout, and TestAnswerDigest tells which.
@@ -107,13 +110,13 @@ func TestBuildGoldenBytes(t *testing.T) {
 		// in full, and day 0 followed by the delta.
 		flat0, flat1, followed artifact
 	}{
-		{"tiny_seed1", Tiny, 1, artifact{"c165e301", 3742}, artifact{"41e85652", 3658}, artifact{"c2062707", 1176},
+		{"tiny_seed1", Tiny, 1, artifact{"5ffcc2ad", 3005}, artifact{"64670eb6", 2954}, artifact{"6fc574df", 1176},
 			artifact{"ac40d99d", 30512}, artifact{"6c8ccdcc", 28704}, artifact{"6defae10", 29576}},
-		{"tiny_seed2", Tiny, 2, artifact{"c51bb29d", 3807}, artifact{"30030df9", 3828}, artifact{"163966d7", 940},
+		{"tiny_seed2", Tiny, 2, artifact{"6b11b418", 3103}, artifact{"8be9dbde", 3166}, artifact{"7fd10ede", 940},
 			artifact{"3884fc86", 30704}, artifact{"eb8dc8b4", 30792}, artifact{"ed98101f", 30632}},
-		{"medium_seed1", Medium, 1, artifact{"c5a16a4e", 30126}, artifact{"700d774c", 30299}, artifact{"3729da28", 7695},
+		{"medium_seed1", Medium, 1, artifact{"fd56ca17", 22085}, artifact{"81e90183", 22276}, artifact{"727ba54c", 7695},
 			artifact{"4da91065", 244072}, artifact{"45fea50e", 242128}, artifact{"b3327c8b", 243912}},
-		{"medium_seed2", Medium, 2, artifact{"5004c0dd", 29487}, artifact{"2da48ab3", 29975}, artifact{"8ce6f400", 6206},
+		{"medium_seed2", Medium, 2, artifact{"09961038", 21628}, artifact{"ac161c6b", 21931}, artifact{"48865a73", 6206},
 			artifact{"44dbd0ff", 226520}, artifact{"a77c36a6", 228088}, artifact{"e61546dd", 227840}},
 	}
 	for _, tc := range cases {
