@@ -51,9 +51,10 @@ func main() {
 	// Applications report what they actually measured (here: ground truth
 	// from the simulator; in reality, TCP RTT samples or ping).
 	for round := 1; round <= 3; round++ {
+		snap := client.Snapshot() // one round's reports, scored on one day
 		for _, p := range peers {
 			if truth, ok := w.TrueRTT(0, me, p); ok {
-				client.ObserveRTT(ctx, me, p, truth)
+				client.ObserveRTT(ctx, snap, me, p, truth)
 			}
 		}
 		// The corrective scheduler traceroutes the worst-mispredicted

@@ -50,22 +50,22 @@ type (
 func NewUploader(url string) *Uploader { return feedback.NewUploader(url) }
 
 // ObserveRTT reports an application-observed round-trip time for traffic
-// from src to dst and returns how it compares with the prediction of the
-// current snapshot. The error is attributed to dst's attachment cluster in
-// the client's error tracker, feeding the corrective scheduler;
-// observations for destinations unknown to the atlas are scored
-// (Predicted=false, Err=1) but untracked, since a corrective traceroute
-// could not patch them anyway. Scoring may build prediction trees for a
+// from src to dst and returns how it compares with snap's prediction (a
+// snapshot of c; a caller scoring many observations pins one for all, so
+// that a roll cannot score some against another day). The error is
+// attributed to dst's attachment cluster in the client's error tracker,
+// feeding the corrective scheduler; observations for destinations unknown
+// to the atlas are scored (Predicted=false, Err=1) but untracked, since a
+// corrective traceroute could not patch them anyway. Scoring may build prediction trees for a
 // cold destination, and ctx bounds that work (a serving daemon must not
 // burn unbounded CPU on a hostile report naming thousands of cold
 // destinations). On every error the observation is dropped and the sample
 // names no cluster (Cluster -1): when ctx ends first, or when observedMS
 // is NaN, infinite, not positive or over 60 s, which is no measurement.
-func (c *Client) ObserveRTT(ctx context.Context, src, dst Prefix, observedMS float64) (FeedbackSample, error) {
+func (c *Client) ObserveRTT(ctx context.Context, snap Snapshot, src, dst Prefix, observedMS float64) (FeedbackSample, error) {
 	if !feedback.ValidRTT(observedMS) {
 		return FeedbackSample{Cluster: -1}, fmt.Errorf("inano: observed RTT %v ms is not in (0, %d]", observedMS, feedback.MaxObservedRTTMS)
 	}
-	snap := c.Snapshot()
 	info, err := snap.Query(ctx, src, dst)
 	if err != nil {
 		return FeedbackSample{Cluster: -1}, err

@@ -21,7 +21,7 @@ func TestObserveRTTRefusesNonMeasurements(t *testing.T) {
 	ctx := context.Background()
 	src, dst := f.vps[0], f.vps[1]
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5, feedback.MaxObservedRTTMS + 1} {
-		s, err := c.ObserveRTT(ctx, src, dst, bad)
+		s, err := c.ObserveRTT(ctx, c.Snapshot(), src, dst, bad)
 		if err == nil {
 			t.Errorf("ObserveRTT(%v) accepted it", bad)
 		}
@@ -32,7 +32,7 @@ func TestObserveRTTRefusesNonMeasurements(t *testing.T) {
 	if st := c.FeedbackStats(); st != (FeedbackStats{}) {
 		t.Fatalf("tracker after refused observations: %+v, want empty", st)
 	}
-	s, err := c.ObserveRTT(ctx, src, dst, 50)
+	s, err := c.ObserveRTT(ctx, c.Snapshot(), src, dst, 50)
 	if err != nil || !s.Tracked || math.IsNaN(s.Err) {
 		t.Fatalf("good sample after refused ones: %+v (err %v)", s, err)
 	}
@@ -50,7 +50,7 @@ func TestObserveRTTCancelledNamesNoCluster(t *testing.T) {
 	c := FromAtlas(f.a)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s, err := c.ObserveRTT(ctx, f.vps[0], f.vps[1], 50)
+	s, err := c.ObserveRTT(ctx, c.Snapshot(), f.vps[0], f.vps[1], 50)
 	if err == nil || s.Cluster != -1 || s.Tracked {
 		t.Fatalf("ObserveRTT under a cancelled context = %+v, %v; want Cluster -1, untracked, an error", s, err)
 	}

@@ -3,7 +3,8 @@
 // with the status and text both daemons answer. A replica answers the typed
 // request; the router routes it and forwards the bytes it read, so it
 // refuses what a replica refuses, in the replica's words. Also here: the
-// request line's parser and the /v1/batch stream's two-slot stage.
+// request line's parser, the /v1/batch stream's two-slot stage, and the
+// Frame both daemons mount their endpoints on.
 package api
 
 import (
@@ -74,9 +75,8 @@ func readCount(params url.Values, name string) (int, *Refusal) {
 // holds; 0 when the request carries none.
 type Deadline time.Duration
 
-// ReadDeadline reads ?deadline_ms=. Each reader here reads it for its
-// request; /v1/feedback and /v1/observations read it with this.
-func ReadDeadline(params url.Values) (Deadline, *Refusal) {
+// readDeadline reads ?deadline_ms=.
+func readDeadline(params url.Values) (Deadline, *Refusal) {
 	ms, rf := readCount(params, "deadline_ms")
 	return Deadline(time.Duration(min(int64(ms), maxDeadlineMS)) * time.Millisecond), rf
 }
@@ -144,7 +144,7 @@ func ReadQuery(w http.ResponseWriter, r *http.Request) (q Query, rf *Refusal) {
 	default:
 		return q, Refuse(http.StatusMethodNotAllowed, "use GET or POST")
 	}
-	q.Deadline, rf = ReadDeadline(params)
+	q.Deadline, rf = readDeadline(params)
 	return q, rf
 }
 
@@ -194,7 +194,7 @@ func ReadRank(w http.ResponseWriter, r *http.Request) (rk Rank, rf *Refusal) {
 		}
 	}
 	rk.SizeBytes = body.SizeBytes
-	rk.Deadline, rf = ReadDeadline(r.URL.Query())
+	rk.Deadline, rf = readDeadline(r.URL.Query())
 	return rk, rf
 }
 
@@ -233,7 +233,7 @@ func ReadRelay(r *http.Request) (rl Relay, rf *Refusal) {
 	if rl.K, rf = readCount(params, "k"); rf != nil {
 		return rl, rf
 	}
-	rl.Deadline, rf = ReadDeadline(params)
+	rl.Deadline, rf = readDeadline(params)
 	return rl, rf
 }
 
@@ -267,7 +267,7 @@ func ReadBatch(w http.ResponseWriter, r *http.Request, window int) (*Batch, *Ref
 	params := r.URL.Query()
 	b := &Batch{}
 	var rf *Refusal
-	if b.Deadline, rf = ReadDeadline(params); rf != nil {
+	if b.Deadline, rf = readDeadline(params); rf != nil {
 		return nil, rf
 	}
 	if b.Window, rf = readCount(params, "window"); rf != nil {
@@ -323,3 +323,37 @@ func (b *Batch) Next() (line []byte, l Line, ok bool) {
 // Err names what ended the stream's lines early, a malformed line or a
 // failed read; nil otherwise.
 func (b *Batch) Err() error { return b.err }
+
+// Report is a /v1/feedback or /v1/observations report: the lines that
+// parsed, in order, and what ended them early.
+type Report[T any] struct {
+	Lines    []T
+	Err      string // the line that did not parse or could not be read; "" when none
+	Deadline Deadline
+}
+
+// ReadReport reads an NDJSON report: POST; then off, the refusal of an
+// endpoint this daemon has not enabled (nil when it has); ?deadline_ms=,
+// before any of the body is read; and the body, of at most limit bytes,
+// through parse, which returns the lines before the first it could not
+// parse or read and that line's error. A report of which no line parses is
+// refused with that error.
+func ReadReport[T any](w http.ResponseWriter, r *http.Request, off *Refusal, limit int64, parse func(io.Reader) ([]T, error)) (rp Report[T], rf *Refusal) {
+	if r.Method != http.MethodPost {
+		return rp, Refuse(http.StatusMethodNotAllowed, "use POST")
+	}
+	if off != nil {
+		return rp, off
+	}
+	if rp.Deadline, rf = readDeadline(r.URL.Query()); rf != nil {
+		return rp, rf
+	}
+	var err error
+	if rp.Lines, err = parse(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		if len(rp.Lines) == 0 {
+			return rp, badRequest("%v", err)
+		}
+		rp.Err = err.Error()
+	}
+	return rp, nil
+}

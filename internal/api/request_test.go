@@ -63,7 +63,7 @@ func TestWindowAndDeadline(t *testing.T) {
 		{"deadline_ms=7200000", 0, time.Hour, time.Hour},
 	} {
 		q, _ := url.ParseQuery(tc.query)
-		d, rf := ReadDeadline(q)
+		d, rf := readDeadline(q)
 		if rf != nil {
 			t.Fatal(rf)
 		}

@@ -485,7 +485,7 @@ func TestBatchDeadlineEjectsNoReplica(t *testing.T) {
 	if rt.Ring().Len() != 3 {
 		t.Fatalf("ring has %d nodes after an expired request, want all 3", rt.Ring().Len())
 	}
-	if got := rt.errors["batch"].Value(); got != 1 {
+	if got := routerMetric(t, rt, `inano_router_errors_total{handler="batch"}`); got != 1 {
 		t.Fatalf("inano_router_errors_total{handler=\"batch\"} = %d, want 1", got)
 	}
 	client.CloseIdleConnections()
@@ -593,7 +593,8 @@ func (p batchPanicTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 // on goroutines of their own. A panic there does not take the process
 // down: it is raised on the goroutine that called the handler, like the
 // fill step's own, once the sub-request the router asked itself is done,
-// and no sub-request goroutine is left behind.
+// no sub-request goroutine is left behind, and the request counts as
+// failed.
 func TestBatchSubRequestPanic(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t, 0), newFakeReplica(t, 1), newFakeReplica(t, 2)}
 	tr := batchPanicTransport{&http.Transport{}}
@@ -606,6 +607,9 @@ func TestBatchSubRequestPanic(t *testing.T) {
 	}()
 	if recovered != "sub-request" {
 		t.Fatalf("the handler's caller recovered %v, want the sub-request's panic", recovered)
+	}
+	if got := routerMetric(t, rt, `inano_router_errors_total{handler="batch"}`); got != 1 {
+		t.Fatalf("inano_router_errors_total{handler=\"batch\"} = %d after a panic, want 1", got)
 	}
 	tr.RoundTripper.(*http.Transport).CloseIdleConnections()
 	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= base })
@@ -692,7 +696,7 @@ func TestBatchClientGone(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the handler did not return after its client went away")
 	}
-	if got := rt.errors["batch"].Value(); got != 1 {
+	if got := routerMetric(t, rt, `inano_router_errors_total{handler="batch"}`); got != 1 {
 		t.Fatalf("inano_router_errors_total{handler=\"batch\"} = %d, want 1", got)
 	}
 	if further := (answered() - before) / window; further >= 3 {

@@ -70,8 +70,8 @@ type nodeState struct {
 type Router struct {
 	cfg     RouterConfig
 	client  *http.Client
-	reg     *metrics.Registry
 	started time.Time
+	front   *api.Frame
 
 	nodes map[string]*nodeState
 	order []string // configured membership, sorted
@@ -79,8 +79,6 @@ type Router struct {
 	ringMu sync.Mutex // serializes ring rebuilds
 	ring   atomic.Pointer[Ring]
 
-	requests   map[string]*metrics.Counter
-	errors     map[string]*metrics.Counter
 	retries    *metrics.Counter
 	reshards   *metrics.Counter
 	noReplica  *metrics.Counter
@@ -114,14 +112,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
+	reg := metrics.NewRegistry()
 	rt := &Router{
 		cfg:     cfg,
 		client:  client,
-		reg:     metrics.NewRegistry(),
 		started: time.Now(),
 		nodes:   make(map[string]*nodeState),
 	}
-	rt.reg.NewGaugeFunc("inano_router_uptime_seconds", "Seconds since the router was built.", "",
+	reg.NewGaugeFunc("inano_router_uptime_seconds", "Seconds since the router was built.", "",
 		func() float64 { return time.Since(rt.started).Seconds() })
 	for _, n := range cfg.Nodes {
 		n = strings.TrimRight(n, "/")
@@ -130,7 +128,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		st := &nodeState{name: n}
 		st.up.Store(true)
-		st.upG = rt.reg.NewGauge("inano_router_replica_up",
+		st.upG = reg.NewGauge("inano_router_replica_up",
 			"1 if the replica is in the serving ring.", `replica="`+n+`"`)
 		st.upG.Set(1)
 		rt.nodes[n] = st
@@ -141,33 +139,27 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	sort.Strings(rt.order)
 
-	rt.requests = make(map[string]*metrics.Counter)
-	rt.errors = make(map[string]*metrics.Counter)
-	for _, h := range []string{"query", "batch", "rank", "relay", "healthz", "metrics", "stats"} {
-		labels := `handler="` + h + `"`
-		rt.requests[h] = rt.reg.NewCounter("inano_router_requests_total",
-			"Requests routed, by endpoint.", labels)
-		rt.errors[h] = rt.reg.NewCounter("inano_router_errors_total",
-			"Requests that failed, by endpoint.", labels)
-	}
-	rt.retries = rt.reg.NewCounter("inano_router_retries_total",
+	rt.front = api.NewFrame(reg, "inano_router", "inano-router", cfg.Logf,
+		api.Endpoint{Path: "/v1/query", Serve: rt.handleQuery},
+		api.Endpoint{Path: "/v1/batch", Serve: rt.handleBatch},
+		api.Endpoint{Path: "/v1/rank", Serve: rt.handleRank},
+		api.Endpoint{Path: "/v1/relay", Serve: rt.handleRelay},
+		api.Endpoint{Path: "/healthz", Serve: rt.handleHealthz})
+	rt.retries = reg.NewCounter("inano_router_retries_total",
 		"Proxied requests retried on the ring's next node after a replica failure.", "")
-	rt.reshards = rt.reg.NewCounter("inano_router_reshards_total",
+	rt.reshards = reg.NewCounter("inano_router_reshards_total",
 		"Ring rebuilds caused by replica membership changes.", "")
-	rt.noReplica = rt.reg.NewCounter("inano_router_no_replica_total",
+	rt.noReplica = reg.NewCounter("inano_router_no_replica_total",
 		"Requests failed because no live replica remained.", "")
-	rt.batchLines = rt.reg.NewCounter("inano_router_batch_lines_total",
+	rt.batchLines = reg.NewCounter("inano_router_batch_lines_total",
 		"Batch lines sent to replicas, re-sends included.", "")
-	rt.batchRetry = rt.reg.NewCounter("inano_router_batch_retried_total",
+	rt.batchRetry = reg.NewCounter("inano_router_batch_retried_total",
 		"Batch lines re-sent to another replica after the first did not answer them.", "")
-	rt.reg.NewGaugeFunc("inano_router_ring_nodes", "Replicas in the serving ring.", "",
+	reg.NewGaugeFunc("inano_router_ring_nodes", "Replicas in the serving ring.", "",
 		func() float64 { return float64(rt.ring.Load().Len()) })
 	rt.ring.Store(NewRing(rt.order, cfg.VNodes))
 	return rt, nil
 }
-
-// Registry exposes the router's metrics registry.
-func (rt *Router) Registry() *metrics.Registry { return rt.reg }
 
 // Ring returns the current ring over live replicas (empty if none).
 func (rt *Router) Ring() *Ring { return rt.ring.Load() }
@@ -246,11 +238,7 @@ func (rt *Router) healthPass(ctx context.Context) {
 }
 
 func (rt *Router) probe(ctx context.Context, node string) bool {
-	to := rt.cfg.HealthInterval
-	if to > 2*time.Second {
-		to = 2 * time.Second
-	}
-	pctx, cancel := context.WithTimeout(ctx, to)
+	pctx, cancel := context.WithTimeout(ctx, min(rt.cfg.HealthInterval, 2*time.Second))
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, node+"/healthz", nil)
 	if err != nil {
@@ -276,30 +264,7 @@ func (rt *Router) keyFor(dst netsim.IP) uint64 {
 
 // Handler returns the router's HTTP surface: the proxied serving
 // endpoints plus the router's own /healthz, /metrics and /debug/stats.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", rt.instrument("healthz", rt.handleHealthz))
-	mux.HandleFunc("/metrics", rt.instrument("metrics", rt.handleMetrics))
-	mux.HandleFunc("/debug/stats", rt.instrument("stats", func(w http.ResponseWriter, r *http.Request) error {
-		w.Header().Set("Content-Type", "application/json")
-		return rt.reg.WriteJSON(w)
-	}))
-	mux.HandleFunc("/v1/query", rt.instrument("query", rt.handleQuery))
-	mux.HandleFunc("/v1/rank", rt.instrument("rank", rt.handleRank))
-	mux.HandleFunc("/v1/relay", rt.instrument("relay", rt.handleRelay))
-	mux.HandleFunc("/v1/batch", rt.instrument("batch", rt.handleBatch))
-	return mux
-}
-
-func (rt *Router) instrument(name string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt.requests[name].Inc()
-		if err := h(w, r); err != nil {
-			rt.errors[name].Inc()
-			rt.cfg.Logf("inano-router: %s: %v", name, err)
-		}
-	}
-}
+func (rt *Router) Handler() http.Handler { return rt.front }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	live := 0
@@ -326,11 +291,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		"replicas": replicas,
 		"uptime_s": int64(time.Since(rt.started).Seconds()),
 	})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	return rt.reg.WritePrometheus(w)
 }
 
 // retryableStatus reports whether a replica response means "try another

@@ -333,6 +333,21 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
+// routerMetric reads one series, its labels in braces when it has any, off
+// the router's /metrics.
+func routerMetric(t *testing.T, rt *Router, series string) (v uint64) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if _, err := fmt.Sscanf(line, series+" %d", &v); err == nil {
+			return v
+		}
+	}
+	t.Fatalf("no %s in the router's metrics", series)
+	return 0
+}
+
 func TestRouterHealthzDegradedAndDown(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t, 0), newFakeReplica(t, 1)}
 	rt, ts := newTestRouter(t, replicas, nil)

@@ -81,8 +81,9 @@ func FeedbackLoop(l *Lab, budget, rounds int) FeedbackResult {
 		Cooldown: time.Hour,
 	}
 	for r := 0; r < rounds; r++ {
+		snap := client.Snapshot()
 		for _, o := range work {
-			client.ObserveRTT(ctx, o.src, o.dst, o.trueRTT)
+			client.ObserveRTT(ctx, snap, o.src, o.dst, o.trueRTT)
 		}
 		round := client.NewCorrector(prober, cfg).RunOnce(ctx)
 		res.Probes += round.Probes

@@ -154,7 +154,7 @@ func TestBatchPipelineBytes(t *testing.T) {
 			}
 		}
 	}
-	if got := s.handlers["batch"].errors.Value(); got != 0 {
+	if got := metricOf(t, s.Handler(), `inanod_http_errors_total{handler="batch"}`); got != 0 {
 		t.Fatalf("%d batch requests counted as errors", got)
 	}
 }
@@ -244,7 +244,7 @@ func TestBatchClientGone(t *testing.T) {
 	if !strings.Contains(logs.String(), "writing batch response") {
 		t.Fatalf("the handler did not return a write error; it logged:\n%s", logs.String())
 	}
-	if got := s.handlers["batch"].errors.Value(); got != 1 {
+	if got := metricOf(t, s.Handler(), `inanod_http_errors_total{handler="batch"}`); got != 1 {
 		t.Fatalf("inanod_http_errors_total{handler=\"batch\"} = %d, want 1", got)
 	}
 	if further := (f.client.CacheStats().Hits - before) / perWindow; further >= 3 {
@@ -297,7 +297,7 @@ func TestBatchStagePanic(t *testing.T) {
 	if recovered != "second write" {
 		t.Fatalf("ServeHTTP's caller recovered %v, want the stage's panic", recovered)
 	}
-	if got := s.handlers["batch"].errors.Value(); got != 1 {
+	if got := metricOf(t, s.Handler(), `inanod_http_errors_total{handler="batch"}`); got != 1 {
 		t.Fatalf("inanod_http_errors_total{handler=\"batch\"} = %d, want 1", got)
 	}
 	if got := s.InFlight(); got != 0 {
@@ -334,7 +334,7 @@ func TestBatchWriteFails(t *testing.T) {
 	if got := s.pairsTotal.Value(); got != 8 {
 		t.Fatalf("pairs streamed = %d, want 8", got)
 	}
-	if got := s.handlers["batch"].errors.Value(); got != 1 {
+	if got := metricOf(t, s.Handler(), `inanod_http_errors_total{handler="batch"}`); got != 1 {
 		t.Fatalf("inanod_http_errors_total{handler=\"batch\"} = %d, want 1", got)
 	}
 }

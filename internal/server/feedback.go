@@ -38,6 +38,11 @@ type feedbackResponse struct {
 	Day   int    `json:"day"`
 }
 
+// maxFeedbackBody caps one /v1/feedback request body: ParseReport bounds
+// lines and observation counts, and this bounds the whole body, so a
+// hostile stream cannot hold the handler forever.
+const maxFeedbackBody = int64(feedback.MaxObservations) * feedback.MaxLineBytes
+
 // handleFeedback ingests an NDJSON observation report: one
 // {"src","dst","rtt_ms"} line per observed flow. Ingestion is token-bucket
 // rate-limited per reporting source (the connecting peer): each source
@@ -46,49 +51,48 @@ type feedbackResponse struct {
 // accepted only up to the grant. A malformed line ends parsing; the valid
 // prefix is still accounted.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return api.Refuse(http.StatusMethodNotAllowed, "use POST").Write(w)
-	}
-	// ParseReport bounds lines and observation counts; the byte cap below
-	// bounds the whole body so a hostile stream cannot hold the handler
-	// forever.
-	body := http.MaxBytesReader(w, r.Body, int64(feedback.MaxObservations)*feedback.MaxLineBytes)
-	obs, parseErr := feedback.ParseReport(body)
-	if parseErr != nil && len(obs) == 0 {
-		return api.Refuse(http.StatusBadRequest, "%v", parseErr).Write(w)
-	}
-	d, rf := api.ReadDeadline(r.URL.Query())
+	rp, rf := api.ReadReport(w, r, nil, maxFeedbackBody, feedback.ParseReport)
 	if rf != nil {
 		return rf.Write(w)
 	}
-	ctx, cancel := s.requestContext(r, d)
+	return serveReport(s, w, r, s.fbLimiter, rp, func(ctx context.Context, granted []feedback.Observation, limited int) any {
+		// One pinned snapshot scores and labels the whole report, so a
+		// roll mid-report cannot score some lines against a day the
+		// answer does not name.
+		snap := s.c.Snapshot()
+		resp := feedbackResponse{RateLimited: limited, Error: rp.Err, Day: snap.Day()}
+		for _, o := range granted {
+			// Scoring may build trees for cold destinations; the request
+			// deadline bounds that work so one report cannot stall the
+			// handler indefinitely.
+			sample, err := s.c.ObserveRTT(ctx, snap, netsim.PrefixOf(o.Src), netsim.PrefixOf(o.Dst), o.RTTMS)
+			if err != nil {
+				resp.Error = fmt.Sprintf("aborted after %d observations: %v", resp.Accepted, err)
+				break
+			}
+			resp.Accepted++
+			s.fbError.Observe(sample.Err)
+			if !sample.Tracked {
+				resp.Untracked++
+			}
+		}
+		s.fbObservations.Add(uint64(resp.Accepted))
+		s.fbRateLimited.Add(uint64(resp.RateLimited))
+		return resp
+	})
+}
+
+// serveReport is the tail both report endpoints share: it grants the
+// report's lines from the reporting peer's bucket in lim, has ingest take
+// the granted ones under the request's deadline and say how many were
+// refused, and answers with what ingest returns — 429 when the bucket
+// granted none of the lines.
+func serveReport[T any](s *Server, w http.ResponseWriter, r *http.Request, lim *tokenBuckets, rp api.Report[T], ingest func(ctx context.Context, granted []T, limited int) any) error {
+	ctx, cancel := s.requestContext(r, rp.Deadline)
 	defer cancel()
-	granted := s.fbLimiter.take(sourceKey(r), len(obs))
-	resp := feedbackResponse{
-		RateLimited: len(obs) - granted,
-		Day:         s.c.Snapshot().Day(),
-	}
-	if parseErr != nil {
-		resp.Error = parseErr.Error()
-	}
-	for _, o := range obs[:granted] {
-		// Scoring may build trees for cold destinations; the request
-		// deadline bounds that work so one report cannot stall the
-		// handler indefinitely.
-		sample, err := s.c.ObserveRTT(ctx, netsim.PrefixOf(o.Src), netsim.PrefixOf(o.Dst), o.RTTMS)
-		if err != nil {
-			resp.Error = fmt.Sprintf("aborted after %d observations: %v", resp.Accepted, err)
-			break
-		}
-		resp.Accepted++
-		s.fbError.Observe(sample.Err)
-		if !sample.Tracked {
-			resp.Untracked++
-		}
-	}
-	s.fbObservations.Add(uint64(resp.Accepted))
-	s.fbRateLimited.Add(uint64(resp.RateLimited))
-	if granted == 0 && resp.RateLimited > 0 {
+	granted := lim.take(sourceKey(r), len(rp.Lines))
+	resp := ingest(ctx, rp.Lines[:granted], len(rp.Lines)-granted)
+	if granted == 0 && len(rp.Lines) > 0 {
 		return api.WriteJSON(w, http.StatusTooManyRequests, resp)
 	}
 	return api.WriteJSON(w, http.StatusOK, resp)

@@ -2,15 +2,19 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	inano "inano"
 	"inano/internal/netsim"
 )
 
@@ -109,6 +113,66 @@ func TestFeedbackEndpointBadReport(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status %d", resp.StatusCode)
+	}
+}
+
+// rollOnErr is a request context that rolls the atlas the first time a
+// query asks whether it has ended: a roll that lands while the request's
+// first observation is being scored.
+type rollOnErr struct {
+	context.Context
+	once sync.Once
+	roll func()
+}
+
+func (c *rollOnErr) Err() error {
+	c.once.Do(c.roll)
+	return c.Context.Err()
+}
+
+// TestFeedbackReportOnOneSnapshot: a report is scored on the one snapshot
+// its answer names, however the atlas rolls under it. Each line reports the
+// day-0 prediction of a pair the day-1 atlas predicts otherwise, so scored
+// on day 0 every line errs by nothing, and a line scored on day 1 would not.
+func TestFeedbackReportOnOneSnapshot(t *testing.T) {
+	f := buildFixture(t, 62)
+	s := New(Config{Client: f.client, Logf: t.Logf, FeedbackRate: -1})
+	rolled := inano.FromAtlas(f.day0)
+	if err := rolled.ApplyDelta(bytes.NewReader(f.delta)); err != nil {
+		t.Fatal(err)
+	}
+	day0, day1 := f.client.Snapshot(), rolled.Snapshot()
+	var body strings.Builder
+	n := 0
+	for _, dst := range f.targets {
+		a, b := queryPair(day0, f.vps[0], dst), queryPair(day1, f.vps[0], dst)
+		if dst != f.vps[0] && a.Found && b.Found && a.RTTMS != b.RTTMS {
+			body.WriteString(obsLine(f.vps[0], dst, a.RTTMS))
+			n++
+		}
+	}
+	if n < 2 {
+		t.Fatalf("the roll moves %d predictions from %v, want at least 2", n, f.vps[0])
+	}
+	ctx := &rollOnErr{Context: context.Background(), roll: func() {
+		if err := f.client.ApplyDelta(bytes.NewReader(f.delta)); err != nil {
+			t.Error(err)
+		}
+	}}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", strings.NewReader(body.String())).WithContext(ctx))
+	var out feedbackResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("%d %q: %v", rec.Code, rec.Body, err)
+	}
+	if d := f.client.Snapshot().Day(); d != 1 {
+		t.Fatalf("serving day %d after the report, want 1: the roll did not land", d)
+	}
+	if out.Day != 0 || out.Accepted != n {
+		t.Fatalf("answer %+v, want day 0 and %d accepted", out, n)
+	}
+	if sum := s.fbError.Sum(); sum != 0 {
+		t.Fatalf("the report's relative errors sum to %g, want 0: some lines were scored against day 1", sum)
 	}
 }
 

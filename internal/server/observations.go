@@ -61,62 +61,45 @@ type observationsResponse struct {
 // residual is computed against the *server's own* prediction for the
 // pair, so a stale or lying predicted_ms cannot skew the aggregate.
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return api.Refuse(http.StatusMethodNotAllowed, "use POST").Write(w)
-	}
+	var off *api.Refusal
 	if s.cfg.Aggregator == nil {
-		return api.Refuse(http.StatusNotImplemented, "observation ingest not enabled on this daemon").Write(w)
+		off = api.Refuse(http.StatusNotImplemented, "observation ingest not enabled on this daemon")
 	}
-	body := http.MaxBytesReader(w, r.Body, maxObservationBody)
-	obs, parseErr := feedback.ParseObservationReport(body)
-	if parseErr != nil && len(obs) == 0 {
-		return api.Refuse(http.StatusBadRequest, "%v", parseErr).Write(w)
-	}
-	d, rf := api.ReadDeadline(r.URL.Query())
+	rp, rf := api.ReadReport(w, r, off, maxObservationBody, feedback.ParseObservationReport)
 	if rf != nil {
 		return rf.Write(w)
 	}
-	ctx, cancel := s.requestContext(r, d)
-	defer cancel()
-	granted := s.obsLimiter.take(sourceKey(r), len(obs))
-	// One pinned snapshot scores and labels the whole report: a hot
-	// reload mid-report cannot mix residuals measured against different
-	// atlas days into one aggregate entry.
-	snap := s.c.Snapshot()
-	resp := observationsResponse{
-		RateLimited: len(obs) - granted,
-		Day:         snap.Day(),
-	}
-	if parseErr != nil {
-		resp.Error = parseErr.Error()
-	}
-	for i := range obs[:granted] {
-		res, err := s.ingestObservation(ctx, r, snap, &obs[i])
-		if err != nil {
-			resp.Error = err.Error()
-			break
+	return serveReport(s, w, r, s.obsLimiter, rp, func(ctx context.Context, granted []feedback.UpstreamObservation, limited int) any {
+		// One pinned snapshot scores and labels the whole report: a hot
+		// reload mid-report cannot mix residuals measured against different
+		// atlas days into one aggregate entry.
+		snap := s.c.Snapshot()
+		resp := observationsResponse{RateLimited: limited, Error: rp.Err, Day: snap.Day()}
+		for i := range granted {
+			res, err := s.ingestObservation(ctx, r, snap, &granted[i])
+			if err != nil {
+				resp.Error = err.Error()
+				break
+			}
+			if res.pathRejected {
+				resp.PathsRejected++
+			}
+			if res.path {
+				resp.Paths++
+			}
+			if !res.path && !res.residual {
+				resp.Unknown++
+				continue
+			}
+			resp.Accepted++
 		}
-		if res.pathRejected {
-			resp.PathsRejected++
-		}
-		if res.path {
-			resp.Paths++
-		}
-		if !res.path && !res.residual {
-			resp.Unknown++
-			continue
-		}
-		resp.Accepted++
-	}
-	s.obsAccepted.Add(uint64(resp.Accepted))
-	s.obsPaths.Add(uint64(resp.Paths))
-	s.obsPathRejects.Add(uint64(resp.PathsRejected))
-	s.obsUnknown.Add(uint64(resp.Unknown))
-	s.obsRateLimited.Add(uint64(resp.RateLimited))
-	if granted == 0 && resp.RateLimited > 0 {
-		return api.WriteJSON(w, http.StatusTooManyRequests, resp)
-	}
-	return api.WriteJSON(w, http.StatusOK, resp)
+		s.obsAccepted.Add(uint64(resp.Accepted))
+		s.obsPaths.Add(uint64(resp.Paths))
+		s.obsPathRejects.Add(uint64(resp.PathsRejected))
+		s.obsUnknown.Add(uint64(resp.Unknown))
+		s.obsRateLimited.Add(uint64(resp.RateLimited))
+		return resp
+	})
 }
 
 // ingestResult reports what one observation contributed to the aggregate.

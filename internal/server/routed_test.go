@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -15,21 +16,21 @@ import (
 	"inano/internal/api"
 	"inano/internal/atlas"
 	"inano/internal/cluster"
+	"inano/internal/feedback"
 )
 
-// routerMetric reads one unlabelled counter off the router's /metrics.
-func routerMetric(t *testing.T, rt *cluster.Router, name string) (v uint64) {
+// metricOf reads one series, its labels in braces when it has any, off
+// the /metrics a daemon's handler h serves.
+func metricOf(t *testing.T, h http.Handler, series string) (v uint64) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := rt.Registry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if _, err := fmt.Sscanf(line, name+" %d", &v); err == nil {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if _, err := fmt.Sscanf(line, series+" %d", &v); err == nil {
 			return v
 		}
 	}
-	t.Fatalf("no %s in the router's metrics", name)
+	t.Fatalf("no %s in the metrics", series)
 	return 0
 }
 
@@ -124,10 +125,10 @@ func TestRoutedBatchBytes(t *testing.T) {
 			sent += uint64(n)
 		}
 	}
-	if got := routerMetric(t, rt, "inano_router_batch_lines_total"); got != sent || streamed() != sent {
+	if got := metricOf(t, rt.Handler(), "inano_router_batch_lines_total"); got != sent || streamed() != sent {
 		t.Fatalf("inano_router_batch_lines_total = %d and the replicas streamed %d pairs, want the %d lines sent", got, streamed(), sent)
 	}
-	if got := routerMetric(t, rt, "inano_router_batch_retried_total"); got != 0 {
+	if got := metricOf(t, rt.Handler(), "inano_router_batch_retried_total"); got != 0 {
 		t.Fatalf("inano_router_batch_retried_total = %d with every replica up", got)
 	}
 
@@ -174,7 +175,7 @@ func TestRoutedBatchBytes(t *testing.T) {
 		t.Fatalf("with a replica gone mid-stream the routed body differs from the node's\ngot  %d bytes: %.300q\nwant %d bytes: %.300q",
 			w.body.Len(), w.body.Bytes(), want.body.Len(), want.body.Bytes())
 	}
-	retried := routerMetric(t, rt, "inano_router_batch_retried_total")
+	retried := metricOf(t, rt.Handler(), "inano_router_batch_retried_total")
 	if retried == 0 || rt.Ring().Len() != 2 {
 		t.Fatalf("%d lines re-sent and %d replicas in the ring after one went away, want some and 2", retried, rt.Ring().Len())
 	}
@@ -185,7 +186,7 @@ func TestRoutedBatchBytes(t *testing.T) {
 		t.Fatalf("the replicas streamed %d answers to a stream of %d lines", got, n)
 	}
 	sent += 2 * n // the held stream and this one
-	if got := routerMetric(t, rt, "inano_router_batch_lines_total"); got != sent+retried {
+	if got := metricOf(t, rt.Handler(), "inano_router_batch_lines_total"); got != sent+retried {
 		t.Fatalf("inano_router_batch_lines_total = %d, want %d lines sent + %d re-sent", got, sent, retried)
 	}
 }
@@ -294,6 +295,79 @@ func TestRoutedRefusals(t *testing.T) {
 		want, got := ask(node, req), ask(routed, req)
 		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() || reached.Load() != int64(i+1) {
 			t.Fatalf("%s %s: router %d %q, replica %d %q, %d requests reached the replica", req.method, req.target, got.Code, got.Body, want.Code, want.Body, reached.Load())
+		}
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestReportHeads: the two report endpoints read their heads through one
+// reader (api.ReadReport) and refuse in its order — the method, a disabled
+// endpoint, ?deadline_ms= before any of the body is read, the body's cap,
+// then a body of which no line parses. A router serves neither (404).
+func TestReportHeads(t *testing.T) {
+	f := buildFixture(t, 220)
+	plain, _ := start(t, f, nil)
+	agg, _ := start(t, f, func(c *Config) { c.Aggregator = feedback.NewAggregator() })
+	rt, err := cluster.NewRouter(cluster.RouterConfig{
+		Nodes: []string{"http://127.0.0.1:1"}, ClusterOf: atlas.Compile(f.day0).ClusterOf, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// overCap is a body of blank lines that runs past limit; the reader
+	// stops at limit, inside line lines+1, and names the one after it.
+	blank := []byte(strings.Repeat(" ", 4000) + "\n")
+	overCap := func(limit int64) (func() io.Reader, string) {
+		lines := (limit + int64(len(blank)) - 1) / int64(len(blank))
+		return func() io.Reader { return io.LimitReader(&loopReader{body: blank}, limit+int64(len(blank))) },
+			fmt.Sprintf(`{"error":"line %d: http: request body too large"}`+"\n", lines+1)
+	}
+	text := func(s string) func() io.Reader { return func() io.Reader { return strings.NewReader(s) } }
+	fbCap, fbCapErr := overCap(maxFeedbackBody)
+	obsCap, obsCapErr := overCap(maxObservationBody)
+	for _, row := range []struct {
+		name         string
+		h            http.Handler
+		method, path string
+		body         func() io.Reader
+		code         int
+		answer       string
+		unread       bool // refused before any of the body is read
+	}{
+		{"feedback GET", plain.Handler(), "GET", "/v1/feedback", text(""), 405, `{"error":"use POST"}` + "\n", true},
+		{"observations GET", plain.Handler(), "GET", "/v1/observations", text(""), 405, `{"error":"use POST"}` + "\n", true},
+		{"observations disabled", plain.Handler(), "POST", "/v1/observations?deadline_ms=x", text("not json\n"), 501,
+			`{"error":"observation ingest not enabled on this daemon"}` + "\n", true},
+		{"feedback deadline first", plain.Handler(), "POST", "/v1/feedback?deadline_ms=x", text("not json\n"), 400,
+			`{"error":"bad deadline_ms \"x\""}` + "\n", true},
+		{"observations deadline first", agg.Handler(), "POST", "/v1/observations?deadline_ms=0", text("not json\n"), 400,
+			`{"error":"bad deadline_ms \"0\""}` + "\n", true},
+		{"feedback over cap", plain.Handler(), "POST", "/v1/feedback", fbCap, 400, fbCapErr, false},
+		{"observations over cap", agg.Handler(), "POST", "/v1/observations", obsCap, 400, obsCapErr, false},
+		{"feedback no line parses", plain.Handler(), "POST", "/v1/feedback", text("not json\n"), 400,
+			`{"error":"line 1: bad observation: invalid character 'o' in literal null (expecting 'u')"}` + "\n", false},
+		{"router feedback", rt.Handler(), "POST", "/v1/feedback", text("not json\n"), 404, "404 page not found\n", false},
+		{"router observations", rt.Handler(), "POST", "/v1/observations", text("not json\n"), 404, "404 page not found\n", false},
+	} {
+		body := &countingReader{r: row.body()}
+		rec := httptest.NewRecorder()
+		row.h.ServeHTTP(rec, httptest.NewRequest(row.method, row.path, body))
+		if rec.Code != row.code || rec.Body.String() != row.answer {
+			t.Errorf("%s: %d %q, want %d %q", row.name, rec.Code, rec.Body, row.code, row.answer)
+		}
+		if row.unread && body.n != 0 {
+			t.Errorf("%s: %d bytes of the body were read before the refusal", row.name, body.n)
 		}
 	}
 }

@@ -19,6 +19,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/http"
@@ -75,10 +76,9 @@ type Config struct {
 type Server struct {
 	c       *inano.Client
 	cfg     Config
-	reg     *metrics.Registry
 	started time.Time
+	front   *api.Frame
 
-	inflight     *metrics.Gauge
 	pairsTotal   *metrics.Counter
 	reloads      *metrics.Counter
 	reloadErrors *metrics.Counter
@@ -111,15 +111,6 @@ type Server struct {
 	// serving requests are refused with 503 (the router retries them on
 	// another replica), and in-flight ones run to completion.
 	draining atomic.Bool
-
-	handlers map[string]*handlerMetrics
-}
-
-// handlerMetrics instruments one endpoint.
-type handlerMetrics struct {
-	requests *metrics.Counter
-	errors   *metrics.Counter
-	latency  *metrics.Histogram
 }
 
 // New builds a server over cfg.Client and registers its metrics.
@@ -133,112 +124,90 @@ func New(cfg Config) *Server {
 	if cfg.StreamWindow <= 0 {
 		cfg.StreamWindow = core.DefaultStreamWindow
 	}
-	fbRate := cfg.FeedbackRate
-	if fbRate == 0 {
-		fbRate = 64
-	}
-	fbBurst := cfg.FeedbackBurst
-	if fbBurst <= 0 {
-		fbBurst = 256
-	}
-	obsRate := cfg.ObservationRate
-	if obsRate == 0 {
-		obsRate = 8
-	}
-	obsBurst := cfg.ObservationBurst
-	if obsBurst <= 0 {
-		obsBurst = 64
-	}
+	reg := metrics.NewRegistry()
 	s := &Server{
 		c:          cfg.Client,
 		cfg:        cfg,
-		reg:        metrics.NewRegistry(),
 		started:    time.Now(),
-		fbLimiter:  newTokenBuckets(fbRate, fbBurst),
-		obsLimiter: newTokenBuckets(obsRate, obsBurst),
-		handlers:   make(map[string]*handlerMetrics),
+		fbLimiter:  newTokenBuckets(cmp.Or(cfg.FeedbackRate, 64), cmp.Or(max(cfg.FeedbackBurst, 0), 256)),
+		obsLimiter: newTokenBuckets(cmp.Or(cfg.ObservationRate, 8), cmp.Or(max(cfg.ObservationBurst, 0), 64)),
 	}
-	s.reg.NewGaugeFunc("inanod_uptime_seconds", "Seconds since the server was built.", "",
+	reg.NewGaugeFunc("inanod_uptime_seconds", "Seconds since the server was built.", "",
 		func() float64 { return time.Since(s.started).Seconds() })
-	s.inflight = s.reg.NewGauge("inanod_http_inflight",
-		"Requests currently being served.", "")
-	for _, h := range []string{"query", "batch", "rank", "feedback", "relay", "observations", "healthz", "metrics", "stats"} {
-		labels := `handler="` + h + `"`
-		s.handlers[h] = &handlerMetrics{
-			requests: s.reg.NewCounter("inanod_http_requests_total",
-				"HTTP requests served, by endpoint.", labels),
-			errors: s.reg.NewCounter("inanod_http_errors_total",
-				"HTTP requests that failed, by endpoint.", labels),
-			latency: s.reg.NewHistogram("inanod_http_request_seconds",
-				"Request latency, by endpoint.", labels, nil),
-		}
-	}
-	s.pairsTotal = s.reg.NewCounter("inanod_batch_pairs_streamed_total",
+	s.front = api.NewFrame(reg, "inanod_http", "inanod", cfg.Logf,
+		s.serving("/v1/query", s.handleQuery),
+		s.serving("/v1/batch", s.handleBatch),
+		s.serving("/v1/rank", s.handleRank),
+		s.serving("/v1/feedback", s.handleFeedback),
+		s.serving("/v1/relay", s.handleRelay),
+		s.serving("/v1/observations", s.handleObservations),
+		api.Endpoint{Path: "/healthz", Serve: s.handleHealthz})
+	s.pairsTotal = reg.NewCounter("inanod_batch_pairs_streamed_total",
 		"Batch pairs answered over /v1/batch.", "")
-	s.reloads = s.reg.NewCounter("inanod_atlas_reloads_total",
+	s.reloads = reg.NewCounter("inanod_atlas_reloads_total",
 		"Atlas deltas hot-applied.", "")
-	s.reloadErrors = s.reg.NewCounter("inanod_atlas_reload_errors_total",
+	s.reloadErrors = reg.NewCounter("inanod_atlas_reload_errors_total",
 		"Failed atlas reload attempts.", "")
-	s.lastReload = s.reg.NewGauge("inanod_atlas_last_reload_timestamp_seconds",
+	s.lastReload = reg.NewGauge("inanod_atlas_last_reload_timestamp_seconds",
 		"Unix time of the last successful reload (0 = never).", "")
 
 	// Feedback loop: error distribution (the quantile source), ingestion
 	// accounting, and the corrective budget's spend.
-	s.fbObservations = s.reg.NewCounter("inanod_feedback_observations_total",
+	s.fbObservations = reg.NewCounter("inanod_feedback_observations_total",
 		"Observations accepted over /v1/feedback.", "")
-	s.fbRateLimited = s.reg.NewCounter("inanod_feedback_rate_limited_total",
+	s.fbRateLimited = reg.NewCounter("inanod_feedback_rate_limited_total",
 		"Observations dropped by the per-source rate limit.", "")
-	s.fbError = s.reg.NewHistogram("inanod_feedback_prediction_error",
+	s.fbError = reg.NewHistogram("inanod_feedback_prediction_error",
 		"Relative |observed-predicted|/observed RTT error of reported observations.",
 		"", metrics.DefErrorBuckets)
-	s.corrRounds = s.reg.NewCounter("inanod_corrective_rounds_total",
+	s.corrRounds = reg.NewCounter("inanod_corrective_rounds_total",
 		"Corrective scheduler rounds executed.", "")
-	s.corrProbes = s.reg.NewCounter("inanod_corrective_probes_issued_total",
+	s.corrProbes = reg.NewCounter("inanod_corrective_probes_issued_total",
 		"Corrective traceroutes issued.", "")
-	s.corrProbeErrors = s.reg.NewCounter("inanod_corrective_probe_errors_total",
+	s.corrProbeErrors = reg.NewCounter("inanod_corrective_probe_errors_total",
 		"Corrective traceroutes that failed.", "")
-	s.corrMerged = s.reg.NewCounter("inanod_corrective_changes_merged_total",
+	s.corrMerged = reg.NewCounter("inanod_corrective_changes_merged_total",
 		"Atlas changes merged from corrective traceroutes.", "")
 
 	// Upstream observation ingest: what clients share toward the next
 	// build, and the aggregate's size.
-	s.obsAccepted = s.reg.NewCounter("inanod_observations_accepted_total",
+	s.obsAccepted = reg.NewCounter("inanod_observations_accepted_total",
 		"Upstream observations accepted over /v1/observations.", "")
-	s.obsPaths = s.reg.NewCounter("inanod_observation_paths_total",
+	s.obsPaths = reg.NewCounter("inanod_observation_paths_total",
 		"Clusterized hop-path tails accepted into the structural aggregate.", "")
-	s.obsPathRejects = s.reg.NewCounter("inanod_observation_path_rejects_total",
+	s.obsPathRejects = reg.NewCounter("inanod_observation_path_rejects_total",
 		"Uploaded hop lists rejected at clusterization (unmappable or looping).", "")
-	s.obsUnknown = s.reg.NewCounter("inanod_observations_unknown_total",
+	s.obsUnknown = reg.NewCounter("inanod_observations_unknown_total",
 		"Upstream observations the serving atlas could not place.", "")
-	s.obsRateLimited = s.reg.NewCounter("inanod_observations_rate_limited_total",
+	s.obsRateLimited = reg.NewCounter("inanod_observations_rate_limited_total",
 		"Upstream observations dropped by the per-source rate limit.", "")
-	s.obsSnapshots = s.reg.NewCounter("inanod_observation_snapshots_total",
+	s.obsSnapshots = reg.NewCounter("inanod_observation_snapshots_total",
 		"Aggregator snapshots written to disk.", "")
-	s.reg.NewGaugeFunc("inanod_observation_sources",
+	reg.NewGaugeFunc("inanod_observation_sources",
 		"Reporting peers holding a /v1/observations rate-limit bucket.", "",
 		func() float64 { return float64(s.obsLimiter.len()) })
-	s.reg.NewCounterFunc("inanod_observation_sources_evicted_total",
+	reg.NewCounterFunc("inanod_observation_sources_evicted_total",
 		"/v1/observations rate-limit buckets evicted to keep the table bounded.", "",
 		func() float64 { return float64(s.obsLimiter.evictions()) })
 	// A source several series show is read once a render (metrics.Sampled),
 	// so they show one instant.
 	if cfg.Aggregator != nil {
-		agg := metrics.Sampled(s.reg, cfg.Aggregator.Stats)
-		s.reg.NewGaugeFunc("inanod_observation_prefixes",
+		agg := metrics.Sampled(reg, cfg.Aggregator.Stats)
+		reg.NewGaugeFunc("inanod_observation_prefixes",
 			"Destination prefixes in the upstream-observation aggregate.", "",
 			func() float64 { return float64(agg().Prefixes) })
-		s.reg.NewGaugeFunc("inanod_observation_reporters",
+		reg.NewGaugeFunc("inanod_observation_reporters",
 			"Reporter slots in use across aggregated prefixes.", "",
 			func() float64 { return float64(agg().Reporters) })
-		s.reg.NewGaugeFunc("inanod_observation_path_slots",
+		reg.NewGaugeFunc("inanod_observation_path_slots",
 			"Reporter slots holding a clusterized hop path.", "",
 			func() float64 { return float64(agg().Paths) })
-		s.reg.NewCounterFunc("inanod_observation_evicted_prefixes_total",
+		reg.NewCounterFunc("inanod_observation_evicted_prefixes_total",
 			"Prefixes the aggregate dropped to stay within its bound.", "",
 			func() float64 { return float64(agg().EvictedPrefixes) })
 	}
 
-	round := metrics.Sampled(s.reg, func() feedback.Round {
+	round := metrics.Sampled(reg, func() feedback.Round {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return s.lastRound
@@ -246,64 +215,64 @@ func New(cfg Config) *Server {
 	lastRound := func(v func(feedback.Round) float64) func() float64 {
 		return func() float64 { return v(round()) }
 	}
-	s.reg.NewGaugeFunc("inanod_corrective_budget_utilization",
+	reg.NewGaugeFunc("inanod_corrective_budget_utilization",
 		"Fraction of the corrective budget spent in the last round.", "",
 		lastRound(feedback.Round.Utilization))
-	s.reg.NewGaugeFunc("inanod_corrective_last_round_budget",
+	reg.NewGaugeFunc("inanod_corrective_last_round_budget",
 		"Probe budget of the last corrective round.", "",
 		lastRound(func(r feedback.Round) float64 { return float64(r.Budget) }))
-	s.reg.NewGaugeFunc("inanod_corrective_last_round_probes",
+	reg.NewGaugeFunc("inanod_corrective_last_round_probes",
 		"Corrective traceroutes issued in the last round.", "",
 		lastRound(func(r feedback.Round) float64 { return float64(r.Probes) }))
-	s.reg.NewGaugeFunc("inanod_corrective_last_round_merged",
+	reg.NewGaugeFunc("inanod_corrective_last_round_merged",
 		"Atlas changes merged from the last round's traceroutes.", "",
 		lastRound(func(r feedback.Round) float64 { return float64(r.Merged) }))
-	s.reg.NewGaugeFunc("inanod_feedback_sources",
+	reg.NewGaugeFunc("inanod_feedback_sources",
 		"Reporting peers holding a /v1/feedback rate-limit bucket.", "",
 		func() float64 { return float64(s.fbLimiter.len()) })
-	s.reg.NewCounterFunc("inanod_feedback_sources_evicted_total",
+	reg.NewCounterFunc("inanod_feedback_sources_evicted_total",
 		"/v1/feedback rate-limit buckets evicted to keep the table bounded.", "",
 		func() float64 { return float64(s.fbLimiter.evictions()) })
-	fb := metrics.Sampled(s.reg, s.c.FeedbackStats)
-	s.reg.NewGaugeFunc("inanod_feedback_tracked_destinations",
+	fb := metrics.Sampled(reg, s.c.FeedbackStats)
+	reg.NewGaugeFunc("inanod_feedback_tracked_destinations",
 		"Destination clusters currently tracked by the error tracker.", "",
 		func() float64 { return float64(fb().Entries) })
-	s.reg.NewCounterFunc("inanod_feedback_tracked_samples_total",
+	reg.NewCounterFunc("inanod_feedback_tracked_samples_total",
 		"Observations folded into the error tracker.", "",
 		func() float64 { return float64(fb().TotalSamples) })
-	s.reg.NewCounterFunc("inanod_feedback_destinations_evicted_total",
+	reg.NewCounterFunc("inanod_feedback_destinations_evicted_total",
 		"Destination clusters the error tracker dropped to stay within its bound.", "",
 		func() float64 { return float64(fb().Evicted) })
-	s.reg.NewGaugeFunc("inanod_feedback_mean_error",
+	reg.NewGaugeFunc("inanod_feedback_mean_error",
 		"Mean EWMA relative RTT error over tracked destinations.", "",
 		func() float64 { return fb().MeanErr })
-	s.reg.NewGaugeFunc("inanod_feedback_worst_error",
+	reg.NewGaugeFunc("inanod_feedback_worst_error",
 		"Largest EWMA relative RTT error over tracked destinations.", "",
 		func() float64 { return fb().WorstErr })
 
 	// Engine-owned values are sampled at scrape time. The tree cache resets
 	// when a reload swaps the engine, so these are gauges, not counters.
-	cache := metrics.Sampled(s.reg, s.c.CacheStats)
-	s.reg.NewGaugeFunc("inanod_tree_cache_hits", "Tree cache hits (resets on reload).", "",
+	cache := metrics.Sampled(reg, s.c.CacheStats)
+	reg.NewGaugeFunc("inanod_tree_cache_hits", "Tree cache hits (resets on reload).", "",
 		func() float64 { return float64(cache().Hits) })
-	s.reg.NewGaugeFunc("inanod_tree_cache_misses", "Tree cache misses (resets on reload).", "",
+	reg.NewGaugeFunc("inanod_tree_cache_misses", "Tree cache misses (resets on reload).", "",
 		func() float64 { return float64(cache().Misses) })
-	s.reg.NewGaugeFunc("inanod_tree_cache_builds", "Dijkstra tree searches started, the warmer's behind a reload included (resets on reload).", "",
+	reg.NewGaugeFunc("inanod_tree_cache_builds", "Dijkstra tree searches started, the warmer's behind a reload included (resets on reload).", "",
 		func() float64 { return float64(cache().Builds) })
-	s.reg.NewGaugeFunc("inanod_tree_cache_warmed", "Trees rebuilt behind the last reload from those resident before it (resets on reload).", "",
+	reg.NewGaugeFunc("inanod_tree_cache_warmed", "Trees rebuilt behind the last reload from those resident before it (resets on reload).", "",
 		func() float64 { return float64(cache().Warmed) })
-	s.reg.NewGaugeFunc("inanod_tree_cache_warm_hits", "Warmed trees a lookup has since asked for (resets on reload); over inanod_tree_cache_warmed, whether the rebuild was worth it.", "",
+	reg.NewGaugeFunc("inanod_tree_cache_warm_hits", "Warmed trees a lookup has since asked for (resets on reload); over inanod_tree_cache_warmed, whether the rebuild was worth it.", "",
 		func() float64 { return float64(cache().WarmHits) })
-	s.reg.NewGaugeFunc("inanod_tree_cache_build_seconds",
+	reg.NewGaugeFunc("inanod_tree_cache_build_seconds",
 		"Wall time spent in Dijkstra tree builds (resets on reload); over inanod_tree_cache_builds, the price of one cold destination.", "",
 		func() float64 { return time.Duration(cache().BuildNS).Seconds() })
-	s.reg.NewGaugeFunc("inanod_tree_cache_resident", "Prediction trees currently cached.", "",
+	reg.NewGaugeFunc("inanod_tree_cache_resident", "Prediction trees currently cached.", "",
 		func() float64 { return float64(cache().Len) })
-	s.reg.NewGaugeFunc("inanod_tree_cache_suspended", "Resident trees whose search stopped short of the end and kept its frontier to resume from.", "",
+	reg.NewGaugeFunc("inanod_tree_cache_suspended", "Resident trees whose search stopped short of the end and kept its frontier to resume from.", "",
 		func() float64 { return float64(cache().Suspended) })
-	s.reg.NewGaugeFunc("inanod_tree_cache_bytes", "Bytes those trees retain: resident times the size of one tree, computed, not sampled.", "",
+	reg.NewGaugeFunc("inanod_tree_cache_bytes", "Bytes those trees retain: resident times the size of one tree, computed, not sampled.", "",
 		func() float64 { return float64(cache().Bytes) })
-	s.reg.NewGaugeFunc("inanod_tree_cache_hit_ratio", "Hits / lookups of the tree cache.", "",
+	reg.NewGaugeFunc("inanod_tree_cache_hit_ratio", "Hits / lookups of the tree cache.", "",
 		func() float64 {
 			st := cache()
 			if st.Hits+st.Misses == 0 {
@@ -311,35 +280,35 @@ func New(cfg Config) *Server {
 			}
 			return float64(st.Hits) / float64(st.Hits+st.Misses)
 		})
-	atlas := metrics.Sampled(s.reg, func() inano.AtlasStats { return s.c.Snapshot().AtlasStats() })
-	s.reg.NewGaugeFunc("inanod_atlas_day", "Measurement day of the serving atlas.", "",
+	atlas := metrics.Sampled(reg, func() inano.AtlasStats { return s.c.Snapshot().AtlasStats() })
+	reg.NewGaugeFunc("inanod_atlas_day", "Measurement day of the serving atlas.", "",
 		func() float64 { return float64(atlas().Day) })
-	s.reg.NewGaugeFunc("inanod_atlas_clusters", "Clusters in the serving atlas.", "",
+	reg.NewGaugeFunc("inanod_atlas_clusters", "Clusters in the serving atlas.", "",
 		func() float64 { return float64(atlas().Clusters) })
-	s.reg.NewGaugeFunc("inanod_atlas_links", "Links in the serving atlas.", "",
+	reg.NewGaugeFunc("inanod_atlas_links", "Links in the serving atlas.", "",
 		func() float64 { return float64(atlas().Links) })
-	s.reg.NewGaugeFunc("inanod_atlas_prefixes", "Prefixes the serving atlas attaches to a cluster.", "",
+	reg.NewGaugeFunc("inanod_atlas_prefixes", "Prefixes the serving atlas attaches to a cluster.", "",
 		func() float64 { return float64(atlas().Prefixes) })
 	// The last applied delta, read at scrape time; every value is 0 before
 	// the first.
-	roll := metrics.Sampled(s.reg, func() inano.RollStats {
+	roll := metrics.Sampled(reg, func() inano.RollStats {
 		st, _ := s.c.LastRoll()
 		return st
 	})
 	lastRoll := func(v func(inano.RollStats) float64) func() float64 {
 		return func() float64 { return v(roll()) }
 	}
-	s.reg.NewGaugeFunc("inanod_reload_seconds",
+	reg.NewGaugeFunc("inanod_reload_seconds",
 		"Time the last applied delta took to merge into the serving atlas (0 = none applied).", "",
 		lastRoll(func(st inano.RollStats) float64 { return st.Duration.Seconds() }))
-	s.reg.NewGaugeFunc("inanod_reload_links_changed",
+	reg.NewGaugeFunc("inanod_reload_links_changed",
 		"Links the last applied delta added, removed or re-tagged.", "",
 		lastRoll(func(st inano.RollStats) float64 { return float64(st.LinksChanged()) }))
-	s.reg.NewGaugeFunc("inanod_reload_from_day",
+	reg.NewGaugeFunc("inanod_reload_from_day",
 		"Day the last applied delta rolled from (0 = none applied).", "",
 		lastRoll(func(st inano.RollStats) float64 { return float64(st.FromDay) }))
 	for _, ch := range rollChanges {
-		s.reg.NewGaugeFunc("inanod_reload_changes",
+		reg.NewGaugeFunc("inanod_reload_changes",
 			"What the last applied delta changed, by kind of change (0 = none applied).", `change="`+ch.name+`"`,
 			lastRoll(func(st inano.RollStats) float64 { return float64(ch.count(st)) }))
 	}
@@ -378,73 +347,32 @@ func (s *Server) StartDraining() {
 }
 
 // InFlight returns the number of requests currently being served.
-func (s *Server) InFlight() int64 { return s.inflight.Value() }
+func (s *Server) InFlight() int64 { return s.front.InFlight() }
 
-// drainGated marks the endpoints a draining replica refuses: the serving
-// surface. Health, metrics and stats keep answering so operators and
-// routers can watch the drain.
-var drainGated = map[string]bool{
-	"query": true, "batch": true, "rank": true,
-	"feedback": true, "relay": true, "observations": true,
+// serving mounts one endpoint of the serving surface, which a draining
+// replica refuses. Health, metrics and stats keep answering so operators
+// and routers can watch the drain.
+func (s *Server) serving(path string, h func(http.ResponseWriter, *http.Request) error) api.Endpoint {
+	return api.Endpoint{Path: path, Serve: func(w http.ResponseWriter, r *http.Request) error {
+		if s.draining.Load() {
+			// Refused, not dropped: a router retries the request on the
+			// ring's next replica, so a rolling restart loses no queries.
+			w.Header().Set("X-Inano-Draining", "1")
+			return api.Refuse(http.StatusServiceUnavailable, "draining").Write(w)
+		}
+		return h(w, r)
+	}}
 }
 
 // Handler returns the daemon's routing handler.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("/metrics", s.instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("/debug/stats", s.instrument("stats", func(w http.ResponseWriter, r *http.Request) error {
-		w.Header().Set("Content-Type", "application/json")
-		return s.reg.WriteJSON(w)
-	}))
-	mux.HandleFunc("/v1/query", s.instrument("query", s.handleQuery))
-	mux.HandleFunc("/v1/batch", s.instrument("batch", s.handleBatch))
-	mux.HandleFunc("/v1/rank", s.instrument("rank", s.handleRank))
-	mux.HandleFunc("/v1/feedback", s.instrument("feedback", s.handleFeedback))
-	mux.HandleFunc("/v1/relay", s.instrument("relay", s.handleRelay))
-	mux.HandleFunc("/v1/observations", s.instrument("observations", s.handleObservations))
-	return mux
-}
-
-// instrument wraps a handler with in-flight, request-count, error-count,
-// and latency instrumentation. The accounting is deferred so a panicking
-// handler (net/http recovers it and keeps serving) still decrements the
-// in-flight gauge and is counted as an error instead of silently skewing
-// the metrics.
-func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	hm := s.handlers[name]
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.cfg.PeerID != "" {
-			w.Header().Set("X-Inano-Peer", s.cfg.PeerID)
-		}
-		if s.draining.Load() && drainGated[name] {
-			// Refused, not dropped: a router retries the request on the
-			// ring's next replica, so a rolling restart loses no queries.
-			hm.requests.Inc()
-			hm.errors.Inc()
-			w.Header().Set("X-Inano-Draining", "1")
-			_ = api.Refuse(http.StatusServiceUnavailable, "draining").Write(w)
-			return
-		}
-		s.inflight.Inc()
-		hm.requests.Inc()
-		start := time.Now()
-		var err error
-		panicked := true
-		defer func() {
-			hm.latency.Observe(time.Since(start).Seconds())
-			s.inflight.Dec()
-			if panicked {
-				hm.errors.Inc()
-				s.cfg.Logf("inanod: %s: handler panicked", name)
-			} else if err != nil {
-				hm.errors.Inc()
-				s.cfg.Logf("inanod: %s: %v", name, err)
-			}
-		}()
-		err = h(w, r)
-		panicked = false
+	if s.cfg.PeerID == "" {
+		return s.front
 	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Inano-Peer", s.cfg.PeerID)
+		s.front.ServeHTTP(w, r)
+	})
 }
 
 // requestContext is the request's context under its ?deadline_ms= d and
@@ -470,11 +398,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		return api.WriteJSON(w, http.StatusServiceUnavailable, body)
 	}
 	return api.WriteJSON(w, http.StatusOK, body)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	return s.reg.WritePrometheus(w)
 }
 
 // linePool holds the buffers /v1/query answers are encoded into.

@@ -285,7 +285,7 @@ func TestObserveAndCorrectClosesLoop(t *testing.T) {
 		}
 		info := queryPair(c, src, dst)
 		work = append(work, workItem{dst: dst, rtt: rtt, err0: feedback.RelErr(info.RTTMS, rtt, info.Found)})
-		sample, err := c.ObserveRTT(context.Background(), src, dst, rtt)
+		sample, err := c.ObserveRTT(context.Background(), c.Snapshot(), src, dst, rtt)
 		if err != nil || sample.Err != work[len(work)-1].err0 {
 			t.Fatalf("ObserveRTT error mismatch: %v vs %v", sample.Err, work[len(work)-1].err0)
 		}
