@@ -234,7 +234,9 @@ func BenchmarkDeltaDiffApply(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		delta := atlas.Diff(d0, d1)
 		cp := d0.Clone()
-		cp.Apply(delta)
+		if err := cp.Apply(delta); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -89,7 +89,9 @@ func TestWrittenDeltaIsFollowable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Apply(dd)
+	if err := ref.Apply(dd); err != nil {
+		t.Fatal(err)
+	}
 	refEngine := core.New(ref, core.INanoOptions())
 
 	w := sim.NewWorld(sim.Tiny, 42)

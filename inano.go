@@ -212,6 +212,10 @@ func (c *Client) publish(cur, next *core.Engine) {
 // A delta that moves nothing routes are computed from (a same-day push of
 // corrections, say) leaves the warm prediction-tree cache in place; after
 // any other, one goroutine rebuilds the trees that were resident (publish).
+// A delta applies only to the exact atlas it was coded against: one coded
+// against another is refused with an error that wraps atlas.ErrDeltaBase
+// (atlas.ErrDeltaIndex for an index past a table), and the client keeps
+// serving what it served.
 func (c *Client) ApplyDelta(r io.Reader) error {
 	d, err := atlas.DecodeDelta(r)
 	if err != nil {
@@ -223,7 +227,20 @@ func (c *Client) ApplyDelta(r io.Reader) error {
 	if d.FromDay != cur.Day() {
 		return fmt.Errorf("inano: delta is day %d->%d but atlas is day %d", d.FromDay, d.ToDay, cur.Day())
 	}
-	next, stats := c.apply(cur, d)
+	shipped := cur.Flat().ShippedClusters()
+	next, stats, err := c.apply(cur, d)
+	if err != nil {
+		return fmt.Errorf("inano: delta day %d->%d refused: %w", d.FromDay, d.ToDay, err)
+	}
+	// The day's new clusters went in at the shipped count, and the local
+	// ones moved up past them.
+	if grown := int32(stats.ClustersAdded); grown > 0 {
+		for p, id := range c.localCluster {
+			if id >= shipped {
+				c.localCluster[p] = id + grown
+			}
+		}
+	}
 	// Stats first: whoever sees the new day also sees what the roll did.
 	c.lastRoll.Store(&stats)
 	c.publish(cur, next)
@@ -238,13 +255,17 @@ func (c *Client) ApplyDelta(r io.Reader) error {
 // engine adopts cur's warm prediction-tree cache; otherwise it starts cold.
 // The trees hold link-table indexes, which such a roll leaves as they were:
 // with no link or cluster change, Apply lays the table out edge for edge.
-func (c *Client) apply(cur *core.Engine, d *Delta) (*core.Engine, RollStats) {
-	next, st := cur.Flat().Apply(d)
+// A delta Flat.Apply refuses leaves cur serving, and its error comes back.
+func (c *Client) apply(cur *core.Engine, d *Delta) (*core.Engine, RollStats, error) {
+	next, st, err := cur.Flat().Apply(d)
+	if err != nil {
+		return nil, RollStats{}, err
+	}
 	if st.LinksChanged()+st.ClustersAdded+st.LossSet+st.LossCleared+
 		st.TuplesAdded+st.TuplesRemoved+st.PrefixesRehomed == 0 {
-		return core.NewWithCache(next, c.opts, cur), st
+		return core.NewWithCache(next, c.opts, cur), st, nil
 	}
-	return core.NewFromFlat(next, c.opts), st
+	return core.NewFromFlat(next, c.opts), st, nil
 }
 
 // LastRoll reports what the most recently applied delta changed; ok is

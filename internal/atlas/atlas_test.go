@@ -218,7 +218,9 @@ func TestDiffApplyInvariant(t *testing.T) {
 		t.Fatal("no delta between consecutive days; churn inert")
 	}
 	applied := d0.Clone()
-	applied.Apply(delta)
+	if err := applied.Apply(delta); err != nil {
+		t.Fatal(err)
+	}
 	if applied.Day != d1.Day {
 		t.Fatalf("day %d after apply, want %d", applied.Day, d1.Day)
 	}
@@ -290,12 +292,13 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	if got.FromDay != delta.FromDay || got.ToDay != delta.ToDay {
 		t.Fatalf("delta header mismatch")
 	}
-	if len(got.UpLinks) != len(delta.UpLinks) ||
-		len(got.DelLinks) != len(delta.DelLinks) ||
+	// Removals and re-annotations of base links come back as indices.
+	if len(got.UpLinks)+len(got.refs.reLinks) != len(delta.UpLinks) ||
+		len(got.refs.delLinks) != len(delta.DelLinks) ||
 		len(got.UpLoss) != len(delta.UpLoss) ||
 		len(got.AddTuples) != len(delta.AddTuples) ||
-		len(got.DelTuples) != len(delta.DelTuples) {
-		t.Fatalf("delta shape mismatch: %d/%d links, %d/%d dels", len(got.UpLinks), len(delta.UpLinks), len(got.DelLinks), len(delta.DelLinks))
+		len(got.refs.delTuples) != len(delta.DelTuples) {
+		t.Fatalf("delta shape mismatch: %d+%d/%d links, %d/%d dels", len(got.UpLinks), len(got.refs.reLinks), len(delta.UpLinks), len(got.refs.delLinks), len(delta.DelLinks))
 	}
 	for _, k := range delta.AddTuples {
 		found := false

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -37,8 +38,15 @@ const (
 	// 3-tuple's (b, c), each preference's (b, c) and each provider is its
 	// index in a row of that graph (relcode.go); and the cluster → AS,
 	// prefix → cluster and interface → cluster values are zigzag
-	// differences from the value before. The delta stream is v4's.
+	// differences from the value before.
 	atlasVersion = 5
+	// deltaVersion 6 splits the delta stream's version from the atlas
+	// stream's (v2-v5 shared one) and codes the delta against the base
+	// atlas it patches: the delta names its base (day, shipped cluster
+	// count, a CRC-32 of its index spaces), and each removal and each
+	// re-annotation of a base link is an index into one of the base's
+	// sorted tables instead of a key (see baseName).
+	deltaVersion = 6
 
 	// maxDecodedBytes caps how far Decode will inflate a stream. Real
 	// atlases decompress to tens of megabytes; the cap only exists so a
@@ -127,6 +135,11 @@ func (w *sectionWriter) uvarint(v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)
 	w.buf.Write(tmp[:n])
+}
+
+// fixed32 writes v as four little-endian bytes.
+func (w *sectionWriter) fixed32(v uint32) {
+	w.buf.Write(binary.LittleEndian.AppendUint32(nil, v))
 }
 
 // column writes one field of n records: col(i) for record i.
@@ -240,9 +253,14 @@ type wireReader struct {
 	clusters int32
 }
 
-// openWire starts reading a stream that begins with magic and atlasVersion.
-// what names the stream in errors.
-func openWire(in io.Reader, magic, what string) (*wireReader, error) {
+// ErrVersion is the refusal of a stream written in another version of its
+// format than this binary reads: an atlas not of atlasVersion, a delta not of
+// deltaVersion.
+var ErrVersion = errors.New("unsupported version")
+
+// openWire starts reading a stream that begins with magic and version. what
+// names the stream in errors.
+func openWire(in io.Reader, magic, what string, version uint64) (*wireReader, error) {
 	gz, err := gzip.NewReader(in)
 	if err != nil {
 		return nil, fmt.Errorf("atlas: not a compressed %s: %w", what, err)
@@ -261,8 +279,8 @@ func openWire(in io.Reader, magic, what string) (*wireReader, error) {
 		r.off = len(magic)
 		if ver := r.uvarint(); r.err != nil {
 			r.err = fmt.Errorf("truncated version: %w", r.err)
-		} else if ver != atlasVersion {
-			r.fail("unsupported version %d", ver)
+		} else if ver != version {
+			r.fail("%w %d", ErrVersion, ver)
 		}
 	}
 	if r.err != nil {
@@ -281,6 +299,20 @@ func (r *wireReader) fill() {
 		n, r.srcErr = r.src.Read(r.buf[r.end:])
 		r.end += n
 	}
+}
+
+// fixed32 reads four bytes as a little-endian uint32.
+func (r *wireReader) fixed32() uint32 {
+	if r.end-r.off < 4 && r.srcErr == nil {
+		r.fill()
+	}
+	if r.err != nil || r.end-r.off < 4 {
+		r.readFailed(0)
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(r.buf[r.off:])
+	r.off += 4
+	return v
 }
 
 func (r *wireReader) uvarint() uint64 {
@@ -795,7 +827,7 @@ func observedTTL[K any](r *wireReader) func(K, uint64) uint8 {
 // before them; a record count past maxSectionRecords; a key that does not
 // ascend; and whatever readSection finds out of range.
 func parseAtlas(in io.Reader) (*wireAtlas, error) {
-	r, err := openWire(in, atlasMagic, "atlas")
+	r, err := openWire(in, atlasMagic, "atlas", atlasVersion)
 	if err != nil {
 		return nil, err
 	}

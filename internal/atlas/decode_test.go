@@ -340,9 +340,10 @@ func TestDecodeDeltaRejectsBomb(t *testing.T) {
 		name, complaint string
 		raw             []byte
 	}{
-		{"over the inflate limit", "decode limit", gzipOf(t, body(atlasVersion, 0, 1), maxDecodedBytes)},
+		{"over the inflate limit", "decode limit", gzipOf(t, body(deltaVersion, 0, 1), maxDecodedBytes)},
+		// After the base's name (a cluster count, four checksum bytes),
 		// UpLinks claims 2^40 records; the zeros behind it would be 17M links.
-		{"lying count", "exceeds limit", gzipOf(t, body(atlasVersion, 0, 1, 1<<40), maxDecodedBytes+4<<20)},
+		{"lying count", "exceeds limit", gzipOf(t, body(deltaVersion, 0, 1, 0, 0, 0, 0, 0, 1<<40), maxDecodedBytes+4<<20)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if len(tc.raw) > 128<<10 {
@@ -362,23 +363,24 @@ func TestDecodeDeltaRejectsBomb(t *testing.T) {
 
 // TestDecodeDeltaKeepsHostileLists pins the delta door's leniency: lists
 // come back in stream order with their repeats, out-of-range IDs and all,
-// for Flat.Apply to put in order.
+// for Flat.Apply to put in order — index lists too, which Apply resolves
+// against its base and refuses only past a table's end.
 func TestDecodeDeltaKeepsHostileLists(t *testing.T) {
 	ups := []Link{{From: 3, To: 1, LatencyMS: 1, Planes: 1}, {From: 1, To: 3, LatencyMS: 2, Planes: 2}, {From: 3, To: 1, LatencyMS: 3, Planes: 1}}
-	d, err := DecodeDelta(bytes.NewReader(rawDelta(t, 0, 1, ups, []uint64{9, 5, 5}, []uint64{4, 4})))
+	d, err := DecodeDelta(bytes.NewReader(rawDelta(t, baseName{}, 1, ups, &deltaRefs{delLinks: []uint64{9, 5, 5}}, []uint64{4, 4})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(d.UpLinks, ups) {
 		t.Fatalf("UpLinks = %v, want %v", d.UpLinks, ups)
 	}
-	if want := []uint64{9, 5, 5}; !slices.Equal(d.DelLinks, want) {
-		t.Fatalf("DelLinks = %v, want %v", d.DelLinks, want)
+	if want := []uint64{9, 5, 5}; !slices.Equal(d.refs.delLinks, want) {
+		t.Fatalf("removed link indices = %v, want %v", d.refs.delLinks, want)
 	}
 	if want := []uint64{4, 4}; !slices.Equal(d.AddTuples, want) {
 		t.Fatalf("AddTuples = %v, want %v", d.AddTuples, want)
 	}
-	up := &Delta{ToDay: 1, UpPrefixCluster: map[netsim.Prefix]cluster.ClusterID{1: 1 << 20}}
+	up := onBase(New(), &Delta{ToDay: 1, UpPrefixCluster: map[netsim.Prefix]cluster.ClusterID{1: 1 << 20}})
 	var buf bytes.Buffer
 	if err := up.Encode(&buf); err != nil {
 		t.Fatal(err)

@@ -2,10 +2,16 @@ package atlas
 
 import (
 	"bytes"
+	"cmp"
 	"compress/gzip"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"inano/internal/cluster"
 	"inano/internal/netsim"
@@ -72,7 +78,263 @@ type Delta struct {
 	// LocalAdjust sets client-local residual corrections (AdjustMS), after
 	// any day-roll decay. Only the client's own traceroute merge fills it:
 	// like AdjustMS itself it never travels, so Encode does not write it.
+	// A delta that carries it and names no base is a client's local merge:
+	// Flat.Apply keeps the links and clusters it creates out of the base a
+	// later delta names (see Flat.ShippedClusters).
 	LocalAdjust map[netsim.Prefix]float32
+
+	// base names the atlas the delta was diffed against or, decoded, the
+	// atlas its indices point into; Apply refuses the delta on any other.
+	// A hand-built delta names none and is applied by its keys alone.
+	base *baseName
+	// from is Diff's base, its tables as atlasBase lays them out: what
+	// Encode codes against.
+	from *Flat
+	// refs are a decoded delta's removals and re-annotations, still indices
+	// into the base's tables: Apply resolves them.
+	refs *deltaRefs
+}
+
+// Refusals of a delta at Apply.
+var (
+	// ErrDeltaBase refuses a delta coded against another atlas than the one
+	// it is applied to: another day, shipped cluster count or index spaces.
+	ErrDeltaBase = errors.New("atlas: delta is coded against another base atlas")
+	// ErrDeltaIndex refuses a delta with an index past the end of the base
+	// table it points into.
+	ErrDeltaIndex = errors.New("atlas: delta index past the end of its base table")
+	// errNoBase refuses to encode a delta with nothing to code it against.
+	errNoBase = errors.New("atlas: encoding a delta needs its base: diff it, or decode it")
+)
+
+// baseName is how a delta names the atlas it is coded against: the day, the
+// shipped cluster count and a CRC-32 of the three index spaces.
+type baseName struct {
+	day      int
+	clusters int32
+	crc      uint32
+}
+
+// A delta is coded against three index spaces of its base's serving form:
+// the CSR link table over the shipped clusters (by To, then From, each
+// edge's latency beside, which a re-annotation is a difference from),
+// LossKeys and Tuples. A base is a Flat whose tables hold them: a client's
+// own Flat (Flat.deltaBase), or the tables Compile would lay out for a map
+// atlas (atlasBase), which a test holds equal.
+
+// baseName names b: a CRC-32 of the little-endian bytes of its shipped
+// bucket bounds, their sources, its loss keys and its tuples, in that order.
+func (b *Flat) baseName() baseName {
+	n := b.ShippedClusters()
+	crc := crcTable(0, b.EdgeStart[:n+1])
+	crc = crcTable(crc, b.EdgeFrom[:b.EdgeStart[n]])
+	crc = crcTable(crc, b.LossKeys)
+	crc = crcTable(crc, b.Tuples)
+	return baseName{day: int(b.Day), clusters: n, crc: crc}
+}
+
+// crcTable folds the little-endian bytes of a table into crc: a byte view of
+// the table on a little-endian host, a copy on another.
+func crcTable[T ~uint32 | ~int32 | ~uint64](crc uint32, s []T) uint32 {
+	if len(s) == 0 {
+		return crc
+	}
+	if hostLittleEndian {
+		return crc32.Update(crc, crc32.IEEETable, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0]))))
+	}
+	b, _ := binary.Append(nil, binary.LittleEndian, s) // fixed-size elements: cannot fail
+	return crc32.Update(crc, crc32.IEEETable, b)
+}
+
+// baseEdges returns how many links b ships: the edges of its shipped
+// buckets, each an index a delta may name.
+func (b *Flat) baseEdges() uint64 { return uint64(b.EdgeStart[b.ShippedClusters()]) }
+
+// baseEdge returns the index of the shipped link from->to in b's edge order,
+// and whether b has it.
+func (b *Flat) baseEdge(from, to cluster.ClusterID) (uint64, bool) {
+	if to < 0 || int32(to) >= b.ShippedClusters() {
+		return 0, false
+	}
+	lo, hi := b.EdgeStart[to], b.EdgeStart[to+1]
+	j, ok := slices.BinarySearch(b.EdgeFrom[lo:hi], from)
+	return uint64(lo) + uint64(j), ok
+}
+
+// baseLinks returns a function that gives b's edge i, which must be below
+// baseEdges. Asked in ascending order, as a delta's indices come, it
+// gallops on from the bucket of the edge before.
+func (b *Flat) baseLinks() func(i uint64) Link {
+	w := 0
+	return func(i uint64) Link {
+		w = seek(b.EdgeStart[1:], w, uint32(i+1)) // the first bucket ending past i
+		return Link{From: b.EdgeFrom[i], To: cluster.ClusterID(w), LatencyMS: b.EdgeLat[i]}
+	}
+}
+
+// atlasBase lays out the tables a delta is coded against as Compile(a) lays
+// them out, and no others: the in-space links counting-sorted by To as
+// finish sorts them, each bucket keeping Links' order, LossKeys and Tuples.
+func atlasBase(a *Atlas) *Flat {
+	n := max(a.NumClusters, 0)
+	inSpace := func(l *Link) bool { return l.From >= 0 && int(l.From) < n && l.To >= 0 && int(l.To) < n }
+	start := make([]uint32, n+1)
+	for i := range a.Links {
+		if inSpace(&a.Links[i]) {
+			start[a.Links[i].To+1]++
+		}
+	}
+	for w := 0; w < n; w++ {
+		start[w+1] += start[w]
+	}
+	from := make([]cluster.ClusterID, start[n])
+	lat := make([]float32, start[n])
+	next := slices.Clone(start[:n])
+	for i := range a.Links {
+		if l := &a.Links[i]; inSpace(l) {
+			from[next[l.To]], lat[next[l.To]] = l.From, l.LatencyMS
+			next[l.To]++
+		}
+	}
+	return &Flat{Day: int32(a.Day), NumClusters: int32(n), EdgeStart: start, EdgeFrom: from, EdgeLat: lat,
+		LossKeys: sortedKeys(a.Loss), Tuples: sortedKeys(a.Tuples)}
+}
+
+// deltaRefs are the records of a delta that name their base's entries by
+// index: links removed and re-annotated (edge indices; a re-annotation
+// carries its quantised latency as a difference from the base edge's, and
+// its planes), loss annotations removed (LossKeys indices) and 3-tuples
+// removed (Tuples indices).
+type deltaRefs struct {
+	delLinks, delLoss, delTuples []uint64
+	reLinks                      []uint64
+	reLat                        []int64
+	rePlanes                     []uint8
+}
+
+func (r *deltaRefs) entries() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.delLinks) + len(r.delLoss) + len(r.delTuples) + len(r.reLinks)
+}
+
+// coded returns what Encode writes of d's link, loss and tuple changes coded
+// against the base b: the removals and the re-annotations of base links as
+// indices, and the upserts of links b lacks, which stay keyed. A removal of
+// a key b lacks removes nothing, and is left out.
+func coded(b *Flat, d *Delta) (*deltaRefs, []Link) {
+	refs := &deltaRefs{}
+	type re struct {
+		i uint64
+		l Link
+	}
+	var res []re
+	var news []Link
+	for _, l := range d.UpLinks {
+		if i, ok := b.baseEdge(l.From, l.To); ok {
+			res = append(res, re{i, l})
+		} else {
+			news = append(news, l)
+		}
+	}
+	// The last upsert of an edge stands for it, as Apply keeps it.
+	slices.SortStableFunc(res, func(x, y re) int { return cmp.Compare(x.i, y.i) })
+	for j, r := range res {
+		if j+1 < len(res) && res[j+1].i == r.i {
+			continue
+		}
+		refs.reLinks = append(refs.reLinks, r.i)
+		refs.reLat = append(refs.reLat, int64(quantLat(r.l.LatencyMS))-int64(quantLat(b.EdgeLat[r.i])))
+		refs.rePlanes = append(refs.rePlanes, r.l.Planes)
+	}
+	for _, k := range d.DelLinks {
+		if i, ok := b.baseEdge(cluster.ClusterID(uint32(k>>32)), cluster.ClusterID(uint32(k))); ok {
+			refs.delLinks = append(refs.delLinks, i)
+		}
+	}
+	refs.delLoss = indicesIn(b.LossKeys, d.DelLoss)
+	refs.delTuples = indicesIn(b.Tuples, d.DelTuples)
+	refs.delLinks = slices.Compact(slices.Sorted(slices.Values(refs.delLinks)))
+	return refs, news
+}
+
+// indicesIn returns where each of keys stands in the sorted table, ascending
+// and once each, leaving out a key the table lacks.
+func indicesIn(table, keys []uint64) []uint64 {
+	var out []uint64
+	for _, k := range keys {
+		if i, ok := slices.BinarySearch(table, k); ok {
+			out = append(out, uint64(i))
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// local reports whether d is a client's own merge (see LocalAdjust).
+func (d *Delta) local() bool { return d.LocalAdjust != nil && d.base == nil }
+
+// resolve returns d with every record that names a base entry by index
+// turned into its key, against base, which it calls only when d names a
+// base: a delta that names none is returned as it is. It refuses a delta
+// that names another base than base's, and an index past its table. d is
+// not modified: the result is a copy where it differs.
+func (d *Delta) resolve(base func() *Flat) (*Delta, error) {
+	if d.base == nil {
+		return d, nil
+	}
+	b := base()
+	if got := b.baseName(); got != *d.base {
+		return nil, fmt.Errorf("%w: it names day %d, %d clusters, spaces %08x; the atlas is day %d, %d clusters, spaces %08x",
+			ErrDeltaBase, d.base.day, d.base.clusters, d.base.crc, got.day, got.clusters, got.crc)
+	}
+	if d.refs.entries() == 0 {
+		return d, nil
+	}
+	r := *d
+	r.refs = nil
+	r.UpLinks = make([]Link, 0, len(d.refs.reLinks)+len(d.UpLinks))
+	link, edges := b.baseLinks(), b.baseEdges()
+	for j, i := range d.refs.reLinks {
+		if i >= edges {
+			return nil, fmt.Errorf("%w: re-annotated link index %d, table of %d", ErrDeltaIndex, i, edges)
+		}
+		l := link(i)
+		q := int64(quantLat(l.LatencyMS)) + d.refs.reLat[j]
+		if q < 0 {
+			return nil, fmt.Errorf("%w: it re-annotates link (%d,%d) to a latency below zero", ErrDeltaBase, l.From, l.To)
+		}
+		l.LatencyMS, l.Planes = unquantLat(uint64(q)), d.refs.rePlanes[j]
+		r.UpLinks = append(r.UpLinks, l)
+	}
+	// The keyed upserts come last: of a key given both ways, they win.
+	r.UpLinks = append(r.UpLinks, d.UpLinks...)
+	// keys returns keys with the key of each of idx, key(i), after them.
+	keys := func(what string, keys, idx []uint64, n uint64, key func(i uint64) uint64) ([]uint64, error) {
+		out := append(make([]uint64, 0, len(keys)+len(idx)), keys...)
+		for _, i := range idx {
+			if i >= n {
+				return nil, fmt.Errorf("%w: %s index %d, table of %d", ErrDeltaIndex, what, i, n)
+			}
+			out = append(out, key(i))
+		}
+		return out, nil
+	}
+	var err error
+	if r.DelLinks, err = keys("removed link", d.DelLinks, d.refs.delLinks, edges,
+		func(i uint64) uint64 { l := link(i); return LinkKey(l.From, l.To) }); err != nil {
+		return nil, err
+	}
+	if r.DelLoss, err = keys("removed loss annotation", d.DelLoss, d.refs.delLoss, uint64(len(b.LossKeys)),
+		func(i uint64) uint64 { return b.LossKeys[i] }); err != nil {
+		return nil, err
+	}
+	if r.DelTuples, err = keys("removed 3-tuple", d.DelTuples, d.refs.delTuples, uint64(len(b.Tuples)),
+		func(i uint64) uint64 { return b.Tuples[i] }); err != nil {
+		return nil, err
+	}
+	return &r, nil
 }
 
 // Diff computes the delta that transforms old's daily datasets into new's.
@@ -172,15 +434,19 @@ func Diff(old, next *Atlas) *Delta {
 		}
 	}
 	sort.Slice(d.DelIfaceCluster, func(i, j int) bool { return d.DelIfaceCluster[i] < d.DelIfaceCluster[j] })
+	d.from = atlasBase(old)
+	name := d.from.baseName()
+	d.base = &name
 	return d
 }
 
-// Entries returns the total record count of the delta.
+// Entries returns the total record count of the delta, the records a
+// decoded delta still names by index included.
 func (d *Delta) Entries() int {
 	return len(d.UpLinks) + len(d.DelLinks) + len(d.UpLoss) + len(d.DelLoss) +
 		len(d.AddTuples) + len(d.DelTuples) + len(d.UpAdjust) + len(d.DelAdjust) +
 		len(d.AddClusterAS) + len(d.UpPrefixCluster) + len(d.DelPrefixCluster) +
-		len(d.UpIfaceCluster) + len(d.DelIfaceCluster) + len(d.LocalAdjust)
+		len(d.UpIfaceCluster) + len(d.DelIfaceCluster) + len(d.LocalAdjust) + d.refs.entries()
 }
 
 // Apply updates a in place. Applying Diff(a, b) to a makes a's daily
@@ -188,9 +454,15 @@ func (d *Delta) Entries() int {
 // growth, and prefix attachments; the build-side observed-lifetime tables
 // are archive metadata and do not travel). This is the build side's apply
 // and the oracle Flat.Apply is tested against; a serving client rolls its
-// compiled form with Flat.Apply and never comes here.
-func (a *Atlas) Apply(d *Delta) {
+// compiled form with Flat.Apply and never comes here. It refuses, leaving a
+// as it was, a delta that names another base than a (ErrDeltaBase) or an
+// index past a's tables (ErrDeltaIndex).
+func (a *Atlas) Apply(d *Delta) error {
 	mapOps.applies.Add(1)
+	d, err := d.resolve(func() *Flat { return atlasBase(a) })
+	if err != nil {
+		return err
+	}
 	// Cluster growth first: everything below may reference the new IDs.
 	if len(d.AddClusterAS) > 0 {
 		a.ClusterAS = append(a.ClusterAS, d.AddClusterAS...)
@@ -296,14 +568,30 @@ func (a *Atlas) Apply(d *Delta) {
 		a.AdjustMS[p] = v
 	}
 	a.Day = d.ToDay
+	return nil
 }
 
 const deltaMagic = "INANODLT"
 
-// Encode writes the delta as a gzip-compressed binary stream, every list in
-// key order. An upsert of a key given more than once is written once, as
-// its last occurrence: the one Apply keeps.
+// Encode writes the delta as a gzip-compressed binary stream, coded against
+// its base: the base's name, then every list in key order, with each
+// removal and each re-annotation of a base link written as its index in the
+// base's table (see baseName). An upsert of a key given more than once is
+// written once, as its last occurrence: the one Apply keeps. Only a delta
+// from Diff, which holds its base, or from DecodeDelta, whose records are
+// coded already, can be encoded; a keyed removal added to a decoded delta
+// cannot.
 func (d *Delta) Encode(w io.Writer) error {
+	var refs *deltaRefs
+	ups := d.UpLinks
+	switch {
+	case d.from != nil:
+		refs, ups = coded(d.from, d)
+	case d.refs != nil && len(d.DelLinks)+len(d.DelLoss)+len(d.DelTuples) == 0:
+		refs = d.refs
+	default:
+		return errNoBase
+	}
 	gz := gzip.NewWriter(w)
 	if _, err := gz.Write([]byte(deltaMagic)); err != nil {
 		return err
@@ -311,15 +599,20 @@ func (d *Delta) Encode(w io.Writer) error {
 	var sw sectionWriter
 	attach := func(c cluster.ClusterID) uint64 { return uint64(uint32(c)) }
 	keys := func(ks []uint64, split uint) { writeTable(&sw, slices.Sorted(slices.Values(ks)), split) }
-	sw.uvarint(atlasVersion)
+	sw.uvarint(deltaVersion)
 	sw.uvarint(uint64(d.FromDay))
 	sw.uvarint(uint64(d.ToDay))
-	writeLinks(&sw, d.UpLinks)
-	keys(d.DelLinks, splitPair)
+	sw.uvarint(uint64(d.base.clusters))
+	sw.fixed32(d.base.crc)
+	writeLinks(&sw, ups)
+	writeTable(&sw, refs.reLinks, unsplit,
+		func(i int) uint64 { return zigzag(refs.reLat[i]) },
+		func(i int) uint64 { return uint64(refs.rePlanes[i]) })
+	writeTable(&sw, refs.delLinks, unsplit)
 	writeMap(&sw, d.UpLoss, splitPair, quantLoss)
-	keys(d.DelLoss, splitPair)
+	writeTable(&sw, refs.delLoss, unsplit)
 	keys(d.AddTuples, splitTriple)
-	keys(d.DelTuples, splitTriple)
+	writeTable(&sw, refs.delTuples, unsplit)
 	writeMap(&sw, d.UpAdjust, unsplit, quantAdj)
 	keys(d.DelAdjust, unsplit)
 	sw.uvarint(uint64(len(d.AddClusterAS)))
@@ -337,11 +630,15 @@ func (d *Delta) Encode(w io.Writer) error {
 // DecodeDelta reads a delta produced by Encode, through the parser and
 // under the limits of an atlas stream: the inflate cap, the record-count
 // cap on every list, growth only as bytes back it, the checksum and the
-// trailer. Its lists are kept in the order and with the repeats they
-// arrive in — Flat.Apply puts them in order — and a link pair written once
-// comes back as its two links, the reverse right after the other.
+// trailer. A stream of another version is refused with ErrVersion. Its
+// lists are kept in the order and with the repeats they arrive in —
+// Flat.Apply puts them in order — and a link pair written once comes back
+// as its two links, the reverse right after the other. The records written
+// as indices come back unresolved: the exported lists hold the keyed
+// records only, and Apply resolves the rest against the base the delta
+// names, or refuses it.
 func DecodeDelta(in io.Reader) (*Delta, error) {
-	r, err := openWire(in, deltaMagic, "delta")
+	r, err := openWire(in, deltaMagic, "delta", deltaVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -350,13 +647,19 @@ func DecodeDelta(in io.Reader) (*Delta, error) {
 		return k
 	}
 	attach := plain[netsim.Prefix](func(u uint64) cluster.ClusterID { return cluster.ClusterID(uint32(u)) })
-	d := &Delta{FromDay: int(r.uvarint()), ToDay: int(r.uvarint())}
+	d := &Delta{FromDay: int(r.uvarint()), ToDay: int(r.uvarint()), refs: &deltaRefs{}}
+	d.base = &baseName{day: d.FromDay, clusters: int32(r.count())}
+	d.base.crc = r.fixed32()
 	d.UpLinks = readLinks(r)
-	d.DelLinks = keys(splitPair)
+	d.refs.reLinks, d.refs.reLat = readTable(r, unsplit, plain[uint64](unzigzag))
+	for i := 0; i < len(d.refs.reLinks) && r.err == nil; i++ {
+		d.refs.rePlanes = append(d.refs.rePlanes, uint8(r.uvarint()))
+	}
+	d.refs.delLinks = keys(unsplit)
 	d.UpLoss = tableMap(readTable(r, splitPair, plain[uint64](unquantLoss)))
-	d.DelLoss = keys(splitPair)
+	d.refs.delLoss = keys(unsplit)
 	d.AddTuples = keys(splitTriple)
-	d.DelTuples = keys(splitTriple)
+	d.refs.delTuples = keys(unsplit)
 	d.UpAdjust = tableMap(readTable(r, unsplit, foldBounded(r)))
 	d.DelAdjust = keys(unsplit)
 	d.AddClusterAS = readASNs(r, func(u uint64) netsim.ASN { return netsim.ASN(u) })

@@ -70,7 +70,9 @@ func TestDiffApplyPropertyRandomAtlases(t *testing.T) {
 		}
 		d := Diff(a, b)
 		got := a.Clone()
-		got.Apply(d)
+		if got.Apply(d) != nil {
+			return false
+		}
 		if got.Day != b.Day || len(got.Links) != len(b.Links) {
 			return false
 		}
@@ -116,10 +118,10 @@ func TestDiffApplyPropertyRandomAtlases(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return len(d2.UpLinks) == len(d.UpLinks) &&
-			len(d2.DelLinks) == len(d.DelLinks) &&
+		return len(d2.UpLinks)+len(d2.refs.reLinks) == len(d.UpLinks) &&
+			len(d2.refs.delLinks) == len(d.DelLinks) &&
 			len(d2.AddTuples) == len(d.AddTuples) &&
-			len(d2.DelTuples) == len(d.DelTuples)
+			len(d2.refs.delTuples) == len(d.DelTuples)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -180,10 +182,26 @@ func sameFlat(t testing.TB, got, want *Flat) {
 
 // mapPath is the oracle Flat.Apply is held to: back to maps, the map apply,
 // a new compile.
-func mapPath(f *Flat, d *Delta) *Flat {
+func mapPath(f *Flat, d *Delta) (*Flat, error) {
 	a := f.Inflate()
-	a.Apply(d)
-	return Compile(a)
+	if err := a.Apply(d); err != nil {
+		return nil, err
+	}
+	return Compile(a), nil
+}
+
+// applied is f.Apply(d), and the map path's Flat for d, for a delta both
+// must accept.
+func applied(t testing.TB, f *Flat, d *Delta) (got, want *Flat, st RollStats) {
+	t.Helper()
+	got, st, err := f.Apply(d)
+	if err != nil {
+		t.Fatalf("flat apply: %v", err)
+	}
+	if want, err = mapPath(f, d); err != nil {
+		t.Fatalf("map apply: %v", err)
+	}
+	return got, want, st
 }
 
 // hostile adds to d what a well-behaved build never ships but an untrusted
@@ -271,11 +289,11 @@ func TestFlatApplyMatchesMapPath(t *testing.T) {
 		f := Compile(a)
 		step := func(name string, d *Delta) {
 			t.Helper()
-			got, st := f.Apply(d)
+			got, want, st := applied(t, f, d)
 			if err := got.Validate(); err != nil {
 				t.Fatalf("seed %d %s: result fails Validate: %v", seed, name, err)
 			}
-			sameFlat(t, got, mapPath(f, d))
+			sameFlat(t, got, want)
 			if st.ToDay != d.ToDay || st.ClustersAdded != int(got.NumClusters-f.NumClusters) {
 				t.Fatalf("seed %d %s: stats %+v do not describe the roll", seed, name, st)
 			}
@@ -383,7 +401,7 @@ func TestFlatApplyDecaysLocalCorrections(t *testing.T) {
 	a.AdjustMS[netsim.Prefix(111)] = -0.9 // halves to under the epsilon
 	a.GlobalAdjustMS[netsim.Prefix(111)] = 2
 	a.AdjustMS[netsim.Prefix(112)] = 0.6
-	f, st := Compile(a).Apply(&Delta{FromDay: 0, ToDay: 1})
+	f, _, st := applied(t, Compile(a), &Delta{FromDay: 0, ToDay: 1})
 	if st.LocalDecayed != 1 || st.LocalDropped != 2 {
 		t.Fatalf("decayed %d dropped %d, want 1 and 2", st.LocalDecayed, st.LocalDropped)
 	}
@@ -406,9 +424,9 @@ func TestFlatApplyOwnsItsMemory(t *testing.T) {
 	a := makeRandomAtlas(rng, 0)
 	addMonthlyAndCorrections(rng, a)
 	d := Diff(a, makeRandomAtlas(rng, 1))
-	got, _ := Compile(a).Apply(d)
+	got, _, _ := applied(t, Compile(a), d)
 	in := Compile(a)
-	aliased, _ := in.Apply(d)
+	aliased, _, _ := in.Apply(d)
 	v := reflect.ValueOf(in).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		if fv := v.Field(i); fv.Kind() == reflect.Slice && v.Type().Field(i).IsExported() {
@@ -425,11 +443,11 @@ func TestFlatApplyOwnsItsMemory(t *testing.T) {
 func TestFlatApplyFromEmpty(t *testing.T) {
 	f := Compile(New())
 	d := Diff(New(), makeRandomAtlas(rand.New(rand.NewSource(9)), 1))
-	got, st := f.Apply(d)
-	sameFlat(t, got, mapPath(f, d))
+	got, want, st := applied(t, f, d)
+	sameFlat(t, got, want)
 	if st.ClustersAdded != int(got.NumClusters) || st.LinksAdded != got.NumEdges() {
 		t.Fatalf("stats %+v for a table of %d clusters and %d links", st, got.NumClusters, got.NumEdges())
 	}
-	same, _ := f.Apply(&Delta{})
-	sameFlat(t, same, mapPath(f, &Delta{}))
+	same, want, _ := applied(t, f, &Delta{})
+	sameFlat(t, same, want)
 }

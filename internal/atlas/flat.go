@@ -119,6 +119,14 @@ type Flat struct {
 	// buildIndex after Compile or a codec decode, never serialized, and
 	// never aliases the mmap; the sorted slices stay the canonical form.
 	idx flatIndex
+
+	// What a client's own traceroute merges added, which the builder never
+	// shipped: the links they created (CSR keys, LinkKey(to, from),
+	// ascending) and the clusters they appended, the last localClusters of
+	// the space. A delta's index spaces and base name leave both out (see
+	// deltaBase). Heap only: WriteFlat does not write them.
+	localLinks    []uint64
+	localClusters int32
 }
 
 // Per-edge flag bits in EdgeFlags.

@@ -49,47 +49,143 @@ func (s RollStats) LinksChanged() int {
 // f is not modified and the result shares no memory with it, so f may be
 // a read-only file mapping that is closed once the result is published.
 // f must satisfy Validate, as every Flat from Compile, ReadFlat, OpenFlat
-// or Apply does. d is untrusted: out-of-range cluster IDs are skipped as
-// Compile skips them, unsorted or duplicated key lists are put in order
+// or Apply does. d is untrusted and is not modified: a delta that names
+// another base than f is refused with ErrDeltaBase, and one with an index
+// past f's tables with ErrDeltaIndex; out-of-range cluster IDs are skipped
+// as Compile skips them, unsorted or duplicated key lists are put in order
 // first, and the result always satisfies Validate.
-func (f *Flat) Apply(d *Delta) (*Flat, RollStats) {
+//
+// A client's local merge (see Delta.LocalAdjust) is recorded as such: the
+// links it creates and the clusters it appends stay out of the base every
+// later delta names. Any other delta is the builder's: it names clusters
+// only below the shipped count, its growth goes in there, and the local
+// clusters move up past it (see ShippedClusters). There the result is not
+// the map path's, which knows nothing local.
+func (f *Flat) Apply(d *Delta) (*Flat, RollStats, error) {
 	start := time.Now()
+	local := d.local()
+	d, err := d.resolve(f.deltaBase)
+	if err != nil {
+		return nil, RollStats{}, err
+	}
 	st := RollStats{FromDay: d.FromDay, ToDay: d.ToDay}
-	nf := &Flat{Day: int32(d.ToDay)}
-	nf.ClusterAS = append(cloneTable(f.ClusterAS), d.AddClusterAS...)
-	nf.NumClusters = max(f.NumClusters, int32(len(nf.ClusterAS)))
+	base, grow := f, d.AddClusterAS
+	if !local && f.localClusters > 0 && len(grow) > 0 {
+		base, grow = f.withGrowth(grow), nil
+	}
+	nf := &Flat{Day: int32(d.ToDay), localClusters: base.localClusters}
+	nf.ClusterAS = append(cloneTable(base.ClusterAS), grow...)
+	nf.NumClusters = max(base.NumClusters, int32(len(nf.ClusterAS)))
 	st.ClustersAdded = int(nf.NumClusters - f.NumClusters)
+	// The cluster space d's IDs may name: all of it for a local merge, the
+	// shipped clusters for the builder's delta.
+	space := nf.NumClusters
+	if local {
+		nf.localClusters += nf.NumClusters - base.NumClusters
+	} else {
+		space -= nf.localClusters
+	}
 
 	// The monthly datasets do not travel in a delta.
-	nf.PrefixASKeys, nf.PrefixASVals = cloneTable(f.PrefixASKeys), cloneTable(f.PrefixASVals)
-	nf.Prefs = cloneTable(f.Prefs)
-	nf.Providers = cloneTable(f.Providers)
-	nf.RelKeys, nf.RelVals = cloneTable(f.RelKeys), cloneTable(f.RelVals)
-	nf.LateExit = cloneTable(f.LateExit)
-	nf.DegKeys, nf.DegVals = cloneTable(f.DegKeys), cloneTable(f.DegVals)
+	nf.PrefixASKeys, nf.PrefixASVals = cloneTable(base.PrefixASKeys), cloneTable(base.PrefixASVals)
+	nf.Prefs = cloneTable(base.Prefs)
+	nf.Providers = cloneTable(base.Providers)
+	nf.RelKeys, nf.RelVals = cloneTable(base.RelKeys), cloneTable(base.RelVals)
+	nf.LateExit = cloneTable(base.LateExit)
+	nf.DegKeys, nf.DegVals = cloneTable(base.DegKeys), cloneTable(base.DegVals)
 
 	var added, changed, removed int
 	upLossK, upLossV := sortedTable(d.UpLoss)
 	nf.LossKeys, nf.LossVals, added, changed, st.LossCleared =
-		mergeTable(f.LossKeys, f.LossVals, strictKeys(d.DelLoss), upLossK, upLossV)
+		mergeTable(base.LossKeys, base.LossVals, strictKeys(d.DelLoss), upLossK, upLossV)
 	st.LossSet = added + changed
 	nf.Tuples, _, st.TuplesAdded, _, st.TuplesRemoved =
-		mergeTable[uint64, struct{}](f.Tuples, nil, strictKeys(d.DelTuples), strictKeys(d.AddTuples), nil)
-	upK, upV := clusterUpserts(d.UpPrefixCluster, nf.NumClusters)
+		mergeTable[uint64, struct{}](base.Tuples, nil, strictKeys(d.DelTuples), strictKeys(d.AddTuples), nil)
+	upK, upV := clusterUpserts(d.UpPrefixCluster, space)
 	nf.PrefixClKeys, nf.PrefixClVals, added, changed, removed =
-		mergeTable(f.PrefixClKeys, f.PrefixClVals, prefixKeys(d.DelPrefixCluster), upK, upV)
+		mergeTable(base.PrefixClKeys, base.PrefixClVals, prefixKeys(d.DelPrefixCluster), upK, upV)
 	st.PrefixesRehomed = added + changed + removed
-	upK, upV = clusterUpserts(d.UpIfaceCluster, nf.NumClusters)
+	upK, upV = clusterUpserts(d.UpIfaceCluster, space)
 	nf.IfaceKeys, nf.IfaceVals, _, _, _ =
-		mergeTable(f.IfaceKeys, f.IfaceVals, prefixKeys(d.DelIfaceCluster), upK, upV)
+		mergeTable(base.IfaceKeys, base.IfaceVals, prefixKeys(d.DelIfaceCluster), upK, upV)
 
-	f.mergeAdjust(nf, d, &st)
-	f.mergeLinks(nf, d, &st)
+	base.mergeAdjust(nf, d, &st)
+	base.mergeLinks(nf, d, space, local, &st)
 	// The monthly tables' indexes are f's own, shared as they stand.
 	nf.idx = f.idx
 	nf.buildDailyIndex()
 	st.Duration = time.Since(start)
-	return nf, st
+	return nf, st, nil
+}
+
+// ShippedClusters returns the size of the cluster space the builder
+// shipped: NumClusters without the clusters local merges appended after it.
+// A client that allocates local cluster IDs renumbers them up by the
+// clusters a day roll adds (RollStats.ClustersAdded), as Apply does.
+func (f *Flat) ShippedClusters() int32 { return f.NumClusters - f.localClusters }
+
+// deltaBase returns the base a delta applied to f is coded against (see
+// baseName): f itself, unless a local merge created links; then a Flat of
+// f's link table without them, and of copies of its loss keys and tuples.
+func (f *Flat) deltaBase() *Flat {
+	if len(f.localLinks) == 0 {
+		return f
+	}
+	n := f.ShippedClusters()
+	b := &Flat{Day: f.Day, NumClusters: n, LossKeys: slices.Clone(f.LossKeys), Tuples: slices.Clone(f.Tuples)}
+	b.EdgeStart = make([]uint32, n+1)
+	b.EdgeFrom, b.EdgeLat = make([]cluster.ClusterID, 0, f.EdgeStart[n]), make([]float32, 0, f.EdgeStart[n])
+	li := 0
+	for w := range n {
+		b.EdgeStart[w] = uint32(len(b.EdgeFrom))
+		for ei := f.EdgeStart[w]; ei < f.EdgeStart[w+1]; ei++ {
+			k := LinkKey(cluster.ClusterID(w), f.EdgeFrom[ei])
+			if li = seek(f.localLinks, li, k); li < len(f.localLinks) && f.localLinks[li] == k {
+				continue
+			}
+			b.EdgeFrom, b.EdgeLat = append(b.EdgeFrom, f.EdgeFrom[ei]), append(b.EdgeLat, f.EdgeLat[ei])
+		}
+	}
+	b.EdgeStart[n] = uint32(len(b.EdgeFrom))
+	return b
+}
+
+// withGrowth returns f with the builder's new clusters, of ASes as, put in
+// at the shipped count and f's local clusters renumbered up past them in
+// every table that names a cluster: what the builder's delta that grows the
+// space is merged into when f holds local clusters. The renumbering keeps
+// every table in order (it moves the local IDs up together), and the tables
+// that name no cluster are f's own.
+func (f *Flat) withGrowth(as []netsim.ASN) *Flat {
+	s, k := f.ShippedClusters(), int32(len(as))
+	up := func(c cluster.ClusterID) cluster.ClusterID {
+		if int32(c) >= s {
+			return c + cluster.ClusterID(k)
+		}
+		return c
+	}
+	upKey := func(key uint64) uint64 {
+		return LinkKey(up(cluster.ClusterID(uint32(key>>32))), up(cluster.ClusterID(uint32(key))))
+	}
+	g := *f
+	g.NumClusters += k
+	g.ClusterAS = slices.Concat(f.ClusterAS[:s], as, f.ClusterAS[s:])
+	g.EdgeStart = slices.Concat(f.EdgeStart[:s], slices.Repeat(f.EdgeStart[s:s+1], int(k)), f.EdgeStart[s:])
+	g.EdgeFrom = mapTable(f.EdgeFrom, up)
+	g.PrefixClVals = mapTable(f.PrefixClVals, up)
+	g.IfaceVals = mapTable(f.IfaceVals, up)
+	g.LossKeys = mapTable(f.LossKeys, upKey)
+	g.localLinks = mapTable(f.localLinks, upKey)
+	return &g
+}
+
+// mapTable returns a copy of s with fn applied to each entry.
+func mapTable[T any](s []T, fn func(T) T) []T {
+	out := make([]T, len(s))
+	for i, v := range s {
+		out[i] = fn(v)
+	}
+	return out
 }
 
 // cloneTable copies s into memory of its own; the copy is never nil, as no
@@ -123,7 +219,8 @@ func prefixKeys(keys []uint64) []netsim.Prefix {
 }
 
 // clusterUpserts lays a delta's prefix -> cluster upserts out in key order,
-// without those that would attach outside the cluster space [0, n).
+// without those that would attach outside the cluster space [0, n) they may
+// name.
 func clusterUpserts(m map[netsim.Prefix]cluster.ClusterID, n int32) ([]netsim.Prefix, []cluster.ClusterID) {
 	keys, vals := sortedTable(m)
 	w := 0
@@ -260,13 +357,15 @@ func (f *Flat) mergeAdjust(nf *Flat, d *Delta, st *RollStats) {
 // with d.UpLinks upserted (an upsert wins over a deletion of its key): a
 // merge of each of f's buckets, in strictly ascending From order as
 // Validate holds them, with that bucket's upserts, so every bucket of nf
-// is in that order too. A carried edge keeps its flags (its clusters' ASes
-// cannot change in a delta); a new edge gets them from f's own late-exit
-// table, which no delta touches. EdgeLoss is rewritten from nf's already
-// merged loss table.
-func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
+// is in that order too. Upserts name clusters below space. A carried edge
+// keeps its flags (its clusters' ASes cannot change in a delta); a new edge
+// gets them from f's own late-exit table, which no delta touches. EdgeLoss
+// is rewritten from nf's already merged loss table. nf.localLinks is f's,
+// without the links removed, with those a local merge creates, and without
+// those the builder's delta upserts: the builder has shipped them now.
+func (f *Flat) mergeLinks(nf *Flat, d *Delta, space int32, local bool, st *RollStats) {
 	n := int(nf.NumClusters)
-	inRange := func(c cluster.ClusterID) bool { return c >= 0 && int(c) < n }
+	inRange := func(c cluster.ClusterID) bool { return c >= 0 && int32(c) < space }
 
 	// In-range upserts, counting-sorted by destination cluster: upStart[w]
 	// bounds bucket w's, still in the delta's own order.
@@ -302,16 +401,26 @@ func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 	lat := make([]float32, size)
 	planes := make([]uint8, size)
 	flags := make([]uint8, size)
-	o := 0
-	carry := func(ei uint32, latMS float32, pl uint8) {
+	o, li := 0, 0 // li: where the last carried edge's key stands in f.localLinks
+	carry := func(w int, ei uint32, latMS float32, pl uint8, upserted bool) {
 		from[o], lat[o], planes[o], flags[o] = f.EdgeFrom[ei], latMS, pl, f.EdgeFlags[ei]
 		o++
+		if len(f.localLinks) == 0 {
+			return
+		}
+		k := LinkKey(cluster.ClusterID(w), f.EdgeFrom[ei])
+		if li = seek(f.localLinks, li, k); li < len(f.localLinks) && f.localLinks[li] == k && (local || !upserted) {
+			nf.localLinks = append(nf.localLinks, k)
+		}
 	}
 	create := func(l Link) {
 		from[o], lat[o], planes[o] = l.From, l.LatencyMS, l.Planes
 		flags[o] = f.edgeFlags(nf.ClusterAS[l.From], nf.ClusterAS[l.To])
 		o++
 		st.LinksAdded++
+		if local {
+			nf.localLinks = append(nf.localLinks, LinkKey(l.To, l.From))
+		}
 	}
 
 	di := 0
@@ -341,7 +450,7 @@ func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 				if up[ui].LatencyMS != f.EdgeLat[ei] || up[ui].Planes != f.EdgePlanes[ei] {
 					st.LinksRetagged++
 				}
-				carry(ei, up[ui].LatencyMS, up[ui].Planes)
+				carry(w, ei, up[ui].LatencyMS, up[ui].Planes, true)
 				ui++
 				continue
 			}
@@ -353,7 +462,7 @@ func (f *Flat) mergeLinks(nf *Flat, d *Delta, st *RollStats) {
 				st.LinksRemoved++
 				continue
 			}
-			carry(ei, f.EdgeLat[ei], f.EdgePlanes[ei])
+			carry(w, ei, f.EdgeLat[ei], f.EdgePlanes[ei], false)
 		}
 		for ; nextUp(); ui++ {
 			create(up[ui])

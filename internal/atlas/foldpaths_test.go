@@ -241,7 +241,9 @@ func TestDeltaShipsClusterGrowthAndIfaceClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := old.Clone()
-	got.Apply(d2)
+	if err := got.Apply(d2); err != nil {
+		t.Fatal(err)
+	}
 	if got.NumClusters != 7 || len(got.ClusterAS) != 7 || got.ClusterAS[6] != 12 {
 		t.Fatalf("cluster growth did not apply: %d %v", got.NumClusters, got.ClusterAS)
 	}
@@ -265,7 +267,9 @@ func TestApplyRejectsOutOfSpaceAttachment(t *testing.T) {
 		UpPrefixCluster: map[netsim.Prefix]cluster.ClusterID{netsim.Prefix(888): 42},
 		UpIfaceCluster:  map[netsim.Prefix]cluster.ClusterID{netsim.Prefix(432): 42},
 	}
-	a.Apply(d)
+	if err := a.Apply(d); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := a.PrefixCluster[netsim.Prefix(888)]; ok {
 		t.Fatal("attachment outside the cluster space must not apply")
 	}

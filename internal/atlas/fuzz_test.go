@@ -3,6 +3,7 @@ package atlas
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"io"
 	"math/rand"
 	"slices"
@@ -72,23 +73,28 @@ func checkAtlasDecode(t *testing.T, data []byte) bool {
 	return true
 }
 
-// rawDelta hand-assembles an encoded delta whose UpLinks, DelLinks and
-// AddTuples are written as given — Encode sorts what it writes, keeps one
-// upsert a key and pairs each link with its reverse, so this is the only way
-// to a stream whose lists come unsorted, repeated, or with both directions
-// of a link written out.
-func rawDelta(tb testing.TB, fromDay, toDay uint64, upLinks []Link, delLinks, addTuples []uint64) []byte {
+// rawDelta hand-assembles an encoded delta over the base base names, whose
+// keyed UpLinks and AddTuples and whose index lists are written as given —
+// Encode sorts what it writes, keeps one upsert a key and pairs each link
+// with its reverse, so this is the only way to a stream whose lists come
+// unsorted, repeated, or with both directions of a link written out.
+func rawDelta(tb testing.TB, base baseName, toDay uint64, upLinks []Link, refs *deltaRefs, addTuples []uint64) []byte {
 	tb.Helper()
 	var sw sectionWriter
-	sw.uvarint(atlasVersion)
-	sw.uvarint(fromDay)
+	sw.uvarint(deltaVersion)
+	sw.uvarint(uint64(base.day))
 	sw.uvarint(toDay)
+	sw.uvarint(uint64(base.clusters))
+	sw.fixed32(base.crc)
 	linkRecords(upLinks, nil)(&sw)
-	writeTable(&sw, delLinks, splitPair)
+	writeTable(&sw, refs.reLinks, unsplit,
+		func(i int) uint64 { return zigzag(refs.reLat[i]) },
+		func(i int) uint64 { return uint64(refs.rePlanes[i]) })
+	writeTable(&sw, refs.delLinks, unsplit)
 	sw.uvarint(0) // UpLoss
-	sw.uvarint(0) // DelLoss
+	writeTable(&sw, refs.delLoss, unsplit)
 	writeTable(&sw, addTuples, splitTriple)
-	sw.uvarint(0) // DelTuples
+	writeTable(&sw, refs.delTuples, unsplit)
 	sw.uvarint(0) // UpAdjust
 	sw.uvarint(0) // DelAdjust
 	sw.uvarint(0) // AddClusterAS
@@ -114,6 +120,15 @@ func gzipped(tb testing.TB, magic string, body []byte) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// onBase gives a hand-built delta the base a Diff against a would: what
+// Encode codes it against, and the name it carries.
+func onBase(a *Atlas, d *Delta) *Delta {
+	d.from = atlasBase(a)
+	name := d.from.baseName()
+	d.base = &name
+	return d
 }
 
 // repeatedUpserts is a delta over day0 that upserts keys more than once and
@@ -148,7 +163,10 @@ func FuzzDeltaApply(f *testing.F) {
 
 // deltaSeeds returns the flat a delta seed applies to and the seeds: a real
 // day 0 -> 1 delta, repeated and reversed upserts, IDs past the cluster
-// space, lists unsorted and repeated, an empty delta and no bytes at all.
+// space, keyed lists unsorted and repeated, an empty delta and no bytes at
+// all; and, against the base's index spaces, a delta over a base that
+// differs from it in one 3-tuple, an index one past the end of each table,
+// indices repeated and indices unsorted.
 func deltaSeeds(tb testing.TB) (*Flat, [][]byte) {
 	day0, _, _ := buildTestAtlas(tb, 1, 0)
 	day1, _, _ := buildTestAtlas(tb, 1, 1)
@@ -162,40 +180,73 @@ func deltaSeeds(tb testing.TB) (*Flat, [][]byte) {
 		seeds = append(seeds, buf.Bytes())
 	}
 	add(Diff(day0, day1))
-	add(repeatedUpserts(day0))
-	add(&Delta{ToDay: 1, // IDs at and past the end of the cluster space
+	add(onBase(day0, repeatedUpserts(day0)))
+	add(onBase(day0, &Delta{ToDay: 1, // IDs at and past the end of the cluster space
 		UpLinks:         []Link{{From: n, To: 0, LatencyMS: 1, Planes: 1}, {From: 0, To: n + 7, LatencyMS: 1, Planes: 1}, {From: n + 7, To: 0, LatencyMS: 2, Planes: 2}},
 		UpLoss:          map[uint64]float32{LinkKey(n, 0): 0.5},
 		UpPrefixCluster: map[netsim.Prefix]cluster.ClusterID{1: n, 2: n + 1000},
 		UpIfaceCluster:  map[netsim.Prefix]cluster.ClusterID{3: n},
 		AddClusterAS:    []netsim.ASN{7},
-	})
+	}))
+	other := day0.Clone() // the same day, one 3-tuple different
+	for k := range other.Tuples {
+		delete(other.Tuples, k)
+		other.Tuples[k^1] = true
+		break
+	}
+	add(Diff(other, day1))
+
+	b := atlasBase(day0)
+	name := b.baseName()
+	edges, loss, tuples := b.baseEdges(), uint64(len(b.LossKeys)), uint64(len(b.Tuples))
 	l := day0.Links[0]
-	k := LinkKey(l.From, l.To)
 	seeds = append(seeds,
-		rawDelta(tb, 0, 1, // unsorted and repeated, both directions of a link written out
+		rawDelta(tb, name, 1, // unsorted and repeated, both directions of a link written out
 			[]Link{{From: n - 1, To: 0, LatencyMS: 3, Planes: 1}, l, {From: l.To, To: l.From, LatencyMS: 1, Planes: 2}, {From: n - 1, To: 0, LatencyMS: 4, Planes: 2}},
-			[]uint64{k + 5, k, k}, []uint64{9, 9, 5, 5}),
-		rawDelta(tb, 0, 0, nil, nil, nil), // nothing at all, inside the day
-		[]byte{})
+			&deltaRefs{}, []uint64{9, 9, 5, 5}),
+		rawDelta(tb, name, 0, nil, &deltaRefs{}, nil), // nothing at all, inside the day
+		[]byte{},
+		rawDelta(tb, name, 1, nil, &deltaRefs{reLinks: []uint64{edges}, reLat: []int64{1}, rePlanes: []uint8{1}}, nil),
+		rawDelta(tb, name, 1, nil, &deltaRefs{delLinks: []uint64{edges}}, nil),
+		rawDelta(tb, name, 1, nil, &deltaRefs{delLoss: []uint64{loss}}, nil),
+		rawDelta(tb, name, 1, nil, &deltaRefs{delTuples: []uint64{tuples}}, nil),
+		rawDelta(tb, name, 1, nil, &deltaRefs{ // every index twice
+			reLinks: []uint64{2, 2}, reLat: []int64{5, -5}, rePlanes: []uint8{1, 3},
+			delLinks: []uint64{3, 3}, delLoss: []uint64{0, 0}, delTuples: []uint64{4, 4},
+		}, nil),
+		rawDelta(tb, name, 1, nil, &deltaRefs{ // every list descending
+			reLinks: []uint64{7, 2}, reLat: []int64{1, 2}, rePlanes: []uint8{1, 2},
+			delLinks: []uint64{9, 3}, delLoss: []uint64{1, 0}, delTuples: []uint64{7, 1},
+		}, nil))
 	return Compile(day0), seeds
 }
 
 // checkDeltaApply holds a day roll to one untrusted delta: whatever
-// DecodeDelta accepts, Flat.Apply must merge into base without panicking,
-// into a Flat that passes Validate and equals, field for field, what the
-// map path (Inflate, Atlas.Apply, Compile) makes of the same delta. It
-// reports whether the delta was accepted.
+// DecodeDelta accepts, Flat.Apply and the map path (Inflate, Atlas.Apply,
+// Compile) must both refuse, with a named error, or both merge into base
+// without panicking — Flat.Apply into a Flat that passes Validate and
+// equals, field for field, the map path's. It reports whether the delta was
+// accepted.
 func checkDeltaApply(t *testing.T, base *Flat, data []byte) bool {
 	d, err := DecodeDelta(bytes.NewReader(data))
 	if err != nil {
 		return false
 	}
-	got, st := base.Apply(d)
+	got, st, err := base.Apply(d)
+	want, mapErr := mapPath(base, d)
+	if (err == nil) != (mapErr == nil) {
+		t.Fatalf("flat apply: %v; map apply: %v", err, mapErr)
+	}
+	if err != nil {
+		if !errors.Is(err, ErrDeltaBase) && !errors.Is(err, ErrDeltaIndex) {
+			t.Fatalf("refused without a named error: %v", err)
+		}
+		return false
+	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("applied flat fails Validate: %v", err)
 	}
-	sameFlat(t, got, mapPath(base, d))
+	sameFlat(t, got, want)
 	if st.LinksAdded-st.LinksRemoved != got.NumEdges()-base.NumEdges() {
 		t.Fatalf("stats say links +%d -%d, the table went %d -> %d", st.LinksAdded, st.LinksRemoved, base.NumEdges(), got.NumEdges())
 	}

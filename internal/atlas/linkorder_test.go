@@ -93,7 +93,9 @@ func TestLinkOrderInvariant(t *testing.T) {
 		checkLinkOrder(t, "Clone", clone)
 
 		next := makeRandomAtlas(rng, round+1)
-		clone.Apply(Diff(a, next))
+		if err := clone.Apply(Diff(a, next)); err != nil {
+			t.Fatal(err)
+		}
 		checkLinkOrder(t, "Apply", clone)
 
 		folded := a.Clone()

@@ -90,7 +90,9 @@ func TestBuildDeltaWithObservationsShipsCorrections(t *testing.T) {
 		t.Fatal(err)
 	}
 	clientAtlas := prev.Clone()
-	clientAtlas.Apply(back)
+	if err := clientAtlas.Apply(back); err != nil {
+		t.Fatal(err)
+	}
 	if clientAtlas.Day != 5 {
 		t.Fatalf("day = %d", clientAtlas.Day)
 	}
@@ -115,7 +117,9 @@ func TestBuildDeltaWithObservationsShipsCorrections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientAtlas.Apply(back2)
+	if err := clientAtlas.Apply(back2); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := clientAtlas.GlobalAdjustMS[200]; ok {
 		t.Fatal("deleted correction survived the delta")
 	}
@@ -155,9 +159,9 @@ func TestDecodeRejectsOutOfBoundCorrections(t *testing.T) {
 		t.Fatal("atlas with out-of-bound correction decoded")
 	}
 
-	d := &Delta{FromDay: 4, ToDay: 5,
+	d := onBase(obsTestAtlas(), &Delta{FromDay: 4, ToDay: 5,
 		UpLoss:   map[uint64]float32{},
-		UpAdjust: map[netsim.Prefix]float32{100: -MaxObservationFoldMS * 2}}
+		UpAdjust: map[netsim.Prefix]float32{100: -MaxObservationFoldMS * 2}})
 	var dbuf bytes.Buffer
 	if err := d.Encode(&dbuf); err != nil {
 		t.Fatal(err)
@@ -213,13 +217,17 @@ func TestAdjustDecayAcrossDayRolls(t *testing.T) {
 	}
 
 	// A same-day (re-)apply must NOT decay: nothing structural changed.
-	a.Apply(roll(4, 4))
+	if err := a.Apply(roll(4, 4)); err != nil {
+		t.Fatal(err)
+	}
 	if a.AdjustMS[100] != 8 || a.AdjustMS[200] != -0.9 {
 		t.Fatalf("same-day apply decayed corrections: %v", a.AdjustMS)
 	}
 
 	// Day roll 1: both halve; -0.45 falls below the 0.5 epsilon and drops.
-	a.Apply(roll(4, 5))
+	if err := a.Apply(roll(4, 5)); err != nil {
+		t.Fatal(err)
+	}
 	if got := a.AdjustMS[100]; got != 4 {
 		t.Fatalf("after one roll: %v, want 4", got)
 	}
@@ -230,7 +238,9 @@ func TestAdjustDecayAcrossDayRolls(t *testing.T) {
 	// A multi-day sequence of rolls erases the rest: 4 -> 2 -> 1 -> 0.5
 	// -> gone (0.25 < epsilon after the halving).
 	for d := 5; d < 9; d++ {
-		a.Apply(roll(d, d+1))
+		if err := a.Apply(roll(d, d+1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(a.AdjustMS) != 0 {
 		t.Fatalf("corrections survived a multi-day roll: %v", a.AdjustMS)
@@ -240,7 +250,9 @@ func TestAdjustDecayAcrossDayRolls(t *testing.T) {
 	// stream manages their lifecycle explicitly.
 	b := obsTestAtlas()
 	b.GlobalAdjustMS[100] = 8
-	b.Apply(roll(4, 5))
+	if err := b.Apply(roll(4, 5)); err != nil {
+		t.Fatal(err)
+	}
 	if got := b.GlobalAdjustMS[100]; got != 8 {
 		t.Fatalf("global correction decayed locally: %v", got)
 	}

@@ -187,8 +187,12 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("delta %d: %d bytes re-encode to %d other bytes", i, len(db), len(again))
 		}
 		want, via := atlases[i-1].Clone(), atlases[i-1].Clone()
-		want.Apply(d)
-		via.Apply(wire)
+		if err := want.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := via.Apply(wire); err != nil {
+			t.Fatal(err)
+		}
 		sameShipped(t, "delta", via, want)
 	}
 }
@@ -255,7 +259,7 @@ func TestEncodeKeepsLastUpsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Compile(day0)
-	direct, _ := base.Apply(d)
-	via, _ := base.Apply(wire)
+	direct, _, _ := applied(t, base, d)
+	via, _, _ := applied(t, base, wire)
 	sameFlat(t, via, direct)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	inano "inano"
@@ -98,11 +99,14 @@ func CollectResiduals(l *Lab, day int, reporters []netsim.Prefix, dsts []netsim.
 // ScoreDelta applies d to the day-`from` atlas and scores src's held-out
 // validation pairs against day-`to` ground truth, returning the mean
 // capped relative RTT error, how many pairs had a prediction, and the
-// workload size.
+// workload size. d must be diffed against that atlas: it panics on a delta
+// the atlas refuses, which would score the wrong day.
 func ScoreDelta(l *Lab, from, to int, src netsim.Prefix, d *atlas.Delta) (meanErr float64, answered, pairs int) {
 	a := l.Day(from).Atlas.Clone()
 	if d != nil {
-		a.Apply(d)
+		if err := a.Apply(d); err != nil {
+			panic(fmt.Sprintf("experiments: scoring a delta on day %d: %v", from, err))
+		}
 	}
 	return ScoreAtlas(l, from, to, src, a)
 }

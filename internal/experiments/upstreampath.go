@@ -147,7 +147,9 @@ func UpstreamStructure(l *Lab, reporters, minReporters int) UpstreamStructureRes
 
 	score := func(d *atlas.Delta) (float64, int) {
 		a := d0.Atlas.Clone()
-		a.Apply(d)
+		if err := a.Apply(d); err != nil {
+			panic(fmt.Sprintf("experiments: scoring a delta on day 0: %v", err)) // both are diffed against d0
+		}
 		snap := inano.FromAtlas(a).Snapshot()
 		sum, answered := 0.0, 0
 		for _, w := range work {

@@ -44,7 +44,10 @@ func applied(t *testing.T, f *atlas.Flat, local map[netsim.Prefix]int32, trs []T
 	if len(d.DelLinks)+len(d.DelPrefixCluster)+len(d.UpAdjust)+len(d.DelAdjust)+len(d.UpLoss) != 0 {
 		t.Fatalf("a merge only adds, tags and sets local corrections: %+v", d)
 	}
-	nf, _ := f.Apply(d)
+	nf, _, err := f.Apply(d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := nf.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -80,8 +80,10 @@ func partitionScenario() Scenario {
 				if !rep.Check(err == nil, "%s decoded delta: %v", who, err) {
 					return false
 				}
-				a.Apply(d)
-				return true
+				// A delta applies only to its base: one applied out of order
+				// is refused (atlas.ErrDeltaBase).
+				err = a.Apply(d)
+				return rep.Check(err == nil, "%s applied delta day %d->%d: %v", who, d.FromDay, d.ToDay, err)
 			}
 
 			// Replica A follows the roll live: applies each delta as it ships.

@@ -103,7 +103,9 @@ func rollbackScenario() Scenario {
 				if !rep.Check(err == nil, "delta decodes: %v", err) {
 					return
 				}
-				client.Apply(d)
+				if err := client.Apply(d); !rep.Check(err == nil, "delta applies: %v", err) {
+					return
+				}
 			}
 			rep.Check(len(client.GlobalAdjustMS) == len(b3.GlobalAdjustMS),
 				"client converged to %d corrections, archive has %d", len(client.GlobalAdjustMS), len(b3.GlobalAdjustMS))

@@ -31,7 +31,10 @@ func (c *Client) AddTraceroutes(trs []LocalTraceroute) int {
 	if d.Entries() == 0 {
 		return 0
 	}
-	next, _ := c.apply(cur, d)
+	next, _, err := c.apply(cur, d)
+	if err != nil {
+		return 0 // cannot happen: a merge names no base, so nothing is refused
+	}
 	c.publish(cur, next)
 	return structural + residual
 }

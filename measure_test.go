@@ -209,7 +209,9 @@ func TestAddTraceroutesStaysFlat(t *testing.T) {
 			t.Fatalf("%s merge reported %d changes, its delta %d", name, merged, structural+residual)
 		}
 		ref := base.Inflate()
-		ref.Apply(d)
+		if err := ref.Apply(d); err != nil {
+			t.Fatal(err)
+		}
 		got, want := sweep(c), sweep(FromFlat(atlas.Compile(ref)))
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {

@@ -3,6 +3,8 @@ package inano
 import (
 	"bytes"
 	"context"
+	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -79,7 +81,9 @@ func TestDeltaRollMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.Apply(d)
+		if err := ref.Apply(d); err != nil {
+			t.Fatal(err)
+		}
 		want := core.New(ref, core.INanoOptions())
 		answered := 0
 		for _, src := range vps {
@@ -97,6 +101,131 @@ func TestDeltaRollMatchesReference(t *testing.T) {
 			t.Fatalf("after delta %d the sweep answered nothing", i)
 		}
 	}
+}
+
+// TestApplyDeltaRefusesWrongBase: a delta applies only to the atlas it was
+// coded against. One diffed against an atlas of the same day that differs
+// in a single 3-tuple is refused by name, and the client serves on, on the
+// day it had; the delta diffed against its own atlas then applies.
+func TestApplyDeltaRefusesWrongBase(t *testing.T) {
+	_, vps, days, deltas := dayChain(t, 145, 1)
+	other := days[0].Clone()
+	for k := range other.Tuples {
+		delete(other.Tuples, k)
+		other.Tuples[k^1] = true
+		break
+	}
+	c := FromAtlas(days[0])
+	before := queryPair(c, vps[0], vps[1])
+	err := c.ApplyDelta(bytes.NewReader(encodeDelta(t, atlas.Diff(other, days[1]))))
+	if !errors.Is(err, atlas.ErrDeltaBase) {
+		t.Fatalf("a delta over another day-0 atlas: %v", err)
+	}
+	if _, ok := c.LastRoll(); ok || c.Snapshot().Day() != 0 || !reflect.DeepEqual(queryPair(c, vps[0], vps[1]), before) {
+		t.Fatal("a refused delta changed what the client serves")
+	}
+	mustApply(t, c, deltas[0])
+}
+
+// TestWireGrowthSkipsLocalClusters is the regression test for a day's new
+// clusters landing on a client's local ones. A traceroute merge appends
+// local clusters past the shipped count; the builder, which never saw
+// them, numbers the day's new clusters from that same count. The roll must
+// put the new ones in there, with the builder's ASes, and move the local
+// clusters, and the client's own record of them, up past them.
+func TestWireGrowthSkipsLocalClusters(t *testing.T) {
+	w, vps, days, deltas := dayChain(t, 1, 1)
+	c := FromAtlas(days[0])
+	c.AddTraceroutes(realTraceroutes(&fixture{w: w, vps: vps, targets: w.EdgePrefixes()}, vps[0], 40))
+	shipped, next := int32(days[0].NumClusters), int32(days[1].NumClusters)
+	merged := c.Snapshot().e.Flat()
+	if merged.NumClusters == shipped || next == shipped {
+		t.Fatalf("nothing to collide: %d local clusters, %d grown", merged.NumClusters-shipped, next-shipped)
+	}
+	localAS := slices.Clone(merged.ClusterAS[shipped:])
+	localIDs := maps.Clone(c.localCluster)
+	mustApply(t, c, deltas[0])
+	rolled := c.Snapshot().e.Flat()
+	if !slices.Equal(rolled.ClusterAS[shipped:next], days[1].ClusterAS[shipped:]) {
+		t.Fatalf("the grown clusters carry ASes %v, the builder's are %v", rolled.ClusterAS[shipped:next], days[1].ClusterAS[shipped:])
+	}
+	if !slices.Equal(rolled.ClusterAS[next:], localAS) {
+		t.Fatalf("the local clusters carry ASes %v after the roll, %v before", rolled.ClusterAS[next:], localAS)
+	}
+	for p, id := range localIDs {
+		if want := id + next - shipped; c.localCluster[p] != want {
+			t.Fatalf("local cluster of %v is %d after the roll, want %d", p, c.localCluster[p], want)
+		}
+	}
+	for p, id := range c.localCluster {
+		if got, ok := rolled.ClusterOf(p); ok && got != cluster.ClusterID(id) {
+			t.Fatalf("%v attaches to cluster %d, its local cluster is %d", p, got, id)
+		}
+	}
+	// Every link into or out of a local cluster moved with it.
+	up := func(c cluster.ClusterID) cluster.ClusterID {
+		if int32(c) >= shipped {
+			return c + cluster.ClusterID(next-shipped)
+		}
+		return c
+	}
+	moved := 0
+	for _, l := range merged.Inflate().Links {
+		if int32(l.From) < shipped && int32(l.To) < shipped {
+			continue
+		}
+		moved++
+		if got, ok := rolled.LinkAt(up(l.From), up(l.To)); !ok || got.LatencyMS != l.LatencyMS || got.Planes != l.Planes {
+			t.Fatalf("local link %d->%d is %+v (%v) after the roll", l.From, l.To, got, ok)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no link touched a local cluster")
+	}
+}
+
+// TestLocalMergeThenRollMatchesKeyedDelta: a client that merged its own
+// traceroutes holds links and clusters the builder never shipped, and the
+// day's delta is coded against the builder's atlas. Applied off the wire,
+// indices and all, it makes the Flat — every field, the record of what is
+// local included — and the RollStats that the keyed delta Diff returns
+// makes applied in memory.
+func TestLocalMergeThenRollMatchesKeyedDelta(t *testing.T) {
+	w, vps, days, deltas := dayChain(t, 1, 1)
+	f := &fixture{w: w, vps: vps, targets: w.EdgePrefixes()}
+	c := FromAtlas(days[0])
+	c.AddTraceroutes(realTraceroutes(f, vps[0], 40))
+	c.AddTraceroutes(realTraceroutes(f, vps[1], 20))
+	merged := c.Snapshot().e.Flat()
+	if merged.ShippedClusters() == merged.NumClusters || merged.NumEdges() <= len(days[0].Links) {
+		t.Fatal("the merges added no local cluster or link")
+	}
+	keyed, keyedSt, err := merged.Apply(atlas.Diff(days[0], days[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := atlas.DecodeDelta(bytes.NewReader(deltas[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := merged.Apply(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Duration, keyedSt.Duration = 0, 0
+	if st != keyedSt || st.ClustersAdded == 0 || st.LinksRemoved+st.LinksRetagged == 0 {
+		t.Fatalf("RollStats off the wire %+v, of the keyed delta %+v", st, keyedSt)
+	}
+	if !reflect.DeepEqual(got, keyed) {
+		t.Fatal("the wire delta and the keyed delta make different Flats")
+	}
+	mustApply(t, c, deltas[0])
+	if !reflect.DeepEqual(c.Snapshot().e.Flat(), keyed) {
+		t.Fatal("the client's roll makes another Flat")
+	}
+	// The client can merge and roll on: the next merge finds its local
+	// clusters where the roll moved them.
+	c.AddTraceroutes(realTraceroutes(f, vps[0], 40))
 }
 
 // TestQueryDoesNotWaitForMutation parks a writer between having built the
@@ -209,7 +338,15 @@ func TestRollFreesTheMapping(t *testing.T) {
 func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 	_, vps, days, _ := dayChain(t, 143, 0)
 	src, dst := vps[0], vps[1]
-	correction := encodeDelta(t, &atlas.Delta{UpAdjust: map[Prefix]float32{dst: 12}})
+	// with returns a copy of a changed by edit: a delta is diffed against
+	// the atlas it patches.
+	with := func(a *atlas.Atlas, edit func(*atlas.Atlas)) *atlas.Atlas {
+		b := a.Clone()
+		edit(b)
+		return b
+	}
+	corrected := with(days[0], func(a *atlas.Atlas) { a.GlobalAdjustMS[dst] = 12 })
+	correction := encodeDelta(t, atlas.Diff(days[0], corrected))
 	warmUp := func(c *Client) CacheStats {
 		for _, d := range vps[1:] {
 			queryPair(c, src, d)
@@ -241,10 +378,9 @@ func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 	// done, every resident tree is one the new engine built (its counters
 	// started from zero and count nothing else), and the answers are those
 	// of a client that never had a cache.
-	retag := days[0].Links[0]
-	retag.Planes ^= atlas.PlaneFromSrc
+	retagged := with(corrected, func(a *atlas.Atlas) { a.Links[0].Planes ^= atlas.PlaneFromSrc })
 	wait := awaitWarm(c)
-	mustApply(t, c, encodeDelta(t, &atlas.Delta{UpLinks: []atlas.Link{retag}}))
+	mustApply(t, c, encodeDelta(t, atlas.Diff(corrected, retagged)))
 	wait()
 	if got := c.CacheStats(); got.Hits+got.Misses != 0 || got.Builds != uint64(got.Len) || got.Warmed != got.Builds || got.Len != warm.Len {
 		t.Fatalf("a re-tagged link kept trees built over the old planes: %+v -> %+v", warm, got)
@@ -259,11 +395,11 @@ func TestCorrectionOnlyDeltaKeepsTreeCache(t *testing.T) {
 	// The trees index the link table. An apply puts a table that was out
 	// of order in order, so even a correction-only delta must not carry
 	// trees across that.
-	reversed := days[0].Clone()
-	slices.Reverse(reversed.Links)
+	reversed := with(days[0], func(a *atlas.Atlas) { slices.Reverse(a.Links) })
 	cr := FromAtlas(reversed)
 	warmUp(cr)
-	if err := cr.ApplyDelta(bytes.NewReader(correction)); err != nil {
+	reversedCorrection := encodeDelta(t, atlas.Diff(reversed, with(reversed, func(a *atlas.Atlas) { a.GlobalAdjustMS[dst] = 12 })))
+	if err := cr.ApplyDelta(bytes.NewReader(reversedCorrection)); err != nil {
 		t.Fatal(err)
 	}
 	cold := FromFlat(cr.Snapshot().e.Flat())

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"inano/internal/atlas"
-	"inano/internal/cluster"
 	"inano/internal/core"
 	"inano/sim"
 )
@@ -212,7 +211,9 @@ func TestWarmRehomedPrefix(t *testing.T) {
 	if from == to {
 		t.Skip("the two vantage points share a cluster")
 	}
-	mustApply(t, c, encodeDelta(t, &atlas.Delta{UpPrefixCluster: map[Prefix]cluster.ClusterID{moved: to}}))
+	rehomed := days[0].Clone()
+	rehomed.PrefixCluster[moved] = to
+	mustApply(t, c, encodeDelta(t, atlas.Diff(days[0], rehomed)))
 	st := c.CacheStats()
 	if st.Warmed == 0 || st.Builds != st.Warmed {
 		t.Fatalf("after the re-homing roll: %+v", st)
