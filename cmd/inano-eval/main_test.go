@@ -90,7 +90,7 @@ func TestRunScaleBuildTiny(t *testing.T) {
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("scale build exited %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
-	for _, want := range []string{"0 load-path mismatches", "cold trees: ", "(heap in use after GC +", "peak RSS"} {
+	for _, want := range []string{"0 load-path mismatches", "cold trees: ", "(heap in use after GC +", "peak RSS", "  dataset Prefix to AS "} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}

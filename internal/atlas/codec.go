@@ -39,7 +39,14 @@ const (
 	// index in a row of that graph (relcode.go); and the cluster → AS,
 	// prefix → cluster and interface → cluster values are zigzag
 	// differences from the value before.
-	atlasVersion = 5
+	// atlasVersion 6 codes three more datasets against what comes before
+	// them: the prefix → AS section writes only the prefixes whose origin
+	// is not their attachment cluster's AS, the AS degrees section only the
+	// ASes whose degree is not the length of their row in the AS adjacency,
+	// and the links section each far end as its index among the clusters of
+	// its near end's AS and of that AS's neighbours (relcode.go). The
+	// sections are renumbered so that each follows what it is coded against.
+	atlasVersion = 6
 	// deltaVersion 6 splits the delta stream's version from the atlas
 	// stream's (v2-v5 shared one) and codes the delta against the base
 	// atlas it patches: the delta names its base (day, shipped cluster
@@ -58,6 +65,12 @@ const (
 	// low millions of entries), but small enough that a lying count is
 	// rejected before the decoder does any work on it.
 	maxSectionRecords = 1 << 22
+
+	// maxLatUnits bounds a link latency, in wire units of 0.01 ms: every
+	// latency below it (65 536 ms) quantises back to itself once decoded,
+	// which a re-annotation, a difference of quantised latencies, relies on.
+	// Both encoders and every decoder refuse one at or past it.
+	maxLatUnits = 1 << 16 * 100
 )
 
 // Where a keyed section splits its keys into a high and a low part (see
@@ -69,15 +82,16 @@ const (
 	unsplit     = 64 // a prefix, an AS number, a prefix kept as uint64
 )
 
-// Section identifiers (also the keys of SectionSizes).
+// Section identifiers (also the keys of SectionSizes), each after the
+// sections it is coded against (codedAgainst).
 const (
 	secClusterAS = iota
+	secRels
 	secLinks
 	secLoss
 	secPrefixCluster
 	secPrefixAS
 	secASDegree
-	secRels // before the three sets coded against it
 	secTuples
 	secPrefs
 	secProviders
@@ -88,6 +102,17 @@ const (
 	secIfaceCluster
 	numSections
 )
+
+// codedAgainst lists, for each section, the sections a reader must hold
+// before it, because the section is written against them.
+var codedAgainst = [numSections][]int{
+	secLinks:     {secClusterAS, secRels},
+	secPrefixAS:  {secClusterAS, secPrefixCluster},
+	secASDegree:  {secRels},
+	secTuples:    {secRels},
+	secPrefs:     {secRels},
+	secProviders: {secRels},
+}
 
 // SectionName returns the human-readable dataset name used in Table 2.
 func SectionName(sec int) string {
@@ -185,14 +210,19 @@ func writeMap[K ~uint32 | ~uint64, V any](w *sectionWriter, m map[K]V, split uin
 	writeTable(w, keys, split, func(i int) uint64 { return enc(m[keys[i]]) })
 }
 
-// writeLinks writes a links section. Each key is written once — the last of
-// a repeated key stands for it, as Apply keeps it — in (From, To) order, and
-// each pair of a link and its reverse once, from its lower key (its
-// lower-numbered From): the keys, a "reverse present" column of 0 or 1, the
-// latency and planes columns, then, for each record with its reverse
-// present, the reverse's latency as a zigzag difference from the record's
-// quantized latency, and the reverse's planes.
-func writeLinks(w *sectionWriter, links []Link) {
+// linkRec is one record of a links section: a link, and its reverse when
+// the two are written as one record.
+type linkRec struct {
+	Link
+	rev    Link
+	paired bool
+}
+
+// linkRecs returns the records a links section writes of links. Each key is
+// written once — the last of a repeated key stands for it, as Apply keeps
+// it — in (From, To) order, and each pair of a link and its reverse once,
+// from its lower key (its lower-numbered From).
+func linkRecs(links []Link) []linkRec {
 	key := func(l Link) uint64 { return LinkKey(l.From, l.To) }
 	links = slices.Clone(links)
 	slices.SortStableFunc(links, func(a, b Link) int { return cmp.Compare(key(a), key(b)) })
@@ -202,29 +232,140 @@ func writeLinks(w *sectionWriter, links []Link) {
 			uniq = append(uniq, l)
 		}
 	}
-	var keys, flags []uint64 // each record's key and "reverse present"
-	var recs []Link
-	var pairs [][2]Link // each record with its reverse present, and the reverse
+	var recs []linkRec
 	for _, l := range uniq {
 		k, rk := key(l), LinkKey(l.To, l.From)
 		j, found := slices.BinarySearchFunc(uniq, rk, func(l Link, k uint64) int { return cmp.Compare(key(l), k) })
-		flag := uint64(0)
 		switch {
 		case found && rk < k:
 			continue // written with its pair, from the other end
 		case found && k < rk:
-			flag, pairs = 1, append(pairs, [2]Link{l, uniq[j]})
+			recs = append(recs, linkRec{Link: l, rev: uniq[j], paired: true})
+		default:
+			recs = append(recs, linkRec{Link: l})
 		}
-		keys, flags, recs = append(keys, k), append(flags, flag), append(recs, l)
 	}
-	writeTable(w, keys, splitPair,
-		func(i int) uint64 { return flags[i] },
-		func(i int) uint64 { return quantLat(recs[i].LatencyMS) },
-		func(i int) uint64 { return uint64(recs[i].Planes) })
-	w.column(len(pairs), func(j int) uint64 {
-		return zigzag(int64(quantLat(pairs[j][1].LatencyMS) - quantLat(pairs[j][0].LatencyMS)))
+	return recs
+}
+
+// writeLinks writes a delta's links section: the records of links
+// (linkRecs) as keys (writeTable), then their columns (writeLinkCols).
+func writeLinks(w *sectionWriter, links []Link) {
+	recs := linkRecs(links)
+	writeTable(w, keysOf(recs), splitPair)
+	writeLinkCols(w, recs)
+}
+
+// keysOf returns the LinkKey of each record.
+func keysOf(recs []linkRec) []uint64 {
+	keys := make([]uint64, len(recs))
+	for i, rec := range recs {
+		keys[i] = LinkKey(rec.From, rec.To)
+	}
+	return keys
+}
+
+// writeLinkCols writes the columns of a links section that follow its
+// keys, in record order: a "reverse present" column of 0 or 1, the latency
+// and planes columns, then, for each record with its reverse present, the
+// reverse's latency as a zigzag difference from the record's quantized
+// latency, and the reverse's planes.
+func writeLinkCols(w *sectionWriter, recs []linkRec) {
+	w.column(len(recs), func(i int) uint64 {
+		if recs[i].paired {
+			return 1
+		}
+		return 0
 	})
-	w.column(len(pairs), func(j int) uint64 { return uint64(pairs[j][1].Planes) })
+	w.column(len(recs), func(i int) uint64 { return quantLat(recs[i].LatencyMS) })
+	w.column(len(recs), func(i int) uint64 { return uint64(recs[i].Planes) })
+	for _, rec := range recs {
+		if rec.paired {
+			w.uvarint(zigzag(int64(quantLat(rec.rev.LatencyMS) - quantLat(rec.LatencyMS))))
+		}
+	}
+	for _, rec := range recs {
+		if rec.paired {
+			w.uvarint(uint64(rec.rev.Planes))
+		}
+	}
+}
+
+// writeAtlasLinks writes an atlas's links section, whose far ends are coded
+// against the clusters of ClusterAS and the AS adjacency g: the record
+// count, each record's near end as its difference from the one before, then
+// each record's far end, then the columns of writeLinkCols. A far end is its
+// index among its near end's candidates (clusterGroups), as a difference from
+// the index before in the near end's run of records (from 0 for the first).
+// A far end that is no candidate is an escape: the difference that lands on
+// the number of candidates, then the cluster itself. A run's records come in
+// the order of their indices, the escapes last, by cluster.
+func writeAtlasLinks(w *sectionWriter, links []Link, clusterAS []netsim.ASN, g *asGraph) {
+	recs := linkRecs(links)
+	cg := newClusterGroups(clusterAS, g)
+	group, rank := make([]int32, len(clusterAS)), make([]int, len(clusterAS)) // each cluster's, and its place in it
+	for h := range len(cg.off) - 1 {
+		for k := cg.off[h]; k < cg.off[h+1]; k++ {
+			c := cg.cluster(k)
+			group[c], rank[c] = int32(h), int(k-cg.off[h])
+		}
+	}
+	// first[h] is where group h's first segment starts among the candidates
+	// of the run's near end, or -1.
+	first := make([]int, len(cg.off))
+	for h := range first {
+		first[h] = -1
+	}
+	inSpace := func(c cluster.ClusterID) bool { return c >= 0 && int(c) < len(clusterAS) }
+	var ends sectionWriter // the far-end column
+	for lo, hi := 0, 0; lo < len(recs); lo = hi {
+		for hi = lo + 1; hi < len(recs) && recs[hi].From == recs[lo].From; hi++ {
+		}
+		var e farEnds // no candidates, for a near end with no group
+		if inSpace(recs[lo].From) {
+			e = cg.candidates(int32(recs[lo].From))
+		}
+		total := 0
+		for j, end := range e.end {
+			if h := e.seg(j); h >= 0 && first[h] < 0 {
+				first[h] = total
+			}
+			total = int(end)
+		}
+		// key is a far end's index, or for an escape total and more.
+		key := func(to cluster.ClusterID) int {
+			if inSpace(to) && first[group[to]] >= 0 {
+				return first[group[to]] + rank[to]
+			}
+			return total + int(uint32(to))
+		}
+		run := recs[lo:hi]
+		slices.SortFunc(run, func(x, y linkRec) int { return cmp.Compare(key(x.To), key(y.To)) })
+		prev := 0
+		for _, rec := range run {
+			if k := key(rec.To); k < total {
+				ends.uvarint(uint64(k - prev))
+				prev = k
+			} else {
+				ends.uvarint(uint64(total - prev))
+				ends.uvarint(uint64(uint32(rec.To)))
+				prev = total
+			}
+		}
+		for j := range e.end {
+			if h := e.seg(j); h >= 0 {
+				first[h] = -1
+			}
+		}
+	}
+	w.uvarint(uint64(len(recs)))
+	var from uint64
+	for _, rec := range recs {
+		w.uvarint(uint64(uint32(rec.From)) - from)
+		from = uint64(uint32(rec.From))
+	}
+	w.buf.Write(ends.buf.Bytes())
+	writeLinkCols(w, recs)
 }
 
 // wireWindow is how much of an inflating stream a wireReader holds at once;
@@ -245,10 +386,10 @@ type wireReader struct {
 	off, end int
 	srcErr   error // what src last returned, io.EOF included
 	err      error
-	// strict makes readTable reject keys that do not ascend, and readLinks
-	// hold every cluster ID below clusters and return the links in (From,
-	// To) order. An atlas is read strictly; a delta's lists come as they are
-	// (Flat.Apply sorts).
+	// strict makes readTable reject keys that do not ascend, and
+	// readLinkCols undefined plane bits. An atlas is read strictly, against
+	// its header's clusters; a delta's lists come as they are (Flat.Apply
+	// sorts).
 	strict   bool
 	clusters int32
 }
@@ -465,56 +606,178 @@ func readASNs(r *wireReader, val func(uint64) netsim.ASN) []netsim.ASN {
 	return out
 }
 
-// readLinks reads the links section of either stream: the record keys and
-// their "reverse present" flags (readTable), the latency and planes
-// columns, then the latency difference and planes of each record's reverse,
-// in record order. A flag other than 0 or 1, one on a record that is not
-// its pair's lower key, and a reverse latency below zero are rejected. A
-// delta's links come in stream order, each implied reverse right after its
-// record. An atlas's come in (From, To) order (canonicalPlaces), and its
-// reader also rejects a cluster ID outside the cluster space, an undefined
-// plane bit, and a record whose reverse is written as a record of its own:
-// an atlas writes each pair once.
+// readLinks reads a delta's links section: the record keys (readTable),
+// then what readLinkCols reads. The links come in stream order, each implied
+// reverse right after its record.
 func readLinks(r *wireReader) []Link {
-	pairs := 0 // records with their reverse present
-	keys, paired := readTable(r, splitPair, func(k, u uint64) bool {
-		switch {
+	keys, _ := readTable[uint64, struct{}](r, splitPair, nil)
+	paired, pairs := readPaired(r, keys)
+	at := make([]int32, 2*len(keys))
+	for i, s := 0, int32(0); i < len(keys); i, s = i+1, s+1 {
+		if at[2*i] = s; paired[i] {
+			s++
+			at[2*i+1] = s
+		}
+	}
+	return readLinkCols(r, keys, paired, pairs, at)
+}
+
+// readAtlasLinks reads an atlas's links section (writeAtlasLinks), against
+// the candidates of cg, into (From, To) order. Besides what readFarEnds and
+// readLinkCols refuse, it refuses a link written twice, and a record whose
+// reverse is written as a record of its own: an atlas writes each pair once.
+func readAtlasLinks(r *wireReader, cg *clusterGroups) []Link {
+	keys := readFarEnds(r, cg)
+	paired, pairs := readPaired(r, keys)
+	if r.err != nil {
+		return nil
+	}
+	// pos[i] is where record i stands in (From, To) order: nil where the
+	// records are in that order already, else a stable counting pass by To,
+	// then each record to the next place of its near end's run, the records
+	// coming grouped by near end.
+	var pos []int32
+	sorted, sortedPaired := keys, paired
+	if !slices.IsSorted(keys) {
+		n := r.clusters
+		next := make([]int32, n+1)
+		for _, k := range keys {
+			next[uint32(k)+1]++
+		}
+		for c := range n {
+			next[c+1] += next[c]
+		}
+		byTo := make([]int32, len(keys))
+		for i, k := range keys {
+			byTo[next[uint32(k)]] = int32(i)
+			next[uint32(k)]++
+		}
+		for i := len(keys) - 1; i >= 0; i-- {
+			next[keys[i]>>32] = int32(i)
+		}
+		pos = make([]int32, len(keys))
+		sorted, sortedPaired = make([]uint64, len(keys)), make([]bool, len(keys))
+		for _, i := range byTo {
+			from := keys[i] >> 32
+			pos[i] = next[from]
+			next[from]++
+			sorted[pos[i]], sortedPaired[pos[i]] = keys[i], paired[i]
+		}
+	}
+	for i, k := range sorted {
+		switch from, to := uint32(k>>32), uint32(k); {
+		case i > 0 && k == sorted[i-1]:
+			r.fail("link (%d,%d) written twice", from, to)
+		case to < from:
+			if _, both := slices.BinarySearch(sorted, reverseKey(k)); both {
+				r.fail("both directions of link (%d,%d) written: a pair is written once", to, from)
+			}
+		}
+	}
+	if r.err != nil {
+		return nil
+	}
+	at := make([]int32, 2*len(keys))
+	canonicalPlaces(at, sorted, sortedPaired, r.clusters)
+	if pos != nil {
+		places := at
+		at = make([]int32, 2*len(keys))
+		for i, p := range pos {
+			at[2*i], at[2*i+1] = places[2*p], places[2*p+1]
+		}
+	}
+	return readLinkCols(r, keys, paired, pairs, at)
+}
+
+// readFarEnds reads the near and far ends of an atlas's link records, in
+// stream order, as LinkKeys. A near end outside the cluster space is
+// refused, and so are an index past its near end's candidates, an escape to
+// a cluster outside the space and an escape not above the one before it.
+// The indices of a run of records ascend, so they resolve in one pass over
+// the segments of its near end's candidates (farEnds.at).
+func readFarEnds(r *wireReader, cg *clusterGroups) []uint64 {
+	n := r.count()
+	keys := make([]uint64, 0, allocHint(n))
+	var from uint64
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		if from += r.uvarint(); from >= uint64(r.clusters) {
+			r.fail("link %d near end %d outside cluster space %d", i, int64(from), r.clusters)
+		}
+		keys = append(keys, from<<32)
+	}
+	for lo, hi := 0, 0; lo < len(keys) && r.err == nil; lo = hi {
+		for hi = lo + 1; hi < len(keys) && keys[hi] == keys[lo]; hi++ {
+		}
+		c := int32(keys[lo] >> 32)
+		e := cg.candidates(c)
+		total := uint64(e.total())
+		prev, escaped := uint64(0), int64(-1)
+		for i := lo; i < hi && r.err == nil; i++ {
+			var to int32
+			switch u := r.uvarint(); {
+			case u < total-prev:
+				prev += u
+				to = e.at(int32(prev))
+			case u == total-prev:
+				prev = total
+				switch v := r.uvarint(); {
+				case v >= uint64(r.clusters):
+					r.fail("link (%d,%d) far end outside cluster space %d", c, v, r.clusters)
+				case int64(v) <= escaped:
+					r.fail("escaped far end %d of cluster %d after %d: escapes must ascend", v, c, escaped)
+				default:
+					to, escaped = int32(v), int64(v)
+				}
+			default:
+				r.fail("far-end index %d past the %d candidates of cluster %d", prev+u, total, c)
+			}
+			keys[i] |= uint64(to)
+		}
+	}
+	if r.err != nil {
+		return nil
+	}
+	return keys
+}
+
+// readPaired reads the "reverse present" column of the records keys. A flag
+// other than 0 or 1, and one on a record that is not its pair's lower key,
+// are refused. It returns the flags and how many are set.
+func readPaired(r *wireReader, keys []uint64) ([]bool, int) {
+	paired, pairs := make([]bool, len(keys)), 0
+	for i := 0; i < len(keys) && r.err == nil; i++ {
+		k := keys[i]
+		switch u := r.uvarint(); {
 		case u > 1:
 			r.fail("link (%d,%d) reverse-present flag %d is neither 0 nor 1", k>>32, uint32(k), u)
 		case u == 1 && reverseKey(k) <= k:
 			r.fail("link (%d,%d) carries its reverse but is not its pair's lower key", k>>32, uint32(k))
 		case u == 1:
+			paired[i] = true
 			pairs++
 		}
-		return u == 1
-	})
-	at := make([]int32, 2*len(keys)) // where record i goes (at[2i]) and its reverse (at[2i+1])
-	if r.strict {
-		for i, k := range keys {
-			switch from, to := uint32(k>>32), uint32(k); {
-			case from >= uint32(r.clusters) || to >= uint32(r.clusters):
-				r.fail("link %d endpoints (%d,%d) outside cluster space %d", i, int32(from), int32(to), r.clusters)
-			case to < from:
-				if _, both := slices.BinarySearch(keys, reverseKey(k)); both {
-					r.fail("both directions of link (%d,%d) written: a pair is written once", to, from)
-				}
-			}
-		}
-		if r.err == nil {
-			canonicalPlaces(at, keys, paired, r.clusters)
-		}
-	} else {
-		for i, s := 0, int32(0); i < len(keys); i, s = i+1, s+1 {
-			if at[2*i] = s; paired[i] {
-				s++
-				at[2*i+1] = s
-			}
-		}
+	}
+	return paired, pairs
+}
+
+// readLinkCols reads the columns writeLinkCols writes after the "reverse
+// present" one — the latency and planes of each record, in stream order,
+// then the latency difference and planes of each record's reverse — and
+// returns the links, record i at at[2i] and its reverse at at[2i+1]. A
+// latency at or past maxLatUnits is refused, and so is a reverse latency
+// below zero; on a strict reader, an undefined plane bit too.
+func readLinkCols(r *wireReader, keys []uint64, paired []bool, pairs int, at []int32) []Link {
+	if r.err != nil {
+		return nil
 	}
 	links := make([]Link, len(keys)+pairs)
 	for i := 0; i < len(keys) && r.err == nil; i++ {
+		u := r.uvarint()
+		if u >= maxLatUnits {
+			r.latFailed(i, u)
+		}
 		l := &links[at[2*i]]
-		*l = Link{From: cluster.ClusterID(uint32(keys[i] >> 32)), To: cluster.ClusterID(uint32(keys[i])), LatencyMS: unquantLat(r.uvarint())}
+		*l = Link{From: cluster.ClusterID(uint32(keys[i] >> 32)), To: cluster.ClusterID(uint32(keys[i])), LatencyMS: unquantLat(u)}
 		if paired[i] {
 			links[at[2*i+1]] = Link{From: l.To, To: l.From}
 		}
@@ -533,6 +796,9 @@ func readLinks(r *wireReader) []Link {
 			if d < 0 && uint64(-d) > base {
 				r.fail("link %d reverse latency difference %d goes below zero", i, d)
 			}
+			if u := base + uint64(d); u >= maxLatUnits {
+				r.latFailed(i, u)
+			}
 			links[at[2*i+1]].LatencyMS = unquantLat(base + uint64(d))
 		}
 	}
@@ -547,16 +813,22 @@ func readLinks(r *wireReader) []Link {
 	return links
 }
 
+// latFailed refuses link record i's latency of u wire units, at or past
+// maxLatUnits.
+func (r *wireReader) latFailed(i int, u uint64) {
+	r.fail("link %d latency %d.%02d ms at or past the %d ms bound", i, u/100, u%100, maxLatUnits/100)
+}
+
 // reverseKey is the LinkKey of the reverse of the link k keys.
 func reverseKey(k uint64) uint64 { return k<<32 | k>>32 }
 
 // canonicalPlaces sets at[2i] to where record i stands in (From, To) order
 // and at[2i+1] to where its reverse does, if paired[i]. The records are in
-// that order already (readTable held them to it). One stable counting pass
+// that order already (readAtlasLinks put them in it). One stable counting pass
 // over the reverses' From puts them in order too — a From's reverses come
 // in To order, as their records do — and one merge of the two places both.
 // There is no comparison sort: every cluster ID is below n, and no reverse
-// is also a record (readLinks checked both). The pass costs 4 B a cluster
+// is also a record (readAtlasLinks checked both). The pass costs 4 B a cluster
 // of the header's count, which count caps.
 func canonicalPlaces(at []int32, keys []uint64, paired []bool, n int32) {
 	next := make([]int32, n+1)
@@ -661,6 +933,98 @@ func unzigzagDiffs() func(uint64) int64 {
 	}
 }
 
+// Two datasets are written as their exceptions to what the stream already
+// implies: a prefix's origin is its attachment cluster's AS, and an AS's
+// degree is the length of its row in the relationships' adjacency. An
+// exception is a key (writeTable) and a value: 0 for a key with no value
+// where one is implied, else one more than the zigzag difference of the
+// value from the implied one, or, where none is implied, from the value of
+// the exception before.
+
+// implication names what an exceptions section's keys, values and implied
+// values stand for, in its readers' complaints.
+type implication struct{ key, by, val string }
+
+var (
+	originsImplied = implication{key: "prefix", by: "cluster", val: "origin"}
+	degreesImplied = implication{key: "AS", by: "row", val: "degree"}
+)
+
+// writeExceptions writes the table keys → val(key), whose keys ascend, as
+// its exceptions to the implied table imp → impVal(j), whose keys ascend.
+func writeExceptions[K ~uint32, V ~uint32 | ~int32](w *sectionWriter, keys []K, val func(K) V, imp []K, impVal func(j int) V) {
+	var ek []K
+	var ev []uint64
+	var prev int64
+	except := func(k K, v, ref int64) {
+		ek, ev = append(ek, k), append(ev, zigzag(v-ref)+1)
+		prev = v
+	}
+	for i, j := 0, 0; i < len(keys) || j < len(imp); {
+		switch {
+		case j == len(imp) || i < len(keys) && keys[i] < imp[j]:
+			except(keys[i], int64(val(keys[i])), prev)
+			i++
+		case i == len(keys) || imp[j] < keys[i]:
+			ek, ev = append(ek, imp[j]), append(ev, 0)
+			j++
+		default:
+			if v, iv := val(keys[i]), impVal(j); v != iv {
+				except(keys[i], int64(v), int64(iv))
+			}
+			i, j = i+1, j+1
+		}
+	}
+	writeTable(w, ek, unsplit, func(i int) uint64 { return ev[i] })
+}
+
+// readExceptions reads what writeExceptions writes against the implied table
+// imp → impVal(j) and returns the whole table. It refuses what Encode never
+// writes: an exception that says no value where none is implied, or the
+// value that is implied; and a value outside V.
+func readExceptions[K ~uint32, V ~uint32 | ~int32](r *wireReader, imp []K, impVal func(j int) V, what implication) ([]K, []V) {
+	ek, _ := readTable[K, struct{}](r, unsplit, nil) // the values follow, read as the merge meets them
+	keys, vals := make([]K, 0, len(imp)+len(ek)), make([]V, 0, len(imp)+len(ek))
+	var prev int64
+	// value turns exception i's varint u, taken against ref, into a V.
+	value := func(i int, u uint64, ref int64) V {
+		v := ref + unzigzag(u-1)
+		if int64(V(v)) != v {
+			r.fail("%s %d %s %d out of range", what.key, ek[i], what.val, v)
+		}
+		prev = v
+		return V(v)
+	}
+	for i, j := 0, 0; (i < len(ek) || j < len(imp)) && r.err == nil; {
+		switch {
+		case i == len(ek) || j < len(imp) && imp[j] < ek[i]:
+			keys, vals = append(keys, imp[j]), append(vals, impVal(j))
+			j++
+		case j == len(imp) || ek[i] < imp[j]:
+			if u := r.uvarint(); u == 0 {
+				r.fail("%s %d has no %s and no %s", what.key, ek[i], what.by, what.val)
+			} else if v := value(i, u, prev); r.err == nil {
+				keys, vals = append(keys, ek[i]), append(vals, v)
+			}
+			i++
+		default:
+			switch u := r.uvarint(); {
+			case u == 1:
+				r.fail("%s %d %s %d is the one its %s implies", what.key, ek[i], what.val, impVal(j), what.by)
+			case u > 1:
+				if v := value(i, u, int64(impVal(j))); r.err == nil {
+					keys, vals = append(keys, ek[i]), append(vals, v)
+				}
+			}
+			i, j = i+1, j+1
+		}
+	}
+	if r.err != nil {
+		return nil, nil
+	}
+	return keys, vals
+}
+
 // encodeSection renders one dataset into w; g is the adjacency of a.Rels.
 func (a *Atlas) encodeSection(sec int, g *asGraph, w *sectionWriter) {
 	attach := func() func(cluster.ClusterID) uint64 {
@@ -674,15 +1038,23 @@ func (a *Atlas) encodeSection(sec int, g *asGraph, w *sectionWriter) {
 		w.uvarint(uint64(len(a.ClusterAS)))
 		w.column(len(a.ClusterAS), func(i int) uint64 { return next(int64(a.ClusterAS[i])) })
 	case secLinks:
-		writeLinks(w, a.Links)
+		writeAtlasLinks(w, a.Links, a.ClusterAS, g)
 	case secLoss:
 		writeMap(w, a.Loss, splitPair, quantLoss)
 	case secPrefixCluster:
 		writeMap(w, a.PrefixCluster, unsplit, attach())
 	case secPrefixAS:
-		writeMap(w, a.PrefixAS, unsplit, func(as netsim.ASN) uint64 { return uint64(as) })
+		attached := sortedKeys(a.PrefixCluster)
+		writeExceptions(w, sortedKeys(a.PrefixAS), func(p netsim.Prefix) netsim.ASN { return a.PrefixAS[p] },
+			attached, func(j int) netsim.ASN {
+				if c := a.PrefixCluster[attached[j]]; c >= 0 && int(c) < len(a.ClusterAS) {
+					return a.ClusterAS[c]
+				}
+				return 0 // outside the cluster space, which no reader accepts
+			})
 	case secASDegree:
-		writeMap(w, a.ASDegree, unsplit, func(d int32) uint64 { return uint64(d) })
+		writeExceptions(w, sortedKeys(a.ASDegree), func(as netsim.ASN) int32 { return a.ASDegree[as] },
+			g.as, func(j int) int32 { return int32(len(g.row(int32(j)))) })
 	case secTuples:
 		writeRelSet(w, g, sortedKeys(a.Tuples), tupleShape)
 	case secPrefs:
@@ -704,8 +1076,25 @@ func (a *Atlas) encodeSection(sec int, g *asGraph, w *sectionWriter) {
 	}
 }
 
-// Encode writes the atlas as a gzip-compressed binary stream.
+// latOnWire reports whether a latency of ms quantises below maxLatUnits.
+func latOnWire(ms float32) bool { return ms < maxLatUnits/100 && quantLat(ms) < maxLatUnits }
+
+// checkLatencies refuses links with a latency the wire does not carry.
+func checkLatencies(links []Link) error {
+	for _, l := range links {
+		if !latOnWire(l.LatencyMS) {
+			return fmt.Errorf("atlas: link (%d,%d) latency %v ms is at or past the %d ms bound", l.From, l.To, l.LatencyMS, maxLatUnits/100)
+		}
+	}
+	return nil
+}
+
+// Encode writes the atlas as a gzip-compressed binary stream. It refuses an
+// atlas with a link latency at or past the wire's bound (maxLatUnits).
 func (a *Atlas) Encode(w io.Writer) error {
+	if err := checkLatencies(a.Links); err != nil {
+		return err
+	}
 	gz := gzip.NewWriter(w)
 	if _, err := gz.Write([]byte(atlasMagic)); err != nil {
 		return err
@@ -734,7 +1123,8 @@ func (a *Atlas) Encode(w io.Writer) error {
 // stream order, and the build-side lifetime tables the serving form does
 // not carry.
 type wireAtlas struct {
-	flat          *Flat    // the link table and the indexes are not built yet
+	flat          *Flat // the link table and the indexes are not built yet
+	seen          [numSections]bool
 	rels          *asGraph // the relationships' adjacency, once they are read
 	links         []Link
 	obsLinkKeys   []uint64
@@ -758,9 +1148,11 @@ func (w *wireAtlas) readSection(sec int, r *wireReader) {
 			return cluster.ClusterID(c)
 		}
 	}
-	if (sec == secTuples || sec == secPrefs || sec == secProviders) && w.rels == nil {
-		r.fail("written before section %s, which it is coded against", SectionName(secRels))
-		return
+	for _, dep := range codedAgainst[sec] {
+		if !w.seen[dep] {
+			r.fail("written before section %s, which it is coded against", SectionName(dep))
+			return
+		}
 	}
 	switch sec {
 	case secClusterAS:
@@ -776,15 +1168,17 @@ func (w *wireAtlas) readSection(sec int, r *wireReader) {
 			r.fail("cluster count %d does not match AS table size %d", f.NumClusters, len(f.ClusterAS))
 		}
 	case secLinks:
-		w.links = readLinks(r)
+		w.links = readAtlasLinks(r, newClusterGroups(f.ClusterAS, w.rels))
 	case secLoss:
 		f.LossKeys, f.LossVals = readTable(r, splitPair, plain[uint64](unquantLoss))
 	case secPrefixCluster:
 		f.PrefixClKeys, f.PrefixClVals = readTable(r, unsplit, attach())
 	case secPrefixAS:
-		f.PrefixASKeys, f.PrefixASVals = readTable(r, unsplit, plain[netsim.Prefix](func(u uint64) netsim.ASN { return netsim.ASN(u) }))
+		f.PrefixASKeys, f.PrefixASVals = readExceptions(r, f.PrefixClKeys,
+			func(j int) netsim.ASN { return f.ClusterAS[f.PrefixClVals[j]] }, originsImplied)
 	case secASDegree:
-		f.DegKeys, f.DegVals = readTable(r, unsplit, plain[netsim.ASN](func(u uint64) int32 { return int32(u) }))
+		f.DegKeys, f.DegVals = readExceptions(r, w.rels.as,
+			func(j int) int32 { return int32(len(w.rels.row(int32(j)))) }, degreesImplied)
 	case secRels:
 		f.RelKeys, f.RelVals = readTable(r, splitPair, plain[uint64](func(u uint64) netsim.Rel { return netsim.Rel(int8(u)) }))
 		w.rels = newASGraph(f.RelKeys)
@@ -845,7 +1239,6 @@ func parseAtlas(in io.Reader) (*wireAtlas, error) {
 		r.err = fmt.Errorf("cluster count: %w", r.err)
 	}
 	r.clusters = w.flat.NumClusters
-	seen := [numSections]bool{}
 	for i := 0; i < numSections && r.err == nil; i++ {
 		sec := r.uvarint()
 		switch {
@@ -853,13 +1246,13 @@ func parseAtlas(in io.Reader) (*wireAtlas, error) {
 			r.err = fmt.Errorf("truncated at section %d: %w", i, r.err)
 		case sec >= numSections:
 			r.fail("unknown section id %d", sec)
-		case seen[sec]:
+		case w.seen[sec]:
 			r.fail("section %s appears twice", SectionName(int(sec)))
 		default:
-			seen[sec] = true
 			if w.readSection(int(sec), r); r.err != nil {
 				r.err = fmt.Errorf("section %s: %w", SectionName(int(sec)), r.err)
 			}
+			w.seen[sec] = true
 		}
 	}
 	return w, r.close("atlas")

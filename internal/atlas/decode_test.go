@@ -45,7 +45,12 @@ func wireFixture() *Atlas {
 // off the relationship graph — a head, a first hop and a second hop no
 // relationship names, and a head at MaxASN, the widest a 3-tuple packs —
 // and a relationship key written high end first, whose row comes out of
-// order: every escape of the v5 coding.
+// order: every escape of the v5 coding. To it come the exceptions of v6:
+// far ends off their near end's candidates, among them every link of a
+// cluster whose AS has no row; an origin other than its cluster's AS, an
+// origin of 0, a cluster with no origin and an origin with no cluster; and
+// a degree other than its row's length, an AS with a row and no degree,
+// and degrees, 0 among them, for ASes with no row.
 func offGraphFixture() *Atlas {
 	a := wireFixture()
 	a.Rels[netsim.DirASPairKey(9, 3)] = netsim.RelPeer // 9's row is [8 3]
@@ -54,6 +59,19 @@ func offGraphFixture() *Atlas {
 	}
 	a.Prefs[PackTriple(9, 7, 8)], a.Prefs[PackTriple(9, 8, 3)], a.Prefs[PackTriple(4, 1, 2)] = true, true, true
 	a.Providers[100], a.Providers[9] = []netsim.ASN{8, 9}, []netsim.ASN{3, 7, 8}
+	a.NumClusters, a.ClusterAS = 5, append(a.ClusterAS, 100) // cluster 4's AS has no row
+	a.Links = append(a.Links,
+		Link{From: 0, To: 3, LatencyMS: 3, Planes: PlaneToDst}, // AS 9 is no neighbour of AS 7
+		Link{From: 3, To: 0, LatencyMS: 3.5, Planes: PlaneToDst},
+		Link{From: 4, To: 1, LatencyMS: 6, Planes: PlaneMask},
+		Link{From: 4, To: 4, LatencyMS: 0.25, Planes: PlaneToDst})
+	slices.SortFunc(a.Links, linkOrder)
+	a.PrefixCluster[102], a.PrefixAS[102] = 0, 5 // AS 5, not cluster 0's 7
+	a.PrefixCluster[103] = 2                     // no origin
+	a.PrefixAS[104] = 8                          // no cluster
+	a.PrefixCluster[105], a.PrefixAS[105] = 2, 0 // an origin of 0
+	a.ASDegree[9] = 3                            // its row has two
+	a.ASDegree[5], a.ASDegree[100] = 3, 0        // no row; AS 3 has a row and no degree
 	return a
 }
 
@@ -107,29 +125,78 @@ func table(split uint, keys []uint64, vals []uint64) func(*sectionWriter) {
 	}
 }
 
-// linkRecords returns a links section body: links written as records in
-// the order given, the i-th with "reverse present" flag flags[i] (0 past
-// the end of flags), then the varints of tail — the columns of the paired
-// reverses, which writeLinks would derive.
+// linkRecords returns a delta's links section body: links written as
+// records in the order given, the i-th with "reverse present" flag flags[i]
+// (0 past the end of flags), then the varints of tail — the columns of the
+// paired reverses, which writeLinks would derive.
 func linkRecords(links []Link, flags []uint64, tail ...uint64) func(*sectionWriter) {
 	return func(sw *sectionWriter) {
 		keys := make([]uint64, len(links))
 		for i, l := range links {
 			keys[i] = LinkKey(l.From, l.To)
 		}
-		writeTable(sw, keys, splitPair,
-			func(i int) uint64 {
-				if i < len(flags) {
-					return flags[i]
-				}
-				return 0
-			},
-			func(i int) uint64 { return quantLat(links[i].LatencyMS) },
-			func(i int) uint64 { return uint64(links[i].Planes) })
-		for _, v := range tail {
-			sw.uvarint(v)
-		}
+		writeTable(sw, keys, splitPair)
+		linkCols(sw, links, flags, tail)
 	}
+}
+
+// linkCols writes the columns that follow a links section's keys: flags,
+// latencies and planes of links as given, then the varints of tail.
+func linkCols(sw *sectionWriter, links []Link, flags []uint64, tail []uint64) {
+	sw.column(len(links), func(i int) uint64 {
+		if i < len(flags) {
+			return flags[i]
+		}
+		return 0
+	})
+	sw.column(len(links), func(i int) uint64 { return quantLat(links[i].LatencyMS) })
+	sw.column(len(links), func(i int) uint64 { return uint64(links[i].Planes) })
+	for _, v := range tail {
+		sw.uvarint(v)
+	}
+}
+
+// atlasLinkRecords is linkRecords for an atlas's links section, whose far
+// ends are coded against a's clusters and relationships: each far end is
+// written as its index among its near end's candidates, or escaped, in the
+// order given — which Encode never writes out of candidate order.
+func atlasLinkRecords(a *Atlas, links []Link, flags []uint64, tail ...uint64) func(*sectionWriter) {
+	return func(sw *sectionWriter) {
+		g := newASGraph(sortedKeys(a.Rels))
+		cg := newClusterGroups(a.ClusterAS, g)
+		sw.uvarint(uint64(len(links)))
+		var from uint64
+		for _, l := range links {
+			sw.uvarint(uint64(l.From) - from)
+			from = uint64(l.From)
+		}
+		prev := 0
+		for i, l := range links {
+			if i == 0 || l.From != links[i-1].From {
+				prev = 0
+			}
+			cands := candidateList(cg, l.From)
+			idx := slices.Index(cands, int32(l.To))
+			if idx < 0 {
+				idx = len(cands)
+			}
+			sw.uvarint(uint64(idx - prev))
+			if prev = idx; idx == len(cands) {
+				sw.uvarint(uint64(l.To))
+			}
+		}
+		linkCols(sw, links, flags, tail)
+	}
+}
+
+// candidateList returns the candidates of near end c, in order.
+func candidateList(cg *clusterGroups, c cluster.ClusterID) []int32 {
+	e := cg.candidates(int32(c))
+	var out []int32
+	for i := range e.total() {
+		out = append(out, e.at(i))
+	}
+	return out
 }
 
 type hostileAtlas struct {
@@ -150,10 +217,15 @@ func hostileAtlases(tb testing.TB) []hostileAtlas {
 	relSet := func(keys []uint64, s relShape) func(*sectionWriter) {
 		return func(sw *sectionWriter) { writeRelSet(sw, newASGraph(sortedKeys(a.Rels)), keys, s) }
 	}
-	tuplesFirst := []int{secClusterAS, secLinks, secLoss, secPrefixCluster, secPrefixAS, secASDegree, secTuples, secRels}
-	twice := []int{secClusterAS, secLinks, secLoss, secLoss}
+	tuplesFirst := []int{secClusterAS, secLoss, secPrefixCluster, secPrefixAS, secTuples, secRels}
+	linksFirst := []int{secClusterAS, secLinks, secRels}
+	originsFirst := []int{secClusterAS, secRels, secLinks, secLoss, secPrefixAS, secPrefixCluster}
+	twice := []int{secClusterAS, secRels, secLinks, secLoss, secLoss}
 	for sec := secPrefixCluster; sec < numSections-1; sec++ {
 		twice = append(twice, sec)
+	}
+	links := func(links []Link, flags []uint64, tail ...uint64) func(*sectionWriter) {
+		return atlasLinkRecords(a, links, flags, tail...)
 	}
 	link := func(from, to cluster.ClusterID, planes uint8) Link {
 		return Link{From: from, To: to, LatencyMS: 1, Planes: planes}
@@ -168,21 +240,35 @@ func hostileAtlases(tb testing.TB) []hostileAtlas {
 		{"3-tuples before the relationships", "AS three-tuples", "written before section AS relationships", rawAtlas(tb, a, tuplesFirst, nil)},
 		{"a second hop too wide", "AS three-tuples", "wider than 21 bits", one(secTuples, records(1, 5, 0, 0, 5, 0, 0, 1<<21))},
 		{"keys that collide as prefixes", "Prefix to AS", "ascend strictly", one(secPrefixAS, table(unsplit, []uint64{100, 1<<32 + 100}, []uint64{7, 9}))},
+		{"origin exceptions out of order", "Prefix to AS", "ascend strictly", one(secPrefixAS, table(unsplit, []uint64{102, 100}, []uint64{5, 0}))},
+		{"an origin its cluster implies", "Prefix to AS", "prefix 100 origin 7 is the one its cluster implies", one(secPrefixAS, table(unsplit, []uint64{100}, []uint64{1}))},
+		{"no cluster and no origin", "Prefix to AS", "prefix 102 has no cluster and no origin", one(secPrefixAS, table(unsplit, []uint64{102}, []uint64{0}))},
+		{"an origin past 32 bits", "Prefix to AS", "out of range", one(secPrefixAS, table(unsplit, []uint64{102}, []uint64{zigzag(1<<32) + 1}))},
+		{"origins before the attachments", "Prefix to AS", "written before section Prefix to cluster", rawAtlas(tb, a, originsFirst, nil)},
 		{"keys that collide as ASNs", "AS degrees", "ascend strictly", one(secASDegree, table(unsplit, []uint64{7, 1<<32 + 7}, []uint64{2, 2}))},
+		{"a degree exception for an AS with no row", "AS degrees", "AS 5 has no row and no degree", one(secASDegree, table(unsplit, []uint64{5}, []uint64{0}))},
+		{"a degree its row implies", "AS degrees", "AS 8 degree 2 is the one its row implies", one(secASDegree, table(unsplit, []uint64{8}, []uint64{1}))},
 		{"repeated provider", "Provider mappings", "ascend strictly", one(secProviders, relSet([]uint64{provider(9, 7), provider(9, 7)}, providerShape))},
 		{"repeated origin", "Provider mappings", "ascend strictly", one(secProviders, relSet([]uint64{provider(9, 7), provider(7, 8), provider(9, 8)}, providerShape))},
 		{"records past the count", "Provider mappings", "count says 1", one(secProviders, records(1, 9, 1, 0, 1, 100))},
-		{"repeated link", "Inter-cluster links", "ascend strictly", one(secLinks, linkRecords([]Link{link(0, 1, 1), link(0, 1, 1)}, nil))},
-		{"links out of order", "Inter-cluster links", "ascend strictly", one(secLinks, linkRecords([]Link{link(0, 2, 1), link(0, 1, 1)}, nil))},
-		{"undefined plane bits", "Inter-cluster links", "undefined plane bits", one(secLinks, linkRecords([]Link{link(0, 1, 4)}, nil))},
-		{"undefined plane bits on a reverse", "Inter-cluster links", "undefined plane bits", one(secLinks, linkRecords([]Link{link(0, 1, 1)}, []uint64{1}, 0, 4))},
-		{"link outside the cluster space", "Inter-cluster links", "outside cluster space", one(secLinks, linkRecords([]Link{link(0, 4, 1)}, nil))},
-		{"both directions of a pair written", "Inter-cluster links", "both directions", one(secLinks, linkRecords([]Link{link(0, 1, 1), link(1, 0, 2)}, nil))},
-		{"a pair and its reverse written", "Inter-cluster links", "both directions", one(secLinks, linkRecords([]Link{link(0, 1, 1), link(1, 0, 2)}, []uint64{1}, 0, 2))},
-		{"reverse flag of 2", "Inter-cluster links", "neither 0 nor 1", one(secLinks, linkRecords([]Link{link(0, 1, 1)}, []uint64{2}))},
-		{"pair written from its higher end", "Inter-cluster links", "not its pair's lower key", one(secLinks, linkRecords([]Link{link(1, 0, 1)}, []uint64{1}, 0, 2))},
-		{"self link paired with itself", "Inter-cluster links", "not its pair's lower key", one(secLinks, linkRecords([]Link{link(1, 1, 1)}, []uint64{1}, 0, 1))},
-		{"reverse latency below zero", "Inter-cluster links", "below zero", one(secLinks, linkRecords([]Link{link(0, 1, 1)}, []uint64{1}, zigzag(-101), 2))},
+		{"repeated link", "Inter-cluster links", "link (0,1) written twice", one(secLinks, links([]Link{link(0, 1, 1), link(0, 1, 1)}, nil))},
+		{"links out of order", "Inter-cluster links", "past the 3 candidates of cluster 0", one(secLinks, links([]Link{link(0, 2, 1), link(0, 1, 1)}, nil))},
+		{"far-end index past the candidates", "Inter-cluster links", "far-end index 4 past the 3 candidates of cluster 0", one(secLinks, records(1, 0, 4))},
+		{"escape outside the cluster space", "Inter-cluster links", "far end outside cluster space 4", one(secLinks, records(1, 0, 3, 4))},
+		{"escapes out of order", "Inter-cluster links", "escapes must ascend", one(secLinks, records(2, 0, 0, 3, 3, 0, 2))},
+		{"near end outside the cluster space", "Inter-cluster links", "near end 4 outside cluster space 4", one(secLinks, records(1, 4))},
+		{"links before the relationships", "Inter-cluster links", "written before section AS relationships", rawAtlas(tb, a, linksFirst, nil)},
+		{"latency at the bound", "Inter-cluster links", "at or past the 65536 ms bound", one(secLinks, links([]Link{{From: 0, To: 1, LatencyMS: 65536, Planes: 1}}, nil))},
+		{"reverse latency at the bound", "Inter-cluster links", "at or past the 65536 ms bound", one(secLinks, links([]Link{link(0, 1, 1)}, []uint64{1}, zigzag(maxLatUnits-100), 1))},
+		{"undefined plane bits", "Inter-cluster links", "undefined plane bits", one(secLinks, links([]Link{link(0, 1, 4)}, nil))},
+		{"undefined plane bits on a reverse", "Inter-cluster links", "undefined plane bits", one(secLinks, links([]Link{link(0, 1, 1)}, []uint64{1}, 0, 4))},
+		{"link outside the cluster space", "Inter-cluster links", "outside cluster space", one(secLinks, links([]Link{link(0, 4, 1)}, nil))},
+		{"both directions of a pair written", "Inter-cluster links", "both directions", one(secLinks, links([]Link{link(0, 1, 1), link(1, 0, 2)}, nil))},
+		{"a pair and its reverse written", "Inter-cluster links", "both directions", one(secLinks, links([]Link{link(0, 1, 1), link(1, 0, 2)}, []uint64{1}, 0, 2))},
+		{"reverse flag of 2", "Inter-cluster links", "neither 0 nor 1", one(secLinks, links([]Link{link(0, 1, 1)}, []uint64{2}))},
+		{"pair written from its higher end", "Inter-cluster links", "not its pair's lower key", one(secLinks, links([]Link{link(1, 0, 1)}, []uint64{1}, 0, 2))},
+		{"self link paired with itself", "Inter-cluster links", "not its pair's lower key", one(secLinks, links([]Link{link(1, 1, 1)}, []uint64{1}, 0, 1))},
+		{"reverse latency below zero", "Inter-cluster links", "below zero", one(secLinks, links([]Link{link(0, 1, 1)}, []uint64{1}, zigzag(-101), 2))},
 		{"attachment outside the cluster space", "Prefix to cluster", "outside cluster space", one(secPrefixCluster, table(unsplit, []uint64{100, 101}, []uint64{zigzag(3), zigzag(1)}))},
 		{"attachment below cluster 0", "Prefix to cluster", "outside cluster space", one(secPrefixCluster, table(unsplit, []uint64{100}, []uint64{zigzag(-1)}))},
 		{"interface outside the cluster space", "Interface prefix to cluster", "outside cluster space", one(secIfaceCluster, table(unsplit, []uint64{200}, []uint64{1 << 31}))},
@@ -202,11 +288,11 @@ func TestDecodeRejectsUnsortedKeys(t *testing.T) {
 	if raw := rawAtlas(t, wireFixture(), nil, nil); !decodeBothWays(t, raw) {
 		t.Fatal("the fixture itself does not decode")
 	}
-	// Any order of sections that puts the relationships before the three
-	// sets coded against them is a stream; Encode's is one of them.
-	backwards := []int{secRels}
+	// Any order of sections that puts each after the sections it is coded
+	// against is a stream; Encode's is one of them.
+	backwards := []int{secClusterAS, secRels, secPrefixCluster}
 	for sec := numSections - 1; sec >= 0; sec-- {
-		if sec != secRels {
+		if !slices.Contains(backwards, sec) {
 			backwards = append(backwards, sec)
 		}
 	}

@@ -302,8 +302,8 @@ func (d *Delta) resolve(base func() *Flat) (*Delta, error) {
 		}
 		l := link(i)
 		q := int64(quantLat(l.LatencyMS)) + d.refs.reLat[j]
-		if q < 0 {
-			return nil, fmt.Errorf("%w: it re-annotates link (%d,%d) to a latency below zero", ErrDeltaBase, l.From, l.To)
+		if q < 0 || q >= maxLatUnits {
+			return nil, fmt.Errorf("%w: it re-annotates link (%d,%d) to %.2f ms, outside [0, %d) ms", ErrDeltaBase, l.From, l.To, float64(q)/100, maxLatUnits/100)
 		}
 		l.LatencyMS, l.Planes = unquantLat(uint64(q)), d.refs.rePlanes[j]
 		r.UpLinks = append(r.UpLinks, l)
@@ -582,6 +582,9 @@ const deltaMagic = "INANODLT"
 // coded already, can be encoded; a keyed removal added to a decoded delta
 // cannot.
 func (d *Delta) Encode(w io.Writer) error {
+	if err := checkLatencies(d.UpLinks); err != nil {
+		return err
+	}
 	var refs *deltaRefs
 	ups := d.UpLinks
 	switch {

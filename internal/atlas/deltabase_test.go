@@ -125,7 +125,7 @@ func TestDeltaRefusesIndexPastTable(t *testing.T) {
 // indices: the version, by name.
 func TestDecodeDeltaRefusesVersion5(t *testing.T) {
 	var sw sectionWriter
-	sw.uvarint(atlasVersion)
+	sw.uvarint(5)
 	_, err := DecodeDelta(bytes.NewReader(gzipped(t, deltaMagic, sw.buf.Bytes())))
 	if !errors.Is(err, ErrVersion) || err.Error() != "atlas: decoding delta: unsupported version 5" {
 		t.Fatalf("err %v, want the unsupported version", err)

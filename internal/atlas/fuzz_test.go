@@ -80,6 +80,16 @@ func checkAtlasDecode(t *testing.T, data []byte) bool {
 // unsorted, repeated, or with both directions of a link written out.
 func rawDelta(tb testing.TB, base baseName, toDay uint64, upLinks []Link, refs *deltaRefs, addTuples []uint64) []byte {
 	tb.Helper()
+	raw := rawDeltaBytes(tb, base, toDay, upLinks, refs, addTuples)
+	if _, err := DecodeDelta(bytes.NewReader(raw)); err != nil {
+		tb.Fatalf("hand-assembled delta does not decode: %v", err)
+	}
+	return raw
+}
+
+// rawDeltaBytes is rawDelta without the check that the delta decodes.
+func rawDeltaBytes(tb testing.TB, base baseName, toDay uint64, upLinks []Link, refs *deltaRefs, addTuples []uint64) []byte {
+	tb.Helper()
 	var sw sectionWriter
 	sw.uvarint(deltaVersion)
 	sw.uvarint(uint64(base.day))
@@ -102,11 +112,7 @@ func rawDelta(tb testing.TB, base baseName, toDay uint64, upLinks []Link, refs *
 	sw.uvarint(0) // DelPrefixCluster
 	sw.uvarint(0) // UpIfaceCluster
 	sw.uvarint(0) // DelIfaceCluster
-	raw := gzipped(tb, deltaMagic, sw.buf.Bytes())
-	if _, err := DecodeDelta(bytes.NewReader(raw)); err != nil {
-		tb.Fatalf("hand-assembled delta does not decode: %v", err)
-	}
-	return raw
+	return gzipped(tb, deltaMagic, sw.buf.Bytes())
 }
 
 // gzipped compresses magic and body into one stream.

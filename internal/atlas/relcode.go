@@ -31,22 +31,22 @@ type asGraph struct {
 // Numbering the ASes is a radix sort of the keys' ends, and the rows are a
 // counting pass, so the build costs no comparison sort and no search.
 func newASGraph(relKeys []uint64) *asGraph {
-	end := func(e int32) netsim.ASN { // 2i is key i's high half, 2i+1 its low
-		k := relKeys[e/2]
-		if e%2 == 0 {
-			return netsim.ASN(k >> 32)
+	// End 2i is key i's high half, 2i+1 its low.
+	as := make([]netsim.ASN, 2*len(relKeys))
+	for i, k := range relKeys {
+		as[2*i], as[2*i+1] = netsim.ASN(k>>32), netsim.ASN(k)
+	}
+	order, rows := radixByAS(as)
+	distinct := 0
+	for i, e := range order {
+		if i == 0 || as[e] != as[order[i-1]] {
+			distinct++
 		}
-		return netsim.ASN(k)
 	}
-	order, rows := make([]int32, 2*len(relKeys)), make([]int32, 2*len(relKeys))
-	for e := range order {
-		order[e] = int32(e)
-	}
-	order, rows = radixByAS(order, rows, end)
-	g := &asGraph{}
+	g := &asGraph{as: make([]netsim.ASN, 0, distinct)}
 	for _, e := range order {
-		if n := len(g.as); n == 0 || g.as[n-1] != end(e) {
-			g.as = append(g.as, end(e))
+		if n := len(g.as); n == 0 || g.as[n-1] != as[e] {
+			g.as = append(g.as, as[e])
 		}
 		rows[e] = int32(len(g.as) - 1)
 	}
@@ -61,7 +61,7 @@ func newASGraph(relKeys []uint64) *asGraph {
 	for i := range g.as {
 		g.off[i+1] += g.off[i]
 	}
-	g.nbr = make([]int32, g.off[len(g.as)])
+	g.nbr = order[:g.off[len(g.as)]] // order is spent, and no shorter
 	for i := len(rows) - 2; i >= 0; i -= 2 {
 		x, y := rows[i], rows[i+1]
 		g.off[x]--
@@ -74,16 +74,22 @@ func newASGraph(relKeys []uint64) *asGraph {
 	return g
 }
 
-// radixByAS sorts a by as, stably: a byte at a time from the lowest,
-// skipping a byte every AS shares, through tmp, a slice of a's length. It
-// returns the sorted slice and the other one.
-func radixByAS(a, tmp []int32, as func(int32) netsim.ASN) (sorted, free []int32) {
-	for shift := 0; shift < 32 && len(a) > 0; shift += 8 {
+// radixByAS returns the indices of as in the order of their ASes, stably,
+// and a free slice of as's length. It sorts a byte at a time from the
+// lowest, up to the highest any AS sets, skipping a byte every AS shares.
+func radixByAS(as []netsim.ASN) (sorted, free []int32) {
+	a, tmp := make([]int32, len(as)), make([]int32, len(as))
+	var set netsim.ASN // the bits any AS sets
+	for i, x := range as {
+		a[i] = int32(i)
+		set |= x
+	}
+	for shift := 0; shift < 32 && set>>shift != 0; shift += 8 {
 		var at [256]int
-		for _, e := range a {
-			at[as(e)>>shift&0xff]++
+		for _, x := range as {
+			at[x>>shift&0xff]++
 		}
-		if at[as(a[0])>>shift&0xff] == len(a) {
+		if at[as[a[0]]>>shift&0xff] == len(a) {
 			continue
 		}
 		sum := 0
@@ -91,7 +97,7 @@ func radixByAS(a, tmp []int32, as func(int32) netsim.ASN) (sorted, free []int32)
 			at[d], sum = sum, sum+n
 		}
 		for _, e := range a {
-			d := as(e) >> shift & 0xff
+			d := as[e] >> shift & 0xff
 			tmp[at[d]] = e
 			at[d]++
 		}
@@ -267,4 +273,175 @@ func readRelSet(r *wireReader, g *asGraph, s relShape) []uint64 {
 		return nil
 	}
 	return keys
+}
+
+// A link's far end is, all but always, a cluster of its near end's AS or of
+// one of that AS's relationship neighbours. So an atlas writes it as its
+// index among those candidates: the clusters of each neighbour in the order
+// of the AS's row, with the AS's own before the first neighbour whose row
+// comes after its own (so, in AS order, for a row in order), and each AS's
+// clusters in ID order. Where clusters are numbered in AS order, as a first
+// day's are, a near end's far ends in ID order are in candidate order too.
+
+// clusterGroups lists each AS's clusters, and the candidates of a near end
+// in each: what a link's far end is written against.
+type clusterGroups struct {
+	// Every cluster by AS and by ID within an AS, and each cluster's group;
+	// both nil where the clusters are numbered in AS order (see cluster and
+	// groupOf).
+	cl, group []int32
+	off       []int32 // group h, one AS's clusters, is cl[off[h]:off[h+1]]
+	g         *asGraph
+	row       []int32 // each group's row in g, or -1
+	ofRow     []int32 // each row's group, or -1
+	// The candidates of a near end of group h come in segments, one AS's
+	// clusters each: its own group's at ins[h], and around it the group of
+	// each entry of its row in turn. Segment j ends at candidate
+	// end[endOff[h]+j].
+	ins, endOff, end []int32
+}
+
+// newClusterGroups groups the clusters of clusterAS by AS and lays out each
+// group's candidates over the adjacency g. Like newASGraph it is a radix
+// sort and merges, with no comparison sort and no search, and the segments
+// cost one entry per row entry of each group's AS.
+func newClusterGroups(clusterAS []netsim.ASN, g *asGraph) *clusterGroups {
+	n := len(clusterAS)
+	cg := &clusterGroups{g: g}
+	if !slices.IsSorted(clusterAS) { // a first day's clusters are numbered in AS order
+		cg.cl, cg.group = radixByAS(clusterAS)
+	}
+	groups := 0
+	for i := range n {
+		if i == 0 || clusterAS[cg.cluster(int32(i))] != clusterAS[cg.cluster(int32(i-1))] {
+			groups++
+		}
+	}
+	off, rows, ofRow := make([]int32, 0, groups+1), make([]int32, 0, groups), make([]int32, len(g.as))
+	for r := range ofRow {
+		ofRow[r] = -1
+	}
+	r := 0 // the first row whose AS is not below the group's
+	for i := range n {
+		c := cg.cluster(int32(i))
+		if as := clusterAS[c]; i == 0 || as != clusterAS[cg.cluster(int32(i-1))] {
+			for r < len(g.as) && g.as[r] < as {
+				r++
+			}
+			row := int32(-1)
+			if r < len(g.as) && g.as[r] == as {
+				row, ofRow[r] = int32(r), int32(len(off))
+			}
+			off, rows = append(off, int32(i)), append(rows, row)
+		}
+		if cg.group != nil {
+			cg.group[c] = int32(len(off) - 1)
+		}
+	}
+	off = append(off, int32(n))
+	cg.off, cg.row, cg.ofRow = off, rows, ofRow
+	// One segment for each group's own AS, and one for each entry of its
+	// row: at most one for each entry of the graph.
+	ins, endOff, end := make([]int32, groups), make([]int32, groups+1), make([]int32, 0, groups+len(g.nbr))
+	for h, own := range rows {
+		endOff[h] = int32(len(end))
+		nbrs, size := g.row(own), off[h+1]-off[h]
+		seen, at := int32(0), -1 // candidates so far, and the segment of its own
+		for j, nb := range nbrs {
+			if at < 0 && nb > own { // its own before the first neighbour whose row comes after its own
+				at, seen = j, seen+size
+				end = append(end, seen)
+			}
+			if c := ofRow[nb]; c >= 0 {
+				seen += off[c+1] - off[c]
+			}
+			end = append(end, seen)
+		}
+		if at < 0 {
+			at = len(nbrs)
+			end = append(end, seen+size)
+		}
+		ins[h] = int32(at)
+	}
+	endOff[groups] = int32(len(end))
+	cg.ins, cg.endOff, cg.end = ins, endOff, end
+	return cg
+}
+
+// groupOf returns the group of cluster c.
+func (cg *clusterGroups) groupOf(c int32) int32 {
+	if cg.group == nil {
+		return int32(seek(cg.off, 0, c+1) - 1)
+	}
+	return cg.group[c]
+}
+
+// cluster returns the k-th cluster in AS order.
+func (cg *clusterGroups) cluster(k int32) int32 {
+	if cg.cl == nil {
+		return k
+	}
+	return cg.cl[k]
+}
+
+// farEnds is the candidates of one near end (clusterGroups).
+type farEnds struct {
+	cg  *clusterGroups
+	own int32   // the near end's group
+	row []int32 // the row of its AS
+	ins int     // the segment of its own group
+	end []int32 // where each segment ends, once newClusterGroups set them
+	// The cursor of at: segment j (-1 before the first), whose candidate i
+	// is cl[base+i].
+	j    int
+	base int32
+}
+
+// candidates returns the candidates of cluster c, which must have a group.
+func (cg *clusterGroups) candidates(c int32) farEnds {
+	h := cg.groupOf(c)
+	return farEnds{cg: cg, own: h, row: cg.g.row(cg.row[h]), ins: int(cg.ins[h]), end: cg.end[cg.endOff[h]:cg.endOff[h+1]], j: -1}
+}
+
+// seg returns the group of segment j, which is at most len(row).
+func (e *farEnds) seg(j int) int32 {
+	switch {
+	case j < e.ins:
+		return e.cg.ofRow[e.row[j]]
+	case j == e.ins:
+		return e.own
+	}
+	return e.cg.ofRow[e.row[j-1]]
+}
+
+// total returns the number of candidates.
+func (e *farEnds) total() int32 { return e.end[len(e.end)-1] }
+
+// at returns candidate i, which must be below total and not below the one
+// asked for before.
+func (e *farEnds) at(i int32) int32 {
+	if e.j < 0 || e.end[e.j] <= i {
+		e.step(i)
+	}
+	return e.cg.cluster(e.base + i)
+}
+
+// step moves the cursor of at on to candidate i's segment. It steps, and
+// gallops past a few steps (seek), so the candidates of one near end cost
+// one pass over its segments at most, and a hostile stream no more than a
+// search a record.
+func (e *farEnds) step(i int32) {
+	j := max(e.j, 0)
+	for n := 0; e.end[j] <= i; n++ {
+		if n == 4 {
+			j = seek(e.end, j, i+1)
+			break
+		}
+		j++
+	}
+	start := int32(0)
+	if j > 0 {
+		start = e.end[j-1]
+	}
+	e.j, e.base = j, e.cg.off[e.seg(j)]-start
 }

@@ -2,10 +2,14 @@ package atlas
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"inano/internal/cluster"
@@ -28,10 +32,13 @@ func onGrid(a *Atlas) *Atlas {
 	return a
 }
 
-// linkTable is an atlas of up to 12 clusters and nothing but links, drawn
-// so that every shape the links section carries turns up: one-way links
-// either way round, self links, pairs with equal and with different
-// latencies and planes, and links at clusters 0 and n-1.
+// linkTable is an atlas of up to 12 clusters, their links and what is coded
+// against the clusters, drawn so that every shape those sections carry turns
+// up: one-way links either way round, self links, pairs with equal and with
+// different latencies and planes, links at clusters 0 and n-1, clusters
+// numbered out of AS order, far ends on and off their candidates; origins
+// their cluster implies, others, none, and 0; degrees their row implies,
+// others, none, and degrees for ASes with no row.
 func linkTable(rng *rand.Rand) *Atlas {
 	a := New()
 	a.NumClusters = 1 + rng.Intn(12)
@@ -50,6 +57,36 @@ func linkTable(rng *rand.Rand) *Atlas {
 			}
 			at[LinkKey(l.From, l.To)] = len(a.Links)
 			a.Links = append(a.Links, l)
+		}
+	}
+	for range rng.Intn(6) {
+		x, y := netsim.ASN(1+rng.Intn(5)), netsim.ASN(1+rng.Intn(5))
+		a.Rels[netsim.ASPairKey(x, y)] = netsim.RelPeer
+	}
+	for p := range netsim.Prefix(rng.Intn(10)) {
+		if rng.Intn(4) != 0 {
+			a.PrefixCluster[p] = cluster.ClusterID(rng.Intn(a.NumClusters))
+		}
+		switch c, ok := a.PrefixCluster[p]; rng.Intn(4) {
+		case 0: // no origin
+		case 1:
+			if ok {
+				a.PrefixAS[p] = a.ClusterAS[c]
+			}
+		default:
+			a.PrefixAS[p] = netsim.ASN(rng.Intn(6))
+		}
+	}
+	g := newASGraph(sortedKeys(a.Rels))
+	for as := range netsim.ASN(7) {
+		switch r, ok := slices.BinarySearch(g.as, as); rng.Intn(3) {
+		case 0: // no degree
+		case 1:
+			if ok {
+				a.ASDegree[as] = int32(len(g.row(int32(r))))
+			}
+		default:
+			a.ASDegree[as] = int32(rng.Intn(4))
 		}
 	}
 	return a
@@ -221,16 +258,214 @@ func TestWireRelSetsOffGraph(t *testing.T) {
 
 // TestDecodeRefusesVersion4 pins what a peer holding a v4 file hears: the
 // version, not a misread section.
-func TestDecodeRefusesVersion4(t *testing.T) {
+func TestDecodeRefusesVersion4(t *testing.T) { refusesVersion(t, 4) }
+
+// TestDecodeRefusesVersion5 is the same for a v5 file, whose prefix → AS,
+// AS degrees and links sections a v6 reader would misread.
+func TestDecodeRefusesVersion5(t *testing.T) { refusesVersion(t, 5) }
+
+// refusesVersion holds both doors to refusing a stream of version v by name.
+func refusesVersion(t *testing.T, v uint64) {
+	t.Helper()
 	var sw sectionWriter
-	sw.uvarint(4)
+	sw.uvarint(v)
+	for _, sec := range []uint64{0, 0, 0} { // a day, a cluster count, section 0 of no clusters
+		sw.uvarint(sec)
+	}
 	raw := gzipped(t, atlasMagic, sw.buf.Bytes())
 	_, mapErr := Decode(bytes.NewReader(raw))
 	_, flatErr := DecodeFlat(bytes.NewReader(raw))
 	for _, err := range []error{mapErr, flatErr} {
-		if err == nil || err.Error() != "atlas: decoding atlas: unsupported version 4" {
-			t.Fatalf("err %v, want the unsupported version", err)
+		if want := fmt.Sprintf("atlas: decoding atlas: unsupported version %d", v); err == nil || !errors.Is(err, ErrVersion) || err.Error() != want {
+			t.Fatalf("err %v, want %q", err, want)
 		}
+	}
+}
+
+// sectionCount returns the record count a's section sec starts with: for a
+// section of exceptions, how many it writes.
+func sectionCount(a *Atlas, sec int) uint64 {
+	var sw sectionWriter
+	a.encodeSection(sec, newASGraph(sortedKeys(a.Rels)), &sw)
+	n, _ := binary.Uvarint(sw.buf.Bytes())
+	return n
+}
+
+// TestWireOriginExceptions: the prefix → AS section of a built atlas writes
+// only the prefixes whose origin is not their cluster's AS, and both doors
+// rebuild the whole table from them; on the fixture, an origin of 0 comes
+// back as 0 and an absent origin as absent.
+func TestWireOriginExceptions(t *testing.T) {
+	for _, a := range []*Atlas{builtAtlas(t, 1, 0), offGraphFixture()} {
+		want := 0
+		for p, as := range a.PrefixAS {
+			if c, ok := a.PrefixCluster[p]; !ok || a.ClusterAS[c] != as {
+				want++
+			}
+		}
+		for p := range a.PrefixCluster {
+			if _, ok := a.PrefixAS[p]; !ok {
+				want++
+			}
+		}
+		if got := sectionCount(a, secPrefixAS); got != uint64(want) || got >= uint64(len(a.PrefixAS)) {
+			t.Fatalf("%d exceptions written, want %d of %d origins", got, want, len(a.PrefixAS))
+		}
+		got := roundTrip(t, a)
+		if !maps.Equal(got.PrefixAS, a.PrefixAS) {
+			t.Fatalf("origins differ:\n got %v\nwant %v", got.PrefixAS, a.PrefixAS)
+		}
+	}
+	got := roundTrip(t, offGraphFixture())
+	if as, ok := got.PrefixAS[105]; !ok || as != 0 {
+		t.Fatalf("origin 0 came back as %d, %v", as, ok)
+	}
+	if _, ok := got.PrefixAS[103]; ok {
+		t.Fatal("a prefix with no origin came back with one")
+	}
+}
+
+// TestWireDegreesFromRows: a built atlas's degrees are its relationship
+// rows' lengths, so its AS degrees section writes none; the fixture's
+// degrees that differ, are missing, or have no row come back as they were.
+func TestWireDegreesFromRows(t *testing.T) {
+	a := builtAtlas(t, 1, 0)
+	if got := sectionCount(a, secASDegree); got != 0 || len(a.ASDegree) == 0 {
+		t.Fatalf("%d degree exceptions written for %d degrees, want none", got, len(a.ASDegree))
+	}
+	for _, a := range []*Atlas{a, offGraphFixture()} {
+		if got := roundTrip(t, a); !maps.Equal(got.ASDegree, a.ASDegree) {
+			t.Fatalf("degrees differ:\n got %v\nwant %v", got.ASDegree, a.ASDegree)
+		}
+	}
+	if got := sectionCount(offGraphFixture(), secASDegree); got != 5 {
+		t.Fatalf("the fixture writes %d degree exceptions, want 5 (ASes 3, 5, 7, 9, 100)", got)
+	}
+}
+
+// TestWireFarEnds: every far end of a built atlas is among its near end's
+// candidates, so its links section escapes none; and an atlas whose
+// clusters are numbered out of AS order, as a later day's are, writes its
+// records out of (From, To) order and still decodes through both doors to
+// the links it holds, in (From, To) order.
+func TestWireFarEnds(t *testing.T) {
+	for day := range 2 {
+		a := builtAtlas(t, 1, day)
+		cg := newClusterGroups(a.ClusterAS, newASGraph(sortedKeys(a.Rels)))
+		escapes := 0
+		for _, l := range a.Links {
+			if !slices.Contains(candidateList(cg, l.From), int32(l.To)) {
+				escapes++
+			}
+		}
+		if escapes != 0 {
+			t.Fatalf("day %d: %d of %d far ends are no candidate of their near end", day, escapes, len(a.Links))
+		}
+		p := permuted(a)
+		b := wireBytes(t, p.Encode)
+		if !decodeBothWays(t, b) {
+			t.Fatalf("day %d: the permuted atlas does not decode", day)
+		}
+		got, err := Decode(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLinkOrder(t, "permuted", got)
+		sameShipped(t, "permuted", got, p)
+	}
+}
+
+// builtAtlas is buildTestAtlas on the wire's grid.
+func builtAtlas(t testing.TB, seed int64, day int) *Atlas {
+	a, _, _ := buildTestAtlas(t, seed, day)
+	return onGrid(a)
+}
+
+// roundTrip returns Decode(Encode(a)), which both doors must accept alike.
+func roundTrip(t testing.TB, a *Atlas) *Atlas {
+	t.Helper()
+	b := wireBytes(t, a.Encode)
+	if !decodeBothWays(t, b) {
+		t.Fatal("the atlas does not decode")
+	}
+	got, err := Decode(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// permuted returns a with its clusters numbered backwards, so that no
+// bucket's far ends come in candidate order.
+func permuted(a *Atlas) *Atlas {
+	n := cluster.ClusterID(a.NumClusters)
+	re := func(c cluster.ClusterID) cluster.ClusterID { return n - 1 - c }
+	reKey := func(k uint64) uint64 {
+		return LinkKey(re(cluster.ClusterID(uint32(k>>32))), re(cluster.ClusterID(uint32(k))))
+	}
+	p := a.Clone()
+	for c, as := range a.ClusterAS {
+		p.ClusterAS[re(cluster.ClusterID(c))] = as
+	}
+	for i, l := range a.Links {
+		p.Links[i].From, p.Links[i].To = re(l.From), re(l.To)
+	}
+	slices.SortFunc(p.Links, linkOrder)
+	p.Loss = map[uint64]float32{}
+	for k, v := range a.Loss {
+		p.Loss[reKey(k)] = v
+	}
+	p.ObservedLinks = map[uint64]uint8{}
+	for k, v := range a.ObservedLinks {
+		p.ObservedLinks[reKey(k)] = v
+	}
+	for pfx, c := range a.PrefixCluster {
+		p.PrefixCluster[pfx] = re(c)
+	}
+	for pfx, c := range a.IfaceCluster {
+		p.IfaceCluster[pfx] = re(c)
+	}
+	return p
+}
+
+// TestLatencyBound holds every door to the wire's latency bound: the atlas
+// and delta encoders refuse a link of 70 000 ms, the atlas decoders a
+// record or a reverse at the bound (TestDecodeRejectsUnsortedKeys), the
+// delta decoder a new link at it, and both Apply paths a re-annotation that
+// lands on it. A latency one step below it round-trips.
+func TestLatencyBound(t *testing.T) {
+	day0 := builtAtlas(t, 1, 0)
+	far := day0.Clone()
+	far.Links[0].LatencyMS = 70_000
+	if err := far.Encode(io.Discard); err == nil {
+		t.Fatal("Atlas.Encode wrote a 70 000 ms link")
+	}
+	if err := Diff(day0, far).Encode(io.Discard); err == nil {
+		t.Fatal("Delta.Encode wrote a 70 000 ms link")
+	}
+	edge := day0.Clone()
+	edge.Links[0].LatencyMS = unquantLat(maxLatUnits - 1)
+	if got := roundTrip(t, edge); got.Links[0].LatencyMS != edge.Links[0].LatencyMS {
+		t.Fatalf("%v ms came back as %v", edge.Links[0].LatencyMS, got.Links[0].LatencyMS)
+	}
+
+	b := atlasBase(day0)
+	n := cluster.ClusterID(day0.NumClusters)
+	newLink := []Link{{From: n - 1, To: 0, LatencyMS: maxLatUnits / 100, Planes: PlaneToDst}}
+	if _, err := DecodeDelta(bytes.NewReader(rawDeltaBytes(t, b.baseName(), 1, newLink, &deltaRefs{}, nil))); err == nil ||
+		!strings.Contains(err.Error(), "at or past the 65536 ms bound") {
+		t.Fatalf("a new link of 65 536 ms: %v", err)
+	}
+	d, err := DecodeDelta(bytes.NewReader(rawDelta(t, b.baseName(), 1, nil,
+		&deltaRefs{reLinks: []uint64{0}, reLat: []int64{maxLatUnits}, rePlanes: []uint8{PlaneToDst}}, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Compile(day0).Apply(d); !errors.Is(err, ErrDeltaBase) {
+		t.Fatalf("Flat.Apply of a re-annotation past the bound: %v", err)
+	}
+	if err := day0.Clone().Apply(d); !errors.Is(err, ErrDeltaBase) {
+		t.Fatalf("Atlas.Apply of a re-annotation past the bound: %v", err)
 	}
 }
 

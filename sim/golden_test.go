@@ -86,15 +86,18 @@ func servedFlats(t testing.TB, bins [2][]byte, delta []byte) (flats [3][]byte) {
 // the clustering or the builder that moves one byte here has changed the
 // world, not just its cost.
 //
-// The atlases (day0, day1) are pinned in the v5 layout: column-major
+// The atlases (day0, day1) are pinned in the v6 layout: column-major
 // sections, split keys, each link pair written once, the 3-tuples,
-// preferences and providers as indices into the relationship graph, and
-// attachment values as differences. The delta is pinned in the v6 layout,
+// preferences and providers as indices into the relationship graph,
+// attachment values as differences, and, coded against what precedes them,
+// the origins and degrees as their exceptions and each link's far end as
+// its index among its near end's candidates. They were re-pinned for v6
+// with the delta and served pins unmoved. The delta is pinned in the v6 layout,
 // coded against its base: the base's name, and each removal and each
 // re-annotation of a base link as an index into the base's tables. Its
 // hashes were re-pinned for v6 and nothing else moved. The served forms
 // (flat0, flat1, followed) were pinned under v3 and did not move when v4,
-// v5 or delta v6 replaced it — the proof that a wire change moved the
+// v5, v6 or delta v6 replaced it — the proof that a wire change moved the
 // encoding and nothing a peer serves from. They were re-pinned once, when the flat file moved to version 2
 // (four derivable per-edge sections dropped), with the wire pins and
 // TestAnswerDigest unmoved. A change that
@@ -115,13 +118,13 @@ func TestBuildGoldenBytes(t *testing.T) {
 		// in full, and day 0 followed by the delta.
 		flat0, flat1, followed artifact
 	}{
-		{"tiny_seed1", Tiny, 1, artifact{"5ffcc2ad", 3005}, artifact{"64670eb6", 2954}, artifact{"cfb2a6ec", 843},
+		{"tiny_seed1", Tiny, 1, artifact{"8074c0f9", 2638}, artifact{"09351a76", 2592}, artifact{"cfb2a6ec", 843},
 			artifact{"ac40d99d", 30512}, artifact{"6c8ccdcc", 28704}, artifact{"6defae10", 29576}},
-		{"tiny_seed2", Tiny, 2, artifact{"6b11b418", 3103}, artifact{"8be9dbde", 3166}, artifact{"518ca8e8", 700},
+		{"tiny_seed2", Tiny, 2, artifact{"06e99546", 2727}, artifact{"d911d16a", 2787}, artifact{"518ca8e8", 700},
 			artifact{"3884fc86", 30704}, artifact{"eb8dc8b4", 30792}, artifact{"ed98101f", 30632}},
-		{"medium_seed1", Medium, 1, artifact{"fd56ca17", 22085}, artifact{"81e90183", 22276}, artifact{"26cce83a", 5185},
+		{"medium_seed1", Medium, 1, artifact{"afbcda03", 18654}, artifact{"7198d3ba", 18865}, artifact{"26cce83a", 5185},
 			artifact{"4da91065", 244072}, artifact{"45fea50e", 242128}, artifact{"b3327c8b", 243912}},
-		{"medium_seed2", Medium, 2, artifact{"09961038", 21628}, artifact{"ac161c6b", 21931}, artifact{"539b0503", 4389},
+		{"medium_seed2", Medium, 2, artifact{"8858573b", 18221}, artifact{"150850fe", 18562}, artifact{"539b0503", 4389},
 			artifact{"44dbd0ff", 226520}, artifact{"a77c36a6", 228088}, artifact{"e61546dd", 227840}},
 	}
 	for _, tc := range cases {
