@@ -43,9 +43,10 @@ const (
 	// them: the prefix → AS section writes only the prefixes whose origin
 	// is not their attachment cluster's AS, the AS degrees section only the
 	// ASes whose degree is not the length of their row in the AS adjacency,
-	// and the links section each far end as its index among the clusters of
-	// its near end's AS and of that AS's neighbours (relcode.go). The
-	// sections are renumbered so that each follows what it is coded against.
+	// and the links section each far end as the slot of its AS among its
+	// near end's AS and that AS's neighbours, then its rank among that AS's
+	// clusters (relcode.go). The sections are renumbered so that each
+	// follows what it is coded against.
 	atlasVersion = 6
 	// deltaVersion 6 splits the delta stream's version from the atlas
 	// stream's (v2-v5 shared one) and codes the delta against the base
@@ -292,80 +293,75 @@ func writeLinkCols(w *sectionWriter, recs []linkRec) {
 }
 
 // writeAtlasLinks writes an atlas's links section, whose far ends are coded
-// against the clusters of ClusterAS and the AS adjacency g: the record
-// count, each record's near end as its difference from the one before, then
-// each record's far end, then the columns of writeLinkCols. A far end is its
-// index among its near end's candidates (clusterGroups), as a difference from
-// the index before in the near end's run of records (from 0 for the first).
-// A far end that is no candidate is an escape: the difference that lands on
-// the number of candidates, then the cluster itself. A run's records come in
-// the order of their indices, the escapes last, by cluster.
+// against the clusters of ClusterAS and the AS adjacency g: the ends of its
+// records (writeEnds), then the columns of writeLinkCols.
 func writeAtlasLinks(w *sectionWriter, links []Link, clusterAS []netsim.ASN, g *asGraph) {
 	recs := linkRecs(links)
+	writeEnds(w, keysOf(recs), clusterAS, g)
+	writeLinkCols(w, recs)
+}
+
+// writeEnds writes the ends of the link records keys, in the order given
+// (Encode's is (From, To) order): the record count; each run of records
+// with one near end as the near end, less the one before it and one (as it
+// is for the first run), and the run's length less one; then each far end.
+// A far end is a slot among its near end's (clusterGroups), as a zigzag
+// difference from the slot before in its run (from 0 for the first), then
+// its rank among the clusters of the slot's AS, less the lowest it can
+// have: 0, or where the slot is the one before, one past the rank before.
+// The rank is left out where only that lowest one is left. A far end in no
+// slot is an escape: the slot past the last, then the cluster itself.
+func writeEnds(w *sectionWriter, keys []uint64, clusterAS []netsim.ASN, g *asGraph) {
 	cg := newClusterGroups(clusterAS, g)
-	group, rank := make([]int32, len(clusterAS)), make([]int, len(clusterAS)) // each cluster's, and its place in it
+	rank := make([]int32, len(clusterAS)) // each cluster's place in its group
 	for h := range len(cg.off) - 1 {
 		for k := cg.off[h]; k < cg.off[h+1]; k++ {
-			c := cg.cluster(k)
-			group[c], rank[c] = int32(h), int(k-cg.off[h])
+			rank[cg.cl[k]] = k - cg.off[h]
 		}
 	}
-	// first[h] is where group h's first segment starts among the candidates
-	// of the run's near end, or -1.
-	first := make([]int, len(cg.off))
-	for h := range first {
-		first[h] = -1
+	w.uvarint(uint64(len(keys)))
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		for hi = lo + 1; hi < len(keys) && keys[hi]>>32 == keys[lo]>>32; hi++ {
+		}
+		if lo == 0 {
+			w.uvarint(keys[lo] >> 32)
+		} else {
+			w.uvarint(keys[lo]>>32 - keys[lo-1]>>32 - 1)
+		}
+		w.uvarint(uint64(hi - lo - 1))
 	}
-	inSpace := func(c cluster.ClusterID) bool { return c >= 0 && int(c) < len(clusterAS) }
-	var ends sectionWriter // the far-end column
-	for lo, hi := 0, 0; lo < len(recs); lo = hi {
-		for hi = lo + 1; hi < len(recs) && recs[hi].From == recs[lo].From; hi++ {
-		}
-		var e farEnds // no candidates, for a near end with no group
-		if inSpace(recs[lo].From) {
-			e = cg.candidates(int32(recs[lo].From))
-		}
-		total := 0
-		for j, end := range e.end {
-			if h := e.seg(j); h >= 0 && first[h] < 0 {
-				first[h] = total
-			}
-			total = int(end)
-		}
-		// key is a far end's index, or for an escape total and more.
-		key := func(to cluster.ClusterID) int {
-			if inSpace(to) && first[group[to]] >= 0 {
-				return first[group[to]] + rank[to]
-			}
-			return total + int(uint32(to))
-		}
-		run := recs[lo:hi]
-		slices.SortFunc(run, func(x, y linkRec) int { return cmp.Compare(key(x.To), key(y.To)) })
-		prev := 0
-		for _, rec := range run {
-			if k := key(rec.To); k < total {
-				ends.uvarint(uint64(k - prev))
-				prev = k
-			} else {
-				ends.uvarint(uint64(total - prev))
-				ends.uvarint(uint64(uint32(rec.To)))
-				prev = total
+	inSpace := func(c uint64) bool { return c < uint64(len(clusterAS)) }
+	slots, prevJ, prevK := 0, 0, int32(0)
+	for i, k := range keys {
+		from, to := k>>32, uint64(uint32(k))
+		first := i == 0 || from != keys[i-1]>>32
+		if first {
+			slots, prevJ = 0, 0 // no slots for a near end outside the space
+			if inSpace(from) {
+				slots = cg.at(int32(from))
 			}
 		}
-		for j := range e.end {
-			if h := e.seg(j); h >= 0 {
-				first[h] = -1
+		j := slots // an escape
+		if slots > 0 && inSpace(to) {
+			if s := cg.slotOf(cg.group[to]); s >= 0 {
+				j = s
 			}
 		}
+		w.uvarint(zigzag(int64(j - prevJ)))
+		if j == slots {
+			w.uvarint(to)
+		} else {
+			base := int32(0) // the lowest rank the far end can have
+			if j == prevJ && !first {
+				base = prevK + 1
+			}
+			if h := cg.group[to]; cg.off[h+1]-cg.off[h]-base > 1 {
+				w.uvarint(uint64(rank[to] - base))
+			}
+			prevK = rank[to]
+		}
+		prevJ = j
 	}
-	w.uvarint(uint64(len(recs)))
-	var from uint64
-	for _, rec := range recs {
-		w.uvarint(uint64(uint32(rec.From)) - from)
-		from = uint64(uint32(rec.From))
-	}
-	w.buf.Write(ends.buf.Bytes())
-	writeLinkCols(w, recs)
 }
 
 // wireWindow is how much of an inflating stream a wireReader holds at once;
@@ -459,6 +455,10 @@ func (r *wireReader) fixed32() uint32 {
 func (r *wireReader) uvarint() uint64 {
 	if r.end-r.off < binary.MaxVarintLen64 && r.srcErr == nil {
 		r.fill()
+	}
+	if r.off < r.end && r.buf[r.off] < 0x80 && r.err == nil { // one byte, as most are
+		r.off++
+		return uint64(r.buf[r.off-1])
 	}
 	v, n := binary.Uvarint(r.buf[r.off:r.end])
 	if n <= 0 || r.err != nil {
@@ -623,116 +623,104 @@ func readLinks(r *wireReader) []Link {
 }
 
 // readAtlasLinks reads an atlas's links section (writeAtlasLinks), against
-// the candidates of cg, into (From, To) order. Besides what readFarEnds and
-// readLinkCols refuse, it refuses a link written twice, and a record whose
-// reverse is written as a record of its own: an atlas writes each pair once.
+// the slots of cg, in (From, To) order. Besides what readFarEnds and
+// readLinkCols refuse, it refuses a record whose reverse is written as a
+// record of its own: an atlas writes each pair once.
 func readAtlasLinks(r *wireReader, cg *clusterGroups) []Link {
 	keys := readFarEnds(r, cg)
+	for _, k := range keys {
+		if from, to := uint32(k>>32), uint32(k); to < from {
+			if _, both := slices.BinarySearch(keys, reverseKey(k)); both {
+				r.fail("both directions of link (%d,%d) written: a pair is written once", to, from)
+				break
+			}
+		}
+	}
 	paired, pairs := readPaired(r, keys)
 	if r.err != nil {
 		return nil
 	}
-	// pos[i] is where record i stands in (From, To) order: nil where the
-	// records are in that order already, else a stable counting pass by To,
-	// then each record to the next place of its near end's run, the records
-	// coming grouped by near end.
-	var pos []int32
-	sorted, sortedPaired := keys, paired
-	if !slices.IsSorted(keys) {
-		n := r.clusters
-		next := make([]int32, n+1)
-		for _, k := range keys {
-			next[uint32(k)+1]++
-		}
-		for c := range n {
-			next[c+1] += next[c]
-		}
-		byTo := make([]int32, len(keys))
-		for i, k := range keys {
-			byTo[next[uint32(k)]] = int32(i)
-			next[uint32(k)]++
-		}
-		for i := len(keys) - 1; i >= 0; i-- {
-			next[keys[i]>>32] = int32(i)
-		}
-		pos = make([]int32, len(keys))
-		sorted, sortedPaired = make([]uint64, len(keys)), make([]bool, len(keys))
-		for _, i := range byTo {
-			from := keys[i] >> 32
-			pos[i] = next[from]
-			next[from]++
-			sorted[pos[i]], sortedPaired[pos[i]] = keys[i], paired[i]
-		}
-	}
-	for i, k := range sorted {
-		switch from, to := uint32(k>>32), uint32(k); {
-		case i > 0 && k == sorted[i-1]:
-			r.fail("link (%d,%d) written twice", from, to)
-		case to < from:
-			if _, both := slices.BinarySearch(sorted, reverseKey(k)); both {
-				r.fail("both directions of link (%d,%d) written: a pair is written once", to, from)
-			}
-		}
-	}
-	if r.err != nil {
-		return nil
-	}
 	at := make([]int32, 2*len(keys))
-	canonicalPlaces(at, sorted, sortedPaired, r.clusters)
-	if pos != nil {
-		places := at
-		at = make([]int32, 2*len(keys))
-		for i, p := range pos {
-			at[2*i], at[2*i+1] = places[2*p], places[2*p+1]
-		}
-	}
+	canonicalPlaces(at, keys, paired, r.clusters)
 	return readLinkCols(r, keys, paired, pairs, at)
 }
 
-// readFarEnds reads the near and far ends of an atlas's link records, in
-// stream order, as LinkKeys. A near end outside the cluster space is
-// refused, and so are an index past its near end's candidates, an escape to
-// a cluster outside the space and an escape not above the one before it.
-// The indices of a run of records ascend, so they resolve in one pass over
-// the segments of its near end's candidates (farEnds.at).
+// readFarEnds reads the near and far ends of an atlas's link records
+// (writeEnds) as LinkKeys, which must ascend strictly. A near end outside
+// the cluster space is refused, and so are a run past the record count, a
+// slot past the escape, a slot naming an AS with no cluster or the AS of an
+// earlier slot, a rank past its AS's clusters, and an escape to a cluster
+// outside the space or to one of the near end's candidates: Encode writes
+// none of them. A record costs no search, and a near end's escapes one
+// walk of its slots (slotOf).
 func readFarEnds(r *wireReader, cg *clusterGroups) []uint64 {
 	n := r.count()
 	keys := make([]uint64, 0, allocHint(n))
-	var from uint64
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		if from += r.uvarint(); from >= uint64(r.clusters) {
-			r.fail("link %d near end %d outside cluster space %d", i, int64(from), r.clusters)
-		}
-		keys = append(keys, from<<32)
-	}
-	for lo, hi := 0, 0; lo < len(keys) && r.err == nil; lo = hi {
-		for hi = lo + 1; hi < len(keys) && keys[hi] == keys[lo]; hi++ {
-		}
-		c := int32(keys[lo] >> 32)
-		e := cg.candidates(c)
-		total := uint64(e.total())
-		prev, escaped := uint64(0), int64(-1)
-		for i := lo; i < hi && r.err == nil; i++ {
-			var to int32
-			switch u := r.uvarint(); {
-			case u < total-prev:
-				prev += u
-				to = e.at(int32(prev))
-			case u == total-prev:
-				prev = total
-				switch v := r.uvarint(); {
-				case v >= uint64(r.clusters):
-					r.fail("link (%d,%d) far end outside cluster space %d", c, v, r.clusters)
-				case int64(v) <= escaped:
-					r.fail("escaped far end %d of cluster %d after %d: escapes must ascend", v, c, escaped)
-				default:
-					to, escaped = int32(v), int64(v)
-				}
-			default:
-				r.fail("far-end index %d past the %d candidates of cluster %d", prev+u, total, c)
+	var next uint64 // the lowest near end the next run may have
+	for uint64(len(keys)) < n && r.err == nil {
+		switch u, more := r.uvarint(), r.uvarint(); {
+		case u >= uint64(r.clusters)-next:
+			r.fail("link %d near end %d+%d outside cluster space %d", len(keys), next, u, r.clusters)
+		case more >= n-uint64(len(keys)):
+			r.fail("link %d near end %d: a run of 1+%d links past the count %d", len(keys), next+u, more, n)
+		default:
+			for range more + 1 {
+				keys = append(keys, (next+u)<<32)
 			}
-			keys[i] |= uint64(to)
+			next += u + 1
 		}
+	}
+	slots, prevJ, prevK := 0, 0, 0
+	for i := 0; i < len(keys) && r.err == nil; i++ {
+		c := int32(keys[i] >> 32)
+		first := i == 0 || keys[i-1]>>32 != uint64(c)
+		if first {
+			slots, prevJ = cg.at(c), 0
+		}
+		d := unzigzag(r.uvarint())
+		if d < int64(-prevJ) || d > int64(slots-prevJ) {
+			r.fail("far-end slot %d%+d of cluster %d past its %d slots", prevJ, d, c, slots)
+			break
+		}
+		j := prevJ + int(d)
+		var to uint64
+		if j == slots {
+			switch to = r.uvarint(); {
+			case to >= uint64(r.clusters):
+				r.fail("link (%d,%d) far end outside cluster space %d", c, to, r.clusters)
+			case cg.slotOf(cg.group[to]) >= 0:
+				r.fail("escaped far end %d of cluster %d is one of its candidates", to, c)
+			}
+		} else {
+			h := cg.groupAt(j)
+			switch {
+			case h < 0:
+				r.fail("far-end slot %d of cluster %d names an AS with no cluster", j, c)
+			case cg.repeats(j):
+				r.fail("far-end slot %d of cluster %d names the AS of an earlier slot", j, c)
+			}
+			if r.err != nil {
+				break
+			}
+			base, size := uint64(0), uint64(cg.off[h+1]-cg.off[h])
+			if j == prevJ && !first {
+				base = uint64(prevK) + 1
+			}
+			k := base
+			if size-base > 1 {
+				k += min(r.uvarint(), size-base)
+			}
+			if k >= size {
+				r.fail("far-end rank past the %d clusters in slot %d of cluster %d", size, j, c)
+				break
+			}
+			to, prevK = uint64(cg.cl[cg.off[h]+int32(k)]), int(k)
+		}
+		if !first && to <= uint64(uint32(keys[i-1])) {
+			r.fail("link (%d,%d) after (%d,%d): links must ascend strictly", c, to, c, uint32(keys[i-1]))
+		}
+		keys[i] |= to
+		prevJ = j
 	}
 	if r.err != nil {
 		return nil
@@ -824,12 +812,12 @@ func reverseKey(k uint64) uint64 { return k<<32 | k>>32 }
 
 // canonicalPlaces sets at[2i] to where record i stands in (From, To) order
 // and at[2i+1] to where its reverse does, if paired[i]. The records are in
-// that order already (readAtlasLinks put them in it). One stable counting pass
-// over the reverses' From puts them in order too — a From's reverses come
-// in To order, as their records do — and one merge of the two places both.
-// There is no comparison sort: every cluster ID is below n, and no reverse
-// is also a record (readAtlasLinks checked both). The pass costs 4 B a cluster
-// of the header's count, which count caps.
+// that order already (readFarEnds refuses any other). One stable counting
+// pass over the reverses' From puts them in order too — a From's reverses
+// come in To order, as their records do — and one merge of the two places
+// both. There is no comparison sort: every cluster ID is below n, and no
+// reverse is also a record (readFarEnds and readAtlasLinks check both). The
+// pass costs 4 B a cluster of the header's count, which count caps.
 func canonicalPlaces(at []int32, keys []uint64, paired []bool, n int32) {
 	next := make([]int32, n+1)
 	for i, k := range keys {

@@ -156,47 +156,25 @@ func linkCols(sw *sectionWriter, links []Link, flags []uint64, tail []uint64) {
 	}
 }
 
-// atlasLinkRecords is linkRecords for an atlas's links section, whose far
-// ends are coded against a's clusters and relationships: each far end is
-// written as its index among its near end's candidates, or escaped, in the
-// order given — which Encode never writes out of candidate order.
+// atlasLinkRecords is linkRecords for an atlas's links section, whose ends
+// are coded against a's clusters and relationships (writeEnds), in the
+// order given — Encode writes them in (From, To) order only.
 func atlasLinkRecords(a *Atlas, links []Link, flags []uint64, tail ...uint64) func(*sectionWriter) {
 	return func(sw *sectionWriter) {
-		g := newASGraph(sortedKeys(a.Rels))
-		cg := newClusterGroups(a.ClusterAS, g)
-		sw.uvarint(uint64(len(links)))
-		var from uint64
-		for _, l := range links {
-			sw.uvarint(uint64(l.From) - from)
-			from = uint64(l.From)
-		}
-		prev := 0
+		keys := make([]uint64, len(links))
 		for i, l := range links {
-			if i == 0 || l.From != links[i-1].From {
-				prev = 0
-			}
-			cands := candidateList(cg, l.From)
-			idx := slices.Index(cands, int32(l.To))
-			if idx < 0 {
-				idx = len(cands)
-			}
-			sw.uvarint(uint64(idx - prev))
-			if prev = idx; idx == len(cands) {
-				sw.uvarint(uint64(l.To))
-			}
+			keys[i] = LinkKey(l.From, l.To)
 		}
+		writeEnds(sw, keys, a.ClusterAS, newASGraph(sortedKeys(a.Rels)))
 		linkCols(sw, links, flags, tail)
 	}
 }
 
-// candidateList returns the candidates of near end c, in order.
-func candidateList(cg *clusterGroups, c cluster.ClusterID) []int32 {
-	e := cg.candidates(int32(c))
-	var out []int32
-	for i := range e.total() {
-		out = append(out, e.at(i))
-	}
-	return out
+// isCandidate reports whether cluster to is among the candidates of near
+// end from.
+func isCandidate(cg *clusterGroups, from, to cluster.ClusterID) bool {
+	cg.at(int32(from))
+	return cg.slotOf(cg.group[to]) >= 0
 }
 
 type hostileAtlas struct {
@@ -231,6 +209,9 @@ func hostileAtlases(tb testing.TB) []hostileAtlas {
 		return Link{From: from, To: to, LatencyMS: 1, Planes: planes}
 	}
 	provider := func(origin, up uint64) uint64 { return origin<<32 | up }
+	off := offGraphFixture() // cluster 3's slots: its own AS 9, AS 8, AS 3 with no cluster
+	selfRel := wireFixture() // cluster 0's slots: its own AS 7, AS 7 again, AS 8
+	selfRel.Rels[netsim.ASPairKey(7, 7)] = netsim.RelSibling
 	return []hostileAtlas{
 		{"zero key delta", "Link loss rates", "ascend strictly", one(secLoss, table(splitPair, []uint64{5, 5}, []uint64{100, 200}))},
 		{"delta that wraps uint64", "AS three-tuples", "ascend strictly", one(secTuples, relSet([]uint64{PackTriple(9, 8, 7), PackTriple(7, 8, 9)}, tupleShape))},
@@ -251,12 +232,20 @@ func hostileAtlases(tb testing.TB) []hostileAtlas {
 		{"repeated provider", "Provider mappings", "ascend strictly", one(secProviders, relSet([]uint64{provider(9, 7), provider(9, 7)}, providerShape))},
 		{"repeated origin", "Provider mappings", "ascend strictly", one(secProviders, relSet([]uint64{provider(9, 7), provider(7, 8), provider(9, 8)}, providerShape))},
 		{"records past the count", "Provider mappings", "count says 1", one(secProviders, records(1, 9, 1, 0, 1, 100))},
-		{"repeated link", "Inter-cluster links", "link (0,1) written twice", one(secLinks, links([]Link{link(0, 1, 1), link(0, 1, 1)}, nil))},
-		{"links out of order", "Inter-cluster links", "past the 3 candidates of cluster 0", one(secLinks, links([]Link{link(0, 2, 1), link(0, 1, 1)}, nil))},
-		{"far-end index past the candidates", "Inter-cluster links", "far-end index 4 past the 3 candidates of cluster 0", one(secLinks, records(1, 0, 4))},
-		{"escape outside the cluster space", "Inter-cluster links", "far end outside cluster space 4", one(secLinks, records(1, 0, 3, 4))},
-		{"escapes out of order", "Inter-cluster links", "escapes must ascend", one(secLinks, records(2, 0, 0, 3, 3, 0, 2))},
-		{"near end outside the cluster space", "Inter-cluster links", "near end 4 outside cluster space 4", one(secLinks, records(1, 4))},
+		{"repeated link", "Inter-cluster links", "link (0,3) after (0,3): links must ascend strictly", one(secLinks, links([]Link{link(0, 3, 1), link(0, 3, 1)}, nil))},
+		{"links out of order", "Inter-cluster links", "link (0,1) after (0,2): links must ascend strictly", one(secLinks, links([]Link{link(0, 2, 1), link(0, 1, 1)}, nil))},
+		{"far-end slot past the escape", "Inter-cluster links", "far-end slot 0+3 of cluster 0 past its 2 slots", one(secLinks, records(1, 0, 0, zigzag(3)))},
+		{"far-end rank past its AS's clusters", "Inter-cluster links", "far-end rank past the 2 clusters in slot 0 of cluster 0", one(secLinks, records(1, 0, 0, 0, 2))},
+		{"far-end rank past the last in its slot", "Inter-cluster links", "far-end rank past the 2 clusters in slot 0 of cluster 0", one(secLinks, records(2, 0, 1, 0, 1, 0))},
+		{"far-end slot of an AS with no cluster", "Inter-cluster links", "far-end slot 2 of cluster 3 names an AS with no cluster", rawAtlas(tb, off, nil, map[int]func(*sectionWriter){secLinks: records(1, 3, 0, zigzag(2))})},
+		{"far-end slot that repeats another", "Inter-cluster links", "far-end slot 1 of cluster 0 names the AS of an earlier slot", rawAtlas(tb, selfRel, nil, map[int]func(*sectionWriter){secLinks: records(1, 0, 0, zigzag(1))})},
+		{"escape outside the cluster space", "Inter-cluster links", "far end outside cluster space 4", one(secLinks, records(1, 0, 0, zigzag(2), 4))},
+		{"escape to a candidate", "Inter-cluster links", "escaped far end 2 of cluster 0 is one of its candidates", one(secLinks, records(1, 0, 0, zigzag(2), 2))},
+		{"near end outside the cluster space", "Inter-cluster links", "link 0 near end 0+4 outside cluster space 4", one(secLinks, records(1, 4, 0))},
+		{"near end that wraps", "Inter-cluster links", "link 1 near end 2+18446744073709551615 outside cluster space 4", one(secLinks, records(2, 1, 0, 1<<64-1, 0))},
+		{"near ends that descend", "Inter-cluster links", "link 1 near end 2+18446744073709551614 outside cluster space 4", one(secLinks, links([]Link{link(1, 1, 1), link(0, 1, 1)}, nil))},
+		{"near ends whose runs split", "Inter-cluster links", "link 1 near end 3+18446744073709551614 outside cluster space 4", one(secLinks, links([]Link{link(2, 0, 1), link(1, 1, 1), link(2, 2, 1)}, nil))},
+		{"a run of near ends past the count", "Inter-cluster links", "link 0 near end 0: a run of 1+1 links past the count 1", one(secLinks, records(1, 0, 1))},
 		{"links before the relationships", "Inter-cluster links", "written before section AS relationships", rawAtlas(tb, a, linksFirst, nil)},
 		{"latency at the bound", "Inter-cluster links", "at or past the 65536 ms bound", one(secLinks, links([]Link{{From: 0, To: 1, LatencyMS: 65536, Planes: 1}}, nil))},
 		{"reverse latency at the bound", "Inter-cluster links", "at or past the 65536 ms bound", one(secLinks, links([]Link{link(0, 1, 1)}, []uint64{1}, zigzag(maxLatUnits-100), 1))},

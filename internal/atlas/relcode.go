@@ -23,6 +23,9 @@ type asGraph struct {
 	as  []netsim.ASN // row i is as[i]'s
 	off []int32      // row i's neighbours are nbr[off[i]:off[i+1]]
 	nbr []int32
+	// canonical is whether every key names two ASes, the lower first, as
+	// netsim.ASPairKey packs them: then no row names an AS twice, or its own.
+	canonical bool
 }
 
 // newASGraph builds the adjacency of relKeys, each key an edge between its
@@ -43,7 +46,10 @@ func newASGraph(relKeys []uint64) *asGraph {
 			distinct++
 		}
 	}
-	g := &asGraph{as: make([]netsim.ASN, 0, distinct)}
+	g := &asGraph{as: make([]netsim.ASN, 0, distinct), canonical: true}
+	for _, k := range relKeys {
+		g.canonical = g.canonical && k>>32 < k&(1<<32-1)
+	}
 	for _, e := range order {
 		if n := len(g.as); n == 0 || g.as[n-1] != as[e] {
 			g.as = append(g.as, as[e])
@@ -276,172 +282,103 @@ func readRelSet(r *wireReader, g *asGraph, s relShape) []uint64 {
 }
 
 // A link's far end is, all but always, a cluster of its near end's AS or of
-// one of that AS's relationship neighbours. So an atlas writes it as its
-// index among those candidates: the clusters of each neighbour in the order
-// of the AS's row, with the AS's own before the first neighbour whose row
-// comes after its own (so, in AS order, for a row in order), and each AS's
-// clusters in ID order. Where clusters are numbered in AS order, as a first
-// day's are, a near end's far ends in ID order are in candidate order too.
+// one of that AS's relationship neighbours. So an atlas writes it as a slot,
+// which names one of those ASes — slot 0 the near end's own, slot 1+i the
+// i-th entry of its row — and a rank, the far end's place among that AS's
+// clusters by ID.
 
-// clusterGroups lists each AS's clusters, and the candidates of a near end
-// in each: what a link's far end is written against.
+// clusterGroups lists each AS's clusters by ID, a group each, and the slots
+// of one near end at a time (at): what a link's far end is written against.
 type clusterGroups struct {
-	// Every cluster by AS and by ID within an AS, and each cluster's group;
-	// both nil where the clusters are numbered in AS order (see cluster and
-	// groupOf).
-	cl, group []int32
-	off       []int32 // group h, one AS's clusters, is cl[off[h]:off[h+1]]
-	g         *asGraph
-	row       []int32 // each group's row in g, or -1
-	ofRow     []int32 // each row's group, or -1
-	// The candidates of a near end of group h come in segments, one AS's
-	// clusters each: its own group's at ins[h], and around it the group of
-	// each entry of its row in turn. Segment j ends at candidate
-	// end[endOff[h]+j].
-	ins, endOff, end []int32
+	g     *asGraph
+	cl    []int32 // every cluster, by AS and by ID within an AS
+	off   []int32 // group h, one AS's clusters, is cl[off[h]:off[h+1]]
+	group []int32 // each cluster's group
+	row   []int32 // each group's row in g, or -1
+	ofRow []int32 // each row's group, or -1
+	// The near end at set last: its group and the row of its AS.
+	own  int32
+	nbrs []int32
+	// slot[h] is the slot of group h among the near end's where stamp[h]
+	// is marks, once slotOf has walked them.
+	slot, stamp []int32
+	marks       int32
+	marked      bool
 }
 
-// newClusterGroups groups the clusters of clusterAS by AS and lays out each
-// group's candidates over the adjacency g. Like newASGraph it is a radix
-// sort and merges, with no comparison sort and no search, and the segments
-// cost one entry per row entry of each group's AS.
+// newClusterGroups groups the clusters of clusterAS by AS over the
+// adjacency g. Like newASGraph it is a radix sort and merges, with no
+// comparison sort and no search.
 func newClusterGroups(clusterAS []netsim.ASN, g *asGraph) *clusterGroups {
-	n := len(clusterAS)
-	cg := &clusterGroups{g: g}
-	if !slices.IsSorted(clusterAS) { // a first day's clusters are numbered in AS order
-		cg.cl, cg.group = radixByAS(clusterAS)
-	}
+	cg := &clusterGroups{g: g, ofRow: make([]int32, len(g.as))}
+	cg.cl, cg.group = radixByAS(clusterAS)
 	groups := 0
-	for i := range n {
-		if i == 0 || clusterAS[cg.cluster(int32(i))] != clusterAS[cg.cluster(int32(i-1))] {
+	for i, c := range cg.cl {
+		if i == 0 || clusterAS[c] != clusterAS[cg.cl[i-1]] {
 			groups++
 		}
 	}
-	off, rows, ofRow := make([]int32, 0, groups+1), make([]int32, 0, groups), make([]int32, len(g.as))
-	for r := range ofRow {
-		ofRow[r] = -1
+	cg.off, cg.row = make([]int32, 0, groups+1), make([]int32, 0, groups)
+	for r := range cg.ofRow {
+		cg.ofRow[r] = -1
 	}
 	r := 0 // the first row whose AS is not below the group's
-	for i := range n {
-		c := cg.cluster(int32(i))
-		if as := clusterAS[c]; i == 0 || as != clusterAS[cg.cluster(int32(i-1))] {
+	for i, c := range cg.cl {
+		if as := clusterAS[c]; i == 0 || as != clusterAS[cg.cl[i-1]] {
 			for r < len(g.as) && g.as[r] < as {
 				r++
 			}
 			row := int32(-1)
 			if r < len(g.as) && g.as[r] == as {
-				row, ofRow[r] = int32(r), int32(len(off))
+				row, cg.ofRow[r] = int32(r), int32(len(cg.off))
 			}
-			off, rows = append(off, int32(i)), append(rows, row)
+			cg.off, cg.row = append(cg.off, int32(i)), append(cg.row, row)
 		}
-		if cg.group != nil {
-			cg.group[c] = int32(len(off) - 1)
-		}
+		cg.group[c] = int32(len(cg.off) - 1)
 	}
-	off = append(off, int32(n))
-	cg.off, cg.row, cg.ofRow = off, rows, ofRow
-	// One segment for each group's own AS, and one for each entry of its
-	// row: at most one for each entry of the graph.
-	ins, endOff, end := make([]int32, groups), make([]int32, groups+1), make([]int32, 0, groups+len(g.nbr))
-	for h, own := range rows {
-		endOff[h] = int32(len(end))
-		nbrs, size := g.row(own), off[h+1]-off[h]
-		seen, at := int32(0), -1 // candidates so far, and the segment of its own
-		for j, nb := range nbrs {
-			if at < 0 && nb > own { // its own before the first neighbour whose row comes after its own
-				at, seen = j, seen+size
-				end = append(end, seen)
-			}
-			if c := ofRow[nb]; c >= 0 {
-				seen += off[c+1] - off[c]
-			}
-			end = append(end, seen)
-		}
-		if at < 0 {
-			at = len(nbrs)
-			end = append(end, seen+size)
-		}
-		ins[h] = int32(at)
-	}
-	endOff[groups] = int32(len(end))
-	cg.ins, cg.endOff, cg.end = ins, endOff, end
+	cg.off = append(cg.off, int32(len(cg.cl)))
 	return cg
 }
 
-// groupOf returns the group of cluster c.
-func (cg *clusterGroups) groupOf(c int32) int32 {
-	if cg.group == nil {
-		return int32(seek(cg.off, 0, c+1) - 1)
+// at sets near end c, a cluster, and returns its number of slots: one for
+// its own AS and one for each entry of that AS's row.
+func (cg *clusterGroups) at(c int32) int {
+	cg.own, cg.nbrs, cg.marked = cg.group[c], cg.g.row(cg.row[cg.group[c]]), false
+	return len(cg.nbrs) + 1
+}
+
+// groupAt returns the group of slot j of the near end at set, or -1 for an
+// AS with no cluster.
+func (cg *clusterGroups) groupAt(j int) int32 {
+	if j == 0 {
+		return cg.own
 	}
-	return cg.group[c]
+	return cg.ofRow[cg.nbrs[j-1]]
 }
 
-// cluster returns the k-th cluster in AS order.
-func (cg *clusterGroups) cluster(k int32) int32 {
-	if cg.cl == nil {
-		return k
-	}
-	return cg.cl[k]
+// repeats reports whether slot j of the near end at set names the group
+// of an earlier slot, which only a graph that is not canonical allows.
+func (cg *clusterGroups) repeats(j int) bool {
+	return !cg.g.canonical && cg.slotOf(cg.groupAt(j)) != j
 }
 
-// farEnds is the candidates of one near end (clusterGroups).
-type farEnds struct {
-	cg  *clusterGroups
-	own int32   // the near end's group
-	row []int32 // the row of its AS
-	ins int     // the segment of its own group
-	end []int32 // where each segment ends, once newClusterGroups set them
-	// The cursor of at: segment j (-1 before the first), whose candidate i
-	// is cl[base+i].
-	j    int
-	base int32
-}
-
-// candidates returns the candidates of cluster c, which must have a group.
-func (cg *clusterGroups) candidates(c int32) farEnds {
-	h := cg.groupOf(c)
-	return farEnds{cg: cg, own: h, row: cg.g.row(cg.row[h]), ins: int(cg.ins[h]), end: cg.end[cg.endOff[h]:cg.endOff[h+1]], j: -1}
-}
-
-// seg returns the group of segment j, which is at most len(row).
-func (e *farEnds) seg(j int) int32 {
-	switch {
-	case j < e.ins:
-		return e.cg.ofRow[e.row[j]]
-	case j == e.ins:
-		return e.own
-	}
-	return e.cg.ofRow[e.row[j-1]]
-}
-
-// total returns the number of candidates.
-func (e *farEnds) total() int32 { return e.end[len(e.end)-1] }
-
-// at returns candidate i, which must be below total and not below the one
-// asked for before.
-func (e *farEnds) at(i int32) int32 {
-	if e.j < 0 || e.end[e.j] <= i {
-		e.step(i)
-	}
-	return e.cg.cluster(e.base + i)
-}
-
-// step moves the cursor of at on to candidate i's segment. It steps, and
-// gallops past a few steps (seek), so the candidates of one near end cost
-// one pass over its segments at most, and a hostile stream no more than a
-// search a record.
-func (e *farEnds) step(i int32) {
-	j := max(e.j, 0)
-	for n := 0; e.end[j] <= i; n++ {
-		if n == 4 {
-			j = seek(e.end, j, i+1)
-			break
+// slotOf returns the first slot of group h among the near end at set, or
+// -1 if h is none of its candidates. Its first call for a near end walks
+// the near end's slots once.
+func (cg *clusterGroups) slotOf(h int32) int {
+	if !cg.marked {
+		if cg.slot == nil {
+			cg.slot, cg.stamp = make([]int32, len(cg.row)), make([]int32, len(cg.row))
 		}
-		j++
+		cg.marks, cg.marked = cg.marks+1, true
+		for j := len(cg.nbrs); j >= 0; j-- { // backwards, so the first slot stays
+			if h := cg.groupAt(j); h >= 0 {
+				cg.stamp[h], cg.slot[h] = cg.marks, int32(j)
+			}
+		}
 	}
-	start := int32(0)
-	if j > 0 {
-		start = e.end[j-1]
+	if cg.stamp[h] != cg.marks {
+		return -1
 	}
-	e.j, e.base = j, e.cg.off[e.seg(j)]-start
+	return int(cg.slot[h])
 }

@@ -128,7 +128,7 @@ func TestScaleStreamBuild(t *testing.T) {
 	// TestBuildGoldenBytes pins the materialized one: a change to the
 	// builder that moves a byte here has changed the atlas, not its cost.
 	sum := sha256.Sum256(buf.Bytes())
-	if got, want := fmt.Sprintf("%s/%d", hex.EncodeToString(sum[:4]), buf.Len()), "076fbc05/2699"; got != want {
+	if got, want := fmt.Sprintf("%s/%d", hex.EncodeToString(sum[:4]), buf.Len()), "240a28c1/2730"; got != want {
 		t.Errorf("scale atlas sha256 prefix/size = %s, want %s", got, want)
 	}
 	if f := Compile(a); f == nil {

@@ -344,17 +344,18 @@ func TestWireDegreesFromRows(t *testing.T) {
 }
 
 // TestWireFarEnds: every far end of a built atlas is among its near end's
-// candidates, so its links section escapes none; and an atlas whose
-// clusters are numbered out of AS order, as a later day's are, writes its
-// records out of (From, To) order and still decodes through both doors to
-// the links it holds, in (From, To) order.
+// candidates, so its links section escapes none; an atlas whose clusters
+// are numbered out of AS order, as a later day's are, so that a near end's
+// slots come out of (From, To) order, still decodes through both doors to
+// the links it holds, in (From, To) order; and so does one whose
+// relationships name a slot twice.
 func TestWireFarEnds(t *testing.T) {
 	for day := range 2 {
 		a := builtAtlas(t, 1, day)
 		cg := newClusterGroups(a.ClusterAS, newASGraph(sortedKeys(a.Rels)))
 		escapes := 0
 		for _, l := range a.Links {
-			if !slices.Contains(candidateList(cg, l.From), int32(l.To)) {
+			if !isCandidate(cg, l.From, l.To) {
 				escapes++
 			}
 		}
@@ -373,6 +374,12 @@ func TestWireFarEnds(t *testing.T) {
 		checkLinkOrder(t, "permuted", got)
 		sameShipped(t, "permuted", got, p)
 	}
+	// A relationship of AS 7 with itself gives its clusters' near ends the
+	// slot of their own AS twice; a far end is written in the first, and
+	// the pair of links of clusters 0 and 1 round-trips.
+	a := wireFixture()
+	a.Rels[netsim.ASPairKey(7, 7)] = netsim.RelSibling
+	sameShipped(t, "self relationship", roundTrip(t, a), a)
 }
 
 // builtAtlas is buildTestAtlas on the wire's grid.
