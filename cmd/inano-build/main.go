@@ -202,19 +202,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  %-38s %8d entries %8d bytes\n", s.Name, s.Entries, s.Compressed)
 	}
 	if *flatOut != "" {
-		// Compile from the encoded-then-decoded atlas, not the in-memory
-		// one: the codec quantizes latencies, and the flat form must serve
-		// bit-identical answers to a daemon that loaded the -o file.
+		// Decode the -o file as a daemon that loads it does, not the
+		// in-memory atlas: the codec quantizes latencies, and the flat form
+		// must serve bit-identical answers to that daemon.
 		af, err := os.Open(*out)
 		if err != nil {
 			return fatal(err)
 		}
-		roundTripped, err := atlas.Decode(af)
+		fl, err := atlas.DecodeFlat(af)
 		af.Close()
 		if err != nil {
 			return fatal(err)
 		}
-		fl := atlas.Compile(roundTripped)
 		ff, err := os.Create(*flatOut)
 		if err != nil {
 			return fatal(err)

@@ -113,8 +113,10 @@ type Client struct {
 	// wmu serializes writers, from reading the current engine to publishing
 	// its successor, and guards localCluster. No reader takes it.
 	wmu sync.Mutex
-	// localCluster allocates cluster IDs for interfaces discovered by
-	// local measurements.
+	// localCluster records the local cluster of each /24 whose interfaces
+	// local measurements discovered: its index among the local clusters,
+	// which sit past the shipped ones (atlas.Flat.ShippedClusters), so a
+	// day roll that moves them up leaves it as it is.
 	localCluster map[Prefix]int32
 	// lastRoll is what the last applied delta changed; nil before the first.
 	// Traceroute merges do not store here.
@@ -212,10 +214,11 @@ func (c *Client) publish(cur, next *core.Engine) {
 // A delta that moves nothing routes are computed from (a same-day push of
 // corrections, say) leaves the warm prediction-tree cache in place; after
 // any other, one goroutine rebuilds the trees that were resident (publish).
-// A delta applies only to the exact atlas it was coded against: one coded
-// against another is refused with an error that wraps atlas.ErrDeltaBase
-// (atlas.ErrDeltaIndex for an index past a table), and the client keeps
-// serving what it served.
+// A delta applies only to the exact atlas it was coded against, which it
+// names: one coded against another — another day's, or the atlas it has
+// already rolled this client past — is refused with an error that wraps
+// atlas.ErrDeltaBase (atlas.ErrDeltaIndex for an index past a table), and
+// the client keeps serving what it served.
 func (c *Client) ApplyDelta(r io.Reader) error {
 	d, err := atlas.DecodeDelta(r)
 	if err != nil {
@@ -224,22 +227,9 @@ func (c *Client) ApplyDelta(r io.Reader) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	cur := c.engine.Load()
-	if d.FromDay != cur.Day() {
-		return fmt.Errorf("inano: delta is day %d->%d but atlas is day %d", d.FromDay, d.ToDay, cur.Day())
-	}
-	shipped := cur.Flat().ShippedClusters()
 	next, stats, err := c.apply(cur, d)
 	if err != nil {
 		return fmt.Errorf("inano: delta day %d->%d refused: %w", d.FromDay, d.ToDay, err)
-	}
-	// The day's new clusters went in at the shipped count, and the local
-	// ones moved up past them.
-	if grown := int32(stats.ClustersAdded); grown > 0 {
-		for p, id := range c.localCluster {
-			if id >= shipped {
-				c.localCluster[p] = id + grown
-			}
-		}
 	}
 	// Stats first: whoever sees the new day also sees what the roll did.
 	c.lastRoll.Store(&stats)

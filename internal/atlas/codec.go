@@ -115,8 +115,8 @@ var codedAgainst = [numSections][]int{
 	secProviders: {secRels},
 }
 
-// SectionName returns the human-readable dataset name used in Table 2.
-func SectionName(sec int) string {
+// sectionName returns the human-readable dataset name used in Table 2.
+func sectionName(sec int) string {
 	switch sec {
 	case secClusterAS:
 		return "Cluster to AS"
@@ -628,9 +628,29 @@ func readLinks(r *wireReader) []Link {
 // record of its own: an atlas writes each pair once.
 func readAtlasLinks(r *wireReader, cg *clusterGroups) []Link {
 	keys := readFarEnds(r, cg)
+	if r.err != nil {
+		return nil
+	}
+	// walk[c] is how far the search for reverses has come through the
+	// records from cluster c, which ascend by To; it starts at the first
+	// record from c or later. The records whose To is below their From come
+	// From by From, so each cluster's reverses are asked for in ascending
+	// order and its walk only moves on: one pass in all, where a search per
+	// record would cost a log factor.
+	walk := make([]int32, r.clusters+1)
+	for c, i := 0, 0; c < len(walk); c++ {
+		for i < len(keys) && keys[i]>>32 < uint64(c) {
+			i++
+		}
+		walk[c] = int32(i)
+	}
 	for _, k := range keys {
 		if from, to := uint32(k>>32), uint32(k); to < from {
-			if _, both := slices.BinarySearch(keys, reverseKey(k)); both {
+			j, rev := walk[to], reverseKey(k)
+			for int(j) < len(keys) && keys[j] < rev {
+				j++
+			}
+			if walk[to] = j; int(j) < len(keys) && keys[j] == rev {
 				r.fail("both directions of link (%d,%d) written: a pair is written once", to, from)
 				break
 			}
@@ -641,7 +661,8 @@ func readAtlasLinks(r *wireReader, cg *clusterGroups) []Link {
 		return nil
 	}
 	at := make([]int32, 2*len(keys))
-	canonicalPlaces(at, keys, paired, r.clusters)
+	clear(walk)
+	canonicalPlaces(at, keys, paired, walk)
 	return readLinkCols(r, keys, paired, pairs, at)
 }
 
@@ -816,10 +837,11 @@ func reverseKey(k uint64) uint64 { return k<<32 | k>>32 }
 // pass over the reverses' From puts them in order too — a From's reverses
 // come in To order, as their records do — and one merge of the two places
 // both. There is no comparison sort: every cluster ID is below n, and no
-// reverse is also a record (readFarEnds and readAtlasLinks check both). The
-// pass costs 4 B a cluster of the header's count, which count caps.
-func canonicalPlaces(at []int32, keys []uint64, paired []bool, n int32) {
-	next := make([]int32, n+1)
+// reverse is also a record (readFarEnds and readAtlasLinks check both).
+// next is the pass's counting array, n+1 zeros: 4 B a cluster of the
+// header's count, which count caps.
+func canonicalPlaces(at []int32, keys []uint64, paired []bool, next []int32) {
+	n := len(next) - 1
 	for i, k := range keys {
 		if paired[i] {
 			next[uint32(k)+1]++
@@ -1138,7 +1160,7 @@ func (w *wireAtlas) readSection(sec int, r *wireReader) {
 	}
 	for _, dep := range codedAgainst[sec] {
 		if !w.seen[dep] {
-			r.fail("written before section %s, which it is coded against", SectionName(dep))
+			r.fail("written before section %s, which it is coded against", sectionName(dep))
 			return
 		}
 	}
@@ -1235,10 +1257,10 @@ func parseAtlas(in io.Reader) (*wireAtlas, error) {
 		case sec >= numSections:
 			r.fail("unknown section id %d", sec)
 		case w.seen[sec]:
-			r.fail("section %s appears twice", SectionName(int(sec)))
+			r.fail("section %s appears twice", sectionName(int(sec)))
 		default:
 			if w.readSection(int(sec), r); r.err != nil {
-				r.err = fmt.Errorf("section %s: %w", SectionName(int(sec)), r.err)
+				r.err = fmt.Errorf("section %s: %w", sectionName(int(sec)), r.err)
 			}
 			w.seen[sec] = true
 		}
@@ -1321,7 +1343,7 @@ func (a *Atlas) SectionSizes() []SectionSize {
 		gz.Write(sw.buf.Bytes()) //nolint:errcheck // bytes.Buffer cannot fail
 		gz.Close()               //nolint:errcheck
 		out = append(out, SectionSize{
-			Name:       SectionName(sec),
+			Name:       sectionName(sec),
 			Entries:    entries[sec],
 			Compressed: gzBuf.Len(),
 		})

@@ -254,6 +254,8 @@ func hostileAtlases(tb testing.TB) []hostileAtlas {
 		{"link outside the cluster space", "Inter-cluster links", "outside cluster space", one(secLinks, links([]Link{link(0, 4, 1)}, nil))},
 		{"both directions of a pair written", "Inter-cluster links", "both directions", one(secLinks, links([]Link{link(0, 1, 1), link(1, 0, 2)}, nil))},
 		{"a pair and its reverse written", "Inter-cluster links", "both directions", one(secLinks, links([]Link{link(0, 1, 1), link(1, 0, 2)}, []uint64{1}, 0, 2))},
+		{"both directions of a later pair written", "Inter-cluster links", "both directions of link (2,3) written",
+			one(secLinks, links([]Link{link(0, 2, 1), link(2, 3, 1), link(3, 0, 2), link(3, 2, 2)}, nil))},
 		{"reverse flag of 2", "Inter-cluster links", "neither 0 nor 1", one(secLinks, links([]Link{link(0, 1, 1)}, []uint64{2}))},
 		{"pair written from its higher end", "Inter-cluster links", "not its pair's lower key", one(secLinks, links([]Link{link(1, 0, 1)}, []uint64{1}, 0, 2))},
 		{"self link paired with itself", "Inter-cluster links", "not its pair's lower key", one(secLinks, links([]Link{link(1, 1, 1)}, []uint64{1}, 0, 1))},

@@ -4,24 +4,22 @@ import (
 	"bytes"
 	"cmp"
 	"compress/gzip"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"slices"
 	"sort"
-	"unsafe"
 
 	"inano/internal/cluster"
 	"inano/internal/netsim"
 )
 
-// AdjustDecayEpsilonMS is the magnitude below which a decayed client
+// adjustDecayEpsilonMS is the magnitude below which a decayed client
 // residual correction is dropped entirely on a day roll (see Apply);
 // it matches the feedback merge's materiality threshold for learning a
 // correction in the first place.
-const AdjustDecayEpsilonMS = 0.5
+const adjustDecayEpsilonMS = 0.5
 
 // Delta is the day-over-day update shipped to clients. Per §6.2.3 only the
 // fast-changing datasets travel daily — links (with re-annotated
@@ -87,8 +85,8 @@ type Delta struct {
 	// atlas its indices point into; Apply refuses the delta on any other.
 	// A hand-built delta names none and is applied by its keys alone.
 	base *baseName
-	// from is Diff's base, its tables as atlasBase lays them out: what
-	// Encode codes against.
+	// from is Diff's base, Compile(old): what Encode codes its indices
+	// against.
 	from *Flat
 	// refs are a decoded delta's removals and re-annotations, still indices
 	// into the base's tables: Apply resolves them.
@@ -119,31 +117,17 @@ type baseName struct {
 // the CSR link table over the shipped clusters (by To, then From, each
 // edge's latency beside, which a re-annotation is a difference from),
 // LossKeys and Tuples. A base is a Flat whose tables hold them: a client's
-// own Flat (Flat.deltaBase), or the tables Compile would lay out for a map
-// atlas (atlasBase), which a test holds equal.
+// own Flat (Flat.deltaBase), or Compile's of a map atlas.
 
 // baseName names b: a CRC-32 of the little-endian bytes of its shipped
 // bucket bounds, their sources, its loss keys and its tuples, in that order.
 func (b *Flat) baseName() baseName {
 	n := b.ShippedClusters()
-	crc := crcTable(0, b.EdgeStart[:n+1])
-	crc = crcTable(crc, b.EdgeFrom[:b.EdgeStart[n]])
-	crc = crcTable(crc, b.LossKeys)
-	crc = crcTable(crc, b.Tuples)
+	crc := crc32.Update(0, crc32.IEEETable, leBytes(b.EdgeStart[:n+1]))
+	crc = crc32.Update(crc, crc32.IEEETable, leBytes(b.EdgeFrom[:b.EdgeStart[n]]))
+	crc = crc32.Update(crc, crc32.IEEETable, leBytes(b.LossKeys))
+	crc = crc32.Update(crc, crc32.IEEETable, leBytes(b.Tuples))
 	return baseName{day: int(b.Day), clusters: n, crc: crc}
-}
-
-// crcTable folds the little-endian bytes of a table into crc: a byte view of
-// the table on a little-endian host, a copy on another.
-func crcTable[T ~uint32 | ~int32 | ~uint64](crc uint32, s []T) uint32 {
-	if len(s) == 0 {
-		return crc
-	}
-	if hostLittleEndian {
-		return crc32.Update(crc, crc32.IEEETable, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0]))))
-	}
-	b, _ := binary.Append(nil, binary.LittleEndian, s) // fixed-size elements: cannot fail
-	return crc32.Update(crc, crc32.IEEETable, b)
 }
 
 // baseEdges returns how many links b ships: the edges of its shipped
@@ -170,34 +154,6 @@ func (b *Flat) baseLinks() func(i uint64) Link {
 		w = seek(b.EdgeStart[1:], w, uint32(i+1)) // the first bucket ending past i
 		return Link{From: b.EdgeFrom[i], To: cluster.ClusterID(w), LatencyMS: b.EdgeLat[i]}
 	}
-}
-
-// atlasBase lays out the tables a delta is coded against as Compile(a) lays
-// them out, and no others: the in-space links counting-sorted by To as
-// finish sorts them, each bucket keeping Links' order, LossKeys and Tuples.
-func atlasBase(a *Atlas) *Flat {
-	n := max(a.NumClusters, 0)
-	inSpace := func(l *Link) bool { return l.From >= 0 && int(l.From) < n && l.To >= 0 && int(l.To) < n }
-	start := make([]uint32, n+1)
-	for i := range a.Links {
-		if inSpace(&a.Links[i]) {
-			start[a.Links[i].To+1]++
-		}
-	}
-	for w := 0; w < n; w++ {
-		start[w+1] += start[w]
-	}
-	from := make([]cluster.ClusterID, start[n])
-	lat := make([]float32, start[n])
-	next := slices.Clone(start[:n])
-	for i := range a.Links {
-		if l := &a.Links[i]; inSpace(l) {
-			from[next[l.To]], lat[next[l.To]] = l.From, l.LatencyMS
-			next[l.To]++
-		}
-	}
-	return &Flat{Day: int32(a.Day), NumClusters: int32(n), EdgeStart: start, EdgeFrom: from, EdgeLat: lat,
-		LossKeys: sortedKeys(a.Loss), Tuples: sortedKeys(a.Tuples)}
 }
 
 // deltaRefs are the records of a delta that name their base's entries by
@@ -338,6 +294,8 @@ func (d *Delta) resolve(base func() *Flat) (*Delta, error) {
 }
 
 // Diff computes the delta that transforms old's daily datasets into new's.
+// Its base is Compile(old): the delta names it, and Encode writes the
+// removals and re-annotations as indices into its tables.
 func Diff(old, next *Atlas) *Delta {
 	d := &Delta{
 		FromDay:         old.Day,
@@ -434,7 +392,7 @@ func Diff(old, next *Atlas) *Delta {
 		}
 	}
 	sort.Slice(d.DelIfaceCluster, func(i, j int) bool { return d.DelIfaceCluster[i] < d.DelIfaceCluster[j] })
-	d.from = atlasBase(old)
+	d.from = Compile(old)
 	name := d.from.baseName()
 	d.base = &name
 	return d
@@ -459,7 +417,7 @@ func (d *Delta) Entries() int {
 // index past a's tables (ErrDeltaIndex).
 func (a *Atlas) Apply(d *Delta) error {
 	mapOps.applies.Add(1)
-	d, err := d.resolve(func() *Flat { return atlasBase(a) })
+	d, err := d.resolve(func() *Flat { return Compile(a) })
 	if err != nil {
 		return err
 	}
@@ -554,7 +512,7 @@ func (a *Atlas) Apply(d *Delta) error {
 	if d.ToDay != d.FromDay {
 		for k, v := range a.AdjustMS {
 			v /= 2
-			if v < AdjustDecayEpsilonMS && v > -AdjustDecayEpsilonMS {
+			if v < adjustDecayEpsilonMS && v > -adjustDecayEpsilonMS {
 				delete(a.AdjustMS, k)
 				continue
 			}

@@ -4,42 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"maps"
-	"math/rand"
 	"slices"
 	"testing"
 )
-
-// TestDeltaSpacesMatchCompile pins the one definition of a delta's index
-// spaces: the tables Diff and Atlas.Apply lay out for a map atlas
-// (atlasBase) are the ones a client's Flat of the same atlas holds
-// (Flat.deltaBase), table for table and so name for name — on built
-// worlds, on random atlases, and on an atlas whose links are out of order,
-// which both lay out bucket by bucket as they come.
-func TestDeltaSpacesMatchCompile(t *testing.T) {
-	var atlases []*Atlas
-	for seed := int64(1); seed <= 2; seed++ {
-		a, _, _ := buildTestAtlas(t, seed, 0)
-		atlases = append(atlases, a)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for range 20 {
-		atlases = append(atlases, makeRandomAtlas(rng, rng.Intn(9)))
-	}
-	reversed := atlases[0].Clone()
-	slices.Reverse(reversed.Links)
-	atlases = append(atlases, reversed, New())
-	for i, a := range atlases {
-		got, want := atlasBase(a), Compile(a).deltaBase()
-		if got.Day != want.Day || got.NumClusters != want.NumClusters || !slices.Equal(got.EdgeStart, want.EdgeStart) ||
-			!slices.Equal(got.EdgeFrom, want.EdgeFrom) || !slices.Equal(got.EdgeLat, want.EdgeLat) ||
-			!slices.Equal(got.LossKeys, want.LossKeys) || !slices.Equal(got.Tuples, want.Tuples) {
-			t.Fatalf("atlas %d: the map atlas's index spaces differ from its compiled form's", i)
-		}
-		if got.baseName() != want.baseName() {
-			t.Fatalf("atlas %d: names %+v and %+v", i, got.baseName(), want.baseName())
-		}
-	}
-}
 
 // TestDeltaRefusesWrongBase applies a real delta to an atlas of the same day
 // and cluster count that differs from its base in one 3-tuple, one link or
@@ -95,7 +62,7 @@ func TestDeltaRefusesWrongBase(t *testing.T) {
 // left as it was.
 func TestDeltaRefusesIndexPastTable(t *testing.T) {
 	day0, _, _ := buildTestAtlas(t, 1, 0)
-	b := atlasBase(day0)
+	b := Compile(day0)
 	edges, loss, tuples := b.baseEdges(), uint64(len(b.LossKeys)), uint64(len(b.Tuples))
 	for _, refs := range []*deltaRefs{
 		{reLinks: []uint64{edges}, reLat: []int64{0}, rePlanes: []uint8{1}},

@@ -30,7 +30,7 @@ type RollStats struct {
 	// ClustersAdded is the growth of the cluster ID space.
 	ClustersAdded int
 	// LocalDecayed counts client-local corrections halved by the roll,
-	// LocalDropped those that fell under AdjustDecayEpsilonMS and went.
+	// LocalDropped those that fell under adjustDecayEpsilonMS and went.
 	LocalDecayed, LocalDropped int
 	// Duration is the wall time Apply took.
 	Duration time.Duration
@@ -120,8 +120,9 @@ func (f *Flat) Apply(d *Delta) (*Flat, RollStats, error) {
 
 // ShippedClusters returns the size of the cluster space the builder
 // shipped: NumClusters without the clusters local merges appended after it.
-// A client that allocates local cluster IDs renumbers them up by the
-// clusters a day roll adds (RollStats.ClustersAdded), as Apply does.
+// A local cluster's index past it is what a client records of it: a day
+// roll that grows the shipped space moves the local clusters up
+// (withGrowth) and leaves their indices as they were.
 func (f *Flat) ShippedClusters() int32 { return f.NumClusters - f.localClusters }
 
 // deltaBase returns the base a delta applied to f is coded against (see
@@ -290,7 +291,7 @@ func mergeTable[K cmp.Ordered, V comparable](keys []K, vals []V, dels, upKeys []
 
 // mergeAdjust writes nf's correction table: f's shipped terms without
 // d.DelAdjust and with d.UpAdjust set, beside f's client-local terms —
-// halved, and dropped under AdjustDecayEpsilonMS, when the delta crosses
+// halved, and dropped under adjustDecayEpsilonMS, when the delta crosses
 // a day — with d.LocalAdjust set after that. A key stays while either term
 // is carried; a set carries its key even at value zero, as a map entry
 // would.
@@ -329,7 +330,7 @@ func (f *Flat) mergeAdjust(nf *Flat, d *Delta, st *RollStats) {
 			}
 			if decay && l != 0 {
 				l /= 2
-				if l < AdjustDecayEpsilonMS && l > -AdjustDecayEpsilonMS {
+				if l < adjustDecayEpsilonMS && l > -adjustDecayEpsilonMS {
 					l = 0
 					st.LocalDropped++
 				} else {

@@ -5,11 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"unsafe"
-
-	"inano/internal/cluster"
-	"inano/internal/netsim"
 )
 
 // Flat serving-form file format ("INANOFL1"). The design goal is O(1)
@@ -26,8 +22,8 @@ import (
 //	payload:       u32 day | u32 numClusters | sections...
 //	section:       u64 element count | elements, padded to 8 bytes
 //
-// Sections appear in a fixed order (see writeFlatPayload / parseFlat,
-// which must stay in lockstep). All integers are little-endian.
+// Sections appear in the order Flat.tables lists, the one list the writer
+// and the reader walk. All integers are little-endian.
 const flatMagic = "INANOFL1"
 
 // flatVersion 2 dropped version 1's four derivable per-edge sections
@@ -77,69 +73,93 @@ func (w *flatWriter) pad() {
 	}
 }
 
-func sec32[T ~uint32 | ~int32](w *flatWriter, s []T) {
-	w.u64(uint64(len(s)))
-	for _, v := range s {
-		w.u32(uint32(v))
-	}
-	w.pad()
-}
-
-func secF32(w *flatWriter, s []float32) {
-	w.u64(uint64(len(s)))
-	for _, v := range s {
-		w.u32(math.Float32bits(v))
-	}
-	w.pad()
-}
-
-func sec64(w *flatWriter, s []uint64) {
-	w.u64(uint64(len(s)))
-	for _, v := range s {
-		w.u64(v)
-	}
-	w.pad()
-}
-
-func sec8[T ~uint8 | ~int8](w *flatWriter, s []T) {
-	w.u64(uint64(len(s)))
-	for _, v := range s {
-		w.buf = append(w.buf, byte(v))
-	}
-	w.pad()
-}
-
 func writeFlatPayload(f *Flat) []byte {
 	w := &flatWriter{buf: make([]byte, 0, 64+f.NumEdges()*32)}
 	w.u32(uint32(f.Day))
 	w.u32(uint32(f.NumClusters))
-	sec32(w, f.ClusterAS)
-	sec32(w, f.EdgeStart)
-	sec32(w, f.EdgeFrom)
-	secF32(w, f.EdgeLat)
-	secF32(w, f.EdgeLoss)
-	sec8(w, f.EdgePlanes)
-	sec8(w, f.EdgeFlags)
-	sec32(w, f.PrefixClKeys)
-	sec32(w, f.PrefixClVals)
-	sec32(w, f.PrefixASKeys)
-	sec32(w, f.PrefixASVals)
-	sec32(w, f.IfaceKeys)
-	sec32(w, f.IfaceVals)
-	sec32(w, f.AdjustKeys)
-	secF32(w, f.AdjustGlobal)
-	secF32(w, f.AdjustLocal)
-	sec64(w, f.Tuples)
-	sec64(w, f.Prefs)
-	sec64(w, f.Providers)
-	sec64(w, f.RelKeys)
-	sec8(w, f.RelVals)
-	sec64(w, f.LateExit)
-	sec32(w, f.DegKeys)
-	sec32(w, f.DegVals)
-	sec64(w, f.LossKeys)
-	secF32(w, f.LossVals)
+	for _, t := range f.tables() {
+		t.put(w)
+	}
 	return w.buf
+}
+
+// tables lists f's tables in the order an INANOFL1 payload holds them,
+// each by its address: the one list writeFlatPayload writes and parseFlat
+// reads back into the Flat it is building.
+func (f *Flat) tables() []flatTable {
+	return []flatTable{
+		sectionOf(&f.ClusterAS),
+		sectionOf(&f.EdgeStart), sectionOf(&f.EdgeFrom), sectionOf(&f.EdgeLat), sectionOf(&f.EdgeLoss),
+		sectionOf(&f.EdgePlanes), sectionOf(&f.EdgeFlags),
+		sectionOf(&f.PrefixClKeys), sectionOf(&f.PrefixClVals), sectionOf(&f.PrefixASKeys), sectionOf(&f.PrefixASVals),
+		sectionOf(&f.IfaceKeys), sectionOf(&f.IfaceVals),
+		sectionOf(&f.AdjustKeys), sectionOf(&f.AdjustGlobal), sectionOf(&f.AdjustLocal),
+		sectionOf(&f.Tuples), sectionOf(&f.Prefs), sectionOf(&f.Providers),
+		sectionOf(&f.RelKeys), sectionOf(&f.RelVals), sectionOf(&f.LateExit),
+		sectionOf(&f.DegKeys), sectionOf(&f.DegVals), sectionOf(&f.LossKeys), sectionOf(&f.LossVals),
+	}
+}
+
+// fixedWord is the element of a Flat table: one, four or eight bytes,
+// stored little-endian.
+type fixedWord interface {
+	~uint8 | ~int8 | ~uint32 | ~int32 | ~float32 | ~uint64
+}
+
+// leBytes returns the little-endian bytes of a table: a byte view of it on
+// a little-endian host, a copy on another.
+func leBytes[T fixedWord](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	if hostLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+	}
+	b, _ := binary.Append(nil, binary.LittleEndian, s) // fixed-size elements: cannot fail
+	return b
+}
+
+// flatTable is one section of the payload: a table of a Flat, which put
+// writes (element count, elements, padding) and get reads back.
+type flatTable interface {
+	put(w *flatWriter)
+	get(r *flatReader)
+}
+
+// section is the flatTable of a table of T.
+type section[T fixedWord] struct{ p *[]T }
+
+func sectionOf[T fixedWord](p *[]T) flatTable { return section[T]{p} }
+
+func (s section[T]) put(w *flatWriter) {
+	w.u64(uint64(len(*s.p)))
+	w.buf = append(w.buf, leBytes(*s.p)...)
+	w.pad()
+}
+
+// get sets the table to the section's elements: with r.alias set, a slice
+// over r.data; otherwise a decoded copy. An empty section sets nothing.
+func (s section[T]) get(r *flatReader) {
+	n := r.u64()
+	if n > uint64(len(r.data)) {
+		r.fail("section count %d exceeds payload", n)
+		return
+	}
+	b := r.take(int(n) * int(unsafe.Sizeof(*new(T))))
+	if r.err != nil || n == 0 {
+		return
+	}
+	if r.alias {
+		*s.p = unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
+		return
+	}
+	out := make([]T, n)
+	if hostLittleEndian {
+		copy(leBytes(out), b)
+	} else {
+		binary.Decode(b, binary.LittleEndian, out) // b holds exactly n elements: cannot fail
+	}
+	*s.p = out
 }
 
 // flatReader walks the payload. With alias set (little-endian host,
@@ -195,76 +215,6 @@ func (r *flatReader) take(n int) []byte {
 	return b
 }
 
-// castSlice reinterprets a slice as a same-element-size type (e.g.
-// []uint32 -> []netsim.ASN). Caller guarantees the sizes match.
-func castSlice[Dst, Src any](s []Src) []Dst {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*Dst)(unsafe.Pointer(&s[0])), len(s))
-}
-
-func rdSec32[T ~uint32 | ~int32 | ~float32](r *flatReader) []T {
-	n := r.u64()
-	if n > uint64(len(r.data)) {
-		r.fail("section count %d exceeds payload", n)
-		return nil
-	}
-	b := r.take(int(n) * 4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if r.alias {
-		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]T, n)
-	raw := castSlice[uint32](out)
-	for i := range raw {
-		raw[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out
-}
-
-func rdSec64(r *flatReader) []uint64 {
-	n := r.u64()
-	if n > uint64(len(r.data)) {
-		r.fail("section count %d exceeds payload", n)
-		return nil
-	}
-	b := r.take(int(n) * 8)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if r.alias {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out
-}
-
-func rdSec8[T ~uint8 | ~int8](r *flatReader) []T {
-	n := r.u64()
-	if n > uint64(len(r.data)) {
-		r.fail("section count %d exceeds payload", n)
-		return nil
-	}
-	b := r.take(int(n))
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if r.alias {
-		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = T(b[i])
-	}
-	return out
-}
-
 // parseFlat decodes a full flat file (header + payload). With alias set,
 // slice fields of the result point into data, which must stay mapped and
 // immutable for the Flat's lifetime. The result has no search index yet:
@@ -294,32 +244,9 @@ func parseFlat(data []byte, alias bool) (*Flat, error) {
 		Day:         int32(r.u32()),
 		NumClusters: int32(r.u32()),
 	}
-	f.ClusterAS = rdSec32[netsim.ASN](r)
-	f.EdgeStart = rdSec32[uint32](r)
-	f.EdgeFrom = rdSec32[cluster.ClusterID](r)
-	f.EdgeLat = rdSec32[float32](r)
-	f.EdgeLoss = rdSec32[float32](r)
-	f.EdgePlanes = rdSec8[uint8](r)
-	f.EdgeFlags = rdSec8[uint8](r)
-	f.PrefixClKeys = rdSec32[netsim.Prefix](r)
-	f.PrefixClVals = rdSec32[cluster.ClusterID](r)
-	f.PrefixASKeys = rdSec32[netsim.Prefix](r)
-	f.PrefixASVals = rdSec32[netsim.ASN](r)
-	f.IfaceKeys = rdSec32[netsim.Prefix](r)
-	f.IfaceVals = rdSec32[cluster.ClusterID](r)
-	f.AdjustKeys = rdSec32[netsim.Prefix](r)
-	f.AdjustGlobal = rdSec32[float32](r)
-	f.AdjustLocal = rdSec32[float32](r)
-	f.Tuples = rdSec64(r)
-	f.Prefs = rdSec64(r)
-	f.Providers = rdSec64(r)
-	f.RelKeys = rdSec64(r)
-	f.RelVals = rdSec8[netsim.Rel](r)
-	f.LateExit = rdSec64(r)
-	f.DegKeys = rdSec32[netsim.ASN](r)
-	f.DegVals = rdSec32[int32](r)
-	f.LossKeys = rdSec64(r)
-	f.LossVals = rdSec32[float32](r)
+	for _, t := range f.tables() {
+		t.get(r)
+	}
 	if r.err != nil {
 		return nil, r.err
 	}

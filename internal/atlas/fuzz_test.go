@@ -131,7 +131,7 @@ func gzipped(tb testing.TB, magic string, body []byte) []byte {
 // onBase gives a hand-built delta the base a Diff against a would: what
 // Encode codes it against, and the name it carries.
 func onBase(a *Atlas, d *Delta) *Delta {
-	d.from = atlasBase(a)
+	d.from = Compile(a)
 	name := d.from.baseName()
 	d.base = &name
 	return d
@@ -202,7 +202,7 @@ func deltaSeeds(tb testing.TB) (*Flat, [][]byte) {
 	}
 	add(Diff(other, day1))
 
-	b := atlasBase(day0)
+	b := Compile(day0)
 	name := b.baseName()
 	edges, loss, tuples := b.baseEdges(), uint64(len(b.LossKeys)), uint64(len(b.Tuples))
 	l := day0.Links[0]

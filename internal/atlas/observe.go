@@ -95,10 +95,15 @@ func BuildDeltaWithObservations(prev, next *Atlas, residuals map[netsim.Prefix]f
 // mirror of CarryCorrections' halve-then-drop for scalar corrections).
 const ObservedTTLDays = 2
 
-// MinObservedLatencyMS floors a folded link's latency annotation: hop RTT
-// deltas are noisy (reverse-path asymmetry) and can go negative, and a
-// zero-cost link would distort every tree that touches it.
-const MinObservedLatencyMS = 0.1
+// minHopLatencyMS floors a link latency estimated from hop RTTs: the RTT
+// step between adjacent hops is noisy (reverse-path asymmetry) and can go
+// negative, and a zero-cost link would distort every tree that touches it.
+const minHopLatencyMS = 0.1
+
+// HopLatencyMS estimates the one-way latency of the link between two
+// adjacent traceroute hops from the step between their RTTs: half of it,
+// floored at 0.1 ms. Client merges and reporters' path tails both use it.
+func HopLatencyMS(rttStepMS float64) float64 { return max(rttStepMS/2, minHopLatencyMS) }
 
 // ObservedPath is one reporter-agreed destination-side path tail, ready to
 // fold into the build: the cluster sequence (source end first, every
@@ -159,10 +164,9 @@ func FoldPaths(a *Atlas, paths []ObservedPath) PathFoldStats {
 		originAS := a.PrefixAS[p.Dst]
 		for i := 0; i+1 < len(p.Clusters); i++ {
 			from, to := p.Clusters[i], p.Clusters[i+1]
-			lat := p.LinkMS[i]
-			if lat < MinObservedLatencyMS {
-				lat = MinObservedLatencyMS
-			}
+			// An estimate off a snapshot file: floored as HopLatencyMS
+			// floors the ones it makes.
+			lat := max(p.LinkMS[i], minHopLatencyMS)
 			foldLink(a, &st, from, to, lat)
 			// Access-tail reversal, as in the builder: links inside (or
 			// entering) the destination's origin AS are the same circuits

@@ -257,3 +257,21 @@ func TestAdjustDecayAcrossDayRolls(t *testing.T) {
 		t.Fatalf("global correction decayed locally: %v", got)
 	}
 }
+
+// TestHopLatencyMS: a hop pair's link latency is half the RTT step between
+// the hops, and never below 0.1 ms, however the step comes out.
+func TestHopLatencyMS(t *testing.T) {
+	for _, tc := range []struct{ step, want float64 }{
+		{20, 10},
+		{0.5, 0.25},
+		{0.2, 0.1},  // exactly the floor
+		{0.1, 0.1},  // half of it is below the floor
+		{0, 0.1},    // hops at the same RTT
+		{-6, 0.1},   // the later hop answered first: reverse-path asymmetry
+		{-1e9, 0.1}, // however far below
+	} {
+		if got := HopLatencyMS(tc.step); got != tc.want {
+			t.Errorf("HopLatencyMS(%v) = %v, want %v", tc.step, got, tc.want)
+		}
+	}
+}

@@ -456,7 +456,7 @@ func TestLatencyBound(t *testing.T) {
 		t.Fatalf("%v ms came back as %v", edge.Links[0].LatencyMS, got.Links[0].LatencyMS)
 	}
 
-	b := atlasBase(day0)
+	b := Compile(day0)
 	n := cluster.ClusterID(day0.NumClusters)
 	newLink := []Link{{From: n - 1, To: 0, LatencyMS: maxLatUnits / 100, Planes: PlaneToDst}}
 	if _, err := DecodeDelta(bytes.NewReader(rawDeltaBytes(t, b.baseName(), 1, newLink, &deltaRefs{}, nil))); err == nil ||

@@ -108,12 +108,12 @@ func ScoreDelta(l *Lab, from, to int, src netsim.Prefix, d *atlas.Delta) (meanEr
 			panic(fmt.Sprintf("experiments: scoring a delta on day %d: %v", from, err))
 		}
 	}
-	return ScoreAtlas(l, from, to, src, a)
+	return scoreAtlas(l, from, to, src, a)
 }
 
-// ScoreAtlas scores src's day-`from` held-out pairs against day-`to`
+// scoreAtlas scores src's day-`from` held-out pairs against day-`to`
 // truth when served from a. The atlas is used as given (not cloned).
-func ScoreAtlas(l *Lab, from, to int, src netsim.Prefix, a *atlas.Atlas) (meanErr float64, answered, pairs int) {
+func scoreAtlas(l *Lab, from, to int, src netsim.Prefix, a *atlas.Atlas) (meanErr float64, answered, pairs int) {
 	snap := inano.FromAtlas(a).Snapshot()
 	sum, n := 0.0, 0
 	for _, vp := range l.Day(from).Validation {

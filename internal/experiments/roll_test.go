@@ -84,7 +84,7 @@ func TestScoreDeltaNilMatchesScoreAtlas(t *testing.T) {
 	l := testLab
 	src := l.ValSrcs[0]
 	e1, a1, p1 := ScoreDelta(l, 0, 1, src, nil)
-	e2, a2, p2 := ScoreAtlas(l, 0, 1, src, l.Day(0).Atlas.Clone())
+	e2, a2, p2 := scoreAtlas(l, 0, 1, src, l.Day(0).Atlas.Clone())
 	if e1 != e2 || a1 != a2 || p1 != p2 {
 		t.Fatalf("nil-delta score (%v,%d,%d) differs from direct atlas score (%v,%d,%d)",
 			e1, a1, p1, e2, a2, p2)

@@ -23,10 +23,13 @@ const MaxAdjustMS = 100.0
 // learnResidual) in LocalAdjust. Interfaces unknown to the atlas are
 // grouped into local clusters by their /24 (a coarse client-side
 // approximation of the server's full clustering), allocated through local,
-// which persists across merges and is mutated in place; their ASes ride in
-// AddClusterAS, so a delta with entries must be applied or local runs
-// ahead of the atlas. Each traceroute sees what the ones before it in the
-// batch taught.
+// which persists across merges and is mutated in place. It holds each
+// local cluster's index among f's local clusters, cluster
+// f.ShippedClusters()+index, so the day roll that moves the local clusters
+// up past the builder's new ones (Flat.Apply) moves no entry of it. Their
+// ASes ride in AddClusterAS, so a delta with entries must be applied or
+// local runs ahead of the atlas. Each traceroute sees what the ones before
+// it in the batch taught.
 //
 // The two change counts are reported separately because they differ in
 // what they cost the caller: structural changes (new links, plane tags,
@@ -134,13 +137,7 @@ func (m *merger) mergeOne(tr *Traceroute) int {
 			}
 			l.Planes |= atlas.PlaneFromSrc
 		} else {
-			// One-way hop latency from the RTT delta of adjacent hops; clamped
-			// because reverse-path asymmetry and noise can make it negative.
-			lat := (y.rtt - x.rtt) / 2
-			if lat < 0.1 {
-				lat = 0.1
-			}
-			l = atlas.Link{From: x.cl, To: y.cl, LatencyMS: float32(lat), Planes: atlas.PlaneFromSrc}
+			l = atlas.Link{From: x.cl, To: y.cl, LatencyMS: float32(atlas.HopLatencyMS(y.rtt - x.rtt)), Planes: atlas.PlaneFromSrc}
 		}
 		m.d.UpLinks = append(m.d.UpLinks, l)
 		m.linked[key] = true
@@ -175,15 +172,15 @@ func (m *merger) clusterForIP(ip netsim.IP) (cluster.ClusterID, bool) {
 	if cl, ok := m.attachment(p); ok {
 		return cl, true
 	}
-	if id, ok := m.local[p]; ok {
-		return cluster.ClusterID(id), true
+	if k, ok := m.local[p]; ok {
+		return cluster.ClusterID(m.f.ShippedClusters() + k), true
 	}
 	asn := m.f.OriginAS(p)
 	if asn == 0 {
 		return 0, false // not even BGP knows this space; ignore
 	}
-	id := m.f.NumClusters + int32(len(m.d.AddClusterAS))
+	k := m.f.NumClusters - m.f.ShippedClusters() + int32(len(m.d.AddClusterAS))
 	m.d.AddClusterAS = append(m.d.AddClusterAS, asn)
-	m.local[p] = id
-	return cluster.ClusterID(id), true
+	m.local[p] = k
+	return cluster.ClusterID(m.f.ShippedClusters() + k), true
 }

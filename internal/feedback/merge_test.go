@@ -135,7 +135,7 @@ func TestMergeBatchSeesItsOwnChanges(t *testing.T) {
 		t.Fatalf("counts: one traceroute %d/%d, the same twice %d/%d; want 4/1 and 4/2", s1, r1, s2, r2)
 	}
 	if !reflect.DeepEqual(two.UpLinks, one.UpLinks) || !reflect.DeepEqual(two.UpPrefixCluster, one.UpPrefixCluster) ||
-		!reflect.DeepEqual(two.AddClusterAS, []netsim.ASN{2}) || local[unknown] != 4 {
+		!reflect.DeepEqual(two.AddClusterAS, []netsim.ASN{2}) || local[unknown] != 0 {
 		t.Fatalf("the repeat changed the structure:\n once  %+v\n twice %+v", one, two)
 	}
 	// 30 -> +5 (halfway to 40), then 35 -> +2.5 more.
@@ -230,8 +230,9 @@ func TestMergeLocalClusterAllocation(t *testing.T) {
 	if nf.NumClusters != 5 || !reflect.DeepEqual(d.AddClusterAS, []netsim.ASN{2}) {
 		t.Fatalf("NumClusters = %d, AddClusterAS = %v, want 5 and [2] (one local cluster for the /24)", nf.NumClusters, d.AddClusterAS)
 	}
-	if id, ok := local[unknown]; !ok || id != 4 {
-		t.Fatalf("local cluster allocation: %v, %v", id, ok)
+	// The first local cluster, index 0 past the 4 shipped: cluster 4.
+	if k, ok := local[unknown]; !ok || k != 0 {
+		t.Fatalf("local cluster allocation: %v, %v", k, ok)
 	}
 	if nf.ClusterAS[4] != 2 {
 		t.Fatalf("local cluster AS = %d, want 2", nf.ClusterAS[4])

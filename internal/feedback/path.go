@@ -3,6 +3,7 @@ package feedback
 import (
 	"errors"
 
+	"inano/internal/atlas"
 	"inano/internal/cluster"
 	"inano/internal/netsim"
 )
@@ -111,14 +112,7 @@ func ClusterizeHops(hops []Hop, dst netsim.Prefix, resolve func(netsim.Prefix) (
 	for i, s := range steps {
 		path[i] = s.cl
 		if i > 0 {
-			// One-way hop latency from the RTT delta of adjacent hops;
-			// clamped because reverse-path asymmetry and noise can make
-			// it negative.
-			lat := (s.entryRTT - steps[i-1].exitRTT) / 2
-			if lat < 0.1 {
-				lat = 0.1
-			}
-			linkMS[i-1] = lat
+			linkMS[i-1] = atlas.HopLatencyMS(s.entryRTT - steps[i-1].exitRTT)
 		}
 	}
 	return path, linkMS, nil

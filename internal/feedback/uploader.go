@@ -120,12 +120,30 @@ func (u *Uploader) Stats() UploadStats {
 	return st
 }
 
-// obsResponse mirrors the server's /v1/observations summary line.
-type obsResponse struct {
-	Accepted    int    `json:"accepted"`
-	RateLimited int    `json:"rate_limited"`
-	Unknown     int    `json:"unknown"`
-	Error       string `json:"error,omitempty"`
+// ObservationsSummary is the answer to one /v1/observations report: the
+// line the server writes, and the Uploader reads.
+type ObservationsSummary struct {
+	// Accepted observations entered the aggregate (as a residual, a hop
+	// path, or both).
+	Accepted int `json:"accepted"`
+	// Paths counts accepted observations whose hop list survived
+	// clusterization and joined the structural aggregate.
+	Paths int `json:"paths"`
+	// PathsRejected counts hop lists the ingest refused: unmappable or
+	// looping tails (see ClusterizeHops). The observation's
+	// scalar residual, if any, was still processed.
+	PathsRejected int `json:"paths_rejected"`
+	// RateLimited observations were dropped by the per-source token
+	// bucket; retry after backing off.
+	RateLimited int `json:"rate_limited"`
+	// Unknown observations named destinations (or came from sources) the
+	// serving atlas cannot place, so they cannot join the aggregate.
+	Unknown int `json:"unknown"`
+	// Error reports a malformed report line; observations before it were
+	// still processed.
+	Error string `json:"error,omitempty"`
+	// Day is the serving atlas day the report was scored against.
+	Day int `json:"day"`
 }
 
 // Flush ships queued observations in POSTs of at most 256 until the queue
@@ -203,23 +221,23 @@ func (u *Uploader) requeueLocked(batch []UpstreamObservation) {
 }
 
 // post ships one batch with retry/backoff.
-func (u *Uploader) post(ctx context.Context, batch []UpstreamObservation) (obsResponse, error) {
+func (u *Uploader) post(ctx context.Context, batch []UpstreamObservation) (ObservationsSummary, error) {
 	var body bytes.Buffer
 	if err := EncodeObservations(&body, batch); err != nil {
-		return obsResponse{}, err
+		return ObservationsSummary{}, err
 	}
 	backoff := uploadBackoff
 	var lastErr error
 	for attempt := 0; attempt < uploadMaxAttempts; attempt++ {
 		if attempt > 0 {
 			if err := u.sleep(ctx, backoff); err != nil {
-				return obsResponse{}, err
+				return ObservationsSummary{}, err
 			}
 			backoff *= 2
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.url, bytes.NewReader(body.Bytes()))
 		if err != nil {
-			return obsResponse{}, err
+			return ObservationsSummary{}, err
 		}
 		req.Header.Set("Content-Type", "application/x-ndjson")
 		resp, err := u.client.Do(req)
@@ -233,28 +251,28 @@ func (u *Uploader) post(ctx context.Context, batch []UpstreamObservation) (obsRe
 			// 4xx verdicts are final: the server understood the batch and
 			// refused it; retrying the same bytes cannot succeed.
 			if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
-				return obsResponse{}, fmt.Errorf("%w: %w", errFinalVerdict, err)
+				return ObservationsSummary{}, fmt.Errorf("%w: %w", errFinalVerdict, err)
 			}
 			continue
 		}
 		return out, nil
 	}
-	return obsResponse{}, fmt.Errorf("feedback: upload failed after %d attempts: %w", uploadMaxAttempts, lastErr)
+	return ObservationsSummary{}, fmt.Errorf("feedback: upload failed after %d attempts: %w", uploadMaxAttempts, lastErr)
 }
 
 // errFinalVerdict marks a server rejection retrying cannot fix; Flush
 // drops the batch instead of re-queuing it.
 var errFinalVerdict = errors.New("final server verdict")
 
-func decodeObsResponse(resp *http.Response) (obsResponse, error) {
+func decodeObsResponse(resp *http.Response) (ObservationsSummary, error) {
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return obsResponse{}, err
+		return ObservationsSummary{}, err
 	}
-	var out obsResponse
+	var out ObservationsSummary
 	if jsonErr := json.Unmarshal(body, &out); jsonErr != nil && resp.StatusCode == http.StatusOK {
-		return obsResponse{}, fmt.Errorf("feedback: bad upload response: %v", jsonErr)
+		return ObservationsSummary{}, fmt.Errorf("feedback: bad upload response: %v", jsonErr)
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
@@ -268,6 +286,6 @@ func decodeObsResponse(resp *http.Response) (obsResponse, error) {
 		if msg == "" {
 			msg = strings.TrimSpace(string(body))
 		}
-		return obsResponse{}, fmt.Errorf("feedback: upload rejected: status %d: %s", resp.StatusCode, msg)
+		return ObservationsSummary{}, fmt.Errorf("feedback: upload rejected: status %d: %s", resp.StatusCode, msg)
 	}
 }

@@ -127,8 +127,8 @@ func All() []Scenario {
 	}
 }
 
-// Lookup finds a scenario by name.
-func Lookup(name string) (Scenario, bool) {
+// lookup finds a scenario by name.
+func lookup(name string) (Scenario, bool) {
 	for _, s := range All() {
 		if s.Name == name {
 			return s, true
@@ -141,7 +141,7 @@ func Lookup(name string) (Scenario, bool) {
 // returned error reports usage problems (unknown scenario or mutation);
 // invariant outcomes live in the Report.
 func Replay(name string, cfg Config) (*Report, error) {
-	sc, ok := Lookup(name)
+	sc, ok := lookup(name)
 	if !ok {
 		names := make([]string, 0, 4)
 		for _, s := range All() {

@@ -26,30 +26,6 @@ import (
 // enough that a hostile stream cannot hold the handler's memory hostage.
 const maxObservationBody = 512 * feedback.MaxObservationLineBytes
 
-// observationsResponse summarizes one /v1/observations report.
-type observationsResponse struct {
-	// Accepted observations entered the aggregate (as a residual, a hop
-	// path, or both).
-	Accepted int `json:"accepted"`
-	// Paths counts accepted observations whose hop list survived
-	// clusterization and joined the structural aggregate.
-	Paths int `json:"paths"`
-	// PathsRejected counts hop lists the ingest refused: unmappable or
-	// looping tails (see feedback.ClusterizeHops). The observation's
-	// scalar residual, if any, was still processed.
-	PathsRejected int `json:"paths_rejected"`
-	// RateLimited observations were dropped by the per-source token
-	// bucket; retry after backing off.
-	RateLimited int `json:"rate_limited"`
-	// Unknown observations named destinations (or came from sources) the
-	// serving atlas cannot place, so they cannot join the aggregate.
-	Unknown int `json:"unknown"`
-	// Error reports a malformed report line; observations before it were
-	// still processed.
-	Error string `json:"error,omitempty"`
-	Day   int    `json:"day"`
-}
-
 // handleObservations ingests an NDJSON upstream-observation report: one
 // {"src","dst","rtt_ms","predicted_ms","hops":[...]} line per corrective
 // measurement (see feedback.ParseObservationReport for the hardened
@@ -74,7 +50,7 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) erro
 		// reload mid-report cannot mix residuals measured against different
 		// atlas days into one aggregate entry.
 		snap := s.c.Snapshot()
-		resp := observationsResponse{RateLimited: limited, Error: rp.Err, Day: snap.Day()}
+		resp := feedback.ObservationsSummary{RateLimited: limited, Error: rp.Err, Day: snap.Day()}
 		for i := range granted {
 			res, err := s.ingestObservation(ctx, r, snap, &granted[i])
 			if err != nil {

@@ -17,14 +17,14 @@ import (
 	inano "inano"
 )
 
-func postObservations(t *testing.T, url, body string) (observationsResponse, int) {
+func postObservations(t *testing.T, url, body string) (feedback.ObservationsSummary, int) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/observations", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out observationsResponse
+	var out feedback.ObservationsSummary
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decoding observations response: %v", err)
 	}

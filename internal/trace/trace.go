@@ -194,25 +194,6 @@ func (m *Meter) Traceroute(src, dst netsim.Prefix) Traceroute {
 	return tr
 }
 
-// MeasureLoss sends a probe train from src to dst and returns the observed
-// loss fraction (probes with no response). Sampling is binomial around the
-// true round-trip loss, as with real ICMP trains.
-func (m *Meter) MeasureLoss(src, dst netsim.Prefix, probes int) (lossFrac float64, ok bool) {
-	p, ok := m.day.RTLoss(src, dst)
-	if !ok {
-		return 0, false
-	}
-	rng := noiseFor(m.seed, 2, uint64(src), uint64(dst))
-	defer noisePool.Put(rng)
-	lost := 0
-	for i := 0; i < probes; i++ {
-		if rng.Float64() < p {
-			lost++
-		}
-	}
-	return float64(lost) / float64(probes), true
-}
-
 // MeasureLinkLatency simulates iNano's symmetric-traversal link latency
 // measurement [28]: an unbiased estimate of the link's one-way latency with
 // small multiplicative error.

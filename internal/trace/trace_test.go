@@ -158,34 +158,6 @@ func TestTracerouteHasUnresponsiveHops(t *testing.T) {
 	}
 }
 
-func TestMeasureLossBinomial(t *testing.T) {
-	m, top := testMeter(t, 4, 0)
-	day := bgpsim.New(top).Day(0)
-	found := false
-	for i := 0; i < len(top.EdgePrefixes) && !found; i++ {
-		src := top.EdgePrefixes[i]
-		dst := top.EdgePrefixes[(i+9)%len(top.EdgePrefixes)]
-		if src == dst {
-			continue
-		}
-		truth, ok := day.RTLoss(src, dst)
-		if !ok || truth < 0.03 {
-			continue
-		}
-		found = true
-		got, ok := m.MeasureLoss(src, dst, 2000)
-		if !ok {
-			t.Fatal("loss measurement failed")
-		}
-		if got < truth/3 || got > truth*3+0.02 {
-			t.Errorf("measured loss %v far from truth %v", got, truth)
-		}
-	}
-	if !found {
-		t.Skip("no sufficiently lossy path in this world")
-	}
-}
-
 func TestMeasureLinkLatencyUnbiased(t *testing.T) {
 	m, top := testMeter(t, 5, 0)
 	for lid := range top.Links[:50] {

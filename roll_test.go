@@ -127,16 +127,46 @@ func TestApplyDeltaRefusesWrongBase(t *testing.T) {
 	mustApply(t, c, deltas[0])
 }
 
+// TestApplyDeltaRefusesOtherDay: the base a delta names is the one check of
+// which atlas it fits, the day included. A day-0 client given the day 1->2
+// delta, and a day-1 client given the day 0->1 delta a second time, are
+// both refused with ErrDeltaBase, and each keeps serving its day.
+func TestApplyDeltaRefusesOtherDay(t *testing.T) {
+	_, vps, days, deltas := dayChain(t, 1, 2)
+	day0, day1 := FromAtlas(days[0]), FromAtlas(days[0])
+	mustApply(t, day1, deltas[0])
+	for _, tc := range []struct {
+		name  string
+		c     *Client
+		delta []byte
+		day   int
+	}{
+		{"a day-0 client given the day 1->2 delta", day0, deltas[1], 0},
+		{"a day-1 client given the day 0->1 delta again", day1, deltas[0], 1},
+	} {
+		before := queryPair(tc.c, vps[0], vps[1])
+		if err := tc.c.ApplyDelta(bytes.NewReader(tc.delta)); !errors.Is(err, atlas.ErrDeltaBase) {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.c.Snapshot().Day() != tc.day || !reflect.DeepEqual(queryPair(tc.c, vps[0], vps[1]), before) {
+			t.Fatalf("%s: the refused delta changed what the client serves", tc.name)
+		}
+	}
+}
+
 // TestWireGrowthSkipsLocalClusters is the regression test for a day's new
 // clusters landing on a client's local ones. A traceroute merge appends
 // local clusters past the shipped count; the builder, which never saw
 // them, numbers the day's new clusters from that same count. The roll must
 // put the new ones in there, with the builder's ASes, and move the local
-// clusters, and the client's own record of them, up past them.
+// clusters up past them. The client's own record of them, an index past
+// the shipped count, then names the moved clusters as it stands, so a
+// merge of the same traceroutes finds every one of them again.
 func TestWireGrowthSkipsLocalClusters(t *testing.T) {
 	w, vps, days, deltas := dayChain(t, 1, 1)
 	c := FromAtlas(days[0])
-	c.AddTraceroutes(realTraceroutes(&fixture{w: w, vps: vps, targets: w.EdgePrefixes()}, vps[0], 40))
+	trs := realTraceroutes(&fixture{w: w, vps: vps, targets: w.EdgePrefixes()}, vps[0], 40)
+	c.AddTraceroutes(trs)
 	shipped, next := int32(days[0].NumClusters), int32(days[1].NumClusters)
 	merged := c.Snapshot().e.Flat()
 	if merged.NumClusters == shipped || next == shipped {
@@ -152,12 +182,14 @@ func TestWireGrowthSkipsLocalClusters(t *testing.T) {
 	if !slices.Equal(rolled.ClusterAS[next:], localAS) {
 		t.Fatalf("the local clusters carry ASes %v after the roll, %v before", rolled.ClusterAS[next:], localAS)
 	}
-	for p, id := range localIDs {
-		if want := id + next - shipped; c.localCluster[p] != want {
-			t.Fatalf("local cluster of %v is %d after the roll, want %d", p, c.localCluster[p], want)
-		}
+	if !maps.Equal(c.localCluster, localIDs) {
+		t.Fatal("the roll rewrote the client's record of its local clusters")
 	}
-	for p, id := range c.localCluster {
+	for p, k := range c.localCluster {
+		id := rolled.ShippedClusters() + k
+		if rolled.ClusterAS[id] != localAS[k] {
+			t.Fatalf("local cluster %d of %v is cluster %d of AS %d, it was of AS %d", k, p, id, rolled.ClusterAS[id], localAS[k])
+		}
 		if got, ok := rolled.ClusterOf(p); ok && got != cluster.ClusterID(id) {
 			t.Fatalf("%v attaches to cluster %d, its local cluster is %d", p, got, id)
 		}
@@ -181,6 +213,10 @@ func TestWireGrowthSkipsLocalClusters(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("no link touched a local cluster")
+	}
+	c.AddTraceroutes(trs)
+	if again := c.Snapshot().e.Flat(); again.NumClusters != rolled.NumClusters || !maps.Equal(c.localCluster, localIDs) {
+		t.Fatalf("the same traceroutes merged again made %d local clusters more", again.NumClusters-rolled.NumClusters)
 	}
 }
 
