@@ -634,9 +634,9 @@ func readAtlasLinks(r *wireReader, cg *clusterGroups) []Link {
 	// walk[c] is how far the search for reverses has come through the
 	// records from cluster c, which ascend by To; it starts at the first
 	// record from c or later. The records whose To is below their From come
-	// From by From, so each cluster's reverses are asked for in ascending
-	// order and its walk only moves on: one pass in all, where a search per
-	// record would cost a log factor.
+	// in From order, so the reverses asked of each cluster ascend and its
+	// walk only moves on: one pass in all, where a search per record would
+	// cost a log factor.
 	walk := make([]int32, r.clusters+1)
 	for c, i := 0, 0; c < len(walk); c++ {
 		for i < len(keys) && keys[i]>>32 < uint64(c) {
